@@ -11,14 +11,13 @@
 //   - DispatchPlace: after a worker dequeues (or steals) the task, the final
 //     execution place (leader core, width) before Assembly Queue insertion.
 //
-// Both runtimes (internal/simrt, internal/xtr) drive policies through this
-// interface; policies themselves are stateless apart from a shared
-// round-robin counter used by the fixed-asymmetry family.
+// The runtime (internal/simrt) drives policies through this interface;
+// policies themselves are stateless apart from the runtime's round-robin
+// counter used by the fixed-asymmetry family.
 package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"dynasym/internal/ptt"
 	"dynasym/internal/topology"
@@ -58,8 +57,9 @@ type Context struct {
 	// Rand is the deciding worker's deterministic RNG (used only by
 	// policies that randomize, none of the built-in seven do).
 	Rand *xrand.RNG
-	// RR is a shared round-robin counter for fixed-asymmetry placement.
-	RR *atomic.Uint64
+	// RR is the runtime's round-robin counter for fixed-asymmetry
+	// placement.
+	RR *uint64
 	// Load, when non-nil, estimates the earliest time (seconds from now)
 	// at which a core could start new work. Runtimes provide it for
 	// finish-time-based baselines such as dHEFT; the paper's seven
@@ -138,7 +138,8 @@ func (p *policy) WakePlace(ctx *Context) (int, bool) {
 	switch p.high {
 	case highFastRR:
 		fast := ctx.Topo.CoresOf(ctx.Topo.FastestCluster())
-		n := ctx.RR.Add(1) - 1
+		n := *ctx.RR
+		*ctx.RR++
 		return fast[int(n)%len(fast)], true
 	case highGlobal:
 		pl := globalBest(ctx.Table, ctx.Topo, p.highObj, p.highWOne)
@@ -200,7 +201,7 @@ func localBest(t *ptt.Table, topo *topology.Platform, core int, obj Objective) t
 // non-moldable DA scheduler). Ties keep the first place in platform order,
 // which makes exploration deterministic. All three variants are served
 // from the table's generation-stamped caches, so between PTT updates a
-// decision costs one atomic load instead of a full-table scan.
+// decision costs one comparison instead of a full-table scan.
 func globalBest(t *ptt.Table, topo *topology.Platform, obj Objective, widthOne bool) topology.Place {
 	var id int
 	switch {

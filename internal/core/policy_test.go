@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"dynasym/internal/ptt"
@@ -40,7 +39,7 @@ func ctxFor(topo *topology.Platform, tbl *ptt.Table, self int, high bool) *Conte
 		Table: tbl,
 		Topo:  topo,
 		Rand:  xrand.New(1),
-		RR:    &atomic.Uint64{},
+		RR:    new(uint64),
 	}
 }
 

@@ -25,7 +25,7 @@ func (g *Graph) InferCriticality(fraction float64, useCost bool) (marked int, cr
 	if fraction <= 0 || fraction > 1 {
 		fraction = 1
 	}
-	tasks := g.Tasks()
+	tasks := g.tasks
 	if len(tasks) == 0 {
 		return 0, 0
 	}

@@ -1,5 +1,4 @@
-// Package dag implements the task-graph substrate shared by the simulated
-// and the real runtime.
+// Package dag implements the task-graph substrate of the simulated runtime.
 //
 // A Graph holds moldable tasks with high/low priority, dependency edges and
 // optional completion hooks that may insert new tasks while the graph is
@@ -7,12 +6,15 @@
 // iteration at a time). The package also computes the paper's DAG
 // parallelism measure: total number of tasks divided by the length of the
 // longest path.
+//
+// A Graph and its Tasks are plain data with no synchronization: one graph
+// instance is built by one goroutine and then executed by one runtime, on
+// the event engine's goroutine, completion hooks included. Concurrent cells
+// each run their own instance (see Frozen for stamping them out).
 package dag
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"dynasym/internal/machine"
 	"dynasym/internal/ptt"
@@ -29,7 +31,7 @@ const (
 	Done                 // finished
 )
 
-// Exec describes one member's share of a moldable execution to a real task
+// Exec describes one member's share of a moldable execution to a task
 // body: the body must perform partition Part of Width.
 type Exec struct {
 	// Part is this member's index in [0, Width).
@@ -57,9 +59,9 @@ type Task struct {
 	High bool
 	// Cost describes the task to the simulator's machine model.
 	Cost machine.Cost
-	// Body, if non-nil, is executed by the real runtime: every member of
-	// the place calls Body with its partition. Bodies must be safe to run
-	// concurrently with other tasks' bodies.
+	// Body, if non-nil, is executed by runtimes configured to run bodies
+	// (simrt.Config.RunBodies): every member of the place calls Body with
+	// its partition, the members of one task concurrently.
 	Body func(Exec)
 	// OnComplete, if non-nil, runs exactly once after the task finishes
 	// and before its successors are released; it may add tasks and edges
@@ -76,8 +78,8 @@ type Task struct {
 	Data any
 
 	id      int64
-	pending atomic.Int32
-	state   atomic.Int32
+	pending int32
+	state   State
 	succs   []*Task
 }
 
@@ -90,18 +92,19 @@ func (t *Task) ID() int64 { return t.id }
 func (t *Task) Succs() []*Task { return t.succs }
 
 // PendingDeps returns the task's current unsatisfied-dependency count.
-func (t *Task) PendingDeps() int32 { return t.pending.Load() }
+func (t *Task) PendingDeps() int32 { return t.pending }
 
 // State returns the task's current lifecycle state.
-func (t *Task) State() State { return State(t.state.Load()) }
+func (t *Task) State() State { return t.state }
 
 // setState transitions the task, panicking on an illegal transition; the
 // runtimes are the only callers.
 func (t *Task) setState(from, to State) {
-	if !t.state.CompareAndSwap(int32(from), int32(to)) {
+	if t.state != from {
 		panic(fmt.Sprintf("dag: task %q (id %d) illegal transition %d->%d from %d",
-			t.Label, t.id, from, to, t.state.Load()))
+			t.Label, t.id, from, to, t.state))
 	}
+	t.state = to
 }
 
 // MarkReady transitions Created→Ready (called by the graph).
@@ -110,14 +113,12 @@ func (t *Task) MarkReady() { t.setState(Created, Ready) }
 // MarkRunning transitions Ready→Running (called by runtimes at dispatch).
 func (t *Task) MarkRunning() { t.setState(Ready, Running) }
 
-// Graph is a mutable task graph. All methods are safe for concurrent use;
-// the real runtime completes tasks from many goroutines.
+// Graph is a mutable task graph. It is not safe for concurrent use (see the
+// package comment).
 type Graph struct {
-	mu          sync.Mutex
 	tasks       []*Task
 	started     bool
-	outstanding atomic.Int64
-	total       atomic.Int64
+	outstanding int64
 	// readyBuf collects tasks that became ready outside a Complete call
 	// (roots added dynamically by completion hooks); Complete drains it.
 	readyBuf []*Task
@@ -127,19 +128,15 @@ type Graph struct {
 func New() *Graph { return &Graph{} }
 
 // AddLayer adds a batch of tasks that all depend on the same single
-// predecessor (nil for none) — the shape of the synthetic layered DAGs —
-// under one lock acquisition and one pass of counter updates. It is
-// equivalent to calling Add(t, dep) for each task in order.
+// predecessor (nil for none) — the shape of the synthetic layered DAGs — in
+// one pass. It is equivalent to calling Add(t, dep) for each task in order.
 func (g *Graph) AddLayer(tasks []*Task, dep *Task) {
 	if len(tasks) == 0 {
 		return
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	base := int64(len(g.tasks))
 	g.tasks = append(g.tasks, tasks...)
-	g.total.Add(int64(len(tasks)))
-	g.outstanding.Add(int64(len(tasks)))
+	g.outstanding += int64(len(tasks))
 	depOpen := dep != nil && dep.State() != Done
 	if depOpen && cap(dep.succs)-len(dep.succs) < len(tasks) {
 		grown := make([]*Task, len(dep.succs), len(dep.succs)+len(tasks))
@@ -150,9 +147,9 @@ func (g *Graph) AddLayer(tasks []*Task, dep *Task) {
 		t.id = base + int64(i)
 		if depOpen {
 			dep.succs = append(dep.succs, t)
-			t.pending.Add(1)
+			t.pending++
 		}
-		if g.started && t.pending.Load() == 0 {
+		if g.started && t.pending == 0 {
 			t.MarkReady()
 			g.readyBuf = append(g.readyBuf, t)
 		}
@@ -162,8 +159,6 @@ func (g *Graph) AddLayer(tasks []*Task, dep *Task) {
 // Grow preallocates capacity for n additional tasks, so bulk builders
 // (synthetic layered DAGs, iteration graphs) avoid repeated slice regrowth.
 func (g *Graph) Grow(n int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if cap(g.tasks)-len(g.tasks) < n {
 		grown := make([]*Task, len(g.tasks), len(g.tasks)+n)
 		copy(grown, g.tasks)
@@ -179,19 +174,16 @@ func (g *Graph) Add(t *Task, deps ...*Task) *Task {
 	if t == nil {
 		panic("dag: Add(nil)")
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	t.id = int64(len(g.tasks))
 	g.tasks = append(g.tasks, t)
-	g.total.Add(1)
-	g.outstanding.Add(1)
+	g.outstanding++
 	for _, d := range deps {
 		if d.State() != Done {
 			d.succs = append(d.succs, t)
-			t.pending.Add(1)
+			t.pending++
 		}
 	}
-	if g.started && t.pending.Load() == 0 {
+	if g.started && t.pending == 0 {
 		t.MarkReady()
 		g.readyBuf = append(g.readyBuf, t)
 	}
@@ -201,8 +193,6 @@ func (g *Graph) Add(t *Task, deps ...*Task) *Task {
 // AddEdge adds a dependency succ→pred after both tasks exist. If pred is
 // already Done the edge is a no-op. It panics if succ already started.
 func (g *Graph) AddEdge(pred, succ *Task) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if succ.State() != Created {
 		panic(fmt.Sprintf("dag: AddEdge to task %q which already started", succ.Label))
 	}
@@ -210,22 +200,20 @@ func (g *Graph) AddEdge(pred, succ *Task) {
 		return
 	}
 	pred.succs = append(pred.succs, succ)
-	succ.pending.Add(1)
+	succ.pending++
 }
 
 // Start freezes the initial graph and returns the initially ready tasks in
 // insertion order. It must be called exactly once, by the runtime, before
 // execution.
 func (g *Graph) Start() []*Task {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if g.started {
 		panic("dag: Start called twice")
 	}
 	g.started = true
 	var ready []*Task
 	for _, t := range g.tasks {
-		if t.pending.Load() == 0 {
+		if t.pending == 0 {
 			t.MarkReady()
 			ready = append(ready, t)
 		}
@@ -242,9 +230,8 @@ func (g *Graph) Complete(t *Task) (newlyReady []*Task, drained bool) {
 	if t.OnComplete != nil {
 		t.OnComplete(g, t)
 	}
-	g.mu.Lock()
 	for _, s := range t.succs {
-		if s.pending.Add(-1) == 0 {
+		if s.pending--; s.pending == 0 {
 			s.MarkReady()
 			if newlyReady == nil {
 				// One exact-capacity allocation on the first ready
@@ -259,21 +246,18 @@ func (g *Graph) Complete(t *Task) (newlyReady []*Task, drained bool) {
 		newlyReady = append(newlyReady, g.readyBuf...)
 		g.readyBuf = g.readyBuf[:0]
 	}
-	g.mu.Unlock()
-	remaining := g.outstanding.Add(-1)
-	return newlyReady, remaining == 0
+	g.outstanding--
+	return newlyReady, g.outstanding == 0
 }
 
 // Outstanding returns the number of incomplete tasks.
-func (g *Graph) Outstanding() int64 { return g.outstanding.Load() }
+func (g *Graph) Outstanding() int64 { return g.outstanding }
 
 // Total returns the number of tasks ever added.
-func (g *Graph) Total() int64 { return g.total.Load() }
+func (g *Graph) Total() int64 { return int64(len(g.tasks)) }
 
 // Tasks returns a snapshot of all tasks in insertion order.
 func (g *Graph) Tasks() []*Task {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return append([]*Task(nil), g.tasks...)
 }
 
@@ -282,8 +266,6 @@ func (g *Graph) Tasks() []*Task {
 // (from = 0) and to catch their task mirrors up after dynamic insertions
 // without allocating a fresh slice per call.
 func (g *Graph) AppendTasks(dst []*Task, from int) []*Task {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if from < 0 {
 		from = 0
 	}
@@ -300,20 +282,18 @@ func (g *Graph) AppendTasks(dst []*Task, from int) []*Task {
 // sequence of Complete calls would have left. It must only be called when
 // every task has in fact executed.
 func (g *Graph) MarkDrained() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	for _, t := range g.tasks {
-		t.pending.Store(0)
-		t.state.Store(int32(Done))
+		t.pending = 0
+		t.state = Done
 	}
-	g.outstanding.Store(0)
+	g.outstanding = 0
 }
 
 // Validate checks that the graph (as currently constructed) is acyclic and
 // that every edge endpoint belongs to the graph. It is intended for static
 // graphs before Start.
 func (g *Graph) Validate() error {
-	tasks := g.Tasks()
+	tasks := g.tasks
 	index := make(map[*Task]int, len(tasks))
 	for i, t := range tasks {
 		index[t] = i
@@ -366,7 +346,7 @@ func (g *Graph) Validate() error {
 // static graph: total tasks divided by the number of tasks on the longest
 // path. An empty graph has parallelism 0.
 func (g *Graph) Parallelism() float64 {
-	tasks := g.Tasks()
+	tasks := g.tasks
 	if len(tasks) == 0 {
 		return 0
 	}

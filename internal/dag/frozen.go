@@ -41,8 +41,6 @@ type frozenTask struct {
 // graph dynamic or tie instances to shared mutable state, and callers
 // should fall back to rebuilding such graphs per run.
 func (g *Graph) Freeze() (*Frozen, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if g.started {
 		return nil, fmt.Errorf("dag: cannot freeze a started graph")
 	}
@@ -66,7 +64,7 @@ func (g *Graph) Freeze() (*Frozen, error) {
 			high:    t.High,
 			iter:    t.Iter,
 			cost:    t.Cost,
-			pending: t.pending.Load(),
+			pending: t.pending,
 		}
 		nsucc += len(t.succs)
 	}
@@ -107,7 +105,7 @@ func (f *Frozen) NewGraph() *Graph {
 		t.Iter = p.iter
 		t.Cost = p.cost
 		t.id = int64(i)
-		t.pending.Store(p.pending)
+		t.pending = p.pending
 		ptrs[i] = t
 	}
 	for i := range tasks {
@@ -124,10 +122,7 @@ func (f *Frozen) NewGraph() *Graph {
 		}
 		tasks[i].succs = s
 	}
-	g := &Graph{tasks: ptrs}
-	g.total.Store(int64(n))
-	g.outstanding.Store(int64(n))
-	return g
+	return &Graph{tasks: ptrs, outstanding: int64(n)}
 }
 
 // Reset restores a drained (or fresh) instance of this snapshot to its
@@ -136,20 +131,17 @@ func (f *Frozen) NewGraph() *Graph {
 // state is cleared. It fails if the graph does not structurally match the
 // snapshot (wrong task count — e.g. an instance of a different Frozen).
 func (f *Frozen) Reset(g *Graph) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if len(g.tasks) != len(f.protos) {
 		return fmt.Errorf("dag: Reset: graph has %d tasks, snapshot has %d", len(g.tasks), len(f.protos))
 	}
 	for i, t := range g.tasks {
 		p := &f.protos[i]
 		t.High = p.high
-		t.pending.Store(p.pending)
-		t.state.Store(int32(Created))
+		t.pending = p.pending
+		t.state = Created
 	}
 	g.started = false
 	g.readyBuf = g.readyBuf[:0]
-	g.outstanding.Store(int64(len(g.tasks)))
-	g.total.Store(int64(len(g.tasks)))
+	g.outstanding = int64(len(g.tasks))
 	return nil
 }

@@ -2,8 +2,9 @@
 // DAGs are built from — MatMul (compute-intensive), Copy (memory-intensive)
 // and Stencil (cache-intensive) — in two forms that must stay consistent:
 //
-//  1. Real, partitionable Go implementations executed by the real runtime:
-//     every member of a moldable place calls Body with its partition index.
+//  1. Real, partitionable Go implementations, executed when the simulator
+//     runs task bodies (simrt.Config.RunBodies): every member of a moldable
+//     place calls Body with its partition index.
 //  2. Analytic cost descriptors (machine.Cost) consumed by the simulator's
 //     roofline model.
 //

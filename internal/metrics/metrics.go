@@ -1,4 +1,4 @@
-// Package metrics collects execution statistics from the runtimes: per-core
+// Package metrics collects execution statistics from a simulated run: per-core
 // kernel work time (paper Figure 6), priority-task place distributions
 // (Figure 5), per-iteration timings and place selections (Figure 9), and
 // overall throughput (Figures 4, 7, 10).
@@ -6,9 +6,7 @@ package metrics
 
 import (
 	"sort"
-	"sync"
 
-	"dynasym/internal/ptt"
 	"dynasym/internal/topology"
 )
 
@@ -18,17 +16,16 @@ import (
 // behavior for arbitrary iteration numbers.
 const maxDenseIter = 1 << 20
 
-// Collector accumulates statistics for one run. It is safe for concurrent
-// use; the simulated runtime calls it from one goroutine, the real runtime
-// from many workers.
+// Collector accumulates statistics for one run. It is not synchronized: the
+// runtime that owns it records from the event engine's goroutine, and
+// readers look only after the run has finished.
 type Collector struct {
 	topo *topology.Platform
 
-	mu       sync.Mutex
 	coreBusy []float64
 	// placeAll and placeHigh count task executions per placeID. They are
 	// dense slices over the platform's place table rather than maps:
-	// TaskDone runs once per task on the simulation hot path, and a slice
+	// TaskDoneID runs once per task on the simulation hot path, and a slice
 	// increment is an order of magnitude cheaper than a map update.
 	placeAll  []int64
 	placeHigh []int64
@@ -127,8 +124,6 @@ func NewCollector(topo *topology.Platform) *Collector {
 // differ from the one the collector was built with; pooled runtimes rebuild
 // their topology per run.
 func (c *Collector) Reset(topo *topology.Platform) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.topo = topo
 	if n := topo.NumCores(); n != len(c.coreBusy) {
 		c.coreBusy = make([]float64, n)
@@ -162,17 +157,10 @@ func (c *Collector) Reset(topo *topology.Platform) {
 	c.sched = nil
 }
 
-// TaskDone records one completed task execution.
-func (c *Collector) TaskDone(pl topology.Place, high bool, typ ptt.TypeID, iter int, start, finish float64) {
-	c.TaskDoneID(c.topo.PlaceID(pl), pl, high, typ, iter, start, finish)
-}
-
-// TaskDoneID is TaskDone with the place's dense id already resolved — the
-// simulated runtime resolves it once at dispatch and reuses it here.
-func (c *Collector) TaskDoneID(id int, pl topology.Place, high bool, _ ptt.TypeID, iter int, start, finish float64) {
+// TaskDoneID records one completed task execution on place pl, whose dense
+// id the runtime resolved once at dispatch.
+func (c *Collector) TaskDoneID(id int, pl topology.Place, high bool, iter int, start, finish float64) {
 	span := finish - start
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.tasksDone++
 	c.placeAll[id]++
 	if high {
@@ -212,31 +200,17 @@ func (c *Collector) TaskDoneID(id int, pl topology.Place, high bool, _ ptt.TypeI
 }
 
 // SetMakespan records the total execution time of the run.
-func (c *Collector) SetMakespan(t float64) {
-	c.mu.Lock()
-	c.makespan = t
-	c.mu.Unlock()
-}
+func (c *Collector) SetMakespan(t float64) { c.makespan = t }
 
 // Makespan returns the recorded total execution time.
-func (c *Collector) Makespan() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.makespan
-}
+func (c *Collector) Makespan() float64 { return c.makespan }
 
 // TasksDone returns the number of completed tasks.
-func (c *Collector) TasksDone() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tasksDone
-}
+func (c *Collector) TasksDone() int64 { return c.tasksDone }
 
 // Throughput returns completed tasks per second of makespan (the paper's
 // headline metric), or 0 when no makespan was recorded.
 func (c *Collector) Throughput() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.makespan <= 0 {
 		return 0
 	}
@@ -246,8 +220,6 @@ func (c *Collector) Throughput() float64 {
 // CoreBusy returns the per-core accumulated kernel work time in seconds
 // (excluding runtime activity and idleness, like the paper's Figure 6).
 func (c *Collector) CoreBusy() []float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return append([]float64(nil), c.coreBusy...)
 }
 
@@ -263,7 +235,6 @@ type PlaceShare struct {
 // descending count then place order. Fractions sum to 1 when any tasks
 // were recorded.
 func (c *Collector) PlaceHistogram(highOnly bool) []PlaceShare {
-	c.mu.Lock()
 	src := c.placeAll
 	if highOnly {
 		src = c.placeHigh
@@ -278,7 +249,6 @@ func (c *Collector) PlaceHistogram(highOnly bool) []PlaceShare {
 		out = append(out, PlaceShare{Place: places[id], Count: n})
 		total += n
 	}
-	c.mu.Unlock()
 	for i := range out {
 		if total > 0 {
 			out[i].Frac = float64(out[i].Count) / float64(total)
@@ -298,7 +268,6 @@ func (c *Collector) PlaceHistogram(highOnly bool) []PlaceShare {
 
 // IterStats returns the per-iteration statistics ordered by iteration.
 func (c *Collector) IterStats() []IterStat {
-	c.mu.Lock()
 	out := make([]IterStat, 0, len(c.byIter)+len(c.byIterSparse))
 	materialize := func(st *iterAgg) {
 		cp := IterStat{
@@ -321,7 +290,6 @@ func (c *Collector) IterStats() []IterStat {
 	for _, st := range c.byIterSparse {
 		materialize(st)
 	}
-	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Iter < out[j].Iter })
 	return out
 }

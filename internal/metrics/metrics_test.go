@@ -2,16 +2,21 @@ package metrics
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"dynasym/internal/topology"
 )
 
+// taskDone records an execution the way the runtime does: place id resolved
+// by the caller.
+func taskDone(c *Collector, pl topology.Place, high bool, iter int, start, finish float64) {
+	c.TaskDoneID(c.Platform().PlaceID(pl), pl, high, iter, start, finish)
+}
+
 func TestThroughputAndMakespan(t *testing.T) {
 	c := NewCollector(topology.TX2())
 	for i := 0; i < 10; i++ {
-		c.TaskDone(topology.Place{Leader: 0, Width: 1}, false, 0, -1, float64(i), float64(i)+0.5)
+		taskDone(c, topology.Place{Leader: 0, Width: 1}, false, -1, float64(i), float64(i)+0.5)
 	}
 	c.SetMakespan(10)
 	if c.TasksDone() != 10 {
@@ -27,7 +32,7 @@ func TestThroughputAndMakespan(t *testing.T) {
 
 func TestCoreBusyAccumulatesPerMember(t *testing.T) {
 	c := NewCollector(topology.TX2())
-	c.TaskDone(topology.Place{Leader: 2, Width: 4}, false, 0, -1, 0, 2)
+	taskDone(c, topology.Place{Leader: 2, Width: 4}, false, -1, 0, 2)
 	busy := c.CoreBusy()
 	for core := 2; core <= 5; core++ {
 		if busy[core] != 2 {
@@ -44,9 +49,9 @@ func TestPlaceHistogram(t *testing.T) {
 	hi := topology.Place{Leader: 1, Width: 1}
 	lo := topology.Place{Leader: 2, Width: 2}
 	for i := 0; i < 3; i++ {
-		c.TaskDone(hi, true, 0, -1, 0, 1)
+		taskDone(c, hi, true, -1, 0, 1)
 	}
-	c.TaskDone(lo, false, 0, -1, 0, 1)
+	taskDone(c, lo, false, -1, 0, 1)
 	all := c.PlaceHistogram(false)
 	if len(all) != 2 || all[0].Place != hi || all[0].Count != 3 {
 		t.Fatalf("all hist = %+v", all)
@@ -62,9 +67,9 @@ func TestPlaceHistogram(t *testing.T) {
 
 func TestIterStats(t *testing.T) {
 	c := NewCollector(topology.TX2())
-	c.TaskDone(topology.Place{Leader: 0, Width: 1}, false, 0, 1, 2.0, 2.5)
-	c.TaskDone(topology.Place{Leader: 1, Width: 1}, false, 0, 1, 1.5, 2.2)
-	c.TaskDone(topology.Place{Leader: 0, Width: 1}, false, 0, 0, 0.0, 1.0)
+	taskDone(c, topology.Place{Leader: 0, Width: 1}, false, 1, 2.0, 2.5)
+	taskDone(c, topology.Place{Leader: 1, Width: 1}, false, 1, 1.5, 2.2)
+	taskDone(c, topology.Place{Leader: 0, Width: 1}, false, 0, 0.0, 1.0)
 	st := c.IterStats()
 	if len(st) != 2 || st[0].Iter != 0 || st[1].Iter != 1 {
 		t.Fatalf("iters = %+v", st)
@@ -79,27 +84,9 @@ func TestIterStats(t *testing.T) {
 
 func TestNegativeIterIgnored(t *testing.T) {
 	c := NewCollector(topology.TX2())
-	c.TaskDone(topology.Place{Leader: 0, Width: 1}, false, 0, -1, 0, 1)
+	taskDone(c, topology.Place{Leader: 0, Width: 1}, false, -1, 0, 1)
 	if len(c.IterStats()) != 0 {
 		t.Fatal("iter -1 recorded")
-	}
-}
-
-func TestConcurrentTaskDone(t *testing.T) {
-	c := NewCollector(topology.TX2())
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				c.TaskDone(topology.Place{Leader: 0, Width: 1}, i%2 == 0, 0, i%4, 0, 1)
-			}
-		}()
-	}
-	wg.Wait()
-	if c.TasksDone() != 4000 {
-		t.Fatalf("tasks = %d, want 4000", c.TasksDone())
 	}
 }
 
@@ -113,9 +100,9 @@ func TestZeroMakespanThroughput(t *testing.T) {
 func TestSparseIterFallsBackToMap(t *testing.T) {
 	c := NewCollector(topology.TX2())
 	sparse := maxDenseIter + 1_000_000_000 // far beyond the dense range
-	c.TaskDone(topology.Place{Leader: 0, Width: 1}, false, 0, 2, 0.0, 1.0)
-	c.TaskDone(topology.Place{Leader: 0, Width: 1}, false, 0, sparse, 1.0, 2.0)
-	c.TaskDone(topology.Place{Leader: 1, Width: 1}, false, 0, sparse, 1.5, 2.5)
+	taskDone(c, topology.Place{Leader: 0, Width: 1}, false, 2, 0.0, 1.0)
+	taskDone(c, topology.Place{Leader: 0, Width: 1}, false, sparse, 1.0, 2.0)
+	taskDone(c, topology.Place{Leader: 1, Width: 1}, false, sparse, 1.5, 2.5)
 	st := c.IterStats()
 	if len(st) != 2 || st[0].Iter != 2 || st[1].Iter != sparse {
 		t.Fatalf("iters = %+v", st)

@@ -53,18 +53,10 @@ type Sched struct {
 }
 
 // SetSched attaches a run's scheduler telemetry to the collector.
-func (c *Collector) SetSched(s *Sched) {
-	c.mu.Lock()
-	c.sched = s
-	c.mu.Unlock()
-}
+func (c *Collector) SetSched(s *Sched) { c.sched = s }
 
 // Sched returns the telemetry attached by SetSched, or nil.
-func (c *Collector) Sched() *Sched {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sched
-}
+func (c *Collector) Sched() *Sched { return c.sched }
 
 // TotalSteals sums the steal matrix (both priorities).
 func (s *Sched) TotalSteals() int64 {

@@ -13,15 +13,14 @@
 //
 //	updated = (4*old + 1*new) / 5
 //
-// Tables are safe for concurrent use: the real runtime has one goroutine per
-// worker updating entries after each task, exactly like XiTAO's workers.
+// Tables and registries are plain data owned by one simulated runtime, and a
+// runtime runs on one goroutine (the event engine's): nothing here is
+// synchronized. Concurrent cells each own their runtime and its tables.
 package ptt
 
 import (
 	"fmt"
 	"math"
-	"strings"
-	"sync/atomic"
 
 	"dynasym/internal/topology"
 )
@@ -34,9 +33,8 @@ type TypeID int
 // Table is the Performance Trace Table for one task type.
 //
 // The paper lays out rows per core so each worker touches one cache line;
-// in Go we keep a flat slice indexed by dense place id, with one atomic
-// word per entry, which gives the same property: distinct places never
-// share a word, and a worker's local places are contiguous.
+// here it is a flat slice indexed by dense place id, in which a worker's
+// local places are contiguous.
 type Table struct {
 	topo *topology.Platform
 	// alpha is the weight of the new observation (paper: 1/5);
@@ -44,23 +42,30 @@ type Table struct {
 	// fused multiply-add per observation.
 	alpha         float64
 	oneMinusAlpha float64
-	// entries[placeID] holds the float64 bits of the weighted average.
-	entries []atomic.Uint64
+	// entries[placeID] holds the weighted average, in seconds.
+	entries []float64
 	// counts[placeID] counts updates, for diagnostics and reports.
-	counts []atomic.Uint64
+	counts []uint64
 	// gen counts successful updates, starting at 1, and stamps the cached
-	// best-place words below: a cache word whose stamp equals gen reflects
-	// the current entries; any update (or Reset) invalidates every cache by
-	// bumping gen. Schedulers query a best place on each dispatch decision
-	// but the table only changes on task completion, so between completions
-	// the minimizing searches collapse to one atomic load.
-	gen atomic.Uint64
-	// Cached minimizing-search results, packed gen<<bestIDBits | (id+1);
-	// zero means never computed. bestLocalCost is indexed by core.
-	bestCostAll   atomic.Uint64
-	bestTimeAll   atomic.Uint64
-	bestW1        atomic.Uint64
-	bestLocalCost []atomic.Uint64
+	// best places below: a cache whose stamp equals gen reflects the current
+	// entries; any update (or Reset) invalidates every cache by bumping gen.
+	// Schedulers query a best place on each dispatch decision but the table
+	// only changes on task completion, so between completions the
+	// minimizing searches collapse to one comparison.
+	gen uint64
+	// Cached minimizing-search results. bestLocalCost is indexed by core.
+	bestCostAll   bestPlace
+	bestTimeAll   bestPlace
+	bestW1        bestPlace
+	bestLocalCost []bestPlace
+}
+
+// bestPlace caches one minimizing search: the winning place id and the
+// table generation it was computed at (0, which no table ever has, means
+// never computed).
+type bestPlace struct {
+	gen uint64
+	id  int
 }
 
 // DefaultAlpha is the paper's chosen new-sample weight (ratio 1:4).
@@ -73,16 +78,15 @@ const DefaultAlpha = 1.0 / 5.0
 func NewTable(topo *topology.Platform, alpha float64) *Table {
 	alpha = clampAlpha(alpha)
 	n := len(topo.Places())
-	t := &Table{
+	return &Table{
 		topo:          topo,
 		alpha:         alpha,
 		oneMinusAlpha: 1 - alpha,
-		entries:       make([]atomic.Uint64, n),
-		counts:        make([]atomic.Uint64, n),
-		bestLocalCost: make([]atomic.Uint64, topo.NumCores()),
+		entries:       make([]float64, n),
+		counts:        make([]uint64, n),
+		gen:           1,
+		bestLocalCost: make([]bestPlace, topo.NumCores()),
 	}
-	t.gen.Store(1)
-	return t
 }
 
 // clampAlpha normalizes a configured new-observation weight: non-positive
@@ -96,9 +100,6 @@ func clampAlpha(alpha float64) float64 {
 	}
 	return alpha
 }
-
-// Alpha returns the new-observation weight used by Update.
-func (t *Table) Alpha() float64 { return t.alpha }
 
 // Platform returns the platform the table is indexed by.
 func (t *Table) Platform() *topology.Platform { return t.topo }
@@ -115,7 +116,7 @@ func (t *Table) Value(pl topology.Place) float64 {
 
 // ValueByID returns the estimate for a dense place id.
 func (t *Table) ValueByID(id int) float64 {
-	return math.Float64frombits(t.entries[id].Load())
+	return t.entries[id]
 }
 
 // Count returns how many observations the place has received.
@@ -124,7 +125,7 @@ func (t *Table) Count(pl topology.Place) uint64 {
 	if id < 0 {
 		return 0
 	}
-	return t.counts[id].Load()
+	return t.counts[id]
 }
 
 // Update folds a new observation (seconds) into the entry for the place
@@ -143,56 +144,41 @@ func (t *Table) UpdateByID(id int, observed float64) {
 	if id < 0 || observed <= 0 || math.IsInf(observed, 0) || math.IsNaN(observed) {
 		return
 	}
-	e := &t.entries[id]
-	for {
-		oldBits := e.Load()
-		old := math.Float64frombits(oldBits)
-		next := observed
-		if old != 0 {
-			next = t.oneMinusAlpha*old + t.alpha*observed
-		}
-		if e.CompareAndSwap(oldBits, math.Float64bits(next)) {
-			t.counts[id].Add(1)
-			t.gen.Add(1)
-			return
-		}
+	if old := t.entries[id]; old != 0 {
+		observed = t.oneMinusAlpha*old + t.alpha*observed
 	}
+	t.entries[id] = observed
+	t.counts[id]++
+	t.gen++
 }
 
 // Reset clears every entry back to the unmeasured state.
 func (t *Table) Reset() {
-	for i := range t.entries {
-		t.entries[i].Store(0)
-		t.counts[i].Store(0)
-	}
+	clear(t.entries)
+	clear(t.counts)
 	// Bumping (never rewinding) the generation invalidates the cached best
-	// words: a stamp from before the Reset can never match again.
-	t.gen.Add(1)
+	// places: a stamp from before the Reset can never match again.
+	t.gen++
 }
 
 // adopt rebinds the table to a (possibly different) platform and alpha and
 // clears it, reusing the entry storage when the shapes match. It is the
-// pooled-reuse counterpart of NewTable and must not race concurrent
-// readers; registries only call it between runs via Registry.Reset.
+// pooled-reuse counterpart of NewTable.
 func (t *Table) adopt(topo *topology.Platform, alpha float64) {
 	t.topo = topo
 	t.alpha = clampAlpha(alpha)
 	t.oneMinusAlpha = 1 - t.alpha
 	if n := len(topo.Places()); n != len(t.entries) {
-		t.entries = make([]atomic.Uint64, n)
-		t.counts = make([]atomic.Uint64, n)
+		t.entries = make([]float64, n)
+		t.counts = make([]uint64, n)
 	}
 	if n := topo.NumCores(); n != len(t.bestLocalCost) {
-		t.bestLocalCost = make([]atomic.Uint64, n)
+		t.bestLocalCost = make([]bestPlace, n)
 	}
-	// Stale best-place cache words need no clearing: the generation bump in
+	// Stale best-place caches need no clearing: the generation bump in
 	// Reset outdates every stamp they could carry.
 	t.Reset()
 }
-
-// bestIDBits is the width of the place-id field in a packed best-place
-// cache word. Platforms with ≥ 2^16-1 places simply skip caching.
-const bestIDBits = 16
 
 // BestGlobalCost returns the dense id of the place minimizing estimate ×
 // width over every place (the paper's global resource-cost search). Zero
@@ -209,21 +195,19 @@ func (t *Table) BestGlobalTime() int { return t.cachedGlobal(&t.bestTimeAll, fal
 // coincide.
 func (t *Table) BestGlobalW1() int { return t.cachedGlobal(&t.bestW1, false, true) }
 
-// cachedGlobal serves a global minimizing search from its cache word,
+// cachedGlobal serves a global minimizing search from its cache,
 // rescanning only when the update generation moved since it was stored.
-func (t *Table) cachedGlobal(slot *atomic.Uint64, cost, widthOne bool) int {
-	gen := t.gen.Load()
-	if w := slot.Load(); w != 0 && w>>bestIDBits == gen {
-		return int(w&(1<<bestIDBits-1)) - 1
+func (t *Table) cachedGlobal(slot *bestPlace, cost, widthOne bool) int {
+	if slot.gen == t.gen {
+		return slot.id
 	}
 	places := t.topo.Places()
 	best, bestScore := -1, -1.0
-	for id := range t.entries {
+	for id, v := range t.entries {
 		w := places[id].Width
 		if widthOne && w != 1 {
 			continue
 		}
-		v := math.Float64frombits(t.entries[id].Load())
 		if cost {
 			v *= float64(w)
 		}
@@ -231,7 +215,7 @@ func (t *Table) cachedGlobal(slot *atomic.Uint64, cost, widthOne bool) int {
 			best, bestScore = id, v
 		}
 	}
-	t.storeBest(slot, gen, best)
+	*slot = bestPlace{gen: t.gen, id: best}
 	return best
 }
 
@@ -241,31 +225,22 @@ func (t *Table) cachedGlobal(slot *atomic.Uint64, cost, widthOne bool) int {
 // tie-breaking match the uncached search: the width-1 place wins ties.
 func (t *Table) BestLocalCost(core int) int {
 	slot := &t.bestLocalCost[core]
-	gen := t.gen.Load()
-	if w := slot.Load(); w != 0 && w>>bestIDBits == gen {
-		return int(w&(1<<bestIDBits-1)) - 1
+	if slot.gen == t.gen {
+		return slot.id
 	}
 	cands := t.topo.LocalPlaceIDs(core)
 	places := t.topo.Places()
 	best := int(cands[0]) // widths ascend, so entry 0 is (core, 1)
-	bestScore := math.Float64frombits(t.entries[best].Load())
+	bestScore := t.entries[best]
 	for _, cid := range cands[1:] {
 		id := int(cid)
-		v := math.Float64frombits(t.entries[id].Load()) * float64(places[id].Width)
+		v := t.entries[id] * float64(places[id].Width)
 		if v < bestScore {
 			best, bestScore = id, v
 		}
 	}
-	t.storeBest(slot, gen, best)
+	*slot = bestPlace{gen: t.gen, id: best}
 	return best
-}
-
-// storeBest packs and publishes one best-place cache word, skipping ids or
-// generations too large for their fields (neither occurs in practice).
-func (t *Table) storeBest(slot *atomic.Uint64, gen uint64, id int) {
-	if id >= 0 && id < 1<<bestIDBits-1 && gen < 1<<(64-bestIDBits) {
-		slot.Store(gen<<bestIDBits | uint64(id+1))
-	}
 }
 
 // Snapshot returns a copy of the table's current estimates keyed by place.
@@ -280,116 +255,55 @@ func (t *Table) Snapshot() map[topology.Place]float64 {
 	return out
 }
 
-// String renders the measured entries, ordered by place, for debugging.
-func (t *Table) String() string {
-	var b strings.Builder
-	b.WriteString("ptt{")
-	first := true
-	for id, pl := range t.topo.Places() {
-		v := t.ValueByID(id)
-		if v == 0 {
-			continue
-		}
-		if !first {
-			b.WriteString(" ")
-		}
-		first = false
-		fmt.Fprintf(&b, "%s=%.3gs", pl, v)
-	}
-	b.WriteString("}")
-	return b.String()
-}
-
-// Registry holds one Table per task type, created lazily. It is safe for
-// concurrent use.
+// Registry holds one Table per task type, created lazily.
 type Registry struct {
 	topo   *topology.Platform
 	alpha  float64
-	mu     atomic.Pointer[[]*Table] // copy-on-write slice indexed by TypeID
-	growMu chanMutex
+	tables []*Table // indexed by TypeID; nil for ids never requested
 }
-
-// chanMutex is a tiny mutex built on a buffered channel so the zero Registry
-// literal stays small; it guards the rare grow path only.
-type chanMutex struct{ ch atomic.Pointer[chan struct{}] }
-
-func (m *chanMutex) lock() {
-	ch := m.ch.Load()
-	if ch == nil {
-		newCh := make(chan struct{}, 1)
-		if m.ch.CompareAndSwap(nil, &newCh) {
-			ch = &newCh
-		} else {
-			ch = m.ch.Load()
-		}
-	}
-	*ch <- struct{}{}
-}
-
-func (m *chanMutex) unlock() { <-*m.ch.Load() }
 
 // NewRegistry builds a registry producing tables with the given alpha
 // (<= 0 selects DefaultAlpha).
 func NewRegistry(topo *topology.Platform, alpha float64) *Registry {
-	r := &Registry{topo: topo, alpha: alpha}
-	empty := make([]*Table, 0)
-	r.mu.Store(&empty)
-	return r
+	return &Registry{topo: topo, alpha: alpha}
 }
 
-// Get returns the table for the task type, creating it on first use.
+// Get returns the table for the task type, creating it on first use. Table
+// pointers are stable for the registry's lifetime.
 func (r *Registry) Get(id TypeID) *Table {
+	if uint(id) < uint(len(r.tables)) {
+		if t := r.tables[id]; t != nil {
+			return t
+		}
+	}
+	return r.create(id)
+}
+
+// create is Get's cold path, kept apart so the lookup inlines.
+func (r *Registry) create(id TypeID) *Table {
 	if id < 0 {
 		panic(fmt.Sprintf("ptt: negative TypeID %d", id))
 	}
-	tables := *r.mu.Load()
-	if int(id) < len(tables) && tables[id] != nil {
-		return tables[id]
+	for int(id) >= len(r.tables) {
+		r.tables = append(r.tables, nil)
 	}
-	r.growMu.lock()
-	defer r.growMu.unlock()
-	tables = *r.mu.Load()
-	if int(id) >= len(tables) {
-		grown := make([]*Table, id+1)
-		copy(grown, tables)
-		tables = grown
-	} else {
-		tables = append([]*Table(nil), tables...)
-	}
-	if tables[id] == nil {
-		tables[id] = NewTable(r.topo, r.alpha)
-	}
-	r.mu.Store(&tables)
-	return tables[id]
+	r.tables[id] = NewTable(r.topo, r.alpha)
+	return r.tables[id]
 }
 
 // Tables returns the currently existing tables indexed by TypeID; entries
 // may be nil for unused ids.
-func (r *Registry) Tables() []*Table {
-	return *r.mu.Load()
-}
-
-// ResetAll clears every table in the registry.
-func (r *Registry) ResetAll() {
-	for _, t := range r.Tables() {
-		if t != nil {
-			t.Reset()
-		}
-	}
-}
+func (r *Registry) Tables() []*Table { return r.tables }
 
 // Reset returns the registry to the observable state NewRegistry(topo,
 // alpha) produces — every table unmeasured, future tables built for the
 // given platform and alpha — while reusing the existing tables' storage.
-// Unlike ResetAll it may rebind the platform, so pooled runtimes can carry
-// one registry across runs that rebuild their topology per run. It must
-// not race concurrent Get/Update; callers reset between runs.
+// It may rebind the platform, so pooled runtimes can carry one registry
+// across runs that rebuild their topology per run.
 func (r *Registry) Reset(topo *topology.Platform, alpha float64) {
-	r.growMu.lock()
-	defer r.growMu.unlock()
 	r.topo = topo
 	r.alpha = alpha
-	for _, t := range *r.mu.Load() {
+	for _, t := range r.tables {
 		if t != nil {
 			t.adopt(topo, alpha)
 		}

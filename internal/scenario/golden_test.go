@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"dynasym/internal/core"
@@ -85,6 +87,63 @@ func TestSpecHashGoldenVectors(t *testing.T) {
 			if got != v.want {
 				cj, _ := v.spec.CanonicalJSON()
 				t.Errorf("Spec.Hash = %s, want %s\ncanonical encoding changed to: %s", got, v.want, cj)
+			}
+		})
+	}
+}
+
+// TestResultFingerprintGoldenVectors pins sha256(Result.Fingerprint()) for
+// one small spec per workload kind — all seven Table-1 policies, two
+// repetitions, a burst disturbance. Every other determinism suite compares
+// two runs of the same commit; this is the only tier-1 test that notices a
+// deterministic drift between commits (a refactor that changes a steal
+// victim, a PTT rounding, an RNG draw order). The literals were generated
+// at the commit before the goroutine runtime was removed and must survive
+// any behaviour-preserving change unchanged. A legitimate schedule change
+// re-pins them together with a cellHashVersion bump, in its own commit —
+// never one without the other, or caches serve results this engine would
+// not produce.
+func TestResultFingerprintGoldenVectors(t *testing.T) {
+	burst := Disturbance{Kind: Burst, Cluster: 1, Share: 0.4, BusyDur: 0.1, IdleDur: 0.2, PhaseStep: 0.05}
+	specs := map[string]Spec{}
+	for name, w := range probeWorkloads() {
+		specs[name] = Spec{
+			Name:     "golden-fp-" + name,
+			Platform: PlatformSpec{Preset: "tx2"},
+			Workload: w,
+			Disturb:  []Disturbance{burst},
+			Policies: core.All(),
+			Reps:     2,
+			Seed:     42,
+		}
+	}
+	specs["heatdist"] = Spec{
+		Name:     "golden-fp-heatdist",
+		Platform: PlatformSpec{Preset: "haswell-node"},
+		Workload: WorkloadSpec{Kind: HeatDist, Heat: workloads.HeatDistConfig{Nodes: 2, Iters: 6}},
+		Disturb:  []Disturbance{{Kind: Burst, Node: 1, Cluster: 0, Share: 0.4, BusyDur: 0.001, IdleDur: 0.002}},
+		Policies: core.All(),
+		Reps:     2,
+		Seed:     11,
+	}
+	want := map[string]string{
+		"synthetic": "b4c174ce0998df2cb7da4c35982a6f6d31785859dc70dd72cb79c7c545c8a244",
+		"kmeans":    "7d330699a10b4081123be86e15a7a26dcb9e2e0f5835ffa7b1df5b98ba72c52a",
+		"daggen":    "cf6156a5a30ea55c0a695613ca2a73ec993386054de3bc181afef46cbd708371",
+		"dagfile":   "27a9e205061cc6a953e18e8fcd3ed7e34dd723193ec0f01fb47c6a22baa0f430",
+		"heatdist":  "bbeb408d0a0dc6024a1d929ab58f2774278d486ea78af969602b1b49d5367e35",
+	}
+	for name, s := range specs {
+		name, s := name, s
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			res, err := Run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256([]byte(res.Fingerprint()))
+			if got := hex.EncodeToString(sum[:]); got != want[name] {
+				t.Errorf("sha256(Fingerprint) = %s, want %s", got, want[name])
 			}
 		})
 	}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dynasym/internal/obs"
@@ -51,13 +50,13 @@ type Backend interface {
 // flight.
 type localBackend struct {
 	sem chan struct{}
-	// cellRuns counts cells actually simulated (the cache-miss work).
-	cellRuns atomic.Int64
-	// busy, runs and runSec mirror the pool into the manager's metric
-	// registry (utilization gauge, run counter, duration histogram).
-	// They are nil-tolerant, so a bare test backend works unwired.
-	busy   *obs.Gauge
+	// runs counts cells actually simulated (the cache-miss work). The
+	// manager points it, busy and runSec at its metric registry (run
+	// counter, utilization gauge, duration histogram); a bare backend
+	// counts on a private counter and leaves the nil-tolerant other two
+	// unwired.
 	runs   *obs.Counter
+	busy   *obs.Gauge
 	runSec *obs.Histogram
 	// runCell is the engine entry point; tests substitute it to count
 	// runs or inject failures without simulating.
@@ -67,6 +66,7 @@ type localBackend struct {
 func newLocalBackend(workers int) *localBackend {
 	return &localBackend{
 		sem:     make(chan struct{}, workers),
+		runs:    new(obs.Counter),
 		runCell: (*scenario.Plan).RunCellState,
 	}
 }
@@ -81,7 +81,7 @@ func (b *localBackend) Name() string { return "local" }
 //
 // On context cancellation the results of cells that already completed are
 // returned alongside ctx.Err() — completed simulation work is never
-// discarded, and cellRuns counts exactly the cells that actually ran.
+// discarded, and runs counts exactly the cells that actually ran.
 func (b *localBackend) Execute(ctx context.Context, plan *scenario.Plan, cells []scenario.CellJob) ([]CellResult, error) {
 	out := make([]CellResult, len(cells))
 	if len(cells) == 0 {
@@ -125,7 +125,6 @@ func (b *localBackend) Execute(ctx context.Context, plan *scenario.Plan, cells [
 				case <-ctx.Done():
 					return
 				}
-				b.cellRuns.Add(1)
 				b.runs.Inc()
 				b.busy.Inc()
 				cellT0, cellStart := jt.at(), time.Now()

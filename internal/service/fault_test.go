@@ -114,7 +114,7 @@ func TestChaosMidShardCrashBanksPrefix(t *testing.T) {
 	}
 	waitDone(t, j)
 	assertUndisturbedFingerprint(t, j, spec)
-	banked := inner.cellRuns.Load()
+	banked := inner.runs.Value()
 	if banked == 0 {
 		t.Fatal("fault injection was vacuous: the crashing peer never completed a prefix")
 	}
@@ -238,7 +238,7 @@ func TestChaosPeerRecoveryReadmits(t *testing.T) {
 	}
 	waitDone(t, j2)
 	assertUndisturbedFingerprint(t, j2, s2)
-	if got := inner.cellRuns.Load(); got != 0 {
+	if got := inner.runs.Value(); got != 0 {
 		t.Fatalf("down peer simulated %d cells during its backoff window", got)
 	}
 
@@ -254,7 +254,7 @@ func TestChaosPeerRecoveryReadmits(t *testing.T) {
 	}
 	waitDone(t, j3)
 	assertUndisturbedFingerprint(t, j3, s3)
-	if got := inner.cellRuns.Load(); got == 0 {
+	if got := inner.runs.Value(); got == 0 {
 		t.Error("recovered peer never simulated a cell after its probe")
 	}
 	if ph := m.PeerHealth(); len(ph) != 1 || ph[0].State != "healthy" || ph[0].ConsecutiveFails != 0 {

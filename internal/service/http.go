@@ -334,7 +334,6 @@ func (m *Manager) handleShards(w http.ResponseWriter, r *http.Request) {
 		// the pool never ran (canceled request, pool error) is retried by
 		// the coordinator on another backend and must not be counted
 		// twice — for misses or for hits.
-		m.cellMisses.Add(int64(len(crs)))
 		m.mx.cellMisses.Add(int64(len(crs)))
 		for _, cr := range crs {
 			executed[cr.Hash] = cr
@@ -360,7 +359,6 @@ func (m *Manager) handleShards(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	m.cellHits.Add(hits)
 	m.mx.cellHits.Add(hits)
 
 	elapsed := m.now().Sub(shardT0)

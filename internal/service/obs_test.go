@@ -88,6 +88,23 @@ func TestMetricsExposition(t *testing.T) {
 	if misses := metricValue(t, body, "asymd_cell_cache_misses_total"); misses <= 0 {
 		t.Errorf("asymd_cell_cache_misses_total = %v, want > 0", misses)
 	}
+	// /v1/healthz reads the very counters /metrics exposes.
+	var hz struct {
+		Stats Stats `json:"stats"`
+	}
+	if code := getJSON(t, srv.URL+"/v1/healthz", &hz); code != 200 {
+		t.Fatalf("healthz: HTTP %d", code)
+	}
+	for series, got := range map[string]int64{
+		"asymd_jobs_done_total":         hz.Stats.EngineRuns,
+		"asymd_cell_cache_hits_total":   hz.Stats.CellHits,
+		"asymd_cell_cache_misses_total": hz.Stats.CellMisses,
+		"asymd_cell_runs_total":         hz.Stats.CellRuns,
+	} {
+		if want := metricValue(t, body, series); float64(got) != want {
+			t.Errorf("healthz reports %d where /metrics %s = %v", got, series, want)
+		}
+	}
 	// Histogram plumbing: the job-run histogram saw exactly one job, the
 	// +Inf bucket agrees, and the sum is positive.
 	if n := metricValue(t, body, "asymd_job_run_seconds_count"); n != 1 {

@@ -105,7 +105,9 @@ type Job struct {
 	// flight or from cache) — the dedupe/cache-hit counter.
 	hits atomic.Int64
 
-	// Written once before close(done), read after.
+	// Written once before the terminal state is stored, read only after
+	// observing it: the atomic store orders these fields for every reader,
+	// so a poller that saw "done" can always fetch the result.
 	result            *scenario.Result
 	fperr             error
 	fprint            string
@@ -130,12 +132,11 @@ func (j *Job) Wait(ctx context.Context) error {
 }
 
 // Result returns the result, fingerprint and run duration of a completed
-// job; it errors if the job failed or has not finished.
+// job; it errors if the job failed or has not finished. It gates on the
+// state, not on Done: the state is what Snapshot and the wire API report.
 func (j *Job) Result() (*scenario.Result, string, time.Duration, error) {
-	select {
-	case <-j.done:
-	default:
-		return nil, "", 0, fmt.Errorf("service: job %s is %s", j.Hash, j.State())
+	if st := j.State(); st != StateDone && st != StateFailed {
+		return nil, "", 0, fmt.Errorf("service: job %s is %s", j.Hash, st)
 	}
 	if j.fperr != nil {
 		return nil, "", 0, j.fperr
@@ -324,11 +325,7 @@ type Manager struct {
 	simtraces *lruCache[[]byte]
 	closed    bool
 
-	wg   sync.WaitGroup // running job goroutines
-	runs atomic.Int64   // jobs actually executed (not absorbed)
-
-	cellHits   atomic.Int64 // cells served from the cell cache
-	cellMisses atomic.Int64 // cells dispatched to a backend
+	wg sync.WaitGroup // running job goroutines
 }
 
 // NewManager builds a Manager.
@@ -489,7 +486,6 @@ func (m *Manager) execute(j *Job) {
 	}
 
 	res, err := m.runJob(ctx, j)
-	m.runs.Add(1)
 	j.finished = m.now()
 	j.elapsed = j.finished.Sub(j.started)
 	m.mx.jobsRunning.Dec()
@@ -696,8 +692,6 @@ func (m *Manager) runJob(ctx context.Context, j *Job) (*scenario.Result, error) 
 	for _, c := range claimed {
 		misses += mult[c.Hash]
 	}
-	m.cellHits.Add(hits)
-	m.cellMisses.Add(misses)
 	m.mx.cellHits.Add(hits)
 	m.mx.cellMisses.Add(misses)
 	j.cellHits.Store(hits)
@@ -731,7 +725,6 @@ func (m *Manager) runJob(ctx context.Context, j *Job) (*scenario.Result, error) 
 			<-p.done
 			if p.ok {
 				results[h] = p.rm
-				m.cellHits.Add(mult[h])
 				m.mx.cellHits.Add(mult[h])
 				j.cellHits.Add(mult[h])
 				onDone(byHash[h])
@@ -745,7 +738,6 @@ func (m *Manager) runJob(ctx context.Context, j *Job) (*scenario.Result, error) 
 	}
 	if len(fallback) > 0 {
 		for _, c := range fallback {
-			m.cellMisses.Add(mult[c.Hash])
 			m.mx.cellMisses.Add(mult[c.Hash])
 			j.cellMisses.Add(mult[c.Hash])
 		}
@@ -1069,13 +1061,14 @@ func (m *Manager) Job(hash string) (*Job, bool) {
 	return m.cache.Get(hash)
 }
 
-// EngineRuns reports how many jobs the manager has executed —
-// submissions minus dedupe and cache hits.
-func (m *Manager) EngineRuns() int64 { return m.runs.Load() }
+// EngineRuns reports how many jobs the manager has executed to a terminal
+// state — submissions minus dedupe and cache hits. Like every count below
+// it reads the metric registry's counters, the ones /metrics serves.
+func (m *Manager) EngineRuns() int64 { return m.mx.jobsDone.Value() + m.mx.jobsFailed.Value() }
 
 // CellRuns reports how many cells the local backend has simulated (for
 // its own jobs and for shards served to peers).
-func (m *Manager) CellRuns() int64 { return m.local.cellRuns.Load() }
+func (m *Manager) CellRuns() int64 { return m.mx.cellRuns.Value() }
 
 // Jobs snapshots every known job — in flight first (newest submission
 // first), then finished ones from most to least recently used — for the
@@ -1137,12 +1130,12 @@ func (m *Manager) Stats() Stats {
 		CacheSize:     m.cfg.CacheSize,
 		Cached:        m.cache.Len(),
 		Inflight:      len(m.inflight),
-		EngineRuns:    m.runs.Load(),
+		EngineRuns:    m.EngineRuns(),
 		CellCacheSize: m.cfg.CellCacheSize,
 		CellsCached:   m.cells.Len(),
-		CellHits:      m.cellHits.Load(),
-		CellMisses:    m.cellMisses.Load(),
-		CellRuns:      m.local.cellRuns.Load(),
+		CellHits:      m.mx.cellHits.Value(),
+		CellMisses:    m.mx.cellMisses.Value(),
+		CellRuns:      m.CellRuns(),
 		Backends:      backends,
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -269,5 +270,36 @@ func TestJobProgressCounters(t *testing.T) {
 	}
 	if st.ResultURL == "" {
 		t.Error("done job has no result URL")
+	}
+}
+
+// TestDoneStateImpliesResult pins that the terminal state and the result
+// become visible in one step: a poller that reads "done" from Snapshot (as
+// GET /v1/jobs/{id} does) must get the result from Result (as GET
+// /v1/results/{id} does) — never "job … is done". A second goroutine spins
+// on exactly that sequence while many short jobs finish.
+func TestDoneStateImpliesResult(t *testing.T) {
+	m := NewManager(Config{Workers: 1, CacheSize: 8})
+	spec := tinySpec(0)
+	spec.Policies = spec.Policies[:1]
+	spec.Points = spec.Points[:1]
+	for seed := uint64(1); seed <= 300; seed++ {
+		spec.Seed = seed
+		j, _, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		polled := make(chan error, 1)
+		go func() {
+			for j.Snapshot().State != "done" {
+				runtime.Gosched()
+			}
+			_, _, _, err := j.Result()
+			polled <- err
+		}()
+		if err := <-polled; err != nil {
+			t.Fatalf("job %d reported done without a result: %v", seed, err)
+		}
+		waitDone(t, j)
 	}
 }

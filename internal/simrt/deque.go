@@ -2,9 +2,9 @@ package simrt
 
 // deque is the Work-Stealing Queue of one simulated core: the owner pushes
 // and pops at the bottom (LIFO, for locality), thieves remove the oldest
-// stealable entry from the top, like a Blumofe–Leiserson deque. The
-// simulator is single-threaded, so no synchronization is needed; the real
-// runtime (internal/xtr) has its own locked implementation.
+// stealable entry from the top, like a Blumofe–Leiserson deque. A runtime
+// runs on one goroutine (the event engine's), so owner and thieves are the
+// same thread of control and the deque needs no synchronization.
 //
 // Entries are packed trefs (task index << 1 | high bit, see soa.go), so
 // the ring is pointer-free — the GC never scans queued work — and the

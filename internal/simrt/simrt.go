@@ -51,7 +51,6 @@ import (
 	"math"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"dynasym/internal/core"
 	"dynasym/internal/dag"
@@ -84,11 +83,6 @@ type Config struct {
 	Alpha float64
 	// Seed drives all randomness (stealing, jitter).
 	Seed uint64
-	// Collector receives metrics; nil allocates a private one.
-	Collector *metrics.Collector
-	// Registry supplies pre-trained trace tables; nil allocates fresh
-	// ones.
-	Registry *ptt.Registry
 	// Engine lets several runtimes share one virtual clock (distributed
 	// experiments); nil allocates a private engine.
 	Engine *sim.Engine
@@ -191,7 +185,7 @@ type Runtime struct {
 	policy   core.Policy
 	reg      *ptt.Registry
 	coll     *metrics.Collector
-	rr       atomic.Uint64
+	rr       uint64 // round-robin counter the fixed-asymmetry policies share
 	cores    []*coreState
 	graph    *dag.Graph
 	root     *xrand.RNG
@@ -217,8 +211,6 @@ type Runtime struct {
 	// loadFn is loadEstimate bound once; a fresh method value per
 	// decision would allocate.
 	loadFn func(core int) float64
-	// tblCache memoizes Registry.Get per task type (stable pointers).
-	tblCache []*ptt.Table
 	// soa mirrors per-task scheduling state into dense slices (see soa.go).
 	soa taskSoA
 	// prioSteal and usesPTT cache the policy's constant traits; the hot
@@ -226,12 +218,9 @@ type Runtime struct {
 	// consult is measurable at scale-out event rates.
 	prioSteal bool
 	usesPTT   bool
-	// privEngine/privReg/privColl record which shared components the runtime
-	// allocated itself (the matching Config field was nil), so Reset knows
-	// whether it owns them and may recycle them in place.
+	// privEngine records that the runtime allocated its engine itself
+	// (Config.Engine was nil), so Reset owns it and may recycle it in place.
 	privEngine bool
-	privReg    bool
-	privColl   bool
 }
 
 // validateConfig checks the required fields and fills in the defaults,
@@ -288,21 +277,13 @@ func New(cfg Config) (*Runtime, error) {
 		topo:   cfg.Topo,
 		model:  cfg.Model,
 		policy: cfg.Policy,
-		reg:    cfg.Registry,
-		coll:   cfg.Collector,
+		reg:    ptt.NewRegistry(cfg.Topo, cfg.Alpha),
+		coll:   metrics.NewCollector(cfg.Topo),
 		root:   xrand.New(cfg.Seed),
 	}
 	if rt.engine == nil {
 		rt.engine = sim.New()
 		rt.privEngine = true
-	}
-	if rt.reg == nil {
-		rt.reg = ptt.NewRegistry(cfg.Topo, cfg.Alpha)
-		rt.privReg = true
-	}
-	if rt.coll == nil {
-		rt.coll = metrics.NewCollector(cfg.Topo)
-		rt.privColl = true
 	}
 	rt.prioSteal = cfg.Policy.AllowPrioritySteal()
 	rt.usesPTT = cfg.Policy.UsesPTT()
@@ -343,8 +324,8 @@ func (rt *Runtime) buildCores() {
 
 // Reset returns the runtime to the observable state New(cfg) produces while
 // reusing its allocations — core states, queue rings, the assembly pool,
-// per-core RNGs, and (when privately owned) the engine, registry, and
-// collector. Scenario runners execute thousands of short cells back to
+// per-core RNGs, the registry, the collector and (when privately owned) the
+// engine. Scenario runners execute thousands of short cells back to
 // back; rebuilding the runtime per cell dominated their allocation profile.
 //
 // The reused runtime is bit-identical to a fresh one: the RNG reseed and
@@ -356,10 +337,9 @@ func (rt *Runtime) Reset(cfg Config) error {
 	if err := validateConfig(&cfg); err != nil {
 		return err
 	}
-	// Shared components: adopt the caller's when provided, recycle our own
-	// private ones otherwise. A runtime that previously adopted a shared
-	// component must not reset it — the caller owns it — so it allocates a
-	// fresh private one instead.
+	// Adopt the caller's engine when provided, recycle our own private one
+	// otherwise. A runtime that previously adopted a shared engine must not
+	// reset it — the caller owns it — so it allocates a fresh private one.
 	if cfg.Engine != nil {
 		rt.engine = cfg.Engine
 		rt.privEngine = false
@@ -369,24 +349,8 @@ func (rt *Runtime) Reset(cfg Config) error {
 		rt.engine = sim.New()
 		rt.privEngine = true
 	}
-	if cfg.Registry != nil {
-		rt.reg = cfg.Registry
-		rt.privReg = false
-	} else if rt.privReg {
-		rt.reg.Reset(cfg.Topo, cfg.Alpha)
-	} else {
-		rt.reg = ptt.NewRegistry(cfg.Topo, cfg.Alpha)
-		rt.privReg = true
-	}
-	if cfg.Collector != nil {
-		rt.coll = cfg.Collector
-		rt.privColl = false
-	} else if rt.privColl {
-		rt.coll.Reset(cfg.Topo)
-	} else {
-		rt.coll = metrics.NewCollector(cfg.Topo)
-		rt.privColl = true
-	}
+	rt.reg.Reset(cfg.Topo, cfg.Alpha)
+	rt.coll.Reset(cfg.Topo)
 	sameShape := rt.topo != nil && len(rt.cores) == cfg.Topo.NumCores()
 	rt.cfg = cfg
 	rt.topo = cfg.Topo
@@ -394,7 +358,7 @@ func (rt *Runtime) Reset(cfg Config) error {
 	rt.policy = cfg.Policy
 	rt.prioSteal = cfg.Policy.AllowPrioritySteal()
 	rt.usesPTT = cfg.Policy.UsesPTT()
-	rt.rr.Store(0)
+	rt.rr = 0
 	rt.root.Reseed(cfg.Seed)
 	if sameShape {
 		for i := range rt.idle {
@@ -415,11 +379,6 @@ func (rt *Runtime) Reset(cfg Config) error {
 		}
 	} else {
 		rt.buildCores()
-	}
-	// The table cache is keyed by type id against the (possibly replaced)
-	// registry; drop every entry in place.
-	for i := range rt.tblCache {
-		rt.tblCache[i] = nil
 	}
 	rt.ctxScratch = core.Context{Topo: rt.topo, RR: &rt.rr, Load: rt.loadFn}
 	// The task mirror is rebuilt at Start; release the previous graph's
@@ -508,9 +467,6 @@ func (rt *Runtime) Engine() *sim.Engine { return rt.engine }
 // Collector returns the runtime's metrics collector.
 func (rt *Runtime) Collector() *metrics.Collector { return rt.coll }
 
-// Registry returns the runtime's PTT registry.
-func (rt *Runtime) Registry() *ptt.Registry { return rt.reg }
-
 // Policy returns the runtime's scheduling policy.
 func (rt *Runtime) Policy() core.Policy { return rt.policy }
 
@@ -578,26 +534,12 @@ func (rt *Runtime) scheduleStep(c *coreState, delay float64) {
 }
 
 // table returns the PTT for a task type, or nil when the policy does not
-// use a model. Tables are resolved through the registry once per type and
-// then served from a local slice: registry table pointers are stable, and
-// the cache avoids the registry's atomic-load fast path on the two policy
-// decisions of every task.
+// use a model.
 func (rt *Runtime) table(id ptt.TypeID) *ptt.Table {
 	if !rt.usesPTT {
 		return nil
 	}
-	if int(id) < len(rt.tblCache) {
-		if t := rt.tblCache[id]; t != nil {
-			return t
-		}
-	} else {
-		grown := make([]*ptt.Table, id+1)
-		copy(grown, rt.tblCache)
-		rt.tblCache = grown
-	}
-	t := rt.reg.Get(id)
-	rt.tblCache[id] = t
-	return t
+	return rt.reg.Get(id)
 }
 
 // ctx refills the runtime's scratch decision context. The invariant fields
@@ -848,9 +790,9 @@ func (rt *Runtime) startAssembly(a *assembly) {
 
 // completeAssembly releases the members, updates the PTT with the leader's
 // observed span, records metrics, and wakes dependents. On static graphs
-// the dependency bookkeeping runs over the SoA's CSR — no graph mutex, no
-// per-completion allocation — and the dag.Graph is finalized in bulk when
-// the last task drains.
+// the dependency bookkeeping runs over the SoA's CSR — no per-completion
+// allocation — and the dag.Graph is finalized in bulk when the last task
+// drains.
 func (rt *Runtime) completeAssembly(a *assembly, finish float64) {
 	span := finish - a.start
 	idx := a.tref >> 1
@@ -864,7 +806,7 @@ func (rt *Runtime) completeAssembly(a *assembly, finish float64) {
 		}
 		tbl.UpdateByID(int(a.placeID), span)
 	}
-	rt.coll.TaskDoneID(int(a.placeID), a.place, high, typ, rt.soa.ptr[idx].Iter, a.start, finish)
+	rt.coll.TaskDoneID(int(a.placeID), a.place, high, rt.soa.ptr[idx].Iter, a.start, finish)
 	if rt.cfg.Trace != nil {
 		for i := 0; i < a.place.Width; i++ {
 			rt.cfg.Trace.Add(trace.Event{

@@ -1,11 +1,10 @@
 package simrt
 
-// Structure-of-arrays task state. The scheduler's inner loop used to chase
-// a *dag.Task pointer for every field it touched and to route every
-// completion through the graph's mutex; at scale-out core counts that
-// pointer traffic and the per-completion allocation in dag.Complete
-// dominated the profile. The runtime now mirrors the fields the hot loop
-// reads repeatedly into dense slices indexed by task id (a task's dag ID
+// Structure-of-arrays task state. Chasing a *dag.Task pointer for every
+// field the scheduler's inner loop touches, and allocating a ready list per
+// completion in dag.Complete, dominate the profile at scale-out core
+// counts. The runtime therefore mirrors the fields the hot loop reads
+// repeatedly into dense slices indexed by task id (a task's dag ID
 // is its insertion index), and queues pass packed int32 references instead
 // of pointers, so queue storage is GC-invisible and a priority check is a
 // bit test. Fields read once per task execution (Cost, Iter, Label, Body)
@@ -30,9 +29,9 @@ func makeTref(idx int, high bool) int32 {
 type taskSoA struct {
 	// static is set when the graph provably cannot change mid-run: no task
 	// has a completion hook and no exec hook is installed. In static mode
-	// completion runs over the CSR below — no graph mutex, no per-ready
-	// allocation, no state-machine CAS — and the dag.Graph is finalized
-	// once in bulk when the last task drains (Graph.MarkDrained). In
+	// completion runs over the CSR below — no per-ready allocation, no
+	// per-task state transitions — and the dag.Graph is finalized once in
+	// bulk when the last task drains (Graph.MarkDrained). In
 	// dynamic mode completion defers to Graph.Complete and the mirror
 	// grows lazily as hooks insert tasks.
 	static bool

@@ -19,9 +19,9 @@ import (
 // the iteration limit, inserts the next iteration's tasks. Following the
 // paper, the task containing the largest work unit is marked high priority.
 //
-// The same object drives both runtimes: the simulator uses the cost
-// descriptors, the real runtime the Body closures, and the arithmetic is
-// executed either way when bodies run.
+// The simulator schedules from the cost descriptors; the Body closures do
+// the arithmetic when the runtime is configured to run bodies
+// (simrt.Config.RunBodies).
 type KMeans struct {
 	// Points is the row-major N×D data.
 	Points []float64

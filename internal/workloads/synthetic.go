@@ -73,7 +73,8 @@ type SyntheticConfig struct {
 	Tasks int
 	// Parallelism is the DAG parallelism P (tasks per layer).
 	Parallelism int
-	// MakeBodies attaches real compute bodies for the real runtime.
+	// MakeBodies attaches real compute bodies (run under
+	// simrt.Config.RunBodies).
 	// Kernel instances are pooled and reused between tasks, so memory
 	// stays bounded regardless of Tasks.
 	MakeBodies bool

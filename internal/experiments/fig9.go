@@ -196,10 +196,10 @@ func (r *Fig9Result) WideShare(policy string) float64 {
 		if !r.InWindow(st) {
 			continue
 		}
-		for id, n := range st.Places {
-			total += n
-			if places[id].Width > 1 {
-				wide += n
+		for _, pc := range st.Places {
+			total += pc.N
+			if places[pc.ID].Width > 1 {
+				wide += pc.N
 			}
 		}
 	}
@@ -255,8 +255,8 @@ func (r *Fig9Result) RenderPlaces(w io.Writer, policy string) error {
 	allPlaces := r.Topo.Places()
 	seen := map[int]bool{}
 	for _, st := range r.Stats[idx] {
-		for id := range st.Places {
-			seen[id] = true
+		for _, pc := range st.Places {
+			seen[pc.ID] = true
 		}
 	}
 	ids := make([]int, 0, len(seen))
@@ -273,7 +273,7 @@ func (r *Fig9Result) RenderPlaces(w io.Writer, policy string) error {
 	for k, st := range r.Stats[idx] {
 		fmt.Fprintf(w, "%-6d", k)
 		for _, id := range ids {
-			fmt.Fprintf(w, "%9d", st.Places[id])
+			fmt.Fprintf(w, "%9d", st.Count(id))
 		}
 		fmt.Fprintln(w)
 	}

@@ -5,6 +5,8 @@
 package metrics
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"dynasym/internal/topology"
@@ -35,8 +37,8 @@ type Collector struct {
 	// iteration touches few distinct places, and a linear scan over a
 	// short pair slice beats a map assignment per task by a wide margin.
 	// byIterSparse catches tags above maxDenseIter so arbitrary
-	// iteration numbers still work. IterStats materializes the public
-	// map form on readout.
+	// iteration numbers still work. IterStats copies the pairs out,
+	// ID-sorted, on readout.
 	byIter       []*iterAgg
 	byIterSparse map[int]*iterAgg
 	tasksDone    int64
@@ -55,13 +57,13 @@ type iterAgg struct {
 	iter       int
 	tasks      int64
 	start, end float64
-	places     []placeCount
+	places     []PlaceCount
 }
 
-// placeCount is one (placeID, executions) pair of an iteration.
-type placeCount struct {
-	id int
-	n  int64
+// PlaceCount is one (placeID, task executions) pair of an iteration.
+type PlaceCount struct {
+	ID int
+	N  int64
 }
 
 // newIterAgg allocates one per-iteration accumulator with its place pairs
@@ -80,19 +82,19 @@ func (c *Collector) newIterAgg(iter int, start, finish float64) *iterAgg {
 		iter:   iter,
 		start:  start,
 		end:    finish,
-		places: make([]placeCount, 0, 16),
+		places: make([]PlaceCount, 0, 16),
 	}
 }
 
 // bump increments the count for a placeID.
 func (a *iterAgg) bump(id int) {
 	for i := range a.places {
-		if a.places[i].id == id {
-			a.places[i].n++
+		if a.places[i].ID == id {
+			a.places[i].N++
 			return
 		}
 	}
-	a.places = append(a.places, placeCount{id: id, n: 1})
+	a.places = append(a.places, PlaceCount{ID: id, N: 1})
 }
 
 // IterStat aggregates one application iteration (Figure 9).
@@ -103,8 +105,22 @@ type IterStat struct {
 	// observed for the iteration, so End-Start approximates the
 	// iteration's wall time.
 	Start, End float64
-	// Places counts tasks per placeID within the iteration.
-	Places map[int]int64
+	// Places counts tasks per placeID within the iteration, sorted by ID.
+	// The IterStats of one run share a single backing slice (each entry is
+	// capacity-limited to its own pairs), so a run's per-iteration place
+	// counts cost one allocation, not a map per iteration.
+	Places []PlaceCount
+}
+
+// Count returns the iteration's task count on placeID id (0 when the
+// iteration never used the place).
+func (st IterStat) Count(id int) int64 {
+	for _, pc := range st.Places {
+		if pc.ID == id {
+			return pc.N
+		}
+	}
+	return 0
 }
 
 // NewCollector returns an empty collector for the platform.
@@ -266,21 +282,30 @@ func (c *Collector) PlaceHistogram(highOnly bool) []PlaceShare {
 	return out
 }
 
-// IterStats returns the per-iteration statistics ordered by iteration.
+// IterStats returns the per-iteration statistics ordered by iteration, each
+// with its place counts sorted by placeID.
 func (c *Collector) IterStats() []IterStat {
-	out := make([]IterStat, 0, len(c.byIter)+len(c.byIterSparse))
+	n, pairs := len(c.byIterSparse), 0
+	for _, st := range c.byIterSparse {
+		pairs += len(st.places)
+	}
+	for _, st := range c.byIter {
+		if st != nil {
+			n++
+			pairs += len(st.places)
+		}
+	}
+	if n == 0 {
+		return []IterStat{}
+	}
+	out := make([]IterStat, 0, n)
+	backing := make([]PlaceCount, 0, pairs)
 	materialize := func(st *iterAgg) {
-		cp := IterStat{
-			Iter:   st.iter,
-			Tasks:  st.tasks,
-			Start:  st.start,
-			End:    st.end,
-			Places: make(map[int]int64, len(st.places)),
-		}
-		for _, pc := range st.places {
-			cp.Places[pc.id] = pc.n
-		}
-		out = append(out, cp)
+		lo := len(backing)
+		backing = append(backing, st.places...)
+		places := backing[lo:len(backing):len(backing)]
+		slices.SortFunc(places, func(a, b PlaceCount) int { return cmp.Compare(a.ID, b.ID) })
+		out = append(out, IterStat{Iter: st.iter, Tasks: st.tasks, Start: st.start, End: st.end, Places: places})
 	}
 	for _, st := range c.byIter {
 		if st != nil {
@@ -290,7 +315,7 @@ func (c *Collector) IterStats() []IterStat {
 	for _, st := range c.byIterSparse {
 		materialize(st)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Iter < out[j].Iter })
+	slices.SortFunc(out, func(a, b IterStat) int { return cmp.Compare(a.Iter, b.Iter) })
 	return out
 }
 

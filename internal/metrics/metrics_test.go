@@ -77,8 +77,63 @@ func TestIterStats(t *testing.T) {
 	if st[1].Start != 1.5 || st[1].End != 2.5 || st[1].Tasks != 2 {
 		t.Fatalf("iter 1 = %+v", st[1])
 	}
-	if st[1].Places[c.Platform().PlaceID(topology.Place{Leader: 0, Width: 1})] != 1 {
+	if st[1].Count(c.Platform().PlaceID(topology.Place{Leader: 0, Width: 1})) != 1 {
 		t.Fatal("iter place counts wrong")
+	}
+}
+
+// IterStats hands the place counts out as ID-sorted pairs carved from one
+// backing slice per run — whatever order the places were first used in —
+// and appending to one iteration's pairs must not run into the next's.
+func TestIterStatsPlacesSortedSharedBacking(t *testing.T) {
+	c := NewCollector(topology.TX2())
+	topo := c.Platform()
+	wide, lead2, lead0 := topology.Place{Leader: 2, Width: 4}, topology.Place{Leader: 2, Width: 1}, topology.Place{Leader: 0, Width: 1}
+	for _, pl := range []topology.Place{wide, lead0, lead2, wide} { // iteration 0: highest id first
+		taskDone(c, pl, false, 0, 0, 1)
+	}
+	taskDone(c, lead2, false, 1, 1, 2)
+	taskDone(c, lead0, false, 1, 1, 2)
+	st := c.IterStats()
+	if len(st) != 2 {
+		t.Fatalf("iters = %+v", st)
+	}
+	want0 := []PlaceCount{{topo.PlaceID(lead0), 1}, {topo.PlaceID(lead2), 1}, {topo.PlaceID(wide), 2}}
+	if len(st[0].Places) != len(want0) {
+		t.Fatalf("iter 0 places = %+v, want %+v", st[0].Places, want0)
+	}
+	for i, pc := range st[0].Places {
+		if pc != want0[i] {
+			t.Fatalf("iter 0 places = %+v, want %+v", st[0].Places, want0)
+		}
+	}
+	if st[0].Count(topo.PlaceID(wide)) != 2 || st[1].Count(topo.PlaceID(wide)) != 0 {
+		t.Fatalf("Count: iter 0 %+v, iter 1 %+v", st[0].Places, st[1].Places)
+	}
+	first := st[1].Places[0]
+	_ = append(st[0].Places, PlaceCount{ID: 99, N: 99})
+	if st[1].Places[0] != first {
+		t.Fatal("appending to iteration 0's pairs overwrote iteration 1's")
+	}
+}
+
+// The readout is two allocations per run — the stats and the shared pair
+// backing — however many iterations the run had (it was a map per
+// iteration, 35 % of a cold synthetic cell's allocations).
+func TestIterStatsAllocs(t *testing.T) {
+	c := NewCollector(topology.TX2())
+	for iter := 0; iter < 40; iter++ {
+		for core := 0; core < 6; core++ {
+			taskDone(c, topology.Place{Leader: core, Width: 1}, false, iter, float64(iter), float64(iter)+1)
+		}
+	}
+	var st []IterStat
+	allocs := testing.AllocsPerRun(20, func() { st = c.IterStats() })
+	if len(st) != 40 || len(st[39].Places) != 6 {
+		t.Fatalf("readout lost data: %d iterations", len(st))
+	}
+	if allocs > 2 {
+		t.Errorf("IterStats costs %.0f allocs/op, want <= 2", allocs)
 	}
 }
 

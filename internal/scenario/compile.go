@@ -197,6 +197,15 @@ var (
 	compiledOrder   []string // LRU, most recent last
 )
 
+// CompiledCacheLen returns how many workload variants the process-wide
+// compiled cache holds (at most compiledCacheCap); the service exports it
+// as a gauge.
+func CompiledCacheLen() int {
+	compiledMu.Lock()
+	defer compiledMu.Unlock()
+	return len(compiledEntries)
+}
+
 // compiledFor returns the process-wide compiled workload for the key,
 // creating it (uncompiled) on first sight. The build closure and configs
 // are only captured for a new entry; for an existing key they are

@@ -143,25 +143,24 @@ func MustRun(s Spec) *Result {
 	return res
 }
 
-// runCell executes one repetition of one cell. cw, when non-nil, supplies
-// the point's compiled workload (graph instances come from its pool instead
-// of the builder); st, when non-nil, supplies the worker's reusable engine.
-// rec, when non-nil, receives the cell's schedule trace; probe, when
-// non-nil, records scheduler introspection into RunMetrics.Sched (and,
-// when rec is also set, emits queue/PTT/utilization counter lanes). All
-// four are pure mechanism — they never change the metrics.
-func runCell(s Spec, pol core.Policy, pt Point, seed uint64, cw *compiledWorkload, st *CellState, rec *trace.Recorder, probe *simrt.Probe) (RunMetrics, error) {
+// runCell executes one repetition of one cell on the plan's shared platform
+// and machine model. cw, when non-nil, supplies the point's compiled
+// workload (graph instances come from its pool instead of the builder); st,
+// when non-nil, supplies the worker's reusable engine. rec, when non-nil,
+// receives the cell's schedule trace; probe, when non-nil, records
+// scheduler introspection into RunMetrics.Sched (and, when rec is also set,
+// emits queue/PTT/utilization counter lanes). All four are pure mechanism —
+// they never change the metrics.
+func (p *Plan) runCell(c CellJob, cw *compiledWorkload, st *CellState, rec *trace.Recorder, probe *simrt.Probe) (RunMetrics, error) {
+	s, pol, pt, seed := &p.Spec, p.Spec.Policies[c.Policy], p.Spec.Points[c.Point], c.Seed
 	if s.Workload.Kind == HeatDist {
-		return runDistCell(s, pol, pt, seed)
+		return runDistCell(*s, pol, pt, seed)
 	}
-	topo, err := s.Platform.Build()
+	model, err := p.machineModel()
 	if err != nil {
 		return RunMetrics{}, err
 	}
-	model := machine.New(topo)
-	for _, d := range s.Disturb {
-		d.apply(model)
-	}
+	topo := model.Platform()
 	var g *dag.Graph
 	if cw != nil {
 		g, err = cw.acquire()
@@ -238,7 +237,7 @@ func runDistCell(s Spec, pol core.Policy, pt Point, seed uint64) (RunMetrics, er
 			Topo:   topo,
 			Model:  model,
 			Policy: pol,
-			Alpha:  cellAlpha(s, pt),
+			Alpha:  cellAlpha(&s, pt),
 			Seed:   seed + uint64(node)*nodeSeedStride,
 			Engine: engine,
 			Hook:   hd.Hook(net),
@@ -287,7 +286,7 @@ func nodePlatform(s Spec, node int) (*topology.Platform, error) {
 }
 
 // cellAlpha resolves the PTT weight for a point.
-func cellAlpha(s Spec, pt Point) float64 {
+func cellAlpha(s *Spec, pt Point) float64 {
 	if pt.Alpha > 0 {
 		return pt.Alpha
 	}

@@ -22,8 +22,11 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"sync"
 
+	"dynasym/internal/machine"
 	"dynasym/internal/simrt"
+	"dynasym/internal/topology"
 	"dynasym/internal/trace"
 )
 
@@ -73,6 +76,54 @@ type Plan struct {
 	// concurrent workers never interleave; mergeTraces folds them into
 	// the shared recorder deterministically after the grid drains.
 	cellRecs []*trace.Recorder
+
+	// topo and model are the plan's platform and its configured machine
+	// model (spec disturbances applied). Both are cell-invariant, so they
+	// are built lazily, once, and shared read-only by every cell on every
+	// worker: a Platform is immutable and a configured Model is safe for
+	// concurrent readers. Merge needs only the platform, so a plan merged
+	// purely from cached cells never builds a model. HeatDist cells build
+	// per-node platforms and models of their own (runDistCell).
+	topoOnce  sync.Once
+	topo      *topology.Platform
+	topoErr   error
+	modelOnce sync.Once
+	model     *machine.Model
+}
+
+// planBuildHook, when non-nil, observes each lazy build of a plan's
+// platform ("platform") or machine model ("model"). Tests count with it.
+var planBuildHook func(what string)
+
+// platform returns the plan's shared platform, building it on first use.
+func (p *Plan) platform() (*topology.Platform, error) {
+	p.topoOnce.Do(func() {
+		if hook := planBuildHook; hook != nil {
+			hook("platform")
+		}
+		p.topo, p.topoErr = p.Spec.Platform.Build()
+	})
+	return p.topo, p.topoErr
+}
+
+// machineModel returns the plan's shared, fully configured machine model,
+// building it on first use. Callers must treat it as read-only.
+func (p *Plan) machineModel() (*machine.Model, error) {
+	topo, err := p.platform()
+	if err != nil {
+		return nil, err
+	}
+	p.modelOnce.Do(func() {
+		if hook := planBuildHook; hook != nil {
+			hook("model")
+		}
+		model := machine.New(topo)
+		for _, d := range p.Spec.Disturb {
+			d.apply(model)
+		}
+		p.model = model
+	})
+	return p.model, nil
 }
 
 // NewPlan validates the spec and expands it into cell jobs.
@@ -210,7 +261,7 @@ func (p *Plan) RunCellState(st *CellState, c CellJob) (RunMetrics, error) {
 	if p.Spec.Probe && p.Spec.Workload.Kind != HeatDist {
 		probe = st.probeFor()
 	}
-	rm, err := runCell(p.Spec, p.Spec.Policies[c.Policy], p.Spec.Points[c.Point], c.Seed, cw, st, rec, probe)
+	rm, err := p.runCell(c, cw, st, rec, probe)
 	if err != nil {
 		return RunMetrics{}, err
 	}
@@ -244,7 +295,7 @@ func (p *Plan) RunCellTrace(c CellJob) (RunMetrics, *trace.Recorder, error) {
 		cw = p.compiled[c.Point]
 	}
 	rec := trace.New()
-	rm, err := runCell(p.Spec, p.Spec.Policies[c.Policy], p.Spec.Points[c.Point], c.Seed, cw, nil, rec, simrt.NewProbe())
+	rm, err := p.runCell(c, cw, nil, rec, simrt.NewProbe())
 	if err != nil {
 		return RunMetrics{}, nil, err
 	}
@@ -277,7 +328,7 @@ func (p *Plan) mergeTraces(dst *trace.Recorder) {
 // parameters under different labels) fill from the one shared result. The
 // output is bit-identical to a monolithic Run of the plan's spec.
 func Merge(p *Plan, cells map[string]RunMetrics) (*Result, error) {
-	topo, err := p.Spec.Platform.Build()
+	topo, err := p.platform()
 	if err != nil {
 		return nil, err
 	}

@@ -114,8 +114,7 @@ func TestRuntimeReuseAcrossShapes(t *testing.T) {
 // one cell of the sweep, later same-shape cells may not rebuild the
 // runtime. The bound is far below the thousands of allocations a fresh
 // runtime costs per cell (per-core state, queues, bitmaps, pools), while
-// leaving room for the per-cell topology/model build and the metrics
-// readout, which are not pooled.
+// leaving room for the metrics readout, which is not pooled.
 func TestRuntimeReuseAllocs(t *testing.T) {
 	s := Spec{
 		Name:     "reuse-allocs",
@@ -145,10 +144,39 @@ func TestRuntimeReuseAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("allocs per cell: fresh %.0f, warm %.0f", fresh, warm)
-	// The remaining warm-path allocations are the per-cell topology/model
-	// build and the metrics readout; the runtime itself contributes none
-	// (TestResetAllocs in simrt pins that directly).
+	// The remaining warm-path allocations are the metrics readout; the
+	// runtime itself contributes none (TestResetAllocs in simrt pins that
+	// directly) and the platform and machine model are the plan's.
 	if warm > 0.7*fresh {
 		t.Errorf("warm reused cell costs %.0f allocs, fresh costs %.0f; reuse should save at least 30%%", warm, fresh)
+	}
+}
+
+// The cold-grid cell — a 32-core synthetic cell with per-iteration stats —
+// is the absolute gate: once its plan's platform and model exist and the
+// worker's state is warm, a cell allocates its RunMetrics slices and little
+// else. Measured 12–14 per cell (1 130 when every cell rebuilt the platform
+// and model and read iterations out as maps); the cap is that plus 10 %.
+func TestWarmSyntheticCellAllocs(t *testing.T) {
+	f, _ := Lookup("scaleout-32")
+	p, err := NewPlan(f.Spec(0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewCellState()
+	for _, c := range p.Cells {
+		if _, err := p.RunCellState(st, c); err != nil {
+			t.Fatal(err) // warm: compile both variants, grow the runtime's pools
+		}
+	}
+	for _, c := range p.Cells {
+		warm := testing.AllocsPerRun(5, func() {
+			if _, err := p.RunCellState(st, c); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if warm > 16 {
+			t.Errorf("%s: warm cell costs %.0f allocs, want <= 16", p.CellLabel(c), warm)
+		}
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strings"
+	"strconv"
+	"sync"
+	"unsafe"
 
 	"dynasym/internal/metrics"
 	"dynasym/internal/topology"
@@ -39,6 +41,21 @@ type RunMetrics struct {
 	// too. Deliberately not part of Fingerprint: telemetry describes a
 	// run, it does not define one.
 	Sched *metrics.Sched `json:",omitempty"`
+}
+
+// SizeBytes estimates the heap a RunMetrics value holds on to — the struct
+// plus its slices' elements, by arithmetic on the lengths (Sched telemetry,
+// which cached cells never carry, is not counted). The service sums it into
+// its cell-cache byte gauge, so it must stay allocation-free.
+func (rm *RunMetrics) SizeBytes() int64 {
+	n := unsafe.Sizeof(*rm) +
+		uintptr(len(rm.CoreBusy))*unsafe.Sizeof(float64(0)) +
+		uintptr(len(rm.HighHist))*unsafe.Sizeof(metrics.PlaceShare{}) +
+		uintptr(len(rm.Iters))*unsafe.Sizeof(metrics.IterStat{})
+	for i := range rm.Iters {
+		n += uintptr(len(rm.Iters[i].Places)) * unsafe.Sizeof(metrics.PlaceCount{})
+	}
+	return int64(n)
 }
 
 // Cell is one (policy, point) position of the grid with all repetitions.
@@ -145,51 +162,89 @@ func (r *Result) WriteTable(w io.Writer) {
 	}
 }
 
+// fingerprintScratch pools Fingerprint's render buffer. The returned string
+// is an exact-length copy, so a kept fingerprint (the service's job LRU
+// holds 128 of them) never pins a buffer sized for the largest result.
+var fingerprintScratch = sync.Pool{New: func() any { return new([]byte) }}
+
 // Fingerprint serializes every metric of every repetition bit-exactly.
 // Two runs of the same spec must produce identical fingerprints; the
-// determinism regression tests rely on this.
+// determinism regression tests rely on this. The text is a cross-commit
+// contract (golden literals in result_test.go hash it), rendered with
+// strconv appends instead of fmt: a 21-cell grid is half a megabyte of it.
 func (r *Result) Fingerprint() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "scenario=%s topo=%s\n", r.Name, r.Topo)
+	bp := fingerprintScratch.Get().(*[]byte)
+	b := r.appendFingerprint((*bp)[:0])
+	s := string(b)
+	*bp = b
+	fingerprintScratch.Put(bp)
+	return s
+}
+
+func (r *Result) appendFingerprint(b []byte) []byte {
+	b = append(append(b, "scenario="...), r.Name...)
+	b = append(b, " topo="...)
+	if r.Topo == nil {
+		b = append(b, "<nil>"...) // what fmt prints for a nil Stringer
+	} else {
+		b = append(b, r.Topo.String()...)
+	}
+	b = append(b, '\n')
 	for pi, p := range r.Policies {
 		for xi, pt := range r.Points {
-			for rep, run := range r.Cells[pi][xi].Runs {
-				fmt.Fprintf(&b, "%s/%s/r%d seed=%d tput=%x mk=%x tasks=%d steals=%d fsteals=%d disp=%d\n",
-					p, pt.Label, rep, run.Seed,
-					math.Float64bits(run.Throughput), math.Float64bits(run.Makespan),
-					run.TasksDone, run.Steals, run.FailedSteals, run.Dispatches)
-				b.WriteString(" busy")
+			runs := r.Cells[pi][xi].Runs
+			for rep := range runs {
+				run := &runs[rep]
+				b = append(append(b, p...), '/')
+				b = append(b, pt.Label...)
+				b = appendInt(b, "/r", int64(rep))
+				b = strconv.AppendUint(append(b, " seed="...), run.Seed, 10)
+				b = appendBits(b, " tput=", run.Throughput)
+				b = appendBits(b, " mk=", run.Makespan)
+				b = appendInt(b, " tasks=", run.TasksDone)
+				b = appendInt(b, " steals=", run.Steals)
+				b = appendInt(b, " fsteals=", run.FailedSteals)
+				b = appendInt(b, " disp=", run.Dispatches)
+				b = append(b, "\n busy"...)
 				for _, v := range run.CoreBusy {
-					fmt.Fprintf(&b, " %x", math.Float64bits(v))
+					b = appendBits(b, " ", v)
 				}
-				b.WriteString("\n hist")
+				b = append(b, "\n hist"...)
 				for _, ps := range run.HighHist {
-					fmt.Fprintf(&b, " %s:%d:%x", ps.Place, ps.Count, math.Float64bits(ps.Frac))
+					b = ps.Place.AppendTo(append(b, ' '))
+					b = appendInt(b, ":", ps.Count)
+					b = appendBits(b, ":", ps.Frac)
 				}
-				b.WriteString("\n iters")
-				for _, st := range run.Iters {
-					fmt.Fprintf(&b, " %d:%d:%x:%x:%s", st.Iter, st.Tasks,
-						math.Float64bits(st.Start), math.Float64bits(st.End), placesKey(st.Places))
+				b = append(b, "\n iters"...)
+				for i := range run.Iters {
+					st := &run.Iters[i]
+					b = appendInt(b, " ", int64(st.Iter))
+					b = appendInt(b, ":", st.Tasks)
+					b = appendBits(b, ":", st.Start)
+					b = append(appendBits(b, ":", st.End), ':')
+					// Places are ID-sorted by construction (Collector.IterStats).
+					sep := ""
+					for _, pc := range st.Places {
+						b = appendInt(b, sep, int64(pc.ID))
+						b = appendInt(b, "=", pc.N)
+						sep = ","
+					}
 				}
-				b.WriteString("\n")
+				b = append(b, '\n')
 			}
 		}
 	}
-	return b.String()
+	return b
 }
 
-// placesKey renders an iteration's place counts in deterministic order.
-func placesKey(places map[int]int64) string {
-	ids := make([]int, 0, len(places))
-	for id := range places {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	parts := make([]string, len(ids))
-	for i, id := range ids {
-		parts[i] = fmt.Sprintf("%d=%d", id, places[id])
-	}
-	return strings.Join(parts, ",")
+// appendInt appends sep and v in decimal.
+func appendInt(b []byte, sep string, v int64) []byte {
+	return strconv.AppendInt(append(b, sep...), v, 10)
+}
+
+// appendBits appends sep and v's IEEE-754 bit pattern in lower-case hex.
+func appendBits(b []byte, sep string, v float64) []byte {
+	return strconv.AppendUint(append(b, sep...), math.Float64bits(v), 16)
 }
 
 // mergeHists merges per-node place histograms into one distribution,

@@ -50,6 +50,12 @@ type Backend interface {
 // flight.
 type localBackend struct {
 	sem chan struct{}
+	// states is the free list of per-worker scratch (engine tiers, a
+	// resettable runtime), bounded by the pool size. A cell takes a state
+	// after it wins a pool slot and returns it before releasing the slot,
+	// so reuse spans jobs: only a pool's first cells pay simrt.New and cold
+	// event tiers.
+	states chan *scenario.CellState
 	// runs counts cells actually simulated (the cache-miss work). The
 	// manager points it, busy and runSec at its metric registry (run
 	// counter, utilization gauge, duration histogram); a bare backend
@@ -58,6 +64,8 @@ type localBackend struct {
 	runs   *obs.Counter
 	busy   *obs.Gauge
 	runSec *obs.Histogram
+	// panics counts cells whose simulation panicked (see runCellSafe).
+	panics *obs.Counter
 	// runCell is the engine entry point; tests substitute it to count
 	// runs or inject failures without simulating.
 	runCell func(*scenario.Plan, *scenario.CellState, scenario.CellJob) (scenario.RunMetrics, error)
@@ -66,17 +74,45 @@ type localBackend struct {
 func newLocalBackend(workers int) *localBackend {
 	return &localBackend{
 		sem:     make(chan struct{}, workers),
+		states:  make(chan *scenario.CellState, workers),
 		runs:    new(obs.Counter),
+		panics:  new(obs.Counter),
 		runCell: (*scenario.Plan).RunCellState,
 	}
 }
 
 func (b *localBackend) Name() string { return "local" }
 
+// runCellSafe is the panic boundary around one cell. The simulator's
+// packages panic on states only a bug can produce, but the spec that
+// reaches them is client input: a panicking cell becomes that cell's
+// deterministic error (the job fails like any failed cell) instead of
+// taking the daemon, and every other job, down. The scratch state of a
+// panicked cell is mid-run garbage and is dropped, not recycled.
+func (b *localBackend) runCellSafe(ctx context.Context, plan *scenario.Plan, c scenario.CellJob) (rm scenario.RunMetrics, err error) {
+	var st *scenario.CellState
+	select {
+	case st = <-b.states:
+	default:
+		st = scenario.NewCellState()
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			b.panics.Inc()
+			rm, err = scenario.RunMetrics{}, fmt.Errorf("cell %s panicked: %v (request %q)", plan.CellLabel(c), v, requestIDFrom(ctx))
+			return
+		}
+		select {
+		case b.states <- st:
+		default:
+		}
+	}()
+	return b.runCell(plan, st, c)
+}
+
 // Execute batches the cells by compiled-workload variant: cells are ordered
 // so that each chunk worker sweeps cells of one compiled graph back to
-// back, reusing its per-worker scratch state (engine storage) across the
-// whole chunk. The semaphore is acquired per cell, not per chunk, so the
+// back. The semaphore is acquired per cell, not per chunk, so the
 // node-wide concurrency bound and cross-shard fairness are unchanged.
 //
 // On context cancellation the results of cells that already completed are
@@ -106,7 +142,6 @@ func (b *localBackend) Execute(ctx context.Context, plan *scenario.Plan, cells [
 		wg.Add(1)
 		go func(w int, idxs []int) {
 			defer wg.Done()
-			st := scenario.NewCellState()
 			lane := ""
 			if jt != nil {
 				lane = fmt.Sprintf("%s w%d", lanePrefix, w)
@@ -128,7 +163,7 @@ func (b *localBackend) Execute(ctx context.Context, plan *scenario.Plan, cells [
 				b.runs.Inc()
 				b.busy.Inc()
 				cellT0, cellStart := jt.at(), time.Now()
-				rm, err := b.runCell(plan, st, cells[i])
+				rm, err := b.runCellSafe(ctx, plan, cells[i])
 				b.runSec.Observe(time.Since(cellStart).Seconds())
 				b.busy.Dec()
 				if jt != nil {

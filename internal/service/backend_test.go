@@ -3,10 +3,12 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -139,9 +141,9 @@ func TestRemoteBackendFingerprint(t *testing.T) {
 }
 
 // TestRemoteBackendIterStats sends a KMeans cell over the wire: its
-// metrics carry per-iteration stats with integer-keyed place maps, the
-// richest part of RunMetrics, and the fingerprint must still survive the
-// JSON round trip bit-exactly.
+// metrics carry per-iteration stats with (place, count) pairs, the richest
+// part of RunMetrics, and both the pairs and the fingerprint must survive
+// the JSON round trip bit-exactly.
 func TestRemoteBackendIterStats(t *testing.T) {
 	worker := NewManager(Config{Workers: 2})
 	srv := httptest.NewServer(worker.Handler(slog.New(slog.NewTextHandler(io.Discard, nil))))
@@ -166,11 +168,57 @@ func TestRemoteBackendIterStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Cells[0][0].Run().Iters) == 0 {
-		t.Fatal("kmeans run carried no iteration stats; serialization test is vacuous")
+	direct := scenario.MustRun(spec)
+	got, want := res.Cells[0][0].Run().Iters, direct.Cells[0][0].Run().Iters
+	if len(want) == 0 || len(want[0].Places) == 0 {
+		t.Fatal("kmeans run carried no per-iteration place counts; serialization test is vacuous")
 	}
-	if direct := scenario.MustRun(spec); fp != direct.Fingerprint() {
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("iteration stats changed on the wire:\n got  %+v\n want %+v", got, want)
+	}
+	if fp != direct.Fingerprint() {
 		t.Error("remote kmeans fingerprint differs from direct engine run")
+	}
+}
+
+// TestRemoteBackendRejectsOldPlacesForm: a version-skewed peer that still
+// encodes IterStat.Places as the {"place": count} object must surface as a
+// failed shard attempt — retried elsewhere, failed loudly if nowhere is
+// left — never as a cell banked with its place counts dropped.
+func TestRemoteBackendRejectsOldPlacesForm(t *testing.T) {
+	plan, err := scenario.NewPlan(tinySpec(57))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := plan.Cells[0]
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintf(w, `{"results":[{"hash":%q,"metrics":{"Seed":57,"TasksDone":9,"Iters":[{"Iter":0,"Tasks":9,"Start":0,"End":1,"Places":{"3":9}}]}}]}`, cell.Hash)
+	}))
+	defer srv.Close()
+	crs, err := NewRemoteBackend(srv.URL, 0).Execute(context.Background(), plan, []scenario.CellJob{cell})
+	if err == nil || !strings.Contains(err.Error(), "decode shard response") {
+		t.Fatalf("old-form shard response: err = %v, want a decode error", err)
+	}
+	if len(crs) != 0 {
+		t.Fatalf("old-form shard response still yielded %d cell results", len(crs))
+	}
+
+	// End to end: with that peer as the only backend the job fails; with
+	// the local pool behind it the shard fails over and the job is right.
+	m := NewManager(Config{Workers: 1, RetryBackoff: -1})
+	m.setBackends(NewRemoteBackend(srv.URL, 0), m.local)
+	j, _, err := m.Submit(tinySpec(57))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	_, fp, _, err := j.Result()
+	if err != nil {
+		t.Fatalf("job behind a version-skewed peer: %v", err)
+	}
+	if fp != scenario.MustRun(tinySpec(57)).Fingerprint() {
+		t.Error("job behind a version-skewed peer produced a wrong fingerprint")
 	}
 }
 

@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"errors"
+	"strings"
+	"sync"
 	"testing"
 
 	"dynasym/internal/scenario"
@@ -185,5 +187,92 @@ func TestLRUGuardsNonPositiveCap(t *testing.T) {
 	}
 	if v, ok := c.Get("b"); !ok || v != 2 {
 		t.Error("cap-1 cache dropped the newest entry")
+	}
+}
+
+// TestPanickingCellFailsItsJobOnly: a cell whose simulation panics must
+// become that cell's error — naming the cell, the panic value and the
+// request id — and fail its job through the ordinary failed-cell path,
+// leaving the manager serving: the next job succeeds with the reference
+// fingerprint. The panicked cell's scratch state is mid-run garbage, so it
+// must not come back from the free list.
+func TestPanickingCellFailsItsJobOnly(t *testing.T) {
+	m := NewManager(Config{Workers: 1, ShardSize: 1})
+	realRun := m.local.runCell
+	var poisoned *scenario.CellState
+	m.local.runCell = func(p *scenario.Plan, st *scenario.CellState, c scenario.CellJob) (scenario.RunMetrics, error) {
+		if poisoned != nil && st == poisoned {
+			t.Error("a panicked cell's scratch state was recycled")
+		}
+		if p.Spec.Name == "panics" && c.Point == 1 {
+			poisoned = st
+			var boom []int
+			_ = boom[3] // a runtime error, like the simulator's own invariant panics
+		}
+		return realRun(p, st, c)
+	}
+	bad := overlapSpec(92, 2, 4)
+	bad.Name = "panics"
+	j, _, err := m.submit(bad, "req-7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	if j.State() != StateFailed {
+		t.Fatalf("job with a panicking cell finished %v, want failed", j.State())
+	}
+	_, _, _, err = j.Result()
+	for _, want := range []string{"at P4 (rep 0)", "index out of range [3]", `"req-7"`} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("job error %q does not name %s", err, want)
+		}
+	}
+	if got := m.mx.cellPanics.Value(); got == 0 {
+		t.Error("asymd_cell_panics_total did not move")
+	}
+
+	good := overlapSpec(93, 2, 4)
+	j2, _, err := m.Submit(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j2)
+	_, fp, _, err := j2.Result()
+	if err != nil {
+		t.Fatalf("job after a panicked one: %v", err)
+	}
+	if fp != scenario.MustRun(good).Fingerprint() {
+		t.Error("job after a panicked one produced a wrong fingerprint")
+	}
+}
+
+// TestLocalBackendReusesStatesAcrossJobs: worker scratch outlives the job —
+// successive Execute calls on one backend draw from the same, pool-sized set
+// of CellStates instead of building fresh ones per chunk.
+func TestLocalBackendReusesStatesAcrossJobs(t *testing.T) {
+	const workers = 2
+	b := newLocalBackend(workers)
+	var mu sync.Mutex
+	seen := map[*scenario.CellState]int{}
+	b.runCell = func(p *scenario.Plan, st *scenario.CellState, c scenario.CellJob) (scenario.RunMetrics, error) {
+		mu.Lock()
+		seen[st]++
+		mu.Unlock()
+		return scenario.RunMetrics{TasksDone: 1}, nil
+	}
+	for job := 0; job < 5; job++ {
+		plan, err := scenario.NewPlan(overlapSpec(uint64(100+job), 2, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Execute(context.Background(), plan, plan.Cells); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(seen) == 0 || len(seen) > workers {
+		t.Fatalf("5 jobs × 4 cells ran on %d distinct states, want 1..%d", len(seen), workers)
+	}
+	if len(b.states) == 0 || len(b.states) > workers {
+		t.Fatalf("free list holds %d states after the jobs, want 1..%d", len(b.states), workers)
 	}
 }

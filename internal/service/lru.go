@@ -19,6 +19,10 @@ type lruCache[V any] struct {
 	cap   int
 	order *list.List               // front = most recent; values are lruEntry[V]
 	byKey map[string]*list.Element // key → element
+	// onDrop, when set, sees every value that leaves the cache: evicted
+	// past capacity or replaced under its key. The cell cache keeps its
+	// byte gauge with it.
+	onDrop func(V)
 }
 
 func newLRUCache[V any](capacity int) *lruCache[V] {
@@ -56,6 +60,9 @@ func (c *lruCache[V]) Peek(key string) (V, bool) {
 // evicted past capacity, so callers can feed eviction counters.
 func (c *lruCache[V]) Add(key string, v V) int {
 	if el, ok := c.byKey[key]; ok {
+		if c.onDrop != nil {
+			c.onDrop(el.Value.(lruEntry[V]).val)
+		}
 		el.Value = lruEntry[V]{key: key, val: v}
 		c.order.MoveToFront(el)
 		return 0
@@ -63,9 +70,11 @@ func (c *lruCache[V]) Add(key string, v V) int {
 	c.byKey[key] = c.order.PushFront(lruEntry[V]{key: key, val: v})
 	evicted := 0
 	for c.order.Len() > c.cap {
-		back := c.order.Back()
-		c.order.Remove(back)
-		delete(c.byKey, back.Value.(lruEntry[V]).key)
+		back := c.order.Remove(c.order.Back()).(lruEntry[V])
+		delete(c.byKey, back.key)
+		if c.onDrop != nil {
+			c.onDrop(back.val)
+		}
 		evicted++
 	}
 	return evicted

@@ -43,11 +43,19 @@ type serviceMetrics struct {
 	jobRunSec     *obs.Histogram
 
 	cellRuns   *obs.Counter
+	cellPanics *obs.Counter
 	cellRunSec *obs.Histogram
 	cellHits   *obs.Counter
 	cellMisses *obs.Counter
 	cellEvict  *obs.Counter
 	jobEvict   *obs.Counter
+
+	// Cache occupancy, set wherever an entry is added (evictions happen
+	// only there): entries for the four result LRUs and the process-wide
+	// compiled-workload cache, bytes for the cell cache, which is where a
+	// daemon's memory goes (scenario.RunMetrics.SizeBytes per entry).
+	jobEntries, cellEntries, traceEntries, simtraceEntries, compiledEntries *obs.Gauge
+	cellCacheBytes                                                          *obs.Gauge
 
 	poolWorkers *obs.Gauge
 	poolBusy    *obs.Gauge
@@ -83,6 +91,9 @@ var (
 )
 
 func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
+	entries := func(cache string) *obs.Gauge {
+		return reg.Gauge("asymd_cache_entries", "Entries held, per cache.", obs.L("cache", cache))
+	}
 	return &serviceMetrics{
 		reg:           reg,
 		jobsSubmitted: reg.Counter("asymd_jobs_submitted_total", "Job submissions accepted (including ones absorbed by an in-flight or cached job)."),
@@ -95,11 +106,19 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 		jobRunSec:     reg.Histogram("asymd_job_run_seconds", "Time from execution start to completion.", jobSecBuckets),
 
 		cellRuns:   reg.Counter("asymd_cell_runs_total", "Grid cells simulated by the local pool (own jobs and served shards)."),
+		cellPanics: reg.Counter("asymd_cell_panics_total", "Local cell simulations that panicked and were turned into a failed cell."),
 		cellRunSec: reg.Histogram("asymd_cell_run_seconds", "Wall time of one local cell simulation.", cellSecBuckets),
 		cellHits:   reg.Counter("asymd_cell_cache_hits_total", "Grid cells served from the cell-result cache."),
 		cellMisses: reg.Counter("asymd_cell_cache_misses_total", "Grid cells dispatched to a backend (cache misses)."),
 		cellEvict:  reg.Counter("asymd_cell_cache_evictions_total", "Cell results evicted from the cell-result LRU."),
 		jobEvict:   reg.Counter("asymd_job_cache_evictions_total", "Finished jobs evicted from the job LRU."),
+
+		jobEntries:      entries("job"),
+		cellEntries:     entries("cell"),
+		traceEntries:    entries("trace"),
+		simtraceEntries: entries("simtrace"),
+		compiledEntries: entries("compiled"),
+		cellCacheBytes:  reg.Gauge("asymd_cell_cache_bytes", "Estimated heap bytes of the cell results held by the cell cache."),
 
 		poolWorkers: reg.Gauge("asymd_pool_workers", "Local pool capacity (concurrent cell simulations)."),
 		poolBusy:    reg.Gauge("asymd_pool_busy_workers", "Local pool workers currently simulating a cell."),

@@ -12,6 +12,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"dynasym/internal/metrics"
+	"dynasym/internal/scenario"
 )
 
 // scrape fetches GET /metrics and returns the exposition body.
@@ -87,6 +90,38 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if misses := metricValue(t, body, "asymd_cell_cache_misses_total"); misses <= 0 {
 		t.Errorf("asymd_cell_cache_misses_total = %v, want > 0", misses)
+	}
+	// Cache occupancy: one finished job with its trace, every simulated
+	// cell banked, nothing rendered, and the cell cache's byte gauge equal
+	// to the arithmetic size of what it holds.
+	cells := metricValue(t, body, "asymd_cell_cache_misses_total")
+	for series, want := range map[string]float64{
+		`asymd_cache_entries{cache="job"}`:      1,
+		`asymd_cache_entries{cache="cell"}`:     cells,
+		`asymd_cache_entries{cache="trace"}`:    1,
+		`asymd_cache_entries{cache="simtrace"}`: 0,
+	} {
+		if got := metricValue(t, body, series); got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
+	}
+	if n := metricValue(t, body, `asymd_cache_entries{cache="compiled"}`); n < 1 {
+		t.Errorf(`asymd_cache_entries{cache="compiled"} = %v, want >= 1`, n)
+	}
+	res, _, _, err := j.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantBytes int64
+	for _, row := range res.Cells {
+		for _, c := range row {
+			for i := range c.Runs {
+				wantBytes += c.Runs[i].SizeBytes()
+			}
+		}
+	}
+	if got := metricValue(t, body, "asymd_cell_cache_bytes"); got != float64(wantBytes) || wantBytes == 0 {
+		t.Errorf("asymd_cell_cache_bytes = %v, want %d", got, wantBytes)
 	}
 	// /v1/healthz reads the very counters /metrics exposes.
 	var hz struct {
@@ -508,5 +543,49 @@ func TestTraceRetentionEvicts(t *testing.T) {
 	}
 	if _, ok := m.JobTrace(j2.Hash); !ok {
 		t.Error("newest trace missing from retention")
+	}
+}
+
+// TestCellCacheGaugesTrackEviction: the occupancy gauges follow the cell
+// LRU through eviction and re-banking — entries stop at capacity, bytes
+// stay the sum over exactly the retained cells — and keeping them costs no
+// allocation per update.
+func TestCellCacheGaugesTrackEviction(t *testing.T) {
+	m := NewManager(Config{Workers: 1, CellCacheSize: 3})
+	cell := func(i int) CellResult {
+		return CellResult{Hash: fmt.Sprintf("cell-%d", i), Metrics: scenario.RunMetrics{
+			CoreBusy: make([]float64, i+1),
+			Iters:    []metrics.IterStat{{Iter: i, Places: make([]metrics.PlaceCount, 2*i)}},
+		}}
+	}
+	var crs []CellResult
+	for i := 0; i < 5; i++ {
+		crs = append(crs, cell(i))
+	}
+	m.bankCells(crs)
+	m.bankCells(crs[4:]) // re-banking replaces, it must not double-count
+	var want int64
+	for _, cr := range crs[2:] {
+		want += cr.Metrics.SizeBytes()
+	}
+	if got := m.mx.cellEntries.Value(); got != 3 {
+		t.Errorf("cell entries gauge = %d, want the capacity 3", got)
+	}
+	if got := m.mx.cellCacheBytes.Value(); got != want {
+		t.Errorf("cell bytes gauge = %d, want %d (the three retained cells)", got, want)
+	}
+	if small, big := crs[0].Metrics.SizeBytes(), crs[4].Metrics.SizeBytes(); big <= small {
+		t.Errorf("SizeBytes ignores slice lengths: %d vs %d", small, big)
+	}
+
+	rm := crs[4].Metrics
+	allocs := testing.AllocsPerRun(100, func() {
+		m.cellBytes += rm.SizeBytes()
+		m.cells.onDrop(rm)
+		m.mx.cellCacheBytes.Set(m.cellBytes)
+		m.mx.cellEntries.Set(int64(m.cells.Len()))
+	})
+	if allocs != 0 {
+		t.Errorf("a gauge update costs %.0f allocs, want 0", allocs)
 	}
 }

@@ -316,9 +316,12 @@ type Manager struct {
 	inflight map[string]*Job                // queued/running, by spec hash
 	cache    *lruCache[*Job]                // done/failed jobs, by spec hash
 	cells    *lruCache[scenario.RunMetrics] // finished cells, by cell hash
-	pending  map[string]*pendingCell        // cells being simulated, by cell hash
-	plans    *lruCache[*scenario.Plan]      // memoized plans, by spec hash (shard API)
-	traces   *lruCache[*trace.SpanSet]      // finished job traces, by spec hash (nil = tracing off)
+	// cellBytes is the summed SizeBytes of the cached cells (the
+	// asymd_cell_cache_bytes gauge), kept by bankCells and cells.onDrop.
+	cellBytes int64
+	pending   map[string]*pendingCell   // cells being simulated, by cell hash
+	plans     *lruCache[*scenario.Plan] // memoized plans, by spec hash (shard API)
+	traces    *lruCache[*trace.SpanSet] // finished job traces, by spec hash (nil = tracing off)
 	// simtraces caches rendered per-cell sim-time Chrome traces by cell
 	// hash. Gated with traces: a deployment that disables trace retention
 	// disables sim tracing too.
@@ -349,6 +352,7 @@ func NewManager(cfg Config) *Manager {
 		pending:  make(map[string]*pendingCell),
 		plans:    newLRUCache[*scenario.Plan](planCacheSize),
 	}
+	m.cells.onDrop = func(rm scenario.RunMetrics) { m.cellBytes -= rm.SizeBytes() }
 	if cfg.TraceRetention > 0 {
 		m.traces = newLRUCache[*trace.SpanSet](cfg.TraceRetention)
 		m.simtraces = newLRUCache[[]byte](cfg.TraceRetention)
@@ -356,6 +360,7 @@ func NewManager(cfg Config) *Manager {
 	mx.poolWorkers.Set(int64(cfg.Workers))
 	local.busy = mx.poolBusy
 	local.runs = mx.cellRuns
+	local.panics = mx.cellPanics
 	local.runSec = mx.cellRunSec
 	backends := []Backend{local}
 	for _, peer := range cfg.Peers {
@@ -504,11 +509,13 @@ func (m *Manager) execute(j *Job) {
 	m.mu.Lock()
 	delete(m.inflight, j.Hash)
 	m.mx.jobEvict.Add(int64(m.cache.Add(j.Hash, j)))
+	m.mx.jobEntries.Set(int64(m.cache.Len()))
 	if spans := j.spans.Load(); spans != nil && m.traces != nil {
 		// The finished trace moves into the retention LRU; the job keeps
 		// only the traced flag. Drops are surfaced as a counter so a
 		// truncated timeline is visible in /metrics, not just puzzling.
 		m.traces.Add(j.Hash, spans)
+		m.mx.traceEntries.Set(int64(m.traces.Len()))
 		m.mx.traceSpansDropped.Add(spans.Dropped())
 		j.spans.Store(nil)
 	}
@@ -581,6 +588,7 @@ func (m *Manager) SimTrace(id string, cell int) ([]byte, error) {
 	b = buf.Bytes()
 	m.mu.Lock()
 	m.simtraces.Add(c.Hash, b)
+	m.mx.simtraceEntries.Set(int64(m.simtraces.Len()))
 	m.mu.Unlock()
 	m.mx.simtraceRenders.Inc()
 	_ = rm // the render is the product; the metrics were already banked
@@ -852,6 +860,8 @@ func (m *Manager) planFor(hash string, spec scenario.Spec) (*scenario.Plan, erro
 	if err != nil {
 		return nil, err
 	}
+	// Planning is what files workload variants in the compiled cache.
+	m.mx.compiledEntries.Set(int64(scenario.CompiledCacheLen()))
 	m.mu.Lock()
 	m.plans.Add(hash, plan)
 	m.mu.Unlock()
@@ -901,6 +911,7 @@ func (m *Manager) bankCells(crs []CellResult) {
 		if _, seen := m.cells.Peek(cr.Hash); !seen {
 			fresh = append(fresh, cr.Metrics)
 		}
+		m.cellBytes += cr.Metrics.SizeBytes()
 		evicted += int64(m.cells.Add(cr.Hash, cr.Metrics))
 		if p, ok := m.pending[cr.Hash]; ok {
 			p.rm, p.ok = cr.Metrics, true
@@ -908,6 +919,8 @@ func (m *Manager) bankCells(crs []CellResult) {
 			resolved = append(resolved, p)
 		}
 	}
+	m.mx.cellEntries.Set(int64(m.cells.Len()))
+	m.mx.cellCacheBytes.Set(m.cellBytes)
 	m.mu.Unlock()
 	m.mx.cellEvict.Add(evicted)
 	for _, p := range resolved {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"container/heap"
 	"math"
 	"testing"
 )
@@ -149,4 +150,146 @@ func BenchmarkEventThroughput(b *testing.B) {
 	}
 	e.At(0, next)
 	e.Run()
+}
+
+// refQueue is the heap-only reference the tiered engine is held to: pending
+// events ordered by (at, seq) and nothing else.
+type refEvent struct {
+	at      float64
+	seq, id int
+}
+type refQueue []refEvent
+
+func (q refQueue) Len() int { return len(q) }
+func (q refQueue) Less(i, j int) bool {
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
+	}
+	return q[i].seq < q[j].seq
+}
+func (q refQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *refQueue) Push(x any)   { *q = append(*q, x.(refEvent)) }
+func (q *refQueue) Pop() any {
+	old := *q
+	ev := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return ev
+}
+
+// popOrderDelays is the script both sides run: what event id schedules when
+// it fires. The mix covers every routing decision — same-time cascades (the
+// FIFO tier), the runtime's sub-µs to tens-of-µs delays including exact
+// repeats that collide at equal times (the near tier, front, middle and
+// back inserts), and millisecond-scale completions (the heap) — and depends
+// on nothing but the seed and the id, so a divergence in dispatch order
+// shows as a divergence in the id sequence.
+func popOrderDelays(seed uint64, id int) []float64 {
+	x := seed + uint64(id)*0x9e3779b97f4a7c15
+	next := func() uint64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x
+	}
+	out := make([]float64, next()%4)
+	for i := range out {
+		switch r := next() % 10; {
+		case r < 2:
+			out[i] = 0
+		case r < 4:
+			out[i] = 0.2e-6
+		case r < 5:
+			out[i] = 0.5e-6
+		case r < 6:
+			out[i] = 1e-6
+		case r < 8:
+			out[i] = 20e-6 * (0.5 + float64(next()%1000)/1000)
+		default:
+			out[i] = 1e-3 * (0.25 + float64(next()%4000)/1000)
+		}
+	}
+	return out
+}
+
+// engineOrder runs the script on e from its current (fresh or Reset) state.
+// Once budget events have fired it either stops, leaving the rest pending,
+// or (drain) lets the pending ones fire without scheduling any more.
+func engineOrder(e *Engine, seed uint64, budget int, drain bool) []int {
+	var order []int
+	nextID := 0
+	var schedule func(at float64)
+	schedule = func(at float64) {
+		id := nextID
+		nextID++
+		e.At(at, func() {
+			order = append(order, id)
+			if len(order) >= budget {
+				if !drain {
+					e.Stop()
+				}
+				return
+			}
+			for _, d := range popOrderDelays(seed, id) {
+				schedule(e.Now() + d)
+			}
+		})
+	}
+	for i := 0; i < 64; i++ {
+		schedule(float64(i%8) * 0.3e-6)
+	}
+	e.Run()
+	return order
+}
+
+func referenceOrder(seed uint64, budget int, drain bool) []int {
+	var q refQueue
+	var order []int
+	seq, nextID := 0, 0
+	push := func(at float64) {
+		heap.Push(&q, refEvent{at: at, seq: seq, id: nextID})
+		seq++
+		nextID++
+	}
+	for i := 0; i < 64; i++ {
+		push(float64(i%8) * 0.3e-6)
+	}
+	for q.Len() > 0 && (drain || len(order) < budget) {
+		ev := heap.Pop(&q).(refEvent)
+		order = append(order, ev.id)
+		if len(order) >= budget {
+			continue
+		}
+		for _, d := range popOrderDelays(seed, ev.id) {
+			push(ev.at + d)
+		}
+	}
+	return order
+}
+
+// TestPopOrderMatchesHeapReference is the differential gate on the storage
+// tiers: whatever tier a key is routed to, events must fire in exactly the
+// (at, seq) order of a plain heap — on a fresh engine, on one Reset after a
+// drained run, and on one Reset with events still pending in every tier.
+func TestPopOrderMatchesHeapReference(t *testing.T) {
+	const budget = 20000
+	e := New()
+	for i, seed := range []uint64{1, 2, 0xdecafbad, 77, 78} {
+		drain := i%2 == 1
+		got, want := engineOrder(e, seed, budget, drain), referenceOrder(seed, budget, drain)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: engine fired %d events, reference %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: dispatch %d fired event %d, the heap reference fires %d", seed, i, got[i], want[i])
+			}
+		}
+		if len(want) < budget || drain != (e.Pending() == 0) {
+			t.Fatalf("seed %d: %d events fired, %d pending: the script died out early", seed, len(want), e.Pending())
+		}
+		e.Reset() // when not drained, abandons events pending in every tier
+		if e.Pending() != 0 || e.Now() != 0 {
+			t.Fatalf("Reset left %d pending events at time %g", e.Pending(), e.Now())
+		}
+	}
 }

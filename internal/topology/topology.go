@@ -12,6 +12,7 @@ package topology
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -56,7 +57,17 @@ type Place struct {
 }
 
 // String renders the place like the paper's figures: "(C2,4)".
-func (p Place) String() string { return fmt.Sprintf("(C%d,%d)", p.Leader, p.Width) }
+func (p Place) String() string { return string(p.AppendTo(nil)) }
+
+// AppendTo appends the String form to b, for renderers that print many
+// places (the scenario fingerprint) and must not allocate per place.
+func (p Place) AppendTo(b []byte) []byte {
+	b = append(b, "(C"...)
+	b = strconv.AppendInt(b, int64(p.Leader), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(p.Width), 10)
+	return append(b, ')')
+}
 
 // Platform is an immutable description of the machine. Build one with New
 // and share it freely; all methods are safe for concurrent use.
@@ -76,6 +87,9 @@ type Platform struct {
 	// on every dispatch decision instead of re-deriving PlaceFor per width.
 	localPlaceIDs [][]int32
 	maxWidth      int
+	// desc is the String form, rendered once at construction: every result
+	// document and fingerprint prints it.
+	desc string
 }
 
 // New validates the cluster list and builds a Platform. Clusters must tile
@@ -159,6 +173,7 @@ func New(clusters []Cluster) (*Platform, error) {
 		}
 		p.localPlaceIDs[core] = ids
 	}
+	p.desc = p.describe()
 	return p, nil
 }
 
@@ -275,7 +290,10 @@ func (p *Platform) CoresOf(i int) []int {
 }
 
 // String summarizes the platform for logs and reports.
-func (p *Platform) String() string {
+func (p *Platform) String() string { return p.desc }
+
+// describe renders the String form.
+func (p *Platform) describe() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "platform(%d cores", p.nCores)
 	for _, c := range p.clusters {

@@ -1,0 +1,110 @@
+#!/usr/bin/env sh
+# ab.sh — same-session A/B of a base commit against the working tree, with
+# the repository's own benchmark on both sides.
+#
+#   scripts/ab.sh <base-ref> [-repeat K] [-seconds N] [workload...]
+#
+# ROADMAP aim 1 accepts a performance claim only from a same-session
+# comparison against the base commit: this machine class drifts 30-40 % over
+# hours, so two runs taken apart say nothing. The script checks <base-ref>
+# out into a temporary git worktree, then runs K rounds (default 3); each
+# round measures one set on each side, alternating which side goes first.
+# With no workload named a set is `go run ./bench -repeat 1 -report` (all
+# five workloads); with workloads named it is one `go run ./bench -workload
+# W -trace 0` per workload. -seconds is passed through (default: the
+# benchmark's run_seconds). The rounds are folded into base.json and
+# head.json, `go run ./bench -compare base.json head.json` is printed, and
+# its verdict is the exit status. The worktree and the scratch directory are
+# removed on every exit path.
+set -eu
+
+usage() {
+	echo "usage: scripts/ab.sh <base-ref> [-repeat K] [-seconds N] [workload...]" >&2
+	exit 2
+}
+
+[ $# -ge 1 ] || usage
+base_ref=$1
+shift
+repeat=3
+seconds=
+while [ $# -gt 0 ]; do
+	case $1 in
+	-repeat) [ $# -ge 2 ] || usage; repeat=$2; shift 2 ;;
+	-seconds) [ $# -ge 2 ] || usage; seconds=$2; shift 2 ;;
+	-*) usage ;;
+	*) break ;;
+	esac
+done
+case $repeat in '' | *[!0-9]* | 0) usage ;; esac
+
+head_dir=$(cd "$(dirname "$0")/.." && pwd)
+base_rev=$(git -C "$head_dir" rev-parse --verify "$base_ref^{commit}")
+head_rev=$(git -C "$head_dir" rev-parse --short HEAD)
+[ -z "$(git -C "$head_dir" status --porcelain)" ] || head_rev="$head_rev+dirty"
+
+tmp=$(mktemp -d "${TMPDIR:-/tmp}/ab.XXXXXX")
+base_dir=$tmp/base
+cleanup() {
+	trap - EXIT INT TERM
+	git -C "$head_dir" worktree remove --force "$base_dir" 2>/dev/null || true
+	git -C "$head_dir" worktree prune
+	rm -rf "$tmp"
+}
+trap cleanup EXIT
+trap 'exit 130' INT
+trap 'exit 143' TERM
+git -C "$head_dir" worktree add --quiet --detach "$base_dir" "$base_rev"
+
+# one_set <checkout> <out>: measure one set in the checkout and write it to
+# <out> as a single JSON object keyed by workload name — the element type of
+# a report's "sets" array (bench/report.go).
+one_set() {
+	co=$1 out=$2
+	shift 2
+	if [ $# -eq 0 ]; then
+		(cd "$co" && go run ./bench -repeat 1 -report "$out.report" ${seconds:+-seconds "$seconds"} >&2)
+		# MarshalIndent output: the set is the lines between `"sets": [`
+		# and the closing `  ]`.
+		awk '/^  "sets": \[$/ { on = 1; next } /^  \]$/ { on = 0 } on' "$out.report" >"$out"
+		return
+	fi
+	sep='{'
+	for w in "$@"; do
+		# The result line is the last line of standard output; its
+		# {"value":v,"unit":u} metrics become the report's bare numbers.
+		line=$(cd "$co" && go run ./bench -workload "$w" -trace 0 ${seconds:+-seconds "$seconds"} | tail -n 1)
+		printf '%s"%s":%s' "$sep" "$w" "$(printf '%s' "$line" |
+			sed -e 's/{"value":\([^,}]*\),"unit":"[^"]*"}/\1/g' \
+				-e 's/"correct":[a-z]*,//' -e 's/"metrics":/"end_to_end":/')"
+		sep=','
+	done >"$out"
+	echo '}' >>"$out"
+}
+
+# fold <commit> <side>: wrap the side's per-round sets into a report (the
+# benchmark's default seed, 1, is the only one this script runs).
+fold() {
+	printf '{"commit":"%s","seed":1,"sets":[' "$1"
+	k=1
+	while [ "$k" -le "$repeat" ]; do
+		[ "$k" -eq 1 ] || printf ','
+		cat "$tmp/$2.$k.json"
+		k=$((k + 1))
+	done
+	echo ']}'
+}
+
+k=1
+while [ "$k" -le "$repeat" ]; do
+	if [ $((k % 2)) -eq 1 ]; then first=base second=head; else first=head second=base; fi
+	for side in $first $second; do
+		echo "# ab: round $k/$repeat, $side" >&2
+		if [ "$side" = base ]; then dir=$base_dir; else dir=$head_dir; fi
+		one_set "$dir" "$tmp/$side.$k.json" "$@"
+	done
+	k=$((k + 1))
+done
+fold "$(git -C "$head_dir" rev-parse --short "$base_rev")" base >"$tmp/base.json"
+fold "$head_rev" head >"$tmp/head.json"
+(cd "$head_dir" && go run ./bench -compare "$tmp/base.json" "$tmp/head.json")

@@ -9,8 +9,7 @@ package dag
 // (longest path from the task to any exit) minus its own weight equals the
 // critical-path length; tasks with small slack are near-critical.
 //
-// It operates on the static part of a graph before Start; dynamically
-// inserted tasks keep whatever priority their creator assigns.
+// It operates on a graph before Start.
 
 // InferCriticality marks as high priority every task whose path slack is at
 // most (1-fraction) of the critical-path length: fraction 1 marks exactly

@@ -1,15 +1,17 @@
 // Package dag implements the task-graph substrate of the simulated runtime.
 //
-// A Graph holds moldable tasks with high/low priority, dependency edges and
-// optional completion hooks that may insert new tasks while the graph is
-// executing (the paper's "dynamic DAG" — iterative applications unroll one
-// iteration at a time). The package also computes the paper's DAG
-// parallelism measure: total number of tasks divided by the length of the
-// longest path.
+// A Graph holds moldable tasks with high/low priority and dependency edges.
+// A task is plain data — a label, a type, a priority, a cost descriptor, an
+// iteration tag and an opaque payload — never code: the simulator schedules
+// from the cost descriptors alone. A graph is built up front (iterative
+// applications unroll every iteration) and never changes once a runtime has
+// started it; Add, AddLayer and AddEdge panic on a started graph. The package
+// also computes the paper's DAG parallelism measure: total number of tasks
+// divided by the length of the longest path.
 //
-// A Graph and its Tasks are plain data with no synchronization: one graph
-// instance is built by one goroutine and then executed by one runtime, on
-// the event engine's goroutine, completion hooks included. Concurrent cells
+// A Graph and its Tasks have no synchronization: one graph instance is built
+// by one goroutine and then read by one runtime, which keeps all execution
+// state (readiness counts, completion) in its own arrays. Concurrent cells
 // each run their own instance (see Frozen for stamping them out).
 package dag
 
@@ -19,30 +21,6 @@ import (
 	"dynasym/internal/machine"
 	"dynasym/internal/ptt"
 )
-
-// State tracks a task's lifecycle; runtimes advance it and assert on it.
-type State int32
-
-// Task lifecycle states.
-const (
-	Created State = iota // inserted, dependencies outstanding
-	Ready                // all dependencies satisfied, queued
-	Running              // executing on its place
-	Done                 // finished
-)
-
-// Exec describes one member's share of a moldable execution to a task
-// body: the body must perform partition Part of Width.
-type Exec struct {
-	// Part is this member's index in [0, Width).
-	Part int
-	// Width is the resource width of the place executing the task.
-	Width int
-	// Leader is the core id of the place leader.
-	Leader int
-	// Worker is the core id executing this partition.
-	Worker int
-}
 
 // Task is one node of the graph. Exported fields are set by the creator
 // before Add and read-only afterwards.
@@ -59,14 +37,6 @@ type Task struct {
 	High bool
 	// Cost describes the task to the simulator's machine model.
 	Cost machine.Cost
-	// Body, if non-nil, is executed by runtimes configured to run bodies
-	// (simrt.Config.RunBodies): every member of the place calls Body with
-	// its partition, the members of one task concurrently.
-	Body func(Exec)
-	// OnComplete, if non-nil, runs exactly once after the task finishes
-	// and before its successors are released; it may add tasks and edges
-	// (dynamic DAG). It runs on the completing worker.
-	OnComplete func(g *Graph, t *Task)
 	// Iter tags the task with an application iteration for per-iteration
 	// metrics; use -1 (or leave 0 for single-phase apps) when unused.
 	// Small, dense iteration numbers aggregate fastest (metrics indexes
@@ -79,53 +49,36 @@ type Task struct {
 
 	id      int64
 	pending int32
-	state   State
 	succs   []*Task
 }
 
 // ID returns the task's graph-assigned identifier (its insertion index).
 func (t *Task) ID() int64 { return t.id }
 
-// Succs returns the task's current successor list. The returned slice
-// aliases graph state: callers must not modify it and should read it only
-// while the graph is quiescent (simrt snapshots it before execution).
+// Succs returns the task's successor list. The returned slice aliases graph
+// state: callers must not modify it.
 func (t *Task) Succs() []*Task { return t.succs }
 
-// PendingDeps returns the task's current unsatisfied-dependency count.
+// PendingDeps returns the task's dependency count.
 func (t *Task) PendingDeps() int32 { return t.pending }
 
-// State returns the task's current lifecycle state.
-func (t *Task) State() State { return t.state }
-
-// setState transitions the task, panicking on an illegal transition; the
-// runtimes are the only callers.
-func (t *Task) setState(from, to State) {
-	if t.state != from {
-		panic(fmt.Sprintf("dag: task %q (id %d) illegal transition %d->%d from %d",
-			t.Label, t.id, from, to, t.state))
-	}
-	t.state = to
-}
-
-// MarkReady transitions Created→Ready (called by the graph).
-func (t *Task) MarkReady() { t.setState(Created, Ready) }
-
-// MarkRunning transitions Ready→Running (called by runtimes at dispatch).
-func (t *Task) MarkRunning() { t.setState(Ready, Running) }
-
-// Graph is a mutable task graph. It is not safe for concurrent use (see the
-// package comment).
+// Graph is a task graph, mutable until Start. It is not safe for concurrent
+// use (see the package comment).
 type Graph struct {
-	tasks       []*Task
-	started     bool
-	outstanding int64
-	// readyBuf collects tasks that became ready outside a Complete call
-	// (roots added dynamically by completion hooks); Complete drains it.
-	readyBuf []*Task
+	tasks   []*Task
+	started bool
 }
 
 // New returns an empty graph.
 func New() *Graph { return &Graph{} }
+
+// mustBeOpen panics when op would mutate a started graph: a runtime has
+// snapshotted the structure and would silently never see the change.
+func (g *Graph) mustBeOpen(op string, t *Task) {
+	if g.started {
+		panic(fmt.Sprintf("dag: %s of task %q on a started graph", op, t.Label))
+	}
+}
 
 // AddLayer adds a batch of tasks that all depend on the same single
 // predecessor (nil for none) — the shape of the synthetic layered DAGs — in
@@ -134,24 +87,19 @@ func (g *Graph) AddLayer(tasks []*Task, dep *Task) {
 	if len(tasks) == 0 {
 		return
 	}
+	g.mustBeOpen("AddLayer", tasks[0])
 	base := int64(len(g.tasks))
 	g.tasks = append(g.tasks, tasks...)
-	g.outstanding += int64(len(tasks))
-	depOpen := dep != nil && dep.State() != Done
-	if depOpen && cap(dep.succs)-len(dep.succs) < len(tasks) {
+	if dep != nil && cap(dep.succs)-len(dep.succs) < len(tasks) {
 		grown := make([]*Task, len(dep.succs), len(dep.succs)+len(tasks))
 		copy(grown, dep.succs)
 		dep.succs = grown
 	}
 	for i, t := range tasks {
 		t.id = base + int64(i)
-		if depOpen {
+		if dep != nil {
 			dep.succs = append(dep.succs, t)
 			t.pending++
-		}
-		if g.started && t.pending == 0 {
-			t.MarkReady()
-			g.readyBuf = append(g.readyBuf, t)
 		}
 	}
 }
@@ -167,44 +115,31 @@ func (g *Graph) Grow(n int) {
 }
 
 // Add inserts the task with dependencies on the given predecessors and
-// returns it. Predecessors that already completed do not block the task.
-// Adding a task after Start is allowed (dynamic DAG); if it is immediately
-// ready it will be handed to the runtime with the next Complete result.
+// returns it. It panics if the graph already started.
 func (g *Graph) Add(t *Task, deps ...*Task) *Task {
 	if t == nil {
 		panic("dag: Add(nil)")
 	}
+	g.mustBeOpen("Add", t)
 	t.id = int64(len(g.tasks))
 	g.tasks = append(g.tasks, t)
-	g.outstanding++
 	for _, d := range deps {
-		if d.State() != Done {
-			d.succs = append(d.succs, t)
-			t.pending++
-		}
-	}
-	if g.started && t.pending == 0 {
-		t.MarkReady()
-		g.readyBuf = append(g.readyBuf, t)
+		d.succs = append(d.succs, t)
+		t.pending++
 	}
 	return t
 }
 
-// AddEdge adds a dependency succ→pred after both tasks exist. If pred is
-// already Done the edge is a no-op. It panics if succ already started.
+// AddEdge adds a dependency succ→pred after both tasks exist. It panics if
+// the graph already started.
 func (g *Graph) AddEdge(pred, succ *Task) {
-	if succ.State() != Created {
-		panic(fmt.Sprintf("dag: AddEdge to task %q which already started", succ.Label))
-	}
-	if pred.State() == Done {
-		return
-	}
+	g.mustBeOpen("AddEdge", succ)
 	pred.succs = append(pred.succs, succ)
 	succ.pending++
 }
 
-// Start freezes the initial graph and returns the initially ready tasks in
-// insertion order. It must be called exactly once, by the runtime, before
+// Start closes the graph to mutation and returns the initially ready tasks
+// in insertion order. It must be called exactly once, by the runtime, before
 // execution.
 func (g *Graph) Start() []*Task {
 	if g.started {
@@ -214,46 +149,13 @@ func (g *Graph) Start() []*Task {
 	var ready []*Task
 	for _, t := range g.tasks {
 		if t.pending == 0 {
-			t.MarkReady()
 			ready = append(ready, t)
 		}
 	}
 	return ready
 }
 
-// Complete marks t finished, runs its completion hook, and returns the
-// tasks that became ready as a result (successors whose last dependency was
-// t, plus any ready tasks inserted by hooks since the previous Complete).
-// The second result is true when the whole graph has drained.
-func (g *Graph) Complete(t *Task) (newlyReady []*Task, drained bool) {
-	t.setState(Running, Done)
-	if t.OnComplete != nil {
-		t.OnComplete(g, t)
-	}
-	for _, s := range t.succs {
-		if s.pending--; s.pending == 0 {
-			s.MarkReady()
-			if newlyReady == nil {
-				// One exact-capacity allocation on the first ready
-				// successor; completions that ready nothing allocate
-				// nothing.
-				newlyReady = make([]*Task, 0, len(t.succs))
-			}
-			newlyReady = append(newlyReady, s)
-		}
-	}
-	if len(g.readyBuf) > 0 {
-		newlyReady = append(newlyReady, g.readyBuf...)
-		g.readyBuf = g.readyBuf[:0]
-	}
-	g.outstanding--
-	return newlyReady, g.outstanding == 0
-}
-
-// Outstanding returns the number of incomplete tasks.
-func (g *Graph) Outstanding() int64 { return g.outstanding }
-
-// Total returns the number of tasks ever added.
+// Total returns the number of tasks in the graph.
 func (g *Graph) Total() int64 { return int64(len(g.tasks)) }
 
 // Tasks returns a snapshot of all tasks in insertion order.
@@ -261,37 +163,14 @@ func (g *Graph) Tasks() []*Task {
 	return append([]*Task(nil), g.tasks...)
 }
 
-// AppendTasks appends the tasks with insertion index ≥ from to dst in
-// order, reusing dst's capacity. Runtimes use it to snapshot the graph
-// (from = 0) and to catch their task mirrors up after dynamic insertions
-// without allocating a fresh slice per call.
-func (g *Graph) AppendTasks(dst []*Task, from int) []*Task {
-	if from < 0 {
-		from = 0
-	}
-	if from >= len(g.tasks) {
-		return dst
-	}
-	return append(dst, g.tasks[from:]...)
+// AppendTasks appends all tasks to dst in insertion order, reusing dst's
+// capacity, so a pooled runtime snapshots the graph without allocating.
+func (g *Graph) AppendTasks(dst []*Task) []*Task {
+	return append(dst, g.tasks...)
 }
 
-// MarkDrained finalizes a graph whose execution was tracked outside the
-// graph (simrt's static fast path keeps readiness counts in its own dense
-// arrays): every task is stored Done with no pending dependencies and the
-// outstanding count drops to zero — exactly the state the equivalent
-// sequence of Complete calls would have left. It must only be called when
-// every task has in fact executed.
-func (g *Graph) MarkDrained() {
-	for _, t := range g.tasks {
-		t.pending = 0
-		t.state = Done
-	}
-	g.outstanding = 0
-}
-
-// Validate checks that the graph (as currently constructed) is acyclic and
-// that every edge endpoint belongs to the graph. It is intended for static
-// graphs before Start.
+// Validate checks that the graph is acyclic and that every edge endpoint
+// belongs to the graph.
 func (g *Graph) Validate() error {
 	tasks := g.tasks
 	index := make(map[*Task]int, len(tasks))
@@ -342,9 +221,9 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// Parallelism returns the paper's DAG parallelism measure for the current
-// static graph: total tasks divided by the number of tasks on the longest
-// path. An empty graph has parallelism 0.
+// Parallelism returns the paper's DAG parallelism measure for the graph:
+// total tasks divided by the number of tasks on the longest path. An empty
+// graph has parallelism 0.
 func (g *Graph) Parallelism() float64 {
 	tasks := g.tasks
 	if len(tasks) == 0 {

@@ -2,9 +2,37 @@ package dag
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// walker releases successors the way a runtime does — from its own copy of
+// the dependency counts, leaving the started graph untouched.
+type walker struct {
+	pending []int32
+	left    int
+}
+
+func newWalker(g *Graph) *walker {
+	w := &walker{pending: make([]int32, g.Total()), left: int(g.Total())}
+	for i, t := range g.tasks {
+		w.pending[i] = t.PendingDeps()
+	}
+	return w
+}
+
+// complete finishes t and returns the tasks it released, in successor order,
+// and whether the whole graph has drained.
+func (w *walker) complete(t *Task) (ready []*Task, drained bool) {
+	for _, s := range t.Succs() {
+		if w.pending[s.ID()]--; w.pending[s.ID()] == 0 {
+			ready = append(ready, s)
+		}
+	}
+	w.left--
+	return ready, w.left == 0
+}
 
 func TestLinearChain(t *testing.T) {
 	g := New()
@@ -15,18 +43,16 @@ func TestLinearChain(t *testing.T) {
 	if len(ready) != 1 || ready[0] != a {
 		t.Fatalf("initial ready = %v", ready)
 	}
-	a.MarkRunning()
-	next, drained := g.Complete(a)
+	w := newWalker(g)
+	next, drained := w.complete(a)
 	if drained || len(next) != 1 || next[0] != b {
 		t.Fatalf("after a: next=%v drained=%v", next, drained)
 	}
-	b.MarkRunning()
-	next, drained = g.Complete(b)
+	next, drained = w.complete(b)
 	if drained || len(next) != 1 || next[0] != c {
 		t.Fatalf("after b: next=%v drained=%v", next, drained)
 	}
-	c.MarkRunning()
-	next, drained = g.Complete(c)
+	next, drained = w.complete(c)
 	if !drained || len(next) != 0 {
 		t.Fatalf("after c: next=%v drained=%v", next, drained)
 	}
@@ -39,17 +65,15 @@ func TestDiamond(t *testing.T) {
 	r := g.Add(&Task{Label: "r"}, top)
 	bottom := g.Add(&Task{Label: "bottom"}, l, r)
 	g.Start()
-	top.MarkRunning()
-	next, _ := g.Complete(top)
+	w := newWalker(g)
+	next, _ := w.complete(top)
 	if len(next) != 2 {
 		t.Fatalf("fanout = %d, want 2", len(next))
 	}
-	l.MarkRunning()
-	if next, _ := g.Complete(l); len(next) != 0 {
+	if next, _ := w.complete(l); len(next) != 0 {
 		t.Fatal("bottom released early")
 	}
-	r.MarkRunning()
-	next, drained := g.Complete(r)
+	next, drained := w.complete(r)
 	if len(next) != 1 || next[0] != bottom {
 		t.Fatalf("bottom not released: %v", next)
 	}
@@ -58,48 +82,35 @@ func TestDiamond(t *testing.T) {
 	}
 }
 
-func TestDynamicInsertionViaHook(t *testing.T) {
-	g := New()
-	count := 0
-	var mkTask func(i int) *Task
-	mkTask = func(i int) *Task {
-		return &Task{
-			Label: fmt.Sprintf("t%d", i),
-			OnComplete: func(g *Graph, _ *Task) {
-				count++
-				if i < 4 {
-					g.Add(mkTask(i + 1))
-				}
-			},
-		}
-	}
-	g.Add(mkTask(0))
-	ready := g.Start()
-	for len(ready) > 0 {
-		tsk := ready[0]
-		ready = ready[1:]
-		tsk.MarkRunning()
-		next, _ := g.Complete(tsk)
-		ready = append(ready, next...)
-	}
-	if count != 5 {
-		t.Fatalf("hook chain executed %d tasks, want 5", count)
-	}
-	if g.Outstanding() != 0 {
-		t.Fatalf("outstanding = %d", g.Outstanding())
-	}
-}
-
-func TestAddAfterPredecessorDone(t *testing.T) {
+// A started graph is read-only: every mutator must panic, naming the task,
+// instead of growing a graph whose runtime already snapshotted it.
+func TestMutationAfterStartPanics(t *testing.T) {
 	g := New()
 	a := g.Add(&Task{Label: "a"})
+	b := g.Add(&Task{Label: "b"})
 	g.Start()
-	a.MarkRunning()
-	g.Complete(a)
-	// Dependency on a completed task must not block.
-	b := g.Add(&Task{Label: "b"}, a)
-	if b.State() != Ready {
-		t.Fatalf("task depending on done predecessor is %v, want Ready", b.State())
+	late := &Task{Label: "late"}
+	for name, mutate := range map[string]func(){
+		"Add":      func() { g.Add(late, a) },
+		"AddLayer": func() { g.AddLayer([]*Task{late}, a) },
+		"AddEdge":  func() { g.AddEdge(a, b) },
+	} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				want := `"late"`
+				if name == "AddEdge" {
+					want = `"b"`
+				}
+				if !strings.Contains(msg, name) || !strings.Contains(msg, want) {
+					t.Errorf("%s on a started graph: panic %q, want one naming %s and task %s", name, msg, name, want)
+				}
+			}()
+			mutate()
+		}()
+	}
+	if g.Total() != 2 || len(a.Succs()) != 0 || b.PendingDeps() != 0 {
+		t.Fatal("a rejected mutation changed the graph")
 	}
 }
 
@@ -210,29 +221,15 @@ func TestParallelismBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestIllegalTransitionPanics(t *testing.T) {
-	g := New()
-	a := g.Add(&Task{Label: "a"})
-	g.Start()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double MarkReady did not panic")
-		}
-	}()
-	a.MarkReady() // already Ready
-}
-
-func TestTotalAndOutstanding(t *testing.T) {
+func TestTotal(t *testing.T) {
 	g := New()
 	a := g.Add(&Task{})
 	g.Add(&Task{}, a)
-	if g.Total() != 2 || g.Outstanding() != 2 {
-		t.Fatalf("total=%d outstanding=%d", g.Total(), g.Outstanding())
+	if g.Total() != 2 {
+		t.Fatalf("total=%d", g.Total())
 	}
 	g.Start()
-	a.MarkRunning()
-	g.Complete(a)
-	if g.Total() != 2 || g.Outstanding() != 1 {
-		t.Fatalf("after one: total=%d outstanding=%d", g.Total(), g.Outstanding())
+	if g.Total() != 2 {
+		t.Fatalf("after Start: total=%d", g.Total())
 	}
 }

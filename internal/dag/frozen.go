@@ -7,26 +7,24 @@ import (
 	"dynasym/internal/ptt"
 )
 
-// Frozen is an immutable snapshot of a static graph: the per-task fields
-// runtimes read plus the dependency structure in compressed-sparse-row
-// form. One Frozen can stamp out any number of independent Graph instances
-// (NewGraph) and restore a drained instance to its pre-Start state (Reset),
-// so grid sweeps build the workload once and pay a few bulk allocations —
-// or, with Reset, none at all — per cell instead of re-running the builder.
+// Frozen is an immutable snapshot of a graph: the per-task fields runtimes
+// read plus the dependency structure in compressed-sparse-row form. One
+// Frozen can stamp out any number of independent Graph instances (NewGraph)
+// and restore a used instance to its pre-Start state (Reset), so grid sweeps
+// build the workload once and pay a few bulk allocations — or, with Reset,
+// none at all — per cell instead of re-running the builder.
 //
-// Only static graphs freeze: tasks with Body or OnComplete hooks are
-// rejected, because completion hooks grow the graph while it executes and a
-// grown instance no longer matches the snapshot. Dynamic workloads (KMeans,
-// HeatDist) keep their per-cell builders.
+// Tasks carrying a Data payload do not freeze: the payload is per-instance
+// state a stamped copy would share. Only HeatDist has one (its exchange
+// tasks' endpoints) and, being multi-runtime, it keeps its per-cell builder.
 type Frozen struct {
 	protos  []frozenTask
 	succOff []int32 // CSR row offsets, len(protos)+1
 	succIdx []int32 // successor task indexes, in the builder's append order
 }
 
-// frozenTask is the immutable per-task snapshot. pending is the initial
-// dependency count; state is always Created at snapshot time (Freeze
-// rejects started graphs).
+// frozenTask is the immutable per-task snapshot. pending is the dependency
+// count.
 type frozenTask struct {
 	label   string
 	typ     ptt.TypeID
@@ -37,9 +35,8 @@ type frozenTask struct {
 }
 
 // Freeze snapshots the graph. It fails if the graph already started or if
-// any task carries a Body, OnComplete hook or Data payload — those make the
-// graph dynamic or tie instances to shared mutable state, and callers
-// should fall back to rebuilding such graphs per run.
+// any task carries a Data payload, which would tie instances to shared
+// mutable state.
 func (g *Graph) Freeze() (*Frozen, error) {
 	if g.started {
 		return nil, fmt.Errorf("dag: cannot freeze a started graph")
@@ -55,8 +52,8 @@ func (g *Graph) Freeze() (*Frozen, error) {
 	}
 	nsucc := 0
 	for i, t := range g.tasks {
-		if t.Body != nil || t.OnComplete != nil || t.Data != nil {
-			return nil, fmt.Errorf("dag: cannot freeze task %q: bodies, completion hooks and data payloads are per-instance state", t.Label)
+		if t.Data != nil {
+			return nil, fmt.Errorf("dag: cannot freeze task %q: its data payload is per-instance state", t.Label)
 		}
 		f.protos[i] = frozenTask{
 			label:   t.Label,
@@ -115,33 +112,29 @@ func (f *Frozen) NewGraph() *Graph {
 		}
 		// Full-slice expression: each task's successor list is a private
 		// window of the shared backing array and can never grow into its
-		// neighbor's (static graphs never append after freeze anyway).
+		// neighbor's.
 		s := succs[lo:lo:hi]
 		for _, j := range f.succIdx[lo:hi] {
 			s = append(s, ptrs[j])
 		}
 		tasks[i].succs = s
 	}
-	return &Graph{tasks: ptrs, outstanding: int64(n)}
+	return &Graph{tasks: ptrs}
 }
 
-// Reset restores a drained (or fresh) instance of this snapshot to its
-// pre-Start state, so the instance can execute again: per-task pending
-// counts, states and priority marks are restored and the graph-level run
-// state is cleared. It fails if the graph does not structurally match the
+// Reset restores a used (or fresh) instance of this snapshot to its
+// pre-Start state, so the instance can execute again: the priority marks
+// (which criticality passes may rewrite between runs) are restored and the
+// graph reopens. A run leaves nothing else behind — runtimes only read a
+// started graph. It fails if the graph does not structurally match the
 // snapshot (wrong task count — e.g. an instance of a different Frozen).
 func (f *Frozen) Reset(g *Graph) error {
 	if len(g.tasks) != len(f.protos) {
 		return fmt.Errorf("dag: Reset: graph has %d tasks, snapshot has %d", len(g.tasks), len(f.protos))
 	}
 	for i, t := range g.tasks {
-		p := &f.protos[i]
-		t.High = p.high
-		t.pending = p.pending
-		t.state = Created
+		t.High = f.protos[i].high
 	}
 	g.started = false
-	g.readyBuf = g.readyBuf[:0]
-	g.outstanding = int64(len(g.tasks))
 	return nil
 }

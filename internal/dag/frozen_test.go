@@ -23,16 +23,16 @@ func drain(t *testing.T, g *Graph) []string {
 	t.Helper()
 	var order []string
 	queue := g.Start()
+	w := newWalker(g)
 	for len(queue) > 0 {
 		task := queue[0]
 		queue = queue[1:]
-		task.MarkRunning()
 		order = append(order, task.Label)
-		ready, _ := g.Complete(task)
+		ready, _ := w.complete(task)
 		queue = append(queue, ready...)
 	}
-	if g.Outstanding() != 0 {
-		t.Fatalf("graph did not drain: %d outstanding", g.Outstanding())
+	if w.left != 0 {
+		t.Fatalf("graph did not drain: %d outstanding", w.left)
 	}
 	return order
 }
@@ -100,13 +100,8 @@ func TestFrozenResetReplays(t *testing.T) {
 	if err := fz.Reset(inst); err != nil {
 		t.Fatalf("Reset: %v", err)
 	}
-	if inst.Outstanding() != 4 || inst.Total() != 4 {
-		t.Fatalf("after Reset: outstanding=%d total=%d, want 4/4", inst.Outstanding(), inst.Total())
-	}
-	for _, task := range inst.Tasks() {
-		if task.State() != Created {
-			t.Fatalf("task %q state %v after Reset, want Created", task.Label, task.State())
-		}
+	if inst.Total() != 4 {
+		t.Fatalf("after Reset: total=%d, want 4", inst.Total())
 	}
 	if !inst.Tasks()[0].High {
 		t.Fatal("Reset did not restore the High mark")
@@ -118,16 +113,6 @@ func TestFrozenResetReplays(t *testing.T) {
 }
 
 func TestFreezeRejectsDynamicGraphs(t *testing.T) {
-	hooked := New()
-	hooked.Add(&Task{Label: "h", OnComplete: func(*Graph, *Task) {}})
-	if _, err := hooked.Freeze(); err == nil {
-		t.Fatal("Freeze accepted a graph with a completion hook")
-	}
-	bodied := New()
-	bodied.Add(&Task{Label: "b", Body: func(Exec) {}})
-	if _, err := bodied.Freeze(); err == nil {
-		t.Fatal("Freeze accepted a graph with a real body")
-	}
 	payload := New()
 	payload.Add(&Task{Label: "p", Data: 7})
 	if _, err := payload.Freeze(); err == nil {
@@ -159,14 +144,15 @@ func TestNewGraphInstancesAreIndependent(t *testing.T) {
 	}
 	a, b := fz.NewGraph(), fz.NewGraph()
 	drain(t, a)
-	// Draining a must leave b untouched.
-	for _, task := range b.Tasks() {
-		if task.State() != Created {
-			t.Fatalf("sibling instance task %q state %v, want Created", task.Label, task.State())
-		}
+	for _, task := range a.Tasks() {
+		task.High = !task.High
 	}
-	if b.Outstanding() != 4 {
-		t.Fatalf("sibling instance outstanding %d, want 4", b.Outstanding())
+	// Starting and rewriting a must leave b untouched: unstarted (drain
+	// would panic in Start otherwise), same priorities, its own tasks.
+	for i, task := range b.Tasks() {
+		if task.High != (i == 0) || task == a.Tasks()[i] {
+			t.Fatalf("sibling instance task %q shares state with the drained instance", task.Label)
+		}
 	}
 	drain(t, b)
 }

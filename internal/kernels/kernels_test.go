@@ -1,134 +1,6 @@
 package kernels
 
-import (
-	"math"
-	"sync"
-	"testing"
-	"testing/quick"
-
-	"dynasym/internal/dag"
-	"dynasym/internal/xrand"
-)
-
-func TestRowRangeCoversExactly(t *testing.T) {
-	check := func(nRaw, widthRaw uint8) bool {
-		n := int(nRaw)%200 + 1
-		width := int(widthRaw)%8 + 1
-		covered := 0
-		prevHi := 0
-		for p := 0; p < width; p++ {
-			lo, hi := rowRange(n, p, width)
-			if lo != prevHi {
-				return false // gaps or overlaps
-			}
-			covered += hi - lo
-			prevHi = hi
-		}
-		return covered == n && prevHi == n
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// runMembers executes a body once per member, concurrently, as the real
-// runtime does.
-func runMembers(body func(dag.Exec), width int) {
-	var wg sync.WaitGroup
-	for p := 0; p < width; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			body(dag.Exec{Part: p, Width: width, Leader: 0, Worker: p})
-		}(p)
-	}
-	wg.Wait()
-}
-
-func TestMatMulMatchesReference(t *testing.T) {
-	for _, width := range []int{1, 2, 3, 4} {
-		m := NewMatMul(24, xrand.New(1))
-		runMembers(m.Body, width)
-		want := m.Reference()
-		for i := range want {
-			if math.Abs(m.C[i]-want[i]) > 1e-9 {
-				t.Fatalf("width %d: C[%d] = %g, want %g", width, i, m.C[i], want[i])
-			}
-		}
-	}
-}
-
-func TestCopyCopies(t *testing.T) {
-	for _, width := range []int{1, 3} {
-		c := NewCopy(33, xrand.New(2))
-		runMembers(c.Body, width)
-		for i := range c.Src {
-			if c.Dst[i] != c.Src[i] {
-				t.Fatalf("width %d: Dst[%d] differs", width, i)
-			}
-		}
-	}
-}
-
-func TestStencilWidthInvariance(t *testing.T) {
-	// The multi-sweep stencil must produce identical results regardless
-	// of the width it executes at (the internal barrier synchronizes
-	// sweeps).
-	ref := NewStencil(20, 4, xrand.New(3))
-	runMembers(ref.Body, 1)
-	for _, width := range []int{2, 4} {
-		s := NewStencil(20, 4, xrand.New(3))
-		runMembers(s.Body, width)
-		got, want := s.Result(), ref.Result()
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-12 {
-				t.Fatalf("width %d diverges at %d: %g vs %g", width, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestStencilBoundariesFixed(t *testing.T) {
-	s := NewStencil(16, 3, xrand.New(4))
-	before := append([]float64(nil), s.a...)
-	runMembers(s.Body, 2)
-	n := s.N
-	res := s.Result()
-	for j := 0; j < n; j++ {
-		if res[j] != before[j] || res[(n-1)*n+j] != before[(n-1)*n+j] {
-			t.Fatal("boundary rows were modified")
-		}
-	}
-}
-
-func TestSpinBarrierRounds(t *testing.T) {
-	b := NewSpinBarrier()
-	const width = 4
-	const rounds = 50
-	counts := make([]int, width)
-	var wg sync.WaitGroup
-	for p := 0; p < width; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				counts[p]++
-				b.Wait(width)
-			}
-		}(p)
-	}
-	wg.Wait()
-	for p, c := range counts {
-		if c != rounds {
-			t.Fatalf("member %d did %d rounds", p, c)
-		}
-	}
-}
-
-func TestSpinBarrierWidthOneNoop(t *testing.T) {
-	b := NewSpinBarrier()
-	b.Wait(1) // must not block
-}
+import "testing"
 
 func TestCostShapes(t *testing.T) {
 	mm := MatMulCost(64)
@@ -149,31 +21,5 @@ func TestCostShapes(t *testing.T) {
 	// Cubic vs quadratic growth.
 	if MatMulCost(128).Ops/mm.Ops < 7.9 {
 		t.Fatal("MatMul ops should grow cubically with tile size")
-	}
-}
-
-func TestChecksumDeterministic(t *testing.T) {
-	xs := []float64{1.5, -2.25, 3.75}
-	if Checksum(xs) != Checksum([]float64{1.5, -2.25, 3.75}) {
-		t.Fatal("checksum not deterministic")
-	}
-	if Checksum(xs) == Checksum([]float64{1.5, 3.75, -2.25}) {
-		t.Fatal("checksum ignores order")
-	}
-}
-
-func BenchmarkMatMul64Width1(b *testing.B) {
-	m := NewMatMul(64, xrand.New(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Body(dag.Exec{Part: 0, Width: 1})
-	}
-}
-
-func BenchmarkStencil256(b *testing.B) {
-	s := NewStencil(256, 1, xrand.New(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Body(dag.Exec{Part: 0, Width: 1})
 	}
 }

@@ -58,8 +58,8 @@ import (
 	"dynasym/internal/topology"
 )
 
-// Cost describes the resource demands of one task for the simulator. It is
-// the analytic counterpart of the real kernels in internal/kernels.
+// Cost describes the resource demands of one task for the simulator;
+// internal/kernels holds the calibrated descriptors of the paper's kernels.
 type Cost struct {
 	// Ops is the abstract compute work: cycles consumed on a core of
 	// speed 1.0 at availability 1.0 per Hz of clock. A kernel doing F

@@ -1,15 +1,14 @@
 package scenario
 
 // Compiled workloads: a plan compiles each distinct workload variant of its
-// spec once — the frozen task graph for static kinds, the generated data
-// blob for K-means — and every cell of the grid stamps out (or recycles) a
-// cheap per-cell instance instead of re-running the builder. Variants are
-// keyed by the workload's content (config after point overrides and
-// defaults, or the dagio content digest) plus the criticality variant,
-// because applyCriticality rewrites graph priorities; two points that
-// resolve to the same key share one compiled workload, and a small
-// process-wide cache shares compiled workloads across plans (the service
-// re-plans overlapping specs constantly).
+// spec once, into a frozen task graph, and every cell of the grid stamps out
+// (or recycles) a cheap per-cell instance instead of re-running the builder.
+// Every single-runtime kind compiles the same way. Variants are keyed by the
+// workload's content (config after point overrides and defaults, or the dagio
+// content digest) plus the criticality variant, because applyCriticality
+// rewrites graph priorities; two points that resolve to the same key share
+// one compiled workload, and a small process-wide cache shares compiled
+// workloads across plans (the service re-plans overlapping specs constantly).
 //
 // Compilation is lazy — NewPlan only records the keys; the first RunCell of
 // a variant compiles it. A plan that is only ever merged from cached cell
@@ -23,7 +22,6 @@ import (
 	"dynasym/internal/dag"
 	"dynasym/internal/sim"
 	"dynasym/internal/simrt"
-	"dynasym/internal/workloads"
 )
 
 // CellState is reusable per-worker scratch for RunCellState: the simulation
@@ -69,57 +67,37 @@ func (st *CellState) engineFor() *sim.Engine {
 	return st.engine
 }
 
-// compiledWorkload is one workload variant, compiled at most once. For
-// static kinds (Synthetic, DAGFile, DAGGen) the compiled form is a frozen
-// graph plus a pool of reusable instances; for KMeans it is the generated
-// application object, shared read-only by all simulated cells (bodies never
-// run in simulation, so nothing mutates it); HeatDist has no compiled form.
-// A build that produces an unfreezable graph (real bodies, hooks) is not an
-// error — the variant just keeps building per cell.
+// compiledWorkload is one workload variant, compiled at most once: a frozen
+// graph plus a pool of reusable instances. HeatDist has no compiled form
+// (its cells build one graph per node, with per-instance payloads).
 type compiledWorkload struct {
-	key   string
-	kind  WorkloadKind
-	kmCfg workloads.KMeansConfig
 	build func() (*dag.Graph, error)
 
 	once   sync.Once
 	err    error
 	frozen *dag.Frozen
-	km     *workloads.KMeans
 	pool   sync.Pool // *dag.Graph instances, reset and ready to Start
 }
 
 // compile runs once, on the first cell of the variant.
 func (cw *compiledWorkload) compile() {
-	if cw.kind == KMeans {
-		cw.km = workloads.NewKMeans(cw.kmCfg)
-		return
-	}
 	g, err := cw.build()
+	if err == nil {
+		cw.frozen, err = g.Freeze()
+	}
 	if err != nil {
 		cw.err = err
 		return
 	}
-	fz, err := g.Freeze()
-	if err != nil {
-		return // unfreezable: fall back to per-cell builds
-	}
-	cw.frozen = fz
 	cw.pool.Put(g) // the compile build is itself a valid first instance
 }
 
-// acquire returns a graph instance ready to Start. Instances from a frozen
-// variant must be returned with release after the run.
+// acquire returns a graph instance ready to Start; return it with release
+// after the run.
 func (cw *compiledWorkload) acquire() (*dag.Graph, error) {
 	cw.once.Do(cw.compile)
 	if cw.err != nil {
 		return nil, cw.err
-	}
-	if cw.km != nil {
-		return cw.km.Build(), nil
-	}
-	if cw.frozen == nil {
-		return cw.build()
 	}
 	if v := cw.pool.Get(); v != nil {
 		return v.(*dag.Graph), nil
@@ -127,16 +105,12 @@ func (cw *compiledWorkload) acquire() (*dag.Graph, error) {
 	return cw.frozen.NewGraph(), nil
 }
 
-// release resets a drained instance and returns it to the pool. Instances
-// that fail to reset (or variants with no frozen form) are simply dropped.
+// release resets a used instance and returns it to the pool. An instance
+// that fails to reset is simply dropped.
 func (cw *compiledWorkload) release(g *dag.Graph) {
-	if cw == nil || cw.frozen == nil || g == nil {
-		return
+	if err := cw.frozen.Reset(g); err == nil {
+		cw.pool.Put(g)
 	}
-	if err := cw.frozen.Reset(g); err != nil {
-		return
-	}
-	cw.pool.Put(g)
 }
 
 // workloadKey renders the content key of the workload variant a point runs:
@@ -154,15 +128,14 @@ func workloadKey(w WorkloadSpec, pt Point) (string, error) {
 			cfg.Tile = pt.Tile
 		}
 		cfg = cfg.Defaults()
-		return fmt.Sprintf("synthetic|kernel=%d|tile=%d|sweeps=%d|tasks=%d|par=%d|bodies=%t|seed=%d|crit=%s",
-			cfg.Kernel, cfg.Tile, cfg.Sweeps, cfg.Tasks, cfg.Parallelism, cfg.MakeBodies, cfg.Seed, w.Criticality), nil
+		return fmt.Sprintf("synthetic|kernel=%d|tile=%d|sweeps=%d|tasks=%d|par=%d|crit=%s",
+			cfg.Kernel, cfg.Tile, cfg.Sweeps, cfg.Tasks, cfg.Parallelism, w.Criticality), nil
 	case KMeans:
 		cfg := w.KMeans.Defaults()
-		return fmt.Sprintf("kmeans|n=%d|d=%d|k=%d|grains=%d|jumbo=%x|scale=%x|iters=%d|eps=%x|seed=%d|blob=%x",
+		return fmt.Sprintf("kmeans|n=%d|d=%d|k=%d|grains=%d|jumbo=%x|scale=%x|iters=%d",
 			cfg.N, cfg.D, cfg.K, cfg.Grains,
 			math.Float64bits(cfg.JumboFrac), math.Float64bits(cfg.CostScale),
-			cfg.MaxIters, math.Float64bits(cfg.Epsilon), cfg.Seed,
-			math.Float64bits(cfg.BlobStd)), nil
+			cfg.MaxIters), nil
 	case DAGFile:
 		digest, err := w.DAG.Digest()
 		if err != nil {
@@ -186,9 +159,9 @@ func workloadKey(w WorkloadSpec, pt Point) (string, error) {
 }
 
 // compiledCacheCap bounds the process-wide compiled-workload cache. Entries
-// are a frozen graph (tens of KB for typical sweeps) or a K-means blob
-// (MBs), so the cache is deliberately small; sweeps only need their own
-// handful of variants and eviction merely costs a rebuild.
+// are a frozen graph plus its pooled instances (tens of KB to a few MB for a
+// paper-scale sweep), so the cache is deliberately small; sweeps only need
+// their own handful of variants and eviction merely costs a rebuild.
 const compiledCacheCap = 32
 
 var (
@@ -207,10 +180,10 @@ func CompiledCacheLen() int {
 }
 
 // compiledFor returns the process-wide compiled workload for the key,
-// creating it (uncompiled) on first sight. The build closure and configs
-// are only captured for a new entry; for an existing key they are
-// equivalent by construction of the key.
-func compiledFor(key string, kind WorkloadKind, kmCfg workloads.KMeansConfig, build func() (*dag.Graph, error)) *compiledWorkload {
+// creating it (uncompiled) on first sight. The build closure is only
+// captured for a new entry; for an existing key it is equivalent by
+// construction of the key.
+func compiledFor(key string, build func() (*dag.Graph, error)) *compiledWorkload {
 	compiledMu.Lock()
 	defer compiledMu.Unlock()
 	if cw, ok := compiledEntries[key]; ok {
@@ -223,7 +196,7 @@ func compiledFor(key string, kind WorkloadKind, kmCfg workloads.KMeansConfig, bu
 		compiledOrder = append(compiledOrder, key)
 		return cw
 	}
-	cw := &compiledWorkload{key: key, kind: kind, kmCfg: kmCfg, build: build}
+	cw := &compiledWorkload{build: build}
 	compiledEntries[key] = cw
 	compiledOrder = append(compiledOrder, key)
 	for len(compiledOrder) > compiledCacheCap {
@@ -256,7 +229,7 @@ func compileWorkloads(s Spec) (byPoint []*compiledWorkload, variant []int, err e
 		}
 		variant[xi] = id
 		w := s.Workload
-		byPoint[xi] = compiledFor(key, w.Kind, w.KMeans, func() (*dag.Graph, error) {
+		byPoint[xi] = compiledFor(key, func() (*dag.Graph, error) {
 			return buildGraph(w, pt)
 		})
 	}

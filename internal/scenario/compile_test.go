@@ -176,64 +176,32 @@ func (e errInjected) Error() string { return "injected failure" }
 
 // The pooled acquire/release cycle of a compiled variant must not rebuild
 // anything: a handful of bookkeeping allocations at most, against the
-// thousands a builder run costs.
+// thousands a builder run costs. K-means is here because it used to be the
+// one kind that could not freeze and rebuilt its graph per cell.
 func TestCompiledAcquireReleaseAllocs(t *testing.T) {
-	w := WorkloadSpec{Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelCholesky, Tiles: 16}}
-	cw := &compiledWorkload{
-		key:  "allocs-test",
-		kind: DAGGen,
-		build: func() (*dag.Graph, error) {
-			return buildGraph(w, Point{})
-		},
-	}
-	g, err := cw.acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cw.frozen == nil {
-		t.Fatal("daggen workload did not freeze")
-	}
-	cw.release(g)
-	avg := testing.AllocsPerRun(50, func() {
+	for name, w := range map[string]WorkloadSpec{
+		"daggen": {Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelCholesky, Tiles: 16}},
+		"kmeans": {Kind: KMeans, KMeans: workloads.KMeansConfig{N: 4096, Grains: 16, MaxIters: 20}},
+	} {
+		w := w
+		cw := &compiledWorkload{build: func() (*dag.Graph, error) { return buildGraph(w, Point{}) }}
 		g, err := cw.acquire()
 		if err != nil {
 			t.Fatal(err)
 		}
+		if cw.frozen == nil {
+			t.Fatalf("%s workload did not freeze", name)
+		}
 		cw.release(g)
-	})
-	if avg > 8 {
-		t.Errorf("acquire+release of a pooled compiled graph costs %.1f allocs, want ≤ 8", avg)
-	}
-}
-
-// A workload whose graph cannot freeze (real bodies) must silently fall
-// back to per-cell builds and still run correctly.
-func TestUnfreezableWorkloadFallsBack(t *testing.T) {
-	w := WorkloadSpec{Kind: Synthetic, Synthetic: workloads.SyntheticConfig{
-		Kernel: workloads.Copy, Tasks: 16, MakeBodies: true,
-	}}
-	key, err := workloadKey(w, Point{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cw := &compiledWorkload{key: key, kind: Synthetic, build: func() (*dag.Graph, error) {
-		return buildGraph(w, Point{})
-	}}
-	g, err := cw.acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cw.frozen != nil {
-		t.Fatal("a graph with real bodies froze")
-	}
-	if g == nil || g.Total() == 0 {
-		t.Fatal("fallback build returned no graph")
-	}
-	g2, err := cw.acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2 == g {
-		t.Fatal("fallback acquires must be independent builds")
+		avg := testing.AllocsPerRun(50, func() {
+			g, err := cw.acquire()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cw.release(g)
+		})
+		if avg > 8 {
+			t.Errorf("%s: acquire+release of a pooled compiled graph costs %.1f allocs, want ≤ 8", name, avg)
+		}
 	}
 }

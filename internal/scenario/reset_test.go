@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"reflect"
 	"testing"
 
 	"dynasym/internal/core"
@@ -177,6 +178,81 @@ func TestWarmSyntheticCellAllocs(t *testing.T) {
 		})
 		if warm > 16 {
 			t.Errorf("%s: warm cell costs %.0f allocs, want <= 16", p.CellLabel(c), warm)
+		}
+	}
+}
+
+// A K-means cell is a compiled cell like any other: with the worker's state
+// warm, the default (paper-scale: 100 iterations × 65 tasks) configuration
+// costs its RunMetrics readout and nothing per task. Measured 15; when
+// K-means grew its graph through completion hooks a warm cell rebuilt every
+// task, label and closure — 26 339 allocations.
+func TestWarmKMeansCellAllocs(t *testing.T) {
+	p, err := NewPlan(Spec{
+		Name:     "kmeans-allocs",
+		Platform: PlatformSpec{Preset: "haswell16"},
+		Workload: WorkloadSpec{Kind: KMeans},
+		Policies: []core.Policy{core.DAMC()},
+		Reps:     2,
+		Seed:     3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewCellState()
+	for _, c := range p.Cells {
+		if _, err := p.RunCellState(st, c); err != nil {
+			t.Fatal(err) // warm: compile the variant, grow the runtime's pools
+		}
+	}
+	warm := testing.AllocsPerRun(5, func() {
+		if _, err := p.RunCellState(st, p.Cells[1]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if warm > 32 {
+		t.Errorf("warm K-means cell costs %.0f allocs, want <= 32", warm)
+	}
+}
+
+// KMeansConfig.{Epsilon,Seed,BlobStd} are inert: they stay in the canonical
+// encoding (so the specs hash apart) but cannot change what a cell computes.
+func TestKMeansInertFieldsDoNotChangeCells(t *testing.T) {
+	spec := func(km workloads.KMeansConfig) Spec {
+		return Spec{
+			Name:     "kmeans-inert",
+			Platform: PlatformSpec{Preset: "tx2"},
+			Workload: WorkloadSpec{Kind: KMeans, KMeans: km},
+			Policies: []core.Policy{core.RWS(), core.DAMP()},
+			Reps:     2,
+			Seed:     9,
+		}
+	}
+	base := workloads.KMeansConfig{N: 2048, D: 4, K: 4, Grains: 8, MaxIters: 6}
+	other := base
+	other.Epsilon, other.Seed, other.BlobStd = 1e-3, 77, 0.5
+	pa, err := NewPlan(spec(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := NewPlan(spec(other))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pa.Hash == pb.Hash {
+		t.Fatal("the inert fields left the spec hash: the canonical encoding must keep them")
+	}
+	for i := range pa.Cells {
+		a, err := pa.RunCell(pa.Cells[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := pb.RunCell(pb.Cells[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: metrics differ between specs that differ only in inert K-means fields", pa.CellLabel(pa.Cells[i]))
 		}
 	}
 }

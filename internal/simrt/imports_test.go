@@ -13,15 +13,17 @@ import (
 // TestCoreImportsNoSyncAndNoDeletedPackage guards the single-goroutine
 // contract at the source level. A runtime, its engine, graph, trace tables
 // and collector all run on one goroutine, so the packages holding them are
-// plain data; the moment one of them imports sync or sync/atomic again,
-// someone is sharing simulator state across goroutines, and the race
-// detector only notices if a test happens to exercise it. The second half
-// keeps the removed goroutine runtime (and everything that existed only to
-// serve it) from being reintroduced under its old import paths.
+// plain data — as are the workload builders and cost descriptors that feed
+// them, since tasks carry no executable payload; the moment one of them
+// imports sync or sync/atomic again, someone is sharing simulator state
+// across goroutines, and the race detector only notices if a test happens to
+// exercise it. The second half keeps the removed goroutine runtime (and
+// everything that existed only to serve it) from being reintroduced under
+// its old import paths.
 func TestCoreImportsNoSyncAndNoDeletedPackage(t *testing.T) {
 	const root = "../.."
 	plain := map[string]bool{}
-	for _, pkg := range []string{"dag", "ptt", "metrics", "core", "sim"} {
+	for _, pkg := range []string{"dag", "ptt", "metrics", "core", "sim", "simrt", "workloads", "kernels", "simnet"} {
 		plain[filepath.Join(root, "internal", pkg)] = true
 	}
 	deleted := []string{

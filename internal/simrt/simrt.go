@@ -50,7 +50,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
 	"dynasym/internal/core"
 	"dynasym/internal/dag"
@@ -120,13 +119,6 @@ type Config struct {
 	// than receive targeted wakeups, like XiTAO's spin-steal loop with
 	// yields). Default 20 µs.
 	PollDelay float64
-	// RunBodies makes the simulator execute task bodies (at zero virtual
-	// cost) so applications compute real results under simulated
-	// scheduling — a functional simulation. Durations still come from
-	// the machine model. Member bodies run concurrently (they may
-	// synchronize internally), so floating-point reduction order — but
-	// nothing else — may vary between runs.
-	RunBodies bool
 }
 
 type coreStateKind int32
@@ -187,8 +179,8 @@ type Runtime struct {
 	coll     *metrics.Collector
 	rr       uint64 // round-robin counter the fixed-asymmetry policies share
 	cores    []*coreState
-	graph    *dag.Graph
 	root     *xrand.RNG
+	started  bool
 	finished bool
 	makespan float64
 
@@ -387,7 +379,7 @@ func (rt *Runtime) Reset(cfg Config) error {
 		rt.soa.ptr[i] = nil
 	}
 	rt.soa.ptr = rt.soa.ptr[:0]
-	rt.graph = nil
+	rt.started = false
 	rt.finished = false
 	rt.makespan = 0
 	if cfg.Probe != nil {
@@ -485,11 +477,7 @@ func (rt *Runtime) Run(g *dag.Graph) (*metrics.Collector, error) {
 	}
 	rt.engine.Run()
 	if !rt.finished {
-		out := g.Outstanding()
-		if rt.soa.static {
-			out = int64(rt.soa.remaining)
-		}
-		return nil, fmt.Errorf("simrt: execution stalled with %d tasks outstanding (possible dependency deadlock)", out)
+		return nil, fmt.Errorf("simrt: execution stalled with %d tasks outstanding (possible dependency deadlock)", rt.soa.remaining)
 	}
 	return rt.coll, nil
 }
@@ -497,19 +485,19 @@ func (rt *Runtime) Run(g *dag.Graph) (*metrics.Collector, error) {
 // Start wires the graph into the runtime and schedules the initial events.
 // The caller is responsible for running the engine (shared-engine mode).
 func (rt *Runtime) Start(g *dag.Graph) error {
-	if rt.graph != nil {
+	if rt.started {
 		return fmt.Errorf("simrt: runtime already started")
 	}
-	rt.graph = g
+	rt.started = true
 	ready := g.Start()
-	if len(ready) == 0 && g.Outstanding() > 0 {
-		return fmt.Errorf("simrt: graph has %d tasks but none ready (cycle?)", g.Outstanding())
+	if len(ready) == 0 && g.Total() > 0 {
+		return fmt.Errorf("simrt: graph has %d tasks but none ready (cycle?)", g.Total())
 	}
-	rt.buildSoA(g)
+	rt.soa.build(g)
 	for _, t := range ready {
-		rt.wakeTask(rt.tref(t), 0)
+		rt.wakeTask(makeTref(int(t.ID()), t.High), 0)
 	}
-	if g.Outstanding() == 0 {
+	if g.Total() == 0 {
 		rt.finished = true
 		rt.coll.SetMakespan(0)
 		if p := rt.cfg.Probe; p != nil {
@@ -703,9 +691,6 @@ func (rt *Runtime) dispatch(c *coreState, tr int32) {
 	if pid < 0 {
 		panic(fmt.Sprintf("simrt: policy %s produced invalid place %v", rt.policy.Name(), pl))
 	}
-	if !rt.soa.static {
-		rt.soa.ptr[tr>>1].MarkRunning()
-	}
 	a := rt.getAssembly(tr, pl, int32(pid))
 	for i := 0; i < pl.Width; i++ {
 		m := rt.cores[pl.Leader+i]
@@ -746,17 +731,10 @@ func (rt *Runtime) putAssembly(a *assembly) {
 	rt.asmFree = append(rt.asmFree, a)
 }
 
-// startAssembly runs when the last member arrives. The hot path touches
-// only the SoA cost slice; the task pointer is fetched solely for the cold
-// body/hook paths.
+// startAssembly runs when the last member arrives.
 func (rt *Runtime) startAssembly(a *assembly) {
 	a.start = rt.engine.Now()
 	idx := a.tref >> 1
-	if rt.cfg.RunBodies {
-		if t := rt.soa.ptr[idx]; t.Body != nil {
-			runBodyMembers(t, a.place)
-		}
-	}
 	if rt.cfg.Hook != nil {
 		delivered := false
 		handled := rt.cfg.Hook(rt, rt.soa.ptr[idx], a.place, a.start, func(finish float64) {
@@ -789,10 +767,9 @@ func (rt *Runtime) startAssembly(a *assembly) {
 }
 
 // completeAssembly releases the members, updates the PTT with the leader's
-// observed span, records metrics, and wakes dependents. On static graphs
-// the dependency bookkeeping runs over the SoA's CSR — no per-completion
-// allocation — and the dag.Graph is finalized in bulk when the last task
-// drains.
+// observed span, records metrics, and wakes dependents. The dependency
+// bookkeeping runs over the SoA's CSR — no per-completion allocation — and
+// never touches the dag.Graph.
 func (rt *Runtime) completeAssembly(a *assembly, finish float64) {
 	span := finish - a.start
 	idx := a.tref >> 1
@@ -831,32 +808,13 @@ func (rt *Runtime) completeAssembly(a *assembly, finish float64) {
 	}
 	leader := a.place.Leader
 	rt.putAssembly(a)
-	if rt.soa.static {
-		s := &rt.soa
-		for _, si := range s.succIdx[s.succOff[idx]:s.succOff[idx+1]] {
-			if s.pending[si]--; s.pending[si] == 0 {
-				rt.wakeTask(makeTref(int(si), s.high[si]), leader)
-			}
+	s := &rt.soa
+	for _, si := range s.succIdx[s.succOff[idx]:s.succOff[idx+1]] {
+		if s.pending[si]--; s.pending[si] == 0 {
+			rt.wakeTask(makeTref(int(si), s.high[si]), leader)
 		}
-		if s.remaining--; s.remaining == 0 {
-			if int(rt.graph.Total()) != s.total {
-				panic("simrt: tasks added to a graph that started without completion hooks")
-			}
-			rt.graph.MarkDrained()
-			rt.finished = true
-			rt.makespan = finish
-			rt.coll.SetMakespan(finish)
-			if p := rt.cfg.Probe; p != nil {
-				p.flushTo(rt.coll, finish)
-			}
-		}
-		return
 	}
-	ready, drained := rt.graph.Complete(rt.soa.ptr[idx])
-	for _, t := range ready {
-		rt.wakeTask(rt.tref(t), leader)
-	}
-	if drained {
+	if s.remaining--; s.remaining == 0 {
 		rt.finished = true
 		rt.makespan = finish
 		rt.coll.SetMakespan(finish)
@@ -890,25 +848,6 @@ func (rt *Runtime) drawJitter(leader int) machine.Jitter {
 		j.Add += rt.cfg.PreemptMin + (rt.cfg.PreemptMax-rt.cfg.PreemptMin)*rng.Float64()
 	}
 	return j
-}
-
-// runBodyMembers executes all member partitions of a task body. Members
-// run on goroutines because bodies may synchronize internally (e.g. the
-// stencil kernel's per-sweep barrier).
-func runBodyMembers(t *dag.Task, pl topology.Place) {
-	if pl.Width == 1 {
-		t.Body(dag.Exec{Part: 0, Width: 1, Leader: pl.Leader, Worker: pl.Leader})
-		return
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < pl.Width; i++ {
-		wg.Add(1)
-		go func(part int) {
-			defer wg.Done()
-			t.Body(dag.Exec{Part: part, Width: pl.Width, Leader: pl.Leader, Worker: pl.Leader + part})
-		}(i)
-	}
-	wg.Wait()
 }
 
 // Stats exposes per-core scheduler counters for diagnostics and tests.

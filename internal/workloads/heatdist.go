@@ -7,6 +7,7 @@ import (
 	"dynasym/internal/dag"
 	"dynasym/internal/kernels"
 	"dynasym/internal/machine"
+	"dynasym/internal/ptt"
 	"dynasym/internal/simnet"
 	"dynasym/internal/simrt"
 	"dynasym/internal/topology"
@@ -40,6 +41,9 @@ type HeatDist struct {
 	ComputeCost machine.Cost
 	CommCost    machine.Cost
 }
+
+// HeatTypeCompute is the PTT task type of heat block updates.
+const HeatTypeCompute ptt.TypeID = kernels.TypeUser + 8
 
 // HeatComm tags an exchange task (via dag.Task.Data) with its endpoints.
 type HeatComm struct {

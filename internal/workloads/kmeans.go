@@ -2,32 +2,27 @@ package workloads
 
 import (
 	"fmt"
-	"math"
-	"sync"
 
 	"dynasym/internal/dag"
 	"dynasym/internal/kernels"
 	"dynasym/internal/machine"
 	"dynasym/internal/ptt"
-	"dynasym/internal/xrand"
 )
 
-// KMeans implements the paper's K-means clustering application (from the
-// Rodinia suite) as a dynamic DAG: each iteration spawns one "assign" task
-// per point partition (loop-parallel tasks with tunable grain) and one
-// "reduce" task that recomputes the centroids and, unless converged or at
-// the iteration limit, inserts the next iteration's tasks. Following the
-// paper, the task containing the largest work unit is marked high priority.
+// KMeans describes the paper's K-means clustering application (from the
+// Rodinia suite) as a task graph: each iteration is one "assign" task per
+// point partition (loop-parallel tasks with tunable grain) followed by one
+// "reduce" task that recomputes the centroids, and iteration i+1's assigns
+// hang off reduce[i]. Following the paper, the task containing the largest
+// work unit is marked high priority.
 //
-// The simulator schedules from the cost descriptors; the Body closures do
-// the arithmetic when the runtime is configured to run bodies
-// (simrt.Config.RunBodies).
+// The graph is a cost description, not a computation: no points are
+// generated and nothing is clustered, so every run unrolls exactly MaxIters
+// iterations (the paper's fixed 100-iteration runs) and Build emits them all
+// up front.
 type KMeans struct {
-	// Points is the row-major N×D data.
-	Points []float64
-	N, D   int
-	// K is the number of clusters.
-	K int
+	// N is the dataset's point count.
+	N int
 	// Grains is the number of point partitions per iteration.
 	Grains int
 	// JumboFrac is the fraction of points assigned to the last, largest
@@ -35,34 +30,12 @@ type KMeans struct {
 	// unit" as high priority, so this grain is the critical task. The
 	// default (1/16) sizes it to about one core's share of an iteration.
 	JumboFrac float64
-	// CostScale multiplies the simulated per-point cost, standing in for
-	// the per-record work of the Rodinia inputs (wider records, cache
-	// misses) without allocating them; it does not affect real bodies.
-	CostScale float64
-	// MaxIters bounds the number of iterations.
+	// MaxIters is the number of iterations.
 	MaxIters int
-	// Epsilon stops iterating when total centroid movement falls below
-	// it; 0 disables convergence stopping (fixed iteration count, like
-	// the paper's 100-iteration runs).
-	Epsilon float64
 
-	// Centroids is the current K×D centroid matrix.
-	Centroids []float64
-	// Assign is the current cluster index per point.
-	Assign []int
-	// Iters is the number of completed iterations.
-	Iters int
-	// Moved is the centroid movement of the last completed iteration.
-	Moved float64
-
-	assignCost machine.Cost // per average (non-jumbo) grain
+	assignCost machine.Cost // per point
 	reduceCost machine.Cost
 	bounds     []int // grain boundaries, len Grains+1
-
-	mu        sync.Mutex
-	sums      []float64
-	counts    []int64
-	converged bool
 }
 
 // KMeansTypeAssign, KMeansTypeAssignJumbo and KMeansTypeReduce are the PTT
@@ -83,10 +56,13 @@ type KMeansConfig struct {
 	JumboFrac float64
 	CostScale float64
 	MaxIters  int
-	Epsilon   float64
-	Seed      uint64
-	// BlobStd controls synthetic data generation: points are drawn from
-	// K Gaussian blobs so the clustering has structure to find.
+	// Epsilon, Seed and BlobStd are inert: they parameterized the generated
+	// dataset and convergence stopping of an executable K-means this
+	// repository no longer has. They remain because the canonical spec
+	// encoding — and so every spec and cell hash — includes them; the built
+	// graph does not depend on them.
+	Epsilon float64
+	Seed    uint64
 	BlobStd float64
 }
 
@@ -120,25 +96,14 @@ func (c KMeansConfig) Defaults() KMeansConfig {
 	return c
 }
 
-// NewKMeans generates blob data and initial centroids deterministically
-// from the seed and returns the application object.
+// NewKMeans derives the grain partition and the cost descriptors.
 func NewKMeans(cfg KMeansConfig) *KMeans {
 	cfg = cfg.Defaults()
-	rng := xrand.New(cfg.Seed)
 	km := &KMeans{
-		Points:    make([]float64, cfg.N*cfg.D),
 		N:         cfg.N,
-		D:         cfg.D,
-		K:         cfg.K,
 		Grains:    cfg.Grains,
 		JumboFrac: cfg.JumboFrac,
-		CostScale: cfg.CostScale,
 		MaxIters:  cfg.MaxIters,
-		Epsilon:   cfg.Epsilon,
-		Centroids: make([]float64, cfg.K*cfg.D),
-		Assign:    make([]int, cfg.N),
-		sums:      make([]float64, cfg.K*cfg.D),
-		counts:    make([]int64, cfg.K),
 	}
 	// Grain boundaries: the last grain is the jumbo (critical) work unit.
 	jumbo := int(float64(cfg.N) * cfg.JumboFrac)
@@ -154,24 +119,10 @@ func NewKMeans(cfg KMeansConfig) *KMeans {
 	}
 	km.bounds[cfg.Grains-1] = rest
 	km.bounds[cfg.Grains] = cfg.N
-	// Blob centers on the unit hypercube corners-ish.
-	centers := make([]float64, cfg.K*cfg.D)
-	for i := range centers {
-		centers[i] = rng.Float64()
-	}
-	for p := 0; p < cfg.N; p++ {
-		blob := p % cfg.K
-		for d := 0; d < cfg.D; d++ {
-			km.Points[p*cfg.D+d] = centers[blob*cfg.D+d] + cfg.BlobStd*rng.NormFloat64()
-		}
-	}
-	// Initialize centroids from the first K points (deterministic).
-	copy(km.Centroids, km.Points[:cfg.K*cfg.D])
-
 	// Cost model: assigning one point is K×D multiply-adds, scaled by
 	// CostScale to stand in for the Rodinia inputs' heavier records. The
-	// reference cost below is per point; addIteration scales it by each
-	// grain's size.
+	// reference cost below is per point; Build scales it by each grain's
+	// size.
 	flopsPerPoint := float64(cfg.K) * float64(cfg.D) * 3 * cfg.CostScale
 	km.assignCost = machine.Cost{
 		Ops:          flopsPerPoint / 0.5, // scalar distance loop, ~0.5 flops/cycle
@@ -196,144 +147,38 @@ func (km *KMeans) grainRange(g int) (lo, hi int) {
 	return km.bounds[g], km.bounds[g+1]
 }
 
-// assignBody computes, for the points of one grain, the nearest centroid
-// and accumulates partial sums. Members of a moldable place split the grain
-// by Exec.Part.
-func (km *KMeans) assignBody(g int) func(dag.Exec) {
-	return func(e dag.Exec) {
-		lo, hi := km.grainRange(g)
-		span := hi - lo
-		mlo := lo + e.Part*span/e.Width
-		mhi := lo + (e.Part+1)*span/e.Width
-		D, K := km.D, km.K
-		localSums := make([]float64, K*D)
-		localCounts := make([]int64, K)
-		for p := mlo; p < mhi; p++ {
-			pt := km.Points[p*D : (p+1)*D]
-			best, bestDist := 0, math.Inf(1)
-			for k := 0; k < K; k++ {
-				c := km.Centroids[k*D : (k+1)*D]
-				dist := 0.0
-				for d := 0; d < D; d++ {
-					diff := pt[d] - c[d]
-					dist += diff * diff
-				}
-				if dist < bestDist {
-					best, bestDist = k, dist
-				}
-			}
-			km.Assign[p] = best
-			for d := 0; d < D; d++ {
-				localSums[best*D+d] += pt[d]
-			}
-			localCounts[best]++
-		}
-		km.mu.Lock()
-		for i, v := range localSums {
-			km.sums[i] += v
-		}
-		for i, v := range localCounts {
-			km.counts[i] += v
-		}
-		km.mu.Unlock()
-	}
-}
-
-// reduceBody recomputes the centroids from the accumulated sums and records
-// the movement.
-func (km *KMeans) reduceBody() func(dag.Exec) {
-	return func(e dag.Exec) {
-		if e.Part != 0 {
-			return // reduce is sequential; extra members idle
-		}
-		km.mu.Lock()
-		defer km.mu.Unlock()
-		moved := 0.0
-		D := km.D
-		for k := 0; k < km.K; k++ {
-			if km.counts[k] == 0 {
-				continue
-			}
-			inv := 1.0 / float64(km.counts[k])
-			for d := 0; d < D; d++ {
-				next := km.sums[k*D+d] * inv
-				diff := next - km.Centroids[k*D+d]
-				moved += diff * diff
-				km.Centroids[k*D+d] = next
-			}
-		}
-		km.Moved = math.Sqrt(moved)
-		for i := range km.sums {
-			km.sums[i] = 0
-		}
-		for i := range km.counts {
-			km.counts[i] = 0
-		}
-		km.Iters++
-		if km.Epsilon > 0 && km.Moved < km.Epsilon {
-			km.converged = true
-		}
-	}
-}
-
-// Build returns the dynamic DAG: the first iteration's tasks are inserted
-// statically, and each reduce task's completion hook inserts the next
-// iteration until MaxIters (or convergence when Epsilon > 0).
+// Build returns the graph of all MaxIters iterations.
 func (km *KMeans) Build() *dag.Graph {
 	g := dag.New()
-	km.addIteration(g, 0)
-	return g
-}
-
-// addIteration inserts one iteration's assign tasks and reduce task.
-func (km *KMeans) addIteration(g *dag.Graph, iter int) {
+	g.Grow(km.MaxIters * (km.Grains + 1))
 	assigns := make([]*dag.Task, km.Grains)
-	for i := 0; i < km.Grains; i++ {
-		lo, hi := km.grainRange(i)
-		pts := float64(hi - lo)
-		cost := km.assignCost
-		cost.Ops *= pts
-		cost.Bytes *= pts
-		typ := KMeansTypeAssign
-		if i == km.Grains-1 {
-			typ = KMeansTypeAssignJumbo
-		}
-		assigns[i] = g.Add(&dag.Task{
-			Label: fmt.Sprintf("assign[%d.%d]", iter, i),
-			Type:  typ,
-			High:  i == km.Grains-1,
-			Cost:  cost,
-			Body:  km.assignBody(i),
-			Iter:  iter,
-		})
-	}
-	reduce := &dag.Task{
-		Label: fmt.Sprintf("reduce[%d]", iter),
-		Type:  KMeansTypeReduce,
-		Cost:  km.reduceCost,
-		Body:  km.reduceBody(),
-		Iter:  iter,
-		OnComplete: func(g *dag.Graph, _ *dag.Task) {
-			if iter+1 < km.MaxIters && !km.converged {
-				km.addIteration(g, iter+1)
+	var prevReduce *dag.Task
+	for iter := 0; iter < km.MaxIters; iter++ {
+		for i := range assigns {
+			lo, hi := km.grainRange(i)
+			pts := float64(hi - lo)
+			cost := km.assignCost
+			cost.Ops *= pts
+			cost.Bytes *= pts
+			typ := KMeansTypeAssign
+			if i == km.Grains-1 {
+				typ = KMeansTypeAssignJumbo
 			}
-		},
-	}
-	g.Add(reduce, assigns...)
-}
-
-// Inertia returns the sum of squared distances of points to their assigned
-// centroids — the clustering quality measure used by tests.
-func (km *KMeans) Inertia() float64 {
-	total := 0.0
-	D := km.D
-	for p := 0; p < km.N; p++ {
-		c := km.Centroids[km.Assign[p]*D : (km.Assign[p]+1)*D]
-		pt := km.Points[p*D : (p+1)*D]
-		for d := 0; d < D; d++ {
-			diff := pt[d] - c[d]
-			total += diff * diff
+			assigns[i] = &dag.Task{
+				Label: fmt.Sprintf("assign[%d.%d]", iter, i),
+				Type:  typ,
+				High:  i == km.Grains-1,
+				Cost:  cost,
+				Iter:  iter,
+			}
 		}
+		g.AddLayer(assigns, prevReduce)
+		prevReduce = g.Add(&dag.Task{
+			Label: fmt.Sprintf("reduce[%d]", iter),
+			Type:  KMeansTypeReduce,
+			Cost:  km.reduceCost,
+			Iter:  iter,
+		}, assigns...)
 	}
-	return total
+	return g
 }

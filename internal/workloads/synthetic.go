@@ -1,19 +1,16 @@
 // Package workloads builds the paper's benchmark applications as task
-// graphs: the synthetic layered DAGs (Section 4.2.2), K-means clustering as
-// a dynamic DAG, and 2D Heat in shared-memory and distributed variants.
+// graphs: the synthetic layered DAGs (Section 4.2.2), K-means clustering
+// unrolled over its iterations, and the distributed 2D Heat stencil.
 package workloads
 
 import (
 	"fmt"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"dynasym/internal/dag"
 	"dynasym/internal/kernels"
 	"dynasym/internal/machine"
 	"dynasym/internal/ptt"
-	"dynasym/internal/xrand"
 )
 
 // KernelKind selects the node type of a synthetic DAG.
@@ -73,13 +70,6 @@ type SyntheticConfig struct {
 	Tasks int
 	// Parallelism is the DAG parallelism P (tasks per layer).
 	Parallelism int
-	// MakeBodies attaches real compute bodies (run under
-	// simrt.Config.RunBodies).
-	// Kernel instances are pooled and reused between tasks, so memory
-	// stays bounded regardless of Tasks.
-	MakeBodies bool
-	// Seed drives operand initialization when MakeBodies is set.
-	Seed uint64
 }
 
 // Defaults fills unset fields with the paper's values for the kernel.
@@ -122,68 +112,6 @@ func (c SyntheticConfig) Cost() machine.Cost {
 	}
 }
 
-// kernelPool hands out exclusive kernel instances so concurrent real-mode
-// tasks never share writable buffers while total allocation stays bounded
-// by the peak concurrency rather than the task count.
-type kernelPool struct {
-	pool sync.Pool
-}
-
-func newKernelPool(cfg SyntheticConfig, seed uint64) *kernelPool {
-	var mu sync.Mutex
-	rng := xrand.New(seed)
-	kp := &kernelPool{}
-	kp.pool.New = func() any {
-		mu.Lock()
-		r := rng.Split()
-		mu.Unlock()
-		switch cfg.Kernel {
-		case MatMul:
-			return kernels.NewMatMul(cfg.Tile, r)
-		case Copy:
-			return kernels.NewCopy(cfg.Tile, r)
-		default:
-			return kernels.NewStencil(cfg.Tile, cfg.Sweeps, r)
-		}
-	}
-	return kp
-}
-
-// taskBody builds the real body for one task. All members of a moldable
-// place must operate on one shared kernel instance; whichever member
-// arrives first draws it from the pool, and the last member to finish
-// returns it.
-func (kp *kernelPool) taskBody() func(dag.Exec) {
-	var (
-		once sync.Once
-		inst any
-		done atomic.Int32
-	)
-	return func(e dag.Exec) {
-		once.Do(func() { inst = kp.pool.Get() })
-		runKernel(inst, e)
-		if done.Add(1) == int32(e.Width) {
-			kp.pool.Put(inst)
-			// Reset for the (impossible) case of body reuse: bodies are
-			// per-task, so this is only defensive.
-			done.Store(0)
-		}
-	}
-}
-
-func runKernel(inst any, e dag.Exec) {
-	switch k := inst.(type) {
-	case *kernels.MatMul:
-		k.Body(e)
-	case *kernels.Copy:
-		k.Body(e)
-	case *kernels.Stencil:
-		k.Body(e)
-	default:
-		panic("workloads: unknown kernel instance")
-	}
-}
-
 // BuildSynthetic constructs the layered synthetic DAG. Layer i's critical
 // task releases all of layer i+1, so DAG parallelism (total tasks / longest
 // path) equals cfg.Parallelism exactly.
@@ -198,25 +126,17 @@ func BuildSynthetic(cfg SyntheticConfig) *dag.Graph {
 	cost := cfg.Cost()
 	typeID := cfg.Kernel.TypeID()
 	kernelName := cfg.Kernel.String()
-	var kp *kernelPool
-	if cfg.MakeBodies {
-		kp = newKernelPool(cfg, cfg.Seed)
-	}
 	var prevCritical *dag.Task
 	layerTasks := make([]*dag.Task, cfg.Parallelism)
 	for layer := 0; layer < layers; layer++ {
 		for i := 0; i < cfg.Parallelism; i++ {
-			t := &dag.Task{
+			layerTasks[i] = &dag.Task{
 				Label: layerLabel(kernelName, layer, i),
 				Type:  typeID,
 				High:  i == 0,
 				Cost:  cost,
 				Iter:  layer,
 			}
-			if kp != nil {
-				t.Body = kp.taskBody()
-			}
-			layerTasks[i] = t
 		}
 		g.AddLayer(layerTasks, prevCritical)
 		prevCritical = layerTasks[0]

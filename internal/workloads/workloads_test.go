@@ -1,7 +1,7 @@
 package workloads
 
 import (
-	"math"
+	"fmt"
 	"testing"
 
 	"dynasym/internal/dag"
@@ -59,16 +59,18 @@ func TestSyntheticCriticalReleasesNextLayer(t *testing.T) {
 			low = tsk
 		}
 	}
-	// Completing the low task releases nothing.
-	low.MarkRunning()
-	if next, _ := g.Complete(low); len(next) != 0 {
-		t.Fatal("low task released the next layer")
+	// The low task releases nothing.
+	if n := len(low.Succs()); n != 0 {
+		t.Fatalf("low task has %d successors, want 0", n)
 	}
-	// Completing the critical task releases the whole next layer.
-	crit.MarkRunning()
-	next, _ := g.Complete(crit)
-	if len(next) != 2 {
-		t.Fatalf("critical task released %d tasks, want 2", len(next))
+	// The critical task alone releases the whole next layer.
+	if n := len(crit.Succs()); n != 2 {
+		t.Fatalf("critical task releases %d tasks, want 2", n)
+	}
+	for _, s := range crit.Succs() {
+		if s.PendingDeps() != 1 || s.Iter != 1 {
+			t.Fatalf("task %q: %d dependencies in layer %d, want 1 in layer 1", s.Label, s.PendingDeps(), s.Iter)
+		}
 	}
 }
 
@@ -118,86 +120,71 @@ func TestKMeansGrainPartition(t *testing.T) {
 	}
 }
 
-// kmGrainRange exposes the internal grain bounds through the public graph
-// structure: it rebuilds the same arithmetic used by assignBody.
+// kmGrainRange exposes the internal grain bounds.
 func kmGrainRange(km *KMeans, g int) (int, int) {
 	return km.grainRange(g)
 }
 
+// The whole run is one static graph: MaxIters × (Grains assigns + 1 reduce),
+// iteration i+1's assigns hanging off reduce[i] and nothing else, the jumbo
+// grain alone high-priority with a trace table of its own.
 func TestKMeansGraphShape(t *testing.T) {
-	km := NewKMeans(KMeansConfig{N: 1 << 10, Grains: 8, MaxIters: 3})
+	const grains, iters = 8, 3
+	km := NewKMeans(KMeansConfig{N: 1 << 10, Grains: grains, JumboFrac: 0.25, MaxIters: iters})
 	g := km.Build()
-	// Only the first iteration is static: 8 assigns + 1 reduce.
-	if g.Total() != 9 {
-		t.Fatalf("initial graph has %d tasks, want 9", g.Total())
-	}
-	high := 0
-	for _, tsk := range g.Tasks() {
-		if tsk.High {
-			high++
-		}
-	}
-	if high != 1 {
-		t.Fatalf("%d high tasks, want 1 (the largest work unit)", high)
-	}
-}
-
-func TestKMeansConvergesOnBlobs(t *testing.T) {
-	km := NewKMeans(KMeansConfig{N: 2000, D: 4, K: 4, Grains: 8, MaxIters: 50, Epsilon: 1e-6, Seed: 5, BlobStd: 0.02})
-	g := km.Build()
-	// Run serially through the graph, executing bodies.
-	ready := g.Start()
-	for len(ready) > 0 {
-		tsk := ready[0]
-		ready = ready[1:]
-		tsk.MarkRunning()
-		if tsk.Body != nil {
-			tsk.Body(dag.Exec{Part: 0, Width: 1})
-		}
-		next, _ := g.Complete(tsk)
-		ready = append(ready, next...)
-	}
-	if km.Iters >= 50 {
-		t.Fatalf("k-means did not converge in %d iterations", km.Iters)
-	}
-	// With tight blobs and K == blob count, inertia per point is small.
-	if in := km.Inertia() / float64(km.N); in > 0.01 {
-		t.Fatalf("inertia per point %g too high — clustering failed", in)
-	}
-}
-
-func TestHeatParallelMatchesReferenceSerially(t *testing.T) {
-	h := NewHeat(HeatConfig{Rows: 32, Cols: 32, Blocks: 4, Iters: 7, Seed: 9})
-	g := h.Build()
-	ready := g.Start()
-	for len(ready) > 0 {
-		tsk := ready[0]
-		ready = ready[1:]
-		tsk.MarkRunning()
-		tsk.Body(dag.Exec{Part: 0, Width: 1})
-		next, _ := g.Complete(tsk)
-		ready = append(ready, next...)
-	}
-	got, want := h.Result(), h.Reference()
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("heat diverges at %d: %g vs %g", i, got[i], want[i])
-		}
-	}
-}
-
-func TestHeatGraphShape(t *testing.T) {
-	h := NewHeat(HeatConfig{Rows: 64, Cols: 64, Blocks: 8, Iters: 10})
-	g := h.Build()
-	if g.Total() != 80 {
-		t.Fatalf("heat graph has %d tasks", g.Total())
+	if g.Total() != iters*(grains+1) {
+		t.Fatalf("graph has %d tasks, want %d", g.Total(), iters*(grains+1))
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Block dependencies bound parallelism by the block count.
-	if par := g.Parallelism(); par > 8+1e-9 {
-		t.Fatalf("heat parallelism %g exceeds block count", par)
+	tasks := g.Tasks()
+	for iter := 0; iter < iters; iter++ {
+		base := iter * (grains + 1)
+		reduce := tasks[base+grains]
+		if reduce.Label != fmt.Sprintf("reduce[%d]", iter) || reduce.Type != KMeansTypeReduce ||
+			reduce.High || reduce.Iter != iter || reduce.PendingDeps() != grains {
+			t.Fatalf("iteration %d reduce is %+v", iter, reduce)
+		}
+		for i, a := range tasks[base : base+grains] {
+			jumbo := i == grains-1
+			wantType := KMeansTypeAssign
+			if jumbo {
+				wantType = KMeansTypeAssignJumbo
+			}
+			if a.Label != fmt.Sprintf("assign[%d.%d]", iter, i) || a.Type != wantType || a.High != jumbo || a.Iter != iter {
+				t.Fatalf("iteration %d assign %d is %+v", iter, i, a)
+			}
+			if len(a.Succs()) != 1 || a.Succs()[0] != reduce {
+				t.Fatalf("assign[%d.%d] does not feed exactly its iteration's reduce", iter, i)
+			}
+			wantDeps := int32(1)
+			if iter == 0 {
+				wantDeps = 0
+			}
+			if a.PendingDeps() != wantDeps {
+				t.Fatalf("assign[%d.%d] has %d dependencies, want %d", iter, i, a.PendingDeps(), wantDeps)
+			}
+		}
+		// reduce[i] releases iteration i+1's assigns, in grain order.
+		next := reduce.Succs()
+		if iter == iters-1 {
+			if len(next) != 0 {
+				t.Fatalf("last reduce has %d successors", len(next))
+			}
+			continue
+		}
+		if len(next) != grains {
+			t.Fatalf("reduce[%d] releases %d tasks, want %d", iter, len(next), grains)
+		}
+		for i, s := range next {
+			if s != tasks[base+grains+1+i] {
+				t.Fatalf("reduce[%d] successor %d is %q, want assign[%d.%d]", iter, i, s.Label, iter+1, i)
+			}
+		}
+	}
+	if jumbo, plain := tasks[grains-1].Cost.Ops, tasks[0].Cost.Ops; jumbo <= plain {
+		t.Fatalf("jumbo grain costs %g ops, a regular grain %g", jumbo, plain)
 	}
 }
 

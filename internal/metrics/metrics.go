@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"cmp"
 	"slices"
 	"sort"
 
@@ -37,8 +36,8 @@ type Collector struct {
 	// iteration touches few distinct places, and a linear scan over a
 	// short pair slice beats a map assignment per task by a wide margin.
 	// byIterSparse catches tags above maxDenseIter so arbitrary
-	// iteration numbers still work. IterStats copies the pairs out,
-	// ID-sorted, on readout.
+	// iteration numbers still work. The pairs are kept ID-sorted;
+	// IterStats copies them out on readout.
 	byIter       []*iterAgg
 	byIterSparse map[int]*iterAgg
 	tasksDone    int64
@@ -86,15 +85,18 @@ func (c *Collector) newIterAgg(iter int, start, finish float64) *iterAgg {
 	}
 }
 
-// bump increments the count for a placeID.
+// bump increments the count for a placeID, keeping the pairs ID-sorted: an
+// iteration touches a few places, so a linear scan and a rare insert beat a
+// sort on every readout.
 func (a *iterAgg) bump(id int) {
-	for i := range a.places {
-		if a.places[i].ID == id {
-			a.places[i].N++
-			return
-		}
+	i := 0
+	for i < len(a.places) && a.places[i].ID < id {
+		i++
 	}
-	a.places = append(a.places, PlaceCount{ID: id, N: 1})
+	if i == len(a.places) || a.places[i].ID != id {
+		a.places = slices.Insert(a.places, i, PlaceCount{ID: id})
+	}
+	a.places[i].N++
 }
 
 // IterStat aggregates one application iteration (Figure 9).
@@ -303,9 +305,8 @@ func (c *Collector) IterStats() []IterStat {
 	materialize := func(st *iterAgg) {
 		lo := len(backing)
 		backing = append(backing, st.places...)
-		places := backing[lo:len(backing):len(backing)]
-		slices.SortFunc(places, func(a, b PlaceCount) int { return cmp.Compare(a.ID, b.ID) })
-		out = append(out, IterStat{Iter: st.iter, Tasks: st.tasks, Start: st.start, End: st.end, Places: places})
+		out = append(out, IterStat{Iter: st.iter, Tasks: st.tasks, Start: st.start, End: st.end,
+			Places: backing[lo:len(backing):len(backing)]})
 	}
 	for _, st := range c.byIter {
 		if st != nil {
@@ -315,7 +316,8 @@ func (c *Collector) IterStats() []IterStat {
 	for _, st := range c.byIterSparse {
 		materialize(st)
 	}
-	slices.SortFunc(out, func(a, b IterStat) int { return cmp.Compare(a.Iter, b.Iter) })
+	// Iteration tags are non-negative, so the difference cannot overflow.
+	slices.SortFunc(out, func(a, b IterStat) int { return a.Iter - b.Iter })
 	return out
 }
 

@@ -158,8 +158,12 @@ func TestSparseIterFallsBackToMap(t *testing.T) {
 	taskDone(c, topology.Place{Leader: 0, Width: 1}, false, 2, 0.0, 1.0)
 	taskDone(c, topology.Place{Leader: 0, Width: 1}, false, sparse, 1.0, 2.0)
 	taskDone(c, topology.Place{Leader: 1, Width: 1}, false, sparse, 1.5, 2.5)
+	for _, later := range []int{sparse + 3, sparse + 1, sparse + 2} {
+		taskDone(c, topology.Place{Leader: 0, Width: 1}, false, later, 3.0, 4.0)
+	}
 	st := c.IterStats()
-	if len(st) != 2 || st[0].Iter != 2 || st[1].Iter != sparse {
+	if len(st) != 5 || st[0].Iter != 2 || st[1].Iter != sparse ||
+		st[2].Iter != sparse+1 || st[3].Iter != sparse+2 || st[4].Iter != sparse+3 {
 		t.Fatalf("iters = %+v", st)
 	}
 	if st[1].Tasks != 2 || st[1].Start != 1.0 || st[1].End != 2.5 {

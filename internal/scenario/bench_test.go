@@ -54,7 +54,7 @@ func BenchmarkUncompiledCellRun(b *testing.B) {
 	p.compiled = nil
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.RunCell(p.Cells[i%len(p.Cells)]); err != nil {
+		if _, err := p.RunCellState(NewCellState(), p.Cells[i%len(p.Cells)]); err != nil {
 			b.Fatal(err)
 		}
 	}

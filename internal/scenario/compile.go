@@ -10,7 +10,7 @@ package scenario
 // one compiled workload, and a small process-wide cache shares compiled
 // workloads across plans (the service re-plans overlapping specs constantly).
 //
-// Compilation is lazy — NewPlan only records the keys; the first RunCell of
+// Compilation is lazy — NewPlan only records the keys; the first cell run of
 // a variant compiles it. A plan that is only ever merged from cached cell
 // results (the service's warm path) therefore never builds a graph at all.
 
@@ -27,9 +27,7 @@ import (
 // CellState is reusable per-worker scratch for RunCellState: the simulation
 // engine, whose event tiers keep their capacity across cells, and the
 // simulated runtime, whose queues, pools, and per-core state are recycled
-// via Runtime.Reset. A CellState must not be used by two cells
-// concurrently; a nil *CellState is valid and makes RunCellState allocate
-// fresh state (RunCell's path).
+// via Runtime.Reset. A CellState must not be used by two cells concurrently.
 type CellState struct {
 	engine *sim.Engine
 	// rt is lazily captured by the first cell the state runs and reset for
@@ -42,27 +40,19 @@ type CellState struct {
 	probe *simrt.Probe
 }
 
-// NewCellState returns scratch state for one sweep worker.
+// NewCellState returns scratch state for one executor worker.
 func NewCellState() *CellState { return &CellState{engine: sim.New()} }
 
-// probeFor returns the worker's reusable probe, or a fresh one when the
-// caller keeps no state.
+// probeFor returns the state's reusable probe.
 func (st *CellState) probeFor() *simrt.Probe {
-	if st == nil {
-		return simrt.NewProbe()
-	}
 	if st.probe == nil {
 		st.probe = simrt.NewProbe()
 	}
 	return st.probe
 }
 
-// engineFor returns the engine a cell should run on: the reset per-worker
-// engine, or a fresh one when the caller keeps no state.
+// engineFor returns the state's engine, reset for the next cell.
 func (st *CellState) engineFor() *sim.Engine {
-	if st == nil {
-		return sim.New()
-	}
 	st.engine.Reset()
 	return st.engine
 }

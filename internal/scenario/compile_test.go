@@ -23,7 +23,7 @@ func uncompiledFingerprint(t *testing.T, s Spec) string {
 	p.compiled = nil // force per-cell builds
 	results := make(map[string]RunMetrics, len(p.Cells))
 	for _, c := range p.Cells {
-		rm, err := p.RunCell(c)
+		rm, err := p.RunCellState(NewCellState(), c)
 		if err != nil {
 			t.Fatalf("%s: %v", p.CellLabel(c), err)
 		}
@@ -145,16 +145,7 @@ func TestRunStopsDispatchAfterFailure(t *testing.T) {
 		return RunMetrics{}, nil, true
 	}
 	defer func() { runCellHook = nil }()
-	s := Spec{
-		Name:     "mid-grid-failure",
-		Platform: PlatformSpec{Preset: "tx2"},
-		Workload: WorkloadSpec{Kind: Synthetic, Synthetic: workloads.SyntheticConfig{Kernel: workloads.MatMul, Tasks: 64}},
-		Policies: []core.Policy{core.RWS()},
-		Reps:     8,
-		Seed:     1,
-		Workers:  1,
-	}
-	_, err := Run(s)
+	_, err := Run(failureGrid(8, 1))
 	if err == nil {
 		t.Fatal("Run succeeded despite injected failures")
 	}

@@ -189,7 +189,7 @@ func TestDAGGenPlanMergeAndSweep(t *testing.T) {
 	}
 	byHash := map[string]RunMetrics{}
 	for _, c := range p.Cells {
-		rm, err := p.RunCell(c)
+		rm, err := p.RunCellState(NewCellState(), c)
 		if err != nil {
 			t.Fatal(err)
 		}

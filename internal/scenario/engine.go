@@ -1,10 +1,9 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"dynasym/internal/core"
 	"dynasym/internal/dag"
@@ -29,108 +28,62 @@ const repSeedStride = 1_000_003
 const nodeSeedStride = 1009
 
 // Run validates the spec and executes the full (policy × point × rep) grid
-// on a bounded worker pool. Every cell runs on private state seeded only by
-// the spec, so the result is deterministic regardless of pool interleaving.
-// A failed cell stops dispatch of the cells after it; the returned error is
-// always the lowest-index failing cell's, so failures too are deterministic.
-// Run is Plan → RunCell (pooled) → Merge; callers that want to schedule,
-// distribute or cache individual cells use those pieces directly.
+// on the process-wide cell executor, Spec.Workers capping how many of its
+// workers pull from this grid. Every cell runs on private state seeded only
+// by the spec, so the result is deterministic regardless of which worker ran
+// what. A failed cell stops the hand-out of the cells after it; the returned
+// error is always the lowest-index failing cell's, so failures too are
+// deterministic. Run is Plan → RunCellState (on the executor) → Merge;
+// callers that want to schedule, distribute or cache individual cells use
+// those pieces directly.
 func Run(s Spec) (*Result, error) {
 	p, err := NewPlan(s)
 	if err != nil {
 		return nil, err
 	}
-	spec := p.Spec
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	spec, total := p.Spec, len(p.Cells)
+	if spec.Progress != nil {
+		spec.Progress(0, total)
 	}
-	if workers > len(p.Cells) {
-		workers = len(p.Cells)
-	}
-	results := make([]RunMetrics, len(p.Cells))
-	errs := make([]error, len(p.Cells))
-	prog := newProgress(spec.Progress, len(p.Cells))
-	ch := make(chan int)
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st := NewCellState()
-			for ci := range ch {
-				c := p.Cells[ci]
-				rm, err := p.RunCellState(st, c)
-				if err != nil {
-					errs[ci] = fmt.Errorf("scenario %q: %s: %w", spec.Name, p.CellLabel(c), err)
-					failed.Store(true)
-				} else {
-					results[ci] = rm
-				}
-				prog.cellDone()
-			}
-		}()
-	}
-	// Dispatch in cell order and stop feeding once any cell fails:
-	// in-flight cells finish, undispatched ones are abandoned. The error
-	// scan below still reports the lowest failing cell index — the
-	// unbuffered channel hands cells out in index order, so every cell
-	// below a recorded failure was dispatched and has recorded its own
-	// outcome by the time the pool drains.
-	for ci := range p.Cells {
-		if failed.Load() {
-			break
-		}
-		ch <- ci
-	}
-	close(ch)
-	wg.Wait()
-	for _, err := range errs {
+	// One lock guards the outcomes and lets Progress see a strictly
+	// monotonic done count although cells finish concurrently; the hook
+	// must not block for long.
+	var mu sync.Mutex
+	byHash := make(map[string]RunMetrics, total)
+	failedAt, done := total, 0
+	var failure error
+	// A failure cancels the batch: running cells finish, the rest never
+	// start. Cells start in plan order, so every cell below a failure has
+	// recorded its own outcome when the batch returns, and the lowest
+	// failing index is the same on every run. The executor's own error is
+	// only that cancellation.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_ = defaultExecutor.Run(ctx, total, spec.Workers, func(_ int, st *CellState, ci int) bool {
+		c := p.Cells[ci]
+		rm, err := p.RunCellState(st, c)
+		mu.Lock()
+		defer mu.Unlock()
 		if err != nil {
-			return nil, err
+			cancel()
+			if ci < failedAt {
+				failedAt, failure = ci, fmt.Errorf("scenario %q: %s: %w", spec.Name, p.CellLabel(c), err)
+			}
+		} else {
+			byHash[c.Hash] = rm
 		}
-	}
-	byHash := make(map[string]RunMetrics, len(p.Cells))
-	for i, c := range p.Cells {
-		byHash[c.Hash] = results[i]
+		if done++; spec.Progress != nil {
+			spec.Progress(done, total)
+		}
+		return true
+	})
+	if failure != nil {
+		return nil, failure
 	}
 	if spec.Trace != nil {
 		p.mergeTraces(spec.Trace)
 	}
 	return Merge(p, byHash)
-}
-
-// progressReporter serializes Progress-hook invocations so the hook
-// observes a strictly monotonic done count even though cells finish on
-// concurrent workers. (An atomic counter alone is not enough: two workers
-// can increment in one order and invoke the hook in the other.)
-type progressReporter struct {
-	fn    func(done, total int)
-	total int
-	mu    sync.Mutex
-	done  int
-}
-
-// newProgress reports (0, total) up front, like Run always has.
-func newProgress(fn func(done, total int), total int) *progressReporter {
-	pr := &progressReporter{fn: fn, total: total}
-	if fn != nil {
-		fn(0, total)
-	}
-	return pr
-}
-
-// cellDone records one finished cell and reports it. The hook runs under
-// the reporter's lock, so it must not block for long.
-func (pr *progressReporter) cellDone() {
-	if pr.fn == nil {
-		return
-	}
-	pr.mu.Lock()
-	pr.done++
-	pr.fn(pr.done, pr.total)
-	pr.mu.Unlock()
 }
 
 // MustRun is Run but panics on error; intended for spec tables whose specs
@@ -144,17 +97,21 @@ func MustRun(s Spec) *Result {
 }
 
 // runCell executes one repetition of one cell on the plan's shared platform
-// and machine model. cw, when non-nil, supplies the point's compiled
-// workload (graph instances come from its pool instead of the builder); st,
-// when non-nil, supplies the worker's reusable engine. rec, when non-nil,
-// receives the cell's schedule trace; probe, when non-nil, records
-// scheduler introspection into RunMetrics.Sched (and, when rec is also set,
-// emits queue/PTT/utilization counter lanes). All four are pure mechanism —
-// they never change the metrics.
-func (p *Plan) runCell(c CellJob, cw *compiledWorkload, st *CellState, rec *trace.Recorder, probe *simrt.Probe) (RunMetrics, error) {
+// and machine model, on the point's compiled workload when the plan has one
+// (graph instances come from its pool instead of the builder) and on the
+// worker's reusable engine and runtime in st. rec, when non-nil, receives
+// the cell's schedule trace; probe, when non-nil, records scheduler
+// introspection into RunMetrics.Sched (and, when rec is also set, emits
+// queue/PTT/utilization counter lanes). All of it is pure mechanism — none
+// of it changes the metrics, which carry the cell's seed.
+func (p *Plan) runCell(c CellJob, st *CellState, rec *trace.Recorder, probe *simrt.Probe) (RunMetrics, error) {
 	s, pol, pt, seed := &p.Spec, p.Spec.Policies[c.Policy], p.Spec.Points[c.Point], c.Seed
 	if s.Workload.Kind == HeatDist {
 		return runDistCell(*s, pol, pt, seed)
+	}
+	var cw *compiledWorkload
+	if p.compiled != nil {
+		cw = p.compiled[c.Point]
 	}
 	model, err := p.machineModel()
 	if err != nil {
@@ -180,29 +137,26 @@ func (p *Plan) runCell(c CellJob, cw *compiledWorkload, st *CellState, rec *trac
 		Probe:  probe,
 		Engine: st.engineFor(),
 	}
-	var rt *simrt.Runtime
-	if st != nil && st.rt != nil {
+	rt := st.rt
+	if rt != nil {
 		// Warm worker: recycle the runtime's allocations. Reset replays
 		// New's exact construction sequence, so the cell's metrics cannot
 		// depend on what ran before.
-		rt = st.rt
 		if err := rt.Reset(cfg); err != nil {
 			return RunMetrics{}, err
 		}
 	} else {
-		rt, err = simrt.New(cfg)
-		if err != nil {
+		if rt, err = simrt.New(cfg); err != nil {
 			return RunMetrics{}, err
 		}
-		if st != nil {
-			st.rt = rt
-		}
+		st.rt = rt
 	}
 	coll, err := rt.Run(g)
 	if err != nil {
 		return RunMetrics{}, err
 	}
 	rm := collectRun(coll, rt)
+	rm.Seed = seed
 	if probe != nil && rec != nil {
 		probe.EmitCounters(rec, 0)
 		rec.AddUtilCounters(0, rm.Makespan)
@@ -272,6 +226,7 @@ func runDistCell(s Spec, pol core.Policy, pt Point, seed uint64) (RunMetrics, er
 	if rm.Makespan > 0 {
 		rm.Throughput = float64(rm.TasksDone) / rm.Makespan
 	}
+	rm.Seed = seed
 	return rm, nil
 }
 

@@ -1,11 +1,11 @@
 package scenario
 
-// Plan / RunCell / Merge split Run's monolithic grid loop into first-class
-// schedulable units. A Plan enumerates every (policy × point × repetition)
-// cell of a validated spec in Run's execution order; RunCell executes one
-// cell as a pure function of the plan and the cell's coordinates; Merge
-// reassembles cell results into a Result that is bit-identical to what a
-// monolithic Run of the same spec produces.
+// Plan / RunCellState / Merge split Run's monolithic grid loop into
+// first-class schedulable units. A Plan enumerates every (policy × point ×
+// repetition) cell of a validated spec in Run's execution order;
+// RunCellState executes one cell as a pure function of the plan and the
+// cell's coordinates; Merge reassembles cell results into a Result that is
+// bit-identical to what a monolithic Run of the same spec produces.
 //
 // Each CellJob carries a canonical hash — the cell-granular cache key used
 // by internal/service. The hash covers the spec's cell-invariant fields
@@ -67,9 +67,7 @@ type Plan struct {
 	// results never build a graph.
 	compiled []*compiledWorkload
 	// variant maps each point index to a dense workload-variant id —
-	// points with equal ids share one compiled graph. Backends group
-	// same-variant cells so a worker sweeps one graph's cells back to
-	// back (see PointVariant).
+	// points with equal ids share one compiled graph (see PointVariant).
 	variant []int
 	// cellRecs holds one private trace recorder per cell when the spec
 	// traces (Spec.Trace != nil). Cells record into their own recorder so
@@ -213,8 +211,8 @@ func (p *Plan) CellLabel(c CellJob) string {
 
 // PointVariant returns the dense workload-variant id of a point index:
 // points with equal ids run structurally identical graphs from one
-// compiled workload. Backends order cells by variant so each worker sweeps
-// one compiled graph's cells back to back.
+// compiled workload. Backends hand cells out variant by variant, so the
+// cells of one compiled graph run back to back.
 func (p *Plan) PointVariant(point int) int {
 	if point < 0 || point >= len(p.variant) {
 		return 0
@@ -227,18 +225,12 @@ func (p *Plan) PointVariant(point int) int {
 // cannot produce.
 var runCellHook func(p *Plan, c CellJob) (RunMetrics, error, bool)
 
-// RunCell executes one cell. It is a pure function of the plan's spec and
-// the cell's coordinates: same cell, same metrics, bit for bit, no matter
-// where or when it runs. The returned metrics carry the cell's seed.
-func (p *Plan) RunCell(c CellJob) (RunMetrics, error) {
-	return p.RunCellState(nil, c)
-}
-
-// RunCellState is RunCell with caller-owned scratch state: a sweep worker
-// allocates one CellState and passes it to every cell it runs, so engine
-// event storage is reused across the sweep. The state never influences the
-// metrics — RunCellState(st, c) and RunCell(c) are bit-identical. A nil
-// state is valid (RunCell's path).
+// RunCellState executes one cell on caller-owned scratch state: an executor
+// worker owns one CellState and passes it to every cell it runs, so engine
+// event storage and the runtime are reused across cells. The cell is a pure
+// function of the plan's spec and its coordinates — same cell, same
+// metrics, bit for bit, wherever and on whatever state it runs. The
+// returned metrics carry the cell's seed.
 func (p *Plan) RunCellState(st *CellState, c CellJob) (RunMetrics, error) {
 	if c.Policy < 0 || c.Policy >= len(p.Spec.Policies) || c.Point < 0 || c.Point >= len(p.Spec.Points) {
 		return RunMetrics{}, fmt.Errorf("scenario %q: cell (%d,%d) outside the %dx%d grid",
@@ -249,10 +241,6 @@ func (p *Plan) RunCellState(st *CellState, c CellJob) (RunMetrics, error) {
 			return rm, err
 		}
 	}
-	var cw *compiledWorkload
-	if p.compiled != nil {
-		cw = p.compiled[c.Point]
-	}
 	var rec *trace.Recorder
 	if p.cellRecs != nil {
 		rec = p.cellRecs[p.cellIndex(c)]
@@ -261,12 +249,7 @@ func (p *Plan) RunCellState(st *CellState, c CellJob) (RunMetrics, error) {
 	if p.Spec.Probe && p.Spec.Workload.Kind != HeatDist {
 		probe = st.probeFor()
 	}
-	rm, err := p.runCell(c, cw, st, rec, probe)
-	if err != nil {
-		return RunMetrics{}, err
-	}
-	rm.Seed = c.Seed
-	return rm, nil
+	return p.runCell(c, st, rec, probe)
 }
 
 // cellIndex returns a cell's position in the plan's grid enumeration.
@@ -290,16 +273,11 @@ func (p *Plan) RunCellTrace(c CellJob) (RunMetrics, *trace.Recorder, error) {
 		return RunMetrics{}, nil, fmt.Errorf("scenario %q: cell (%d,%d) outside the %dx%d grid",
 			p.Spec.Name, c.Policy, c.Point, len(p.Spec.Policies), len(p.Spec.Points))
 	}
-	var cw *compiledWorkload
-	if p.compiled != nil {
-		cw = p.compiled[c.Point]
-	}
 	rec := trace.New()
-	rm, err := p.runCell(c, cw, nil, rec, simrt.NewProbe())
+	rm, err := p.runCell(c, NewCellState(), rec, simrt.NewProbe())
 	if err != nil {
 		return RunMetrics{}, nil, err
 	}
-	rm.Seed = c.Seed
 	return rm, rec, nil
 }
 

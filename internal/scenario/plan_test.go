@@ -55,7 +55,7 @@ func TestPlanMergeMatchesRun(t *testing.T) {
 			// Run the cells in reverse order to prove order independence.
 			for i := len(p.Cells) - 1; i >= 0; i-- {
 				c := p.Cells[i]
-				rm, err := p.RunCell(c)
+				rm, err := p.RunCellState(NewCellState(), c)
 				if err != nil {
 					t.Fatalf("cell %s: %v", p.CellLabel(c), err)
 				}
@@ -185,7 +185,7 @@ func TestPlanCellBounds(t *testing.T) {
 			t.Errorf("Cell(%v) accepted an out-of-grid position", bad)
 		}
 	}
-	if _, err := p.RunCell(CellJob{Policy: 99}); err == nil {
+	if _, err := p.RunCellState(NewCellState(), CellJob{Policy: 99}); err == nil {
 		t.Error("RunCell accepted an out-of-grid cell")
 	}
 }

@@ -143,7 +143,7 @@ func TestRunCellTraceMatchesCanonicalRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []CellJob{plan.Cells[0], plan.Cells[len(plan.Cells)-1]} {
-		canonical, err := plan.RunCell(c)
+		canonical, err := plan.RunCellState(NewCellState(), c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,7 @@ import (
 
 // stateFingerprint runs every cell of the spec sequentially through
 // RunCellState with the given scratch state (nil means fresh state per
-// cell, RunCell's path) and returns the merged result fingerprint.
+// cell) and returns the merged result fingerprint.
 func stateFingerprint(t *testing.T, s Spec, st *CellState) string {
 	t.Helper()
 	p, err := NewPlan(s)
@@ -20,7 +20,11 @@ func stateFingerprint(t *testing.T, s Spec, st *CellState) string {
 	}
 	results := make(map[string]RunMetrics, len(p.Cells))
 	for _, c := range p.Cells {
-		rm, err := p.RunCellState(st, c)
+		run := st
+		if run == nil {
+			run = NewCellState()
+		}
+		rm, err := p.RunCellState(run, c)
 		if err != nil {
 			t.Fatalf("%s: %v", p.CellLabel(c), err)
 		}
@@ -135,7 +139,7 @@ func TestRuntimeReuseAllocs(t *testing.T) {
 		t.Fatal(err) // warm: compiles the variant and captures the runtime
 	}
 	fresh := testing.AllocsPerRun(5, func() {
-		if _, err := p.RunCell(p.Cells[1]); err != nil {
+		if _, err := p.RunCellState(NewCellState(), p.Cells[1]); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -243,11 +247,11 @@ func TestKMeansInertFieldsDoNotChangeCells(t *testing.T) {
 		t.Fatal("the inert fields left the spec hash: the canonical encoding must keep them")
 	}
 	for i := range pa.Cells {
-		a, err := pa.RunCell(pa.Cells[i])
+		a, err := pa.RunCellState(NewCellState(), pa.Cells[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := pb.RunCell(pb.Cells[i])
+		b, err := pb.RunCellState(NewCellState(), pb.Cells[i])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -308,8 +308,8 @@ type Spec struct {
 	Reps int
 	// Alpha is the base PTT new-sample weight (0 = the paper's 1/5).
 	Alpha float64
-	// Workers bounds the worker pool (default: GOMAXPROCS, capped by the
-	// number of cells).
+	// Workers caps how many of the cell executor's workers (GOMAXPROCS of
+	// them) run this grid's cells at once (default: all).
 	Workers int
 	// Latency and Bandwidth describe the interconnect for HeatDist
 	// scenarios (defaults: 2 µs, 5 GB/s).

@@ -4,14 +4,14 @@ package service
 // cell jobs (internal/scenario Plan), batches the uncached cells into
 // shards, and hands each shard to a backend; a shard that fails on one
 // backend is retried on the others. Two implementations exist: the
-// in-process bounded pool below, and the remote peer backend (remote.go)
+// in-process executor backend below, and the remote peer backend (remote.go)
 // that farms shards to another asymd node over POST /v1/shards.
 
 import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"dynasym/internal/obs"
@@ -44,26 +44,20 @@ type Backend interface {
 	Execute(ctx context.Context, plan *scenario.Plan, cells []scenario.CellJob) ([]CellResult, error)
 }
 
-// localBackend runs cells in process on a bounded worker pool. The pool is
-// shared across all jobs and shard requests served by this node, so total
-// simulation concurrency stays bounded no matter how many jobs are in
-// flight.
+// localBackend runs cells in process on the node's cell executor, shared by
+// all jobs and shard requests this node serves: its workers are the node-wide
+// bound on concurrent simulations, and their scratch states outlive the job,
+// so only a worker's first cell pays simrt.New and cold event tiers.
 type localBackend struct {
-	sem chan struct{}
-	// states is the free list of per-worker scratch (engine tiers, a
-	// resettable runtime), bounded by the pool size. A cell takes a state
-	// after it wins a pool slot and returns it before releasing the slot,
-	// so reuse spans jobs: only a pool's first cells pay simrt.New and cold
-	// event tiers.
-	states chan *scenario.CellState
+	exec *scenario.Executor
 	// runs counts cells actually simulated (the cache-miss work). The
-	// manager points it, busy and runSec at its metric registry (run
-	// counter, utilization gauge, duration histogram); a bare backend
-	// counts on a private counter and leaves the nil-tolerant other two
-	// unwired.
-	runs   *obs.Counter
-	busy   *obs.Gauge
-	runSec *obs.Histogram
+	// manager points it, busy, runSec and parallelism at its metric
+	// registry; a bare backend counts on a private counter and leaves the
+	// nil-tolerant other three unwired.
+	runs        *obs.Counter
+	busy        *obs.Gauge
+	runSec      *obs.Histogram
+	parallelism *obs.Histogram
 	// panics counts cells whose simulation panicked (see runCellSafe).
 	panics *obs.Counter
 	// runCell is the engine entry point; tests substitute it to count
@@ -73,8 +67,7 @@ type localBackend struct {
 
 func newLocalBackend(workers int) *localBackend {
 	return &localBackend{
-		sem:     make(chan struct{}, workers),
-		states:  make(chan *scenario.CellState, workers),
+		exec:    scenario.NewExecutor(workers),
 		runs:    new(obs.Counter),
 		panics:  new(obs.Counter),
 		runCell: (*scenario.Plan).RunCellState,
@@ -88,41 +81,29 @@ func (b *localBackend) Name() string { return "local" }
 // reaches them is client input: a panicking cell becomes that cell's
 // deterministic error (the job fails like any failed cell) instead of
 // taking the daemon, and every other job, down. The scratch state of a
-// panicked cell is mid-run garbage and is dropped, not recycled.
-func (b *localBackend) runCellSafe(ctx context.Context, plan *scenario.Plan, c scenario.CellJob) (rm scenario.RunMetrics, err error) {
-	var st *scenario.CellState
-	select {
-	case st = <-b.states:
-	default:
-		st = scenario.NewCellState()
-	}
+// panicked cell is mid-run garbage: stateOK stays false and the worker drops
+// it.
+func (b *localBackend) runCellSafe(ctx context.Context, plan *scenario.Plan, st *scenario.CellState, c scenario.CellJob) (rm scenario.RunMetrics, stateOK bool, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			b.panics.Inc()
-			rm, err = scenario.RunMetrics{}, fmt.Errorf("cell %s panicked: %v (request %q)", plan.CellLabel(c), v, requestIDFrom(ctx))
-			return
-		}
-		select {
-		case b.states <- st:
-		default:
+			err = fmt.Errorf("cell %s panicked: %v (request %q)", plan.CellLabel(c), v, requestIDFrom(ctx))
 		}
 	}()
-	return b.runCell(plan, st, c)
+	rm, err = b.runCell(plan, st, c)
+	return rm, true, err
 }
 
-// Execute batches the cells by compiled-workload variant: cells are ordered
-// so that each chunk worker sweeps cells of one compiled graph back to
-// back. The semaphore is acquired per cell, not per chunk, so the
-// node-wide concurrency bound and cross-shard fairness are unchanged.
+// Execute hands the cells to the executor in variant-major order: cells of
+// one compiled graph stay contiguous, and every free worker pulls the next
+// one, so neither the cost gradient between variants nor a worker that
+// starts late leaves a worker idle while cells wait.
 //
 // On context cancellation the results of cells that already completed are
 // returned alongside ctx.Err() — completed simulation work is never
 // discarded, and runs counts exactly the cells that actually ran.
 func (b *localBackend) Execute(ctx context.Context, plan *scenario.Plan, cells []scenario.CellJob) ([]CellResult, error) {
 	out := make([]CellResult, len(cells))
-	if len(cells) == 0 {
-		return out, ctx.Err()
-	}
 	order := make([]int, len(cells))
 	for i := range order {
 		order[i] = i
@@ -130,56 +111,32 @@ func (b *localBackend) Execute(ctx context.Context, plan *scenario.Plan, cells [
 	sort.SliceStable(order, func(a, b int) bool {
 		return plan.PointVariant(cells[order[a]].Point) < plan.PointVariant(cells[order[b]].Point)
 	})
-	workers := cap(b.sem)
-	if workers > len(cells) {
-		workers = len(cells)
+	jt, lanePrefix := jobTraceFrom(ctx), traceLaneFrom(ctx)
+	var cellNanos atomic.Int64
+	start := time.Now()
+	err := b.exec.Run(ctx, len(cells), 0, func(w int, st *scenario.CellState, k int) bool {
+		i := order[k]
+		b.runs.Inc()
+		b.busy.Inc()
+		cellT0, cellStart := jt.at(), time.Now()
+		rm, stateOK, err := b.runCellSafe(ctx, plan, st, cells[i])
+		d := time.Since(cellStart)
+		b.runSec.Observe(d.Seconds())
+		cellNanos.Add(int64(d))
+		b.busy.Dec()
+		if jt != nil {
+			jt.span(trace.Span{
+				Name: plan.CellLabel(cells[i]), Cat: "simulate",
+				Lane: fmt.Sprintf("%s w%d", lanePrefix, w), Start: cellT0, End: jt.at(),
+			})
+		}
+		out[i] = CellResult{Hash: cells[i].Hash, Metrics: rm, Err: err}
+		return stateOK
+	})
+	// Effective workers of this batch: 1 when its cells ran back to back,
+	// the pool size when every worker was busy on it from start to end.
+	if busy, wall := cellNanos.Load(), time.Since(start); busy > 0 && wall > 0 {
+		b.parallelism.Observe(float64(busy) / float64(wall))
 	}
-	chunk := (len(cells) + workers - 1) / workers
-	jt := jobTraceFrom(ctx)
-	lanePrefix := traceLaneFrom(ctx)
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(order); lo += chunk {
-		wg.Add(1)
-		go func(w int, idxs []int) {
-			defer wg.Done()
-			lane := ""
-			if jt != nil {
-				lane = fmt.Sprintf("%s w%d", lanePrefix, w)
-			}
-			for _, i := range idxs {
-				// Check cancellation before racing it against a free
-				// worker slot: once the context is done, no further cell
-				// of this chunk may start.
-				select {
-				case <-ctx.Done():
-					return
-				default:
-				}
-				select {
-				case b.sem <- struct{}{}:
-				case <-ctx.Done():
-					return
-				}
-				b.runs.Inc()
-				b.busy.Inc()
-				cellT0, cellStart := jt.at(), time.Now()
-				rm, err := b.runCellSafe(ctx, plan, cells[i])
-				b.runSec.Observe(time.Since(cellStart).Seconds())
-				b.busy.Dec()
-				if jt != nil {
-					jt.span(trace.Span{
-						Name: plan.CellLabel(cells[i]), Cat: "simulate",
-						Lane: lane, Start: cellT0, End: jt.at(),
-					})
-				}
-				out[i] = CellResult{Hash: cells[i].Hash, Metrics: rm, Err: err}
-				<-b.sem
-			}
-		}(lo/chunk, order[lo:min(lo+chunk, len(order))])
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return out, err
-	}
-	return out, nil
+	return out, err
 }

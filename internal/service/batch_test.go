@@ -3,8 +3,11 @@ package service
 import (
 	"context"
 	"errors"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dynasym/internal/scenario"
@@ -45,6 +48,50 @@ func TestExecuteBatchesSameVariantCells(t *testing.T) {
 		if seen[i] < seen[i-1] {
 			t.Fatalf("execution order interleaves workload variants: %v", seen)
 		}
+	}
+}
+
+// TestExecuteLateWorker: the backend's cells are pulled, not pre-split. With
+// two workers and six cells, the first cell holds its worker until the other
+// five have finished: the second worker must run all five (static chunks
+// would leave two of them waiting behind the blocked cell forever).
+func TestExecuteLateWorker(t *testing.T) {
+	b := newLocalBackend(2)
+	plan, err := scenario.NewPlan(overlapSpec(94, 2, 4, 8)) // 2 policies × 3 points
+	if err != nil {
+		t.Fatal(err)
+	}
+	othersDone := make(chan struct{})
+	var mu sync.Mutex
+	perState := map[*scenario.CellState]int{}
+	var calls, others atomic.Int32
+	b.runCell = func(p *scenario.Plan, st *scenario.CellState, c scenario.CellJob) (scenario.RunMetrics, error) {
+		mu.Lock()
+		perState[st]++
+		mu.Unlock()
+		if calls.Add(1) == 1 {
+			<-othersDone
+		} else if others.Add(1) == 5 {
+			close(othersDone)
+		}
+		return scenario.RunMetrics{TasksDone: 1}, nil
+	}
+	crs, err := b.Execute(context.Background(), plan, plan.Cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cr := range crs {
+		if cr.Hash != plan.Cells[i].Hash || cr.Err != nil {
+			t.Fatalf("result %d malformed: %+v", i, cr)
+		}
+	}
+	var split []int
+	for _, n := range perState {
+		split = append(split, n)
+	}
+	sort.Ints(split)
+	if !reflect.DeepEqual(split, []int{1, 5}) {
+		t.Errorf("cells per worker state: %v, want a 1/5 split", split)
 	}
 }
 
@@ -195,7 +242,7 @@ func TestLRUGuardsNonPositiveCap(t *testing.T) {
 // request id — and fail its job through the ordinary failed-cell path,
 // leaving the manager serving: the next job succeeds with the reference
 // fingerprint. The panicked cell's scratch state is mid-run garbage, so it
-// must not come back from the free list.
+// must not be handed to a later cell.
 func TestPanickingCellFailsItsJobOnly(t *testing.T) {
 	m := NewManager(Config{Workers: 1, ShardSize: 1})
 	realRun := m.local.runCell
@@ -247,8 +294,8 @@ func TestPanickingCellFailsItsJobOnly(t *testing.T) {
 }
 
 // TestLocalBackendReusesStatesAcrossJobs: worker scratch outlives the job —
-// successive Execute calls on one backend draw from the same, pool-sized set
-// of CellStates instead of building fresh ones per chunk.
+// successive Execute calls on one backend run on the executor's workers'
+// own CellStates instead of building fresh ones per job.
 func TestLocalBackendReusesStatesAcrossJobs(t *testing.T) {
 	const workers = 2
 	b := newLocalBackend(workers)
@@ -271,8 +318,5 @@ func TestLocalBackendReusesStatesAcrossJobs(t *testing.T) {
 	}
 	if len(seen) == 0 || len(seen) > workers {
 		t.Fatalf("5 jobs × 4 cells ran on %d distinct states, want 1..%d", len(seen), workers)
-	}
-	if len(b.states) == 0 || len(b.states) > workers {
-		t.Fatalf("free list holds %d states after the jobs, want 1..%d", len(b.states), workers)
 	}
 }

@@ -59,6 +59,9 @@ type serviceMetrics struct {
 
 	poolWorkers *obs.Gauge
 	poolBusy    *obs.Gauge
+	// poolParallelism makes scheduling loss visible: a batch on an idle pool
+	// reads the pool size when no worker idled while cells waited.
+	poolParallelism *obs.Histogram
 
 	shardRetryRounds *obs.Counter
 	shardFailovers   *obs.Counter
@@ -90,7 +93,12 @@ var (
 	simUtilBuckets = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1}
 )
 
-func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
+func newServiceMetrics(reg *obs.Registry, workers int) *serviceMetrics {
+	// 1, 1.25, … up to the pool size: the effective workers of one batch.
+	parallelismBuckets := make([]float64, 0, 4*workers-3)
+	for q := 4; q <= 4*workers; q++ {
+		parallelismBuckets = append(parallelismBuckets, float64(q)/4)
+	}
 	entries := func(cache string) *obs.Gauge {
 		return reg.Gauge("asymd_cache_entries", "Entries held, per cache.", obs.L("cache", cache))
 	}
@@ -122,6 +130,8 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 
 		poolWorkers: reg.Gauge("asymd_pool_workers", "Local pool capacity (concurrent cell simulations)."),
 		poolBusy:    reg.Gauge("asymd_pool_busy_workers", "Local pool workers currently simulating a cell."),
+		poolParallelism: reg.Histogram("asymd_pool_batch_parallelism",
+			"Effective workers of one executed local batch: summed cell wall time over the batch's wall time.", parallelismBuckets),
 
 		shardRetryRounds: reg.Counter("asymd_shard_retry_rounds_total", "Extra retry rounds entered by shards (first round excluded)."),
 		shardFailovers:   reg.Counter("asymd_shard_failovers_total", "Failed shard attempts that moved the shard to another backend or round."),

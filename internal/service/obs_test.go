@@ -151,6 +151,24 @@ func TestMetricsExposition(t *testing.T) {
 	if s := metricValue(t, body, "asymd_job_run_seconds_sum"); s <= 0 {
 		t.Errorf("asymd_job_run_seconds_sum = %v, want > 0", s)
 	}
+	// The job's one shard was one executor batch: its effective workers
+	// lie in (0, pool size], the buckets step by quarters from 1 up to the
+	// pool size, and an update allocates nothing.
+	if n := metricValue(t, body, "asymd_pool_batch_parallelism_count"); n != 1 {
+		t.Errorf("asymd_pool_batch_parallelism_count = %v, want 1", n)
+	}
+	if p := metricValue(t, body, "asymd_pool_batch_parallelism_sum"); p <= 0 || p > 2 {
+		t.Errorf("asymd_pool_batch_parallelism_sum = %v for one batch on 2 workers, want in (0, 2]", p)
+	}
+	for _, le := range []string{"1", "1.25", "1.5", "1.75", "2"} {
+		metricValue(t, body, `asymd_pool_batch_parallelism_bucket{le="`+le+`"}`)
+	}
+	if strings.Contains(body, `asymd_pool_batch_parallelism_bucket{le="2.25"}`) {
+		t.Error("asymd_pool_batch_parallelism has a bucket above the pool size")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.mx.poolParallelism.Observe(1.46) }); allocs != 0 {
+		t.Errorf("a parallelism update allocates %.1f times, want 0", allocs)
+	}
 }
 
 // TestMetricsDisabled checks Config.DisableMetrics removes the route.

@@ -336,7 +336,7 @@ func NewManager(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	local := newLocalBackend(cfg.Workers)
 	reg := obs.NewRegistry()
-	mx := newServiceMetrics(reg)
+	mx := newServiceMetrics(reg, cfg.Workers)
 	m := &Manager{
 		cfg:      cfg,
 		sem:      make(chan struct{}, cfg.Workers),
@@ -362,6 +362,7 @@ func NewManager(cfg Config) *Manager {
 	local.runs = mx.cellRuns
 	local.panics = mx.cellPanics
 	local.runSec = mx.cellRunSec
+	local.parallelism = mx.poolParallelism
 	backends := []Backend{local}
 	for _, peer := range cfg.Peers {
 		backends = append(backends, NewRemoteBackend(peer, cfg.DialTimeout))
@@ -847,7 +848,7 @@ func (m *Manager) dispatch(ctx context.Context, plan *scenario.Plan, cells []sce
 // spec, not once per shard request: without this, a worker serving a
 // 10k-cell grid in 16-cell shards would re-derive all 10k cell hashes
 // hundreds of times. Plans are immutable after construction, so sharing
-// one across concurrent shard requests is safe (RunCell already runs
+// one across concurrent shard requests is safe (RunCellState already runs
 // concurrently against a single plan).
 func (m *Manager) planFor(hash string, spec scenario.Spec) (*scenario.Plan, error) {
 	m.mu.Lock()

@@ -212,7 +212,7 @@ func (t *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 // corruptFirstHash flips one hex digit of the first "hash" value in a
 // JSON document, reporting whether it found one to flip.
 func corruptFirstHash(body []byte) ([]byte, bool) {
-	marker := []byte(`"hash": "`)
+	marker := []byte(`"hash":"`)
 	i := bytes.Index(body, marker)
 	if i < 0 {
 		return body, false

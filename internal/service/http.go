@@ -8,7 +8,9 @@ package service
 //	                         in-flight or cached job)
 //	GET  /v1/jobs            → 200 [Status] (in-flight first, then cached)
 //	GET  /v1/jobs/{id}       → 200 Status
-//	GET  /v1/results/{hash}  → 200 Result (409 while still running)
+//	GET  /v1/results/{hash}  → 200 Result, with a strong ETag (409 while
+//	                         still running, 422 for a failed job, 304 when
+//	                         If-None-Match names the ETag)
 //	GET  /v1/families        → 200 [{name, desc}], sorted by name
 //	GET  /v1/healthz         → 200 {ok, stats, peers: per-peer breaker state}
 //	GET  /v1/jobs/{id}/trace → 200 Chrome-trace JSON (load in Perfetto)
@@ -34,6 +36,13 @@ package service
 // submit returns the ID, poll /v1/jobs/{id} until "done", then fetch
 // /v1/results/{id}.
 //
+// Every JSON body is compact (one line, no trailing newline; pipe it through
+// jq to read it), marshalled before the status line is written and sent
+// with its Content-Length, so a value that cannot be encoded is a 500, not
+// a 200 with an empty body. A result is bytes built once per job, after
+// "done" is published (Manager.document): a GET waits for that build at
+// most and then writes them.
+//
 // /v1/shards is how one asymd node farms work to another (-peers): the
 // coordinator ships the canonical spec plus cell coordinates, the worker
 // re-plans it, verifies the cell hashes (rejecting version skew with 409),
@@ -49,6 +58,7 @@ import (
 	"net/http/pprof"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"dynasym/internal/scenario"
@@ -69,7 +79,8 @@ type SubmitRequest struct {
 
 // ResultResponse is the GET /v1/results/{hash} body: the grid summary
 // plus the engine's bit-exact fingerprint (identical to what a direct
-// scenario.Run of the same spec produces).
+// scenario.Run of the same spec produces). Nothing in it depends on the
+// run that produced it — the run's duration is Status.ElapsedSec.
 type ResultResponse struct {
 	Hash        string      `json:"hash"`
 	Name        string      `json:"name"`
@@ -78,7 +89,6 @@ type ResultResponse struct {
 	Points      []string    `json:"points"`
 	Throughputs [][]float64 `json:"throughputs"`
 	Fingerprint string      `json:"fingerprint"`
-	ElapsedSec  float64     `json:"elapsed_sec"`
 }
 
 // FamilyInfo is one GET /v1/families entry.
@@ -243,25 +253,20 @@ func (m *Manager) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	res, fprint, elapsed, err := job.Result()
+	doc, err := m.document(job)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	labels := make([]string, len(res.Points))
-	for i, pt := range res.Points {
-		labels[i] = pt.Label
+	// The document is a pure function of the spec hash, so the hash is its
+	// strong validator. If-None-Match compares weakly and may list several.
+	etag := `"` + job.Hash + `"`
+	w.Header().Set("ETag", etag)
+	if inm := r.Header.Get("If-None-Match"); inm == "*" || strings.Contains(inm, etag) {
+		w.WriteHeader(http.StatusNotModified)
+		return
 	}
-	writeJSON(w, http.StatusOK, ResultResponse{
-		Hash:        job.Hash,
-		Name:        res.Name,
-		Topo:        res.Topo.String(),
-		Policies:    res.Policies,
-		Points:      labels,
-		Throughputs: res.Throughputs(),
-		Fingerprint: fprint,
-		ElapsedSec:  elapsed.Seconds(),
-	})
+	writeBody(w, http.StatusOK, doc)
 }
 
 // handleShards serves the worker side of the shard API: re-plan the
@@ -377,12 +382,23 @@ func (m *Manager) handleShards(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// writeJSON is the one encoder of every JSON response: compact, and
+// marshalled before anything is sent, so an encode failure can still be
+// reported as one.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("encode response: %w", err))
+		return
+	}
+	writeBody(w, code, b)
+}
+
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body) // a reader that went away is not ours to report
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {

@@ -2,19 +2,29 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"regexp"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"dynasym/internal/core"
 	"dynasym/internal/scenario"
+	"dynasym/internal/topology"
+	"dynasym/internal/workloads"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Manager, *httptest.Server) {
@@ -445,4 +455,403 @@ func (s syncWriter) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.w.Write(p)
+}
+
+// resultDocRef is the result encoder GET /v1/results used before a job's
+// document was built once and compactly — per request, indented, with the
+// run's duration in the body — kept verbatim as the oracle: the served bytes
+// must be exactly this document compacted, less elapsed_sec.
+func resultDocRef(t *testing.T, job *Job) []byte {
+	t.Helper()
+	res, fprint, elapsed, err := job.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := make([]string, len(res.Points))
+	for i, pt := range res.Points {
+		labels[i] = pt.Label
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(struct {
+		Hash        string      `json:"hash"`
+		Name        string      `json:"name"`
+		Topo        string      `json:"topo"`
+		Policies    []string    `json:"policies"`
+		Points      []string    `json:"points"`
+		Throughputs [][]float64 `json:"throughputs"`
+		Fingerprint string      `json:"fingerprint"`
+		ElapsedSec  float64     `json:"elapsed_sec"`
+	}{
+		Hash:        job.Hash,
+		Name:        res.Name,
+		Topo:        res.Topo.String(),
+		Policies:    res.Policies,
+		Points:      labels,
+		Throughputs: res.Throughputs(),
+		Fingerprint: fprint,
+		ElapsedSec:  elapsed.Seconds(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+var elapsedSecField = regexp.MustCompile(`,"elapsed_sec":[^,}]*}$`)
+
+// checkResultDocument holds one served result to the oracle: byte-equal to
+// the compacted reference without elapsed_sec, and carrying the fingerprint
+// Job.Result renders (as JSON delivers it: one U+FFFD per invalid byte).
+func checkResultDocument(t *testing.T, job *Job, served []byte) {
+	t.Helper()
+	var want bytes.Buffer
+	if err := json.Compact(&want, resultDocRef(t, job)); err != nil {
+		t.Fatal(err)
+	}
+	if !elapsedSecField.Match(want.Bytes()) {
+		t.Fatalf("reference document does not end in elapsed_sec: …%s", want.Bytes()[max(want.Len()-60, 0):])
+	}
+	if wantDoc := elapsedSecField.ReplaceAll(want.Bytes(), []byte("}")); !bytes.Equal(served, wantDoc) {
+		i := 0
+		for i < len(served) && i < len(wantDoc) && served[i] == wantDoc[i] {
+			i++
+		}
+		lo := max(i-40, 0)
+		t.Fatalf("served document diverges from the compacted reference at byte %d (%d vs %d bytes):\n got  …%q\n want …%q",
+			i, len(served), len(wantDoc), served[lo:min(i+40, len(served))], wantDoc[lo:min(i+40, len(wantDoc))])
+	}
+	var res ResultResponse
+	if err := json.Unmarshal(served, &res); err != nil {
+		t.Fatal(err)
+	}
+	if _, fp, _, _ := job.Result(); res.Fingerprint != string([]rune(fp)) {
+		t.Error("decoded fingerprint differs from Job.Result's")
+	}
+}
+
+// cacheDoneJob files a hand-built finished job, the way execute leaves one.
+func cacheDoneJob(m *Manager, hash string, res *scenario.Result) *Job {
+	j := &Job{Hash: hash, result: res, done: make(chan struct{}), created: time.Now()}
+	j.state.Store(int32(StateDone))
+	close(j.done)
+	m.mu.Lock()
+	m.cache.Add(hash, j)
+	m.mu.Unlock()
+	return j
+}
+
+// bodyWriter is the cheapest http.ResponseWriter: it keeps the status, the
+// headers and the very slice the handler wrote.
+type bodyWriter struct {
+	h    http.Header
+	code int
+	body []byte
+}
+
+func (w *bodyWriter) Header() http.Header  { return w.h }
+func (w *bodyWriter) WriteHeader(code int) { w.code = code }
+func (w *bodyWriter) Write(p []byte) (int, error) {
+	w.body = p
+	return len(p), nil
+}
+
+// quietHandler is the service's handler with request logging switched off.
+func quietHandler(m *Manager) http.Handler {
+	return m.Handler(slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 1})))
+}
+
+func getResult(h http.Handler, hash string) *bodyWriter {
+	w := &bodyWriter{h: http.Header{}}
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/results/"+hash, nil))
+	return w
+}
+
+// TestResultDocumentMatchesReference: what GET /v1/results serves is the
+// parent's document, compacted and without elapsed_sec, for every
+// registered family, a distributed spec, and seeded results no simulation
+// produces (labels with quotes, newlines, HTML and invalid UTF-8).
+func TestResultDocumentMatchesReference(t *testing.T) {
+	m := NewManager(Config{})
+	h := quietHandler(m)
+	specs := map[string]scenario.Spec{
+		"heatdist": {
+			Name:     "doc-ref-heatdist",
+			Platform: scenario.PlatformSpec{Preset: "haswell-node"},
+			Workload: scenario.WorkloadSpec{Kind: scenario.HeatDist, Heat: workloads.HeatDistConfig{Nodes: 2, Iters: 6}},
+			Policies: core.All(),
+			Reps:     2,
+			Seed:     11,
+		},
+	}
+	for _, name := range scenario.Names() {
+		f, _ := scenario.Lookup(name)
+		specs[name] = f.Spec(0.05)
+	}
+	for name, spec := range specs {
+		j, _, err := m.Submit(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		waitDone(t, j)
+		if j.State() != StateDone {
+			t.Fatalf("%s: job %s", name, j.State())
+		}
+		w := getResult(h, j.Hash)
+		if w.code != http.StatusOK {
+			t.Fatalf("%s: GET result: status %d: %s", name, w.code, w.body)
+		}
+		checkResultDocument(t, j, w.body)
+	}
+
+	rng := rand.New(rand.NewSource(20200817))
+	labels := []string{"", "P2", "a/b", `"quoted"`, `back\slash`, "<b>&amp;</b>", "ünïcödé-标签", "100%d",
+		"tab\there", "new\nline", " sep", "\xff\xfe", "half\xe6\xa0"}
+	label := func() string { return labels[rng.Intn(len(labels))] }
+	for trial := 0; trial < 300; trial++ {
+		res := &scenario.Result{Name: label(), Topo: topology.TX2()}
+		for pi := rng.Intn(4); pi > 0; pi-- {
+			res.Policies = append(res.Policies, label())
+		}
+		for xi := rng.Intn(4); xi > 0; xi-- {
+			res.Points = append(res.Points, scenario.Point{Label: label()})
+		}
+		res.Cells = make([][]scenario.Cell, len(res.Policies))
+		for pi := range res.Cells {
+			res.Cells[pi] = make([]scenario.Cell, len(res.Points))
+			for xi := range res.Cells[pi] {
+				runs := make([]scenario.RunMetrics, 1+rng.Intn(2))
+				for i := range runs {
+					runs[i] = scenario.RunMetrics{
+						Seed: rng.Uint64(), Throughput: rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20)),
+						Makespan: rng.Float64(), TasksDone: rng.Int63(), CoreBusy: []float64{rng.Float64(), 0},
+					}
+				}
+				res.Cells[pi][xi].Runs = runs
+			}
+		}
+		j := cacheDoneJob(m, fmt.Sprintf("hostile-%d", trial), res)
+		w := getResult(h, j.Hash)
+		if w.code != http.StatusOK {
+			t.Fatalf("trial %d: status %d: %s", trial, w.code, w.body)
+		}
+		checkResultDocument(t, j, w.body)
+	}
+}
+
+// TestResultGetIsAByteWrite: a GET of a finished job writes the kept bytes
+// — the same slice every time — under a strong ETag that turns a
+// conditional re-fetch into a 304, and what a GET allocates does not depend
+// on the document's size.
+func TestResultGetIsAByteWrite(t *testing.T) {
+	m := NewManager(Config{})
+	h := quietHandler(m)
+	var perGet []float64
+	for _, family := range []string{"scaleout-32", "burst-sweep"} { // ≈ 119 KB and ≈ 520 KB
+		j, _, err := m.SubmitFamily(family, 0.05, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j)
+		first, second := getResult(h, j.Hash), getResult(h, j.Hash)
+		if first.code != http.StatusOK || len(first.body) < 100<<10 {
+			t.Fatalf("%s: status %d, %d bytes", family, first.code, len(first.body))
+		}
+		if &first.body[0] != &second.body[0] || len(first.body) != len(second.body) {
+			t.Errorf("%s: two GETs wrote different slices", family)
+		}
+		if got, want := first.h.Get("Content-Length"), fmt.Sprint(len(first.body)); got != want {
+			t.Errorf("%s: Content-Length %q, want %s", family, got, want)
+		}
+		etag := first.h.Get("ETag")
+		if etag != `"`+j.Hash+`"` {
+			t.Errorf("%s: ETag %q, want the quoted job hash", family, etag)
+		}
+		for _, inm := range []string{etag, "W/" + etag, `"other", ` + etag, "*"} {
+			w := &bodyWriter{h: http.Header{}}
+			req := httptest.NewRequest(http.MethodGet, "/v1/results/"+j.Hash, nil)
+			req.Header.Set("If-None-Match", inm)
+			h.ServeHTTP(w, req)
+			if w.code != http.StatusNotModified || w.body != nil || w.h.Get("ETag") != etag {
+				t.Errorf("%s: If-None-Match %s: status %d, %d body bytes, ETag %q; want a bare 304", family, inm, w.code, len(w.body), w.h.Get("ETag"))
+			}
+		}
+		// The handler itself, below the request log and the mux (their
+		// cost is every endpoint's, and not the document's).
+		req := httptest.NewRequest(http.MethodGet, "/v1/results/"+j.Hash, nil)
+		req.SetPathValue("hash", j.Hash)
+		req.Header.Set("If-None-Match", `"someone-else"`)
+		w := &bodyWriter{h: http.Header{}}
+		perGet = append(perGet, testing.AllocsPerRun(50, func() {
+			clear(w.h)
+			m.handleResult(w, req)
+		}))
+		if w.code != http.StatusOK || &w.body[0] != &first.body[0] {
+			t.Errorf("%s: a non-matching If-None-Match did not get the document", family)
+		}
+	}
+	if perGet[0] != perGet[1] || perGet[0] > 16 {
+		t.Errorf("a result GET allocates %.0f times for the small document and %.0f for the large one, want the same and <= 16", perGet[0], perGet[1])
+	}
+}
+
+// TestConcurrentFirstGetsBuildOnce races eight first GETs against execute's
+// own build: whoever wins, there is one build, and everyone writes its
+// backing array.
+func TestConcurrentFirstGetsBuildOnce(t *testing.T) {
+	m := NewManager(Config{Workers: 2})
+	var builds atomic.Int32
+	m.marshal = func(v any) ([]byte, error) {
+		builds.Add(1)
+		return json.Marshal(v)
+	}
+	h := quietHandler(m)
+	for round := uint64(0); round < 10; round++ {
+		builds.Store(0)
+		j, _, err := m.Submit(tinySpec(900 + round))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]*bodyWriter, 8)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j.State() != StateDone {
+					runtime.Gosched()
+				}
+				got[i] = getResult(h, j.Hash)
+			}()
+		}
+		wg.Wait()
+		doc, err := m.document(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range got {
+			if w.code != http.StatusOK || len(w.body) != len(doc) || &w.body[0] != &doc[0] {
+				t.Fatalf("round %d: GET %d: status %d, %d bytes; want the job's own %d-byte document", round, i, w.code, len(w.body), len(doc))
+			}
+		}
+		if n := builds.Load(); n != 1 {
+			t.Fatalf("round %d: the document was built %d times, want 1", round, n)
+		}
+	}
+}
+
+// TestDoneIsPublishedBeforeTheDocument: the ordering contract of execute. A
+// build that takes forever delays neither the state nor Wait — only the
+// result GET, which waits for the build it shares.
+func TestDoneIsPublishedBeforeTheDocument(t *testing.T) {
+	m := NewManager(Config{Workers: 1})
+	entered, release := make(chan struct{}), make(chan struct{})
+	m.marshal = func(v any) ([]byte, error) {
+		close(entered)
+		<-release
+		return json.Marshal(v)
+	}
+	j, _, err := m.Submit(tinySpec(77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := j.Wait(ctx); err != nil {
+		t.Fatalf("Wait is held up by the document build: %v", err)
+	}
+	if st := j.Snapshot(); st.State != "done" || st.ResultURL == "" {
+		t.Fatalf("status %+v while the document is being built, want done with a result URL", st)
+	}
+	if _, fp, _, err := j.Result(); err != nil || fp == "" {
+		t.Fatalf("Result while the document is being built: %v", err)
+	}
+	<-entered // execute reached the build, after both publications
+	h := quietHandler(m)
+	got := make(chan *bodyWriter)
+	go func() { got <- getResult(h, j.Hash) }()
+	select {
+	case w := <-got:
+		t.Fatalf("GET answered %d before the build finished", w.code)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if w := <-got; w.code != http.StatusOK {
+		t.Fatalf("GET after the build: status %d", w.code)
+	}
+}
+
+// TestJobKeepsOneRendering: a cached job holds its result document and no
+// second rendering of the result — no string field of a Job is long enough
+// to be a fingerprint.
+func TestJobKeepsOneRendering(t *testing.T) {
+	m := NewManager(Config{})
+	j, _, err := m.SubmitFamily("scaleout-32", 0.05, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	doc, err := m.document(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fp, _, _ := j.Result()
+	if len(doc) < len(fp) || !bytes.Contains(doc, []byte(`"fingerprint":"scenario=`)) {
+		t.Fatalf("the %d-byte document does not hold the %d-byte fingerprint", len(doc), len(fp))
+	}
+	v := reflect.ValueOf(j).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.String && f.Len() > 256 {
+			t.Errorf("Job.%s holds a %d-byte string beside the document", v.Type().Field(i).Name, f.Len())
+		}
+	}
+}
+
+// TestUnencodableResultIs500: a result encoding/json refuses (NaN, ±Inf)
+// answers 500 naming the job and the encoder's complaint — not the 200 with
+// an empty body an encoder writing straight to the wire produced — and a
+// failed job answers 422 without ever building a document.
+func TestUnencodableResultIs500(t *testing.T) {
+	m := NewManager(Config{Workers: 1})
+	h := quietHandler(m)
+	for name, tput := range map[string]float64{"nan": math.NaN(), "inf": math.Inf(1)} {
+		res := &scenario.Result{
+			Name: "unencodable", Topo: topology.TX2(), Policies: []string{"RWS"},
+			Points: []scenario.Point{{Label: "P2"}},
+			Cells:  [][]scenario.Cell{{{Runs: []scenario.RunMetrics{{Throughput: tput}}}}},
+		}
+		w := getResult(h, cacheDoneJob(m, "unencodable-"+name, res).Hash)
+		var reply struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(w.body, &reply); err != nil {
+			t.Fatalf("%s: status %d, body %q: %v", name, w.code, w.body, err)
+		}
+		if w.code != http.StatusInternalServerError ||
+			!strings.Contains(reply.Error, "unencodable-"+name) || !strings.Contains(reply.Error, "unsupported value") {
+			t.Errorf("%s: status %d, error %q; want a 500 naming the job and json's unsupported value", name, w.code, reply.Error)
+		}
+		if w.h.Get("ETag") != "" {
+			t.Errorf("%s: an error reply carries an ETag", name)
+		}
+	}
+
+	m.local.runCell = func(*scenario.Plan, *scenario.CellState, scenario.CellJob) (scenario.RunMetrics, error) {
+		return scenario.RunMetrics{}, errors.New("engine exploded")
+	}
+	m.marshal = func(any) ([]byte, error) {
+		t.Error("a failed job built a result document")
+		return nil, errors.New("unreachable")
+	}
+	j, _, err := m.Submit(tinySpec(78))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	if w := getResult(h, j.Hash); w.code != http.StatusUnprocessableEntity || !bytes.Contains(w.body, []byte("engine exploded")) {
+		t.Errorf("failed job: status %d, body %q; want 422 with the engine error", w.code, w.body)
+	}
+	if err := m.Shutdown(context.Background()); err != nil { // execute has returned
+		t.Fatal(err)
+	}
 }

@@ -52,10 +52,11 @@ type serviceMetrics struct {
 
 	// Cache occupancy, set wherever an entry is added (evictions happen
 	// only there): entries for the four result LRUs and the process-wide
-	// compiled-workload cache, bytes for the cell cache, which is where a
-	// daemon's memory goes (scenario.RunMetrics.SizeBytes per entry).
+	// compiled-workload cache, bytes for the two caches a daemon's memory
+	// goes to — cells (scenario.RunMetrics.SizeBytes per entry) and finished
+	// jobs (the length of each one's result document).
 	jobEntries, cellEntries, traceEntries, simtraceEntries, compiledEntries *obs.Gauge
-	cellCacheBytes                                                          *obs.Gauge
+	cellCacheBytes, jobCacheBytes                                           *obs.Gauge
 
 	poolWorkers *obs.Gauge
 	poolBusy    *obs.Gauge
@@ -127,6 +128,7 @@ func newServiceMetrics(reg *obs.Registry, workers int) *serviceMetrics {
 		simtraceEntries: entries("simtrace"),
 		compiledEntries: entries("compiled"),
 		cellCacheBytes:  reg.Gauge("asymd_cell_cache_bytes", "Estimated heap bytes of the cell results held by the cell cache."),
+		jobCacheBytes:   reg.Gauge("asymd_job_cache_bytes", "Bytes of the result documents held by the finished-job cache."),
 
 		poolWorkers: reg.Gauge("asymd_pool_workers", "Local pool capacity (concurrent cell simulations)."),
 		poolBusy:    reg.Gauge("asymd_pool_busy_workers", "Local pool workers currently simulating a cell."),

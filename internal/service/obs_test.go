@@ -65,6 +65,10 @@ func TestMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, j)
+	doc, err := m.document(j) // execute builds it after "done"; wait for that
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Resubmit: an absorbed submission must move the absorbed counter.
 	if _, existing, err := m.Submit(tinySpec(71)); err != nil || !existing {
 		t.Fatalf("resubmit: existing=%v err=%v", existing, err)
@@ -122,6 +126,19 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if got := metricValue(t, body, "asymd_cell_cache_bytes"); got != float64(wantBytes) || wantBytes == 0 {
 		t.Errorf("asymd_cell_cache_bytes = %v, want %d", got, wantBytes)
+	}
+	// The job cache's byte gauge is the one cached job's one document, and
+	// keeping it through a drop and a re-count allocates nothing.
+	if got := metricValue(t, body, "asymd_job_cache_bytes"); got != float64(len(doc)) || len(doc) == 0 {
+		t.Errorf("asymd_job_cache_bytes = %v, want the document's %d", got, len(doc))
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		m.cache.onDrop(j)
+		j.docCounted = int64(len(doc))
+		m.jobBytes += j.docCounted
+		m.mx.jobCacheBytes.Set(m.jobBytes)
+	}); allocs != 0 || m.mx.jobCacheBytes.Value() != int64(len(doc)) {
+		t.Errorf("a job-cache byte update allocates %.1f times and leaves %d, want 0 and %d", allocs, m.mx.jobCacheBytes.Value(), len(doc))
 	}
 	// /v1/healthz reads the very counters /metrics exposes.
 	var hz struct {
@@ -561,6 +578,56 @@ func TestTraceRetentionEvicts(t *testing.T) {
 	}
 	if _, ok := m.JobTrace(j2.Hash); !ok {
 		t.Error("newest trace missing from retention")
+	}
+}
+
+// TestJobCacheBytesTracksEviction: asymd_job_cache_bytes is the summed
+// document length of exactly the jobs the LRU holds — an evicted job takes
+// its bytes along, and a document built for a job that is no longer (or
+// never was) the cached one is not counted.
+func TestJobCacheBytesTracksEviction(t *testing.T) {
+	m := NewManager(Config{Workers: 1, CacheSize: 2})
+	var jobs []*Job
+	var lens []int64
+	for seed := uint64(61); seed < 64; seed++ {
+		j, _, err := m.SubmitFamily("burst-sweep", 0.001*float64(seed-59), &seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j)
+		doc, err := m.document(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs, lens = append(jobs, j), append(lens, int64(len(doc)))
+	}
+	if lens[0] == lens[1] && lens[1] == lens[2] {
+		t.Fatalf("the three documents are all %d bytes; the sums below would prove nothing", lens[0])
+	}
+	if got := m.mx.jobCacheBytes.Value(); got != lens[1]+lens[2] {
+		t.Errorf("job bytes gauge = %d after an eviction, want %d (the two retained documents of %v)", got, lens[1]+lens[2], lens)
+	}
+	if _, ok := m.Job(jobs[0].Hash); ok {
+		t.Fatal("the oldest job survived past capacity")
+	}
+
+	// A late build: the job left the cache (here: never entered it) before
+	// its document existed.
+	res, _, _, _ := jobs[2].Result()
+	late := &Job{Hash: jobs[2].Hash, result: res}
+	if _, err := m.document(late); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.mx.jobCacheBytes.Value(); got != lens[1]+lens[2] {
+		t.Errorf("job bytes gauge = %d after an uncached job built its document, want it unmoved at %d", got, lens[1]+lens[2])
+	}
+
+	// Replacement under the key drops the old job's bytes.
+	m.mu.Lock()
+	m.cache.Add(late.Hash, late)
+	m.mu.Unlock()
+	if m.jobBytes != lens[1] {
+		t.Errorf("job bytes = %d after jobs[2] was replaced by an uncounted job, want %d", m.jobBytes, lens[1])
 	}
 }
 

@@ -28,6 +28,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -50,7 +51,7 @@ const (
 	StateQueued State = iota
 	// StateRunning: a worker is executing the scenario grid.
 	StateRunning
-	// StateDone: finished successfully; result and fingerprint are set.
+	// StateDone: finished successfully; the result is set.
 	StateDone
 	// StateFailed: the engine returned an error (kept, like successes, so
 	// identical bad specs fail fast from cache).
@@ -110,9 +111,17 @@ type Job struct {
 	// so a poller that saw "done" can always fetch the result.
 	result            *scenario.Result
 	fperr             error
-	fprint            string
 	elapsed           time.Duration
 	started, finished time.Time
+
+	// doc is the GET /v1/results body of a done job, the one rendering of
+	// the result a job keeps, built once after "done" is published (see
+	// Manager.document). docCounted, guarded by the manager lock, is what
+	// asymd_job_cache_bytes currently includes of it.
+	docOnce    sync.Once
+	doc        []byte
+	docErr     error
+	docCounted int64
 }
 
 // State returns the current lifecycle state.
@@ -134,6 +143,8 @@ func (j *Job) Wait(ctx context.Context) error {
 // Result returns the result, fingerprint and run duration of a completed
 // job; it errors if the job failed or has not finished. It gates on the
 // state, not on Done: the state is what Snapshot and the wire API report.
+// The fingerprint is rendered per call: a job keeps no copy of the text
+// beside its result document.
 func (j *Job) Result() (*scenario.Result, string, time.Duration, error) {
 	if st := j.State(); st != StateDone && st != StateFailed {
 		return nil, "", 0, fmt.Errorf("service: job %s is %s", j.Hash, st)
@@ -141,7 +152,7 @@ func (j *Job) Result() (*scenario.Result, string, time.Duration, error) {
 	if j.fperr != nil {
 		return nil, "", 0, j.fperr
 	}
-	return j.result, j.fprint, j.elapsed, nil
+	return j.result, j.result.Fingerprint(), j.elapsed, nil
 }
 
 // Hits reports how many submissions this job absorbed beyond the first.
@@ -312,13 +323,20 @@ type Manager struct {
 	reg *obs.Registry
 	mx  *serviceMetrics
 
+	// marshal encodes a result document (json.Marshal); tests substitute it
+	// to make the build slow.
+	marshal func(any) ([]byte, error)
+
 	mu       sync.Mutex
 	inflight map[string]*Job                // queued/running, by spec hash
 	cache    *lruCache[*Job]                // done/failed jobs, by spec hash
 	cells    *lruCache[scenario.RunMetrics] // finished cells, by cell hash
 	// cellBytes is the summed SizeBytes of the cached cells (the
-	// asymd_cell_cache_bytes gauge), kept by bankCells and cells.onDrop.
+	// asymd_cell_cache_bytes gauge), kept by bankCells and cells.onDrop;
+	// jobBytes the summed document length of the cached jobs
+	// (asymd_job_cache_bytes), kept by document and cache.onDrop.
 	cellBytes int64
+	jobBytes  int64
 	pending   map[string]*pendingCell   // cells being simulated, by cell hash
 	plans     *lruCache[*scenario.Plan] // memoized plans, by spec hash (shard API)
 	traces    *lruCache[*trace.SpanSet] // finished job traces, by spec hash (nil = tracing off)
@@ -343,6 +361,7 @@ func NewManager(cfg Config) *Manager {
 		local:    local,
 		reg:      reg,
 		mx:       mx,
+		marshal:  json.Marshal,
 		now:      time.Now,
 		sleep:    sleepCtx,
 		rng:      xrand.New(0x4ea1),
@@ -351,6 +370,10 @@ func NewManager(cfg Config) *Manager {
 		cells:    newLRUCache[scenario.RunMetrics](cfg.CellCacheSize),
 		pending:  make(map[string]*pendingCell),
 		plans:    newLRUCache[*scenario.Plan](planCacheSize),
+	}
+	m.cache.onDrop = func(j *Job) {
+		m.jobBytes -= j.docCounted
+		j.docCounted = 0
 	}
 	m.cells.onDrop = func(rm scenario.RunMetrics) { m.cellBytes -= rm.SizeBytes() }
 	if cfg.TraceRetention > 0 {
@@ -502,7 +525,6 @@ func (m *Manager) execute(j *Job) {
 		m.mx.jobsFailed.Inc()
 	} else {
 		j.result = res
-		j.fprint = res.Fingerprint()
 		j.state.Store(int32(StateDone))
 		m.mx.jobsDone.Inc()
 	}
@@ -511,6 +533,7 @@ func (m *Manager) execute(j *Job) {
 	delete(m.inflight, j.Hash)
 	m.mx.jobEvict.Add(int64(m.cache.Add(j.Hash, j)))
 	m.mx.jobEntries.Set(int64(m.cache.Len()))
+	m.mx.jobCacheBytes.Set(m.jobBytes) // an eviction took its document along
 	if spans := j.spans.Load(); spans != nil && m.traces != nil {
 		// The finished trace moves into the retention LRU; the job keeps
 		// only the traced flag. Drops are surfaced as a counter so a
@@ -522,6 +545,53 @@ func (m *Manager) execute(j *Job) {
 	}
 	m.mu.Unlock()
 	close(j.done)
+	// Ordering contract: "done" first, the document after. Nothing a poller
+	// waits for may sit between runJob and the two publications above — a
+	// millisecond there pushes the job past its client's next poll, which
+	// costs the client a whole poll cycle — while work placed here is hidden
+	// by the cycle the client is already in.
+	if err == nil {
+		_, _ = m.document(j)
+	}
+}
+
+// document returns the result document of a done job, building it on the
+// first call — execute's or a result GET's, whichever comes first; the
+// others wait for that build and share its bytes. It holds nothing that
+// differs between two runs of one spec (elapsed_sec lives on the status),
+// so it is a pure function of the job hash.
+func (m *Manager) document(j *Job) ([]byte, error) {
+	j.docOnce.Do(func() {
+		res := j.result
+		labels := make([]string, len(res.Points))
+		for i, pt := range res.Points {
+			labels[i] = pt.Label
+		}
+		doc, err := m.marshal(ResultResponse{
+			Hash:        j.Hash,
+			Name:        res.Name,
+			Topo:        res.Topo.String(),
+			Policies:    res.Policies,
+			Points:      labels,
+			Throughputs: res.Throughputs(),
+			Fingerprint: res.Fingerprint(),
+		})
+		if err != nil {
+			j.docErr = fmt.Errorf("service: job %s: encode result: %w", j.Hash, err)
+			return
+		}
+		j.doc = doc
+		m.mu.Lock()
+		// Only while this job is the cached one: an evicted job's late
+		// build must not count, nothing would ever subtract it.
+		if cur, ok := m.cache.Peek(j.Hash); ok && cur == j {
+			j.docCounted = int64(len(doc))
+			m.jobBytes += j.docCounted
+			m.mx.jobCacheBytes.Set(m.jobBytes)
+		}
+		m.mu.Unlock()
+	})
+	return j.doc, j.docErr
 }
 
 // JobTrace returns a job's service-level span timeline: the live set for

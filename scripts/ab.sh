@@ -121,4 +121,50 @@ if [ -n "$keep" ]; then
 	mkdir -p "$keep"
 	cp "$tmp/base.json" "$tmp/head.json" "$keep/"
 fi
+
+# The pair table. Metric order and direction come from BENCHMARK.json;
+# quartiles interpolate linearly between order statistics.
+python3 - "$tmp/base.json" "$tmp/head.json" "$head_dir/BENCHMARK.json" <<'PY'
+import json, sys
+
+base, head, bench = (json.load(open(p)) for p in sys.argv[1:4])
+
+def quartiles(xs):
+    xs = sorted(xs)
+    def q(f):
+        i = f * (len(xs) - 1)
+        lo = int(i)
+        hi = min(lo + 1, len(xs) - 1)
+        return xs[lo] + (xs[hi] - xs[lo]) * (i - lo)
+    return q(0.25), q(0.5), q(0.75)
+
+def show(xs):
+    q1, med, q3 = quartiles(xs)
+    return "%.4g [%.4g, %.4g]" % (med, q1, q3)
+
+rows = [("workload", "metric", "base median [q1, q3]", "head median [q1, q3]", "delta", "won/lost/tied", "claimable")]
+for w in base["sets"][0]:
+    pairs = [(b[w], h[w]) for b, h in zip(base["sets"], head["sets"]) if w in b and w in h]
+    for side, name in ((0, "base"), (1, "head")):
+        failed = sum(p[side].get("failed", 0) for p in pairs)
+        if failed:
+            print("# pairs: %s: %d operations failed on the %s side" % (w, failed, name))
+    for m in bench["end_to_end"]:
+        sign = 1 if m["better"] == "higher" else -1
+        bs = [p[0]["end_to_end"][m["name"]] for p in pairs]
+        hs = [p[1]["end_to_end"][m["name"]] for p in pairs]
+        won = sum(sign * (h - b) > 0 for b, h in zip(bs, hs))
+        lost = sum(sign * (h - b) < 0 for b, h in zip(bs, hs))
+        bq1, bmed, bq3 = quartiles(bs)
+        gap = quartiles(hs)[1] - bmed
+        ok = len(pairs) >= 10 and 10 * won >= 9 * len(pairs) and sign * gap > bq3 - bq1
+        rows.append((w, m["name"], show(bs), show(hs),
+                     "%+.1f%%" % (100 * gap / bmed) if bmed else "n/a",
+                     "%d/%d/%d" % (won, lost, len(pairs) - won - lost), "yes" if ok else "no"))
+widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+print("# pairs: round k of base against round k of head (%d rounds)" % len(base["sets"]))
+for r in rows:
+    print("  " + "  ".join(c.rjust(n) for c, n in zip(r, widths)))
+PY
+
 (cd "$head_dir" && go run ./bench -compare "$tmp/base.json" "$tmp/head.json")

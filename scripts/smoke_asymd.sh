@@ -2,8 +2,9 @@
 # smoke_asymd.sh — build asymd and smoke two topologies:
 #
 #  1. single node: start on an ephemeral port, hit /v1/healthz, submit a
-#     tiny burst-sweep, poll to done, assert a non-empty fingerprint and
-#     a warm-cache resubmit;
+#     tiny burst-sweep, poll to done, assert a non-empty fingerprint in a
+#     one-line result sent with Content-Length, a 304 for a conditional
+#     re-fetch, and a warm-cache resubmit;
 #  2. two nodes: start a worker and a coordinator peered to it
 #     (-peers, -shard 1), submit a raw multi-cell spec, assert the worker
 #     simulated shards, fetch a per-cell sim-time trace from the
@@ -67,7 +68,7 @@ ADDR="$(wait_addr "$LOG" "$PID")"
 BASE="http://$ADDR"
 echo "asymd up at $BASE"
 
-curl -fsS "$BASE/v1/healthz" | grep -q '"ok": true' || { echo "healthz failed"; exit 1; }
+curl -fsS "$BASE/v1/healthz" | grep -q '"ok": *true' || { echo "healthz failed"; exit 1; }
 
 # Scrape the registry before the sweep; the counter starts at zero.
 CR0="$(curl -fsS "$BASE/metrics" | sed -n 's/^asymd_cell_runs_total \([0-9]*\)$/\1/p')"
@@ -75,14 +76,14 @@ CR0="$(curl -fsS "$BASE/metrics" | sed -n 's/^asymd_cell_runs_total \([0-9]*\)$/
 
 SUBMIT="$(curl -fsS -X POST -H 'Content-Type: application/json' \
 	-d '{"family": "burst-sweep", "scale": 0.01}' "$BASE/v1/jobs")"
-JOB="$(printf '%s' "$SUBMIT" | sed -n 's/.*"id": "\([0-9a-f]*\)".*/\1/p')"
+JOB="$(printf '%s' "$SUBMIT" | sed -n 's/.*"id": *"\([0-9a-f]*\)".*/\1/p')"
 [ -n "$JOB" ] || { echo "no job id in: $SUBMIT"; exit 1; }
 echo "submitted job $JOB"
 
 STATE=""
 for _ in $(seq 1 150); do
 	STATUS="$(curl -fsS "$BASE/v1/jobs/$JOB")"
-	STATE="$(printf '%s' "$STATUS" | sed -n 's/.*"state": "\([a-z]*\)".*/\1/p')"
+	STATE="$(printf '%s' "$STATUS" | sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p')"
 	[ "$STATE" = "done" ] && break
 	[ "$STATE" = "failed" ] && { echo "job failed: $STATUS"; exit 1; }
 	sleep 0.2
@@ -90,8 +91,21 @@ done
 [ "$STATE" = "done" ] || { echo "job stuck in state '$STATE'"; exit 1; }
 
 RESULT="$(curl -fsS "$BASE/v1/results/$JOB")"
-printf '%s' "$RESULT" | grep -q '"fingerprint": "scenario=' \
+printf '%s' "$RESULT" | grep -q '"fingerprint": *"scenario=' \
 	|| { echo "empty or missing fingerprint in: $RESULT"; exit 1; }
+
+# A result is one compact line sent with its length, under a strong ETag:
+# a conditional re-fetch answers 304 and no body.
+[ "$(printf '%s' "$RESULT" | wc -l)" -eq 0 ] \
+	|| { echo "result body is not one line"; exit 1; }
+RHEAD="$(curl -fsS -D - -o /dev/null "$BASE/v1/results/$JOB" | tr -d '\r')"
+printf '%s\n' "$RHEAD" | grep -qi '^content-length: [0-9][0-9]*$' \
+	|| { echo "result reply carries no Content-Length: $RHEAD"; exit 1; }
+ETAG="$(printf '%s\n' "$RHEAD" | sed -n 's/^[Ee][Tt][Aa][Gg]: *//p')"
+[ -n "$ETAG" ] || { echo "result reply carries no ETag: $RHEAD"; exit 1; }
+COND="$(curl -sS -o /dev/null -w '%{http_code} %{size_download}' \
+	-H "If-None-Match: $ETAG" "$BASE/v1/results/$JOB")"
+[ "$COND" = "304 0" ] || { echo "conditional result GET answered '$COND', want '304 0'"; exit 1; }
 
 # Resubmit: the cache must answer with the finished job (HTTP 200, done).
 CODE="$(curl -sS -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
@@ -99,7 +113,7 @@ CODE="$(curl -sS -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: applic
 [ "$CODE" = "200" ] || { echo "cached resubmit returned $CODE, want 200"; exit 1; }
 
 # The job listing must include the finished job.
-curl -fsS "$BASE/v1/jobs" | grep -q "\"id\": \"$JOB\"" \
+curl -fsS "$BASE/v1/jobs" | grep -q "\"id\": *\"$JOB\"" \
 	|| { echo "job $JOB missing from GET /v1/jobs"; exit 1; }
 
 echo "single-node smoke OK"
@@ -116,7 +130,7 @@ echo "metrics OK: cell_runs $CR0 -> $CR1"
 
 # The finished job advertises its trace; the export is a Chrome trace
 # with named lanes and simulate slices (load it in ui.perfetto.dev).
-TRACE_URL="$(curl -fsS "$BASE/v1/jobs/$JOB" | sed -n 's/.*"trace_url": "\([^"]*\)".*/\1/p')"
+TRACE_URL="$(curl -fsS "$BASE/v1/jobs/$JOB" | sed -n 's/.*"trace_url": *"\([^"]*\)".*/\1/p')"
 [ -n "$TRACE_URL" ] || { echo "finished job advertises no trace_url"; exit 1; }
 TRACE="$(curl -fsS "$BASE$TRACE_URL")"
 printf '%s' "$TRACE" | grep -q '"thread_name"' \
@@ -142,24 +156,24 @@ echo "pprof gate OK"
 # A rep-only daggen sweep runs 3 cells of one compiled graph. The local
 # backend batches them onto shared workload state; cell_runs must advance
 # by exactly the 3 simulated cells — no repeats, no hidden extra builds.
-R0="$(curl -fsS "$BASE/v1/healthz" | sed -n 's/.*"cell_runs": \([0-9]*\).*/\1/p')"
+R0="$(curl -fsS "$BASE/v1/healthz" | sed -n 's/.*"cell_runs": *\([0-9]*\).*/\1/p')"
 SPEC_G='{"name":"smoke-batch","workload":{"kind":"daggen","daggen":{"model":"cholesky","tiles":4}},"policies":["DAM-C"],"reps":3,"seed":11}'
 SUBMIT="$(curl -fsS -X POST -H 'Content-Type: application/json' \
 	-d "{\"spec\": $SPEC_G}" "$BASE/v1/jobs")"
-JOBG="$(printf '%s' "$SUBMIT" | sed -n 's/.*"id": "\([0-9a-f]*\)".*/\1/p')"
+JOBG="$(printf '%s' "$SUBMIT" | sed -n 's/.*"id": *"\([0-9a-f]*\)".*/\1/p')"
 [ -n "$JOBG" ] || { echo "no job id in: $SUBMIT"; exit 1; }
 
 STATE=""
 for _ in $(seq 1 150); do
 	STATUS="$(curl -fsS "$BASE/v1/jobs/$JOBG")"
-	STATE="$(printf '%s' "$STATUS" | sed -n 's/.*"state": "\([a-z]*\)".*/\1/p')"
+	STATE="$(printf '%s' "$STATUS" | sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p')"
 	[ "$STATE" = "done" ] && break
 	[ "$STATE" = "failed" ] && { echo "batch job failed: $STATUS"; exit 1; }
 	sleep 0.2
 done
 [ "$STATE" = "done" ] || { echo "batch job stuck in state '$STATE'"; exit 1; }
 
-R1="$(curl -fsS "$BASE/v1/healthz" | sed -n 's/.*"cell_runs": \([0-9]*\).*/\1/p')"
+R1="$(curl -fsS "$BASE/v1/healthz" | sed -n 's/.*"cell_runs": *\([0-9]*\).*/\1/p')"
 DELTA=$((R1 - R0))
 [ "$DELTA" = "3" ] || { echo "same-graph sweep advanced cell_runs by $DELTA, want 3"; exit 1; }
 echo "batched same-graph sweep simulated exactly $DELTA cells"
@@ -182,13 +196,13 @@ echo "coordinator up at $COORD (peered to worker)"
 SPEC_A='{"name":"smoke-shard","workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":600}},"policies":["RWS","DAM-C"],"points":[{"label":"P2","parallelism":2},{"label":"P4","parallelism":4}],"seed":7}'
 SUBMIT="$(curl -fsS -X POST -H 'Content-Type: application/json' \
 	-d "{\"spec\": $SPEC_A}" "$COORD/v1/jobs")"
-JOB2="$(printf '%s' "$SUBMIT" | sed -n 's/.*"id": "\([0-9a-f]*\)".*/\1/p')"
+JOB2="$(printf '%s' "$SUBMIT" | sed -n 's/.*"id": *"\([0-9a-f]*\)".*/\1/p')"
 [ -n "$JOB2" ] || { echo "no job id in: $SUBMIT"; exit 1; }
 
 STATE=""
 for _ in $(seq 1 150); do
 	STATUS="$(curl -fsS "$COORD/v1/jobs/$JOB2")"
-	STATE="$(printf '%s' "$STATUS" | sed -n 's/.*"state": "\([a-z]*\)".*/\1/p')"
+	STATE="$(printf '%s' "$STATUS" | sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p')"
 	[ "$STATE" = "done" ] && break
 	[ "$STATE" = "failed" ] && { echo "sharded job failed: $STATUS"; exit 1; }
 	sleep 0.2
@@ -196,7 +210,7 @@ done
 [ "$STATE" = "done" ] || { echo "sharded job stuck in state '$STATE'"; exit 1; }
 
 # The worker must have simulated some of the shards.
-WRUNS="$(curl -fsS "http://$WADDR/v1/healthz" | sed -n 's/.*"cell_runs": \([0-9]*\).*/\1/p')"
+WRUNS="$(curl -fsS "http://$WADDR/v1/healthz" | sed -n 's/.*"cell_runs": *\([0-9]*\).*/\1/p')"
 [ -n "$WRUNS" ] && [ "$WRUNS" -ge 1 ] || { echo "worker simulated $WRUNS cells, want >= 1"; exit 1; }
 echo "worker simulated $WRUNS cells"
 
@@ -221,14 +235,14 @@ echo "simtrace OK: sharded cell 0 renders task + counter events"
 SPEC_B='{"name":"smoke-shard","workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":600}},"policies":["RWS","DAM-C"],"points":[{"label":"P2","parallelism":2},{"label":"P4","parallelism":4},{"label":"P6","parallelism":6}],"seed":7}'
 SUBMIT="$(curl -fsS -X POST -H 'Content-Type: application/json' \
 	-d "{\"spec\": $SPEC_B}" "$COORD/v1/jobs")"
-JOB3="$(printf '%s' "$SUBMIT" | sed -n 's/.*"id": "\([0-9a-f]*\)".*/\1/p')"
+JOB3="$(printf '%s' "$SUBMIT" | sed -n 's/.*"id": *"\([0-9a-f]*\)".*/\1/p')"
 [ -n "$JOB3" ] || { echo "no job id in: $SUBMIT"; exit 1; }
 [ "$JOB3" != "$JOB2" ] || { echo "extended spec hashed to the same job"; exit 1; }
 
 STATE=""
 for _ in $(seq 1 150); do
 	STATUS="$(curl -fsS "$COORD/v1/jobs/$JOB3")"
-	STATE="$(printf '%s' "$STATUS" | sed -n 's/.*"state": "\([a-z]*\)".*/\1/p')"
+	STATE="$(printf '%s' "$STATUS" | sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p')"
 	[ "$STATE" = "done" ] && break
 	[ "$STATE" = "failed" ] && { echo "delta job failed: $STATUS"; exit 1; }
 	sleep 0.2
@@ -237,34 +251,36 @@ done
 
 # 4 of the 6 cells (2 policies x 3 points) overlap spec A and must be
 # cell-cache hits; only the 2 new P6 cells may miss.
-HITS="$(printf '%s' "$STATUS" | sed -n 's/.*"cell_hits": \([0-9]*\).*/\1/p')"
-MISSES="$(printf '%s' "$STATUS" | sed -n 's/.*"cell_misses": \([0-9]*\).*/\1/p')"
+HITS="$(printf '%s' "$STATUS" | sed -n 's/.*"cell_hits": *\([0-9]*\).*/\1/p')"
+MISSES="$(printf '%s' "$STATUS" | sed -n 's/.*"cell_misses": *\([0-9]*\).*/\1/p')"
 [ "$HITS" = "4" ] || { echo "delta job had $HITS cell hits, want 4: $STATUS"; exit 1; }
 [ "$MISSES" = "2" ] || { echo "delta job had $MISSES cell misses, want 2: $STATUS"; exit 1; }
 echo "delta job reused $HITS cells, simulated $MISSES"
 
 # --- chaos: kill a worker mid-sweep; the job must survive it --------------
 
-# 2 policies x 3 points x 3 reps = 18 cells, sized so each takes long
-# enough that the kill reliably lands while shards are in flight.
-SPEC_C='{"name":"smoke-chaos","workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":2000}},"policies":["RWS","DAM-C"],"points":[{"label":"P2","parallelism":2},{"label":"P4","parallelism":4},{"label":"P6","parallelism":6}],"reps":3,"seed":9}'
-CELLS_C=18
+# 2 policies x 3 points x 6 reps = 36 cells, sized so the kill reliably
+# lands while shards are in flight (18 cells of 2 000 tasks stopped being
+# enough once cells and shard replies got cheaper: the doomed worker then
+# often finished its third of the grid before the kill).
+SPEC_C='{"name":"smoke-chaos","workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":8000}},"policies":["RWS","DAM-C"],"points":[{"label":"P2","parallelism":2},{"label":"P4","parallelism":4},{"label":"P6","parallelism":6}],"reps":6,"seed":9}'
+CELLS_C=36
 
 # Ground truth: the undisturbed fingerprint, from the single node.
 SUBMIT="$(curl -fsS -X POST -H 'Content-Type: application/json' \
 	-d "{\"spec\": $SPEC_C}" "$BASE/v1/jobs")"
-JOBREF="$(printf '%s' "$SUBMIT" | sed -n 's/.*"id": "\([0-9a-f]*\)".*/\1/p')"
+JOBREF="$(printf '%s' "$SUBMIT" | sed -n 's/.*"id": *"\([0-9a-f]*\)".*/\1/p')"
 [ -n "$JOBREF" ] || { echo "no job id in: $SUBMIT"; exit 1; }
 STATE=""
 for _ in $(seq 1 300); do
 	STATUS="$(curl -fsS "$BASE/v1/jobs/$JOBREF")"
-	STATE="$(printf '%s' "$STATUS" | sed -n 's/.*"state": "\([a-z]*\)".*/\1/p')"
+	STATE="$(printf '%s' "$STATUS" | sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p')"
 	[ "$STATE" = "done" ] && break
 	[ "$STATE" = "failed" ] && { echo "reference job failed: $STATUS"; exit 1; }
 	sleep 0.2
 done
 [ "$STATE" = "done" ] || { echo "reference job stuck in state '$STATE'"; exit 1; }
-FP_WANT="$(curl -fsS "$BASE/v1/results/$JOBREF" | sed -n 's/.*"fingerprint": "\([^"]*\)".*/\1/p')"
+FP_WANT="$(curl -fsS "$BASE/v1/results/$JOBREF" | sed -n 's/.*"fingerprint": *"\([^"]*\)".*/\1/p')"
 [ -n "$FP_WANT" ] || { echo "no reference fingerprint"; exit 1; }
 
 "$BIN" -addr 127.0.0.1:0 >"$W1LOG" 2>&1 &
@@ -285,16 +301,16 @@ echo "chaos fleet up: coordinator $CHAOS, workers $W1ADDR + $W2ADDR"
 
 SUBMIT="$(curl -fsS -X POST -H 'Content-Type: application/json' \
 	-d "{\"spec\": $SPEC_C}" "$CHAOS/v1/jobs")"
-JOBC="$(printf '%s' "$SUBMIT" | sed -n 's/.*"id": "\([0-9a-f]*\)".*/\1/p')"
+JOBC="$(printf '%s' "$SUBMIT" | sed -n 's/.*"id": *"\([0-9a-f]*\)".*/\1/p')"
 [ -n "$JOBC" ] || { echo "no job id in: $SUBMIT"; exit 1; }
 
 # Wait until worker 1 has completed at least one cell — the sweep is
 # provably mid-flight — then SIGKILL it.
 W1RUNS=""
 for _ in $(seq 1 300); do
-	W1RUNS="$(curl -fsS "http://$W1ADDR/v1/healthz" | sed -n 's/.*"cell_runs": \([0-9]*\).*/\1/p')"
+	W1RUNS="$(curl -fsS "http://$W1ADDR/v1/healthz" | sed -n 's/.*"cell_runs": *\([0-9]*\).*/\1/p')"
 	[ -n "$W1RUNS" ] && [ "$W1RUNS" -ge 1 ] && break
-	sleep 0.1
+	sleep 0.05
 done
 [ -n "$W1RUNS" ] && [ "$W1RUNS" -ge 1 ] || { echo "worker 1 never simulated a cell"; exit 1; }
 kill -9 "$W1PID"
@@ -303,7 +319,7 @@ echo "killed worker 1 after $W1RUNS cells"
 STATE=""
 for _ in $(seq 1 300); do
 	STATUS="$(curl -fsS "$CHAOS/v1/jobs/$JOBC")"
-	STATE="$(printf '%s' "$STATUS" | sed -n 's/.*"state": "\([a-z]*\)".*/\1/p')"
+	STATE="$(printf '%s' "$STATUS" | sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p')"
 	[ "$STATE" = "done" ] && break
 	[ "$STATE" = "failed" ] && { echo "chaos job failed: $STATUS"; exit 1; }
 	sleep 0.2
@@ -311,14 +327,14 @@ done
 [ "$STATE" = "done" ] || { echo "chaos job stuck in state '$STATE'"; exit 1; }
 
 # The fingerprint must be byte-identical to the undisturbed run.
-FP_GOT="$(curl -fsS "$CHAOS/v1/results/$JOBC" | sed -n 's/.*"fingerprint": "\([^"]*\)".*/\1/p')"
+FP_GOT="$(curl -fsS "$CHAOS/v1/results/$JOBC" | sed -n 's/.*"fingerprint": *"\([^"]*\)".*/\1/p')"
 [ "$FP_GOT" = "$FP_WANT" ] || {
 	echo "chaos fingerprint diverged:"; echo " want $FP_WANT"; echo " got  $FP_GOT"; exit 1; }
 
 # The coordinator's healthz must report the killed peer's open breaker,
 # and the breaker gauge must have flipped to 2 (down) for that peer.
 HEALTH="$(curl -fsS "$CHAOS/v1/healthz")"
-printf '%s' "$HEALTH" | grep -q '"state": "down"' \
+printf '%s' "$HEALTH" | grep -q '"state": *"down"' \
 	|| { echo "killed worker not reported down: $HEALTH"; exit 1; }
 CHAOS_METRICS="$(curl -fsS "$CHAOS/metrics")"
 printf '%s' "$CHAOS_METRICS" | grep -qF "asymd_breaker_state{peer=\"http://$W1ADDR\"} 2" \
@@ -329,14 +345,14 @@ printf '%s' "$CHAOS_METRICS" | grep -q '^asymd_shard_failovers_total [1-9]' \
 echo "chaos metrics OK: breaker down, failovers recorded"
 
 # Accounting: no cell may be lost or double-served by the job...
-HITS="$(printf '%s' "$STATUS" | sed -n 's/.*"cell_hits": \([0-9]*\).*/\1/p')"
-MISSES="$(printf '%s' "$STATUS" | sed -n 's/.*"cell_misses": \([0-9]*\).*/\1/p')"
+HITS="$(printf '%s' "$STATUS" | sed -n 's/.*"cell_hits": *\([0-9]*\).*/\1/p')"
+MISSES="$(printf '%s' "$STATUS" | sed -n 's/.*"cell_misses": *\([0-9]*\).*/\1/p')"
 [ "$((HITS + MISSES))" = "$CELLS_C" ] \
 	|| { echo "chaos job served $HITS hits + $MISSES misses, want $CELLS_C cells: $STATUS"; exit 1; }
 # ...and the fleet's cell_runs must cover the whole grid: coordinator +
 # surviving worker + what worker 1 ran before the kill.
-C2RUNS="$(printf '%s' "$HEALTH" | sed -n 's/.*"cell_runs": \([0-9]*\).*/\1/p')"
-W2RUNS="$(curl -fsS "http://$W2ADDR/v1/healthz" | sed -n 's/.*"cell_runs": \([0-9]*\).*/\1/p')"
+C2RUNS="$(printf '%s' "$HEALTH" | sed -n 's/.*"cell_runs": *\([0-9]*\).*/\1/p')"
+W2RUNS="$(curl -fsS "http://$W2ADDR/v1/healthz" | sed -n 's/.*"cell_runs": *\([0-9]*\).*/\1/p')"
 TOTAL=$((C2RUNS + W2RUNS + W1RUNS))
 [ "$TOTAL" -ge "$CELLS_C" ] \
 	|| { echo "fleet cell_runs $C2RUNS+$W2RUNS+$W1RUNS = $TOTAL do not cover $CELLS_C cells"; exit 1; }

@@ -102,10 +102,6 @@ func main() {
 		fatal(err)
 	}
 
-	var rec *trace.Recorder
-	if *traceOut != "" {
-		rec = trace.New()
-	}
 	spec := scenario.Spec{
 		Name:     "dagsim",
 		Platform: scenario.PlatformSpec{Preset: *platform},
@@ -114,10 +110,7 @@ func main() {
 		Policies: []core.Policy{pol},
 		Seed:     *seed,
 		Alpha:    *alpha,
-		Trace:    rec,
-		// A trace render wants the probe's counter lanes too, so tracing
-		// implies probing; neither changes the simulated schedule.
-		Probe: *explain || *traceOut != "",
+		Probe:    *explain,
 	}
 	if *progress {
 		spec.Progress = func(done, total int) {
@@ -127,7 +120,13 @@ func main() {
 			}
 		}
 	}
-	res, err := scenario.Run(spec)
+	var res *scenario.Result
+	var rec *trace.Recorder
+	if *traceOut != "" {
+		res, rec, err = runTraced(spec)
+	} else {
+		res, err = scenario.Run(spec)
+	}
 	if err != nil {
 		fatal(err)
 	}
@@ -170,6 +169,29 @@ func main() {
 		}
 		fmt.Printf("schedule trace (%d events) written to %s\n", rec.Len(), *traceOut)
 	}
+}
+
+// runTraced runs the spec's single cell with a schedule recorder and a probe
+// (a trace render wants the probe's counter lanes too; neither changes the
+// simulated schedule) and merges it into the Result scenario.Run returns.
+func runTraced(spec scenario.Spec) (*scenario.Result, *trace.Recorder, error) {
+	plan, err := scenario.NewPlan(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	cell := plan.Cells[0]
+	if spec.Progress != nil {
+		spec.Progress(0, 1)
+	}
+	rm, rec, err := plan.RunCellTrace(cell)
+	if err != nil {
+		return nil, nil, err
+	}
+	if spec.Progress != nil {
+		spec.Progress(1, 1)
+	}
+	res, err := scenario.Merge(plan, map[string]scenario.RunMetrics{cell.Hash: rm})
+	return res, rec, err
 }
 
 // workloadFlags carries the workload-selecting flag values.

@@ -1,9 +1,9 @@
 // Package dag implements the task-graph substrate of the simulated runtime.
 //
 // A Graph holds moldable tasks with high/low priority and dependency edges.
-// A task is plain data — a label, a type, a priority, a cost descriptor, an
-// iteration tag and an opaque payload — never code: the simulator schedules
-// from the cost descriptors alone. A graph is built up front (iterative
+// A task is plain data — a label, a type, a priority, a cost descriptor and
+// an iteration tag — never code and no payload: the simulator schedules from
+// the cost descriptors alone. A graph is built up front (iterative
 // applications unroll every iteration) and never changes once a runtime has
 // started it; Add, AddLayer and AddEdge panic on a started graph. The package
 // also computes the paper's DAG parallelism measure: total number of tasks
@@ -42,10 +42,6 @@ type Task struct {
 	// Small, dense iteration numbers aggregate fastest (metrics indexes
 	// them directly); sparse tags work but fall back to a map.
 	Iter int
-	// Data carries workload-specific payload (e.g. the communication
-	// endpoints of a distributed boundary-exchange task). The runtimes
-	// never interpret it; execution hooks may.
-	Data any
 
 	id      int64
 	pending int32

@@ -12,11 +12,8 @@ import (
 // Frozen can stamp out any number of independent Graph instances (NewGraph)
 // and restore a used instance to its pre-Start state (Reset), so grid sweeps
 // build the workload once and pay a few bulk allocations — or, with Reset,
-// none at all — per cell instead of re-running the builder.
-//
-// Tasks carrying a Data payload do not freeze: the payload is per-instance
-// state a stamped copy would share. Only HeatDist has one (its exchange
-// tasks' endpoints) and, being multi-runtime, it keeps its per-cell builder.
+// none at all — per cell instead of re-running the builder. Every field of a
+// task is plain data, so any unstarted graph freezes.
 type Frozen struct {
 	protos  []frozenTask
 	succOff []int32 // CSR row offsets, len(protos)+1
@@ -34,9 +31,8 @@ type frozenTask struct {
 	pending int32
 }
 
-// Freeze snapshots the graph. It fails if the graph already started or if
-// any task carries a Data payload, which would tie instances to shared
-// mutable state.
+// Freeze snapshots the graph. It fails only if the graph already started or
+// a task has a successor outside the graph.
 func (g *Graph) Freeze() (*Frozen, error) {
 	if g.started {
 		return nil, fmt.Errorf("dag: cannot freeze a started graph")
@@ -52,9 +48,6 @@ func (g *Graph) Freeze() (*Frozen, error) {
 	}
 	nsucc := 0
 	for i, t := range g.tasks {
-		if t.Data != nil {
-			return nil, fmt.Errorf("dag: cannot freeze task %q: its data payload is per-instance state", t.Label)
-		}
 		f.protos[i] = frozenTask{
 			label:   t.Label,
 			typ:     t.Type,

@@ -113,10 +113,10 @@ func TestFrozenResetReplays(t *testing.T) {
 }
 
 func TestFreezeRejectsDynamicGraphs(t *testing.T) {
-	payload := New()
-	payload.Add(&Task{Label: "p", Data: 7})
-	if _, err := payload.Freeze(); err == nil {
-		t.Fatal("Freeze accepted a graph with a data payload")
+	foreign := New()
+	foreign.AddEdge(foreign.Add(&Task{Label: "in"}), New().Add(&Task{Label: "out"}))
+	if _, err := foreign.Freeze(); err == nil {
+		t.Fatal("Freeze accepted a successor outside the graph")
 	}
 	started := diamond(t)
 	started.Start()

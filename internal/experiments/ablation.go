@@ -10,10 +10,10 @@ import (
 )
 
 // Ablations beyond the paper: they isolate the contribution of individual
-// design decisions called out in DESIGN.md (wake-time routing, the
-// no-steal rule for critical tasks, the PTT weight, and the dHEFT
-// baseline). Each is a spec table over the scenario engine, usually a
-// policy-set or platform variation of the Figure 4a/7 scenarios.
+// design decisions of the runtime (wake-time routing, the no-steal rule for
+// critical tasks, the PTT weight, and the dHEFT baseline). Each is a spec table over the scenario engine, usually a
+// policy-set or platform variation of the Figure 4a/7 scenarios (README.md,
+// "How the paper's figures map onto specs"; EXPERIMENTS.md lists the rows).
 
 // stealablePolicy wraps a policy and re-enables stealing of high-priority
 // tasks, ablating the paper's "disable stealing of high priority tasks"

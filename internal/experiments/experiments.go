@@ -6,8 +6,9 @@
 // figure's result type. cmd/asymbench exposes the drivers on the command
 // line and the repository's benchmarks wrap them with testing.B.
 //
-// The experiment index lives in DESIGN.md §4; expected shapes (who wins,
-// by roughly what factor) are asserted by this package's tests and recorded
+// The experiment index lives in EXPERIMENTS.md ("Paper experiments") and
+// README.md maps the figures onto specs; expected shapes (who wins, by
+// roughly what factor) are asserted by this package's tests and recorded
 // against the paper in EXPERIMENTS.md.
 package experiments
 

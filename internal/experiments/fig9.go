@@ -142,26 +142,6 @@ func (r *Fig9Result) InWindowSettled(st metrics.IterStat) bool {
 	return st.Start >= r.WindowTime[0]+4*r.AvgIter && st.End <= r.WindowTime[1]
 }
 
-// MeanIterTime returns a policy's mean iteration wall time, either inside
-// or outside the interference window.
-func (r *Fig9Result) MeanIterTime(policy string, inWindow bool) float64 {
-	i := r.policyIndex(policy)
-	if i < 0 {
-		return 0
-	}
-	sum, n := 0.0, 0
-	for _, st := range r.Stats[i] {
-		if r.InWindow(st) == inWindow {
-			sum += st.End - st.Start
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // MeanSettledIterTime returns a policy's mean iteration wall time over
 // iterations fully inside the interference window, past the adaptation
 // transient.

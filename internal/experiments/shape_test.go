@@ -8,7 +8,7 @@ import (
 )
 
 // The shape tests assert the qualitative findings of the paper's evaluation
-// (DESIGN.md §4) at reduced scale. Verbose runs also print the rendered
+// (EXPERIMENTS.md, "Paper experiments") at reduced scale. Verbose runs also print the rendered
 // tables for eyeballing against the paper.
 
 const testScale = Scale(0.08)

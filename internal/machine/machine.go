@@ -374,12 +374,6 @@ func (m *Model) Duration(c Cost, pl topology.Place, start float64, j Jitter) flo
 	return finish + sync + m.Overhead + j.Add
 }
 
-// SerialDuration is Duration for a width-1 place on the given core; a
-// convenience for interference co-runner chains and calibration.
-func (m *Model) SerialDuration(c Cost, core int, start float64, j Jitter) float64 {
-	return m.Duration(c, topology.Place{Leader: core, Width: 1}, start, j)
-}
-
 // log2ceil returns ⌈log2(w)⌉ as a float64: the barrier-tree depth of a
 // width-w place. bits.Len(w-1) is the position of the highest set bit of
 // w-1, which is exactly the number of doublings needed to reach or exceed w.

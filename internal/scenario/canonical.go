@@ -17,9 +17,9 @@ package scenario
 //   - enum kinds encode as their String() names, not integers;
 //   - only the active workload's config is encoded — an inactive config
 //     cannot influence the run, so it must not influence the key;
-//   - execution-only fields never appear: Workers (pool sizing), Trace,
-//     Probe and Progress (observation hooks) change how a run executes or
-//     is watched, never what it computes.
+//   - execution-only fields never appear: Workers (pool sizing), Probe and
+//     Progress (observation hooks) change how a run executes or is
+//     watched, never what it computes.
 //
 // Struct fields marshal in declaration order and parsing goes through
 // typed structs (never map[string]any), so the encoding is invariant
@@ -314,7 +314,7 @@ func (s Spec) canonicalStruct() (specJSON, error) {
 // Hash returns the sha256 of the canonical JSON encoding, hex-encoded.
 // It is the deterministic cache key of the spec: invariant under field
 // reordering of client JSON, under unset-vs-spelled-out defaults, and
-// under execution-only settings (Workers, Trace, Probe, Progress).
+// under execution-only settings (Workers, Probe, Progress).
 func (s Spec) Hash() (string, error) {
 	b, err := s.CanonicalJSON()
 	if err != nil {

@@ -314,3 +314,39 @@ func (c *chanCounter) check(t *testing.T, total int) {
 		t.Errorf("no progress call reported done=total=%d", total)
 	}
 }
+
+// FuzzParseSpec holds the spec layer to what a daemon needs of it: no body a
+// client can POST makes ParseSpec panic, and a spec that parses and validates
+// also plans and re-parses from its own canonical encoding to the same hash.
+// Plan only — no cell runs. The corpus is every registered family plus three
+// bodies whose negative sizes used to pass Validate and panic in the builders.
+func FuzzParseSpec(f *testing.F) {
+	for _, name := range Names() {
+		fam, _ := Lookup(name)
+		b, err := fam.Spec(0.05).CanonicalJSON()
+		if err != nil {
+			f.Fatalf("family %s: %v", name, err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"workload":{"kind":"heatdist","heat":{"nodes":2,"blocks_per_node":-3}},"policies":["RWS"]}`))
+	f.Add([]byte(`{"workload":{"kind":"kmeans","kmeans":{"n":-5,"grains":-2}},"policies":["RWS"]}`))
+	f.Add([]byte(`{"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":50,"parallelism":-4}},"policies":["RWS"]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseSpec(data)
+		if err != nil || s.Validate() != nil {
+			return
+		}
+		p, err := NewPlan(s)
+		if err != nil {
+			t.Fatalf("a spec that validates did not plan: %v", err)
+		}
+		again, err := ParseSpec(p.Canonical)
+		if err != nil {
+			t.Fatalf("canonical encoding does not re-parse: %v\n%s", err, p.Canonical)
+		}
+		if h, err := again.Hash(); err != nil || h != p.Hash {
+			t.Fatalf("re-parsed spec hashes to %s (%v), planned as %s\n%s", h, err, p.Hash, p.Canonical)
+		}
+	})
+}

@@ -26,14 +26,14 @@ import (
 
 // CellState is reusable per-worker scratch for RunCellState: the simulation
 // engine, whose event tiers keep their capacity across cells, and the
-// simulated runtime, whose queues, pools, and per-core state are recycled
+// simulated runtimes, whose queues, pools, and per-core state are recycled
 // via Runtime.Reset. A CellState must not be used by two cells concurrently.
 type CellState struct {
 	engine *sim.Engine
-	// rt is lazily captured by the first cell the state runs and reset for
-	// every cell after it. Reuse is pure mechanism: a reset runtime is
-	// bit-identical to a fresh one.
-	rt *simrt.Runtime
+	// rts holds one runtime per node index, each built by the first cell
+	// that needs that node and reset for every cell after it. Reuse is pure
+	// mechanism: a reset runtime is bit-identical to a fresh one.
+	rts []*simrt.Runtime
 	// probe is the worker's reusable introspection probe for probed specs;
 	// the runtime re-zeros it per cell, and flushed aggregates are deep
 	// copies, so reuse never leaks telemetry across cells.
@@ -51,6 +51,15 @@ func (st *CellState) probeFor() *simrt.Probe {
 	return st.probe
 }
 
+// runtimesFor returns the state's runtime slots for the first n nodes; a nil
+// slot is a node this state has not run yet.
+func (st *CellState) runtimesFor(n int) []*simrt.Runtime {
+	for len(st.rts) < n {
+		st.rts = append(st.rts, nil)
+	}
+	return st.rts[:n]
+}
+
 // engineFor returns the state's engine, reset for the next cell.
 func (st *CellState) engineFor() *sim.Engine {
 	st.engine.Reset()
@@ -59,7 +68,7 @@ func (st *CellState) engineFor() *sim.Engine {
 
 // compiledWorkload is one workload variant, compiled at most once: a frozen
 // graph plus a pool of reusable instances. HeatDist has no compiled form
-// (its cells build one graph per node, with per-instance payloads).
+// (its cells build one graph per node).
 type compiledWorkload struct {
 	build func() (*dag.Graph, error)
 

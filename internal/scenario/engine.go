@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"sync"
 
-	"dynasym/internal/core"
 	"dynasym/internal/dag"
 	"dynasym/internal/interfere"
 	"dynasym/internal/machine"
 	"dynasym/internal/metrics"
-	"dynasym/internal/sim"
 	"dynasym/internal/simnet"
 	"dynasym/internal/simrt"
 	"dynasym/internal/topology"
@@ -80,9 +78,6 @@ func Run(s Spec) (*Result, error) {
 	if failure != nil {
 		return nil, failure
 	}
-	if spec.Trace != nil {
-		p.mergeTraces(spec.Trace)
-	}
 	return Merge(p, byHash)
 }
 
@@ -96,70 +91,89 @@ func MustRun(s Spec) *Result {
 	return res
 }
 
-// runCell executes one repetition of one cell on the plan's shared platform
-// and machine model, on the point's compiled workload when the plan has one
-// (graph instances come from its pool instead of the builder) and on the
-// worker's reusable engine and runtime in st. rec, when non-nil, receives
-// the cell's schedule trace; probe, when non-nil, records scheduler
-// introspection into RunMetrics.Sched (and, when rec is also set, emits
-// queue/PTT/utilization counter lanes). All of it is pure mechanism — none
-// of it changes the metrics, which carry the cell's seed.
+// runCell executes one repetition of one cell: one runtime per node — a
+// single node for every kind but HeatDist, whose nodes also share a simulated
+// interconnect — on the worker's reusable engine and runtimes in st and on
+// the plan's shared per-node machine models. Single-runtime kinds run the
+// point's compiled workload when the plan has one (graph instances come from
+// its pool instead of the builder). rec, when non-nil, receives the cell's
+// schedule trace; probe, when non-nil, records scheduler introspection into
+// RunMetrics.Sched (and, when rec is also set, emits queue/PTT/utilization
+// counter lanes). All of it is pure mechanism — none of it changes the
+// metrics, which carry the cell's seed.
 func (p *Plan) runCell(c CellJob, st *CellState, rec *trace.Recorder, probe *simrt.Probe) (RunMetrics, error) {
 	s, pol, pt, seed := &p.Spec, p.Spec.Policies[c.Policy], p.Spec.Points[c.Point], c.Seed
-	if s.Workload.Kind == HeatDist {
-		return runDistCell(*s, pol, pt, seed)
+	models, err := p.machineModels()
+	if err != nil {
+		return RunMetrics{}, err
 	}
+	engine := st.engineFor()
 	var cw *compiledWorkload
 	if p.compiled != nil {
 		cw = p.compiled[c.Point]
 	}
-	model, err := p.machineModel()
-	if err != nil {
-		return RunMetrics{}, err
+	var hd *workloads.HeatDist
+	var net *simnet.Network
+	if s.Workload.Kind == HeatDist {
+		hd = workloads.NewHeatDist(s.Workload.Heat)
+		net = simnet.New(engine, s.Latency, s.Bandwidth)
 	}
-	topo := model.Platform()
+	rts := st.runtimesFor(len(models))
 	var g *dag.Graph
-	if cw != nil {
-		g, err = cw.acquire()
-	} else {
-		g, err = buildGraph(s.Workload, pt)
-	}
-	if err != nil {
-		return RunMetrics{}, err
-	}
-	cfg := simrt.Config{
-		Topo:   topo,
-		Model:  model,
-		Policy: pol,
-		Alpha:  cellAlpha(s, pt),
-		Seed:   seed,
-		Trace:  rec,
-		Probe:  probe,
-		Engine: st.engineFor(),
-	}
-	rt := st.rt
-	if rt != nil {
-		// Warm worker: recycle the runtime's allocations. Reset replays
-		// New's exact construction sequence, so the cell's metrics cannot
-		// depend on what ran before.
-		if err := rt.Reset(cfg); err != nil {
+	for node, model := range models {
+		cfg := simrt.Config{
+			Topo:   model.Platform(),
+			Model:  model,
+			Policy: pol,
+			Alpha:  cellAlpha(s, pt),
+			Seed:   seed + uint64(node)*nodeSeedStride,
+			Trace:  rec,
+			Probe:  probe,
+			Engine: engine,
+		}
+		switch {
+		case hd != nil:
+			cfg.Hook = hd.Hook(net, node)
+			g = hd.BuildNode(node)
+		case cw != nil:
+			g, err = cw.acquire()
+		default:
+			g, err = buildGraph(s.Workload, pt)
+		}
+		if err != nil {
 			return RunMetrics{}, err
 		}
-	} else {
-		if rt, err = simrt.New(cfg); err != nil {
+		if rts[node] == nil {
+			rts[node], err = simrt.New(cfg)
+		} else {
+			// Warm worker: recycle the runtime's allocations. Reset replays
+			// New's exact construction sequence, so the cell's metrics
+			// cannot depend on what ran before.
+			err = rts[node].Reset(cfg)
+		}
+		if err != nil {
 			return RunMetrics{}, err
 		}
-		st.rt = rt
+		if err := rts[node].Start(g); err != nil {
+			return RunMetrics{}, fmt.Errorf("start node %d: %w", node, err)
+		}
 	}
-	coll, err := rt.Run(g)
-	if err != nil {
-		return RunMetrics{}, err
+	engine.Run()
+	for node, rt := range rts {
+		if !rt.Finished() {
+			return RunMetrics{}, fmt.Errorf("node %d stalled (dependency deadlock or unmatched exchange)", node)
+		}
 	}
-	rm := collectRun(coll, rt)
+	var rm RunMetrics
+	if hd == nil {
+		rm = collectRun(rts[0])
+	} else {
+		rm = mergeNodes(rts)
+	}
 	rm.Seed = seed
 	if probe != nil && rec != nil {
-		probe.EmitCounters(rec, 0)
-		rec.AddUtilCounters(0, rm.Makespan)
+		probe.EmitCounters(rec)
+		rec.AddUtilCounters(rm.Makespan)
 	}
 	// Recycle the instance only after a clean run; a stalled or failed
 	// graph is dropped rather than reset.
@@ -169,49 +183,15 @@ func (p *Plan) runCell(c CellJob, st *CellState, rec *trace.Recorder, probe *sim
 	return rm, nil
 }
 
-// runDistCell executes one distributed heat repetition: one runtime per
-// node sharing a virtual clock and a simulated interconnect.
-func runDistCell(s Spec, pol core.Policy, pt Point, seed uint64) (RunMetrics, error) {
-	engine := sim.New()
-	net := simnet.New(engine, s.Latency, s.Bandwidth)
-	hd := workloads.NewHeatDist(s.Workload.Heat)
-	runtimes := make([]*simrt.Runtime, hd.Nodes)
-	for node := 0; node < hd.Nodes; node++ {
-		topo, err := nodePlatform(s, node)
-		if err != nil {
-			return RunMetrics{}, err
-		}
-		model := machine.New(topo)
-		for _, d := range s.Disturb {
-			if d.Node == node {
-				d.apply(model)
-			}
-		}
-		rt, err := simrt.New(simrt.Config{
-			Topo:   topo,
-			Model:  model,
-			Policy: pol,
-			Alpha:  cellAlpha(&s, pt),
-			Seed:   seed + uint64(node)*nodeSeedStride,
-			Engine: engine,
-			Hook:   hd.Hook(net),
-		})
-		if err != nil {
-			return RunMetrics{}, err
-		}
-		if err := rt.Start(hd.BuildNode(node)); err != nil {
-			return RunMetrics{}, fmt.Errorf("start node %d: %w", node, err)
-		}
-		runtimes[node] = rt
-	}
-	engine.Run()
+// mergeNodes folds the per-node metrics of a distributed cell into one: the
+// slowest node's makespan, summed counters, concatenated core times and a
+// merged placement histogram. Per-iteration statistics are per node and are
+// not carried over.
+func mergeNodes(rts []*simrt.Runtime) RunMetrics {
 	var rm RunMetrics
-	hists := make([][]metrics.PlaceShare, 0, hd.Nodes)
-	for node, rt := range runtimes {
-		if !rt.Finished() {
-			return RunMetrics{}, fmt.Errorf("node %d stalled (pending msgs: %d)", node, net.Pending())
-		}
-		part := collectRun(rt.Collector(), rt)
+	hists := make([][]metrics.PlaceShare, 0, len(rts))
+	for _, rt := range rts {
+		part := collectRun(rt)
 		if part.Makespan > rm.Makespan {
 			rm.Makespan = part.Makespan
 		}
@@ -226,14 +206,13 @@ func runDistCell(s Spec, pol core.Policy, pt Point, seed uint64) (RunMetrics, er
 	if rm.Makespan > 0 {
 		rm.Throughput = float64(rm.TasksDone) / rm.Makespan
 	}
-	rm.Seed = seed
-	return rm, nil
+	return rm
 }
 
 // nodePlatform builds the platform for one distributed node. The
 // "haswell-node" preset tags each node's clusters with its node id, like
 // the paper's four-node cluster; any other platform is replicated as-is.
-func nodePlatform(s Spec, node int) (*topology.Platform, error) {
+func nodePlatform(s *Spec, node int) (*topology.Platform, error) {
 	if s.Platform.Preset == "haswell-node" && len(s.Platform.Clusters) == 0 && s.Platform.WidthCap == 0 {
 		return topology.HaswellNode(node), nil
 	}
@@ -341,7 +320,8 @@ func (d Disturbance) apply(m *machine.Model) {
 }
 
 // collectRun extracts RunMetrics from one runtime's collector.
-func collectRun(coll *metrics.Collector, rt *simrt.Runtime) RunMetrics {
+func collectRun(rt *simrt.Runtime) RunMetrics {
+	coll := rt.Collector()
 	rm := RunMetrics{
 		Throughput: coll.Throughput(),
 		Makespan:   coll.Makespan(),

@@ -85,22 +85,27 @@ func TestRepetitionsGetDistinctSeeds(t *testing.T) {
 }
 
 // The engine must produce identical results no matter how many pool
-// workers execute the grid.
+// workers execute the grid — single-runtime and distributed cells alike,
+// both on whatever runtimes the workers' states hold from earlier tests.
 func TestWorkerCountDoesNotChangeResults(t *testing.T) {
-	s := smallSynthetic(core.All()...)
-	s.Reps = 2
-	s.Workers = 1
-	serial, err := Run(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Workers = 8
-	parallel, err := Run(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Fingerprint() != parallel.Fingerprint() {
-		t.Fatalf("worker count changed results")
+	heat := smallSynthetic(core.All()...)
+	heat.Points = nil
+	heat.Workload = WorkloadSpec{Kind: HeatDist, Heat: smallHeat(3)}
+	for _, s := range []Spec{smallSynthetic(core.All()...), heat} {
+		s.Reps = 2
+		s.Workers = 1
+		serial, err := Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Workers = 8
+		parallel, err := Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial.Fingerprint() != parallel.Fingerprint() {
+			t.Fatalf("%v: worker count changed results", s.Workload.Kind)
+		}
 	}
 }
 

@@ -61,32 +61,28 @@ type Plan struct {
 	Cells []CellJob
 
 	// compiled holds, per point index, the shared compiled workload the
-	// point's cells run on (nil for HeatDist, whose cells build their own
-	// multi-node state). Compilation is lazy: entries compile on the
-	// first cell that runs, so plans that are merged purely from cached
-	// results never build a graph.
+	// point's cells run on (nil for HeatDist, whose cells build one graph
+	// per node). Compilation is lazy: entries compile on the first cell
+	// that runs, so plans that are merged purely from cached results never
+	// build a graph.
 	compiled []*compiledWorkload
 	// variant maps each point index to a dense workload-variant id —
 	// points with equal ids share one compiled graph (see PointVariant).
 	variant []int
-	// cellRecs holds one private trace recorder per cell when the spec
-	// traces (Spec.Trace != nil). Cells record into their own recorder so
-	// concurrent workers never interleave; mergeTraces folds them into
-	// the shared recorder deterministically after the grid drains.
-	cellRecs []*trace.Recorder
 
-	// topo and model are the plan's platform and its configured machine
-	// model (spec disturbances applied). Both are cell-invariant, so they
-	// are built lazily, once, and shared read-only by every cell on every
-	// worker: a Platform is immutable and a configured Model is safe for
-	// concurrent readers. Merge needs only the platform, so a plan merged
-	// purely from cached cells never builds a model. HeatDist cells build
-	// per-node platforms and models of their own (runDistCell).
+	// topo is the plan's platform and models its configured machine models
+	// (spec disturbances applied), one per node: one for every kind but
+	// HeatDist. Both are cell-invariant, so they are built lazily, once, and
+	// shared read-only by every cell on every worker: a Platform is
+	// immutable and a configured Model is safe for concurrent readers. Merge
+	// needs only the platform, so a plan merged purely from cached cells
+	// never builds a model.
 	topoOnce  sync.Once
 	topo      *topology.Platform
 	topoErr   error
 	modelOnce sync.Once
-	model     *machine.Model
+	models    []*machine.Model
+	modelErr  error
 }
 
 // planBuildHook, when non-nil, observes each lazy build of a plan's
@@ -104,9 +100,10 @@ func (p *Plan) platform() (*topology.Platform, error) {
 	return p.topo, p.topoErr
 }
 
-// machineModel returns the plan's shared, fully configured machine model,
-// building it on first use. Callers must treat it as read-only.
-func (p *Plan) machineModel() (*machine.Model, error) {
+// machineModels returns the plan's shared, fully configured machine models,
+// one per node, building them on first use. Node 0 runs on the plan's
+// platform. Callers must treat the models as read-only.
+func (p *Plan) machineModels() ([]*machine.Model, error) {
 	topo, err := p.platform()
 	if err != nil {
 		return nil, err
@@ -115,13 +112,28 @@ func (p *Plan) machineModel() (*machine.Model, error) {
 		if hook := planBuildHook; hook != nil {
 			hook("model")
 		}
-		model := machine.New(topo)
-		for _, d := range p.Spec.Disturb {
-			d.apply(model)
+		nodes := 1
+		if p.Spec.Workload.Kind == HeatDist {
+			nodes = p.Spec.Workload.Heat.Defaults().Nodes
 		}
-		p.model = model
+		models := make([]*machine.Model, nodes)
+		for node := range models {
+			nodeTopo := topo
+			if node > 0 {
+				if nodeTopo, p.modelErr = nodePlatform(&p.Spec, node); p.modelErr != nil {
+					return
+				}
+			}
+			models[node] = machine.New(nodeTopo)
+			for _, d := range p.Spec.Disturb {
+				if d.Node == node {
+					d.apply(models[node])
+				}
+			}
+		}
+		p.models = models
 	})
-	return p.model, nil
+	return p.models, p.modelErr
 }
 
 // NewPlan validates the spec and expands it into cell jobs.
@@ -157,15 +169,8 @@ func NewPlan(s Spec) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{Spec: s, Hash: hash, Canonical: canonical, Cells: cells,
-		compiled: compiled, variant: variant}
-	if s.Trace != nil && s.Workload.Kind != HeatDist {
-		p.cellRecs = make([]*trace.Recorder, len(cells))
-		for i := range p.cellRecs {
-			p.cellRecs[i] = trace.New()
-		}
-	}
-	return p, nil
+	return &Plan{Spec: s, Hash: hash, Canonical: canonical, Cells: cells,
+		compiled: compiled, variant: variant}, nil
 }
 
 // cellHashVersion tags the engine generation in every cell hash. Bump it
@@ -241,24 +246,15 @@ func (p *Plan) RunCellState(st *CellState, c CellJob) (RunMetrics, error) {
 			return rm, err
 		}
 	}
-	var rec *trace.Recorder
-	if p.cellRecs != nil {
-		rec = p.cellRecs[p.cellIndex(c)]
-	}
 	var probe *simrt.Probe
 	if p.Spec.Probe && p.Spec.Workload.Kind != HeatDist {
 		probe = st.probeFor()
 	}
-	return p.runCell(c, st, rec, probe)
-}
-
-// cellIndex returns a cell's position in the plan's grid enumeration.
-func (p *Plan) cellIndex(c CellJob) int {
-	return (c.Policy*len(p.Spec.Points)+c.Point)*p.Spec.Reps + c.Rep
+	return p.runCell(c, st, nil, probe)
 }
 
 // RunCellTrace executes one cell with a private schedule recorder and
-// introspection probe, regardless of the plan spec's Trace/Probe settings.
+// introspection probe, regardless of the plan spec's Probe setting.
 // Cells are pure functions of the plan and the cell coordinates, so the
 // returned trace is exactly the schedule the cell's canonical result came
 // from — whether that result was originally computed here, on a remote
@@ -279,26 +275,6 @@ func (p *Plan) RunCellTrace(c CellJob) (RunMetrics, *trace.Recorder, error) {
 		return RunMetrics{}, nil, err
 	}
 	return rm, rec, nil
-}
-
-// mergeTraces folds the per-cell recorders into dst in cell-index order,
-// each cell's lanes under its own process row named by the cell label. The
-// fold is deterministic regardless of which workers ran which cells.
-func (p *Plan) mergeTraces(dst *trace.Recorder) {
-	for ci, rec := range p.cellRecs {
-		if rec == nil {
-			continue
-		}
-		dst.Group(ci, p.CellLabel(p.Cells[ci]))
-		for _, ev := range rec.Events() {
-			ev.Pid = ci
-			dst.Add(ev)
-		}
-		for _, cp := range rec.Counters() {
-			cp.Pid = ci
-			dst.AddCounter(cp)
-		}
-	}
 }
 
 // Merge assembles cell results (keyed by cell hash) into the plan's

@@ -237,7 +237,8 @@ func TestProgressMonotonic(t *testing.T) {
 
 // TestPlanBuildsPlatformAndModelOnce pins the sharing the cold path leans
 // on: however many workers run a plan's cells concurrently, the platform
-// and the configured machine model are each built exactly once (the race
+// and the configured machine models (one per node; a heat plan builds all
+// of its nodes' in the one build) are each built exactly once (the race
 // detector checks that sharing them is sound), and a plan that is only
 // merged from cached cells builds no model at all — just the platform its
 // Result reports.
@@ -253,67 +254,75 @@ func TestPlanBuildsPlatformAndModelOnce(t *testing.T) {
 	}
 	defer func() { planBuildHook = nil }()
 
-	s := planSpec(core.DAMC())
-	s.Policies = core.All()
-	p, err := NewPlan(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if platforms.Load() != 0 || models.Load() != 0 {
-		t.Fatalf("planning built %d platforms and %d models, want none", platforms.Load(), models.Load())
-	}
-	const workers = 4
-	results := make([]RunMetrics, len(p.Cells))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			st := NewCellState()
-			for ci := w; ci < len(p.Cells); ci += workers {
-				rm, err := p.RunCellState(st, p.Cells[ci])
-				if err != nil {
-					t.Errorf("%s: %v", p.CellLabel(p.Cells[ci]), err)
-					return
+	synthetic := planSpec(core.DAMC())
+	heat := planSpec(core.DAMC())
+	heat.Points = nil
+	heat.Workload = WorkloadSpec{Kind: HeatDist, Heat: smallHeat(3)}
+	heat.Disturb = append(heat.Disturb, Disturbance{Kind: CoRunCPU, Node: 2, Cores: []int{0}, Share: 0.5})
+	for _, s := range []Spec{synthetic, heat} {
+		platforms.Store(0)
+		models.Store(0)
+		s.Policies = core.All()
+		p, err := NewPlan(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if platforms.Load() != 0 || models.Load() != 0 {
+			t.Fatalf("%v: planning built %d platforms and %d models, want none", s.Workload.Kind, platforms.Load(), models.Load())
+		}
+		const workers = 4
+		results := make([]RunMetrics, len(p.Cells))
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				st := NewCellState()
+				for ci := w; ci < len(p.Cells); ci += workers {
+					rm, err := p.RunCellState(st, p.Cells[ci])
+					if err != nil {
+						t.Errorf("%s: %v", p.CellLabel(p.Cells[ci]), err)
+						return
+					}
+					results[ci] = rm
 				}
-				results[ci] = rm
-			}
-		}(w)
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	byHash := make(map[string]RunMetrics, len(p.Cells))
-	for i, c := range p.Cells {
-		byHash[c.Hash] = results[i]
-	}
-	res, err := Merge(p, byHash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if platforms.Load() != 1 || models.Load() != 1 {
-		t.Fatalf("%d cells on %d workers plus a merge built %d platforms and %d models, want 1 and 1",
-			len(p.Cells), workers, platforms.Load(), models.Load())
-	}
+			}(w)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		byHash := make(map[string]RunMetrics, len(p.Cells))
+		for i, c := range p.Cells {
+			byHash[c.Hash] = results[i]
+		}
+		res, err := Merge(p, byHash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if platforms.Load() != 1 || models.Load() != 1 {
+			t.Fatalf("%v: %d cells on %d workers plus a merge built %d platforms and %d models, want 1 and 1",
+				s.Workload.Kind, len(p.Cells), workers, platforms.Load(), models.Load())
+		}
 
-	cached, err := NewPlan(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromCache, err := Merge(cached, byHash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if platforms.Load() != 2 || models.Load() != 1 {
-		t.Fatalf("a plan merged from cached cells built %d platforms and %d models, want 1 and 0",
-			platforms.Load()-1, models.Load()-1)
-	}
-	direct, err := Run(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp := direct.Fingerprint(); res.Fingerprint() != fp || fromCache.Fingerprint() != fp {
-		t.Fatal("cells run on a shared platform and model diverge from a monolithic Run")
+		cached, err := NewPlan(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromCache, err := Merge(cached, byHash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if platforms.Load() != 2 || models.Load() != 1 {
+			t.Fatalf("%v: a plan merged from cached cells built %d platforms and %d models, want 1 and 0",
+				s.Workload.Kind, platforms.Load()-1, models.Load()-1)
+		}
+		direct, err := Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp := direct.Fingerprint(); res.Fingerprint() != fp || fromCache.Fingerprint() != fp {
+			t.Fatalf("%v: cells run on a shared platform and model diverge from a monolithic Run", s.Workload.Kind)
+		}
 	}
 }

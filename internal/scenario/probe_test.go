@@ -1,12 +1,10 @@
 package scenario
 
 import (
-	"strings"
 	"testing"
 
 	"dynasym/internal/core"
 	"dynasym/internal/dagio"
-	"dynasym/internal/trace"
 	"dynasym/internal/workloads"
 )
 
@@ -77,9 +75,11 @@ func TestProbeFingerprintNeutral(t *testing.T) {
 	}
 }
 
-// probeSpec is a small multi-cell grid used by the trace-merge tests.
-func probeSpec(rec *trace.Recorder) Spec {
-	return Spec{
+// RunCellTrace reproduces any cell's schedule on demand — including cells
+// whose canonical result came from elsewhere — and its metrics must match
+// the cell's canonical metrics bit for bit.
+func TestRunCellTraceMatchesCanonicalRun(t *testing.T) {
+	plan, err := NewPlan(Spec{
 		Name:     "probe-trace",
 		Platform: PlatformSpec{Preset: "tx2"},
 		Workload: WorkloadSpec{Kind: Synthetic, Synthetic: workloads.SyntheticConfig{
@@ -89,56 +89,7 @@ func probeSpec(rec *trace.Recorder) Spec {
 		Points:   ParallelismPoints(2, 4),
 		Reps:     2,
 		Seed:     7,
-		Trace:    rec,
-		Probe:    true,
-	}
-}
-
-// Multi-cell tracing (the lifted single-cell restriction): every cell of a
-// 2-policy × 2-point × 2-rep grid records into the shared recorder, each
-// cell on its own process row, and the merged event stream is identical
-// across runs regardless of worker scheduling.
-func TestMultiCellTraceMergeDeterministic(t *testing.T) {
-	render := func() (string, int) {
-		rec := trace.New()
-		if _, err := Run(probeSpec(rec)); err != nil {
-			t.Fatal(err)
-		}
-		var b strings.Builder
-		if err := rec.WriteChromeTrace(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.String(), rec.Len()
-	}
-	first, n1 := render()
-	second, n2 := render()
-	if n1 == 0 {
-		t.Fatal("multi-cell trace recorded no events")
-	}
-	if n1 != n2 || first != second {
-		t.Fatalf("merged trace is not deterministic (%d vs %d events)", n1, n2)
-	}
-	// Eight cells → eight process rows, each with its own name row and
-	// counter lanes from the probe.
-	for _, want := range []string{
-		`"ph":"M"`, `"ph":"X"`, `"ph":"C"`,
-		"DAM-C at P2 (rep 0)", "RWS at P4 (rep 1)",
-		"queue depth", "ready tasks", "core util",
-	} {
-		if !strings.Contains(first, want) {
-			t.Fatalf("merged trace is missing %q", want)
-		}
-	}
-}
-
-// RunCellTrace reproduces any cell's schedule on demand — including cells
-// whose canonical result came from elsewhere — and its metrics must match
-// the cell's canonical metrics bit for bit.
-func TestRunCellTraceMatchesCanonicalRun(t *testing.T) {
-	spec := probeSpec(nil)
-	spec.Trace = nil
-	spec.Probe = false
-	plan, err := NewPlan(spec)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"dynasym/internal/core"
 	"dynasym/internal/dagio"
+	"dynasym/internal/simrt"
 	"dynasym/internal/workloads"
 )
 
@@ -38,8 +39,8 @@ func stateFingerprint(t *testing.T, s Spec, st *CellState) string {
 }
 
 // TestRuntimeReuseMatchesFresh is the determinism gate for cross-cell
-// runtime reuse: for every Table-1 policy and each compilable workload
-// kind, driving one CellState (reused engine + reset simrt.Runtime)
+// runtime reuse: for every Table-1 policy and each workload kind, driving
+// one CellState (reused engine + reset simrt.Runtimes, one per node)
 // through the whole grid must produce a fingerprint byte-identical to
 // building fresh state for every cell.
 func TestRuntimeReuseMatchesFresh(t *testing.T) {
@@ -55,6 +56,7 @@ func TestRuntimeReuseMatchesFresh(t *testing.T) {
 			Synthetic: workloads.SyntheticConfig{Kernel: workloads.MatMul, Tasks: 240}}, ParallelismPoints(2, 4)},
 		{"kmeans", WorkloadSpec{Kind: KMeans,
 			KMeans: workloads.KMeansConfig{N: 2048, D: 4, K: 4, Grains: 8, MaxIters: 6}}, nil},
+		{"heatdist", WorkloadSpec{Kind: HeatDist, Heat: smallHeat(2)}, nil},
 	}
 	for _, k := range kinds {
 		for _, pol := range core.All() {
@@ -112,6 +114,48 @@ func TestRuntimeReuseAcrossShapes(t *testing.T) {
 	if reused := stateFingerprint(t, target, st); reused != fresh {
 		t.Fatalf("a state warmed on another platform changed the metrics:\n--- fresh\n%s\n--- reused\n%s",
 			fresh, reused)
+	}
+}
+
+// smallHeat is a fast distributed-heat configuration on the given node count.
+func smallHeat(nodes int) workloads.HeatDistConfig {
+	return workloads.HeatDistConfig{Nodes: nodes, BlocksPerNode: 6, Iters: 4, RowsPerBlock: 8, Cols: 4096}
+}
+
+// A heat cell runs on whatever the worker's state holds: after a synthetic
+// cell (one runtime, another platform) and a 3-node heat cell, a 2-node heat
+// grid resets the runtimes the state already has for nodes 0 and 1 — it
+// builds none — and equals a fresh run bit for bit.
+func TestHeatCellReusesNodeRuntimes(t *testing.T) {
+	heat := func(nodes int) Spec {
+		return Spec{
+			Name:     "reuse-heat",
+			Platform: PlatformSpec{Preset: "haswell-node"},
+			Workload: WorkloadSpec{Kind: HeatDist, Heat: smallHeat(nodes)},
+			Disturb:  []Disturbance{{Kind: CoRunCPU, Node: 1, Cores: []int{0, 1}, Share: 0.4}},
+			Policies: []core.Policy{core.DAMP(), core.RWS()},
+			Reps:     2,
+			Seed:     17,
+		}
+	}
+	fresh := stateFingerprint(t, heat(2), nil)
+	st := NewCellState()
+	_ = stateFingerprint(t, smallSynthetic(core.RWS()), st)
+	if len(st.rts) != 1 {
+		t.Fatalf("a synthetic grid left %d runtimes in the state, want 1", len(st.rts))
+	}
+	_ = stateFingerprint(t, heat(3), st)
+	warm := append([]*simrt.Runtime(nil), st.rts...)
+	if len(warm) != 3 || warm[0] == nil || warm[1] == nil || warm[2] == nil {
+		t.Fatalf("a 3-node heat grid left runtimes %v in the state, want 3", warm)
+	}
+	if reused := stateFingerprint(t, heat(2), st); reused != fresh {
+		t.Fatalf("a heat grid on a warm state diverged from fresh state:\n--- fresh\n%s\n--- reused\n%s", fresh, reused)
+	}
+	for node, rt := range st.rts {
+		if len(st.rts) != len(warm) || rt != warm[node] {
+			t.Fatalf("a heat grid on a warm state built a new runtime for node %d instead of resetting the state's", node)
+		}
 	}
 }
 

@@ -78,15 +78,6 @@ func (c *Cell) MeanThroughput() float64 {
 	return sum / float64(len(c.Runs))
 }
 
-// MeanMakespan averages makespan over repetitions.
-func (c *Cell) MeanMakespan() float64 {
-	sum := 0.0
-	for _, r := range c.Runs {
-		sum += r.Makespan
-	}
-	return sum / float64(len(c.Runs))
-}
-
 // Sched merges the repetitions' scheduler telemetry, or nil when the cell
 // ran without probes.
 func (c *Cell) Sched() *metrics.Sched {

@@ -26,7 +26,6 @@ import (
 	"dynasym/internal/dagio"
 	"dynasym/internal/interfere"
 	"dynasym/internal/topology"
-	"dynasym/internal/trace"
 	"dynasym/internal/workloads"
 )
 
@@ -314,23 +313,19 @@ type Spec struct {
 	// Latency and Bandwidth describe the interconnect for HeatDist
 	// scenarios (defaults: 2 µs, 5 GB/s).
 	Latency, Bandwidth float64
-	// Trace, when non-nil, records the schedule of the run. Multi-cell
-	// specs record each cell into a private per-cell recorder and merge
-	// them here in cell-index order after the grid drains, each cell under
-	// its own trace process row (not supported for HeatDist).
-	Trace *trace.Recorder
 	// Probe, when true, attaches a scheduler-introspection probe to every
 	// cell run and fills RunMetrics.Sched with the per-core time
 	// breakdown, steal matrix, queue-depth and PTT-error telemetry.
 	// Telemetry is pure observation — fingerprints are byte-identical
-	// with Probe on or off. Execution-only like Workers and Trace
-	// (CanonicalJSON and Hash ignore it); ignored for HeatDist cells.
+	// with Probe on or off. Execution-only like Workers (CanonicalJSON and
+	// Hash ignore it); ignored for HeatDist cells. A single cell's schedule
+	// trace comes from Plan.RunCellTrace.
 	Probe bool
 	// Progress, when non-nil, receives cell-completion updates from Run:
 	// once with (0, total) before execution starts, then once after every
 	// finished (policy × point × repetition) cell. Calls come from
 	// concurrent worker goroutines; the hook must be safe for concurrent
-	// use. Like Workers and Trace, Progress is execution plumbing, not
+	// use. Like Workers and Probe, Progress is execution plumbing, not
 	// part of the scenario's identity — CanonicalJSON and Hash ignore it.
 	Progress func(done, total int)
 }
@@ -416,6 +411,9 @@ func (s Spec) Validate() error {
 	default:
 		return fmt.Errorf("scenario %q: unknown criticality variant %q", s.Name, s.Workload.Criticality)
 	}
+	if err := s.Workload.negativeSize(); err != nil {
+		return fmt.Errorf("scenario %q: %w", s.Name, err)
+	}
 	switch s.Workload.Kind {
 	case DAGFile:
 		if s.Workload.DAG == nil {
@@ -453,8 +451,37 @@ func (s Spec) Validate() error {
 	if err := validateDisturbances(s.Name, topo, s.Disturb, nodes); err != nil {
 		return err
 	}
-	if s.Trace != nil && s.Workload.Kind == HeatDist {
-		return fmt.Errorf("scenario %q: tracing is not supported for distributed scenarios", s.Name)
+	return nil
+}
+
+// negativeSize reports the first negative size field of the active workload's
+// config, named as a client spells it (workload.heat.blocks_per_node). Zero
+// means "default"; a negative size would reach the builders' make calls.
+// DAGGen validates its own config.
+func (w WorkloadSpec) negativeSize() error {
+	type field struct {
+		name string
+		v    int
+	}
+	var fields []field
+	switch w.Kind {
+	case Synthetic:
+		c := w.Synthetic
+		fields = []field{{"synthetic.tile", c.Tile}, {"synthetic.sweeps", c.Sweeps},
+			{"synthetic.tasks", c.Tasks}, {"synthetic.parallelism", c.Parallelism}}
+	case KMeans:
+		c := w.KMeans
+		fields = []field{{"kmeans.n", c.N}, {"kmeans.d", c.D}, {"kmeans.k", c.K},
+			{"kmeans.grains", c.Grains}, {"kmeans.max_iters", c.MaxIters}}
+	case HeatDist:
+		c := w.Heat
+		fields = []field{{"heat.nodes", c.Nodes}, {"heat.blocks_per_node", c.BlocksPerNode},
+			{"heat.iters", c.Iters}, {"heat.rows_per_block", c.RowsPerBlock}, {"heat.cols", c.Cols}}
+	}
+	for _, f := range fields {
+		if f.v < 0 {
+			return fmt.Errorf("negative size workload.%s %d", f.name, f.v)
+		}
 	}
 	return nil
 }

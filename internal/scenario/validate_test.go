@@ -6,7 +6,6 @@ import (
 
 	"dynasym/internal/core"
 	"dynasym/internal/topology"
-	"dynasym/internal/trace"
 	"dynasym/internal/workloads"
 )
 
@@ -64,10 +63,15 @@ func TestValidateErrors(t *testing.T) {
 			s.Workload = WorkloadSpec{Kind: KMeans}
 			s.Points = []Point{{Label: "x", Parallelism: 2}}
 		}, "graph-shape fields"},
-		{"trace on distributed", func(s *Spec) {
-			s.Trace = trace.New()
-			s.Workload = WorkloadSpec{Kind: HeatDist}
-		}, "not supported for distributed"},
+		{"negative heat size", func(s *Spec) {
+			s.Workload = WorkloadSpec{Kind: HeatDist, Heat: workloads.HeatDistConfig{Nodes: 2, BlocksPerNode: -3}}
+		}, "workload.heat.blocks_per_node -3"},
+		{"negative kmeans size", func(s *Spec) {
+			s.Workload = WorkloadSpec{Kind: KMeans, KMeans: workloads.KMeansConfig{N: -5, Grains: -2}}
+		}, "workload.kmeans.n -5"},
+		{"negative synthetic size", func(s *Spec) {
+			s.Workload.Synthetic.Parallelism = -4
+		}, "workload.synthetic.parallelism -4"},
 
 		{"disturb unknown kind", func(s *Spec) {
 			s.Disturb = []Disturbance{{Kind: DisturbKind(99)}}

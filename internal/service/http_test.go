@@ -232,6 +232,7 @@ func TestHTTPErrors(t *testing.T) {
 		"unknown family": {`{"family": "nope"}`, http.StatusBadRequest},
 		"bad spec":       {`{"spec": {"workload": {"kind": "synthetic"}, "policies": ["SJF"]}}`, http.StatusBadRequest},
 		"invalid spec":   {`{"spec": {"workload": {"kind": "synthetic"}, "policies": []}}`, http.StatusBadRequest},
+		"negative size":  {`{"spec": {"workload": {"kind": "heatdist", "heat": {"nodes": 2, "blocks_per_node": -3}}, "policies": ["RWS"]}}`, http.StatusBadRequest},
 		"unknown field":  {`{"famly": "burst-sweep"}`, http.StatusBadRequest},
 		"not json":       {`hello`, http.StatusBadRequest},
 	} {

@@ -425,7 +425,6 @@ func (m *Manager) submit(spec scenario.Spec, reqID string) (job *Job, existing b
 	// too — per-cell sim traces are served on demand by re-execution
 	// (SimTrace), not by probing every banked cell.
 	spec.Workers = 0
-	spec.Trace = nil
 	spec.Probe = false
 	spec.Progress = nil
 	if err := spec.Validate(); err != nil {

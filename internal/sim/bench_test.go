@@ -11,29 +11,6 @@ import (
 // benchmark measures steady-state push/pop/dispatch cost.
 const benchChainWidth = 256
 
-// BenchmarkEngineClosureEvents measures the closure-compat scheduling path
-// (Engine.After with a pre-built func), the API cold callers like simnet and
-// execution hooks use.
-func BenchmarkEngineClosureEvents(b *testing.B) {
-	e := sim.New()
-	left := b.N
-	var tick func()
-	tick = func() {
-		if left > 0 {
-			left--
-			e.After(1e-6, tick)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < benchChainWidth && left > 0; i++ {
-		left--
-		e.After(float64(i)*1e-9, tick)
-	}
-	e.Run()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
-}
-
 // rescheduler is a typed-event receiver that keeps its chain alive until the
 // shared budget is spent — the steady-state pattern of simrt's step events.
 type rescheduler struct {
@@ -48,8 +25,9 @@ func (r *rescheduler) HandleEvent(kind sim.EventKind, at float64) {
 	}
 }
 
-// BenchmarkEngineTypedEvents measures the allocation-free typed dispatch
-// path (Engine.AtEvent), the API the simulated runtime's hot loops use.
+// BenchmarkEngineTypedEvents measures the allocation-free dispatch path
+// (Engine.AtEvent against a long-lived handler), the simulated runtime's hot
+// loop.
 func BenchmarkEngineTypedEvents(b *testing.B) {
 	e := sim.New()
 	r := &rescheduler{e: e, left: b.N}

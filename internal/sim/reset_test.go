@@ -6,12 +6,12 @@ import "testing"
 // observed dispatch order.
 func runTrace(e *Engine) []int {
 	var got []int
-	e.After(2e-6, func() { got = append(got, 1) })
-	e.After(1e-6, func() {
+	e.AfterEvent(2e-6, do(func() { got = append(got, 1) }), 0)
+	e.AfterEvent(1e-6, do(func() {
 		got = append(got, 2)
-		e.After(0, func() { got = append(got, 3) })
-	})
-	e.After(5, func() { got = append(got, 4) })
+		e.AfterEvent(0, do(func() { got = append(got, 3) }), 0)
+	}), 0)
+	e.AfterEvent(5, do(func() { got = append(got, 4) }), 0)
 	e.Run()
 	return got
 }
@@ -40,8 +40,8 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 func TestResetDropsPendingEvents(t *testing.T) {
 	e := New()
 	fired := false
-	e.After(1, func() { fired = true })
-	e.After(1e-9, func() { e.Stop() })
+	e.AfterEvent(1, do(func() { fired = true }), 0)
+	e.AfterEvent(1e-9, do(func() { e.Stop() }), 0)
 	e.RunUntil(1e-6)
 	e.Reset()
 	if e.Pending() != 0 {

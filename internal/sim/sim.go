@@ -7,20 +7,17 @@
 //
 // # Event representation
 //
-// The engine queues two flavors of event in one typed record:
+// The engine queues one shape of event, a typed (handler, kind) record:
 //
-//	kind      scheduled by          dispatched as
-//	-------   -------------------   -------------------------------
-//	closure   At / After            fn()
-//	typed     AtEvent / AfterEvent  h.HandleEvent(kind, at)
+//	scheduled by          dispatched as
+//	-------------------   -------------------------------
+//	AtEvent / AfterEvent  h.HandleEvent(kind, at)
 //
-// Closure events are the convenience API for cold callers (simnet delivery,
-// execution hooks, tests): each call allocates the closure it captures.
-// Typed events are the hot-path API: the caller passes a long-lived Handler
-// (in simrt, the per-core and per-assembly state machines) plus a small
-// EventKind discriminator, and scheduling allocates nothing — the record is
-// stored by value in the engine's heap slice, whose capacity is reused
-// across the whole run.
+// The caller passes a Handler (in simrt, the per-core and per-assembly
+// state machines; in simnet, the message in flight) plus a small EventKind
+// discriminator. Scheduling against a long-lived handler allocates nothing:
+// the record is stored by value in the engine's arena, whose capacity is
+// reused across the whole run.
 //
 // Event kinds are opaque to the engine: each Handler implementation defines
 // its own kind space (see internal/simrt for the runtime's kind table).
@@ -34,7 +31,7 @@
 // order, dispatch order is independent of how the pending set is stored.
 //
 // Storage is tiered purely for speed; every tier holds pointer-free
-// 16-byte (at, seq|slot) keys whose payload (handler or closure) lives in
+// 16-byte (at, seq|slot) keys whose payload (handler and kind) lives in
 // a freelist-managed arena, and dispatch always takes the minimum of the
 // tiers' fronts:
 //
@@ -67,9 +64,10 @@ import (
 // defined by each Handler implementation; the engine never interprets them.
 type EventKind uint8
 
-// Handler receives typed events. Implementations are long-lived objects
-// (core state machines, assemblies) so scheduling a typed event against one
-// performs no allocation.
+// Handler receives events. Implementations are usually long-lived objects
+// (core state machines, assemblies), so scheduling an event against one
+// performs no allocation, and must be comparable values (pointers): the
+// engine compares handlers to coalesce same-time duplicates (see AtEvent).
 type Handler interface {
 	// HandleEvent runs the event. kind is the value passed to AtEvent and
 	// at is the event's virtual time (equal to Engine.Now during the
@@ -148,13 +146,11 @@ const nearWindow = 1e-3
 // overflow to the heap (again only a routing choice).
 const nearCap = 768
 
-// eventRec is one arena payload: either a closure (fn != nil) or a typed
-// (h, kind) pair. Dispatch zeroes the record before reuse so the arena
-// never retains dead handlers or closures.
+// eventRec is one arena payload: a (handler, kind) pair. Dispatch zeroes the
+// record before reuse so the arena never retains dead handlers.
 type eventRec struct {
 	kind EventKind
 	h    Handler
-	fn   func()
 }
 
 // New returns an engine at virtual time 0.
@@ -174,22 +170,11 @@ func (e *Engine) checkTime(t float64) {
 	}
 }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// (t < Now) panics. This is the closure-compat API; hot paths should prefer
-// AtEvent, which does not allocate.
-func (e *Engine) At(t float64, fn func()) {
-	e.checkTime(t)
-	e.push(eventRec{fn: fn}, t)
-}
-
-// After schedules fn to run d seconds from now.
-func (e *Engine) After(d float64, fn func()) { e.At(e.now+d, fn) }
-
-// AtEvent schedules a typed event for h at absolute virtual time t. It is
-// allocation-free: the payload is stored by value in the engine's reusable
-// arena and the heap holds only scalar keys.
+// AtEvent schedules an event for h at absolute virtual time t; scheduling in
+// the past (t < Now) panics. It is allocation-free: the payload is stored by
+// value in the engine's reusable arena and the heap holds only scalar keys.
 //
-// Typed events at equal timestamps are level-triggered per (handler, kind):
+// Events at equal timestamps are level-triggered per (handler, kind):
 // scheduling an event identical to the most recently queued same-time event
 // coalesces into that single pending delivery rather than delivering twice
 // (the Coalesced counter records it). Handlers must therefore treat a
@@ -201,7 +186,7 @@ func (e *Engine) AtEvent(t float64, h Handler, kind EventKind) {
 	e.push(eventRec{kind: kind, h: h}, t)
 }
 
-// AfterEvent schedules a typed event for h to run d seconds from now.
+// AfterEvent schedules an event for h to run d seconds from now.
 func (e *Engine) AfterEvent(d float64, h Handler, kind EventKind) {
 	e.AtEvent(e.now+d, h, kind)
 }
@@ -265,11 +250,7 @@ func (e *Engine) RunUntil(limit float64) float64 {
 					}
 					r := e.take(int32(k.seqSlot & (1<<slotBits - 1)))
 					e.Processed++
-					if r.fn != nil {
-						r.fn()
-					} else {
-						r.h.HandleEvent(r.kind, at)
-					}
+					r.h.HandleEvent(r.kind, at)
 					if e.stopped {
 						break
 					}
@@ -296,11 +277,7 @@ func (e *Engine) RunUntil(limit float64) float64 {
 		}
 		e.now = at
 		e.Processed++
-		if rec.fn != nil {
-			rec.fn()
-		} else {
-			rec.h.HandleEvent(rec.kind, at)
-		}
+		rec.h.HandleEvent(rec.kind, at)
 	}
 	return e.now
 }
@@ -325,7 +302,7 @@ func (e *Engine) Stop() { e.stopped = true }
 // to using a fresh engine per run.
 func (e *Engine) Reset() {
 	// Drop payloads explicitly: abandoned events (a run stopped early)
-	// would otherwise keep their handlers and closures alive in the arena.
+	// would otherwise keep their handlers alive in the arena.
 	for i := range e.recs {
 		e.recs[i] = eventRec{}
 	}
@@ -416,7 +393,7 @@ func (e *Engine) take(slot int32) eventRec {
 }
 
 // push stores the payload in the arena and enqueues its key: same-time
-// events go to the FIFO buffer (coalescing typed duplicates of its tail),
+// events go to the FIFO buffer (coalescing duplicates of its tail),
 // near-term keys go to the sorted ring, everything else sifts up the 4-ary
 // heap.
 func (e *Engine) push(rec eventRec, at float64) {
@@ -425,12 +402,12 @@ func (e *Engine) push(rec eventRec, at float64) {
 	// `now` beneath undispatched buffer entries, and mixing times would
 	// break the buffer's sorted-by-(at, seq) property.
 	nowEligible := at == e.now && (e.nowHead == len(e.nowBuf) || e.nowBuf[len(e.nowBuf)-1].at == at)
-	if nowEligible && rec.fn == nil && e.nowHead < len(e.nowBuf) {
-		// Typed same-time duplicates of the pending tail collapse into one
+	if nowEligible && e.nowHead < len(e.nowBuf) {
+		// Same-time duplicates of the pending tail collapse into one
 		// delivery (see AtEvent): the second delivery would observe exactly
 		// the state the first one left, at the same virtual time.
 		tail := &e.recs[int32(e.nowBuf[len(e.nowBuf)-1].seqSlot&(1<<slotBits-1))]
-		if tail.fn == nil && tail.h == rec.h && tail.kind == rec.kind {
+		if tail.h == rec.h && tail.kind == rec.kind {
 			e.Coalesced++
 			return
 		}
@@ -471,7 +448,7 @@ func (e *Engine) push(rec eventRec, at float64) {
 }
 
 // pop removes the minimum key and returns its payload, recycling the arena
-// slot and zeroing it so the engine does not retain the handler or closure.
+// slot and zeroing it so the engine does not retain the handler.
 //
 // The sift uses the bottom-up strategy: the root hole walks to the leaf
 // level along the min-child path (one move and three comparisons per

@@ -6,12 +6,26 @@ import (
 	"testing"
 )
 
+// funcHandler adapts a callback to Handler for the tests. It is used through
+// a pointer because the engine compares handlers (same-time coalescing) and
+// func values are not comparable.
+type funcHandler struct {
+	f func(kind EventKind, at float64)
+}
+
+func (h *funcHandler) HandleEvent(kind EventKind, at float64) { h.f(kind, at) }
+
+// do wraps a plain callback in a fresh handler, so no two events coalesce.
+func do(f func()) Handler {
+	return &funcHandler{func(EventKind, float64) { f() }}
+}
+
 func TestOrdering(t *testing.T) {
 	e := New()
 	var order []int
-	e.At(2, func() { order = append(order, 2) })
-	e.At(1, func() { order = append(order, 1) })
-	e.At(3, func() { order = append(order, 3) })
+	e.AtEvent(2, do(func() { order = append(order, 2) }), 0)
+	e.AtEvent(1, do(func() { order = append(order, 1) }), 0)
+	e.AtEvent(3, do(func() { order = append(order, 3) }), 0)
 	end := e.Run()
 	if end != 3 {
 		t.Fatalf("final time %g, want 3", end)
@@ -26,8 +40,8 @@ func TestOrdering(t *testing.T) {
 func TestTieBreakBySchedulingOrder(t *testing.T) {
 	e := New()
 	var order []string
-	e.At(1, func() { order = append(order, "first") })
-	e.At(1, func() { order = append(order, "second") })
+	e.AtEvent(1, do(func() { order = append(order, "first") }), 0)
+	e.AtEvent(1, do(func() { order = append(order, "second") }), 0)
 	e.Run()
 	if order[0] != "first" || order[1] != "second" {
 		t.Fatalf("tie broken wrong: %v", order)
@@ -37,9 +51,9 @@ func TestTieBreakBySchedulingOrder(t *testing.T) {
 func TestAfter(t *testing.T) {
 	e := New()
 	var at float64
-	e.At(5, func() {
-		e.After(2, func() { at = e.Now() })
-	})
+	e.AtEvent(5, do(func() {
+		e.AfterEvent(2, do(func() { at = e.Now() }), 0)
+	}), 0)
 	e.Run()
 	if at != 7 {
 		t.Fatalf("After landed at %g, want 7", at)
@@ -49,14 +63,14 @@ func TestAfter(t *testing.T) {
 func TestEventsScheduledDuringRun(t *testing.T) {
 	e := New()
 	count := 0
-	var recur func()
-	recur = func() {
+	var recur Handler
+	recur = do(func() {
 		count++
 		if count < 10 {
-			e.After(1, recur)
+			e.AfterEvent(1, recur, 0)
 		}
-	}
-	e.At(0, recur)
+	})
+	e.AtEvent(0, recur, 0)
 	e.Run()
 	if count != 10 {
 		t.Fatalf("count = %d, want 10", count)
@@ -71,7 +85,7 @@ func TestRunUntil(t *testing.T) {
 	ran := 0
 	for i := 1; i <= 10; i++ {
 		i := i
-		e.At(float64(i), func() { ran = i })
+		e.AtEvent(float64(i), do(func() { ran = i }), 0)
 	}
 	e.RunUntil(5.5)
 	if ran != 5 {
@@ -92,8 +106,8 @@ func TestRunUntil(t *testing.T) {
 func TestStop(t *testing.T) {
 	e := New()
 	ran := 0
-	e.At(1, func() { ran++; e.Stop() })
-	e.At(2, func() { ran++ })
+	e.AtEvent(1, do(func() { ran++; e.Stop() }), 0)
+	e.AtEvent(2, do(func() { ran++ }), 0)
 	e.Run()
 	if ran != 1 {
 		t.Fatalf("Stop did not halt processing: ran=%d", ran)
@@ -106,14 +120,14 @@ func TestStop(t *testing.T) {
 
 func TestPastSchedulingPanics(t *testing.T) {
 	e := New()
-	e.At(5, func() {
+	e.AtEvent(5, do(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(1, func() {})
-	})
+		e.AtEvent(1, do(func() {}), 0)
+	}), 0)
 	e.Run()
 }
 
@@ -124,13 +138,13 @@ func TestNaNPanics(t *testing.T) {
 			t.Fatal("NaN time did not panic")
 		}
 	}()
-	e.At(math.NaN(), func() {})
+	e.AtEvent(math.NaN(), do(func() {}), 0)
 }
 
 func TestProcessedCounter(t *testing.T) {
 	e := New()
 	for i := 0; i < 100; i++ {
-		e.At(float64(i), func() {})
+		e.AtEvent(float64(i), do(func() {}), 0)
 	}
 	e.Run()
 	if e.Processed != 100 {
@@ -140,15 +154,15 @@ func TestProcessedCounter(t *testing.T) {
 
 func BenchmarkEventThroughput(b *testing.B) {
 	e := New()
-	var next func()
+	var next Handler
 	i := 0
-	next = func() {
+	next = do(func() {
 		i++
 		if i < b.N {
-			e.After(1e-6, next)
+			e.AfterEvent(1e-6, next, 0)
 		}
-	}
-	e.At(0, next)
+	})
+	e.AtEvent(0, next, 0)
 	e.Run()
 }
 
@@ -221,7 +235,7 @@ func engineOrder(e *Engine, seed uint64, budget int, drain bool) []int {
 	schedule = func(at float64) {
 		id := nextID
 		nextID++
-		e.At(at, func() {
+		e.AtEvent(at, do(func() {
 			order = append(order, id)
 			if len(order) >= budget {
 				if !drain {
@@ -232,7 +246,7 @@ func engineOrder(e *Engine, seed uint64, budget int, drain bool) []int {
 			for _, d := range popOrderDelays(seed, id) {
 				schedule(e.Now() + d)
 			}
-		})
+		}), 0)
 	}
 	for i := 0; i < 64; i++ {
 		schedule(float64(i%8) * 0.3e-6)

@@ -15,37 +15,13 @@ func (r *recorder) HandleEvent(kind EventKind, at float64) {
 	r.ats = append(r.ats, at)
 }
 
-// Typed and closure events must interleave in strict (at, seq) order.
-func TestTypedClosureInterleaving(t *testing.T) {
-	e := New()
-	r := &recorder{}
-	var order []string
-	e.At(2, func() { order = append(order, "c2") })
-	e.AtEvent(1, r, 7)                              // seq 2
-	e.At(1, func() { order = append(order, "c1") }) // seq 3: same time, later seq
-	e.AtEvent(3, r, 9)
-	e.Run()
-	if len(r.kinds) != 2 || r.kinds[0] != 7 || r.kinds[1] != 9 {
-		t.Fatalf("kinds = %v, want [7 9]", r.kinds)
-	}
-	if r.ats[0] != 1 || r.ats[1] != 3 {
-		t.Fatalf("ats = %v, want [1 3]", r.ats)
-	}
-	if len(order) != 2 || order[0] != "c1" || order[1] != "c2" {
-		t.Fatalf("closure order = %v", order)
-	}
-	if e.Processed != 4 {
-		t.Fatalf("Processed = %d, want 4", e.Processed)
-	}
-}
-
 // HandleEvent's at argument must equal the engine clock during dispatch.
 func TestTypedEventTime(t *testing.T) {
 	e := New()
 	var seen, now float64
-	e.AtEvent(2.5, handlerFunc(func(_ EventKind, at float64) {
+	e.AtEvent(2.5, &funcHandler{func(_ EventKind, at float64) {
 		seen, now = at, e.Now()
-	}), 0)
+	}}, 0)
 	e.Run()
 	if seen != 2.5 || now != 2.5 {
 		t.Fatalf("at = %g, Now = %g, want 2.5", seen, now)
@@ -56,27 +32,27 @@ func TestTypedEventTime(t *testing.T) {
 func TestAfterEvent(t *testing.T) {
 	e := New()
 	var at float64
-	e.At(5, func() {
-		e.AfterEvent(2, handlerFunc(func(_ EventKind, a float64) { at = a }), 0)
-	})
+	e.AtEvent(5, do(func() {
+		e.AfterEvent(2, &funcHandler{func(_ EventKind, a float64) { at = a }}, 0)
+	}), 0)
 	e.Run()
 	if at != 7 {
 		t.Fatalf("typed event at %g, want 7", at)
 	}
 }
 
-// AtEvent must reject causality violations like At does.
+// A long-lived handler is held to the causality rule like a fresh one.
 func TestAtEventPastPanics(t *testing.T) {
 	e := New()
-	e.At(5, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("scheduling typed event in the past did not panic")
-			}
-		}()
-		e.AtEvent(1, &recorder{}, 0)
-	})
+	r := &recorder{}
+	e.AtEvent(5, r, 0)
 	e.Run()
+	defer func() {
+		if recover() == nil {
+			t.Error("scheduling an event in the past did not panic")
+		}
+	}()
+	e.AtEvent(1, r, 0)
 }
 
 // A long randomized mix of times must dispatch in exact (at, seq) order —
@@ -93,7 +69,7 @@ func TestHeapTotalOrder(t *testing.T) {
 		x ^= x << 17
 		at := float64(x % 97)
 		seq := i
-		e.At(at, func() { got = append(got, at); markers = append(markers, seq) })
+		e.AtEvent(at, do(func() { got = append(got, at); markers = append(markers, seq) }), 0)
 	}
 	e.Run()
 	if len(got) != 5000 {
@@ -135,11 +111,6 @@ type countHandler struct{ n int }
 
 func (c *countHandler) HandleEvent(EventKind, float64) { c.n++ }
 
-// handlerFunc adapts a func to Handler for tests.
-type handlerFunc func(EventKind, float64)
-
-func (f handlerFunc) HandleEvent(k EventKind, at float64) { f(k, at) }
-
 // RunUntil may legally be called with a limit below the current clock
 // (rewinding Now); events scheduled at the rewound time must still
 // dispatch before undispatched same-time-buffer entries from the higher
@@ -147,16 +118,16 @@ func (f handlerFunc) HandleEvent(k EventKind, at float64) { f(k, at) }
 func TestRewindKeepsOrder(t *testing.T) {
 	e := New()
 	var order []float64
-	e.At(5, func() {
-		e.At(5, func() { order = append(order, 5) }) // lands in the same-time buffer
+	e.AtEvent(5, do(func() {
+		e.AtEvent(5, do(func() { order = append(order, 5) }), 0) // lands in the same-time buffer
 		e.Stop()
-	})
+	}), 0)
 	e.Run()
 	e.RunUntil(3) // rewinds the clock below the buffered t=5 event
 	if e.Now() != 3 {
 		t.Fatalf("Now = %g, want 3", e.Now())
 	}
-	e.At(3, func() { order = append(order, 3) })
+	e.AtEvent(3, do(func() { order = append(order, 3) }), 0)
 	e.Run()
 	if len(order) != 2 || order[0] != 3 || order[1] != 5 {
 		t.Fatalf("dispatch order = %v, want [3 5]", order)

@@ -37,12 +37,28 @@ type MsgKey struct {
 	Tag      int64
 }
 
-type slot struct {
-	arrived  bool
-	at       float64
-	bytes    float64
-	receiver func(at float64)
+// Receiver is what waits for a message: it is told once, at the virtual
+// time the message arrived.
+type Receiver interface {
+	Arrived(at float64)
 }
+
+// slot is one half of an unmatched rendezvous: a receiver waiting for its
+// message or, with no receiver, a message that arrived at `at` before it.
+type slot struct {
+	at       float64
+	receiver Receiver
+}
+
+// message is one send in flight. It is its own delivery event, so every
+// message is a distinct handler and the engine never coalesces two of them.
+type message struct {
+	net *Network
+	key MsgKey
+}
+
+// HandleEvent delivers the message at its arrival time.
+func (m *message) HandleEvent(_ sim.EventKind, at float64) { m.net.deliver(m.key, at) }
 
 // New builds a network on the engine with the given one-way latency
 // (seconds) and bandwidth (bytes/s).
@@ -63,33 +79,34 @@ func New(engine *sim.Engine, latency, bandwidth float64) *Network {
 // Each key must be sent at most once per Recv.
 func (n *Network) Send(key MsgKey, bytes float64) {
 	n.Sent++
-	at := n.engine.Now() + n.Latency + bytes/n.Bandwidth
-	n.engine.At(at, func() {
-		s := n.inbox[key]
-		if s == nil {
-			n.inbox[key] = &slot{arrived: true, at: at, bytes: bytes}
-			return
-		}
-		if s.arrived {
-			panic(fmt.Sprintf("simnet: duplicate send for %+v", key))
-		}
-		s.arrived = true
-		s.at = at
-		n.Delivered++
-		recv := s.receiver
-		s.receiver = nil
-		delete(n.inbox, key)
-		recv(at)
-	})
+	// An absolute time, summed in this order: fingerprints depend on the
+	// rounding.
+	n.engine.AtEvent(n.engine.Now()+n.Latency+bytes/n.Bandwidth, &message{net: n, key: key}, 0)
 }
 
-// Recv registers a receiver for the message key. If the message already
-// arrived, done runs immediately (same virtual time); otherwise it runs at
-// delivery time. Each key accepts exactly one receiver.
-func (n *Network) Recv(key MsgKey, done func(at float64)) {
+// deliver matches an arriving message with its receiver, or parks it.
+func (n *Network) deliver(key MsgKey, at float64) {
 	s := n.inbox[key]
 	if s == nil {
-		n.inbox[key] = &slot{receiver: done}
+		n.inbox[key] = &slot{at: at}
+		return
+	}
+	if s.receiver == nil {
+		panic(fmt.Sprintf("simnet: duplicate send for %+v", key))
+	}
+	n.Delivered++
+	delete(n.inbox, key)
+	s.receiver.Arrived(at)
+}
+
+// Recv registers the receiver of the message key. If the message already
+// arrived, the receiver is told immediately (same virtual time) with the
+// arrival time; otherwise at delivery time. Each key accepts exactly one
+// receiver.
+func (n *Network) Recv(key MsgKey, r Receiver) {
+	s := n.inbox[key]
+	if s == nil {
+		n.inbox[key] = &slot{receiver: r}
 		return
 	}
 	if s.receiver != nil {
@@ -97,7 +114,7 @@ func (n *Network) Recv(key MsgKey, done func(at float64)) {
 	}
 	n.Delivered++
 	delete(n.inbox, key)
-	done(s.at)
+	r.Arrived(s.at)
 }
 
 // Pending returns the number of unmatched sends or receives, useful for

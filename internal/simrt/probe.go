@@ -240,28 +240,24 @@ func (p *Probe) Sched(busy []float64, makespan float64) *metrics.Sched {
 // until the probe's next reset).
 func (p *Probe) QueueSamples() []QueueSample { return p.samples }
 
-// PTTSeries returns the recorded prediction-vs-actual series (read-only;
-// valid until the probe's next reset).
-func (p *Probe) PTTSeries() []PTTSample { return p.pttSamples }
-
 // EmitCounters converts the recorded series into Chrome counter lanes on
-// the recorder under pid: "queue depth" (wsq/aq series), "ready tasks",
-// and "ptt rel err".
-func (p *Probe) EmitCounters(rec *trace.Recorder, pid int) {
+// the recorder: "queue depth" (wsq/aq series), "ready tasks", and
+// "ptt rel err".
+func (p *Probe) EmitCounters(rec *trace.Recorder) {
 	if rec == nil {
 		return
 	}
 	for _, s := range p.samples {
-		rec.AddCounter(trace.CounterPoint{Name: "queue depth", Pid: pid, At: s.At, Series: []trace.CounterValue{
+		rec.AddCounter(trace.CounterPoint{Name: "queue depth", At: s.At, Series: []trace.CounterValue{
 			{Key: "wsq", Value: float64(s.Ready)},
 			{Key: "aq", Value: float64(s.Committed)},
 		}})
-		rec.AddCounter(trace.CounterPoint{Name: "ready tasks", Pid: pid, At: s.At, Series: []trace.CounterValue{
+		rec.AddCounter(trace.CounterPoint{Name: "ready tasks", At: s.At, Series: []trace.CounterValue{
 			{Key: "ready", Value: float64(s.Ready)},
 		}})
 	}
 	for _, ps := range p.pttSamples {
-		rec.AddCounter(trace.CounterPoint{Name: "ptt rel err", Pid: pid, At: ps.At, Series: []trace.CounterValue{
+		rec.AddCounter(trace.CounterPoint{Name: "ptt rel err", At: ps.At, Series: []trace.CounterValue{
 			{Key: "err", Value: math.Abs(ps.Predicted-ps.Actual) / ps.Actual},
 		}})
 	}

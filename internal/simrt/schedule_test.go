@@ -211,7 +211,7 @@ func TestScheduleValidityHeatDistHook(t *testing.T) {
 		}
 		rec := trace.New()
 		rt, err := simrt.New(simrt.Config{Topo: topo, Model: model, Policy: core.DAMP(), Seed: uint64(7 + i),
-			Engine: engine, Hook: hd.Hook(net), Trace: rec})
+			Engine: engine, Hook: hd.Hook(net, i), Trace: rec})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,8 +34,7 @@
 //	                       release members, update PTT, wake deps
 //
 // Event times carry the payload: an evAsmDone's `at` is the assembly's
-// finish time. Only cold paths (execution-hook deliveries) use the engine's
-// closure API.
+// finish time.
 //
 // # Steady-state allocation behavior
 //
@@ -62,12 +61,21 @@ import (
 	"dynasym/internal/xrand"
 )
 
-// ExecHook lets a workload take over the execution of specific tasks (used
-// by the distributed Heat workload for network boundary exchanges). If the
-// hook recognizes the task it must eventually call deliver exactly once
-// with the absolute finish time (≥ start) and return true; returning false
-// falls back to the machine model.
-type ExecHook func(rt *Runtime, t *dag.Task, pl topology.Place, start float64, deliver func(finish float64)) bool
+// ExecHook lets a workload decide when selected task executions finish (the
+// distributed Heat workload's boundary exchanges finish when the network
+// says so).
+type ExecHook interface {
+	// Exec is offered every execution as it starts: task t on place pl at
+	// virtual time start. Returning false leaves the execution to the
+	// machine model. Returning true takes it over: the hook must then call
+	// rt.Finish(x, finish) exactly once, during Exec or from any later event
+	// on the runtime's engine.
+	Exec(rt *Runtime, x Execution, t *dag.Task, pl topology.Place, start float64) bool
+}
+
+// Execution is the opaque handle of one started task execution, valid from
+// the Exec call that received it until it is passed to Finish.
+type Execution struct{ a *assembly }
 
 // Config configures a simulated runtime instance.
 type Config struct {
@@ -138,6 +146,7 @@ const (
 type assembly struct {
 	rt      *Runtime
 	tref    int32 // packed task reference (see soa.go)
+	hooked  bool  // taken or being offered to the exec hook, not yet finished
 	place   topology.Place
 	placeID int32 // dense id of place, resolved once at dispatch
 	arrived int
@@ -735,26 +744,12 @@ func (rt *Runtime) putAssembly(a *assembly) {
 func (rt *Runtime) startAssembly(a *assembly) {
 	a.start = rt.engine.Now()
 	idx := a.tref >> 1
-	if rt.cfg.Hook != nil {
-		delivered := false
-		handled := rt.cfg.Hook(rt, rt.soa.ptr[idx], a.place, a.start, func(finish float64) {
-			if delivered {
-				panic("simrt: exec hook delivered twice")
-			}
-			delivered = true
-			if finish < a.start {
-				finish = a.start
-			}
-			a.finish = finish
-			if finish <= rt.engine.Now() {
-				rt.completeAssembly(a, rt.engine.Now())
-			} else {
-				rt.engine.AtEvent(finish, a, evAsmDone)
-			}
-		})
-		if handled {
+	if h := rt.cfg.Hook; h != nil {
+		a.hooked = true
+		if h.Exec(rt, Execution{a}, rt.soa.ptr[idx], a.place, a.start) {
 			return
 		}
+		a.hooked = false
 	}
 	j := rt.drawJitter(a.place.Leader)
 	t := rt.soa.ptr[idx]
@@ -764,6 +759,26 @@ func (rt *Runtime) startAssembly(a *assembly) {
 	}
 	a.finish = finish
 	rt.engine.AtEvent(finish, a, evAsmDone)
+}
+
+// Finish completes an execution its hook took over, at absolute virtual time
+// finish (clamped to the execution's start). Finishing an execution twice
+// panics.
+func (rt *Runtime) Finish(x Execution, finish float64) {
+	a := x.a
+	if !a.hooked {
+		panic("simrt: exec hook delivered twice")
+	}
+	a.hooked = false
+	if finish < a.start {
+		finish = a.start
+	}
+	a.finish = finish
+	if now := rt.engine.Now(); finish <= now {
+		rt.completeAssembly(a, now)
+	} else {
+		rt.engine.AtEvent(finish, a, evAsmDone)
+	}
 }
 
 // completeAssembly releases the members, updates the PTT with the leader's

@@ -219,3 +219,44 @@ func TestStealCountersMove(t *testing.T) {
 		t.Fatal("no steals happened in a work-stealing run")
 	}
 }
+
+// finishTwice takes over every execution and finishes it immediately — the
+// hook contract's simplest legal use — and then breaks the contract on the
+// first one by finishing it again.
+type finishTwice struct {
+	taken    int
+	panicked any
+}
+
+func (h *finishTwice) Exec(rt *simrt.Runtime, x simrt.Execution, t *dag.Task, pl topology.Place, start float64) bool {
+	h.taken++
+	rt.Finish(x, rt.ModelDuration(t.Cost, pl, start))
+	if h.taken == 1 {
+		func() {
+			defer func() { h.panicked = recover() }()
+			rt.Finish(x, start)
+		}()
+	}
+	return true
+}
+
+// An execution a hook took over finishes exactly once: the run completes on
+// the hook's finish times, and a second Finish on the same execution panics.
+func TestHookFinishTwicePanics(t *testing.T) {
+	topo := topology.TX2()
+	hook := &finishTwice{}
+	rt, err := simrt.New(simrt.Config{Topo: topo, Model: machine.New(topo), Policy: core.DAMC(), Seed: 3, Hook: hook})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coll, err := rt.Run(smallDAG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if coll.TasksDone() != 400 || hook.taken != 400 {
+		t.Fatalf("%d tasks done, %d executions offered to the hook, want 400 and 400", coll.TasksDone(), hook.taken)
+	}
+	if msg, _ := hook.panicked.(string); !strings.Contains(msg, "delivered twice") {
+		t.Fatalf("second Finish on one execution: recovered %v, want the delivered-twice panic", hook.panicked)
+	}
+}

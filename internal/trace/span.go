@@ -124,7 +124,7 @@ func (s *SpanSet) WriteChromeTrace(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := cw.emit(&chromeEvent{Name: "thread_name", Ph: "M", Pid: 0, Tid: i, Args: args}); err != nil {
+		if err := cw.emit(&chromeEvent{Name: "thread_name", Ph: "M", Tid: i, Args: args}); err != nil {
 			return err
 		}
 	}
@@ -147,7 +147,6 @@ func (s *SpanSet) WriteChromeTrace(w io.Writer) error {
 			Ph:   "X",
 			Ts:   float64(sp.Start) / float64(time.Microsecond),
 			Dur:  float64(sp.End-sp.Start) / float64(time.Microsecond),
-			Pid:  0,
 			Tid:  lanes[sp.Lane],
 			Args: args,
 		}); err != nil {

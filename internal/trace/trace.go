@@ -3,8 +3,8 @@
 // post-mortem visibility into schedules that XiTAO's tracing offers: one
 // lane per core, one slice per task execution, with place, priority and
 // type attached. Counter ("C") lanes — queue depths, ready-task counts,
-// per-core utilization — render alongside the task slices, and multi-cell
-// sweeps group each cell's lanes under its own process row.
+// per-core utilization — render alongside the task slices. One recorder
+// holds one cell's schedule.
 package trace
 
 import (
@@ -23,9 +23,6 @@ type Event struct {
 	Label string
 	// Category classifies the event ("task", "comm", …).
 	Category string
-	// Pid groups the event's lanes into a Chrome process row; sweeps over
-	// many cells put each cell in its own row (see Recorder.Group).
-	Pid int
 	// Core is the lane the event is drawn in (the executing core).
 	Core int
 	// Start and End are in seconds (virtual or wall, engine-dependent).
@@ -38,12 +35,10 @@ type Event struct {
 
 // CounterPoint is one sample of a Chrome counter ("C") lane: a named lane
 // holding one or more series values at a single timestamp. Successive
-// points of the same (Pid, Name) lane render as a stacked area chart.
+// points of the same lane render as a stacked area chart.
 type CounterPoint struct {
 	// Name is the counter lane's name ("queue depth", "core util", …).
 	Name string
-	// Pid groups the lane with the task events of the same process row.
-	Pid int
 	// At is the sample time in seconds.
 	At float64
 	// Series holds the lane's values at At, in stable display order.
@@ -67,7 +62,6 @@ type Recorder struct {
 	// of reads (Utilization, writers) sort at most once.
 	sorted   bool
 	counters []CounterPoint
-	groups   map[int]string
 }
 
 // New returns an empty recorder.
@@ -91,20 +85,6 @@ func (r *Recorder) AddCounter(cp CounterPoint) {
 	}
 	r.mu.Lock()
 	r.counters = append(r.counters, cp)
-	r.mu.Unlock()
-}
-
-// Group names the process row a Pid's lanes render under (e.g. the cell
-// label of a sweep). Safe on a nil recorder.
-func (r *Recorder) Group(pid int, name string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if r.groups == nil {
-		r.groups = map[int]string{}
-	}
-	r.groups[pid] = name
 	r.mu.Unlock()
 }
 
@@ -145,7 +125,7 @@ func (r *Recorder) Len() int {
 }
 
 // chromeEvent is the trace-event JSON schema (complete events ph "X",
-// counters ph "C", metadata ph "M"). Args is pre-rendered JSON so the
+// counters ph "C", metadata ph "M"); everything renders in process row 0. Args is pre-rendered JSON so the
 // writer emits events one at a time without per-event map allocation.
 type chromeEvent struct {
 	Name string          `json:"name"`
@@ -211,24 +191,7 @@ func jsonNameArgs(name string) (json.RawMessage, error) {
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	events := r.Events()
 	counters := r.Counters()
-	groups := r.groupNames()
 	cw := newChromeWriter(w)
-	// Process-name metadata first, in ascending pid order, so multi-cell
-	// traces label each cell's row.
-	pids := make([]int, 0, len(groups))
-	for pid := range groups {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
-	for _, pid := range pids {
-		args, err := jsonNameArgs(groups[pid])
-		if err != nil {
-			return err
-		}
-		if err := cw.emit(&chromeEvent{Name: "process_name", Ph: "M", Pid: pid, Args: args}); err != nil {
-			return err
-		}
-	}
 	for i := range events {
 		ev := &events[i]
 		cat := ev.Category
@@ -245,7 +208,6 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			Ph:   "X",
 			Ts:   ev.Start * 1e6,
 			Dur:  (ev.End - ev.Start) * 1e6,
-			Pid:  ev.Pid,
 			Tid:  ev.Core,
 			Args: json.RawMessage(fmt.Sprintf(`{"place":"(C%d,%d)","priority":%q}`, ev.Leader, ev.Width, prio)),
 		}); err != nil {
@@ -271,7 +233,6 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			Cat:  "counter",
 			Ph:   "C",
 			Ts:   cp.At * 1e6,
-			Pid:  cp.Pid,
 			Args: json.RawMessage(append([]byte(nil), args...)),
 		}); err != nil {
 			return err
@@ -280,38 +241,20 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	return cw.close()
 }
 
-// groupNames snapshots the pid → process-name table.
-func (r *Recorder) groupNames() map[int]string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.groups) == 0 {
-		return nil
-	}
-	out := make(map[int]string, len(r.groups))
-	for k, v := range r.groups {
-		out[k] = v
-	}
-	return out
-}
-
 // utilWindows is the resolution of the derived per-core utilization lane.
 const utilWindows = 160
 
 // AddUtilCounters derives a windowed per-core utilization counter lane
-// ("core util", one series per core) from the task events recorded under
-// pid, over the horizon [0, horizon]. Call it after the run, before
-// writing the trace.
-func (r *Recorder) AddUtilCounters(pid int, horizon float64) {
+// ("core util", one series per core) from the recorded task events, over the
+// horizon [0, horizon]. Call it after the run, before writing the trace.
+func (r *Recorder) AddUtilCounters(horizon float64) {
 	if r == nil || horizon <= 0 {
 		return
 	}
 	events := r.Events()
 	maxCore := -1
 	for _, ev := range events {
-		if ev.Pid == pid && ev.Core > maxCore {
+		if ev.Core > maxCore {
 			maxCore = ev.Core
 		}
 	}
@@ -321,7 +264,7 @@ func (r *Recorder) AddUtilCounters(pid int, horizon float64) {
 	dt := horizon / utilWindows
 	busy := make([]float64, utilWindows*(maxCore+1))
 	for _, ev := range events {
-		if ev.Pid != pid || ev.End <= ev.Start {
+		if ev.End <= ev.Start {
 			continue
 		}
 		w0 := int(ev.Start / dt)
@@ -347,7 +290,7 @@ func (r *Recorder) AddUtilCounters(pid int, horizon float64) {
 		for c := 0; c <= maxCore; c++ {
 			series[c] = CounterValue{Key: "c" + strconv.Itoa(c), Value: busy[w*(maxCore+1)+c] / dt}
 		}
-		r.AddCounter(CounterPoint{Name: "core util", Pid: pid, At: float64(w) * dt, Series: series})
+		r.AddCounter(CounterPoint{Name: "core util", At: float64(w) * dt, Series: series})
 	}
 }
 

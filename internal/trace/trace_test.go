@@ -91,19 +91,17 @@ func TestLazySortInvalidatesOnAdd(t *testing.T) {
 	}
 }
 
-// Counter samples and process groups must stream as valid Chrome JSON:
-// "C" events with per-series args next to the "X" slices, and "M"
-// process_name metadata for named groups.
+// Counter samples must stream as valid Chrome JSON: "C" events with
+// per-series args next to the "X" slices, all in the one process row (a
+// recorder holds one cell, so there are no groups and no "M" rows).
 func TestChromeTraceCountersAndGroups(t *testing.T) {
 	r := New()
-	r.Group(0, "cell A")
-	r.Group(1, "cell B")
-	r.Add(Event{Label: "t", Pid: 0, Core: 0, Start: 0, End: 0.001})
-	r.Add(Event{Label: "t", Pid: 1, Core: 0, Start: 0, End: 0.002})
-	r.AddCounter(CounterPoint{Name: "queue depth", Pid: 0, At: 0.0005, Series: []CounterValue{
+	r.Add(Event{Label: "t", Core: 0, Start: 0, End: 0.001})
+	r.Add(Event{Label: "t", Core: 1, Start: 0, End: 0.002})
+	r.AddCounter(CounterPoint{Name: "queue depth", At: 0.0005, Series: []CounterValue{
 		{Key: "wsq", Value: 3}, {Key: "aq", Value: 1},
 	}})
-	r.AddCounter(CounterPoint{Name: "ready tasks", Pid: 1, At: 0.001, Series: []CounterValue{
+	r.AddCounter(CounterPoint{Name: "ready tasks", At: 0.001, Series: []CounterValue{
 		{Key: "ready", Value: 7},
 	}})
 	var buf bytes.Buffer
@@ -118,16 +116,15 @@ func TestChromeTraceCountersAndGroups(t *testing.T) {
 	for _, ev := range out {
 		ph := ev["ph"].(string)
 		byPhase[ph] = append(byPhase[ph], ev)
+		if pid, ok := ev["pid"].(float64); !ok || pid != 0 {
+			t.Fatalf("event outside process row 0: %v", ev)
+		}
 	}
-	if len(byPhase["M"]) != 2 || len(byPhase["X"]) != 2 || len(byPhase["C"]) != 2 {
-		t.Fatalf("phases: M=%d X=%d C=%d, want 2 each", len(byPhase["M"]), len(byPhase["X"]), len(byPhase["C"]))
-	}
-	meta := byPhase["M"][0]
-	if meta["name"] != "process_name" || meta["args"].(map[string]any)["name"] != "cell A" {
-		t.Fatalf("metadata = %v", meta)
+	if len(byPhase["M"]) != 0 || len(byPhase["X"]) != 2 || len(byPhase["C"]) != 2 {
+		t.Fatalf("phases: M=%d X=%d C=%d, want 0, 2, 2", len(byPhase["M"]), len(byPhase["X"]), len(byPhase["C"]))
 	}
 	c0 := byPhase["C"][0]
-	if c0["name"] != "queue depth" || c0["pid"].(float64) != 0 {
+	if c0["name"] != "queue depth" {
 		t.Fatalf("counter = %v", c0)
 	}
 	args := c0["args"].(map[string]any)
@@ -140,19 +137,15 @@ func TestChromeTraceCountersAndGroups(t *testing.T) {
 }
 
 // AddUtilCounters derives the per-core utilization lane from the task
-// slices of one process row.
+// slices.
 func TestAddUtilCounters(t *testing.T) {
 	r := New()
-	r.Add(Event{Pid: 0, Core: 0, Start: 0, End: 1})
-	r.Add(Event{Pid: 0, Core: 1, Start: 0, End: 0.5})
-	r.Add(Event{Pid: 1, Core: 0, Start: 0, End: 1}) // other row: excluded
-	r.AddUtilCounters(0, 1)
+	r.Add(Event{Core: 0, Start: 0, End: 1})
+	r.Add(Event{Core: 1, Start: 0, End: 0.5})
+	r.AddUtilCounters(1)
 	var util []CounterPoint
 	for _, cp := range r.Counters() {
 		if cp.Name == "core util" {
-			if cp.Pid != 0 {
-				t.Fatalf("util lane on pid %d, want 0", cp.Pid)
-			}
 			util = append(util, cp)
 		}
 	}

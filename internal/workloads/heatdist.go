@@ -21,9 +21,10 @@ import (
 // the paper, the exchange tasks are the high-priority (critical) tasks.
 //
 // The simulated variant runs one runtime per node over a shared
-// discrete-event engine with a simnet network; the exchange tasks are
-// executed by an ExecHook whose completion is the later of the local CPU
-// (MPI stack) time and the arrival of all inbound boundaries — blocking
+// discrete-event engine with a simnet network; each node's exchange tasks
+// (type kernels.TypeComm, iteration in Task.Iter) are executed by that
+// node's ExecHook, whose completion is the later of the local CPU (MPI
+// stack) time and the arrival of all inbound boundaries — blocking
 // MPI_Sendrecv semantics.
 type HeatDist struct {
 	// Nodes is the number of distributed-memory nodes (ranks).
@@ -44,13 +45,6 @@ type HeatDist struct {
 
 // HeatTypeCompute is the PTT task type of heat block updates.
 const HeatTypeCompute ptt.TypeID = kernels.TypeUser + 8
-
-// HeatComm tags an exchange task (via dag.Task.Data) with its endpoints.
-type HeatComm struct {
-	Node  int
-	Peers []int
-	Iter  int
-}
 
 // HeatDistConfig parameterizes NewHeatDist.
 type HeatDistConfig struct {
@@ -132,8 +126,8 @@ func (hd *HeatDist) peers(node int) []int {
 	return ps
 }
 
-// BuildNode constructs node `node`'s task graph. The per-iteration
-// exchange task carries *HeatComm in Data and is marked high priority.
+// BuildNode constructs node `node`'s task graph. The per-iteration exchange
+// task has type kernels.TypeComm and is marked high priority.
 func (hd *HeatDist) BuildNode(node int) *dag.Graph {
 	g := dag.New()
 	B := hd.BlocksPerNode
@@ -148,7 +142,6 @@ func (hd *HeatDist) BuildNode(node int) *dag.Graph {
 			High:  true,
 			Cost:  hd.CommCost,
 			Iter:  iter,
-			Data:  &HeatComm{Node: node, Peers: hd.peers(node), Iter: iter},
 		}
 		g.Add(comm, commDeps(prev[0], prev[B-1], prevComm)...)
 		prevComm = comm
@@ -206,39 +199,57 @@ func commDeps(deps ...*dag.Task) []*dag.Task {
 	return out
 }
 
-// Hook returns the simulated-execution hook for one node's runtime: it
-// intercepts exchange tasks, fires the boundary sends immediately, and
-// completes the task when both the local CPU work and all inbound
-// boundaries are done.
-func (hd *HeatDist) Hook(net *simnet.Network) simrt.ExecHook {
-	return func(rt *simrt.Runtime, t *dag.Task, pl topology.Place, start float64, deliver func(finish float64)) bool {
-		hc, ok := t.Data.(*HeatComm)
-		if !ok {
-			return false
-		}
-		// The local CPU portion (MPI stack for both directions).
-		cpuFinish := rt.ModelDuration(t.Cost, pl, start)
-		if len(hc.Peers) == 0 {
-			deliver(cpuFinish)
-			return true
-		}
-		// Outbound boundaries leave now; completion needs every inbound
-		// boundary plus the CPU work. Recv may complete synchronously
-		// when the peer's boundary already arrived, so the countdown is
-		// primed before the loop and deliver fires exactly once, on the
-		// last arrival.
-		pending := len(hc.Peers)
-		latest := cpuFinish
-		for _, peer := range hc.Peers {
-			net.Send(simnet.MsgKey{From: hc.Node, To: peer, Tag: int64(hc.Iter)}, hd.BoundaryBytes())
-			net.Recv(simnet.MsgKey{From: peer, To: hc.Node, Tag: int64(hc.Iter)}, func(at float64) {
-				latest = math.Max(latest, at)
-				pending--
-				if pending == 0 {
-					deliver(latest)
-				}
-			})
-		}
-		return true
+// Hook returns the execution hook of node `node`'s runtime: it takes over
+// the node's exchange tasks, fires the boundary sends immediately, and
+// finishes the task when both the local CPU work and all inbound boundaries
+// are done.
+func (hd *HeatDist) Hook(net *simnet.Network, node int) simrt.ExecHook {
+	return &heatExchange{net: net, node: node, peers: hd.peers(node), bytes: hd.BoundaryBytes()}
+}
+
+// heatExchange is one node's hook and the receiver of its inbound
+// boundaries. A node's exchanges form a dependency chain, so at most one is
+// in flight: its handle and countdown live here.
+type heatExchange struct {
+	net   *simnet.Network
+	node  int
+	peers []int
+	bytes float64
+
+	rt      *simrt.Runtime
+	x       simrt.Execution
+	pending int     // inbound boundaries the exchange in flight still waits for
+	latest  float64 // latest of its CPU finish and the arrivals so far
+}
+
+// Exec implements simrt.ExecHook.
+func (h *heatExchange) Exec(rt *simrt.Runtime, x simrt.Execution, t *dag.Task, pl topology.Place, start float64) bool {
+	// Without neighbours an exchange is its CPU work only: the machine
+	// model's business, like any other task.
+	if t.Type != kernels.TypeComm || len(h.peers) == 0 {
+		return false
+	}
+	if h.pending != 0 {
+		panic(fmt.Sprintf("workloads: node %d started %q with an exchange in flight", h.node, t.Label))
+	}
+	// Outbound boundaries leave now; completion needs every inbound
+	// boundary plus the CPU work (the MPI stack for both directions). Recv
+	// may complete synchronously when the peer's boundary already arrived,
+	// so the countdown is primed before the loop and Finish runs exactly
+	// once, on the last arrival.
+	h.rt, h.x, h.pending = rt, x, len(h.peers)
+	h.latest = rt.ModelDuration(t.Cost, pl, start)
+	for _, peer := range h.peers {
+		h.net.Send(simnet.MsgKey{From: h.node, To: peer, Tag: int64(t.Iter)}, h.bytes)
+		h.net.Recv(simnet.MsgKey{From: peer, To: h.node, Tag: int64(t.Iter)}, h)
+	}
+	return true
+}
+
+// Arrived implements simnet.Receiver for the exchange in flight.
+func (h *heatExchange) Arrived(at float64) {
+	h.latest = math.Max(h.latest, at)
+	if h.pending--; h.pending == 0 {
+		h.rt.Finish(h.x, h.latest)
 	}
 }

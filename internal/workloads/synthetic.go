@@ -144,42 +144,6 @@ func BuildSynthetic(cfg SyntheticConfig) *dag.Graph {
 	return g
 }
 
-// ChainConfig describes the paper's interfering co-runner: a single serial
-// chain of kernel tasks pinned (by the interference scenario) to one core.
-type ChainConfig struct {
-	Kernel KernelKind
-	Tile   int
-	Length int
-}
-
-// BuildChain constructs a serial task chain (DAG parallelism 1).
-func BuildChain(cfg ChainConfig) *dag.Graph {
-	if cfg.Tile == 0 {
-		cfg.Tile = 64
-	}
-	if cfg.Length == 0 {
-		cfg.Length = 1000
-	}
-	g := dag.New()
-	g.Grow(cfg.Length)
-	cost := SyntheticConfig{Kernel: cfg.Kernel, Tile: cfg.Tile}.Defaults().Cost()
-	var prev *dag.Task
-	for i := 0; i < cfg.Length; i++ {
-		t := &dag.Task{
-			Label: chainLabel(i),
-			Type:  cfg.Kernel.TypeID(),
-			Cost:  cost,
-		}
-		if prev != nil {
-			g.Add(t, prev)
-		} else {
-			g.Add(t)
-		}
-		prev = t
-	}
-	return g
-}
-
 // layerLabel renders "kernel[Llayer.i]" without fmt: label construction is
 // a measurable slice of large-graph build time in scenario sweeps, and one
 // stack-scratch strconv append per label beats Sprintf by an order of
@@ -191,16 +155,6 @@ func layerLabel(kernel string, layer, i int) string {
 	b = append(b, '[', 'L')
 	b = strconv.AppendInt(b, int64(layer), 10)
 	b = append(b, '.')
-	b = strconv.AppendInt(b, int64(i), 10)
-	b = append(b, ']')
-	return string(b)
-}
-
-// chainLabel renders "chain[i]" without fmt.
-func chainLabel(i int) string {
-	var scratch [28]byte
-	b := scratch[:0]
-	b = append(b, "chain["...)
 	b = strconv.AppendInt(b, int64(i), 10)
 	b = append(b, ']')
 	return string(b)

@@ -74,16 +74,6 @@ func TestSyntheticCriticalReleasesNextLayer(t *testing.T) {
 	}
 }
 
-func TestBuildChain(t *testing.T) {
-	g := BuildChain(ChainConfig{Kernel: MatMul, Length: 50})
-	if g.Total() != 50 {
-		t.Fatalf("chain length = %d", g.Total())
-	}
-	if par := g.Parallelism(); par != 1 {
-		t.Fatalf("chain parallelism = %g, want 1", par)
-	}
-}
-
 func TestKernelKindString(t *testing.T) {
 	if MatMul.String() != "MatMul" || Copy.String() != "Copy" || Stencil.String() != "Stencil" {
 		t.Fatal("kernel names wrong")
@@ -202,23 +192,21 @@ func TestHeatDistGraphShape(t *testing.T) {
 		high := 0
 		for _, tsk := range g.Tasks() {
 			if tsk.High {
+				// The hook knows an exchange by its type and tags its
+				// messages with Iter: one exchange per iteration, in order.
+				if tsk.Type != kernels.TypeComm || tsk.Iter != high {
+					t.Fatalf("high task %q: type %d iter %d, want comm task of iteration %d", tsk.Label, tsk.Type, tsk.Iter, high)
+				}
 				high++
-				if tsk.Type != kernels.TypeComm {
-					t.Fatal("high task is not a comm task")
-				}
-				hc := tsk.Data.(*HeatComm)
-				if hc.Node != node {
-					t.Fatalf("comm task node = %d, want %d", hc.Node, node)
-				}
-				for _, p := range hc.Peers {
-					if p != node-1 && p != node+1 {
-						t.Fatalf("bad peer %d for node %d", p, node)
-					}
-				}
 			}
 		}
 		if high != 5 {
 			t.Fatalf("node %d has %d high tasks, want 5", node, high)
+		}
+		for _, p := range hd.peers(node) {
+			if p != node-1 && p != node+1 || p < 0 || p > 2 {
+				t.Fatalf("bad peer %d for node %d", p, node)
+			}
 		}
 	}
 }

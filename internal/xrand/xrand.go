@@ -77,9 +77,6 @@ func (r *RNG) Uint64() uint64 {
 	return uint64(r.next())<<32 | uint64(r.next())
 }
 
-// Uint32 returns a uniformly distributed 32-bit value.
-func (r *RNG) Uint32() uint32 { return r.next() }
-
 // Intn returns a uniformly distributed int in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
@@ -131,26 +128,4 @@ func (r *RNG) Jitter(relStd float64) float64 {
 		f = 0.05
 	}
 	return f
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle pseudo-randomly permutes the order of the first n elements using
-// the provided swap function.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

@@ -3,7 +3,6 @@ package xrand
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -111,45 +110,6 @@ func TestJitterPositive(t *testing.T) {
 		if f := r.Jitter(0.5); f < 0.05 {
 			t.Fatalf("Jitter returned %v < 0.05", f)
 		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(23)
-	check := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := r.Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestShuffleKeepsElements(t *testing.T) {
-	r := New(29)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, v := range xs {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed multiset: sum %d != %d", got, sum)
 	}
 }
 

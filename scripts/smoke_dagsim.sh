@@ -7,7 +7,9 @@
 #  3. import the JSON twin (demo.json) and assert it reports the same
 #     content digest — format and declaration order cannot change the
 #     workload's identity;
-#  4. generate a Cholesky DAG and assert its fingerprint is stable too.
+#  4. generate a Cholesky DAG and assert its fingerprint is stable too;
+#  5. run it once more with -trace: tracing cannot move the fingerprint,
+#     and the file is a JSON array holding task slices and counter lanes.
 #
 # Used by CI (dagsim-smoke step) and runnable locally.
 set -eu
@@ -53,5 +55,19 @@ GTASKS="${D%% *}"
 [ "$GTASKS" -eq 120 ] || { echo "cholesky T=8 completed $GTASKS tasks, want 120"; exit 1; }
 [ "$D" = "$E" ] || { echo "generated-run fingerprint unstable: '$D' vs '$E'"; exit 1; }
 echo "cholesky gen OK: $GTASKS tasks, fingerprint ${D##* }"
+
+# 5: the traced run (Plan.RunCellTrace + Merge) is the same run, and its
+# Chrome trace parses.
+TRACE="${TMPDIR:-/tmp}/dagsim-smoke-trace.json"
+F="$(run_fp -gen cholesky -tiles 8 -trace "$TRACE")"
+[ "$D" = "$F" ] || { echo "-trace changed the run: '$D' vs '$F'"; exit 1; }
+python3 - "$TRACE" <<'PY' || { echo "trace file $TRACE is not a Chrome trace with X and C events"; exit 1; }
+import json, sys
+events = json.load(open(sys.argv[1]))
+phases = {e["ph"] for e in events}
+assert isinstance(events, list) and {"X", "C"} <= phases, phases
+PY
+rm -f "$TRACE"
+echo "traced run OK: same fingerprint, trace parses"
 
 echo "dagsim smoke OK"

@@ -25,8 +25,6 @@
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
@@ -61,7 +59,7 @@ func main() {
 		traceOut    = flag.String("trace", "", "write a Chrome trace (chrome://tracing) of the schedule to this file")
 		explain     = flag.Bool("explain", false, "print a schedule report: per-core time breakdown, steal matrix, queue depths, PTT convergence")
 		progress    = flag.Bool("progress", false, "report cell progress on stderr while the run executes")
-		fingerprint = flag.Bool("fingerprint", false, "print the sha256 of the run's determinism fingerprint")
+		fingerprint = flag.Bool("fingerprint", false, "print the run's determinism fingerprint (Result.Fingerprint)")
 		list        = flag.Bool("list", false, "list generators, import formats and scenario families, then exit")
 	)
 	flag.Parse()
@@ -155,8 +153,7 @@ func main() {
 		}
 	}
 	if *fingerprint {
-		sum := sha256.Sum256([]byte(res.Fingerprint()))
-		fmt.Printf("fingerprint: %s\n", hex.EncodeToString(sum[:]))
+		fmt.Printf("fingerprint: %s\n", res.Fingerprint())
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)

@@ -318,8 +318,9 @@ func (c *chanCounter) check(t *testing.T, total int) {
 // FuzzParseSpec holds the spec layer to what a daemon needs of it: no body a
 // client can POST makes ParseSpec panic, and a spec that parses and validates
 // also plans and re-parses from its own canonical encoding to the same hash.
-// Plan only — no cell runs. The corpus is every registered family plus three
-// bodies whose negative sizes used to pass Validate and panic in the builders.
+// Plan only — no cell runs. The corpus is every registered family plus four
+// bodies that used to pass Validate and die in makeslice: three negative sizes
+// in the builders, one 2^40-repetition grid in NewPlan.
 func FuzzParseSpec(f *testing.F) {
 	for _, name := range Names() {
 		fam, _ := Lookup(name)
@@ -332,6 +333,7 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(`{"workload":{"kind":"heatdist","heat":{"nodes":2,"blocks_per_node":-3}},"policies":["RWS"]}`))
 	f.Add([]byte(`{"workload":{"kind":"kmeans","kmeans":{"n":-5,"grains":-2}},"policies":["RWS"]}`))
 	f.Add([]byte(`{"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":50,"parallelism":-4}},"policies":["RWS"]}`))
+	f.Add([]byte(`{"name":"x","platform":{"preset":"tx2"},"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":50}},"policies":["RWS"],"reps":1099511627776,"seed":1}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseSpec(data)
 		if err != nil || s.Validate() != nil {

@@ -38,6 +38,8 @@ type CellState struct {
 	// the runtime re-zeros it per cell, and flushed aggregates are deep
 	// copies, so reuse never leaks telemetry across cells.
 	probe *simrt.Probe
+	// seal is the buffer each cell's digest is encoded into (RunMetrics.Seal).
+	seal []byte
 }
 
 // NewCellState returns scratch state for one executor worker.

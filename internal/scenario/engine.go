@@ -100,7 +100,7 @@ func MustRun(s Spec) *Result {
 // schedule trace; probe, when non-nil, records scheduler introspection into
 // RunMetrics.Sched (and, when rec is also set, emits queue/PTT/utilization
 // counter lanes). All of it is pure mechanism — none of it changes the
-// metrics, which carry the cell's seed.
+// metrics, which carry the cell's seed and leave sealed.
 func (p *Plan) runCell(c CellJob, st *CellState, rec *trace.Recorder, probe *simrt.Probe) (RunMetrics, error) {
 	s, pol, pt, seed := &p.Spec, p.Spec.Policies[c.Policy], p.Spec.Points[c.Point], c.Seed
 	models, err := p.machineModels()
@@ -171,6 +171,7 @@ func (p *Plan) runCell(c CellJob, st *CellState, rec *trace.Recorder, probe *sim
 		rm = mergeNodes(rts)
 	}
 	rm.Seed = seed
+	st.seal = rm.sealInto(st.seal) // the one point a cell's metrics become final
 	if probe != nil && rec != nil {
 		probe.EmitCounters(rec)
 		rec.AddUtilCounters(rm.Makespan)

@@ -92,8 +92,8 @@ func TestSpecHashGoldenVectors(t *testing.T) {
 	}
 }
 
-// TestResultFingerprintGoldenVectors pins sha256(Result.Fingerprint()) for
-// one small spec per workload kind — all seven Table-1 policies, two
+// TestResultFingerprintGoldenVectors pins sha256(Result.FingerprintText())
+// for one small spec per workload kind — all seven Table-1 policies, two
 // repetitions, a burst disturbance. Every other determinism suite compares
 // two runs of the same commit; this is the only tier-1 test that notices a
 // deterministic drift between commits (a refactor that changes a steal
@@ -102,7 +102,9 @@ func TestSpecHashGoldenVectors(t *testing.T) {
 // any behaviour-preserving change unchanged. A legitimate schedule change
 // re-pins them together with a cellHashVersion bump, in its own commit —
 // never one without the other, or caches serve results this engine would
-// not produce.
+// not produce. Beside each, Result.Fingerprint() of the same run is pinned:
+// those literals move only with the digest's encoding (result.go), the text
+// ones only with the engine.
 func TestResultFingerprintGoldenVectors(t *testing.T) {
 	burst := Disturbance{Kind: Burst, Cluster: 1, Share: 0.4, BusyDur: 0.1, IdleDur: 0.2, PhaseStep: 0.05}
 	specs := map[string]Spec{}
@@ -133,6 +135,13 @@ func TestResultFingerprintGoldenVectors(t *testing.T) {
 		"dagfile":   "27a9e205061cc6a953e18e8fcd3ed7e34dd723193ec0f01fb47c6a22baa0f430",
 		"heatdist":  "bbeb408d0a0dc6024a1d929ab58f2774278d486ea78af969602b1b49d5367e35",
 	}
+	wantDigest := map[string]string{
+		"synthetic": "d4776244a31e03a6fc90fabc1d1028df5feb49db6edb34ee5431ffebb939b7d3",
+		"kmeans":    "3c03ee1a5da96aa0ab037879608c2c6e0a8f61ae446a5c58ce4ae856eca0d8cf",
+		"daggen":    "e7f19333848a9d02bcced02e7127d072d06e162d9b01a702882a5d9259feb08c",
+		"dagfile":   "730afb06d6229a231c822632fe3ebd55eedde2247d66ab9a571430c8b3305e79",
+		"heatdist":  "edf1605b3c2fd0abf6817d0af0f10291f82b0d6d38f34681e8b0517b6863f052",
+	}
 	for name, s := range specs {
 		name, s := name, s
 		t.Run(name, func(t *testing.T) {
@@ -141,9 +150,12 @@ func TestResultFingerprintGoldenVectors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sum := sha256.Sum256([]byte(res.Fingerprint()))
+			sum := sha256.Sum256([]byte(res.FingerprintText()))
 			if got := hex.EncodeToString(sum[:]); got != want[name] {
-				t.Errorf("sha256(Fingerprint) = %s, want %s", got, want[name])
+				t.Errorf("sha256(FingerprintText) = %s, want %s", got, want[name])
+			}
+			if got := res.Fingerprint(); got != wantDigest[name] {
+				t.Errorf("Fingerprint = %s, want %s", got, wantDigest[name])
 			}
 		})
 	}

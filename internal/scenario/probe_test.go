@@ -54,8 +54,8 @@ func TestProbeFingerprintNeutral(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fo, fn := off.Fingerprint(), on.Fingerprint(); fo != fn {
-				t.Fatalf("probe changed the schedule:\n--- probe off\n%s\n--- probe on\n%s", fo, fn)
+			if off.Fingerprint() != on.Fingerprint() {
+				t.Fatalf("probe changed the schedule:\n--- probe off\n%s\n--- probe on\n%s", off.FingerprintText(), on.FingerprintText())
 			}
 			// The probed run must actually carry telemetry for every cell.
 			for pi := range on.Cells {
@@ -77,9 +77,10 @@ func TestProbeFingerprintNeutral(t *testing.T) {
 
 // RunCellTrace reproduces any cell's schedule on demand — including cells
 // whose canonical result came from elsewhere — and its metrics must match
-// the cell's canonical metrics bit for bit.
+// the cell's canonical metrics bit for bit: it leaves sealed with the plain
+// run's digest, and so does a probed run.
 func TestRunCellTraceMatchesCanonicalRun(t *testing.T) {
-	plan, err := NewPlan(Spec{
+	spec := Spec{
 		Name:     "probe-trace",
 		Platform: PlatformSpec{Preset: "tx2"},
 		Workload: WorkloadSpec{Kind: Synthetic, Synthetic: workloads.SyntheticConfig{
@@ -89,7 +90,13 @@ func TestRunCellTraceMatchesCanonicalRun(t *testing.T) {
 		Points:   ParallelismPoints(2, 4),
 		Reps:     2,
 		Seed:     7,
-	})
+	}
+	plan, err := NewPlan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Probe = true
+	probedPlan, err := NewPlan(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,6 +105,13 @@ func TestRunCellTraceMatchesCanonicalRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		probed, err := probedPlan.RunCellState(NewCellState(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if probed.Sched == nil || canonical.digest == ([32]byte{}) || probed.digest != canonical.digest {
+			t.Fatalf("probed cell: Sched %v, digest %x; plain run sealed %x", probed.Sched != nil, probed.digest, canonical.digest)
+		}
 		rm, rec, err := plan.RunCellTrace(c)
 		if err != nil {
 			t.Fatal(err)
@@ -105,6 +119,9 @@ func TestRunCellTraceMatchesCanonicalRun(t *testing.T) {
 		if rm.Makespan != canonical.Makespan || rm.TasksDone != canonical.TasksDone ||
 			rm.Steals != canonical.Steals || rm.Dispatches != canonical.Dispatches {
 			t.Fatalf("traced cell diverged from canonical run: traced=%+v canonical=%+v", rm, canonical)
+		}
+		if rm.digest != canonical.digest {
+			t.Fatalf("traced cell sealed %x, plain run %x", rm.digest, canonical.digest)
 		}
 		if rm.Sched == nil {
 			t.Fatal("traced cell carries no Sched telemetry")

@@ -1,12 +1,14 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"math"
 	"sort"
 	"strconv"
-	"sync"
 	"unsafe"
 
 	"dynasym/internal/metrics"
@@ -41,6 +43,8 @@ type RunMetrics struct {
 	// too. Deliberately not part of Fingerprint: telemetry describes a
 	// run, it does not define one.
 	Sched *metrics.Sched `json:",omitempty"`
+
+	digest [sha256.Size]byte // what Seal computed; zero until then
 }
 
 // SizeBytes estimates the heap a RunMetrics value holds on to — the struct
@@ -153,33 +157,105 @@ func (r *Result) WriteTable(w io.Writer) {
 	}
 }
 
-// fingerprintScratch pools Fingerprint's render buffer. The returned string
-// is an exact-length copy, so a kept fingerprint (the service's job LRU
-// holds 128 of them) never pins a buffer sized for the largest result.
-var fingerprintScratch = sync.Pool{New: func() any { return new([]byte) }}
-
-// Fingerprint serializes every metric of every repetition bit-exactly.
-// Two runs of the same spec must produce identical fingerprints; the
-// determinism regression tests rely on this. The text is a cross-commit
-// contract (golden literals in result_test.go hash it), rendered with
-// strconv appends instead of fmt: a 21-cell grid is half a megabyte of it.
+// Fingerprint is the result's identity: 64 hex digits, equal for two results
+// exactly when every metric of every repetition is bit-equal. It is the sha256
+// of the name, the topology string and then, in grid order, each cell's
+// policy, point label, repetition count and run digests (RunMetrics.Seal),
+// every string and count length-prefixed. A run nobody sealed — a Result built
+// by hand — is digested on the spot, so the value never depends on who sealed.
+// Sched stays out: telemetry describes a run, it does not define one.
 func (r *Result) Fingerprint() string {
-	bp := fingerprintScratch.Get().(*[]byte)
-	b := r.appendFingerprint((*bp)[:0])
-	s := string(b)
-	*bp = b
-	fingerprintScratch.Put(bp)
-	return s
+	topo := topoString(r.Topo)
+	n := 16 + len(r.Name) + len(topo)
+	for pi, p := range r.Policies {
+		for xi, pt := range r.Points {
+			n += 24 + len(p) + len(pt.Label) + sha256.Size*len(r.Cells[pi][xi].Runs)
+		}
+	}
+	b := appendStr(appendStr(make([]byte, 0, n), r.Name), topo)
+	for pi, p := range r.Policies {
+		for xi, pt := range r.Points {
+			runs := r.Cells[pi][xi].Runs
+			b = appendU64(appendStr(appendStr(b, p), pt.Label), uint64(len(runs)))
+			for _, run := range runs {
+				if run.digest == ([sha256.Size]byte{}) {
+					run.Seal() // the loop's copy, not the caller's value
+				}
+				b = append(b, run.digest[:]...)
+			}
+		}
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
+
+// Seal stores the run's digest in the value, to travel with it through caches
+// and merges: sha256 over a fixed little-endian encoding of exactly the fields
+// FingerprintText prints — Seed, Throughput, Makespan, TasksDone, Steals,
+// FailedSteals, Dispatches, then CoreBusy, HighHist (leader, width, count,
+// frac) and Iters (iter, tasks, start, end, place pairs as stored: ID-sorted),
+// slices behind their length, floats as IEEE-754 bits — never Sched. Call it
+// once the metrics are final; a write after it needs another Seal. The digest
+// is never encoded — whoever decodes a value seals it again — so it changes no
+// wire format and no cache key.
+func (rm *RunMetrics) Seal() { rm.sealInto(nil) }
+
+// sealInto is Seal on the caller's scratch, which it returns (grown, if it had
+// to be) for the next cell: a warm worker seals without allocating.
+func (rm *RunMetrics) sealInto(b []byte) []byte {
+	if n := int(rm.SizeBytes()); cap(b) < n {
+		b = make([]byte, 0, n) // the encoding is no longer than the value
+	}
+	b = appendU64(b[:0], rm.Seed)
+	b = appendF64(appendF64(b, rm.Throughput), rm.Makespan)
+	b = appendI64(appendI64(appendI64(appendI64(b, rm.TasksDone), rm.Steals), rm.FailedSteals), rm.Dispatches)
+	b = appendU64(b, uint64(len(rm.CoreBusy)))
+	for _, v := range rm.CoreBusy {
+		b = appendF64(b, v)
+	}
+	b = appendU64(b, uint64(len(rm.HighHist)))
+	for _, ps := range rm.HighHist {
+		b = appendI64(appendI64(b, int64(ps.Place.Leader)), int64(ps.Place.Width))
+		b = appendF64(appendI64(b, ps.Count), ps.Frac)
+	}
+	b = appendU64(b, uint64(len(rm.Iters)))
+	for i := range rm.Iters {
+		st := &rm.Iters[i]
+		b = appendI64(appendI64(b, int64(st.Iter)), st.Tasks)
+		b = appendF64(appendF64(b, st.Start), st.End)
+		b = appendU64(b, uint64(len(st.Places)))
+		for _, pc := range st.Places {
+			b = appendI64(appendI64(b, int64(pc.ID)), pc.N)
+		}
+	}
+	rm.digest = sha256.Sum256(b)
+	return b
+}
+
+func appendU64(b []byte, v uint64) []byte  { return binary.LittleEndian.AppendUint64(b, v) }
+func appendI64(b []byte, v int64) []byte   { return appendU64(b, uint64(v)) }
+func appendF64(b []byte, v float64) []byte { return appendU64(b, math.Float64bits(v)) }
+func appendStr(b []byte, s string) []byte  { return append(appendU64(b, uint64(len(s))), s...) }
+
+// topoString names the platform; a nil one reads as fmt prints a nil Stringer.
+func topoString(t *topology.Platform) string {
+	if t == nil {
+		return "<nil>"
+	}
+	return t.String()
+}
+
+// FingerprintText spells out, bit-exactly, what Fingerprint hashes: the debug
+// form (GET /v1/results/{hash}/fingerprint) for when two digests differ and
+// the question is where — and the engine's cross-commit contract: the golden
+// literals in golden_test.go hash this text, so they move only with the
+// engine's behaviour, never with the digest's encoding. strconv appends, not
+// fmt: a 21-cell grid is half a megabyte of it.
+func (r *Result) FingerprintText() string { return string(r.appendFingerprint(nil)) }
 
 func (r *Result) appendFingerprint(b []byte) []byte {
 	b = append(append(b, "scenario="...), r.Name...)
-	b = append(b, " topo="...)
-	if r.Topo == nil {
-		b = append(b, "<nil>"...) // what fmt prints for a nil Stringer
-	} else {
-		b = append(b, r.Topo.String()...)
-	}
+	b = append(append(b, " topo="...), topoString(r.Topo)...)
 	b = append(b, '\n')
 	for pi, p := range r.Policies {
 		for xi, pt := range r.Points {

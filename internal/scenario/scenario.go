@@ -350,6 +350,11 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
+// MaxGridCells bounds a spec's grid, policies × points × reps. A plan holds
+// every cell of it, so without the bound one integer in a request sizes an
+// allocation in the daemon.
+const MaxGridCells = 1 << 20
+
 // Validate checks the spec without running it. It is called by Run; call it
 // directly to fail fast when assembling spec tables.
 func (s Spec) Validate() error {
@@ -395,6 +400,10 @@ func (s Spec) Validate() error {
 		if pt.Alpha < 0 || pt.Alpha > 1 {
 			return fmt.Errorf("scenario %q: point %q alpha %v outside [0, 1]", s.Name, pt.Label, pt.Alpha)
 		}
+	}
+	if np, nx := len(s.Policies), len(s.Points); nx > MaxGridCells/np || s.Reps > MaxGridCells/(np*nx) {
+		return fmt.Errorf("scenario %q: grid of %d policies × %d points × %d reps exceeds the limit of %d cells",
+			s.Name, np, nx, s.Reps, MaxGridCells)
 	}
 	known := false
 	for _, k := range workloadKinds {

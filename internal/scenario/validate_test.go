@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -23,6 +24,11 @@ func TestValidateOK(t *testing.T) {
 	if err := okSpec().Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
+	full := okSpec()
+	full.Policies, full.Points, full.Reps = []core.Policy{core.RWS(), core.DAMC()}, ParallelismPoints(2, 4), MaxGridCells/4
+	if err := full.Validate(); err != nil {
+		t.Fatalf("a grid of exactly MaxGridCells cells rejected: %v", err)
+	}
 }
 
 func TestValidateErrors(t *testing.T) {
@@ -42,6 +48,17 @@ func TestValidateErrors(t *testing.T) {
 			}}}
 		}, "does not divide"},
 		{"negative reps", func(s *Spec) { s.Reps = -1 }, "negative repetitions"},
+		{"grid one cell over the limit", func(s *Spec) { s.Reps = MaxGridCells + 1 },
+			"1 policies × 1 points × 1048577 reps exceeds the limit of 1048576 cells"},
+		{"grid over the limit by product", func(s *Spec) {
+			s.Policies = []core.Policy{core.RWS(), core.DAMC()}
+			s.Points = ParallelismPoints(2, 4)
+			s.Reps = MaxGridCells/4 + 1
+		}, "2 policies × 2 points × 262145 reps exceeds the limit"},
+		{"grid product overflows", func(s *Spec) {
+			s.Policies = core.All()
+			s.Reps = math.MaxInt
+		}, "exceeds the limit of 1048576 cells"},
 		{"alpha out of range", func(s *Spec) { s.Alpha = 1.5 }, "outside [0, 1]"},
 		{"empty point label", func(s *Spec) { s.Points = []Point{{}} }, "empty label"},
 		{"duplicate point label", func(s *Spec) {

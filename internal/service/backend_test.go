@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -73,6 +74,47 @@ func TestPartialOverlapReusesCells(t *testing.T) {
 	stats := m.Stats()
 	if stats.CellHits != cellsA || stats.CellMisses != cellsA+delta {
 		t.Errorf("stats count %d hits / %d misses, want %d / %d", stats.CellHits, stats.CellMisses, cellsA, cellsA+delta)
+	}
+}
+
+// TestShardReplyDigestIsIgnored: a cell's digest does not cross the wire. The
+// worker's reply names none, and a reply doctored to carry one — as a peer
+// with another idea of the encoding might — is decoded as if it did not: the
+// coordinator seals what it decodes, and the job's fingerprint is the direct
+// run's.
+func TestShardReplyDigestIsIgnored(t *testing.T) {
+	worker := NewManager(Config{Workers: 2}).Handler(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		worker.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		if r.URL.Path == "/v1/shards" {
+			if bytes.Contains(bytes.ToLower(body), []byte("digest")) {
+				t.Errorf("a /v1/shards reply names a digest: %.300s", body)
+			}
+			bogus := `"metrics":{"digest":"` + strings.Repeat("AQ", 21) + `E=","Digest":[` + strings.Repeat("7,", 31) + `7],`
+			body = bytes.ReplaceAll(body, []byte(`"metrics":{`), []byte(bogus))
+		}
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(body)
+	}))
+	defer srv.Close()
+	coord := NewManager(Config{Workers: 1, ShardSize: 3})
+	coord.setBackends(NewRemoteBackend(srv.URL, 0))
+	j, _, err := coord.Submit(tinySpec(58))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	_, fp, _, err := j.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if coord.CellRuns() != 0 {
+		t.Errorf("coordinator simulated %d cells itself; every cell should have crossed the wire", coord.CellRuns())
+	}
+	if fp != scenario.MustRun(tinySpec(58)).Fingerprint() {
+		t.Error("fingerprint over doctored shard replies differs from the direct run's")
 	}
 }
 

@@ -11,6 +11,11 @@ package service
 //	GET  /v1/results/{hash}  → 200 Result, with a strong ETag (409 while
 //	                         still running, 422 for a failed job, 304 when
 //	                         If-None-Match names the ETag)
+//	GET  /v1/results/{hash}/fingerprint
+//	                         → 200 text/plain: every metric behind the
+//	                         result's fingerprint digest, spelled out
+//	                         (same 404/409/422; rendered per request —
+//	                         diff two of them to see where digests part)
 //	GET  /v1/families        → 200 [{name, desc}], sorted by name
 //	GET  /v1/healthz         → 200 {ok, stats, peers: per-peer breaker state}
 //	GET  /v1/jobs/{id}/trace → 200 Chrome-trace JSON (load in Perfetto)
@@ -39,9 +44,8 @@ package service
 // Every JSON body is compact (one line, no trailing newline; pipe it through
 // jq to read it), marshalled before the status line is written and sent
 // with its Content-Length, so a value that cannot be encoded is a 500, not
-// a 200 with an empty body. A result is bytes built once per job, after
-// "done" is published (Manager.document): a GET waits for that build at
-// most and then writes them.
+// a 200 with an empty body. A result is bytes built once, with the job
+// (resultDocument): under 1 KB, a GET writes them.
 //
 // /v1/shards is how one asymd node farms work to another (-peers): the
 // coordinator ships the canonical spec plus cell coordinates, the worker
@@ -53,6 +57,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -78,8 +83,9 @@ type SubmitRequest struct {
 }
 
 // ResultResponse is the GET /v1/results/{hash} body: the grid summary
-// plus the engine's bit-exact fingerprint (identical to what a direct
-// scenario.Run of the same spec produces). Nothing in it depends on the
+// plus the result's fingerprint — scenario.Result.Fingerprint, 64 hex
+// digits, identical to what a direct scenario.Run of the same spec
+// produces; compare it as an opaque string. Nothing in it depends on the
 // run that produced it — the run's duration is Status.ElapsedSec.
 type ResultResponse struct {
 	Hash        string      `json:"hash"`
@@ -112,6 +118,7 @@ func (m *Manager) Handler(logger *slog.Logger) http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", m.handleTrace)
 	mux.HandleFunc("GET /v1/jobs/{id}/cells/{i}/simtrace", m.handleSimTrace)
 	mux.HandleFunc("GET /v1/results/{hash}", m.handleResult)
+	mux.HandleFunc("GET /v1/results/{hash}/fingerprint", m.handleFingerprintText)
 	mux.HandleFunc("POST /v1/shards", m.handleShards)
 	if !m.cfg.DisableMetrics {
 		mux.Handle("GET /metrics", m.reg.Handler())
@@ -238,24 +245,40 @@ func (m *Manager) handleSimTrace(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(b)
 }
 
-func (m *Manager) handleResult(w http.ResponseWriter, r *http.Request) {
+// doneJob resolves the {hash} of a result route to its finished job, or
+// answers 404 (unknown), 409 (not finished) or 422 (failed) and returns nil.
+func (m *Manager) doneJob(w http.ResponseWriter, r *http.Request) *Job {
 	job, ok := m.Job(r.PathValue("hash"))
 	if !ok {
 		writeError(w, http.StatusNotFound, errors.New("unknown result (evicted or never submitted)"))
-		return
+		return nil
 	}
 	switch job.State() {
 	case StateQueued, StateRunning:
 		writeJSON(w, http.StatusConflict, job.Snapshot())
-		return
+		return nil
 	case StateFailed:
-		_, _, _, err := job.Result()
-		writeError(w, http.StatusUnprocessableEntity, err)
+		writeError(w, http.StatusUnprocessableEntity, job.fperr)
+		return nil
+	}
+	return job
+}
+
+// handleFingerprintText renders the text behind a result's digest.
+func (m *Manager) handleFingerprintText(w http.ResponseWriter, r *http.Request) {
+	if job := m.doneJob(w, r); job != nil {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		_, _ = io.WriteString(w, job.result.FingerprintText())
+	}
+}
+
+func (m *Manager) handleResult(w http.ResponseWriter, r *http.Request) {
+	job := m.doneJob(w, r)
+	if job == nil {
 		return
 	}
-	doc, err := m.document(job)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+	if job.docErr != nil {
+		writeError(w, http.StatusInternalServerError, job.docErr)
 		return
 	}
 	// The document is a pure function of the spec hash, so the hash is its
@@ -266,7 +289,7 @@ func (m *Manager) handleResult(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	writeBody(w, http.StatusOK, doc)
+	writeBody(w, http.StatusOK, job.doc)
 }
 
 // handleShards serves the worker side of the shard API: re-plan the

@@ -14,10 +14,8 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"regexp"
-	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -233,6 +231,7 @@ func TestHTTPErrors(t *testing.T) {
 		"bad spec":       {`{"spec": {"workload": {"kind": "synthetic"}, "policies": ["SJF"]}}`, http.StatusBadRequest},
 		"invalid spec":   {`{"spec": {"workload": {"kind": "synthetic"}, "policies": []}}`, http.StatusBadRequest},
 		"negative size":  {`{"spec": {"workload": {"kind": "heatdist", "heat": {"nodes": 2, "blocks_per_node": -3}}, "policies": ["RWS"]}}`, http.StatusBadRequest},
+		"grid too large": {`{"spec":{"name":"x","platform":{"preset":"tx2"},"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":50}},"policies":["RWS"],"reps":1099511627776,"seed":1}}`, http.StatusBadRequest},
 		"unknown field":  {`{"famly": "burst-sweep"}`, http.StatusBadRequest},
 		"not json":       {`hello`, http.StatusBadRequest},
 	} {
@@ -246,6 +245,11 @@ func TestHTTPErrors(t *testing.T) {
 	}
 	if code := getJSON(t, srv.URL+"/v1/results/deadbeef", nil); code != http.StatusNotFound {
 		t.Errorf("unknown result: status %d, want 404", code)
+	}
+	// None of the bodies above may have cost the daemon its life ("grid too
+	// large" used to: accepted with 202, then out of memory in NewPlan).
+	if code := getJSON(t, srv.URL+"/v1/healthz", nil); code != http.StatusOK {
+		t.Errorf("healthz after the bad submissions: status %d, want 200", code)
 	}
 }
 
@@ -534,9 +538,11 @@ func checkResultDocument(t *testing.T, job *Job, served []byte) {
 // cacheDoneJob files a hand-built finished job, the way execute leaves one.
 func cacheDoneJob(m *Manager, hash string, res *scenario.Result) *Job {
 	j := &Job{Hash: hash, result: res, done: make(chan struct{}), created: time.Now()}
+	j.doc, j.docErr = resultDocument(hash, res)
 	j.state.Store(int32(StateDone))
 	close(j.done)
 	m.mu.Lock()
+	m.jobBytes += int64(len(j.doc))
 	m.cache.Add(hash, j)
 	m.mu.Unlock()
 	return j
@@ -641,22 +647,23 @@ func TestResultDocumentMatchesReference(t *testing.T) {
 }
 
 // TestResultGetIsAByteWrite: a GET of a finished job writes the kept bytes
-// — the same slice every time — under a strong ETag that turns a
-// conditional re-fetch into a 304, and what a GET allocates does not depend
-// on the document's size.
+// — the same slice every time, under 2 KB whatever the grid, because the
+// document carries a digest and not the fingerprint text — under a strong
+// ETag that turns a conditional re-fetch into a 304, and what a GET
+// allocates does not depend on the document.
 func TestResultGetIsAByteWrite(t *testing.T) {
 	m := NewManager(Config{})
 	h := quietHandler(m)
 	var perGet []float64
-	for _, family := range []string{"scaleout-32", "burst-sweep"} { // ≈ 119 KB and ≈ 520 KB
+	for _, family := range []string{"scaleout-32", "burst-sweep"} { // 8 and 21 cells; 119 KB and 520 KB of text
 		j, _, err := m.SubmitFamily(family, 0.05, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		waitDone(t, j)
 		first, second := getResult(h, j.Hash), getResult(h, j.Hash)
-		if first.code != http.StatusOK || len(first.body) < 100<<10 {
-			t.Fatalf("%s: status %d, %d bytes", family, first.code, len(first.body))
+		if first.code != http.StatusOK || len(first.body) == 0 || len(first.body) >= 2<<10 {
+			t.Fatalf("%s: status %d, %d bytes; want a document under 2 KB", family, first.code, len(first.body))
 		}
 		if &first.body[0] != &second.body[0] || len(first.body) != len(second.body) {
 			t.Errorf("%s: two GETs wrote different slices", family)
@@ -692,99 +699,13 @@ func TestResultGetIsAByteWrite(t *testing.T) {
 		}
 	}
 	if perGet[0] != perGet[1] || perGet[0] > 16 {
-		t.Errorf("a result GET allocates %.0f times for the small document and %.0f for the large one, want the same and <= 16", perGet[0], perGet[1])
+		t.Errorf("a result GET allocates %.0f times for the 8-cell job and %.0f for the 21-cell one, want the same and <= 16", perGet[0], perGet[1])
 	}
 }
 
-// TestConcurrentFirstGetsBuildOnce races eight first GETs against execute's
-// own build: whoever wins, there is one build, and everyone writes its
-// backing array.
-func TestConcurrentFirstGetsBuildOnce(t *testing.T) {
-	m := NewManager(Config{Workers: 2})
-	var builds atomic.Int32
-	m.marshal = func(v any) ([]byte, error) {
-		builds.Add(1)
-		return json.Marshal(v)
-	}
-	h := quietHandler(m)
-	for round := uint64(0); round < 10; round++ {
-		builds.Store(0)
-		j, _, err := m.Submit(tinySpec(900 + round))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([]*bodyWriter, 8)
-		var wg sync.WaitGroup
-		for i := range got {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j.State() != StateDone {
-					runtime.Gosched()
-				}
-				got[i] = getResult(h, j.Hash)
-			}()
-		}
-		wg.Wait()
-		doc, err := m.document(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, w := range got {
-			if w.code != http.StatusOK || len(w.body) != len(doc) || &w.body[0] != &doc[0] {
-				t.Fatalf("round %d: GET %d: status %d, %d bytes; want the job's own %d-byte document", round, i, w.code, len(w.body), len(doc))
-			}
-		}
-		if n := builds.Load(); n != 1 {
-			t.Fatalf("round %d: the document was built %d times, want 1", round, n)
-		}
-	}
-}
-
-// TestDoneIsPublishedBeforeTheDocument: the ordering contract of execute. A
-// build that takes forever delays neither the state nor Wait — only the
-// result GET, which waits for the build it shares.
-func TestDoneIsPublishedBeforeTheDocument(t *testing.T) {
-	m := NewManager(Config{Workers: 1})
-	entered, release := make(chan struct{}), make(chan struct{})
-	m.marshal = func(v any) ([]byte, error) {
-		close(entered)
-		<-release
-		return json.Marshal(v)
-	}
-	j, _, err := m.Submit(tinySpec(77))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := j.Wait(ctx); err != nil {
-		t.Fatalf("Wait is held up by the document build: %v", err)
-	}
-	if st := j.Snapshot(); st.State != "done" || st.ResultURL == "" {
-		t.Fatalf("status %+v while the document is being built, want done with a result URL", st)
-	}
-	if _, fp, _, err := j.Result(); err != nil || fp == "" {
-		t.Fatalf("Result while the document is being built: %v", err)
-	}
-	<-entered // execute reached the build, after both publications
-	h := quietHandler(m)
-	got := make(chan *bodyWriter)
-	go func() { got <- getResult(h, j.Hash) }()
-	select {
-	case w := <-got:
-		t.Fatalf("GET answered %d before the build finished", w.code)
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(release)
-	if w := <-got; w.code != http.StatusOK {
-		t.Fatalf("GET after the build: status %d", w.code)
-	}
-}
-
-// TestJobKeepsOneRendering: a cached job holds its result document and no
-// second rendering of the result — no string field of a Job is long enough
-// to be a fingerprint.
+// TestJobKeepsOneRendering: a cached job holds its result document — which
+// names the result by Job.Result's 64-hex fingerprint — and no rendering of
+// the fingerprint text: no string field of a Job is long enough to be one.
 func TestJobKeepsOneRendering(t *testing.T) {
 	m := NewManager(Config{})
 	j, _, err := m.SubmitFamily("scaleout-32", 0.05, nil)
@@ -792,19 +713,67 @@ func TestJobKeepsOneRendering(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, j)
-	doc, err := m.document(j)
-	if err != nil {
-		t.Fatal(err)
-	}
 	_, fp, _, _ := j.Result()
-	if len(doc) < len(fp) || !bytes.Contains(doc, []byte(`"fingerprint":"scenario=`)) {
-		t.Fatalf("the %d-byte document does not hold the %d-byte fingerprint", len(doc), len(fp))
+	if len(fp) != 64 || !bytes.Contains(j.doc, []byte(`"fingerprint":"`+fp+`"`)) {
+		t.Fatalf("the %d-byte document does not hold the fingerprint %q", len(j.doc), fp)
 	}
 	v := reflect.ValueOf(j).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		if f := v.Field(i); f.Kind() == reflect.String && f.Len() > 256 {
 			t.Errorf("Job.%s holds a %d-byte string beside the document", v.Type().Field(i).Name, f.Len())
 		}
+	}
+}
+
+// TestFingerprintTextRoute: GET /v1/results/{hash}/fingerprint spells the
+// digest out — the text a direct scenario.Run of the spec renders, as
+// text/plain — and answers for an unfinished, failed or unknown job what the
+// result route answers.
+func TestFingerprintTextRoute(t *testing.T) {
+	m := NewManager(Config{Workers: 1})
+	h := quietHandler(m)
+	get := func(hash string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/results/"+hash+"/fingerprint", nil))
+		return w
+	}
+	j, _, err := m.Submit(tinySpec(79))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	want := scenario.MustRun(tinySpec(79)).FingerprintText()
+	w := get(j.Hash)
+	if w.Code != http.StatusOK || !strings.HasPrefix(w.Header().Get("Content-Type"), "text/plain") {
+		t.Fatalf("status %d, Content-Type %q; want 200 text/plain", w.Code, w.Header().Get("Content-Type"))
+	}
+	if got := w.Body.String(); !strings.HasPrefix(got, "scenario=") || got != want {
+		t.Errorf("served text (%d bytes) is not the direct run's FingerprintText (%d bytes)", len(got), len(want))
+	}
+	if w := get("deadbeef"); w.Code != http.StatusNotFound {
+		t.Errorf("unknown job: status %d, want 404", w.Code)
+	}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	m.local.runCell = func(*scenario.Plan, *scenario.CellState, scenario.CellJob) (scenario.RunMetrics, error) {
+		close(entered)
+		<-release
+		return scenario.RunMetrics{}, errors.New("engine exploded")
+	}
+	spec := tinySpec(80)
+	spec.Policies, spec.Points = spec.Policies[:1], spec.Points[:1] // one cell: runCell runs once
+	j, _, err = m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	if w := get(j.Hash); w.Code != http.StatusConflict {
+		t.Errorf("running job: status %d, want 409", w.Code)
+	}
+	close(release)
+	waitDone(t, j)
+	if w := get(j.Hash); w.Code != http.StatusUnprocessableEntity || !strings.Contains(w.Body.String(), "engine exploded") {
+		t.Errorf("failed job: status %d, body %q; want 422 with the engine error", w.Code, w.Body)
 	}
 }
 
@@ -840,15 +809,14 @@ func TestUnencodableResultIs500(t *testing.T) {
 	m.local.runCell = func(*scenario.Plan, *scenario.CellState, scenario.CellJob) (scenario.RunMetrics, error) {
 		return scenario.RunMetrics{}, errors.New("engine exploded")
 	}
-	m.marshal = func(any) ([]byte, error) {
-		t.Error("a failed job built a result document")
-		return nil, errors.New("unreachable")
-	}
 	j, _, err := m.Submit(tinySpec(78))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, j)
+	if j.doc != nil || j.docErr != nil {
+		t.Error("a failed job built a result document")
+	}
 	if w := getResult(h, j.Hash); w.code != http.StatusUnprocessableEntity || !bytes.Contains(w.body, []byte("engine exploded")) {
 		t.Errorf("failed job: status %d, body %q; want 422 with the engine error", w.code, w.body)
 	}

@@ -65,10 +65,7 @@ func TestMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, j)
-	doc, err := m.document(j) // execute builds it after "done"; wait for that
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := j.doc
 	// Resubmit: an absorbed submission must move the absorbed counter.
 	if _, existing, err := m.Submit(tinySpec(71)); err != nil || !existing {
 		t.Fatalf("resubmit: existing=%v err=%v", existing, err)
@@ -134,8 +131,7 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		m.cache.onDrop(j)
-		j.docCounted = int64(len(doc))
-		m.jobBytes += j.docCounted
+		m.jobBytes += int64(len(j.doc))
 		m.mx.jobCacheBytes.Set(m.jobBytes)
 	}); allocs != 0 || m.mx.jobCacheBytes.Value() != int64(len(doc)) {
 		t.Errorf("a job-cache byte update allocates %.1f times and leaves %d, want 0 and %d", allocs, m.mx.jobCacheBytes.Value(), len(doc))
@@ -582,52 +578,51 @@ func TestTraceRetentionEvicts(t *testing.T) {
 }
 
 // TestJobCacheBytesTracksEviction: asymd_job_cache_bytes is the summed
-// document length of exactly the jobs the LRU holds — an evicted job takes
-// its bytes along, and a document built for a job that is no longer (or
-// never was) the cached one is not counted.
+// document length of exactly the jobs the LRU holds — an evicted or replaced
+// job takes its bytes along — and a full default cache of 21-cell jobs, the
+// 67 MB of the fingerprint-text days, stays under half a megabyte.
 func TestJobCacheBytesTracksEviction(t *testing.T) {
-	m := NewManager(Config{Workers: 1, CacheSize: 2})
-	var jobs []*Job
-	var lens []int64
-	for seed := uint64(61); seed < 64; seed++ {
-		j, _, err := m.SubmitFamily("burst-sweep", 0.001*float64(seed-59), &seed)
+	m := NewManager(Config{Workers: 1})
+	f, _ := scenario.Lookup("burst-sweep")
+	var last *Job
+	for i := 0; i < m.cfg.CacheSize+3; i++ {
+		spec := f.Spec(0.05) // one grid under many names: only the first job simulates
+		spec.Name = fmt.Sprintf("cache-bytes-%d", i)
+		j, _, err := m.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		waitDone(t, j)
-		doc, err := m.document(j)
-		if err != nil {
-			t.Fatal(err)
+		last = j
+	}
+	held := func() (sum int64, lens map[int]bool) {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		lens = map[int]bool{}
+		for _, h := range m.cache.Keys() {
+			j, _ := m.cache.Peek(h)
+			sum += int64(len(j.doc))
+			lens[len(j.doc)] = true
 		}
-		jobs, lens = append(jobs, j), append(lens, int64(len(doc)))
+		return sum, lens
 	}
-	if lens[0] == lens[1] && lens[1] == lens[2] {
-		t.Fatalf("the three documents are all %d bytes; the sums below would prove nothing", lens[0])
+	want, lens := held()
+	if len(lens) < 2 {
+		t.Fatalf("every cached document is the same length (%v); the sum below would prove little", lens)
 	}
-	if got := m.mx.jobCacheBytes.Value(); got != lens[1]+lens[2] {
-		t.Errorf("job bytes gauge = %d after an eviction, want %d (the two retained documents of %v)", got, lens[1]+lens[2], lens)
+	if got := m.mx.jobCacheBytes.Value(); got != want || m.mx.jobEvict.Value() != 3 {
+		t.Errorf("job bytes gauge = %d after %d evictions, want %d (the retained documents) after 3", got, m.mx.jobEvict.Value(), want)
 	}
-	if _, ok := m.Job(jobs[0].Hash); ok {
-		t.Fatal("the oldest job survived past capacity")
-	}
-
-	// A late build: the job left the cache (here: never entered it) before
-	// its document existed.
-	res, _, _, _ := jobs[2].Result()
-	late := &Job{Hash: jobs[2].Hash, result: res}
-	if _, err := m.document(late); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.mx.jobCacheBytes.Value(); got != lens[1]+lens[2] {
-		t.Errorf("job bytes gauge = %d after an uncached job built its document, want it unmoved at %d", got, lens[1]+lens[2])
+	if n := m.mx.jobEntries.Value(); n != int64(m.cfg.CacheSize) || want >= 512<<10 {
+		t.Errorf("%d cached 21-cell jobs hold %d document bytes, want a full cache of %d under 512 KB", n, want, m.cfg.CacheSize)
 	}
 
 	// Replacement under the key drops the old job's bytes.
 	m.mu.Lock()
-	m.cache.Add(late.Hash, late)
+	m.cache.Add(last.Hash, &Job{Hash: last.Hash})
 	m.mu.Unlock()
-	if m.jobBytes != lens[1] {
-		t.Errorf("job bytes = %d after jobs[2] was replaced by an uncounted job, want %d", m.jobBytes, lens[1])
+	if after, _ := held(); m.jobBytes != after || after != want-int64(len(last.doc)) {
+		t.Errorf("job bytes = %d after the newest job was replaced by one without a document, want %d", m.jobBytes, want-int64(len(last.doc)))
 	}
 }
 

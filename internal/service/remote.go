@@ -13,7 +13,9 @@ package service
 // cell hash, must be bumped when engine behavior changes). Metrics cross
 // the wire as plain JSON: Go encodes float64 with the shortest
 // representation that round-trips exactly, so merged fingerprints stay
-// bit-identical to an in-process run.
+// bit-identical to an in-process run. A cell's digest (RunMetrics.Seal) is
+// not on the wire — the coordinator re-seals what it decodes — so nodes that
+// predate the digest and nodes that have it serve each other.
 
 import (
 	"bytes"
@@ -211,6 +213,7 @@ func (r *remoteBackend) Execute(ctx context.Context, plan *scenario.Plan, cells 
 			return nil, fmt.Errorf("shard result %d has neither metrics nor error", i)
 		default:
 			out[i].Metrics = *cr.Metrics
+			out[i].Metrics.Seal() // the digest does not travel: recomputed here
 		}
 	}
 	return out, nil

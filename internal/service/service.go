@@ -114,14 +114,10 @@ type Job struct {
 	elapsed           time.Duration
 	started, finished time.Time
 
-	// doc is the GET /v1/results body of a done job, the one rendering of
-	// the result a job keeps, built once after "done" is published (see
-	// Manager.document). docCounted, guarded by the manager lock, is what
-	// asymd_job_cache_bytes currently includes of it.
-	docOnce    sync.Once
-	doc        []byte
-	docErr     error
-	docCounted int64
+	// doc is the GET /v1/results body of a done job (resultDocument), built
+	// with the job; docErr is why there is none.
+	doc    []byte
+	docErr error
 }
 
 // State returns the current lifecycle state.
@@ -143,8 +139,8 @@ func (j *Job) Wait(ctx context.Context) error {
 // Result returns the result, fingerprint and run duration of a completed
 // job; it errors if the job failed or has not finished. It gates on the
 // state, not on Done: the state is what Snapshot and the wire API report.
-// The fingerprint is rendered per call: a job keeps no copy of the text
-// beside its result document.
+// The fingerprint is Result.Fingerprint, hashed per call from the cells'
+// sealed digests.
 func (j *Job) Result() (*scenario.Result, string, time.Duration, error) {
 	if st := j.State(); st != StateDone && st != StateFailed {
 		return nil, "", 0, fmt.Errorf("service: job %s is %s", j.Hash, st)
@@ -323,10 +319,6 @@ type Manager struct {
 	reg *obs.Registry
 	mx  *serviceMetrics
 
-	// marshal encodes a result document (json.Marshal); tests substitute it
-	// to make the build slow.
-	marshal func(any) ([]byte, error)
-
 	mu       sync.Mutex
 	inflight map[string]*Job                // queued/running, by spec hash
 	cache    *lruCache[*Job]                // done/failed jobs, by spec hash
@@ -334,7 +326,7 @@ type Manager struct {
 	// cellBytes is the summed SizeBytes of the cached cells (the
 	// asymd_cell_cache_bytes gauge), kept by bankCells and cells.onDrop;
 	// jobBytes the summed document length of the cached jobs
-	// (asymd_job_cache_bytes), kept by document and cache.onDrop.
+	// (asymd_job_cache_bytes), kept by execute and cache.onDrop.
 	cellBytes int64
 	jobBytes  int64
 	pending   map[string]*pendingCell   // cells being simulated, by cell hash
@@ -361,7 +353,6 @@ func NewManager(cfg Config) *Manager {
 		local:    local,
 		reg:      reg,
 		mx:       mx,
-		marshal:  json.Marshal,
 		now:      time.Now,
 		sleep:    sleepCtx,
 		rng:      xrand.New(0x4ea1),
@@ -371,10 +362,7 @@ func NewManager(cfg Config) *Manager {
 		pending:  make(map[string]*pendingCell),
 		plans:    newLRUCache[*scenario.Plan](planCacheSize),
 	}
-	m.cache.onDrop = func(j *Job) {
-		m.jobBytes -= j.docCounted
-		j.docCounted = 0
-	}
+	m.cache.onDrop = func(j *Job) { m.jobBytes -= int64(len(j.doc)) }
 	m.cells.onDrop = func(rm scenario.RunMetrics) { m.cellBytes -= rm.SizeBytes() }
 	if cfg.TraceRetention > 0 {
 		m.traces = newLRUCache[*trace.SpanSet](cfg.TraceRetention)
@@ -524,12 +512,14 @@ func (m *Manager) execute(j *Job) {
 		m.mx.jobsFailed.Inc()
 	} else {
 		j.result = res
+		j.doc, j.docErr = resultDocument(j.Hash, res)
 		j.state.Store(int32(StateDone))
 		m.mx.jobsDone.Inc()
 	}
 
 	m.mu.Lock()
 	delete(m.inflight, j.Hash)
+	m.jobBytes += int64(len(j.doc))
 	m.mx.jobEvict.Add(int64(m.cache.Add(j.Hash, j)))
 	m.mx.jobEntries.Set(int64(m.cache.Len()))
 	m.mx.jobCacheBytes.Set(m.jobBytes) // an eviction took its document along
@@ -544,53 +534,30 @@ func (m *Manager) execute(j *Job) {
 	}
 	m.mu.Unlock()
 	close(j.done)
-	// Ordering contract: "done" first, the document after. Nothing a poller
-	// waits for may sit between runJob and the two publications above — a
-	// millisecond there pushes the job past its client's next poll, which
-	// costs the client a whole poll cycle — while work placed here is hidden
-	// by the cycle the client is already in.
-	if err == nil {
-		_, _ = m.document(j)
-	}
 }
 
-// document returns the result document of a done job, building it on the
-// first call — execute's or a result GET's, whichever comes first; the
-// others wait for that build and share its bytes. It holds nothing that
-// differs between two runs of one spec (elapsed_sec lives on the status),
-// so it is a pure function of the job hash.
-func (m *Manager) document(j *Job) ([]byte, error) {
-	j.docOnce.Do(func() {
-		res := j.result
-		labels := make([]string, len(res.Points))
-		for i, pt := range res.Points {
-			labels[i] = pt.Label
-		}
-		doc, err := m.marshal(ResultResponse{
-			Hash:        j.Hash,
-			Name:        res.Name,
-			Topo:        res.Topo.String(),
-			Policies:    res.Policies,
-			Points:      labels,
-			Throughputs: res.Throughputs(),
-			Fingerprint: res.Fingerprint(),
-		})
-		if err != nil {
-			j.docErr = fmt.Errorf("service: job %s: encode result: %w", j.Hash, err)
-			return
-		}
-		j.doc = doc
-		m.mu.Lock()
-		// Only while this job is the cached one: an evicted job's late
-		// build must not count, nothing would ever subtract it.
-		if cur, ok := m.cache.Peek(j.Hash); ok && cur == j {
-			j.docCounted = int64(len(doc))
-			m.jobBytes += j.docCounted
-			m.mx.jobCacheBytes.Set(m.jobBytes)
-		}
-		m.mu.Unlock()
+// resultDocument encodes the GET /v1/results body of a finished job: a pure
+// function of the job hash (elapsed_sec lives on the status) and, carrying a
+// digest where it once carried the fingerprint text, under 1 KB — the only
+// reason execute may build it before "done" is published (ROADMAP, traps).
+func resultDocument(hash string, res *scenario.Result) ([]byte, error) {
+	labels := make([]string, len(res.Points))
+	for i, pt := range res.Points {
+		labels[i] = pt.Label
+	}
+	doc, err := json.Marshal(ResultResponse{
+		Hash:        hash,
+		Name:        res.Name,
+		Topo:        res.Topo.String(),
+		Policies:    res.Policies,
+		Points:      labels,
+		Throughputs: res.Throughputs(),
+		Fingerprint: res.Fingerprint(),
 	})
-	return j.doc, j.docErr
+	if err != nil {
+		return nil, fmt.Errorf("service: job %s: encode result: %w", hash, err)
+	}
+	return doc, nil
 }
 
 // JobTrace returns a job's service-level span timeline: the live set for

@@ -8,7 +8,7 @@
 # PR that needs more room raises it on purpose, in the diff, where a reviewer
 # sees it.
 set -eu
-ceiling=15857
+ceiling=15935
 cd "$(dirname "$0")/.."
 n=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)
 echo "$n"

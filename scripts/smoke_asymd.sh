@@ -2,7 +2,7 @@
 # smoke_asymd.sh — build asymd and smoke two topologies:
 #
 #  1. single node: start on an ephemeral port, hit /v1/healthz, submit a
-#     tiny burst-sweep, poll to done, assert a non-empty fingerprint in a
+#     tiny burst-sweep, poll to done, assert a 64-hex fingerprint in a
 #     one-line result sent with Content-Length, a 304 for a conditional
 #     re-fetch, and a warm-cache resubmit;
 #  2. two nodes: start a worker and a coordinator peered to it
@@ -91,8 +91,13 @@ done
 [ "$STATE" = "done" ] || { echo "job stuck in state '$STATE'"; exit 1; }
 
 RESULT="$(curl -fsS "$BASE/v1/results/$JOB")"
-printf '%s' "$RESULT" | grep -q '"fingerprint": *"scenario=' \
-	|| { echo "empty or missing fingerprint in: $RESULT"; exit 1; }
+printf '%s' "$RESULT" | grep -Eq '"fingerprint": *"[0-9a-f]{64}"' \
+	|| { echo "no 64-hex fingerprint in: $RESULT"; exit 1; }
+# The digest spelled out, for when two of them differ.
+case "$(curl -fsS "$BASE/v1/results/$JOB/fingerprint")" in
+scenario=*) ;;
+*) echo "GET /v1/results/$JOB/fingerprint does not start 'scenario='"; exit 1 ;;
+esac
 
 # A result is one compact line sent with its length, under a strong ETag:
 # a conditional re-fetch answers 304 and no body.

@@ -16,7 +16,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
@@ -24,7 +23,6 @@ import (
 	"dynasym/internal/experiments"
 	"dynasym/internal/metrics"
 	"dynasym/internal/scenario"
-	"dynasym/internal/workloads"
 )
 
 func main() {
@@ -107,63 +105,13 @@ func main() {
 	}
 	for _, id := range ids {
 		start := time.Now()
-		res, err := run(id, experiments.Scale(*scale), *seed)
+		res, err := experiments.Run(id, experiments.Scale(*scale), *seed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "asymbench: %v\n", err)
 			os.Exit(1)
 		}
 		res.Render(os.Stdout)
 		fmt.Printf("(%s in %.1fs)\n\n", id, time.Since(start).Seconds())
-	}
-}
-
-func run(id string, scale experiments.Scale, seed uint64) (experiments.Renderer, error) {
-	switch id {
-	case "table1":
-		return experiments.Table1(), nil
-	case "fig4a":
-		return experiments.Fig4(experiments.Fig4Config{Kernel: workloads.MatMul, Scale: scale, Seed: seed}), nil
-	case "fig4b":
-		return experiments.Fig4(experiments.Fig4Config{Kernel: workloads.Copy, Scale: scale, Seed: seed}), nil
-	case "fig4c":
-		return experiments.Fig4(experiments.Fig4Config{Kernel: workloads.Stencil, Scale: scale, Seed: seed}), nil
-	case "fig5":
-		return experiments.Fig5(experiments.Fig5Config{Scale: scale, Seed: seed}), nil
-	case "fig6":
-		return experiments.Fig6(experiments.Fig5Config{Scale: scale, Seed: seed}), nil
-	case "fig7a":
-		return experiments.Fig7(experiments.Fig7Config{Kernel: workloads.MatMul, Scale: scale, Seed: seed}), nil
-	case "fig7b":
-		return experiments.Fig7(experiments.Fig7Config{Kernel: workloads.Copy, Scale: scale, Seed: seed}), nil
-	case "fig7c":
-		return experiments.Fig7(experiments.Fig7Config{Kernel: workloads.Stencil, Scale: scale, Seed: seed}), nil
-	case "fig8":
-		return experiments.Fig8(experiments.Fig8Config{Scale: scale, Seed: seed}), nil
-	case "fig9a", "fig9b", "fig9c":
-		res := experiments.Fig9(experiments.Fig9Config{Scale: scale, Seed: seed})
-		switch id {
-		case "fig9b":
-			return placesRenderer{res, "RWS"}, nil
-		case "fig9c":
-			return placesRenderer{res, "DAM-P"}, nil
-		}
-		return res, nil
-	case "fig10":
-		return experiments.Fig10(experiments.Fig10Config{Scale: scale, Seed: seed}), nil
-	case "ablation-alpha":
-		return experiments.AblationAlpha(experiments.AblationConfig{Scale: scale, Seed: seed}), nil
-	case "ablation-width":
-		return experiments.AblationWidth(experiments.AblationConfig{Scale: scale, Seed: seed}), nil
-	case "ablation-infer":
-		return experiments.AblationInfer(experiments.AblationConfig{Scale: scale, Seed: seed}), nil
-	case "ablation-steal", "ablation-wake", "ablation-dheft", "ablation-sampled":
-		return experiments.Ablation(experiments.AblationConfig{
-			Variant: strings.TrimPrefix(id, "ablation-"),
-			Scale:   scale,
-			Seed:    seed,
-		})
-	default:
-		return nil, fmt.Errorf("unknown experiment %q (try -list)", id)
 	}
 }
 
@@ -186,17 +134,5 @@ func explainResult(res *scenario.Result) {
 		}
 		fmt.Printf("\n## schedule report: %s\n", pol)
 		merged.WriteReport(os.Stdout)
-	}
-}
-
-// placesRenderer renders Figure 9b/c from a Fig9 result.
-type placesRenderer struct {
-	res    *experiments.Fig9Result
-	policy string
-}
-
-func (p placesRenderer) Render(w io.Writer) {
-	if err := p.res.RenderPlaces(w, p.policy); err != nil {
-		fmt.Fprintf(os.Stderr, "asymbench: %v\n", err)
 	}
 }

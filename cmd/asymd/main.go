@@ -33,7 +33,7 @@
 //	GET  /v1/families        registered scenario families (sorted by name)
 //	GET  /v1/healthz         liveness + counters
 //	GET  /v1/jobs/{id}/trace Perfetto-loadable Chrome trace of the job
-//	GET  /metrics            Prometheus text exposition (disable: -metrics=false)
+//	GET  /metrics            Prometheus text exposition
 //	GET  /debug/pprof/       net/http/pprof profiling (opt in: -pprof)
 //	POST /v1/shards          worker-facing: execute a batch of plan cells
 //
@@ -65,29 +65,17 @@ func main() {
 		shard     = flag.Int("shard", 16, "max cells per dispatched shard")
 		peers     = flag.String("peers", "", "comma-separated base URLs of peer asymd nodes to farm shards to")
 		shardTO   = flag.Duration("shard-timeout", 10*time.Minute, "max time for one remote shard attempt before failing over (<0 disables)")
-		dialTO    = flag.Duration("dial-timeout", 10*time.Second, "max time to connect to a peer before failing over")
 		retries   = flag.Int("shard-retries", 3, "retry budget: rounds over the backend fleet before a shard fails its job")
 		backoff   = flag.Duration("retry-backoff", 100*time.Millisecond, "base pause between shard retry rounds, doubling with jitter (<0 disables)")
 		failThr   = flag.Int("fail-threshold", 3, "consecutive transport failures before a peer is marked down")
 		probeBO   = flag.Duration("probe-backoff", time.Second, "initial down time before a down peer is re-probed, doubling with jitter")
 		drain     = flag.Duration("drain", 30*time.Second, "max time to drain in-flight jobs on shutdown")
-		jsonLog   = flag.Bool("json", false, "log JSON instead of text")
-		metrics   = flag.Bool("metrics", true, "serve the Prometheus registry at GET /metrics")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under GET /debug/pprof/")
-		traceKeep = flag.Int("trace-retention", 64, "finished job traces kept for GET /v1/jobs/{id}/trace (0 disables tracing)")
-		verbose   = flag.Bool("v", false, "log at debug level (includes /v1/healthz and /metrics scrapes)")
+		traceKeep = flag.Int("trace-retention", 64, "trace cache capacity (finished job traces, rendered cell sim traces)")
 	)
 	flag.Parse()
 
-	logOpts := &slog.HandlerOptions{}
-	if *verbose {
-		logOpts.Level = slog.LevelDebug
-	}
-	var handler slog.Handler = slog.NewTextHandler(os.Stdout, logOpts)
-	if *jsonLog {
-		handler = slog.NewJSONHandler(os.Stdout, logOpts)
-	}
-	logger := slog.New(handler)
+	logger := slog.New(slog.NewTextHandler(os.Stdout, nil))
 
 	// Cache and shard capacities have no meaningful zero or negative
 	// configuration — "-cache 0" used to be coerced to the default
@@ -96,27 +84,18 @@ func main() {
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"cache", *cache}, {"cellcache", *cellCache}, {"shard", *shard}, {"shard-retries", *retries}, {"fail-threshold", *failThr}} {
+	}{{"cache", *cache}, {"cellcache", *cellCache}, {"shard", *shard}, {"shard-retries", *retries}, {"fail-threshold", *failThr}, {"trace-retention", *traceKeep}} {
 		if f.v <= 0 {
 			logger.Error("flag value must be positive", "flag", "-"+f.name, "value", f.v)
 			os.Exit(2)
 		}
 	}
-	for _, f := range []struct {
-		name string
-		v    time.Duration
-	}{{"dial-timeout", *dialTO}, {"probe-backoff", *probeBO}} {
-		if f.v <= 0 {
-			logger.Error("flag value must be a positive duration", "flag", "-"+f.name, "value", f.v.String())
-			os.Exit(2)
-		}
+	if *probeBO <= 0 {
+		logger.Error("flag value must be a positive duration", "flag", "-probe-backoff", "value", probeBO.String())
+		os.Exit(2)
 	}
 	if *workers < 0 {
 		logger.Error("flag value must be non-negative (0 = GOMAXPROCS)", "flag", "-workers", "value", *workers)
-		os.Exit(2)
-	}
-	if *traceKeep < 0 {
-		logger.Error("flag value must be non-negative (0 = disable tracing)", "flag", "-trace-retention", "value", *traceKeep)
 		os.Exit(2)
 	}
 
@@ -133,13 +112,6 @@ func main() {
 		peerURLs = append(peerURLs, p)
 	}
 
-	// Config reserves negative TraceRetention for "disabled" so its zero
-	// value keeps the default; the flag uses the friendlier 0.
-	traceRetention := *traceKeep
-	if traceRetention == 0 {
-		traceRetention = -1
-	}
-
 	mgr := service.NewManager(service.Config{
 		Workers:        *workers,
 		CacheSize:      *cache,
@@ -147,13 +119,11 @@ func main() {
 		ShardSize:      *shard,
 		Peers:          peerURLs,
 		ShardTimeout:   *shardTO,
-		DialTimeout:    *dialTO,
 		ShardRetries:   *retries,
 		RetryBackoff:   *backoff,
 		FailThreshold:  *failThr,
 		ProbeBackoff:   *probeBO,
-		TraceRetention: traceRetention,
-		DisableMetrics: !*metrics,
+		TraceRetention: *traceKeep,
 		EnablePprof:    *pprofOn,
 	})
 
@@ -170,7 +140,7 @@ func main() {
 	}
 	logger.Info("asymd listening", "addr", ln.Addr().String(), "workers", *workers,
 		"cache", *cache, "cellcache", *cellCache, "shard", *shard, "peers", len(peerURLs),
-		"metrics", *metrics, "pprof", *pprofOn, "trace_retention", *traceKeep)
+		"pprof", *pprofOn, "trace_retention", *traceKeep)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

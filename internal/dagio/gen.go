@@ -112,6 +112,23 @@ func (c GenConfig) Validate() error {
 	return nil
 }
 
+// Tasks returns how many tasks the filled config's graph has, as a float64
+// so that no config overflows it: callers bound the count before Graph
+// allocates anything.
+func (c GenConfig) Tasks() float64 {
+	t, l, w := float64(c.Tiles), float64(c.Layers), float64(c.Width)
+	switch c.Model {
+	case ModelCholesky:
+		return t * (t + 1) * (t + 2) / 6
+	case ModelLU:
+		return t * (t + 1) * (2*t + 1) / 6
+	case ModelForkJoin:
+		return l * (w + 2)
+	default: // ModelRandomLayered
+		return l * w
+	}
+}
+
 func modelList() string {
 	return strings.Join(Models(), ", ")
 }

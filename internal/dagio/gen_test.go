@@ -143,3 +143,20 @@ func TestGenConfigValidate(t *testing.T) {
 		}
 	}
 }
+
+// Tasks must count what the generators emit: scenario.MaxCellTasks is
+// checked against it before any graph exists.
+func TestGenConfigTasksMatchesGraph(t *testing.T) {
+	for _, c := range []GenConfig{
+		{Model: ModelCholesky, Tiles: 7}, {Model: ModelLU, Tiles: 7},
+		{Model: ModelForkJoin, Layers: 5, Width: 3}, {Model: ModelRandomLayered, Layers: 5, Width: 3},
+	} {
+		g, err := c.Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Defaults().Tasks(); got != float64(len(g.Nodes)) {
+			t.Errorf("%s: Tasks() = %v, the graph has %d nodes", c.Model, got, len(g.Nodes))
+		}
+	}
+}

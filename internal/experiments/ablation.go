@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"dynasym/internal/core"
 	"dynasym/internal/scenario"
@@ -36,10 +37,25 @@ func (p noWakePolicy) WakePlace(*core.Context) (int, bool) {
 // AblationConfig selects the variant set and reuses the Figure 4a scenario
 // (MatMul DAG, co-runner on Denver core 0).
 type AblationConfig struct {
-	Variant      string // "steal", "wake", "dheft", "alpha"
+	Variant      string // one of ablationVariants: "steal", "wake", "dheft", "sampled"
 	Parallelisms []int
 	Seed         uint64
 	Scale        Scale
+}
+
+// ablationVariants are the policy-set comparisons Ablation knows.
+var ablationVariants = []struct {
+	name, title string
+	policies    []core.Policy
+}{
+	{"steal", "Ablation: stealing of high-priority tasks re-enabled",
+		[]core.Policy{core.DAMC(), stealablePolicy{core.DAMC()}, core.DAMP(), stealablePolicy{core.DAMP()}}},
+	{"wake", "Ablation: wake-time routing disabled (dispatch-only placement)",
+		[]core.Policy{core.DAMC(), noWakePolicy{core.DAMC()}, core.DA(), noWakePolicy{core.DA()}}},
+	{"dheft", "Ablation: dHEFT earliest-finish-time baseline",
+		[]core.Policy{core.RWS(), core.DHEFT(), core.DA(), core.DAMC()}},
+	{"sampled", "Ablation: sampled global search (the paper's scalability future work)",
+		[]core.Policy{core.DAMC(), core.NewSampled(core.DAMC(), 4), core.NewSampled(core.DAMC(), 16)}},
 }
 
 // Ablation runs the selected variant comparison.
@@ -47,47 +63,36 @@ func Ablation(cfg AblationConfig) (*ThroughputGrid, error) {
 	if len(cfg.Parallelisms) == 0 {
 		cfg.Parallelisms = []int{2, 4, 6}
 	}
-	var policies []core.Policy
-	title := ""
-	switch cfg.Variant {
-	case "steal":
-		policies = []core.Policy{core.DAMC(), stealablePolicy{core.DAMC()}, core.DAMP(), stealablePolicy{core.DAMP()}}
-		title = "Ablation: stealing of high-priority tasks re-enabled"
-	case "wake":
-		policies = []core.Policy{core.DAMC(), noWakePolicy{core.DAMC()}, core.DA(), noWakePolicy{core.DA()}}
-		title = "Ablation: wake-time routing disabled (dispatch-only placement)"
-	case "dheft":
-		policies = []core.Policy{core.RWS(), core.DHEFT(), core.DA(), core.DAMC()}
-		title = "Ablation: dHEFT earliest-finish-time baseline"
-	case "sampled":
-		policies = []core.Policy{core.DAMC(), core.NewSampled(core.DAMC(), 4), core.NewSampled(core.DAMC(), 16)}
-		title = "Ablation: sampled global search (the paper's scalability future work)"
-	default:
-		return nil, fmt.Errorf("experiments: unknown ablation variant %q (want steal|wake|dheft|alpha)", cfg.Variant)
+	var names []string
+	for _, v := range ablationVariants {
+		if v.name == cfg.Variant {
+			grid := Fig4(SweepConfig{
+				Kernel:       workloads.MatMul,
+				Parallelisms: cfg.Parallelisms,
+				Policies:     v.policies,
+				Seed:         cfg.Seed,
+				Scale:        cfg.Scale,
+			})
+			grid.Title = v.title
+			return grid, nil
+		}
+		names = append(names, v.name)
 	}
-	grid := Fig4(Fig4Config{
-		Kernel:       workloads.MatMul,
-		Parallelisms: cfg.Parallelisms,
-		Policies:     policies,
-		Seed:         cfg.Seed,
-		Scale:        cfg.Scale,
-	})
-	grid.Title = title
-	return grid, nil
+	return nil, fmt.Errorf("experiments: unknown ablation variant %q (want %s)", cfg.Variant, strings.Join(names, "|"))
 }
 
 // AblationAlpha sweeps the PTT weight under DVFS (complementing Figure 8's
 // co-run sweep): adaptation speed matters most when conditions flip every
 // five seconds. The sweep is the Figure 7 scenario with one point per
 // alpha.
-func AblationAlpha(cfg AblationConfig) *AlphaResult {
+func AblationAlpha(scale Scale, seed uint64) *AlphaResult {
 	alphas := []float64{1.0 / 5, 2.0 / 5, 3.0 / 5, 4.0 / 5, 1.0}
-	spec := Fig7Config{
+	spec := SweepConfig{
 		Kernel:   workloads.MatMul,
 		Policies: []core.Policy{core.DAMC()},
-		Seed:     cfg.Seed,
-		Scale:    cfg.Scale,
-	}.defaults().spec()
+		Seed:     seed,
+		Scale:    scale,
+	}.fig7Spec()
 	spec.Name = "ablation-alpha"
 	spec.Points = nil
 	for _, alpha := range alphas {
@@ -128,9 +133,6 @@ func AblationInfer(cfg AblationConfig) *ThroughputGrid {
 	if len(cfg.Parallelisms) == 0 {
 		cfg.Parallelisms = []int{2, 4}
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 42
-	}
 	grid := &ThroughputGrid{
 		Title:    "Ablation: user-annotated vs inferred vs absent criticality (DAM-C, MatMul co-run)",
 		XLabel:   "P",
@@ -139,13 +141,13 @@ func AblationInfer(cfg AblationConfig) *ThroughputGrid {
 		Tput:     make([][]float64, 3),
 	}
 	variants := []string{scenario.CritUser, scenario.CritInferred, scenario.CritNone}
-	base := Fig4Config{
+	base := SweepConfig{
 		Kernel:       workloads.MatMul,
 		Parallelisms: cfg.Parallelisms,
 		Policies:     []core.Policy{core.DAMC()},
 		Seed:         cfg.Seed,
 		Scale:        cfg.Scale,
-	}.defaults().spec()
+	}.fig4Spec()
 	for row, variant := range variants {
 		spec := base
 		spec.Name = "ablation-infer-" + grid.Policies[row]
@@ -158,7 +160,7 @@ func AblationInfer(cfg AblationConfig) *ThroughputGrid {
 // AblationWidth compares the full TX2 against a width-capped TX2 (all
 // widths forced to 1) under DVFS at low parallelism, quantifying the
 // moldability contribution in isolation.
-func AblationWidth(cfg AblationConfig) *ThroughputGrid {
+func AblationWidth(scale Scale, seed uint64) *ThroughputGrid {
 	pols := []core.Policy{core.DA(), core.DAMP()}
 	grid := &ThroughputGrid{
 		Title:    "Ablation: moldability disabled via width-1 platform (Stencil, DVFS)",
@@ -167,7 +169,7 @@ func AblationWidth(cfg AblationConfig) *ThroughputGrid {
 		Policies: []string{"DA/w1", "DAM-P/w1", "DA", "DAM-P"},
 	}
 	wcfg := workloads.SyntheticConfig{Kernel: workloads.Stencil}.Defaults()
-	wcfg.Tasks = cfg.Scale.Apply(wcfg.Tasks, 600)
+	wcfg.Tasks = scale.tasks(wcfg.Tasks, 600)
 	for _, widthCap := range []int{1, 0} {
 		sres := scenario.MustRun(scenario.Spec{
 			Name:     fmt.Sprintf("ablation-width-cap%d", widthCap),
@@ -176,7 +178,7 @@ func AblationWidth(cfg AblationConfig) *ThroughputGrid {
 			Disturb:  []scenario.Disturbance{scenario.PaperDVFS(0)},
 			Policies: pols,
 			Points:   scenario.ParallelismPoints(grid.X...),
-			Seed:     cfg.Seed + 7,
+			Seed:     seed + 7,
 		})
 		grid.Tput = append(grid.Tput, sres.Throughputs()...)
 	}

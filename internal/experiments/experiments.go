@@ -4,7 +4,7 @@
 // scenario.Spec literal (platform, disturbances, workload, policy set,
 // sweep points), runs it, and reshapes the aggregated metrics into the
 // figure's result type. cmd/asymbench exposes the drivers on the command
-// line and the repository's benchmarks wrap them with testing.B.
+// line through this package's catalog (Names, Run).
 //
 // The experiment index lives in EXPERIMENTS.md ("Paper experiments") and
 // README.md maps the figures onto specs; expected shapes (who wins, by
@@ -18,37 +18,95 @@ import (
 	"strings"
 
 	"dynasym/internal/scenario"
+	"dynasym/internal/workloads"
 )
 
 // Scale shrinks an experiment: 1.0 is paper scale, smaller values reduce
 // task counts proportionally (minimum sizes keep results meaningful).
-// Benchmarks use 0.1 to keep iterations fast; the CLI defaults to 1.0.
+// Tests use 0.03–0.5 to stay fast; the CLI defaults to 1.0.
 type Scale float64
 
-// Apply scales a task count, keeping at least min.
-func (s Scale) Apply(n, min int) int {
-	if s <= 0 || s >= 1 {
-		return n
-	}
-	scaled := int(float64(n) * float64(s))
-	if scaled < min {
-		return min
-	}
-	return scaled
+// tasks scales a task count, keeping at least min.
+func (s Scale) tasks(n, min int) int { return scenario.ScaleTasks(n, float64(s), min) }
+
+// catalog is the one ordered list of experiments, in paper order: Names
+// and Run both read it, so an id that runs is an id that is listed.
+var catalog = []struct {
+	id  string
+	run func(scale Scale, seed uint64) (Renderer, error)
+}{
+	{"table1", noErr(func(Scale, uint64) *Table1Result { return Table1() })},
+	{"fig4a", sweep(Fig4, workloads.MatMul)},
+	{"fig4b", sweep(Fig4, workloads.Copy)},
+	{"fig4c", sweep(Fig4, workloads.Stencil)},
+	{"fig5", noErr(Fig5)},
+	{"fig6", noErr(Fig6)},
+	{"fig7a", sweep(Fig7, workloads.MatMul)},
+	{"fig7b", sweep(Fig7, workloads.Copy)},
+	{"fig7c", sweep(Fig7, workloads.Stencil)},
+	{"fig8", noErr(Fig8)},
+	{"fig9a", fig9("")},
+	{"fig9b", fig9("RWS")},
+	{"fig9c", fig9("DAM-P")},
+	{"fig10", noErr(Fig10)},
+	{"ablation-alpha", noErr(AblationAlpha)},
+	{"ablation-steal", ablation("steal")},
+	{"ablation-wake", ablation("wake")},
+	{"ablation-dheft", ablation("dheft")},
+	{"ablation-width", noErr(AblationWidth)},
+	{"ablation-sampled", ablation("sampled")},
+	{"ablation-infer", noErr(func(s Scale, seed uint64) *ThroughputGrid {
+		return AblationInfer(AblationConfig{Scale: s, Seed: seed})
+	})},
 }
 
-// Names of the built-in experiments, in paper order.
-func Names() []string {
-	return []string{
-		"table1",
-		"fig4a", "fig4b", "fig4c",
-		"fig5", "fig6",
-		"fig7a", "fig7b", "fig7c",
-		"fig8",
-		"fig9a", "fig9b", "fig9c",
-		"fig10",
-		"ablation-alpha", "ablation-steal", "ablation-dheft", "ablation-width", "ablation-sampled", "ablation-infer",
+// noErr adapts a driver that cannot fail to the catalog's signature.
+func noErr[R Renderer](f func(Scale, uint64) R) func(Scale, uint64) (Renderer, error) {
+	return func(s Scale, seed uint64) (Renderer, error) { return f(s, seed), nil }
+}
+
+// sweep runs Fig4 or Fig7 on one kernel.
+func sweep(fig func(SweepConfig) *ThroughputGrid, k workloads.KernelKind) func(Scale, uint64) (Renderer, error) {
+	return noErr(func(s Scale, seed uint64) *ThroughputGrid {
+		return fig(SweepConfig{Kernel: k, Scale: s, Seed: seed})
+	})
+}
+
+// fig9 renders the per-iteration times (Figure 9a) or, given a policy, its
+// per-place task counts (Figures 9b and 9c).
+func fig9(places string) func(Scale, uint64) (Renderer, error) {
+	return func(s Scale, seed uint64) (Renderer, error) {
+		res := Fig9(Fig9Config{Scale: s, Seed: seed})
+		if places == "" {
+			return res, nil
+		}
+		return placesRenderer{res, places}, nil
 	}
+}
+
+func ablation(variant string) func(Scale, uint64) (Renderer, error) {
+	return func(s Scale, seed uint64) (Renderer, error) {
+		return Ablation(AblationConfig{Variant: variant, Scale: s, Seed: seed})
+	}
+}
+
+// Names lists the built-in experiments, in paper order.
+func Names() []string {
+	out := make([]string, len(catalog))
+	for i, e := range catalog {
+		out[i] = e.id
+	}
+	return out
+}
+
+// Run runs the experiment with the given id (one of Names).
+func Run(id string, scale Scale, seed uint64) (Renderer, error) {
+	for _, e := range catalog {
+		if e.id == id {
+			return e.run(scale, seed)
+		}
+	}
+	return nil, fmt.Errorf("unknown experiment %q (known: %s)", id, strings.Join(Names(), ", "))
 }
 
 // Renderer is implemented by every experiment result.

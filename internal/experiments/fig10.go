@@ -9,58 +9,22 @@ import (
 	"dynasym/internal/workloads"
 )
 
-// Fig10Config parameterizes the distributed 2D Heat experiment
-// (Figure 10): four dual-socket 10-core nodes run the stencil with critical
-// boundary-exchange (MPI) tasks while a compute-bound interferer occupies
-// five cores of node 0's socket 0. The paper evaluates RWS, RWSM-C, DA,
-// DAM-C and DAM-P.
-type Fig10Config struct {
-	Policies []core.Policy
-	Seed     uint64
-	Scale    Scale
-	Share    float64
-	// Latency/Bandwidth describe the interconnect (defaults: 2 µs,
-	// 5 GB/s effective — FDR InfiniBand class).
-	Latency, Bandwidth float64
-	HD                 workloads.HeatDistConfig
-}
-
-func (c Fig10Config) defaults() Fig10Config {
-	if len(c.Policies) == 0 {
-		c.Policies = []core.Policy{core.RWS(), core.RWSMC(), core.DA(), core.DAMC(), core.DAMP()}
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if c.Share == 0 {
-		c.Share = 0.35
-	}
-	if c.Latency == 0 {
-		c.Latency = 2e-6
-	}
-	if c.Bandwidth == 0 {
-		c.Bandwidth = 5e9
-	}
-	return c
-}
-
-// spec assembles the distributed scenario: one runtime per Haswell node on
-// a shared clock and interconnect, the interferer on five cores of node
-// 0's socket 0 from `warmup` seconds onward (0 = the whole run).
-func (c Fig10Config) spec(name string, hdCfg workloads.HeatDistConfig, pols []core.Policy, warmup float64) scenario.Spec {
-	disturb := scenario.Disturbance{Kind: scenario.CoRunCPU, Node: 0, Cores: []int{0, 1, 2, 3, 4}, Share: c.Share}
+// fig10Spec assembles the distributed scenario: one runtime per Haswell
+// node on a shared clock and the engine's default interconnect, a
+// compute-bound interferer on five cores of node 0's socket 0 from `warmup`
+// seconds onward (0 = the whole run).
+func fig10Spec(name string, hdCfg workloads.HeatDistConfig, pols []core.Policy, seed uint64, warmup float64) scenario.Spec {
+	disturb := scenario.Disturbance{Kind: scenario.CoRunCPU, Node: 0, Cores: []int{0, 1, 2, 3, 4}, Share: 0.35}
 	if warmup > 0 {
 		disturb.From, disturb.To = warmup, 1e18
 	}
 	return scenario.Spec{
-		Name:      name,
-		Platform:  scenario.PlatformSpec{Preset: "haswell-node"},
-		Workload:  scenario.WorkloadSpec{Kind: scenario.HeatDist, Heat: hdCfg},
-		Disturb:   []scenario.Disturbance{disturb},
-		Policies:  pols,
-		Seed:      c.Seed,
-		Latency:   c.Latency,
-		Bandwidth: c.Bandwidth,
+		Name:     name,
+		Platform: scenario.PlatformSpec{Preset: "haswell-node"},
+		Workload: scenario.WorkloadSpec{Kind: scenario.HeatDist, Heat: hdCfg},
+		Disturb:  []scenario.Disturbance{disturb},
+		Policies: pols,
+		Seed:     seed,
 	}
 }
 
@@ -74,24 +38,25 @@ type Fig10Result struct {
 	Warmup float64
 }
 
-// Fig10 runs the distributed experiment through the scenario engine.
-func Fig10(cfg Fig10Config) *Fig10Result {
-	cfg = cfg.defaults()
-	hdCfg := cfg.HD.Defaults()
-	if cfg.Scale > 0 && cfg.Scale < 1 {
-		hdCfg.Iters = cfg.Scale.Apply(hdCfg.Iters, 10)
-	}
+// Fig10 runs the distributed 2D Heat experiment (Figure 10): four
+// dual-socket 10-core nodes run the stencil with critical boundary-exchange
+// (MPI) tasks while the interferer occupies node 0. The paper evaluates RWS,
+// RWSM-C, DA, DAM-C and DAM-P.
+func Fig10(scale Scale, seed uint64) *Fig10Result {
+	hdCfg := workloads.HeatDistConfig{}.Defaults()
+	hdCfg.Iters = scale.tasks(hdCfg.Iters, 10)
 	// Calibrate the iteration pace (DAM-C, a few iterations) so the
 	// co-runner can start after a training window, as in the paper ("the
 	// co-running application starts a few iterations after the start
 	// ensuring a reasonable window for training").
 	calibCfg := hdCfg
 	calibCfg.Iters = 10
-	calib := scenario.MustRun(cfg.spec("fig10-calibration", calibCfg, []core.Policy{core.DAMC()}, 0))
+	calib := scenario.MustRun(fig10Spec("fig10-calibration", calibCfg, []core.Policy{core.DAMC()}, seed, 0))
 	iterTime := calib.Cells[0][0].Run().Makespan / float64(calibCfg.Iters)
 	warmup := 8 * iterTime
 
-	sres := scenario.MustRun(cfg.spec("fig10", hdCfg, cfg.Policies, warmup))
+	pols := []core.Policy{core.RWS(), core.RWSMC(), core.DA(), core.DAMC(), core.DAMP()}
+	sres := scenario.MustRun(fig10Spec("fig10", hdCfg, pols, seed, warmup))
 	res := &Fig10Result{Policies: sres.Policies, Warmup: warmup}
 	for pi := range sres.Policies {
 		run := sres.Cells[pi][0].Run()

@@ -4,36 +4,10 @@ import (
 	"fmt"
 	"io"
 
-	"dynasym/internal/core"
 	"dynasym/internal/metrics"
 	"dynasym/internal/scenario"
 	"dynasym/internal/workloads"
 )
-
-// Fig5Config parameterizes the priority-task placement analysis
-// (Figure 5): the distribution of high-priority tasks over execution
-// places, per scheduler, for the MatMul DAG at parallelism 2 with the
-// co-runner on Denver core 0. Figure 6 (per-core work time) comes from the
-// same runs.
-type Fig5Config struct {
-	Policies []core.Policy
-	Seed     uint64
-	Scale    Scale
-	Share    float64
-}
-
-func (c Fig5Config) defaults() Fig5Config {
-	if len(c.Policies) == 0 {
-		c.Policies = core.All()
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if c.Share == 0 {
-		c.Share = 0.5
-	}
-	return c
-}
 
 // Fig5Result holds, per policy, the high-priority place histogram and the
 // per-core work times of the same run.
@@ -45,18 +19,18 @@ type Fig5Result struct {
 	Cores    int
 }
 
-// Fig5 runs the experiment: the Figure 4a scenario restricted to P=2, read
-// out as place histograms and per-core work times instead of throughput.
-func Fig5(cfg Fig5Config) *Fig5Result {
-	cfg = cfg.defaults()
-	spec := Fig4Config{
+// Fig5 runs the priority-task placement analysis (Figure 5): the
+// distribution of high-priority tasks over execution places, per scheduler,
+// for the MatMul DAG at parallelism 2 with the co-runner on Denver core 0 —
+// the Figure 4a scenario restricted to P=2, read out as place histograms
+// and per-core work times (Figure 6) instead of throughput.
+func Fig5(scale Scale, seed uint64) *Fig5Result {
+	spec := SweepConfig{
 		Kernel:       workloads.MatMul,
 		Parallelisms: []int{2},
-		Policies:     cfg.Policies,
-		Seed:         cfg.Seed,
-		Share:        cfg.Share,
-		Scale:        cfg.Scale,
-	}.defaults().spec()
+		Seed:         seed,
+		Scale:        scale,
+	}.fig4Spec()
 	spec.Name = "fig5"
 	sres := scenario.MustRun(spec)
 	res := &Fig5Result{Policies: sres.Policies, Cores: sres.Topo.NumCores()}
@@ -106,9 +80,9 @@ func (r *Fig5Result) Share(name string, leader int) float64 {
 // Fig6Result renders the per-core work time view of the Figure 5 runs.
 type Fig6Result struct{ *Fig5Result }
 
-// Fig6 runs (or reuses) the Figure 5 configuration and returns the
-// per-core work time result.
-func Fig6(cfg Fig5Config) *Fig6Result { return &Fig6Result{Fig5(cfg)} }
+// Fig6 runs the Figure 5 scenario and returns the per-core work time
+// result.
+func Fig6(scale Scale, seed uint64) *Fig6Result { return &Fig6Result{Fig5(scale, seed)} }
 
 // Render prints per-core cumulative kernel work time and the total
 // execution time per scheduler (the paper's Figure 6 bars).

@@ -3,77 +3,20 @@ package experiments
 import (
 	"fmt"
 
-	"dynasym/internal/core"
-	"dynasym/internal/interfere"
 	"dynasym/internal/scenario"
-	"dynasym/internal/workloads"
 )
 
-// Fig7Config parameterizes the DVFS experiment (Figure 7): the Denver
-// cluster's clock alternates between 2035 MHz and 345 MHz with a 10-second
-// period (5 s + 5 s) while the synthetic DAGs run; no co-runner.
-type Fig7Config struct {
-	Kernel       workloads.KernelKind
-	Parallelisms []int
-	Policies     []core.Policy
-	Seed         uint64
-	Scale        Scale
-	// HiHz/LoHz/HiDur/LoDur override the paper's DVFS wave when non-zero.
-	HiHz, LoHz    float64
-	HiDur, LoDur  float64
-	VictimCluster int
-}
-
-func (c Fig7Config) defaults() Fig7Config {
-	if len(c.Parallelisms) == 0 {
-		c.Parallelisms = []int{2, 3, 4, 5, 6}
-	}
-	if len(c.Policies) == 0 {
-		c.Policies = core.All()
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if c.HiHz == 0 {
-		c.HiHz = interfere.PaperHiHz
-	}
-	if c.LoHz == 0 {
-		c.LoHz = interfere.PaperLoHz
-	}
-	if c.HiDur == 0 {
-		c.HiDur = interfere.PaperHiDur
-	}
-	if c.LoDur == 0 {
-		c.LoDur = interfere.PaperLoDur
-	}
-	return c
-}
-
-// spec assembles the declarative scenario: TX2 with a DVFS square wave on
-// the victim cluster, swept over parallelism.
-func (c Fig7Config) spec() scenario.Spec {
-	wcfg := workloads.SyntheticConfig{Kernel: c.Kernel}.Defaults()
-	wcfg.Tasks = c.Scale.Apply(wcfg.Tasks, 600)
-	return scenario.Spec{
-		Name:     fmt.Sprintf("fig7-%s", c.Kernel),
-		Platform: scenario.PlatformSpec{Preset: "tx2"},
-		Workload: scenario.WorkloadSpec{Kind: scenario.Synthetic, Synthetic: wcfg},
-		Disturb: []scenario.Disturbance{{
-			Kind:    scenario.DVFS,
-			Cluster: c.VictimCluster,
-			HiHz:    c.HiHz, LoHz: c.LoHz,
-			HiDur: c.HiDur, LoDur: c.LoDur,
-		}},
-		Policies: c.Policies,
-		Points:   scenario.ParallelismPoints(c.Parallelisms...),
-		Seed:     c.Seed,
-	}
+// fig7Spec is the DVFS scenario (Figure 7): the Denver cluster's clock
+// alternates between 2035 MHz and 345 MHz with a 10-second period (5 s + 5 s)
+// while the synthetic DAGs run; no co-runner.
+func (c SweepConfig) fig7Spec() scenario.Spec {
+	return c.defaults().spec("fig7", scenario.PaperDVFS(0))
 }
 
 // Fig7 runs the DVFS experiment and returns the throughput grid.
-func Fig7(cfg Fig7Config) *ThroughputGrid {
+func Fig7(cfg SweepConfig) *ThroughputGrid {
 	cfg = cfg.defaults()
-	res := scenario.MustRun(cfg.spec())
+	res := scenario.MustRun(cfg.fig7Spec())
 	title := fmt.Sprintf("Figure 7 (%s): throughput under DVFS on the Denver cluster", cfg.Kernel)
 	return gridFrom(res, title, "P", cfg.Parallelisms)
 }

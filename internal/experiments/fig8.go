@@ -9,48 +9,6 @@ import (
 	"dynasym/internal/workloads"
 )
 
-// Fig8Config parameterizes the sensitivity analysis (Figure 8): MatMul DAG
-// throughput as a function of the PTT update weight (new-sample weight
-// alpha = 1/5 … 5/5) and the tile size (32, 64, 80, 96), under the same
-// core-0 co-runner as Figure 4. Short tasks (tile 32) are sensitive to
-// measurement outliers, so aggressive weights mis-steer the scheduler;
-// larger tiles are insensitive — that is the paper's justification for the
-// 1:4 weighted update.
-type Fig8Config struct {
-	Tiles    []int
-	Alphas   []float64
-	Policy   core.Policy
-	Seed     uint64
-	Scale    Scale
-	Share    float64
-	Parallel int
-}
-
-func (c Fig8Config) defaults() Fig8Config {
-	if len(c.Tiles) == 0 {
-		c.Tiles = []int{32, 64, 80, 96}
-	}
-	if len(c.Alphas) == 0 {
-		c.Alphas = []float64{1.0 / 5, 2.0 / 5, 3.0 / 5, 4.0 / 5, 1.0}
-	}
-	if c.Policy == nil {
-		c.Policy = core.DAMC()
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if c.Share == 0 {
-		c.Share = 0.5
-	}
-	if c.Parallel == 0 {
-		// Parallelism 2 keeps the run spine-bound, where critical-task
-		// placement flips caused by noisy measurements actually cost
-		// throughput (the paper's tile-32 sensitivity).
-		c.Parallel = 2
-	}
-	return c
-}
-
 // Fig8Result holds throughput per (tile, alpha).
 type Fig8Result struct {
 	Tiles  []int
@@ -59,36 +17,49 @@ type Fig8Result struct {
 	Tput [][]float64
 }
 
-// Fig8 runs the sensitivity sweep: one scenario whose points are the full
-// tile × alpha cross product.
-func Fig8(cfg Fig8Config) *Fig8Result {
-	cfg = cfg.defaults()
+// Fig8 runs the sensitivity analysis (Figure 8): MatMul DAG throughput under
+// DAM-C as a function of the PTT update weight (new-sample weight alpha =
+// 1/5 … 5/5) and the tile size (32, 64, 80, 96), under the same core-0
+// co-runner as Figure 4. Short tasks (tile 32) are sensitive to measurement
+// outliers, so aggressive weights mis-steer the scheduler; larger tiles are
+// insensitive — that is the paper's justification for the 1:4 weighted
+// update. It is one scenario whose points are the full tile × alpha cross
+// product.
+func Fig8(scale Scale, seed uint64) *Fig8Result {
+	res := &Fig8Result{
+		Tiles:  []int{32, 64, 80, 96},
+		Alphas: []float64{1.0 / 5, 2.0 / 5, 3.0 / 5, 4.0 / 5, 1.0},
+	}
 	label := func(tile int, alpha float64) string { return fmt.Sprintf("t%d/w%g", tile, alpha) }
 	var points []scenario.Point
-	for _, tile := range cfg.Tiles {
-		for _, alpha := range cfg.Alphas {
+	for _, tile := range res.Tiles {
+		for _, alpha := range res.Alphas {
 			points = append(points, scenario.Point{Label: label(tile, alpha), Tile: tile, Alpha: alpha})
 		}
 	}
+	policy := core.DAMC()
 	sres := scenario.MustRun(scenario.Spec{
 		Name:     "fig8",
 		Platform: scenario.PlatformSpec{Preset: "tx2"},
 		Workload: scenario.WorkloadSpec{Kind: scenario.Synthetic, Synthetic: workloads.SyntheticConfig{
-			Kernel:      workloads.MatMul,
-			Tasks:       cfg.Scale.Apply(32000, 600),
-			Parallelism: cfg.Parallel,
+			Kernel: workloads.MatMul,
+			Tasks:  scale.tasks(32000, 600),
+			// Parallelism 2 keeps the run spine-bound, where critical-task
+			// placement flips caused by noisy measurements actually cost
+			// throughput (the paper's tile-32 sensitivity).
+			Parallelism: 2,
 		}},
-		Disturb:  []scenario.Disturbance{{Kind: scenario.CoRunCPU, Cores: []int{0}, Share: cfg.Share}},
-		Policies: []core.Policy{cfg.Policy},
+		Disturb:  []scenario.Disturbance{{Kind: scenario.CoRunCPU, Cores: []int{0}, Share: coRunShare}},
+		Policies: []core.Policy{policy},
 		Points:   points,
-		Seed:     cfg.Seed,
+		Seed:     seed,
 	})
-	res := &Fig8Result{Tiles: cfg.Tiles, Alphas: cfg.Alphas, Tput: make([][]float64, len(cfg.Tiles))}
-	for i, tile := range cfg.Tiles {
-		res.Tput[i] = make([]float64, len(cfg.Alphas))
-		for j, alpha := range cfg.Alphas {
-			res.Tput[i][j] = sres.Cell(cfg.Policy.Name(), label(tile, alpha)).Run().Throughput
+	for _, tile := range res.Tiles {
+		row := make([]float64, len(res.Alphas))
+		for j, alpha := range res.Alphas {
+			row[j] = sres.Cell(policy.Name(), label(tile, alpha)).Run().Throughput
 		}
+		res.Tput = append(res.Tput, row)
 	}
 	return res
 }

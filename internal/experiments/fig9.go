@@ -17,30 +17,18 @@ import (
 // node, with a co-runner occupying socket 0 during iterations
 // [From, To). The paper's interference window is iterations 20–70 of 100.
 type Fig9Config struct {
-	Policies []core.Policy
 	Iters    int
 	From, To int
-	Share    float64
 	Seed     uint64
 	Scale    Scale
-	KM       workloads.KMeansConfig
 }
 
 func (c Fig9Config) defaults() Fig9Config {
-	if len(c.Policies) == 0 {
-		c.Policies = []core.Policy{core.RWS(), core.DAMC(), core.DAMP()}
-	}
 	if c.Iters == 0 {
 		c.Iters = 100
 	}
 	if c.To == 0 {
 		c.From, c.To = 20, 70
-	}
-	if c.Share == 0 {
-		c.Share = 0.5
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
 	}
 	return c
 }
@@ -79,13 +67,8 @@ func kmeansSpec(name string, kmCfg workloads.KMeansConfig, pols []core.Policy, s
 // by first calibrating the uninterfered iteration duration with DAM-C.
 func Fig9(cfg Fig9Config) *Fig9Result {
 	cfg = cfg.defaults()
-	kmCfg := cfg.KM
-	kmCfg.MaxIters = cfg.Iters
-	if cfg.Scale > 0 && cfg.Scale < 1 {
-		base := kmCfg.Defaults()
-		kmCfg = base
-		kmCfg.N = cfg.Scale.Apply(base.N, 1<<13)
-	}
+	kmCfg := workloads.KMeansConfig{MaxIters: cfg.Iters}.Defaults()
+	kmCfg.N = cfg.Scale.tasks(kmCfg.N, 1<<13)
 
 	// Calibration run: DAM-C, no interference.
 	calib := scenario.MustRun(kmeansSpec("fig9-calibration", kmCfg, []core.Policy{core.DAMC()}, cfg.Seed, nil))
@@ -101,12 +84,13 @@ func Fig9(cfg Fig9Config) *Fig9Result {
 		WindowTime:  [2]float64{float64(cfg.From) * avgIter, float64(cfg.To) * avgIter},
 		AvgIter:     avgIter,
 	}
-	// Main runs: the co-runner occupies all of socket 0 (cluster 0)
-	// during the calibrated window.
-	sres := scenario.MustRun(kmeansSpec("fig9", kmCfg, cfg.Policies, cfg.Seed, []scenario.Disturbance{{
+	// Main runs: the co-runner time-shares all of socket 0 (cluster 0)
+	// equally during the calibrated window.
+	pols := []core.Policy{core.RWS(), core.DAMC(), core.DAMP()}
+	sres := scenario.MustRun(kmeansSpec("fig9", kmCfg, pols, cfg.Seed, []scenario.Disturbance{{
 		Kind:    scenario.CoRunCPU,
 		Cluster: 0,
-		Share:   cfg.Share,
+		Share:   0.5,
 		From:    res.WindowTime[0],
 		To:      res.WindowTime[1],
 	}}))
@@ -224,6 +208,15 @@ func (r *Fig9Result) Render(w io.Writer) {
 		fmt.Fprintln(w)
 	}
 }
+
+// placesRenderer renders Figure 9b/c from a Fig9 result, for a policy of
+// Fig9's fixed set.
+type placesRenderer struct {
+	res    *Fig9Result
+	policy string
+}
+
+func (p placesRenderer) Render(w io.Writer) { _ = p.res.RenderPlaces(w, p.policy) }
 
 // RenderPlaces prints Figure 9b/c: per-iteration task counts per execution
 // place for the given policy.

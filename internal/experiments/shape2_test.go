@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"os"
+	"strings"
 	"testing"
 
 	"dynasym/internal/workloads"
@@ -35,7 +36,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	res := Fig5(Fig5Config{Scale: testScale})
+	res := Fig5(testScale, testSeed)
 	if testing.Verbose() {
 		res.Render(os.Stdout)
 	}
@@ -59,7 +60,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	res := Fig6(Fig5Config{Scale: testScale})
+	res := Fig6(testScale, testSeed)
 	if testing.Verbose() {
 		res.Render(os.Stdout)
 	}
@@ -74,7 +75,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	grid := Fig7(Fig7Config{Kernel: workloads.MatMul, Parallelisms: []int{2, 6}, Scale: testScale})
+	grid := Fig7(SweepConfig{Kernel: workloads.MatMul, Parallelisms: []int{2, 6}, Seed: testSeed, Scale: testScale})
 	if testing.Verbose() {
 		grid.Render(os.Stdout)
 	}
@@ -94,7 +95,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	res := Fig8(Fig8Config{Scale: testScale})
+	res := Fig8(testScale, testSeed)
 	if testing.Verbose() {
 		res.Render(os.Stdout)
 	}
@@ -117,7 +118,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestAblationSteal(t *testing.T) {
-	grid, err := Ablation(AblationConfig{Variant: "steal", Parallelisms: []int{2}, Scale: testScale})
+	grid, err := Ablation(AblationConfig{Variant: "steal", Parallelisms: []int{2}, Seed: testSeed, Scale: testScale})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestAblationSteal(t *testing.T) {
 }
 
 func TestAblationWake(t *testing.T) {
-	grid, err := Ablation(AblationConfig{Variant: "wake", Parallelisms: []int{2}, Scale: testScale})
+	grid, err := Ablation(AblationConfig{Variant: "wake", Parallelisms: []int{2}, Seed: testSeed, Scale: testScale})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestAblationWake(t *testing.T) {
 }
 
 func TestAblationDHEFT(t *testing.T) {
-	grid, err := Ablation(AblationConfig{Variant: "dheft", Parallelisms: []int{2}, Scale: testScale})
+	grid, err := Ablation(AblationConfig{Variant: "dheft", Parallelisms: []int{2}, Seed: testSeed, Scale: testScale})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,13 +165,47 @@ func TestAblationDHEFT(t *testing.T) {
 }
 
 func TestAblationUnknownVariant(t *testing.T) {
-	if _, err := Ablation(AblationConfig{Variant: "bogus"}); err == nil {
+	_, err := Ablation(AblationConfig{Variant: "bogus"})
+	if err == nil {
 		t.Fatal("unknown variant accepted")
+	}
+	if want := "(want steal|wake|dheft|sampled)"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not list the variants %s", err, want)
+	}
+}
+
+// Every catalog id renders a non-empty block, Names has no duplicate, and an
+// id outside the catalog is refused with the ids that exist.
+func TestEveryListedExperimentRuns(t *testing.T) {
+	seen := map[string]bool{}
+	for _, id := range Names() {
+		if seen[id] {
+			t.Errorf("Names lists %q twice", id)
+		}
+		seen[id] = true
+		res, err := Run(id, Scale(0.05), testSeed)
+		if err != nil {
+			t.Errorf("%s: %v", id, err)
+			continue
+		}
+		var buf bytes.Buffer
+		res.Render(&buf)
+		if len(bytes.Fields(buf.Bytes())) < 2 {
+			t.Errorf("%s rendered no table: %q", id, buf.String())
+		}
+	}
+	for _, v := range ablationVariants {
+		if !seen["ablation-"+v.name] {
+			t.Errorf("ablation variant %q is not in the catalog", v.name)
+		}
+	}
+	if _, err := Run("ablation-bogus", 1, testSeed); err == nil || !strings.Contains(err.Error(), "ablation-wake") {
+		t.Errorf("unknown id: error %v, want one listing the known ids", err)
 	}
 }
 
 func TestAblationAlphaRuns(t *testing.T) {
-	res := AblationAlpha(AblationConfig{Scale: Scale(0.03)})
+	res := AblationAlpha(Scale(0.03), testSeed)
 	if len(res.Tput) != 5 {
 		t.Fatalf("%d alpha points", len(res.Tput))
 	}
@@ -182,7 +217,7 @@ func TestAblationAlphaRuns(t *testing.T) {
 }
 
 func TestAblationWidthRuns(t *testing.T) {
-	grid := AblationWidth(AblationConfig{Scale: Scale(0.03)})
+	grid := AblationWidth(Scale(0.03), 0)
 	if testing.Verbose() {
 		grid.Render(os.Stdout)
 	}
@@ -192,7 +227,7 @@ func TestAblationWidthRuns(t *testing.T) {
 }
 
 func TestFig9Render(t *testing.T) {
-	res := Fig9(Fig9Config{Iters: 12, From: 4, To: 9, Scale: Scale(0.125)})
+	res := Fig9(Fig9Config{Iters: 12, From: 4, To: 9, Seed: testSeed, Scale: Scale(0.125)})
 	var buf bytes.Buffer
 	res.Render(&buf)
 	if buf.Len() == 0 {
@@ -207,23 +242,8 @@ func TestFig9Render(t *testing.T) {
 	}
 }
 
-func TestScaleApply(t *testing.T) {
-	if Scale(0).Apply(100, 10) != 100 {
-		t.Fatal("zero scale should be identity")
-	}
-	if Scale(1).Apply(100, 10) != 100 {
-		t.Fatal("unit scale should be identity")
-	}
-	if Scale(0.1).Apply(100, 10) != 10 {
-		t.Fatal("scaling wrong")
-	}
-	if Scale(0.01).Apply(100, 10) != 10 {
-		t.Fatal("minimum not applied")
-	}
-}
-
 func TestAblationInfer(t *testing.T) {
-	grid := AblationInfer(AblationConfig{Parallelisms: []int{2}, Scale: testScale})
+	grid := AblationInfer(AblationConfig{Parallelisms: []int{2}, Seed: testSeed, Scale: testScale})
 	if testing.Verbose() {
 		grid.Render(os.Stdout)
 	}

@@ -11,10 +11,13 @@ import (
 // (EXPERIMENTS.md, "Paper experiments") at reduced scale. Verbose runs also print the rendered
 // tables for eyeballing against the paper.
 
-const testScale = Scale(0.08)
+const (
+	testScale = Scale(0.08)
+	testSeed  = 42
+)
 
 func TestFig4aShape(t *testing.T) {
-	grid := Fig4(Fig4Config{Kernel: workloads.MatMul, Parallelisms: []int{2, 4, 6}, Scale: testScale})
+	grid := Fig4(SweepConfig{Kernel: workloads.MatMul, Parallelisms: []int{2, 4, 6}, Seed: testSeed, Scale: testScale})
 	if testing.Verbose() {
 		grid.Render(os.Stdout)
 	}
@@ -39,7 +42,7 @@ func TestFig4aShape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	res := Fig9(Fig9Config{Iters: 40, From: 10, To: 30, Scale: Scale(0.25)})
+	res := Fig9(Fig9Config{Iters: 40, From: 10, To: 30, Seed: testSeed, Scale: Scale(0.25)})
 	if testing.Verbose() {
 		res.Render(os.Stdout)
 	}
@@ -65,7 +68,7 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	res := Fig10(Fig10Config{Scale: Scale(0.5)})
+	res := Fig10(Scale(0.5), testSeed)
 	if testing.Verbose() {
 		res.Render(os.Stdout)
 	}

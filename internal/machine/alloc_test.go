@@ -45,17 +45,3 @@ func TestDurationAllocFreePeriodic(t *testing.T) {
 		t.Fatalf("Duration allocated %.1f allocs/run on periodic profiles, want 0", allocs)
 	}
 }
-
-// Mutating BytesPerCycle directly (without a Set* call) must still be
-// honored: Duration detects the stale cache and rebuilds.
-func TestDurationBytesPerCycleInvalidation(t *testing.T) {
-	_, m := newTX2()
-	c := Cost{Ops: 0, Bytes: 1e8}
-	pl := topology.Place{Leader: 0, Width: 1}
-	before := m.Duration(c, pl, 0, NoJitter)
-	m.BytesPerCycle = 0.001 // throttle the per-core streaming cap hard
-	after := m.Duration(c, pl, 0, NoJitter)
-	if after <= before {
-		t.Fatalf("BytesPerCycle change ignored: %g then %g", before, after)
-	}
-}

@@ -24,19 +24,16 @@
 // core, the two composed profiles every prediction needs:
 //
 //	rate(t) = clusterSpeed × freq(t) × avail(t)                  [ops/s]
-//	bw(t)   = min(membw(t)/clusterCores, BytesPerCycle×freq(t))
+//	bw(t)   = min(membw(t)/clusterCores, bytesPerCycle×freq(t))
 //	          × avail(t)                                         [bytes/s]
 //
 // Invalidation rules: SetClusterFreq and SetClusterBandwidth rebuild the
 // cache entries of every core in the cluster; SetCoreAvail rebuilds the one
-// core. The BytesPerCycle field is also folded into bw(t); because it is a
-// plain exported field, Duration additionally compares it against the value
-// the cache was built with and rebuilds everything when it changed. All
-// other tunables (Overhead, JitterRel, TimerRes, miss factors) are scalars
-// read directly on each call and need no invalidation. Configure the model
-// (Set*, field writes) strictly before sharing it between goroutines: the
-// rebuilds mutate the cache, and only a fully configured Model is safe for
-// concurrent readers.
+// core. Nothing else feeds the cache: the other inputs of the model are the
+// constants below, and JitterRel is a scalar the runtime reads per draw.
+// Configure the model (Set*) strictly before sharing it between goroutines:
+// the rebuilds mutate the cache, and only a fully configured Model is safe
+// for concurrent readers.
 //
 // # Sharing
 //
@@ -46,7 +43,7 @@
 // spec's disturbances, and every cell of the plan on every worker reads
 // that one instance concurrently (New keeps the struct off other objects'
 // cache lines for exactly that reason; see isolatedModel). Nothing may call
-// Set* or write a tunable on a Model a runtime has been handed.
+// Set* or write JitterRel on a Model a runtime has been handed.
 package machine
 
 import (
@@ -105,36 +102,38 @@ type Model struct {
 	// that cluster, bytes/s.
 	membw []*profile.Profile
 
-	// Overhead is the fixed per-task runtime cost (dequeue, place
-	// decision, AQ insertion) added to every task duration, in seconds.
-	// The paper reports ~1 µs for the PTT search on the TX2.
-	Overhead float64
 	// JitterRel is the relative standard deviation of multiplicative
 	// duration noise the runtime draws per execution.
 	JitterRel float64
-	// TimerRes is the standard deviation of the additive measurement
-	// noise on every execution (clock granularity, cache state, branch
-	// warm-up), in seconds. Short tasks are proportionally noisier —
-	// the effect behind the paper's tile-size sensitivity (Figure 8).
-	TimerRes float64
-	// BytesPerCycle caps one core's achievable DRAM bandwidth at
-	// BytesPerCycle × freq(t): at low DVFS frequencies even streaming
-	// kernels slow down because the core cannot issue enough outstanding
-	// misses. Zero disables the cap.
-	BytesPerCycle float64
-
-	// L1MissFactor, L2MissFactor, MemMissFactor scale Cost.Bytes when the
-	// per-core working-set share fits L1, fits L2, or fits nothing.
-	L1MissFactor  float64
-	L2MissFactor  float64
-	MemMissFactor float64
 
 	// rates caches the composed per-core profiles Duration consumes (see
-	// the package comment for the cache-invalidation rules). ratesBPC is
-	// the BytesPerCycle value the cache was built with.
-	rates    []memberRates
-	ratesBPC float64
+	// the package comment for the cache-invalidation rules).
+	rates []memberRates
 }
+
+// The model's scalars describe the modelled hardware, not an experiment, so
+// they are constants; typed, so arithmetic over them rounds as float64.
+const (
+	// overhead is the fixed per-task runtime cost (dequeue, place decision,
+	// AQ insertion) added to every task duration, in seconds. The paper
+	// reports ~1 µs for the PTT search on the TX2.
+	overhead float64 = 1e-6
+	// TimerRes is the standard deviation of the additive measurement noise
+	// the runtime draws on every execution (clock granularity, cache state,
+	// branch warm-up), in seconds. Short tasks are proportionally noisier —
+	// the effect behind the paper's tile-size sensitivity (Figure 8).
+	TimerRes float64 = 40e-6
+	// bytesPerCycle caps one core's achievable DRAM bandwidth at
+	// bytesPerCycle × freq(t): at low DVFS frequencies even streaming
+	// kernels slow down because the core cannot issue enough outstanding
+	// misses.
+	bytesPerCycle float64 = 2.5
+	// l1MissFactor, l2MissFactor, memMissFactor scale Cost.Bytes when the
+	// per-core working-set share fits L1, fits L2, or fits nothing.
+	l1MissFactor  float64 = 0.05
+	l2MissFactor  float64 = 0.30
+	memMissFactor float64 = 1.0
+)
 
 // memberRates holds one core's precomposed rate profiles. For constant
 // profiles the value is additionally denormalized into rateConst/bwConst
@@ -182,17 +181,12 @@ type isolatedModel struct {
 func New(topo *topology.Platform) *Model {
 	m := &new(isolatedModel).Model
 	*m = Model{
-		topo:          topo,
-		freq:          make([]*profile.Profile, topo.NumClusters()),
-		avail:         make([]*profile.Profile, topo.NumCores()),
-		membw:         make([]*profile.Profile, topo.NumClusters()),
-		Overhead:      1e-6,
-		JitterRel:     0.02,
-		TimerRes:      40e-6,
-		BytesPerCycle: 2.5,
-		L1MissFactor:  0.05,
-		L2MissFactor:  0.30,
-		MemMissFactor: 1.0,
+		topo:      topo,
+		freq:      make([]*profile.Profile, topo.NumClusters()),
+		avail:     make([]*profile.Profile, topo.NumCores()),
+		membw:     make([]*profile.Profile, topo.NumClusters()),
+		JitterRel: 0.02,
+		rates:     make([]memberRates, topo.NumCores()),
 	}
 	for i := 0; i < topo.NumClusters(); i++ {
 		c := topo.Cluster(i)
@@ -202,19 +196,10 @@ func New(topo *topology.Platform) *Model {
 	for i := 0; i < topo.NumCores(); i++ {
 		m.avail[i] = profile.Constant(1.0)
 	}
-	m.rebuildRates()
-	return m
-}
-
-// rebuildRates recomposes the cached profiles of every core.
-func (m *Model) rebuildRates() {
-	if m.rates == nil {
-		m.rates = make([]memberRates, m.topo.NumCores())
-	}
-	m.ratesBPC = m.BytesPerCycle
 	for core := range m.rates {
 		m.rebuildCore(core)
 	}
+	return m
 }
 
 // rebuildCore recomposes one core's cached profiles from the current freq,
@@ -222,10 +207,7 @@ func (m *Model) rebuildRates() {
 func (m *Model) rebuildCore(core int) {
 	ci := m.topo.ClusterOf(core)
 	cl := m.topo.Cluster(ci)
-	bwShare := m.membw[ci].Scale(1.0 / float64(cl.NumCores))
-	if m.BytesPerCycle > 0 {
-		bwShare = profile.Min2(bwShare, m.freq[ci].Scale(m.BytesPerCycle))
-	}
+	bwShare := profile.Min2(m.membw[ci].Scale(1.0/float64(cl.NumCores)), m.freq[ci].Scale(bytesPerCycle))
 	r := memberRates{
 		rate: profile.Mul(m.freq[ci], m.avail[core]).Scale(cl.Speed),
 		bw:   profile.Mul(bwShare, m.avail[core]),
@@ -281,20 +263,20 @@ func (m *Model) ClusterBandwidth(ci int) *profile.Profile { return m.membw[ci] }
 
 // missFactor returns the DRAM-traffic multiplier for a per-core working-set
 // share on the given cluster.
-func (m *Model) missFactor(wsShare float64, cl topology.Cluster, width int) float64 {
+func missFactor(wsShare float64, cl topology.Cluster, width int) float64 {
 	if wsShare <= 0 {
-		return m.MemMissFactor
+		return memMissFactor
 	}
 	if wsShare <= float64(cl.L1Bytes) {
-		return m.L1MissFactor
+		return l1MissFactor
 	}
 	// The L2 is shared: a place of width w can use the whole L2, other
 	// places contend. Credit the place with its proportional share.
 	l2Share := float64(cl.L2Bytes) * float64(width) / float64(cl.NumCores)
 	if wsShare*float64(width) <= l2Share || wsShare <= l2Share {
-		return m.L2MissFactor
+		return l2MissFactor
 	}
-	return m.MemMissFactor
+	return memMissFactor
 }
 
 // Duration returns the finish time of a task with cost c that starts at
@@ -307,12 +289,6 @@ func (m *Model) Duration(c Cost, pl topology.Place, start float64, j Jitter) flo
 	}
 	if j.Mul <= 0 {
 		panic("machine: Jitter.Mul must be positive (use NoJitter)")
-	}
-	if m.rates == nil || m.ratesBPC != m.BytesPerCycle {
-		// BytesPerCycle was written directly since the cache was built
-		// (or the Model was constructed without New). Configuration-phase
-		// only: see the package comment.
-		m.rebuildRates()
 	}
 	ci := m.topo.ClusterOf(pl.Leader)
 	cl := m.topo.Cluster(ci)
@@ -333,7 +309,7 @@ func (m *Model) Duration(c Cost, pl topology.Place, start float64, j Jitter) flo
 	// bw(t) profile: the place's proportional share of the cluster's
 	// bandwidth, capped by what one core can stream at the current
 	// frequency.
-	miss := m.missFactor((c.WorkingSet/w+c.SharedBytes)*1.0, cl, pl.Width)
+	miss := missFactor((c.WorkingSet/w+c.SharedBytes)*1.0, cl, pl.Width)
 	memBytesPerMember := (c.Bytes/w + c.SharedBytes) * miss
 
 	finish := start
@@ -371,7 +347,7 @@ func (m *Model) Duration(c Cost, pl topology.Place, start float64, j Jitter) flo
 
 	// Synchronization overhead grows with the tree depth of the barrier.
 	sync := c.SyncSeconds * log2ceil(pl.Width)
-	return finish + sync + m.Overhead + j.Add
+	return finish + sync + overhead + j.Add
 }
 
 // log2ceil returns ⌈log2(w)⌉ as a float64: the barrier-tree depth of a

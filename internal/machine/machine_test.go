@@ -92,8 +92,8 @@ func TestCacheFitDiscountsTraffic(t *testing.T) {
 		t.Fatalf("L1-resident %g not faster than DRAM-bound %g", ds, db)
 	}
 	ratio := db / ds
-	if math.Abs(ratio-1/m.L1MissFactor) > 0.4/m.L1MissFactor {
-		t.Fatalf("miss-factor ratio %g, want ~%g", ratio, 1/m.L1MissFactor)
+	if math.Abs(ratio-1/l1MissFactor) > 0.4/l1MissFactor {
+		t.Fatalf("miss-factor ratio %g, want ~%g", ratio, 1/l1MissFactor)
 	}
 }
 
@@ -128,7 +128,10 @@ func TestDVFSSlowdownMidTask(t *testing.T) {
 
 func TestOverheadAndJitterAdd(t *testing.T) {
 	_, m := newTX2()
-	m.Overhead = 1e-3
+	// A task with no work costs exactly the fixed per-task overhead.
+	if d := m.Duration(Cost{}, topology.Place{Leader: 2, Width: 1}, 0, NoJitter); d != overhead {
+		t.Fatalf("empty task took %g, want the overhead %g", d, overhead)
+	}
 	c := Cost{Ops: 2.035e9}
 	base := m.Duration(c, topology.Place{Leader: 2, Width: 1}, 0, NoJitter)
 	noisy := m.Duration(c, topology.Place{Leader: 2, Width: 1}, 0, Jitter{Mul: 1, Add: 0.5})
@@ -136,7 +139,7 @@ func TestOverheadAndJitterAdd(t *testing.T) {
 		t.Fatalf("additive jitter: %g - %g != 0.5", noisy, base)
 	}
 	mul := m.Duration(c, topology.Place{Leader: 2, Width: 1}, 0, Jitter{Mul: 2})
-	if mul < 1.9*(base-m.Overhead) {
+	if mul < 1.9*(base-overhead) {
 		t.Fatalf("multiplicative jitter: %g vs base %g", mul, base)
 	}
 }

@@ -125,40 +125,30 @@ func (st IterStat) Count(id int) int64 {
 	return 0
 }
 
-// NewCollector returns an empty collector for the platform.
+// NewCollector returns an empty collector for the platform: a Reset of the
+// zero Collector.
 func NewCollector(topo *topology.Platform) *Collector {
-	nPlaces := len(topo.Places())
-	return &Collector{
-		topo:      topo,
-		coreBusy:  make([]float64, topo.NumCores()),
-		placeAll:  make([]int64, nPlaces),
-		placeHigh: make([]int64, nPlaces),
-	}
+	c := &Collector{}
+	c.Reset(topo)
+	return c
 }
 
-// Reset returns the collector to the observable state NewCollector(topo)
-// produces while reusing its storage, including the per-iteration
-// accumulators, which move to a freelist for the next run. The platform may
-// differ from the one the collector was built with; pooled runtimes rebuild
-// their topology per run.
+// Reset empties the collector for a run on topo while reusing its storage,
+// including the per-iteration accumulators, which move to a freelist for the
+// next run. The platform may differ from the previous one; pooled runtimes
+// rebuild their topology per run.
 func (c *Collector) Reset(topo *topology.Platform) {
 	c.topo = topo
 	if n := topo.NumCores(); n != len(c.coreBusy) {
 		c.coreBusy = make([]float64, n)
-	} else {
-		for i := range c.coreBusy {
-			c.coreBusy[i] = 0
-		}
 	}
 	if n := len(topo.Places()); n != len(c.placeAll) {
 		c.placeAll = make([]int64, n)
 		c.placeHigh = make([]int64, n)
-	} else {
-		for i := range c.placeAll {
-			c.placeAll[i] = 0
-			c.placeHigh[i] = 0
-		}
 	}
+	clear(c.coreBusy)
+	clear(c.placeAll)
+	clear(c.placeHigh)
 	for i, st := range c.byIter {
 		if st != nil {
 			c.aggFree = append(c.aggFree, st)

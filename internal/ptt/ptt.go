@@ -76,17 +76,9 @@ const DefaultAlpha = 1.0 / 5.0
 // (the "1" configuration of Figure 8). Passing alpha <= 0 selects
 // DefaultAlpha.
 func NewTable(topo *topology.Platform, alpha float64) *Table {
-	alpha = clampAlpha(alpha)
-	n := len(topo.Places())
-	return &Table{
-		topo:          topo,
-		alpha:         alpha,
-		oneMinusAlpha: 1 - alpha,
-		entries:       make([]float64, n),
-		counts:        make([]uint64, n),
-		gen:           1,
-		bestLocalCost: make([]bestPlace, topo.NumCores()),
-	}
+	t := &Table{}
+	t.adopt(topo, alpha)
+	return t
 }
 
 // clampAlpha normalizes a configured new-observation weight: non-positive
@@ -161,9 +153,9 @@ func (t *Table) Reset() {
 	t.gen++
 }
 
-// adopt rebinds the table to a (possibly different) platform and alpha and
-// clears it, reusing the entry storage when the shapes match. It is the
-// pooled-reuse counterpart of NewTable.
+// adopt binds the table to a (possibly different) platform and alpha and
+// clears it, reusing the entry storage when the shapes match. NewTable is
+// adopt on a zero Table.
 func (t *Table) adopt(topo *topology.Platform, alpha float64) {
 	t.topo = topo
 	t.alpha = clampAlpha(alpha)
@@ -255,17 +247,12 @@ func (t *Table) Snapshot() map[topology.Place]float64 {
 	return out
 }
 
-// Registry holds one Table per task type, created lazily.
+// Registry holds one Table per task type, created lazily. The zero value is
+// unusable until Reset binds it to a platform.
 type Registry struct {
 	topo   *topology.Platform
 	alpha  float64
 	tables []*Table // indexed by TypeID; nil for ids never requested
-}
-
-// NewRegistry builds a registry producing tables with the given alpha
-// (<= 0 selects DefaultAlpha).
-func NewRegistry(topo *topology.Platform, alpha float64) *Registry {
-	return &Registry{topo: topo, alpha: alpha}
 }
 
 // Get returns the table for the task type, creating it on first use. Table
@@ -295,11 +282,11 @@ func (r *Registry) create(id TypeID) *Table {
 // may be nil for unused ids.
 func (r *Registry) Tables() []*Table { return r.tables }
 
-// Reset returns the registry to the observable state NewRegistry(topo,
-// alpha) produces — every table unmeasured, future tables built for the
-// given platform and alpha — while reusing the existing tables' storage.
-// It may rebind the platform, so pooled runtimes can carry one registry
-// across runs that rebuild their topology per run.
+// Reset binds the registry to a platform and alpha (<= 0 selects
+// DefaultAlpha): every table unmeasured, future tables built for them, the
+// existing tables' storage reused. It may rebind the platform, so pooled
+// runtimes can carry one registry across runs that rebuild their topology
+// per run.
 func (r *Registry) Reset(topo *topology.Platform, alpha float64) {
 	r.topo = topo
 	r.alpha = alpha

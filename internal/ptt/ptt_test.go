@@ -142,7 +142,8 @@ func TestSnapshot(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	reg := NewRegistry(topology.TX2(), 0)
+	var reg Registry
+	reg.Reset(topology.TX2(), 0)
 	t1 := reg.Get(0)
 	t2 := reg.Get(0)
 	if t1 != t2 {

@@ -51,9 +51,9 @@ func BenchmarkUncompiledCellRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p.compiled = nil
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		rebuildFor(p, p.Cells[i%len(p.Cells)])
 		if _, err := p.RunCellState(NewCellState(), p.Cells[i%len(p.Cells)]); err != nil {
 			b.Fatal(err)
 		}

@@ -17,9 +17,8 @@ package scenario
 //   - enum kinds encode as their String() names, not integers;
 //   - only the active workload's config is encoded — an inactive config
 //     cannot influence the run, so it must not influence the key;
-//   - execution-only fields never appear: Workers (pool sizing), Probe and
-//     Progress (observation hooks) change how a run executes or is
-//     watched, never what it computes.
+//   - execution-only fields never appear: Probe and Progress (observation
+//     hooks) change how a run is watched, never what it computes.
 //
 // Struct fields marshal in declaration order and parsing goes through
 // typed structs (never map[string]any), so the encoding is invariant
@@ -90,6 +89,10 @@ type workloadJSON struct {
 	Criticality string           `json:"criticality,omitempty"`
 }
 
+// dagGenJSON, kmeansJSON and heatJSON pin the wire spelling of
+// dagio.GenConfig, workloads.KMeansConfig and workloads.HeatDistConfig: same
+// fields in the same order, so both directions are struct conversions and a
+// field added on one side only stops compiling.
 type dagGenJSON struct {
 	Model  string `json:"model"`
 	Tiles  int    `json:"tiles"`
@@ -226,26 +229,11 @@ func (s Spec) canonicalStruct() (specJSON, error) {
 		}
 		sj.Workload.Criticality = s.Workload.Criticality
 	case KMeans:
-		cfg := s.Workload.KMeans.Defaults()
-		sj.Workload.KMeans = &kmeansJSON{
-			N: cfg.N, D: cfg.D, K: cfg.K,
-			Grains:    cfg.Grains,
-			JumboFrac: cfg.JumboFrac,
-			CostScale: cfg.CostScale,
-			MaxIters:  cfg.MaxIters,
-			Epsilon:   cfg.Epsilon,
-			Seed:      cfg.Seed,
-			BlobStd:   cfg.BlobStd,
-		}
+		cfg := kmeansJSON(s.Workload.KMeans.Defaults())
+		sj.Workload.KMeans = &cfg
 	case HeatDist:
-		cfg := s.Workload.Heat.Defaults()
-		sj.Workload.Heat = &heatJSON{
-			Nodes:         cfg.Nodes,
-			BlocksPerNode: cfg.BlocksPerNode,
-			Iters:         cfg.Iters,
-			RowsPerBlock:  cfg.RowsPerBlock,
-			Cols:          cfg.Cols,
-		}
+		cfg := heatJSON(s.Workload.Heat.Defaults())
+		sj.Workload.Heat = &cfg
 	case DAGFile:
 		if s.Workload.DAG == nil {
 			return specJSON{}, fmt.Errorf("scenario: cannot encode dagfile workload without a graph")
@@ -254,16 +242,8 @@ func (s Spec) canonicalStruct() (specJSON, error) {
 		sj.Workload.DAG = &wire
 		sj.Workload.Criticality = s.Workload.Criticality
 	case DAGGen:
-		cfg := s.Workload.DAGGen.Defaults()
-		sj.Workload.DAGGen = &dagGenJSON{
-			Model:  cfg.Model,
-			Tiles:  cfg.Tiles,
-			Tile:   cfg.Tile,
-			Layers: cfg.Layers,
-			Width:  cfg.Width,
-			Degree: cfg.Degree,
-			Seed:   cfg.Seed,
-		}
+		cfg := dagGenJSON(s.Workload.DAGGen.Defaults())
+		sj.Workload.DAGGen = &cfg
 		sj.Workload.Criticality = s.Workload.Criticality
 	default:
 		return specJSON{}, fmt.Errorf("scenario: cannot encode unknown workload kind %v (known kinds: %s)", s.Workload.Kind, workloadKindList())
@@ -314,7 +294,7 @@ func (s Spec) canonicalStruct() (specJSON, error) {
 // Hash returns the sha256 of the canonical JSON encoding, hex-encoded.
 // It is the deterministic cache key of the spec: invariant under field
 // reordering of client JSON, under unset-vs-spelled-out defaults, and
-// under execution-only settings (Workers, Probe, Progress).
+// under execution-only settings (Probe, Progress).
 func (s Spec) Hash() (string, error) {
 	b, err := s.CanonicalJSON()
 	if err != nil {
@@ -372,42 +352,16 @@ func ParseSpec(data []byte) (Spec, error) {
 		}
 	}
 	if sj.Workload.KMeans != nil {
-		k := sj.Workload.KMeans
-		s.Workload.KMeans = workloads.KMeansConfig{
-			N: k.N, D: k.D, K: k.K,
-			Grains:    k.Grains,
-			JumboFrac: k.JumboFrac,
-			CostScale: k.CostScale,
-			MaxIters:  k.MaxIters,
-			Epsilon:   k.Epsilon,
-			Seed:      k.Seed,
-			BlobStd:   k.BlobStd,
-		}
+		s.Workload.KMeans = workloads.KMeansConfig(*sj.Workload.KMeans)
 	}
 	if sj.Workload.Heat != nil {
-		h := sj.Workload.Heat
-		s.Workload.Heat = workloads.HeatDistConfig{
-			Nodes:         h.Nodes,
-			BlocksPerNode: h.BlocksPerNode,
-			Iters:         h.Iters,
-			RowsPerBlock:  h.RowsPerBlock,
-			Cols:          h.Cols,
-		}
+		s.Workload.Heat = workloads.HeatDistConfig(*sj.Workload.Heat)
 	}
 	if sj.Workload.DAG != nil {
 		s.Workload.DAG = dagio.FromWire(*sj.Workload.DAG)
 	}
 	if sj.Workload.DAGGen != nil {
-		d := sj.Workload.DAGGen
-		s.Workload.DAGGen = dagio.GenConfig{
-			Model:  d.Model,
-			Tiles:  d.Tiles,
-			Tile:   d.Tile,
-			Layers: d.Layers,
-			Width:  d.Width,
-			Degree: d.Degree,
-			Seed:   d.Seed,
-		}
+		s.Workload.DAGGen = dagio.GenConfig(*sj.Workload.DAGGen)
 	}
 
 	if len(sj.Disturb) > 0 {

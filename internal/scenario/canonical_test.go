@@ -161,7 +161,6 @@ func TestHashNormalization(t *testing.T) {
 		name string
 		mut  func(*Spec)
 	}{
-		{"workers", func(s *Spec) { s.Workers = 3 }},
 		{"probe", func(s *Spec) { s.Probe = true }},
 		{"progress hook", func(s *Spec) { s.Progress = func(int, int) {} }},
 		{"reps default spelled out", func(s *Spec) {}},
@@ -319,8 +318,9 @@ func (c *chanCounter) check(t *testing.T, total int) {
 // client can POST makes ParseSpec panic, and a spec that parses and validates
 // also plans and re-parses from its own canonical encoding to the same hash.
 // Plan only — no cell runs. The corpus is every registered family plus four
-// bodies that used to pass Validate and die in makeslice: three negative sizes
-// in the builders, one 2^40-repetition grid in NewPlan.
+// bodies that used to pass Validate and die in makeslice — three negative
+// sizes in the builders, one 2^40-repetition grid in NewPlan — and one that
+// died out of memory in its first cell's builder (2^33 tasks).
 func FuzzParseSpec(f *testing.F) {
 	for _, name := range Names() {
 		fam, _ := Lookup(name)
@@ -334,6 +334,7 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(`{"workload":{"kind":"kmeans","kmeans":{"n":-5,"grains":-2}},"policies":["RWS"]}`))
 	f.Add([]byte(`{"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":50,"parallelism":-4}},"policies":["RWS"]}`))
 	f.Add([]byte(`{"name":"x","platform":{"preset":"tx2"},"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":50}},"policies":["RWS"],"reps":1099511627776,"seed":1}`))
+	f.Add([]byte(`{"name":"x","platform":{"preset":"tx2"},"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":8589934592}},"policies":["RWS"],"seed":1}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseSpec(data)
 		if err != nil || s.Validate() != nil {

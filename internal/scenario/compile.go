@@ -114,25 +114,18 @@ func (cw *compiledWorkload) release(g *dag.Graph) {
 	}
 }
 
-// workloadKey renders the content key of the workload variant a point runs:
-// every field that changes the built graph (config after the point's
-// overrides and defaults, the criticality variant, the dagio digest) and
-// nothing else. Points with equal keys share one compiled workload.
-func workloadKey(w WorkloadSpec, pt Point) (string, error) {
+// workloadKey renders the content key of a resolved workload variant: every
+// field that changes the built graph (config after the point's overrides and
+// defaults, the criticality variant, the dagio digest) and nothing else.
+// Points with equal keys share one compiled workload.
+func workloadKey(w WorkloadSpec) (string, error) {
 	switch w.Kind {
 	case Synthetic:
 		cfg := w.Synthetic
-		if pt.Parallelism > 0 {
-			cfg.Parallelism = pt.Parallelism
-		}
-		if pt.Tile > 0 {
-			cfg.Tile = pt.Tile
-		}
-		cfg = cfg.Defaults()
 		return fmt.Sprintf("synthetic|kernel=%d|tile=%d|sweeps=%d|tasks=%d|par=%d|crit=%s",
 			cfg.Kernel, cfg.Tile, cfg.Sweeps, cfg.Tasks, cfg.Parallelism, w.Criticality), nil
 	case KMeans:
-		cfg := w.KMeans.Defaults()
+		cfg := w.KMeans
 		return fmt.Sprintf("kmeans|n=%d|d=%d|k=%d|grains=%d|jumbo=%x|scale=%x|iters=%d",
 			cfg.N, cfg.D, cfg.K, cfg.Grains,
 			math.Float64bits(cfg.JumboFrac), math.Float64bits(cfg.CostScale),
@@ -145,13 +138,6 @@ func workloadKey(w WorkloadSpec, pt Point) (string, error) {
 		return "dagfile|" + digest + "|crit=" + w.Criticality, nil
 	case DAGGen:
 		cfg := w.DAGGen
-		if pt.Parallelism > 0 {
-			cfg.Width = pt.Parallelism
-		}
-		if pt.Tile > 0 {
-			cfg.Tiles = pt.Tile
-		}
-		cfg = cfg.Defaults()
 		return fmt.Sprintf("daggen|model=%s|tiles=%d|tile=%d|layers=%d|width=%d|degree=%d|seed=%d|crit=%s",
 			cfg.Model, cfg.Tiles, cfg.Tile, cfg.Layers, cfg.Width, cfg.Degree, cfg.Seed, w.Criticality), nil
 	default:
@@ -218,8 +204,8 @@ func compileWorkloads(s Spec) (byPoint []*compiledWorkload, variant []int, err e
 	byPoint = make([]*compiledWorkload, len(s.Points))
 	ids := make(map[string]int, 1)
 	for xi := range s.Points {
-		pt := s.Points[xi]
-		key, err := workloadKey(s.Workload, pt)
+		w := resolve(s.Workload, s.Points[xi])
+		key, err := workloadKey(w)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -229,10 +215,7 @@ func compileWorkloads(s Spec) (byPoint []*compiledWorkload, variant []int, err e
 			ids[key] = id
 		}
 		variant[xi] = id
-		w := s.Workload
-		byPoint[xi] = compiledFor(key, func() (*dag.Graph, error) {
-			return buildGraph(w, pt)
-		})
+		byPoint[xi] = compiledFor(key, func() (*dag.Graph, error) { return buildGraph(w) })
 	}
 	return byPoint, variant, nil
 }

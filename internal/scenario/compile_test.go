@@ -11,18 +11,26 @@ import (
 	"dynasym/internal/workloads"
 )
 
-// uncompiledFingerprint runs the spec with the compiled-workload layer
-// disabled — every cell rebuilds its graph from the builder, the pre-PR6
-// behavior — and returns the result fingerprint.
+// rebuildFor makes cell c of the plan run on a workload built for it alone —
+// build, freeze, run, without the compiled cache or an instance another
+// cell has used.
+func rebuildFor(p *Plan, c CellJob) {
+	w := resolve(p.Spec.Workload, p.Spec.Points[c.Point])
+	p.compiled[c.Point] = &compiledWorkload{build: func() (*dag.Graph, error) { return buildGraph(w) }}
+}
+
+// uncompiledFingerprint runs the spec with every cell rebuilding its graph
+// from the builder — the pre-PR6 behavior — and returns the result
+// fingerprint.
 func uncompiledFingerprint(t *testing.T, s Spec) string {
 	t.Helper()
 	p, err := NewPlan(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.compiled = nil // force per-cell builds
 	results := make(map[string]RunMetrics, len(p.Cells))
 	for _, c := range p.Cells {
+		rebuildFor(p, c)
 		rm, err := p.RunCellState(NewCellState(), c)
 		if err != nil {
 			t.Fatalf("%s: %v", p.CellLabel(c), err)
@@ -145,7 +153,8 @@ func TestRunStopsDispatchAfterFailure(t *testing.T) {
 		return RunMetrics{}, nil, true
 	}
 	defer func() { runCellHook = nil }()
-	_, err := Run(failureGrid(8, 1))
+	useExecutor(t, 1)
+	_, err := Run(failureGrid(8))
 	if err == nil {
 		t.Fatal("Run succeeded despite injected failures")
 	}
@@ -175,7 +184,7 @@ func TestCompiledAcquireReleaseAllocs(t *testing.T) {
 		"kmeans": {Kind: KMeans, KMeans: workloads.KMeansConfig{N: 4096, Grains: 16, MaxIters: 20}},
 	} {
 		w := w
-		cw := &compiledWorkload{build: func() (*dag.Graph, error) { return buildGraph(w, Point{}) }}
+		cw := &compiledWorkload{build: func() (*dag.Graph, error) { return buildGraph(resolve(w, Point{})) }}
 		g, err := cw.acquire()
 		if err != nil {
 			t.Fatal(err)

@@ -26,10 +26,9 @@ const repSeedStride = 1_000_003
 const nodeSeedStride = 1009
 
 // Run validates the spec and executes the full (policy × point × rep) grid
-// on the process-wide cell executor, Spec.Workers capping how many of its
-// workers pull from this grid. Every cell runs on private state seeded only
-// by the spec, so the result is deterministic regardless of which worker ran
-// what. A failed cell stops the hand-out of the cells after it; the returned
+// on the process-wide cell executor. Every cell runs on private state seeded
+// only by the spec, so the result is deterministic regardless of which worker
+// ran what. A failed cell stops the hand-out of the cells after it; the returned
 // error is always the lowest-index failing cell's, so failures too are
 // deterministic. Run is Plan → RunCellState (on the executor) → Merge;
 // callers that want to schedule, distribute or cache individual cells use
@@ -57,7 +56,7 @@ func Run(s Spec) (*Result, error) {
 	// only that cancellation.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_ = defaultExecutor.Run(ctx, total, spec.Workers, func(_ int, st *CellState, ci int) bool {
+	_ = defaultExecutor.Run(ctx, total, func(_ int, st *CellState, ci int) bool {
 		c := p.Cells[ci]
 		rm, err := p.RunCellState(st, c)
 		mu.Lock()
@@ -95,8 +94,8 @@ func MustRun(s Spec) *Result {
 // single node for every kind but HeatDist, whose nodes also share a simulated
 // interconnect — on the worker's reusable engine and runtimes in st and on
 // the plan's shared per-node machine models. Single-runtime kinds run the
-// point's compiled workload when the plan has one (graph instances come from
-// its pool instead of the builder). rec, when non-nil, receives the cell's
+// point's compiled workload (graph instances come from its pool instead of
+// the builder). rec, when non-nil, receives the cell's
 // schedule trace; probe, when non-nil, records scheduler introspection into
 // RunMetrics.Sched (and, when rec is also set, emits queue/PTT/utilization
 // counter lanes). All of it is pure mechanism — none of it changes the
@@ -131,24 +130,18 @@ func (p *Plan) runCell(c CellJob, st *CellState, rec *trace.Recorder, probe *sim
 			Probe:  probe,
 			Engine: engine,
 		}
-		switch {
-		case hd != nil:
+		if hd != nil {
 			cfg.Hook = hd.Hook(net, node)
 			g = hd.BuildNode(node)
-		case cw != nil:
-			g, err = cw.acquire()
-		default:
-			g, err = buildGraph(s.Workload, pt)
-		}
-		if err != nil {
+		} else if g, err = cw.acquire(); err != nil {
 			return RunMetrics{}, err
 		}
 		if rts[node] == nil {
 			rts[node], err = simrt.New(cfg)
 		} else {
-			// Warm worker: recycle the runtime's allocations. Reset replays
-			// New's exact construction sequence, so the cell's metrics
-			// cannot depend on what ran before.
+			// Warm worker: recycle the runtime's allocations. New is Reset
+			// on a zero runtime, so the cell's metrics cannot depend on
+			// what ran before.
 			err = rts[node].Reset(cfg)
 		}
 		if err != nil {
@@ -228,18 +221,12 @@ func cellAlpha(s *Spec, pt Point) float64 {
 	return s.Alpha
 }
 
-// buildGraph constructs the task graph for a single-runtime cell.
-func buildGraph(w WorkloadSpec, pt Point) (*dag.Graph, error) {
+// buildGraph constructs the task graph of a resolved single-runtime
+// workload.
+func buildGraph(w WorkloadSpec) (*dag.Graph, error) {
 	switch w.Kind {
 	case Synthetic:
-		cfg := w.Synthetic
-		if pt.Parallelism > 0 {
-			cfg.Parallelism = pt.Parallelism
-		}
-		if pt.Tile > 0 {
-			cfg.Tile = pt.Tile
-		}
-		return applyCriticality(workloads.BuildSynthetic(cfg.Defaults()), w.Criticality), nil
+		return applyCriticality(workloads.BuildSynthetic(w.Synthetic), w.Criticality), nil
 	case KMeans:
 		return workloads.NewKMeans(w.KMeans).Build(), nil
 	case DAGFile:
@@ -249,17 +236,7 @@ func buildGraph(w WorkloadSpec, pt Point) (*dag.Graph, error) {
 		}
 		return applyCriticality(g, w.Criticality), nil
 	case DAGGen:
-		cfg := w.DAGGen
-		// The sweep axis parameterizes the generator like it does the
-		// synthetic builder: Parallelism overrides the layer/fork
-		// width, Tile the tile-grid edge of the factorizations.
-		if pt.Parallelism > 0 {
-			cfg.Width = pt.Parallelism
-		}
-		if pt.Tile > 0 {
-			cfg.Tiles = pt.Tile
-		}
-		gs, err := cfg.Graph()
+		gs, err := w.DAGGen.Graph()
 		if err != nil {
 			return nil, err
 		}

@@ -84,27 +84,29 @@ func TestRepetitionsGetDistinctSeeds(t *testing.T) {
 	}
 }
 
-// The engine must produce identical results no matter how many pool
-// workers execute the grid — single-runtime and distributed cells alike,
-// both on whatever runtimes the workers' states hold from earlier tests.
+// The engine must produce identical results no matter how many executor
+// workers run the grid — single-runtime and distributed cells alike, both
+// on whatever runtimes the workers' states hold from the earlier grid.
 func TestWorkerCountDoesNotChangeResults(t *testing.T) {
 	heat := smallSynthetic(core.All()...)
 	heat.Points = nil
 	heat.Workload = WorkloadSpec{Kind: HeatDist, Heat: smallHeat(3)}
-	for _, s := range []Spec{smallSynthetic(core.All()...), heat} {
-		s.Reps = 2
-		s.Workers = 1
-		serial, err := Run(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Workers = 8
-		parallel, err := Run(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serial.Fingerprint() != parallel.Fingerprint() {
-			t.Fatalf("%v: worker count changed results", s.Workload.Kind)
+	want := map[WorkloadKind]string{}
+	for _, workers := range []int{1, 2, 4} {
+		useExecutor(t, workers)
+		for _, s := range []Spec{smallSynthetic(core.All()...), heat} {
+			s.Reps = 2
+			res, err := Run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kind, fp := s.Workload.Kind, res.Fingerprint()
+			if want[kind] == "" {
+				want[kind] = fp
+			}
+			if fp != want[kind] {
+				t.Fatalf("%v: %d workers changed results", kind, workers)
+			}
 		}
 	}
 }

@@ -22,7 +22,7 @@ import (
 type Executor struct {
 	workers int
 	started sync.Once
-	// tickets circulates one entry per worker a batch may occupy. A worker
+	// tickets circulates one entry per worker a batch can occupy. A worker
 	// takes the front ticket, runs that batch's next cell and puts the
 	// ticket at the back, so concurrent batches take turns cell by cell.
 	// The buffer holds many batches' tickets; when it is full submitters
@@ -57,21 +57,17 @@ var defaultExecutor = NewExecutor(runtime.GOMAXPROCS(0))
 // Run executes cells 0..n-1 and returns when every cell that was started
 // has finished. Every free worker pulls the next unstarted cell, so cells
 // start in index order and a slow or late worker never holds cells back
-// from a free one. At most limit workers (all of them when limit is not
-// positive) run the batch's cells at once. Once ctx is done no further cell
-// starts; Run then returns ctx.Err() after the running cells finish, and
-// what they produced is the caller's to keep.
-func (e *Executor) Run(ctx context.Context, n, limit int, run CellFunc) error {
+// from a free one. Once ctx is done no further cell starts; Run then returns
+// ctx.Err() after the running cells finish, and what they produced is the
+// caller's to keep.
+func (e *Executor) Run(ctx context.Context, n int, run CellFunc) error {
 	e.started.Do(func() {
 		for w := 0; w < e.workers; w++ {
 			go e.work(w)
 		}
 	})
-	if limit <= 0 {
-		limit = e.workers
-	}
 	b := &batch{ctx: ctx, run: run, n: n}
-	tickets := min(n, limit, e.workers)
+	tickets := min(n, e.workers)
 	b.live.Add(tickets)
 	for range tickets {
 		e.tickets <- b

@@ -14,29 +14,35 @@ import (
 	"dynasym/internal/workloads"
 )
 
-// TestExecutorOneWorkerKeepsOrder: with one worker the cells run in exactly
-// the order given, and a limit of one means the same on a larger executor.
+// useExecutor makes Run use a fresh executor of that many workers, whatever
+// GOMAXPROCS is here, until the test ends.
+func useExecutor(t *testing.T, workers int) {
+	shared := defaultExecutor
+	defaultExecutor = NewExecutor(workers)
+	t.Cleanup(func() { defaultExecutor = shared })
+}
+
+// TestExecutorOneWorkerKeepsOrder: with one worker the cells run one at a
+// time, in exactly the order given.
 func TestExecutorOneWorkerKeepsOrder(t *testing.T) {
-	for _, tc := range []struct{ workers, limit int }{{1, 0}, {3, 1}} {
-		e := NewExecutor(tc.workers)
-		var got []int
-		running := 0
-		err := e.Run(context.Background(), 8, tc.limit, func(_ int, _ *CellState, k int) bool {
-			running++
-			if running != 1 {
-				t.Errorf("%d cells of a limit-1 batch running at once", running)
-			}
-			got = append(got, k)
-			runtime.Gosched()
-			running--
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
+	e := NewExecutor(1)
+	var got []int
+	running := 0
+	err := e.Run(context.Background(), 8, func(_ int, _ *CellState, k int) bool {
+		running++
+		if running != 1 {
+			t.Errorf("%d cells running at once on one worker", running)
 		}
-		if want := []int{0, 1, 2, 3, 4, 5, 6, 7}; !reflect.DeepEqual(got, want) {
-			t.Errorf("%d workers, limit %d: hand-out order %v, want %v", tc.workers, tc.limit, got, want)
-		}
+		got = append(got, k)
+		runtime.Gosched()
+		running--
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 1, 2, 3, 4, 5, 6, 7}; !reflect.DeepEqual(got, want) {
+		t.Errorf("hand-out order %v, want %v", got, want)
 	}
 }
 
@@ -51,7 +57,7 @@ func TestExecutorCancelStopsHandOut(t *testing.T) {
 	defer cancel()
 	cancelled := make(chan struct{})
 	var started atomic.Int32
-	err := e.Run(ctx, 10, 0, func(_ int, _ *CellState, k int) bool {
+	err := e.Run(ctx, 10, func(_ int, _ *CellState, k int) bool {
 		started.Add(1)
 		switch k {
 		case 0:
@@ -68,7 +74,7 @@ func TestExecutorCancelStopsHandOut(t *testing.T) {
 	if n := started.Load(); n != 2 {
 		t.Errorf("%d cells started, want exactly the 2 handed out before the cancellation", n)
 	}
-	if err := e.Run(ctx, 3, 0, func(int, *CellState, int) bool {
+	if err := e.Run(ctx, 3, func(int, *CellState, int) bool {
 		t.Error("a cell of an already cancelled batch ran")
 		return true
 	}); !errors.Is(err, context.Canceled) {
@@ -86,7 +92,7 @@ func TestExecutorStatesOutliveBatches(t *testing.T) {
 	var broken *CellState
 	run := func(breakAt int) {
 		t.Helper()
-		err := e.Run(context.Background(), 4, 0, func(_ int, st *CellState, k int) bool {
+		err := e.Run(context.Background(), 4, func(_ int, st *CellState, k int) bool {
 			mu.Lock()
 			defer mu.Unlock()
 			if st == nil || st == broken {
@@ -127,7 +133,7 @@ func TestExecutorInterleavesBatches(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := e.Run(context.Background(), n, 0, run); err != nil {
+			if err := e.Run(context.Background(), n, run); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -152,7 +158,7 @@ func TestExecutorInterleavesBatches(t *testing.T) {
 
 // failureGrid is a one-policy, one-point grid of reps cells that
 // runCellHook tests fail at will.
-func failureGrid(reps, workers int) Spec {
+func failureGrid(reps int) Spec {
 	return Spec{
 		Name:     "mid-grid-failure",
 		Platform: PlatformSpec{Preset: "tx2"},
@@ -160,7 +166,6 @@ func failureGrid(reps, workers int) Spec {
 		Policies: []core.Policy{core.RWS()},
 		Reps:     reps,
 		Seed:     1,
-		Workers:  workers,
 	}
 }
 
@@ -171,12 +176,8 @@ func failureGrid(reps, workers int) Spec {
 // and must hand out nothing once the batch is cancelled: at most the two
 // further cells that were already running.
 func TestRunReportsLowestFailureOnFourWorkers(t *testing.T) {
-	shared := defaultExecutor
-	defaultExecutor = NewExecutor(4) // whatever GOMAXPROCS is here
-	defer func() {
-		defaultExecutor = shared
-		runCellHook = nil
-	}()
+	useExecutor(t, 4)
+	defer func() { runCellHook = nil }()
 	for round := 0; round < 50; round++ {
 		afterCancel := make(chan struct{})
 		var ran atomic.Int32
@@ -194,7 +195,7 @@ func TestRunReportsLowestFailureOnFourWorkers(t *testing.T) {
 			}
 			return RunMetrics{}, nil, true
 		}
-		s := failureGrid(24, 4)
+		s := failureGrid(24)
 		s.Progress = func(done, _ int) {
 			if done == 3 {
 				close(afterCancel)
@@ -221,7 +222,7 @@ func TestRunHandsOutInPlanOrder(t *testing.T) {
 	defer func() { runCellHook = nil }()
 	s := smallSynthetic(core.RWS(), core.DAMC())
 	s.Reps = 2
-	s.Workers = 1
+	useExecutor(t, 1)
 	p, err := NewPlan(s)
 	if err != nil {
 		t.Fatal(err)

@@ -27,6 +27,23 @@ func TestRegistryNames(t *testing.T) {
 	}
 }
 
+// ScaleTasks is the one task-count scaler: the families and the experiment
+// drivers both shrink their workloads through it.
+func TestScaleTasks(t *testing.T) {
+	if ScaleTasks(100, 0, 10) != 100 {
+		t.Fatal("zero scale should be identity")
+	}
+	if ScaleTasks(100, 1, 10) != 100 {
+		t.Fatal("unit scale should be identity")
+	}
+	if ScaleTasks(100, 0.1, 10) != 10 {
+		t.Fatal("scaling wrong")
+	}
+	if ScaleTasks(100, 0.01, 10) != 10 {
+		t.Fatal("minimum not applied")
+	}
+}
+
 // Every registered family must validate at full and at test scale.
 func TestFamiliesValidate(t *testing.T) {
 	for _, name := range Names() {

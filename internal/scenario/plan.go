@@ -70,47 +70,30 @@ type Plan struct {
 	// points with equal ids share one compiled graph (see PointVariant).
 	variant []int
 
-	// topo is the plan's platform and models its configured machine models
-	// (spec disturbances applied), one per node: one for every kind but
-	// HeatDist. Both are cell-invariant, so they are built lazily, once, and
+	// topo is the plan's platform — the one validation built — and models
+	// its configured machine models (spec disturbances applied), one per
+	// node: one for every kind but HeatDist. Both are cell-invariant and
 	// shared read-only by every cell on every worker: a Platform is
-	// immutable and a configured Model is safe for concurrent readers. Merge
-	// needs only the platform, so a plan merged purely from cached cells
-	// never builds a model.
-	topoOnce  sync.Once
+	// immutable and a configured Model is safe for concurrent readers. The
+	// models are built lazily, once; Merge needs only the platform, so a plan
+	// merged purely from cached cells never builds a model.
 	topo      *topology.Platform
-	topoErr   error
 	modelOnce sync.Once
 	models    []*machine.Model
 	modelErr  error
 }
 
-// planBuildHook, when non-nil, observes each lazy build of a plan's
-// platform ("platform") or machine model ("model"). Tests count with it.
-var planBuildHook func(what string)
-
-// platform returns the plan's shared platform, building it on first use.
-func (p *Plan) platform() (*topology.Platform, error) {
-	p.topoOnce.Do(func() {
-		if hook := planBuildHook; hook != nil {
-			hook("platform")
-		}
-		p.topo, p.topoErr = p.Spec.Platform.Build()
-	})
-	return p.topo, p.topoErr
-}
+// planBuildHook, when non-nil, observes each lazy build of a plan's machine
+// models. Tests count with it.
+var planBuildHook func()
 
 // machineModels returns the plan's shared, fully configured machine models,
 // one per node, building them on first use. Node 0 runs on the plan's
 // platform. Callers must treat the models as read-only.
 func (p *Plan) machineModels() ([]*machine.Model, error) {
-	topo, err := p.platform()
-	if err != nil {
-		return nil, err
-	}
 	p.modelOnce.Do(func() {
 		if hook := planBuildHook; hook != nil {
-			hook("model")
+			hook()
 		}
 		nodes := 1
 		if p.Spec.Workload.Kind == HeatDist {
@@ -118,7 +101,7 @@ func (p *Plan) machineModels() ([]*machine.Model, error) {
 		}
 		models := make([]*machine.Model, nodes)
 		for node := range models {
-			nodeTopo := topo
+			nodeTopo := p.topo
 			if node > 0 {
 				if nodeTopo, p.modelErr = nodePlatform(&p.Spec, node); p.modelErr != nil {
 					return
@@ -139,7 +122,8 @@ func (p *Plan) machineModels() ([]*machine.Model, error) {
 // NewPlan validates the spec and expands it into cell jobs.
 func NewPlan(s Spec) (*Plan, error) {
 	s = s.withDefaults()
-	if err := s.Validate(); err != nil {
+	topo, err := s.validate()
+	if err != nil {
 		return nil, err
 	}
 	canonical, err := s.CanonicalJSON()
@@ -170,7 +154,7 @@ func NewPlan(s Spec) (*Plan, error) {
 		return nil, err
 	}
 	return &Plan{Spec: s, Hash: hash, Canonical: canonical, Cells: cells,
-		compiled: compiled, variant: variant}, nil
+		compiled: compiled, variant: variant, topo: topo}, nil
 }
 
 // cellHashVersion tags the engine generation in every cell hash. Bump it
@@ -282,13 +266,9 @@ func (p *Plan) RunCellTrace(c CellJob) (RunMetrics, *trace.Recorder, error) {
 // parameters under different labels) fill from the one shared result. The
 // output is bit-identical to a monolithic Run of the plan's spec.
 func Merge(p *Plan, cells map[string]RunMetrics) (*Result, error) {
-	topo, err := p.platform()
-	if err != nil {
-		return nil, err
-	}
 	res := &Result{
 		Name:     p.Spec.Name,
-		Topo:     topo,
+		Topo:     p.topo,
 		Policies: make([]string, len(p.Spec.Policies)),
 		Points:   append([]Point(nil), p.Spec.Points...),
 		Cells:    make([][]Cell, len(p.Spec.Policies)),

@@ -210,7 +210,7 @@ func TestProgressMonotonic(t *testing.T) {
 	s := planSpec(core.DAMC())
 	s.Points = ParallelismPoints(2, 3, 4, 5)
 	s.Reps = 4
-	s.Workers = 8
+	useExecutor(t, 8)
 	var mu sync.Mutex
 	var calls [][2]int
 	s.Progress = func(done, total int) {
@@ -236,22 +236,16 @@ func TestProgressMonotonic(t *testing.T) {
 }
 
 // TestPlanBuildsPlatformAndModelOnce pins the sharing the cold path leans
-// on: however many workers run a plan's cells concurrently, the platform
-// and the configured machine models (one per node; a heat plan builds all
-// of its nodes' in the one build) are each built exactly once (the race
-// detector checks that sharing them is sound), and a plan that is only
-// merged from cached cells builds no model at all — just the platform its
-// Result reports.
+// on: NewPlan keeps the one platform its validation built and nothing after
+// it builds another — node 0's model and the merged Result are on that very
+// platform — and however many workers run a plan's cells concurrently, the
+// configured machine models (one per node; a heat plan builds all of its
+// nodes' in the one build) are built exactly once, on the first cell (the
+// race detector checks that sharing them is sound). A plan that is only
+// merged from cached cells builds no model at all.
 func TestPlanBuildsPlatformAndModelOnce(t *testing.T) {
-	var platforms, models atomic.Int32
-	planBuildHook = func(what string) {
-		switch what {
-		case "platform":
-			platforms.Add(1)
-		case "model":
-			models.Add(1)
-		}
-	}
+	var models atomic.Int32
+	planBuildHook = func() { models.Add(1) }
 	defer func() { planBuildHook = nil }()
 
 	synthetic := planSpec(core.DAMC())
@@ -260,15 +254,14 @@ func TestPlanBuildsPlatformAndModelOnce(t *testing.T) {
 	heat.Workload = WorkloadSpec{Kind: HeatDist, Heat: smallHeat(3)}
 	heat.Disturb = append(heat.Disturb, Disturbance{Kind: CoRunCPU, Node: 2, Cores: []int{0}, Share: 0.5})
 	for _, s := range []Spec{synthetic, heat} {
-		platforms.Store(0)
 		models.Store(0)
 		s.Policies = core.All()
 		p, err := NewPlan(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if platforms.Load() != 0 || models.Load() != 0 {
-			t.Fatalf("%v: planning built %d platforms and %d models, want none", s.Workload.Kind, platforms.Load(), models.Load())
+		if p.topo == nil || models.Load() != 0 {
+			t.Fatalf("%v: planning kept platform %v and built %d models, want one platform and no model", s.Workload.Kind, p.topo, models.Load())
 		}
 		const workers = 4
 		results := make([]RunMetrics, len(p.Cells))
@@ -300,9 +293,12 @@ func TestPlanBuildsPlatformAndModelOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if platforms.Load() != 1 || models.Load() != 1 {
-			t.Fatalf("%v: %d cells on %d workers plus a merge built %d platforms and %d models, want 1 and 1",
-				s.Workload.Kind, len(p.Cells), workers, platforms.Load(), models.Load())
+		if models.Load() != 1 {
+			t.Fatalf("%v: %d cells on %d workers plus a merge built the models %d times, want once",
+				s.Workload.Kind, len(p.Cells), workers, models.Load())
+		}
+		if res.Topo != p.topo || p.models[0].Platform() != p.topo {
+			t.Fatalf("%v: the merged result or node 0's model is on a platform built after NewPlan", s.Workload.Kind)
 		}
 
 		cached, err := NewPlan(s)
@@ -313,9 +309,9 @@ func TestPlanBuildsPlatformAndModelOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if platforms.Load() != 2 || models.Load() != 1 {
-			t.Fatalf("%v: a plan merged from cached cells built %d platforms and %d models, want 1 and 0",
-				s.Workload.Kind, platforms.Load()-1, models.Load()-1)
+		if models.Load() != 1 || fromCache.Topo != cached.topo {
+			t.Fatalf("%v: a plan merged from cached cells built %d models or a second platform, want neither",
+				s.Workload.Kind, models.Load()-1)
 		}
 		direct, err := Run(s)
 		if err != nil {

@@ -63,8 +63,9 @@ func clampScale(s float64) float64 {
 	return s
 }
 
-// scaleTasks shrinks a task count, keeping at least min.
-func scaleTasks(n int, scale float64, min int) int {
+// ScaleTasks shrinks a task count by scale (outside (0, 1]: unscaled),
+// keeping at least min.
+func ScaleTasks(n int, scale float64, min int) int {
 	scaled := int(float64(n) * clampScale(scale))
 	if scaled < min {
 		return min
@@ -94,7 +95,7 @@ func init() {
 				Platform: PlatformSpec{Preset: "tx2"},
 				Workload: WorkloadSpec{Kind: Synthetic, Synthetic: workloads.SyntheticConfig{
 					Kernel: workloads.MatMul,
-					Tasks:  scaleTasks(32000, f, 600),
+					Tasks:  ScaleTasks(32000, f, 600),
 				}},
 				Disturb: []Disturbance{
 					{Kind: Burst, Cluster: 1, Share: 0.4, BusyDur: 1.5 * f, IdleDur: 3 * f, PhaseStep: 1.0 * f},
@@ -116,7 +117,7 @@ func init() {
 				Platform: PlatformSpec{Preset: "tx2"},
 				Workload: WorkloadSpec{Kind: Synthetic, Synthetic: workloads.SyntheticConfig{
 					Kernel: workloads.Stencil,
-					Tasks:  scaleTasks(20000, f, 600),
+					Tasks:  ScaleTasks(20000, f, 600),
 				}},
 				Disturb: []Disturbance{
 					{Kind: Throttle, Cluster: 0, From: 2.5 * f, To: 7.5 * f, Floor: 0.3, RampSteps: 6},
@@ -137,7 +138,7 @@ func init() {
 			// sweep still has three distinct, comparable points.
 			pts := make([]Point, 0, 3)
 			for _, T := range []int{8, 12, 16} {
-				pts = append(pts, Point{Label: fmt.Sprintf("T%d", T), Tile: scaleTasks(T, f, 3+len(pts))})
+				pts = append(pts, Point{Label: fmt.Sprintf("T%d", T), Tile: ScaleTasks(T, f, 3+len(pts))})
 			}
 			return Spec{
 				Name:     "cholesky-sweep",
@@ -162,7 +163,7 @@ func init() {
 				Platform: PlatformSpec{Preset: "tx2"},
 				Workload: WorkloadSpec{Kind: DAGGen, DAGGen: dagio.GenConfig{
 					Model:  dagio.ModelRandomLayered,
-					Layers: scaleTasks(96, f, 12),
+					Layers: ScaleTasks(96, f, 12),
 					Degree: 3,
 					Seed:   7,
 				}},
@@ -224,7 +225,7 @@ func init() {
 					Platform: PlatformSpec{Preset: fmt.Sprintf("scaleout-%dx%d", shape.clusters, shape.per)},
 					Workload: WorkloadSpec{Kind: Synthetic, Synthetic: workloads.SyntheticConfig{
 						Kernel: workloads.MatMul,
-						Tasks:  scaleTasks(32000, scale, 1200),
+						Tasks:  ScaleTasks(32000, scale, 1200),
 					}},
 					Disturb: bursts,
 					Policies: []core.Policy{

@@ -307,9 +307,6 @@ type Spec struct {
 	Reps int
 	// Alpha is the base PTT new-sample weight (0 = the paper's 1/5).
 	Alpha float64
-	// Workers caps how many of the cell executor's workers (GOMAXPROCS of
-	// them) run this grid's cells at once (default: all).
-	Workers int
 	// Latency and Bandwidth describe the interconnect for HeatDist
 	// scenarios (defaults: 2 µs, 5 GB/s).
 	Latency, Bandwidth float64
@@ -317,15 +314,15 @@ type Spec struct {
 	// cell run and fills RunMetrics.Sched with the per-core time
 	// breakdown, steal matrix, queue-depth and PTT-error telemetry.
 	// Telemetry is pure observation — fingerprints are byte-identical
-	// with Probe on or off. Execution-only like Workers (CanonicalJSON and
-	// Hash ignore it); ignored for HeatDist cells. A single cell's schedule
+	// with Probe on or off. Execution-only (CanonicalJSON and Hash ignore
+	// it); ignored for HeatDist cells. A single cell's schedule
 	// trace comes from Plan.RunCellTrace.
 	Probe bool
 	// Progress, when non-nil, receives cell-completion updates from Run:
 	// once with (0, total) before execution starts, then once after every
 	// finished (policy × point × repetition) cell. Calls come from
 	// concurrent worker goroutines; the hook must be safe for concurrent
-	// use. Like Workers and Probe, Progress is execution plumbing, not
+	// use. Like Probe, Progress is execution plumbing, not
 	// part of the scenario's identity — CanonicalJSON and Hash ignore it.
 	Progress func(done, total int)
 }
@@ -355,14 +352,34 @@ func (s Spec) withDefaults() Spec {
 // allocation in the daemon.
 const MaxGridCells = 1 << 20
 
+// MaxCellTasks bounds the task graph of one cell, as the active workload's
+// config implies it after a point's overrides. A cell's graph is built in
+// full before it runs, so without the bound one integer in a request sizes
+// an allocation in the daemon. The paper's largest cell has 32 000 tasks.
+const MaxCellTasks = 1 << 22
+
 // Validate checks the spec without running it. It is called by Run; call it
 // directly to fail fast when assembling spec tables.
 func (s Spec) Validate() error {
-	s = s.withDefaults()
+	_, err := s.withDefaults().validate()
+	return err
+}
+
+// validate is Validate on a defaults-filled spec; it returns the platform
+// it built to check the disturbances against, which a plan keeps.
+func (s Spec) validate() (*topology.Platform, error) {
 	topo, err := s.Platform.Build()
 	if err != nil {
-		return err
+		return nil, err
 	}
+	if err := s.validateOn(topo); err != nil {
+		return nil, err
+	}
+	return topo, nil
+}
+
+// validateOn checks everything but the platform itself.
+func (s Spec) validateOn(topo *topology.Platform) error {
 	if len(s.Policies) == 0 {
 		return fmt.Errorf("scenario %q: empty policy set", s.Name)
 	}
@@ -446,6 +463,12 @@ func (s Spec) Validate() error {
 			}
 		}
 	}
+	for _, pt := range s.Points {
+		if n, fields := resolve(s.Workload, pt).cellTasks(); n > MaxCellTasks {
+			return fmt.Errorf("scenario %q: point %q: a cell of %.0f tasks (%s) exceeds MaxCellTasks (%d)",
+				s.Name, pt.Label, n, fields, MaxCellTasks)
+		}
+	}
 	switch s.Workload.Kind {
 	case Synthetic, DAGFile, DAGGen:
 	default:
@@ -457,10 +480,67 @@ func (s Spec) Validate() error {
 	if s.Workload.Kind == HeatDist {
 		nodes = s.Workload.Heat.Defaults().Nodes
 	}
-	if err := validateDisturbances(s.Name, topo, s.Disturb, nodes); err != nil {
-		return err
+	return validateDisturbances(s.Name, topo, s.Disturb, nodes)
+}
+
+// resolve returns the workload a point runs: the spec's workload with the
+// point's overrides applied — Parallelism is the synthetic DAG's tasks per
+// layer or a daggen workload's layer/fork width, Tile the synthetic tile
+// edge or the factorizations' tile-grid edge — and the active config's
+// defaults filled.
+func resolve(w WorkloadSpec, pt Point) WorkloadSpec {
+	switch w.Kind {
+	case Synthetic:
+		if pt.Parallelism > 0 {
+			w.Synthetic.Parallelism = pt.Parallelism
+		}
+		if pt.Tile > 0 {
+			w.Synthetic.Tile = pt.Tile
+		}
+		w.Synthetic = w.Synthetic.Defaults()
+	case KMeans:
+		w.KMeans = w.KMeans.Defaults()
+	case HeatDist:
+		w.Heat = w.Heat.Defaults()
+	case DAGGen:
+		if pt.Parallelism > 0 {
+			w.DAGGen.Width = pt.Parallelism
+		}
+		if pt.Tile > 0 {
+			w.DAGGen.Tiles = pt.Tile
+		}
+		w.DAGGen = w.DAGGen.Defaults()
 	}
-	return nil
+	return w
+}
+
+// cellTasks returns how many tasks one cell of the resolved workload builds
+// (an upper bound for synthetic graphs, which round down to whole layers)
+// and the config fields that decide it, named as a client spells them. The
+// count is a float64 so that no config can overflow it.
+func (w WorkloadSpec) cellTasks() (n float64, fields string) {
+	switch w.Kind {
+	case Synthetic:
+		c := w.Synthetic
+		if c.Parallelism > c.Tasks {
+			return float64(c.Parallelism), "workload.synthetic.parallelism"
+		}
+		return float64(c.Tasks), "workload.synthetic.tasks"
+	case KMeans:
+		c := w.KMeans
+		return (float64(c.Grains) + 1) * float64(c.MaxIters), "workload.kmeans.grains × workload.kmeans.max_iters"
+	case HeatDist:
+		c := w.Heat
+		return float64(c.Nodes) * (float64(c.BlocksPerNode) + 1) * float64(c.Iters),
+			"workload.heat.nodes × workload.heat.blocks_per_node × workload.heat.iters"
+	case DAGGen:
+		switch w.DAGGen.Model {
+		case dagio.ModelCholesky, dagio.ModelLU:
+			return w.DAGGen.Tasks(), "workload.daggen.tiles"
+		}
+		return w.DAGGen.Tasks(), "workload.daggen.layers × workload.daggen.width"
+	}
+	return 0, "" // an imported graph is already in memory
 }
 
 // negativeSize reports the first negative size field of the active workload's

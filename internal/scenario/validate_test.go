@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dynasym/internal/core"
+	"dynasym/internal/dagio"
 	"dynasym/internal/topology"
 	"dynasym/internal/workloads"
 )
@@ -28,6 +29,23 @@ func TestValidateOK(t *testing.T) {
 	full.Policies, full.Points, full.Reps = []core.Policy{core.RWS(), core.DAMC()}, ParallelismPoints(2, 4), MaxGridCells/4
 	if err := full.Validate(); err != nil {
 		t.Fatalf("a grid of exactly MaxGridCells cells rejected: %v", err)
+	}
+	// Cells of exactly MaxCellTasks tasks (the largest factorizations below
+	// it), one per workload kind.
+	for name, w := range map[string]WorkloadSpec{
+		"synthetic": {Kind: Synthetic, Synthetic: workloads.SyntheticConfig{Tasks: MaxCellTasks}},
+		"kmeans":    {Kind: KMeans, KMeans: workloads.KMeansConfig{Grains: 2047, MaxIters: 2048}},
+		"heat":      {Kind: HeatDist, Heat: workloads.HeatDistConfig{Nodes: 4, BlocksPerNode: 1023, Iters: 1024}},
+		"fork-join": {Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelForkJoin, Layers: 4096, Width: 1022}},
+		"random":    {Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelRandomLayered, Layers: 2048, Width: 2048}},
+		"cholesky":  {Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelCholesky, Tiles: 292}},
+		"lu":        {Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelLU, Tiles: 232}},
+	} {
+		s := okSpec()
+		s.Workload = w
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s: a cell at MaxCellTasks rejected: %v", name, err)
+		}
 	}
 }
 
@@ -59,6 +77,33 @@ func TestValidateErrors(t *testing.T) {
 			s.Policies = core.All()
 			s.Reps = math.MaxInt
 		}, "exceeds the limit of 1048576 cells"},
+		{"synthetic cell one task over the limit", func(s *Spec) { s.Workload.Synthetic.Tasks = MaxCellTasks + 1 },
+			"a cell of 4194305 tasks (workload.synthetic.tasks) exceeds MaxCellTasks (4194304)"},
+		{"synthetic layer over the limit at one point", func(s *Spec) {
+			s.Points = []Point{{Label: "P2", Parallelism: 2}, {Label: "wide", Parallelism: 1 << 33}}
+		}, `point "wide": a cell of 8589934592 tasks (workload.synthetic.parallelism) exceeds MaxCellTasks`},
+		{"kmeans cell over the limit by product", func(s *Spec) {
+			s.Workload = WorkloadSpec{Kind: KMeans, KMeans: workloads.KMeansConfig{Grains: 2047, MaxIters: 2049}}
+		}, "a cell of 4196352 tasks (workload.kmeans.grains × workload.kmeans.max_iters) exceeds MaxCellTasks"},
+		{"kmeans cell product overflows", func(s *Spec) {
+			s.Workload = WorkloadSpec{Kind: KMeans, KMeans: workloads.KMeansConfig{Grains: 1 << 62, MaxIters: 1 << 62}}
+		}, "(workload.kmeans.grains × workload.kmeans.max_iters) exceeds MaxCellTasks"},
+		{"heat cell over the limit by product", func(s *Spec) {
+			s.Workload = WorkloadSpec{Kind: HeatDist, Heat: workloads.HeatDistConfig{Nodes: 4, BlocksPerNode: 1023, Iters: 1025}}
+		}, "a cell of 4198400 tasks (workload.heat.nodes × workload.heat.blocks_per_node × workload.heat.iters) exceeds MaxCellTasks"},
+		{"heat cell product overflows", func(s *Spec) {
+			s.Workload = WorkloadSpec{Kind: HeatDist, Heat: workloads.HeatDistConfig{Nodes: 2, BlocksPerNode: math.MaxInt, Iters: math.MaxInt}}
+		}, "workload.heat.iters) exceeds MaxCellTasks"},
+		{"cholesky one tile over the limit", func(s *Spec) {
+			s.Workload = WorkloadSpec{Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelCholesky, Tiles: 293}}
+		}, "a cell of 4235315 tasks (workload.daggen.tiles) exceeds MaxCellTasks"},
+		{"lu tile count overflows", func(s *Spec) {
+			s.Workload = WorkloadSpec{Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelLU, Tiles: math.MaxInt}}
+		}, "(workload.daggen.tiles) exceeds MaxCellTasks"},
+		{"fork-join over the limit at one point", func(s *Spec) {
+			s.Workload = WorkloadSpec{Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelForkJoin, Layers: 4096}}
+			s.Points = []Point{{Label: "w", Parallelism: 1023}}
+		}, "a cell of 4198400 tasks (workload.daggen.layers × workload.daggen.width) exceeds MaxCellTasks"},
 		{"alpha out of range", func(s *Spec) { s.Alpha = 1.5 }, "outside [0, 1]"},
 		{"empty point label", func(s *Spec) { s.Points = []Point{{}} }, "empty label"},
 		{"duplicate point label", func(s *Spec) {

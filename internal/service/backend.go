@@ -114,7 +114,7 @@ func (b *localBackend) Execute(ctx context.Context, plan *scenario.Plan, cells [
 	jt, lanePrefix := jobTraceFrom(ctx), traceLaneFrom(ctx)
 	var cellNanos atomic.Int64
 	start := time.Now()
-	err := b.exec.Run(ctx, len(cells), 0, func(w int, st *scenario.CellState, k int) bool {
+	err := b.exec.Run(ctx, len(cells), func(w int, st *scenario.CellState, k int) bool {
 		i := order[k]
 		b.runs.Inc()
 		b.busy.Inc()

@@ -100,7 +100,7 @@ func TestShardReplyDigestIsIgnored(t *testing.T) {
 	}))
 	defer srv.Close()
 	coord := NewManager(Config{Workers: 1, ShardSize: 3})
-	coord.setBackends(NewRemoteBackend(srv.URL, 0))
+	coord.setBackends(NewRemoteBackend(srv.URL))
 	j, _, err := coord.Submit(tinySpec(58))
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestRemoteBackendFingerprint(t *testing.T) {
 	defer srv.Close()
 
 	coord := NewManager(Config{Workers: 2, ShardSize: 3})
-	coord.setBackends(NewRemoteBackend(srv.URL, 0)) // no local fallback: every cell crosses the wire
+	coord.setBackends(NewRemoteBackend(srv.URL)) // no local fallback: every cell crosses the wire
 
 	spec := scenario.Spec{
 		Name: "remote-fingerprint",
@@ -191,7 +191,7 @@ func TestRemoteBackendIterStats(t *testing.T) {
 	srv := httptest.NewServer(worker.Handler(slog.New(slog.NewTextHandler(io.Discard, nil))))
 	defer srv.Close()
 	coord := NewManager(Config{Workers: 1})
-	coord.setBackends(NewRemoteBackend(srv.URL, 0))
+	coord.setBackends(NewRemoteBackend(srv.URL))
 
 	spec := scenario.Spec{
 		Name: "remote-kmeans",
@@ -238,7 +238,7 @@ func TestRemoteBackendRejectsOldPlacesForm(t *testing.T) {
 		fmt.Fprintf(w, `{"results":[{"hash":%q,"metrics":{"Seed":57,"TasksDone":9,"Iters":[{"Iter":0,"Tasks":9,"Start":0,"End":1,"Places":{"3":9}}]}}]}`, cell.Hash)
 	}))
 	defer srv.Close()
-	crs, err := NewRemoteBackend(srv.URL, 0).Execute(context.Background(), plan, []scenario.CellJob{cell})
+	crs, err := NewRemoteBackend(srv.URL).Execute(context.Background(), plan, []scenario.CellJob{cell})
 	if err == nil || !strings.Contains(err.Error(), "decode shard response") {
 		t.Fatalf("old-form shard response: err = %v, want a decode error", err)
 	}
@@ -249,7 +249,7 @@ func TestRemoteBackendRejectsOldPlacesForm(t *testing.T) {
 	// End to end: with that peer as the only backend the job fails; with
 	// the local pool behind it the shard fails over and the job is right.
 	m := NewManager(Config{Workers: 1, RetryBackoff: -1})
-	m.setBackends(NewRemoteBackend(srv.URL, 0), m.local)
+	m.setBackends(NewRemoteBackend(srv.URL), m.local)
 	j, _, err := m.Submit(tinySpec(57))
 	if err != nil {
 		t.Fatal(err)
@@ -502,7 +502,7 @@ func TestWedgedHTTPPeerShardTimeout(t *testing.T) {
 	defer close(unblock) // runs before Close, releasing the held requests
 
 	m := NewManager(Config{Workers: 2, ShardTimeout: 100 * time.Millisecond, RetryBackoff: -1})
-	m.setBackends(NewRemoteBackend(wedged.URL, 0), m.local)
+	m.setBackends(NewRemoteBackend(wedged.URL), m.local)
 	start := time.Now()
 	j, _, err := m.Submit(tinySpec(44))
 	if err != nil {

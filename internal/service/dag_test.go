@@ -81,7 +81,7 @@ func TestRemoteShardDAGFile(t *testing.T) {
 	srv := httptest.NewServer(worker.Handler(slog.New(slog.NewTextHandler(io.Discard, nil))))
 	defer srv.Close()
 	coord := NewManager(Config{Workers: 2, ShardSize: 2})
-	coord.setBackends(NewRemoteBackend(srv.URL, 0))
+	coord.setBackends(NewRemoteBackend(srv.URL))
 
 	spec := scenario.Spec{
 		Name:     "remote-dagfile",

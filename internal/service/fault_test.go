@@ -176,7 +176,7 @@ func TestChaosWireFaultsRetryExactly(t *testing.T) {
 			// First two shard posts come back mangled; the third is clean.
 			ft := newFaultTransport(false, tc.kind, tc.kind)
 			coord := NewManager(Config{Workers: 2, ShardSize: 16, ShardRetries: 3, RetryBackoff: -1})
-			coord.setBackends(newRemoteBackend(srv.URL, 0, ft))
+			coord.setBackends(newRemoteBackend(srv.URL, ft))
 
 			spec := chaosSpec(74)
 			j, _, err := coord.Submit(spec)

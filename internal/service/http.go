@@ -120,9 +120,7 @@ func (m *Manager) Handler(logger *slog.Logger) http.Handler {
 	mux.HandleFunc("GET /v1/results/{hash}", m.handleResult)
 	mux.HandleFunc("GET /v1/results/{hash}/fingerprint", m.handleFingerprintText)
 	mux.HandleFunc("POST /v1/shards", m.handleShards)
-	if !m.cfg.DisableMetrics {
-		mux.Handle("GET /metrics", m.reg.Handler())
-	}
+	mux.Handle("GET /metrics", m.reg.Handler())
 	if m.cfg.EnablePprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -214,7 +212,7 @@ func (m *Manager) handleJob(w http.ResponseWriter, r *http.Request) {
 func (m *Manager) handleTrace(w http.ResponseWriter, r *http.Request) {
 	spans, ok := m.JobTrace(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("no trace for job (unknown, evicted, or tracing disabled)"))
+		writeError(w, http.StatusNotFound, errors.New("no trace for job (unknown or evicted)"))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -466,9 +464,9 @@ func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter 
 
 // logRequests assigns each request its ID (echoing the caller's
 // X-Request-ID, minting one otherwise) and emits one structured log line
-// per request. Scrape traffic — /v1/healthz and /metrics, typically
-// polled every few seconds by monitoring — logs at Debug so an idle
-// node's log stays quiet at the default Info level.
+// per request — except for scrape traffic: /v1/healthz and /metrics,
+// typically polled every few seconds by monitoring, are not logged, so an
+// idle node's log stays quiet.
 func logRequests(logger *slog.Logger, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-ID")
@@ -477,17 +475,17 @@ func logRequests(logger *slog.Logger, next http.Handler) http.Handler {
 		}
 		w.Header().Set("X-Request-ID", id)
 		r = r.WithContext(withRequestID(r.Context(), id))
+		if r.URL.Path == "/v1/healthz" || r.URL.Path == "/metrics" {
+			next.ServeHTTP(w, r)
+			return
+		}
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
 		next.ServeHTTP(sw, r)
 		if sw.code == 0 {
 			sw.code = http.StatusOK
 		}
-		level := slog.LevelInfo
-		if r.URL.Path == "/v1/healthz" || r.URL.Path == "/metrics" {
-			level = slog.LevelDebug
-		}
-		logger.Log(r.Context(), level, "request",
+		logger.InfoContext(r.Context(), "request",
 			"method", r.Method,
 			"path", r.URL.Path,
 			"status", sw.code,

@@ -219,6 +219,11 @@ func TestHTTPFamilySubmit(t *testing.T) {
 }
 
 // TestHTTPErrors covers the 4xx surface.
+// hugeCellBody is one integer that used to kill the daemon: accepted with
+// 202, then a fatal out-of-memory — which no recover sees — when the first
+// cell asked dag.Graph.Grow for 2^33 tasks.
+const hugeCellBody = `{"spec":{"name":"x","platform":{"preset":"tx2"},"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":8589934592}},"policies":["RWS"],"seed":1}}`
+
 func TestHTTPErrors(t *testing.T) {
 	_, srv := newTestServer(t, Config{})
 	for name, tc := range map[string]struct {
@@ -232,12 +237,30 @@ func TestHTTPErrors(t *testing.T) {
 		"invalid spec":   {`{"spec": {"workload": {"kind": "synthetic"}, "policies": []}}`, http.StatusBadRequest},
 		"negative size":  {`{"spec": {"workload": {"kind": "heatdist", "heat": {"nodes": 2, "blocks_per_node": -3}}, "policies": ["RWS"]}}`, http.StatusBadRequest},
 		"grid too large": {`{"spec":{"name":"x","platform":{"preset":"tx2"},"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":50}},"policies":["RWS"],"reps":1099511627776,"seed":1}}`, http.StatusBadRequest},
+		"cell too large": {hugeCellBody, http.StatusBadRequest},
+		"wide layer":     {`{"spec": {"workload": {"kind": "synthetic", "synthetic": {"kernel": "MatMul", "parallelism": 8589934592}}, "policies": ["RWS"]}}`, http.StatusBadRequest},
+		"kmeans cell":    {`{"spec": {"platform": {"preset": "haswell16"}, "workload": {"kind": "kmeans", "kmeans": {"grains": 4294967296, "max_iters": 4294967296}}, "policies": ["RWS"]}}`, http.StatusBadRequest},
+		"heat cell":      {`{"spec": {"platform": {"preset": "haswell-node"}, "workload": {"kind": "heatdist", "heat": {"nodes": 2, "blocks_per_node": 4294967296, "iters": 4294967296}}, "policies": ["RWS"]}}`, http.StatusBadRequest},
+		"daggen tiles":   {`{"spec": {"workload": {"kind": "daggen", "daggen": {"model": "cholesky", "tiles": 8589934592}}, "policies": ["RWS"]}}`, http.StatusBadRequest},
+		"daggen layers":  {`{"spec": {"workload": {"kind": "daggen", "daggen": {"model": "random-layered", "layers": 4294967296, "width": 4294967296}}, "policies": ["RWS"]}}`, http.StatusBadRequest},
 		"unknown field":  {`{"famly": "burst-sweep"}`, http.StatusBadRequest},
 		"not json":       {`hello`, http.StatusBadRequest},
 	} {
 		_, code := postJob(t, srv.URL, tc.body)
 		if code != tc.want {
 			t.Errorf("%s: status %d, want %d", name, code, tc.want)
+		}
+	}
+	// The refusal names the field as the client spelled it, and the limit.
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(hugeCellBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{"workload.synthetic.tasks", "MaxCellTasks (4194304)"} {
+		if !strings.Contains(string(msg), want) {
+			t.Errorf("cell too large: error %q does not name %q", msg, want)
 		}
 	}
 	if code := getJSON(t, srv.URL+"/v1/jobs/deadbeef", nil); code != http.StatusNotFound {
@@ -247,7 +270,8 @@ func TestHTTPErrors(t *testing.T) {
 		t.Errorf("unknown result: status %d, want 404", code)
 	}
 	// None of the bodies above may have cost the daemon its life ("grid too
-	// large" used to: accepted with 202, then out of memory in NewPlan).
+	// large" used to: accepted with 202, then out of memory in NewPlan; the
+	// six oversized cells likewise, in the first cell's graph builder).
 	if code := getJSON(t, srv.URL+"/v1/healthz", nil); code != http.StatusOK {
 		t.Errorf("healthz after the bad submissions: status %d, want 200", code)
 	}
@@ -403,10 +427,10 @@ func TestHTTPShardErrors(t *testing.T) {
 	}
 }
 
-// TestRequestLogging checks the middleware emits structured lines, that
-// scrape endpoints (/v1/healthz, /metrics) are demoted to Debug so the
-// default Info level stays quiet under monitoring polls, and that job
-// lines carry the request ID.
+// TestRequestLogging checks the middleware emits one structured line per
+// request carrying the request ID, and none — at any level — for the scrape
+// endpoints (/v1/healthz, /metrics), so the log stays quiet under monitoring
+// polls.
 func TestRequestLogging(t *testing.T) {
 	m := NewManager(Config{})
 	var buf bytes.Buffer
@@ -414,40 +438,30 @@ func TestRequestLogging(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(syncWriter{&mu, &buf}, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	srv := httptest.NewServer(m.Handler(logger))
 	defer srv.Close()
-	if code := getJSON(t, srv.URL+"/v1/healthz", nil); code != http.StatusOK {
-		t.Fatal("healthz failed")
+	for _, path := range []string{"/v1/healthz", "/metrics"} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Request-ID") == "" {
+			t.Fatalf("GET %s: status %d, X-Request-ID %q", path, resp.StatusCode, resp.Header.Get("X-Request-ID"))
+		}
 	}
 	mu.Lock()
 	out := buf.String()
 	mu.Unlock()
-	for _, want := range []string{"level=DEBUG", "method=GET", "path=/v1/healthz", "status=200", "dur_ms=", "request_id="} {
-		if !strings.Contains(out, want) {
-			t.Errorf("request log %q missing %q", out, want)
-		}
+	if out != "" {
+		t.Errorf("scrape endpoints were logged: %q", out)
 	}
-
-	// At the default Info level, scrapes are silent and job traffic is not.
-	mu.Lock()
-	buf.Reset()
-	mu.Unlock()
-	infoLogger := slog.New(slog.NewTextHandler(syncWriter{&mu, &buf}, nil))
-	infoSrv := httptest.NewServer(m.Handler(infoLogger))
-	defer infoSrv.Close()
-	if code := getJSON(t, infoSrv.URL+"/v1/healthz", nil); code != http.StatusOK {
-		t.Fatal("healthz failed")
-	}
-	if code := getJSON(t, infoSrv.URL+"/metrics", nil); code != http.StatusOK {
-		t.Fatal("metrics failed")
-	}
-	getJSON(t, infoSrv.URL+"/v1/jobs", nil)
+	getJSON(t, srv.URL+"/v1/jobs", nil)
 	mu.Lock()
 	out = buf.String()
 	mu.Unlock()
-	if strings.Contains(out, "/v1/healthz") || strings.Contains(out, "/metrics") {
-		t.Errorf("scrape endpoints logged at info: %q", out)
-	}
-	if !strings.Contains(out, "path=/v1/jobs") || !strings.Contains(out, "request_id=") {
-		t.Errorf("job endpoint line missing from info log: %q", out)
+	for _, want := range []string{"level=INFO", "method=GET", "path=/v1/jobs", "status=200", "dur_ms=", "request_id="} {
+		if !strings.Contains(out, want) {
+			t.Errorf("request log %q missing %q", out, want)
+		}
 	}
 }
 

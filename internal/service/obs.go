@@ -191,7 +191,8 @@ const maxSpansPerJob = 1 << 14
 // jobTrace carries one job's span set (plus the clock origin and lane
 // allocator) through the dispatch path via context, so backends record
 // spans without interface changes. All methods are nil-tolerant — a
-// disabled tracer costs one nil check per call site.
+// backend driven outside a job (no tracer in the context) costs one nil
+// check per call site.
 type jobTrace struct {
 	spans *trace.SpanSet
 	t0    time.Time

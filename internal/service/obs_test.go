@@ -184,19 +184,6 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestMetricsDisabled checks Config.DisableMetrics removes the route.
-func TestMetricsDisabled(t *testing.T) {
-	_, srv := newTestServer(t, Config{Workers: 1, DisableMetrics: true})
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /metrics with metrics disabled: status %d, want 404", resp.StatusCode)
-	}
-}
-
 // TestMetricsScrapesRaceJobs hammers /metrics from several goroutines
 // while jobs execute and a flaky peer trips its breaker — the race
 // detector owns the assertions; the final scrape sanity-checks totals.
@@ -324,7 +311,7 @@ type chromeEvt struct {
 func TestTraceEndpoint(t *testing.T) {
 	_, wsrv := newTestServer(t, Config{Workers: 2})
 	coord, csrv := newTestServer(t, Config{Workers: 2, ShardSize: 2})
-	coord.setBackends(NewRemoteBackend(wsrv.URL, 0)) // no local pool: all cells remote
+	coord.setBackends(NewRemoteBackend(wsrv.URL)) // no local pool: all cells remote
 
 	j, _, err := coord.submit(tinySpec(31), "trace-req-7")
 	if err != nil {
@@ -396,28 +383,6 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestTraceDisabled checks TraceRetention < 0 turns tracing off: no
-// trace URL in snapshots and 404 from the endpoint.
-func TestTraceDisabled(t *testing.T) {
-	m, srv := newTestServer(t, Config{Workers: 1, TraceRetention: -1})
-	j, _, err := m.Submit(tinySpec(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, j)
-	if url := j.Snapshot().TraceURL; url != "" {
-		t.Errorf("snapshot advertises trace_url %q with tracing disabled", url)
-	}
-	resp, err := http.Get(srv.URL + "/v1/jobs/" + j.Hash + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET trace with tracing disabled: status %d, want 404", resp.StatusCode)
-	}
-}
-
 // TestRequestIDPropagation submits over HTTP with an explicit
 // X-Request-ID and checks it is echoed in the response header and
 // status body, and rides the job's shard POSTs to the worker.
@@ -437,7 +402,7 @@ func TestRequestIDPropagation(t *testing.T) {
 	defer wsrv.Close()
 
 	coord, csrv := newTestServer(t, Config{Workers: 1, ShardSize: 2})
-	coord.setBackends(NewRemoteBackend(wsrv.URL, 0))
+	coord.setBackends(NewRemoteBackend(wsrv.URL))
 
 	sj, err := tinySpec(33).CanonicalJSON()
 	if err != nil {

@@ -95,21 +95,19 @@ type remoteBackend struct {
 // baseURL (e.g. "http://10.0.0.7:8080"). Simulations can be long, so the
 // client has no overall timeout — the dispatcher bounds each attempt with
 // Config.ShardTimeout via the request context — but connecting gets its
-// own short timeout (Config.DialTimeout; 0 picks the 10s default, < 0
-// disables) so an unroutable peer fails over fast.
-func NewRemoteBackend(baseURL string, dialTimeout time.Duration) Backend {
-	return newRemoteBackend(baseURL, dialTimeout, nil)
+// own short timeout (dialTimeout) so an unroutable peer fails over fast
+// while long simulations still get their full attempt budget.
+func NewRemoteBackend(baseURL string) Backend {
+	return newRemoteBackend(baseURL, nil)
 }
+
+// dialTimeout bounds connecting to a peer.
+const dialTimeout = 10 * time.Second
 
 // newRemoteBackend additionally accepts a transport override, which the
 // chaos suite uses to inject wire-level faults (fault.go) between a real
 // coordinator and a real worker.
-func newRemoteBackend(baseURL string, dialTimeout time.Duration, rt http.RoundTripper) Backend {
-	if dialTimeout == 0 {
-		dialTimeout = 10 * time.Second
-	} else if dialTimeout < 0 {
-		dialTimeout = 0 // net.Dialer: no timeout
-	}
+func newRemoteBackend(baseURL string, rt http.RoundTripper) Backend {
 	if rt == nil {
 		rt = &http.Transport{
 			DialContext: (&net.Dialer{Timeout: dialTimeout}).DialContext,

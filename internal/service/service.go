@@ -92,9 +92,8 @@ type Job struct {
 	reqID string
 	// spans holds the job's service-level trace while it is in flight;
 	// on completion the manager moves it into the trace-retention LRU
-	// and clears this pointer. traced records that tracing was on.
-	spans  atomic.Pointer[trace.SpanSet]
-	traced bool
+	// and clears this pointer.
+	spans atomic.Pointer[trace.SpanSet]
 
 	cellsDone  atomic.Int64
 	cellsTotal atomic.Int64
@@ -183,9 +182,7 @@ func (j *Job) Snapshot() Status {
 		CacheHits:  j.hits.Load(),
 		CreatedAt:  j.created.UTC().Format(time.RFC3339Nano),
 		RequestID:  j.reqID,
-	}
-	if j.traced {
-		st.TraceURL = "/v1/jobs/" + j.Hash + "/trace"
+		TraceURL:   "/v1/jobs/" + j.Hash + "/trace",
 	}
 	switch j.State() {
 	case StateDone:
@@ -218,11 +215,6 @@ type Config struct {
 	// non-local backends: the in-process pool cannot wedge, and long
 	// paper-scale cells must not be killed mid-simulation.
 	ShardTimeout time.Duration
-	// DialTimeout bounds connecting to a peer (default 10 seconds;
-	// < 0 disables). Kept separate from ShardTimeout so an unroutable
-	// peer fails over fast while long simulations still get their full
-	// attempt budget.
-	DialTimeout time.Duration
 	// ShardRetries is a shard's retry budget: the number of rounds over
 	// the available backends before the shard — and with it the job —
 	// fails (default 3; 1 restores the old single-pass behavior). With
@@ -244,12 +236,9 @@ type Config struct {
 	ProbeBackoff    time.Duration
 	ProbeMaxBackoff time.Duration
 	// TraceRetention bounds how many finished jobs keep their
-	// service-level span timeline for GET /v1/jobs/{id}/trace
-	// (default 64; < 0 disables job tracing entirely).
+	// service-level span timeline for GET /v1/jobs/{id}/trace, and how
+	// many rendered cell sim traces are cached (default 64 each).
 	TraceRetention int
-	// DisableMetrics unmounts GET /metrics. Collection itself always
-	// runs — it is atomic updates, too cheap to gate.
-	DisableMetrics bool
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
 }
@@ -270,9 +259,6 @@ func (c Config) withDefaults() Config {
 	if c.ShardTimeout == 0 {
 		c.ShardTimeout = 10 * time.Minute
 	}
-	if c.DialTimeout == 0 {
-		c.DialTimeout = 10 * time.Second
-	}
 	if c.ShardRetries <= 0 {
 		c.ShardRetries = 3
 	}
@@ -288,7 +274,7 @@ func (c Config) withDefaults() Config {
 	if c.ProbeMaxBackoff <= 0 {
 		c.ProbeMaxBackoff = time.Minute
 	}
-	if c.TraceRetention == 0 {
+	if c.TraceRetention <= 0 {
 		c.TraceRetention = 64
 	}
 	return c
@@ -331,10 +317,9 @@ type Manager struct {
 	jobBytes  int64
 	pending   map[string]*pendingCell   // cells being simulated, by cell hash
 	plans     *lruCache[*scenario.Plan] // memoized plans, by spec hash (shard API)
-	traces    *lruCache[*trace.SpanSet] // finished job traces, by spec hash (nil = tracing off)
+	traces    *lruCache[*trace.SpanSet] // finished job traces, by spec hash
 	// simtraces caches rendered per-cell sim-time Chrome traces by cell
-	// hash. Gated with traces: a deployment that disables trace retention
-	// disables sim tracing too.
+	// hash.
 	simtraces *lruCache[[]byte]
 	closed    bool
 
@@ -361,13 +346,12 @@ func NewManager(cfg Config) *Manager {
 		cells:    newLRUCache[scenario.RunMetrics](cfg.CellCacheSize),
 		pending:  make(map[string]*pendingCell),
 		plans:    newLRUCache[*scenario.Plan](planCacheSize),
+
+		traces:    newLRUCache[*trace.SpanSet](cfg.TraceRetention),
+		simtraces: newLRUCache[[]byte](cfg.TraceRetention),
 	}
 	m.cache.onDrop = func(j *Job) { m.jobBytes -= int64(len(j.doc)) }
 	m.cells.onDrop = func(rm scenario.RunMetrics) { m.cellBytes -= rm.SizeBytes() }
-	if cfg.TraceRetention > 0 {
-		m.traces = newLRUCache[*trace.SpanSet](cfg.TraceRetention)
-		m.simtraces = newLRUCache[[]byte](cfg.TraceRetention)
-	}
 	mx.poolWorkers.Set(int64(cfg.Workers))
 	local.busy = mx.poolBusy
 	local.runs = mx.cellRuns
@@ -376,7 +360,7 @@ func NewManager(cfg Config) *Manager {
 	local.parallelism = mx.poolParallelism
 	backends := []Backend{local}
 	for _, peer := range cfg.Peers {
-		backends = append(backends, NewRemoteBackend(peer, cfg.DialTimeout))
+		backends = append(backends, NewRemoteBackend(peer))
 	}
 	m.setBackends(backends...)
 	return m
@@ -408,11 +392,10 @@ func (m *Manager) Submit(spec scenario.Spec) (job *Job, existing bool, err error
 // submit is Submit with the originating request ID attached (HTTP path);
 // the ID rides the job into worker shard requests and log lines.
 func (m *Manager) submit(spec scenario.Spec, reqID string) (job *Job, existing bool, err error) {
-	// Strip execution-only fields: the service owns pool sizing and
-	// observation, and the hash ignores them anyway. Probe is stripped
-	// too — per-cell sim traces are served on demand by re-execution
-	// (SimTrace), not by probing every banked cell.
-	spec.Workers = 0
+	// Strip execution-only fields: the service owns observation, and the
+	// hash ignores them anyway. Probe is stripped too — per-cell sim traces
+	// are served on demand by re-execution (SimTrace), not by probing every
+	// banked cell.
 	spec.Probe = false
 	spec.Progress = nil
 	if err := spec.Validate(); err != nil {
@@ -446,11 +429,8 @@ func (m *Manager) submit(spec scenario.Spec, reqID string) (job *Job, existing b
 		done:    make(chan struct{}),
 		created: m.now(),
 		reqID:   reqID,
-		traced:  m.traces != nil,
 	}
-	if j.traced {
-		j.spans.Store(trace.NewSpanSet(maxSpansPerJob))
-	}
+	j.spans.Store(trace.NewSpanSet(maxSpansPerJob))
 	m.inflight[hash] = j
 	m.mx.jobsQueued.Inc()
 	m.wg.Add(1)
@@ -492,14 +472,10 @@ func (m *Manager) execute(j *Job) {
 
 	// Thread the job's tracer and request ID through the dispatch path:
 	// backends record spans and remote shard POSTs carry the ID.
-	var jt *jobTrace
-	ctx := withRequestID(context.Background(), j.reqID)
-	if spans := j.spans.Load(); spans != nil {
-		jt = newJobTrace(j.created, m.now, spans)
-		jt.span(trace.Span{Name: "queued", Cat: "job", Lane: "job",
-			Start: 0, End: jt.at()})
-		ctx = withJobTrace(ctx, jt)
-	}
+	spans := j.spans.Load()
+	jt := newJobTrace(j.created, m.now, spans)
+	jt.span(trace.Span{Name: "queued", Cat: "job", Lane: "job", Start: 0, End: jt.at()})
+	ctx := withJobTrace(withRequestID(context.Background(), j.reqID), jt)
 
 	res, err := m.runJob(ctx, j)
 	j.finished = m.now()
@@ -523,15 +499,13 @@ func (m *Manager) execute(j *Job) {
 	m.mx.jobEvict.Add(int64(m.cache.Add(j.Hash, j)))
 	m.mx.jobEntries.Set(int64(m.cache.Len()))
 	m.mx.jobCacheBytes.Set(m.jobBytes) // an eviction took its document along
-	if spans := j.spans.Load(); spans != nil && m.traces != nil {
-		// The finished trace moves into the retention LRU; the job keeps
-		// only the traced flag. Drops are surfaced as a counter so a
-		// truncated timeline is visible in /metrics, not just puzzling.
-		m.traces.Add(j.Hash, spans)
-		m.mx.traceEntries.Set(int64(m.traces.Len()))
-		m.mx.traceSpansDropped.Add(spans.Dropped())
-		j.spans.Store(nil)
-	}
+	// The finished trace moves into the retention LRU. Drops are surfaced
+	// as a counter so a truncated timeline is visible in /metrics, not just
+	// puzzling.
+	m.traces.Add(j.Hash, spans)
+	m.mx.traceEntries.Set(int64(m.traces.Len()))
+	m.mx.traceSpansDropped.Add(spans.Dropped())
+	j.spans.Store(nil)
 	m.mu.Unlock()
 	close(j.done)
 }
@@ -570,19 +544,12 @@ func (m *Manager) JobTrace(hash string) (*trace.SpanSet, bool) {
 			return spans, true
 		}
 	}
-	if m.traces == nil {
-		return nil, false
-	}
 	return m.traces.Get(hash)
 }
 
 // ErrUnknownJob reports a job ID the manager does not know (evicted or
 // never submitted); the HTTP layer maps it to 404.
 var ErrUnknownJob = errors.New("unknown job (evicted or never submitted)")
-
-// ErrSimTraceDisabled reports that trace retention — and with it sim
-// tracing — is disabled on this node.
-var ErrSimTraceDisabled = errors.New("sim tracing disabled (trace retention < 0)")
 
 // SimTrace renders the sim-time schedule trace of one cell of a job as
 // Chrome-trace JSON: task slices plus queue-depth, ready-task, PTT-error
@@ -593,9 +560,6 @@ var ErrSimTraceDisabled = errors.New("sim tracing disabled (trace retention < 0)
 // computed on a remote shard or served from cache. Rendered bytes are
 // cached by cell hash.
 func (m *Manager) SimTrace(id string, cell int) ([]byte, error) {
-	if m.simtraces == nil {
-		return nil, ErrSimTraceDisabled
-	}
 	j, ok := m.Job(id)
 	if !ok {
 		return nil, ErrUnknownJob

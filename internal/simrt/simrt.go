@@ -77,7 +77,9 @@ type ExecHook interface {
 // the Exec call that received it until it is passed to Finish.
 type Execution struct{ a *assembly }
 
-// Config configures a simulated runtime instance.
+// Config configures a simulated runtime instance: what runs where, under
+// which policy and seed, and who watches. The runtime's timing model is not
+// configuration (see the constants below).
 type Config struct {
 	// Topo is the platform this runtime schedules on. Required.
 	Topo *topology.Platform
@@ -104,30 +106,35 @@ type Config struct {
 	// probed run is bit-identical to an unprobed one, and a nil Probe
 	// costs one pointer check per hook site.
 	Probe *Probe
+}
 
-	// DispatchCost is the virtual time a worker spends per dispatch
-	// (dequeue + placement decision + AQ insertion). Default 0.2 µs.
-	DispatchCost float64
-	// StealCost is the virtual time for one steal attempt. Default 1 µs.
-	StealCost float64
-	// WakeLatency is the delay between work appearing and an idle core
-	// noticing. Default 0.5 µs.
-	WakeLatency float64
-	// PreemptProb is the probability that one task execution absorbs a
+// The runtime's timing model: properties of the modelled XiTAO runtime and
+// board, not of an experiment, so constants rather than Config fields (the
+// one tunable the paper admits, the PTT weight, is Config.Alpha). Typed, so
+// expressions over them round as float64 arithmetic instead of folding
+// exactly.
+const (
+	// dispatchCost is the virtual time a worker spends per dispatch
+	// (dequeue + placement decision + AQ insertion).
+	dispatchCost float64 = 0.2e-6
+	// stealCost is the virtual time for one steal attempt.
+	stealCost float64 = 1e-6
+	// wakeLatency is the delay between work appearing and an idle core
+	// noticing.
+	wakeLatency float64 = 0.5e-6
+	// preemptProb is the probability that one task execution absorbs a
 	// short isolated system event (OS tick, interrupt); such outliers are
 	// what the paper's weighted PTT update is designed to absorb.
-	// Default 0.02; negative disables.
-	PreemptProb float64
-	// PreemptMin/PreemptMax bound the uniformly drawn preemption delay in
-	// seconds. Defaults 0.1 ms and 0.5 ms (timer ticks and daemon blips
-	// on a busy embedded board).
-	PreemptMin, PreemptMax float64
-	// PollDelay is how long an idle worker waits before probing for work
-	// that appeared on another core's queue (idle workers poll rather
-	// than receive targeted wakeups, like XiTAO's spin-steal loop with
-	// yields). Default 20 µs.
-	PollDelay float64
-}
+	preemptProb float64 = 0.02
+	// preemptMin and preemptMax bound the uniformly drawn preemption delay
+	// in seconds (timer ticks and daemon blips on a busy embedded board).
+	preemptMin float64 = 0.1e-3
+	preemptMax float64 = 0.5e-3
+	// pollDelay is how long an idle worker waits before probing for work
+	// that appeared on another core's queue (idle workers poll rather than
+	// receive targeted wakeups, like XiTAO's spin-steal loop with yields).
+	pollDelay float64 = 20e-6
+)
 
 type coreStateKind int32
 
@@ -184,11 +191,11 @@ type Runtime struct {
 	topo     *topology.Platform
 	model    *machine.Model
 	policy   core.Policy
-	reg      *ptt.Registry
-	coll     *metrics.Collector
+	reg      ptt.Registry
+	coll     metrics.Collector
 	rr       uint64 // round-robin counter the fixed-asymmetry policies share
 	cores    []*coreState
-	root     *xrand.RNG
+	root     xrand.RNG
 	started  bool
 	finished bool
 	makespan float64
@@ -224,9 +231,7 @@ type Runtime struct {
 	privEngine bool
 }
 
-// validateConfig checks the required fields and fills in the defaults,
-// mutating cfg in place. New and Reset share it so a reset runtime accepts
-// exactly the configurations a fresh one would.
+// validateConfig checks the required fields.
 func validateConfig(cfg *Config) error {
 	if cfg.Topo == nil {
 		return fmt.Errorf("simrt: Config.Topo is required")
@@ -240,67 +245,22 @@ func validateConfig(cfg *Config) error {
 	if cfg.Model.Platform() != cfg.Topo {
 		return fmt.Errorf("simrt: Model built for a different platform")
 	}
-	if cfg.DispatchCost <= 0 {
-		cfg.DispatchCost = 0.2e-6
-	}
-	if cfg.StealCost <= 0 {
-		cfg.StealCost = 1e-6
-	}
-	if cfg.WakeLatency <= 0 {
-		cfg.WakeLatency = 0.5e-6
-	}
-	if cfg.PreemptProb == 0 {
-		cfg.PreemptProb = 0.02
-	}
-	if cfg.PreemptProb < 0 {
-		cfg.PreemptProb = 0
-	}
-	if cfg.PreemptMin <= 0 {
-		cfg.PreemptMin = 0.1e-3
-	}
-	if cfg.PreemptMax <= cfg.PreemptMin {
-		cfg.PreemptMax = 0.5e-3
-	}
-	if cfg.PollDelay <= 0 {
-		cfg.PollDelay = 20e-6
-	}
 	return nil
 }
 
-// New validates the configuration and builds a runtime.
+// New validates the configuration and builds a runtime: a Reset of the zero
+// Runtime, so a recycled runtime equals a fresh one by construction.
 func New(cfg Config) (*Runtime, error) {
-	if err := validateConfig(&cfg); err != nil {
+	rt := &Runtime{}
+	if err := rt.Reset(cfg); err != nil {
 		return nil, err
-	}
-	rt := &Runtime{
-		cfg:    cfg,
-		engine: cfg.Engine,
-		topo:   cfg.Topo,
-		model:  cfg.Model,
-		policy: cfg.Policy,
-		reg:    ptt.NewRegistry(cfg.Topo, cfg.Alpha),
-		coll:   metrics.NewCollector(cfg.Topo),
-		root:   xrand.New(cfg.Seed),
-	}
-	if rt.engine == nil {
-		rt.engine = sim.New()
-		rt.privEngine = true
-	}
-	rt.prioSteal = cfg.Policy.AllowPrioritySteal()
-	rt.usesPTT = cfg.Policy.UsesPTT()
-	rt.loadFn = rt.loadEstimate
-	rt.ctxScratch = core.Context{Topo: rt.topo, RR: &rt.rr, Load: rt.loadFn}
-	rt.buildCores()
-	if cfg.Probe != nil {
-		cfg.Probe.reset(len(rt.cores))
 	}
 	return rt, nil
 }
 
-// buildCores (re)allocates the per-core state, bitmaps, and assembly pool
-// for the current topology. The per-core RNGs are split off the root in
-// ascending core order; New and Reset both rely on that draw sequence being
-// identical.
+// buildCores allocates the per-core state, bitmaps, and assembly pool for
+// the current topology, splitting the per-core RNGs off the root in
+// ascending core order.
 func (rt *Runtime) buildCores() {
 	rt.cores = make([]*coreState, rt.topo.NumCores())
 	words := (rt.topo.NumCores() + 63) / 64
@@ -323,17 +283,18 @@ func (rt *Runtime) buildCores() {
 	}
 }
 
-// Reset returns the runtime to the observable state New(cfg) produces while
-// reusing its allocations — core states, queue rings, the assembly pool,
-// per-core RNGs, the registry, the collector and (when privately owned) the
-// engine. Scenario runners execute thousands of short cells back to
-// back; rebuilding the runtime per cell dominated their allocation profile.
+// Reset puts the runtime in the state a run of cfg starts from, reusing its
+// allocations — core states, queue rings, the assembly pool, per-core RNGs,
+// the registry, the collector and (when privately owned) the engine.
+// Scenario runners execute thousands of short cells back to back; rebuilding
+// the runtime per cell dominated their allocation profile.
 //
-// The reused runtime is bit-identical to a fresh one: the RNG reseed and
-// per-core splits replay New's exact draw sequence, and the PTT generation
-// counters only ever advance, so no stale cached decision can survive.
-// Reset accepts a different topology/policy/seed than the previous run
-// (shape changes rebuild the per-core state).
+// A reused runtime is bit-identical to a fresh one because New is this
+// function on a zero Runtime: the per-core RNGs are split off the reseeded
+// root in ascending core order either way, and the PTT generation counters
+// only ever advance, so no stale cached decision can survive. Reset accepts a
+// different topology/policy/seed than the previous run (shape changes rebuild
+// the per-core state).
 func (rt *Runtime) Reset(cfg Config) error {
 	if err := validateConfig(&cfg); err != nil {
 		return err
@@ -352,7 +313,7 @@ func (rt *Runtime) Reset(cfg Config) error {
 	}
 	rt.reg.Reset(cfg.Topo, cfg.Alpha)
 	rt.coll.Reset(cfg.Topo)
-	sameShape := rt.topo != nil && len(rt.cores) == cfg.Topo.NumCores()
+	sameShape := len(rt.cores) == cfg.Topo.NumCores()
 	rt.cfg = cfg
 	rt.topo = cfg.Topo
 	rt.model = cfg.Model
@@ -362,11 +323,9 @@ func (rt *Runtime) Reset(cfg Config) error {
 	rt.rr = 0
 	rt.root.Reseed(cfg.Seed)
 	if sameShape {
-		for i := range rt.idle {
-			rt.idle[i] = 0
-			rt.wsqAny[i] = 0
-			rt.wsqLow[i] = 0
-		}
+		clear(rt.idle)
+		clear(rt.wsqAny)
+		clear(rt.wsqLow)
 		for _, c := range rt.cores {
 			c.state = stIdle
 			c.cur = nil
@@ -381,12 +340,13 @@ func (rt *Runtime) Reset(cfg Config) error {
 	} else {
 		rt.buildCores()
 	}
+	if rt.loadFn == nil {
+		rt.loadFn = rt.loadEstimate
+	}
 	rt.ctxScratch = core.Context{Topo: rt.topo, RR: &rt.rr, Load: rt.loadFn}
 	// The task mirror is rebuilt at Start; release the previous graph's
 	// task pointers now so Reset does not pin it.
-	for i := range rt.soa.ptr {
-		rt.soa.ptr[i] = nil
-	}
+	clear(rt.soa.ptr)
 	rt.soa.ptr = rt.soa.ptr[:0]
 	rt.started = false
 	rt.finished = false
@@ -466,7 +426,7 @@ func (rt *Runtime) findVictim(bm []uint64, start, self int) *coreState {
 func (rt *Runtime) Engine() *sim.Engine { return rt.engine }
 
 // Collector returns the runtime's metrics collector.
-func (rt *Runtime) Collector() *metrics.Collector { return rt.coll }
+func (rt *Runtime) Collector() *metrics.Collector { return &rt.coll }
 
 // Policy returns the runtime's scheduling policy.
 func (rt *Runtime) Policy() core.Policy { return rt.policy }
@@ -488,7 +448,7 @@ func (rt *Runtime) Run(g *dag.Graph) (*metrics.Collector, error) {
 	if !rt.finished {
 		return nil, fmt.Errorf("simrt: execution stalled with %d tasks outstanding (possible dependency deadlock)", rt.soa.remaining)
 	}
-	return rt.coll, nil
+	return &rt.coll, nil
 }
 
 // Start wires the graph into the runtime and schedules the initial events.
@@ -510,12 +470,12 @@ func (rt *Runtime) Start(g *dag.Graph) error {
 		rt.finished = true
 		rt.coll.SetMakespan(0)
 		if p := rt.cfg.Probe; p != nil {
-			p.flushTo(rt.coll, 0)
+			p.flushTo(&rt.coll, 0)
 		}
 		return nil
 	}
 	for _, c := range rt.cores {
-		rt.scheduleStep(c, rt.cfg.WakeLatency)
+		rt.scheduleStep(c, wakeLatency)
 	}
 	return nil
 }
@@ -585,7 +545,7 @@ func (rt *Runtime) wakeTask(tr int32, waker int) {
 	if p := rt.cfg.Probe; p != nil {
 		p.queueDelta(rt.engine.Now(), 1, 0)
 	}
-	rt.scheduleStep(target, rt.cfg.WakeLatency)
+	rt.scheduleStep(target, wakeLatency)
 	if tr&1 == 0 || rt.prioSteal {
 		// Idle workers discover remote work by polling, with a per-core
 		// stagger so probes do not stampede. The bitmap walk visits
@@ -595,7 +555,7 @@ func (rt *Runtime) wakeTask(tr int32, waker int) {
 			for word != 0 {
 				c := rt.cores[wi<<6+bits.TrailingZeros64(word)]
 				word &= word - 1
-				rt.scheduleStep(c, rt.cfg.PollDelay*(0.5+c.rng.Float64()))
+				rt.scheduleStep(c, pollDelay*(0.5+c.rng.Float64()))
 			}
 		}
 	}
@@ -620,11 +580,11 @@ func (rt *Runtime) step(c *coreState) {
 			rt.updateWSQBits(c)
 			if p := rt.cfg.Probe; p != nil {
 				p.queueDelta(rt.engine.Now(), -1, 0)
-				p.dispatched(c.id, rt.cfg.DispatchCost)
+				p.dispatched(c.id, dispatchCost)
 			}
 			rt.dispatch(c, t)
 			c.dispatches++
-			rt.engine.AfterEvent(rt.cfg.DispatchCost, c, evStep)
+			rt.engine.AfterEvent(dispatchCost, c, evStep)
 			return
 		}
 	}
@@ -649,11 +609,11 @@ func (rt *Runtime) step(c *coreState) {
 		rt.updateWSQBits(c)
 		if p := rt.cfg.Probe; p != nil {
 			p.queueDelta(rt.engine.Now(), -1, 0)
-			p.dispatched(c.id, rt.cfg.DispatchCost)
+			p.dispatched(c.id, dispatchCost)
 		}
 		rt.dispatch(c, t)
 		c.dispatches++
-		rt.engine.AfterEvent(rt.cfg.DispatchCost, c, evStep)
+		rt.engine.AfterEvent(dispatchCost, c, evStep)
 		return
 	}
 
@@ -680,10 +640,10 @@ func (rt *Runtime) step(c *coreState) {
 		c.steals++
 		if p := rt.cfg.Probe; p != nil {
 			p.queueDelta(rt.engine.Now(), -1, 0)
-			p.stole(v.id, c.id, t&1 != 0, rt.cfg.StealCost)
+			p.stole(v.id, c.id, t&1 != 0, stealCost)
 		}
 		rt.dispatch(c, t)
-		rt.engine.AfterEvent(rt.cfg.StealCost, c, evStep)
+		rt.engine.AfterEvent(stealCost, c, evStep)
 		return
 	}
 	c.failedSteals++
@@ -713,7 +673,7 @@ func (rt *Runtime) dispatch(c *coreState, tr int32) {
 		} else {
 			m.aq.PushBack(a)
 		}
-		rt.scheduleStep(m, rt.cfg.WakeLatency)
+		rt.scheduleStep(m, wakeLatency)
 	}
 	if p := rt.cfg.Probe; p != nil {
 		p.queueDelta(rt.engine.Now(), 0, pl.Width)
@@ -834,7 +794,7 @@ func (rt *Runtime) completeAssembly(a *assembly, finish float64) {
 		rt.makespan = finish
 		rt.coll.SetMakespan(finish)
 		if p := rt.cfg.Probe; p != nil {
-			p.flushTo(rt.coll, finish)
+			p.flushTo(&rt.coll, finish)
 		}
 	}
 }
@@ -856,11 +816,9 @@ func (rt *Runtime) drawJitter(leader int) machine.Jitter {
 	if rt.model.JitterRel > 0 {
 		j.Mul = rng.Jitter(rt.model.JitterRel)
 	}
-	if rt.model.TimerRes > 0 {
-		j.Add += math.Abs(rng.NormFloat64()) * rt.model.TimerRes
-	}
-	if rt.cfg.PreemptProb > 0 && rng.Float64() < rt.cfg.PreemptProb {
-		j.Add += rt.cfg.PreemptMin + (rt.cfg.PreemptMax-rt.cfg.PreemptMin)*rng.Float64()
+	j.Add += math.Abs(rng.NormFloat64()) * machine.TimerRes
+	if rng.Float64() < preemptProb {
+		j.Add += preemptMin + (preemptMax-preemptMin)*rng.Float64()
 	}
 	return j
 }

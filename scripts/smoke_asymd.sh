@@ -42,7 +42,7 @@ go build -o "$BIN" ./cmd/asymd
 
 # Non-positive cache capacities must be rejected loudly, not silently
 # coerced to the defaults.
-for BADFLAG in "-cache 0" "-cellcache 0" "-shard -1"; do
+for BADFLAG in "-cache 0" "-cellcache 0" "-shard -1" "-trace-retention 0"; do
 	if "$BIN" $BADFLAG -addr 127.0.0.1:0 >/dev/null 2>&1; then
 		echo "asymd accepted '$BADFLAG', want a startup error"; exit 1
 	fi

@@ -157,43 +157,26 @@ func (p *policy) DispatchPlace(ctx *Context) topology.Place {
 			return globalBest(ctx.Table, ctx.Topo, p.highObj, p.highWOne)
 		case highFastRR:
 			if p.highMold {
-				return localBest(ctx.Table, ctx.Topo, ctx.Self, MinCost)
+				return localBest(ctx.Table, ctx.Topo, ctx.Self)
 			}
 			return topology.Place{Leader: ctx.Self, Width: 1}
 		}
 		// highNone: fall through to the low-priority path.
 	}
 	if p.lowSearch {
-		return localBest(ctx.Table, ctx.Topo, ctx.Self, MinCost)
+		return localBest(ctx.Table, ctx.Topo, ctx.Self)
 	}
 	return topology.Place{Leader: ctx.Self, Width: 1}
 }
 
 // localBest performs the paper's local search: the resource partition and
-// core stay fixed (the place must contain `core`), only the width is
-// molded. Unmeasured places (zero entries) win immediately so every width
-// is explored at least once. The MinCost search — the only one the Table 1
-// policies use — is served from the table's per-core cached best, which
-// only rescans after an update.
-func localBest(t *ptt.Table, topo *topology.Platform, core int, obj Objective) topology.Place {
-	if obj == MinCost {
-		return topo.Places()[t.BestLocalCost(core)]
-	}
-	best := topology.Place{Leader: core, Width: 1}
-	bestScore := score(t, best, obj)
-	for _, w := range topo.WidthsFor(core) {
-		if w == 1 {
-			continue
-		}
-		pl, ok := topo.PlaceFor(core, w)
-		if !ok {
-			continue
-		}
-		if s := score(t, pl, obj); s < bestScore {
-			best, bestScore = pl, s
-		}
-	}
-	return best
+// core stay fixed (the place must contain `core`), only the width is molded
+// to minimize predicted time × width — the one objective the Table 1 policies
+// search locally for. Unmeasured places (zero entries) win immediately so
+// every width is explored at least once. It is served from the table's
+// per-core cached best, which only rescans after an update.
+func localBest(t *ptt.Table, topo *topology.Platform, core int) topology.Place {
+	return topo.Places()[t.BestLocalCost(core)]
 }
 
 // globalBest performs the paper's global search over every execution place
@@ -215,17 +198,6 @@ func globalBest(t *ptt.Table, topo *topology.Platform, obj Objective, widthOne b
 		id = t.BestGlobalTime()
 	}
 	return topo.Places()[id]
-}
-
-// score returns the search objective for one place; zero-valued (never
-// measured) entries score 0 and therefore always win, implementing the
-// "initialize to zero to force exploration" rule.
-func score(t *ptt.Table, pl topology.Place, obj Objective) float64 {
-	v := t.Value(pl)
-	if obj == MinCost {
-		return v * float64(pl.Width)
-	}
-	return v
 }
 
 // The seven schedulers of Table 1.

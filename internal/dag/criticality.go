@@ -9,7 +9,7 @@ package dag
 // (longest path from the task to any exit) minus its own weight equals the
 // critical-path length; tasks with small slack are near-critical.
 //
-// It operates on a graph before Start.
+// It operates on a graph before Freeze.
 
 // InferCriticality marks as high priority every task whose path slack is at
 // most (1-fraction) of the critical-path length: fraction 1 marks exactly
@@ -28,10 +28,7 @@ func (g *Graph) InferCriticality(fraction float64, useCost bool) (marked int, cr
 	if len(tasks) == 0 {
 		return 0, 0
 	}
-	index := make(map[*Task]int, len(tasks))
-	for i, t := range tasks {
-		index[t] = i
-	}
+	g.mustBeOpen("InferCriticality", tasks[0])
 	weight := func(t *Task) float64 {
 		if useCost && t.Cost.Ops > 0 {
 			return t.Cost.Ops
@@ -44,7 +41,10 @@ func (g *Graph) InferCriticality(fraction float64, useCost bool) (marked int, cr
 	for i, t := range tasks {
 		outdeg[i] = len(t.succs)
 		for _, s := range t.succs {
-			j := index[s]
+			j, ok := g.index(s)
+			if !ok {
+				return 0, 0 // a successor outside the graph: nothing sensible to mark
+			}
 			preds[j] = append(preds[j], i)
 			indeg[j]++
 		}
@@ -91,7 +91,7 @@ func (g *Graph) InferCriticality(fraction float64, useCost bool) (marked int, cr
 		i := queue[0]
 		queue = queue[1:]
 		for _, s := range tasks[i].succs {
-			j := index[s]
+			j := int(s.id)
 			if tl := top[i] + weight(tasks[j]); tl > top[j] {
 				top[j] = tl
 			}
@@ -121,7 +121,8 @@ func (g *Graph) InferCriticality(fraction float64, useCost bool) (marked int, cr
 // ClearPriorities resets every task's High flag (useful before inference
 // when user annotations should be discarded).
 func (g *Graph) ClearPriorities() {
-	for _, t := range g.Tasks() {
+	for _, t := range g.tasks {
+		g.mustBeOpen("ClearPriorities", t)
 		t.High = false
 	}
 }

@@ -4,15 +4,17 @@
 // A task is plain data — a label, a type, a priority, a cost descriptor and
 // an iteration tag — never code and no payload: the simulator schedules from
 // the cost descriptors alone. A graph is built up front (iterative
-// applications unroll every iteration) and never changes once a runtime has
-// started it; Add, AddLayer and AddEdge panic on a started graph. The package
-// also computes the paper's DAG parallelism measure: total number of tasks
-// divided by the length of the longest path.
+// applications unroll every iteration) by one goroutine and then frozen:
+// Freeze takes the snapshot runtimes execute from (see Frozen) and closes the
+// graph, so every mutator panics on a frozen graph. The package also computes
+// the paper's DAG parallelism measure: total number of tasks divided by the
+// length of the longest path.
 //
-// A Graph and its Tasks have no synchronization: one graph instance is built
-// by one goroutine and then read by one runtime, which keeps all execution
-// state (readiness counts, completion) in its own arrays. Concurrent cells
-// each run their own instance (see Frozen for stamping them out).
+// A Graph and its Tasks have no synchronization and need none: a frozen graph
+// is immutable, and a runtime keeps all execution state (readiness counts,
+// completion) in its own arrays. One frozen graph therefore serves any number
+// of runtimes on any number of goroutines at once — a sweep builds each
+// workload variant once and every cell reads it.
 package dag
 
 import (
@@ -33,7 +35,7 @@ type Task struct {
 	// change while the task is queued in a runtime: the simulated
 	// runtime's deque counters and stealable-work bitmaps classify a
 	// task once at enqueue time. (ClearPriorities/InferCriticality run
-	// before Start, which satisfies this.)
+	// before Freeze, and a runtime reads the snapshot's marks.)
 	High bool
 	// Cost describes the task to the simulator's machine model.
 	Cost machine.Cost
@@ -58,22 +60,33 @@ func (t *Task) Succs() []*Task { return t.succs }
 // PendingDeps returns the task's dependency count.
 func (t *Task) PendingDeps() int32 { return t.pending }
 
-// Graph is a task graph, mutable until Start. It is not safe for concurrent
-// use (see the package comment).
+// Graph is a task graph, mutable until Freeze and immutable — safe for any
+// number of concurrent readers — after it (see the package comment).
 type Graph struct {
-	tasks   []*Task
-	started bool
+	tasks []*Task
+	// frozen is the snapshot Freeze took; non-nil closes the graph.
+	frozen *Frozen
 }
 
 // New returns an empty graph.
 func New() *Graph { return &Graph{} }
 
-// mustBeOpen panics when op would mutate a started graph: a runtime has
-// snapshotted the structure and would silently never see the change.
+// Snapshot returns the snapshot Freeze took, or nil for a graph still open.
+func (g *Graph) Snapshot() *Frozen { return g.frozen }
+
+// mustBeOpen panics when op would mutate a frozen graph: runtimes execute
+// from the snapshot and would silently never see the change.
 func (g *Graph) mustBeOpen(op string, t *Task) {
-	if g.started {
-		panic(fmt.Sprintf("dag: %s of task %q on a started graph", op, t.Label))
+	if g.frozen != nil {
+		panic(fmt.Sprintf("dag: %s of task %q on a frozen graph", op, t.Label))
 	}
+}
+
+// index returns t's position in the graph — a task's id is its insertion
+// index — and whether t belongs to this graph at all.
+func (g *Graph) index(t *Task) (int, bool) {
+	i := int(t.id)
+	return i, i < len(g.tasks) && g.tasks[i] == t
 }
 
 // AddLayer adds a batch of tasks that all depend on the same single
@@ -111,7 +124,7 @@ func (g *Graph) Grow(n int) {
 }
 
 // Add inserts the task with dependencies on the given predecessors and
-// returns it. It panics if the graph already started.
+// returns it. It panics if the graph is frozen.
 func (g *Graph) Add(t *Task, deps ...*Task) *Task {
 	if t == nil {
 		panic("dag: Add(nil)")
@@ -127,28 +140,11 @@ func (g *Graph) Add(t *Task, deps ...*Task) *Task {
 }
 
 // AddEdge adds a dependency succ→pred after both tasks exist. It panics if
-// the graph already started.
+// the graph is frozen.
 func (g *Graph) AddEdge(pred, succ *Task) {
 	g.mustBeOpen("AddEdge", succ)
 	pred.succs = append(pred.succs, succ)
 	succ.pending++
-}
-
-// Start closes the graph to mutation and returns the initially ready tasks
-// in insertion order. It must be called exactly once, by the runtime, before
-// execution.
-func (g *Graph) Start() []*Task {
-	if g.started {
-		panic("dag: Start called twice")
-	}
-	g.started = true
-	var ready []*Task
-	for _, t := range g.tasks {
-		if t.pending == 0 {
-			ready = append(ready, t)
-		}
-	}
-	return ready
 }
 
 // Total returns the number of tasks in the graph.
@@ -159,20 +155,10 @@ func (g *Graph) Tasks() []*Task {
 	return append([]*Task(nil), g.tasks...)
 }
 
-// AppendTasks appends all tasks to dst in insertion order, reusing dst's
-// capacity, so a pooled runtime snapshots the graph without allocating.
-func (g *Graph) AppendTasks(dst []*Task) []*Task {
-	return append(dst, g.tasks...)
-}
-
 // Validate checks that the graph is acyclic and that every edge endpoint
 // belongs to the graph.
 func (g *Graph) Validate() error {
 	tasks := g.tasks
-	index := make(map[*Task]int, len(tasks))
-	for i, t := range tasks {
-		index[t] = i
-	}
 	const (
 		unvisited = 0
 		onStack   = 1
@@ -197,7 +183,7 @@ func (g *Graph) Validate() error {
 			if f.next < len(succs) {
 				s := succs[f.next]
 				f.next++
-				j, ok := index[s]
+				j, ok := g.index(s)
 				if !ok {
 					return fmt.Errorf("dag: task %q has successor %q outside the graph", tasks[f.node].Label, s.Label)
 				}
@@ -225,14 +211,14 @@ func (g *Graph) Parallelism() float64 {
 	if len(tasks) == 0 {
 		return 0
 	}
-	index := make(map[*Task]int, len(tasks))
-	for i, t := range tasks {
-		index[t] = i
-	}
 	indeg := make([]int, len(tasks))
 	for _, t := range tasks {
 		for _, s := range t.succs {
-			indeg[index[s]]++
+			j, ok := g.index(s)
+			if !ok {
+				return 0 // a successor outside the graph: no meaningful parallelism
+			}
+			indeg[j]++
 		}
 	}
 	// Kahn topological order with longest-path DP (length counted in
@@ -255,7 +241,7 @@ func (g *Graph) Parallelism() float64 {
 			longest = depth[i]
 		}
 		for _, s := range tasks[i].succs {
-			j := index[s]
+			j := int(s.id)
 			if d := depth[i] + 1; d > depth[j] {
 				depth[j] = d
 			}

@@ -8,18 +8,32 @@ import (
 )
 
 // walker releases successors the way a runtime does — from its own copy of
-// the dependency counts, leaving the started graph untouched.
+// the snapshot's dependency counts, leaving the frozen graph untouched.
 type walker struct {
 	pending []int32
 	left    int
 }
 
-func newWalker(g *Graph) *walker {
-	w := &walker{pending: make([]int32, g.Total()), left: int(g.Total())}
-	for i, t := range g.tasks {
-		w.pending[i] = t.PendingDeps()
+// walk returns a walker over the frozen graph's snapshot plus g's initially
+// ready tasks — the zero dependency counts, in insertion order.
+func walk(g *Graph) (w *walker, ready []*Task) {
+	fz := g.Snapshot()
+	w = &walker{pending: fz.AppendPending(nil), left: fz.Tasks()}
+	for i, deps := range w.pending {
+		if deps == 0 {
+			ready = append(ready, g.tasks[i])
+		}
 	}
-	return w
+	return w, ready
+}
+
+// freeze closes g and walks it.
+func freeze(t *testing.T, g *Graph) (w *walker, ready []*Task) {
+	t.Helper()
+	if _, err := g.Freeze(); err != nil {
+		t.Fatalf("Freeze: %v", err)
+	}
+	return walk(g)
 }
 
 // complete finishes t and returns the tasks it released, in successor order,
@@ -39,11 +53,10 @@ func TestLinearChain(t *testing.T) {
 	a := g.Add(&Task{Label: "a"})
 	b := g.Add(&Task{Label: "b"}, a)
 	c := g.Add(&Task{Label: "c"}, b)
-	ready := g.Start()
+	w, ready := freeze(t, g)
 	if len(ready) != 1 || ready[0] != a {
 		t.Fatalf("initial ready = %v", ready)
 	}
-	w := newWalker(g)
 	next, drained := w.complete(a)
 	if drained || len(next) != 1 || next[0] != b {
 		t.Fatalf("after a: next=%v drained=%v", next, drained)
@@ -64,8 +77,7 @@ func TestDiamond(t *testing.T) {
 	l := g.Add(&Task{Label: "l"}, top)
 	r := g.Add(&Task{Label: "r"}, top)
 	bottom := g.Add(&Task{Label: "bottom"}, l, r)
-	g.Start()
-	w := newWalker(g)
+	w, _ := freeze(t, g)
 	next, _ := w.complete(top)
 	if len(next) != 2 {
 		t.Fatalf("fanout = %d, want 2", len(next))
@@ -82,34 +94,35 @@ func TestDiamond(t *testing.T) {
 	}
 }
 
-// A started graph is read-only: every mutator must panic, naming the task,
-// instead of growing a graph whose runtime already snapshotted it.
-func TestMutationAfterStartPanics(t *testing.T) {
+// A frozen graph is read-only: every mutator must panic, naming the task,
+// instead of changing a graph whose runtimes execute from the snapshot.
+func TestFrozenGraphRejectsMutation(t *testing.T) {
 	g := New()
-	a := g.Add(&Task{Label: "a"})
+	a := g.Add(&Task{Label: "a", High: true})
 	b := g.Add(&Task{Label: "b"})
-	g.Start()
+	freeze(t, g)
 	late := &Task{Label: "late"}
-	for name, mutate := range map[string]func(){
-		"Add":      func() { g.Add(late, a) },
-		"AddLayer": func() { g.AddLayer([]*Task{late}, a) },
-		"AddEdge":  func() { g.AddEdge(a, b) },
+	for name, c := range map[string]struct {
+		mutate func()
+		names  string
+	}{
+		"Add":              {func() { g.Add(late, a) }, `"late"`},
+		"AddLayer":         {func() { g.AddLayer([]*Task{late}, a) }, `"late"`},
+		"AddEdge":          {func() { g.AddEdge(a, b) }, `"b"`},
+		"ClearPriorities":  {func() { g.ClearPriorities() }, `"a"`},
+		"InferCriticality": {func() { g.InferCriticality(1, false) }, `"a"`},
 	} {
 		func() {
 			defer func() {
 				msg := fmt.Sprint(recover())
-				want := `"late"`
-				if name == "AddEdge" {
-					want = `"b"`
-				}
-				if !strings.Contains(msg, name) || !strings.Contains(msg, want) {
-					t.Errorf("%s on a started graph: panic %q, want one naming %s and task %s", name, msg, name, want)
+				if !strings.Contains(msg, name) || !strings.Contains(msg, c.names) {
+					t.Errorf("%s on a frozen graph: panic %q, want one naming %s and task %s", name, msg, name, c.names)
 				}
 			}()
-			mutate()
+			c.mutate()
 		}()
 	}
-	if g.Total() != 2 || len(a.Succs()) != 0 || b.PendingDeps() != 0 {
+	if g.Total() != 2 || len(a.Succs()) != 0 || b.PendingDeps() != 0 || !a.High || b.High {
 		t.Fatal("a rejected mutation changed the graph")
 	}
 }
@@ -119,7 +132,7 @@ func TestAddEdge(t *testing.T) {
 	a := g.Add(&Task{Label: "a"})
 	b := g.Add(&Task{Label: "b"})
 	g.AddEdge(a, b)
-	ready := g.Start()
+	_, ready := freeze(t, g)
 	if len(ready) != 1 || ready[0] != a {
 		t.Fatalf("ready = %v, want just a", ready)
 	}
@@ -228,8 +241,8 @@ func TestTotal(t *testing.T) {
 	if g.Total() != 2 {
 		t.Fatalf("total=%d", g.Total())
 	}
-	g.Start()
+	freeze(t, g)
 	if g.Total() != 2 {
-		t.Fatalf("after Start: total=%d", g.Total())
+		t.Fatalf("after Freeze: total=%d", g.Total())
 	}
 }

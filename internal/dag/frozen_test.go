@@ -17,13 +17,12 @@ func diamond(t *testing.T) *Graph {
 	return g
 }
 
-// drain runs the graph to completion in ready order and returns the
+// drain runs the frozen graph to completion in ready order and returns the
 // completion order of labels.
 func drain(t *testing.T, g *Graph) []string {
 	t.Helper()
 	var order []string
-	queue := g.Start()
-	w := newWalker(g)
+	w, queue := walk(g)
 	for len(queue) > 0 {
 		task := queue[0]
 		queue = queue[1:]
@@ -118,11 +117,6 @@ func TestFreezeRejectsDynamicGraphs(t *testing.T) {
 	if _, err := foreign.Freeze(); err == nil {
 		t.Fatal("Freeze accepted a successor outside the graph")
 	}
-	started := diamond(t)
-	started.Start()
-	if _, err := started.Freeze(); err == nil {
-		t.Fatal("Freeze accepted a started graph")
-	}
 }
 
 func TestFrozenResetRejectsForeignGraph(t *testing.T) {
@@ -147,8 +141,8 @@ func TestNewGraphInstancesAreIndependent(t *testing.T) {
 	for _, task := range a.Tasks() {
 		task.High = !task.High
 	}
-	// Starting and rewriting a must leave b untouched: unstarted (drain
-	// would panic in Start otherwise), same priorities, its own tasks.
+	// Running and rewriting a must leave b untouched: same priorities, its
+	// own tasks.
 	for i, task := range b.Tasks() {
 		if task.High != (i == 0) || task == a.Tasks()[i] {
 			t.Fatalf("sibling instance task %q shares state with the drained instance", task.Label)

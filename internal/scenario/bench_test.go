@@ -21,9 +21,8 @@ func benchCompiledSpec() Spec {
 }
 
 // BenchmarkCompiledCellRun measures one full simulated cell of the sweep
-// through the compiled-workload path: graph instances come from the
-// variant's pool (a Frozen.Reset, not a rebuild) and the worker's engine
-// is reused across cells.
+// through the compiled-workload path: every cell reads the variant's one
+// frozen graph and the worker's engine is reused across cells.
 func BenchmarkCompiledCellRun(b *testing.B) {
 	p, err := NewPlan(benchCompiledSpec())
 	if err != nil {

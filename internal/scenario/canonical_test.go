@@ -319,8 +319,10 @@ func (c *chanCounter) check(t *testing.T, total int) {
 // also plans and re-parses from its own canonical encoding to the same hash.
 // Plan only — no cell runs. The corpus is every registered family plus four
 // bodies that used to pass Validate and die in makeslice — three negative
-// sizes in the builders, one 2^40-repetition grid in NewPlan — and one that
-// died out of memory in its first cell's builder (2^33 tasks).
+// sizes in the builders, one 2^40-repetition grid in NewPlan — one that died
+// out of memory in its first cell's builder (2^33 tasks), three that died the
+// same way inside Validate building the platform, and one 6 144-task graph of
+// 4.2 million edges.
 func FuzzParseSpec(f *testing.F) {
 	for _, name := range Names() {
 		fam, _ := Lookup(name)
@@ -335,6 +337,10 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(`{"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":50,"parallelism":-4}},"policies":["RWS"]}`))
 	f.Add([]byte(`{"name":"x","platform":{"preset":"tx2"},"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":50}},"policies":["RWS"],"reps":1099511627776,"seed":1}`))
 	f.Add([]byte(`{"name":"x","platform":{"preset":"tx2"},"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":8589934592}},"policies":["RWS"],"seed":1}`))
+	f.Add([]byte(`{"platform":{"preset":"sym8589934592"},"workload":{"kind":"synthetic"},"policies":["RWS"]}`))
+	f.Add([]byte(`{"platform":{"preset":"scaleout-1x65536"},"workload":{"kind":"synthetic"},"policies":["RWS"]}`))
+	f.Add([]byte(`{"platform":{"clusters":[{"name":"c","first_core":0,"num_cores":8589934592,"widths":[1],"speed":1,"base_hz":1e9}]},"workload":{"kind":"synthetic"},"policies":["RWS"]}`))
+	f.Add([]byte(`{"workload":{"kind":"daggen","daggen":{"model":"random-layered","layers":3,"width":2048,"degree":2048}},"policies":["RWS"]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseSpec(data)
 		if err != nil || s.Validate() != nil {

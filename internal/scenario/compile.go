@@ -1,12 +1,14 @@
 package scenario
 
 // Compiled workloads: a plan compiles each distinct workload variant of its
-// spec once, into a frozen task graph, and every cell of the grid stamps out
-// (or recycles) a cheap per-cell instance instead of re-running the builder.
-// Every single-runtime kind compiles the same way. Variants are keyed by the
-// workload's content (config after point overrides and defaults, or the dagio
-// content digest) plus the criticality variant, because applyCriticality
-// rewrites graph priorities; two points that resolve to the same key share
+// spec once, into frozen task graphs, and every cell of the grid — on
+// whichever worker — runs on those graphs in place: a frozen graph is
+// immutable and a runtime keeps all execution state in its own arrays, so
+// there are no per-cell instances. Every kind compiles the same way; HeatDist
+// compiles one graph per node. Variants are keyed by the workload's content
+// (config after point overrides and defaults, or the dagio content digest)
+// plus the criticality variant, because applyCriticality rewrites graph
+// priorities before the freeze; two points that resolve to the same key share
 // one compiled workload, and a small process-wide cache shares compiled
 // workloads across plans (the service re-plans overlapping specs constantly).
 //
@@ -68,50 +70,37 @@ func (st *CellState) engineFor() *sim.Engine {
 	return st.engine
 }
 
-// compiledWorkload is one workload variant, compiled at most once: a frozen
-// graph plus a pool of reusable instances. HeatDist has no compiled form
-// (its cells build one graph per node).
+// compiledWorkload is one workload variant, compiled at most once into its
+// frozen graphs — one per node: a single graph for every kind but HeatDist.
+// A frozen graph is immutable, so every cell of the variant, on every worker,
+// runs on these same graphs.
 type compiledWorkload struct {
-	build func() (*dag.Graph, error)
+	build func() ([]*dag.Graph, error)
 
 	once   sync.Once
 	err    error
-	frozen *dag.Frozen
-	pool   sync.Pool // *dag.Graph instances, reset and ready to Start
+	graphs []*dag.Graph
 }
 
-// compile runs once, on the first cell of the variant.
-func (cw *compiledWorkload) compile() {
-	g, err := cw.build()
-	if err == nil {
-		cw.frozen, err = g.Freeze()
-	}
-	if err != nil {
-		cw.err = err
-		return
-	}
-	cw.pool.Put(g) // the compile build is itself a valid first instance
-}
+// compileHook, when non-nil, observes every graph a compile builds and
+// freezes. Tests count with it.
+var compileHook func(*dag.Graph)
 
-// acquire returns a graph instance ready to Start; return it with release
-// after the run.
-func (cw *compiledWorkload) acquire() (*dag.Graph, error) {
-	cw.once.Do(cw.compile)
-	if cw.err != nil {
-		return nil, cw.err
-	}
-	if v := cw.pool.Get(); v != nil {
-		return v.(*dag.Graph), nil
-	}
-	return cw.frozen.NewGraph(), nil
-}
-
-// release resets a used instance and returns it to the pool. An instance
-// that fails to reset is simply dropped.
-func (cw *compiledWorkload) release(g *dag.Graph) {
-	if err := cw.frozen.Reset(g); err == nil {
-		cw.pool.Put(g)
-	}
+// nodeGraphs returns the variant's frozen graphs, compiling them on the first
+// call. Callers only read them.
+func (cw *compiledWorkload) nodeGraphs() ([]*dag.Graph, error) {
+	cw.once.Do(func() {
+		cw.graphs, cw.err = cw.build()
+		for _, g := range cw.graphs {
+			if cw.err == nil {
+				_, cw.err = g.Freeze()
+			}
+			if hook := compileHook; hook != nil {
+				hook(g)
+			}
+		}
+	})
+	return cw.graphs, cw.err
 }
 
 // workloadKey renders the content key of a resolved workload variant: every
@@ -140,15 +129,19 @@ func workloadKey(w WorkloadSpec) (string, error) {
 		cfg := w.DAGGen
 		return fmt.Sprintf("daggen|model=%s|tiles=%d|tile=%d|layers=%d|width=%d|degree=%d|seed=%d|crit=%s",
 			cfg.Model, cfg.Tiles, cfg.Tile, cfg.Layers, cfg.Width, cfg.Degree, cfg.Seed, w.Criticality), nil
+	case HeatDist:
+		cfg := w.Heat
+		return fmt.Sprintf("heatdist|nodes=%d|blocks=%d|iters=%d|rows=%d|cols=%d",
+			cfg.Nodes, cfg.BlocksPerNode, cfg.Iters, cfg.RowsPerBlock, cfg.Cols), nil
 	default:
-		return "", fmt.Errorf("workload kind %v has no compiled form", w.Kind)
+		return "", fmt.Errorf("unsupported workload kind %v", w.Kind)
 	}
 }
 
 // compiledCacheCap bounds the process-wide compiled-workload cache. Entries
-// are a frozen graph plus its pooled instances (tens of KB to a few MB for a
-// paper-scale sweep), so the cache is deliberately small; sweeps only need
-// their own handful of variants and eviction merely costs a rebuild.
+// are a variant's frozen graphs (tens of KB to a few MB for a paper-scale
+// sweep), so the cache is deliberately small; sweeps only need their own
+// handful of variants and eviction merely costs a rebuild.
 const compiledCacheCap = 32
 
 var (
@@ -170,7 +163,7 @@ func CompiledCacheLen() int {
 // creating it (uncompiled) on first sight. The build closure is only
 // captured for a new entry; for an existing key it is equivalent by
 // construction of the key.
-func compiledFor(key string, build func() (*dag.Graph, error)) *compiledWorkload {
+func compiledFor(key string, build func() ([]*dag.Graph, error)) *compiledWorkload {
 	compiledMu.Lock()
 	defer compiledMu.Unlock()
 	if cw, ok := compiledEntries[key]; ok {
@@ -194,13 +187,9 @@ func compiledFor(key string, build func() (*dag.Graph, error)) *compiledWorkload
 }
 
 // compileWorkloads resolves each point of the (validated, defaults-filled)
-// spec to its compiled workload and a dense per-plan variant id. HeatDist
-// has no compiled form: byPoint is nil and all variants are 0.
+// spec to its compiled workload and a dense per-plan variant id.
 func compileWorkloads(s Spec) (byPoint []*compiledWorkload, variant []int, err error) {
 	variant = make([]int, len(s.Points))
-	if s.Workload.Kind == HeatDist {
-		return nil, variant, nil
-	}
 	byPoint = make([]*compiledWorkload, len(s.Points))
 	ids := make(map[string]int, 1)
 	for xi := range s.Points {
@@ -215,7 +204,7 @@ func compileWorkloads(s Spec) (byPoint []*compiledWorkload, variant []int, err e
 			ids[key] = id
 		}
 		variant[xi] = id
-		byPoint[xi] = compiledFor(key, func() (*dag.Graph, error) { return buildGraph(w) })
+		byPoint[xi] = compiledFor(key, func() ([]*dag.Graph, error) { return buildGraphs(w) })
 	}
 	return byPoint, variant, nil
 }

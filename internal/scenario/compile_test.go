@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -12,11 +13,11 @@ import (
 )
 
 // rebuildFor makes cell c of the plan run on a workload built for it alone —
-// build, freeze, run, without the compiled cache or an instance another
-// cell has used.
+// build, freeze, run, without the compiled cache or a graph another cell has
+// read.
 func rebuildFor(p *Plan, c CellJob) {
 	w := resolve(p.Spec.Workload, p.Spec.Points[c.Point])
-	p.compiled[c.Point] = &compiledWorkload{build: func() (*dag.Graph, error) { return buildGraph(w) }}
+	p.compiled[c.Point] = &compiledWorkload{build: func() ([]*dag.Graph, error) { return buildGraphs(w) }}
 }
 
 // uncompiledFingerprint runs the spec with every cell rebuilding its graph
@@ -174,34 +175,65 @@ type errInjected int
 
 func (e errInjected) Error() string { return "injected failure" }
 
-// The pooled acquire/release cycle of a compiled variant must not rebuild
-// anything: a handful of bookkeeping allocations at most, against the
-// thousands a builder run costs. K-means is here because it used to be the
-// one kind that could not freeze and rebuilt its graph per cell.
-func TestCompiledAcquireReleaseAllocs(t *testing.T) {
-	for name, w := range map[string]WorkloadSpec{
-		"daggen": {Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelCholesky, Tiles: 16}},
-		"kmeans": {Kind: KMeans, KMeans: workloads.KMeansConfig{N: 4096, Grains: 16, MaxIters: 20}},
+// One immutable graph per variant: a grid builds and freezes each of its
+// workload variants once — never a graph per cell, and nothing re-freezes a
+// shared graph (Freeze takes a fresh snapshot every call, so the pointer
+// tells) — whichever of the executor's workers run the cells. HeatDist is a
+// variant like any other: one graph per node, built by the first cell, read
+// by every cell of every plan with that heat config.
+func TestGridCompilesEachVariantOnce(t *testing.T) {
+	var mu sync.Mutex
+	built := map[*dag.Graph]*dag.Frozen{}
+	compileHook = func(g *dag.Graph) {
+		mu.Lock()
+		defer mu.Unlock()
+		built[g] = g.Snapshot()
+	}
+	defer func() { compileHook = nil }()
+	// Start from an empty process-wide cache: other tests compile the
+	// same families.
+	compiledMu.Lock()
+	clear(compiledEntries)
+	compiledOrder = nil
+	compiledMu.Unlock()
+	useExecutor(t, 2)
+
+	f, _ := Lookup("burst-sweep")
+	sweep := f.Spec(0.05)
+	heat := Spec{
+		Name:     "compile-heat",
+		Platform: PlatformSpec{Preset: "haswell-node"},
+		Workload: WorkloadSpec{Kind: HeatDist, Heat: smallHeat(4)},
+		Policies: []core.Policy{core.RWS(), core.DAMC(), core.DAMP()},
+		Reps:     2,
+	}
+	for _, c := range []struct {
+		name         string
+		spec         Spec
+		cells, built int
+	}{
+		{"burst-sweep@0.05", sweep, 21, len(sweep.Points)},
+		{"4-node heat", heat, 6, 4},
+		{"4-node heat, second plan", heat, 6, 0},
 	} {
-		w := w
-		cw := &compiledWorkload{build: func() (*dag.Graph, error) { return buildGraph(resolve(w, Point{})) }}
-		g, err := cw.acquire()
+		clear(built)
+		p, err := NewPlan(c.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cw.frozen == nil {
-			t.Fatalf("%s workload did not freeze", name)
+		if len(p.Cells) != c.cells || len(built) != 0 {
+			t.Fatalf("%s: planning made %d cells and built %d graphs, want %d cells and no graph", c.name, len(p.Cells), len(built), c.cells)
 		}
-		cw.release(g)
-		avg := testing.AllocsPerRun(50, func() {
-			g, err := cw.acquire()
-			if err != nil {
-				t.Fatal(err)
+		if _, err := Run(c.spec); err != nil {
+			t.Fatal(err)
+		}
+		if len(built) != c.built {
+			t.Errorf("%s: %d cells built %d graphs, want %d", c.name, c.cells, len(built), c.built)
+		}
+		for g, fz := range built {
+			if fz == nil || g.Snapshot() != fz {
+				t.Errorf("%s: a compiled graph left the compile unfrozen or was frozen again by a cell", c.name)
 			}
-			cw.release(g)
-		})
-		if avg > 8 {
-			t.Errorf("%s: acquire+release of a pooled compiled graph costs %.1f allocs, want ≤ 8", name, avg)
 		}
 	}
 }

@@ -93,24 +93,24 @@ func MustRun(s Spec) *Result {
 // runCell executes one repetition of one cell: one runtime per node — a
 // single node for every kind but HeatDist, whose nodes also share a simulated
 // interconnect — on the worker's reusable engine and runtimes in st and on
-// the plan's shared per-node machine models. Single-runtime kinds run the
-// point's compiled workload (graph instances come from its pool instead of
-// the builder). rec, when non-nil, receives the cell's
-// schedule trace; probe, when non-nil, records scheduler introspection into
-// RunMetrics.Sched (and, when rec is also set, emits queue/PTT/utilization
-// counter lanes). All of it is pure mechanism — none of it changes the
-// metrics, which carry the cell's seed and leave sealed.
+// the plan's shared per-node machine models and the point's compiled, frozen
+// per-node graphs, which every cell of the variant reads in place. rec, when
+// non-nil, receives the cell's schedule trace; probe, when non-nil, records
+// scheduler introspection into RunMetrics.Sched (and, when rec is also set,
+// emits queue/PTT/utilization counter lanes). All of it is pure mechanism —
+// none of it changes the metrics, which carry the cell's seed and leave
+// sealed.
 func (p *Plan) runCell(c CellJob, st *CellState, rec *trace.Recorder, probe *simrt.Probe) (RunMetrics, error) {
 	s, pol, pt, seed := &p.Spec, p.Spec.Policies[c.Policy], p.Spec.Points[c.Point], c.Seed
 	models, err := p.machineModels()
 	if err != nil {
 		return RunMetrics{}, err
 	}
-	engine := st.engineFor()
-	var cw *compiledWorkload
-	if p.compiled != nil {
-		cw = p.compiled[c.Point]
+	graphs, err := p.compiled[c.Point].nodeGraphs()
+	if err != nil {
+		return RunMetrics{}, err
 	}
+	engine := st.engineFor()
 	var hd *workloads.HeatDist
 	var net *simnet.Network
 	if s.Workload.Kind == HeatDist {
@@ -118,7 +118,6 @@ func (p *Plan) runCell(c CellJob, st *CellState, rec *trace.Recorder, probe *sim
 		net = simnet.New(engine, s.Latency, s.Bandwidth)
 	}
 	rts := st.runtimesFor(len(models))
-	var g *dag.Graph
 	for node, model := range models {
 		cfg := simrt.Config{
 			Topo:   model.Platform(),
@@ -132,9 +131,6 @@ func (p *Plan) runCell(c CellJob, st *CellState, rec *trace.Recorder, probe *sim
 		}
 		if hd != nil {
 			cfg.Hook = hd.Hook(net, node)
-			g = hd.BuildNode(node)
-		} else if g, err = cw.acquire(); err != nil {
-			return RunMetrics{}, err
 		}
 		if rts[node] == nil {
 			rts[node], err = simrt.New(cfg)
@@ -147,7 +143,7 @@ func (p *Plan) runCell(c CellJob, st *CellState, rec *trace.Recorder, probe *sim
 		if err != nil {
 			return RunMetrics{}, err
 		}
-		if err := rts[node].Start(g); err != nil {
+		if err := rts[node].Start(graphs[node]); err != nil {
 			return RunMetrics{}, fmt.Errorf("start node %d: %w", node, err)
 		}
 	}
@@ -168,11 +164,6 @@ func (p *Plan) runCell(c CellJob, st *CellState, rec *trace.Recorder, probe *sim
 	if probe != nil && rec != nil {
 		probe.EmitCounters(rec)
 		rec.AddUtilCounters(rm.Makespan)
-	}
-	// Recycle the instance only after a clean run; a stalled or failed
-	// graph is dropped rather than reset.
-	if cw != nil {
-		cw.release(g)
 	}
 	return rm, nil
 }
@@ -221,33 +212,39 @@ func cellAlpha(s *Spec, pt Point) float64 {
 	return s.Alpha
 }
 
-// buildGraph constructs the task graph of a resolved single-runtime
-// workload.
-func buildGraph(w WorkloadSpec) (*dag.Graph, error) {
+// buildGraphs constructs the task graphs of a resolved workload, one per
+// node: HeatDist's per-node stencils, a single graph for every other kind.
+func buildGraphs(w WorkloadSpec) ([]*dag.Graph, error) {
+	var g *dag.Graph
 	switch w.Kind {
 	case Synthetic:
-		return applyCriticality(workloads.BuildSynthetic(w.Synthetic), w.Criticality), nil
+		g = workloads.BuildSynthetic(w.Synthetic)
 	case KMeans:
-		return workloads.NewKMeans(w.KMeans).Build(), nil
+		g = workloads.NewKMeans(w.KMeans).Build()
+	case HeatDist:
+		hd := workloads.NewHeatDist(w.Heat)
+		graphs := make([]*dag.Graph, hd.Nodes)
+		for node := range graphs {
+			graphs[node] = hd.BuildNode(node)
+		}
+		return graphs, nil
 	case DAGFile:
-		g, err := w.DAG.Build()
-		if err != nil {
+		var err error
+		if g, err = w.DAG.Build(); err != nil {
 			return nil, err
 		}
-		return applyCriticality(g, w.Criticality), nil
 	case DAGGen:
 		gs, err := w.DAGGen.Graph()
 		if err != nil {
 			return nil, err
 		}
-		g, err := gs.Build()
-		if err != nil {
+		if g, err = gs.Build(); err != nil {
 			return nil, err
 		}
-		return applyCriticality(g, w.Criticality), nil
 	default:
 		return nil, fmt.Errorf("unsupported workload kind %v", w.Kind)
 	}
+	return []*dag.Graph{applyCriticality(g, w.Criticality)}, nil
 }
 
 // applyCriticality rewrites the graph's priority annotations for the

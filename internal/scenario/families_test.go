@@ -7,6 +7,13 @@ import (
 
 func TestRegistryNames(t *testing.T) {
 	names := Names()
+	// The table is a literal: sorted and free of duplicates by inspection,
+	// and by this check (strictly ascending is both).
+	for i := 1; i < len(names); i++ {
+		if names[i-1] >= names[i] {
+			t.Errorf("family table out of order or duplicated at %d: %q then %q", i, names[i-1], names[i])
+		}
+	}
 	want := []string{"burst-sweep", "scaleout-16", "scaleout-32", "scaleout-64", "throttle-ramp"}
 	for _, w := range want {
 		found := false

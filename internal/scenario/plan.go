@@ -61,10 +61,9 @@ type Plan struct {
 	Cells []CellJob
 
 	// compiled holds, per point index, the shared compiled workload the
-	// point's cells run on (nil for HeatDist, whose cells build one graph
-	// per node). Compilation is lazy: entries compile on the first cell
-	// that runs, so plans that are merged purely from cached results never
-	// build a graph.
+	// point's cells run on. Compilation is lazy: entries compile on the
+	// first cell that runs, so plans that are merged purely from cached
+	// results never build a graph.
 	compiled []*compiledWorkload
 	// variant maps each point index to a dense workload-variant id —
 	// points with equal ids share one compiled graph (see PointVariant).

@@ -2,8 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"dynasym/internal/core"
 	"dynasym/internal/dagio"
@@ -19,39 +17,22 @@ type Family struct {
 	Spec func(scale float64) Spec
 }
 
-var (
-	regMu    sync.Mutex
-	registry = map[string]Family{}
-)
-
-// Register adds a family; duplicate names panic (they indicate a
-// programming error in an init block).
-func Register(f Family) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[f.Name]; dup {
-		panic(fmt.Sprintf("scenario: duplicate family %q", f.Name))
-	}
-	registry[f.Name] = f
-}
-
-// Lookup returns a registered family by name.
+// Lookup returns a built-in family by name.
 func Lookup(name string) (Family, bool) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	f, ok := registry[name]
-	return f, ok
+	for _, f := range families {
+		if f.Name == name {
+			return f, true
+		}
+	}
+	return Family{}, false
 }
 
-// Names lists the registered families in sorted order.
+// Names lists the built-in families in sorted order.
 func Names() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
+	out := make([]string, len(families))
+	for i, f := range families {
+		out[i] = f.Name
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -82,10 +63,12 @@ func ParallelismPoints(ps ...int) []Point {
 	return pts
 }
 
-// The built-in families extend the paper's evaluation with conditions it
-// never ran. They are referenced by name from cmd/asymbench -scenario.
-func init() {
-	Register(Family{
+// families is the table of built-in families, sorted by name
+// (TestRegistryNames holds it sorted and free of duplicates). They extend the
+// paper's evaluation with conditions it never ran and are referenced by name
+// from cmd/asymbench -scenario.
+var families = []Family{
+	{
 		Name: "burst-sweep",
 		Desc: "TX2 MatMul under phase-shifted bursty co-runners sweeping the A57 cluster (plus an independent burst on Denver core 1)",
 		Spec: func(scale float64) Spec {
@@ -106,29 +89,8 @@ func init() {
 				Seed:     42,
 			}
 		},
-	})
-	Register(Family{
-		Name: "throttle-ramp",
-		Desc: "TX2 Stencil while the Denver cluster thermal-throttles to 30% mid-run and never recovers",
-		Spec: func(scale float64) Spec {
-			f := clampScale(scale)
-			return Spec{
-				Name:     "throttle-ramp",
-				Platform: PlatformSpec{Preset: "tx2"},
-				Workload: WorkloadSpec{Kind: Synthetic, Synthetic: workloads.SyntheticConfig{
-					Kernel: workloads.Stencil,
-					Tasks:  ScaleTasks(20000, f, 600),
-				}},
-				Disturb: []Disturbance{
-					{Kind: Throttle, Cluster: 0, From: 2.5 * f, To: 7.5 * f, Floor: 0.3, RampSteps: 6},
-				},
-				Policies: core.All(),
-				Points:   ParallelismPoints(2, 4, 6),
-				Seed:     42,
-			}
-		},
-	})
-	Register(Family{
+	},
+	{
 		Name: "cholesky-sweep",
 		Desc: "tiled Cholesky DAGs (POTRF/TRSM/SYRK/GEMM) on TX2 under a bursty A57 co-runner, sweeping the tile-grid edge",
 		Spec: func(scale float64) Spec {
@@ -152,8 +114,27 @@ func init() {
 				Seed:     42,
 			}
 		},
-	})
-	Register(Family{
+	},
+	{
+		Name: "dag-import-demo",
+		Desc: "the bundled examples/dag/demo.dot graph through the DOT importer under a paper-style DVFS wave (scale only trims reps; imported graphs have fixed shape)",
+		Spec: func(scale float64) Spec {
+			reps := 3
+			if clampScale(scale) < 0.5 {
+				reps = 1
+			}
+			return Spec{
+				Name:     "dag-import-demo",
+				Platform: PlatformSpec{Preset: "tx2"},
+				Workload: WorkloadSpec{Kind: DAGFile, DAG: dagio.Demo()},
+				Disturb:  []Disturbance{PaperDVFS(1)},
+				Policies: core.All(),
+				Reps:     reps,
+				Seed:     42,
+			}
+		},
+	},
+	{
 		Name: "random-layered",
 		Desc: "seeded random layered DAGs (mixed cpu/mem/mix task classes) on TX2 with a throttling Denver cluster, sweeping layer width",
 		Spec: func(scale float64) Spec {
@@ -175,69 +156,68 @@ func init() {
 				Seed:     42,
 			}
 		},
-	})
-	Register(Family{
-		Name: "dag-import-demo",
-		Desc: "the bundled examples/dag/demo.dot graph through the DOT importer under a paper-style DVFS wave (scale only trims reps; imported graphs have fixed shape)",
+	},
+	scaleoutFamily(16, 4, 4),
+	scaleoutFamily(32, 4, 8),
+	scaleoutFamily(64, 8, 8),
+	{
+		Name: "throttle-ramp",
+		Desc: "TX2 Stencil while the Denver cluster thermal-throttles to 30% mid-run and never recovers",
 		Spec: func(scale float64) Spec {
-			reps := 3
-			if clampScale(scale) < 0.5 {
-				reps = 1
-			}
+			f := clampScale(scale)
 			return Spec{
-				Name:     "dag-import-demo",
+				Name:     "throttle-ramp",
 				Platform: PlatformSpec{Preset: "tx2"},
-				Workload: WorkloadSpec{Kind: DAGFile, DAG: dagio.Demo()},
-				Disturb:  []Disturbance{PaperDVFS(1)},
+				Workload: WorkloadSpec{Kind: Synthetic, Synthetic: workloads.SyntheticConfig{
+					Kernel: workloads.Stencil,
+					Tasks:  ScaleTasks(20000, f, 600),
+				}},
+				Disturb: []Disturbance{
+					{Kind: Throttle, Cluster: 0, From: 2.5 * f, To: 7.5 * f, Floor: 0.3, RampSteps: 6},
+				},
 				Policies: core.All(),
-				Reps:     reps,
+				Points:   ParallelismPoints(2, 4, 6),
 				Seed:     42,
 			}
 		},
-	})
-	for _, shape := range []struct {
-		cores    int
-		clusters int
-		per      int
-	}{
-		{16, 4, 4},
-		{32, 4, 8},
-		{64, 8, 8},
-	} {
-		shape := shape
-		Register(Family{
-			Name: fmt.Sprintf("scaleout-%d", shape.cores),
-			Desc: fmt.Sprintf("%d-core %d-cluster big/little platform exercising the O(K) Sampled search at high parallelism", shape.cores, shape.clusters),
-			Spec: func(scale float64) Spec {
-				f := clampScale(scale)
-				// One slow burst per little (odd) cluster, phase-staggered
-				// across clusters, keeps the asymmetry dynamic at scale.
-				var bursts []Disturbance
-				for ci := 1; ci < shape.clusters; ci += 2 {
-					bursts = append(bursts, Disturbance{
-						Kind: Burst, Cluster: ci, Share: 0.5,
-						BusyDur: 2 * f, IdleDur: 2 * f,
-						Phase0: float64(ci/2) * f,
-					})
-				}
-				return Spec{
-					Name:     fmt.Sprintf("scaleout-%d", shape.cores),
-					Platform: PlatformSpec{Preset: fmt.Sprintf("scaleout-%dx%d", shape.clusters, shape.per)},
-					Workload: WorkloadSpec{Kind: Synthetic, Synthetic: workloads.SyntheticConfig{
-						Kernel: workloads.MatMul,
-						Tasks:  ScaleTasks(32000, scale, 1200),
-					}},
-					Disturb: bursts,
-					Policies: []core.Policy{
-						core.RWS(),
-						core.DAMC(),
-						core.NewSampled(core.DAMC(), 8),
-						core.NewSampled(core.DAMC(), 32),
-					},
-					Points: ParallelismPoints(8, 16),
-					Seed:   42,
-				}
-			},
-		})
+	},
+}
+
+// scaleoutFamily returns the family of one big/little scale-out platform:
+// cores = clusters × per cores.
+func scaleoutFamily(cores, clusters, per int) Family {
+	return Family{
+		Name: fmt.Sprintf("scaleout-%d", cores),
+		Desc: fmt.Sprintf("%d-core %d-cluster big/little platform exercising the O(K) Sampled search at high parallelism", cores, clusters),
+		Spec: func(scale float64) Spec {
+			f := clampScale(scale)
+			// One slow burst per little (odd) cluster, phase-staggered
+			// across clusters, keeps the asymmetry dynamic at scale.
+			var bursts []Disturbance
+			for ci := 1; ci < clusters; ci += 2 {
+				bursts = append(bursts, Disturbance{
+					Kind: Burst, Cluster: ci, Share: 0.5,
+					BusyDur: 2 * f, IdleDur: 2 * f,
+					Phase0: float64(ci/2) * f,
+				})
+			}
+			return Spec{
+				Name:     fmt.Sprintf("scaleout-%d", cores),
+				Platform: PlatformSpec{Preset: fmt.Sprintf("scaleout-%dx%d", clusters, per)},
+				Workload: WorkloadSpec{Kind: Synthetic, Synthetic: workloads.SyntheticConfig{
+					Kernel: workloads.MatMul,
+					Tasks:  ScaleTasks(32000, scale, 1200),
+				}},
+				Disturb: bursts,
+				Policies: []core.Policy{
+					core.RWS(),
+					core.DAMC(),
+					core.NewSampled(core.DAMC(), 8),
+					core.NewSampled(core.DAMC(), 32),
+				},
+				Points: ParallelismPoints(8, 16),
+				Seed:   42,
+			}
+		},
 	}
 }

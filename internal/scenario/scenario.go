@@ -44,11 +44,24 @@ type PlatformSpec struct {
 	WidthCap int
 }
 
+// MaxPlatformCores bounds a platform's core count. A Platform indexes its
+// places by core × width (8 MB at the bound), so without it one integer in a
+// request — a preset's size, a cluster's num_cores — sizes an allocation in
+// the daemon. The largest platform the repository ships has 80 cores.
+const MaxPlatformCores = 1 << 10
+
 // Build constructs the platform.
 func (p PlatformSpec) Build() (*topology.Platform, error) {
 	var base *topology.Platform
 	switch {
 	case len(p.Clusters) > 0:
+		cores := 0.0 // a float, so that no list overflows it
+		for _, c := range p.Clusters {
+			cores += float64(c.NumCores)
+		}
+		if cores > MaxPlatformCores {
+			return nil, fmt.Errorf("scenario: platform.clusters[].num_cores add up to %.0f cores, over MaxPlatformCores (%d)", cores, MaxPlatformCores)
+		}
 		var err error
 		base, err = topology.New(p.Clusters)
 		if err != nil {
@@ -99,12 +112,18 @@ func presetPlatform(name string) (*topology.Platform, error) {
 		if n < 1 || n&(n-1) != 0 {
 			return nil, fmt.Errorf("scenario: sym platform size %d is not a power of two", n)
 		}
+		if n > MaxPlatformCores {
+			return nil, fmt.Errorf("scenario: platform.preset %q has %d cores, over MaxPlatformCores (%d)", name, n, MaxPlatformCores)
+		}
 		return topology.Symmetric(n), nil
 	}
 	var nc, cp int
 	if _, err := fmt.Sscanf(name, "scaleout-%dx%d", &nc, &cp); err == nil && fmt.Sprintf("scaleout-%dx%d", nc, cp) == name {
 		if nc < 1 || cp < 1 {
 			return nil, fmt.Errorf("scenario: bad scale-out shape %q", name)
+		}
+		if nc > MaxPlatformCores/cp {
+			return nil, fmt.Errorf("scenario: platform.preset %q has %d × %d cores, over MaxPlatformCores (%d)", name, nc, cp, MaxPlatformCores)
 		}
 		return topology.ScaleOut(nc, cp), nil
 	}
@@ -358,6 +377,12 @@ const MaxGridCells = 1 << 20
 // an allocation in the daemon. The paper's largest cell has 32 000 tasks.
 const MaxCellTasks = 1 << 22
 
+// MaxCellEdges bounds the dependency edges of one cell's graph the same way.
+// It is computed for the one generator whose edges can exceed a small multiple
+// of its tasks: every random-layered node draws up to min(degree, width)
+// predecessors, so two integers make a small graph quadratic to build.
+const MaxCellEdges = 1 << 22
+
 // Validate checks the spec without running it. It is called by Run; call it
 // directly to fail fast when assembling spec tables.
 func (s Spec) Validate() error {
@@ -464,9 +489,16 @@ func (s Spec) validateOn(topo *topology.Platform) error {
 		}
 	}
 	for _, pt := range s.Points {
-		if n, fields := resolve(s.Workload, pt).cellTasks(); n > MaxCellTasks {
+		w := resolve(s.Workload, pt)
+		if n, fields := w.cellTasks(); n > MaxCellTasks {
 			return fmt.Errorf("scenario %q: point %q: a cell of %.0f tasks (%s) exceeds MaxCellTasks (%d)",
 				s.Name, pt.Label, n, fields, MaxCellTasks)
+		}
+		if c := w.DAGGen; w.Kind == DAGGen && c.Model == dagio.ModelRandomLayered {
+			if n := c.Tasks() * float64(min(c.Degree, c.Width)); n > MaxCellEdges {
+				return fmt.Errorf("scenario %q: point %q: a cell of up to %.0f edges (workload.daggen.layers × workload.daggen.width × min(workload.daggen.degree, workload.daggen.width)) exceeds MaxCellEdges (%d)",
+					s.Name, pt.Label, n, MaxCellEdges)
+			}
 		}
 	}
 	switch s.Workload.Kind {

@@ -37,14 +37,33 @@ func TestValidateOK(t *testing.T) {
 		"kmeans":    {Kind: KMeans, KMeans: workloads.KMeansConfig{Grains: 2047, MaxIters: 2048}},
 		"heat":      {Kind: HeatDist, Heat: workloads.HeatDistConfig{Nodes: 4, BlocksPerNode: 1023, Iters: 1024}},
 		"fork-join": {Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelForkJoin, Layers: 4096, Width: 1022}},
-		"random":    {Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelRandomLayered, Layers: 2048, Width: 2048}},
-		"cholesky":  {Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelCholesky, Tiles: 292}},
-		"lu":        {Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelLU, Tiles: 232}},
+		// Degree 1: one edge per task, so this cell is at MaxCellEdges too.
+		"random": {Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelRandomLayered, Layers: 2048, Width: 2048, Degree: 1}},
+		// Exactly MaxCellEdges by degree, and by width where it is the smaller.
+		"random by degree": {Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelRandomLayered, Layers: 1024, Width: 1024, Degree: 4}},
+		"random by width":  {Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelRandomLayered, Layers: 4, Width: 1024, Degree: math.MaxInt}},
+		"cholesky":         {Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelCholesky, Tiles: 292}},
+		"lu":               {Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelLU, Tiles: 232}},
 	} {
 		s := okSpec()
 		s.Workload = w
 		if err := s.Validate(); err != nil {
 			t.Errorf("%s: a cell at MaxCellTasks rejected: %v", name, err)
+		}
+	}
+	// Platforms of exactly MaxPlatformCores cores, however they are spelled.
+	for name, p := range map[string]PlatformSpec{
+		"sym":      {Preset: "sym1024"},
+		"scaleout": {Preset: "scaleout-32x32"},
+		"clusters": {Clusters: []topology.Cluster{
+			{Name: "a", NumCores: 1000, Speed: 1, BaseHz: 1e9},
+			{Name: "b", FirstCore: 1000, NumCores: 24, Speed: 1, BaseHz: 1e9},
+		}},
+	} {
+		s := okSpec()
+		s.Platform = p
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s: a platform of MaxPlatformCores cores rejected: %v", name, err)
 		}
 	}
 }
@@ -60,6 +79,31 @@ func TestValidateErrors(t *testing.T) {
 		{"duplicate policy", func(s *Spec) { s.Policies = []core.Policy{core.DAMC(), core.DAMC()} }, "duplicate policy"},
 		{"unknown preset", func(s *Spec) { s.Platform.Preset = "cray1" }, "unknown platform preset"},
 		{"negative width cap", func(s *Spec) { s.Platform.WidthCap = -2 }, "negative width cap"},
+		{"sym one size over the limit", func(s *Spec) { s.Platform.Preset = "sym2048" },
+			`platform.preset "sym2048" has 2048 cores, over MaxPlatformCores (1024)`},
+		{"sym sized to kill the process", func(s *Spec) { s.Platform.Preset = "sym8589934592" },
+			`platform.preset "sym8589934592" has 8589934592 cores, over MaxPlatformCores (1024)`},
+		{"scaleout one core over the limit", func(s *Spec) { s.Platform.Preset = "scaleout-1x1025" },
+			`platform.preset "scaleout-1x1025" has 1 × 1025 cores, over MaxPlatformCores (1024)`},
+		{"scaleout one cluster of 65536", func(s *Spec) { s.Platform.Preset = "scaleout-1x65536" },
+			"has 1 × 65536 cores, over MaxPlatformCores (1024)"},
+		{"scaleout product overflows", func(s *Spec) { s.Platform.Preset = "scaleout-4294967296x4294967296" },
+			"has 4294967296 × 4294967296 cores, over MaxPlatformCores (1024)"},
+		{"explicit cluster over the limit", func(s *Spec) {
+			s.Platform = PlatformSpec{Clusters: []topology.Cluster{{Name: "big", NumCores: 1 << 33, Speed: 1, BaseHz: 1e9}}}
+		}, "platform.clusters[].num_cores add up to 8589934592 cores, over MaxPlatformCores (1024)"},
+		{"explicit clusters over the limit by sum", func(s *Spec) {
+			s.Platform = PlatformSpec{Clusters: []topology.Cluster{
+				{Name: "a", NumCores: 1000, Speed: 1, BaseHz: 1e9},
+				{Name: "b", FirstCore: 1000, NumCores: 25, Speed: 1, BaseHz: 1e9},
+			}}
+		}, "platform.clusters[].num_cores add up to 1025 cores, over MaxPlatformCores (1024)"},
+		{"explicit clusters sum overflows", func(s *Spec) {
+			s.Platform = PlatformSpec{Clusters: []topology.Cluster{
+				{Name: "a", NumCores: 1, Speed: 1, BaseHz: 1e9},
+				{Name: "b", FirstCore: 1, NumCores: math.MaxInt, Speed: 1, BaseHz: 1e9},
+			}}
+		}, "platform.clusters[].num_cores add up to 9223372036854775808 cores, over MaxPlatformCores"},
 		{"bad custom cluster width", func(s *Spec) {
 			s.Platform = PlatformSpec{Clusters: []topology.Cluster{{
 				Name: "bad", NumCores: 4, Widths: []int{1, 3}, Speed: 1, BaseHz: 1e9,
@@ -104,6 +148,16 @@ func TestValidateErrors(t *testing.T) {
 			s.Workload = WorkloadSpec{Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelForkJoin, Layers: 4096}}
 			s.Points = []Point{{Label: "w", Parallelism: 1023}}
 		}, "a cell of 4198400 tasks (workload.daggen.layers × workload.daggen.width) exceeds MaxCellTasks"},
+		{"random-layered one degree over the edge limit", func(s *Spec) {
+			s.Workload = WorkloadSpec{Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelRandomLayered, Layers: 1024, Width: 1024, Degree: 5}}
+		}, "a cell of up to 5242880 edges (workload.daggen.layers × workload.daggen.width × min(workload.daggen.degree, workload.daggen.width)) exceeds MaxCellEdges (4194304)"},
+		{"random-layered quadratic in two integers", func(s *Spec) {
+			s.Workload = WorkloadSpec{Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelRandomLayered, Layers: 3, Width: 2048, Degree: 2048}}
+		}, "a cell of up to 12582912 edges"},
+		{"random-layered edge limit at one point", func(s *Spec) {
+			s.Workload = WorkloadSpec{Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelRandomLayered, Layers: 2, Degree: math.MaxInt}}
+			s.Points = []Point{{Label: "P8", Parallelism: 8}, {Label: "wide", Parallelism: 1 << 20}}
+		}, `point "wide": a cell of up to 2199023255552 edges`},
 		{"alpha out of range", func(s *Spec) { s.Alpha = 1.5 }, "outside [0, 1]"},
 		{"empty point label", func(s *Spec) { s.Points = []Point{{}} }, "empty label"},
 		{"duplicate point label", func(s *Spec) {

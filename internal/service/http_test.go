@@ -224,6 +224,18 @@ func TestHTTPFamilySubmit(t *testing.T) {
 // cell asked dag.Graph.Grow for 2^33 tasks.
 const hugeCellBody = `{"spec":{"name":"x","platform":{"preset":"tx2"},"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":8589934592}},"policies":["RWS"],"seed":1}}`
 
+// Two integers each that used to kill the daemon inside the submit handler —
+// Validate builds the platform, and a Platform's place index is cores ×
+// widest width — or cost a worker 15 s and gigabytes for a 6 144-task cell:
+// the random-layered generator draws up to min(degree, width) predecessors
+// per node.
+const (
+	hugeSymBody      = `{"spec": {"platform": {"preset": "sym8589934592"}, "workload": {"kind": "synthetic"}, "policies": ["RWS"]}}`
+	hugeScaleoutBody = `{"spec": {"platform": {"preset": "scaleout-1x65536"}, "workload": {"kind": "synthetic"}, "policies": ["RWS"]}}`
+	hugeClusterBody  = `{"spec": {"platform": {"clusters": [{"name": "c", "first_core": 0, "num_cores": 8589934592, "widths": [1], "speed": 1, "base_hz": 1e9}]}, "workload": {"kind": "synthetic"}, "policies": ["RWS"]}}`
+	denseRandomBody  = `{"spec": {"workload": {"kind": "daggen", "daggen": {"model": "random-layered", "layers": 3, "width": 2048, "degree": 2048}}, "policies": ["RWS"]}}`
+)
+
 func TestHTTPErrors(t *testing.T) {
 	_, srv := newTestServer(t, Config{})
 	for name, tc := range map[string]struct {
@@ -243,6 +255,10 @@ func TestHTTPErrors(t *testing.T) {
 		"heat cell":      {`{"spec": {"platform": {"preset": "haswell-node"}, "workload": {"kind": "heatdist", "heat": {"nodes": 2, "blocks_per_node": 4294967296, "iters": 4294967296}}, "policies": ["RWS"]}}`, http.StatusBadRequest},
 		"daggen tiles":   {`{"spec": {"workload": {"kind": "daggen", "daggen": {"model": "cholesky", "tiles": 8589934592}}, "policies": ["RWS"]}}`, http.StatusBadRequest},
 		"daggen layers":  {`{"spec": {"workload": {"kind": "daggen", "daggen": {"model": "random-layered", "layers": 4294967296, "width": 4294967296}}, "policies": ["RWS"]}}`, http.StatusBadRequest},
+		"huge sym":       {hugeSymBody, http.StatusBadRequest},
+		"huge scaleout":  {hugeScaleoutBody, http.StatusBadRequest},
+		"huge cluster":   {hugeClusterBody, http.StatusBadRequest},
+		"dense random":   {denseRandomBody, http.StatusBadRequest},
 		"unknown field":  {`{"famly": "burst-sweep"}`, http.StatusBadRequest},
 		"not json":       {`hello`, http.StatusBadRequest},
 	} {
@@ -252,15 +268,23 @@ func TestHTTPErrors(t *testing.T) {
 		}
 	}
 	// The refusal names the field as the client spelled it, and the limit.
-	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(hugeCellBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	for _, want := range []string{"workload.synthetic.tasks", "MaxCellTasks (4194304)"} {
-		if !strings.Contains(string(msg), want) {
-			t.Errorf("cell too large: error %q does not name %q", msg, want)
+	for body, wants := range map[string][]string{
+		hugeCellBody:     {"workload.synthetic.tasks", "MaxCellTasks (4194304)"},
+		hugeSymBody:      {`platform.preset \"sym8589934592\"`, "MaxPlatformCores (1024)"},
+		hugeScaleoutBody: {`platform.preset \"scaleout-1x65536\"`, "MaxPlatformCores (1024)"},
+		hugeClusterBody:  {"platform.clusters[].num_cores", "MaxPlatformCores (1024)"},
+		denseRandomBody:  {"workload.daggen.degree", "MaxCellEdges (4194304)"},
+	} {
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		for _, want := range wants {
+			if !strings.Contains(string(msg), want) {
+				t.Errorf("%s: error %q does not name %q", body, msg, want)
+			}
 		}
 	}
 	if code := getJSON(t, srv.URL+"/v1/jobs/deadbeef", nil); code != http.StatusNotFound {
@@ -271,7 +295,8 @@ func TestHTTPErrors(t *testing.T) {
 	}
 	// None of the bodies above may have cost the daemon its life ("grid too
 	// large" used to: accepted with 202, then out of memory in NewPlan; the
-	// six oversized cells likewise, in the first cell's graph builder).
+	// six oversized cells likewise, in the first cell's graph builder; the
+	// three oversized platforms before any answer, in Validate).
 	if code := getJSON(t, srv.URL+"/v1/healthz", nil); code != http.StatusOK {
 		t.Errorf("healthz after the bad submissions: status %d, want 200", code)
 	}

@@ -869,10 +869,13 @@ func (m *Manager) planFor(hash string, spec scenario.Spec) (*scenario.Plan, erro
 	return plan, nil
 }
 
-// probeCells is the read side of the cell-cache protocol, shared by the
-// job path (runJob) and the worker shard path (handleShards): it returns
-// the cached metrics by hash and the distinct not-yet-cached cells in
-// input order. Duplicate hashes in the input collapse to one entry.
+// probeCells is the read side of the cell-cache protocol for the worker
+// shard path (handleShards): it returns the cached metrics by hash and the
+// distinct not-yet-cached cells in input order. Duplicate hashes in the input
+// collapse to one entry. runJob has its own pass, which also subscribes to
+// cells another job is simulating (m.pending); the shard path must never do
+// that: two mutually peered nodes, each owning a cell the other's shard asked
+// for, would wait on each other forever.
 func (m *Manager) probeCells(cells []scenario.CellJob) (cached map[string]scenario.RunMetrics, missing []scenario.CellJob) {
 	cached = make(map[string]scenario.RunMetrics, len(cells))
 	seen := make(map[string]bool, len(cells))

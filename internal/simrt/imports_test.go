@@ -11,10 +11,11 @@ import (
 )
 
 // TestCoreImportsNoSyncAndNoDeletedPackage guards the single-goroutine
-// contract at the source level. A runtime, its engine, graph, trace tables
-// and collector all run on one goroutine, so the packages holding them are
-// plain data — as are the workload builders and cost descriptors that feed
-// them, since tasks carry no executable payload; the moment one of them
+// contract at the source level. A runtime, its engine, trace tables and
+// collector all run on one goroutine, and the graph they execute is shared
+// only once frozen and immutable, so the packages holding them are plain
+// data — as are the workload builders and cost descriptors that feed them,
+// since tasks carry no executable payload; the moment one of them
 // imports sync or sync/atomic again, someone is sharing simulator state
 // across goroutines, and the race detector only notices if a test happens to
 // exercise it. The second half keeps the removed goroutine runtime (and

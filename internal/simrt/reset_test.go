@@ -1,6 +1,8 @@
 package simrt
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"dynasym/internal/core"
@@ -127,4 +129,79 @@ func TestResetAllocs(t *testing.T) {
 	}
 	// The runtime must still work after the measurement loop.
 	runOnce(t, rt)
+}
+
+// signature is everything a run's collector and counters hold that a test
+// can compare bit for bit.
+type signature struct {
+	Makespan float64
+	Busy     []float64
+	Stats    []Stats
+}
+
+// runGraph executes g on a fresh runtime of cfg. It is called from several
+// goroutines at once, so it reports with Error, never Fatal.
+func runGraph(t *testing.T, cfg Config, g *dag.Graph) signature {
+	rt, err := New(cfg)
+	if err != nil {
+		t.Error(err)
+		return signature{}
+	}
+	coll, err := rt.Run(g)
+	if err != nil || coll.TasksDone() != 400 {
+		t.Errorf("run: %v (want 400 tasks done)", err)
+		return signature{}
+	}
+	return signature{coll.Makespan(), coll.CoreBusy(), rt.CoreStats()}
+}
+
+// A graph nobody froze is frozen by Start — the snapshot stays on it — and
+// runs exactly as its explicitly frozen twin does.
+func TestStartFreezesPrivateGraph(t *testing.T) {
+	topo := topology.TX2()
+	cfg := Config{Topo: topo, Model: machine.New(topo), Policy: core.DAMC(), Seed: 5}
+	private, twin := resetGraph(), resetGraph()
+	if _, err := twin.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	got, want := runGraph(t, cfg, private), runGraph(t, cfg, twin)
+	if private.Snapshot() == nil {
+		t.Error("Start ran an open graph without freezing it")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("private graph ran %+v, its frozen twin %+v", got, want)
+	}
+}
+
+// One frozen graph serves any number of runtimes at once: four runtimes on
+// four goroutines — sharing the platform and machine model too — each produce
+// what a lone run does. Under -race this is the check that a run writes
+// nothing the graph or its snapshot holds.
+func TestFrozenGraphSharedByConcurrentRuntimes(t *testing.T) {
+	topo := topology.TX2()
+	cfg := Config{Topo: topo, Model: machine.New(topo), Policy: core.DAMC(), Seed: 5}
+	g := resetGraph()
+	fz, err := g.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runGraph(t, cfg, g)
+	got := make([]signature, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = runGraph(t, cfg, g)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("runtime %d of 4 on the shared graph ran %+v, a lone run %+v", i, got[i], want)
+		}
+	}
+	if g.Snapshot() != fz {
+		t.Error("a run re-froze the shared graph")
+	}
 }

@@ -219,8 +219,12 @@ type Runtime struct {
 	// loadFn is loadEstimate bound once; a fresh method value per
 	// decision would allocate.
 	loadFn func(core int) float64
-	// soa mirrors per-task scheduling state into dense slices (see soa.go).
-	soa taskSoA
+	// graph is the snapshot of the graph being executed, shared and
+	// read-only (see soa.go); pending is the run's own copy of its
+	// unsatisfied-predecessor counts, remaining the unfinished tasks.
+	graph     *dag.Frozen
+	pending   []int32
+	remaining int
 	// prioSteal and usesPTT cache the policy's constant traits; the hot
 	// loop consults them several times per event and an interface call per
 	// consult is measurable at scale-out event rates.
@@ -344,10 +348,7 @@ func (rt *Runtime) Reset(cfg Config) error {
 		rt.loadFn = rt.loadEstimate
 	}
 	rt.ctxScratch = core.Context{Topo: rt.topo, RR: &rt.rr, Load: rt.loadFn}
-	// The task mirror is rebuilt at Start; release the previous graph's
-	// task pointers now so Reset does not pin it.
-	clear(rt.soa.ptr)
-	rt.soa.ptr = rt.soa.ptr[:0]
+	rt.graph = nil // Start attaches the next one; do not pin the previous
 	rt.started = false
 	rt.finished = false
 	rt.makespan = 0
@@ -446,27 +447,42 @@ func (rt *Runtime) Run(g *dag.Graph) (*metrics.Collector, error) {
 	}
 	rt.engine.Run()
 	if !rt.finished {
-		return nil, fmt.Errorf("simrt: execution stalled with %d tasks outstanding (possible dependency deadlock)", rt.soa.remaining)
+		return nil, fmt.Errorf("simrt: execution stalled with %d tasks outstanding (possible dependency deadlock)", rt.remaining)
 	}
 	return &rt.coll, nil
 }
 
-// Start wires the graph into the runtime and schedules the initial events.
-// The caller is responsible for running the engine (shared-engine mode).
+// Start attaches the runtime to the graph's snapshot — freezing a graph
+// nobody froze yet — and schedules the initial events. A frozen graph is only
+// read, so any number of runtimes may execute one at the same time. The
+// caller is responsible for running the engine (shared-engine mode).
 func (rt *Runtime) Start(g *dag.Graph) error {
 	if rt.started {
 		return fmt.Errorf("simrt: runtime already started")
 	}
 	rt.started = true
-	ready := g.Start()
-	if len(ready) == 0 && g.Total() > 0 {
-		return fmt.Errorf("simrt: graph has %d tasks but none ready (cycle?)", g.Total())
+	fz := g.Snapshot()
+	if fz == nil {
+		var err error
+		if fz, err = g.Freeze(); err != nil {
+			return fmt.Errorf("simrt: %w", err)
+		}
 	}
-	rt.soa.build(g)
-	for _, t := range ready {
-		rt.wakeTask(makeTref(int(t.ID()), t.High), 0)
+	rt.graph = fz
+	rt.pending = fz.AppendPending(rt.pending[:0])
+	rt.remaining = len(rt.pending)
+	// The initially ready tasks are the zero counts, in insertion order.
+	ready := 0
+	for i, deps := range rt.pending {
+		if deps == 0 {
+			ready++
+			rt.wakeTask(makeTref(i, fz.High(i)), 0)
+		}
 	}
-	if g.Total() == 0 {
+	if ready == 0 && rt.remaining > 0 {
+		return fmt.Errorf("simrt: graph has %d tasks but none ready (cycle?)", rt.remaining)
+	}
+	if rt.remaining == 0 {
 		rt.finished = true
 		rt.coll.SetMakespan(0)
 		if p := rt.cfg.Probe; p != nil {
@@ -508,7 +524,7 @@ func (rt *Runtime) ctx(self int, tr int32) *core.Context {
 	c := &rt.ctxScratch
 	c.Self = self
 	c.High = tr&1 != 0
-	typ := rt.soa.typ[tr>>1]
+	typ := rt.graph.Type(int(tr >> 1))
 	if c.Type != typ || c.Table == nil {
 		c.Type = typ
 		c.Table = rt.table(typ)
@@ -703,16 +719,15 @@ func (rt *Runtime) putAssembly(a *assembly) {
 // startAssembly runs when the last member arrives.
 func (rt *Runtime) startAssembly(a *assembly) {
 	a.start = rt.engine.Now()
-	idx := a.tref >> 1
+	t := rt.graph.Task(int(a.tref >> 1))
 	if h := rt.cfg.Hook; h != nil {
 		a.hooked = true
-		if h.Exec(rt, Execution{a}, rt.soa.ptr[idx], a.place, a.start) {
+		if h.Exec(rt, Execution{a}, t, a.place, a.start) {
 			return
 		}
 		a.hooked = false
 	}
 	j := rt.drawJitter(a.place.Leader)
-	t := rt.soa.ptr[idx]
 	finish := rt.model.Duration(t.Cost, a.place, a.start, j)
 	if math.IsInf(finish, 1) {
 		panic(fmt.Sprintf("simrt: task %q never finishes on %v (zero rate forever)", t.Label, a.place))
@@ -743,13 +758,13 @@ func (rt *Runtime) Finish(x Execution, finish float64) {
 
 // completeAssembly releases the members, updates the PTT with the leader's
 // observed span, records metrics, and wakes dependents. The dependency
-// bookkeeping runs over the SoA's CSR — no per-completion allocation — and
-// never touches the dag.Graph.
+// bookkeeping runs over the snapshot's CSR and the run's own counts — no
+// per-completion allocation, and nothing written to the graph.
 func (rt *Runtime) completeAssembly(a *assembly, finish float64) {
 	span := finish - a.start
-	idx := a.tref >> 1
+	fz, idx := rt.graph, int(a.tref>>1)
 	high := a.tref&1 != 0
-	typ := rt.soa.typ[idx]
+	typ := fz.Type(idx)
 	if tbl := rt.table(typ); tbl != nil {
 		if p := rt.cfg.Probe; p != nil {
 			// The table's estimate before this observation folds in is the
@@ -758,11 +773,11 @@ func (rt *Runtime) completeAssembly(a *assembly, finish float64) {
 		}
 		tbl.UpdateByID(int(a.placeID), span)
 	}
-	rt.coll.TaskDoneID(int(a.placeID), a.place, high, rt.soa.ptr[idx].Iter, a.start, finish)
+	rt.coll.TaskDoneID(int(a.placeID), a.place, high, fz.Task(idx).Iter, a.start, finish)
 	if rt.cfg.Trace != nil {
 		for i := 0; i < a.place.Width; i++ {
 			rt.cfg.Trace.Add(trace.Event{
-				Label:  rt.soa.ptr[idx].Label,
+				Label:  fz.Task(idx).Label,
 				Core:   a.place.Leader + i,
 				Start:  a.start,
 				End:    finish,
@@ -783,13 +798,12 @@ func (rt *Runtime) completeAssembly(a *assembly, finish float64) {
 	}
 	leader := a.place.Leader
 	rt.putAssembly(a)
-	s := &rt.soa
-	for _, si := range s.succIdx[s.succOff[idx]:s.succOff[idx+1]] {
-		if s.pending[si]--; s.pending[si] == 0 {
-			rt.wakeTask(makeTref(int(si), s.high[si]), leader)
+	for _, si := range fz.Succs(idx) {
+		if rt.pending[si]--; rt.pending[si] == 0 {
+			rt.wakeTask(makeTref(int(si), fz.High(int(si))), leader)
 		}
 	}
-	if s.remaining--; s.remaining == 0 {
+	if rt.remaining--; rt.remaining == 0 {
 		rt.finished = true
 		rt.makespan = finish
 		rt.coll.SetMakespan(finish)

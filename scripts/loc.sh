@@ -9,7 +9,7 @@
 # lowers it to the new count, a PR that needs more room raises it on purpose,
 # in the diff, where a reviewer sees it.
 set -eu
-ceiling=15604
+ceiling=15526
 options_ceiling=36
 cd "$(dirname "$0")/.."
 n=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)

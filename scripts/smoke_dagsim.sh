@@ -9,7 +9,12 @@
 #     workload's identity;
 #  4. generate a Cholesky DAG and assert its fingerprint is stable too;
 #  5. run it once more with -trace: tracing cannot move the fingerprint,
-#     and the file is a JSON array holding task slices and counter lanes.
+#     and the file is a JSON array holding task slices and counter lanes;
+#  6. worker-count independence on shared graphs: every cell of a sweep reads
+#     its variant's one frozen graph, so asymbench fig4a (synthetic) and fig10
+#     (distributed heat, one graph per node) must print the same bytes on one
+#     worker (GOMAXPROCS=1) as on the default executor's GOMAXPROCS workers,
+#     but for the "(… in N.Ns)" wall-time lines.
 #
 # Used by CI (dagsim-smoke step) and runnable locally.
 set -eu
@@ -69,5 +74,16 @@ assert isinstance(events, list) and {"X", "C"} <= phases, phases
 PY
 rm -f "$TRACE"
 echo "traced run OK: same fingerprint, trace parses"
+
+# 6: one worker and GOMAXPROCS workers print the same sweep.
+BENCH="${TMPDIR:-/tmp}/asymbench-smoke"
+go build -o "$BENCH" ./cmd/asymbench
+for exp in fig4a fig10; do
+	one="$(GOMAXPROCS=1 "$BENCH" -exp "$exp" -scale 0.1 | grep -v ' in [0-9.]*s)$')"
+	many="$("$BENCH" -exp "$exp" -scale 0.1 | grep -v ' in [0-9.]*s)$')"
+	[ -n "$one" ] || { echo "asymbench -exp $exp printed nothing"; exit 1; }
+	[ "$one" = "$many" ] || { echo "asymbench -exp $exp differs between 1 worker and the default worker count"; exit 1; }
+done
+echo "worker-count independence OK: fig4a and fig10 identical on 1 and $(getconf _NPROCESSORS_ONLN) CPUs"
 
 echo "dagsim smoke OK"

@@ -37,7 +37,7 @@
 //	GET  /debug/pprof/       net/http/pprof profiling (opt in: -pprof)
 //	POST /v1/shards          worker-facing: execute a batch of plan cells
 //
-// SIGINT/SIGTERM drain in-flight jobs before exit (bounded by -drain).
+// SIGINT/SIGTERM drain in-flight jobs before exit (for at most shutdownDrain).
 package main
 
 import (
@@ -56,6 +56,9 @@ import (
 	"dynasym/internal/service"
 )
 
+// shutdownDrain bounds how long SIGINT/SIGTERM waits for in-flight jobs.
+const shutdownDrain = 30 * time.Second
+
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address (use :0 for an ephemeral port)")
@@ -69,7 +72,6 @@ func main() {
 		backoff   = flag.Duration("retry-backoff", 100*time.Millisecond, "base pause between shard retry rounds, doubling with jitter (<0 disables)")
 		failThr   = flag.Int("fail-threshold", 3, "consecutive transport failures before a peer is marked down")
 		probeBO   = flag.Duration("probe-backoff", time.Second, "initial down time before a down peer is re-probed, doubling with jitter")
-		drain     = flag.Duration("drain", 30*time.Second, "max time to drain in-flight jobs on shutdown")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under GET /debug/pprof/")
 		traceKeep = flag.Int("trace-retention", 64, "trace cache capacity (finished job traces, rendered cell sim traces)")
 	)
@@ -154,8 +156,8 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	logger.Info("shutting down", "drain", drain.String())
-	shutCtx, cancel := context.WithTimeout(context.Background(), *drain)
+	logger.Info("shutting down", "drain", shutdownDrain.String())
+	shutCtx, cancel := context.WithTimeout(context.Background(), shutdownDrain)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.Warn("http shutdown incomplete", "err", err)

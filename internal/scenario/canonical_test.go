@@ -343,7 +343,13 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(`{"workload":{"kind":"daggen","daggen":{"model":"random-layered","layers":3,"width":2048,"degree":2048}},"policies":["RWS"]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseSpec(data)
-		if err != nil || s.Validate() != nil {
+		if err != nil {
+			return
+		}
+		// The service hashes a submission before it validates it (a known
+		// spec needs no validation), so Hash must survive any parsed spec.
+		_, _ = s.Hash()
+		if s.Validate() != nil {
 			return
 		}
 		p, err := NewPlan(s)

@@ -203,7 +203,9 @@ func TestRunShardBanksPartialResultsOnFailover(t *testing.T) {
 	}
 	// The partial results were banked when the first backend failed, so
 	// they serve cache probes even while the retry is still out.
-	cached, missing := m.probeCells(plan.Cells[:2])
+	m.mu.Lock()
+	cached, missing := m.takeCells(plan.Cells[:2])
+	m.mu.Unlock()
 	if len(cached) != 2 || len(missing) != 0 {
 		t.Errorf("banked partial results: %d cached / %d missing, want 2 / 0", len(cached), len(missing))
 	}

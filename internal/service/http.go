@@ -4,8 +4,8 @@ package service
 //
 //	POST /v1/jobs            {"family": "...", "scale": 0.1, "seed": 7}
 //	                         or {"spec": {...canonical spec JSON...}}
-//	                         → 202 Status (200 when absorbed by an
-//	                         in-flight or cached job)
+//	                         → 202 Status ("done" if the cell cache held every
+//	                         cell); 200 if an in-flight or cached job absorbs it
 //	GET  /v1/jobs            → 200 [Status] (in-flight first, then cached)
 //	GET  /v1/jobs/{id}       → 200 Status
 //	GET  /v1/results/{hash}  → 200 Result, with a strong ETag (409 while
@@ -38,8 +38,8 @@ package service
 // so correlates one submission's log lines across the whole fleet.
 //
 // Job IDs are spec hashes, so the jobs and results namespaces share keys:
-// submit returns the ID, poll /v1/jobs/{id} until "done", then fetch
-// /v1/results/{id}.
+// submit returns the ID and the first status; unless that is already
+// "done", poll /v1/jobs/{id} until it is; then fetch /v1/results/{id}.
 //
 // Every JSON body is compact (one line, no trailing newline; pipe it through
 // jq to read it), marshalled before the status line is written and sent
@@ -347,7 +347,9 @@ func (m *Manager) handleShards(w http.ResponseWriter, r *http.Request) {
 	shardT0 := m.now()
 	jt := newJobTrace(shardT0, m.now, trace.NewSpanSet(maxSpansPerJob))
 
-	cached, missing := m.probeCells(cells)
+	m.mu.Lock()
+	cached, missing := m.takeCells(cells)
+	m.mu.Unlock()
 	executed := make(map[string]CellResult, len(missing))
 	if len(missing) > 0 {
 		crs, err := m.local.Execute(withJobTrace(r.Context(), jt), plan, missing)

@@ -33,14 +33,15 @@ import (
 type serviceMetrics struct {
 	reg *obs.Registry
 
-	jobsSubmitted *obs.Counter
-	jobsAbsorbed  *obs.Counter
-	jobsDone      *obs.Counter
-	jobsFailed    *obs.Counter
-	jobsQueued    *obs.Gauge
-	jobsRunning   *obs.Gauge
-	jobQueueSec   *obs.Histogram
-	jobRunSec     *obs.Histogram
+	jobsSubmitted    *obs.Counter
+	jobsAbsorbed     *obs.Counter
+	jobsDone         *obs.Counter
+	jobsDoneAtSubmit *obs.Counter
+	jobsFailed       *obs.Counter
+	jobsQueued       *obs.Gauge
+	jobsRunning      *obs.Gauge
+	jobQueueSec      *obs.Histogram
+	jobRunSec        *obs.Histogram
 
 	cellRuns   *obs.Counter
 	cellPanics *obs.Counter
@@ -104,15 +105,16 @@ func newServiceMetrics(reg *obs.Registry, workers int) *serviceMetrics {
 		return reg.Gauge("asymd_cache_entries", "Entries held, per cache.", obs.L("cache", cache))
 	}
 	return &serviceMetrics{
-		reg:           reg,
-		jobsSubmitted: reg.Counter("asymd_jobs_submitted_total", "Job submissions accepted (including ones absorbed by an in-flight or cached job)."),
-		jobsAbsorbed:  reg.Counter("asymd_jobs_absorbed_total", "Submissions absorbed by an in-flight or cached job (no new engine run)."),
-		jobsDone:      reg.Counter("asymd_jobs_done_total", "Jobs that finished successfully."),
-		jobsFailed:    reg.Counter("asymd_jobs_failed_total", "Jobs that finished in failure."),
-		jobsQueued:    reg.Gauge("asymd_jobs_queued", "Jobs admitted but waiting for a worker slot."),
-		jobsRunning:   reg.Gauge("asymd_jobs_running", "Jobs currently executing their grid."),
-		jobQueueSec:   reg.Histogram("asymd_job_queue_seconds", "Time from submission to execution start.", jobSecBuckets),
-		jobRunSec:     reg.Histogram("asymd_job_run_seconds", "Time from execution start to completion.", jobSecBuckets),
+		reg:              reg,
+		jobsSubmitted:    reg.Counter("asymd_jobs_submitted_total", "Job submissions accepted (including ones absorbed by an in-flight or cached job)."),
+		jobsAbsorbed:     reg.Counter("asymd_jobs_absorbed_total", "Submissions absorbed by an in-flight or cached job (no new engine run)."),
+		jobsDone:         reg.Counter("asymd_jobs_done_total", "Jobs that finished successfully."),
+		jobsDoneAtSubmit: reg.Counter("asymd_jobs_done_at_submit_total", "Jobs the cell cache answered in full inside their submit request (no worker hand-off)."),
+		jobsFailed:       reg.Counter("asymd_jobs_failed_total", "Jobs that finished in failure."),
+		jobsQueued:       reg.Gauge("asymd_jobs_queued", "Jobs admitted but waiting for a worker slot."),
+		jobsRunning:      reg.Gauge("asymd_jobs_running", "Jobs currently executing their grid."),
+		jobQueueSec:      reg.Histogram("asymd_job_queue_seconds", "Time from submission to execution start (0 for a job done at submit).", jobSecBuckets),
+		jobRunSec:        reg.Histogram("asymd_job_run_seconds", "Time from execution start to completion.", jobSecBuckets),
 
 		cellRuns:   reg.Counter("asymd_cell_runs_total", "Grid cells simulated by the local pool (own jobs and served shards)."),
 		cellPanics: reg.Counter("asymd_cell_panics_total", "Local cell simulations that panicked and were turned into a failed cell."),

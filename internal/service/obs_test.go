@@ -328,7 +328,24 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Fatalf("snapshot trace_url = %q, want %q", st.TraceURL, wantURL)
 	}
 
-	resp, err := http.Get(csrv.URL + st.TraceURL)
+	n := traceSlices(t, csrv.URL+st.TraceURL)
+	// tinySpec has 4 cells at ShardSize 2 → at least 2 shard attempts,
+	// each answered by the worker with simulate spans to graft.
+	if n["shard"] < 2 {
+		t.Errorf("trace has %d shard slices, want >= 2", n["shard"])
+	}
+	if n["simulate"] == 0 {
+		t.Error("trace has no worker simulate slices (grafting failed)")
+	}
+}
+
+// traceSlices fetches a job trace, checks the shape every job's has — lane
+// metadata, complete slices of non-negative length, one plan, one queued and
+// one merge slice, a backend on every shard attempt — and counts the slices:
+// "plan", "queued", "merge", "shard" (dispatch attempts) and "simulate".
+func traceSlices(t *testing.T, url string) map[string]int {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,11 +358,11 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
 
-	var lanes, queued, shardSlices, simulate, merge int
+	n := map[string]int{}
 	for _, ev := range events {
 		switch {
 		case ev.Ph == "M":
-			lanes++
+			n["lanes"]++
 			continue
 		case ev.Ph != "X":
 			t.Errorf("unexpected event phase %q", ev.Ph)
@@ -354,33 +371,24 @@ func TestTraceEndpoint(t *testing.T) {
 			t.Errorf("event %q has negative duration %v", ev.Name, ev.Dur)
 		}
 		switch {
-		case ev.Name == "queued":
-			queued++
+		case ev.Name == "plan" || ev.Name == "queued" || ev.Name == "merge":
+			n[ev.Name]++
 		case ev.Cat == "dispatch" && strings.HasPrefix(ev.Name, "shard "):
-			shardSlices++
+			n["shard"]++
 			if ev.Args["backend"] == nil {
 				t.Errorf("shard slice %q missing backend arg", ev.Name)
 			}
 		case ev.Cat == "simulate":
-			simulate++
-		case ev.Name == "merge":
-			merge++
+			n["simulate"]++
 		}
 	}
-	if lanes == 0 {
+	if n["lanes"] == 0 {
 		t.Error("trace has no thread_name lane metadata")
 	}
-	if queued != 1 || merge != 1 {
-		t.Errorf("trace has %d queued and %d merge slices, want 1 each", queued, merge)
+	if n["plan"] != 1 || n["queued"] != 1 || n["merge"] != 1 {
+		t.Errorf("trace has %d plan, %d queued and %d merge slices, want 1 each", n["plan"], n["queued"], n["merge"])
 	}
-	// tinySpec has 4 cells at ShardSize 2 → at least 2 shard attempts,
-	// each answered by the worker with simulate spans to graft.
-	if shardSlices < 2 {
-		t.Errorf("trace has %d shard slices, want >= 2", shardSlices)
-	}
-	if simulate == 0 {
-		t.Error("trace has no worker simulate slices (grafting failed)")
-	}
+	return n
 }
 
 // TestRequestIDPropagation submits over HTTP with an explicit

@@ -7,7 +7,8 @@
 // hash, so N concurrent submissions of the same spec share one queued
 // job — and therefore exactly one engine run (singleflight without a
 // second index). Finished jobs move into a bounded LRU; resubmitting a
-// cached spec returns the done job immediately without re-simulating.
+// cached spec returns the done job immediately without re-simulating, and
+// a new spec whose every cell is cached is done before its submit returns.
 // The scenario engine is deterministic (same spec → bit-identical
 // fingerprint), which is what makes memoization sound.
 //
@@ -86,6 +87,10 @@ type Job struct {
 	state   atomic.Int32
 	done    chan struct{} // closed on completion
 	created time.Time
+	// planned is when submit finished the plan; plan is the job's grid, read
+	// by execute and dropped when the job finishes.
+	planned time.Time
+	plan    *scenario.Plan
 
 	// reqID is the propagated request ID of the submission that created
 	// the job (X-Request-ID; generated when absent). Immutable.
@@ -383,14 +388,18 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 // Submit registers a spec for execution and returns its job. existing
 // reports whether the submission was absorbed by an in-flight or cached
-// job (no new engine run). The spec is validated and hashed up front, so
-// a bad spec errors here, synchronously.
+// job (no new engine run). A new spec is validated and planned up front,
+// so a bad spec errors here, synchronously; a new job is returned done when
+// the cell cache holds its every cell.
 func (m *Manager) Submit(spec scenario.Spec) (job *Job, existing bool, err error) {
 	return m.submit(spec, "")
 }
 
 // submit is Submit with the originating request ID attached (HTTP path);
-// the ID rides the job into worker shard requests and log lines.
+// the ID rides the job into worker shard requests and log lines. A known
+// spec is absorbed unvalidated; a new one is validated once, by its plan,
+// before anything is registered, then completed here if the cell cache holds
+// its every cell (no slot taken, no cell claimed) or queued with its plan.
 func (m *Manager) submit(spec scenario.Spec, reqID string) (job *Job, existing bool, err error) {
 	// Strip execution-only fields: the service owns observation, and the
 	// hash ignores them anyway. Probe is stripped too — per-cell sim traces
@@ -398,44 +407,80 @@ func (m *Manager) submit(spec scenario.Spec, reqID string) (job *Job, existing b
 	// banked cell.
 	spec.Probe = false
 	spec.Progress = nil
-	if err := spec.Validate(); err != nil {
+	hash, err := spec.Hash()
+	if err != nil {
+		if verr := spec.Validate(); verr != nil {
+			err = verr // it names the field
+		}
 		return nil, false, err
 	}
-	hash, err := spec.Hash()
+	m.mu.Lock()
+	j, ok, err := m.absorb(hash)
+	m.mu.Unlock()
+	if ok || err != nil {
+		return j, ok, err
+	}
+
+	created := m.now()
+	plan, err := m.planFor(hash, spec)
 	if err != nil {
 		return nil, false, err
 	}
+	j = &Job{Hash: hash, Spec: spec, done: make(chan struct{}), created: created, planned: m.now(), plan: plan, reqID: reqID}
+	spans := trace.NewSpanSet(maxSpansPerJob)
+	spans.Add(trace.Span{Name: "plan", Cat: "job", Lane: "job", End: j.planned.Sub(created)})
+	j.spans.Store(spans)
+	j.cellsTotal.Store(int64(len(plan.Cells)))
 
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	if prev, ok, err := m.absorb(hash); ok || err != nil { // registered while this one planned
+		m.mu.Unlock()
+		return prev, ok, err
+	}
+	m.mx.jobsSubmitted.Inc()
+	m.inflight[hash] = j
+	m.wg.Add(1)
+	cached := m.takeCached(plan)
+	m.mu.Unlock()
+	if cached == nil {
+		m.mx.jobsQueued.Inc()
+		go m.execute(j, nil)
+	} else {
+		m.mx.jobsDoneAtSubmit.Inc()
+		m.execute(j, cached)
+	}
+	return j, false, nil
+}
+
+// absorb returns the in-flight or cached job of a spec hash, counting the
+// submission it absorbs; the caller holds m.mu.
+func (m *Manager) absorb(hash string) (*Job, bool, error) {
 	if m.closed {
 		return nil, false, fmt.Errorf("service: manager is shut down")
 	}
-	m.mx.jobsSubmitted.Inc()
-	if j, ok := m.inflight[hash]; ok {
-		j.hits.Add(1)
-		m.mx.jobsAbsorbed.Inc()
-		return j, true, nil
+	j, ok := m.inflight[hash]
+	if !ok {
+		j, ok = m.cache.Get(hash)
 	}
-	if j, ok := m.cache.Get(hash); ok {
-		j.hits.Add(1)
+	if ok {
+		m.mx.jobsSubmitted.Inc()
 		m.mx.jobsAbsorbed.Inc()
-		return j, true, nil
+		j.hits.Add(1)
 	}
+	return j, ok, nil
+}
 
-	j := &Job{
-		Hash:    hash,
-		Spec:    spec,
-		done:    make(chan struct{}),
-		created: m.now(),
-		reqID:   reqID,
+// takeCached returns the plan's cells from the cell cache, or nil if one is
+// missing. It probes with Peek, so a miss leaves the LRU as it was; a hit
+// makes the moves runJob's pass would. The caller holds m.mu.
+func (m *Manager) takeCached(plan *scenario.Plan) map[string]scenario.RunMetrics {
+	for _, c := range plan.Cells {
+		if _, ok := m.cells.Peek(c.Hash); !ok {
+			return nil
+		}
 	}
-	j.spans.Store(trace.NewSpanSet(maxSpansPerJob))
-	m.inflight[hash] = j
-	m.mx.jobsQueued.Inc()
-	m.wg.Add(1)
-	go m.execute(j)
-	return j, false, nil
+	cached, _ := m.takeCells(plan.Cells)
+	return cached
 }
 
 // SubmitFamily resolves a registered scenario family at a scale (seed
@@ -456,31 +501,36 @@ func (m *Manager) submitFamily(name string, scale float64, seed *uint64, reqID s
 	return m.submit(spec, reqID)
 }
 
-// execute runs one job: plan, serve cells from cache, dispatch the
-// misses, merge. The admission semaphore bounds concurrently executing
-// jobs to Workers — excess submissions wait here, observably queued.
-func (m *Manager) execute(j *Job) {
+// execute runs one job — serve cells from cache, dispatch the misses, merge —
+// and publishes it. Admission slots bound executing jobs to Workers: excess
+// submissions wait here, observably queued. A job submit took from the cell
+// cache (cached set) runs on the submitting goroutine and takes no slot.
+func (m *Manager) execute(j *Job, cached map[string]scenario.RunMetrics) {
 	defer m.wg.Done()
-	m.sem <- struct{}{}
-	defer func() { <-m.sem }()
-
+	j.started = j.planned
+	if cached == nil {
+		m.sem <- struct{}{}
+		defer func() { <-m.sem }()
+		j.started = m.now()
+		m.mx.jobsQueued.Dec()
+		m.mx.jobsRunning.Inc()
+	}
 	j.state.Store(int32(StateRunning))
-	j.started = m.now()
-	m.mx.jobsQueued.Dec()
-	m.mx.jobsRunning.Inc()
-	m.mx.jobQueueSec.Observe(j.started.Sub(j.created).Seconds())
+	m.mx.jobQueueSec.Observe(j.started.Sub(j.planned).Seconds())
 
 	// Thread the job's tracer and request ID through the dispatch path:
 	// backends record spans and remote shard POSTs carry the ID.
 	spans := j.spans.Load()
 	jt := newJobTrace(j.created, m.now, spans)
-	jt.span(trace.Span{Name: "queued", Cat: "job", Lane: "job", Start: 0, End: jt.at()})
+	jt.span(trace.Span{Name: "queued", Cat: "job", Lane: "job", Start: j.planned.Sub(j.created), End: j.started.Sub(j.created)})
 	ctx := withJobTrace(withRequestID(context.Background(), j.reqID), jt)
 
-	res, err := m.runJob(ctx, j)
+	res, err := m.runJob(ctx, j, cached)
 	j.finished = m.now()
 	j.elapsed = j.finished.Sub(j.started)
-	m.mx.jobsRunning.Dec()
+	if cached == nil {
+		m.mx.jobsRunning.Dec()
+	}
 	m.mx.jobRunSec.Observe(j.elapsed.Seconds())
 	if err != nil {
 		j.fperr = err
@@ -506,6 +556,7 @@ func (m *Manager) execute(j *Job) {
 	m.mx.traceEntries.Set(int64(m.traces.Len()))
 	m.mx.traceSpansDropped.Add(spans.Dropped())
 	j.spans.Store(nil)
+	j.plan = nil
 	m.mu.Unlock()
 	close(j.done)
 }
@@ -619,61 +670,40 @@ const planCacheSize = 64
 
 // runJob assembles one job's result from cached cells, cells another job
 // is already simulating (in-flight dedupe), and freshly dispatched cells.
-func (m *Manager) runJob(ctx context.Context, j *Job) (*scenario.Result, error) {
+// cached, when set, is every cell of the job, taken by submit: then there is
+// nothing to subscribe to, claim or dispatch.
+func (m *Manager) runJob(ctx context.Context, j *Job, cached map[string]scenario.RunMetrics) (*scenario.Result, error) {
 	jt := jobTraceFrom(ctx)
-	planT0 := jt.at()
-	plan, err := m.planFor(j.Hash, j.Spec)
-	if err != nil {
-		return nil, err
-	}
-	jt.span(trace.Span{Name: "plan", Cat: "job", Lane: "job", Start: planT0, End: jt.at()})
-	j.cellsTotal.Store(int64(len(plan.Cells)))
+	plan := j.plan
 
 	// Dedupe the grid by cell hash (points with identical parameters under
 	// different labels share one simulation). mult counts grid positions
 	// per unique hash, so progress advances over plan cells, not unique
 	// cells.
 	mult := make(map[string]int64, len(plan.Cells))
-	byHash := make(map[string]scenario.CellJob, len(plan.Cells))
 	for _, c := range plan.Cells {
 		mult[c.Hash]++
-		byHash[c.Hash] = c
 	}
 
 	// One pass under the lock: serve the cell cache, subscribe to cells
 	// some other job is already simulating, claim the rest.
-	results := make(map[string]scenario.RunMetrics, len(mult))
-	waits := make(map[string]*pendingCell)
-	claimedSet := make(map[string]bool)
+	results := cached
+	waits := make(map[scenario.CellJob]*pendingCell)
 	var claimed []scenario.CellJob
-	m.mu.Lock()
-	for _, c := range plan.Cells {
-		if _, dup := results[c.Hash]; dup {
-			continue
+	if results == nil {
+		m.mu.Lock()
+		var missing []scenario.CellJob
+		results, missing = m.takeCells(plan.Cells)
+		for _, c := range missing {
+			if p, ok := m.pending[c.Hash]; ok {
+				waits[c] = p
+			} else {
+				claimed = append(claimed, c)
+				m.pending[c.Hash] = &pendingCell{owner: j, done: make(chan struct{})}
+			}
 		}
-		if _, dup := waits[c.Hash]; dup {
-			continue
-		}
-		// Skip hashes this job already claimed: without this, the second
-		// occurrence of a duplicate-hash cell would find our own fresh
-		// pending entry and self-subscribe, double-counting the cell as
-		// both a miss and a hit.
-		if claimedSet[c.Hash] {
-			continue
-		}
-		if rm, ok := m.cells.Get(c.Hash); ok {
-			results[c.Hash] = rm
-			continue
-		}
-		if p, ok := m.pending[c.Hash]; ok {
-			waits[c.Hash] = p
-			continue
-		}
-		claimed = append(claimed, c)
-		claimedSet[c.Hash] = true
-		m.pending[c.Hash] = &pendingCell{owner: j, done: make(chan struct{})}
+		m.mu.Unlock()
 	}
-	m.mu.Unlock()
 
 	// Whatever happens below, claimed cells this job never resolved
 	// (dispatch error, per-cell failure, early cancel) must be released
@@ -730,15 +760,15 @@ func (m *Manager) runJob(ctx context.Context, j *Job) (*scenario.Result, error) 
 	var fallback []scenario.CellJob
 	if len(waits) > 0 {
 		waitT0 := jt.at()
-		for h, p := range waits {
+		for c, p := range waits {
 			<-p.done
 			if p.ok {
-				results[h] = p.rm
-				m.mx.cellHits.Add(mult[h])
-				j.cellHits.Add(mult[h])
-				onDone(byHash[h])
+				results[c.Hash] = p.rm
+				m.mx.cellHits.Add(mult[c.Hash])
+				j.cellHits.Add(mult[c.Hash])
+				onDone(c)
 			} else {
-				fallback = append(fallback, byHash[h])
+				fallback = append(fallback, c)
 			}
 		}
 		jt.span(trace.Span{Name: "await-shared-cells", Cat: "job", Lane: "job",
@@ -869,18 +899,16 @@ func (m *Manager) planFor(hash string, spec scenario.Spec) (*scenario.Plan, erro
 	return plan, nil
 }
 
-// probeCells is the read side of the cell-cache protocol for the worker
-// shard path (handleShards): it returns the cached metrics by hash and the
-// distinct not-yet-cached cells in input order. Duplicate hashes in the input
-// collapse to one entry. runJob has its own pass, which also subscribes to
-// cells another job is simulating (m.pending); the shard path must never do
-// that: two mutually peered nodes, each owning a cell the other's shard asked
-// for, would wait on each other forever.
-func (m *Manager) probeCells(cells []scenario.CellJob) (cached map[string]scenario.RunMetrics, missing []scenario.CellJob) {
+// takeCells is the read side of the cell-cache protocol (runJob's pass,
+// takeCached, the worker shard path), under m.mu: the cached metrics by hash,
+// taken with Get in input order, and the distinct uncached cells in input
+// order. runJob then subscribes to the missing cells another job simulates
+// (m.pending); the shard path must never do that: two mutually peered nodes,
+// each owning a cell the other's shard asked for, would wait on each other
+// forever.
+func (m *Manager) takeCells(cells []scenario.CellJob) (cached map[string]scenario.RunMetrics, missing []scenario.CellJob) {
 	cached = make(map[string]scenario.RunMetrics, len(cells))
 	seen := make(map[string]bool, len(cells))
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for _, c := range cells {
 		if seen[c.Hash] {
 			continue

@@ -4,7 +4,8 @@
 #  1. single node: start on an ephemeral port, hit /v1/healthz, submit a
 #     tiny burst-sweep, poll to done, assert a 64-hex fingerprint in a
 #     one-line result sent with Content-Length, a 304 for a conditional
-#     re-fetch, and a warm-cache resubmit;
+#     re-fetch, a warm-cache resubmit, and a renamed raw copy of the sweep
+#     answered "done" in its 202 reply from the cell cache;
 #  2. two nodes: start a worker and a coordinator peered to it
 #     (-peers, -shard 1), submit a raw multi-cell spec, assert the worker
 #     simulated shards, fetch a per-cell sim-time trace from the
@@ -116,6 +117,30 @@ COND="$(curl -sS -o /dev/null -w '%{http_code} %{size_download}' \
 CODE="$(curl -sS -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
 	-d '{"family": "burst-sweep", "scale": 0.01}' "$BASE/v1/jobs")"
 [ "$CODE" = "200" ] || { echo "cached resubmit returned $CODE, want 200"; exit 1; }
+
+# The sweep's spec under a new name is a new job (HTTP 202) whose every cell
+# is cached, so the submit reply itself is "done" — no poll. SPEC_R is the
+# canonical burst-sweep spec at scale 0.01 with only its name changed. The
+# fingerprint hashes the name; the metrics behind it — its text past the
+# `scenario=<name>` line — must be the first job's.
+SPEC_R='{"name":"smoke-renamed","platform":{"preset":"tx2"},"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tile":64,"sweeps":1,"tasks":600,"parallelism":4}},"disturb":[{"kind":"burst","cluster":1,"share":0.4,"busy_dur":0.015,"idle_dur":0.03,"phase_step":0.01},{"kind":"burst","cores":[1],"share":0.5,"busy_dur":0.02,"idle_dur":0.04}],"policies":["RWS","RWSM-C","FA","FAM-C","DA","DAM-C","DAM-P"],"points":[{"label":"P2","parallelism":2},{"label":"P4","parallelism":4},{"label":"P6","parallelism":6}],"seed":42,"reps":1,"latency":0.000002,"bandwidth":5000000000}'
+REPLY="$(curl -sS -w '\n%{http_code}' -X POST -H 'Content-Type: application/json' \
+	-d "{\"spec\": $SPEC_R}" "$BASE/v1/jobs")"
+CODE="$(printf '%s\n' "$REPLY" | tail -n 1)"
+REPLY="$(printf '%s\n' "$REPLY" | head -n 1)"
+[ "$CODE" = "202" ] || { echo "renamed resubmit returned $CODE, want 202: $REPLY"; exit 1; }
+STATE="$(printf '%s' "$REPLY" | sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p')"
+TOTAL="$(printf '%s' "$REPLY" | sed -n 's/.*"cells_total": *\([0-9]*\).*/\1/p')"
+HITS="$(printf '%s' "$REPLY" | sed -n 's/.*"cell_hits": *\([0-9]*\).*/\1/p')"
+[ "$STATE" = "done" ] && [ -n "$TOTAL" ] && [ "$TOTAL" -gt 0 ] && [ "$HITS" = "$TOTAL" ] \
+	|| { echo "renamed resubmit reply is not done with every cell a hit: $REPLY"; exit 1; }
+JOBR="$(printf '%s' "$REPLY" | sed -n 's/.*"id": *"\([0-9a-f]*\)".*/\1/p')"
+[ -n "$JOBR" ] && [ "$JOBR" != "$JOB" ] || { echo "renamed resubmit did not make a new job: $REPLY"; exit 1; }
+[ "$(curl -fsS "$BASE/v1/results/$JOBR/fingerprint" | tail -n +2)" = "$(curl -fsS "$BASE/v1/results/$JOB/fingerprint" | tail -n +2)" ] \
+	|| { echo "renamed job's metrics differ from the first job's"; exit 1; }
+DAS="$(curl -fsS "$BASE/metrics" | sed -n 's/^asymd_jobs_done_at_submit_total \([0-9]*\)$/\1/p')"
+[ "$DAS" = "1" ] || { echo "asymd_jobs_done_at_submit_total = '$DAS', want 1"; exit 1; }
+echo "renamed resubmit done in its submit reply ($HITS/$TOTAL cells cached)"
 
 # The job listing must include the finished job.
 curl -fsS "$BASE/v1/jobs" | grep -q "\"id\": *\"$JOB\"" \

@@ -170,7 +170,7 @@ func main() {
 
 // runTraced runs the spec's single cell with a schedule recorder and a probe
 // (a trace render wants the probe's counter lanes too; neither changes the
-// simulated schedule) and merges it into the Result scenario.Run returns.
+// simulated schedule) and assembles it into the Result scenario.Run returns.
 func runTraced(spec scenario.Spec) (*scenario.Result, *trace.Recorder, error) {
 	plan, err := scenario.NewPlan(spec)
 	if err != nil {
@@ -187,8 +187,7 @@ func runTraced(spec scenario.Spec) (*scenario.Result, *trace.Recorder, error) {
 	if spec.Progress != nil {
 		spec.Progress(1, 1)
 	}
-	res, err := scenario.Merge(plan, map[string]scenario.RunMetrics{cell.Hash: rm})
-	return res, rec, err
+	return plan.Assemble([]scenario.RunMetrics{rm}), rec, nil
 }
 
 // workloadFlags carries the workload-selecting flag values.

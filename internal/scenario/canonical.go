@@ -418,14 +418,11 @@ func (sj *SpecJSON) Spec() (Spec, error) {
 		}
 	}
 
-	// core.ByName builds the seven built-in policies to find one; a spec
-	// names up to all seven, so it looks them up in one list of its own.
-	builtin := core.All()
 	s.Policies = make([]core.Policy, len(sj.Policies))
 	for i, name := range sj.Policies {
-		j := slices.IndexFunc(builtin, func(p core.Policy) bool { return p.Name() == name })
+		j := slices.IndexFunc(builtinPolicies, func(p core.Policy) bool { return p.Name() == name })
 		if j >= 0 {
-			s.Policies[i] = builtin[j]
+			s.Policies[i] = builtinPolicies[j]
 			continue
 		}
 		p, err := core.ByName(name)
@@ -443,6 +440,11 @@ func (sj *SpecJSON) Spec() (Spec, error) {
 	}
 	return s, nil
 }
+
+// builtinPolicies is the one list of the built-in policies every decoded spec
+// shares: core.ByName and core.All build all seven per call, and a built-in
+// policy is immutable.
+var builtinPolicies = core.All()
 
 // disturbKinds lists every valid disturbance kind once, like
 // workloadKinds (scenario.go) does for workloads.

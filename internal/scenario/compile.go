@@ -12,9 +12,11 @@ package scenario
 // one compiled workload, and a small process-wide cache shares compiled
 // workloads across plans (the service re-plans overlapping specs constantly).
 //
-// Compilation is lazy — NewPlan only records the keys; the first cell run of
-// a variant compiles it. A plan that is only ever merged from cached cell
-// results (the service's warm path) therefore never builds a graph at all.
+// Nothing is filed until a cell runs: the first cell (or PointVariant call) of
+// a plan resolves its points to variants and files them in the cache, and the
+// first cell run of a variant compiles it. A plan that is only ever assembled
+// from cached cell results (the service's warm path) therefore neither files
+// a variant nor builds a graph.
 
 import (
 	"fmt"

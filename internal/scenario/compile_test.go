@@ -17,7 +17,8 @@ import (
 // read.
 func rebuildFor(p *Plan, c CellJob) {
 	w := resolve(p.Spec.Workload, p.Spec.Points[c.Point])
-	p.compiled[c.Point] = &compiledWorkload{build: func() ([]*dag.Graph, error) { return buildGraphs(w) }}
+	compiled, _, _ := p.variants()
+	compiled[c.Point] = &compiledWorkload{build: func() ([]*dag.Graph, error) { return buildGraphs(w) }}
 }
 
 // uncompiledFingerprint runs the spec with every cell rebuilding its graph
@@ -119,8 +120,10 @@ func TestPlansShareCompiledWorkloads(t *testing.T) {
 	if p1.PointVariant(0) == p1.PointVariant(1) {
 		t.Fatal("points with different parallelism overrides share a variant")
 	}
+	c1, _, _ := p1.variants()
+	c2, _, _ := p2.variants()
 	for xi := range s.Points {
-		if p1.compiled[xi] != p2.compiled[xi] {
+		if c1[xi] != c2[xi] {
 			t.Errorf("point %d: two plans of one spec hold different compiled workloads", xi)
 		}
 	}
@@ -175,6 +178,84 @@ type errInjected int
 
 func (e errInjected) Error() string { return "injected failure" }
 
+// clearCompiled empties the process-wide compiled cache: other tests compile
+// the same families.
+func clearCompiled() {
+	compiledMu.Lock()
+	clear(compiledEntries)
+	compiledOrder = nil
+	compiledMu.Unlock()
+}
+
+// TestPlanFilesVariantsOnceConcurrently: a new plan files no workload variant;
+// the first of several goroutines that run its cells and ask for its variants
+// at once files them, each variant compiles once, and every cell's digest is
+// a serial run's. Run it under -race: the plan's variants are state all of
+// them reach.
+func TestPlanFilesVariantsOnceConcurrently(t *testing.T) {
+	var builds atomic.Int32
+	compileHook = func(*dag.Graph) { builds.Add(1) }
+	defer func() { compileHook = nil }()
+	f, _ := Lookup("burst-sweep")
+	s := f.Spec(0.05)
+
+	serial, err := NewPlan(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][32]byte, len(serial.Cells))
+	st := NewCellState()
+	for i, c := range serial.Cells {
+		rm, err := serial.RunCellState(st, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = rm.digest
+	}
+
+	clearCompiled()
+	builds.Store(0)
+	p, err := NewPlan(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := CompiledCacheLen(); n != 0 {
+		t.Fatalf("planning filed %d workload variants, want none", n)
+	}
+	const workers = 4
+	got := make([][32]byte, len(p.Cells))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			st := NewCellState()
+			for ci := w; ci < len(p.Cells); ci += workers {
+				c := p.Cells[ci]
+				if w%2 == 0 {
+					_ = p.PointVariant(c.Point)
+				}
+				rm, err := p.RunCellState(st, c)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[ci] = rm.digest
+				_ = p.PointVariant(c.Point)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := CompiledCacheLen(); n != len(s.Points) || builds.Load() != int32(len(s.Points)) {
+		t.Errorf("%d goroutines filed %d variants and built %d graphs, want %d of each", workers, n, builds.Load(), len(s.Points))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("%s: digest %x run concurrently, %x serially", p.CellLabel(p.Cells[i]), got[i], want[i])
+		}
+	}
+}
+
 // One immutable graph per variant: a grid builds and freezes each of its
 // workload variants once — never a graph per cell, and nothing re-freezes a
 // shared graph (Freeze takes a fresh snapshot every call, so the pointer
@@ -190,12 +271,7 @@ func TestGridCompilesEachVariantOnce(t *testing.T) {
 		built[g] = g.Snapshot()
 	}
 	defer func() { compileHook = nil }()
-	// Start from an empty process-wide cache: other tests compile the
-	// same families.
-	compiledMu.Lock()
-	clear(compiledEntries)
-	compiledOrder = nil
-	compiledMu.Unlock()
+	clearCompiled()
 	useExecutor(t, 2)
 
 	f, _ := Lookup("burst-sweep")

@@ -30,9 +30,9 @@ const nodeSeedStride = 1009
 // only by the spec, so the result is deterministic regardless of which worker
 // ran what. A failed cell stops the hand-out of the cells after it; the returned
 // error is always the lowest-index failing cell's, so failures too are
-// deterministic. Run is Plan → RunCellState (on the executor) → Merge;
-// callers that want to schedule, distribute or cache individual cells use
-// those pieces directly.
+// deterministic, and a cell that panics fails like one that errs. Run is
+// Plan → RunCellState (on the executor) → Assemble; callers that want to
+// schedule, distribute or cache individual cells use those pieces directly.
 func Run(s Spec) (*Result, error) {
 	p, err := NewPlan(s)
 	if err != nil {
@@ -42,11 +42,11 @@ func Run(s Spec) (*Result, error) {
 	if spec.Progress != nil {
 		spec.Progress(0, total)
 	}
-	// One lock guards the outcomes and lets Progress see a strictly
-	// monotonic done count although cells finish concurrently; the hook
-	// must not block for long.
+	// One lock guards the outcomes — each cell's metrics go to its plan
+	// index — and lets Progress see a strictly monotonic done count although
+	// cells finish concurrently; the hook must not block for long.
 	var mu sync.Mutex
-	byHash := make(map[string]RunMetrics, total)
+	runs := make([]RunMetrics, total)
 	failedAt, done := total, 0
 	var failure error
 	// A failure cancels the batch: running cells finish, the rest never
@@ -58,26 +58,42 @@ func Run(s Spec) (*Result, error) {
 	defer cancel()
 	_ = defaultExecutor.Run(ctx, total, func(_ int, st *CellState, ci int) bool {
 		c := p.Cells[ci]
-		rm, err := p.RunCellState(st, c)
+		rm, stateOK, err := p.runCellRecovered(st, c)
 		mu.Lock()
 		defer mu.Unlock()
 		if err != nil {
 			cancel()
 			if ci < failedAt {
-				failedAt, failure = ci, fmt.Errorf("scenario %q: %s: %w", spec.Name, p.CellLabel(c), err)
+				failedAt, failure = ci, fmt.Errorf("scenario %q: %w", spec.Name, err)
 			}
 		} else {
-			byHash[c.Hash] = rm
+			runs[ci] = rm
 		}
 		if done++; spec.Progress != nil {
 			spec.Progress(done, total)
 		}
-		return true
+		return stateOK
 	})
 	if failure != nil {
 		return nil, failure
 	}
-	return Merge(p, byHash)
+	return p.Assemble(runs), nil
+}
+
+// runCellRecovered is RunCellState behind a panic boundary, its error naming
+// the cell. The simulator panics only on states a bug can produce, but a
+// panicking cell must fail its Run, not the process. The scratch state of a
+// panicked cell is mid-run garbage: stateOK is false and the worker drops it.
+func (p *Plan) runCellRecovered(st *CellState, c CellJob) (rm RunMetrics, stateOK bool, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("%s panicked: %v", p.CellLabel(c), v)
+		}
+	}()
+	if rm, err = p.RunCellState(st, c); err != nil {
+		err = fmt.Errorf("%s: %w", p.CellLabel(c), err)
+	}
+	return rm, true, err
 }
 
 // MustRun is Run but panics on error; intended for spec tables whose specs
@@ -106,7 +122,11 @@ func (p *Plan) runCell(c CellJob, st *CellState, rec *trace.Recorder, probe *sim
 	if err != nil {
 		return RunMetrics{}, err
 	}
-	graphs, err := p.compiled[c.Point].nodeGraphs()
+	compiled, _, err := p.variants()
+	if err != nil {
+		return RunMetrics{}, err
+	}
+	graphs, err := compiled[c.Point].nodeGraphs()
 	if err != nil {
 		return RunMetrics{}, err
 	}

@@ -211,6 +211,29 @@ func TestRunReportsLowestFailureOnFourWorkers(t *testing.T) {
 	}
 }
 
+// TestRunContainsCellPanic: a cell that panics fails its Run with an error
+// naming the cell, like one that errs, and the executor's workers survive it:
+// the next Run succeeds.
+func TestRunContainsCellPanic(t *testing.T) {
+	useExecutor(t, 2)
+	defer func() { runCellHook = nil }()
+	runCellHook = func(p *Plan, c CellJob) (RunMetrics, error, bool) {
+		if c.Rep == 1 {
+			panic("injected")
+		}
+		return RunMetrics{}, nil, true
+	}
+	_, err := Run(failureGrid(3))
+	const want = `scenario "mid-grid-failure": RWS at default (rep 1) panicked: injected`
+	if err == nil || err.Error() != want {
+		t.Fatalf("Run with a panicking cell: error %v, want %q", err, want)
+	}
+	runCellHook = nil
+	if _, err := Run(failureGrid(3)); err != nil {
+		t.Fatalf("Run after a panicked cell: %v", err)
+	}
+}
+
 // TestRunHandsOutInPlanOrder: Run's failure contract rests on cells
 // starting in plan order; with one worker that is the order they run in.
 func TestRunHandsOutInPlanOrder(t *testing.T) {

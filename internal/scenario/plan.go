@@ -1,11 +1,13 @@
 package scenario
 
-// Plan / RunCellState / Merge split Run's monolithic grid loop into
+// Plan / RunCellState / Assemble split Run's monolithic grid loop into
 // first-class schedulable units. A Plan enumerates every (policy × point ×
-// repetition) cell of a validated spec in Run's execution order;
-// RunCellState executes one cell as a pure function of the plan and the
-// cell's coordinates; Merge reassembles cell results into a Result that is
-// bit-identical to what a monolithic Run of the same spec produces.
+// repetition) cell of a validated spec in Run's execution order, which is
+// grid order; RunCellState executes one cell as a pure function of the plan
+// and the cell's coordinates; Assemble slices the cells' metrics, one array
+// in plan order, into a Result that is bit-identical to what a monolithic
+// Run of the same spec produces. Merge is Assemble for metrics keyed by cell
+// hash.
 //
 // Each CellJob carries a canonical hash — the cell-granular cache key used
 // by internal/service. The hash covers the spec's cell-invariant fields
@@ -64,13 +66,20 @@ type Plan struct {
 	Cells []CellJob
 
 	// compiled holds, per point index, the shared compiled workload the
-	// point's cells run on. Compilation is lazy: entries compile on the
-	// first cell that runs, so plans that are merged purely from cached
-	// results never build a graph.
-	compiled []*compiledWorkload
-	// variant maps each point index to a dense workload-variant id —
-	// points with equal ids share one compiled graph (see PointVariant).
-	variant []int
+	// point's cells run on, and variant maps each point index to a dense
+	// workload-variant id — points with equal ids share one compiled graph
+	// (see PointVariant). Both are resolved once, by the first cell that runs
+	// or the first PointVariant call (variants), and each entry compiles on
+	// the first cell of its variant: a plan that is only assembled from
+	// cached cells files no variant and builds no graph.
+	variantOnce sync.Once
+	compiled    []*compiledWorkload
+	variant     []int
+	variantErr  error
+	// twin is nil unless two points share their cell parameters (Parallelism,
+	// Tile and Alpha) under different labels; then twin[xi] is the first
+	// point with xi's parameters, whose cells have the same hashes as xi's.
+	twin []int
 
 	// topo is the plan's platform — the one validation built — and models
 	// its configured machine models (spec disturbances applied), one per
@@ -168,12 +177,58 @@ func newPlan(s Spec, k *Key) (*Plan, error) {
 			}
 		}
 	}
-	compiled, variant, err := compileWorkloads(s)
-	if err != nil {
-		return nil, err
-	}
 	return &Plan{Spec: s, Hash: k.Hash, Canonical: k.JSON, Cells: cells,
-		compiled: compiled, variant: variant, topo: topo}, nil
+		twin: pointTwins(s.Points), topo: topo}, nil
+}
+
+// pointTwins returns nil when no two points share their cell parameters, or
+// else, per point, the first point with the same ones.
+func pointTwins(pts []Point) []int {
+	type params struct {
+		par, tile int
+		alpha     uint64 // bits, as the cell hash reads it
+	}
+	first := make(map[params]int, len(pts))
+	var twin []int
+	for xi, pt := range pts {
+		k := params{pt.Parallelism, pt.Tile, math.Float64bits(pt.Alpha)}
+		xj, seen := first[k]
+		if !seen {
+			first[k] = xi
+			continue
+		}
+		if twin == nil {
+			twin = make([]int, len(pts))
+			for i := range twin {
+				twin[i] = i
+			}
+		}
+		twin[xi] = xj
+	}
+	return twin
+}
+
+// FirstWithHash returns the lowest plan index whose cell has the hash of
+// cell i: i itself, unless cell i's point shares its parameters with an
+// earlier point under a different label. Policies are distinct, so that is
+// the only way two cells of a plan share a hash.
+func (p *Plan) FirstWithHash(i int) int {
+	if p.twin == nil {
+		return i
+	}
+	c := p.Cells[i]
+	return (c.Policy*len(p.Spec.Points)+p.twin[c.Point])*p.Spec.Reps + c.Rep
+}
+
+// variants resolves every point to its compiled workload and dense variant
+// id on first use, filing the plan's variants in the process-wide compiled
+// cache. It cannot fail for a validated spec whose Key encoded: workloadKey
+// errs only on a kind Validate rejects or a graph the key failed to encode.
+func (p *Plan) variants() ([]*compiledWorkload, []int, error) {
+	p.variantOnce.Do(func() {
+		p.compiled, p.variant, p.variantErr = compileWorkloads(p.Spec)
+	})
+	return p.compiled, p.variant, p.variantErr
 }
 
 // cellHashVersion tags the engine generation in every cell hash. Bump it
@@ -257,10 +312,11 @@ func (p *Plan) CellLabel(c CellJob) string {
 // compiled workload. Backends hand cells out variant by variant, so the
 // cells of one compiled graph run back to back.
 func (p *Plan) PointVariant(point int) int {
-	if point < 0 || point >= len(p.variant) {
+	_, variant, _ := p.variants() // an error surfaces when the cell runs
+	if point < 0 || point >= len(variant) {
 		return 0
 	}
-	return p.variant[point]
+	return variant[point]
 }
 
 // runCellHook, when non-nil, intercepts cell execution. Tests use it to
@@ -315,11 +371,14 @@ func (p *Plan) RunCellTrace(c CellJob) (RunMetrics, *trace.Recorder, error) {
 	return rm, rec, nil
 }
 
-// Merge assembles cell results (keyed by cell hash) into the plan's
-// Result. Every plan cell must be present; cells sharing a hash (identical
-// parameters under different labels) fill from the one shared result. The
-// output is bit-identical to a monolithic Run of the plan's spec.
-func Merge(p *Plan, cells map[string]RunMetrics) (*Result, error) {
+// Assemble builds the plan's Result from its cells' metrics, runs[i] being
+// the outcome of p.Cells[i]; runs holds one entry per plan cell. Plan order
+// is grid order — policy, then point, then rep — so each grid position's
+// Runs is a slice of runs, not a copy: the Result keeps the array. The output
+// is bit-identical to a monolithic Run of the plan's spec. Assemble is the
+// one constructor of a Result.
+func (p *Plan) Assemble(runs []RunMetrics) *Result {
+	nx, reps := len(p.Spec.Points), p.Spec.Reps
 	res := &Result{
 		Name:     p.Spec.Name,
 		Topo:     p.topo,
@@ -327,19 +386,30 @@ func Merge(p *Plan, cells map[string]RunMetrics) (*Result, error) {
 		Points:   append([]Point(nil), p.Spec.Points...),
 		Cells:    make([][]Cell, len(p.Spec.Policies)),
 	}
+	grid := make([]Cell, len(p.Spec.Policies)*nx)
 	for pi, pol := range p.Spec.Policies {
-		res.Policies[pi] = pol.Name()
-		res.Cells[pi] = make([]Cell, len(p.Spec.Points))
+		name := pol.Name()
+		res.Policies[pi] = name
+		res.Cells[pi] = grid[pi*nx : (pi+1)*nx : (pi+1)*nx]
 		for xi, pt := range p.Spec.Points {
-			res.Cells[pi][xi] = Cell{Policy: pol.Name(), Point: pt, Runs: make([]RunMetrics, p.Spec.Reps)}
+			k := (pi*nx + xi) * reps
+			res.Cells[pi][xi] = Cell{Policy: name, Point: pt, Runs: runs[k : k+reps : k+reps]}
 		}
 	}
-	for _, c := range p.Cells {
+	return res
+}
+
+// Merge is Assemble for cell results keyed by cell hash. Every plan cell must
+// be present; cells sharing a hash (identical parameters under different
+// labels) fill from the one shared result.
+func Merge(p *Plan, cells map[string]RunMetrics) (*Result, error) {
+	runs := make([]RunMetrics, len(p.Cells))
+	for i, c := range p.Cells {
 		rm, ok := cells[c.Hash]
 		if !ok {
 			return nil, fmt.Errorf("scenario %q: missing cell result for %s", p.Spec.Name, p.CellLabel(c))
 		}
-		res.Cells[c.Policy][c.Point].Runs[c.Rep] = rm
+		runs[i] = rm
 	}
-	return res, nil
+	return p.Assemble(runs), nil
 }

@@ -73,6 +73,90 @@ func TestPlanMergeMatchesRun(t *testing.T) {
 	}
 }
 
+// TestAssembleMatchesRun: a Result assembled from the cells' metrics in plan
+// order, one merged from a map by cell hash, and a monolithic Run are one
+// result, text and digest, for every registered family with repetitions and
+// a per-point alpha — and for a grid with a point that repeats another's
+// parameters under a new label, whose cells share that point's hashes
+// (FirstWithHash names the first cell of each hash).
+func TestAssembleMatchesRun(t *testing.T) {
+	specs := map[string]Spec{}
+	for _, name := range Names() {
+		f, _ := Lookup(name)
+		s := f.Spec(0.05)
+		s.Reps = 2
+		s.Points = append([]Point(nil), s.withDefaults().Points...)
+		s.Points[0].Alpha = 0.37
+		specs[name] = s
+	}
+	twin := specs["burst-sweep"]
+	twin.Points = append(twin.Points[:len(twin.Points):len(twin.Points)], Point{Label: "P4-again", Parallelism: 4})
+	specs["burst-sweep+twin"] = twin
+	for name, s := range specs {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			p, err := NewPlan(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs := make([]RunMetrics, len(p.Cells))
+			byHash := make(map[string]RunMetrics, len(p.Cells))
+			first := make(map[string]int, len(p.Cells))
+			st := NewCellState()
+			for i, c := range p.Cells {
+				if runs[i], err = p.RunCellState(st, c); err != nil {
+					t.Fatalf("%s: %v", p.CellLabel(c), err)
+				}
+				byHash[c.Hash] = runs[i]
+				if _, ok := first[c.Hash]; !ok {
+					first[c.Hash] = i
+				}
+				if got := p.FirstWithHash(i); got != first[c.Hash] {
+					t.Errorf("FirstWithHash(%d) = %d, want %d", i, got, first[c.Hash])
+				}
+			}
+			if name == "burst-sweep+twin" && len(first) == len(p.Cells) {
+				t.Error("the twin point's cells share no hash with the point it repeats")
+			}
+			merged, err := Merge(p, byHash)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := Run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			text, fp := direct.FingerprintText(), direct.Fingerprint()
+			for how, res := range map[string]*Result{"Assemble": p.Assemble(runs), "Merge": merged} {
+				if res.FingerprintText() != text || res.Fingerprint() != fp {
+					t.Errorf("%s diverged from Run", how)
+				}
+			}
+		})
+	}
+}
+
+// TestAssembleAllocs: assembling a 21-cell result from its filled array is
+// the Result, its two axes and its two-level grid — no copy of any cell.
+func TestAssembleAllocs(t *testing.T) {
+	f, _ := Lookup("burst-sweep")
+	p, err := NewPlan(f.Spec(0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := make([]RunMetrics, len(p.Cells))
+	if len(runs) != 21 {
+		t.Fatalf("burst-sweep@0.05 has %d cells, want 21", len(runs))
+	}
+	var res *Result
+	if allocs := testing.AllocsPerRun(100, func() { res = p.Assemble(runs) }); allocs > 5 {
+		t.Errorf("Assemble of 21 cells made %.0f allocations, want at most 5", allocs)
+	}
+	if &res.Cells[6][2].Runs[0] != &runs[20] {
+		t.Error("the last cell's run is a copy, not the array's slot")
+	}
+}
+
 // TestCellHashesSharedAcrossOverlappingSpecs: cells common to two specs
 // that differ only in grid axes (name, extra point, extra policy) must
 // carry identical hashes — that sharing is what the service's cell cache

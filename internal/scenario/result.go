@@ -131,8 +131,9 @@ func (r *Result) Cell(policy, label string) *Cell {
 // Throughputs returns the mean-throughput grid indexed [policy][point].
 func (r *Result) Throughputs() [][]float64 {
 	out := make([][]float64, len(r.Policies))
+	grid := make([]float64, len(r.Policies)*len(r.Points))
 	for pi := range r.Cells {
-		out[pi] = make([]float64, len(r.Points))
+		out[pi] = grid[pi*len(r.Points) : (pi+1)*len(r.Points) : (pi+1)*len(r.Points)]
 		for xi := range r.Cells[pi] {
 			out[pi][xi] = r.Cells[pi][xi].MeanThroughput()
 		}
@@ -172,7 +173,12 @@ func (r *Result) Fingerprint() string {
 			n += 24 + len(p) + len(pt.Label) + sha256.Size*len(r.Cells[pi][xi].Runs)
 		}
 	}
-	b := appendStr(appendStr(make([]byte, 0, n), r.Name), topo)
+	var stack [fingerprintStackBytes]byte
+	b := stack[:0]
+	if n > len(stack) {
+		b = make([]byte, 0, n)
+	}
+	b = appendStr(appendStr(b, r.Name), topo)
 	for pi, p := range r.Policies {
 		for xi, pt := range r.Points {
 			runs := r.Cells[pi][xi].Runs
@@ -188,6 +194,10 @@ func (r *Result) Fingerprint() string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
+
+// fingerprintStackBytes is the largest Fingerprint input hashed from the
+// stack: a 21-cell one-rep grid on a preset platform needs about 1.5 KB.
+const fingerprintStackBytes = 2048
 
 // Seal stores the run's digest in the value, to travel with it through caches
 // and merges: sha256 over a fixed little-endian encoding of exactly the fields

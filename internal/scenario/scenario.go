@@ -18,9 +18,10 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"dynasym/internal/core"
@@ -618,29 +619,50 @@ type window struct {
 	from, to float64
 }
 
+// The resources a disturbance claims, in the order overlaps are checked.
+const (
+	coreAvailability = iota // one core's
+	clusterClock            // one cluster's
+	memoryBandwidth         // one cluster's
+)
+
+var resourceNames = [...]string{"core availability", "cluster clock", "memory bandwidth"}
+
+// claim is a disturbance's hold on one resource of one node over a window;
+// id is the core or cluster.
+type claim struct {
+	resource, node, id int
+	win                window
+}
+
 // validateDisturbances checks every disturbance individually, then checks
 // that no two disturbances claim the same resource (a core's availability,
 // a cluster's clock, a cluster's memory bandwidth) over overlapping
-// windows — later profiles would silently replace earlier ones.
+// windows — later profiles would silently replace earlier ones. Of several
+// clashes it reports the first in a fixed order: core availability, cluster
+// clock, memory bandwidth, then ascending node and core or cluster, then
+// window start.
 func validateDisturbances(name string, topo *topology.Platform, ds []Disturbance, nodes int) error {
-	coreWins := map[[2]int][]window{} // (node, core) → windows
-	freqWins := map[[2]int][]window{} // (node, cluster) → windows
-	bwWins := map[[2]int][]window{}   // (node, cluster) → windows
+	claims := make([]claim, 0, 8) // a few disturbances' claims fit on the stack
 	for i, d := range ds {
-		where := fmt.Sprintf("scenario %q: disturbance %d (%v)", name, i, d.Kind)
+		// bad formats the disturbance's error; nothing is formatted unless
+		// the disturbance is invalid.
+		bad := func(format string, args ...any) error {
+			return fmt.Errorf("scenario %q: disturbance %d (%v): %s", name, i, d.Kind, fmt.Sprintf(format, args...))
+		}
 		if d.Node < 0 || d.Node >= nodes {
-			return fmt.Errorf("%s: node %d outside [0, %d)", where, d.Node, nodes)
+			return bad("node %d outside [0, %d)", d.Node, nodes)
 		}
 		if d.Cluster < 0 || d.Cluster >= topo.NumClusters() {
-			return fmt.Errorf("%s: cluster %d outside [0, %d)", where, d.Cluster, topo.NumClusters())
+			return bad("cluster %d outside [0, %d)", d.Cluster, topo.NumClusters())
 		}
 		for _, c := range d.Cores {
 			if c < 0 || c >= topo.NumCores() {
-				return fmt.Errorf("%s: core %d outside [0, %d)", where, c, topo.NumCores())
+				return bad("core %d outside [0, %d)", c, topo.NumCores())
 			}
 		}
 		if d.From < 0 || d.To < 0 || (d.From != 0 || d.To != 0) && d.To <= d.From {
-			return fmt.Errorf("%s: bad window [%g, %g)", where, d.From, d.To)
+			return bad("bad window [%g, %g)", d.From, d.To)
 		}
 		win := window{kind: d.Kind, from: d.From, to: d.To}
 		if d.From == 0 && d.To == 0 {
@@ -650,96 +672,83 @@ func validateDisturbances(name string, topo *topology.Platform, ds []Disturbance
 		if len(cores) == 0 {
 			cores = topo.CoresOf(d.Cluster)
 		}
+		claimCores := func(cs []int) {
+			for _, c := range cs {
+				claims = append(claims, claim{coreAvailability, d.Node, c, win})
+			}
+		}
 		switch d.Kind {
 		case CoRunCPU:
 			if d.Share <= 0 || d.Share > 1 {
-				return fmt.Errorf("%s: share %v outside (0, 1]", where, d.Share)
+				return bad("share %v outside (0, 1]", d.Share)
 			}
-			for _, c := range cores {
-				coreWins[[2]int{d.Node, c}] = append(coreWins[[2]int{d.Node, c}], win)
-			}
+			claimCores(cores)
 		case CoRunMemory:
 			if d.Share <= 0 || d.Share > 1 {
-				return fmt.Errorf("%s: share %v outside (0, 1]", where, d.Share)
+				return bad("share %v outside (0, 1]", d.Share)
 			}
 			if d.BWFactor <= 0 || d.BWFactor > 1 {
-				return fmt.Errorf("%s: bandwidth factor %v outside (0, 1]", where, d.BWFactor)
+				return bad("bandwidth factor %v outside (0, 1]", d.BWFactor)
 			}
 			if d.From != 0 || d.To != 0 {
-				return fmt.Errorf("%s: episode windows are not supported for memory co-runners", where)
+				return bad("episode windows are not supported for memory co-runners")
 			}
-			victim := cores[0]
-			coreWins[[2]int{d.Node, victim}] = append(coreWins[[2]int{d.Node, victim}], win)
-			ci := topo.ClusterOf(victim)
-			bwWins[[2]int{d.Node, ci}] = append(bwWins[[2]int{d.Node, ci}], win)
+			claimCores(cores[:1]) // the victim
+			claims = append(claims, claim{memoryBandwidth, d.Node, topo.ClusterOf(cores[0]), win})
 		case DVFS:
 			if d.HiHz <= 0 || d.LoHz <= 0 || d.HiDur <= 0 || d.LoDur <= 0 {
-				return fmt.Errorf("%s: wave needs positive HiHz, LoHz, HiDur, LoDur", where)
+				return bad("wave needs positive HiHz, LoHz, HiDur, LoDur")
 			}
 			if d.From != 0 || d.To != 0 {
-				return fmt.Errorf("%s: windows are not supported for periodic waves (the wave runs forever)", where)
+				return bad("windows are not supported for periodic waves (the wave runs forever)")
 			}
-			freqWins[[2]int{d.Node, d.Cluster}] = append(freqWins[[2]int{d.Node, d.Cluster}], win)
+			claims = append(claims, claim{clusterClock, d.Node, d.Cluster, win})
 		case Stall:
 			if d.From == 0 && d.To == 0 {
-				return fmt.Errorf("%s: needs an explicit window", where)
+				return bad("needs an explicit window")
 			}
-			for _, c := range cores {
-				coreWins[[2]int{d.Node, c}] = append(coreWins[[2]int{d.Node, c}], win)
-			}
+			claimCores(cores)
 		case Burst:
 			if d.Share <= 0 || d.Share > 1 {
-				return fmt.Errorf("%s: share %v outside (0, 1]", where, d.Share)
+				return bad("share %v outside (0, 1]", d.Share)
 			}
 			if d.BusyDur <= 0 || d.IdleDur <= 0 {
-				return fmt.Errorf("%s: needs positive BusyDur and IdleDur", where)
+				return bad("needs positive BusyDur and IdleDur")
 			}
 			if d.From != 0 || d.To != 0 {
-				return fmt.Errorf("%s: windows are not supported for periodic waves (the wave runs forever)", where)
+				return bad("windows are not supported for periodic waves (the wave runs forever)")
 			}
-			for _, c := range cores {
-				coreWins[[2]int{d.Node, c}] = append(coreWins[[2]int{d.Node, c}], win)
-			}
+			claimCores(cores)
 		case Throttle:
 			if d.From == 0 && d.To == 0 {
-				return fmt.Errorf("%s: needs an explicit window", where)
+				return bad("needs an explicit window")
 			}
 			if d.Floor <= 0 || d.Floor >= 1 {
-				return fmt.Errorf("%s: floor %v outside (0, 1)", where, d.Floor)
+				return bad("floor %v outside (0, 1)", d.Floor)
 			}
 			if d.RampSteps < 0 {
-				return fmt.Errorf("%s: negative ramp steps", where)
+				return bad("negative ramp steps")
 			}
 			// The floor persists beyond To: the clock never recovers.
 			win.to = math.Inf(1)
-			freqWins[[2]int{d.Node, d.Cluster}] = append(freqWins[[2]int{d.Node, d.Cluster}], win)
+			claims = append(claims, claim{clusterClock, d.Node, d.Cluster, win})
 		default:
-			return fmt.Errorf("%s: unknown disturbance kind", where)
+			return bad("unknown disturbance kind")
 		}
 	}
-	for what, wins := range map[string]map[[2]int][]window{
-		"core availability": coreWins,
-		"cluster clock":     freqWins,
-		"memory bandwidth":  bwWins,
-	} {
-		for key, ws := range wins {
-			if a, b, clash := overlapping(ws); clash {
-				return fmt.Errorf("scenario %q: overlapping %s disturbances on node %d resource %d (%v [%g, %g) and %v [%g, %g))",
-					name, what, key[0], key[1], a.kind, a.from, a.to, b.kind, b.from, b.to)
-			}
+	// Sorted, the claims on one resource are adjacent and in window order
+	// (ties in declaration order), so if any two of them overlap, two
+	// neighbours do.
+	slices.SortStableFunc(claims, func(a, b claim) int {
+		return cmp.Or(cmp.Compare(a.resource, b.resource), cmp.Compare(a.node, b.node),
+			cmp.Compare(a.id, b.id), cmp.Compare(a.win.from, b.win.from))
+	})
+	for k := 1; k < len(claims); k++ {
+		a, b := claims[k-1], claims[k]
+		if a.resource == b.resource && a.node == b.node && a.id == b.id && b.win.from < a.win.to {
+			return fmt.Errorf("scenario %q: overlapping %s disturbances on node %d resource %d (%v [%g, %g) and %v [%g, %g))",
+				name, resourceNames[a.resource], a.node, a.id, a.win.kind, a.win.from, a.win.to, b.win.kind, b.win.from, b.win.to)
 		}
 	}
 	return nil
-}
-
-// overlapping reports whether any two windows intersect.
-func overlapping(ws []window) (a, b window, clash bool) {
-	sorted := append([]window(nil), ws...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].from < sorted[j].from })
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i].from < sorted[i-1].to {
-			return sorted[i-1], sorted[i], true
-		}
-	}
-	return window{}, window{}, false
 }

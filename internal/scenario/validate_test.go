@@ -289,6 +289,25 @@ func TestValidateDisjointWindowsOK(t *testing.T) {
 	}
 }
 
+// TestOverlapErrorIsDeterministic: of several clashing resources the same one
+// is reported every time — core availability before cluster clocks, lower
+// cores first — whatever order the disturbances were declared in.
+func TestOverlapErrorIsDeterministic(t *testing.T) {
+	s := okSpec()
+	s.Disturb = []Disturbance{
+		{Kind: Throttle, Cluster: 0, From: 1, To: 3, Floor: 0.5},
+		{Kind: Throttle, Cluster: 0, From: 2, To: 4, Floor: 0.5},
+		{Kind: Stall, Cluster: 1, From: 1, To: 3},
+		{Kind: Stall, Cluster: 1, From: 2, To: 4},
+	}
+	const want = `scenario "ok": overlapping core availability disturbances on node 0 resource 2 (stall [1, 3) and stall [2, 4))`
+	for i := 0; i < 100; i++ {
+		if err := s.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("validation %d: error %v, want %q", i, err, want)
+		}
+	}
+}
+
 func TestPlatformPresets(t *testing.T) {
 	cases := []struct {
 		preset string

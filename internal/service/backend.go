@@ -51,15 +51,18 @@ type Backend interface {
 type localBackend struct {
 	exec *scenario.Executor
 	// runs counts cells actually simulated (the cache-miss work). The
-	// manager points it, busy, runSec and parallelism at its metric
-	// registry; a bare backend counts on a private counter and leaves the
-	// nil-tolerant other three unwired.
+	// manager points it, busy, runSec, parallelism and compiled at its
+	// metric registry; a bare backend counts on a private counter and leaves
+	// the nil-tolerant others unwired.
 	runs        *obs.Counter
 	busy        *obs.Gauge
 	runSec      *obs.Histogram
 	parallelism *obs.Histogram
 	// panics counts cells whose simulation panicked (see runCellSafe).
 	panics *obs.Counter
+	// compiled is the compiled-workload cache gauge: cells are what file
+	// workload variants in it, so Execute refreshes it.
+	compiled *obs.Gauge
 	// runCell is the engine entry point; tests substitute it to count
 	// runs or inject failures without simulating.
 	runCell func(*scenario.Plan, *scenario.CellState, scenario.CellJob) (scenario.RunMetrics, error)
@@ -138,5 +141,6 @@ func (b *localBackend) Execute(ctx context.Context, plan *scenario.Plan, cells [
 	if busy, wall := cellNanos.Load(), time.Since(start); busy > 0 && wall > 0 {
 		b.parallelism.Observe(float64(busy) / float64(wall))
 	}
+	b.compiled.Set(int64(scenario.CompiledCacheLen()))
 	return out, err
 }

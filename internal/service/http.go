@@ -174,12 +174,19 @@ type submitBody struct {
 }
 
 func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	if err != nil {
+	// Read like io.ReadAll, into one buffer sized from Content-Length when
+	// it is declared within the limit: room for the body and the read that
+	// finds its end, so the buffer never grows.
+	size := r.ContentLength
+	if size < 0 || size > maxSpecBytes {
+		size = 0
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxSpecBytes)); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}
-	spec, err := parseSubmission(body)
+	spec, err := parseSubmission(buf.Bytes())
 	var (
 		job      *Job
 		existing bool

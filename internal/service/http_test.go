@@ -233,6 +233,11 @@ const (
 	hugeScaleoutBody = `{"spec": {"platform": {"preset": "scaleout-1x65536"}, "workload": {"kind": "synthetic"}, "policies": ["RWS"]}}`
 	hugeClusterBody  = `{"spec": {"platform": {"clusters": [{"name": "c", "first_core": 0, "num_cores": 8589934592, "widths": [1], "speed": 1, "base_hz": 1e9}]}, "workload": {"kind": "synthetic"}, "policies": ["RWS"]}}`
 	denseRandomBody  = `{"spec": {"workload": {"kind": "daggen", "daggen": {"model": "random-layered", "layers": 3, "width": 2048, "degree": 2048}}, "policies": ["RWS"]}}`
+	// Two resources clash, so the answer depends on which is checked first;
+	// it used to vary from request to request.
+	overlapBody = `{"spec": {"workload": {"kind": "synthetic"}, "policies": ["RWS"], "disturb": [` +
+		`{"kind": "throttle", "cluster": 0, "from": 1, "to": 3, "floor": 0.5}, {"kind": "throttle", "cluster": 0, "from": 2, "to": 4, "floor": 0.5}, ` +
+		`{"kind": "stall", "cluster": 1, "from": 1, "to": 3}, {"kind": "stall", "cluster": 1, "from": 2, "to": 4}]}}`
 )
 
 // httpErrorBodies are TestHTTPErrors' submissions and the status each gets;
@@ -258,6 +263,7 @@ var httpErrorBodies = map[string]struct {
 	"huge scaleout":  {hugeScaleoutBody, http.StatusBadRequest},
 	"huge cluster":   {hugeClusterBody, http.StatusBadRequest},
 	"dense random":   {denseRandomBody, http.StatusBadRequest},
+	"overlap":        {overlapBody, http.StatusBadRequest},
 	"unknown field":  {`{"famly": "burst-sweep"}`, http.StatusBadRequest},
 	"not json":       {`hello`, http.StatusBadRequest},
 }
@@ -278,6 +284,7 @@ func TestHTTPErrors(t *testing.T) {
 		hugeScaleoutBody: {`platform.preset \"scaleout-1x65536\"`, "MaxPlatformCores (1024)"},
 		hugeClusterBody:  {"platform.clusters[].num_cores", "MaxPlatformCores (1024)"},
 		denseRandomBody:  {"workload.daggen.degree", "MaxCellEdges (4194304)"},
+		overlapBody:      {"overlapping core availability disturbances on node 0 resource 2 (stall [1, 3) and stall [2, 4))"},
 	} {
 		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -363,6 +363,7 @@ func NewManager(cfg Config) *Manager {
 	local.panics = mx.cellPanics
 	local.runSec = mx.cellRunSec
 	local.parallelism = mx.poolParallelism
+	local.compiled = mx.compiledEntries
 	backends := []Backend{local}
 	for _, peer := range cfg.Peers {
 		backends = append(backends, NewRemoteBackend(peer))
@@ -472,17 +473,27 @@ func (m *Manager) absorb(hash string) (*Job, bool, error) {
 	return j, ok, nil
 }
 
-// takeCached returns the plan's cells from the cell cache, or nil if one is
-// missing. It probes with Peek, so a miss leaves the LRU as it was; a hit
-// makes the moves runJob's pass would. The caller holds m.mu.
-func (m *Manager) takeCached(plan *scenario.Plan) map[string]scenario.RunMetrics {
+// takeCached returns the plan's cells from the cell cache, each copied once
+// into its plan index (Plan.Assemble's input), or nil if one is missing. It
+// probes with Peek, so a miss leaves the LRU as it was; a hit makes the moves
+// runJob's pass (takeCells) would: a Get for each distinct hash, in
+// first-occurrence plan order. A cell repeating an earlier one's hash copies
+// that one's slot. The caller holds m.mu.
+func (m *Manager) takeCached(plan *scenario.Plan) []scenario.RunMetrics {
 	for _, c := range plan.Cells {
 		if _, ok := m.cells.Peek(c.Hash); !ok {
 			return nil
 		}
 	}
-	cached, _ := m.takeCells(plan.Cells)
-	return cached
+	runs := make([]scenario.RunMetrics, len(plan.Cells))
+	for i, c := range plan.Cells {
+		if first := plan.FirstWithHash(i); first != i {
+			runs[i] = runs[first]
+		} else {
+			runs[i], _ = m.cells.Get(c.Hash)
+		}
+	}
+	return runs
 }
 
 // SubmitFamily resolves a registered scenario family at a scale (seed
@@ -513,7 +524,7 @@ func familySpec(name string, scale float64, seed *uint64) (scenario.Spec, error)
 // and publishes it. Admission slots bound executing jobs to Workers: excess
 // submissions wait here, observably queued. A job submit took from the cell
 // cache (cached set) runs on the submitting goroutine and takes no slot.
-func (m *Manager) execute(j *Job, cached map[string]scenario.RunMetrics) {
+func (m *Manager) execute(j *Job, cached []scenario.RunMetrics) {
 	defer m.wg.Done()
 	j.started = j.planned
 	if cached == nil {
@@ -642,6 +653,7 @@ func (m *Manager) SimTrace(id string, cell int) ([]byte, error) {
 		return b, nil
 	}
 	rm, rec, err := plan.RunCellTrace(c)
+	m.mx.compiledEntries.Set(int64(scenario.CompiledCacheLen()))
 	if err != nil {
 		return nil, err
 	}
@@ -682,11 +694,22 @@ const planCacheSize = 64
 
 // runJob assembles one job's result from cached cells, cells another job
 // is already simulating (in-flight dedupe), and freshly dispatched cells.
-// cached, when set, is every cell of the job, taken by submit: then there is
-// nothing to subscribe to, claim or dispatch.
-func (m *Manager) runJob(ctx context.Context, j *Job, cached map[string]scenario.RunMetrics) (*scenario.Result, error) {
+// cached, when set, is every cell of the job in plan order, taken by submit:
+// then there is nothing to subscribe to, claim or dispatch, and every plan
+// cell is a hit.
+func (m *Manager) runJob(ctx context.Context, j *Job, cached []scenario.RunMetrics) (*scenario.Result, error) {
 	jt := jobTraceFrom(ctx)
 	plan := j.plan
+	if cached != nil {
+		hits := int64(len(plan.Cells))
+		m.mx.cellHits.Add(hits)
+		j.cellHits.Store(hits)
+		j.cellsDone.Store(hits)
+		mergeT0 := jt.at()
+		res := plan.Assemble(cached)
+		jt.span(trace.Span{Name: "merge", Cat: "merge", Lane: "job", Start: mergeT0, End: jt.at()})
+		return res, nil
+	}
 
 	// Dedupe the grid by cell hash (points with identical parameters under
 	// different labels share one simulation). mult counts grid positions
@@ -699,23 +722,19 @@ func (m *Manager) runJob(ctx context.Context, j *Job, cached map[string]scenario
 
 	// One pass under the lock: serve the cell cache, subscribe to cells
 	// some other job is already simulating, claim the rest.
-	results := cached
 	waits := make(map[scenario.CellJob]*pendingCell)
 	var claimed []scenario.CellJob
-	if results == nil {
-		m.mu.Lock()
-		var missing []scenario.CellJob
-		results, missing = m.takeCells(plan.Cells)
-		for _, c := range missing {
-			if p, ok := m.pending[c.Hash]; ok {
-				waits[c] = p
-			} else {
-				claimed = append(claimed, c)
-				m.pending[c.Hash] = &pendingCell{owner: j, done: make(chan struct{})}
-			}
+	m.mu.Lock()
+	results, missing := m.takeCells(plan.Cells)
+	for _, c := range missing {
+		if p, ok := m.pending[c.Hash]; ok {
+			waits[c] = p
+		} else {
+			claimed = append(claimed, c)
+			m.pending[c.Hash] = &pendingCell{owner: j, done: make(chan struct{})}
 		}
-		m.mu.Unlock()
 	}
+	m.mu.Unlock()
 
 	// Whatever happens below, claimed cells this job never resolved
 	// (dispatch error, per-cell failure, early cancel) must be released
@@ -903,8 +922,6 @@ func (m *Manager) planFor(key scenario.Key, spec scenario.Spec) (*scenario.Plan,
 	if err != nil {
 		return nil, err
 	}
-	// Planning is what files workload variants in the compiled cache.
-	m.mx.compiledEntries.Set(int64(scenario.CompiledCacheLen()))
 	m.mu.Lock()
 	m.plans.Add(key.Hash, plan)
 	m.mu.Unlock()

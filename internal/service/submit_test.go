@@ -287,6 +287,50 @@ func TestDuplicateHashCountsMatchAsyncPath(t *testing.T) {
 	}
 }
 
+// TestDoneAtSubmitLRUWithTwinPoints: a job done at submit moves the cell LRU
+// as runJob's pass (takeCells) does — one Get per distinct cell hash, in
+// first-occurrence plan order — also when two points share their parameters
+// under different labels, so that the later one's cells repeat the earlier
+// one's hashes.
+func TestDoneAtSubmitLRUWithTwinPoints(t *testing.T) {
+	m := NewManager(Config{Workers: 1})
+	s := tinySpec(75)
+	s.Points = []scenario.Point{{Label: "left", Parallelism: 4}, {Label: "mid", Parallelism: 2}, {Label: "right", Parallelism: 4}}
+	j0, _, err := m.Submit(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j0)
+	s.Name = "twin-renamed"
+	j, _, err := m.Submit(s)
+	if err != nil || j.State() != StateDone {
+		t.Fatalf("renamed twin-point grid: err=%v, or not done at submit", err)
+	}
+	plan, err := scenario.NewPlan(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The pass takes (policy, point, rep) (0,0,0), (0,1,0), (1,0,0), (1,1,0):
+	// "right" repeats "left". The LRU lists the most recent first.
+	var want []string
+	for _, pos := range [][3]int{{1, 1, 0}, {1, 0, 0}, {0, 1, 0}, {0, 0, 0}} {
+		c, err := plan.Cell(pos[0], pos[1], pos[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, c.Hash)
+	}
+	m.mu.Lock()
+	keys := m.cells.Keys()
+	m.mu.Unlock()
+	if !reflect.DeepEqual(keys, want) {
+		t.Errorf("cell LRU after the job done at submit:\n got %.12s\nwant %.12s", keys, want)
+	}
+	if st := j.Snapshot(); st.CellHits != 6 || st.CellsDone != 6 || st.CellsTotal != 6 {
+		t.Errorf("twin-point job counted %+v, want 6 hits of 6 cells", st)
+	}
+}
+
 // TestSubmitProbeLeavesCellLRU: the probe submit makes of the cell cache
 // has no side effect. Jobs that miss a cell queue without moving any cached
 // cell's recency, and a sequence of partially overlapping jobs leaves the
@@ -372,14 +416,16 @@ func TestSubmitProbeLeavesCellLRU(t *testing.T) {
 // through Manager.Submit — key, plan, cache probe, merge, fingerprint and
 // result document; no HTTP. Every allocation is work for the daemon's
 // collector on each warm job, so the count may not creep back unseen. The
-// bound is the count measured when it was set (170; 302 before the spec was
-// encoded once per submission, the cell keys shared their hash prefix and
-// the preset platforms were built once) plus 10 %.
+// bound is the count measured when it was set (67; 170 before the job was
+// assembled from one array in plan order, its variants were filed only by
+// running cells and its buffers were built only when needed; 302 before the
+// spec was encoded once per submission, the cell keys shared their hash
+// prefix and the preset platforms were built once) plus 10 %.
 func TestDoneAtSubmitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts do not repeat under -race")
 	}
-	const maxAllocs = 187
+	const maxAllocs = 74
 	m := NewManager(Config{Workers: 1})
 	f, _ := scenario.Lookup("burst-sweep")
 	spec := f.Spec(0.05)

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"dynasym/internal/core"
 	"dynasym/internal/metrics"
@@ -40,7 +40,7 @@ func (c Fig9Config) defaults() Fig9Config {
 // policy — InWindow reports the actual overlap.
 type Fig9Result struct {
 	Policies []string
-	Stats    [][]metrics.IterStat
+	Stats    []metrics.Iters
 	Topo     *topology.Platform
 	// WindowIters is the configured iteration window (paper labeling).
 	WindowIters [2]int
@@ -72,7 +72,7 @@ func Fig9(cfg Fig9Config) *Fig9Result {
 
 	// Calibration run: DAM-C, no interference.
 	calib := scenario.MustRun(kmeansSpec("fig9-calibration", kmCfg, []core.Policy{core.DAMC()}, cfg.Seed, nil))
-	stats := calib.Cells[0][0].Run().Iters
+	stats := calib.Cells[0][0].Run().Iters.Stats()
 	total := 0.0
 	for _, st := range stats {
 		total += st.End - st.Start
@@ -135,7 +135,7 @@ func (r *Fig9Result) MeanSettledIterTime(policy string) float64 {
 		return 0
 	}
 	sum, n := 0.0, 0
-	for _, st := range r.Stats[i] {
+	for _, st := range r.Stats[i].Stats() {
 		if r.InWindowSettled(st) {
 			sum += st.End - st.Start
 			n++
@@ -156,14 +156,14 @@ func (r *Fig9Result) WideShare(policy string) float64 {
 	}
 	places := r.Topo.Places()
 	var wide, total int64
-	for _, st := range r.Stats[i] {
+	for k, st := range r.Stats[i].Stats() {
 		if !r.InWindow(st) {
 			continue
 		}
-		for _, pc := range st.Places {
-			total += pc.N
+		for _, pc := range r.Stats[i].Places(k) {
+			total += int64(pc.N)
 			if places[pc.ID].Width > 1 {
-				wide += pc.N
+				wide += int64(pc.N)
 			}
 		}
 	}
@@ -184,19 +184,17 @@ func (r *Fig9Result) Render(w io.Writer) {
 	}
 	fmt.Fprintln(w, "  (* = interfered, first policy's timeline)")
 	n := 0
-	for _, st := range r.Stats {
-		if len(st) > n {
-			n = len(st)
-		}
+	for _, it := range r.Stats {
+		n = max(n, len(it.Stats()))
 	}
 	for k := 0; k < n; k++ {
 		fmt.Fprintf(w, "%-6d", k)
 		interfered := false
 		for i := range r.Policies {
-			if k < len(r.Stats[i]) {
-				fmt.Fprintf(w, "%10.2f", (r.Stats[i][k].End-r.Stats[i][k].Start)*1e3)
+			if stats := r.Stats[i].Stats(); k < len(stats) {
+				fmt.Fprintf(w, "%10.2f", (stats[k].End-stats[k].Start)*1e3)
 				if i == 0 {
-					interfered = r.InWindow(r.Stats[i][k])
+					interfered = r.InWindow(stats[k])
 				}
 			} else {
 				fmt.Fprintf(w, "%10s", "-")
@@ -226,27 +224,31 @@ func (r *Fig9Result) RenderPlaces(w io.Writer, policy string) error {
 		return fmt.Errorf("experiments: policy %q not in Figure 9 run", policy)
 	}
 	allPlaces := r.Topo.Places()
-	seen := map[int]bool{}
-	for _, st := range r.Stats[idx] {
-		for _, pc := range st.Places {
-			seen[pc.ID] = true
+	it := r.Stats[idx]
+	var ids []int32 // every place the policy used, ascending
+	for k := range it.Stats() {
+		for _, pc := range it.Places(k) {
+			ids = append(ids, pc.ID)
 		}
 	}
-	ids := make([]int, 0, len(seen))
-	for id := range seen {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
 	fmt.Fprintf(w, "# Figure 9 (%s): task count per execution place per iteration\n", policy)
 	fmt.Fprintf(w, "%-6s", "iter")
 	for _, id := range ids {
 		fmt.Fprintf(w, "%9s", allPlaces[id].String())
 	}
 	fmt.Fprintln(w)
-	for k, st := range r.Stats[idx] {
+	for k := range it.Stats() {
 		fmt.Fprintf(w, "%-6d", k)
+		// Both lists ascend by ID, and ids holds every ID the pairs name.
+		pairs := it.Places(k)
 		for _, id := range ids {
-			fmt.Fprintf(w, "%9d", st.Count(id))
+			var n int32
+			if len(pairs) > 0 && pairs[0].ID == id {
+				n, pairs = pairs[0].N, pairs[1:]
+			}
+			fmt.Fprintf(w, "%9d", n)
 		}
 		fmt.Fprintln(w)
 	}

@@ -2,9 +2,16 @@
 // kernel work time (paper Figure 6), priority-task place distributions
 // (Figure 5), per-iteration timings and place selections (Figure 9), and
 // overall throughput (Figures 4, 7, 10).
+//
+// A run's per-iteration statistics are one Iters value: two flat arrays
+// without pointers, the iterations and all their (place, count) pairs, so a
+// cell the service caches costs the garbage collector nothing to scan and
+// eight bytes per pair.
 package metrics
 
 import (
+	"encoding/json"
+	"maps"
 	"slices"
 	"sort"
 
@@ -59,10 +66,11 @@ type iterAgg struct {
 	places     []PlaceCount
 }
 
-// PlaceCount is one (placeID, task executions) pair of an iteration.
+// PlaceCount is one (placeID, task executions) pair of an iteration. Both
+// fit 32 bits: a cell runs at most 2^22 tasks (scenario.MaxCellTasks) on a
+// platform of at most 2^10 cores (scenario.MaxPlatformCores).
 type PlaceCount struct {
-	ID int
-	N  int64
+	ID, N int32
 }
 
 // newIterAgg allocates one per-iteration accumulator with its place pairs
@@ -88,7 +96,7 @@ func (c *Collector) newIterAgg(iter int, start, finish float64) *iterAgg {
 // bump increments the count for a placeID, keeping the pairs ID-sorted: an
 // iteration touches a few places, so a linear scan and a rare insert beat a
 // sort on every readout.
-func (a *iterAgg) bump(id int) {
+func (a *iterAgg) bump(id int32) {
 	i := 0
 	for i < len(a.places) && a.places[i].ID < id {
 		i++
@@ -99,7 +107,8 @@ func (a *iterAgg) bump(id int) {
 	a.places[i].N++
 }
 
-// IterStat aggregates one application iteration (Figure 9).
+// IterStat aggregates one application iteration (Figure 9). Its place
+// counts live in the Iters that holds it (Iters.Places).
 type IterStat struct {
 	Iter  int
 	Tasks int64
@@ -107,22 +116,84 @@ type IterStat struct {
 	// observed for the iteration, so End-Start approximates the
 	// iteration's wall time.
 	Start, End float64
-	// Places counts tasks per placeID within the iteration, sorted by ID.
-	// The IterStats of one run share a single backing slice (each entry is
-	// capacity-limited to its own pairs), so a run's per-iteration place
-	// counts cost one allocation, not a map per iteration.
+	// off and n locate the iteration's pairs in Iters.pairs; Append sets
+	// them.
+	off, n int32
+}
+
+// Iters is a run's per-iteration statistics: the iterations in order, and
+// every iteration's place counts, sorted by ID, back to back in one array.
+// Neither array holds a pointer. Append is the only way to build one; the
+// zero value is empty and encodes as JSON null.
+type Iters struct {
+	stats []IterStat
+	pairs []PlaceCount
+}
+
+// Append adds an iteration with its place counts; st's own location fields
+// are ignored. The pairs are copied, and a run's pairs number no more than
+// its tasks, so the offsets fit 32 bits.
+func (it *Iters) Append(st IterStat, pairs []PlaceCount) {
+	st.off, st.n = int32(len(it.pairs)), int32(len(pairs))
+	it.stats = append(it.stats, st)
+	it.pairs = append(it.pairs, pairs...)
+}
+
+// Stats returns the iterations in order. The slice is the value's own.
+func (it Iters) Stats() []IterStat { return it.stats }
+
+// Places returns iteration i's place counts, sorted by ID when the collector
+// built them. The slice is the value's own, capacity-limited so an append
+// cannot run into the next iteration's pairs.
+func (it Iters) Places(i int) []PlaceCount {
+	st := it.stats[i]
+	return it.pairs[st.off : st.off+st.n : st.off+st.n]
+}
+
+// NumPairs returns the number of place counts over all iterations.
+func (it Iters) NumPairs() int { return len(it.pairs) }
+
+// iterJSON is an iteration on the shard wire, its pairs inline: the format
+// every peer version reads and writes.
+type iterJSON struct {
+	IterStat
 	Places []PlaceCount
 }
 
-// Count returns the iteration's task count on placeID id (0 when the
-// iteration never used the place).
-func (st IterStat) Count(id int) int64 {
-	for _, pc := range st.Places {
-		if pc.ID == id {
-			return pc.N
-		}
+// MarshalJSON encodes the iterations as an array of
+// {"Iter","Tasks","Start","End","Places":[{"ID","N"}]} objects.
+func (it Iters) MarshalJSON() ([]byte, error) {
+	if it.stats == nil {
+		return []byte("null"), nil
 	}
-	return 0
+	out := make([]iterJSON, len(it.stats))
+	for i, st := range it.stats {
+		out[i] = iterJSON{st, it.Places(i)}
+	}
+	return json.Marshal(out)
+}
+
+// UnmarshalJSON decodes MarshalJSON's form, rebuilding the offsets itself (a
+// document would need 2^31 pairs, tens of gigabytes, to wrap them). An ID or
+// N outside 32 bits is an error, never a wrapped value.
+func (it *Iters) UnmarshalJSON(b []byte) error {
+	var in []iterJSON
+	if err := json.Unmarshal(b, &in); err != nil || in == nil {
+		*it = Iters{}
+		return err
+	}
+	total := 0
+	for _, st := range in {
+		total += len(st.Places)
+	}
+	*it = Iters{stats: make([]IterStat, 0, len(in))}
+	if total > 0 { // as the collector's: no pairs, no array
+		it.pairs = make([]PlaceCount, 0, total)
+	}
+	for _, st := range in {
+		it.Append(st.IterStat, st.Places)
+	}
+	return nil
 }
 
 // NewCollector returns an empty collector for the platform: a Reset of the
@@ -203,7 +274,7 @@ func (c *Collector) TaskDoneID(id int, pl topology.Place, high bool, iter int, s
 		if finish > st.end {
 			st.end = finish
 		}
-		st.bump(id)
+		st.bump(int32(id))
 	}
 }
 
@@ -275,8 +346,10 @@ func (c *Collector) PlaceHistogram(highOnly bool) []PlaceShare {
 }
 
 // IterStats returns the per-iteration statistics ordered by iteration, each
-// with its place counts sorted by placeID.
-func (c *Collector) IterStats() []IterStat {
+// with its place counts sorted by placeID. The pairs are copied in iteration
+// order, so two readouts of one run are equal value for value; a run without
+// sparse tags pays two allocations, whatever its iteration count.
+func (c *Collector) IterStats() Iters {
 	n, pairs := len(c.byIterSparse), 0
 	for _, st := range c.byIterSparse {
 		pairs += len(st.places)
@@ -288,26 +361,22 @@ func (c *Collector) IterStats() []IterStat {
 		}
 	}
 	if n == 0 {
-		return []IterStat{}
+		return Iters{stats: []IterStat{}}
 	}
-	out := make([]IterStat, 0, n)
-	backing := make([]PlaceCount, 0, pairs)
-	materialize := func(st *iterAgg) {
-		lo := len(backing)
-		backing = append(backing, st.places...)
-		out = append(out, IterStat{Iter: st.iter, Tasks: st.tasks, Start: st.start, End: st.end,
-			Places: backing[lo:len(backing):len(backing)]})
+	out := Iters{stats: make([]IterStat, 0, n), pairs: make([]PlaceCount, 0, pairs)}
+	add := func(st *iterAgg) {
+		out.Append(IterStat{Iter: st.iter, Tasks: st.tasks, Start: st.start, End: st.end}, st.places)
 	}
 	for _, st := range c.byIter {
 		if st != nil {
-			materialize(st)
+			add(st)
 		}
 	}
-	for _, st := range c.byIterSparse {
-		materialize(st)
+	if len(c.byIterSparse) > 0 { // tags above every dense one, sorted at a cost only they pay
+		for _, iter := range slices.Sorted(maps.Keys(c.byIterSparse)) {
+			add(c.byIterSparse[iter])
+		}
 	}
-	// Iteration tags are non-negative, so the difference cannot overflow.
-	slices.SortFunc(out, func(a, b IterStat) int { return a.Iter - b.Iter })
 	return out
 }
 

@@ -1,7 +1,10 @@
 package metrics
 
 import (
+	"encoding/json"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"dynasym/internal/topology"
@@ -65,26 +68,38 @@ func TestPlaceHistogram(t *testing.T) {
 	}
 }
 
+// count returns iteration i's task count on place id, 0 when it never ran
+// there.
+func count(it Iters, i int, pl topology.Place, topo *topology.Platform) int32 {
+	for _, pc := range it.Places(i) {
+		if int(pc.ID) == topo.PlaceID(pl) {
+			return pc.N
+		}
+	}
+	return 0
+}
+
 func TestIterStats(t *testing.T) {
 	c := NewCollector(topology.TX2())
 	taskDone(c, topology.Place{Leader: 0, Width: 1}, false, 1, 2.0, 2.5)
 	taskDone(c, topology.Place{Leader: 1, Width: 1}, false, 1, 1.5, 2.2)
 	taskDone(c, topology.Place{Leader: 0, Width: 1}, false, 0, 0.0, 1.0)
-	st := c.IterStats()
+	it := c.IterStats()
+	st := it.Stats()
 	if len(st) != 2 || st[0].Iter != 0 || st[1].Iter != 1 {
 		t.Fatalf("iters = %+v", st)
 	}
 	if st[1].Start != 1.5 || st[1].End != 2.5 || st[1].Tasks != 2 {
 		t.Fatalf("iter 1 = %+v", st[1])
 	}
-	if st[1].Count(c.Platform().PlaceID(topology.Place{Leader: 0, Width: 1})) != 1 {
+	if count(it, 1, topology.Place{Leader: 0, Width: 1}, c.Platform()) != 1 {
 		t.Fatal("iter place counts wrong")
 	}
 }
 
 // IterStats hands the place counts out as ID-sorted pairs carved from one
-// backing slice per run — whatever order the places were first used in —
-// and appending to one iteration's pairs must not run into the next's.
+// array per run — whatever order the places were first used in — and
+// appending to one iteration's pairs must not run into the next's.
 func TestIterStatsPlacesSortedSharedBacking(t *testing.T) {
 	c := NewCollector(topology.TX2())
 	topo := c.Platform()
@@ -94,32 +109,28 @@ func TestIterStatsPlacesSortedSharedBacking(t *testing.T) {
 	}
 	taskDone(c, lead2, false, 1, 1, 2)
 	taskDone(c, lead0, false, 1, 1, 2)
-	st := c.IterStats()
-	if len(st) != 2 {
-		t.Fatalf("iters = %+v", st)
+	it := c.IterStats()
+	if len(it.Stats()) != 2 || it.NumPairs() != 5 {
+		t.Fatalf("iters = %+v", it)
 	}
-	want0 := []PlaceCount{{topo.PlaceID(lead0), 1}, {topo.PlaceID(lead2), 1}, {topo.PlaceID(wide), 2}}
-	if len(st[0].Places) != len(want0) {
-		t.Fatalf("iter 0 places = %+v, want %+v", st[0].Places, want0)
+	id := func(pl topology.Place) int32 { return int32(topo.PlaceID(pl)) }
+	want0 := []PlaceCount{{id(lead0), 1}, {id(lead2), 1}, {id(wide), 2}}
+	if got := it.Places(0); !slices.Equal(got, want0) {
+		t.Fatalf("iter 0 places = %+v, want %+v", got, want0)
 	}
-	for i, pc := range st[0].Places {
-		if pc != want0[i] {
-			t.Fatalf("iter 0 places = %+v, want %+v", st[0].Places, want0)
-		}
+	if count(it, 0, wide, topo) != 2 || count(it, 1, wide, topo) != 0 {
+		t.Fatalf("counts: iter 0 %+v, iter 1 %+v", it.Places(0), it.Places(1))
 	}
-	if st[0].Count(topo.PlaceID(wide)) != 2 || st[1].Count(topo.PlaceID(wide)) != 0 {
-		t.Fatalf("Count: iter 0 %+v, iter 1 %+v", st[0].Places, st[1].Places)
-	}
-	first := st[1].Places[0]
-	_ = append(st[0].Places, PlaceCount{ID: 99, N: 99})
-	if st[1].Places[0] != first {
+	first := it.Places(1)[0]
+	_ = append(it.Places(0), PlaceCount{ID: 99, N: 99})
+	if it.Places(1)[0] != first {
 		t.Fatal("appending to iteration 0's pairs overwrote iteration 1's")
 	}
 }
 
-// The readout is two allocations per run — the stats and the shared pair
-// backing — however many iterations the run had (it was a map per
-// iteration, 35 % of a cold synthetic cell's allocations).
+// The readout is two allocations per run — the stats and the pair array —
+// however many iterations the run had (it was a map per iteration, 35 % of
+// a cold synthetic cell's allocations).
 func TestIterStatsAllocs(t *testing.T) {
 	c := NewCollector(topology.TX2())
 	for iter := 0; iter < 40; iter++ {
@@ -127,20 +138,86 @@ func TestIterStatsAllocs(t *testing.T) {
 			taskDone(c, topology.Place{Leader: core, Width: 1}, false, iter, float64(iter), float64(iter)+1)
 		}
 	}
-	var st []IterStat
-	allocs := testing.AllocsPerRun(20, func() { st = c.IterStats() })
-	if len(st) != 40 || len(st[39].Places) != 6 {
-		t.Fatalf("readout lost data: %d iterations", len(st))
+	var it Iters
+	allocs := testing.AllocsPerRun(20, func() { it = c.IterStats() })
+	if len(it.Stats()) != 40 || len(it.Places(39)) != 6 {
+		t.Fatalf("readout lost data: %d iterations", len(it.Stats()))
 	}
 	if allocs > 2 {
 		t.Errorf("IterStats costs %.0f allocs/op, want <= 2", allocs)
 	}
 }
 
+// TestIterArraysPointerFree: the two arrays of an Iters hold no pointer, so
+// the garbage collector never scans a cached cell's per-iteration data.
+func TestIterArraysPointerFree(t *testing.T) {
+	var walk func(t reflect.Type) string
+	walk = func(t reflect.Type) string {
+		switch t.Kind() {
+		case reflect.Struct:
+			for i := 0; i < t.NumField(); i++ {
+				if bad := walk(t.Field(i).Type); bad != "" {
+					return t.Field(i).Name + ": " + bad
+				}
+			}
+			return ""
+		case reflect.Array:
+			return walk(t.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.String,
+			reflect.Interface, reflect.Chan, reflect.Func:
+			return t.Kind().String()
+		}
+		return ""
+	}
+	for _, typ := range []reflect.Type{reflect.TypeFor[IterStat](), reflect.TypeFor[PlaceCount]()} {
+		if bad := walk(typ); bad != "" {
+			t.Errorf("%s holds a pointer-bearing field (%s)", typ, bad)
+		}
+	}
+}
+
+// TestItersJSON: the wire form is the array of objects an iteration with its
+// own pairs once encoded to, null for a zero value, and decoding rebuilds the
+// value Append built; an old peer's {"place": count} object and a count past
+// 32 bits are errors.
+func TestItersJSON(t *testing.T) {
+	var it Iters
+	if b, err := json.Marshal(it); err != nil || string(b) != "null" {
+		t.Fatalf("zero Iters encodes as %s (%v), want null", b, err)
+	}
+	it.Append(IterStat{Iter: 3, Tasks: 5, Start: 0.5, End: 1}, []PlaceCount{{ID: 1, N: 2}, {ID: 7, N: 3}})
+	it.Append(IterStat{Iter: 4, Tasks: 1, Start: 1, End: 2}, []PlaceCount{{ID: 0, N: 1}})
+	b, err := json.Marshal(it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `[{"Iter":3,"Tasks":5,"Start":0.5,"End":1,"Places":[{"ID":1,"N":2},{"ID":7,"N":3}]},` +
+		`{"Iter":4,"Tasks":1,"Start":1,"End":2,"Places":[{"ID":0,"N":1}]}]`
+	if string(b) != want {
+		t.Fatalf("encoded\n %s\nwant\n %s", b, want)
+	}
+	var back Iters
+	if err := json.Unmarshal(b, &back); err != nil || !reflect.DeepEqual(back, it) {
+		t.Fatalf("decoded %+v (%v), want %+v", back, err, it)
+	}
+	if err := json.Unmarshal([]byte("null"), &back); err != nil || back.Stats() != nil {
+		t.Fatalf("null decodes to %+v (%v), want the zero value", back, err)
+	}
+	for _, bad := range []string{
+		`[{"Iter":0,"Places":{"3":1}}]`,
+		`[{"Iter":0,"Places":[{"ID":0,"N":2147483648}]}]`,
+		`[{"Iter":0,"Places":[{"ID":-2147483649,"N":1}]}]`,
+	} {
+		if err := json.Unmarshal([]byte(bad), &back); err == nil {
+			t.Errorf("%s decoded without an error", bad)
+		}
+	}
+}
+
 func TestNegativeIterIgnored(t *testing.T) {
 	c := NewCollector(topology.TX2())
 	taskDone(c, topology.Place{Leader: 0, Width: 1}, false, -1, 0, 1)
-	if len(c.IterStats()) != 0 {
+	if len(c.IterStats().Stats()) != 0 {
 		t.Fatal("iter -1 recorded")
 	}
 }
@@ -161,15 +238,23 @@ func TestSparseIterFallsBackToMap(t *testing.T) {
 	for _, later := range []int{sparse + 3, sparse + 1, sparse + 2} {
 		taskDone(c, topology.Place{Leader: 0, Width: 1}, false, later, 3.0, 4.0)
 	}
-	st := c.IterStats()
+	it := c.IterStats()
+	st := it.Stats()
 	if len(st) != 5 || st[0].Iter != 2 || st[1].Iter != sparse ||
 		st[2].Iter != sparse+1 || st[3].Iter != sparse+2 || st[4].Iter != sparse+3 {
 		t.Fatalf("iters = %+v", st)
 	}
-	if st[1].Tasks != 2 || st[1].Start != 1.0 || st[1].End != 2.5 {
-		t.Fatalf("sparse iter = %+v", st[1])
+	if st[1].Tasks != 2 || st[1].Start != 1.0 || st[1].End != 2.5 || len(it.Places(1)) != 2 {
+		t.Fatalf("sparse iter = %+v, places %+v", st[1], it.Places(1))
 	}
 	if len(c.byIter) > maxDenseIter/1024 {
 		t.Fatalf("sparse tag grew the dense index to %d entries", len(c.byIter))
+	}
+	// The pairs follow the iterations, not the map's order: every readout
+	// of the run is the same value, offsets included.
+	for range 20 {
+		if again := c.IterStats(); !reflect.DeepEqual(again, it) {
+			t.Fatalf("a second readout differs:\n %+v\n %+v", again, it)
+		}
 	}
 }

@@ -32,8 +32,11 @@ type RunMetrics struct {
 	CoreBusy []float64
 	// HighHist is the distribution of high-priority tasks over places.
 	HighHist []metrics.PlaceShare
-	// Iters holds per-iteration statistics for iterative workloads.
-	Iters []metrics.IterStat
+	// Iters holds per-iteration statistics for iterative workloads: two
+	// pointer-free arrays, the iterations and their place counts. On the
+	// wire it keeps the array-of-objects form each iteration once had
+	// (metrics.Iters.MarshalJSON).
+	Iters metrics.Iters
 	// Steals, FailedSteals and Dispatches sum the scheduler counters over
 	// all cores (and nodes).
 	Steals, FailedSteals, Dispatches int64
@@ -55,10 +58,8 @@ func (rm *RunMetrics) SizeBytes() int64 {
 	n := unsafe.Sizeof(*rm) +
 		uintptr(len(rm.CoreBusy))*unsafe.Sizeof(float64(0)) +
 		uintptr(len(rm.HighHist))*unsafe.Sizeof(metrics.PlaceShare{}) +
-		uintptr(len(rm.Iters))*unsafe.Sizeof(metrics.IterStat{})
-	for i := range rm.Iters {
-		n += uintptr(len(rm.Iters[i].Places)) * unsafe.Sizeof(metrics.PlaceCount{})
-	}
+		uintptr(len(rm.Iters.Stats()))*unsafe.Sizeof(metrics.IterStat{}) +
+		uintptr(rm.Iters.NumPairs())*unsafe.Sizeof(metrics.PlaceCount{})
 	return int64(n)
 }
 
@@ -204,17 +205,23 @@ const fingerprintStackBytes = 2048
 // FingerprintText prints — Seed, Throughput, Makespan, TasksDone, Steals,
 // FailedSteals, Dispatches, then CoreBusy, HighHist (leader, width, count,
 // frac) and Iters (iter, tasks, start, end, place pairs as stored: ID-sorted),
-// slices behind their length, floats as IEEE-754 bits — never Sched. Call it
-// once the metrics are final; a write after it needs another Seal. The digest
-// is never encoded — whoever decodes a value seals it again — so it changes no
-// wire format and no cache key.
+// slices behind their length, every integer a 64-bit word and floats as
+// IEEE-754 bits — never Sched. Call it once the metrics are final; a write
+// after it needs another Seal. The digest is never encoded — whoever decodes a
+// value seals it again — so it changes no wire format and no cache key.
 func (rm *RunMetrics) Seal() { rm.sealInto(nil) }
 
-// sealInto is Seal on the caller's scratch, which it returns (grown, if it had
-// to be) for the next cell: a warm worker seals without allocating.
+// sealInto is Seal on the caller's scratch, which it returns (grown to the
+// encoding's exact length, if it had to be) for the next cell: a warm worker
+// seals without allocating.
 func (rm *RunMetrics) sealInto(b []byte) []byte {
-	if n := int(rm.SizeBytes()); cap(b) < n {
-		b = make([]byte, 0, n) // the encoding is no longer than the value
+	stats := rm.Iters.Stats()
+	// Seven scalars and three slice lengths, then per element: a float per
+	// core, four words per histogram entry, five per iteration (four fields
+	// and its pair count) and two per pair.
+	n := 8 * (10 + len(rm.CoreBusy) + 4*len(rm.HighHist) + 5*len(stats) + 2*rm.Iters.NumPairs())
+	if cap(b) < n {
+		b = make([]byte, 0, n)
 	}
 	b = appendU64(b[:0], rm.Seed)
 	b = appendF64(appendF64(b, rm.Throughput), rm.Makespan)
@@ -228,14 +235,15 @@ func (rm *RunMetrics) sealInto(b []byte) []byte {
 		b = appendI64(appendI64(b, int64(ps.Place.Leader)), int64(ps.Place.Width))
 		b = appendF64(appendI64(b, ps.Count), ps.Frac)
 	}
-	b = appendU64(b, uint64(len(rm.Iters)))
-	for i := range rm.Iters {
-		st := &rm.Iters[i]
+	b = appendU64(b, uint64(len(stats)))
+	for i := range stats {
+		st := &stats[i]
 		b = appendI64(appendI64(b, int64(st.Iter)), st.Tasks)
 		b = appendF64(appendF64(b, st.Start), st.End)
-		b = appendU64(b, uint64(len(st.Places)))
-		for _, pc := range st.Places {
-			b = appendI64(appendI64(b, int64(pc.ID)), pc.N)
+		places := rm.Iters.Places(i)
+		b = appendU64(b, uint64(len(places)))
+		for _, pc := range places {
+			b = appendI64(appendI64(b, int64(pc.ID)), int64(pc.N))
 		}
 	}
 	rm.digest = sha256.Sum256(b)
@@ -293,17 +301,18 @@ func (r *Result) appendFingerprint(b []byte) []byte {
 					b = appendBits(b, ":", ps.Frac)
 				}
 				b = append(b, "\n iters"...)
-				for i := range run.Iters {
-					st := &run.Iters[i]
+				stats := run.Iters.Stats()
+				for i := range stats {
+					st := &stats[i]
 					b = appendInt(b, " ", int64(st.Iter))
 					b = appendInt(b, ":", st.Tasks)
 					b = appendBits(b, ":", st.Start)
 					b = append(appendBits(b, ":", st.End), ':')
 					// Places are ID-sorted by construction (Collector.IterStats).
 					sep := ""
-					for _, pc := range st.Places {
+					for _, pc := range run.Iters.Places(i) {
 						b = appendInt(b, sep, int64(pc.ID))
-						b = appendInt(b, "=", pc.N)
+						b = appendInt(b, "=", int64(pc.N))
 						sep = ","
 					}
 				}

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -20,9 +22,9 @@ import (
 // kept verbatim as the oracle: the text is a cross-commit contract (the
 // golden literals hash it), so the strconv renderer must reproduce it byte
 // for byte on every input, not only on the ones the goldens cover. The one
-// adaptation is placesKeyRef's argument — it rebuilds the map the old
-// IterStat.Places was, so the oracle also checks that the pair form arrives
-// ID-sorted.
+// adaptation is placesKeyRef's argument — it rebuilds the map an iteration's
+// place counts once were, so the oracle also checks that the pair form
+// arrives ID-sorted.
 func fingerprintRef(r *Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "scenario=%s topo=%s\n", r.Name, r.Topo)
@@ -42,9 +44,9 @@ func fingerprintRef(r *Result) string {
 					fmt.Fprintf(&b, " %s:%d:%x", ps.Place, ps.Count, math.Float64bits(ps.Frac))
 				}
 				b.WriteString("\n iters")
-				for _, st := range run.Iters {
+				for i, st := range run.Iters.Stats() {
 					fmt.Fprintf(&b, " %d:%d:%x:%x:%s", st.Iter, st.Tasks,
-						math.Float64bits(st.Start), math.Float64bits(st.End), placesKeyRef(st.Places))
+						math.Float64bits(st.Start), math.Float64bits(st.End), placesKeyRef(run.Iters.Places(i)))
 				}
 				b.WriteString("\n")
 			}
@@ -57,7 +59,7 @@ func fingerprintRef(r *Result) string {
 func placesKeyRef(pairs []metrics.PlaceCount) string {
 	places := make(map[int]int64, len(pairs))
 	for _, pc := range pairs {
-		places[pc.ID] = pc.N
+		places[int(pc.ID)] = int64(pc.N)
 	}
 	ids := make([]int, 0, len(places))
 	for id := range places {
@@ -164,6 +166,17 @@ func hostileResults(n int) []*Result {
 		}
 		return rng.Int63()
 	}
+	n32 := func() int32 { // a pair's fields: int32, so the extremes are 32-bit ones
+		switch rng.Intn(4) {
+		case 0:
+			return -rng.Int31()
+		case 1:
+			return int32(rng.Intn(10))
+		case 2:
+			return math.MinInt32
+		}
+		return rng.Int31()
+	}
 	labels := []string{"", "P2", "a/b", "two words", "ünïcödé-标签", "100%d", "tab\there", "new\nline", "\xff\xfe"}
 	label := func() string { return labels[rng.Intn(len(labels))] }
 	run := func() RunMetrics {
@@ -187,18 +200,19 @@ func hostileResults(n int) []*Result {
 			}
 		}
 		if rng.Intn(4) > 0 {
-			rm.Iters = make([]metrics.IterStat, rng.Intn(4))
-			for i := range rm.Iters {
+			for i := rng.Intn(4); i > 0; i-- {
 				st := metrics.IterStat{Iter: rng.Intn(1<<21) - 5, Tasks: n64(), Start: f(), End: f()}
+				var pairs []metrics.PlaceCount
 				if rng.Intn(3) > 0 {
-					id := rng.Intn(50) - 25
-					st.Places = make([]metrics.PlaceCount, rng.Intn(5))
-					for j := range st.Places {
-						st.Places[j] = metrics.PlaceCount{ID: id, N: n64()}
-						id += 1 + rng.Intn(1000)
+					// Ascending IDs from either end of the int32 range or near 0.
+					id := []int32{math.MinInt32, int32(rng.Intn(50) - 25), math.MaxInt32 - 4000}[rng.Intn(3)]
+					pairs = make([]metrics.PlaceCount, rng.Intn(5))
+					for j := range pairs {
+						pairs[j] = metrics.PlaceCount{ID: id, N: n32()}
+						id += 1 + int32(rng.Intn(1000))
 					}
 				}
-				rm.Iters[i] = st
+				rm.Iters.Append(st, pairs)
 			}
 		}
 		return rm
@@ -231,6 +245,21 @@ func hostileResults(n int) []*Result {
 	return out
 }
 
+// copyIters rebuilds it through Append, which copies every pair; grow adds a
+// zero pair to the last iteration on the way.
+func copyIters(it metrics.Iters, grow bool) metrics.Iters {
+	var out metrics.Iters
+	stats := it.Stats()
+	for i, st := range stats {
+		pairs := it.Places(i)
+		if grow && i == len(stats)-1 {
+			pairs = append(pairs, metrics.PlaceCount{}) // capacity-limited: a copy
+		}
+		out.Append(st, pairs)
+	}
+	return out
+}
+
 // TestFingerprintMatchesReferenceProperty drives both renderers over the
 // hostile results.
 func TestFingerprintMatchesReferenceProperty(t *testing.T) {
@@ -258,7 +287,7 @@ func TestDigestCoversExactlyTheText(t *testing.T) {
 		"dispatches":   func(rm *RunMetrics) bool { rm.Dispatches++; return true },
 		"busy grows":   func(rm *RunMetrics) bool { rm.CoreBusy = append(rm.CoreBusy, 0); return true },
 		"hist grows":   func(rm *RunMetrics) bool { rm.HighHist = append(rm.HighHist, metrics.PlaceShare{}); return true },
-		"iters grow":   func(rm *RunMetrics) bool { rm.Iters = append(rm.Iters, metrics.IterStat{}); return true },
+		"iters grow":   func(rm *RunMetrics) bool { rm.Iters.Append(metrics.IterStat{}, nil); return true },
 		"sched":        func(rm *RunMetrics) bool { rm.Sched = &metrics.Sched{}; return true },
 		"nil to empty": func(rm *RunMetrics) bool { rm.CoreBusy = append([]float64{}, rm.CoreBusy...); return true },
 		"busy value": func(rm *RunMetrics) bool {
@@ -303,33 +332,41 @@ func TestDigestCoversExactlyTheText(t *testing.T) {
 			return true
 		}
 	}
-	for field, mut := range map[string]func(st *metrics.IterStat) bool{
-		"iter":       func(st *metrics.IterStat) bool { st.Iter++; return true },
-		"iter tasks": func(st *metrics.IterStat) bool { st.Tasks++; return true },
-		"iter start": func(st *metrics.IterStat) bool { flip(&st.Start); return true },
-		"iter end":   func(st *metrics.IterStat) bool { flip(&st.End); return true },
-		"iter places grow": func(st *metrics.IterStat) bool {
-			st.Places = append(st.Places, metrics.PlaceCount{})
-			return true
-		},
-		"iter place id": func(st *metrics.IterStat) bool {
-			if len(st.Places) == 0 {
-				return false
-			}
-			st.Places[0].ID--
-			return true
-		},
-		"iter place n": func(st *metrics.IterStat) bool {
-			if len(st.Places) == 0 {
-				return false
-			}
-			st.Places[0].N++
-			return true
-		},
+	for field, mut := range map[string]func(st *metrics.IterStat){
+		"iter":       func(st *metrics.IterStat) { st.Iter++ },
+		"iter tasks": func(st *metrics.IterStat) { st.Tasks++ },
+		"iter start": func(st *metrics.IterStat) { flip(&st.Start) },
+		"iter end":   func(st *metrics.IterStat) { flip(&st.End) },
 	} {
 		mutations[field] = func(rm *RunMetrics) bool {
-			return len(rm.Iters) > 0 && mut(&rm.Iters[len(rm.Iters)-1])
+			stats := rm.Iters.Stats()
+			if len(stats) == 0 {
+				return false
+			}
+			mut(&stats[len(stats)-1])
+			return true
 		}
+	}
+	// The last iteration's pairs, edited in place through Places.
+	for field, mut := range map[string]func(pc *metrics.PlaceCount){
+		"iter place id": func(pc *metrics.PlaceCount) { pc.ID-- },
+		"iter place n":  func(pc *metrics.PlaceCount) { pc.N++ },
+	} {
+		mutations[field] = func(rm *RunMetrics) bool {
+			n := len(rm.Iters.Stats())
+			if n == 0 || len(rm.Iters.Places(n-1)) == 0 {
+				return false
+			}
+			mut(&rm.Iters.Places(n - 1)[0])
+			return true
+		}
+	}
+	mutations["iter places grow"] = func(rm *RunMetrics) bool {
+		if len(rm.Iters.Stats()) == 0 {
+			return false
+		}
+		rm.Iters = copyIters(rm.Iters, true)
+		return true
 	}
 	neutral := map[string]bool{"sched": true, "nil to empty": true}
 
@@ -353,10 +390,7 @@ func TestDigestCoversExactlyTheText(t *testing.T) {
 			// Copy what a mutation may write through.
 			target.CoreBusy = append([]float64(nil), saved.CoreBusy...)
 			target.HighHist = append([]metrics.PlaceShare(nil), saved.HighHist...)
-			target.Iters = append([]metrics.IterStat(nil), saved.Iters...)
-			for i := range target.Iters {
-				target.Iters[i].Places = append([]metrics.PlaceCount(nil), saved.Iters[i].Places...)
-			}
+			target.Iters = copyIters(saved.Iters, false)
 			if mut(target) {
 				applied[name]++
 				textMoved, printMoved := res.FingerprintText() != text, res.Fingerprint() != print
@@ -444,10 +478,127 @@ func TestFingerprintAllocs(t *testing.T) {
 	}
 	run := res.Cells[0][0].Runs[0]
 	scratch := run.sealInto(nil)
+	if len(scratch) != cap(scratch) {
+		t.Errorf("sealInto sized its scratch to %d bytes for a %d-byte encoding", cap(scratch), len(scratch))
+	}
 	if allocs := testing.AllocsPerRun(20, func() { scratch = run.sealInto(scratch) }); allocs != 0 {
 		t.Errorf("sealing on a warm worker's scratch costs %.0f allocs/op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(20, run.Seal); allocs > 1 {
 		t.Errorf("a bare Seal costs %.0f allocs/op, want its one exact-size buffer", allocs)
 	}
+}
+
+// goldenKMeans is the KMeans spec TestSpecHashGoldenVectors pins: one DAM-P
+// cell of four iterations, each with its per-place task counts.
+func goldenKMeans() Spec {
+	return Spec{
+		Name:     "golden-kmeans",
+		Workload: WorkloadSpec{Kind: KMeans, KMeans: workloads.KMeansConfig{K: 8, MaxIters: 4}},
+		Policies: []core.Policy{core.DAMP()},
+		Seed:     42,
+	}
+}
+
+// TestRunMetricsWireGolden pins the shard wire bytes of a cell: sha256 of
+// json.Marshal of a KMeans cell's RunMetrics and of a scaleout-32 cell's (200
+// iterations). The literals were generated while each iteration still held
+// its own slice of pairs; they hold a coordinator and its peers to one format
+// across versions.
+func TestRunMetricsWireGolden(t *testing.T) {
+	scaleout, _ := Lookup("scaleout-32")
+	for _, v := range []struct {
+		name  string
+		spec  Spec
+		iters int
+		want  string
+	}{
+		{"kmeans", goldenKMeans(), 4, "0e813357182cfad35a401ef4651d4342d2738abfd5fa2ebdd87f7f589c9d57a5"},
+		{"scaleout-32", scaleout.Spec(0.05), 200, "0024c346682176d595b283520a586b5f135373e24ab097ce1588b4239fff0c08"},
+	} {
+		res, err := Run(v.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := res.Cells[0][0].Runs[0]
+		if n := len(run.Iters.Stats()); n != v.iters || run.Iters.NumPairs() < n {
+			t.Fatalf("%s: %d iterations, %d pairs; want %d iterations, each with pairs", v.name, n, run.Iters.NumPairs(), v.iters)
+		}
+		b, err := json.Marshal(run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != v.want {
+			t.Errorf("%s: wire bytes hash to %x, want %s:\n%.400s", v.name, sum, v.want, b)
+		}
+	}
+}
+
+// TestCachedCellFootprint bounds what one cached cell of the two gated bench
+// workloads holds (SizeBytes, the asymd_cell_cache_bytes summand): the
+// measured maximum + 5 %. Measured 22 272 B (scaleout-32) and 45 328 B
+// (burst-sweep); with a slice of 16-byte pairs per iteration they were 38 248
+// and 70 904.
+func TestCachedCellFootprint(t *testing.T) {
+	for name, limit := range map[string]int64{"scaleout-32": 22272 * 105 / 100, "burst-sweep": 45328 * 105 / 100} {
+		f, _ := Lookup(name)
+		res, err := Run(f.Spec(0.05))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pi := range res.Cells {
+			for xi := range res.Cells[pi] {
+				for _, run := range res.Cells[pi][xi].Runs {
+					if n := run.SizeBytes(); n > limit {
+						t.Errorf("%s %s/%s: a cached cell holds %d bytes, over %d", name, res.Policies[pi], res.Points[xi].Label, n, limit)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzRunMetricsJSON holds the coordinator's side of the shard wire to what
+// a cache needs: whatever a peer sends that decodes can be sealed, sized and
+// rendered without a panic, and re-encodes to a fixed point with the same
+// digest. The corpus is a KMeans cell's wire bytes, an old peer's
+// {"place": count} form, null, and a count of 2^31.
+func FuzzRunMetricsJSON(f *testing.F) {
+	res, err := Run(goldenKMeans())
+	if err != nil {
+		f.Fatal(err)
+	}
+	b, err := json.Marshal(res.Cells[0][0].Runs[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b)
+	f.Add([]byte(`{"Seed":57,"TasksDone":9,"Iters":[{"Iter":0,"Tasks":9,"Start":0,"End":1,"Places":{"3":9}}]}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"Seed":1,"Iters":[{"Iter":0,"Tasks":1,"Start":0,"End":1,"Places":[{"ID":0,"N":2147483648}]}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var rm RunMetrics
+		if json.Unmarshal(data, &rm) != nil {
+			return
+		}
+		rm.Seal()
+		_ = rm.SizeBytes()
+		res := &Result{Name: "fuzz", Policies: []string{"p"}, Points: []Point{{Label: "x"}},
+			Cells: [][]Cell{{{Runs: []RunMetrics{rm}}}}}
+		_ = res.FingerprintText()
+		a, err := json.Marshal(rm)
+		if err != nil {
+			t.Fatalf("a decoded cell does not encode: %v", err)
+		}
+		var back RunMetrics
+		if err := json.Unmarshal(a, &back); err != nil {
+			t.Fatalf("a cell's encoding does not decode: %v\n%s", err, a)
+		}
+		if again, _ := json.Marshal(back); !bytes.Equal(again, a) {
+			t.Fatalf("encoding is not a fixed point:\n %s\n %s", a, again)
+		}
+		if back.Seal(); back.digest != rm.digest {
+			t.Fatalf("the round trip moved the digest:\n%s", a)
+		}
+	})
 }

@@ -126,7 +126,11 @@ func (m *Manager) Handler(logger *slog.Logger) http.Handler {
 	mux.HandleFunc("GET /v1/results/{hash}", m.handleResult)
 	mux.HandleFunc("GET /v1/results/{hash}/fingerprint", m.handleFingerprintText)
 	mux.HandleFunc("POST /v1/shards", m.handleShards)
-	mux.Handle("GET /metrics", m.reg.Handler())
+	scrape := m.reg.Handler()
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		m.mx.readRuntime()
+		scrape.ServeHTTP(w, r)
+	})
 	if m.cfg.EnablePprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)

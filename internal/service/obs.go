@@ -19,6 +19,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	rtmetrics "runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,12 +53,20 @@ type serviceMetrics struct {
 	jobEvict   *obs.Counter
 
 	// Cache occupancy, set wherever an entry is added (evictions happen
-	// only there): entries for the four result LRUs and the process-wide
-	// compiled-workload cache, bytes for the two caches a daemon's memory
-	// goes to — cells (scenario.RunMetrics.SizeBytes per entry) and finished
-	// jobs (the length of each one's result document).
-	jobEntries, cellEntries, traceEntries, simtraceEntries, compiledEntries *obs.Gauge
-	cellCacheBytes, jobCacheBytes                                           *obs.Gauge
+	// only there): entries for the four result LRUs, the plan LRU and the
+	// process-wide compiled-workload cache, bytes for the two caches a
+	// daemon's memory goes to — cells (scenario.RunMetrics.SizeBytes per
+	// entry) and finished jobs (the length of each one's result document).
+	jobEntries, cellEntries, traceEntries, simtraceEntries, planEntries, compiledEntries *obs.Gauge
+	cellCacheBytes, jobCacheBytes                                                        *obs.Gauge
+
+	// The Go runtime's own view — heap held by live and unswept objects, GC
+	// cycles, goroutines — read from runtime/metrics when /metrics is
+	// scraped (readRuntime), never on the job path.
+	rtMu                      sync.Mutex
+	rtSamples                 []rtmetrics.Sample
+	goHeapBytes, goGoroutines *obs.Gauge
+	goGCCycles                *obs.Counter
 
 	poolWorkers *obs.Gauge
 	poolBusy    *obs.Gauge
@@ -128,6 +137,7 @@ func newServiceMetrics(reg *obs.Registry, workers int) *serviceMetrics {
 		cellEntries:     entries("cell"),
 		traceEntries:    entries("trace"),
 		simtraceEntries: entries("simtrace"),
+		planEntries:     entries("plan"),
 		compiledEntries: entries("compiled"),
 		cellCacheBytes:  reg.Gauge("asymd_cell_cache_bytes", "Estimated heap bytes of the cell results held by the cell cache."),
 		jobCacheBytes:   reg.Gauge("asymd_job_cache_bytes", "Bytes of the result documents held by the finished-job cache."),
@@ -148,7 +158,27 @@ func newServiceMetrics(reg *obs.Registry, workers int) *serviceMetrics {
 		simMakespanSec:  reg.Histogram("asymd_sim_makespan_seconds", "Virtual-time makespan of cells banked by this node.", simMakespanBuckets),
 		simCoreUtil:     reg.Histogram("asymd_sim_core_utilization", "Per-core busy fraction of the makespan, one sample per simulated core per banked cell.", simUtilBuckets),
 		simtraceRenders: reg.Counter("asymd_simtrace_renders_total", "Per-cell sim-time traces rendered by re-execution (cache hits excluded)."),
+
+		rtSamples: []rtmetrics.Sample{
+			{Name: "/memory/classes/heap/objects:bytes"},
+			{Name: "/gc/cycles/total:gc-cycles"},
+			{Name: "/sched/goroutines:goroutines"},
+		},
+		goHeapBytes:  reg.Gauge("asymd_go_heap_objects_bytes", "Go heap bytes held by live objects and dead ones not yet swept (runtime/metrics, read per scrape)."),
+		goGCCycles:   reg.Counter("asymd_go_gc_cycles_total", "Completed Go GC cycles (runtime/metrics, read per scrape)."),
+		goGoroutines: reg.Gauge("asymd_go_goroutines", "Live goroutines (runtime/metrics, read per scrape)."),
 	}
+}
+
+// readRuntime refreshes the Go runtime series; the /metrics handler calls it
+// before it renders.
+func (mx *serviceMetrics) readRuntime() {
+	mx.rtMu.Lock()
+	defer mx.rtMu.Unlock()
+	rtmetrics.Read(mx.rtSamples) // all three are uint64 metrics since go1.17
+	mx.goHeapBytes.Set(int64(mx.rtSamples[0].Value.Uint64()))
+	mx.goGCCycles.Add(int64(mx.rtSamples[1].Value.Uint64()) - mx.goGCCycles.Value())
+	mx.goGoroutines.Set(int64(mx.rtSamples[2].Value.Uint64()))
 }
 
 // observeSim records one banked cell's simulated scheduler activity.

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -92,15 +93,16 @@ func TestMetricsExposition(t *testing.T) {
 	if misses := metricValue(t, body, "asymd_cell_cache_misses_total"); misses <= 0 {
 		t.Errorf("asymd_cell_cache_misses_total = %v, want > 0", misses)
 	}
-	// Cache occupancy: one finished job with its trace, every simulated
-	// cell banked, nothing rendered, and the cell cache's byte gauge equal
-	// to the arithmetic size of what it holds.
+	// Cache occupancy: one finished job with its trace and its plan, every
+	// simulated cell banked, nothing rendered, and the cell cache's byte
+	// gauge equal to the arithmetic size of what it holds.
 	cells := metricValue(t, body, "asymd_cell_cache_misses_total")
 	for series, want := range map[string]float64{
 		`asymd_cache_entries{cache="job"}`:      1,
 		`asymd_cache_entries{cache="cell"}`:     cells,
 		`asymd_cache_entries{cache="trace"}`:    1,
 		`asymd_cache_entries{cache="simtrace"}`: 0,
+		`asymd_cache_entries{cache="plan"}`:     1,
 	} {
 		if got := metricValue(t, body, series); got != want {
 			t.Errorf("%s = %v, want %v", series, got, want)
@@ -181,6 +183,25 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { m.mx.poolParallelism.Observe(1.46) }); allocs != 0 {
 		t.Errorf("a parallelism update allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestRuntimeMetricsExposition: a scrape reads the Go runtime itself — the
+// heap its objects hold, completed GC cycles, live goroutines — and a cycle
+// run between two scrapes shows in the second.
+func TestRuntimeMetricsExposition(t *testing.T) {
+	_, srv := newTestServer(t, Config{Workers: 1})
+	body := scrape(t, srv.URL)
+	if v := metricValue(t, body, "asymd_go_heap_objects_bytes"); v <= 0 {
+		t.Errorf("asymd_go_heap_objects_bytes = %v, want > 0", v)
+	}
+	if v := metricValue(t, body, "asymd_go_goroutines"); v < 1 {
+		t.Errorf("asymd_go_goroutines = %v, want >= 1", v)
+	}
+	cycles := metricValue(t, body, "asymd_go_gc_cycles_total")
+	runtime.GC()
+	if v := metricValue(t, scrape(t, srv.URL), "asymd_go_gc_cycles_total"); v <= cycles {
+		t.Errorf("asymd_go_gc_cycles_total = %v after a forced cycle, was %v", v, cycles)
 	}
 }
 
@@ -606,10 +627,9 @@ func TestJobCacheBytesTracksEviction(t *testing.T) {
 func TestCellCacheGaugesTrackEviction(t *testing.T) {
 	m := NewManager(Config{Workers: 1, CellCacheSize: 3})
 	cell := func(i int) CellResult {
-		return CellResult{Hash: fmt.Sprintf("cell-%d", i), Metrics: scenario.RunMetrics{
-			CoreBusy: make([]float64, i+1),
-			Iters:    []metrics.IterStat{{Iter: i, Places: make([]metrics.PlaceCount, 2*i)}},
-		}}
+		rm := scenario.RunMetrics{CoreBusy: make([]float64, i+1)}
+		rm.Iters.Append(metrics.IterStat{Iter: i}, make([]metrics.PlaceCount, 2*i))
+		return CellResult{Hash: fmt.Sprintf("cell-%d", i), Metrics: rm}
 	}
 	var crs []CellResult
 	for i := 0; i < 5; i++ {

@@ -924,6 +924,7 @@ func (m *Manager) planFor(key scenario.Key, spec scenario.Spec) (*scenario.Plan,
 	}
 	m.mu.Lock()
 	m.plans.Add(key.Hash, plan)
+	m.mx.planEntries.Set(int64(m.plans.Len()))
 	m.mu.Unlock()
 	return plan, nil
 }

@@ -72,12 +72,13 @@ func Fig9(cfg Fig9Config) *Fig9Result {
 
 	// Calibration run: DAM-C, no interference.
 	calib := scenario.MustRun(kmeansSpec("fig9-calibration", kmCfg, []core.Policy{core.DAMC()}, cfg.Seed, nil))
-	stats := calib.Cells[0][0].Run().Iters.Stats()
-	total := 0.0
-	for _, st := range stats {
+	total, n := 0.0, 0
+	c := calib.Cells[0][0].Run().Iters.Cursor()
+	for ; c.Next(); n++ {
+		st := c.Stat()
 		total += st.End - st.Start
 	}
-	avgIter := total / float64(len(stats))
+	avgIter := total / float64(n)
 
 	res := &Fig9Result{
 		WindowIters: [2]int{cfg.From, cfg.To},
@@ -135,8 +136,9 @@ func (r *Fig9Result) MeanSettledIterTime(policy string) float64 {
 		return 0
 	}
 	sum, n := 0.0, 0
-	for _, st := range r.Stats[i].Stats() {
-		if r.InWindowSettled(st) {
+	c := r.Stats[i].Cursor()
+	for c.Next() {
+		if st := c.Stat(); r.InWindowSettled(st) {
 			sum += st.End - st.Start
 			n++
 		}
@@ -156,14 +158,17 @@ func (r *Fig9Result) WideShare(policy string) float64 {
 	}
 	places := r.Topo.Places()
 	var wide, total int64
-	for k, st := range r.Stats[i].Stats() {
-		if !r.InWindow(st) {
+	c := r.Stats[i].Cursor()
+	for c.Next() {
+		if !r.InWindow(c.Stat()) {
 			continue
 		}
-		for _, pc := range r.Stats[i].Places(k) {
-			total += int64(pc.N)
-			if places[pc.ID].Width > 1 {
-				wide += int64(pc.N)
+		for c.Pairs() > 0 {
+			for _, pc := range c.Places() {
+				total += int64(pc.N)
+				if places[pc.ID].Width > 1 {
+					wide += int64(pc.N)
+				}
 			}
 		}
 	}
@@ -183,18 +188,23 @@ func (r *Fig9Result) Render(w io.Writer) {
 		fmt.Fprintf(w, "%10s", p)
 	}
 	fmt.Fprintln(w, "  (* = interfered, first policy's timeline)")
+	// One cursor per policy, advanced a row at a time.
 	n := 0
-	for _, it := range r.Stats {
-		n = max(n, len(it.Stats()))
+	cursors := make([]metrics.IterCursor, len(r.Stats))
+	for i, it := range r.Stats {
+		iters, _ := it.Counts()
+		n = max(n, iters)
+		cursors[i] = it.Cursor()
 	}
 	for k := 0; k < n; k++ {
 		fmt.Fprintf(w, "%-6d", k)
 		interfered := false
 		for i := range r.Policies {
-			if stats := r.Stats[i].Stats(); k < len(stats) {
-				fmt.Fprintf(w, "%10.2f", (stats[k].End-stats[k].Start)*1e3)
+			if c := &cursors[i]; c.Next() {
+				st := c.Stat()
+				fmt.Fprintf(w, "%10.2f", (st.End-st.Start)*1e3)
 				if i == 0 {
-					interfered = r.InWindow(stats[k])
+					interfered = r.InWindow(st)
 				}
 			} else {
 				fmt.Fprintf(w, "%10s", "-")
@@ -226,9 +236,12 @@ func (r *Fig9Result) RenderPlaces(w io.Writer, policy string) error {
 	allPlaces := r.Topo.Places()
 	it := r.Stats[idx]
 	var ids []int32 // every place the policy used, ascending
-	for k := range it.Stats() {
-		for _, pc := range it.Places(k) {
-			ids = append(ids, pc.ID)
+	c := it.Cursor()
+	for c.Next() {
+		for c.Pairs() > 0 {
+			for _, pc := range c.Places() {
+				ids = append(ids, pc.ID)
+			}
 		}
 	}
 	slices.Sort(ids)
@@ -239,14 +252,20 @@ func (r *Fig9Result) RenderPlaces(w io.Writer, policy string) error {
 		fmt.Fprintf(w, "%9s", allPlaces[id].String())
 	}
 	fmt.Fprintln(w)
-	for k := range it.Stats() {
+	c = it.Cursor()
+	var pairs []metrics.PlaceCount
+	for k := 0; c.Next(); k++ {
 		fmt.Fprintf(w, "%-6d", k)
+		pairs = pairs[:0]
+		for c.Pairs() > 0 {
+			pairs = append(pairs, c.Places()...)
+		}
 		// Both lists ascend by ID, and ids holds every ID the pairs name.
-		pairs := it.Places(k)
+		row := pairs
 		for _, id := range ids {
 			var n int32
-			if len(pairs) > 0 && pairs[0].ID == id {
-				n, pairs = pairs[0].N, pairs[1:]
+			if len(row) > 0 && row[0].ID == id {
+				n, row = row[0].N, row[1:]
 			}
 			fmt.Fprintf(w, "%9d", n)
 		}

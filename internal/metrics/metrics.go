@@ -3,15 +3,18 @@
 // (Figure 5), per-iteration timings and place selections (Figure 9), and
 // overall throughput (Figures 4, 7, 10).
 //
-// A run's per-iteration statistics are one Iters value: two flat arrays
-// without pointers, the iterations and all their (place, count) pairs, so a
-// cell the service caches costs the garbage collector nothing to scan and
-// eight bytes per pair.
+// A run's per-iteration statistics are one Iters value: a single byte string
+// of varints and raw float words, read front to back through an IterCursor.
+// A cell the service caches therefore costs the garbage collector nothing to
+// scan and, with the collector's ascending iterations and place IDs, about
+// two bytes per (place, count) pair.
 package metrics
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"maps"
+	"math"
 	"slices"
 	"sort"
 
@@ -44,7 +47,7 @@ type Collector struct {
 	// short pair slice beats a map assignment per task by a wide margin.
 	// byIterSparse catches tags above maxDenseIter so arbitrary
 	// iteration numbers still work. The pairs are kept ID-sorted;
-	// IterStats copies them out on readout.
+	// IterStats encodes them on readout.
 	byIter       []*iterAgg
 	byIterSparse map[int]*iterAgg
 	tasksDone    int64
@@ -53,6 +56,9 @@ type Collector struct {
 	// Reset cycles so pooled runtimes reach a steady state with no
 	// per-iteration allocations.
 	aggFree []*iterAgg
+	// scratch is where IterStats encodes a readout before copying it out at
+	// its exact size; it keeps its storage across Reset cycles.
+	scratch []byte
 	// sched is the scheduler-introspection aggregate a probe-enabled run
 	// attaches at completion (see sched.go); nil when no probe ran.
 	sched *Sched
@@ -107,8 +113,8 @@ func (a *iterAgg) bump(id int32) {
 	a.places[i].N++
 }
 
-// IterStat aggregates one application iteration (Figure 9). Its place
-// counts live in the Iters that holds it (Iters.Places).
+// IterStat aggregates one application iteration (Figure 9). An IterCursor
+// reads it from an Iters, its place counts after it.
 type IterStat struct {
 	Iter  int
 	Tasks int64
@@ -116,42 +122,133 @@ type IterStat struct {
 	// observed for the iteration, so End-Start approximates the
 	// iteration's wall time.
 	Start, End float64
-	// off and n locate the iteration's pairs in Iters.pairs; Append sets
-	// them.
-	off, n int32
 }
 
-// Iters is a run's per-iteration statistics: the iterations in order, and
-// every iteration's place counts, sorted by ID, back to back in one array.
-// Neither array holds a pointer. Append is the only way to build one; the
-// zero value is empty and encodes as JSON null.
+// Iters is a run's per-iteration statistics, encoded in one byte string that
+// holds no pointer. Each iteration is written as
+//
+//	varint   Iter less the previous iteration's (0 before the first)
+//	varint   Tasks
+//	8 bytes  Start, IEEE-754 bits, little-endian
+//	8 bytes  End, likewise
+//	uvarint  the number of (place, count) pairs that follow
+//	per pair varint ID less the previous pair's in the iteration (0 before
+//	         the first), then varint N
+//
+// where a varint is zigzag-encoded (binary.AppendVarint), so a peer's
+// negative or unsorted values come back exactly while the collector's
+// ascending ones take a byte each. Append builds one and an IterCursor reads
+// it. The zero value is empty and encodes as JSON null.
 type Iters struct {
-	stats []IterStat
-	pairs []PlaceCount
+	b            []byte
+	iters, pairs int
+	last         int // the last iteration's Iter: the next Append's delta base
 }
 
-// Append adds an iteration with its place counts; st's own location fields
-// are ignored. The pairs are copied, and a run's pairs number no more than
-// its tasks, so the offsets fit 32 bits.
+// Append adds an iteration with its place counts, in the order given.
 func (it *Iters) Append(st IterStat, pairs []PlaceCount) {
-	st.off, st.n = int32(len(it.pairs)), int32(len(pairs))
-	it.stats = append(it.stats, st)
-	it.pairs = append(it.pairs, pairs...)
+	b := binary.AppendVarint(it.b, int64(st.Iter-it.last))
+	b = binary.AppendVarint(b, st.Tasks)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(st.Start))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(st.End))
+	b = binary.AppendUvarint(b, uint64(len(pairs)))
+	var id int32
+	for _, pc := range pairs {
+		b = binary.AppendVarint(b, int64(pc.ID-id))
+		b = binary.AppendVarint(b, int64(pc.N))
+		id = pc.ID
+	}
+	it.b, it.last = b, st.Iter
+	it.iters++
+	it.pairs += len(pairs)
 }
 
-// Stats returns the iterations in order. The slice is the value's own.
-func (it Iters) Stats() []IterStat { return it.stats }
+// Counts returns the number of iterations and of place counts over all of
+// them.
+func (it Iters) Counts() (iters, pairs int) { return it.iters, it.pairs }
 
-// Places returns iteration i's place counts, sorted by ID when the collector
-// built them. The slice is the value's own, capacity-limited so an append
-// cannot run into the next iteration's pairs.
-func (it Iters) Places(i int) []PlaceCount {
-	st := it.stats[i]
-	return it.pairs[st.off : st.off+st.n : st.off+st.n]
+// SizeBytes returns the heap bytes the value holds: its encoding's capacity.
+func (it Iters) SizeBytes() int { return cap(it.b) }
+
+// Cursor returns a cursor before the first iteration.
+func (it Iters) Cursor() IterCursor { return IterCursor{b: it.b} }
+
+// IterCursor reads an Iters front to back without allocating: Next moves to
+// an iteration and Stat returns it; Places returns its place counts a
+// bufferful at a time, in the order they were appended (ID-sorted when the
+// collector built them), while Pairs says how many are left.
+type IterCursor struct {
+	b    []byte
+	off  int // the read position in b
+	st   IterStat
+	id   int32 // the last decoded pair's ID: the next one's delta base
+	rest int   // pairs of st not decoded yet
+	buf  [32]PlaceCount
 }
 
-// NumPairs returns the number of place counts over all iterations.
-func (it Iters) NumPairs() int { return len(it.pairs) }
+// Next skips the current iteration's unread pairs and moves to the next
+// iteration, reporting whether there was one.
+func (c *IterCursor) Next() bool {
+	for c.rest > 0 {
+		c.Places()
+	}
+	if c.off == len(c.b) {
+		return false
+	}
+	var u uint64
+	u, c.off = uvarint(c.b, c.off)
+	c.st.Iter += int(unzigzag(u))
+	u, c.off = uvarint(c.b, c.off)
+	c.st.Tasks = unzigzag(u)
+	c.st.Start = math.Float64frombits(binary.LittleEndian.Uint64(c.b[c.off:]))
+	c.st.End = math.Float64frombits(binary.LittleEndian.Uint64(c.b[c.off+8:]))
+	u, c.off = uvarint(c.b, c.off+16)
+	c.rest, c.id = int(u), 0
+	return true
+}
+
+// Stat returns the current iteration.
+func (c *IterCursor) Stat() IterStat { return c.st }
+
+// Pairs returns how many of the current iteration's place counts Places has
+// not returned yet.
+func (c *IterCursor) Pairs() int { return c.rest }
+
+// Places returns the current iteration's next place counts, as many as the
+// cursor's buffer holds, and none once Pairs is 0. The slice is the cursor's
+// own until its next call. A pair takes two bytes or more; one whose delta
+// and count are a byte each, nearly every pair the collector writes, skips
+// the general varint read.
+func (c *IterCursor) Places() []PlaceCount {
+	n := min(c.rest, len(c.buf))
+	b, off, id := c.b, c.off, c.id
+	for i := range c.buf[:n] {
+		var u, v uint64
+		if off+1 < len(b) && b[off]|b[off+1] < 0x80 {
+			u, v, off = uint64(b[off]), uint64(b[off+1]), off+2
+		} else {
+			u, off = uvarint(b, off)
+			v, off = uvarint(b, off)
+		}
+		id += int32(unzigzag(u))
+		c.buf[i] = PlaceCount{ID: id, N: int32(unzigzag(v))}
+	}
+	c.off, c.id, c.rest = off, id, c.rest-n
+	return c.buf[:n]
+}
+
+// uvarint reads the uvarint at b[off:] and returns it with the offset past
+// it.
+func uvarint(b []byte, off int) (uint64, int) {
+	if x := b[off]; x < 0x80 {
+		return uint64(x), off + 1
+	}
+	v, n := binary.Uvarint(b[off:])
+	return v, off + n
+}
+
+// unzigzag undoes binary.AppendVarint's zigzag encoding.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // iterJSON is an iteration on the shard wire, its pairs inline: the format
 // every peer version reads and writes.
@@ -161,40 +258,49 @@ type iterJSON struct {
 }
 
 // MarshalJSON encodes the iterations as an array of
-// {"Iter","Tasks","Start","End","Places":[{"ID","N"}]} objects.
+// {"Iter","Tasks","Start","End","Places":[{"ID","N"}]} objects. An iteration
+// without pairs has "Places":[] — or null, when the whole value has no pair:
+// the bytes every peer version writes for those values.
 func (it Iters) MarshalJSON() ([]byte, error) {
-	if it.stats == nil {
+	if it.b == nil {
 		return []byte("null"), nil
 	}
-	out := make([]iterJSON, len(it.stats))
-	for i, st := range it.stats {
-		out[i] = iterJSON{st, it.Places(i)}
+	out := make([]iterJSON, 0, it.iters)
+	var pairs []PlaceCount
+	if it.pairs > 0 {
+		pairs = make([]PlaceCount, 0, it.pairs)
+	}
+	c := it.Cursor()
+	for c.Next() {
+		from := len(pairs)
+		for c.Pairs() > 0 {
+			pairs = append(pairs, c.Places()...)
+		}
+		out = append(out, iterJSON{c.Stat(), pairs[from:]})
 	}
 	return json.Marshal(out)
 }
 
-// UnmarshalJSON decodes MarshalJSON's form, rebuilding the offsets itself (a
-// document would need 2^31 pairs, tens of gigabytes, to wrap them). An ID or
-// N outside 32 bits is an error, never a wrapped value.
+// UnmarshalJSON decodes MarshalJSON's form into an encoding of exactly its
+// length. An ID or N outside 32 bits is an error, never a wrapped value.
 func (it *Iters) UnmarshalJSON(b []byte) error {
 	var in []iterJSON
 	if err := json.Unmarshal(b, &in); err != nil || in == nil {
 		*it = Iters{}
 		return err
 	}
-	total := 0
+	var out Iters
 	for _, st := range in {
-		total += len(st.Places)
+		out.Append(st.IterStat, st.Places)
 	}
-	*it = Iters{stats: make([]IterStat, 0, len(in))}
-	if total > 0 { // as the collector's: no pairs, no array
-		it.pairs = make([]PlaceCount, 0, total)
-	}
-	for _, st := range in {
-		it.Append(st.IterStat, st.Places)
-	}
+	out.b = exact(out.b)
+	*it = out
 	return nil
 }
+
+// exact copies b into a new array of its length; an empty b gives an empty,
+// non-nil slice, which encodes as [] rather than null.
+func exact(b []byte) []byte { return append(make([]byte, 0, len(b)), b...) }
 
 // NewCollector returns an empty collector for the platform: a Reset of the
 // zero Collector.
@@ -346,24 +452,12 @@ func (c *Collector) PlaceHistogram(highOnly bool) []PlaceShare {
 }
 
 // IterStats returns the per-iteration statistics ordered by iteration, each
-// with its place counts sorted by placeID. The pairs are copied in iteration
-// order, so two readouts of one run are equal value for value; a run without
-// sparse tags pays two allocations, whatever its iteration count.
+// with its place counts sorted by placeID. It encodes them into the
+// collector's scratch and copies that out at its exact size, so two readouts
+// of one run are equal and a run without sparse tags pays one allocation,
+// whatever its iteration count.
 func (c *Collector) IterStats() Iters {
-	n, pairs := len(c.byIterSparse), 0
-	for _, st := range c.byIterSparse {
-		pairs += len(st.places)
-	}
-	for _, st := range c.byIter {
-		if st != nil {
-			n++
-			pairs += len(st.places)
-		}
-	}
-	if n == 0 {
-		return Iters{stats: []IterStat{}}
-	}
-	out := Iters{stats: make([]IterStat, 0, n), pairs: make([]PlaceCount, 0, pairs)}
+	out := Iters{b: c.scratch[:0]}
 	add := func(st *iterAgg) {
 		out.Append(IterStat{Iter: st.iter, Tasks: st.tasks, Start: st.start, End: st.end}, st.places)
 	}
@@ -377,8 +471,7 @@ func (c *Collector) IterStats() Iters {
 			add(c.byIterSparse[iter])
 		}
 	}
+	c.scratch = out.b
+	out.b = exact(out.b)
 	return out
 }
-
-// Platform returns the platform the collector indexes places against.
-func (c *Collector) Platform() *topology.Platform { return c.topo }

@@ -13,7 +13,22 @@ import (
 // taskDone records an execution the way the runtime does: place id resolved
 // by the caller.
 func taskDone(c *Collector, pl topology.Place, high bool, iter int, start, finish float64) {
-	c.TaskDoneID(c.Platform().PlaceID(pl), pl, high, iter, start, finish)
+	c.TaskDoneID(c.topo.PlaceID(pl), pl, high, iter, start, finish)
+}
+
+// unpack reads it through a cursor: the iterations in order and each one's
+// place counts.
+func unpack(it Iters) (stats []IterStat, places [][]PlaceCount) {
+	c := it.Cursor()
+	for c.Next() {
+		stats = append(stats, c.Stat())
+		var pairs []PlaceCount
+		for c.Pairs() > 0 {
+			pairs = append(pairs, c.Places()...)
+		}
+		places = append(places, pairs)
+	}
+	return stats, places
 }
 
 func TestThroughputAndMakespan(t *testing.T) {
@@ -68,10 +83,10 @@ func TestPlaceHistogram(t *testing.T) {
 	}
 }
 
-// count returns iteration i's task count on place id, 0 when it never ran
+// count returns an iteration's task count on place pl, 0 when it never ran
 // there.
-func count(it Iters, i int, pl topology.Place, topo *topology.Platform) int32 {
-	for _, pc := range it.Places(i) {
+func count(pairs []PlaceCount, pl topology.Place, topo *topology.Platform) int32 {
+	for _, pc := range pairs {
 		if int(pc.ID) == topo.PlaceID(pl) {
 			return pc.N
 		}
@@ -84,25 +99,24 @@ func TestIterStats(t *testing.T) {
 	taskDone(c, topology.Place{Leader: 0, Width: 1}, false, 1, 2.0, 2.5)
 	taskDone(c, topology.Place{Leader: 1, Width: 1}, false, 1, 1.5, 2.2)
 	taskDone(c, topology.Place{Leader: 0, Width: 1}, false, 0, 0.0, 1.0)
-	it := c.IterStats()
-	st := it.Stats()
+	st, places := unpack(c.IterStats())
 	if len(st) != 2 || st[0].Iter != 0 || st[1].Iter != 1 {
 		t.Fatalf("iters = %+v", st)
 	}
 	if st[1].Start != 1.5 || st[1].End != 2.5 || st[1].Tasks != 2 {
 		t.Fatalf("iter 1 = %+v", st[1])
 	}
-	if count(it, 1, topology.Place{Leader: 0, Width: 1}, c.Platform()) != 1 {
+	if count(places[1], topology.Place{Leader: 0, Width: 1}, c.topo) != 1 {
 		t.Fatal("iter place counts wrong")
 	}
 }
 
-// IterStats hands the place counts out as ID-sorted pairs carved from one
-// array per run — whatever order the places were first used in — and
-// appending to one iteration's pairs must not run into the next's.
+// IterStats hands the place counts out ID-sorted, whatever order the places
+// were first used in, all in one encoding of exactly its length whose counts
+// match what the cursor reads.
 func TestIterStatsPlacesSortedSharedBacking(t *testing.T) {
 	c := NewCollector(topology.TX2())
-	topo := c.Platform()
+	topo := c.topo
 	wide, lead2, lead0 := topology.Place{Leader: 2, Width: 4}, topology.Place{Leader: 2, Width: 1}, topology.Place{Leader: 0, Width: 1}
 	for _, pl := range []topology.Place{wide, lead0, lead2, wide} { // iteration 0: highest id first
 		taskDone(c, pl, false, 0, 0, 1)
@@ -110,27 +124,26 @@ func TestIterStatsPlacesSortedSharedBacking(t *testing.T) {
 	taskDone(c, lead2, false, 1, 1, 2)
 	taskDone(c, lead0, false, 1, 1, 2)
 	it := c.IterStats()
-	if len(it.Stats()) != 2 || it.NumPairs() != 5 {
-		t.Fatalf("iters = %+v", it)
+	stats, places := unpack(it)
+	if n, pairs := it.Counts(); len(stats) != 2 || n != 2 || pairs != 5 {
+		t.Fatalf("iters = %+v, counts %d/%d", stats, n, pairs)
 	}
 	id := func(pl topology.Place) int32 { return int32(topo.PlaceID(pl)) }
 	want0 := []PlaceCount{{id(lead0), 1}, {id(lead2), 1}, {id(wide), 2}}
-	if got := it.Places(0); !slices.Equal(got, want0) {
-		t.Fatalf("iter 0 places = %+v, want %+v", got, want0)
+	if !slices.Equal(places[0], want0) {
+		t.Fatalf("iter 0 places = %+v, want %+v", places[0], want0)
 	}
-	if count(it, 0, wide, topo) != 2 || count(it, 1, wide, topo) != 0 {
-		t.Fatalf("counts: iter 0 %+v, iter 1 %+v", it.Places(0), it.Places(1))
+	if count(places[0], wide, topo) != 2 || count(places[1], wide, topo) != 0 {
+		t.Fatalf("counts: iter 0 %+v, iter 1 %+v", places[0], places[1])
 	}
-	first := it.Places(1)[0]
-	_ = append(it.Places(0), PlaceCount{ID: 99, N: 99})
-	if it.Places(1)[0] != first {
-		t.Fatal("appending to iteration 0's pairs overwrote iteration 1's")
+	if it.SizeBytes() != len(it.b) {
+		t.Fatalf("the readout holds %d bytes for a %d-byte encoding", it.SizeBytes(), len(it.b))
 	}
 }
 
-// The readout is two allocations per run — the stats and the pair array —
-// however many iterations the run had (it was a map per iteration, 35 % of
-// a cold synthetic cell's allocations).
+// The readout is one allocation per run — the exact-size copy of the
+// collector's scratch — however many iterations the run had (it was a map
+// per iteration, 35 % of a cold synthetic cell's allocations).
 func TestIterStatsAllocs(t *testing.T) {
 	c := NewCollector(topology.TX2())
 	for iter := 0; iter < 40; iter++ {
@@ -140,16 +153,17 @@ func TestIterStatsAllocs(t *testing.T) {
 	}
 	var it Iters
 	allocs := testing.AllocsPerRun(20, func() { it = c.IterStats() })
-	if len(it.Stats()) != 40 || len(it.Places(39)) != 6 {
-		t.Fatalf("readout lost data: %d iterations", len(it.Stats()))
+	if stats, places := unpack(it); len(stats) != 40 || len(places[39]) != 6 {
+		t.Fatalf("readout lost data: %d iterations", len(stats))
 	}
-	if allocs > 2 {
-		t.Errorf("IterStats costs %.0f allocs/op, want <= 2", allocs)
+	if allocs > 1 {
+		t.Errorf("IterStats costs %.0f allocs/op, want <= 1", allocs)
 	}
 }
 
-// TestIterArraysPointerFree: the two arrays of an Iters hold no pointer, so
-// the garbage collector never scans a cached cell's per-iteration data.
+// TestIterArraysPointerFree: nothing an Iters holds contains a pointer — its
+// one slice is of bytes — so the garbage collector never scans a cached
+// cell's per-iteration data.
 func TestIterArraysPointerFree(t *testing.T) {
 	var walk func(t reflect.Type) string
 	walk = func(t reflect.Type) string {
@@ -169,17 +183,94 @@ func TestIterArraysPointerFree(t *testing.T) {
 		}
 		return ""
 	}
-	for _, typ := range []reflect.Type{reflect.TypeFor[IterStat](), reflect.TypeFor[PlaceCount]()} {
-		if bad := walk(typ); bad != "" {
-			t.Errorf("%s holds a pointer-bearing field (%s)", typ, bad)
+	typ := reflect.TypeFor[Iters]()
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		elem := f.Type
+		if elem.Kind() == reflect.Slice {
+			elem = elem.Elem() // the backing array is what a GC would scan
+		}
+		if bad := walk(elem); bad != "" {
+			t.Errorf("Iters.%s holds a pointer-bearing field (%s)", f.Name, bad)
+		}
+	}
+}
+
+// TestItersRoundTrip: the cursor reads back, bit for bit, every field Append
+// wrote — for what a peer could send as well as what the collector builds —
+// and so does a trip through the JSON form.
+func TestItersRoundTrip(t *testing.T) {
+	type iter struct {
+		st    IterStat
+		pairs []PlaceCount
+	}
+	negZero := math.Copysign(0, -1)
+	for name, iters := range map[string][]iter{
+		"sparse tags": {
+			{IterStat{Iter: 2, Tasks: 1, Start: 0, End: 1}, []PlaceCount{{0, 1}}},
+			{IterStat{Iter: 1 << 20, Tasks: 2, Start: 1, End: 2}, []PlaceCount{{3, 2}}},
+			{IterStat{Iter: 1e9 + 1<<20, Tasks: 3, Start: 2, End: 3}, []PlaceCount{{1, 1}, {4, 2}}},
+		},
+		"negative": {
+			{IterStat{Iter: -1, Tasks: -5, Start: -0.5, End: negZero}, []PlaceCount{{-3, -7}}},
+			{IterStat{Iter: -9, Tasks: math.MinInt64}, []PlaceCount{{2, -1}, {-2, 0}}},
+		},
+		"unsorted and duplicate IDs": {
+			{IterStat{Iter: 0, Tasks: 4}, []PlaceCount{{9, 1}, {2, 1}, {2, 1}, {9, 1}, {0, 0}}},
+		},
+		"int32 extremes": {
+			{IterStat{Iter: math.MaxInt64, Tasks: math.MaxInt64, Start: math.MaxFloat64, End: math.SmallestNonzeroFloat64},
+				[]PlaceCount{{math.MinInt32, math.MaxInt32}, {math.MaxInt32, math.MinInt32}, {math.MinInt32, 0}}},
+			{IterStat{Iter: math.MinInt64, Start: -math.MaxFloat64}, []PlaceCount{{math.MaxInt32, math.MaxInt32}}},
+		},
+		"no pairs": {
+			{IterStat{Iter: 3, Tasks: 0}, nil},
+			{IterStat{Iter: 4, Tasks: 1}, []PlaceCount{{1, 1}}},
+			{IterStat{Iter: 5}, []PlaceCount{}},
+		},
+	} {
+		var it Iters
+		wantPairs := 0
+		for _, x := range iters {
+			it.Append(x.st, x.pairs)
+			wantPairs += len(x.pairs)
+		}
+		if n, pairs := it.Counts(); n != len(iters) || pairs != wantPairs {
+			t.Errorf("%s: counts %d/%d, want %d/%d", name, n, pairs, len(iters), wantPairs)
+		}
+		stats, places := unpack(it)
+		if len(stats) != len(iters) {
+			t.Fatalf("%s: the cursor read %d iterations, want %d", name, len(stats), len(iters))
+		}
+		for i, x := range iters {
+			got, want := stats[i], x.st
+			if got.Iter != want.Iter || got.Tasks != want.Tasks ||
+				math.Float64bits(got.Start) != math.Float64bits(want.Start) ||
+				math.Float64bits(got.End) != math.Float64bits(want.End) {
+				t.Errorf("%s: iteration %d reads %+v, want %+v", name, i, got, want)
+			}
+			if !slices.Equal(places[i], x.pairs) {
+				t.Errorf("%s: iteration %d pairs %v, want %v", name, i, places[i], x.pairs)
+			}
+		}
+		b, err := json.Marshal(it)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var back Iters
+		if err := json.Unmarshal(b, &back); err != nil || !reflect.DeepEqual(back, it) {
+			t.Errorf("%s: decoded %+v (%v), want %+v", name, back, err, it)
+		}
+		if back.SizeBytes() != len(back.b) {
+			t.Errorf("%s: decoding holds %d bytes for a %d-byte encoding", name, back.SizeBytes(), len(back.b))
 		}
 	}
 }
 
 // TestItersJSON: the wire form is the array of objects an iteration with its
-// own pairs once encoded to, null for a zero value, and decoding rebuilds the
-// value Append built; an old peer's {"place": count} object and a count past
-// 32 bits are errors.
+// own pairs once encoded to, null for a zero value and [] for an empty one,
+// and decoding rebuilds the value Append built; an old peer's {"place": count}
+// object and a count past 32 bits are errors.
 func TestItersJSON(t *testing.T) {
 	var it Iters
 	if b, err := json.Marshal(it); err != nil || string(b) != "null" {
@@ -200,8 +291,19 @@ func TestItersJSON(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil || !reflect.DeepEqual(back, it) {
 		t.Fatalf("decoded %+v (%v), want %+v", back, err, it)
 	}
-	if err := json.Unmarshal([]byte("null"), &back); err != nil || back.Stats() != nil {
+	if err := json.Unmarshal([]byte("null"), &back); err != nil || !reflect.DeepEqual(back, Iters{}) {
 		t.Fatalf("null decodes to %+v (%v), want the zero value", back, err)
+	}
+	empty := NewCollector(topology.TX2()).IterStats()
+	for what, v := range map[string]Iters{"an empty readout": empty, "a decoded []": {}} {
+		if what == "a decoded []" {
+			if err := json.Unmarshal([]byte("[]"), &v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if b, err := json.Marshal(v); err != nil || string(b) != "[]" {
+			t.Errorf("%s encodes as %s (%v), want []", what, b, err)
+		}
 	}
 	for _, bad := range []string{
 		`[{"Iter":0,"Places":{"3":1}}]`,
@@ -217,7 +319,7 @@ func TestItersJSON(t *testing.T) {
 func TestNegativeIterIgnored(t *testing.T) {
 	c := NewCollector(topology.TX2())
 	taskDone(c, topology.Place{Leader: 0, Width: 1}, false, -1, 0, 1)
-	if len(c.IterStats().Stats()) != 0 {
+	if n, _ := c.IterStats().Counts(); n != 0 {
 		t.Fatal("iter -1 recorded")
 	}
 }
@@ -239,19 +341,19 @@ func TestSparseIterFallsBackToMap(t *testing.T) {
 		taskDone(c, topology.Place{Leader: 0, Width: 1}, false, later, 3.0, 4.0)
 	}
 	it := c.IterStats()
-	st := it.Stats()
+	st, places := unpack(it)
 	if len(st) != 5 || st[0].Iter != 2 || st[1].Iter != sparse ||
 		st[2].Iter != sparse+1 || st[3].Iter != sparse+2 || st[4].Iter != sparse+3 {
 		t.Fatalf("iters = %+v", st)
 	}
-	if st[1].Tasks != 2 || st[1].Start != 1.0 || st[1].End != 2.5 || len(it.Places(1)) != 2 {
-		t.Fatalf("sparse iter = %+v, places %+v", st[1], it.Places(1))
+	if st[1].Tasks != 2 || st[1].Start != 1.0 || st[1].End != 2.5 || len(places[1]) != 2 {
+		t.Fatalf("sparse iter = %+v, places %+v", st[1], places[1])
 	}
 	if len(c.byIter) > maxDenseIter/1024 {
 		t.Fatalf("sparse tag grew the dense index to %d entries", len(c.byIter))
 	}
-	// The pairs follow the iterations, not the map's order: every readout
-	// of the run is the same value, offsets included.
+	// The iterations follow their tags, not the map's order: every readout
+	// of the run is the same value, byte for byte.
 	for range 20 {
 		if again := c.IterStats(); !reflect.DeepEqual(again, it) {
 			t.Fatalf("a second readout differs:\n %+v\n %+v", again, it)

@@ -32,10 +32,10 @@ type RunMetrics struct {
 	CoreBusy []float64
 	// HighHist is the distribution of high-priority tasks over places.
 	HighHist []metrics.PlaceShare
-	// Iters holds per-iteration statistics for iterative workloads: two
-	// pointer-free arrays, the iterations and their place counts. On the
-	// wire it keeps the array-of-objects form each iteration once had
-	// (metrics.Iters.MarshalJSON).
+	// Iters holds per-iteration statistics for iterative workloads: the
+	// iterations and their place counts, encoded in one pointer-free byte
+	// string. On the wire it keeps the array-of-objects form each iteration
+	// once had (metrics.Iters.MarshalJSON).
 	Iters metrics.Iters
 	// Steals, FailedSteals and Dispatches sum the scheduler counters over
 	// all cores (and nodes).
@@ -51,15 +51,15 @@ type RunMetrics struct {
 }
 
 // SizeBytes estimates the heap a RunMetrics value holds on to — the struct
-// plus its slices' elements, by arithmetic on the lengths (Sched telemetry,
-// which cached cells never carry, is not counted). The service sums it into
-// its cell-cache byte gauge, so it must stay allocation-free.
+// plus its slices' elements, by arithmetic on the lengths, and the capacity
+// of the Iters encoding (Sched telemetry, which cached cells never carry, is
+// not counted). The service sums it into its cell-cache byte gauge, so it
+// must stay allocation-free.
 func (rm *RunMetrics) SizeBytes() int64 {
 	n := unsafe.Sizeof(*rm) +
 		uintptr(len(rm.CoreBusy))*unsafe.Sizeof(float64(0)) +
 		uintptr(len(rm.HighHist))*unsafe.Sizeof(metrics.PlaceShare{}) +
-		uintptr(len(rm.Iters.Stats()))*unsafe.Sizeof(metrics.IterStat{}) +
-		uintptr(rm.Iters.NumPairs())*unsafe.Sizeof(metrics.PlaceCount{})
+		uintptr(rm.Iters.SizeBytes())
 	return int64(n)
 }
 
@@ -215,11 +215,11 @@ func (rm *RunMetrics) Seal() { rm.sealInto(nil) }
 // encoding's exact length, if it had to be) for the next cell: a warm worker
 // seals without allocating.
 func (rm *RunMetrics) sealInto(b []byte) []byte {
-	stats := rm.Iters.Stats()
+	iters, pairs := rm.Iters.Counts()
 	// Seven scalars and three slice lengths, then per element: a float per
 	// core, four words per histogram entry, five per iteration (four fields
 	// and its pair count) and two per pair.
-	n := 8 * (10 + len(rm.CoreBusy) + 4*len(rm.HighHist) + 5*len(stats) + 2*rm.Iters.NumPairs())
+	n := 8 * (10 + len(rm.CoreBusy) + 4*len(rm.HighHist) + 5*iters + 2*pairs)
 	if cap(b) < n {
 		b = make([]byte, 0, n)
 	}
@@ -235,15 +235,17 @@ func (rm *RunMetrics) sealInto(b []byte) []byte {
 		b = appendI64(appendI64(b, int64(ps.Place.Leader)), int64(ps.Place.Width))
 		b = appendF64(appendI64(b, ps.Count), ps.Frac)
 	}
-	b = appendU64(b, uint64(len(stats)))
-	for i := range stats {
-		st := &stats[i]
+	b = appendU64(b, uint64(iters))
+	c := rm.Iters.Cursor()
+	for c.Next() {
+		st := c.Stat()
 		b = appendI64(appendI64(b, int64(st.Iter)), st.Tasks)
 		b = appendF64(appendF64(b, st.Start), st.End)
-		places := rm.Iters.Places(i)
-		b = appendU64(b, uint64(len(places)))
-		for _, pc := range places {
-			b = appendI64(appendI64(b, int64(pc.ID)), int64(pc.N))
+		b = appendU64(b, uint64(c.Pairs()))
+		for c.Pairs() > 0 {
+			for _, pc := range c.Places() {
+				b = appendI64(appendI64(b, int64(pc.ID)), int64(pc.N))
+			}
 		}
 	}
 	rm.digest = sha256.Sum256(b)
@@ -301,19 +303,21 @@ func (r *Result) appendFingerprint(b []byte) []byte {
 					b = appendBits(b, ":", ps.Frac)
 				}
 				b = append(b, "\n iters"...)
-				stats := run.Iters.Stats()
-				for i := range stats {
-					st := &stats[i]
+				c := run.Iters.Cursor()
+				for c.Next() {
+					st := c.Stat()
 					b = appendInt(b, " ", int64(st.Iter))
 					b = appendInt(b, ":", st.Tasks)
 					b = appendBits(b, ":", st.Start)
 					b = append(appendBits(b, ":", st.End), ':')
 					// Places are ID-sorted by construction (Collector.IterStats).
 					sep := ""
-					for _, pc := range run.Iters.Places(i) {
-						b = appendInt(b, sep, int64(pc.ID))
-						b = appendInt(b, "=", int64(pc.N))
-						sep = ","
+					for c.Pairs() > 0 {
+						for _, pc := range c.Places() {
+							b = appendInt(b, sep, int64(pc.ID))
+							b = appendInt(b, "=", int64(pc.N))
+							sep = ","
+						}
 					}
 				}
 				b = append(b, '\n')

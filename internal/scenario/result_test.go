@@ -44,15 +44,31 @@ func fingerprintRef(r *Result) string {
 					fmt.Fprintf(&b, " %s:%d:%x", ps.Place, ps.Count, math.Float64bits(ps.Frac))
 				}
 				b.WriteString("\n iters")
-				for i, st := range run.Iters.Stats() {
+				stats, places := iterRows(run.Iters)
+				for i, st := range stats {
 					fmt.Fprintf(&b, " %d:%d:%x:%x:%s", st.Iter, st.Tasks,
-						math.Float64bits(st.Start), math.Float64bits(st.End), placesKeyRef(run.Iters.Places(i)))
+						math.Float64bits(st.Start), math.Float64bits(st.End), placesKeyRef(places[i]))
 				}
 				b.WriteString("\n")
 			}
 		}
 	}
 	return b.String()
+}
+
+// iterRows reads it through a cursor: the iterations in order and each one's
+// place counts.
+func iterRows(it metrics.Iters) (stats []metrics.IterStat, places [][]metrics.PlaceCount) {
+	c := it.Cursor()
+	for c.Next() {
+		stats = append(stats, c.Stat())
+		var pairs []metrics.PlaceCount
+		for c.Pairs() > 0 {
+			pairs = append(pairs, c.Places()...)
+		}
+		places = append(places, pairs)
+	}
+	return stats, places
 }
 
 // placesKeyRef renders an iteration's place counts in deterministic order.
@@ -245,17 +261,16 @@ func hostileResults(n int) []*Result {
 	return out
 }
 
-// copyIters rebuilds it through Append, which copies every pair; grow adds a
-// zero pair to the last iteration on the way.
-func copyIters(it metrics.Iters, grow bool) metrics.Iters {
+// copyIters rebuilds it through Append, which copies every field; edit, when
+// not nil, changes the last iteration and returns its pairs on the way.
+func copyIters(it metrics.Iters, edit func(st *metrics.IterStat, pairs []metrics.PlaceCount) []metrics.PlaceCount) metrics.Iters {
 	var out metrics.Iters
-	stats := it.Stats()
-	for i, st := range stats {
-		pairs := it.Places(i)
-		if grow && i == len(stats)-1 {
-			pairs = append(pairs, metrics.PlaceCount{}) // capacity-limited: a copy
+	stats, places := iterRows(it)
+	for i := range stats {
+		if edit != nil && i == len(stats)-1 {
+			places[i] = edit(&stats[i], places[i])
 		}
-		out.Append(st, pairs)
+		out.Append(stats[i], places[i])
 	}
 	return out
 }
@@ -332,6 +347,8 @@ func TestDigestCoversExactlyTheText(t *testing.T) {
 			return true
 		}
 	}
+	// The last iteration and its first pair, changed on a rebuild: the
+	// encoding cannot be edited in place.
 	for field, mut := range map[string]func(st *metrics.IterStat){
 		"iter":       func(st *metrics.IterStat) { st.Iter++ },
 		"iter tasks": func(st *metrics.IterStat) { st.Tasks++ },
@@ -339,33 +356,39 @@ func TestDigestCoversExactlyTheText(t *testing.T) {
 		"iter end":   func(st *metrics.IterStat) { flip(&st.End) },
 	} {
 		mutations[field] = func(rm *RunMetrics) bool {
-			stats := rm.Iters.Stats()
-			if len(stats) == 0 {
+			if n, _ := rm.Iters.Counts(); n == 0 {
 				return false
 			}
-			mut(&stats[len(stats)-1])
+			rm.Iters = copyIters(rm.Iters, func(st *metrics.IterStat, pairs []metrics.PlaceCount) []metrics.PlaceCount {
+				mut(st)
+				return pairs
+			})
 			return true
 		}
 	}
-	// The last iteration's pairs, edited in place through Places.
 	for field, mut := range map[string]func(pc *metrics.PlaceCount){
 		"iter place id": func(pc *metrics.PlaceCount) { pc.ID-- },
 		"iter place n":  func(pc *metrics.PlaceCount) { pc.N++ },
 	} {
 		mutations[field] = func(rm *RunMetrics) bool {
-			n := len(rm.Iters.Stats())
-			if n == 0 || len(rm.Iters.Places(n-1)) == 0 {
+			_, places := iterRows(rm.Iters)
+			if len(places) == 0 || len(places[len(places)-1]) == 0 {
 				return false
 			}
-			mut(&rm.Iters.Places(n - 1)[0])
+			rm.Iters = copyIters(rm.Iters, func(_ *metrics.IterStat, pairs []metrics.PlaceCount) []metrics.PlaceCount {
+				mut(&pairs[0])
+				return pairs
+			})
 			return true
 		}
 	}
 	mutations["iter places grow"] = func(rm *RunMetrics) bool {
-		if len(rm.Iters.Stats()) == 0 {
+		if n, _ := rm.Iters.Counts(); n == 0 {
 			return false
 		}
-		rm.Iters = copyIters(rm.Iters, true)
+		rm.Iters = copyIters(rm.Iters, func(_ *metrics.IterStat, pairs []metrics.PlaceCount) []metrics.PlaceCount {
+			return append(pairs, metrics.PlaceCount{})
+		})
 		return true
 	}
 	neutral := map[string]bool{"sched": true, "nil to empty": true}
@@ -390,7 +413,7 @@ func TestDigestCoversExactlyTheText(t *testing.T) {
 			// Copy what a mutation may write through.
 			target.CoreBusy = append([]float64(nil), saved.CoreBusy...)
 			target.HighHist = append([]metrics.PlaceShare(nil), saved.HighHist...)
-			target.Iters = copyIters(saved.Iters, false)
+			target.Iters = copyIters(saved.Iters, nil)
 			if mut(target) {
 				applied[name]++
 				textMoved, printMoved := res.FingerprintText() != text, res.Fingerprint() != print
@@ -521,8 +544,8 @@ func TestRunMetricsWireGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		run := res.Cells[0][0].Runs[0]
-		if n := len(run.Iters.Stats()); n != v.iters || run.Iters.NumPairs() < n {
-			t.Fatalf("%s: %d iterations, %d pairs; want %d iterations, each with pairs", v.name, n, run.Iters.NumPairs(), v.iters)
+		if n, pairs := run.Iters.Counts(); n != v.iters || pairs < n {
+			t.Fatalf("%s: %d iterations, %d pairs; want %d iterations, each with pairs", v.name, n, pairs, v.iters)
 		}
 		b, err := json.Marshal(run)
 		if err != nil {
@@ -536,11 +559,11 @@ func TestRunMetricsWireGolden(t *testing.T) {
 
 // TestCachedCellFootprint bounds what one cached cell of the two gated bench
 // workloads holds (SizeBytes, the asymd_cell_cache_bytes summand): the
-// measured maximum + 5 %. Measured 22 272 B (scaleout-32) and 45 328 B
-// (burst-sweep); with a slice of 16-byte pairs per iteration they were 38 248
-// and 70 904.
+// measured maximum + 5 %. Measured 8 472 B (scaleout-32) and 18 928 B
+// (burst-sweep); with the iterations and pairs in two flat arrays they were
+// 22 272 and 45 328.
 func TestCachedCellFootprint(t *testing.T) {
-	for name, limit := range map[string]int64{"scaleout-32": 22272 * 105 / 100, "burst-sweep": 45328 * 105 / 100} {
+	for name, limit := range map[string]int64{"scaleout-32": 8472 * 105 / 100, "burst-sweep": 18928 * 105 / 100} {
 		f, _ := Lookup(name)
 		res, err := Run(f.Spec(0.05))
 		if err != nil {

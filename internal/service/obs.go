@@ -60,13 +60,14 @@ type serviceMetrics struct {
 	jobEntries, cellEntries, traceEntries, simtraceEntries, planEntries, compiledEntries *obs.Gauge
 	cellCacheBytes, jobCacheBytes                                                        *obs.Gauge
 
-	// The Go runtime's own view — heap held by live and unswept objects, GC
-	// cycles, goroutines — read from runtime/metrics when /metrics is
-	// scraped (readRuntime), never on the job path.
-	rtMu                      sync.Mutex
-	rtSamples                 []rtmetrics.Sample
-	goHeapBytes, goGoroutines *obs.Gauge
-	goGCCycles                *obs.Counter
+	// The Go runtime's own view — heap held by live and unswept objects, heap
+	// the last GC marked live, GC cycles, goroutines — read from
+	// runtime/metrics when /metrics is scraped (readRuntime), never on the
+	// job path.
+	rtMu                                       sync.Mutex
+	rtSamples                                  []rtmetrics.Sample
+	goHeapBytes, goHeapLiveBytes, goGoroutines *obs.Gauge
+	goGCCycles                                 *obs.Counter
 
 	poolWorkers *obs.Gauge
 	poolBusy    *obs.Gauge
@@ -163,10 +164,12 @@ func newServiceMetrics(reg *obs.Registry, workers int) *serviceMetrics {
 			{Name: "/memory/classes/heap/objects:bytes"},
 			{Name: "/gc/cycles/total:gc-cycles"},
 			{Name: "/sched/goroutines:goroutines"},
+			{Name: "/gc/heap/live:bytes"},
 		},
-		goHeapBytes:  reg.Gauge("asymd_go_heap_objects_bytes", "Go heap bytes held by live objects and dead ones not yet swept (runtime/metrics, read per scrape)."),
-		goGCCycles:   reg.Counter("asymd_go_gc_cycles_total", "Completed Go GC cycles (runtime/metrics, read per scrape)."),
-		goGoroutines: reg.Gauge("asymd_go_goroutines", "Live goroutines (runtime/metrics, read per scrape)."),
+		goHeapBytes:     reg.Gauge("asymd_go_heap_objects_bytes", "Go heap bytes held by live objects and dead ones not yet swept (runtime/metrics, read per scrape)."),
+		goHeapLiveBytes: reg.Gauge("asymd_go_heap_live_bytes", "Go heap bytes the last GC cycle marked live (runtime/metrics, read per scrape)."),
+		goGCCycles:      reg.Counter("asymd_go_gc_cycles_total", "Completed Go GC cycles (runtime/metrics, read per scrape)."),
+		goGoroutines:    reg.Gauge("asymd_go_goroutines", "Live goroutines (runtime/metrics, read per scrape)."),
 	}
 }
 
@@ -175,10 +178,11 @@ func newServiceMetrics(reg *obs.Registry, workers int) *serviceMetrics {
 func (mx *serviceMetrics) readRuntime() {
 	mx.rtMu.Lock()
 	defer mx.rtMu.Unlock()
-	rtmetrics.Read(mx.rtSamples) // all three are uint64 metrics since go1.17
+	rtmetrics.Read(mx.rtSamples) // all four are uint64 metrics since go1.21
 	mx.goHeapBytes.Set(int64(mx.rtSamples[0].Value.Uint64()))
 	mx.goGCCycles.Add(int64(mx.rtSamples[1].Value.Uint64()) - mx.goGCCycles.Value())
 	mx.goGoroutines.Set(int64(mx.rtSamples[2].Value.Uint64()))
+	mx.goHeapLiveBytes.Set(int64(mx.rtSamples[3].Value.Uint64()))
 }
 
 // observeSim records one banked cell's simulated scheduler activity.

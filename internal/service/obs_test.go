@@ -187,8 +187,9 @@ func TestMetricsExposition(t *testing.T) {
 }
 
 // TestRuntimeMetricsExposition: a scrape reads the Go runtime itself — the
-// heap its objects hold, completed GC cycles, live goroutines — and a cycle
-// run between two scrapes shows in the second.
+// heap its objects hold, the heap the last GC marked live, completed GC
+// cycles, live goroutines — and a cycle run between two scrapes shows in the
+// second.
 func TestRuntimeMetricsExposition(t *testing.T) {
 	_, srv := newTestServer(t, Config{Workers: 1})
 	body := scrape(t, srv.URL)
@@ -200,8 +201,12 @@ func TestRuntimeMetricsExposition(t *testing.T) {
 	}
 	cycles := metricValue(t, body, "asymd_go_gc_cycles_total")
 	runtime.GC()
-	if v := metricValue(t, scrape(t, srv.URL), "asymd_go_gc_cycles_total"); v <= cycles {
+	after := scrape(t, srv.URL)
+	if v := metricValue(t, after, "asymd_go_gc_cycles_total"); v <= cycles {
 		t.Errorf("asymd_go_gc_cycles_total = %v after a forced cycle, was %v", v, cycles)
+	}
+	if v := metricValue(t, after, "asymd_go_heap_live_bytes"); v <= 0 {
+		t.Errorf("asymd_go_heap_live_bytes = %v after a forced cycle, want > 0", v)
 	}
 }
 

@@ -341,6 +341,7 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(`{"platform":{"preset":"scaleout-1x65536"},"workload":{"kind":"synthetic"},"policies":["RWS"]}`))
 	f.Add([]byte(`{"platform":{"clusters":[{"name":"c","first_core":0,"num_cores":8589934592,"widths":[1],"speed":1,"base_hz":1e9}]},"workload":{"kind":"synthetic"},"policies":["RWS"]}`))
 	f.Add([]byte(`{"workload":{"kind":"daggen","daggen":{"model":"random-layered","layers":3,"width":2048,"degree":2048}},"policies":["RWS"]}`))
+	f.Add([]byte(`{"name":"x","platform":{"preset":"tx2"},"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":4194304}},"policies":["RWS"],"reps":17,"seed":1}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseSpec(data)
 		if err != nil {

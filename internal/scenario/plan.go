@@ -86,7 +86,7 @@ type Plan struct {
 	// node: one for every kind but HeatDist. Both are cell-invariant and
 	// shared read-only by every cell on every worker: a Platform is
 	// immutable and a configured Model is safe for concurrent readers. The
-	// models are built lazily, once; Merge needs only the platform, so a plan
+	// models are built lazily, once; Assemble needs only the platform, so a plan
 	// merged purely from cached cells never builds a model.
 	topo      *topology.Platform
 	modelOnce sync.Once

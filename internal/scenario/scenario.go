@@ -389,6 +389,12 @@ const MaxCellTasks = 1 << 22
 // predecessors, so two integers make a small graph quadratic to build.
 const MaxCellEdges = 1 << 22
 
+// MaxJobTasks bounds the tasks of a whole job, every cell's summed: the caps
+// above bound each factor, not their product. The largest job a registered
+// family or paper experiment builds at scale 1 is 1 120 000 tasks (Figures 4
+// and 7, MatMul); the bound is about 60 times that.
+const MaxJobTasks = 1 << 26
+
 // Validate checks the spec without running it. It is called by Run; call it
 // directly to fail fast when assembling spec tables.
 func (s Spec) Validate() error {
@@ -494,18 +500,25 @@ func (s Spec) validateOn(topo *topology.Platform) error {
 			}
 		}
 	}
+	pointTasks := 0.0 // one cell of every point
 	for _, pt := range s.Points {
 		w := resolve(s.Workload, pt)
-		if n, fields := w.cellTasks(); n > MaxCellTasks {
+		n, fields := w.cellTasks()
+		if n > MaxCellTasks {
 			return fmt.Errorf("scenario %q: point %q: a cell of %.0f tasks (%s) exceeds MaxCellTasks (%d)",
 				s.Name, pt.Label, n, fields, MaxCellTasks)
 		}
+		pointTasks += n
 		if c := w.DAGGen; w.Kind == DAGGen && c.Model == dagio.ModelRandomLayered {
 			if n := c.Tasks() * float64(min(c.Degree, c.Width)); n > MaxCellEdges {
 				return fmt.Errorf("scenario %q: point %q: a cell of up to %.0f edges (workload.daggen.layers × workload.daggen.width × min(workload.daggen.degree, workload.daggen.width)) exceeds MaxCellEdges (%d)",
 					s.Name, pt.Label, n, MaxCellEdges)
 			}
 		}
+	}
+	if n := pointTasks * float64(len(s.Policies)*s.Reps); n > MaxJobTasks {
+		return fmt.Errorf("scenario %q: a job of %.0f tasks (%d policies × %d reps × the cell tasks of %d points) exceeds MaxJobTasks (%d)",
+			s.Name, n, len(s.Policies), s.Reps, len(s.Points), MaxJobTasks)
 	}
 	switch s.Workload.Kind {
 	case Synthetic, DAGFile, DAGGen:

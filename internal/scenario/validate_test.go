@@ -27,8 +27,9 @@ func TestValidateOK(t *testing.T) {
 	}
 	full := okSpec()
 	full.Policies, full.Points, full.Reps = []core.Policy{core.RWS(), core.DAMC()}, ParallelismPoints(2, 4), MaxGridCells/4
+	full.Workload.Synthetic.Tasks = MaxJobTasks / MaxGridCells
 	if err := full.Validate(); err != nil {
-		t.Fatalf("a grid of exactly MaxGridCells cells rejected: %v", err)
+		t.Fatalf("a grid of exactly MaxGridCells cells and MaxJobTasks tasks rejected: %v", err)
 	}
 	// Cells of exactly MaxCellTasks tasks (the largest factorizations below
 	// it), one per workload kind.
@@ -121,6 +122,16 @@ func TestValidateErrors(t *testing.T) {
 			s.Policies = core.All()
 			s.Reps = math.MaxInt
 		}, "exceeds the limit of 1048576 cells"},
+		{"job over the limit by product", func(s *Spec) {
+			s.Policies = []core.Policy{core.RWS(), core.DAMC()}
+			s.Points = ParallelismPoints(2, 4)
+			s.Reps = MaxGridCells / 4
+			s.Workload.Synthetic.Tasks = MaxJobTasks/MaxGridCells + 1
+		}, "a job of 68157440 tasks (2 policies × 262144 reps × the cell tasks of 2 points) exceeds MaxJobTasks (67108864)"},
+		{"job of large cells over the limit", func(s *Spec) {
+			s.Workload.Synthetic.Tasks = MaxCellTasks
+			s.Reps = MaxJobTasks/MaxCellTasks + 1
+		}, "exceeds MaxJobTasks (67108864)"},
 		{"synthetic cell one task over the limit", func(s *Spec) { s.Workload.Synthetic.Tasks = MaxCellTasks + 1 },
 			"a cell of 4194305 tasks (workload.synthetic.tasks) exceeds MaxCellTasks (4194304)"},
 		{"synthetic layer over the limit at one point", func(s *Spec) {

@@ -5,7 +5,8 @@ package service
 //	POST /v1/jobs            {"family": "...", "scale": 0.1, "seed": 7}
 //	                         or {"spec": {...canonical spec JSON...}}
 //	                         (SubmitRequest; the handler decodes the spec in
-//	                         the same pass as the body, into its wire struct)
+//	                         the same pass as the body, into its wire struct;
+//	                         a spec given twice or as null is a 400)
 //	                         → 202 Status ("done" if the cell cache held every
 //	                         cell); 200 if an in-flight or cached job absorbs it
 //	GET  /v1/jobs            → 200 [Status] (in-flight first, then cached)
@@ -68,7 +69,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-	"unicode/utf8"
 
 	"dynasym/internal/scenario"
 	"dynasym/internal/trace"
@@ -78,9 +78,9 @@ import (
 const maxSpecBytes = 1 << 20
 
 // SubmitRequest is the POST /v1/jobs body: either a registered family at
-// a scale, or a raw spec document — not both. It is the shape clients
-// encode; handleSubmit decodes the same fields into submitBody, whose spec
-// is decoded in the same pass rather than kept raw for ParseSpec.
+// a scale, or a raw spec document — not both, and the spec once, not null.
+// It is the shape clients encode; handleSubmit decodes the same fields into
+// submitBody, whose spec is decoded in the same pass rather than kept raw.
 type SubmitRequest struct {
 	Family string          `json:"family,omitempty"`
 	Scale  float64         `json:"scale,omitempty"`
@@ -168,13 +168,40 @@ func (m *Manager) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 // submitBody is SubmitRequest as handleSubmit decodes it: the same JSON
 // fields (TestSubmitBodyFieldsMatchSubmitRequest), the spec decoded in the
-// same pass straight into its wire struct instead of kept as raw bytes for a
-// second decode.
+// same pass straight into its wire struct instead of kept as raw bytes.
 type submitBody struct {
-	Family string             `json:"family,omitempty"`
-	Scale  float64            `json:"scale,omitempty"`
-	Seed   *uint64            `json:"seed,omitempty"`
-	Spec   *scenario.SpecJSON `json:"spec,omitempty"`
+	Family string     `json:"family,omitempty"`
+	Scale  float64    `json:"scale,omitempty"`
+	Seed   *uint64    `json:"seed,omitempty"`
+	Spec   specMember `json:"spec,omitempty"`
+}
+
+// The two spec members a body may not have: two of them would need a rule to
+// pick one, and null names no spec.
+var (
+	errSpecRepeated = errors.New(`"spec" given more than once (keys match it in any case)`)
+	errSpecNull     = errors.New(`"spec" is null: give a spec document or leave the key out`)
+)
+
+// specMember is a submission's spec. encoding/json calls UnmarshalJSON once
+// per key it matches to the field, a null value included, so the member
+// refuses a second call and a null.
+type specMember struct {
+	given bool
+	wire  scenario.SpecJSON
+}
+
+func (s *specMember) UnmarshalJSON(b []byte) error {
+	switch {
+	case s.given:
+		return errSpecRepeated
+	case string(b) == "null":
+		return errSpecNull
+	}
+	s.given = true
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	return dec.Decode(&s.wire)
 }
 
 func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -209,69 +236,31 @@ func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, job.Snapshot())
 }
 
-// parseSubmission returns the spec a POST /v1/jobs body names. Its answer is
-// defined by the two-step reading: the body into SubmitRequest, then the raw
-// spec by ParseSpec. A body in which at most one string spells "spec", and
-// whose spec, if any, is an object — every body a client writes — is decoded
-// in one pass into submitBody instead, which gives the same answer
-// (FuzzSubmitBody). Only the two steps are exact for the rest: a repeated
-// "spec" key (the last one wins; one pass would merge them) and a null spec.
-// A body the one pass refuses is read again in two steps, for their error.
+// parseSubmission returns the spec a POST /v1/jobs body names: a registered
+// family at a scale, or a spec document, decoded with the body in one pass.
 func parseSubmission(body []byte) (scenario.Spec, error) {
-	if n := specStrings(body); n <= 1 {
-		var b submitBody
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if dec.Decode(&b) == nil && (n == 0 || b.Spec != nil) {
-			return namedSpec(b.Family, b.Scale, b.Seed, b.Spec != nil, func() (scenario.Spec, error) { return b.Spec.Spec() })
-		}
-	}
-	var req SubmitRequest
+	var b submitBody
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(&b); err != nil {
 		return scenario.Spec{}, fmt.Errorf("decode request: %w", err)
 	}
-	return namedSpec(req.Family, req.Scale, req.Seed, len(req.Spec) > 0, func() (scenario.Spec, error) { return scenario.ParseSpec(req.Spec) })
-}
-
-// namedSpec resolves a decoded submission: a registered family at a scale,
-// or a spec document, which parse converts.
-func namedSpec(family string, scale float64, seed *uint64, hasSpec bool, parse func() (scenario.Spec, error)) (scenario.Spec, error) {
 	switch {
-	case family != "" && hasSpec:
+	case b.Family != "" && b.Spec.given:
 		return scenario.Spec{}, errors.New("give either family or spec, not both")
-	case family != "":
-		return familySpec(family, scale, seed)
-	case hasSpec:
-		return parse()
+	case b.Family != "":
+		return familySpec(b.Family, b.Scale, b.Seed)
+	case b.Spec.given:
+		return b.Spec.wire.Spec()
 	default:
 		return scenario.Spec{}, errors.New("give a family or a spec")
 	}
 }
 
-// specStrings bounds the number of keys in a JSON document that
-// encoding/json matches to a field named "spec": it counts the strings that
-// spell "spec" in any case, and answers 2 (more than one may) when an escape
-// or a non-ASCII byte could spell it another way. In valid JSON a quote
-// followed by a letter opens a string.
-func specStrings(body []byte) int {
-	n := 0
-	for i, c := range body {
-		switch {
-		case c == '\\' || c >= utf8.RuneSelf:
-			return 2
-		case c == '"' && i+5 < len(body) && body[i+5] == '"' && bytes.EqualFold(body[i+1:i+5], []byte("spec")):
-			n++
-		}
-	}
-	return n
-}
-
 func (m *Manager) handleJob(w http.ResponseWriter, r *http.Request) {
 	job, ok := m.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("unknown job (evicted or never submitted)"))
+		writeError(w, http.StatusNotFound, ErrUnknownJob)
 		return
 	}
 	writeJSON(w, http.StatusOK, job.Snapshot())
@@ -419,12 +408,19 @@ func (m *Manager) handleShards(w http.ResponseWriter, r *http.Request) {
 	shardT0 := m.now()
 	jt := newJobTrace(shardT0, m.now, trace.NewSpanSet(maxSpansPerJob))
 
+	// A coordinator ships distinct cells; a request naming one twice runs it
+	// twice.
+	runs := make([]scenario.RunMetrics, len(cells))
+	results := make([]shardCellResult, len(cells))
 	m.mu.Lock()
-	cached, missing := m.takeCells(cells)
+	missing := m.takeCells(cells, runs, func(i int) int { return i })
 	m.mu.Unlock()
-	executed := make(map[string]CellResult, len(missing))
 	if len(missing) > 0 {
-		crs, err := m.local.Execute(withJobTrace(r.Context(), jt), plan, missing)
+		todo := make([]scenario.CellJob, len(missing))
+		for k, i := range missing {
+			todo[k] = cells[i]
+		}
+		crs, err := m.local.Execute(withJobTrace(r.Context(), jt), plan, todo)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err)
 			return
@@ -435,30 +431,20 @@ func (m *Manager) handleShards(w http.ResponseWriter, r *http.Request) {
 		// the coordinator on another backend and must not be counted
 		// twice — for misses or for hits.
 		m.mx.cellMisses.Add(int64(len(crs)))
-		for _, cr := range crs {
-			executed[cr.Hash] = cr
-		}
-	}
-	results := make([]shardCellResult, len(cells))
-	var hits int64
-	for i, c := range cells {
-		if rm, ok := cached[c.Hash]; ok {
-			rm := rm
-			results[i] = shardCellResult{Hash: c.Hash, Metrics: &rm}
-			hits++
-		} else if cr, ok := executed[c.Hash]; ok {
+		for k, cr := range crs {
+			runs[missing[k]] = cr.Metrics
 			if cr.Err != nil {
-				results[i] = shardCellResult{Hash: c.Hash, Error: cr.Err.Error()}
-			} else {
-				rm := cr.Metrics
-				results[i] = shardCellResult{Hash: c.Hash, Metrics: &rm}
+				results[missing[k]].Error = cr.Err.Error()
 			}
-		} else {
-			// Unreachable: every requested cell is cached or executed.
-			writeError(w, http.StatusInternalServerError, fmt.Errorf("cell %.12s neither cached nor executed", c.Hash))
-			return
 		}
 	}
+	for i, c := range cells {
+		results[i].Hash = c.Hash
+		if results[i].Error == "" {
+			results[i].Metrics = &runs[i]
+		}
+	}
+	hits := int64(len(cells) - len(missing))
 	m.mx.cellHits.Add(hits)
 
 	elapsed := m.now().Sub(shardT0)

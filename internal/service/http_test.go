@@ -223,6 +223,10 @@ func TestHTTPFamilySubmit(t *testing.T) {
 // cell asked dag.Graph.Grow for 2^33 tasks.
 const hugeCellBody = `{"spec":{"name":"x","platform":{"preset":"tx2"},"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":8589934592}},"policies":["RWS"],"seed":1}}`
 
+// hugeJobBody is cells each within MaxCellTasks, but too many of them: 17
+// repetitions of a 4 194 304-task cell.
+const hugeJobBody = `{"spec":{"name":"x","platform":{"preset":"tx2"},"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":4194304}},"policies":["RWS"],"reps":17,"seed":1}}`
+
 // Two integers each that used to kill the daemon inside the submit handler —
 // Validate builds the platform, and a Platform's place index is cores ×
 // widest width — or cost a worker 15 s and gigabytes for a 6 144-task cell:
@@ -254,6 +258,7 @@ var httpErrorBodies = map[string]struct {
 	"negative size":  {`{"spec": {"workload": {"kind": "heatdist", "heat": {"nodes": 2, "blocks_per_node": -3}}, "policies": ["RWS"]}}`, http.StatusBadRequest},
 	"grid too large": {`{"spec":{"name":"x","platform":{"preset":"tx2"},"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":50}},"policies":["RWS"],"reps":1099511627776,"seed":1}}`, http.StatusBadRequest},
 	"cell too large": {hugeCellBody, http.StatusBadRequest},
+	"job too large":  {hugeJobBody, http.StatusBadRequest},
 	"wide layer":     {`{"spec": {"workload": {"kind": "synthetic", "synthetic": {"kernel": "MatMul", "parallelism": 8589934592}}, "policies": ["RWS"]}}`, http.StatusBadRequest},
 	"kmeans cell":    {`{"spec": {"platform": {"preset": "haswell16"}, "workload": {"kind": "kmeans", "kmeans": {"grains": 4294967296, "max_iters": 4294967296}}, "policies": ["RWS"]}}`, http.StatusBadRequest},
 	"heat cell":      {`{"spec": {"platform": {"preset": "haswell-node"}, "workload": {"kind": "heatdist", "heat": {"nodes": 2, "blocks_per_node": 4294967296, "iters": 4294967296}}, "policies": ["RWS"]}}`, http.StatusBadRequest},
@@ -280,6 +285,7 @@ func TestHTTPErrors(t *testing.T) {
 	// The refusal names the field as the client spelled it, and the limit.
 	for body, wants := range map[string][]string{
 		hugeCellBody:     {"workload.synthetic.tasks", "MaxCellTasks (4194304)"},
+		hugeJobBody:      {"a job of 71303168 tasks", "MaxJobTasks (67108864)"},
 		hugeSymBody:      {`platform.preset \"sym8589934592\"`, "MaxPlatformCores (1024)"},
 		hugeScaleoutBody: {`platform.preset \"scaleout-1x65536\"`, "MaxPlatformCores (1024)"},
 		hugeClusterBody:  {"platform.clusters[].num_cores", "MaxPlatformCores (1024)"},

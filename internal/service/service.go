@@ -443,16 +443,33 @@ func (m *Manager) submit(spec scenario.Spec, reqID string) (job *Job, existing b
 	m.mx.jobsSubmitted.Inc()
 	m.inflight[hash] = j
 	m.wg.Add(1)
-	cached := m.takeCached(plan)
+	// The probe is a Peek, so a miss leaves the LRU as it was; a job whose
+	// every cell is cached takes them here, as runJob's pass would.
+	var runs []scenario.RunMetrics
+	if m.cachesAll(plan.Cells) {
+		runs = make([]scenario.RunMetrics, len(plan.Cells))
+		m.takeCells(plan.Cells, runs, plan.FirstWithHash)
+	}
 	m.mu.Unlock()
-	if cached == nil {
+	if runs == nil {
 		m.mx.jobsQueued.Inc()
 		go m.execute(j, nil)
 	} else {
 		m.mx.jobsDoneAtSubmit.Inc()
-		m.execute(j, cached)
+		m.execute(j, runs)
 	}
 	return j, false, nil
+}
+
+// cachesAll reports whether the cell cache holds every cell, without moving
+// the LRU; the caller holds m.mu.
+func (m *Manager) cachesAll(cells []scenario.CellJob) bool {
+	for _, c := range cells {
+		if _, ok := m.cells.Peek(c.Hash); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // absorb returns the in-flight or cached job of a spec hash, counting the
@@ -471,29 +488,6 @@ func (m *Manager) absorb(hash string) (*Job, bool, error) {
 		j.hits.Add(1)
 	}
 	return j, ok, nil
-}
-
-// takeCached returns the plan's cells from the cell cache, each copied once
-// into its plan index (Plan.Assemble's input), or nil if one is missing. It
-// probes with Peek, so a miss leaves the LRU as it was; a hit makes the moves
-// runJob's pass (takeCells) would: a Get for each distinct hash, in
-// first-occurrence plan order. A cell repeating an earlier one's hash copies
-// that one's slot. The caller holds m.mu.
-func (m *Manager) takeCached(plan *scenario.Plan) []scenario.RunMetrics {
-	for _, c := range plan.Cells {
-		if _, ok := m.cells.Peek(c.Hash); !ok {
-			return nil
-		}
-	}
-	runs := make([]scenario.RunMetrics, len(plan.Cells))
-	for i, c := range plan.Cells {
-		if first := plan.FirstWithHash(i); first != i {
-			runs[i] = runs[first]
-		} else {
-			runs[i], _ = m.cells.Get(c.Hash)
-		}
-	}
-	return runs
 }
 
 // SubmitFamily resolves a registered scenario family at a scale (seed
@@ -523,11 +517,12 @@ func familySpec(name string, scale float64, seed *uint64) (scenario.Spec, error)
 // execute runs one job — serve cells from cache, dispatch the misses, merge —
 // and publishes it. Admission slots bound executing jobs to Workers: excess
 // submissions wait here, observably queued. A job submit took from the cell
-// cache (cached set) runs on the submitting goroutine and takes no slot.
-func (m *Manager) execute(j *Job, cached []scenario.RunMetrics) {
+// cache (runs set) runs on the submitting goroutine and takes no slot.
+func (m *Manager) execute(j *Job, runs []scenario.RunMetrics) {
 	defer m.wg.Done()
+	atSubmit := runs != nil
 	j.started = j.planned
-	if cached == nil {
+	if !atSubmit {
 		m.sem <- struct{}{}
 		defer func() { <-m.sem }()
 		j.started = m.now()
@@ -544,10 +539,10 @@ func (m *Manager) execute(j *Job, cached []scenario.RunMetrics) {
 	jt.span(trace.Span{Name: "queued", Cat: "job", Lane: "job", Start: j.planned.Sub(j.created), End: j.started.Sub(j.created)})
 	ctx := withJobTrace(withRequestID(context.Background(), j.reqID), jt)
 
-	res, err := m.runJob(ctx, j, cached)
+	res, err := m.runJob(ctx, j, runs)
 	j.finished = m.now()
 	j.elapsed = j.finished.Sub(j.started)
-	if cached == nil {
+	if !atSubmit {
 		m.mx.jobsRunning.Dec()
 	}
 	m.mx.jobRunSec.Observe(j.elapsed.Seconds())
@@ -652,7 +647,7 @@ func (m *Manager) SimTrace(id string, cell int) ([]byte, error) {
 	if ok {
 		return b, nil
 	}
-	rm, rec, err := plan.RunCellTrace(c)
+	_, rec, err := plan.RunCellTrace(c) // the metrics were banked with the job
 	m.mx.compiledEntries.Set(int64(scenario.CompiledCacheLen()))
 	if err != nil {
 		return nil, err
@@ -667,7 +662,6 @@ func (m *Manager) SimTrace(id string, cell int) ([]byte, error) {
 	m.mx.simtraceEntries.Set(int64(m.simtraces.Len()))
 	m.mu.Unlock()
 	m.mx.simtraceRenders.Inc()
-	_ = rm // the render is the product; the metrics were already banked
 	return b, nil
 }
 
@@ -692,49 +686,31 @@ type pendingCell struct {
 // hash the whole grid hundreds of times per job.
 const planCacheSize = 64
 
-// runJob assembles one job's result from cached cells, cells another job
-// is already simulating (in-flight dedupe), and freshly dispatched cells.
-// cached, when set, is every cell of the job in plan order, taken by submit:
-// then there is nothing to subscribe to, claim or dispatch, and every plan
-// cell is a hit.
-func (m *Manager) runJob(ctx context.Context, j *Job, cached []scenario.RunMetrics) (*scenario.Result, error) {
+// runJob assembles one job's result from one array in plan order, runs[i]
+// being the metrics of plan cell i. A job submit took from the cell cache
+// arrives with runs filled; any other job fills it here, in one pass under
+// the lock: cells from the cell cache, subscriptions to cells another job is
+// already simulating (in-flight dedupe), and claims on the rest, which it
+// dispatches. A distinct cell fills its first position (Plan.FirstWithHash);
+// a later position with its hash, a twin point, copies that one's slot.
+func (m *Manager) runJob(ctx context.Context, j *Job, runs []scenario.RunMetrics) (*scenario.Result, error) {
 	jt := jobTraceFrom(ctx)
 	plan := j.plan
-	if cached != nil {
-		hits := int64(len(plan.Cells))
-		m.mx.cellHits.Add(hits)
-		j.cellHits.Store(hits)
-		j.cellsDone.Store(hits)
-		mergeT0 := jt.at()
-		res := plan.Assemble(cached)
-		jt.span(trace.Span{Name: "merge", Cat: "merge", Lane: "job", Start: mergeT0, End: jt.at()})
-		return res, nil
-	}
-
-	// Dedupe the grid by cell hash (points with identical parameters under
-	// different labels share one simulation). mult counts grid positions
-	// per unique hash, so progress advances over plan cells, not unique
-	// cells.
-	mult := make(map[string]int64, len(plan.Cells))
-	for _, c := range plan.Cells {
-		mult[c.Hash]++
-	}
-
-	// One pass under the lock: serve the cell cache, subscribe to cells
-	// some other job is already simulating, claim the rest.
-	waits := make(map[scenario.CellJob]*pendingCell)
-	var claimed []scenario.CellJob
-	m.mu.Lock()
-	results, missing := m.takeCells(plan.Cells)
-	for _, c := range missing {
-		if p, ok := m.pending[c.Hash]; ok {
-			waits[c] = p
-		} else {
-			claimed = append(claimed, c)
-			m.pending[c.Hash] = &pendingCell{owner: j, done: make(chan struct{})}
+	var claimed, waited []int // positions
+	var waits []*pendingCell  // waited's subscriptions
+	if runs == nil {
+		runs = make([]scenario.RunMetrics, len(plan.Cells))
+		m.mu.Lock()
+		for _, i := range m.takeCells(plan.Cells, runs, plan.FirstWithHash) {
+			if p, ok := m.pending[plan.Cells[i].Hash]; ok {
+				waited, waits = append(waited, i), append(waits, p)
+			} else {
+				claimed = append(claimed, i)
+				m.pending[plan.Cells[i].Hash] = &pendingCell{owner: j, done: make(chan struct{})}
+			}
 		}
+		m.mu.Unlock()
 	}
-	m.mu.Unlock()
 
 	// Whatever happens below, claimed cells this job never resolved
 	// (dispatch error, per-cell failure, early cancel) must be released
@@ -742,9 +718,10 @@ func (m *Manager) runJob(ctx context.Context, j *Job, cached []scenario.RunMetri
 	defer func() {
 		m.mu.Lock()
 		var abandoned []*pendingCell
-		for _, c := range claimed {
-			if p, ok := m.pending[c.Hash]; ok && p.owner == j {
-				delete(m.pending, c.Hash)
+		for _, i := range claimed {
+			h := plan.Cells[i].Hash
+			if p, ok := m.pending[h]; ok && p.owner == j {
+				delete(m.pending, h)
 				abandoned = append(abandoned, p)
 			}
 		}
@@ -754,98 +731,106 @@ func (m *Manager) runJob(ctx context.Context, j *Job, cached []scenario.RunMetri
 		}
 	}()
 
-	hits := int64(0)
-	for h := range results {
-		hits += mult[h]
+	// weight[i] counts the grid positions distinct cell i fills, its own and
+	// its twins', so counts and progress advance over plan cells. A job with
+	// nothing missing needs none.
+	var weight []int64
+	if len(claimed)+len(waited) > 0 {
+		weight = make([]int64, len(plan.Cells))
+		for k := range plan.Cells {
+			weight[plan.FirstWithHash(k)]++
+		}
 	}
-	misses := int64(0)
-	for _, c := range claimed {
-		misses += mult[c.Hash]
+	sum := func(cells []int) (n int64) {
+		for _, i := range cells {
+			n += weight[i]
+		}
+		return n
 	}
+	misses := sum(claimed)
+	hits := int64(len(plan.Cells)) - misses - sum(waited)
 	m.mx.cellHits.Add(hits)
 	m.mx.cellMisses.Add(misses)
 	j.cellHits.Store(hits)
 	j.cellMisses.Store(misses)
 	j.cellsDone.Store(hits)
-	onDone := func(c scenario.CellJob) { j.cellsDone.Add(mult[c.Hash]) }
 
 	// Dispatch own claims first — subscribers may be waiting on them;
 	// bankCells resolves each pending as its shard lands.
 	if len(claimed) > 0 {
 		dispT0 := jt.at()
-		fresh, err := m.dispatch(ctx, plan, claimed, onDone)
+		err := m.dispatch(ctx, j, claimed, runs, weight)
 		jt.span(trace.Span{Name: "dispatch", Cat: "job", Lane: "job",
 			Start: dispT0, End: jt.at(),
 			Args: map[string]string{"cells": fmt.Sprint(len(claimed))}})
 		if err != nil {
 			return nil, err
 		}
-		for h, rm := range fresh {
-			results[h] = rm
-		}
 	}
 
-	// Collect subscribed cells. A cell whose owner abandoned it falls
-	// back to a second dispatch by this job (duplicating work only in
+	// Collect subscribed cells. The cells whose owner abandoned them stay in
+	// waited, and this job dispatches them itself (duplicating work only in
 	// that failure path).
-	var fallback []scenario.CellJob
 	if len(waits) > 0 {
 		waitT0 := jt.at()
-		for c, p := range waits {
+		abandoned := waited[:0]
+		for k, p := range waits {
+			i := waited[k]
 			<-p.done
-			if p.ok {
-				results[c.Hash] = p.rm
-				m.mx.cellHits.Add(mult[c.Hash])
-				j.cellHits.Add(mult[c.Hash])
-				onDone(c)
-			} else {
-				fallback = append(fallback, c)
+			if !p.ok {
+				abandoned = append(abandoned, i)
+				continue
 			}
+			runs[i] = p.rm
+			m.mx.cellHits.Add(weight[i])
+			j.cellHits.Add(weight[i])
+			j.cellsDone.Add(weight[i])
 		}
 		jt.span(trace.Span{Name: "await-shared-cells", Cat: "job", Lane: "job",
 			Start: waitT0, End: jt.at(),
 			Args: map[string]string{"cells": fmt.Sprint(len(waits))}})
+		waited = abandoned
 	}
-	if len(fallback) > 0 {
-		for _, c := range fallback {
-			m.mx.cellMisses.Add(mult[c.Hash])
-			j.cellMisses.Add(mult[c.Hash])
-		}
+	if len(waited) > 0 {
+		n := sum(waited)
+		m.mx.cellMisses.Add(n)
+		j.cellMisses.Add(n)
 		dispT0 := jt.at()
-		fresh, err := m.dispatch(ctx, plan, fallback, onDone)
+		err := m.dispatch(ctx, j, waited, runs, weight)
 		jt.span(trace.Span{Name: "dispatch-fallback", Cat: "job", Lane: "job",
 			Start: dispT0, End: jt.at()})
 		if err != nil {
 			return nil, err
 		}
-		for h, rm := range fresh {
-			results[h] = rm
-		}
 	}
 
 	mergeT0 := jt.at()
-	res, err := scenario.Merge(plan, results)
-	if err != nil {
-		return nil, err
+	for k := range runs {
+		if first := plan.FirstWithHash(k); first != k {
+			runs[k] = runs[first]
+		}
 	}
+	res := plan.Assemble(runs)
 	jt.span(trace.Span{Name: "merge", Cat: "merge", Lane: "job", Start: mergeT0, End: jt.at()})
 	j.cellsDone.Store(int64(len(plan.Cells)))
 	return res, nil
 }
 
-// dispatch batches cells into shards and runs them concurrently
-// (round-robin over the backends, failing over to the others), calling
-// onDone per completed cell. Successful cells enter the cell cache as
-// their shard lands — not when the whole dispatch finishes — so a job
-// that later fails still banks its finished cells, and a concurrent
-// overlapping job starts hitting them as early as possible. A
-// deterministic per-cell engine error fails the whole dispatch, like a
-// failed cell fails a monolithic Run — and cancels the remaining shards:
-// a doomed job must not keep simulating its grid.
-func (m *Manager) dispatch(ctx context.Context, plan *scenario.Plan, cells []scenario.CellJob, onDone func(scenario.CellJob)) (map[string]scenario.RunMetrics, error) {
-	var shards [][]scenario.CellJob
-	for i := 0; i < len(cells); i += m.cfg.ShardSize {
-		shards = append(shards, cells[i:min(i+m.cfg.ShardSize, len(cells))])
+// dispatch batches the job's plan cells at the given positions into shards
+// and runs them concurrently (round-robin over the backends, failing over to
+// the others), writing each cell's metrics into runs at its position and
+// advancing the job's progress by its weight. Successful cells enter the cell
+// cache as their shard lands — not when the whole dispatch finishes — so a
+// job that later fails still banks its finished cells, and a concurrent
+// overlapping job starts hitting them as early as possible. A deterministic
+// per-cell engine error fails the whole dispatch, like a failed cell fails a
+// monolithic Run — and cancels the remaining shards: a doomed job must not
+// keep simulating its grid.
+func (m *Manager) dispatch(ctx context.Context, j *Job, pos []int, runs []scenario.RunMetrics, weight []int64) error {
+	plan := j.plan
+	cells := make([]scenario.CellJob, len(pos))
+	for k, i := range pos {
+		cells[k] = plan.Cells[i]
 	}
 	dctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -854,7 +839,6 @@ func (m *Manager) dispatch(ctx context.Context, plan *scenario.Plan, cells []sce
 	// comparably sized), without a goroutine per shard of a huge grid.
 	inflight := len(m.handles) * max(1, (m.cfg.Workers+m.cfg.ShardSize-1)/m.cfg.ShardSize)
 	gate := make(chan struct{}, inflight)
-	out := make(map[string]scenario.RunMetrics, len(cells))
 	var (
 		outMu    sync.Mutex
 		firstErr error
@@ -866,16 +850,17 @@ func (m *Manager) dispatch(ctx context.Context, plan *scenario.Plan, cells []sce
 			cancel()
 		}
 	}
-	for si, shard := range shards {
+	for lo := 0; lo < len(cells); lo += m.cfg.ShardSize {
 		outMu.Lock()
 		stop := firstErr != nil
 		outMu.Unlock()
 		if stop {
 			break
 		}
+		hi := min(lo+m.cfg.ShardSize, len(cells))
 		gate <- struct{}{}
 		wg.Add(1)
-		go func(si int, shard []scenario.CellJob) {
+		go func(si int, shard []scenario.CellJob, pos []int) {
 			defer wg.Done()
 			defer func() { <-gate }()
 			crs, err := m.runShard(dctx, si, plan, shard)
@@ -888,21 +873,18 @@ func (m *Manager) dispatch(ctx context.Context, plan *scenario.Plan, cells []sce
 				fail(err)
 				return
 			}
-			for i, cr := range crs {
+			for k, cr := range crs {
 				if cr.Err != nil {
-					fail(fmt.Errorf("scenario %q: %s: %w", plan.Spec.Name, plan.CellLabel(shard[i]), cr.Err))
+					fail(fmt.Errorf("scenario %q: %s: %w", plan.Spec.Name, plan.CellLabel(shard[k]), cr.Err))
 					continue
 				}
-				out[cr.Hash] = cr.Metrics
-				onDone(shard[i])
+				runs[pos[k]] = cr.Metrics
+				j.cellsDone.Add(weight[pos[k]])
 			}
-		}(si, shard)
+		}(lo/m.cfg.ShardSize, cells[lo:hi], pos[lo:hi])
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	return firstErr
 }
 
 // planFor returns a memoized plan for the spec, whose key the caller
@@ -929,28 +911,27 @@ func (m *Manager) planFor(key scenario.Key, spec scenario.Spec) (*scenario.Plan,
 	return plan, nil
 }
 
-// takeCells is the read side of the cell-cache protocol (runJob's pass,
-// takeCached, the worker shard path), under m.mu: the cached metrics by hash,
-// taken with Get in input order, and the distinct uncached cells in input
-// order. runJob then subscribes to the missing cells another job simulates
-// (m.pending); the shard path must never do that: two mutually peered nodes,
-// each owning a cell the other's shard asked for, would wait on each other
-// forever.
-func (m *Manager) takeCells(cells []scenario.CellJob) (cached map[string]scenario.RunMetrics, missing []scenario.CellJob) {
-	cached = make(map[string]scenario.RunMetrics, len(cells))
-	seen := make(map[string]bool, len(cells))
-	for _, c := range cells {
-		if seen[c.Hash] {
+// takeCells is the read side of the cell-cache protocol (submit, runJob's
+// pass, the worker shard path), under m.mu. first(i) is the position whose
+// cell stands for cells[i]: i itself, or an earlier position with its hash,
+// which the caller copies. Each position that stands for itself is taken
+// with Get, in input order, into runs; the ones the cache lacks are returned
+// in input order. runJob then subscribes to the missing cells another job
+// simulates (m.pending); the shard path must never do that: two mutually
+// peered nodes, each owning a cell the other's shard asked for, would wait on
+// each other forever.
+func (m *Manager) takeCells(cells []scenario.CellJob, runs []scenario.RunMetrics, first func(int) int) (missing []int) {
+	for i, c := range cells {
+		if first(i) != i {
 			continue
 		}
-		seen[c.Hash] = true
 		if rm, ok := m.cells.Get(c.Hash); ok {
-			cached[c.Hash] = rm
+			runs[i] = rm
 		} else {
-			missing = append(missing, c)
+			missing = append(missing, i)
 		}
 	}
-	return cached, missing
+	return missing
 }
 
 // bankCells is the write side of the cell-cache protocol: successful

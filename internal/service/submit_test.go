@@ -287,6 +287,81 @@ func TestDuplicateHashCountsMatchAsyncPath(t *testing.T) {
 	}
 }
 
+// TestDuplicateHashCountsOnSimulatingPath: a twin-point grid with nothing
+// cached queues and simulates each distinct cell once, yet counts every grid
+// position: each is a miss, and progress reaches the grid's size.
+func TestDuplicateHashCountsOnSimulatingPath(t *testing.T) {
+	m := NewManager(Config{Workers: 1})
+	s := tinySpec(74)
+	s.Points = []scenario.Point{{Label: "left", Parallelism: 4}, {Label: "right", Parallelism: 4}}
+	j, _, err := m.Submit(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	st := j.Snapshot()
+	if st.State != "done" || st.CellsTotal != 4 || st.CellMisses != st.CellsTotal || st.CellsDone != st.CellsTotal || st.CellHits != 0 {
+		t.Errorf("twin-point job with nothing cached counted %+v, want done with 4 misses of 4 cells", st)
+	}
+	if got := m.CellRuns(); got != 2 {
+		t.Errorf("cell runs = %d, want 2 (one per distinct hash)", got)
+	}
+	if _, fp, _, err := j.Result(); err != nil || fp != scenario.MustRun(s).Fingerprint() {
+		t.Errorf("err=%v, or a fingerprint unlike the direct run's", err)
+	}
+}
+
+// TestAbandonedCellFallsBackToSubscriber: job A claims its cells and then
+// fails on one of them; job B, subscribed to all of A's cells, takes the
+// ones A banked and dispatches the abandoned one itself, counting it a miss.
+// B's own new cells run first, which proves it subscribed before A failed.
+func TestAbandonedCellFallsBackToSubscriber(t *testing.T) {
+	m := NewManager(Config{Workers: 2})
+	aStarted, release := make(chan struct{}, 1), make(chan struct{})
+	bStarted := make(chan struct{}, 8)
+	realRun := m.local.runCell
+	m.local.runCell = func(p *scenario.Plan, st *scenario.CellState, c scenario.CellJob) (scenario.RunMetrics, error) {
+		switch {
+		case p.Spec.Name == "fail-a" && c.Policy == 0 && c.Point == 0:
+			aStarted <- struct{}{}
+			<-release
+			return scenario.RunMetrics{}, fmt.Errorf("injected failure")
+		case p.Spec.Name == "sub-b":
+			bStarted <- struct{}{}
+		}
+		return realRun(p, st, c)
+	}
+	a := overlapSpec(76, 2, 4)
+	a.Name = "fail-a"
+	ja, _, err := m.Submit(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-aStarted // A has claimed its 4 cells and banked none
+	b := overlapSpec(76, 2, 4, 8)
+	b.Name = "sub-b"
+	jb, _, err := m.Submit(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-bStarted // B's pass is over: it claimed the P8 cells, subscribed to A's
+	close(release)
+	waitDone(t, ja)
+	waitDone(t, jb)
+	if ja.State() != StateFailed {
+		t.Fatalf("job A is %v, want failed", ja.State())
+	}
+	if st := jb.Snapshot(); st.State != "done" || st.CellHits != 3 || st.CellMisses != 3 || st.CellsDone != 6 {
+		t.Errorf("job B counted %+v, want done with 3 hits (A's banked cells) and 3 misses (its own 2 and the abandoned one)", st)
+	}
+	if _, fp, _, err := jb.Result(); err != nil || fp != scenario.MustRun(b).Fingerprint() {
+		t.Errorf("job B: err=%v, or a fingerprint unlike the direct run's", err)
+	}
+	if got := m.CellRuns(); got != 7 {
+		t.Errorf("cell runs = %d, want A's 4 and B's 3", got)
+	}
+}
+
 // TestDoneAtSubmitLRUWithTwinPoints: a job done at submit moves the cell LRU
 // as runJob's pass (takeCells) does — one Get per distinct cell hash, in
 // first-occurrence plan order — also when two points share their parameters

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dynasym/internal/scenario"
@@ -60,61 +62,93 @@ func twoStepSubmission(body []byte) (scenario.Spec, error) {
 	}
 }
 
-// sameSubmission fails t unless parseSubmission and the reference reading
-// both refuse body with the same message, or both accept it as specs with
-// the same hash.
-func sameSubmission(t *testing.T, body []byte) {
+// sameOrRefused fails t unless parseSubmission refuses body, or accepts it as
+// a spec with the hash the reference reading gives it; it reports whether
+// parseSubmission accepted.
+func sameOrRefused(t *testing.T, body []byte) bool {
 	t.Helper()
-	got, gotErr := parseSubmission(body)
+	got, err := parseSubmission(body)
+	if err != nil {
+		return false
+	}
 	want, wantErr := twoStepSubmission(body)
-	if gotErr != nil || wantErr != nil {
-		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
-			t.Fatalf("body %q: one-pass error %v, two-step error %v", body, gotErr, wantErr)
-		}
-		return
+	if wantErr != nil {
+		t.Fatalf("body %q: one pass accepts it, the reference refuses it: %v", body, wantErr)
 	}
 	gh, gErr := got.Hash()
 	wh, wErr := want.Hash()
 	if gh != wh || (gErr == nil) != (wErr == nil) {
 		t.Fatalf("body %q: one-pass spec hashes to %q (%v), two-step spec to %q (%v)", body, gh, gErr, wh, wErr)
 	}
+	return true
 }
 
-// TestParseSubmissionEdgeCases pins the bodies on which a one-pass decode
-// alone would answer differently from the reference: a null spec, a spec key
-// given twice (the reference keeps the last, a decode into one struct would
-// merge them), and keys that match "spec" only after case folding or
-// unescaping.
+// TestParseSubmissionEdgeCases: bodies near the edges of the one pass — an
+// empty spec beside a family, a family named "spec", a spec that is not an
+// object, a spec with an unknown enum or field, trailing bytes — are accepted
+// exactly when the reference reading accepts them, as the same spec.
 func TestParseSubmissionEdgeCases(t *testing.T) {
 	spec := specBody(t, tinySpec(5))
 	canon := spec[len(`{"spec": `) : len(spec)-1]
 	for _, body := range []string{
 		spec,
 		`{"family": "burst-sweep", "scale": 0.01, "seed": 3}`,
-		`{"spec": null}`,
-		`{"family": "burst-sweep", "spec": null}`,
 		`{"family": "burst-sweep", "spec": {}}`,
-		`{"spec": {"name": "a"}, "spec": ` + canon + `}`,
-		`{"spec": ` + canon + `, "spec": {"seed": 9}}`,
-		`{"spec": ` + canon + `, "spec": null}`,
-		`{"spec": null, "spec": ` + canon + `}`,
-		`{"SPEC": ` + canon + `, "spec": {"seed": 9}}`,
-		`{"spec": ` + canon + `, "spec": {"seed": 9}}`,
-		`{"ſpec": ` + canon + `, "spec": {"seed": 9}}`,
 		`{"spec": ` + canon + `, "family": "spec"}`,
 		`{"spec": 5}`,
 		`{"spec": {"workload": {"kind": 5}, "policies": ["RWS"]}}`,
 		`{"spec": {"workload": {"kind": "synthetic"}, "policies": ["RWS"], "bogus": 1}}`,
 		`{"family": "burst-sweep"} trailing`,
 	} {
-		sameSubmission(t, []byte(body))
+		_, refErr := twoStepSubmission([]byte(body))
+		if got := sameOrRefused(t, []byte(body)); got != (refErr == nil) {
+			t.Errorf("body %q: one pass accepts it: %v; the reference refuses it: %v", body, got, refErr)
+		}
+	}
+}
+
+// TestRepeatedOrNullSpecRefused: a spec given twice, under any key
+// encoding/json matches to "spec", or given as null, is a 400 that says so.
+// The reference reading kept the last of two specs and read null as an empty
+// document.
+func TestRepeatedOrNullSpecRefused(t *testing.T) {
+	_, srv := newTestServer(t, Config{Workers: 1})
+	spec := specBody(t, tinySpec(5))
+	canon := spec[len(`{"spec": `) : len(spec)-1]
+	for _, tc := range []struct {
+		body string
+		want error
+	}{
+		{`{"spec": null}`, errSpecNull},
+		{`{"family": "burst-sweep", "spec": null}`, errSpecNull},
+		{`{"spec": null, "spec": ` + canon + `}`, errSpecNull},
+		{`{"spec": {"name": "a"}, "spec": ` + canon + `}`, errSpecRepeated},
+		{`{"spec": ` + canon + `, "spec": {"seed": 9}}`, errSpecRepeated},
+		{`{"spec": ` + canon + `, "spec": null}`, errSpecRepeated},
+		{`{"SPEC": ` + canon + `, "spec": {"seed": 9}}`, errSpecRepeated},
+		{`{"spe\u0063": ` + canon + `, "spec": {"seed": 9}}`, errSpecRepeated},
+		{`{"ſpec": ` + canon + `, "spec": {"seed": 9}}`, errSpecRepeated},
+	} {
+		if _, err := parseSubmission([]byte(tc.body)); !errors.Is(err, tc.want) {
+			t.Errorf("body %.40q: error %v, want %v", tc.body, err, tc.want)
+		}
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msg struct{ Error string }
+		_ = json.NewDecoder(resp.Body).Decode(&msg)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.Error, tc.want.Error()) {
+			t.Errorf("body %.40q: status %d %q, want 400 naming %q", tc.body, resp.StatusCode, msg.Error, tc.want)
+		}
 	}
 }
 
 // FuzzSubmitBody holds the one-pass decode of POST /v1/jobs to the reference
-// reading: for any body, both refuse it with the same message, or both
-// accept it as specs with equal Hash(). The corpus is every TestHTTPErrors
-// body plus every registered family, as a raw spec and by name.
+// reading: for any body, it refuses it with a 400 or accepts the spec the
+// reference reads, by Hash(). The corpus is every TestHTTPErrors body plus
+// every registered family, as a raw spec and by name.
 func FuzzSubmitBody(f *testing.F) {
 	for _, tc := range httpErrorBodies {
 		f.Add([]byte(tc.body))
@@ -129,6 +163,6 @@ func FuzzSubmitBody(f *testing.F) {
 		f.Add([]byte(fmt.Sprintf(`{"family":%q,"scale":0.05,"seed":7}`, name)))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		sameSubmission(t, body)
+		sameOrRefused(t, body)
 	})
 }

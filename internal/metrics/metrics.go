@@ -11,12 +11,12 @@
 package metrics
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"maps"
 	"math"
 	"slices"
-	"sort"
 
 	"dynasym/internal/topology"
 )
@@ -34,11 +34,10 @@ type Collector struct {
 	topo *topology.Platform
 
 	coreBusy []float64
-	// placeAll and placeHigh count task executions per placeID. They are
-	// dense slices over the platform's place table rather than maps:
+	// placeHigh counts high-priority task executions per placeID. It is a
+	// dense slice over the platform's place table rather than a map:
 	// TaskDoneID runs once per task on the simulation hot path, and a slice
 	// increment is an order of magnitude cheaper than a map update.
-	placeAll  []int64
 	placeHigh []int64
 	// byIter is indexed by iteration number (iterations are small and
 	// dense in every built-in workload; nil entries are iterations never
@@ -319,12 +318,10 @@ func (c *Collector) Reset(topo *topology.Platform) {
 	if n := topo.NumCores(); n != len(c.coreBusy) {
 		c.coreBusy = make([]float64, n)
 	}
-	if n := len(topo.Places()); n != len(c.placeAll) {
-		c.placeAll = make([]int64, n)
+	if n := len(topo.Places()); n != len(c.placeHigh) {
 		c.placeHigh = make([]int64, n)
 	}
 	clear(c.coreBusy)
-	clear(c.placeAll)
 	clear(c.placeHigh)
 	for i, st := range c.byIter {
 		if st != nil {
@@ -347,7 +344,6 @@ func (c *Collector) Reset(topo *topology.Platform) {
 func (c *Collector) TaskDoneID(id int, pl topology.Place, high bool, iter int, start, finish float64) {
 	span := finish - start
 	c.tasksDone++
-	c.placeAll[id]++
 	if high {
 		c.placeHigh[id]++
 	}
@@ -415,40 +411,32 @@ type PlaceShare struct {
 	Frac  float64
 }
 
-// PlaceHistogram returns the distribution of tasks over execution places,
-// restricted to high-priority tasks when highOnly is set, sorted by
-// descending count then place order. Fractions sum to 1 when any tasks
-// were recorded.
-func (c *Collector) PlaceHistogram(highOnly bool) []PlaceShare {
-	src := c.placeAll
-	if highOnly {
-		src = c.placeHigh
+// PlaceHistogram returns the distribution of high-priority tasks over
+// execution places in ComparePlaceShares order. Fractions sum to 1 when any
+// were recorded. The result is one allocation of exactly its length: a cached
+// cell keeps it, and a run touches only some of its platform's places.
+func (c *Collector) PlaceHistogram() []PlaceShare {
+	nz, total := 0, int64(0)
+	for _, n := range c.placeHigh {
+		if n != 0 {
+			nz, total = nz+1, total+n
+		}
 	}
-	var total int64
-	out := make([]PlaceShare, 0, len(src))
+	out := make([]PlaceShare, 0, nz)
 	places := c.topo.Places()
-	for id, n := range src {
-		if n == 0 {
-			continue
-		}
-		out = append(out, PlaceShare{Place: places[id], Count: n})
-		total += n
-	}
-	for i := range out {
-		if total > 0 {
-			out[i].Frac = float64(out[i].Count) / float64(total)
+	for id, n := range c.placeHigh {
+		if n != 0 {
+			out = append(out, PlaceShare{Place: places[id], Count: n, Frac: float64(n) / float64(total)})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		if out[i].Place.Leader != out[j].Place.Leader {
-			return out[i].Place.Leader < out[j].Place.Leader
-		}
-		return out[i].Place.Width < out[j].Place.Width
-	})
+	slices.SortFunc(out, ComparePlaceShares)
 	return out
+}
+
+// ComparePlaceShares orders place shares by descending count, then by place
+// (leader, then width): the order of every place histogram.
+func ComparePlaceShares(a, b PlaceShare) int {
+	return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(a.Place.Leader, b.Place.Leader), cmp.Compare(a.Place.Width, b.Place.Width))
 }
 
 // IterStats returns the per-iteration statistics ordered by iteration, each

@@ -62,24 +62,49 @@ func TestCoreBusyAccumulatesPerMember(t *testing.T) {
 	}
 }
 
+// TestPlaceHistogram: the histogram counts high-priority tasks only, orders
+// them by count then place, and holds exactly its entries.
 func TestPlaceHistogram(t *testing.T) {
 	c := NewCollector(topology.TX2())
 	hi := topology.Place{Leader: 1, Width: 1}
-	lo := topology.Place{Leader: 2, Width: 2}
+	wide := topology.Place{Leader: 2, Width: 2}
+	lo := topology.Place{Leader: 0, Width: 1}
 	for i := 0; i < 3; i++ {
 		taskDone(c, hi, true, -1, 0, 1)
 	}
+	taskDone(c, wide, true, -1, 0, 1)
 	taskDone(c, lo, false, -1, 0, 1)
-	all := c.PlaceHistogram(false)
-	if len(all) != 2 || all[0].Place != hi || all[0].Count != 3 {
-		t.Fatalf("all hist = %+v", all)
+	taskDone(c, lo, false, -1, 0, 1)
+	high := c.PlaceHistogram()
+	want := []PlaceShare{{Place: hi, Count: 3, Frac: 0.75}, {Place: wide, Count: 1, Frac: 0.25}}
+	if !slices.Equal(high, want) {
+		t.Fatalf("high hist = %+v, want %+v", high, want)
 	}
-	if math.Abs(all[0].Frac-0.75) > 1e-12 {
-		t.Fatalf("frac = %g", all[0].Frac)
+	if cap(high) != len(high) {
+		t.Fatalf("the histogram holds %d slots for %d entries", cap(high), len(high))
 	}
-	high := c.PlaceHistogram(true)
-	if len(high) != 1 || high[0].Count != 3 || high[0].Frac != 1 {
-		t.Fatalf("high hist = %+v", high)
+	if empty := NewCollector(topology.TX2()).PlaceHistogram(); len(empty) != 0 {
+		t.Fatalf("a run without high-priority tasks has histogram %+v", empty)
+	}
+}
+
+// TestPlaceHistogramAllocs: a readout on a 32-core platform is its one
+// exact-size result (it was four: the result plus sort.Slice's three).
+func TestPlaceHistogramAllocs(t *testing.T) {
+	c := NewCollector(topology.ScaleOut(4, 8))
+	places := c.topo.Places()
+	for id := 0; id < len(places); id += 2 {
+		for range id%5 + 1 {
+			c.TaskDoneID(id, places[id], true, -1, 0, 1)
+		}
+	}
+	var h []PlaceShare
+	allocs := testing.AllocsPerRun(20, func() { h = c.PlaceHistogram() })
+	if want := (len(places) + 1) / 2; len(h) != want || !slices.IsSortedFunc(h, ComparePlaceShares) {
+		t.Fatalf("readout = %+v, want %d entries in ComparePlaceShares order", h, want)
+	}
+	if allocs > 1 {
+		t.Errorf("PlaceHistogram costs %.0f allocs/op, want <= 1", allocs)
 	}
 }
 

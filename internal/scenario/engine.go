@@ -322,7 +322,7 @@ func collectRun(rt *simrt.Runtime) RunMetrics {
 		Makespan:   coll.Makespan(),
 		TasksDone:  coll.TasksDone(),
 		CoreBusy:   coll.CoreBusy(),
-		HighHist:   coll.PlaceHistogram(true),
+		HighHist:   coll.PlaceHistogram(),
 		Iters:      coll.IterStats(),
 		Sched:      coll.Sched(),
 	}

@@ -4,10 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"unsafe"
 
@@ -51,16 +52,29 @@ type RunMetrics struct {
 }
 
 // SizeBytes estimates the heap a RunMetrics value holds on to — the struct
-// plus its slices' elements, by arithmetic on the lengths, and the capacity
-// of the Iters encoding (Sched telemetry, which cached cells never carry, is
-// not counted). The service sums it into its cell-cache byte gauge, so it
-// must stay allocation-free.
+// plus the capacity of its slices and of the Iters encoding (Sched
+// telemetry, which cached cells never carry, is not counted). The service
+// sums it into its cell-cache byte gauge, so it must stay allocation-free.
 func (rm *RunMetrics) SizeBytes() int64 {
 	n := unsafe.Sizeof(*rm) +
-		uintptr(len(rm.CoreBusy))*unsafe.Sizeof(float64(0)) +
-		uintptr(len(rm.HighHist))*unsafe.Sizeof(metrics.PlaceShare{}) +
+		uintptr(cap(rm.CoreBusy))*unsafe.Sizeof(float64(0)) +
+		uintptr(cap(rm.HighHist))*unsafe.Sizeof(metrics.PlaceShare{}) +
 		uintptr(rm.Iters.SizeBytes())
 	return int64(n)
+}
+
+// UnmarshalJSON decodes the shard wire form, then copies CoreBusy and
+// HighHist into arrays of exactly their length: encoding/json grows them
+// past it, and the cell cache keeps what a peer sent.
+func (rm *RunMetrics) UnmarshalJSON(b []byte) error {
+	type wire RunMetrics // the default decoding, without this method
+	if err := json.Unmarshal(b, (*wire)(rm)); err != nil {
+		return err
+	}
+	// A clone keeps nil and empty apart, so the value re-encodes as it decoded.
+	rm.CoreBusy = slices.Clip(slices.Clone(rm.CoreBusy))
+	rm.HighHist = slices.Clip(slices.Clone(rm.HighHist))
+	return nil
 }
 
 // Cell is one (policy, point) position of the grid with all repetitions.
@@ -338,7 +352,7 @@ func appendBits(b []byte, sep string, v float64) []byte {
 }
 
 // mergeHists merges per-node place histograms into one distribution,
-// sorted like metrics.PlaceHistogram (count descending, then place order).
+// sorted like metrics.PlaceHistogram.
 func mergeHists(hists ...[]metrics.PlaceShare) []metrics.PlaceShare {
 	counts := map[topology.Place]int64{}
 	var total int64
@@ -356,14 +370,6 @@ func mergeHists(hists ...[]metrics.PlaceShare) []metrics.PlaceShare {
 		}
 		out = append(out, ps)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		if out[i].Place.Leader != out[j].Place.Leader {
-			return out[i].Place.Leader < out[j].Place.Leader
-		}
-		return out[i].Place.Width < out[j].Place.Width
-	})
+	slices.SortFunc(out, metrics.ComparePlaceShares)
 	return out
 }

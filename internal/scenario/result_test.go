@@ -554,14 +554,33 @@ func TestRunMetricsWireGolden(t *testing.T) {
 		if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != v.want {
 			t.Errorf("%s: wire bytes hash to %x, want %s:\n%.400s", v.name, sum, v.want, b)
 		}
+		// A peer's cell is cached as decoded: at exactly its length.
+		var back RunMetrics
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatal(err)
+		}
+		if msg := slack(back); msg != "" {
+			t.Errorf("%s: decoded, %s", v.name, msg)
+		}
 	}
 }
 
+// slack describes the slots CoreBusy and HighHist hold past their length, ""
+// when they hold none.
+func slack(rm RunMetrics) string {
+	if cap(rm.CoreBusy) == len(rm.CoreBusy) && cap(rm.HighHist) == len(rm.HighHist) {
+		return ""
+	}
+	return fmt.Sprintf("CoreBusy holds %d slots for %d entries, HighHist %d for %d",
+		cap(rm.CoreBusy), len(rm.CoreBusy), cap(rm.HighHist), len(rm.HighHist))
+}
+
 // TestCachedCellFootprint bounds what one cached cell of the two gated bench
-// workloads holds (SizeBytes, the asymd_cell_cache_bytes summand): the
-// measured maximum + 5 %. Measured 8 472 B (scaleout-32) and 18 928 B
-// (burst-sweep); with the iterations and pairs in two flat arrays they were
-// 22 272 and 45 328.
+// workloads holds (SizeBytes, the asymd_cell_cache_bytes summand, capacity
+// counted): the measured maximum + 5 %. Measured 8 472 B (scaleout-32) and
+// 18 928 B (burst-sweep), every slice at exactly its length; when the place
+// histogram kept a slot per platform place they were 9 368 and 18 960, and
+// with the iterations and pairs in two flat arrays 22 272 and 45 328.
 func TestCachedCellFootprint(t *testing.T) {
 	for name, limit := range map[string]int64{"scaleout-32": 8472 * 105 / 100, "burst-sweep": 18928 * 105 / 100} {
 		f, _ := Lookup(name)
@@ -572,8 +591,12 @@ func TestCachedCellFootprint(t *testing.T) {
 		for pi := range res.Cells {
 			for xi := range res.Cells[pi] {
 				for _, run := range res.Cells[pi][xi].Runs {
+					cell := name + " " + res.Policies[pi] + "/" + res.Points[xi].Label
 					if n := run.SizeBytes(); n > limit {
-						t.Errorf("%s %s/%s: a cached cell holds %d bytes, over %d", name, res.Policies[pi], res.Points[xi].Label, n, limit)
+						t.Errorf("%s: a cached cell holds %d bytes, over %d", cell, n, limit)
+					}
+					if msg := slack(run); msg != "" {
+						t.Errorf("%s: %s", cell, msg)
 					}
 				}
 			}
@@ -582,10 +605,11 @@ func TestCachedCellFootprint(t *testing.T) {
 }
 
 // FuzzRunMetricsJSON holds the coordinator's side of the shard wire to what
-// a cache needs: whatever a peer sends that decodes can be sealed, sized and
-// rendered without a panic, and re-encodes to a fixed point with the same
-// digest. The corpus is a KMeans cell's wire bytes, an old peer's
-// {"place": count} form, null, and a count of 2^31.
+// a cache needs: whatever a peer sends that decodes holds its slices at
+// exactly their length, can be sealed, sized and rendered without a panic,
+// and re-encodes to a fixed point with the same digest. The corpus is a
+// KMeans cell's wire bytes, an old peer's {"place": count} form, null, and a
+// count of 2^31.
 func FuzzRunMetricsJSON(f *testing.F) {
 	res, err := Run(goldenKMeans())
 	if err != nil {
@@ -603,6 +627,9 @@ func FuzzRunMetricsJSON(f *testing.F) {
 		var rm RunMetrics
 		if json.Unmarshal(data, &rm) != nil {
 			return
+		}
+		if msg := slack(rm); msg != "" {
+			t.Fatalf("decoded, %s", msg)
 		}
 		rm.Seal()
 		_ = rm.SizeBytes()

@@ -185,7 +185,8 @@ func TestRemoteBackendFingerprint(t *testing.T) {
 // TestRemoteBackendIterStats sends a KMeans cell over the wire: its
 // metrics carry per-iteration stats with (place, count) pairs, the richest
 // part of RunMetrics, and both the pairs and the fingerprint must survive
-// the JSON round trip bit-exactly.
+// the JSON round trip bit-exactly. The coordinator keeps the peer's slices
+// at exactly their length, as it keeps its own.
 func TestRemoteBackendIterStats(t *testing.T) {
 	worker := NewManager(Config{Workers: 2})
 	srv := httptest.NewServer(worker.Handler(slog.New(slog.NewTextHandler(io.Discard, nil))))
@@ -220,6 +221,10 @@ func TestRemoteBackendIterStats(t *testing.T) {
 	}
 	if fp != direct.Fingerprint() {
 		t.Error("remote kmeans fingerprint differs from direct engine run")
+	}
+	if rm := res.Cells[0][0].Run(); cap(rm.CoreBusy) != len(rm.CoreBusy) || cap(rm.HighHist) != len(rm.HighHist) {
+		t.Errorf("a peer's cell holds CoreBusy in %d slots for %d entries, HighHist %d for %d",
+			cap(rm.CoreBusy), len(rm.CoreBusy), cap(rm.HighHist), len(rm.HighHist))
 	}
 }
 

@@ -26,7 +26,7 @@ func TestSmokeFig5(t *testing.T) {
 			t.Fatal(err)
 		}
 		fmt.Printf("%-7s:", pol.Name())
-		for i, ps := range coll.PlaceHistogram(true) {
+		for i, ps := range coll.PlaceHistogram() {
 			if i > 5 {
 				break
 			}

@@ -10,6 +10,7 @@ import (
 	"dynasym/internal/machine"
 	"dynasym/internal/simrt"
 	"dynasym/internal/topology"
+	"dynasym/internal/trace"
 	"dynasym/internal/workloads"
 )
 
@@ -113,7 +114,7 @@ func TestHighTasksRespectPlacementGuarantee(t *testing.T) {
 		t.Fatal(err)
 	}
 	var onInterfered, total int64
-	for _, ps := range coll.PlaceHistogram(true) {
+	for _, ps := range coll.PlaceHistogram() {
 		total += ps.Count
 		if ps.Place.Leader == 0 {
 			onInterfered += ps.Count
@@ -126,15 +127,24 @@ func TestHighTasksRespectPlacementGuarantee(t *testing.T) {
 
 func TestNonMoldablePoliciesNeverMold(t *testing.T) {
 	for _, pol := range []core.Policy{core.RWS(), core.FA(), core.DA()} {
-		rt := newRT(t, pol, 3, nil)
+		topo := topology.TX2()
+		rec := trace.New()
+		rt, err := simrt.New(simrt.Config{Topo: topo, Model: machine.New(topo), Policy: pol, Seed: 3, Trace: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
 		coll, err := rt.Run(smallDAG())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ps := range coll.PlaceHistogram(false) {
-			if ps.Place.Width != 1 {
-				t.Fatalf("%s used place %v", pol.Name(), ps.Place)
+		events := rec.Events()
+		for _, ev := range events {
+			if ev.Width != 1 {
+				t.Fatalf("%s ran %s on a place of width %d", pol.Name(), ev.Label, ev.Width)
 			}
+		}
+		if int64(len(events)) != coll.TasksDone() {
+			t.Fatalf("%s: %d traced executions for %d tasks", pol.Name(), len(events), coll.TasksDone())
 		}
 	}
 }

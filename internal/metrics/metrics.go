@@ -6,8 +6,8 @@
 // A run's per-iteration statistics are one Iters value: a single byte string
 // of varints and raw float words, read front to back through an IterCursor.
 // A cell the service caches therefore costs the garbage collector nothing to
-// scan and, with the collector's ascending iterations and place IDs, about
-// two bytes per (place, count) pair.
+// scan and, with the collector's ascending iterations and place IDs and its
+// counts of 1, about one byte per (place, count) pair.
 package metrics
 
 import (
@@ -127,17 +127,25 @@ type IterStat struct {
 // holds no pointer. Each iteration is written as
 //
 //	varint   Iter less the previous iteration's (0 before the first)
-//	varint   Tasks
+//	uvarint  npairs<<1 | 1 when Tasks == npairs, npairs<<1 otherwise, where
+//	         npairs is the number of (place, count) pairs that follow
+//	varint   Tasks, only when the low bit above is 0
 //	8 bytes  Start, IEEE-754 bits, little-endian
 //	8 bytes  End, likewise
-//	uvarint  the number of (place, count) pairs that follow
-//	per pair varint ID less the previous pair's in the iteration (0 before
-//	         the first), then varint N
+//
+// and then each pair as
+//
+//	uvarint  zigzag(ΔID)<<1 | 1 when N == 1, zigzag(ΔID)<<1 otherwise, where
+//	         ΔID is ID less the previous pair's in the iteration (0 before
+//	         the first), an int32 difference
+//	varint   N, only when the low bit above is 0
 //
 // where a varint is zigzag-encoded (binary.AppendVarint), so a peer's
-// negative or unsorted values come back exactly while the collector's
-// ascending ones take a byte each. Append builds one and an IterCursor reads
-// it. The zero value is empty and encodes as JSON null.
+// negative or unsorted values come back exactly. The collector's ascending
+// IDs and its counts of 1, nearly every pair it writes, take one byte a pair,
+// and an iteration with one task per pair spends nothing on Tasks. Append
+// builds one and an IterCursor reads it. The zero value is empty and encodes
+// as JSON null.
 type Iters struct {
 	b            []byte
 	iters, pairs int
@@ -147,19 +155,27 @@ type Iters struct {
 // Append adds an iteration with its place counts, in the order given.
 func (it *Iters) Append(st IterStat, pairs []PlaceCount) {
 	b := binary.AppendVarint(it.b, int64(st.Iter-it.last))
-	b = binary.AppendVarint(b, st.Tasks)
+	b = appendFlagged(b, uint64(len(pairs)), st.Tasks == int64(len(pairs)), st.Tasks)
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(st.Start))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(st.End))
-	b = binary.AppendUvarint(b, uint64(len(pairs)))
 	var id int32
 	for _, pc := range pairs {
-		b = binary.AppendVarint(b, int64(pc.ID-id))
-		b = binary.AppendVarint(b, int64(pc.N))
+		d := pc.ID - id // zigzag-encoded below, as binary.AppendVarint would
+		b = appendFlagged(b, uint64(uint32(d<<1^d>>31)), pc.N == 1, int64(pc.N))
 		id = pc.ID
 	}
 	it.b, it.last = b, st.Iter
 	it.iters++
 	it.pairs += len(pairs)
+}
+
+// appendFlagged appends u<<1 | 1 when implied holds; otherwise u<<1 and then
+// v, a varint.
+func appendFlagged(b []byte, u uint64, implied bool, v int64) []byte {
+	if implied {
+		return binary.AppendUvarint(b, u<<1|1)
+	}
+	return binary.AppendVarint(binary.AppendUvarint(b, u<<1), v)
 }
 
 // Counts returns the number of iterations and of place counts over all of
@@ -198,11 +214,15 @@ func (c *IterCursor) Next() bool {
 	u, c.off = uvarint(c.b, c.off)
 	c.st.Iter += int(unzigzag(u))
 	u, c.off = uvarint(c.b, c.off)
-	c.st.Tasks = unzigzag(u)
+	c.rest, c.id = int(u>>1), 0
+	c.st.Tasks = int64(c.rest)
+	if u&1 == 0 {
+		u, c.off = uvarint(c.b, c.off)
+		c.st.Tasks = unzigzag(u)
+	}
 	c.st.Start = math.Float64frombits(binary.LittleEndian.Uint64(c.b[c.off:]))
 	c.st.End = math.Float64frombits(binary.LittleEndian.Uint64(c.b[c.off+8:]))
-	u, c.off = uvarint(c.b, c.off+16)
-	c.rest, c.id = int(u), 0
+	c.off += 16
 	return true
 }
 
@@ -215,22 +235,25 @@ func (c *IterCursor) Pairs() int { return c.rest }
 
 // Places returns the current iteration's next place counts, as many as the
 // cursor's buffer holds, and none once Pairs is 0. The slice is the cursor's
-// own until its next call. A pair takes two bytes or more; one whose delta
-// and count are a byte each, nearly every pair the collector writes, skips
-// the general varint read.
+// own until its next call. A pair whose count is 1 and whose ID delta is in
+// [−32, 31], nearly every pair the collector writes, is one byte.
 func (c *IterCursor) Places() []PlaceCount {
 	n := min(c.rest, len(c.buf))
 	b, off, id := c.b, c.off, c.id
 	for i := range c.buf[:n] {
-		var u, v uint64
-		if off+1 < len(b) && b[off]|b[off+1] < 0x80 {
-			u, v, off = uint64(b[off]), uint64(b[off+1]), off+2
+		u := uint64(b[off])
+		if u < 0x80 {
+			off++
 		} else {
 			u, off = uvarint(b, off)
-			v, off = uvarint(b, off)
 		}
-		id += int32(unzigzag(u))
-		c.buf[i] = PlaceCount{ID: id, N: int32(unzigzag(v))}
+		id += int32(unzigzag(u >> 1))
+		pc := PlaceCount{ID: id, N: 1}
+		if u&1 == 0 {
+			u, off = uvarint(b, off)
+			pc.N = int32(unzigzag(u))
+		}
+		c.buf[i] = pc
 	}
 	c.off, c.id, c.rest = off, id, c.rest-n
 	return c.buf[:n]

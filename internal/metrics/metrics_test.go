@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -221,16 +222,19 @@ func TestIterArraysPointerFree(t *testing.T) {
 	}
 }
 
-// TestItersRoundTrip: the cursor reads back, bit for bit, every field Append
-// wrote — for what a peer could send as well as what the collector builds —
-// and so does a trip through the JSON form.
-func TestItersRoundTrip(t *testing.T) {
-	type iter struct {
-		st    IterStat
-		pairs []PlaceCount
-	}
+// iter is one Append call: an iteration and its place counts.
+type iter struct {
+	st    IterStat
+	pairs []PlaceCount
+}
+
+// roundTripRows are values a peer could send as well as what the collector
+// builds, including a row for each of the encoding's escapes: a count other
+// than 1, a task count other than the pair count, and a pair or ID delta
+// past one byte.
+func roundTripRows() map[string][]iter {
 	negZero := math.Copysign(0, -1)
-	for name, iters := range map[string][]iter{
+	return map[string][]iter{
 		"sparse tags": {
 			{IterStat{Iter: 2, Tasks: 1, Start: 0, End: 1}, []PlaceCount{{0, 1}}},
 			{IterStat{Iter: 1 << 20, Tasks: 2, Start: 1, End: 2}, []PlaceCount{{3, 2}}},
@@ -253,43 +257,186 @@ func TestItersRoundTrip(t *testing.T) {
 			{IterStat{Iter: 4, Tasks: 1}, []PlaceCount{{1, 1}}},
 			{IterStat{Iter: 5}, []PlaceCount{}},
 		},
-	} {
-		var it Iters
-		wantPairs := 0
-		for _, x := range iters {
-			it.Append(x.st, x.pairs)
-			wantPairs += len(x.pairs)
+		"counts of 1 with two-byte ID deltas": {
+			{IterStat{Iter: 0, Tasks: 6, Start: 1, End: 2},
+				[]PlaceCount{{31, 1}, {63, 1}, {30, 1}, {-3, 1}, {-36, 1}, {1000, 1}}},
+		},
+		"counts of 0, -1 and 2 among counts of 1": {
+			{IterStat{Iter: 1, Tasks: 4}, []PlaceCount{{0, 1}, {1, 0}, {2, 1}, {3, -1}, {4, 2}, {5, 1}, {37, 2}}},
+		},
+		"as many tasks as pairs, counts other than 1": {
+			{IterStat{Iter: 0, Tasks: 2}, []PlaceCount{{0, 3}, {1, 5}}},
+			{IterStat{Iter: 1, Tasks: 1}, []PlaceCount{{7, 0}}},
+		},
+		"every count 1, tasks other than pairs": {
+			{IterStat{Iter: 0, Tasks: 5}, []PlaceCount{{0, 1}, {1, 1}}},
+			{IterStat{Iter: 1, Tasks: 0}, []PlaceCount{{0, 1}}},
+			{IterStat{Iter: 2, Tasks: -1}, nil},
+		},
+		"ID deltas that wrap int32": {
+			{IterStat{Iter: 0, Tasks: 4}, []PlaceCount{{math.MaxInt32, 1}, {math.MinInt32, 1}, {-1, 1}, {math.MaxInt32, 1}}},
+		},
+	}
+}
+
+// checkIters appends iters to an Iters and checks that the cursor reads back,
+// bit for bit, every field Append wrote, that Counts matches, and that a trip
+// through the JSON form gives the same value at exactly its length. A value
+// JSON cannot hold (a NaN or infinite Start or End) only skips that trip.
+func checkIters(t *testing.T, name string, iters []iter) {
+	t.Helper()
+	var it Iters
+	wantPairs := 0
+	for _, x := range iters {
+		it.Append(x.st, x.pairs)
+		wantPairs += len(x.pairs)
+	}
+	if n, pairs := it.Counts(); n != len(iters) || pairs != wantPairs {
+		t.Errorf("%s: counts %d/%d, want %d/%d", name, n, pairs, len(iters), wantPairs)
+	}
+	stats, places := unpack(it)
+	if len(stats) != len(iters) {
+		t.Fatalf("%s: the cursor read %d iterations, want %d", name, len(stats), len(iters))
+	}
+	finite := true
+	for i, x := range iters {
+		got, want := stats[i], x.st
+		if got.Iter != want.Iter || got.Tasks != want.Tasks ||
+			math.Float64bits(got.Start) != math.Float64bits(want.Start) ||
+			math.Float64bits(got.End) != math.Float64bits(want.End) {
+			t.Errorf("%s: iteration %d reads %+v, want %+v", name, i, got, want)
 		}
-		if n, pairs := it.Counts(); n != len(iters) || pairs != wantPairs {
-			t.Errorf("%s: counts %d/%d, want %d/%d", name, n, pairs, len(iters), wantPairs)
+		if !slices.Equal(places[i], x.pairs) {
+			t.Errorf("%s: iteration %d pairs %v, want %v", name, i, places[i], x.pairs)
 		}
-		stats, places := unpack(it)
-		if len(stats) != len(iters) {
-			t.Fatalf("%s: the cursor read %d iterations, want %d", name, len(stats), len(iters))
-		}
-		for i, x := range iters {
-			got, want := stats[i], x.st
-			if got.Iter != want.Iter || got.Tasks != want.Tasks ||
-				math.Float64bits(got.Start) != math.Float64bits(want.Start) ||
-				math.Float64bits(got.End) != math.Float64bits(want.End) {
-				t.Errorf("%s: iteration %d reads %+v, want %+v", name, i, got, want)
-			}
-			if !slices.Equal(places[i], x.pairs) {
-				t.Errorf("%s: iteration %d pairs %v, want %v", name, i, places[i], x.pairs)
-			}
-		}
-		b, err := json.Marshal(it)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		var back Iters
-		if err := json.Unmarshal(b, &back); err != nil || !reflect.DeepEqual(back, it) {
-			t.Errorf("%s: decoded %+v (%v), want %+v", name, back, err, it)
-		}
-		if back.SizeBytes() != len(back.b) {
-			t.Errorf("%s: decoding holds %d bytes for a %d-byte encoding", name, back.SizeBytes(), len(back.b))
+		for _, v := range []float64{want.Start, want.End} {
+			finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
 		}
 	}
+	b, err := json.Marshal(it)
+	if err != nil {
+		if finite {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return
+	}
+	var back Iters
+	if err := json.Unmarshal(b, &back); err != nil || !reflect.DeepEqual(back, it) {
+		t.Errorf("%s: decoded %+v (%v), want %+v", name, back, err, it)
+	}
+	if back.SizeBytes() != len(back.b) {
+		t.Errorf("%s: decoding holds %d bytes for a %d-byte encoding", name, back.SizeBytes(), len(back.b))
+	}
+}
+
+// TestItersRoundTrip: the cursor reads back, bit for bit, every field Append
+// wrote — for what a peer could send as well as what the collector builds —
+// and so does a trip through the JSON form.
+func TestItersRoundTrip(t *testing.T) {
+	for name, iters := range roundTripRows() {
+		checkIters(t, name, iters)
+	}
+}
+
+// TestItersPairBytes: an iteration the collector typically writes — one task
+// per pair, each count 1, ascending IDs a few places apart — takes one byte
+// per pair beyond its iteration delta, pair count and two float words; an ID
+// delta past ±32 or a count other than 1 costs one byte more.
+func TestItersPairBytes(t *testing.T) {
+	for _, tc := range []struct {
+		pairs []PlaceCount
+		tasks int64
+		want  int
+	}{
+		{[]PlaceCount{{0, 1}, {3, 1}, {34, 1}, {2, 1}}, 4, 18 + 4},
+		{[]PlaceCount{{0, 1}, {32, 1}}, 2, 18 + 3},
+		{[]PlaceCount{{0, 1}, {-33, 1}}, 2, 18 + 3},
+		{[]PlaceCount{{0, 1}, {1, 2}}, 2, 18 + 3},
+		{[]PlaceCount{{0, 1}, {1, 1}}, 3, 18 + 3},
+	} {
+		var it Iters
+		it.Append(IterStat{Tasks: tc.tasks}, tc.pairs)
+		if len(it.b) != tc.want {
+			t.Errorf("%d tasks on %v encode in %d bytes, want %d", tc.tasks, tc.pairs, len(it.b), tc.want)
+		}
+	}
+}
+
+// fuzzBytes writes iters in the form fuzzIters reads.
+func fuzzBytes(iters []iter) []byte {
+	var b []byte
+	for _, x := range iters {
+		b = binary.AppendVarint(b, int64(x.st.Iter))
+		b = binary.AppendVarint(b, x.st.Tasks)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x.st.Start))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x.st.End))
+		b = binary.AppendUvarint(b, uint64(len(x.pairs)))
+		for _, pc := range x.pairs {
+			b = binary.AppendVarint(binary.AppendVarint(b, int64(pc.ID)), int64(pc.N))
+		}
+	}
+	return b
+}
+
+// fuzzIters reads data as iterations, each a varint Iter and Tasks, 8-byte
+// Start and End, a uvarint pair count (at most 64 are kept) and a varint ID
+// and N per pair, truncated to 32 bits. Small values take a byte, so a
+// mutated input reaches the counts of 1 and the task counts equal to the
+// pair count that the encoding folds away. It stops at the first field the
+// data runs out in.
+func fuzzIters(data []byte) []iter {
+	var out []iter
+	varint := func() (int64, bool) {
+		v, n := binary.Varint(data)
+		if n <= 0 {
+			return 0, false
+		}
+		data = data[n:]
+		return v, true
+	}
+	word := func() (float64, bool) {
+		if len(data) < 8 {
+			return 0, false
+		}
+		v := math.Float64frombits(binary.LittleEndian.Uint64(data))
+		data = data[8:]
+		return v, true
+	}
+	for {
+		var x iter
+		iv, ok1 := varint()
+		tasks, ok2 := varint()
+		start, ok3 := word()
+		end, ok4 := word()
+		n, m := binary.Uvarint(data)
+		if !ok1 || !ok2 || !ok3 || !ok4 || m <= 0 {
+			return out
+		}
+		data = data[m:]
+		x.st = IterStat{Iter: int(iv), Tasks: tasks, Start: start, End: end}
+		for range min(n, 64) {
+			id, ok1 := varint()
+			cnt, ok2 := varint()
+			if !ok1 || !ok2 {
+				return out
+			}
+			x.pairs = append(x.pairs, PlaceCount{ID: int32(id), N: int32(cnt)})
+		}
+		out = append(out, x)
+	}
+}
+
+// FuzzIters: whatever iterations and place counts a peer sends, the cursor
+// reads every field back bit for bit, Counts matches, and the JSON form
+// round-trips to the same value at exactly its length (checkIters). The
+// corpus is TestItersRoundTrip's rows.
+func FuzzIters(f *testing.F) {
+	for _, iters := range roundTripRows() {
+		f.Add(fuzzBytes(iters))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkIters(t, "fuzz", fuzzIters(data))
+	})
 }
 
 // TestItersJSON: the wire form is the array of objects an iteration with its

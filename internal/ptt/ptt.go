@@ -44,8 +44,6 @@ type Table struct {
 	oneMinusAlpha float64
 	// entries[placeID] holds the weighted average, in seconds.
 	entries []float64
-	// counts[placeID] counts updates, for diagnostics and reports.
-	counts []uint64
 	// gen counts successful updates, starting at 1, and stamps the cached
 	// best places below: a cache whose stamp equals gen reflects the current
 	// entries; any update (or Reset) invalidates every cache by bumping gen.
@@ -93,9 +91,6 @@ func clampAlpha(alpha float64) float64 {
 	return alpha
 }
 
-// Platform returns the platform the table is indexed by.
-func (t *Table) Platform() *topology.Platform { return t.topo }
-
 // Value returns the current estimate for the place, in seconds. Zero means
 // the place has never been measured.
 func (t *Table) Value(pl topology.Place) float64 {
@@ -109,15 +104,6 @@ func (t *Table) Value(pl topology.Place) float64 {
 // ValueByID returns the estimate for a dense place id.
 func (t *Table) ValueByID(id int) float64 {
 	return t.entries[id]
-}
-
-// Count returns how many observations the place has received.
-func (t *Table) Count(pl topology.Place) uint64 {
-	id := t.topo.PlaceID(pl)
-	if id < 0 {
-		return 0
-	}
-	return t.counts[id]
 }
 
 // Update folds a new observation (seconds) into the entry for the place
@@ -140,14 +126,12 @@ func (t *Table) UpdateByID(id int, observed float64) {
 		observed = t.oneMinusAlpha*old + t.alpha*observed
 	}
 	t.entries[id] = observed
-	t.counts[id]++
 	t.gen++
 }
 
 // Reset clears every entry back to the unmeasured state.
 func (t *Table) Reset() {
 	clear(t.entries)
-	clear(t.counts)
 	// Bumping (never rewinding) the generation invalidates the cached best
 	// places: a stamp from before the Reset can never match again.
 	t.gen++
@@ -162,7 +146,6 @@ func (t *Table) adopt(topo *topology.Platform, alpha float64) {
 	t.oneMinusAlpha = 1 - t.alpha
 	if n := len(topo.Places()); n != len(t.entries) {
 		t.entries = make([]float64, n)
-		t.counts = make([]uint64, n)
 	}
 	if n := topo.NumCores(); n != len(t.bestLocalCost) {
 		t.bestLocalCost = make([]bestPlace, n)
@@ -235,18 +218,6 @@ func (t *Table) BestLocalCost(core int) int {
 	return best
 }
 
-// Snapshot returns a copy of the table's current estimates keyed by place.
-func (t *Table) Snapshot() map[topology.Place]float64 {
-	out := make(map[topology.Place]float64, len(t.entries))
-	for id, pl := range t.topo.Places() {
-		v := t.ValueByID(id)
-		if v != 0 {
-			out[pl] = v
-		}
-	}
-	return out
-}
-
 // Registry holds one Table per task type, created lazily. The zero value is
 // unusable until Reset binds it to a platform.
 type Registry struct {
@@ -277,10 +248,6 @@ func (r *Registry) create(id TypeID) *Table {
 	r.tables[id] = NewTable(r.topo, r.alpha)
 	return r.tables[id]
 }
-
-// Tables returns the currently existing tables indexed by TypeID; entries
-// may be nil for unused ids.
-func (r *Registry) Tables() []*Table { return r.tables }
 
 // Reset binds the registry to a platform and alpha (<= 0 selects
 // DefaultAlpha): every table unmeasured, future tables built for them, the

@@ -12,9 +12,21 @@ func tx2Table(alpha float64) *Table {
 	return NewTable(topology.TX2(), alpha)
 }
 
+// measured returns the table's non-zero estimates keyed by place, read the
+// way the schedulers read them: by dense place id.
+func measured(tbl *Table) map[topology.Place]float64 {
+	out := make(map[topology.Place]float64)
+	for id, pl := range tbl.topo.Places() {
+		if v := tbl.ValueByID(id); v != 0 {
+			out[pl] = v
+		}
+	}
+	return out
+}
+
 func TestZeroInitialized(t *testing.T) {
 	tbl := tx2Table(0)
-	for _, pl := range tbl.Platform().Places() {
+	for _, pl := range tbl.topo.Places() {
 		if v := tbl.Value(pl); v != 0 {
 			t.Fatalf("fresh entry %v = %g, want 0", pl, v)
 		}
@@ -28,8 +40,8 @@ func TestFirstUpdateStoresRawValue(t *testing.T) {
 	if v := tbl.Value(pl); v != 0.004 {
 		t.Fatalf("first update stored %g, want 0.004", v)
 	}
-	if n := tbl.Count(pl); n != 1 {
-		t.Fatalf("count = %d, want 1", n)
+	if m := measured(tbl); len(m) != 1 {
+		t.Fatalf("one update measured %v, want only %v", m, pl)
 	}
 }
 
@@ -87,8 +99,8 @@ func TestInvalidObservationsIgnored(t *testing.T) {
 		t.Fatalf("invalid observations changed entry to %g", v)
 	}
 	tbl.Update(topology.Place{Leader: 1, Width: 4}, 1) // invalid place
-	if len(tbl.Snapshot()) != 0 {
-		t.Fatal("update to invalid place recorded")
+	if m := measured(tbl); len(m) != 0 {
+		t.Fatalf("update to invalid place recorded: %v", m)
 	}
 }
 
@@ -104,8 +116,12 @@ func TestReset(t *testing.T) {
 	pl := topology.Place{Leader: 0, Width: 1}
 	tbl.Update(pl, 1)
 	tbl.Reset()
-	if tbl.Value(pl) != 0 || tbl.Count(pl) != 0 {
+	if tbl.Value(pl) != 0 {
 		t.Fatal("Reset did not clear entries")
+	}
+	// The place is unmeasured again: its next observation is stored raw.
+	if tbl.Update(pl, 3); tbl.Value(pl) != 3 {
+		t.Fatalf("first update after Reset stored %g, want 3", tbl.Value(pl))
 	}
 }
 
@@ -129,15 +145,15 @@ func TestUpdateBoundedProperty(t *testing.T) {
 	}
 }
 
-func TestSnapshot(t *testing.T) {
+// An update moves only its own place's estimate.
+func TestUpdateTouchesOnlyItsPlace(t *testing.T) {
 	tbl := tx2Table(0)
 	a := topology.Place{Leader: 0, Width: 1}
 	b := topology.Place{Leader: 2, Width: 4}
 	tbl.Update(a, 1)
 	tbl.Update(b, 2)
-	snap := tbl.Snapshot()
-	if len(snap) != 2 || snap[a] != 1 || snap[b] != 2 {
-		t.Fatalf("snapshot = %v", snap)
+	if m := measured(tbl); len(m) != 2 || m[a] != 1 || m[b] != 2 {
+		t.Fatalf("measured = %v", m)
 	}
 }
 
@@ -153,7 +169,7 @@ func TestRegistry(t *testing.T) {
 	if t3 == t1 {
 		t.Fatal("different types share a table")
 	}
-	if got := len(reg.Tables()); got != 6 {
+	if got := len(reg.tables); got != 6 {
 		t.Fatalf("registry has %d slots, want 6", got)
 	}
 	t1.Update(topology.Place{Leader: 0, Width: 1}, 1)

@@ -9,7 +9,7 @@
 # lowers it to the new count, a PR that needs more room raises it on purpose,
 # in the diff, where a reviewer sees it.
 set -eu
-ceiling=15851
+ceiling=15841
 options_ceiling=35
 cd "$(dirname "$0")/.."
 n=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)

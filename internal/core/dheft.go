@@ -1,11 +1,6 @@
 package core
 
-import (
-	"strconv"
-	"strings"
-
-	"dynasym/internal/topology"
-)
+import "dynasym/internal/topology"
 
 // dheft implements a dynamic Heterogeneous-Earliest-Finish-Time baseline in
 // the spirit of Chronaki et al.'s dHEFT (used by the paper's related work
@@ -27,7 +22,6 @@ type dheft struct{}
 func (dheft) Name() string             { return "dHEFT" }
 func (dheft) UsesPTT() bool            { return true }
 func (dheft) AllowPrioritySteal() bool { return false }
-func (dheft) Moldable() bool           { return false }
 
 // WakePlace routes every task to its earliest-finishing core.
 func (d dheft) WakePlace(ctx *Context) (int, bool) {
@@ -61,22 +55,3 @@ func (dheft) DispatchPlace(ctx *Context) topology.Place {
 
 // DHEFT returns the dHEFT baseline policy.
 func DHEFT() Policy { return dheft{} }
-
-func extraByName(name string) (Policy, bool) {
-	if name == "dHEFT" {
-		return DHEFT(), true
-	}
-	// "<base>~<K>" selects the sampled O(K) search wrapper, e.g. "DAM-C~8".
-	if i := strings.LastIndex(name, "~"); i > 0 {
-		k, err := strconv.Atoi(name[i+1:])
-		if err != nil || k < 1 {
-			return nil, false
-		}
-		base, err := ByName(name[:i])
-		if err != nil {
-			return nil, false
-		}
-		return NewSampled(base, k), true
-	}
-	return nil, false
-}

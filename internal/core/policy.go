@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"dynasym/internal/ptt"
 	"dynasym/internal/topology"
@@ -79,8 +80,6 @@ type Policy interface {
 	// every policy that makes placement decisions; only the random
 	// work-stealing family steals them.
 	AllowPrioritySteal() bool
-	// Moldable reports whether the policy ever chooses widths > 1.
-	Moldable() bool
 	// WakePlace returns the core whose WSQ should receive a newly ready
 	// task. ok=false means "no preference: push to the waking worker".
 	WakePlace(ctx *Context) (leader int, ok bool)
@@ -122,10 +121,6 @@ type policy struct {
 func (p *policy) Name() string             { return p.name }
 func (p *policy) UsesPTT() bool            { return p.usesPTT }
 func (p *policy) AllowPrioritySteal() bool { return p.stealHigh }
-func (p *policy) Moldable() bool {
-	return p.lowSearch || p.highMold || (p.high == highGlobal && !p.highWOne)
-}
-func (p *policy) Features() Features { return p.features }
 
 // WakePlace implements the wake-time WSQ choice. Low-priority tasks always
 // go to the waking worker's own queue ("keeping the mapping of the task to
@@ -268,15 +263,19 @@ func All() []Policy {
 	return []Policy{RWS(), RWSMC(), FA(), FAMC(), DA(), DAMC(), DAMP()}
 }
 
-// ByName returns the policy with the given (case-sensitive) paper name.
+// ByName returns the policy with the given (case-sensitive) paper name,
+// "dHEFT", or "<base>~<K>": the sampled search over base (see Sampled).
 func ByName(name string) (Policy, error) {
 	for _, p := range All() {
 		if p.Name() == name {
 			return p, nil
 		}
 	}
-	if p, ok := extraByName(name); ok {
-		return p, nil
+	if name == "dHEFT" {
+		return DHEFT(), nil
+	}
+	if i := strings.LastIndex(name, "~"); i > 0 {
+		return sampledByName(name, name[:i], name[i+1:])
 	}
 	return nil, fmt.Errorf("core: unknown policy %q", name)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"dynasym/internal/ptt"
@@ -55,7 +56,7 @@ func TestRWSDispatchIsSelfWidth1(t *testing.T) {
 	if _, ok := p.WakePlace(ctxFor(topo, nil, 2, true)); ok {
 		t.Fatal("RWS should have no wake preference")
 	}
-	if !p.AllowPrioritySteal() || p.UsesPTT() || p.Moldable() {
+	if !p.AllowPrioritySteal() || p.UsesPTT() {
 		t.Fatal("RWS feature flags wrong")
 	}
 }
@@ -149,9 +150,6 @@ func TestDAGlobalMinTimeWidthOne(t *testing.T) {
 	if pl != (topology.Place{Leader: 4, Width: 1}) {
 		t.Fatalf("DA low dispatch = %v", pl)
 	}
-	if p.Moldable() {
-		t.Fatal("DA must not be moldable")
-	}
 }
 
 func TestDAMCMinCostVsDAMPMinTime(t *testing.T) {
@@ -211,7 +209,7 @@ func TestPriorityStealFlags(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"RWS", "RWSM-C", "FA", "FAM-C", "DA", "DAM-C", "DAM-P", "dHEFT"} {
+	for _, name := range []string{"RWS", "RWSM-C", "FA", "FAM-C", "DA", "DAM-C", "DAM-P", "dHEFT", "DAM-C~8", "DAM-P~1024"} {
 		p, err := ByName(name)
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)
@@ -220,8 +218,26 @@ func TestByName(t *testing.T) {
 			t.Fatalf("ByName(%q).Name() = %q", name, p.Name())
 		}
 	}
-	if _, err := ByName("nope"); err == nil {
-		t.Fatal("unknown name accepted")
+	if p, err := ByName("DAM-C~08"); err != nil || p.Name() != "DAM-C~8" {
+		t.Fatalf(`ByName("DAM-C~08") = %v, %v; want DAM-C~8`, p, err)
+	}
+	for name, want := range map[string]string{
+		"nope":                       `unknown policy "nope"`,
+		"DAM-C~0":                    `unknown policy "DAM-C~0"`,
+		"DAM-C~-1":                   `unknown policy "DAM-C~-1"`,
+		"DAM-C~":                     `unknown policy "DAM-C~"`,
+		"DAM-C~x":                    `unknown policy "DAM-C~x"`,
+		"~8":                         `unknown policy "~8"`,
+		"nope~8":                     `unknown policy "nope~8"`,
+		"DAM-P~8~4":                  "the base of a sampled policy cannot itself be sampled",
+		"DAM-C~~4":                   "the base of a sampled policy cannot itself be sampled",
+		"DAM-C~1025":                 "K of 1025 exceeds MaxSampledK (1024)",
+		"DAM-C~2000000000":           "K of 2000000000 exceeds MaxSampledK (1024)",
+		"DAM-C~99999999999999999999": "K of 99999999999999999999 exceeds MaxSampledK (1024)",
+	} {
+		if _, err := ByName(name); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ByName(%q) = %v, want an error containing %q", name, err, want)
+		}
 	}
 }
 
@@ -266,7 +282,7 @@ func TestFeaturesTable(t *testing.T) {
 }
 
 func BenchmarkGlobalSearch(b *testing.B) {
-	topo := topology.HaswellClusterN(1)
+	topo := topology.HaswellNode(0)
 	tbl := ptt.NewTable(topo, 0)
 	for _, pl := range topo.Places() {
 		tbl.Update(pl, 1.0)

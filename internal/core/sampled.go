@@ -1,6 +1,12 @@
 package core
 
-import "dynasym/internal/topology"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+
+	"dynasym/internal/topology"
+)
 
 // Sampled wraps a dynamic-asymmetry policy and replaces its exhaustive
 // global PTT search with a sampled one: each decision scans the task's
@@ -8,8 +14,8 @@ import "dynasym/internal/topology"
 // best-known place so far. The paper measures ~1 µs for a full-table scan
 // on the 6-core TX2 and explicitly leaves "the design and evaluation of
 // scalable performance prediction models" as future work; this is that
-// extension — O(K) decisions on many-core platforms at a small placement
-// quality cost (quantified by BenchmarkSampledSearch).
+// extension — O(K) decisions on many-core platforms. What it costs in
+// placement quality against the exhaustive search is unmeasured.
 type Sampled struct {
 	Policy
 	// K is the number of random candidate places per decision (≥1).
@@ -37,11 +43,9 @@ func (s Sampled) WakePlace(ctx *Context) (int, bool) {
 }
 
 // DispatchPlace performs the sampled global search for high-priority tasks
-// and defers to the wrapped policy otherwise. The objective matches the
-// wrapped policy's: min cost for DAM-C-like policies, min time for
-// DAM-P-like ones, inferred from the wrapped policy's own decision on a
-// two-place comparison is not possible generically, so Sampled keeps the
-// paper's cost objective unless the wrapped policy is DAM-P.
+// and defers to the wrapped policy otherwise. With DAM-P as the base the
+// search minimizes predicted time; with any other base it minimizes cost
+// (predicted time × width), the paper's DAM-C objective.
 func (s Sampled) DispatchPlace(ctx *Context) topology.Place {
 	if !ctx.High || ctx.Table == nil {
 		return s.Policy.DispatchPlace(ctx)
@@ -75,6 +79,34 @@ func (s Sampled) DispatchPlace(ctx *Context) topology.Place {
 		}
 	}
 	return places[bestID]
+}
+
+// MaxSampledK bounds K in a "<base>~<K>" policy name. A decision probes
+// about K places, and a name is outside input, so K is capped like a cell's
+// size: 1024 is 32 times the largest K the experiments use, and a platform
+// of 1024 cores (the most a spec may name) has at least 1024 places, so a
+// capped sampled search costs about what the exhaustive one costs there.
+const MaxSampledK = 1 << 10
+
+// sampledByName resolves name, split at its last '~' into base and K. The
+// base must not itself be sampled: the search objective is read off the
+// base's name (see DispatchPlace).
+func sampledByName(name, base, kText string) (Policy, error) {
+	if strings.Contains(base, "~") {
+		return nil, fmt.Errorf("core: policy %q: the base of a sampled policy cannot itself be sampled", name)
+	}
+	k, err := strconv.Atoi(kText) // a K past the int range reads as math.MaxInt
+	if k > MaxSampledK {
+		return nil, fmt.Errorf("core: policy %q: K of %s exceeds MaxSampledK (%d)", name, kText, MaxSampledK)
+	}
+	if err != nil || k < 1 {
+		return nil, fmt.Errorf("core: unknown policy %q", name)
+	}
+	p, err := ByName(base)
+	if err != nil {
+		return nil, fmt.Errorf("core: unknown policy %q", name)
+	}
+	return NewSampled(p, k), nil
 }
 
 func itoa(n int) string {

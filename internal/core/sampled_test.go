@@ -19,7 +19,7 @@ func TestSampledDelegatesLowPriority(t *testing.T) {
 }
 
 func TestSampledFindsGoodPlaceOnLargePlatform(t *testing.T) {
-	topo := topology.HaswellClusterN(1) // 20 cores, 36 places
+	topo := topology.HaswellNode(0) // 20 cores, 36 places
 	tbl := ptt.NewTable(topo, 1)
 	for _, pl := range topo.Places() {
 		tbl.Update(pl, 10.0) // everything slow...
@@ -64,7 +64,7 @@ func TestSampledName(t *testing.T) {
 }
 
 func BenchmarkFullGlobalSearch80Cores(b *testing.B) {
-	topo := topology.HaswellClusterN(4)
+	topo := topology.ScaleOut(10, 8)
 	tbl := ptt.NewTable(topo, 0)
 	for _, pl := range topo.Places() {
 		tbl.Update(pl, 1.0)
@@ -78,7 +78,7 @@ func BenchmarkFullGlobalSearch80Cores(b *testing.B) {
 }
 
 func BenchmarkSampledSearch80Cores(b *testing.B) {
-	topo := topology.HaswellClusterN(4)
+	topo := topology.ScaleOut(10, 8)
 	tbl := ptt.NewTable(topo, 0)
 	for _, pl := range topo.Places() {
 		tbl.Update(pl, 1.0)

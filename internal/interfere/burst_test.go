@@ -1,7 +1,6 @@
 package interfere
 
 import (
-	"math"
 	"testing"
 
 	"dynasym/internal/topology"
@@ -12,21 +11,21 @@ func TestBurstCPUPhaseShifts(t *testing.T) {
 	cores := []int{2, 3, 4, 5}
 	BurstCPU(m, cores, 0.4, 1, 2, 0, 1)
 	// Core 2 (phase 0): burst active at t=0.5, idle at t=1.5.
-	if v := m.CoreAvail(2).At(0.5); v != 0.4 {
+	if v := availAt(m, 2, 0.5); !near(v, 0.4) {
 		t.Fatalf("core 2 at 0.5: %g, want 0.4", v)
 	}
-	if v := m.CoreAvail(2).At(1.5); v != 1.0 {
+	if v := availAt(m, 2, 1.5); !near(v, 1) {
 		t.Fatalf("core 2 at 1.5: %g, want 1.0", v)
 	}
 	// Core 3 is shifted one second left: its wave at t equals core 2's at
 	// t+1 (away from boundaries).
 	for _, tm := range []float64{0.2, 0.7, 1.4, 2.6, 5.1} {
-		if a, b := m.CoreAvail(3).At(tm), m.CoreAvail(2).At(tm+1); a != b {
+		if a, b := availAt(m, 3, tm), availAt(m, 2, tm+1); !near(a, b) {
 			t.Fatalf("phase shift broken at t=%g: core3=%g core2(t+1)=%g", tm, a, b)
 		}
 	}
 	// Untouched cores keep full availability.
-	if v := m.CoreAvail(0).At(0.5); v != 1.0 {
+	if v := availAt(m, 0, 0.5); !near(v, 1) {
 		t.Fatal("untouched core lost availability")
 	}
 	// The staggered bursts never all fire at once with this geometry:
@@ -34,7 +33,7 @@ func TestBurstCPUPhaseShifts(t *testing.T) {
 	for tm := 0.05; tm < 6; tm += 0.1 {
 		all := true
 		for _, c := range cores {
-			if m.CoreAvail(c).At(tm) == 1.0 {
+			if near(availAt(m, c, tm), 1) {
 				all = false
 				break
 			}
@@ -49,16 +48,15 @@ func TestThrottleRamp(t *testing.T) {
 	m := newModel()
 	base := m.Platform().Cluster(0).BaseHz
 	ThrottleRamp(m, 0, 2, 6, 0.25, 4)
-	p := m.ClusterFreq(0)
 	// Before the ramp: base frequency.
-	if v := p.At(1); v != base {
+	if v := clockAt(m, 0, 1); !near(v, base) {
 		t.Fatalf("pre-ramp freq %g, want %g", v, base)
 	}
 	// The clock only decreases, in steps, down to the floor.
-	prev := p.At(0)
+	prev := clockAt(m, 0, 0)
 	for tm := 0.25; tm < 10; tm += 0.25 {
-		v := p.At(tm)
-		if v > prev {
+		v := clockAt(m, 0, tm)
+		if v > prev*(1+1e-9) {
 			t.Fatalf("clock recovered at t=%g: %g after %g", tm, v, prev)
 		}
 		prev = v
@@ -66,12 +64,12 @@ func TestThrottleRamp(t *testing.T) {
 	// After the ramp: the floor, forever.
 	floor := 0.25 * base
 	for _, tm := range []float64{6, 7, 1e6} {
-		if v := p.At(tm); math.Abs(v-floor) > 1e-6*base {
+		if v := clockAt(m, 0, tm); !near(v, floor) {
 			t.Fatalf("post-ramp freq at %g: %g, want %g", tm, v, floor)
 		}
 	}
 	// The first step starts exactly at from=2.
-	if v := p.At(2.01); v >= base {
+	if v := clockAt(m, 0, 2.01); v >= base {
 		t.Fatalf("ramp did not start at from: %g", v)
 	}
 }

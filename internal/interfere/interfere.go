@@ -13,8 +13,6 @@
 package interfere
 
 import (
-	"math"
-
 	"dynasym/internal/machine"
 	"dynasym/internal/profile"
 )
@@ -63,12 +61,6 @@ const (
 	PaperLoDur = 5.0
 )
 
-// PaperDVFS applies the exact DVFS parameters from the paper's Section 5.2
-// to the given cluster.
-func PaperDVFS(m *machine.Model, cluster int) {
-	DVFS(m, cluster, PaperHiHz, PaperLoHz, PaperHiDur, PaperLoDur)
-}
-
 // BurstCPU models intermittent bursty co-runners on the victim cores: on
 // each core the interferer is active for busyDur seconds (leaving `share`
 // of the core to the runtime) and sleeps for idleDur seconds, repeating
@@ -110,20 +102,4 @@ func ThrottleRamp(m *machine.Model, cluster int, from, to, floor float64, steps 
 // must route around it or wait it out.
 func Stall(m *machine.Model, core int, from, to float64) {
 	m.SetCoreAvail(core, profile.Episode(1.0, 0.0, from, to))
-}
-
-// Flaky installs a repeating availability square wave on a core: available
-// for upDur seconds, then only `share` available for downDur seconds.
-func Flaky(m *machine.Model, core int, share, upDur, downDur float64) {
-	m.SetCoreAvail(core, profile.SquareWave(1.0, share, upDur, downDur))
-}
-
-// SlowestAvail returns the minimum availability the model ever assigns to
-// the core (diagnostics for tests).
-func SlowestAvail(m *machine.Model, core int) float64 {
-	p := m.CoreAvail(core)
-	if p == nil {
-		return math.NaN()
-	}
-	return p.Min()
 }

@@ -252,15 +252,6 @@ func (m *Model) SetClusterBandwidth(ci int, p *profile.Profile) {
 	m.rebuildCluster(ci)
 }
 
-// ClusterFreq returns the clock profile of cluster ci.
-func (m *Model) ClusterFreq(ci int) *profile.Profile { return m.freq[ci] }
-
-// CoreAvail returns the availability profile of a core.
-func (m *Model) CoreAvail(core int) *profile.Profile { return m.avail[core] }
-
-// ClusterBandwidth returns the bandwidth profile of cluster ci.
-func (m *Model) ClusterBandwidth(ci int) *profile.Profile { return m.membw[ci] }
-
 // missFactor returns the DRAM-traffic multiplier for a per-core working-set
 // share on the given cluster.
 func missFactor(wsShare float64, cl topology.Cluster, width int) float64 {

@@ -324,14 +324,6 @@ func (it *Iters) UnmarshalJSON(b []byte) error {
 // non-nil slice, which encodes as [] rather than null.
 func exact(b []byte) []byte { return append(make([]byte, 0, len(b)), b...) }
 
-// NewCollector returns an empty collector for the platform: a Reset of the
-// zero Collector.
-func NewCollector(topo *topology.Platform) *Collector {
-	c := &Collector{}
-	c.Reset(topo)
-	return c
-}
-
 // Reset empties the collector for a run on topo while reusing its storage,
 // including the per-iteration accumulators, which move to a freelist for the
 // next run. The platform may differ from the previous one; pooled runtimes

@@ -32,8 +32,16 @@ func unpack(it Iters) (stats []IterStat, places [][]PlaceCount) {
 	return stats, places
 }
 
+// newCollector is an empty collector for topo: a Reset of the zero
+// Collector, as a runtime's embedded one starts.
+func newCollector(topo *topology.Platform) *Collector {
+	c := &Collector{}
+	c.Reset(topo)
+	return c
+}
+
 func TestThroughputAndMakespan(t *testing.T) {
-	c := NewCollector(topology.TX2())
+	c := newCollector(topology.TX2())
 	for i := 0; i < 10; i++ {
 		taskDone(c, topology.Place{Leader: 0, Width: 1}, false, -1, float64(i), float64(i)+0.5)
 	}
@@ -50,7 +58,7 @@ func TestThroughputAndMakespan(t *testing.T) {
 }
 
 func TestCoreBusyAccumulatesPerMember(t *testing.T) {
-	c := NewCollector(topology.TX2())
+	c := newCollector(topology.TX2())
 	taskDone(c, topology.Place{Leader: 2, Width: 4}, false, -1, 0, 2)
 	busy := c.CoreBusy()
 	for core := 2; core <= 5; core++ {
@@ -66,7 +74,7 @@ func TestCoreBusyAccumulatesPerMember(t *testing.T) {
 // TestPlaceHistogram: the histogram counts high-priority tasks only, orders
 // them by count then place, and holds exactly its entries.
 func TestPlaceHistogram(t *testing.T) {
-	c := NewCollector(topology.TX2())
+	c := newCollector(topology.TX2())
 	hi := topology.Place{Leader: 1, Width: 1}
 	wide := topology.Place{Leader: 2, Width: 2}
 	lo := topology.Place{Leader: 0, Width: 1}
@@ -84,7 +92,7 @@ func TestPlaceHistogram(t *testing.T) {
 	if cap(high) != len(high) {
 		t.Fatalf("the histogram holds %d slots for %d entries", cap(high), len(high))
 	}
-	if empty := NewCollector(topology.TX2()).PlaceHistogram(); len(empty) != 0 {
+	if empty := newCollector(topology.TX2()).PlaceHistogram(); len(empty) != 0 {
 		t.Fatalf("a run without high-priority tasks has histogram %+v", empty)
 	}
 }
@@ -92,7 +100,7 @@ func TestPlaceHistogram(t *testing.T) {
 // TestPlaceHistogramAllocs: a readout on a 32-core platform is its one
 // exact-size result (it was four: the result plus sort.Slice's three).
 func TestPlaceHistogramAllocs(t *testing.T) {
-	c := NewCollector(topology.ScaleOut(4, 8))
+	c := newCollector(topology.ScaleOut(4, 8))
 	places := c.topo.Places()
 	for id := 0; id < len(places); id += 2 {
 		for range id%5 + 1 {
@@ -121,7 +129,7 @@ func count(pairs []PlaceCount, pl topology.Place, topo *topology.Platform) int32
 }
 
 func TestIterStats(t *testing.T) {
-	c := NewCollector(topology.TX2())
+	c := newCollector(topology.TX2())
 	taskDone(c, topology.Place{Leader: 0, Width: 1}, false, 1, 2.0, 2.5)
 	taskDone(c, topology.Place{Leader: 1, Width: 1}, false, 1, 1.5, 2.2)
 	taskDone(c, topology.Place{Leader: 0, Width: 1}, false, 0, 0.0, 1.0)
@@ -141,7 +149,7 @@ func TestIterStats(t *testing.T) {
 // were first used in, all in one encoding of exactly its length whose counts
 // match what the cursor reads.
 func TestIterStatsPlacesSortedSharedBacking(t *testing.T) {
-	c := NewCollector(topology.TX2())
+	c := newCollector(topology.TX2())
 	topo := c.topo
 	wide, lead2, lead0 := topology.Place{Leader: 2, Width: 4}, topology.Place{Leader: 2, Width: 1}, topology.Place{Leader: 0, Width: 1}
 	for _, pl := range []topology.Place{wide, lead0, lead2, wide} { // iteration 0: highest id first
@@ -171,7 +179,7 @@ func TestIterStatsPlacesSortedSharedBacking(t *testing.T) {
 // collector's scratch — however many iterations the run had (it was a map
 // per iteration, 35 % of a cold synthetic cell's allocations).
 func TestIterStatsAllocs(t *testing.T) {
-	c := NewCollector(topology.TX2())
+	c := newCollector(topology.TX2())
 	for iter := 0; iter < 40; iter++ {
 		for core := 0; core < 6; core++ {
 			taskDone(c, topology.Place{Leader: core, Width: 1}, false, iter, float64(iter), float64(iter)+1)
@@ -466,7 +474,7 @@ func TestItersJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte("null"), &back); err != nil || !reflect.DeepEqual(back, Iters{}) {
 		t.Fatalf("null decodes to %+v (%v), want the zero value", back, err)
 	}
-	empty := NewCollector(topology.TX2()).IterStats()
+	empty := newCollector(topology.TX2()).IterStats()
 	for what, v := range map[string]Iters{"an empty readout": empty, "a decoded []": {}} {
 		if what == "a decoded []" {
 			if err := json.Unmarshal([]byte("[]"), &v); err != nil {
@@ -489,7 +497,7 @@ func TestItersJSON(t *testing.T) {
 }
 
 func TestNegativeIterIgnored(t *testing.T) {
-	c := NewCollector(topology.TX2())
+	c := newCollector(topology.TX2())
 	taskDone(c, topology.Place{Leader: 0, Width: 1}, false, -1, 0, 1)
 	if n, _ := c.IterStats().Counts(); n != 0 {
 		t.Fatal("iter -1 recorded")
@@ -497,14 +505,14 @@ func TestNegativeIterIgnored(t *testing.T) {
 }
 
 func TestZeroMakespanThroughput(t *testing.T) {
-	c := NewCollector(topology.TX2())
+	c := newCollector(topology.TX2())
 	if c.Throughput() != 0 {
 		t.Fatal("throughput without makespan should be 0")
 	}
 }
 
 func TestSparseIterFallsBackToMap(t *testing.T) {
-	c := NewCollector(topology.TX2())
+	c := newCollector(topology.TX2())
 	sparse := maxDenseIter + 1_000_000_000 // far beyond the dense range
 	taskDone(c, topology.Place{Leader: 0, Width: 1}, false, 2, 0.0, 1.0)
 	taskDone(c, topology.Place{Leader: 0, Width: 1}, false, sparse, 1.0, 2.0)

@@ -37,11 +37,15 @@ func TestPhasedSquareWaveMatchesShiftedWave(t *testing.T) {
 // disappear entirely.
 func TestPhasedSquareWaveKeepsBothLevels(t *testing.T) {
 	p := PhasedSquareWave(0.4, 1.0, 0.1, 0.2, 0.05)
-	if p.Min() != 0.4 || p.Max() != 1.0 {
-		t.Fatalf("wave lost a level: min=%g max=%g, want 0.4 and 1.0", p.Min(), p.Max())
+	lo := math.Inf(1)
+	for at := 0.0; at < 0.3; at += 0.01 {
+		lo = min(lo, p.At(at))
+	}
+	if lo != 0.4 || p.Max() != 1.0 {
+		t.Fatalf("wave lost a level: min=%g max=%g, want 0.4 and 1.0", lo, p.Max())
 	}
 	// Average availability over many periods ≈ (0.4*0.1 + 1.0*0.2) / 0.3.
-	avg := p.Integrate(0, 30) / 30
+	avg := integrate(p, 0, 30) / 30
 	want := (0.4*0.1 + 1.0*0.2) / 0.3
 	if math.Abs(avg-want) > 1e-3 {
 		t.Fatalf("average %g, want %g", avg, want)

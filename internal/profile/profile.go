@@ -208,24 +208,6 @@ func (p *Profile) rateOver(t, next float64) float64 {
 	return p.At(t + (next-t)/2)
 }
 
-// Integrate returns the integral of the profile over [from, to].
-func (p *Profile) Integrate(from, to float64) float64 {
-	if to <= from {
-		return 0
-	}
-	total := 0.0
-	t := from
-	for t < to {
-		next := p.NextChange(t)
-		if next > to {
-			next = to
-		}
-		total += p.rateOver(t, next) * (next - t)
-		t = next
-	}
-	return total
-}
-
 // TimeToDo returns the time at which `work` units complete if processing
 // starts at `start` and proceeds at rate p(t) units/second. It returns +Inf
 // if the profile is zero forever after start. Zero-rate stretches simply
@@ -396,17 +378,6 @@ func combine(a, b *Profile, op func(x, y float64) float64) *Profile {
 // IsConstant reports whether the profile has a single value everywhere.
 func (p *Profile) IsConstant() bool {
 	return p.period == 0 && len(p.segs) == 1
-}
-
-// Min returns the smallest value the profile ever takes.
-func (p *Profile) Min() float64 {
-	m := math.Inf(1)
-	for _, s := range p.segs {
-		if s.Value < m {
-			m = s.Value
-		}
-	}
-	return m
 }
 
 // Max returns the largest value the profile ever takes.

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"dynasym/internal/core"
@@ -342,6 +343,10 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(`{"platform":{"clusters":[{"name":"c","first_core":0,"num_cores":8589934592,"widths":[1],"speed":1,"base_hz":1e9}]},"workload":{"kind":"synthetic"},"policies":["RWS"]}`))
 	f.Add([]byte(`{"workload":{"kind":"daggen","daggen":{"model":"random-layered","layers":3,"width":2048,"degree":2048}},"policies":["RWS"]}`))
 	f.Add([]byte(`{"name":"x","platform":{"preset":"tx2"},"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":4194304}},"policies":["RWS"],"reps":17,"seed":1}`))
+	// Sampled policy names: core.ByName parses the text after the last '~'.
+	for _, name := range []string{"DAM-C~0", "DAM-C~", "~8", "DAM-P~8~4", "DAM-C~08", "DAM-C~" + strconv.Itoa(core.MaxSampledK+1)} {
+		f.Add([]byte(`{"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":50}},"policies":["` + name + `"]}`))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseSpec(data)
 		if err != nil {

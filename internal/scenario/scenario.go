@@ -429,6 +429,13 @@ func (s Spec) validateOn(topo *topology.Platform) error {
 			return fmt.Errorf("scenario %q: duplicate policy %q", s.Name, p.Name())
 		}
 		seenPol[p.Name()] = true
+		// A spec names its policies; a sampled one built in code must be
+		// one its name resolves to (K within the cap, an unsampled base).
+		if _, ok := p.(core.Sampled); ok {
+			if _, err := core.ByName(p.Name()); err != nil {
+				return fmt.Errorf("scenario %q: %w", s.Name, err)
+			}
+		}
 	}
 	if s.Reps < 0 {
 		return fmt.Errorf("scenario %q: negative repetitions %d", s.Name, s.Reps)

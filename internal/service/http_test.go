@@ -244,6 +244,13 @@ const (
 		`{"kind": "stall", "cluster": 1, "from": 1, "to": 3}, {"kind": "stall", "cluster": 1, "from": 2, "to": 4}]}}`
 )
 
+// A sampled policy over a sampled base used to take the wrong search
+// objective, and an unbounded K held a worker for hours on one cell.
+const (
+	nestedSampledBody = `{"spec": {"workload": {"kind": "synthetic"}, "policies": ["DAM-P~8~4"]}}`
+	hugeKBody         = `{"spec": {"workload": {"kind": "synthetic"}, "policies": ["DAM-C~2000000000"]}}`
+)
+
 // httpErrorBodies are TestHTTPErrors' submissions and the status each gets;
 // FuzzSubmitBody starts from them too.
 var httpErrorBodies = map[string]struct {
@@ -269,6 +276,8 @@ var httpErrorBodies = map[string]struct {
 	"huge cluster":   {hugeClusterBody, http.StatusBadRequest},
 	"dense random":   {denseRandomBody, http.StatusBadRequest},
 	"overlap":        {overlapBody, http.StatusBadRequest},
+	"nested sampled": {nestedSampledBody, http.StatusBadRequest},
+	"sampled K":      {hugeKBody, http.StatusBadRequest},
 	"unknown field":  {`{"famly": "burst-sweep"}`, http.StatusBadRequest},
 	"not json":       {`hello`, http.StatusBadRequest},
 }
@@ -284,13 +293,15 @@ func TestHTTPErrors(t *testing.T) {
 	}
 	// The refusal names the field as the client spelled it, and the limit.
 	for body, wants := range map[string][]string{
-		hugeCellBody:     {"workload.synthetic.tasks", "MaxCellTasks (4194304)"},
-		hugeJobBody:      {"a job of 71303168 tasks", "MaxJobTasks (67108864)"},
-		hugeSymBody:      {`platform.preset \"sym8589934592\"`, "MaxPlatformCores (1024)"},
-		hugeScaleoutBody: {`platform.preset \"scaleout-1x65536\"`, "MaxPlatformCores (1024)"},
-		hugeClusterBody:  {"platform.clusters[].num_cores", "MaxPlatformCores (1024)"},
-		denseRandomBody:  {"workload.daggen.degree", "MaxCellEdges (4194304)"},
-		overlapBody:      {"overlapping core availability disturbances on node 0 resource 2 (stall [1, 3) and stall [2, 4))"},
+		hugeCellBody:      {"workload.synthetic.tasks", "MaxCellTasks (4194304)"},
+		hugeJobBody:       {"a job of 71303168 tasks", "MaxJobTasks (67108864)"},
+		hugeSymBody:       {`platform.preset \"sym8589934592\"`, "MaxPlatformCores (1024)"},
+		hugeScaleoutBody:  {`platform.preset \"scaleout-1x65536\"`, "MaxPlatformCores (1024)"},
+		hugeClusterBody:   {"platform.clusters[].num_cores", "MaxPlatformCores (1024)"},
+		denseRandomBody:   {"workload.daggen.degree", "MaxCellEdges (4194304)"},
+		overlapBody:       {"overlapping core availability disturbances on node 0 resource 2 (stall [1, 3) and stall [2, 4))"},
+		nestedSampledBody: {`policy \"DAM-P~8~4\": the base of a sampled policy cannot itself be sampled`},
+		hugeKBody:         {`policy \"DAM-C~2000000000\": K of 2000000000 exceeds MaxSampledK (1024)`},
 	} {
 		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -712,7 +723,8 @@ func TestResultGetIsAByteWrite(t *testing.T) {
 	h := quietHandler(m)
 	var perGet []float64
 	for _, family := range []string{"scaleout-32", "burst-sweep"} { // 8 and 21 cells; 119 KB and 520 KB of text
-		j, _, err := m.SubmitFamily(family, 0.05, nil)
+		f, _ := scenario.Lookup(family)
+		j, _, err := m.Submit(f.Spec(0.05))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -764,7 +776,8 @@ func TestResultGetIsAByteWrite(t *testing.T) {
 // the fingerprint text: no string field of a Job is long enough to be one.
 func TestJobKeepsOneRendering(t *testing.T) {
 	m := NewManager(Config{})
-	j, _, err := m.SubmitFamily("scaleout-32", 0.05, nil)
+	f, _ := scenario.Lookup("scaleout-32")
+	j, _, err := m.Submit(f.Spec(0.05))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -295,7 +295,7 @@ func TestBreakerStateGauge(t *testing.T) {
 	}
 	gauge := func() float64 {
 		var buf bytes.Buffer
-		m.Registry().WritePrometheus(&buf)
+		m.reg.WritePrometheus(&buf)
 		return metricValue(t, buf.String(), `asymd_breaker_state{peer="flaky"}`)
 	}
 
@@ -312,7 +312,7 @@ func TestBreakerStateGauge(t *testing.T) {
 		t.Fatalf("breaker gauge after recovery = %v, want %d", got, peerHealthy)
 	}
 	var buf bytes.Buffer
-	m.Registry().WritePrometheus(&buf)
+	m.reg.WritePrometheus(&buf)
 	if tr := metricValue(t, buf.String(), `asymd_breaker_transitions_total{peer="flaky",to="healthy"}`); tr != 1 {
 		t.Errorf("transitions to healthy = %v, want 1", tr)
 	}

@@ -127,9 +127,6 @@ type Job struct {
 // State returns the current lifecycle state.
 func (j *Job) State() State { return State(j.state.Load()) }
 
-// Done returns a channel closed when the job reaches done or failed.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
 // Wait blocks until the job completes or the context is cancelled.
 func (j *Job) Wait(ctx context.Context) error {
 	select {
@@ -154,9 +151,6 @@ func (j *Job) Result() (*scenario.Result, string, time.Duration, error) {
 	}
 	return j.result, j.result.Fingerprint(), j.elapsed, nil
 }
-
-// Hits reports how many submissions this job absorbed beyond the first.
-func (j *Job) Hits() int64 { return j.hits.Load() }
 
 // Status is an exported snapshot of a job for the wire API.
 type Status struct {
@@ -490,16 +484,6 @@ func (m *Manager) absorb(hash string) (*Job, bool, error) {
 	return j, ok, nil
 }
 
-// SubmitFamily resolves a registered scenario family at a scale (seed
-// optionally overriding the family default) and submits it.
-func (m *Manager) SubmitFamily(name string, scale float64, seed *uint64) (*Job, bool, error) {
-	spec, err := familySpec(name, scale, seed)
-	if err != nil {
-		return nil, false, err
-	}
-	return m.submit(spec, "")
-}
-
 // familySpec is the spec of a registered family at a scale, seed optionally
 // overriding the family default.
 func familySpec(name string, scale float64, seed *uint64) (scenario.Spec, error) {
@@ -664,10 +648,6 @@ func (m *Manager) SimTrace(id string, cell int) ([]byte, error) {
 	m.mx.simtraceRenders.Inc()
 	return b, nil
 }
-
-// Registry exposes the node's metric registry (the /metrics content);
-// callers may register their own series alongside the service's.
-func (m *Manager) Registry() *obs.Registry { return m.reg }
 
 // pendingCell is one cell currently being simulated by some job. Other
 // jobs needing the same cell subscribe to done instead of re-simulating;

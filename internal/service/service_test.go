@@ -69,7 +69,7 @@ func TestSingleflightDedupe(t *testing.T) {
 	if got := m.EngineRuns(); got != 1 {
 		t.Errorf("engine ran %d times for %d identical submissions, want 1", got, n)
 	}
-	if got := jobs[0].Hits(); got != n-1 {
+	if got := jobs[0].Snapshot().CacheHits; got != n-1 {
 		t.Errorf("job absorbed %d extra submissions, want %d", got, n-1)
 	}
 	_, fp, _, err := jobs[0].Result()
@@ -224,7 +224,7 @@ func TestSubmitValidates(t *testing.T) {
 	if _, _, err := m.Submit(s); err == nil {
 		t.Error("empty policy set accepted")
 	}
-	if _, _, err := m.SubmitFamily("no-such-family", 1, nil); err == nil {
+	if _, err := familySpec("no-such-family", 1, nil); err == nil {
 		t.Error("unknown family accepted")
 	}
 }
@@ -241,10 +241,8 @@ func TestShutdown(t *testing.T) {
 	if err := m.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-j.Done():
-	default:
-		t.Error("shutdown returned before the in-flight job finished")
+	if st := j.State(); st != StateDone && st != StateFailed {
+		t.Errorf("shutdown returned with the in-flight job %s", st)
 	}
 	if _, _, err := m.Submit(tinySpec(6)); err == nil {
 		t.Error("submission accepted after shutdown")

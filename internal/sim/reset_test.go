@@ -22,9 +22,9 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 	e := New()
 	runTrace(e)
 	e.Reset()
-	if e.Now() != 0 || e.Pending() != 0 || e.Processed != 0 {
+	if e.Now() != 0 || pending(e) != 0 || e.Processed != 0 {
 		t.Fatalf("after Reset: now=%v pending=%d processed=%d, want all zero",
-			e.Now(), e.Pending(), e.Processed)
+			e.Now(), pending(e), e.Processed)
 	}
 	got := runTrace(e)
 	if len(got) != len(want) {
@@ -44,8 +44,8 @@ func TestResetDropsPendingEvents(t *testing.T) {
 	e.AfterEvent(1e-9, do(func() { e.Stop() }), 0)
 	e.RunUntil(1e-6)
 	e.Reset()
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d after Reset, want 0", e.Pending())
+	if pending(e) != 0 {
+		t.Fatalf("Pending() = %d after Reset, want 0", pending(e))
 	}
 	e.Run()
 	if fired {

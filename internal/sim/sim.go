@@ -320,11 +320,6 @@ func (e *Engine) Reset() {
 	e.Coalesced = 0
 }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int {
-	return len(e.keys) + (len(e.nowBuf) - e.nowHead) + (len(e.near) - e.nearHead)
-}
-
 // less orders the heap by (at, seq). seq values are unique, so this is a
 // strict total order and the pop sequence is independent of heap shape.
 func (a *eventKey) less(b *eventKey) bool {

@@ -116,7 +116,3 @@ func (n *Network) Recv(key MsgKey, r Receiver) {
 	delete(n.inbox, key)
 	r.Arrived(s.at)
 }
-
-// Pending returns the number of unmatched sends or receives, useful for
-// detecting protocol mismatches in tests.
-func (n *Network) Pending() int { return len(n.inbox) }

@@ -80,8 +80,8 @@ func TestDistinctTagsDoNotMatch(t *testing.T) {
 	if got.n != 0 {
 		t.Fatal("mismatched tag delivered")
 	}
-	if n.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", n.Pending())
+	if len(n.inbox) != 2 {
+		t.Fatalf("pending = %d, want 2", len(n.inbox))
 	}
 }
 
@@ -118,7 +118,7 @@ func TestCounters(t *testing.T) {
 	n.Recv(key, &arrival{})
 	n.Send(key, 10)
 	e.Run()
-	if n.Sent != 1 || n.Delivered != 1 || n.Pending() != 0 {
-		t.Fatalf("sent=%d delivered=%d pending=%d", n.Sent, n.Delivered, n.Pending())
+	if n.Sent != 1 || n.Delivered != 1 || len(n.inbox) != 0 {
+		t.Fatalf("sent=%d delivered=%d pending=%d", n.Sent, n.Delivered, len(n.inbox))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"dynasym/internal/core"
 	"dynasym/internal/interfere"
 	"dynasym/internal/machine"
+	"dynasym/internal/profile"
 	"dynasym/internal/simrt"
 	"dynasym/internal/topology"
 	"dynasym/internal/trace"
@@ -50,7 +51,7 @@ func TestFlakyCoreAdaptation(t *testing.T) {
 	run := func(pol core.Policy) float64 {
 		topo := topology.TX2()
 		model := machine.New(topo)
-		interfere.Flaky(model, 1, 0.2, 2, 2)
+		model.SetCoreAvail(1, profile.SquareWave(1.0, 0.2, 2, 2))
 		g := workloads.BuildSynthetic(workloads.SyntheticConfig{
 			Kernel: workloads.MatMul, Tile: 64, Tasks: 3000, Parallelism: 2,
 		})
@@ -104,7 +105,7 @@ func TestTraceRecording(t *testing.T) {
 // TestSampledPolicyRuns exercises the scalable sampled-search extension on
 // a large platform end to end.
 func TestSampledPolicyRuns(t *testing.T) {
-	topo := topology.HaswellClusterN(1)
+	topo := topology.HaswellNode(0)
 	model := machine.New(topo)
 	interfere.CoRunCPU(model, []int{0, 1, 2}, 0.5)
 	g := workloads.BuildSynthetic(workloads.SyntheticConfig{

@@ -236,10 +236,6 @@ func (p *Probe) Sched(busy []float64, makespan float64) *metrics.Sched {
 	return s
 }
 
-// QueueSamples returns the recorded queue-depth series (read-only; valid
-// until the probe's next reset).
-func (p *Probe) QueueSamples() []QueueSample { return p.samples }
-
 // EmitCounters converts the recorded series into Chrome counter lanes on
 // the recorder: "queue depth" (wsq/aq series), "ready tasks", and
 // "ptt rel err".

@@ -47,7 +47,7 @@ func runOnce(t *testing.T, rt *Runtime) (float64, []Stats) {
 	if coll.TasksDone() != 400 {
 		t.Fatalf("run completed %d tasks, want 400", coll.TasksDone())
 	}
-	return rt.Makespan(), rt.CoreStats()
+	return rt.Collector().Makespan(), rt.CoreStats()
 }
 
 // A reset runtime must replay a fresh runtime's execution bit for bit:

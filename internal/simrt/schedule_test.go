@@ -226,7 +226,7 @@ func TestScheduleValidityHeatDistHook(t *testing.T) {
 		if !n.rt.Finished() {
 			t.Fatalf("node %d stalled", i)
 		}
-		reportSchedule(t, checkSchedule(n.ge, n.rec.Events(), n.topo.NumCores(), n.rt.Makespan()))
+		reportSchedule(t, checkSchedule(n.ge, n.rec.Events(), n.topo.NumCores(), n.rt.Collector().Makespan()))
 	}
 }
 

@@ -198,7 +198,6 @@ type Runtime struct {
 	root     xrand.RNG
 	started  bool
 	finished bool
-	makespan float64
 
 	// idle is a bitmap over core ids mirroring state == stIdle exactly,
 	// so wakeTask pokes only idle workers — O(idle) instead of a scan of
@@ -351,7 +350,6 @@ func (rt *Runtime) Reset(cfg Config) error {
 	rt.graph = nil // Start attaches the next one; do not pin the previous
 	rt.started = false
 	rt.finished = false
-	rt.makespan = 0
 	if cfg.Probe != nil {
 		cfg.Probe.reset(len(rt.cores))
 	}
@@ -429,14 +427,8 @@ func (rt *Runtime) Engine() *sim.Engine { return rt.engine }
 // Collector returns the runtime's metrics collector.
 func (rt *Runtime) Collector() *metrics.Collector { return &rt.coll }
 
-// Policy returns the runtime's scheduling policy.
-func (rt *Runtime) Policy() core.Policy { return rt.policy }
-
 // Finished reports whether the graph drained.
 func (rt *Runtime) Finished() bool { return rt.finished }
-
-// Makespan returns the virtual time at which the last task finished.
-func (rt *Runtime) Makespan() float64 { return rt.makespan }
 
 // Run executes the graph to completion on a private engine and returns the
 // collector. It fails if the configuration shares an engine (use Start and
@@ -805,7 +797,6 @@ func (rt *Runtime) completeAssembly(a *assembly, finish float64) {
 	}
 	if rt.remaining--; rt.remaining == 0 {
 		rt.finished = true
-		rt.makespan = finish
 		rt.coll.SetMakespan(finish)
 		if p := rt.cfg.Probe; p != nil {
 			p.flushTo(&rt.coll, finish)

@@ -46,12 +46,6 @@ func TX2() *Platform {
 // two symmetric 10-core clusters (sockets), 25 MB LLC each. nodeID tags the
 // clusters for distributed runs.
 func HaswellNode(nodeID int) *Platform {
-	return MustNew(haswellClusters(nodeID, 0))
-}
-
-// haswellClusters builds the two socket clusters of one Haswell node with
-// core ids starting at firstCore.
-func haswellClusters(nodeID, firstCore int) []Cluster {
 	mk := func(name string, first int) Cluster {
 		return Cluster{
 			Name:         name,
@@ -66,10 +60,7 @@ func haswellClusters(nodeID, firstCore int) []Cluster {
 			NodeID:       nodeID,
 		}
 	}
-	return []Cluster{
-		mk("socket0", firstCore),
-		mk("socket1", firstCore+10),
-	}
+	return MustNew([]Cluster{mk("socket0", 0), mk("socket1", 10)})
 }
 
 // Haswell16 returns the 16-core dual-socket Haswell configuration used in
@@ -89,29 +80,6 @@ func Haswell16() *Platform {
 		}
 	}
 	return MustNew([]Cluster{mk("socket0", 0), mk("socket1", 8)})
-}
-
-// HaswellClusterN returns an n-node distributed platform of dual-socket
-// 10-core Haswell nodes modeled as one flat core space (node i owns cores
-// [20i, 20i+20)). The distributed experiments use the NodeID fields to
-// derive rank ownership.
-func HaswellClusterN(n int) *Platform {
-	var cs []Cluster
-	for node := 0; node < n; node++ {
-		for _, c := range haswellClusters(node, node*20) {
-			c.Name = c.Name + nodeSuffix(node)
-			cs = append(cs, c)
-		}
-	}
-	return MustNew(cs)
-}
-
-func nodeSuffix(node int) string {
-	const digits = "0123456789"
-	if node < 10 {
-		return "@n" + digits[node:node+1]
-	}
-	return "@n" + digits[node/10:node/10+1] + digits[node%10:node%10+1]
 }
 
 // ScaleOut returns a large asymmetric platform for scalability scenarios

@@ -84,9 +84,8 @@ type Platform struct {
 	// localPlaceIDs[core] lists the dense ids of the aligned places that
 	// contain core, one per supported width in ascending width order (so
 	// entry 0 is always the width-1 place led by core). Schedulers walk it
-	// on every dispatch decision instead of re-deriving PlaceFor per width.
+	// on every dispatch decision instead of re-deriving the place per width.
 	localPlaceIDs [][]int32
-	maxWidth      int
 	// desc is the String form, rendered once at construction: every result
 	// document and fingerprint prints it.
 	desc string
@@ -156,9 +155,6 @@ func New(clusters []Cluster) (*Platform, error) {
 			if (core-c.FirstCore)%w == 0 {
 				row[w] = len(p.places)
 				p.places = append(p.places, Place{Leader: core, Width: w})
-				if w > p.maxWidth {
-					p.maxWidth = w
-				}
 			}
 		}
 		p.placeIndex[core] = row
@@ -199,9 +195,6 @@ func (p *Platform) Cluster(i int) Cluster { return p.clusters[i] }
 // ClusterOf returns the index of the cluster containing core.
 func (p *Platform) ClusterOf(core int) int { return p.coreCluster[core] }
 
-// MaxWidth returns the largest valid width on any cluster.
-func (p *Platform) MaxWidth() int { return p.maxWidth }
-
 // Places returns every valid execution place, ordered by leader core then
 // width. The returned slice must not be modified.
 func (p *Platform) Places() []Place { return p.places }
@@ -222,43 +215,10 @@ func (p *Platform) PlaceID(pl Place) int {
 // Valid reports whether pl is a valid execution place.
 func (p *Platform) Valid(pl Place) bool { return p.PlaceID(pl) >= 0 }
 
-// PlaceFor returns the aligned place of the given width that contains core.
-// It returns false if the width is not supported on core's cluster.
-func (p *Platform) PlaceFor(core, width int) (Place, bool) {
-	c := &p.clusters[p.coreCluster[core]]
-	ok := false
-	for _, w := range c.Widths {
-		if w == width {
-			ok = true
-			break
-		}
-	}
-	if !ok {
-		return Place{}, false
-	}
-	leader := c.FirstCore + (core-c.FirstCore)/width*width
-	return Place{Leader: leader, Width: width}, true
-}
-
-// WidthsFor returns the widths supported by core's cluster. The returned
-// slice must not be modified.
-func (p *Platform) WidthsFor(core int) []int {
-	return p.clusters[p.coreCluster[core]].Widths
-}
-
 // LocalPlaceIDs returns the dense ids of the aligned places containing
 // core, one per supported width in ascending width order; entry 0 is the
 // width-1 place (core, 1). The returned slice must not be modified.
 func (p *Platform) LocalPlaceIDs(core int) []int32 { return p.localPlaceIDs[core] }
-
-// Members returns the core ids covered by the place.
-func (p *Platform) Members(pl Place) []int {
-	m := make([]int, pl.Width)
-	for i := range m {
-		m[i] = pl.Leader + i
-	}
-	return m
-}
 
 // FastestCluster returns the index of the cluster with the highest static
 // single-core rate (Speed × BaseHz). This is the "fixed asymmetry" notion

@@ -53,11 +53,33 @@ func TestTX2Shape(t *testing.T) {
 	if p.FastestCluster() != 0 {
 		t.Fatal("TX2 fastest cluster should be the Denver cluster (0)")
 	}
-	if p.MaxWidth() != 4 {
-		t.Fatalf("TX2 max width %d, want 4", p.MaxWidth())
+	if w := maxWidth(p); w != 4 {
+		t.Fatalf("TX2 max width %d, want 4", w)
 	}
 }
 
+// maxWidth is the widest of p's places.
+func maxWidth(p *Platform) int {
+	w := 0
+	for _, pl := range p.Places() {
+		w = max(w, pl.Width)
+	}
+	return w
+}
+
+// localPlace returns the place of the given width among LocalPlaceIDs(core),
+// the aligned places the schedulers' local search walks.
+func localPlace(p *Platform, core, width int) (Place, bool) {
+	for _, id := range p.LocalPlaceIDs(core) {
+		if pl := p.Places()[id]; pl.Width == width {
+			return pl, true
+		}
+	}
+	return Place{}, false
+}
+
+// TestPlaceFor: the local place of a width holding a core is the aligned
+// one, and a width the core's cluster lacks has none.
 func TestPlaceFor(t *testing.T) {
 	p := TX2()
 	cases := []struct {
@@ -73,18 +95,18 @@ func TestPlaceFor(t *testing.T) {
 		{2, 3, 0, false},
 	}
 	for _, tc := range cases {
-		pl, ok := p.PlaceFor(tc.core, tc.width)
+		pl, ok := localPlace(p, tc.core, tc.width)
 		if ok != tc.ok {
-			t.Fatalf("PlaceFor(%d,%d) ok=%v want %v", tc.core, tc.width, ok, tc.ok)
+			t.Fatalf("local place (%d,%d) ok=%v want %v", tc.core, tc.width, ok, tc.ok)
 		}
 		if ok && pl.Leader != tc.wantLeader {
-			t.Fatalf("PlaceFor(%d,%d) leader=%d want %d", tc.core, tc.width, pl.Leader, tc.wantLeader)
+			t.Fatalf("local place (%d,%d) leader=%d want %d", tc.core, tc.width, pl.Leader, tc.wantLeader)
 		}
 	}
 }
 
 func TestPlaceIDRoundTrip(t *testing.T) {
-	p := HaswellClusterN(2)
+	p := HaswellNode(0)
 	for id, pl := range p.Places() {
 		if got := p.PlaceID(pl); got != id {
 			t.Fatalf("PlaceID(%v) = %d, want %d", pl, got, id)
@@ -101,17 +123,6 @@ func TestPlaceIDRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMembers(t *testing.T) {
-	p := TX2()
-	m := p.Members(Place{Leader: 2, Width: 4})
-	want := []int{2, 3, 4, 5}
-	for i, c := range want {
-		if m[i] != c {
-			t.Fatalf("Members = %v, want %v", m, want)
-		}
-	}
-}
-
 func TestCoresOfAndClusterOf(t *testing.T) {
 	p := TX2()
 	for ci := 0; ci < p.NumClusters(); ci++ {
@@ -123,15 +134,15 @@ func TestCoresOfAndClusterOf(t *testing.T) {
 	}
 }
 
-// Property: every valid place returned by PlaceFor contains the queried
-// core and is aligned to its width.
+// Property: every local place of a core contains the core and is aligned to
+// its width.
 func TestPlaceForProperty(t *testing.T) {
 	p := Haswell16()
 	check := func(coreRaw, widthRaw uint8) bool {
 		core := int(coreRaw) % p.NumCores()
-		widths := p.WidthsFor(core)
+		widths := p.Cluster(p.ClusterOf(core)).Widths
 		width := widths[int(widthRaw)%len(widths)]
-		pl, ok := p.PlaceFor(core, width)
+		pl, ok := localPlace(p, core, width)
 		if !ok {
 			return false
 		}
@@ -154,18 +165,8 @@ func TestSymmetric(t *testing.T) {
 	if p.NumCores() != 8 || p.NumClusters() != 1 {
 		t.Fatalf("Symmetric(8): %d cores, %d clusters", p.NumCores(), p.NumClusters())
 	}
-	if p.MaxWidth() != 8 {
-		t.Fatalf("Symmetric(8) max width %d", p.MaxWidth())
-	}
-}
-
-func TestHaswellClusterNodes(t *testing.T) {
-	p := HaswellClusterN(4)
-	if p.NumCores() != 80 {
-		t.Fatalf("4-node cluster has %d cores, want 80", p.NumCores())
-	}
-	if p.Cluster(0).NodeID != 0 || p.Cluster(7).NodeID != 3 {
-		t.Fatal("node ids not assigned per socket pair")
+	if w := maxWidth(p); w != 8 {
+		t.Fatalf("Symmetric(8) max width %d", w)
 	}
 }
 

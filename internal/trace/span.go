@@ -85,16 +85,6 @@ func (s *SpanSet) Spans() []Span {
 	return out
 }
 
-// Len returns the number of retained spans.
-func (s *SpanSet) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.spans)
-}
-
 // Dropped returns how many spans the cap discarded.
 func (s *SpanSet) Dropped() int64 {
 	if s == nil {

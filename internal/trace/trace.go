@@ -59,7 +59,7 @@ type Recorder struct {
 	events []Event
 	// sorted tracks whether events is currently ordered by start time.
 	// Sorting happens lazily in Events — Add only invalidates — so bursts
-	// of reads (Utilization, writers) sort at most once.
+	// of reads (the writers) sort at most once.
 	sorted   bool
 	counters []CounterPoint
 }
@@ -292,20 +292,4 @@ func (r *Recorder) AddUtilCounters(horizon float64) {
 		}
 		r.AddCounter(CounterPoint{Name: "core util", At: float64(w) * dt, Series: series})
 	}
-}
-
-// Utilization returns per-core busy fractions over [0, horizon]; cores
-// beyond the observed maximum are omitted.
-func (r *Recorder) Utilization(horizon float64) map[int]float64 {
-	if horizon <= 0 {
-		return nil
-	}
-	busy := map[int]float64{}
-	for _, ev := range r.Events() {
-		busy[ev.Core] += ev.End - ev.Start
-	}
-	for c := range busy {
-		busy[c] /= horizon
-	}
-	return busy
 }

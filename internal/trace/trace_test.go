@@ -56,20 +56,6 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	r := New()
-	r.Add(Event{Core: 0, Start: 0, End: 1})
-	r.Add(Event{Core: 0, Start: 1, End: 2})
-	r.Add(Event{Core: 1, Start: 0, End: 1})
-	u := r.Utilization(4)
-	if u[0] != 0.5 || u[1] != 0.25 {
-		t.Fatalf("utilization = %v", u)
-	}
-	if r.Utilization(0) != nil {
-		t.Fatal("zero horizon should return nil")
-	}
-}
-
 // The lazy sort must invalidate on Add: an event added after a read still
 // lands in order on the next read.
 func TestLazySortInvalidatesOnAdd(t *testing.T) {

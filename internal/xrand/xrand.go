@@ -95,11 +95,6 @@ func (r *RNG) Intn(n int) int {
 	}
 }
 
-// Int63 returns a uniformly distributed non-negative int64.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a uniformly distributed float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

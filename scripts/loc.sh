@@ -8,8 +8,14 @@
 # test job. Each ceiling is a ratchet: a PR that removes code or an option
 # lowers it to the new count, a PR that needs more room raises it on purpose,
 # in the diff, where a reviewer sees it.
+#
+# The third ratchet, exports under internal/ without a production caller, is
+# a Go test, TestEveryExportHasAProductionCaller in
+# internal/simrt/exports_test.go, run by `go test ./...`. Its ceiling is its
+# allowlist: an entry goes when the ROADMAP item it names lands, and a new
+# one is added only in the diff.
 set -eu
-ceiling=15841
+ceiling=15639
 options_ceiling=35
 cd "$(dirname "$0")/.."
 n=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)

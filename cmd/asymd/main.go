@@ -18,9 +18,9 @@
 //
 // The dispatch path is fault-tolerant: each peer sits behind a circuit
 // breaker (-fail-threshold consecutive transport failures mark it down;
-// it is re-probed after an exponential -probe-backoff), each shard has a
-// retry budget (-shard-retries rounds with -retry-backoff between them),
-// and when every peer is out, shards drain through the local pool — the
+// it is re-probed after an exponential -probe-backoff), a shard that fails
+// on one backend moves on to the next in one pass over the fleet, and the
+// local pool, always in that pass, takes whatever the peers cannot — the
 // job completes slower, never dead. GET /v1/healthz reports each peer's
 // breaker state.
 //
@@ -68,8 +68,6 @@ func main() {
 		shard     = flag.Int("shard", 16, "max cells per dispatched shard")
 		peers     = flag.String("peers", "", "comma-separated base URLs of peer asymd nodes to farm shards to")
 		shardTO   = flag.Duration("shard-timeout", 10*time.Minute, "max time for one remote shard attempt before failing over (<0 disables)")
-		retries   = flag.Int("shard-retries", 3, "retry budget: rounds over the backend fleet before a shard fails its job")
-		backoff   = flag.Duration("retry-backoff", 100*time.Millisecond, "base pause between shard retry rounds, doubling with jitter (<0 disables)")
 		failThr   = flag.Int("fail-threshold", 3, "consecutive transport failures before a peer is marked down")
 		probeBO   = flag.Duration("probe-backoff", time.Second, "initial down time before a down peer is re-probed, doubling with jitter")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under GET /debug/pprof/")
@@ -86,7 +84,7 @@ func main() {
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"cache", *cache}, {"cellcache", *cellCache}, {"shard", *shard}, {"shard-retries", *retries}, {"fail-threshold", *failThr}, {"trace-retention", *traceKeep}} {
+	}{{"cache", *cache}, {"cellcache", *cellCache}, {"shard", *shard}, {"fail-threshold", *failThr}, {"trace-retention", *traceKeep}} {
 		if f.v <= 0 {
 			logger.Error("flag value must be positive", "flag", "-"+f.name, "value", f.v)
 			os.Exit(2)
@@ -121,8 +119,6 @@ func main() {
 		ShardSize:      *shard,
 		Peers:          peerURLs,
 		ShardTimeout:   *shardTO,
-		ShardRetries:   *retries,
-		RetryBackoff:   *backoff,
 		FailThreshold:  *failThr,
 		ProbeBackoff:   *probeBO,
 		TraceRetention: *traceKeep,

@@ -3,7 +3,7 @@ package service
 // Backends execute cell shards. The manager plans a submitted spec into
 // cell jobs (internal/scenario Plan), batches the uncached cells into
 // shards, and hands each shard to a backend; a shard that fails on one
-// backend is retried on the others. Two implementations exist: the
+// backend moves on to the next. Two implementations exist: the
 // in-process executor backend below, and the remote peer backend (remote.go)
 // that farms shards to another asymd node over POST /v1/shards.
 
@@ -23,7 +23,7 @@ import (
 // error (the cell itself is invalid or failed); such errors fail the job
 // and are never retried — rerunning a deterministic failure elsewhere
 // produces the same failure. Transport-level problems are reported as
-// Execute's error instead, and those ARE retried on another backend.
+// Execute's error instead, and those move the shard on to another backend.
 type CellResult struct {
 	Hash    string
 	Metrics scenario.RunMetrics
@@ -35,12 +35,12 @@ type Backend interface {
 	// Name identifies the backend in errors, logs and stats.
 	Name() string
 	// Execute runs the cells and returns one result per cell, in order.
-	// A non-nil error means the backend itself failed (pool shut down,
-	// peer unreachable, ...) and the shard may be retried elsewhere. Even
-	// then the result slice may carry cells that completed before the
-	// failure (entries with a non-empty Hash); callers should bank those
-	// and retry only the remainder. Per-cell engine errors go into
-	// CellResult.Err.
+	// A non-nil error means the backend itself failed (peer unreachable,
+	// wedged, answering garbage, ...) and the shard moves on to another
+	// backend; the results are then nil. The one exception is a done ctx:
+	// the result slice may then carry the cells that completed before the
+	// teardown (entries with a non-empty Hash), which the caller banks.
+	// Per-cell engine errors go into CellResult.Err.
 	Execute(ctx context.Context, plan *scenario.Plan, cells []scenario.CellJob) ([]CellResult, error)
 }
 

@@ -253,7 +253,7 @@ func TestRemoteBackendRejectsOldPlacesForm(t *testing.T) {
 
 	// End to end: with that peer as the only backend the job fails; with
 	// the local pool behind it the shard fails over and the job is right.
-	m := NewManager(Config{Workers: 1, RetryBackoff: -1})
+	m := NewManager(Config{Workers: 1})
 	m.setBackends(NewRemoteBackend(srv.URL), m.local)
 	j, _, err := m.Submit(tinySpec(57))
 	if err != nil {
@@ -337,10 +337,10 @@ func TestShardTimeoutFailover(t *testing.T) {
 	}
 }
 
-// TestAllBackendsFailing: when no backend can take a shard even after the
-// whole retry budget, the job fails with an error naming the exhaustion.
+// TestAllBackendsFailing: when no backend in the one pass over the fleet
+// can take a shard, the job fails with an error naming every attempt.
 func TestAllBackendsFailing(t *testing.T) {
-	m := NewManager(Config{Workers: 1, RetryBackoff: -1})
+	m := NewManager(Config{Workers: 1})
 	m.setBackends(&flakyBackend{})
 	j, _, err := m.Submit(tinySpec(34))
 	if err != nil {
@@ -350,7 +350,7 @@ func TestAllBackendsFailing(t *testing.T) {
 	if j.State() != StateFailed {
 		t.Fatalf("job finished %v, want failed", j.State())
 	}
-	if _, _, _, err := j.Result(); err == nil || !strings.Contains(err.Error(), "failed after 3 rounds over 1 backends") {
+	if _, _, _, err := j.Result(); err == nil || !strings.Contains(err.Error(), "failed on every admissible backend: backend flaky: connection refused") {
 		t.Errorf("error %v does not name backend exhaustion", err)
 	}
 }
@@ -506,7 +506,7 @@ func TestWedgedHTTPPeerShardTimeout(t *testing.T) {
 	defer wedged.Close()
 	defer close(unblock) // runs before Close, releasing the held requests
 
-	m := NewManager(Config{Workers: 2, ShardTimeout: 100 * time.Millisecond, RetryBackoff: -1})
+	m := NewManager(Config{Workers: 2, ShardTimeout: 100 * time.Millisecond})
 	m.setBackends(NewRemoteBackend(wedged.URL), m.local)
 	start := time.Now()
 	j, _, err := m.Submit(tinySpec(44))
@@ -534,4 +534,84 @@ func TestWedgedHTTPPeerShardTimeout(t *testing.T) {
 	if lastErr == nil || !errors.Is(lastErr, context.DeadlineExceeded) {
 		t.Errorf("wedged peer recorded %v, want a context.DeadlineExceeded chain", lastErr)
 	}
+}
+
+// TestBackendErrorsCarryNoResults pins the Backend.Execute contract the
+// one-pass dispatcher relies on: an error comes with nil results, except on
+// a done context, and a cell's own failure is that cell's Err, not the
+// batch's error.
+func TestBackendErrorsCarryNoResults(t *testing.T) {
+	plan, err := scenario.NewPlan(tinySpec(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker := NewManager(Config{Workers: 2})
+	srv := httptest.NewServer(worker.Handler(slog.New(slog.NewTextHandler(io.Discard, nil))))
+	defer srv.Close()
+	closed := httptest.NewServer(http.NotFoundHandler())
+	closed.Close()
+	skewed := append([]scenario.CellJob(nil), plan.Cells...)
+	skewed[0].Hash = strings.Repeat("0", len(skewed[0].Hash))
+
+	for _, tc := range []struct {
+		name  string
+		b     Backend
+		cells []scenario.CellJob
+		want  string
+	}{
+		{"refused", NewRemoteBackend(closed.URL), plan.Cells, "post shard"},
+		{"version-skew", NewRemoteBackend(srv.URL), skewed, "status 409"},
+		{"corrupt-hash", newRemoteBackend(srv.URL, newFaultTransport(false, faultCorrupt)), plan.Cells, "carries hash"},
+		{"truncated-body", newRemoteBackend(srv.URL, newFaultTransport(false, faultTruncate)), plan.Cells, "decode shard response"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			crs, err := tc.b.Execute(context.Background(), plan, tc.cells)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Execute error = %v, want one containing %q", err, tc.want)
+			}
+			if crs != nil {
+				t.Errorf("failed Execute returned %d results alongside its error, want nil", len(crs))
+			}
+		})
+	}
+
+	t.Run("local-cell-errors", func(t *testing.T) {
+		b := newLocalBackend(2)
+		b.runCell = func(p *scenario.Plan, st *scenario.CellState, c scenario.CellJob) (scenario.RunMetrics, error) {
+			switch c.Hash {
+			case plan.Cells[0].Hash:
+				return scenario.RunMetrics{}, errors.New("bad cell")
+			case plan.Cells[1].Hash:
+				panic("broken invariant")
+			}
+			return scenario.RunMetrics{TasksDone: 1}, nil
+		}
+		crs, err := b.Execute(context.Background(), plan, plan.Cells)
+		if err != nil {
+			t.Fatalf("Execute error = %v for per-cell failures, want nil", err)
+		}
+		if len(crs) != len(plan.Cells) {
+			t.Fatalf("Execute returned %d results for %d cells", len(crs), len(plan.Cells))
+		}
+		for i, cr := range crs {
+			if cr.Hash != plan.Cells[i].Hash || (cr.Err != nil) != (i < 2) {
+				t.Errorf("result %d = {Hash %.12s, Err %v}, want hash %.12s with an error iff i < 2",
+					i, cr.Hash, cr.Err, plan.Cells[i].Hash)
+			}
+		}
+	})
+
+	t.Run("local-cancelled", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		crs, err := newLocalBackend(2).Execute(ctx, plan, plan.Cells)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Execute error = %v under a cancelled context, want context.Canceled", err)
+		}
+		for i, cr := range crs {
+			if cr.Hash != "" {
+				t.Errorf("result %d carries hash %.12s, but no cell ran", i, cr.Hash)
+			}
+		}
+	})
 }

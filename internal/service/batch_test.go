@@ -150,67 +150,6 @@ func (s *scriptedBackend) Execute(ctx context.Context, plan *scenario.Plan, cell
 	return s.fn(ctx, plan, cells)
 }
 
-// TestRunShardBanksPartialResultsOnFailover: when a backend fails after
-// completing part of a shard, the completed cells must enter the cell
-// cache immediately and only the remainder may be retried on the next
-// backend.
-func TestRunShardBanksPartialResultsOnFailover(t *testing.T) {
-	m := NewManager(Config{Workers: 1, ShardSize: 16})
-	plan, err := scenario.NewPlan(overlapSpec(92, 2, 4)) // 4 cells
-	if err != nil {
-		t.Fatal(err)
-	}
-	fake := func(c scenario.CellJob) CellResult {
-		return CellResult{Hash: c.Hash, Metrics: scenario.RunMetrics{TasksDone: 7, Seed: c.Seed}}
-	}
-	first := &scriptedBackend{name: "flaky", fn: func(_ context.Context, _ *scenario.Plan, cells []scenario.CellJob) ([]CellResult, error) {
-		out := make([]CellResult, len(cells))
-		for i := range cells[:2] {
-			out[i] = fake(cells[i]) // two cells finished before the failure
-		}
-		return out, errors.New("connection lost")
-	}}
-	var retried []scenario.CellJob
-	second := &scriptedBackend{name: "solid", fn: func(_ context.Context, _ *scenario.Plan, cells []scenario.CellJob) ([]CellResult, error) {
-		retried = append(retried, cells...)
-		out := make([]CellResult, len(cells))
-		for i, c := range cells {
-			out[i] = fake(c)
-		}
-		return out, nil
-	}}
-	m.setBackends(first, second)
-
-	crs, err := m.runShard(context.Background(), 0, plan, plan.Cells)
-	if err != nil {
-		t.Fatalf("runShard failed despite a healthy second backend: %v", err)
-	}
-	if len(crs) != len(plan.Cells) {
-		t.Fatalf("runShard returned %d results for %d cells", len(crs), len(plan.Cells))
-	}
-	for i, cr := range crs {
-		if cr.Hash != plan.Cells[i].Hash || cr.Err != nil || cr.Metrics.TasksDone != 7 {
-			t.Fatalf("result %d malformed: %+v", i, cr)
-		}
-	}
-	if len(retried) != 2 {
-		t.Fatalf("second backend re-ran %d cells, want only the 2 the first backend never finished", len(retried))
-	}
-	for _, c := range retried {
-		if c.Hash == plan.Cells[0].Hash || c.Hash == plan.Cells[1].Hash {
-			t.Errorf("cell %s was retried although the first backend completed it", c.Hash)
-		}
-	}
-	// The partial results were banked when the first backend failed, so
-	// they serve cache probes even while the retry is still out.
-	m.mu.Lock()
-	missing := m.takeCells(plan.Cells[:2], make([]scenario.RunMetrics, 2), plan.FirstWithHash)
-	m.mu.Unlock()
-	if len(missing) != 0 {
-		t.Errorf("banked partial results: %d of 2 cells missing, want 0", len(missing))
-	}
-}
-
 // TestLRUGuardsNonPositiveCap pins the satellite bugfix: a non-positive
 // capacity used to evict every entry at insert (silent 100% miss rate);
 // now it fails construction, and cap 1 keeps exactly the newest entry.

@@ -44,7 +44,7 @@ func assertUndisturbedFingerprint(t *testing.T, j *Job, spec scenario.Spec) {
 // the local pool, each cell simulated exactly once, and both peers end up
 // with open breakers.
 func TestChaosAllPeersRefusingDrainsLocally(t *testing.T) {
-	m := NewManager(Config{Workers: 2, ShardSize: 2, RetryBackoff: -1, FailThreshold: 2})
+	m := NewManager(Config{Workers: 2, ShardSize: 2, FailThreshold: 2})
 	p1 := newFaultBackend("chaos-peer-1", newLocalBackend(2), 0, true, faultRefuse)
 	p2 := newFaultBackend("chaos-peer-2", newLocalBackend(2), 0, true, faultRefuse)
 	m.setBackends(m.local, p1, p2)
@@ -79,7 +79,7 @@ func TestChaosAllPeersRefusingDrainsLocally(t *testing.T) {
 // shard but never answers must be cut off by ShardTimeout and the shard
 // retried elsewhere; the wedge contributes zero cell runs.
 func TestChaosWedgedPeerFailsOverWithinTimeout(t *testing.T) {
-	m := NewManager(Config{Workers: 2, ShardSize: 4, ShardTimeout: 30 * time.Millisecond, RetryBackoff: -1})
+	m := NewManager(Config{Workers: 2, ShardSize: 4, ShardTimeout: 30 * time.Millisecond})
 	wedged := newFaultBackend("chaos-wedged", newLocalBackend(2), 0, true, faultDelay)
 	m.setBackends(wedged, m.local)
 
@@ -98,32 +98,6 @@ func TestChaosWedgedPeerFailsOverWithinTimeout(t *testing.T) {
 	}
 }
 
-// TestChaosMidShardCrashBanksPrefix: a peer that completes k cells and
-// then crashes must have that prefix banked, never re-simulated — the
-// fleet-wide total stays exactly one run per cell.
-func TestChaosMidShardCrashBanksPrefix(t *testing.T) {
-	m := NewManager(Config{Workers: 2, ShardSize: 4, RetryBackoff: -1, FailThreshold: 100})
-	inner := newLocalBackend(2)
-	crashy := newFaultBackend("chaos-crashy", inner, 2, true, faultCrash)
-	m.setBackends(crashy, m.local)
-
-	spec := chaosSpec(72)
-	j, _, err := m.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, j)
-	assertUndisturbedFingerprint(t, j, spec)
-	banked := inner.runs.Value()
-	if banked == 0 {
-		t.Fatal("fault injection was vacuous: the crashing peer never completed a prefix")
-	}
-	if total := m.CellRuns() + banked; total != chaosCells {
-		t.Errorf("fleet simulated %d cells in total, want exactly %d (banked prefixes must not re-run)",
-			total, chaosCells)
-	}
-}
-
 // TestChaosSeededSchedules: randomized-but-reproducible chaos. Two peers
 // draw refuse/crash/clean outcomes from seeded fault schedules; for every
 // seed the job completes with the undisturbed fingerprint.
@@ -131,7 +105,7 @@ func TestChaosSeededSchedules(t *testing.T) {
 	spec := chaosSpec(73)
 	want := scenario.MustRun(spec).Fingerprint()
 	for seed := uint64(1); seed <= 5; seed++ {
-		m := NewManager(Config{Workers: 4, ShardSize: 2, RetryBackoff: -1, FailThreshold: 3})
+		m := NewManager(Config{Workers: 4, ShardSize: 2, FailThreshold: 3})
 		p1 := newFaultBackend("seeded-1", newLocalBackend(2), 1, false,
 			seededFaultScript(seed, 64, faultNone, faultRefuse, faultCrash)...)
 		p2 := newFaultBackend("seeded-2", newLocalBackend(2), 1, false,
@@ -156,10 +130,11 @@ func TestChaosSeededSchedules(t *testing.T) {
 }
 
 // TestChaosWireFaultsRetryExactly mangles real HTTP responses between a
-// coordinator and a worker — a corrupted result hash, then a truncated
-// body. remoteBackend's verification must reject both, the retry budget
-// must re-send the shard, and the worker's own cell cache must serve the
-// retries so no cell is ever simulated twice.
+// coordinator and a worker — a corrupted result hash, or a truncated body.
+// The coordinator holds two remote handles to the one worker, so the
+// mangled attempt fails over to the second handle. remoteBackend's
+// verification must reject the mangled response, and the worker's own cell
+// cache must serve the re-sent shard so no cell is ever simulated twice.
 func TestChaosWireFaultsRetryExactly(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -173,10 +148,10 @@ func TestChaosWireFaultsRetryExactly(t *testing.T) {
 			srv := httptest.NewServer(worker.Handler(slog.New(slog.NewTextHandler(io.Discard, nil))))
 			defer srv.Close()
 
-			// First two shard posts come back mangled; the third is clean.
-			ft := newFaultTransport(false, tc.kind, tc.kind)
-			coord := NewManager(Config{Workers: 2, ShardSize: 16, ShardRetries: 3, RetryBackoff: -1})
-			coord.setBackends(newRemoteBackend(srv.URL, ft))
+			// The first shard post comes back mangled; the second is clean.
+			ft := newFaultTransport(false, tc.kind)
+			coord := NewManager(Config{Workers: 2, ShardSize: 16})
+			coord.setBackends(newRemoteBackend(srv.URL, ft), newRemoteBackend(srv.URL, ft))
 
 			spec := chaosSpec(74)
 			j, _, err := coord.Submit(spec)
@@ -185,16 +160,16 @@ func TestChaosWireFaultsRetryExactly(t *testing.T) {
 			}
 			waitDone(t, j)
 			assertUndisturbedFingerprint(t, j, spec)
-			if ft.injected.Load() != 2 {
-				t.Errorf("fault transport mangled %d responses, want 2", ft.injected.Load())
+			if ft.injected.Load() != 1 {
+				t.Errorf("fault transport mangled %d responses, want 1", ft.injected.Load())
 			}
 			if coord.CellRuns() != 0 {
 				t.Errorf("coordinator simulated %d cells itself; the remote fleet should have", coord.CellRuns())
 			}
-			// The worker banked every cell on the first (mangled) attempt,
-			// so the retried shards were cache hits: exactly one run each.
+			// The worker banked every cell on the mangled attempt, so the
+			// re-sent shard was all cache hits: exactly one run each.
 			if got := worker.CellRuns(); got != chaosCells {
-				t.Errorf("worker simulated %d cells across the retries, want exactly %d", got, chaosCells)
+				t.Errorf("worker simulated %d cells across the attempts, want exactly %d", got, chaosCells)
 			}
 		})
 	}
@@ -204,7 +179,7 @@ func TestChaosWireFaultsRetryExactly(t *testing.T) {
 // breaker, and then heals must be skipped while down and re-admitted by
 // the first due probe — no restart, no manual action.
 func TestChaosPeerRecoveryReadmits(t *testing.T) {
-	m := NewManager(Config{Workers: 2, ShardSize: 2, RetryBackoff: -1, FailThreshold: 1})
+	m := NewManager(Config{Workers: 2, ShardSize: 2, FailThreshold: 1})
 	inner := newLocalBackend(2)
 	peer := newFaultBackend("healing", inner, 0, false, faultRefuse) // one refusal, healthy after
 	m.setBackends(peer, m.local)

@@ -7,8 +7,8 @@ package service
 //
 //   - faultBackend wraps any Backend and injects backend-level faults:
 //     connection refusal, a wedged peer that never answers (cut off by
-//     ShardTimeout), and a mid-shard crash after k completed cells
-//     (exercising partial-result banking).
+//     ShardTimeout), and a mid-shard crash after k completed cells whose
+//     results are lost with it.
 //
 //   - faultTransport wraps a remote backend's http.RoundTripper and
 //     injects wire-level faults into real HTTP responses: a corrupted
@@ -46,8 +46,8 @@ const (
 	// a wedged-but-connected peer; only ShardTimeout unsticks it.
 	faultDelay
 	// faultCrash completes the first crashAfter cells, then dies
-	// mid-shard, returning the partial results the way a killed worker's
-	// delivered prefix would survive.
+	// mid-shard and returns no results, like a killed worker's half-sent
+	// response.
 	faultCrash
 	// faultCorrupt (faultTransport only) flips a result hash in the
 	// response body, so the coordinator's verification must reject it.
@@ -150,12 +150,8 @@ func (f *faultBackend) Execute(ctx context.Context, plan *scenario.Plan, cells [
 	case faultCrash:
 		f.injected.Add(1)
 		n := min(f.crashAfter, len(cells))
-		out := make([]CellResult, len(cells))
-		crs, err := f.inner.Execute(ctx, plan, cells[:n])
-		if err == nil {
-			copy(out, crs)
-		}
-		return out, fmt.Errorf("injected fault: crashed after %d of %d cells", n, len(cells))
+		f.inner.Execute(ctx, plan, cells[:n])
+		return nil, fmt.Errorf("injected fault: crashed after %d of %d cells", n, len(cells))
 	default:
 		return f.inner.Execute(ctx, plan, cells)
 	}

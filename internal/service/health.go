@@ -12,10 +12,9 @@ package service
 // is out, shards drain through the local pool and the job still
 // completes.
 //
-// Time and randomness are injected (Manager.now / Manager.sleep /
-// Manager.rng), so the whole state machine is deterministic under test:
-// a fake clock drives probe scheduling and a seeded xrand.RNG fixes the
-// jitter stream.
+// Time and randomness are injected (Manager.now / Manager.rng), so the
+// whole state machine is deterministic under test: a fake clock drives
+// probe scheduling and a seeded xrand.RNG fixes the jitter stream.
 
 import (
 	"fmt"
@@ -24,6 +23,10 @@ import (
 
 	"dynasym/internal/obs"
 )
+
+// maxProbeBackoff caps the doubling probe backoff of a peer that keeps
+// failing its probes (before jitter).
+const maxProbeBackoff = time.Minute
 
 // peerState is a handle's circuit-breaker position.
 type peerState int32
@@ -75,7 +78,6 @@ type backendHandle struct {
 	state      peerState
 	fails      int // consecutive transport failures
 	lastErr    error
-	lastFailAt time.Time
 	nextProbe  time.Time // down: earliest next attempt
 	backoffExp int       // consecutive trips, drives the probe backoff
 }
@@ -144,27 +146,37 @@ func (m *Manager) report(h *backendHandle, err error) {
 	}
 	h.fails++
 	h.lastErr = err
-	h.lastFailAt = m.now()
 	if !h.breaker {
 		return
 	}
 	if h.state == peerProbing || h.fails >= m.cfg.FailThreshold {
 		d := m.cfg.ProbeBackoff
-		for i := 0; i < h.backoffExp && d < m.cfg.ProbeMaxBackoff; i++ {
+		for i := 0; i < h.backoffExp && d < maxProbeBackoff; i++ {
 			d *= 2
 		}
-		if d > m.cfg.ProbeMaxBackoff {
-			d = m.cfg.ProbeMaxBackoff
-		}
+		d = min(d, maxProbeBackoff)
 		h.backoffExp++
 		h.nextProbe = m.now().Add(m.jitterDur(d))
 		h.setState(peerDown)
 	}
 }
 
+// cancelled records an attempt on h that its job cancelled. It proves
+// nothing about the peer, so it leaves the failure accounting alone; but a
+// probe must not leave the peer probing — admit would refuse it forever —
+// so a probing peer goes back to down with its probe due now.
+func (m *Manager) cancelled(h *backendHandle) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.state == peerProbing {
+		h.nextProbe = m.now()
+		h.setState(peerDown)
+	}
+}
+
 // jitterDur scales d by a uniform factor in [0.5, 1.5): it desynchronizes
-// probe and retry storms across shards and nodes while keeping the mean,
-// and stays deterministic under a seeded RNG.
+// probe storms across shards and nodes while keeping the mean, and stays
+// deterministic under a seeded RNG.
 func (m *Manager) jitterDur(d time.Duration) time.Duration {
 	m.rngMu.Lock()
 	f := 0.5 + m.rng.Float64()

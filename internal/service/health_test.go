@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,7 +41,7 @@ func (c *fakeClock) advance(d time.Duration) {
 // admitted once the (jittered, exponential) backoff elapses → a failed
 // probe re-opens with a longer period → a successful probe recovers.
 func TestPeerBreakerLifecycle(t *testing.T) {
-	m := NewManager(Config{Workers: 1, FailThreshold: 2, ProbeBackoff: time.Second, ProbeMaxBackoff: 8 * time.Second})
+	m := NewManager(Config{Workers: 1, FailThreshold: 2, ProbeBackoff: time.Second})
 	clock := pinClock(m)
 	h := &backendHandle{Backend: &flakyBackend{}, breaker: true}
 	boom := errors.New("boom")
@@ -104,30 +103,31 @@ func TestPeerBreakerLifecycle(t *testing.T) {
 }
 
 // TestProbeBackoffCaps: repeated failed probes double the down period
-// only up to ProbeMaxBackoff.
+// only up to maxProbeBackoff.
 func TestProbeBackoffCaps(t *testing.T) {
-	m := NewManager(Config{Workers: 1, FailThreshold: 1, ProbeBackoff: time.Second, ProbeMaxBackoff: 4 * time.Second})
+	m := NewManager(Config{Workers: 1, FailThreshold: 1, ProbeBackoff: time.Second})
 	clock := pinClock(m)
 	h := &backendHandle{Backend: &flakyBackend{}, breaker: true}
 	boom := errors.New("boom")
+	lo, hi := maxProbeBackoff/2, maxProbeBackoff*3/2 // the cap scaled by jitter in [0.5, 1.5)
 	for i := 0; i < 10; i++ {
 		m.report(h, boom)
 		if h.state != peerDown {
 			t.Fatalf("trip %d: state %v, want down", i, h.state)
 		}
 		wait := h.nextProbe.Sub(clock.now())
-		if wait >= 6*time.Second { // 4s cap × max jitter 1.5
-			t.Fatalf("trip %d: down period %v exceeds the 4s cap (with jitter <6s)", i, wait)
+		if wait >= hi {
+			t.Fatalf("trip %d: down period %v exceeds the %v cap (with jitter <%v)", i, wait, maxProbeBackoff, hi)
 		}
 		clock.advance(wait)
 		if !m.admit(h) {
 			t.Fatalf("trip %d: due probe not admitted", i)
 		}
 	}
-	// After many trips the period sits at the cap: 4s × jitter ∈ [2s, 6s).
+	// After many trips the period sits at the cap.
 	m.report(h, boom)
-	if wait := h.nextProbe.Sub(clock.now()); wait < 2*time.Second || wait >= 6*time.Second {
-		t.Fatalf("capped down period %v, want 4s scaled by jitter in [0.5, 1.5)", wait)
+	if wait := h.nextProbe.Sub(clock.now()); wait < lo || wait >= hi {
+		t.Fatalf("capped down period %v, want %v scaled by jitter in [0.5, 1.5)", wait, maxProbeBackoff)
 	}
 }
 
@@ -169,72 +169,6 @@ func TestLocalBackendNeverTrips(t *testing.T) {
 	}
 }
 
-// recoveringBackend fails its first n Execute calls with a transport
-// error, then delegates to inner — a transient blip.
-type recoveringBackend struct {
-	name      string
-	inner     Backend
-	failsLeft atomic.Int64
-}
-
-func (r *recoveringBackend) Name() string { return r.name }
-func (r *recoveringBackend) Execute(ctx context.Context, plan *scenario.Plan, cells []scenario.CellJob) ([]CellResult, error) {
-	if r.failsLeft.Add(-1) >= 0 {
-		return nil, errors.New("transient blip")
-	}
-	return r.inner.Execute(ctx, plan, cells)
-}
-
-// TestRetryBudgetOutlivesTransientBlip: a blip that hits every backend
-// at once used to permanently fail the job after one failover pass; the
-// per-shard retry budget rides it out, with a backoff pause per round.
-func TestRetryBudgetOutlivesTransientBlip(t *testing.T) {
-	m := NewManager(Config{Workers: 2, ShardRetries: 3, FailThreshold: 100})
-	var sleeps atomic.Int64
-	m.sleep = func(ctx context.Context, d time.Duration) error {
-		sleeps.Add(1)
-		return ctx.Err()
-	}
-	rb := &recoveringBackend{name: "recovering", inner: m.local}
-	rb.failsLeft.Store(2)
-	m.setBackends(rb)
-	j, _, err := m.Submit(tinySpec(61))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, j)
-	if j.State() != StateDone {
-		t.Fatalf("job finished %v (%v), want done on the third round", j.State(), j.Snapshot().Error)
-	}
-	if got := sleeps.Load(); got != 2 {
-		t.Errorf("retry rounds paused %d times, want 2 (one backoff before each retry round)", got)
-	}
-	_, fp, _, err := j.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct := scenario.MustRun(tinySpec(61)); fp != direct.Fingerprint() {
-		t.Error("retried job's fingerprint differs from an undisturbed run")
-	}
-
-	// With the budget cut to a single pass, the same blip is fatal.
-	m2 := NewManager(Config{Workers: 2, ShardRetries: 1, RetryBackoff: -1, FailThreshold: 100})
-	rb2 := &recoveringBackend{name: "recovering", inner: m2.local}
-	rb2.failsLeft.Store(2)
-	m2.setBackends(rb2)
-	j2, _, err := m2.Submit(tinySpec(61))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, j2)
-	if j2.State() != StateFailed {
-		t.Fatalf("single-pass job finished %v, want failed", j2.State())
-	}
-	if _, _, _, err := j2.Result(); err == nil || !strings.Contains(err.Error(), "transient blip") {
-		t.Errorf("error %v does not carry the transport cause", err)
-	}
-}
-
 // namedFailBackend always fails with its own distinct message.
 type namedFailBackend struct{ name, msg string }
 
@@ -247,7 +181,7 @@ func (b *namedFailBackend) Execute(context.Context, *scenario.Plan, []scenario.C
 // shard exhausted across several backends must report every cause, not
 // just the last attempt's.
 func TestShardErrorAggregatesAllBackends(t *testing.T) {
-	m := NewManager(Config{Workers: 1, ShardRetries: 1, RetryBackoff: -1})
+	m := NewManager(Config{Workers: 1})
 	m.setBackends(
 		&namedFailBackend{"peerA", "connection refused by A"},
 		&namedFailBackend{"peerB", "tls handshake failed at B"},
@@ -268,5 +202,39 @@ func TestShardErrorAggregatesAllBackends(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("aggregated error %q is missing %q", err, want)
 		}
+	}
+}
+
+// TestCancelledProbeRearmsBreaker: a probe its job cancels proves nothing
+// about the peer. It must not leave the breaker probing, where admit would
+// refuse the peer forever; the peer goes back to down, its probe due now.
+func TestCancelledProbeRearmsBreaker(t *testing.T) {
+	m := NewManager(Config{Workers: 1, FailThreshold: 1})
+	clock := pinClock(m)
+	m.setBackends(&scriptedBackend{name: "blocking", fn: func(ctx context.Context, _ *scenario.Plan, _ []scenario.CellJob) ([]CellResult, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}})
+	h := m.handles[0]
+	m.report(h, errors.New("boom")) // trips the breaker
+	clock.advance(time.Hour)        // the probe is due
+
+	plan, err := scenario.NewPlan(tinySpec(63))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	if _, err := m.runShard(ctx, 0, plan, plan.Cells); !errors.Is(err, context.Canceled) {
+		t.Fatalf("runShard error = %v, want context.Canceled", err)
+	}
+
+	clock.advance(24 * time.Hour)
+	ph := m.PeerHealth()
+	if len(ph) != 1 || ph[0].State != "down" || ph[0].ConsecutiveFails != 1 || ph[0].NextProbeSec != 0 {
+		t.Fatalf("peer health after a cancelled probe = %+v, want down with 1 failure and its probe due", ph)
+	}
+	if !m.admit(h) {
+		t.Fatal("peer not admitted once its probe is due after a cancelled probe")
 	}
 }

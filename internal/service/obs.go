@@ -75,8 +75,7 @@ type serviceMetrics struct {
 	// reads the pool size when no worker idled while cells waited.
 	poolParallelism *obs.Histogram
 
-	shardRetryRounds *obs.Counter
-	shardFailovers   *obs.Counter
+	shardFailovers *obs.Counter
 
 	traceSpansDropped *obs.Counter
 
@@ -148,8 +147,7 @@ func newServiceMetrics(reg *obs.Registry, workers int) *serviceMetrics {
 		poolParallelism: reg.Histogram("asymd_pool_batch_parallelism",
 			"Effective workers of one executed local batch: summed cell wall time over the batch's wall time.", parallelismBuckets),
 
-		shardRetryRounds: reg.Counter("asymd_shard_retry_rounds_total", "Extra retry rounds entered by shards (first round excluded)."),
-		shardFailovers:   reg.Counter("asymd_shard_failovers_total", "Failed shard attempts that moved the shard to another backend or round."),
+		shardFailovers: reg.Counter("asymd_shard_failovers_total", "Failed shard attempts that moved the shard on to the next backend."),
 
 		traceSpansDropped: reg.Counter("asymd_trace_spans_dropped_total", "Service-trace spans dropped by the per-job retention cap."),
 

@@ -214,7 +214,7 @@ func TestRuntimeMetricsExposition(t *testing.T) {
 // while jobs execute and a flaky peer trips its breaker — the race
 // detector owns the assertions; the final scrape sanity-checks totals.
 func TestMetricsScrapesRaceJobs(t *testing.T) {
-	m, srv := newTestServer(t, Config{Workers: 2, CacheSize: 8, FailThreshold: 1, RetryBackoff: -1})
+	m, srv := newTestServer(t, Config{Workers: 2, CacheSize: 8, FailThreshold: 1})
 	flaky := &flakyBackend{}
 	m.setBackends(flaky, m.local)
 

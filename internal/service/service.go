@@ -17,7 +17,7 @@
 // cell hash. Cells already in the cell-granular LRU are served from cache;
 // the misses are batched into shards and dispatched across the configured
 // backends (the in-process pool, plus one remote backend per -peers
-// entry), with failed shards retried on another backend. Because cell
+// entry), a failed shard moving on to the next backend. Because cell
 // hashes ignore the spec's grid axes, two overlapping specs — a sweep and
 // the same sweep with one extra point — share cells, and a resubmission
 // with a small delta simulates only the delta.
@@ -214,26 +214,14 @@ type Config struct {
 	// non-local backends: the in-process pool cannot wedge, and long
 	// paper-scale cells must not be killed mid-simulation.
 	ShardTimeout time.Duration
-	// ShardRetries is a shard's retry budget: the number of rounds over
-	// the available backends before the shard — and with it the job —
-	// fails (default 3; 1 restores the old single-pass behavior). With
-	// more than one round, a transient blip on every peer no longer
-	// permanently fails a job that a later pass could finish.
-	ShardRetries int
-	// RetryBackoff is the pause before the second round of a shard's
-	// retry budget (default 100ms; < 0 disables). It doubles each round
-	// and is jittered by ±50% so concurrent shards don't retry in
-	// lockstep.
-	RetryBackoff time.Duration
 	// FailThreshold trips a peer's circuit breaker after this many
 	// consecutive transport failures (default 3). See health.go.
 	FailThreshold int
 	// ProbeBackoff is how long a freshly tripped peer stays down before
 	// one probe attempt is admitted (default 1s). Each failed probe
-	// doubles it, up to ProbeMaxBackoff (default 1 minute); both are
+	// doubles it, up to maxProbeBackoff (health.go); the period is
 	// jittered by ±50%.
-	ProbeBackoff    time.Duration
-	ProbeMaxBackoff time.Duration
+	ProbeBackoff time.Duration
 	// TraceRetention bounds how many finished jobs keep their
 	// service-level span timeline for GET /v1/jobs/{id}/trace, and how
 	// many rendered cell sim traces are cached (default 64 each).
@@ -258,20 +246,11 @@ func (c Config) withDefaults() Config {
 	if c.ShardTimeout == 0 {
 		c.ShardTimeout = 10 * time.Minute
 	}
-	if c.ShardRetries <= 0 {
-		c.ShardRetries = 3
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 100 * time.Millisecond
-	}
 	if c.FailThreshold <= 0 {
 		c.FailThreshold = 3
 	}
 	if c.ProbeBackoff <= 0 {
 		c.ProbeBackoff = time.Second
-	}
-	if c.ProbeMaxBackoff <= 0 {
-		c.ProbeMaxBackoff = time.Minute
 	}
 	if c.TraceRetention <= 0 {
 		c.TraceRetention = 64
@@ -291,11 +270,10 @@ type Manager struct {
 	local   *localBackend
 	handles []*backendHandle
 
-	// now, sleep and rng are the fault-tolerance layer's time and
-	// randomness sources, injectable so tests drive probe scheduling
-	// with a fake clock and a fixed jitter stream.
+	// now and rng are the fault-tolerance layer's time and randomness
+	// sources, injectable so tests drive probe scheduling with a fake
+	// clock and a fixed jitter stream.
 	now   func() time.Time
-	sleep func(context.Context, time.Duration) error
 	rngMu sync.Mutex
 	rng   *xrand.RNG
 
@@ -338,7 +316,6 @@ func NewManager(cfg Config) *Manager {
 		reg:      reg,
 		mx:       mx,
 		now:      time.Now,
-		sleep:    sleepCtx,
 		rng:      xrand.New(0x4ea1),
 		inflight: make(map[string]*Job),
 		cache:    newLRUCache[*Job](cfg.CacheSize),
@@ -364,21 +341,6 @@ func NewManager(cfg Config) *Manager {
 	}
 	m.setBackends(backends...)
 	return m
-}
-
-// sleepCtx is the default Manager.sleep: a context-respecting pause.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // Submit registers a spec for execution and returns its job. existing
@@ -917,20 +879,21 @@ func (m *Manager) takeCells(cells []scenario.CellJob, runs []scenario.RunMetrics
 // bankCells is the write side of the cell-cache protocol: successful
 // results enter the cache, and any job subscribed to the cell is resolved
 // immediately — waiters unblock as shards land, not when the owning job
-// finishes. Failed cells enter neither.
+// finishes. Failed cells, and the cells a cancelled attempt never ran (no
+// Hash), enter neither.
 func (m *Manager) bankCells(crs []CellResult) {
 	m.mu.Lock()
 	var resolved []*pendingCell
 	var fresh []scenario.RunMetrics
 	evicted := int64(0)
 	for _, cr := range crs {
-		if cr.Err != nil {
+		if cr.Err != nil || cr.Hash == "" {
 			continue
 		}
 		// A cell entering the cache for the first time reports its
 		// simulated scheduler activity (observed below, outside the lock);
-		// re-banking the same cell — a retried shard re-landing its
-		// partials — must not double-count.
+		// re-banking a cell the cache already holds — two shard requests
+		// that simulated it concurrently — must not double-count.
 		if _, seen := m.cells.Peek(cr.Hash); !seen {
 			fresh = append(fresh, cr.Metrics)
 		}
@@ -956,135 +919,77 @@ func (m *Manager) bankCells(crs []CellResult) {
 	}
 }
 
-// runShard runs one shard to completion across the fleet: up to
-// Config.ShardRetries rounds over the backends, each round starting at
-// the shard's round-robin home, with exponential jittered backoff
-// between rounds. Peers whose circuit breaker is open are skipped
-// (health.go); the local pool is always admissible, so a fleet whose
-// every remote peer is down degrades to local execution instead of
-// failing the job. Remote attempts run under ShardTimeout so a wedged
-// peer surfaces as a retryable error instead of hanging the job. A
-// failed attempt may still have completed some cells (a cancelled pool
-// or a crashed peer returns partial results); those are banked into the
-// cell cache immediately and only the remainder is retried, so completed
-// simulation work survives the failover. Attempt errors accumulate via
-// errors.Join: an exhausted shard reports every cause, not just the last.
+// runShard runs one shard in one pass over the fleet: one attempt per
+// admissible backend, starting at the shard's round-robin home. Peers whose
+// circuit breaker is open are skipped (health.go). The local pool is always
+// admissible and fails only when ctx is done, so in a fleet that holds it the
+// pass always ends the shard. Remote attempts run under ShardTimeout so a
+// wedged peer surfaces as an error instead of hanging the job. On
+// cancellation the cells that completed are banked — finished simulation
+// work survives even a failing job — and the backend is not blamed. Attempt
+// errors accumulate via errors.Join: a failed shard reports every cause.
 func (m *Manager) runShard(ctx context.Context, si int, plan *scenario.Plan, shard []scenario.CellJob) ([]CellResult, error) {
 	n := len(m.handles)
 	jt := jobTraceFrom(ctx)
-	done := make(map[string]CellResult, len(shard))
-	remaining := shard
 	var attemptErrs []error
-	for round := 0; round < m.cfg.ShardRetries && len(remaining) > 0; round++ {
-		if round > 0 {
-			m.mx.shardRetryRounds.Inc()
-			if m.cfg.RetryBackoff > 0 {
-				if err := m.sleep(ctx, m.jitterDur(m.cfg.RetryBackoff<<(round-1))); err != nil {
-					return nil, err
-				}
-			}
+	for attempt := 0; attempt < n; attempt++ {
+		h := m.handles[(si+attempt)%n]
+		if !m.admit(h) {
+			continue
 		}
-		for attempt := 0; attempt < n && len(remaining) > 0; attempt++ {
-			h := m.handles[(si+attempt)%n]
-			if !m.admit(h) {
-				continue
-			}
-			actx, cancel := ctx, context.CancelFunc(func() {})
-			if _, isLocal := h.Backend.(*localBackend); !isLocal && m.cfg.ShardTimeout > 0 {
-				actx, cancel = context.WithTimeout(ctx, m.cfg.ShardTimeout)
-			}
-			// The attempt gets a leased display lane on the backend's
-			// track group; nested spans (local cell runs, the worker's
-			// own timeline) attach under it via the context.
-			lane, releaseLane := jt.lane(h.Name())
-			actx = withTraceLane(actx, lane)
-			attemptT0 := jt.at()
-			attemptStart := m.now()
-			crs, err := h.Execute(actx, plan, remaining)
-			rtt := m.now().Sub(attemptStart)
-			cancel()
-			if err == nil && len(crs) != len(remaining) {
-				err = fmt.Errorf("returned %d results for %d cells", len(crs), len(remaining))
-				crs = nil
-			}
-			if jt != nil {
-				outcome := "ok"
-				if err != nil {
-					outcome = "error: " + err.Error()
-				}
-				jt.span(trace.Span{
-					Name: fmt.Sprintf("shard %d", si), Cat: "dispatch", Lane: lane,
-					Start: attemptT0, End: jt.at(),
-					Args: map[string]string{
-						"backend": h.Name(),
-						"round":   fmt.Sprint(round),
-						"cells":   fmt.Sprint(len(remaining)),
-						"outcome": outcome,
-					},
-				})
-			}
-			releaseLane()
-			if err == nil {
-				m.report(h, nil)
-				h.rttSec.Observe(rtt.Seconds())
-				for _, cr := range crs {
-					done[cr.Hash] = cr
-				}
-				remaining = nil
-				break
-			}
-			if ctx.Err() != nil {
-				// The dispatch itself was cancelled — bank whatever cells
-				// completed before the teardown (finished simulation work
-				// must survive even a failing job), then abort without
-				// blaming the peer.
-				var partial []CellResult
-				for _, cr := range crs {
-					if cr.Hash != "" {
-						partial = append(partial, cr)
-					}
-				}
-				if len(partial) > 0 {
-					m.bankCells(partial)
-				}
-				return nil, ctx.Err()
-			}
-			m.report(h, err)
-			h.failures.Inc()
-			m.mx.shardFailovers.Inc()
-			attemptErrs = append(attemptErrs, fmt.Errorf("backend %s: %w", h.Name(), err))
-			var partial []CellResult
-			for _, cr := range crs {
-				if cr.Hash != "" {
-					partial = append(partial, cr)
-					done[cr.Hash] = cr
-				}
-			}
-			if len(partial) > 0 {
-				m.bankCells(partial)
-				rest := make([]scenario.CellJob, 0, len(remaining)-len(partial))
-				for _, c := range remaining {
-					if _, ok := done[c.Hash]; !ok {
-						rest = append(rest, c)
-					}
-				}
-				remaining = rest
-			}
+		actx, cancel := ctx, context.CancelFunc(func() {})
+		if _, isLocal := h.Backend.(*localBackend); !isLocal && m.cfg.ShardTimeout > 0 {
+			actx, cancel = context.WithTimeout(ctx, m.cfg.ShardTimeout)
 		}
-	}
-	if len(remaining) > 0 {
-		joined := errors.Join(attemptErrs...)
-		if joined == nil {
-			joined = errors.New("every backend's circuit breaker is open")
+		// The attempt gets a leased display lane on the backend's track
+		// group; nested spans (local cell runs, the worker's own
+		// timeline) attach under it via the context.
+		lane, releaseLane := jt.lane(h.Name())
+		actx = withTraceLane(actx, lane)
+		attemptT0 := jt.at()
+		attemptStart := m.now()
+		crs, err := h.Execute(actx, plan, shard)
+		rtt := m.now().Sub(attemptStart)
+		cancel()
+		if jt != nil {
+			outcome := "ok"
+			if err != nil {
+				outcome = "error: " + err.Error()
+			}
+			jt.span(trace.Span{
+				Name: fmt.Sprintf("shard %d", si), Cat: "dispatch", Lane: lane,
+				Start: attemptT0, End: jt.at(),
+				Args: map[string]string{
+					"backend": h.Name(),
+					"cells":   fmt.Sprint(len(shard)),
+					"outcome": outcome,
+				},
+			})
 		}
-		return nil, fmt.Errorf("shard of %d cells failed after %d rounds over %d backends: %w",
-			len(shard), m.cfg.ShardRetries, n, joined)
+		releaseLane()
+		if err == nil {
+			m.report(h, nil)
+			h.rttSec.Observe(rtt.Seconds())
+			return crs, nil
+		}
+		if ctx.Err() != nil {
+			// The dispatch itself was cancelled: bank the cells that
+			// completed before the teardown, and abort. The attempt
+			// proves nothing about the backend.
+			m.cancelled(h)
+			m.bankCells(crs)
+			return nil, ctx.Err()
+		}
+		m.report(h, err)
+		h.failures.Inc()
+		m.mx.shardFailovers.Inc()
+		attemptErrs = append(attemptErrs, fmt.Errorf("backend %s: %w", h.Name(), err))
 	}
-	out := make([]CellResult, len(shard))
-	for i, c := range shard {
-		out[i] = done[c.Hash]
+	if len(attemptErrs) == 0 {
+		return nil, fmt.Errorf("shard of %d cells: every backend's circuit breaker is open", len(shard))
 	}
-	return out, nil
+	return nil, fmt.Errorf("shard of %d cells failed on every admissible backend: %w",
+		len(shard), errors.Join(attemptErrs...))
 }
 
 // Job looks a job up by hash, in flight or cached.

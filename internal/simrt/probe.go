@@ -27,20 +27,19 @@ const (
 	maxPTTSamples   = 1 << 16
 )
 
-// QueueSample is one observed queue-state transition: the total ready
+// queueSample is one observed queue-state transition: the total ready
 // tasks across all WSQs and committed entries across all AQs at a virtual
 // time.
-type QueueSample struct {
+type queueSample struct {
 	At               float64
 	Ready, Committed int32
 }
 
-// PTTSample is one PTT prediction-vs-actual observation: at a completion,
+// pttSample is one PTT prediction-vs-actual observation: at a completion,
 // the table's estimate for the place before the update, and the observed
 // span that updated it.
-type PTTSample struct {
+type pttSample struct {
 	At                float64
-	Place, Type       int32
 	Predicted, Actual float64
 }
 
@@ -65,15 +64,13 @@ type Probe struct {
 	lastAt                 float64
 	readyInt, committedInt float64
 	transitions            int64
-	samples                []QueueSample
-	samplesDropped         int64
+	samples                []queueSample
 
 	// PTT tracking: error sum over every observed prediction plus the
 	// capped raw series.
 	pttCount   int64
 	pttErrSum  float64
-	pttSamples []PTTSample
-	pttDropped int64
+	pttSamples []pttSample
 }
 
 // NewProbe returns an empty probe; attaching it to a runtime sizes it.
@@ -92,11 +89,9 @@ func (p *Probe) reset(n int) {
 	p.readyInt, p.committedInt = 0, 0
 	p.transitions = 0
 	p.samples = p.samples[:0]
-	p.samplesDropped = 0
 	p.pttCount = 0
 	p.pttErrSum = 0
 	p.pttSamples = p.pttSamples[:0]
-	p.pttDropped = 0
 }
 
 func resizeZero(sl []float64, n int) []float64 {
@@ -158,24 +153,20 @@ func (p *Probe) queueDelta(at float64, dReady, dCommitted int) {
 	}
 	p.transitions++
 	if len(p.samples) < maxQueueSamples {
-		p.samples = append(p.samples, QueueSample{At: at, Ready: int32(p.ready), Committed: int32(p.committed)})
-	} else {
-		p.samplesDropped++
+		p.samples = append(p.samples, queueSample{At: at, Ready: int32(p.ready), Committed: int32(p.committed)})
 	}
 }
 
 // pttObserve records one prediction-vs-actual pair (the table's estimate
 // for the place before this completion's update folded in).
-func (p *Probe) pttObserve(at float64, place, typ int32, predicted, actual float64) {
+func (p *Probe) pttObserve(at, predicted, actual float64) {
 	if actual <= 0 || predicted <= 0 {
 		return
 	}
 	p.pttCount++
 	p.pttErrSum += math.Abs(predicted-actual) / actual
 	if len(p.pttSamples) < maxPTTSamples {
-		p.pttSamples = append(p.pttSamples, PTTSample{At: at, Place: place, Type: typ, Predicted: predicted, Actual: actual})
-	} else {
-		p.pttDropped++
+		p.pttSamples = append(p.pttSamples, pttSample{At: at, Predicted: predicted, Actual: actual})
 	}
 }
 

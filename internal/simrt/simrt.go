@@ -761,7 +761,7 @@ func (rt *Runtime) completeAssembly(a *assembly, finish float64) {
 		if p := rt.cfg.Probe; p != nil {
 			// The table's estimate before this observation folds in is the
 			// prediction the dispatch decision would have seen.
-			p.pttObserve(finish, a.placeID, int32(typ), tbl.ValueByID(int(a.placeID)), span)
+			p.pttObserve(finish, tbl.ValueByID(int(a.placeID)), span)
 		}
 		tbl.UpdateByID(int(a.placeID), span)
 	}

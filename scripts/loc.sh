@@ -15,8 +15,8 @@
 # allowlist: an entry goes when the ROADMAP item it names lands, and a new
 # one is added only in the diff.
 set -eu
-ceiling=15639
-options_ceiling=35
+ceiling=15541
+options_ceiling=30
 cd "$(dirname "$0")/.."
 n=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)
 echo "$n"

@@ -323,7 +323,7 @@ W2ADDR="$(wait_addr "$W2LOG" "$W2PID")"
 # first failure marks the dead worker down, and -probe-backoff 30s keeps
 # it down for the rest of the leg so /v1/healthz shows the open breaker.
 "$BIN" -addr 127.0.0.1:0 -peers "http://$W1ADDR,http://$W2ADDR" -shard 1 \
-	-retry-backoff 50ms -fail-threshold 1 -probe-backoff 30s >"$C2LOG" 2>&1 &
+	-fail-threshold 1 -probe-backoff 30s >"$C2LOG" 2>&1 &
 C2PID=$!
 C2ADDR="$(wait_addr "$C2LOG" "$C2PID")"
 CHAOS="http://$C2ADDR"

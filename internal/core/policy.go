@@ -29,12 +29,12 @@ import (
 type Objective int
 
 const (
-	// MinCost minimizes predicted time × width (the paper's "parallel
+	// minCost minimizes predicted time × width (the paper's "parallel
 	// cost"), conserving resources.
-	MinCost Objective = iota
-	// MinTime minimizes predicted time alone (the paper's "parallel
+	minCost Objective = iota
+	// minTime minimizes predicted time alone (the paper's "parallel
 	// performance"), used by DAM-P for critical tasks.
-	MinTime
+	minTime
 )
 
 // Context carries everything a policy may consult for one decision.
@@ -187,7 +187,7 @@ func globalBest(t *ptt.Table, topo *topology.Platform, obj Objective, widthOne b
 		// Width-1 places have cost == time, so one cache serves both
 		// objectives.
 		id = t.BestGlobalW1()
-	case obj == MinCost:
+	case obj == minCost:
 		id = t.BestGlobalCost()
 	default:
 		id = t.BestGlobalTime()
@@ -214,17 +214,17 @@ func RWSMC() Policy {
 	}
 }
 
-// FA is the fixed-asymmetry criticality scheduler: high-priority tasks are
+// fa is the fixed-asymmetry criticality scheduler: high-priority tasks are
 // pinned round-robin to the statically fastest cluster, width 1.
-func FA() Policy {
+func fa() Policy {
 	return &policy{
 		name: "FA", high: highFastRR,
 		features: Features{Asymmetry: "Fixed", Mold: "No", Placement: "Fast cores"},
 	}
 }
 
-// FAMC is FA plus moldability targeting resource cost.
-func FAMC() Policy {
+// faMC is FA plus moldability targeting resource cost.
+func faMC() Policy {
 	return &policy{
 		name: "FAM-C", usesPTT: true, lowSearch: true, high: highFastRR, highMold: true,
 		features: Features{Asymmetry: "Fixed", Mold: "Yes", Placement: "Resource Cost"},
@@ -235,7 +235,7 @@ func FAMC() Policy {
 // go to the globally fastest single core according to the PTT.
 func DA() Policy {
 	return &policy{
-		name: "DA", usesPTT: true, high: highGlobal, highObj: MinTime, highWOne: true,
+		name: "DA", usesPTT: true, high: highGlobal, highObj: minTime, highWOne: true,
 		features: Features{Asymmetry: "Dynamic", Mold: "No", Placement: "N/A"},
 	}
 }
@@ -244,7 +244,7 @@ func DA() Policy {
 // parallel cost (Algorithm 1, DAM-C branch).
 func DAMC() Policy {
 	return &policy{
-		name: "DAM-C", usesPTT: true, lowSearch: true, high: highGlobal, highObj: MinCost,
+		name: "DAM-C", usesPTT: true, lowSearch: true, high: highGlobal, highObj: minCost,
 		features: Features{Asymmetry: "Dynamic", Mold: "Yes", Placement: "Resource Cost"},
 	}
 }
@@ -253,14 +253,14 @@ func DAMC() Policy {
 // tasks target best parallel performance (Algorithm 1, DAM-P branch).
 func DAMP() Policy {
 	return &policy{
-		name: "DAM-P", usesPTT: true, lowSearch: true, high: highGlobal, highObj: MinTime,
+		name: "DAM-P", usesPTT: true, lowSearch: true, high: highGlobal, highObj: minTime,
 		features: Features{Asymmetry: "Dynamic", Mold: "Yes", Placement: "Performance"},
 	}
 }
 
 // All returns the seven policies in the paper's Table 1 order.
 func All() []Policy {
-	return []Policy{RWS(), RWSMC(), FA(), FAMC(), DA(), DAMC(), DAMP()}
+	return []Policy{RWS(), RWSMC(), fa(), faMC(), DA(), DAMC(), DAMP()}
 }
 
 // ByName returns the policy with the given (case-sensitive) paper name,

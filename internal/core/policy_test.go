@@ -93,7 +93,7 @@ func TestLocalSearchPrefersCheaperWidth(t *testing.T) {
 
 func TestFARoundRobinOverFastCluster(t *testing.T) {
 	topo := topology.TX2()
-	p := FA()
+	p := fa()
 	ctx := ctxFor(topo, nil, 4, true)
 	seen := map[int]int{}
 	for i := 0; i < 10; i++ {
@@ -124,7 +124,7 @@ func TestFAMCMoldsAtFastCore(t *testing.T) {
 	tbl.Update(topology.Place{Leader: 0, Width: 1}, 2.0)
 	tbl.Update(topology.Place{Leader: 0, Width: 2}, 0.9)
 	tbl.Update(topology.Place{Leader: 1, Width: 1}, 1.0)
-	p := FAMC()
+	p := faMC()
 	pl := p.DispatchPlace(ctxFor(topo, tbl, 0, true))
 	if pl != (topology.Place{Leader: 0, Width: 2}) {
 		t.Fatalf("FAM-C high dispatch = %v, want (C0,2)", pl)
@@ -199,7 +199,7 @@ func TestPriorityStealFlags(t *testing.T) {
 		want bool
 	}{
 		{RWS(), true}, {RWSMC(), true},
-		{FA(), false}, {FAMC(), false},
+		{fa(), false}, {faMC(), false},
 		{DA(), false}, {DAMC(), false}, {DAMP(), false},
 	} {
 		if tc.p.AllowPrioritySteal() != tc.want {

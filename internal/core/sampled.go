@@ -22,13 +22,9 @@ type Sampled struct {
 	K int
 }
 
-// NewSampled wraps a policy; k ≤ 0 defaults to 8.
-func NewSampled(p Policy, k int) Sampled {
-	if k <= 0 {
-		k = 8
-	}
-	return Sampled{Policy: p, K: k}
-}
+// NewSampled wraps a policy with k ≥ 1 random candidates per decision
+// (ByName rejects a smaller K).
+func NewSampled(p Policy, k int) Sampled { return Sampled{Policy: p, K: k} }
 
 // Name labels the wrapper.
 func (s Sampled) Name() string { return s.Policy.Name() + "~" + itoa(s.K) }
@@ -81,12 +77,12 @@ func (s Sampled) DispatchPlace(ctx *Context) topology.Place {
 	return places[bestID]
 }
 
-// MaxSampledK bounds K in a "<base>~<K>" policy name. A decision probes
+// maxSampledK bounds K in a "<base>~<K>" policy name. A decision probes
 // about K places, and a name is outside input, so K is capped like a cell's
 // size: 1024 is 32 times the largest K the experiments use, and a platform
 // of 1024 cores (the most a spec may name) has at least 1024 places, so a
 // capped sampled search costs about what the exhaustive one costs there.
-const MaxSampledK = 1 << 10
+const maxSampledK = 1 << 10
 
 // sampledByName resolves name, split at its last '~' into base and K. The
 // base must not itself be sampled: the search objective is read off the
@@ -96,8 +92,8 @@ func sampledByName(name, base, kText string) (Policy, error) {
 		return nil, fmt.Errorf("core: policy %q: the base of a sampled policy cannot itself be sampled", name)
 	}
 	k, err := strconv.Atoi(kText) // a K past the int range reads as math.MaxInt
-	if k > MaxSampledK {
-		return nil, fmt.Errorf("core: policy %q: K of %s exceeds MaxSampledK (%d)", name, kText, MaxSampledK)
+	if k > maxSampledK {
+		return nil, fmt.Errorf("core: policy %q: K of %s exceeds MaxSampledK (%d)", name, kText, maxSampledK)
 	}
 	if err != nil || k < 1 {
 		return nil, fmt.Errorf("core: unknown policy %q", name)

@@ -58,9 +58,6 @@ func TestSampledName(t *testing.T) {
 	if got := NewSampled(DAMC(), 12).Name(); got != "DAM-C~12" {
 		t.Fatalf("name = %q", got)
 	}
-	if got := NewSampled(DAMC(), 0).Name(); got != "DAM-C~8" {
-		t.Fatalf("default-k name = %q", got)
-	}
 }
 
 func BenchmarkFullGlobalSearch80Cores(b *testing.B) {

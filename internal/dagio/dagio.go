@@ -74,7 +74,7 @@ type GraphSpec struct {
 // isNormalized reports whether the graph is already in canonical form,
 // so the consumers that run once per simulation cell (Build) can skip
 // the copy-and-sort for the common case of a graph that came out of a
-// parser, a generator, or a previous Normalized call.
+// parser, a generator, or a previous normalized call.
 func (g *GraphSpec) isNormalized() bool {
 	for i := 1; i < len(g.Nodes); i++ {
 		if g.Nodes[i-1].ID >= g.Nodes[i].ID {
@@ -90,11 +90,11 @@ func (g *GraphSpec) isNormalized() bool {
 	return true
 }
 
-// Normalized returns a canonical copy: nodes sorted by ID, edges sorted
+// normalized returns a canonical copy: nodes sorted by ID, edges sorted
 // by (From, To) with exact duplicates removed. Two descriptions of the
 // same graph normalize to equal values regardless of declaration order.
 // An already-normalized graph is returned as-is (no copy).
-func (g *GraphSpec) Normalized() *GraphSpec {
+func (g *GraphSpec) normalized() *GraphSpec {
 	if g.isNormalized() {
 		return g
 	}
@@ -190,7 +190,7 @@ func (g *GraphSpec) Validate() error {
 }
 
 // JSONGraph is the wire/JSON form of a graph. It is both the documented
-// import schema (ParseJSON) and the canonical encoding the scenario
+// import schema (parseJSON) and the canonical encoding the scenario
 // layer embeds in spec hashes, so a graph submitted as JSON and the
 // same graph imported from DOT produce identical canonical bytes.
 type JSONGraph struct {
@@ -219,7 +219,7 @@ type JSONEdge struct {
 // Wire returns the normalized wire form with the name stripped — the
 // exact value whose JSON marshaling is the graph's canonical encoding.
 func (g *GraphSpec) Wire() JSONGraph {
-	ng := g.Normalized()
+	ng := g.normalized()
 	w := JSONGraph{Nodes: make([]JSONNode, len(ng.Nodes))}
 	for i, n := range ng.Nodes {
 		w.Nodes[i] = JSONNode{ID: n.ID, Work: n.Work, Bytes: n.Bytes, Type: n.Type, High: n.High}
@@ -248,9 +248,9 @@ func FromWire(w JSONGraph) *GraphSpec {
 	return g
 }
 
-// CanonicalJSON returns the canonical byte encoding of the graph:
+// canonicalJSON returns the canonical byte encoding of the graph:
 // the JSON marshaling of the normalized, name-stripped wire form.
-func (g *GraphSpec) CanonicalJSON() ([]byte, error) {
+func (g *GraphSpec) canonicalJSON() ([]byte, error) {
 	return json.Marshal(g.Wire())
 }
 
@@ -258,7 +258,7 @@ func (g *GraphSpec) CanonicalJSON() ([]byte, error) {
 // graph's content identity. Declaration order, source format and file
 // path cannot change it; any structural or cost change does.
 func (g *GraphSpec) Digest() (string, error) {
-	b, err := g.CanonicalJSON()
+	b, err := g.canonicalJSON()
 	if err != nil {
 		return "", err
 	}
@@ -278,11 +278,11 @@ const (
 	taskWidthPenalty = 0.10
 )
 
-// TypeIDs returns the deterministic PTT type assignment for the graph:
+// typeIDs returns the deterministic PTT type assignment for the graph:
 // distinct node types sorted by name, numbered from kernels.TypeUser.
 // Sorting (not first-appearance order) keeps the assignment invariant
 // under node declaration order, matching the normalized encoding.
-func (g *GraphSpec) TypeIDs() map[string]ptt.TypeID {
+func (g *GraphSpec) typeIDs() map[string]ptt.TypeID {
 	names := make([]string, 0, 4)
 	seen := make(map[string]bool, 4)
 	for _, n := range g.Nodes {
@@ -308,11 +308,11 @@ func (g *GraphSpec) TypeIDs() map[string]ptt.TypeID {
 // runtime sees the same graph — and produces bit-identical schedules —
 // no matter how the source file ordered its declarations.
 func (g *GraphSpec) Build() (*dag.Graph, error) {
-	ng := g.Normalized()
+	ng := g.normalized()
 	if err := ng.Validate(); err != nil {
 		return nil, err
 	}
-	typeIDs := ng.TypeIDs()
+	typeIDs := ng.typeIDs()
 	dg := dag.New()
 	dg.Grow(len(ng.Nodes))
 	tasks := make(map[string]*dag.Task, len(ng.Nodes))

@@ -104,7 +104,7 @@ func TestBuildProducesRunnableGraph(t *testing.T) {
 		t.Fatalf("demo graph parallelism %v, want > 1", p)
 	}
 	// Distinct types map to distinct, deterministic PTT ids.
-	ids := g.TypeIDs()
+	ids := g.typeIDs()
 	if len(ids) < 3 {
 		t.Fatalf("demo graph has %d task types, want several", len(ids))
 	}
@@ -131,7 +131,7 @@ func TestBuildRejectsInvalidGraph(t *testing.T) {
 // and the canonical encoding the scenario layer hashes).
 func TestWireRoundTrip(t *testing.T) {
 	g := Demo()
-	back := FromWire(g.Wire()).Normalized()
+	back := FromWire(g.Wire()).normalized()
 	da, _ := g.Digest()
 	db, _ := back.Digest()
 	if da != db {
@@ -156,7 +156,7 @@ func TestExampleFilesMatchDemo(t *testing.T) {
 		if err != nil {
 			t.Fatalf("bundled example missing: %v", err)
 		}
-		g, err := Parse(data, strings.TrimPrefix(strings.ToLower(path[strings.LastIndex(path, ".")+1:]), "."))
+		g, err := parse(data, strings.TrimPrefix(strings.ToLower(path[strings.LastIndex(path, ".")+1:]), "."))
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}

@@ -37,7 +37,7 @@ func ParseDOT(data []byte) (*GraphSpec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dagio: parse DOT graph: line %d: %w", p.line, err)
 	}
-	ng := g.Normalized()
+	ng := g.normalized()
 	if err := ng.Validate(); err != nil {
 		return nil, err
 	}

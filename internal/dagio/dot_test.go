@@ -91,7 +91,7 @@ func TestNonFiniteWorkRejected(t *testing.T) {
 			t.Errorf("non-finite error %q does not name the node", err)
 		}
 	}
-	if _, err := ParseJSON([]byte(`{"nodes":[{"id":"a","work":1e309}]}`)); err == nil {
+	if _, err := parseJSON([]byte(`{"nodes":[{"id":"a","work":1e309}]}`)); err == nil {
 		t.Error("ParseJSON accepted overflowing work")
 	}
 }
@@ -153,7 +153,7 @@ func TestParseDOTErrors(t *testing.T) {
 
 func TestParseJSONStrictness(t *testing.T) {
 	good := `{"name":"j","nodes":[{"id":"a","work":10},{"id":"b","work":5,"type":"t","high":true}],"edges":[{"from":"a","to":"b"}]}`
-	g, err := ParseJSON([]byte(good))
+	g, err := parseJSON([]byte(good))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestParseJSONStrictness(t *testing.T) {
 		`{"nodes":[{"id":"a","work":1}],"edges":[{"from":"a","to":"nope"}]}`,
 		`[1,2,3]`,
 	} {
-		if _, err := ParseJSON([]byte(bad)); err == nil {
+		if _, err := parseJSON([]byte(bad)); err == nil {
 			t.Errorf("ParseJSON accepted %q", bad)
 		}
 	}
@@ -181,7 +181,7 @@ func TestDOTAndJSONAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gj, err := ParseJSON([]byte(jsn))
+	gj, err := parseJSON([]byte(jsn))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,10 +224,10 @@ func FuzzParseJSON(f *testing.F) {
 	f.Add(`null`)
 	f.Add(`{"nodes":[{"id":"a","work":1e308}],"edges":[{"from":"a","to":"a"}]}`)
 	f.Fuzz(func(t *testing.T, src string) {
-		g, err := ParseJSON([]byte(src))
+		g, err := parseJSON([]byte(src))
 		if err == nil {
 			if verr := g.Validate(); verr != nil {
-				t.Fatalf("ParseJSON returned an invalid graph (%v) for %q", verr, src)
+				t.Fatalf("parseJSON returned an invalid graph (%v) for %q", verr, src)
 			}
 		}
 	})

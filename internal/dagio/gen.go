@@ -26,10 +26,10 @@ const (
 	// POTRF/TRSM/SYRK/GEMM tasks over a Tiles×Tiles lower-triangular
 	// tile grid, dependencies derived from block data flow.
 	ModelCholesky = "cholesky"
-	// ModelForkJoin is a chain of Layers fork-join segments: a light
+	// modelForkJoin is a chain of Layers fork-join segments: a light
 	// fork task fans out to Width workers whose join releases the next
 	// segment.
-	ModelForkJoin = "fork-join"
+	modelForkJoin = "fork-join"
 	// ModelLU is the tiled LU factorization without pivoting:
 	// GETRF/TRSM-row/TRSM-col/GEMM tasks over a Tiles×Tiles grid.
 	ModelLU = "lu"
@@ -41,7 +41,7 @@ const (
 
 // Models lists the generator models in sorted order.
 func Models() []string {
-	return []string{ModelCholesky, ModelForkJoin, ModelLU, ModelRandomLayered}
+	return []string{ModelCholesky, modelForkJoin, ModelLU, ModelRandomLayered}
 }
 
 // GenConfig parameterizes one generated graph.
@@ -122,7 +122,7 @@ func (c GenConfig) Tasks() float64 {
 		return t * (t + 1) * (t + 2) / 6
 	case ModelLU:
 		return t * (t + 1) * (2*t + 1) / 6
-	case ModelForkJoin:
+	case modelForkJoin:
 		return l * (w + 2)
 	default: // ModelRandomLayered
 		return l * w
@@ -146,12 +146,12 @@ func (c GenConfig) Graph() (*GraphSpec, error) {
 		g = genCholesky(c)
 	case ModelLU:
 		g = genLU(c)
-	case ModelForkJoin:
+	case modelForkJoin:
 		g = genForkJoin(c)
 	case ModelRandomLayered:
 		g = genRandomLayered(c)
 	}
-	ng := g.Normalized()
+	ng := g.normalized()
 	if err := ng.Validate(); err != nil {
 		return nil, fmt.Errorf("dagio: generator %s emitted an invalid graph: %w", c.Model, err)
 	}

@@ -76,7 +76,7 @@ func TestLUShape(t *testing.T) {
 }
 
 func TestForkJoinShape(t *testing.T) {
-	g, err := GenConfig{Model: ModelForkJoin, Layers: 5, Width: 7}.Graph()
+	g, err := GenConfig{Model: modelForkJoin, Layers: 5, Width: 7}.Graph()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,12 +144,12 @@ func TestGenConfigValidate(t *testing.T) {
 	}
 }
 
-// Tasks must count what the generators emit: scenario.MaxCellTasks is
+// Tasks must count what the generators emit: scenario.maxCellTasks is
 // checked against it before any graph exists.
 func TestGenConfigTasksMatchesGraph(t *testing.T) {
 	for _, c := range []GenConfig{
 		{Model: ModelCholesky, Tiles: 7}, {Model: ModelLU, Tiles: 7},
-		{Model: ModelForkJoin, Layers: 5, Width: 3}, {Model: ModelRandomLayered, Layers: 5, Width: 3},
+		{Model: modelForkJoin, Layers: 5, Width: 3}, {Model: ModelRandomLayered, Layers: 5, Width: 3},
 	} {
 		g, err := c.Graph()
 		if err != nil {

@@ -24,9 +24,9 @@ import (
 	"fmt"
 )
 
-// ParseJSON decodes a JSON task-graph document into a validated,
+// parseJSON decodes a JSON task-graph document into a validated,
 // normalized GraphSpec.
-func ParseJSON(data []byte) (*GraphSpec, error) {
+func parseJSON(data []byte) (*GraphSpec, error) {
 	var w JSONGraph
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -37,7 +37,7 @@ func ParseJSON(data []byte) (*GraphSpec, error) {
 	if dec.More() {
 		return nil, fmt.Errorf("dagio: parse JSON graph: trailing data after document")
 	}
-	g := FromWire(w).Normalized()
+	g := FromWire(w).normalized()
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}

@@ -9,22 +9,22 @@ import (
 
 // Import formats, in the order Formats() reports them.
 const (
-	// FormatDOT is the GraphViz DOT subset (see dot.go).
-	FormatDOT = "dot"
-	// FormatJSON is the documented JSON schema (see json.go).
-	FormatJSON = "json"
+	// formatDOT is the GraphViz DOT subset (see dot.go).
+	formatDOT = "dot"
+	// formatJSON is the documented JSON schema (see json.go).
+	formatJSON = "json"
 )
 
 // Formats lists the import formats in sorted order.
-func Formats() []string { return []string{FormatDOT, FormatJSON} }
+func Formats() []string { return []string{formatDOT, formatJSON} }
 
-// Parse decodes data in the named format ("dot" or "json").
-func Parse(data []byte, format string) (*GraphSpec, error) {
+// parse decodes data in the named format ("dot" or "json").
+func parse(data []byte, format string) (*GraphSpec, error) {
 	switch format {
-	case FormatDOT:
+	case formatDOT:
 		return ParseDOT(data)
-	case FormatJSON:
-		return ParseJSON(data)
+	case formatJSON:
+		return parseJSON(data)
 	default:
 		return nil, fmt.Errorf("dagio: unknown import format %q (known formats: %s)", format, strings.Join(Formats(), ", "))
 	}
@@ -39,9 +39,9 @@ func LoadFile(path, format string) (*GraphSpec, error) {
 	if format == "" {
 		switch strings.ToLower(filepath.Ext(path)) {
 		case ".dot", ".gv":
-			format = FormatDOT
+			format = formatDOT
 		case ".json":
-			format = FormatJSON
+			format = formatJSON
 		default:
 			return nil, fmt.Errorf("dagio: cannot infer format of %q (use .dot, .gv or .json, or pass a format)", path)
 		}
@@ -50,7 +50,7 @@ func LoadFile(path, format string) (*GraphSpec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dagio: %w", err)
 	}
-	g, err := Parse(data, format)
+	g, err := parse(data, format)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -43,7 +43,7 @@ type AblationConfig struct {
 	Scale        Scale
 }
 
-// ablationVariants are the policy-set comparisons Ablation knows.
+// ablationVariants are the policy-set comparisons ablation knows.
 var ablationVariants = []struct {
 	name, title string
 	policies    []core.Policy
@@ -58,15 +58,15 @@ var ablationVariants = []struct {
 		[]core.Policy{core.DAMC(), core.NewSampled(core.DAMC(), 4), core.NewSampled(core.DAMC(), 16)}},
 }
 
-// Ablation runs the selected variant comparison.
-func Ablation(cfg AblationConfig) (*ThroughputGrid, error) {
+// ablation runs the selected variant comparison.
+func ablation(cfg AblationConfig) (*ThroughputGrid, error) {
 	if len(cfg.Parallelisms) == 0 {
 		cfg.Parallelisms = []int{2, 4, 6}
 	}
 	var names []string
 	for _, v := range ablationVariants {
 		if v.name == cfg.Variant {
-			grid := Fig4(SweepConfig{
+			grid := fig4(SweepConfig{
 				Kernel:       workloads.MatMul,
 				Parallelisms: cfg.Parallelisms,
 				Policies:     v.policies,
@@ -81,11 +81,11 @@ func Ablation(cfg AblationConfig) (*ThroughputGrid, error) {
 	return nil, fmt.Errorf("experiments: unknown ablation variant %q (want %s)", cfg.Variant, strings.Join(names, "|"))
 }
 
-// AblationAlpha sweeps the PTT weight under DVFS (complementing Figure 8's
+// ablationAlpha sweeps the PTT weight under DVFS (complementing Figure 8's
 // co-run sweep): adaptation speed matters most when conditions flip every
 // five seconds. The sweep is the Figure 7 scenario with one point per
 // alpha.
-func AblationAlpha(scale Scale, seed uint64) *AlphaResult {
+func ablationAlpha(scale Scale, seed uint64) *AlphaResult {
 	alphas := []float64{1.0 / 5, 2.0 / 5, 3.0 / 5, 4.0 / 5, 1.0}
 	spec := SweepConfig{
 		Kernel:   workloads.MatMul,
@@ -124,12 +124,12 @@ func (r *AlphaResult) Render(w io.Writer) {
 	}
 }
 
-// AblationInfer compares user-annotated criticality against CATS-style
+// ablationInfer compares user-annotated criticality against CATS-style
 // inferred criticality (dag.InferCriticality) and against no priorities at
 // all, on the Figure 4a scenario. The paper defers dynamic criticality
 // inference to related work; this quantifies what the runtime loses when
 // the user provides no annotations.
-func AblationInfer(cfg AblationConfig) *ThroughputGrid {
+func ablationInfer(cfg AblationConfig) *ThroughputGrid {
 	if len(cfg.Parallelisms) == 0 {
 		cfg.Parallelisms = []int{2, 4}
 	}
@@ -157,10 +157,10 @@ func AblationInfer(cfg AblationConfig) *ThroughputGrid {
 	return grid
 }
 
-// AblationWidth compares the full TX2 against a width-capped TX2 (all
+// ablationWidth compares the full TX2 against a width-capped TX2 (all
 // widths forced to 1) under DVFS at low parallelism, quantifying the
 // moldability contribution in isolation.
-func AblationWidth(scale Scale, seed uint64) *ThroughputGrid {
+func ablationWidth(scale Scale, seed uint64) *ThroughputGrid {
 	pols := []core.Policy{core.DA(), core.DAMP()}
 	grid := &ThroughputGrid{
 		Title:    "Ablation: moldability disabled via width-1 platform (Stencil, DVFS)",

@@ -36,27 +36,27 @@ var catalog = []struct {
 	run func(scale Scale, seed uint64) (Renderer, error)
 }{
 	{"table1", noErr(func(Scale, uint64) *Table1Result { return Table1() })},
-	{"fig4a", sweep(Fig4, workloads.MatMul)},
-	{"fig4b", sweep(Fig4, workloads.Copy)},
-	{"fig4c", sweep(Fig4, workloads.Stencil)},
-	{"fig5", noErr(Fig5)},
-	{"fig6", noErr(Fig6)},
-	{"fig7a", sweep(Fig7, workloads.MatMul)},
-	{"fig7b", sweep(Fig7, workloads.Copy)},
-	{"fig7c", sweep(Fig7, workloads.Stencil)},
-	{"fig8", noErr(Fig8)},
-	{"fig9a", fig9("")},
-	{"fig9b", fig9("RWS")},
-	{"fig9c", fig9("DAM-P")},
-	{"fig10", noErr(Fig10)},
-	{"ablation-alpha", noErr(AblationAlpha)},
-	{"ablation-steal", ablation("steal")},
-	{"ablation-wake", ablation("wake")},
-	{"ablation-dheft", ablation("dheft")},
-	{"ablation-width", noErr(AblationWidth)},
-	{"ablation-sampled", ablation("sampled")},
+	{"fig4a", sweep(fig4, workloads.MatMul)},
+	{"fig4b", sweep(fig4, workloads.Copy)},
+	{"fig4c", sweep(fig4, workloads.Stencil)},
+	{"fig5", noErr(fig5)},
+	{"fig6", noErr(fig6)},
+	{"fig7a", sweep(fig7, workloads.MatMul)},
+	{"fig7b", sweep(fig7, workloads.Copy)},
+	{"fig7c", sweep(fig7, workloads.Stencil)},
+	{"fig8", noErr(fig8)},
+	{"fig9a", fig9Places("")},
+	{"fig9b", fig9Places("RWS")},
+	{"fig9c", fig9Places("DAM-P")},
+	{"fig10", noErr(fig10)},
+	{"ablation-alpha", noErr(ablationAlpha)},
+	{"ablation-steal", ablationOf("steal")},
+	{"ablation-wake", ablationOf("wake")},
+	{"ablation-dheft", ablationOf("dheft")},
+	{"ablation-width", noErr(ablationWidth)},
+	{"ablation-sampled", ablationOf("sampled")},
 	{"ablation-infer", noErr(func(s Scale, seed uint64) *ThroughputGrid {
-		return AblationInfer(AblationConfig{Scale: s, Seed: seed})
+		return ablationInfer(AblationConfig{Scale: s, Seed: seed})
 	})},
 }
 
@@ -65,18 +65,18 @@ func noErr[R Renderer](f func(Scale, uint64) R) func(Scale, uint64) (Renderer, e
 	return func(s Scale, seed uint64) (Renderer, error) { return f(s, seed), nil }
 }
 
-// sweep runs Fig4 or Fig7 on one kernel.
+// sweep runs fig4 or fig7 on one kernel.
 func sweep(fig func(SweepConfig) *ThroughputGrid, k workloads.KernelKind) func(Scale, uint64) (Renderer, error) {
 	return noErr(func(s Scale, seed uint64) *ThroughputGrid {
 		return fig(SweepConfig{Kernel: k, Scale: s, Seed: seed})
 	})
 }
 
-// fig9 renders the per-iteration times (Figure 9a) or, given a policy, its
+// fig9Places renders the per-iteration times (Figure 9a) or, given a policy, its
 // per-place task counts (Figures 9b and 9c).
-func fig9(places string) func(Scale, uint64) (Renderer, error) {
+func fig9Places(places string) func(Scale, uint64) (Renderer, error) {
 	return func(s Scale, seed uint64) (Renderer, error) {
-		res := Fig9(Fig9Config{Scale: s, Seed: seed})
+		res := fig9(Fig9Config{Scale: s, Seed: seed})
 		if places == "" {
 			return res, nil
 		}
@@ -84,9 +84,9 @@ func fig9(places string) func(Scale, uint64) (Renderer, error) {
 	}
 }
 
-func ablation(variant string) func(Scale, uint64) (Renderer, error) {
+func ablationOf(variant string) func(Scale, uint64) (Renderer, error) {
 	return func(s Scale, seed uint64) (Renderer, error) {
-		return Ablation(AblationConfig{Variant: variant, Scale: s, Seed: seed})
+		return ablation(AblationConfig{Variant: variant, Scale: s, Seed: seed})
 	}
 }
 

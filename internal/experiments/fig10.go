@@ -38,11 +38,11 @@ type Fig10Result struct {
 	Warmup float64
 }
 
-// Fig10 runs the distributed 2D Heat experiment (Figure 10): four
+// fig10 runs the distributed 2D Heat experiment (Figure 10): four
 // dual-socket 10-core nodes run the stencil with critical boundary-exchange
 // (MPI) tasks while the interferer occupies node 0. The paper evaluates RWS,
 // RWSM-C, DA, DAM-C and DAM-P.
-func Fig10(scale Scale, seed uint64) *Fig10Result {
+func fig10(scale Scale, seed uint64) *Fig10Result {
 	hdCfg := workloads.HeatDistConfig{}.Defaults()
 	hdCfg.Iters = scale.tasks(hdCfg.Iters, 10)
 	// Calibrate the iteration pace (DAM-C, a few iterations) so the

@@ -63,9 +63,9 @@ func (c SweepConfig) fig4Spec() scenario.Spec {
 	return c.defaults().spec("fig4", disturb)
 }
 
-// Fig4 runs the co-running interference experiment and returns the
+// fig4 runs the co-running interference experiment and returns the
 // throughput grid.
-func Fig4(cfg SweepConfig) *ThroughputGrid {
+func fig4(cfg SweepConfig) *ThroughputGrid {
 	cfg = cfg.defaults()
 	res := scenario.MustRun(cfg.fig4Spec())
 	title := fmt.Sprintf("Figure 4 (%s): throughput under co-running interference on core 0", cfg.Kernel)

@@ -19,12 +19,12 @@ type Fig5Result struct {
 	Cores    int
 }
 
-// Fig5 runs the priority-task placement analysis (Figure 5): the
+// fig5 runs the priority-task placement analysis (Figure 5): the
 // distribution of high-priority tasks over execution places, per scheduler,
 // for the MatMul DAG at parallelism 2 with the co-runner on Denver core 0 —
 // the Figure 4a scenario restricted to P=2, read out as place histograms
 // and per-core work times (Figure 6) instead of throughput.
-func Fig5(scale Scale, seed uint64) *Fig5Result {
+func fig5(scale Scale, seed uint64) *Fig5Result {
 	spec := SweepConfig{
 		Kernel:       workloads.MatMul,
 		Parallelisms: []int{2},
@@ -80,9 +80,9 @@ func (r *Fig5Result) Share(name string, leader int) float64 {
 // Fig6Result renders the per-core work time view of the Figure 5 runs.
 type Fig6Result struct{ *Fig5Result }
 
-// Fig6 runs the Figure 5 scenario and returns the per-core work time
+// fig6 runs the Figure 5 scenario and returns the per-core work time
 // result.
-func Fig6(scale Scale, seed uint64) *Fig6Result { return &Fig6Result{Fig5(scale, seed)} }
+func fig6(scale Scale, seed uint64) *Fig6Result { return &Fig6Result{fig5(scale, seed)} }
 
 // Render prints per-core cumulative kernel work time and the total
 // execution time per scheduler (the paper's Figure 6 bars).

@@ -13,8 +13,8 @@ func (c SweepConfig) fig7Spec() scenario.Spec {
 	return c.defaults().spec("fig7", scenario.PaperDVFS(0))
 }
 
-// Fig7 runs the DVFS experiment and returns the throughput grid.
-func Fig7(cfg SweepConfig) *ThroughputGrid {
+// fig7 runs the DVFS experiment and returns the throughput grid.
+func fig7(cfg SweepConfig) *ThroughputGrid {
 	cfg = cfg.defaults()
 	res := scenario.MustRun(cfg.fig7Spec())
 	title := fmt.Sprintf("Figure 7 (%s): throughput under DVFS on the Denver cluster", cfg.Kernel)

@@ -17,7 +17,7 @@ type Fig8Result struct {
 	Tput [][]float64
 }
 
-// Fig8 runs the sensitivity analysis (Figure 8): MatMul DAG throughput under
+// fig8 runs the sensitivity analysis (Figure 8): MatMul DAG throughput under
 // DAM-C as a function of the PTT update weight (new-sample weight alpha =
 // 1/5 … 5/5) and the tile size (32, 64, 80, 96), under the same core-0
 // co-runner as Figure 4. Short tasks (tile 32) are sensitive to measurement
@@ -25,7 +25,7 @@ type Fig8Result struct {
 // insensitive — that is the paper's justification for the 1:4 weighted
 // update. It is one scenario whose points are the full tile × alpha cross
 // product.
-func Fig8(scale Scale, seed uint64) *Fig8Result {
+func fig8(scale Scale, seed uint64) *Fig8Result {
 	res := &Fig8Result{
 		Tiles:  []int{32, 64, 80, 96},
 		Alphas: []float64{1.0 / 5, 2.0 / 5, 3.0 / 5, 4.0 / 5, 1.0},

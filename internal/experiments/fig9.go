@@ -37,7 +37,7 @@ func (c Fig9Config) defaults() Fig9Config {
 // window is defined in absolute virtual time (calibrated so it opens at
 // iteration From under uninterfered pacing); because interference slows
 // iterations down, the set of affected iteration indices differs per
-// policy — InWindow reports the actual overlap.
+// policy — inWindow reports the actual overlap.
 type Fig9Result struct {
 	Policies []string
 	Stats    []metrics.Iters
@@ -63,9 +63,9 @@ func kmeansSpec(name string, kmCfg workloads.KMeansConfig, pols []core.Policy, s
 	}
 }
 
-// Fig9 runs the experiment. The interference window is positioned in time
+// fig9 runs the experiment. The interference window is positioned in time
 // by first calibrating the uninterfered iteration duration with DAM-C.
-func Fig9(cfg Fig9Config) *Fig9Result {
+func fig9(cfg Fig9Config) *Fig9Result {
 	cfg = cfg.defaults()
 	kmCfg := workloads.KMeansConfig{MaxIters: cfg.Iters}.Defaults()
 	kmCfg.N = cfg.Scale.tasks(kmCfg.N, 1<<13)
@@ -113,17 +113,17 @@ func (r *Fig9Result) policyIndex(name string) int {
 	return -1
 }
 
-// InWindow reports whether iteration stat overlaps the interference
+// inWindow reports whether iteration stat overlaps the interference
 // interval.
-func (r *Fig9Result) InWindow(st metrics.IterStat) bool {
+func (r *Fig9Result) inWindow(st metrics.IterStat) bool {
 	return st.End > r.WindowTime[0] && st.Start < r.WindowTime[1]
 }
 
-// InWindowSettled reports whether the iteration lies fully inside the
+// inWindowSettled reports whether the iteration lies fully inside the
 // interference interval, past the adaptation transient (the PTT needs a few
 // observations before placements migrate, so the first post-onset
 // iterations are excluded when comparing steady-state behaviour).
-func (r *Fig9Result) InWindowSettled(st metrics.IterStat) bool {
+func (r *Fig9Result) inWindowSettled(st metrics.IterStat) bool {
 	return st.Start >= r.WindowTime[0]+4*r.AvgIter && st.End <= r.WindowTime[1]
 }
 
@@ -138,7 +138,7 @@ func (r *Fig9Result) MeanSettledIterTime(policy string) float64 {
 	sum, n := 0.0, 0
 	c := r.Stats[i].Cursor()
 	for c.Next() {
-		if st := c.Stat(); r.InWindowSettled(st) {
+		if st := c.Stat(); r.inWindowSettled(st) {
 			sum += st.End - st.Start
 			n++
 		}
@@ -160,7 +160,7 @@ func (r *Fig9Result) WideShare(policy string) float64 {
 	var wide, total int64
 	c := r.Stats[i].Cursor()
 	for c.Next() {
-		if !r.InWindow(c.Stat()) {
+		if !r.inWindow(c.Stat()) {
 			continue
 		}
 		for c.Pairs() > 0 {
@@ -204,7 +204,7 @@ func (r *Fig9Result) Render(w io.Writer) {
 				st := c.Stat()
 				fmt.Fprintf(w, "%10.2f", (st.End-st.Start)*1e3)
 				if i == 0 {
-					interfered = r.InWindow(st)
+					interfered = r.inWindow(st)
 				}
 			} else {
 				fmt.Fprintf(w, "%10s", "-")
@@ -217,18 +217,18 @@ func (r *Fig9Result) Render(w io.Writer) {
 	}
 }
 
-// placesRenderer renders Figure 9b/c from a Fig9 result, for a policy of
-// Fig9's fixed set.
+// placesRenderer renders Figure 9b/c from a fig9 result, for a policy of
+// fig9's fixed set.
 type placesRenderer struct {
 	res    *Fig9Result
 	policy string
 }
 
-func (p placesRenderer) Render(w io.Writer) { _ = p.res.RenderPlaces(w, p.policy) }
+func (p placesRenderer) Render(w io.Writer) { _ = p.res.renderPlaces(w, p.policy) }
 
-// RenderPlaces prints Figure 9b/c: per-iteration task counts per execution
+// renderPlaces prints Figure 9b/c: per-iteration task counts per execution
 // place for the given policy.
-func (r *Fig9Result) RenderPlaces(w io.Writer, policy string) error {
+func (r *Fig9Result) renderPlaces(w io.Writer, policy string) error {
 	idx := r.policyIndex(policy)
 	if idx < 0 {
 		return fmt.Errorf("experiments: policy %q not in Figure 9 run", policy)

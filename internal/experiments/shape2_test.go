@@ -36,7 +36,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	res := Fig5(testScale, testSeed)
+	res := fig5(testScale, testSeed)
 	if testing.Verbose() {
 		res.Render(os.Stdout)
 	}
@@ -60,7 +60,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	res := Fig6(testScale, testSeed)
+	res := fig6(testScale, testSeed)
 	if testing.Verbose() {
 		res.Render(os.Stdout)
 	}
@@ -75,7 +75,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	grid := Fig7(SweepConfig{Kernel: workloads.MatMul, Parallelisms: []int{2, 6}, Seed: testSeed, Scale: testScale})
+	grid := fig7(SweepConfig{Kernel: workloads.MatMul, Parallelisms: []int{2, 6}, Seed: testSeed, Scale: testScale})
 	if testing.Verbose() {
 		grid.Render(os.Stdout)
 	}
@@ -95,7 +95,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	res := Fig8(testScale, testSeed)
+	res := fig8(testScale, testSeed)
 	if testing.Verbose() {
 		res.Render(os.Stdout)
 	}
@@ -118,7 +118,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestAblationSteal(t *testing.T) {
-	grid, err := Ablation(AblationConfig{Variant: "steal", Parallelisms: []int{2}, Seed: testSeed, Scale: testScale})
+	grid, err := ablation(AblationConfig{Variant: "steal", Parallelisms: []int{2}, Seed: testSeed, Scale: testScale})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestAblationSteal(t *testing.T) {
 }
 
 func TestAblationWake(t *testing.T) {
-	grid, err := Ablation(AblationConfig{Variant: "wake", Parallelisms: []int{2}, Seed: testSeed, Scale: testScale})
+	grid, err := ablation(AblationConfig{Variant: "wake", Parallelisms: []int{2}, Seed: testSeed, Scale: testScale})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestAblationWake(t *testing.T) {
 }
 
 func TestAblationDHEFT(t *testing.T) {
-	grid, err := Ablation(AblationConfig{Variant: "dheft", Parallelisms: []int{2}, Seed: testSeed, Scale: testScale})
+	grid, err := ablation(AblationConfig{Variant: "dheft", Parallelisms: []int{2}, Seed: testSeed, Scale: testScale})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestAblationDHEFT(t *testing.T) {
 }
 
 func TestAblationUnknownVariant(t *testing.T) {
-	_, err := Ablation(AblationConfig{Variant: "bogus"})
+	_, err := ablation(AblationConfig{Variant: "bogus"})
 	if err == nil {
 		t.Fatal("unknown variant accepted")
 	}
@@ -205,7 +205,7 @@ func TestEveryListedExperimentRuns(t *testing.T) {
 }
 
 func TestAblationAlphaRuns(t *testing.T) {
-	res := AblationAlpha(Scale(0.03), testSeed)
+	res := ablationAlpha(Scale(0.03), testSeed)
 	if len(res.Tput) != 5 {
 		t.Fatalf("%d alpha points", len(res.Tput))
 	}
@@ -217,7 +217,7 @@ func TestAblationAlphaRuns(t *testing.T) {
 }
 
 func TestAblationWidthRuns(t *testing.T) {
-	grid := AblationWidth(Scale(0.03), 0)
+	grid := ablationWidth(Scale(0.03), 0)
 	if testing.Verbose() {
 		grid.Render(os.Stdout)
 	}
@@ -227,23 +227,23 @@ func TestAblationWidthRuns(t *testing.T) {
 }
 
 func TestFig9Render(t *testing.T) {
-	res := Fig9(Fig9Config{Iters: 12, From: 4, To: 9, Seed: testSeed, Scale: Scale(0.125)})
+	res := fig9(Fig9Config{Iters: 12, From: 4, To: 9, Seed: testSeed, Scale: Scale(0.125)})
 	var buf bytes.Buffer
 	res.Render(&buf)
 	if buf.Len() == 0 {
 		t.Fatal("empty fig9 render")
 	}
 	buf.Reset()
-	if err := res.RenderPlaces(&buf, "DAM-P"); err != nil {
+	if err := res.renderPlaces(&buf, "DAM-P"); err != nil {
 		t.Fatal(err)
 	}
-	if err := res.RenderPlaces(&buf, "nope"); err == nil {
+	if err := res.renderPlaces(&buf, "nope"); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 }
 
 func TestAblationInfer(t *testing.T) {
-	grid := AblationInfer(AblationConfig{Parallelisms: []int{2}, Seed: testSeed, Scale: testScale})
+	grid := ablationInfer(AblationConfig{Parallelisms: []int{2}, Seed: testSeed, Scale: testScale})
 	if testing.Verbose() {
 		grid.Render(os.Stdout)
 	}

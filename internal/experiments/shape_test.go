@@ -17,7 +17,7 @@ const (
 )
 
 func TestFig4aShape(t *testing.T) {
-	grid := Fig4(SweepConfig{Kernel: workloads.MatMul, Parallelisms: []int{2, 4, 6}, Seed: testSeed, Scale: testScale})
+	grid := fig4(SweepConfig{Kernel: workloads.MatMul, Parallelisms: []int{2, 4, 6}, Seed: testSeed, Scale: testScale})
 	if testing.Verbose() {
 		grid.Render(os.Stdout)
 	}
@@ -42,7 +42,7 @@ func TestFig4aShape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	res := Fig9(Fig9Config{Iters: 40, From: 10, To: 30, Seed: testSeed, Scale: Scale(0.25)})
+	res := fig9(Fig9Config{Iters: 40, From: 10, To: 30, Seed: testSeed, Scale: Scale(0.25)})
 	if testing.Verbose() {
 		res.Render(os.Stdout)
 	}
@@ -68,7 +68,7 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	res := Fig10(Scale(0.5), testSeed)
+	res := fig10(Scale(0.5), testSeed)
 	if testing.Verbose() {
 		res.Render(os.Stdout)
 	}

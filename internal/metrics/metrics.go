@@ -14,18 +14,11 @@ import (
 	"cmp"
 	"encoding/binary"
 	"encoding/json"
-	"maps"
 	"math"
 	"slices"
 
 	"dynasym/internal/topology"
 )
-
-// maxDenseIter bounds the dense per-iteration index (well beyond the
-// largest synthetic workload's layer count; ~8 MB of pointers at worst).
-// Sparse tags above it fall back to a map, preserving the pre-dense
-// behavior for arbitrary iteration numbers.
-const maxDenseIter = 1 << 20
 
 // Collector accumulates statistics for one run. It is not synchronized: the
 // runtime that owns it records from the event engine's goroutine, and
@@ -39,18 +32,17 @@ type Collector struct {
 	// TaskDoneID runs once per task on the simulation hot path, and a slice
 	// increment is an order of magnitude cheaper than a map update.
 	placeHigh []int64
-	// byIter is indexed by iteration number (iterations are small and
-	// dense in every built-in workload; nil entries are iterations never
-	// seen). Aggregation uses compact (placeID, count) pairs — an
-	// iteration touches few distinct places, and a linear scan over a
-	// short pair slice beats a map assignment per task by a wide margin.
-	// byIterSparse catches tags above maxDenseIter so arbitrary
-	// iteration numbers still work. The pairs are kept ID-sorted;
-	// IterStats encodes them on readout.
-	byIter       []*iterAgg
-	byIterSparse map[int]*iterAgg
-	tasksDone    int64
-	makespan     float64
+	// byIter is indexed by iteration number; nil entries are iterations
+	// never seen. Every builder tags a task with an iteration below its
+	// graph's task count (imported DAGs carry no tags), so the index is
+	// never longer than the cell's task count. Aggregation uses compact
+	// (placeID, count) pairs — an iteration touches few distinct places,
+	// and a linear scan over a short pair slice beats a map assignment per
+	// task by a wide margin. The pairs are kept ID-sorted; IterStats
+	// encodes them on readout.
+	byIter    []*iterAgg
+	tasksDone int64
+	makespan  float64
 	// aggFree pools retired iterAggs (and their place-pair storage) across
 	// Reset cycles so pooled runtimes reach a steady state with no
 	// per-iteration allocations.
@@ -72,8 +64,8 @@ type iterAgg struct {
 }
 
 // PlaceCount is one (placeID, task executions) pair of an iteration. Both
-// fit 32 bits: a cell runs at most 2^22 tasks (scenario.MaxCellTasks) on a
-// platform of at most 2^10 cores (scenario.MaxPlatformCores).
+// fit 32 bits: a cell runs at most 2^22 tasks (scenario.maxCellTasks) on a
+// platform of at most 2^10 cores (scenario.maxPlatformCores).
 type PlaceCount struct {
 	ID, N int32
 }
@@ -345,10 +337,6 @@ func (c *Collector) Reset(topo *topology.Platform) {
 		}
 	}
 	c.byIter = c.byIter[:0]
-	for iter, st := range c.byIterSparse {
-		c.aggFree = append(c.aggFree, st)
-		delete(c.byIterSparse, iter)
-	}
 	c.tasksDone = 0
 	c.makespan = 0
 	c.sched = nil
@@ -366,23 +354,13 @@ func (c *Collector) TaskDoneID(id int, pl topology.Place, high bool, iter int, s
 		c.coreBusy[pl.Leader+i] += span
 	}
 	if iter >= 0 {
-		var st *iterAgg
-		if iter < maxDenseIter {
-			for iter >= len(c.byIter) {
-				c.byIter = append(c.byIter, nil)
-			}
-			if st = c.byIter[iter]; st == nil {
-				st = c.newIterAgg(iter, start, finish)
-				c.byIter[iter] = st
-			}
-		} else {
-			if c.byIterSparse == nil {
-				c.byIterSparse = make(map[int]*iterAgg)
-			}
-			if st = c.byIterSparse[iter]; st == nil {
-				st = c.newIterAgg(iter, start, finish)
-				c.byIterSparse[iter] = st
-			}
+		for iter >= len(c.byIter) {
+			c.byIter = append(c.byIter, nil)
+		}
+		st := c.byIter[iter]
+		if st == nil {
+			st = c.newIterAgg(iter, start, finish)
+			c.byIter[iter] = st
 		}
 		st.tasks++
 		if start < st.start {
@@ -457,21 +435,13 @@ func ComparePlaceShares(a, b PlaceShare) int {
 // IterStats returns the per-iteration statistics ordered by iteration, each
 // with its place counts sorted by placeID. It encodes them into the
 // collector's scratch and copies that out at its exact size, so two readouts
-// of one run are equal and a run without sparse tags pays one allocation,
-// whatever its iteration count.
+// of one run are equal and a readout pays one allocation, whatever its
+// iteration count.
 func (c *Collector) IterStats() Iters {
 	out := Iters{b: c.scratch[:0]}
-	add := func(st *iterAgg) {
-		out.Append(IterStat{Iter: st.iter, Tasks: st.tasks, Start: st.start, End: st.end}, st.places)
-	}
 	for _, st := range c.byIter {
 		if st != nil {
-			add(st)
-		}
-	}
-	if len(c.byIterSparse) > 0 { // tags above every dense one, sorted at a cost only they pay
-		for _, iter := range slices.Sorted(maps.Keys(c.byIterSparse)) {
-			add(c.byIterSparse[iter])
+			out.Append(IterStat{Iter: st.iter, Tasks: st.tasks, Start: st.start, End: st.end}, st.places)
 		}
 	}
 	c.scratch = out.b

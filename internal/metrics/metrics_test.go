@@ -511,29 +511,30 @@ func TestZeroMakespanThroughput(t *testing.T) {
 	}
 }
 
-func TestSparseIterFallsBackToMap(t *testing.T) {
+// Iteration tags index one dense slice. A 1 M-layer synthetic cell tags
+// its tasks up to about 2^20; readout follows the tags, not arrival order.
+func TestDenseIterIndex(t *testing.T) {
 	c := newCollector(topology.TX2())
-	sparse := maxDenseIter + 1_000_000_000 // far beyond the dense range
+	high := 1 << 20
 	taskDone(c, topology.Place{Leader: 0, Width: 1}, false, 2, 0.0, 1.0)
-	taskDone(c, topology.Place{Leader: 0, Width: 1}, false, sparse, 1.0, 2.0)
-	taskDone(c, topology.Place{Leader: 1, Width: 1}, false, sparse, 1.5, 2.5)
-	for _, later := range []int{sparse + 3, sparse + 1, sparse + 2} {
+	taskDone(c, topology.Place{Leader: 0, Width: 1}, false, high, 1.0, 2.0)
+	taskDone(c, topology.Place{Leader: 1, Width: 1}, false, high, 1.5, 2.5)
+	for _, later := range []int{high + 3, high + 1, high + 2} {
 		taskDone(c, topology.Place{Leader: 0, Width: 1}, false, later, 3.0, 4.0)
 	}
 	it := c.IterStats()
 	st, places := unpack(it)
-	if len(st) != 5 || st[0].Iter != 2 || st[1].Iter != sparse ||
-		st[2].Iter != sparse+1 || st[3].Iter != sparse+2 || st[4].Iter != sparse+3 {
+	if len(st) != 5 || st[0].Iter != 2 || st[1].Iter != high ||
+		st[2].Iter != high+1 || st[3].Iter != high+2 || st[4].Iter != high+3 {
 		t.Fatalf("iters = %+v", st)
 	}
 	if st[1].Tasks != 2 || st[1].Start != 1.0 || st[1].End != 2.5 || len(places[1]) != 2 {
-		t.Fatalf("sparse iter = %+v, places %+v", st[1], places[1])
+		t.Fatalf("iter %d = %+v, places %+v", high, st[1], places[1])
 	}
-	if len(c.byIter) > maxDenseIter/1024 {
-		t.Fatalf("sparse tag grew the dense index to %d entries", len(c.byIter))
+	if len(c.byIter) != high+4 {
+		t.Fatalf("dense index holds %d entries, want %d", len(c.byIter), high+4)
 	}
-	// The iterations follow their tags, not the map's order: every readout
-	// of the run is the same value, byte for byte.
+	// Every readout of the run is the same value, byte for byte.
 	for range 20 {
 		if again := c.IterStats(); !reflect.DeepEqual(again, it) {
 			t.Fatalf("a second readout differs:\n %+v\n %+v", again, it)

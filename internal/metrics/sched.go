@@ -58,8 +58,8 @@ func (c *Collector) SetSched(s *Sched) { c.sched = s }
 // Sched returns the telemetry attached by SetSched, or nil.
 func (c *Collector) Sched() *Sched { return c.sched }
 
-// TotalSteals sums the steal matrix (both priorities).
-func (s *Sched) TotalSteals() int64 {
+// totalSteals sums the steal matrix (both priorities).
+func (s *Sched) totalSteals() int64 {
 	var n int64
 	for _, e := range s.StealMatrix {
 		n += e.Low + e.High
@@ -67,34 +67,34 @@ func (s *Sched) TotalSteals() int64 {
 	return n
 }
 
-// MeanReady is the time-weighted mean number of ready tasks.
-func (s *Sched) MeanReady() float64 {
+// meanReady is the time-weighted mean number of ready tasks.
+func (s *Sched) meanReady() float64 {
 	if s.Span <= 0 {
 		return 0
 	}
 	return s.ReadySec / s.Span
 }
 
-// MeanCommitted is the time-weighted mean number of committed AQ entries.
-func (s *Sched) MeanCommitted() float64 {
+// meanCommitted is the time-weighted mean number of committed AQ entries.
+func (s *Sched) meanCommitted() float64 {
 	if s.Span <= 0 {
 		return 0
 	}
 	return s.CommittedSec / s.Span
 }
 
-// PTTMeanRelErr is the mean relative PTT prediction error over all
+// pttMeanRelErr is the mean relative PTT prediction error over all
 // observed completions.
-func (s *Sched) PTTMeanRelErr() float64 {
+func (s *Sched) pttMeanRelErr() float64 {
 	if s.PTTSamples == 0 {
 		return 0
 	}
 	return s.PTTErrSum / float64(s.PTTSamples)
 }
 
-// PTTTailRelErr is the mean relative PTT prediction error over the last
+// pttTailRelErr is the mean relative PTT prediction error over the last
 // quarter of each merged run's completions.
-func (s *Sched) PTTTailRelErr() float64 {
+func (s *Sched) pttTailRelErr() float64 {
 	if s.PTTTailSamples == 0 {
 		return 0
 	}
@@ -206,7 +206,7 @@ func (s *Sched) WriteReport(w io.Writer) {
 		fmt.Fprintf(w, "  %4d  %10.6f  %5.1f%%  %10.6f  %10.6f  %10.6f\n",
 			i, s.Busy[i], util*100, disp, steal, idle)
 	}
-	fmt.Fprintf(w, "steal matrix (victim -> thief, %d steals", s.TotalSteals())
+	fmt.Fprintf(w, "steal matrix (victim -> thief, %d steals", s.totalSteals())
 	if len(s.StealMatrix) == 0 {
 		fmt.Fprintf(w, "): none\n")
 	} else {
@@ -234,10 +234,10 @@ func (s *Sched) WriteReport(w io.Writer) {
 		}
 	}
 	fmt.Fprintf(w, "queues: mean ready %.2f (max %d), mean committed %.2f (max %d), %d transitions\n",
-		s.MeanReady(), s.MaxReady, s.MeanCommitted(), s.MaxCommitted, s.QueueSamples)
+		s.meanReady(), s.MaxReady, s.meanCommitted(), s.MaxCommitted, s.QueueSamples)
 	if s.PTTSamples > 0 {
 		fmt.Fprintf(w, "ptt: %d predictions, mean rel err %.3f, tail rel err %.3f (last quarter)\n",
-			s.PTTSamples, s.PTTMeanRelErr(), s.PTTTailRelErr())
+			s.PTTSamples, s.pttMeanRelErr(), s.pttTailRelErr())
 	} else {
 		fmt.Fprintf(w, "ptt: no predictions (policy does not use the PTT, or no repeat observations)\n")
 	}

@@ -62,7 +62,7 @@ func BenchmarkWritePrometheus(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := r.WritePrometheus(io.Discard); err != nil {
+		if err := r.writePrometheus(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

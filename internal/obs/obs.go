@@ -73,21 +73,21 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// Add adds delta (may be negative).
-func (g *Gauge) Add(delta int64) {
+// add adds delta (may be negative).
+func (g *Gauge) add(delta int64) {
 	if g != nil {
 		g.v.Add(delta)
 	}
 }
 
 // Inc adds one.
-func (g *Gauge) Inc() { g.Add(1) }
+func (g *Gauge) Inc() { g.add(1) }
 
 // Dec subtracts one.
-func (g *Gauge) Dec() { g.Add(-1) }
+func (g *Gauge) Dec() { g.add(-1) }
 
-// Value returns the current value. Zero on nil.
-func (g *Gauge) Value() int64 {
+// value returns the current value. Zero on nil.
+func (g *Gauge) value() int64 {
 	if g == nil {
 		return 0
 	}
@@ -134,16 +134,16 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations. Zero on nil.
-func (h *Histogram) Count() int64 {
+// loadCount returns the number of observations. Zero on nil.
+func (h *Histogram) loadCount() int64 {
 	if h == nil {
 		return 0
 	}
 	return h.count.Load()
 }
 
-// Sum returns the sum of observed values. Zero on nil.
-func (h *Histogram) Sum() float64 {
+// loadSum returns the sum of observed values. Zero on nil.
+func (h *Histogram) loadSum() float64 {
 	if h == nil {
 		return 0
 	}
@@ -351,9 +351,9 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WritePrometheus renders every registered series in the Prometheus text
+// writePrometheus renders every registered series in the Prometheus text
 // exposition format (version 0.0.4), families sorted by name.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+func (r *Registry) writePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	fams := make([]*family, len(r.names))
 	for i, n := range r.names {
@@ -385,7 +385,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				sb.WriteString(f.name)
 				writeLabels(&sb, s.labels, "")
 				sb.WriteByte(' ')
-				sb.WriteString(strconv.FormatInt(s.g.Value(), 10))
+				sb.WriteString(strconv.FormatInt(s.g.value(), 10))
 				sb.WriteByte('\n')
 			case kindHistogram:
 				cum := int64(0)
@@ -408,13 +408,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				sb.WriteString("_sum")
 				writeLabels(&sb, s.labels, "")
 				sb.WriteByte(' ')
-				sb.WriteString(formatFloat(s.h.Sum()))
+				sb.WriteString(formatFloat(s.h.loadSum()))
 				sb.WriteByte('\n')
 				sb.WriteString(f.name)
 				sb.WriteString("_count")
 				writeLabels(&sb, s.labels, "")
 				sb.WriteByte(' ')
-				sb.WriteString(strconv.FormatInt(s.h.Count(), 10))
+				sb.WriteString(strconv.FormatInt(s.h.loadCount(), 10))
 				sb.WriteByte('\n')
 			}
 		}
@@ -427,6 +427,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.WritePrometheus(w)
+		_ = r.writePrometheus(w)
 	})
 }

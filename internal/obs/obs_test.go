@@ -19,8 +19,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 	g.Set(7)
 	g.Inc()
 	g.Dec()
-	g.Add(-2)
-	if got := g.Value(); got != 5 {
+	g.add(-2)
+	if got := g.value(); got != 5 {
 		t.Fatalf("gauge = %d, want 5", got)
 	}
 }
@@ -34,7 +34,7 @@ func TestNilMetricsAreSafe(t *testing.T) {
 	g.Set(1)
 	g.Inc()
 	h.Observe(0.5)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || g.value() != 0 || h.loadCount() != 0 || h.loadSum() != 0 {
 		t.Fatal("nil metrics must read as zero")
 	}
 }
@@ -83,14 +83,14 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, v := range []float64{0.05, 0.1, 0.5, 1, 5, 100} {
 		h.Observe(v)
 	}
-	if got := h.Count(); got != 6 {
+	if got := h.loadCount(); got != 6 {
 		t.Fatalf("count = %d, want 6", got)
 	}
-	if got := h.Sum(); got != 106.65 {
+	if got := h.loadSum(); got != 106.65 {
 		t.Fatalf("sum = %g, want 106.65", got)
 	}
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if err := r.writePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -116,7 +116,7 @@ func TestExposition(t *testing.T) {
 	r.Counter("a_total", "first", L("peer", `quo"te`)).Inc()
 	r.Gauge("a_gauge", "g").Set(-3)
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if err := r.writePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -159,7 +159,7 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				c.Inc()
-				g.Add(1)
+				g.add(1)
 				h.Observe(float64(i) * 1e-4)
 			}
 		}()
@@ -168,7 +168,7 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				var sb strings.Builder
-				if err := r.WritePrometheus(&sb); err != nil {
+				if err := r.writePrometheus(&sb); err != nil {
 					t.Error(err)
 					return
 				}
@@ -182,8 +182,8 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 	if c.Value() != 4*2000+4*50 {
 		t.Fatalf("counter = %d, want %d", c.Value(), 4*2000+4*50)
 	}
-	if h.Count() != 4*2000 {
-		t.Fatalf("histogram count = %d, want %d", h.Count(), 4*2000)
+	if h.loadCount() != 4*2000 {
+		t.Fatalf("histogram count = %d, want %d", h.loadCount(), 4*2000)
 	}
 }
 

@@ -38,7 +38,7 @@ func TestTimeToDoMatchesScanBitExact(t *testing.T) {
 		// Scale work to the profile's magnitude so completion stays within
 		// a bounded virtual-time horizon (periodic scans walk every period
 		// boundary until the work is done).
-		workScale := (1 + p.Max()) * 20
+		workScale := (1 + p.max()) * 20
 		for i := 0; i < 2000; i++ {
 			start := rnd()
 			work := rnd() / 1000 * workScale
@@ -47,7 +47,7 @@ func TestTimeToDoMatchesScanBitExact(t *testing.T) {
 			}
 			if i%23 == 0 {
 				// Land start exactly on a change point.
-				start = p.NextChange(start)
+				start = p.nextChange(start)
 				if math.IsInf(start, 1) {
 					start = 0
 				}

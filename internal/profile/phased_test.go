@@ -41,8 +41,8 @@ func TestPhasedSquareWaveKeepsBothLevels(t *testing.T) {
 	for at := 0.0; at < 0.3; at += 0.01 {
 		lo = min(lo, p.At(at))
 	}
-	if lo != 0.4 || p.Max() != 1.0 {
-		t.Fatalf("wave lost a level: min=%g max=%g, want 0.4 and 1.0", lo, p.Max())
+	if lo != 0.4 || p.max() != 1.0 {
+		t.Fatalf("wave lost a level: min=%g max=%g, want 0.4 and 1.0", lo, p.max())
 	}
 	// Average availability over many periods ≈ (0.4*0.1 + 1.0*0.2) / 0.3.
 	avg := integrate(p, 0, 30) / 30
@@ -52,7 +52,7 @@ func TestPhasedSquareWaveKeepsBothLevels(t *testing.T) {
 	}
 }
 
-// Regression: NextChange on a periodic profile must return a strictly
+// Regression: nextChange on a periodic profile must return a strictly
 // increasing sequence even when t sits exactly on (or one ulp past) a
 // period boundary; a non-increasing step stalled TimeToDo forever.
 func TestNextChangeStrictlyIncreasesOnPeriodic(t *testing.T) {
@@ -63,7 +63,7 @@ func TestNextChangeStrictlyIncreasesOnPeriodic(t *testing.T) {
 	for wi, p := range waves {
 		tm := 0.0
 		for i := 0; i < 10000; i++ {
-			next := p.NextChange(tm)
+			next := p.nextChange(tm)
 			if !(next > tm) {
 				t.Fatalf("wave %d: NextChange(%.17g) = %.17g did not advance", wi, tm, next)
 			}
@@ -74,7 +74,7 @@ func TestNextChangeStrictlyIncreasesOnPeriodic(t *testing.T) {
 		for k := 1; k < 50; k++ {
 			at := float64(k) * period
 			for _, probe := range []float64{at, math.Nextafter(at, 0), math.Nextafter(at, math.Inf(1))} {
-				if next := p.NextChange(probe); !(next > probe) {
+				if next := p.nextChange(probe); !(next > probe) {
 					t.Fatalf("wave %d: NextChange(%.17g) = %.17g did not advance", wi, probe, next)
 				}
 			}
@@ -82,15 +82,15 @@ func TestNextChangeStrictlyIncreasesOnPeriodic(t *testing.T) {
 	}
 }
 
-// Regression: periodic NextChange must terminate (returning +Inf) when no
+// Regression: periodic nextChange must terminate (returning +Inf) when no
 // representable change point remains — t = +Inf, or t so large that one
 // period is below its ulp.
 func TestNextChangeSaturatesOnPeriodic(t *testing.T) {
 	p := SquareWave(2, 1, 5, 5)
-	if next := p.NextChange(math.Inf(1)); !math.IsInf(next, 1) {
+	if next := p.nextChange(math.Inf(1)); !math.IsInf(next, 1) {
 		t.Fatalf("NextChange(+Inf) = %g, want +Inf", next)
 	}
-	if next := p.NextChange(1e17); !(next > 1e17) {
+	if next := p.nextChange(1e17); !(next > 1e17) {
 		t.Fatalf("NextChange(1e17) = %g did not advance", next)
 	}
 }

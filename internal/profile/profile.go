@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Segment is one constant piece: Value holds from Start until the next
@@ -27,7 +26,7 @@ type Segment struct {
 
 // Profile is a piecewise-constant, right-continuous function of time,
 // defined for all t >= 0. The zero value is unusable; build profiles with
-// Constant, Steps, SquareWave or the combinators.
+// Constant, MustSteps, SquareWave or the combinators.
 type Profile struct {
 	segs []Segment
 	// periodic, if > 0, means the segments describe one period of length
@@ -40,9 +39,9 @@ func Constant(v float64) *Profile {
 	return &Profile{segs: []Segment{{Start: 0, Value: v}}}
 }
 
-// Steps builds a profile from explicit segments. Segments must start at 0
+// steps builds a profile from explicit segments. Segments must start at 0
 // and have strictly increasing start times.
-func Steps(segs ...Segment) (*Profile, error) {
+func steps(segs ...Segment) (*Profile, error) {
 	if len(segs) == 0 {
 		return nil, fmt.Errorf("profile: no segments")
 	}
@@ -57,9 +56,9 @@ func Steps(segs ...Segment) (*Profile, error) {
 	return &Profile{segs: append([]Segment(nil), segs...)}, nil
 }
 
-// MustSteps is Steps but panics on error.
+// MustSteps is steps but panics on error.
 func MustSteps(segs ...Segment) *Profile {
-	p, err := Steps(segs...)
+	p, err := steps(segs...)
 	if err != nil {
 		panic(err)
 	}
@@ -158,9 +157,9 @@ func (p *Profile) At(t float64) float64 {
 	return p.segs[i-1].Value
 }
 
-// NextChange returns the first time strictly greater than t at which the
+// nextChange returns the first time strictly greater than t at which the
 // profile's value may change, or +Inf if the profile is constant after t.
-func (p *Profile) NextChange(t float64) float64 {
+func (p *Profile) nextChange(t float64) float64 {
 	if t < 0 {
 		t = 0
 	}
@@ -197,7 +196,7 @@ func (p *Profile) NextChange(t float64) float64 {
 
 // rateOver returns the profile's value on the change-free interval
 // [t, next). It samples the midpoint rather than the left edge: for
-// periodic profiles, At(t) exactly at a boundary returned by NextChange
+// periodic profiles, At(t) exactly at a boundary returned by nextChange
 // can land one ulp on the wrong side of the corresponding segment start
 // (the modulo and the base+Start arithmetic round differently), and that
 // misclassification accumulates into a real bias over many periods.
@@ -218,7 +217,7 @@ func (p *Profile) rateOver(t, next float64) float64 {
 // constant profile is a single division, and a finite (non-periodic)
 // profile locates start's segment with one binary search and then walks an
 // index cursor forward. Periodic profiles index directly into the period
-// containing t via NextChange's floor arithmetic. All paths produce
+// containing t via nextChange's floor arithmetic. All paths produce
 // bit-identical results to the generic scan.
 func (p *Profile) TimeToDo(start, work float64) float64 {
 	if work <= 0 {
@@ -278,7 +277,7 @@ func (p *Profile) timeToDoFinite(start, work float64) float64 {
 	}
 }
 
-// timeToDoScan is the generic integration loop over NextChange/rateOver,
+// timeToDoScan is the generic integration loop over nextChange/rateOver,
 // used for periodic profiles (whose change points are generated by period
 // arithmetic, not stored) and as the reference semantics for the fast
 // paths.
@@ -286,7 +285,7 @@ func (p *Profile) timeToDoScan(start, work float64) float64 {
 	t := start
 	remaining := work
 	for {
-		next := p.NextChange(t)
+		next := p.nextChange(t)
 		rate := p.rateOver(t, next)
 		if math.IsInf(next, 1) {
 			if rate <= 0 {
@@ -336,10 +335,10 @@ func Min2(a, b *Profile) *Profile {
 		return Constant(math.Min(a.segs[0].Value, b.segs[0].Value))
 	}
 	// Short-circuit: a constant that never binds.
-	if a.IsConstant() && a.segs[0].Value >= b.Max() {
+	if a.IsConstant() && a.segs[0].Value >= b.max() {
 		return b
 	}
-	if b.IsConstant() && b.segs[0].Value >= a.Max() {
+	if b.IsConstant() && b.segs[0].Value >= a.max() {
 		return a
 	}
 	return combine(a, b, math.Min)
@@ -366,7 +365,7 @@ func combine(a, b *Profile, op func(x, y float64) float64) *Profile {
 	t := 0.0
 	for {
 		segs = append(segs, Segment{Start: t, Value: op(a.At(t), b.At(t))})
-		next := math.Min(a.NextChange(t), b.NextChange(t))
+		next := math.Min(a.nextChange(t), b.nextChange(t))
 		if next >= horizon || math.IsInf(next, 1) {
 			break
 		}
@@ -380,8 +379,8 @@ func (p *Profile) IsConstant() bool {
 	return p.period == 0 && len(p.segs) == 1
 }
 
-// Max returns the largest value the profile ever takes.
-func (p *Profile) Max() float64 {
+// max returns the largest value the profile ever takes.
+func (p *Profile) max() float64 {
 	m := math.Inf(-1)
 	for _, s := range p.segs {
 		if s.Value > m {
@@ -389,23 +388,6 @@ func (p *Profile) Max() float64 {
 		}
 	}
 	return m
-}
-
-// String renders the profile compactly for debugging.
-func (p *Profile) String() string {
-	var b strings.Builder
-	b.WriteString("profile[")
-	for i, s := range p.segs {
-		if i > 0 {
-			b.WriteString(" ")
-		}
-		fmt.Fprintf(&b, "%g:%g", s.Start, s.Value)
-	}
-	if p.period > 0 {
-		fmt.Fprintf(&b, " period=%g", p.period)
-	}
-	b.WriteString("]")
-	return b.String()
 }
 
 func lastStart(p *Profile) float64 {

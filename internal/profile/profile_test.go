@@ -15,7 +15,7 @@ func integrate(p *Profile, from, to float64) float64 {
 	total := 0.0
 	t := from
 	for t < to {
-		next := p.NextChange(t)
+		next := p.nextChange(t)
 		if next > to {
 			next = to
 		}
@@ -32,19 +32,19 @@ func TestConstant(t *testing.T) {
 			t.Fatalf("At(%g) = %g", at, v)
 		}
 	}
-	if !math.IsInf(p.NextChange(0), 1) {
+	if !math.IsInf(p.nextChange(0), 1) {
 		t.Fatal("constant profile should never change")
 	}
 }
 
 func TestStepsValidation(t *testing.T) {
-	if _, err := Steps(); err == nil {
+	if _, err := steps(); err == nil {
 		t.Fatal("empty Steps accepted")
 	}
-	if _, err := Steps(Segment{1, 2}); err == nil {
+	if _, err := steps(Segment{1, 2}); err == nil {
 		t.Fatal("Steps not starting at 0 accepted")
 	}
-	if _, err := Steps(Segment{0, 1}, Segment{0, 2}); err == nil {
+	if _, err := steps(Segment{0, 1}, Segment{0, 2}); err == nil {
 		t.Fatal("non-increasing starts accepted")
 	}
 }
@@ -59,10 +59,10 @@ func TestEpisode(t *testing.T) {
 			t.Fatalf("At(%g) = %g, want %g", c.at, v, c.want)
 		}
 	}
-	if got := p.NextChange(0); got != 2 {
+	if got := p.nextChange(0); got != 2 {
 		t.Fatalf("NextChange(0) = %g, want 2", got)
 	}
-	if got := p.NextChange(2); got != 5 {
+	if got := p.nextChange(2); got != 5 {
 		t.Fatalf("NextChange(2) = %g, want 5", got)
 	}
 }
@@ -86,10 +86,10 @@ func TestSquareWavePeriodicity(t *testing.T) {
 			t.Fatalf("At(%g) = %g, want %g", c.at, v, c.want)
 		}
 	}
-	if got := p.NextChange(12); got != 15 {
+	if got := p.nextChange(12); got != 15 {
 		t.Fatalf("NextChange(12) = %g, want 15", got)
 	}
-	if got := p.NextChange(17); got != 20 {
+	if got := p.nextChange(17); got != 20 {
 		t.Fatalf("NextChange(17) = %g, want 20", got)
 	}
 }
@@ -196,8 +196,8 @@ func TestMin2(t *testing.T) {
 
 func TestMinMax(t *testing.T) {
 	p := SquareWave(7, 3, 1, 2)
-	if p.At(1.5) != 3 || p.Max() != 7 {
-		t.Fatalf("low level/Max = %g/%g, want 3/7", p.At(1.5), p.Max())
+	if p.At(1.5) != 3 || p.max() != 7 {
+		t.Fatalf("low level/Max = %g/%g, want 3/7", p.At(1.5), p.max())
 	}
 }
 

@@ -66,13 +66,13 @@ type bestPlace struct {
 	id  int
 }
 
-// DefaultAlpha is the paper's chosen new-sample weight (ratio 1:4).
-const DefaultAlpha = 1.0 / 5.0
+// defaultAlpha is the paper's chosen new-sample weight (ratio 1:4).
+const defaultAlpha = 1.0 / 5.0
 
 // NewTable builds an empty table for the platform. alpha is the weight given
 // to new observations, in (0, 1]; alpha==1 replaces the entry outright
 // (the "1" configuration of Figure 8). Passing alpha <= 0 selects
-// DefaultAlpha.
+// defaultAlpha.
 func NewTable(topo *topology.Platform, alpha float64) *Table {
 	t := &Table{}
 	t.adopt(topo, alpha)
@@ -83,7 +83,7 @@ func NewTable(topo *topology.Platform, alpha float64) *Table {
 // selects the paper's default, values above 1 saturate.
 func clampAlpha(alpha float64) float64 {
 	if alpha <= 0 {
-		return DefaultAlpha
+		return defaultAlpha
 	}
 	if alpha > 1 {
 		return 1
@@ -129,8 +129,8 @@ func (t *Table) UpdateByID(id int, observed float64) {
 	t.gen++
 }
 
-// Reset clears every entry back to the unmeasured state.
-func (t *Table) Reset() {
+// reset clears every entry back to the unmeasured state.
+func (t *Table) reset() {
 	clear(t.entries)
 	// Bumping (never rewinding) the generation invalidates the cached best
 	// places: a stamp from before the Reset can never match again.
@@ -152,7 +152,7 @@ func (t *Table) adopt(topo *topology.Platform, alpha float64) {
 	}
 	// Stale best-place caches need no clearing: the generation bump in
 	// Reset outdates every stamp they could carry.
-	t.Reset()
+	t.reset()
 }
 
 // BestGlobalCost returns the dense id of the place minimizing estimate ×
@@ -250,7 +250,7 @@ func (r *Registry) create(id TypeID) *Table {
 }
 
 // Reset binds the registry to a platform and alpha (<= 0 selects
-// DefaultAlpha): every table unmeasured, future tables built for them, the
+// defaultAlpha): every table unmeasured, future tables built for them, the
 // existing tables' storage reused. It may rebind the platform, so pooled
 // runtimes can carry one registry across runs that rebuild their topology
 // per run.

@@ -115,7 +115,7 @@ func TestReset(t *testing.T) {
 	tbl := tx2Table(0)
 	pl := topology.Place{Leader: 0, Width: 1}
 	tbl.Update(pl, 1)
-	tbl.Reset()
+	tbl.reset()
 	if tbl.Value(pl) != 0 {
 		t.Fatal("Reset did not clear entries")
 	}

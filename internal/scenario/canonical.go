@@ -448,7 +448,7 @@ var builtinPolicies = core.All()
 
 // disturbKinds lists every valid disturbance kind once, like
 // workloadKinds (scenario.go) does for workloads.
-var disturbKinds = []DisturbKind{CoRunCPU, CoRunMemory, DVFS, Stall, Burst, Throttle}
+var disturbKinds = []DisturbKind{CoRunCPU, CoRunMemory, dvfs, stall, Burst, Throttle}
 
 // kernelKinds lists the synthetic kernel classes.
 var kernelKinds = []workloads.KernelKind{workloads.MatMul, workloads.Copy, workloads.Stencil}

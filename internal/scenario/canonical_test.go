@@ -3,7 +3,6 @@ package scenario
 import (
 	"bytes"
 	"reflect"
-	"strconv"
 	"testing"
 
 	"dynasym/internal/core"
@@ -29,7 +28,7 @@ func fullSpec() Spec {
 			{Kind: CoRunCPU, Cores: []int{2, 3}, Share: 0.5, From: 1, To: 2},
 			{Kind: Burst, Cluster: 1, Share: 0.4, BusyDur: 1.5, IdleDur: 3, Phase0: 0.25, PhaseStep: 1},
 			{Kind: Throttle, Cluster: 0, From: 2, To: 4, Floor: 0.3, RampSteps: 6},
-			{Kind: DVFS, Cluster: 1, HiHz: 2.035e9, LoHz: 3.45e8, HiDur: 5, LoDur: 5},
+			{Kind: dvfs, Cluster: 1, HiHz: 2.035e9, LoHz: 3.45e8, HiDur: 5, LoDur: 5},
 		},
 		Policies: []core.Policy{core.RWS(), core.DAMC(), core.NewSampled(core.DAMP(), 8)},
 		Points: []Point{
@@ -344,7 +343,7 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(`{"workload":{"kind":"daggen","daggen":{"model":"random-layered","layers":3,"width":2048,"degree":2048}},"policies":["RWS"]}`))
 	f.Add([]byte(`{"name":"x","platform":{"preset":"tx2"},"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":4194304}},"policies":["RWS"],"reps":17,"seed":1}`))
 	// Sampled policy names: core.ByName parses the text after the last '~'.
-	for _, name := range []string{"DAM-C~0", "DAM-C~", "~8", "DAM-P~8~4", "DAM-C~08", "DAM-C~" + strconv.Itoa(core.MaxSampledK+1)} {
+	for _, name := range []string{"DAM-C~0", "DAM-C~", "~8", "DAM-P~8~4", "DAM-C~08", "DAM-C~1025"} {
 		f.Add([]byte(`{"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":50}},"policies":["` + name + `"]}`))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

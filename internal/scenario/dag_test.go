@@ -272,7 +272,7 @@ func TestDAGValidation(t *testing.T) {
 	t.Run("shape points allowed on daggen", func(t *testing.T) {
 		s := Spec{
 			Name:     "gen-points",
-			Workload: WorkloadSpec{Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelForkJoin}},
+			Workload: WorkloadSpec{Kind: DAGGen, DAGGen: dagio.GenConfig{Model: "fork-join"}},
 			Policies: []core.Policy{core.RWS()},
 			Points:   ParallelismPoints(4, 8),
 		}

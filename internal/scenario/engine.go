@@ -221,7 +221,7 @@ func nodePlatform(s *Spec, node int) (*topology.Platform, error) {
 	if s.Platform.Preset == "haswell-node" && len(s.Platform.Clusters) == 0 && s.Platform.WidthCap == 0 {
 		return topology.HaswellNode(node), nil
 	}
-	return s.Platform.Build()
+	return s.Platform.build()
 }
 
 // cellAlpha resolves the PTT weight for a point.
@@ -297,9 +297,9 @@ func (d Disturbance) apply(m *machine.Model) {
 		}
 	case CoRunMemory:
 		interfere.CoRunMemory(m, cores[0], d.Share, d.BWFactor)
-	case DVFS:
+	case dvfs:
 		interfere.DVFS(m, d.Cluster, d.HiHz, d.LoHz, d.HiDur, d.LoDur)
-	case Stall:
+	case stall:
 		for _, c := range cores {
 			interfere.Stall(m, c, d.From, d.To)
 		}

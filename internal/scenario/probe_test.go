@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"testing"
 
 	"dynasym/internal/core"
@@ -126,8 +127,12 @@ func TestRunCellTraceMatchesCanonicalRun(t *testing.T) {
 		if rm.Sched == nil {
 			t.Fatal("traced cell carries no Sched telemetry")
 		}
-		if rec.Len() == 0 || len(rec.Counters()) == 0 {
-			t.Fatalf("traced cell recorded %d events, %d counter points", rec.Len(), len(rec.Counters()))
+		var doc bytes.Buffer
+		if err := rec.WriteChromeTrace(&doc); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Len() == 0 || !bytes.Contains(doc.Bytes(), []byte(`"ph":"C"`)) {
+			t.Fatalf("traced cell recorded %d events and no counter lane", rec.Len())
 		}
 	}
 }

@@ -88,8 +88,8 @@ type Cell struct {
 // reproduces a standalone execution with the spec's base seed.
 func (c *Cell) Run() RunMetrics { return c.Runs[0] }
 
-// MeanThroughput averages throughput over repetitions.
-func (c *Cell) MeanThroughput() float64 {
+// meanThroughput averages throughput over repetitions.
+func (c *Cell) meanThroughput() float64 {
 	sum := 0.0
 	for _, r := range c.Runs {
 		sum += r.Throughput
@@ -150,7 +150,7 @@ func (r *Result) Throughputs() [][]float64 {
 	for pi := range r.Cells {
 		out[pi] = grid[pi*len(r.Points) : (pi+1)*len(r.Points) : (pi+1)*len(r.Points)]
 		for xi := range r.Cells[pi] {
-			out[pi][xi] = r.Cells[pi][xi].MeanThroughput()
+			out[pi][xi] = r.Cells[pi][xi].meanThroughput()
 		}
 	}
 	return out
@@ -167,7 +167,7 @@ func (r *Result) WriteTable(w io.Writer) {
 	for pi, p := range r.Policies {
 		fmt.Fprintf(w, "%-12s", p)
 		for xi := range r.Points {
-			fmt.Fprintf(w, "%12.0f", r.Cells[pi][xi].MeanThroughput())
+			fmt.Fprintf(w, "%12.0f", r.Cells[pi][xi].meanThroughput())
 		}
 		fmt.Fprintln(w)
 	}

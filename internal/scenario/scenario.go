@@ -46,14 +46,14 @@ type PlatformSpec struct {
 	WidthCap int
 }
 
-// MaxPlatformCores bounds a platform's core count. A Platform indexes its
+// maxPlatformCores bounds a platform's core count. A Platform indexes its
 // places by core × width (8 MB at the bound), so without it one integer in a
 // request — a preset's size, a cluster's num_cores — sizes an allocation in
 // the daemon. The largest platform the repository ships has 80 cores.
-const MaxPlatformCores = 1 << 10
+const maxPlatformCores = 1 << 10
 
-// Build constructs the platform.
-func (p PlatformSpec) Build() (*topology.Platform, error) {
+// build constructs the platform.
+func (p PlatformSpec) build() (*topology.Platform, error) {
 	var base *topology.Platform
 	switch {
 	case len(p.Clusters) > 0:
@@ -61,8 +61,8 @@ func (p PlatformSpec) Build() (*topology.Platform, error) {
 		for _, c := range p.Clusters {
 			cores += float64(c.NumCores)
 		}
-		if cores > MaxPlatformCores {
-			return nil, fmt.Errorf("scenario: platform.clusters[].num_cores add up to %.0f cores, over MaxPlatformCores (%d)", cores, MaxPlatformCores)
+		if cores > maxPlatformCores {
+			return nil, fmt.Errorf("scenario: platform.clusters[].num_cores add up to %.0f cores, over MaxPlatformCores (%d)", cores, maxPlatformCores)
 		}
 		var err error
 		base, err = topology.New(p.Clusters)
@@ -118,8 +118,8 @@ func presetPlatform(name string) (*topology.Platform, error) {
 		if n < 1 || n&(n-1) != 0 {
 			return nil, fmt.Errorf("scenario: sym platform size %d is not a power of two", n)
 		}
-		if n > MaxPlatformCores {
-			return nil, fmt.Errorf("scenario: platform.preset %q has %d cores, over MaxPlatformCores (%d)", name, n, MaxPlatformCores)
+		if n > maxPlatformCores {
+			return nil, fmt.Errorf("scenario: platform.preset %q has %d cores, over MaxPlatformCores (%d)", name, n, maxPlatformCores)
 		}
 		return topology.Symmetric(n), nil
 	}
@@ -128,8 +128,8 @@ func presetPlatform(name string) (*topology.Platform, error) {
 		if nc < 1 || cp < 1 {
 			return nil, fmt.Errorf("scenario: bad scale-out shape %q", name)
 		}
-		if nc > MaxPlatformCores/cp {
-			return nil, fmt.Errorf("scenario: platform.preset %q has %d × %d cores, over MaxPlatformCores (%d)", name, nc, cp, MaxPlatformCores)
+		if nc > maxPlatformCores/cp {
+			return nil, fmt.Errorf("scenario: platform.preset %q has %d × %d cores, over MaxPlatformCores (%d)", name, nc, cp, maxPlatformCores)
 		}
 		return topology.ScaleOut(nc, cp), nil
 	}
@@ -219,10 +219,10 @@ const (
 	// CoRunMemory time-shares one victim core and takes memory bandwidth
 	// from its whole cluster (whole-run only).
 	CoRunMemory
-	// DVFS installs a square-wave clock on a cluster.
-	DVFS
-	// Stall makes the cores contribute nothing during [From, To).
-	Stall
+	// dvfs installs a square-wave clock on a cluster.
+	dvfs
+	// stall makes the cores contribute nothing during [From, To).
+	stall
 	// Burst runs phase-shifted intermittent co-runners on the victim
 	// cores: busy for BusyDur, idle for IdleDur, each successive core
 	// shifted by PhaseStep seconds.
@@ -239,9 +239,9 @@ func (k DisturbKind) String() string {
 		return "corun-cpu"
 	case CoRunMemory:
 		return "corun-mem"
-	case DVFS:
+	case dvfs:
 		return "dvfs"
-	case Stall:
+	case stall:
 		return "stall"
 	case Burst:
 		return "burst"
@@ -254,13 +254,13 @@ func (k DisturbKind) String() string {
 
 // Disturbance is one time-varying degradation of the platform. The zero
 // window (From == To == 0) means the whole run for the co-runner kinds;
-// Stall and Throttle require an explicit window.
+// stall and Throttle require an explicit window.
 type Disturbance struct {
 	Kind DisturbKind
 	// Node selects the machine model in distributed (HeatDist) scenarios;
 	// single-runtime scenarios use node 0.
 	Node int
-	// Cores are the victim cores (CoRunCPU, Stall, Burst; first entry is
+	// Cores are the victim cores (CoRunCPU, stall, Burst; first entry is
 	// the victim for CoRunMemory). Empty means every core of Cluster.
 	Cores []int
 	// Cluster is the victim cluster for DVFS and Throttle, and the core
@@ -287,7 +287,7 @@ type Disturbance struct {
 // (2035 MHz for 5 s, 345 MHz for 5 s, forever).
 func PaperDVFS(cluster int) Disturbance {
 	return Disturbance{
-		Kind:    DVFS,
+		Kind:    dvfs,
 		Cluster: cluster,
 		HiHz:    interfere.PaperHiHz, LoHz: interfere.PaperLoHz,
 		HiDur: interfere.PaperHiDur, LoDur: interfere.PaperLoDur,
@@ -372,28 +372,28 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// MaxGridCells bounds a spec's grid, policies × points × reps. A plan holds
+// maxGridCells bounds a spec's grid, policies × points × reps. A plan holds
 // every cell of it, so without the bound one integer in a request sizes an
 // allocation in the daemon.
-const MaxGridCells = 1 << 20
+const maxGridCells = 1 << 20
 
-// MaxCellTasks bounds the task graph of one cell, as the active workload's
+// maxCellTasks bounds the task graph of one cell, as the active workload's
 // config implies it after a point's overrides. A cell's graph is built in
 // full before it runs, so without the bound one integer in a request sizes
 // an allocation in the daemon. The paper's largest cell has 32 000 tasks.
-const MaxCellTasks = 1 << 22
+const maxCellTasks = 1 << 22
 
-// MaxCellEdges bounds the dependency edges of one cell's graph the same way.
+// maxCellEdges bounds the dependency edges of one cell's graph the same way.
 // It is computed for the one generator whose edges can exceed a small multiple
 // of its tasks: every random-layered node draws up to min(degree, width)
 // predecessors, so two integers make a small graph quadratic to build.
-const MaxCellEdges = 1 << 22
+const maxCellEdges = 1 << 22
 
-// MaxJobTasks bounds the tasks of a whole job, every cell's summed: the caps
+// maxJobTasks bounds the tasks of a whole job, every cell's summed: the caps
 // above bound each factor, not their product. The largest job a registered
 // family or paper experiment builds at scale 1 is 1 120 000 tasks (Figures 4
 // and 7, MatMul); the bound is about 60 times that.
-const MaxJobTasks = 1 << 26
+const maxJobTasks = 1 << 26
 
 // Validate checks the spec without running it. It is called by Run; call it
 // directly to fail fast when assembling spec tables.
@@ -405,7 +405,7 @@ func (s Spec) Validate() error {
 // validate is Validate on a defaults-filled spec; it returns the platform
 // it built to check the disturbances against, which a plan keeps.
 func (s Spec) validate() (*topology.Platform, error) {
-	topo, err := s.Platform.Build()
+	topo, err := s.Platform.build()
 	if err != nil {
 		return nil, err
 	}
@@ -462,9 +462,9 @@ func (s Spec) validateOn(topo *topology.Platform) error {
 			return fmt.Errorf("scenario %q: point %q alpha %v outside [0, 1]", s.Name, pt.Label, pt.Alpha)
 		}
 	}
-	if np, nx := len(s.Policies), len(s.Points); nx > MaxGridCells/np || s.Reps > MaxGridCells/(np*nx) {
+	if np, nx := len(s.Policies), len(s.Points); nx > maxGridCells/np || s.Reps > maxGridCells/(np*nx) {
 		return fmt.Errorf("scenario %q: grid of %d policies × %d points × %d reps exceeds the limit of %d cells",
-			s.Name, np, nx, s.Reps, MaxGridCells)
+			s.Name, np, nx, s.Reps, maxGridCells)
 	}
 	known := false
 	for _, k := range workloadKinds {
@@ -511,21 +511,21 @@ func (s Spec) validateOn(topo *topology.Platform) error {
 	for _, pt := range s.Points {
 		w := resolve(s.Workload, pt)
 		n, fields := w.cellTasks()
-		if n > MaxCellTasks {
+		if n > maxCellTasks {
 			return fmt.Errorf("scenario %q: point %q: a cell of %.0f tasks (%s) exceeds MaxCellTasks (%d)",
-				s.Name, pt.Label, n, fields, MaxCellTasks)
+				s.Name, pt.Label, n, fields, maxCellTasks)
 		}
 		pointTasks += n
 		if c := w.DAGGen; w.Kind == DAGGen && c.Model == dagio.ModelRandomLayered {
-			if n := c.Tasks() * float64(min(c.Degree, c.Width)); n > MaxCellEdges {
+			if n := c.Tasks() * float64(min(c.Degree, c.Width)); n > maxCellEdges {
 				return fmt.Errorf("scenario %q: point %q: a cell of up to %.0f edges (workload.daggen.layers × workload.daggen.width × min(workload.daggen.degree, workload.daggen.width)) exceeds MaxCellEdges (%d)",
-					s.Name, pt.Label, n, MaxCellEdges)
+					s.Name, pt.Label, n, maxCellEdges)
 			}
 		}
 	}
-	if n := pointTasks * float64(len(s.Policies)*s.Reps); n > MaxJobTasks {
+	if n := pointTasks * float64(len(s.Policies)*s.Reps); n > maxJobTasks {
 		return fmt.Errorf("scenario %q: a job of %.0f tasks (%d policies × %d reps × the cell tasks of %d points) exceeds MaxJobTasks (%d)",
-			s.Name, n, len(s.Policies), s.Reps, len(s.Points), MaxJobTasks)
+			s.Name, n, len(s.Policies), s.Reps, len(s.Points), maxJobTasks)
 	}
 	switch s.Workload.Kind {
 	case Synthetic, DAGFile, DAGGen:
@@ -715,7 +715,7 @@ func validateDisturbances(name string, topo *topology.Platform, ds []Disturbance
 			}
 			claimCores(cores[:1]) // the victim
 			claims = append(claims, claim{memoryBandwidth, d.Node, topo.ClusterOf(cores[0]), win})
-		case DVFS:
+		case dvfs:
 			if d.HiHz <= 0 || d.LoHz <= 0 || d.HiDur <= 0 || d.LoDur <= 0 {
 				return bad("wave needs positive HiHz, LoHz, HiDur, LoDur")
 			}
@@ -723,7 +723,7 @@ func validateDisturbances(name string, topo *topology.Platform, ds []Disturbance
 				return bad("windows are not supported for periodic waves (the wave runs forever)")
 			}
 			claims = append(claims, claim{clusterClock, d.Node, d.Cluster, win})
-		case Stall:
+		case stall:
 			if d.From == 0 && d.To == 0 {
 				return bad("needs an explicit window")
 			}

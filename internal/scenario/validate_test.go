@@ -26,21 +26,21 @@ func TestValidateOK(t *testing.T) {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
 	full := okSpec()
-	full.Policies, full.Points, full.Reps = []core.Policy{core.RWS(), core.DAMC()}, ParallelismPoints(2, 4), MaxGridCells/4
-	full.Workload.Synthetic.Tasks = MaxJobTasks / MaxGridCells
+	full.Policies, full.Points, full.Reps = []core.Policy{core.RWS(), core.DAMC()}, ParallelismPoints(2, 4), maxGridCells/4
+	full.Workload.Synthetic.Tasks = maxJobTasks / maxGridCells
 	if err := full.Validate(); err != nil {
 		t.Fatalf("a grid of exactly MaxGridCells cells and MaxJobTasks tasks rejected: %v", err)
 	}
-	// Cells of exactly MaxCellTasks tasks (the largest factorizations below
+	// Cells of exactly maxCellTasks tasks (the largest factorizations below
 	// it), one per workload kind.
 	for name, w := range map[string]WorkloadSpec{
-		"synthetic": {Kind: Synthetic, Synthetic: workloads.SyntheticConfig{Tasks: MaxCellTasks}},
+		"synthetic": {Kind: Synthetic, Synthetic: workloads.SyntheticConfig{Tasks: maxCellTasks}},
 		"kmeans":    {Kind: KMeans, KMeans: workloads.KMeansConfig{Grains: 2047, MaxIters: 2048}},
 		"heat":      {Kind: HeatDist, Heat: workloads.HeatDistConfig{Nodes: 4, BlocksPerNode: 1023, Iters: 1024}},
-		"fork-join": {Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelForkJoin, Layers: 4096, Width: 1022}},
-		// Degree 1: one edge per task, so this cell is at MaxCellEdges too.
+		"fork-join": {Kind: DAGGen, DAGGen: dagio.GenConfig{Model: "fork-join", Layers: 4096, Width: 1022}},
+		// Degree 1: one edge per task, so this cell is at maxCellEdges too.
 		"random": {Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelRandomLayered, Layers: 2048, Width: 2048, Degree: 1}},
-		// Exactly MaxCellEdges by degree, and by width where it is the smaller.
+		// Exactly maxCellEdges by degree, and by width where it is the smaller.
 		"random by degree": {Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelRandomLayered, Layers: 1024, Width: 1024, Degree: 4}},
 		"random by width":  {Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelRandomLayered, Layers: 4, Width: 1024, Degree: math.MaxInt}},
 		"cholesky":         {Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelCholesky, Tiles: 292}},
@@ -52,7 +52,7 @@ func TestValidateOK(t *testing.T) {
 			t.Errorf("%s: a cell at MaxCellTasks rejected: %v", name, err)
 		}
 	}
-	// Platforms of exactly MaxPlatformCores cores, however they are spelled.
+	// Platforms of exactly maxPlatformCores cores, however they are spelled.
 	for name, p := range map[string]PlatformSpec{
 		"sym":      {Preset: "sym1024"},
 		"scaleout": {Preset: "scaleout-32x32"},
@@ -78,7 +78,7 @@ func TestValidateErrors(t *testing.T) {
 		{"empty policy set", func(s *Spec) { s.Policies = nil }, "empty policy set"},
 		{"nil policy", func(s *Spec) { s.Policies = []core.Policy{nil} }, "nil policy"},
 		{"duplicate policy", func(s *Spec) { s.Policies = []core.Policy{core.DAMC(), core.DAMC()} }, "duplicate policy"},
-		{"sampled K over the cap", func(s *Spec) { s.Policies = []core.Policy{core.NewSampled(core.DAMC(), core.MaxSampledK+1)} },
+		{"sampled K over the cap", func(s *Spec) { s.Policies = []core.Policy{core.NewSampled(core.DAMC(), 1025)} },
 			`policy "DAM-C~1025": K of 1025 exceeds MaxSampledK (1024)`},
 		{"sampled base sampled", func(s *Spec) { s.Policies = []core.Policy{core.NewSampled(core.NewSampled(core.DAMP(), 8), 4)} },
 			`policy "DAM-P~8~4": the base of a sampled policy cannot itself be sampled`},
@@ -115,12 +115,12 @@ func TestValidateErrors(t *testing.T) {
 			}}}
 		}, "does not divide"},
 		{"negative reps", func(s *Spec) { s.Reps = -1 }, "negative repetitions"},
-		{"grid one cell over the limit", func(s *Spec) { s.Reps = MaxGridCells + 1 },
+		{"grid one cell over the limit", func(s *Spec) { s.Reps = maxGridCells + 1 },
 			"1 policies × 1 points × 1048577 reps exceeds the limit of 1048576 cells"},
 		{"grid over the limit by product", func(s *Spec) {
 			s.Policies = []core.Policy{core.RWS(), core.DAMC()}
 			s.Points = ParallelismPoints(2, 4)
-			s.Reps = MaxGridCells/4 + 1
+			s.Reps = maxGridCells/4 + 1
 		}, "2 policies × 2 points × 262145 reps exceeds the limit"},
 		{"grid product overflows", func(s *Spec) {
 			s.Policies = core.All()
@@ -129,14 +129,14 @@ func TestValidateErrors(t *testing.T) {
 		{"job over the limit by product", func(s *Spec) {
 			s.Policies = []core.Policy{core.RWS(), core.DAMC()}
 			s.Points = ParallelismPoints(2, 4)
-			s.Reps = MaxGridCells / 4
-			s.Workload.Synthetic.Tasks = MaxJobTasks/MaxGridCells + 1
+			s.Reps = maxGridCells / 4
+			s.Workload.Synthetic.Tasks = maxJobTasks/maxGridCells + 1
 		}, "a job of 68157440 tasks (2 policies × 262144 reps × the cell tasks of 2 points) exceeds MaxJobTasks (67108864)"},
 		{"job of large cells over the limit", func(s *Spec) {
-			s.Workload.Synthetic.Tasks = MaxCellTasks
-			s.Reps = MaxJobTasks/MaxCellTasks + 1
+			s.Workload.Synthetic.Tasks = maxCellTasks
+			s.Reps = maxJobTasks/maxCellTasks + 1
 		}, "exceeds MaxJobTasks (67108864)"},
-		{"synthetic cell one task over the limit", func(s *Spec) { s.Workload.Synthetic.Tasks = MaxCellTasks + 1 },
+		{"synthetic cell one task over the limit", func(s *Spec) { s.Workload.Synthetic.Tasks = maxCellTasks + 1 },
 			"a cell of 4194305 tasks (workload.synthetic.tasks) exceeds MaxCellTasks (4194304)"},
 		{"synthetic layer over the limit at one point", func(s *Spec) {
 			s.Points = []Point{{Label: "P2", Parallelism: 2}, {Label: "wide", Parallelism: 1 << 33}}
@@ -160,7 +160,7 @@ func TestValidateErrors(t *testing.T) {
 			s.Workload = WorkloadSpec{Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelLU, Tiles: math.MaxInt}}
 		}, "(workload.daggen.tiles) exceeds MaxCellTasks"},
 		{"fork-join over the limit at one point", func(s *Spec) {
-			s.Workload = WorkloadSpec{Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelForkJoin, Layers: 4096}}
+			s.Workload = WorkloadSpec{Kind: DAGGen, DAGGen: dagio.GenConfig{Model: "fork-join", Layers: 4096}}
 			s.Points = []Point{{Label: "w", Parallelism: 1023}}
 		}, "a cell of 4198400 tasks (workload.daggen.layers × workload.daggen.width) exceeds MaxCellTasks"},
 		{"random-layered one degree over the edge limit", func(s *Spec) {
@@ -211,7 +211,7 @@ func TestValidateErrors(t *testing.T) {
 			s.Disturb = []Disturbance{{Kind: CoRunCPU, Cores: []int{17}, Share: 0.5}}
 		}, "core 17 outside"},
 		{"disturb cluster out of range", func(s *Spec) {
-			s.Disturb = []Disturbance{{Kind: DVFS, Cluster: 9, HiHz: 2e9, LoHz: 1e9, HiDur: 5, LoDur: 5}}
+			s.Disturb = []Disturbance{{Kind: dvfs, Cluster: 9, HiHz: 2e9, LoHz: 1e9, HiDur: 5, LoDur: 5}}
 		}, "cluster 9 outside"},
 		{"disturb node out of range", func(s *Spec) {
 			s.Disturb = []Disturbance{{Kind: CoRunCPU, Node: 1, Cores: []int{0}, Share: 0.5}}
@@ -229,7 +229,7 @@ func TestValidateErrors(t *testing.T) {
 			s.Disturb = []Disturbance{{Kind: CoRunCPU, Cores: []int{0}, Share: 0.5, From: 5, To: 2}}
 		}, "bad window"},
 		{"stall needs window", func(s *Spec) {
-			s.Disturb = []Disturbance{{Kind: Stall, Cores: []int{0}}}
+			s.Disturb = []Disturbance{{Kind: stall, Cores: []int{0}}}
 		}, "explicit window"},
 		{"throttle needs window", func(s *Spec) {
 			s.Disturb = []Disturbance{{Kind: Throttle, Cluster: 0, Floor: 0.5}}
@@ -238,7 +238,7 @@ func TestValidateErrors(t *testing.T) {
 			s.Disturb = []Disturbance{{Kind: Throttle, Cluster: 0, From: 1, To: 2, Floor: 1.5}}
 		}, "floor"},
 		{"dvfs bad wave", func(s *Spec) {
-			s.Disturb = []Disturbance{{Kind: DVFS, Cluster: 0, HiHz: 2e9}}
+			s.Disturb = []Disturbance{{Kind: dvfs, Cluster: 0, HiHz: 2e9}}
 		}, "positive HiHz"},
 		{"burst bad durations", func(s *Spec) {
 			s.Disturb = []Disturbance{{Kind: Burst, Cores: []int{0}, Share: 0.5}}
@@ -254,7 +254,7 @@ func TestValidateErrors(t *testing.T) {
 		{"overlapping core windows", func(s *Spec) {
 			s.Disturb = []Disturbance{
 				{Kind: CoRunCPU, Cores: []int{0}, Share: 0.5, From: 0, To: 10},
-				{Kind: Stall, Cores: []int{0}, From: 5, To: 6},
+				{Kind: stall, Cores: []int{0}, From: 5, To: 6},
 			}
 		}, "overlapping core availability"},
 		{"whole-run plus window overlap", func(s *Spec) {
@@ -265,7 +265,7 @@ func TestValidateErrors(t *testing.T) {
 		}, "overlapping core availability"},
 		{"overlapping cluster clocks", func(s *Spec) {
 			s.Disturb = []Disturbance{
-				{Kind: DVFS, Cluster: 0, HiHz: 2e9, LoHz: 1e9, HiDur: 5, LoDur: 5},
+				{Kind: dvfs, Cluster: 0, HiHz: 2e9, LoHz: 1e9, HiDur: 5, LoDur: 5},
 				{Kind: Throttle, Cluster: 0, From: 2, To: 4, Floor: 0.5},
 			}
 		}, "overlapping cluster clock"},
@@ -296,7 +296,7 @@ func TestValidateDisjointWindowsOK(t *testing.T) {
 		{Kind: CoRunCPU, Cores: []int{0}, Share: 0.5, From: 0, To: 5},
 		{Kind: CoRunCPU, Cores: []int{0}, Share: 0.5, From: 5, To: 10},
 		{Kind: Burst, Cores: []int{2}, Share: 0.5, BusyDur: 1, IdleDur: 1},
-		{Kind: DVFS, Cluster: 1, HiHz: 2e9, LoHz: 1e9, HiDur: 5, LoDur: 5},
+		{Kind: dvfs, Cluster: 1, HiHz: 2e9, LoHz: 1e9, HiDur: 5, LoDur: 5},
 		{Kind: Throttle, Cluster: 0, From: 2, To: 4, Floor: 0.5},
 	}
 	if err := s.Validate(); err != nil {
@@ -312,8 +312,8 @@ func TestOverlapErrorIsDeterministic(t *testing.T) {
 	s.Disturb = []Disturbance{
 		{Kind: Throttle, Cluster: 0, From: 1, To: 3, Floor: 0.5},
 		{Kind: Throttle, Cluster: 0, From: 2, To: 4, Floor: 0.5},
-		{Kind: Stall, Cluster: 1, From: 1, To: 3},
-		{Kind: Stall, Cluster: 1, From: 2, To: 4},
+		{Kind: stall, Cluster: 1, From: 1, To: 3},
+		{Kind: stall, Cluster: 1, From: 2, To: 4},
 	}
 	const want = `scenario "ok": overlapping core availability disturbances on node 0 resource 2 (stall [1, 3) and stall [2, 4))`
 	for i := 0; i < 100; i++ {
@@ -336,7 +336,7 @@ func TestPlatformPresets(t *testing.T) {
 		{"scaleout-8x8", 64},
 	}
 	for _, tc := range cases {
-		topo, err := PlatformSpec{Preset: tc.preset}.Build()
+		topo, err := PlatformSpec{Preset: tc.preset}.build()
 		if err != nil {
 			t.Errorf("%s: %v", tc.preset, err)
 			continue
@@ -345,19 +345,19 @@ func TestPlatformPresets(t *testing.T) {
 			t.Errorf("%s: %d cores, want %d", tc.preset, topo.NumCores(), tc.cores)
 		}
 	}
-	if _, err := (PlatformSpec{Preset: "sym7"}).Build(); err == nil {
+	if _, err := (PlatformSpec{Preset: "sym7"}).build(); err == nil {
 		t.Errorf("sym7 should be rejected (not a power of two)")
 	}
 	// Typos must not silently map onto a different platform.
 	for _, bad := range []string{"scaleout-4x4junk", "sym8x", "scaleout-4x", "tx2x"} {
-		if _, err := (PlatformSpec{Preset: bad}).Build(); err == nil {
+		if _, err := (PlatformSpec{Preset: bad}).build(); err == nil {
 			t.Errorf("preset %q should be rejected", bad)
 		}
 	}
 }
 
 func TestWidthCap(t *testing.T) {
-	topo, err := PlatformSpec{Preset: "tx2", WidthCap: 1}.Build()
+	topo, err := PlatformSpec{Preset: "tx2", WidthCap: 1}.build()
 	if err != nil {
 		t.Fatal(err)
 	}

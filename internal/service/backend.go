@@ -23,7 +23,7 @@ import (
 // error (the cell itself is invalid or failed); such errors fail the job
 // and are never retried — rerunning a deterministic failure elsewhere
 // produces the same failure. Transport-level problems are reported as
-// Execute's error instead, and those move the shard on to another backend.
+// execute's error instead, and those move the shard on to another backend.
 type CellResult struct {
 	Hash    string
 	Metrics scenario.RunMetrics
@@ -32,16 +32,16 @@ type CellResult struct {
 
 // Backend executes a batch of cells from one plan.
 type Backend interface {
-	// Name identifies the backend in errors, logs and stats.
-	Name() string
-	// Execute runs the cells and returns one result per cell, in order.
+	// label identifies the backend in errors, logs and stats.
+	label() string
+	// execute runs the cells and returns one result per cell, in order.
 	// A non-nil error means the backend itself failed (peer unreachable,
 	// wedged, answering garbage, ...) and the shard moves on to another
 	// backend; the results are then nil. The one exception is a done ctx:
 	// the result slice may then carry the cells that completed before the
 	// teardown (entries with a non-empty Hash), which the caller banks.
 	// Per-cell engine errors go into CellResult.Err.
-	Execute(ctx context.Context, plan *scenario.Plan, cells []scenario.CellJob) ([]CellResult, error)
+	execute(ctx context.Context, plan *scenario.Plan, cells []scenario.CellJob) ([]CellResult, error)
 }
 
 // localBackend runs cells in process on the node's cell executor, shared by
@@ -61,7 +61,7 @@ type localBackend struct {
 	// panics counts cells whose simulation panicked (see runCellSafe).
 	panics *obs.Counter
 	// compiled is the compiled-workload cache gauge: cells are what file
-	// workload variants in it, so Execute refreshes it.
+	// workload variants in it, so execute refreshes it.
 	compiled *obs.Gauge
 	// runCell is the engine entry point; tests substitute it to count
 	// runs or inject failures without simulating.
@@ -77,7 +77,7 @@ func newLocalBackend(workers int) *localBackend {
 	}
 }
 
-func (b *localBackend) Name() string { return "local" }
+func (b *localBackend) label() string { return "local" }
 
 // runCellSafe is the panic boundary around one cell. The simulator's
 // packages panic on states only a bug can produce, but the spec that
@@ -97,7 +97,7 @@ func (b *localBackend) runCellSafe(ctx context.Context, plan *scenario.Plan, st 
 	return rm, true, err
 }
 
-// Execute hands the cells to the executor in variant-major order: cells of
+// execute hands the cells to the executor in variant-major order: cells of
 // one compiled graph stay contiguous, and every free worker pulls the next
 // one, so neither the cost gradient between variants nor a worker that
 // starts late leaves a worker idle while cells wait.
@@ -105,7 +105,7 @@ func (b *localBackend) runCellSafe(ctx context.Context, plan *scenario.Plan, st 
 // On context cancellation the results of cells that already completed are
 // returned alongside ctx.Err() — completed simulation work is never
 // discarded, and runs counts exactly the cells that actually ran.
-func (b *localBackend) Execute(ctx context.Context, plan *scenario.Plan, cells []scenario.CellJob) ([]CellResult, error) {
+func (b *localBackend) execute(ctx context.Context, plan *scenario.Plan, cells []scenario.CellJob) ([]CellResult, error) {
 	out := make([]CellResult, len(cells))
 	order := make([]int, len(cells))
 	for i := range order {

@@ -40,7 +40,7 @@ func TestPartialOverlapReusesCells(t *testing.T) {
 	}
 	waitDone(t, ja)
 	cellsA := int64(len(a.Policies) * 2) // 2 policies × 2 points × 1 rep
-	if got := m.CellRuns(); got != cellsA {
+	if got := m.cellRuns(); got != cellsA {
 		t.Fatalf("cold run simulated %d cells, want %d", got, cellsA)
 	}
 
@@ -54,10 +54,10 @@ func TestPartialOverlapReusesCells(t *testing.T) {
 	}
 	waitDone(t, jb)
 	delta := int64(len(b.Policies)) // one new point × 2 policies
-	if got := m.CellRuns(); got != cellsA+delta {
+	if got := m.cellRuns(); got != cellsA+delta {
 		t.Errorf("overlap resubmit brought cell runs to %d, want %d (only the delta simulates)", got, cellsA+delta)
 	}
-	st := jb.Snapshot()
+	st := jb.snapshot()
 	if st.CellHits != cellsA || st.CellMisses != delta {
 		t.Errorf("job counted %d hits / %d misses, want %d / %d", st.CellHits, st.CellMisses, cellsA, delta)
 	}
@@ -71,7 +71,7 @@ func TestPartialOverlapReusesCells(t *testing.T) {
 		t.Error("cell-assembled fingerprint differs from a from-scratch run")
 	}
 
-	stats := m.Stats()
+	stats := m.stats()
 	if stats.CellHits != cellsA || stats.CellMisses != cellsA+delta {
 		t.Errorf("stats count %d hits / %d misses, want %d / %d", stats.CellHits, stats.CellMisses, cellsA, cellsA+delta)
 	}
@@ -100,7 +100,7 @@ func TestShardReplyDigestIsIgnored(t *testing.T) {
 	}))
 	defer srv.Close()
 	coord := NewManager(Config{Workers: 1, ShardSize: 3})
-	coord.setBackends(NewRemoteBackend(srv.URL))
+	coord.setBackends(newRemoteBackend(srv.URL, nil))
 	j, _, err := coord.Submit(tinySpec(58))
 	if err != nil {
 		t.Fatal(err)
@@ -110,8 +110,8 @@ func TestShardReplyDigestIsIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if coord.CellRuns() != 0 {
-		t.Errorf("coordinator simulated %d cells itself; every cell should have crossed the wire", coord.CellRuns())
+	if coord.cellRuns() != 0 {
+		t.Errorf("coordinator simulated %d cells itself; every cell should have crossed the wire", coord.cellRuns())
 	}
 	if fp != scenario.MustRun(tinySpec(58)).Fingerprint() {
 		t.Error("fingerprint over doctored shard replies differs from the direct run's")
@@ -128,7 +128,7 @@ func TestRemoteBackendFingerprint(t *testing.T) {
 	defer srv.Close()
 
 	coord := NewManager(Config{Workers: 2, ShardSize: 3})
-	coord.setBackends(NewRemoteBackend(srv.URL)) // no local fallback: every cell crosses the wire
+	coord.setBackends(newRemoteBackend(srv.URL, nil)) // no local fallback: every cell crosses the wire
 
 	spec := scenario.Spec{
 		Name: "remote-fingerprint",
@@ -150,11 +150,11 @@ func TestRemoteBackendFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if coord.CellRuns() != 0 {
-		t.Errorf("coordinator simulated %d cells itself; all shards should have gone remote", coord.CellRuns())
+	if coord.cellRuns() != 0 {
+		t.Errorf("coordinator simulated %d cells itself; all shards should have gone remote", coord.cellRuns())
 	}
-	if want := int64(len(core.All()) * 2 * 2); worker.CellRuns() != want {
-		t.Errorf("worker simulated %d cells, want %d", worker.CellRuns(), want)
+	if want := int64(len(core.All()) * 2 * 2); worker.cellRuns() != want {
+		t.Errorf("worker simulated %d cells, want %d", worker.cellRuns(), want)
 	}
 	if direct := scenario.MustRun(spec); fp != direct.Fingerprint() {
 		t.Error("remote-backend fingerprint differs from direct engine run")
@@ -164,13 +164,13 @@ func TestRemoteBackendFingerprint(t *testing.T) {
 	// coordinator's cell cache (fed by remote results) must serve all of it.
 	spec2 := spec
 	spec2.Name = "remote-fingerprint-rerun"
-	runsBefore := worker.CellRuns()
+	runsBefore := worker.cellRuns()
 	j2, _, err := coord.Submit(spec2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, j2)
-	if worker.CellRuns() != runsBefore {
+	if worker.cellRuns() != runsBefore {
 		t.Error("renamed resubmit re-simulated cells despite a warm coordinator cell cache")
 	}
 	_, fp2, _, err := j2.Result()
@@ -192,7 +192,7 @@ func TestRemoteBackendIterStats(t *testing.T) {
 	srv := httptest.NewServer(worker.Handler(slog.New(slog.NewTextHandler(io.Discard, nil))))
 	defer srv.Close()
 	coord := NewManager(Config{Workers: 1})
-	coord.setBackends(NewRemoteBackend(srv.URL))
+	coord.setBackends(newRemoteBackend(srv.URL, nil))
 
 	spec := scenario.Spec{
 		Name: "remote-kmeans",
@@ -243,7 +243,7 @@ func TestRemoteBackendRejectsOldPlacesForm(t *testing.T) {
 		fmt.Fprintf(w, `{"results":[{"hash":%q,"metrics":{"Seed":57,"TasksDone":9,"Iters":[{"Iter":0,"Tasks":9,"Start":0,"End":1,"Places":{"3":9}}]}}]}`, cell.Hash)
 	}))
 	defer srv.Close()
-	crs, err := NewRemoteBackend(srv.URL).Execute(context.Background(), plan, []scenario.CellJob{cell})
+	crs, err := newRemoteBackend(srv.URL, nil).execute(context.Background(), plan, []scenario.CellJob{cell})
 	if err == nil || !strings.Contains(err.Error(), "decode shard response") {
 		t.Fatalf("old-form shard response: err = %v, want a decode error", err)
 	}
@@ -254,7 +254,7 @@ func TestRemoteBackendRejectsOldPlacesForm(t *testing.T) {
 	// End to end: with that peer as the only backend the job fails; with
 	// the local pool behind it the shard fails over and the job is right.
 	m := NewManager(Config{Workers: 1})
-	m.setBackends(NewRemoteBackend(srv.URL), m.local)
+	m.setBackends(newRemoteBackend(srv.URL, nil), m.local)
 	j, _, err := m.Submit(tinySpec(57))
 	if err != nil {
 		t.Fatal(err)
@@ -272,8 +272,8 @@ func TestRemoteBackendRejectsOldPlacesForm(t *testing.T) {
 // flakyBackend fails every Execute with a transport-style error.
 type flakyBackend struct{ calls atomic.Int64 }
 
-func (f *flakyBackend) Name() string { return "flaky" }
-func (f *flakyBackend) Execute(context.Context, *scenario.Plan, []scenario.CellJob) ([]CellResult, error) {
+func (f *flakyBackend) label() string { return "flaky" }
+func (f *flakyBackend) execute(context.Context, *scenario.Plan, []scenario.CellJob) ([]CellResult, error) {
 	f.calls.Add(1)
 	return nil, errors.New("connection refused")
 }
@@ -289,8 +289,8 @@ func TestShardFailoverToAnotherBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, j)
-	if j.State() != StateDone {
-		t.Fatalf("job finished %v (%v), want done despite the failing backend", j.State(), j.Snapshot().Error)
+	if j.loadState() != stateDone {
+		t.Fatalf("job finished %v (%v), want done despite the failing backend", j.loadState(), j.snapshot().Error)
 	}
 	if flaky.calls.Load() == 0 {
 		t.Error("failing backend was never tried; test is vacuous")
@@ -308,8 +308,8 @@ func TestShardFailoverToAnotherBackend(t *testing.T) {
 // canceled — a wedged-but-connected peer.
 type stuckBackend struct{}
 
-func (stuckBackend) Name() string { return "stuck" }
-func (stuckBackend) Execute(ctx context.Context, _ *scenario.Plan, _ []scenario.CellJob) ([]CellResult, error) {
+func (stuckBackend) label() string { return "stuck" }
+func (stuckBackend) execute(ctx context.Context, _ *scenario.Plan, _ []scenario.CellJob) ([]CellResult, error) {
 	<-ctx.Done()
 	return nil, ctx.Err()
 }
@@ -325,8 +325,8 @@ func TestShardTimeoutFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, j)
-	if j.State() != StateDone {
-		t.Fatalf("job finished %v (%v), want done via failover from the stuck backend", j.State(), j.Snapshot().Error)
+	if j.loadState() != stateDone {
+		t.Fatalf("job finished %v (%v), want done via failover from the stuck backend", j.loadState(), j.snapshot().Error)
 	}
 	_, fp, _, err := j.Result()
 	if err != nil {
@@ -347,8 +347,8 @@ func TestAllBackendsFailing(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, j)
-	if j.State() != StateFailed {
-		t.Fatalf("job finished %v, want failed", j.State())
+	if j.loadState() != stateFailed {
+		t.Fatalf("job finished %v, want failed", j.loadState())
 	}
 	if _, _, _, err := j.Result(); err == nil || !strings.Contains(err.Error(), "failed on every admissible backend: backend flaky: connection refused") {
 		t.Errorf("error %v does not name backend exhaustion", err)
@@ -387,10 +387,10 @@ func TestConcurrentOverlapSharesInFlightCells(t *testing.T) {
 	close(release)
 	waitDone(t, ja)
 	waitDone(t, jb)
-	if ja.State() != StateDone || jb.State() != StateDone {
-		t.Fatalf("jobs finished %v/%v: %v %v", ja.State(), jb.State(), ja.Snapshot().Error, jb.Snapshot().Error)
+	if ja.loadState() != stateDone || jb.loadState() != stateDone {
+		t.Fatalf("jobs finished %v/%v: %v %v", ja.loadState(), jb.loadState(), ja.snapshot().Error, jb.snapshot().Error)
 	}
-	if got, want := m.CellRuns(), int64(6); got != want {
+	if got, want := m.cellRuns(), int64(6); got != want {
 		t.Errorf("concurrent overlapping jobs simulated %d cells, want %d (4 shared + 2 delta)", got, want)
 	}
 	_, fp, _, err := jb.Result()
@@ -428,8 +428,8 @@ func TestFailedJobBanksSucceededCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, j)
-	if j.State() != StateFailed {
-		t.Fatalf("job finished %v, want failed", j.State())
+	if j.loadState() != stateFailed {
+		t.Fatalf("job finished %v, want failed", j.loadState())
 	}
 	m.local.runCell = realRun
 
@@ -439,10 +439,10 @@ func TestFailedJobBanksSucceededCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, j2)
-	if j2.State() != StateDone {
-		t.Fatalf("follow-up job finished %v: %v", j2.State(), j2.Snapshot().Error)
+	if j2.loadState() != stateDone {
+		t.Fatalf("follow-up job finished %v: %v", j2.loadState(), j2.snapshot().Error)
 	}
-	st := j2.Snapshot()
+	st := j2.snapshot()
 	if st.CellHits != 4 || st.CellMisses != 0 {
 		t.Errorf("follow-up job had %d hits / %d misses, want 4 / 0 (failed job must bank finished cells)",
 			st.CellHits, st.CellMisses)
@@ -471,10 +471,10 @@ func TestDuplicatePointsShareOneSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, j)
-	if want := int64(len(s.Policies)); m.CellRuns() != want {
-		t.Errorf("simulated %d cells for twin points, want %d", m.CellRuns(), want)
+	if want := int64(len(s.Policies)); m.cellRuns() != want {
+		t.Errorf("simulated %d cells for twin points, want %d", m.cellRuns(), want)
 	}
-	st := j.Snapshot()
+	st := j.snapshot()
 	if st.CellsDone != st.CellsTotal || st.CellsTotal != int64(2*len(s.Policies)) {
 		t.Errorf("progress %d/%d, want %d/%d", st.CellsDone, st.CellsTotal, 2*len(s.Policies), 2*len(s.Policies))
 	}
@@ -507,15 +507,15 @@ func TestWedgedHTTPPeerShardTimeout(t *testing.T) {
 	defer close(unblock) // runs before Close, releasing the held requests
 
 	m := NewManager(Config{Workers: 2, ShardTimeout: 100 * time.Millisecond})
-	m.setBackends(NewRemoteBackend(wedged.URL), m.local)
+	m.setBackends(newRemoteBackend(wedged.URL, nil), m.local)
 	start := time.Now()
 	j, _, err := m.Submit(tinySpec(44))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, j)
-	if j.State() != StateDone {
-		t.Fatalf("job finished %v (%s), want done via local failover", j.State(), j.Snapshot().Error)
+	if j.loadState() != stateDone {
+		t.Fatalf("job finished %v (%s), want done via local failover", j.loadState(), j.snapshot().Error)
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Errorf("failover took %v; the wedged peer was not cut off by ShardTimeout", elapsed)
@@ -559,13 +559,13 @@ func TestBackendErrorsCarryNoResults(t *testing.T) {
 		cells []scenario.CellJob
 		want  string
 	}{
-		{"refused", NewRemoteBackend(closed.URL), plan.Cells, "post shard"},
-		{"version-skew", NewRemoteBackend(srv.URL), skewed, "status 409"},
+		{"refused", newRemoteBackend(closed.URL, nil), plan.Cells, "post shard"},
+		{"version-skew", newRemoteBackend(srv.URL, nil), skewed, "status 409"},
 		{"corrupt-hash", newRemoteBackend(srv.URL, newFaultTransport(false, faultCorrupt)), plan.Cells, "carries hash"},
 		{"truncated-body", newRemoteBackend(srv.URL, newFaultTransport(false, faultTruncate)), plan.Cells, "decode shard response"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			crs, err := tc.b.Execute(context.Background(), plan, tc.cells)
+			crs, err := tc.b.execute(context.Background(), plan, tc.cells)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Execute error = %v, want one containing %q", err, tc.want)
 			}
@@ -586,7 +586,7 @@ func TestBackendErrorsCarryNoResults(t *testing.T) {
 			}
 			return scenario.RunMetrics{TasksDone: 1}, nil
 		}
-		crs, err := b.Execute(context.Background(), plan, plan.Cells)
+		crs, err := b.execute(context.Background(), plan, plan.Cells)
 		if err != nil {
 			t.Fatalf("Execute error = %v for per-cell failures, want nil", err)
 		}
@@ -604,7 +604,7 @@ func TestBackendErrorsCarryNoResults(t *testing.T) {
 	t.Run("local-cancelled", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		crs, err := newLocalBackend(2).Execute(ctx, plan, plan.Cells)
+		crs, err := newLocalBackend(2).execute(ctx, plan, plan.Cells)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("Execute error = %v under a cancelled context, want context.Canceled", err)
 		}

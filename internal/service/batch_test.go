@@ -29,7 +29,7 @@ func TestExecuteBatchesSameVariantCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crs, err := b.Execute(context.Background(), plan, plan.Cells)
+	crs, err := b.execute(context.Background(), plan, plan.Cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestExecuteLateWorker(t *testing.T) {
 		}
 		return scenario.RunMetrics{TasksDone: 1}, nil
 	}
-	crs, err := b.Execute(context.Background(), plan, plan.Cells)
+	crs, err := b.execute(context.Background(), plan, plan.Cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestExecuteCancelKeepsCompletedResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crs, err := b.Execute(ctx, plan, plan.Cells)
+	crs, err := b.execute(ctx, plan, plan.Cells)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Execute error = %v, want context.Canceled", err)
 	}
@@ -145,8 +145,8 @@ type scriptedBackend struct {
 	fn   func(ctx context.Context, plan *scenario.Plan, cells []scenario.CellJob) ([]CellResult, error)
 }
 
-func (s *scriptedBackend) Name() string { return s.name }
-func (s *scriptedBackend) Execute(ctx context.Context, plan *scenario.Plan, cells []scenario.CellJob) ([]CellResult, error) {
+func (s *scriptedBackend) label() string { return s.name }
+func (s *scriptedBackend) execute(ctx context.Context, plan *scenario.Plan, cells []scenario.CellJob) ([]CellResult, error) {
 	return s.fn(ctx, plan, cells)
 }
 
@@ -206,8 +206,8 @@ func TestPanickingCellFailsItsJobOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, j)
-	if j.State() != StateFailed {
-		t.Fatalf("job with a panicking cell finished %v, want failed", j.State())
+	if j.loadState() != stateFailed {
+		t.Fatalf("job with a panicking cell finished %v, want failed", j.loadState())
 	}
 	_, _, _, err = j.Result()
 	for _, want := range []string{"at P4 (rep 0)", "index out of range [3]", `"req-7"`} {
@@ -253,7 +253,7 @@ func TestLocalBackendReusesStatesAcrossJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := b.Execute(context.Background(), plan, plan.Cells); err != nil {
+		if _, err := b.execute(context.Background(), plan, plan.Cells); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -82,8 +82,8 @@ func BenchmarkShardDispatch(b *testing.B) {
 		if err := j.Wait(ctx); err != nil {
 			b.Fatal(err)
 		}
-		if j.State() != StateDone {
-			b.Fatalf("job failed: %v", j.Snapshot().Error)
+		if j.loadState() != stateDone {
+			b.Fatalf("job failed: %v", j.snapshot().Error)
 		}
 	}
 	b.ReportMetric(float64(24*b.N)/b.Elapsed().Seconds(), "cells/s")
@@ -104,7 +104,7 @@ func BenchmarkCellAssemblyWarm(b *testing.B) {
 	if err := warmup.Wait(ctx); err != nil {
 		b.Fatal(err)
 	}
-	runs := m.CellRuns()
+	runs := m.cellRuns()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := benchSpec(1)
@@ -116,13 +116,13 @@ func BenchmarkCellAssemblyWarm(b *testing.B) {
 		if err := j.Wait(ctx); err != nil {
 			b.Fatal(err)
 		}
-		if j.State() != StateDone {
-			b.Fatalf("job failed: %v", j.Snapshot().Error)
+		if j.loadState() != stateDone {
+			b.Fatalf("job failed: %v", j.snapshot().Error)
 		}
 	}
 	b.StopTimer()
-	if m.CellRuns() != runs {
-		b.Fatalf("warm assembly simulated %d cells", m.CellRuns()-runs)
+	if m.cellRuns() != runs {
+		b.Fatalf("warm assembly simulated %d cells", m.cellRuns()-runs)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "assemblies/s")
 }
@@ -145,8 +145,8 @@ func BenchmarkServiceColdRun(b *testing.B) {
 		if err := j.Wait(ctx); err != nil {
 			b.Fatal(err)
 		}
-		if j.State() != StateDone {
-			b.Fatalf("job failed: %v", j.Snapshot().Error)
+		if j.loadState() != stateDone {
+			b.Fatalf("job failed: %v", j.snapshot().Error)
 		}
 	}
 }

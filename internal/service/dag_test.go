@@ -60,12 +60,12 @@ func TestDAGWorkloadsEndToEnd(t *testing.T) {
 				t.Fatalf("service fingerprint differs from direct run:\n--- service\n%s\n--- direct\n%s",
 					res.Fingerprint, direct.Fingerprint())
 			}
-			runsBefore := m.CellRuns()
+			runsBefore := m.cellRuns()
 			// Warm resubmit: absorbed by the done job, zero new cells.
 			if _, code := postJob(t, srv.URL, body); code != 200 {
 				t.Fatalf("warm resubmit returned %d, want 200", code)
 			}
-			if got := m.CellRuns(); got != runsBefore {
+			if got := m.cellRuns(); got != runsBefore {
 				t.Fatalf("warm resubmit simulated %d extra cells", got-runsBefore)
 			}
 		})
@@ -81,7 +81,7 @@ func TestRemoteShardDAGFile(t *testing.T) {
 	srv := httptest.NewServer(worker.Handler(slog.New(slog.NewTextHandler(io.Discard, nil))))
 	defer srv.Close()
 	coord := NewManager(Config{Workers: 2, ShardSize: 2})
-	coord.setBackends(NewRemoteBackend(srv.URL))
+	coord.setBackends(newRemoteBackend(srv.URL, nil))
 
 	spec := scenario.Spec{
 		Name:     "remote-dagfile",
@@ -95,11 +95,11 @@ func TestRemoteShardDAGFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, j)
-	if coord.CellRuns() != 0 {
-		t.Errorf("coordinator simulated %d cells itself; all shards should have gone remote", coord.CellRuns())
+	if coord.cellRuns() != 0 {
+		t.Errorf("coordinator simulated %d cells itself; all shards should have gone remote", coord.cellRuns())
 	}
-	if want := int64(3 * 2); worker.CellRuns() != want {
-		t.Errorf("worker simulated %d cells, want %d", worker.CellRuns(), want)
+	if want := int64(3 * 2); worker.cellRuns() != want {
+		t.Errorf("worker simulated %d cells, want %d", worker.cellRuns(), want)
 	}
 	_, fp, _, err := j.Result()
 	if err != nil {
@@ -135,7 +135,7 @@ func TestDAGGenCellCacheOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, ja)
-	cold := m.CellRuns()
+	cold := m.cellRuns()
 	if cold != 4 {
 		t.Fatalf("cold run simulated %d cells, want 4", cold)
 	}
@@ -147,10 +147,10 @@ func TestDAGGenCellCacheOverlap(t *testing.T) {
 		t.Fatal("extended sweep absorbed by the old job")
 	}
 	waitDone(t, jb)
-	if got := m.CellRuns(); got != cold+2 {
+	if got := m.cellRuns(); got != cold+2 {
 		t.Fatalf("delta job brought cell runs to %d, want %d", got, cold+2)
 	}
-	st := jb.Snapshot()
+	st := jb.snapshot()
 	if st.CellHits != 4 || st.CellMisses != 2 {
 		t.Fatalf("delta job counted %d hits / %d misses, want 4 / 2", st.CellHits, st.CellMisses)
 	}

@@ -26,8 +26,8 @@ const chaosCells = 12
 // no faults at all.
 func assertUndisturbedFingerprint(t *testing.T, j *Job, spec scenario.Spec) {
 	t.Helper()
-	if j.State() != StateDone {
-		t.Fatalf("job finished %v (%s), want done", j.State(), j.Snapshot().Error)
+	if j.loadState() != stateDone {
+		t.Fatalf("job finished %v (%s), want done", j.loadState(), j.snapshot().Error)
 	}
 	_, fp, _, err := j.Result()
 	if err != nil {
@@ -56,13 +56,13 @@ func TestChaosAllPeersRefusingDrainsLocally(t *testing.T) {
 	}
 	waitDone(t, j)
 	assertUndisturbedFingerprint(t, j, spec)
-	if got := m.CellRuns(); got != chaosCells {
+	if got := m.cellRuns(); got != chaosCells {
 		t.Errorf("degraded run simulated %d cells locally, want exactly %d", got, chaosCells)
 	}
 	if p1.injected.Load() == 0 || p2.injected.Load() == 0 {
 		t.Fatalf("fault injection was vacuous: %d/%d refusals fired", p1.injected.Load(), p2.injected.Load())
 	}
-	for _, ps := range m.PeerHealth() {
+	for _, ps := range m.peerHealth() {
 		if ps.State != "down" {
 			t.Errorf("peer %s is %s with %d consecutive failures, want down", ps.Peer, ps.State, ps.ConsecutiveFails)
 		}
@@ -70,7 +70,7 @@ func TestChaosAllPeersRefusingDrainsLocally(t *testing.T) {
 			t.Errorf("peer %s is down but reports no last error", ps.Peer)
 		}
 	}
-	if st := j.Snapshot(); st.CellHits+st.CellMisses != st.CellsTotal {
+	if st := j.snapshot(); st.CellHits+st.CellMisses != st.CellsTotal {
 		t.Errorf("cell accounting drifted: %d hits + %d misses != %d total", st.CellHits, st.CellMisses, st.CellsTotal)
 	}
 }
@@ -90,7 +90,7 @@ func TestChaosWedgedPeerFailsOverWithinTimeout(t *testing.T) {
 	}
 	waitDone(t, j)
 	assertUndisturbedFingerprint(t, j, spec)
-	if got := m.CellRuns(); got != chaosCells {
+	if got := m.cellRuns(); got != chaosCells {
 		t.Errorf("local pool simulated %d cells, want all %d (the wedge must contribute none)", got, chaosCells)
 	}
 	if wedged.injected.Load() == 0 {
@@ -116,8 +116,8 @@ func TestChaosSeededSchedules(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitDone(t, j)
-		if j.State() != StateDone {
-			t.Fatalf("seed %d: job finished %v (%s), want done", seed, j.State(), j.Snapshot().Error)
+		if j.loadState() != stateDone {
+			t.Fatalf("seed %d: job finished %v (%s), want done", seed, j.loadState(), j.snapshot().Error)
 		}
 		_, fp, _, err := j.Result()
 		if err != nil {
@@ -163,12 +163,12 @@ func TestChaosWireFaultsRetryExactly(t *testing.T) {
 			if ft.injected.Load() != 1 {
 				t.Errorf("fault transport mangled %d responses, want 1", ft.injected.Load())
 			}
-			if coord.CellRuns() != 0 {
-				t.Errorf("coordinator simulated %d cells itself; the remote fleet should have", coord.CellRuns())
+			if coord.cellRuns() != 0 {
+				t.Errorf("coordinator simulated %d cells itself; the remote fleet should have", coord.cellRuns())
 			}
 			// The worker banked every cell on the mangled attempt, so the
 			// re-sent shard was all cache hits: exactly one run each.
-			if got := worker.CellRuns(); got != chaosCells {
+			if got := worker.cellRuns(); got != chaosCells {
 				t.Errorf("worker simulated %d cells across the attempts, want exactly %d", got, chaosCells)
 			}
 		})
@@ -201,7 +201,7 @@ func TestChaosPeerRecoveryReadmits(t *testing.T) {
 	}
 	waitDone(t, j1)
 	assertUndisturbedFingerprint(t, j1, s1)
-	if ph := m.PeerHealth(); len(ph) != 1 || ph[0].State != "down" {
+	if ph := m.peerHealth(); len(ph) != 1 || ph[0].State != "down" {
 		t.Fatalf("peer health after refusal = %+v, want one down peer", ph)
 	}
 
@@ -232,7 +232,7 @@ func TestChaosPeerRecoveryReadmits(t *testing.T) {
 	if got := inner.runs.Value(); got == 0 {
 		t.Error("recovered peer never simulated a cell after its probe")
 	}
-	if ph := m.PeerHealth(); len(ph) != 1 || ph[0].State != "healthy" || ph[0].ConsecutiveFails != 0 {
+	if ph := m.peerHealth(); len(ph) != 1 || ph[0].State != "healthy" || ph[0].ConsecutiveFails != 0 {
 		t.Errorf("peer health after recovery = %+v, want one clean healthy peer", ph)
 	}
 }

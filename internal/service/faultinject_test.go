@@ -136,9 +136,9 @@ func newFaultBackend(name string, inner Backend, crashAfter int, loop bool, scri
 	}
 }
 
-func (f *faultBackend) Name() string { return f.name }
+func (f *faultBackend) label() string { return f.name }
 
-func (f *faultBackend) Execute(ctx context.Context, plan *scenario.Plan, cells []scenario.CellJob) ([]CellResult, error) {
+func (f *faultBackend) execute(ctx context.Context, plan *scenario.Plan, cells []scenario.CellJob) ([]CellResult, error) {
 	switch k := f.script.next(); k {
 	case faultRefuse:
 		f.injected.Add(1)
@@ -150,10 +150,10 @@ func (f *faultBackend) Execute(ctx context.Context, plan *scenario.Plan, cells [
 	case faultCrash:
 		f.injected.Add(1)
 		n := min(f.crashAfter, len(cells))
-		f.inner.Execute(ctx, plan, cells[:n])
+		f.inner.execute(ctx, plan, cells[:n])
 		return nil, fmt.Errorf("injected fault: crashed after %d of %d cells", n, len(cells))
 	default:
-		return f.inner.Execute(ctx, plan, cells)
+		return f.inner.execute(ctx, plan, cells)
 	}
 }
 

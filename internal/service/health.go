@@ -196,9 +196,9 @@ type PeerStatus struct {
 	NextProbeSec float64 `json:"next_probe_sec,omitempty"`
 }
 
-// PeerHealth snapshots every breaker-tracked backend — the remote peers;
+// peerHealth snapshots every breaker-tracked backend — the remote peers;
 // the local pool is exempt and not listed.
-func (m *Manager) PeerHealth() []PeerStatus {
+func (m *Manager) peerHealth() []PeerStatus {
 	now := m.now()
 	var out []PeerStatus
 	for _, h := range m.handles {
@@ -206,7 +206,7 @@ func (m *Manager) PeerHealth() []PeerStatus {
 			continue
 		}
 		h.mu.Lock()
-		ps := PeerStatus{Peer: h.Name(), State: h.state.String(), ConsecutiveFails: h.fails}
+		ps := PeerStatus{Peer: h.label(), State: h.state.String(), ConsecutiveFails: h.fails}
 		if h.lastErr != nil {
 			ps.LastError = h.lastErr.Error()
 		}

@@ -164,7 +164,7 @@ func TestLocalBackendNeverTrips(t *testing.T) {
 	if h.state != peerHealthy {
 		t.Errorf("local backend state %v, want healthy", h.state)
 	}
-	if peers := m.PeerHealth(); len(peers) != 0 {
+	if peers := m.peerHealth(); len(peers) != 0 {
 		t.Errorf("PeerHealth lists %d entries for a peerless manager, want 0", len(peers))
 	}
 }
@@ -172,8 +172,8 @@ func TestLocalBackendNeverTrips(t *testing.T) {
 // namedFailBackend always fails with its own distinct message.
 type namedFailBackend struct{ name, msg string }
 
-func (b *namedFailBackend) Name() string { return b.name }
-func (b *namedFailBackend) Execute(context.Context, *scenario.Plan, []scenario.CellJob) ([]CellResult, error) {
+func (b *namedFailBackend) label() string { return b.name }
+func (b *namedFailBackend) execute(context.Context, *scenario.Plan, []scenario.CellJob) ([]CellResult, error) {
 	return nil, errors.New(b.msg)
 }
 
@@ -191,8 +191,8 @@ func TestShardErrorAggregatesAllBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, j)
-	if j.State() != StateFailed {
-		t.Fatalf("job finished %v, want failed", j.State())
+	if j.loadState() != stateFailed {
+		t.Fatalf("job finished %v, want failed", j.loadState())
 	}
 	_, _, _, err = j.Result()
 	if err == nil {
@@ -230,7 +230,7 @@ func TestCancelledProbeRearmsBreaker(t *testing.T) {
 	}
 
 	clock.advance(24 * time.Hour)
-	ph := m.PeerHealth()
+	ph := m.peerHealth()
 	if len(ph) != 1 || ph[0].State != "down" || ph[0].ConsecutiveFails != 1 || ph[0].NextProbeSec != 0 {
 		t.Fatalf("peer health after a cancelled probe = %+v, want down with 1 failure and its probe due", ph)
 	}

@@ -146,7 +146,7 @@ func (m *Manager) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		OK    bool         `json:"ok"`
 		Stats Stats        `json:"stats"`
 		Peers []PeerStatus `json:"peers,omitempty"`
-	}{true, m.Stats(), m.PeerHealth()})
+	}{true, m.stats(), m.peerHealth()})
 }
 
 func (m *Manager) handleFamilies(w http.ResponseWriter, r *http.Request) {
@@ -163,7 +163,7 @@ func (m *Manager) handleFamilies(w http.ResponseWriter, r *http.Request) {
 }
 
 func (m *Manager) handleJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, m.Jobs())
+	writeJSON(w, http.StatusOK, m.jobs())
 }
 
 // submitBody is SubmitRequest as handleSubmit decodes it: the same JSON
@@ -233,7 +233,7 @@ func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if existing {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, job.Snapshot())
+	writeJSON(w, code, job.snapshot())
 }
 
 // parseSubmission returns the spec a POST /v1/jobs body names: a registered
@@ -258,12 +258,12 @@ func parseSubmission(body []byte) (scenario.Spec, error) {
 }
 
 func (m *Manager) handleJob(w http.ResponseWriter, r *http.Request) {
-	job, ok := m.Job(r.PathValue("id"))
+	job, ok := m.job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, ErrUnknownJob)
+		writeError(w, http.StatusNotFound, errUnknownJob)
 		return
 	}
-	writeJSON(w, http.StatusOK, job.Snapshot())
+	writeJSON(w, http.StatusOK, job.snapshot())
 }
 
 // handleTrace exports a job's service-level timeline as Chrome-trace
@@ -271,7 +271,7 @@ func (m *Manager) handleJob(w http.ResponseWriter, r *http.Request) {
 // lanes), one slice per shard/cell/phase. Save the body to a file and
 // open it in https://ui.perfetto.dev.
 func (m *Manager) handleTrace(w http.ResponseWriter, r *http.Request) {
-	spans, ok := m.JobTrace(r.PathValue("id"))
+	spans, ok := m.jobTrace(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, errors.New("no trace for job (unknown or evicted)"))
 		return
@@ -282,7 +282,7 @@ func (m *Manager) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSimTrace exports the simulated schedule of one plan cell as
-// Chrome-trace JSON (see Manager.SimTrace). The cell index enumerates the
+// Chrome-trace JSON (see Manager.simTrace). The cell index enumerates the
 // plan's grid policy-major, then point, then repetition.
 func (m *Manager) handleSimTrace(w http.ResponseWriter, r *http.Request) {
 	cell, err := strconv.Atoi(r.PathValue("i"))
@@ -290,9 +290,9 @@ func (m *Manager) handleSimTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad cell index %q", r.PathValue("i")))
 		return
 	}
-	b, err := m.SimTrace(r.PathValue("id"), cell)
+	b, err := m.simTrace(r.PathValue("id"), cell)
 	switch {
-	case errors.Is(err, ErrUnknownJob):
+	case errors.Is(err, errUnknownJob):
 		writeError(w, http.StatusNotFound, err)
 		return
 	case err != nil:
@@ -307,16 +307,16 @@ func (m *Manager) handleSimTrace(w http.ResponseWriter, r *http.Request) {
 // doneJob resolves the {hash} of a result route to its finished job, or
 // answers 404 (unknown), 409 (not finished) or 422 (failed) and returns nil.
 func (m *Manager) doneJob(w http.ResponseWriter, r *http.Request) *Job {
-	job, ok := m.Job(r.PathValue("hash"))
+	job, ok := m.job(r.PathValue("hash"))
 	if !ok {
 		writeError(w, http.StatusNotFound, errors.New("unknown result (evicted or never submitted)"))
 		return nil
 	}
-	switch job.State() {
-	case StateQueued, StateRunning:
-		writeJSON(w, http.StatusConflict, job.Snapshot())
+	switch job.loadState() {
+	case stateQueued, stateRunning:
+		writeJSON(w, http.StatusConflict, job.snapshot())
 		return nil
-	case StateFailed:
+	case stateFailed:
 		writeError(w, http.StatusUnprocessableEntity, job.fperr)
 		return nil
 	}
@@ -420,7 +420,7 @@ func (m *Manager) handleShards(w http.ResponseWriter, r *http.Request) {
 		for k, i := range missing {
 			todo[k] = cells[i]
 		}
-		crs, err := m.local.Execute(withJobTrace(r.Context(), jt), plan, todo)
+		crs, err := m.local.execute(withJobTrace(r.Context(), jt), plan, todo)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err)
 			return

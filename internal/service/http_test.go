@@ -140,7 +140,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if st2.State != "done" {
 		t.Errorf("cached POST state %q, want done", st2.State)
 	}
-	if got := m.EngineRuns(); got != 1 {
+	if got := m.engineRuns(); got != 1 {
 		t.Errorf("engine ran %d times, want 1", got)
 	}
 }
@@ -181,7 +181,7 @@ func TestHTTPConcurrentIdenticalPosts(t *testing.T) {
 		}
 	}
 	pollDone(t, srv.URL, ids[0])
-	if got := m.EngineRuns(); got != 1 {
+	if got := m.engineRuns(); got != 1 {
 		t.Errorf("engine ran %d times for %d identical POSTs, want 1", got, n)
 	}
 	// All N callers fetch the one fingerprint.
@@ -223,7 +223,7 @@ func TestHTTPFamilySubmit(t *testing.T) {
 // cell asked dag.Graph.Grow for 2^33 tasks.
 const hugeCellBody = `{"spec":{"name":"x","platform":{"preset":"tx2"},"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":8589934592}},"policies":["RWS"],"seed":1}}`
 
-// hugeJobBody is cells each within MaxCellTasks, but too many of them: 17
+// hugeJobBody is cells each within maxCellTasks, but too many of them: 17
 // repetitions of a 4 194 304-task cell.
 const hugeJobBody = `{"spec":{"name":"x","platform":{"preset":"tx2"},"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":4194304}},"policies":["RWS"],"reps":17,"seed":1}}`
 
@@ -606,7 +606,7 @@ func checkResultDocument(t *testing.T, job *Job, served []byte) {
 func cacheDoneJob(m *Manager, hash string, res *scenario.Result) *Job {
 	j := &Job{Hash: hash, result: res, done: make(chan struct{}), created: time.Now()}
 	j.doc, j.docErr = resultDocument(hash, res)
-	j.state.Store(int32(StateDone))
+	j.state.Store(int32(stateDone))
 	close(j.done)
 	m.mu.Lock()
 	m.jobBytes += int64(len(j.doc))
@@ -668,8 +668,8 @@ func TestResultDocumentMatchesReference(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		waitDone(t, j)
-		if j.State() != StateDone {
-			t.Fatalf("%s: job %s", name, j.State())
+		if j.loadState() != stateDone {
+			t.Fatalf("%s: job %s", name, j.loadState())
 		}
 		w := getResult(h, j.Hash)
 		if w.code != http.StatusOK {

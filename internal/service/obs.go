@@ -202,7 +202,7 @@ func peerLabel(b Backend) string {
 	if rb, ok := b.(*remoteBackend); ok {
 		return rb.url
 	}
-	return b.Name()
+	return b.label()
 }
 
 // wirePeerMetrics registers the per-peer series for one breaker-tracked

@@ -39,6 +39,19 @@ func scrape(t *testing.T, baseURL string) string {
 	return string(b)
 }
 
+// exposition renders the node's registry as GET /metrics does.
+func exposition(m *Manager) string {
+	rec := httptest.NewRecorder()
+	m.reg.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	return rec.Body.String()
+}
+
+// gaugeValue reads one gauge series from the node's registry.
+func gaugeValue(t *testing.T, m *Manager, series string) int64 {
+	t.Helper()
+	return int64(metricValue(t, exposition(m), series))
+}
+
 // metricValue extracts one series' sample from an exposition body;
 // series is the full name including any label set.
 func metricValue(t *testing.T, body, series string) float64 {
@@ -135,8 +148,8 @@ func TestMetricsExposition(t *testing.T) {
 		m.cache.onDrop(j)
 		m.jobBytes += int64(len(j.doc))
 		m.mx.jobCacheBytes.Set(m.jobBytes)
-	}); allocs != 0 || m.mx.jobCacheBytes.Value() != int64(len(doc)) {
-		t.Errorf("a job-cache byte update allocates %.1f times and leaves %d, want 0 and %d", allocs, m.mx.jobCacheBytes.Value(), len(doc))
+	}); allocs != 0 || gaugeValue(t, m, "asymd_job_cache_bytes") != int64(len(doc)) {
+		t.Errorf("a job-cache byte update allocates %.1f times and leaves %d, want 0 and %d", allocs, gaugeValue(t, m, "asymd_job_cache_bytes"), len(doc))
 	}
 	// /v1/healthz reads the very counters /metrics exposes.
 	var hz struct {
@@ -293,27 +306,21 @@ func TestBreakerStateGauge(t *testing.T) {
 	if h == nil {
 		t.Fatal("no breaker-tracked handle")
 	}
-	gauge := func() float64 {
-		var buf bytes.Buffer
-		m.reg.WritePrometheus(&buf)
-		return metricValue(t, buf.String(), `asymd_breaker_state{peer="flaky"}`)
-	}
+	gauge := func() int64 { return gaugeValue(t, m, `asymd_breaker_state{peer="flaky"}`) }
 
-	if got := gauge(); got != float64(peerHealthy) {
+	if got := gauge(); got != int64(peerHealthy) {
 		t.Fatalf("initial breaker gauge = %v, want %d", got, peerHealthy)
 	}
 	m.report(h, fmt.Errorf("boom"))
 	m.report(h, fmt.Errorf("boom"))
-	if got := gauge(); got != float64(peerDown) {
+	if got := gauge(); got != int64(peerDown) {
 		t.Fatalf("breaker gauge after trip = %v, want %d", got, peerDown)
 	}
 	m.report(h, nil)
-	if got := gauge(); got != float64(peerHealthy) {
+	if got := gauge(); got != int64(peerHealthy) {
 		t.Fatalf("breaker gauge after recovery = %v, want %d", got, peerHealthy)
 	}
-	var buf bytes.Buffer
-	m.reg.WritePrometheus(&buf)
-	if tr := metricValue(t, buf.String(), `asymd_breaker_transitions_total{peer="flaky",to="healthy"}`); tr != 1 {
+	if tr := metricValue(t, exposition(m), `asymd_breaker_transitions_total{peer="flaky",to="healthy"}`); tr != 1 {
 		t.Errorf("transitions to healthy = %v, want 1", tr)
 	}
 }
@@ -337,7 +344,7 @@ type chromeEvt struct {
 func TestTraceEndpoint(t *testing.T) {
 	_, wsrv := newTestServer(t, Config{Workers: 2})
 	coord, csrv := newTestServer(t, Config{Workers: 2, ShardSize: 2})
-	coord.setBackends(NewRemoteBackend(wsrv.URL)) // no local pool: all cells remote
+	coord.setBackends(newRemoteBackend(wsrv.URL, nil)) // no local pool: all cells remote
 
 	j, _, err := coord.submit(tinySpec(31), "trace-req-7")
 	if err != nil {
@@ -345,7 +352,7 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 	waitDone(t, j)
 
-	st := j.Snapshot()
+	st := j.snapshot()
 	if st.RequestID != "trace-req-7" {
 		t.Errorf("snapshot request_id = %q, want trace-req-7", st.RequestID)
 	}
@@ -436,7 +443,7 @@ func TestRequestIDPropagation(t *testing.T) {
 	defer wsrv.Close()
 
 	coord, csrv := newTestServer(t, Config{Workers: 1, ShardSize: 2})
-	coord.setBackends(NewRemoteBackend(wsrv.URL))
+	coord.setBackends(newRemoteBackend(wsrv.URL, nil))
 
 	sj, err := tinySpec(33).CanonicalJSON()
 	if err != nil {
@@ -560,7 +567,7 @@ func TestTraceRetentionEvicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, j1)
-	if _, ok := m.JobTrace(j1.Hash); !ok {
+	if _, ok := m.jobTrace(j1.Hash); !ok {
 		t.Fatal("finished job's trace not retained")
 	}
 	j2, _, err := m.Submit(tinySpec(42))
@@ -568,10 +575,10 @@ func TestTraceRetentionEvicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, j2)
-	if _, ok := m.JobTrace(j1.Hash); ok {
+	if _, ok := m.jobTrace(j1.Hash); ok {
 		t.Error("oldest trace survived past retention capacity")
 	}
-	if _, ok := m.JobTrace(j2.Hash); !ok {
+	if _, ok := m.jobTrace(j2.Hash); !ok {
 		t.Error("newest trace missing from retention")
 	}
 }
@@ -609,10 +616,10 @@ func TestJobCacheBytesTracksEviction(t *testing.T) {
 	if len(lens) < 2 {
 		t.Fatalf("every cached document is the same length (%v); the sum below would prove little", lens)
 	}
-	if got := m.mx.jobCacheBytes.Value(); got != want || m.mx.jobEvict.Value() != 3 {
+	if got := gaugeValue(t, m, "asymd_job_cache_bytes"); got != want || m.mx.jobEvict.Value() != 3 {
 		t.Errorf("job bytes gauge = %d after %d evictions, want %d (the retained documents) after 3", got, m.mx.jobEvict.Value(), want)
 	}
-	if n := m.mx.jobEntries.Value(); n != int64(m.cfg.CacheSize) || want >= 512<<10 {
+	if n := gaugeValue(t, m, `asymd_cache_entries{cache="job"}`); n != int64(m.cfg.CacheSize) || want >= 512<<10 {
 		t.Errorf("%d cached 21-cell jobs hold %d document bytes, want a full cache of %d under 512 KB", n, want, m.cfg.CacheSize)
 	}
 
@@ -646,10 +653,10 @@ func TestCellCacheGaugesTrackEviction(t *testing.T) {
 	for _, cr := range crs[2:] {
 		want += cr.Metrics.SizeBytes()
 	}
-	if got := m.mx.cellEntries.Value(); got != 3 {
+	if got := gaugeValue(t, m, `asymd_cache_entries{cache="cell"}`); got != 3 {
 		t.Errorf("cell entries gauge = %d, want the capacity 3", got)
 	}
-	if got := m.mx.cellCacheBytes.Value(); got != want {
+	if got := gaugeValue(t, m, "asymd_cell_cache_bytes"); got != want {
 		t.Errorf("cell bytes gauge = %d, want %d (the three retained cells)", got, want)
 	}
 	if small, big := crs[0].Metrics.SizeBytes(), crs[4].Metrics.SizeBytes(); big <= small {

@@ -91,22 +91,17 @@ type remoteBackend struct {
 	client *http.Client
 }
 
-// NewRemoteBackend returns a Backend that runs shards on the asymd node at
+// dialTimeout bounds connecting to a peer.
+const dialTimeout = 10 * time.Second
+
+// newRemoteBackend returns a Backend that runs shards on the asymd node at
 // baseURL (e.g. "http://10.0.0.7:8080"). Simulations can be long, so the
 // client has no overall timeout — the dispatcher bounds each attempt with
 // Config.ShardTimeout via the request context — but connecting gets its
 // own short timeout (dialTimeout) so an unroutable peer fails over fast
-// while long simulations still get their full attempt budget.
-func NewRemoteBackend(baseURL string) Backend {
-	return newRemoteBackend(baseURL, nil)
-}
-
-// dialTimeout bounds connecting to a peer.
-const dialTimeout = 10 * time.Second
-
-// newRemoteBackend additionally accepts a transport override, which the
-// chaos suite uses to inject wire-level faults (fault.go) between a real
-// coordinator and a real worker.
+// while long simulations still get their full attempt budget. A non-nil rt
+// overrides the transport, which the chaos suite uses to inject wire-level
+// faults (fault.go) between a real coordinator and a real worker.
 func newRemoteBackend(baseURL string, rt http.RoundTripper) Backend {
 	if rt == nil {
 		rt = &http.Transport{
@@ -119,7 +114,7 @@ func newRemoteBackend(baseURL string, rt http.RoundTripper) Backend {
 	}
 }
 
-func (r *remoteBackend) Name() string { return "peer " + r.url }
+func (r *remoteBackend) label() string { return "peer " + r.url }
 
 // graftSpans merges the worker's shard timeline into the coordinator's
 // job trace. The attempt window [t0, t1] minus the worker's own elapsed
@@ -159,7 +154,7 @@ func (r *remoteBackend) graftSpans(jt *jobTrace, lane string, t0, t1 time.Durati
 	}
 }
 
-func (r *remoteBackend) Execute(ctx context.Context, plan *scenario.Plan, cells []scenario.CellJob) ([]CellResult, error) {
+func (r *remoteBackend) execute(ctx context.Context, plan *scenario.Plan, cells []scenario.CellJob) ([]CellResult, error) {
 	// The plan carries its canonical encoding; re-marshaling here would
 	// re-encode the full spec (graph included, for dagfile workloads)
 	// once per shard attempt.

@@ -48,27 +48,27 @@ import (
 type State int32
 
 const (
-	// StateQueued: accepted, waiting for a worker slot.
-	StateQueued State = iota
-	// StateRunning: a worker is executing the scenario grid.
-	StateRunning
-	// StateDone: finished successfully; the result is set.
-	StateDone
-	// StateFailed: the engine returned an error (kept, like successes, so
+	// stateQueued: accepted, waiting for a worker slot.
+	stateQueued State = iota
+	// stateRunning: a worker is executing the scenario grid.
+	stateRunning
+	// stateDone: finished successfully; the result is set.
+	stateDone
+	// stateFailed: the engine returned an error (kept, like successes, so
 	// identical bad specs fail fast from cache).
-	StateFailed
+	stateFailed
 )
 
 // String names the state for the wire API.
 func (s State) String() string {
 	switch s {
-	case StateQueued:
+	case stateQueued:
 		return "queued"
-	case StateRunning:
+	case stateRunning:
 		return "running"
-	case StateDone:
+	case stateDone:
 		return "done"
-	case StateFailed:
+	case stateFailed:
 		return "failed"
 	default:
 		return fmt.Sprintf("State(%d)", int32(s))
@@ -77,7 +77,7 @@ func (s State) String() string {
 
 // Job is one submitted spec moving through the lifecycle. Fields written
 // after creation are guarded by the manager lock or atomics; read them
-// through Snapshot, Result or Wait.
+// through snapshot, Result or Wait.
 type Job struct {
 	// Hash is the spec's canonical hash — the job ID and cache key.
 	Hash string
@@ -124,8 +124,8 @@ type Job struct {
 	docErr error
 }
 
-// State returns the current lifecycle state.
-func (j *Job) State() State { return State(j.state.Load()) }
+// loadState returns the current lifecycle state.
+func (j *Job) loadState() State { return State(j.state.Load()) }
 
 // Wait blocks until the job completes or the context is cancelled.
 func (j *Job) Wait(ctx context.Context) error {
@@ -139,11 +139,11 @@ func (j *Job) Wait(ctx context.Context) error {
 
 // Result returns the result, fingerprint and run duration of a completed
 // job; it errors if the job failed or has not finished. It gates on the
-// state, not on Done: the state is what Snapshot and the wire API report.
+// state, not on Done: the state is what snapshot and the wire API report.
 // The fingerprint is Result.Fingerprint, hashed per call from the cells'
 // sealed digests.
 func (j *Job) Result() (*scenario.Result, string, time.Duration, error) {
-	if st := j.State(); st != StateDone && st != StateFailed {
+	if st := j.loadState(); st != stateDone && st != stateFailed {
 		return nil, "", 0, fmt.Errorf("service: job %s is %s", j.Hash, st)
 	}
 	if j.fperr != nil {
@@ -169,11 +169,11 @@ type Status struct {
 	TraceURL   string  `json:"trace_url,omitempty"`
 }
 
-// Snapshot captures the job's current status.
-func (j *Job) Snapshot() Status {
+// snapshot captures the job's current status.
+func (j *Job) snapshot() Status {
 	st := Status{
 		ID:         j.Hash,
-		State:      j.State().String(),
+		State:      j.loadState().String(),
 		CellsDone:  j.cellsDone.Load(),
 		CellsTotal: j.cellsTotal.Load(),
 		CellHits:   j.cellHits.Load(),
@@ -183,11 +183,11 @@ func (j *Job) Snapshot() Status {
 		RequestID:  j.reqID,
 		TraceURL:   "/v1/jobs/" + j.Hash + "/trace",
 	}
-	switch j.State() {
-	case StateDone:
+	switch j.loadState() {
+	case stateDone:
 		st.ElapsedSec = j.elapsed.Seconds()
 		st.ResultURL = "/v1/results/" + j.Hash
-	case StateFailed:
+	case stateFailed:
 		st.Error = j.fperr.Error()
 	}
 	return st
@@ -337,7 +337,7 @@ func NewManager(cfg Config) *Manager {
 	local.compiled = mx.compiledEntries
 	backends := []Backend{local}
 	for _, peer := range cfg.Peers {
-		backends = append(backends, NewRemoteBackend(peer))
+		backends = append(backends, newRemoteBackend(peer, nil))
 	}
 	m.setBackends(backends...)
 	return m
@@ -361,7 +361,7 @@ func (m *Manager) Submit(spec scenario.Spec) (job *Job, existing bool, err error
 func (m *Manager) submit(spec scenario.Spec, reqID string) (job *Job, existing bool, err error) {
 	// Strip execution-only fields: the service owns observation, and the
 	// hash ignores them anyway. Probe is stripped too — per-cell sim traces
-	// are served on demand by re-execution (SimTrace), not by probing every
+	// are served on demand by re-execution (simTrace), not by probing every
 	// banked cell.
 	spec.Probe = false
 	spec.Progress = nil
@@ -475,7 +475,7 @@ func (m *Manager) execute(j *Job, runs []scenario.RunMetrics) {
 		m.mx.jobsQueued.Dec()
 		m.mx.jobsRunning.Inc()
 	}
-	j.state.Store(int32(StateRunning))
+	j.state.Store(int32(stateRunning))
 	m.mx.jobQueueSec.Observe(j.started.Sub(j.planned).Seconds())
 
 	// Thread the job's tracer and request ID through the dispatch path:
@@ -494,12 +494,12 @@ func (m *Manager) execute(j *Job, runs []scenario.RunMetrics) {
 	m.mx.jobRunSec.Observe(j.elapsed.Seconds())
 	if err != nil {
 		j.fperr = err
-		j.state.Store(int32(StateFailed))
+		j.state.Store(int32(stateFailed))
 		m.mx.jobsFailed.Inc()
 	} else {
 		j.result = res
 		j.doc, j.docErr = resultDocument(j.Hash, res)
-		j.state.Store(int32(StateDone))
+		j.state.Store(int32(stateDone))
 		m.mx.jobsDone.Inc()
 	}
 
@@ -545,9 +545,9 @@ func resultDocument(hash string, res *scenario.Result) ([]byte, error) {
 	return doc, nil
 }
 
-// JobTrace returns a job's service-level span timeline: the live set for
+// jobTrace returns a job's service-level span timeline: the live set for
 // an in-flight job, the retained one for a finished job.
-func (m *Manager) JobTrace(hash string) (*trace.SpanSet, bool) {
+func (m *Manager) jobTrace(hash string) (*trace.SpanSet, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if j, ok := m.inflight[hash]; ok {
@@ -558,11 +558,11 @@ func (m *Manager) JobTrace(hash string) (*trace.SpanSet, bool) {
 	return m.traces.Get(hash)
 }
 
-// ErrUnknownJob reports a job ID the manager does not know (evicted or
+// errUnknownJob reports a job ID the manager does not know (evicted or
 // never submitted); the HTTP layer maps it to 404.
-var ErrUnknownJob = errors.New("unknown job (evicted or never submitted)")
+var errUnknownJob = errors.New("unknown job (evicted or never submitted)")
 
-// SimTrace renders the sim-time schedule trace of one cell of a job as
+// simTrace renders the sim-time schedule trace of one cell of a job as
 // Chrome-trace JSON: task slices plus queue-depth, ready-task, PTT-error
 // and per-core-utilization counter lanes. The cell is re-executed locally
 // with a private recorder and probe — cells are pure functions of the
@@ -570,10 +570,10 @@ var ErrUnknownJob = errors.New("unknown job (evicted or never submitted)")
 // one behind the cell's canonical result even when the result itself was
 // computed on a remote shard or served from cache. Rendered bytes are
 // cached by cell hash.
-func (m *Manager) SimTrace(id string, cell int) ([]byte, error) {
-	j, ok := m.Job(id)
+func (m *Manager) simTrace(id string, cell int) ([]byte, error) {
+	j, ok := m.job(id)
 	if !ok {
-		return nil, ErrUnknownJob
+		return nil, errUnknownJob
 	}
 	key, err := j.Spec.Key()
 	if err != nil {
@@ -944,11 +944,11 @@ func (m *Manager) runShard(ctx context.Context, si int, plan *scenario.Plan, sha
 		// The attempt gets a leased display lane on the backend's track
 		// group; nested spans (local cell runs, the worker's own
 		// timeline) attach under it via the context.
-		lane, releaseLane := jt.lane(h.Name())
+		lane, releaseLane := jt.lane(h.label())
 		actx = withTraceLane(actx, lane)
 		attemptT0 := jt.at()
 		attemptStart := m.now()
-		crs, err := h.Execute(actx, plan, shard)
+		crs, err := h.execute(actx, plan, shard)
 		rtt := m.now().Sub(attemptStart)
 		cancel()
 		if jt != nil {
@@ -960,7 +960,7 @@ func (m *Manager) runShard(ctx context.Context, si int, plan *scenario.Plan, sha
 				Name: fmt.Sprintf("shard %d", si), Cat: "dispatch", Lane: lane,
 				Start: attemptT0, End: jt.at(),
 				Args: map[string]string{
-					"backend": h.Name(),
+					"backend": h.label(),
 					"cells":   fmt.Sprint(len(shard)),
 					"outcome": outcome,
 				},
@@ -983,7 +983,7 @@ func (m *Manager) runShard(ctx context.Context, si int, plan *scenario.Plan, sha
 		m.report(h, err)
 		h.failures.Inc()
 		m.mx.shardFailovers.Inc()
-		attemptErrs = append(attemptErrs, fmt.Errorf("backend %s: %w", h.Name(), err))
+		attemptErrs = append(attemptErrs, fmt.Errorf("backend %s: %w", h.label(), err))
 	}
 	if len(attemptErrs) == 0 {
 		return nil, fmt.Errorf("shard of %d cells: every backend's circuit breaker is open", len(shard))
@@ -992,8 +992,8 @@ func (m *Manager) runShard(ctx context.Context, si int, plan *scenario.Plan, sha
 		len(shard), errors.Join(attemptErrs...))
 }
 
-// Job looks a job up by hash, in flight or cached.
-func (m *Manager) Job(hash string) (*Job, bool) {
+// job looks a job up by hash, in flight or cached.
+func (m *Manager) job(hash string) (*Job, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if j, ok := m.inflight[hash]; ok {
@@ -1002,19 +1002,19 @@ func (m *Manager) Job(hash string) (*Job, bool) {
 	return m.cache.Get(hash)
 }
 
-// EngineRuns reports how many jobs the manager has executed to a terminal
+// engineRuns reports how many jobs the manager has executed to a terminal
 // state — submissions minus dedupe and cache hits. Like every count below
 // it reads the metric registry's counters, the ones /metrics serves.
-func (m *Manager) EngineRuns() int64 { return m.mx.jobsDone.Value() + m.mx.jobsFailed.Value() }
+func (m *Manager) engineRuns() int64 { return m.mx.jobsDone.Value() + m.mx.jobsFailed.Value() }
 
-// CellRuns reports how many cells the local backend has simulated (for
+// cellRuns reports how many cells the local backend has simulated (for
 // its own jobs and for shards served to peers).
-func (m *Manager) CellRuns() int64 { return m.mx.cellRuns.Value() }
+func (m *Manager) cellRuns() int64 { return m.mx.cellRuns.Value() }
 
-// Jobs snapshots every known job — in flight first (newest submission
+// jobs snapshots every known job — in flight first (newest submission
 // first), then finished ones from most to least recently used — for the
 // GET /v1/jobs listing.
-func (m *Manager) Jobs() []Status {
+func (m *Manager) jobs() []Status {
 	m.mu.Lock()
 	inflight := make([]*Job, 0, len(m.inflight))
 	for _, j := range m.inflight {
@@ -1035,10 +1035,10 @@ func (m *Manager) Jobs() []Status {
 	})
 	out := make([]Status, 0, len(inflight)+len(cached))
 	for _, j := range inflight {
-		out = append(out, j.Snapshot())
+		out = append(out, j.snapshot())
 	}
 	for _, j := range cached {
-		out = append(out, j.Snapshot())
+		out = append(out, j.snapshot())
 	}
 	return out
 }
@@ -1058,11 +1058,11 @@ type Stats struct {
 	Backends      []string `json:"backends"`
 }
 
-// Stats returns current counters.
-func (m *Manager) Stats() Stats {
+// stats returns current counters.
+func (m *Manager) stats() Stats {
 	backends := make([]string, len(m.handles))
 	for i, h := range m.handles {
-		backends[i] = h.Name()
+		backends[i] = h.label()
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -1071,12 +1071,12 @@ func (m *Manager) Stats() Stats {
 		CacheSize:     m.cfg.CacheSize,
 		Cached:        m.cache.Len(),
 		Inflight:      len(m.inflight),
-		EngineRuns:    m.EngineRuns(),
+		EngineRuns:    m.engineRuns(),
 		CellCacheSize: m.cfg.CellCacheSize,
 		CellsCached:   m.cells.Len(),
 		CellHits:      m.mx.cellHits.Value(),
 		CellMisses:    m.mx.cellMisses.Value(),
-		CellRuns:      m.CellRuns(),
+		CellRuns:      m.cellRuns(),
 		Backends:      backends,
 	}
 }

@@ -66,10 +66,10 @@ func TestSingleflightDedupe(t *testing.T) {
 		}
 	}
 	waitDone(t, jobs[0])
-	if got := m.EngineRuns(); got != 1 {
+	if got := m.engineRuns(); got != 1 {
 		t.Errorf("engine ran %d times for %d identical submissions, want 1", got, n)
 	}
-	if got := jobs[0].Snapshot().CacheHits; got != n-1 {
+	if got := jobs[0].snapshot().CacheHits; got != n-1 {
 		t.Errorf("job absorbed %d extra submissions, want %d", got, n-1)
 	}
 	_, fp, _, err := jobs[0].Result()
@@ -109,7 +109,7 @@ func TestCacheHitSkipsRun(t *testing.T) {
 	if j2 != j1 {
 		t.Error("cache returned a different job")
 	}
-	if got := m.EngineRuns(); got != 1 {
+	if got := m.engineRuns(); got != 1 {
 		t.Errorf("engine ran %d times, want 1", got)
 	}
 }
@@ -163,11 +163,11 @@ func TestManagerEviction(t *testing.T) {
 		waitDone(t, j)
 		hashes = append(hashes, j.Hash)
 	}
-	if _, ok := m.Job(hashes[0]); ok {
+	if _, ok := m.job(hashes[0]); ok {
 		t.Error("oldest job survived a capacity-2 cache after 3 inserts")
 	}
 	for _, h := range hashes[1:] {
-		if _, ok := m.Job(h); !ok {
+		if _, ok := m.job(h); !ok {
 			t.Errorf("job %s missing from cache", h)
 		}
 	}
@@ -180,7 +180,7 @@ func TestManagerEviction(t *testing.T) {
 		t.Error("evicted spec reported as cached")
 	}
 	waitDone(t, j)
-	if got := m.EngineRuns(); got != 4 {
+	if got := m.engineRuns(); got != 4 {
 		t.Errorf("engine ran %d times, want 4 (3 cold + 1 after eviction)", got)
 	}
 }
@@ -198,8 +198,8 @@ func TestFailedJobLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, j)
-	if j.State() != StateFailed {
-		t.Fatalf("state %v, want failed", j.State())
+	if j.loadState() != stateFailed {
+		t.Fatalf("state %v, want failed", j.loadState())
 	}
 	if _, _, _, err := j.Result(); !errors.Is(err, boom) {
 		t.Errorf("Result error = %v, want the engine error", err)
@@ -211,7 +211,7 @@ func TestFailedJobLifecycle(t *testing.T) {
 	if !existing || j2 != j {
 		t.Error("failed job was not served from cache")
 	}
-	if got := m.EngineRuns(); got != 1 {
+	if got := m.engineRuns(); got != 1 {
 		t.Errorf("engine ran %d times, want 1", got)
 	}
 }
@@ -241,7 +241,7 @@ func TestShutdown(t *testing.T) {
 	if err := m.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if st := j.State(); st != StateDone && st != StateFailed {
+	if st := j.loadState(); st != stateDone && st != stateFailed {
 		t.Errorf("shutdown returned with the in-flight job %s", st)
 	}
 	if _, _, err := m.Submit(tinySpec(6)); err == nil {
@@ -258,7 +258,7 @@ func TestJobProgressCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, j)
-	st := j.Snapshot()
+	st := j.snapshot()
 	want := int64(2 * 2) // policies × points, 1 rep
 	if st.CellsTotal != want || st.CellsDone != want {
 		t.Errorf("progress %d/%d, want %d/%d", st.CellsDone, st.CellsTotal, want, want)
@@ -272,7 +272,7 @@ func TestJobProgressCounters(t *testing.T) {
 }
 
 // TestDoneStateImpliesResult pins that the terminal state and the result
-// become visible in one step: a poller that reads "done" from Snapshot (as
+// become visible in one step: a poller that reads "done" from snapshot (as
 // GET /v1/jobs/{id} does) must get the result from Result (as GET
 // /v1/results/{id} does) — never "job … is done". A second goroutine spins
 // on exactly that sequence while many short jobs finish.
@@ -289,7 +289,7 @@ func TestDoneStateImpliesResult(t *testing.T) {
 		}
 		polled := make(chan error, 1)
 		go func() {
-			for j.Snapshot().State != "done" {
+			for j.snapshot().State != "done" {
 				runtime.Gosched()
 			}
 			_, _, _, err := j.Result()

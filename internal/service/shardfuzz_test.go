@@ -45,7 +45,7 @@ func FuzzShardRequest(f *testing.F) {
 		if n := m.mx.cellPanics.Value(); n != 0 {
 			t.Fatalf("%d cells panicked serving %q", n, body)
 		}
-		if n := m.mx.poolBusy.Value(); n != 0 {
+		if n := gaugeValue(t, m, "asymd_pool_busy_workers"); n != 0 {
 			t.Fatalf("%d pool workers still busy after the reply to %q", n, body)
 		}
 	})

@@ -72,7 +72,7 @@ func TestRenamedSpecDoneInSubmitReply(t *testing.T) {
 		t.Error("renamed job's fingerprint differs from a direct run of the renamed spec")
 	}
 	text := func(id string) string {
-		j, _ := m.Job(id)
+		j, _ := m.job(id)
 		_, body, _ := strings.Cut(j.result.FingerprintText(), "\n")
 		return body
 	}
@@ -169,7 +169,7 @@ func TestConcurrentDoneAtSubmit(t *testing.T) {
 	if got := m.mx.jobsAbsorbed.Value(); got != copies {
 		t.Errorf("absorbed submissions = %d, want %d", got, copies)
 	}
-	if got := m.CellRuns(); got != 4 {
+	if got := m.cellRuns(); got != 4 {
 		t.Errorf("cell runs = %d, want the warm-up's 4", got)
 	}
 }
@@ -203,7 +203,7 @@ func TestDoneAtSubmitTakesNoSlot(t *testing.T) {
 	if err != nil || existing {
 		t.Fatalf("renamed submit: existing=%v err=%v", existing, err)
 	}
-	if st := jr.Snapshot(); st.State != "done" || st.CellHits != 4 {
+	if st := jr.snapshot(); st.State != "done" || st.CellHits != 4 {
 		t.Errorf("fully cached submission behind a held slot: %+v, want done with 4 hits", st)
 	}
 
@@ -212,8 +212,8 @@ func TestDoneAtSubmitTakesNoSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jp.State() != StateQueued {
-		t.Fatalf("partially cached submission is %v, want queued", jp.State())
+	if jp.loadState() != stateQueued {
+		t.Fatalf("partially cached submission is %v, want queued", jp.loadState())
 	}
 	plan, err := scenario.NewPlan(partial)
 	if err != nil {
@@ -230,7 +230,7 @@ func TestDoneAtSubmitTakesNoSlot(t *testing.T) {
 	close(release)
 	waitDone(t, jb)
 	waitDone(t, jp)
-	if st := jp.Snapshot(); st.State != "done" || st.CellHits != 4 || st.CellMisses != 2 {
+	if st := jp.snapshot(); st.State != "done" || st.CellHits != 4 || st.CellMisses != 2 {
 		t.Errorf("partial job after admission: %+v, want done with 4 hits and 2 misses", st)
 	}
 	if _, fp, _, err := jp.Result(); err != nil || fp != scenario.MustRun(partial).Fingerprint() {
@@ -261,8 +261,8 @@ func TestDuplicateHashCountsMatchAsyncPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ja.State() != StateQueued {
-		t.Fatalf("twin submitted while its cells simulate is %v, want queued", ja.State())
+	if ja.loadState() != stateQueued {
+		t.Fatalf("twin submitted while its cells simulate is %v, want queued", ja.loadState())
 	}
 	close(release)
 	waitDone(t, jf)
@@ -272,7 +272,7 @@ func TestDuplicateHashCountsMatchAsyncPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	async, inline := ja.Snapshot(), ji.Snapshot()
+	async, inline := ja.snapshot(), ji.snapshot()
 	if inline.State != "done" {
 		t.Fatalf("cached twin answered %q, want done", inline.State)
 	}
@@ -299,11 +299,11 @@ func TestDuplicateHashCountsOnSimulatingPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, j)
-	st := j.Snapshot()
+	st := j.snapshot()
 	if st.State != "done" || st.CellsTotal != 4 || st.CellMisses != st.CellsTotal || st.CellsDone != st.CellsTotal || st.CellHits != 0 {
 		t.Errorf("twin-point job with nothing cached counted %+v, want done with 4 misses of 4 cells", st)
 	}
-	if got := m.CellRuns(); got != 2 {
+	if got := m.cellRuns(); got != 2 {
 		t.Errorf("cell runs = %d, want 2 (one per distinct hash)", got)
 	}
 	if _, fp, _, err := j.Result(); err != nil || fp != scenario.MustRun(s).Fingerprint() {
@@ -348,16 +348,16 @@ func TestAbandonedCellFallsBackToSubscriber(t *testing.T) {
 	close(release)
 	waitDone(t, ja)
 	waitDone(t, jb)
-	if ja.State() != StateFailed {
-		t.Fatalf("job A is %v, want failed", ja.State())
+	if ja.loadState() != stateFailed {
+		t.Fatalf("job A is %v, want failed", ja.loadState())
 	}
-	if st := jb.Snapshot(); st.State != "done" || st.CellHits != 3 || st.CellMisses != 3 || st.CellsDone != 6 {
+	if st := jb.snapshot(); st.State != "done" || st.CellHits != 3 || st.CellMisses != 3 || st.CellsDone != 6 {
 		t.Errorf("job B counted %+v, want done with 3 hits (A's banked cells) and 3 misses (its own 2 and the abandoned one)", st)
 	}
 	if _, fp, _, err := jb.Result(); err != nil || fp != scenario.MustRun(b).Fingerprint() {
 		t.Errorf("job B: err=%v, or a fingerprint unlike the direct run's", err)
 	}
-	if got := m.CellRuns(); got != 7 {
+	if got := m.cellRuns(); got != 7 {
 		t.Errorf("cell runs = %d, want A's 4 and B's 3", got)
 	}
 }
@@ -378,7 +378,7 @@ func TestDoneAtSubmitLRUWithTwinPoints(t *testing.T) {
 	waitDone(t, j0)
 	s.Name = "twin-renamed"
 	j, _, err := m.Submit(s)
-	if err != nil || j.State() != StateDone {
+	if err != nil || j.loadState() != stateDone {
 		t.Fatalf("renamed twin-point grid: err=%v, or not done at submit", err)
 	}
 	plan, err := scenario.NewPlan(s)
@@ -401,7 +401,7 @@ func TestDoneAtSubmitLRUWithTwinPoints(t *testing.T) {
 	if !reflect.DeepEqual(keys, want) {
 		t.Errorf("cell LRU after the job done at submit:\n got %.12s\nwant %.12s", keys, want)
 	}
-	if st := j.Snapshot(); st.CellHits != 6 || st.CellsDone != 6 || st.CellsTotal != 6 {
+	if st := j.snapshot(); st.CellHits != 6 || st.CellsDone != 6 || st.CellsTotal != 6 {
 		t.Errorf("twin-point job counted %+v, want 6 hits of 6 cells", st)
 	}
 }
@@ -520,7 +520,7 @@ func TestDoneAtSubmitAllocs(t *testing.T) {
 		s.Name = names[next]
 		next++
 		j, existing, err := m.Submit(s)
-		if err != nil || existing || j.State() != StateDone {
+		if err != nil || existing || j.loadState() != stateDone {
 			t.Fatalf("renamed submission: existing=%v err=%v, want a new job done at submit", existing, err)
 		}
 	})

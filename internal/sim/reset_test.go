@@ -42,7 +42,7 @@ func TestResetDropsPendingEvents(t *testing.T) {
 	fired := false
 	e.AfterEvent(1, do(func() { fired = true }), 0)
 	e.AfterEvent(1e-9, do(func() { e.Stop() }), 0)
-	e.RunUntil(1e-6)
+	e.runUntil(1e-6)
 	e.Reset()
 	if pending(e) != 0 {
 		t.Fatalf("Pending() = %d after Reset, want 0", pending(e))

@@ -37,11 +37,9 @@
 //
 //   - nowBuf: events scheduled at exactly the current time (completion
 //     cascades, rendezvous deliveries) — FIFO, O(1) both ends. When the
-//     other tiers hold nothing at the current time, RunUntil drains an
+//     other tiers hold nothing at the current time, runUntil drains an
 //     entire same-time generation of this buffer back to back without
-//     re-consulting the other tiers, and typed events that duplicate the
-//     buffer's tail — same handler, same kind, same timestamp — coalesce
-//     into that single pending delivery;
+//     re-consulting the other tiers;
 //   - near: events within nearWindow of the clock (dispatch follow-ups,
 //     steal retries, idle polls — the bulk of the traffic) — a sorted
 //     slice with headroom at both ends: binary-search inserts memmove
@@ -66,8 +64,7 @@ type EventKind uint8
 
 // Handler receives events. Implementations are usually long-lived objects
 // (core state machines, assemblies), so scheduling an event against one
-// performs no allocation, and must be comparable values (pointers): the
-// engine compares handlers to coalesce same-time duplicates (see AtEvent).
+// performs no allocation.
 type Handler interface {
 	// HandleEvent runs the event. kind is the value passed to AtEvent and
 	// at is the event's virtual time (equal to Engine.Now during the
@@ -109,9 +106,6 @@ type Engine struct {
 	stopped  bool
 	// Processed counts events executed, for diagnostics and perf tests.
 	Processed uint64
-	// Coalesced counts typed events absorbed into an identical pending
-	// delivery (same handler, kind and timestamp) instead of being queued.
-	Coalesced uint64
 }
 
 // eventKey is one heap entry: the (at, seq) dispatch order plus the arena
@@ -173,14 +167,8 @@ func (e *Engine) checkTime(t float64) {
 // AtEvent schedules an event for h at absolute virtual time t; scheduling in
 // the past (t < Now) panics. It is allocation-free: the payload is stored by
 // value in the engine's reusable arena and the heap holds only scalar keys.
-//
-// Events at equal timestamps are level-triggered per (handler, kind):
-// scheduling an event identical to the most recently queued same-time event
-// coalesces into that single pending delivery rather than delivering twice
-// (the Coalesced counter records it). Handlers must therefore treat a
-// delivery as "the condition at time t", not a countable pulse — which is
-// how every state-machine handler in this repository already behaves — and
-// must be comparable values (pointers).
+// Every call is one delivery, even when an identical (t, h, kind) event is
+// already pending.
 func (e *Engine) AtEvent(t float64, h Handler, kind EventKind) {
 	e.checkTime(t)
 	e.push(eventRec{kind: kind, h: h}, t)
@@ -193,12 +181,12 @@ func (e *Engine) AfterEvent(d float64, h Handler, kind EventKind) {
 
 // Run executes events in order until the queue is empty or Stop is called.
 // It returns the final virtual time.
-func (e *Engine) Run() float64 { return e.RunUntil(math.Inf(1)) }
+func (e *Engine) Run() float64 { return e.runUntil(math.Inf(1)) }
 
-// RunUntil executes events with time ≤ limit, advancing the clock, until
+// runUntil executes events with time ≤ limit, advancing the clock, until
 // the queue drains, the limit is passed, or Stop is called. The clock never
 // exceeds limit.
-func (e *Engine) RunUntil(limit float64) float64 {
+func (e *Engine) runUntil(limit float64) float64 {
 	e.stopped = false
 	for !e.stopped {
 		// The next event is the (at, seq) minimum of the three tiers'
@@ -282,7 +270,7 @@ func (e *Engine) RunUntil(limit float64) float64 {
 	return e.now
 }
 
-// Event-source tags for RunUntil's three-way front comparison.
+// Event-source tags for runUntil's three-way front comparison.
 const (
 	srcNone = iota
 	srcNow
@@ -317,7 +305,6 @@ func (e *Engine) Reset() {
 	e.nearHead = 0
 	e.stopped = false
 	e.Processed = 0
-	e.Coalesced = 0
 }
 
 // less orders the heap by (at, seq). seq values are unique, so this is a
@@ -388,25 +375,14 @@ func (e *Engine) take(slot int32) eventRec {
 }
 
 // push stores the payload in the arena and enqueues its key: same-time
-// events go to the FIFO buffer (coalescing duplicates of its tail),
-// near-term keys go to the sorted ring, everything else sifts up the 4-ary
+// events go to the FIFO buffer, near-term keys go to the sorted ring, everything else sifts up the 4-ary
 // heap.
 func (e *Engine) push(rec eventRec, at float64) {
 	// Same-time events join the FIFO only while the buffer holds a single
-	// time value: RunUntil with a limit below the clock legally rewinds
+	// time value: runUntil with a limit below the clock legally rewinds
 	// `now` beneath undispatched buffer entries, and mixing times would
 	// break the buffer's sorted-by-(at, seq) property.
 	nowEligible := at == e.now && (e.nowHead == len(e.nowBuf) || e.nowBuf[len(e.nowBuf)-1].at == at)
-	if nowEligible && e.nowHead < len(e.nowBuf) {
-		// Same-time duplicates of the pending tail collapse into one
-		// delivery (see AtEvent): the second delivery would observe exactly
-		// the state the first one left, at the same virtual time.
-		tail := &e.recs[int32(e.nowBuf[len(e.nowBuf)-1].seqSlot&(1<<slotBits-1))]
-		if tail.h == rec.h && tail.kind == rec.kind {
-			e.Coalesced++
-			return
-		}
-	}
 	var slot int32
 	if n := len(e.free); n > 0 {
 		slot = e.free[n-1]

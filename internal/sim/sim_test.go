@@ -6,16 +6,14 @@ import (
 	"testing"
 )
 
-// funcHandler adapts a callback to Handler for the tests. It is used through
-// a pointer because the engine compares handlers (same-time coalescing) and
-// func values are not comparable.
+// funcHandler adapts a callback to Handler for the tests.
 type funcHandler struct {
 	f func(kind EventKind, at float64)
 }
 
 func (h *funcHandler) HandleEvent(kind EventKind, at float64) { h.f(kind, at) }
 
-// do wraps a plain callback in a fresh handler, so no two events coalesce.
+// do wraps a plain callback in a fresh handler.
 func do(f func()) Handler {
 	return &funcHandler{func(EventKind, float64) { f() }}
 }
@@ -87,7 +85,7 @@ func TestRunUntil(t *testing.T) {
 		i := i
 		e.AtEvent(float64(i), do(func() { ran = i }), 0)
 	}
-	e.RunUntil(5.5)
+	e.runUntil(5.5)
 	if ran != 5 {
 		t.Fatalf("ran through event %d, want 5", ran)
 	}
@@ -99,7 +97,7 @@ func TestRunUntil(t *testing.T) {
 	}
 	e.Run()
 	if ran != 10 {
-		t.Fatal("continuation after RunUntil failed")
+		t.Fatal("continuation after runUntil failed")
 	}
 }
 

@@ -111,7 +111,29 @@ type countHandler struct{ n int }
 
 func (c *countHandler) HandleEvent(EventKind, float64) { c.n++ }
 
-// RunUntil may legally be called with a limit below the current clock
+// Every AtEvent is one delivery: identical same-time (t, h, kind) events
+// are not merged, whether scheduled before Run or from a handler at the
+// current time.
+func TestSameTimeDuplicatesAllDeliver(t *testing.T) {
+	e := New()
+	c := &countHandler{}
+	e.AtEvent(0, c, 1)
+	e.AtEvent(0, c, 1)
+	e.AtEvent(2, do(func() {
+		e.AtEvent(2, c, 1)
+		e.AtEvent(2, c, 1)
+		e.AtEvent(2, c, 1)
+	}), 0)
+	e.Run()
+	if c.n != 5 {
+		t.Fatalf("handler ran %d times, want 5", c.n)
+	}
+	if e.Processed != 6 {
+		t.Fatalf("Processed = %d, want 6", e.Processed)
+	}
+}
+
+// runUntil may legally be called with a limit below the current clock
 // (rewinding Now); events scheduled at the rewound time must still
 // dispatch before undispatched same-time-buffer entries from the higher
 // time. Regression for the nowBuf routing guard.
@@ -123,7 +145,7 @@ func TestRewindKeepsOrder(t *testing.T) {
 		e.Stop()
 	}), 0)
 	e.Run()
-	e.RunUntil(3) // rewinds the clock below the buffered t=5 event
+	e.runUntil(3) // rewinds the clock below the buffered t=5 event
 	if e.Now() != 3 {
 		t.Fatalf("Now = %g, want 3", e.Now())
 	}

@@ -50,8 +50,7 @@ type slot struct {
 	receiver Receiver
 }
 
-// message is one send in flight. It is its own delivery event, so every
-// message is a distinct handler and the engine never coalesces two of them.
+// message is one send in flight, and its own delivery event.
 type message struct {
 	net *Network
 	key MsgKey

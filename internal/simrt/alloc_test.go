@@ -7,6 +7,7 @@ import (
 	"dynasym/internal/dag"
 	"dynasym/internal/kernels"
 	"dynasym/internal/machine"
+	"dynasym/internal/sim"
 	"dynasym/internal/topology"
 )
 
@@ -41,6 +42,11 @@ func allocRuntime(t *testing.T) *Runtime {
 	return rt
 }
 
+// stopper ends Engine.Run at the time it is scheduled for.
+type stopper struct{ e *sim.Engine }
+
+func (s *stopper) HandleEvent(sim.EventKind, float64) { s.e.Stop() }
+
 // Steady-state simulation — wake, poll, steal, dispatch, assembly start and
 // completion, PTT updates, metrics — must be allocation-free once the
 // runtime's rings, pools and the engine's tiers have reached their
@@ -49,14 +55,19 @@ func allocRuntime(t *testing.T) *Runtime {
 func TestSteadyStateAllocFree(t *testing.T) {
 	rt := allocRuntime(t)
 	e := rt.Engine()
+	stop := &stopper{e}
+	runTo := func(at float64) {
+		e.AtEvent(at, stop, 0)
+		e.Run()
+	}
 	// Warm: run a third of the workload so every ring, the assembly pool
 	// and the engine arena have grown to their final capacity.
-	e.RunUntil(0.008)
+	runTo(0.008)
 	if rt.Finished() {
 		t.Fatal("workload drained during warm-up; enlarge it")
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		e.RunUntil(e.Now() + 1e-3)
+		runTo(e.Now() + 1e-3)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state wake/steal/dispatch allocated %.1f allocs per 1ms window, want 0", allocs)

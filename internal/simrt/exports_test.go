@@ -39,20 +39,26 @@ var exportAllowlist = map[string]string{
 	"experiments.ThroughputGrid.Get":             "item 9: the fidelity table reads the claims",
 	// The sim reference tests stop an engine mid-batch with it.
 	"sim.Engine.Stop": "item 4(c): the cancellation seam that stops a running cell",
+	// Test seams: another package's tests read or build exact values
+	// through them, which no production path hands out.
+	"metrics.Iters.Append":  "item 12: the hostile-result fingerprint tests build NaN and ±Inf iteration times, which the JSON form cannot carry",
+	"trace.Recorder.Events": "item 12: the schedule oracle (simrt/schedule_test.go) checks exact start and end times, which the Chrome export rounds",
 }
 
 // TestEveryExportHasAProductionCaller is the export ratchet (ROADMAP aim 2:
 // no export without a non-test caller). It type-checks every non-test file
 // in the module — internal/, cmd/ and bench/, which counts as a caller — and
 // flags each exported package-level identifier, and each exported method of
-// an exported type, under internal/ that no non-test file uses. A use inside
-// the declaring package counts: such a name has a production caller and at
-// most wants unexporting. A method that implements a method of an interface
-// declared in the module, or exported by a standard package the module
-// imports, counts as called: a call through the interface names only the
-// interface's method. A flagged name outside exportAllowlist fails the test
-// with its file:line, and so does an allowlisted name that has gained a
-// caller or is gone.
+// an exported type, under internal/ that no non-test file of another package
+// uses: such a name is dead or wants unexporting. A type is the exception: a
+// use inside its own package counts, because an exported signature another
+// package calls can name it. A method that implements a method of an
+// interface declared in the module, or exported by a standard package the
+// module imports, counts as called: a call through the interface names only
+// the interface's method. So does an interface's method when a type of
+// another package implements it. A flagged name outside exportAllowlist
+// fails the test with its file:line, and so does an allowlisted name that
+// has gained a caller or is gone.
 func TestEveryExportHasAProductionCaller(t *testing.T) {
 	const root = "../.."
 	const module = "dynasym"
@@ -104,11 +110,16 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 		}
 	}
 
-	// Every object some non-test file uses.
-	used := map[types.Object]bool{}
-	for _, info := range im.infos {
+	// Every object some non-test file uses, and those a file of another
+	// package uses.
+	used, usedOutside := map[types.Object]bool{}, map[types.Object]bool{}
+	for ip, info := range im.infos {
 		for _, obj := range info.Uses {
-			used[origin(obj)] = true
+			obj = origin(obj)
+			used[obj] = true
+			if obj.Pkg() != im.pkgs[ip] {
+				usedOutside[obj] = true
+			}
 		}
 	}
 	// The interfaces a method can be reached through.
@@ -145,9 +156,30 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 		return false
 	}
 
+	// implementedOutside reports whether a named type of another package in
+	// the module implements it: a call through it may run that type's method.
+	implementedOutside := func(it *types.Interface, home *types.Package) bool {
+		for _, ip := range paths {
+			pkg := im.pkgs[ip]
+			if pkg == home {
+				continue
+			}
+			for _, name := range pkg.Scope().Names() {
+				tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+				if !ok || types.IsInterface(tn.Type()) {
+					continue
+				}
+				if types.Implements(tn.Type(), it) || types.Implements(types.NewPointer(tn.Type()), it) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+
 	flagged := map[string]token.Position{}
 	flag := func(name string, obj types.Object) {
-		if !used[obj] {
+		if _, isType := obj.(*types.TypeName); isType && !used[obj] || !isType && !usedOutside[obj] {
 			flagged[name] = fset.Position(obj.Pos())
 		}
 	}
@@ -172,8 +204,9 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 				continue
 			}
 			if it, ok := named.Underlying().(*types.Interface); ok {
+				outside := implementedOutside(it, pkg)
 				for i := 0; i < it.NumExplicitMethods(); i++ {
-					if m := it.ExplicitMethod(i); m.Exported() {
+					if m := it.ExplicitMethod(i); m.Exported() && !outside {
 						flag(qual+"."+m.Name(), m)
 					}
 				}

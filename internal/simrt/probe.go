@@ -172,13 +172,13 @@ func (p *Probe) pttObserve(at, predicted, actual float64) {
 
 // flushTo aggregates the probe into the collector at run completion.
 func (p *Probe) flushTo(coll *metrics.Collector, makespan float64) {
-	coll.SetSched(p.Sched(coll.CoreBusy(), makespan))
+	coll.SetSched(p.sched(coll.CoreBusy(), makespan))
 }
 
-// Sched renders the accumulated telemetry as a mergeable aggregate. busy
+// sched renders the accumulated telemetry as a mergeable aggregate. busy
 // is the per-core kernel time (the collector's CoreBusy); idle is the
 // residual of the makespan after busy, dispatch and steal windows.
-func (p *Probe) Sched(busy []float64, makespan float64) *metrics.Sched {
+func (p *Probe) sched(busy []float64, makespan float64) *metrics.Sched {
 	s := &metrics.Sched{
 		Busy:         busy,
 		Dispatch:     append([]float64(nil), p.dispatchSec...),

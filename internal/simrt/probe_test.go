@@ -1,7 +1,10 @@
 package simrt
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"dynasym/internal/core"
@@ -104,8 +107,14 @@ func TestProbeStealMatrixMatchesCounters(t *testing.T) {
 			t.Fatalf("thief %d: matrix says %d steals, counters say %d", i, perThief[i], s.Steals)
 		}
 	}
-	if matrixTotal != statsTotal || sched.TotalSteals() != statsTotal {
-		t.Fatalf("matrix total %d (TotalSteals %d) != counter total %d", matrixTotal, sched.TotalSteals(), statsTotal)
+	if matrixTotal != statsTotal {
+		t.Fatalf("matrix total %d != counter total %d", matrixTotal, statsTotal)
+	}
+	// The schedule report's header prints the same total.
+	var report strings.Builder
+	sched.WriteReport(&report)
+	if want := fmt.Sprintf("steal matrix (victim -> thief, %d steals", statsTotal); !strings.Contains(report.String(), want) {
+		t.Fatalf("report does not print the counter total %d:\n%s", statsTotal, report.String())
 	}
 }
 
@@ -129,8 +138,9 @@ func TestProbeTimeBreakdownPartitionsSpan(t *testing.T) {
 			t.Fatalf("core %d breakdown sums to %v, span is %v", i, sum, sched.Span)
 		}
 	}
-	if sched.QueueSamples == 0 || sched.MeanReady() <= 0 {
-		t.Fatalf("queue telemetry empty: samples=%d meanReady=%v", sched.QueueSamples, sched.MeanReady())
+	// Span > 0 above, so a positive ready integral is a positive mean ready.
+	if sched.QueueSamples == 0 || sched.ReadySec <= 0 {
+		t.Fatalf("queue telemetry empty: samples=%d readySec=%v", sched.QueueSamples, sched.ReadySec)
 	}
 	if sched.PTTSamples == 0 {
 		t.Fatal("no PTT prediction samples on a PTT policy")
@@ -163,11 +173,11 @@ func TestProbeReuseAcrossReset(t *testing.T) {
 	if first == second {
 		t.Fatal("flushed Sched aggregates alias the pooled probe")
 	}
-	if first.Span != second.Span || first.TotalSteals() != second.TotalSteals() ||
+	if first.Span != second.Span || !slices.Equal(first.StealMatrix, second.StealMatrix) ||
 		first.QueueSamples != second.QueueSamples || first.PTTSamples != second.PTTSamples {
-		t.Fatalf("reused probe leaked state across Reset:\nfirst:  span=%v steals=%d qs=%d ptt=%d\nsecond: span=%v steals=%d qs=%d ptt=%d",
-			first.Span, first.TotalSteals(), first.QueueSamples, first.PTTSamples,
-			second.Span, second.TotalSteals(), second.QueueSamples, second.PTTSamples)
+		t.Fatalf("reused probe leaked state across Reset:\nfirst:  span=%v steals=%v qs=%d ptt=%d\nsecond: span=%v steals=%v qs=%d ptt=%d",
+			first.Span, first.StealMatrix, first.QueueSamples, first.PTTSamples,
+			second.Span, second.StealMatrix, second.QueueSamples, second.PTTSamples)
 	}
 	for i := range first.Busy {
 		if first.Busy[i] != second.Busy[i] || first.Idle[i] != second.Idle[i] {

@@ -126,7 +126,11 @@ func TestHighTasksRespectPlacementGuarantee(t *testing.T) {
 }
 
 func TestNonMoldablePoliciesNeverMold(t *testing.T) {
-	for _, pol := range []core.Policy{core.RWS(), core.FA(), core.DA()} {
+	fa, err := core.ByName("FA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pol := range []core.Policy{core.RWS(), fa, core.DA()} {
 		topo := topology.TX2()
 		rec := trace.New()
 		rt, err := simrt.New(simrt.Config{Topo: topo, Model: machine.New(topo), Policy: pol, Seed: 3, Trace: rec})

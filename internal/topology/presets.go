@@ -16,7 +16,7 @@ import "fmt"
 // private 2 MB L2. This matches the core numbering used by the paper's
 // Figure 5 (cores 0,1 = Denver; 2-5 = A57).
 func TX2() *Platform {
-	return MustNew([]Cluster{
+	return mustNew([]Cluster{
 		{
 			Name:         "denver",
 			FirstCore:    0,
@@ -60,7 +60,7 @@ func HaswellNode(nodeID int) *Platform {
 			NodeID:       nodeID,
 		}
 	}
-	return MustNew([]Cluster{mk("socket0", 0), mk("socket1", 10)})
+	return mustNew([]Cluster{mk("socket0", 0), mk("socket1", 10)})
 }
 
 // Haswell16 returns the 16-core dual-socket Haswell configuration used in
@@ -79,7 +79,7 @@ func Haswell16() *Platform {
 			MemBandwidth: 60e9,
 		}
 	}
-	return MustNew([]Cluster{mk("socket0", 0), mk("socket1", 8)})
+	return mustNew([]Cluster{mk("socket0", 0), mk("socket1", 8)})
 }
 
 // ScaleOut returns a large asymmetric platform for scalability scenarios
@@ -116,7 +116,7 @@ func ScaleOut(nClusters, coresPer int) *Platform {
 		}
 		cs = append(cs, c)
 	}
-	return MustNew(cs)
+	return mustNew(cs)
 }
 
 // Symmetric returns a single-cluster platform with n identical cores and
@@ -127,7 +127,7 @@ func Symmetric(n int) *Platform {
 	for w := 1; w <= n; w *= 2 {
 		widths = append(widths, w)
 	}
-	return MustNew([]Cluster{{
+	return mustNew([]Cluster{{
 		Name:         "cpu",
 		FirstCore:    0,
 		NumCores:     n,

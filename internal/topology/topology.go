@@ -173,9 +173,9 @@ func New(clusters []Cluster) (*Platform, error) {
 	return p, nil
 }
 
-// MustNew is New but panics on error; intended for package-level presets and
+// mustNew is New but panics on error; intended for package-level presets and
 // tests.
-func MustNew(clusters []Cluster) *Platform {
+func mustNew(clusters []Cluster) *Platform {
 	p, err := New(clusters)
 	if err != nil {
 		panic(err)

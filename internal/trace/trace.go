@@ -103,9 +103,9 @@ func (r *Recorder) Events() []Event {
 	return append([]Event(nil), r.events...)
 }
 
-// Counters returns a copy of the recorded counter samples in insertion
+// counterSamples returns a copy of the recorded counter samples in insertion
 // order (recorders sample monotonically, so this is time order per lane).
-func (r *Recorder) Counters() []CounterPoint {
+func (r *Recorder) counterSamples() []CounterPoint {
 	if r == nil {
 		return nil
 	}
@@ -190,7 +190,7 @@ func jsonNameArgs(name string) (json.RawMessage, error) {
 // https://ui.perfetto.dev.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	events := r.Events()
-	counters := r.Counters()
+	counters := r.counterSamples()
 	cw := newChromeWriter(w)
 	for i := range events {
 		ev := &events[i]

@@ -130,7 +130,7 @@ func TestAddUtilCounters(t *testing.T) {
 	r.Add(Event{Core: 1, Start: 0, End: 0.5})
 	r.AddUtilCounters(1)
 	var util []CounterPoint
-	for _, cp := range r.Counters() {
+	for _, cp := range r.counterSamples() {
 		if cp.Name == "core util" {
 			util = append(util, cp)
 		}

@@ -43,8 +43,8 @@ type HeatDist struct {
 	CommCost    machine.Cost
 }
 
-// HeatTypeCompute is the PTT task type of heat block updates.
-const HeatTypeCompute ptt.TypeID = kernels.TypeUser + 8
+// heatTypeCompute is the PTT task type of heat block updates.
+const heatTypeCompute ptt.TypeID = kernels.TypeUser + 8
 
 // HeatDistConfig parameterizes NewHeatDist.
 type HeatDistConfig struct {
@@ -111,8 +111,8 @@ func NewHeatDist(cfg HeatDistConfig) *HeatDist {
 	return hd
 }
 
-// BoundaryBytes returns the size of one exchanged boundary message.
-func (hd *HeatDist) BoundaryBytes() float64 { return float64(hd.Cols) * 8 }
+// boundaryBytes returns the size of one exchanged boundary message.
+func (hd *HeatDist) boundaryBytes() float64 { return float64(hd.Cols) * 8 }
 
 // peers returns the neighbour nodes of `node` in the 1-D decomposition.
 func (hd *HeatDist) peers(node int) []int {
@@ -150,7 +150,7 @@ func (hd *HeatDist) BuildNode(node int) *dag.Graph {
 		for b := 0; b < B; b++ {
 			t := &dag.Task{
 				Label: fmt.Sprintf("n%d.heat[%d.%d]", node, iter, b),
-				Type:  HeatTypeCompute,
+				Type:  heatTypeCompute,
 				Cost:  hd.ComputeCost,
 				Iter:  iter,
 			}
@@ -204,7 +204,7 @@ func commDeps(deps ...*dag.Task) []*dag.Task {
 // finishes the task when both the local CPU work and all inbound boundaries
 // are done.
 func (hd *HeatDist) Hook(net *simnet.Network, node int) simrt.ExecHook {
-	return &heatExchange{net: net, node: node, peers: hd.peers(node), bytes: hd.BoundaryBytes()}
+	return &heatExchange{net: net, node: node, peers: hd.peers(node), bytes: hd.boundaryBytes()}
 }
 
 // heatExchange is one node's hook and the receiver of its inbound

@@ -38,15 +38,15 @@ type KMeans struct {
 	bounds     []int // grain boundaries, len Grains+1
 }
 
-// KMeansTypeAssign, KMeansTypeAssignJumbo and KMeansTypeReduce are the PTT
+// kmeansTypeAssign, kmeansTypeAssignJumbo and kmeansTypeReduce are the PTT
 // task types used by the K-means DAG. The jumbo (largest) partition gets
 // its own trace table: its execution times are several times those of the
 // regular partitions, and the paper instantiates one table per task type
 // precisely because "the performance varies per type".
 const (
-	KMeansTypeAssign ptt.TypeID = kernels.TypeUser + iota
-	KMeansTypeAssignJumbo
-	KMeansTypeReduce
+	kmeansTypeAssign ptt.TypeID = kernels.TypeUser + iota
+	kmeansTypeAssignJumbo
+	kmeansTypeReduce
 )
 
 // KMeansConfig parameterizes NewKMeans.
@@ -160,9 +160,9 @@ func (km *KMeans) Build() *dag.Graph {
 			cost := km.assignCost
 			cost.Ops *= pts
 			cost.Bytes *= pts
-			typ := KMeansTypeAssign
+			typ := kmeansTypeAssign
 			if i == km.Grains-1 {
-				typ = KMeansTypeAssignJumbo
+				typ = kmeansTypeAssignJumbo
 			}
 			assigns[i] = &dag.Task{
 				Label: fmt.Sprintf("assign[%d.%d]", iter, i),
@@ -175,7 +175,7 @@ func (km *KMeans) Build() *dag.Graph {
 		g.AddLayer(assigns, prevReduce)
 		prevReduce = g.Add(&dag.Task{
 			Label: fmt.Sprintf("reduce[%d]", iter),
-			Type:  KMeansTypeReduce,
+			Type:  kmeansTypeReduce,
 			Cost:  km.reduceCost,
 			Iter:  iter,
 		}, assigns...)

@@ -37,8 +37,8 @@ func (k KernelKind) String() string {
 	}
 }
 
-// TypeID returns the PTT task type for the kernel.
-func (k KernelKind) TypeID() ptt.TypeID {
+// typeID returns the PTT task type for the kernel.
+func (k KernelKind) typeID() ptt.TypeID {
 	switch k {
 	case MatMul:
 		return kernels.TypeMatMul
@@ -100,8 +100,8 @@ func (c SyntheticConfig) Defaults() SyntheticConfig {
 	return c
 }
 
-// Cost returns the machine-model cost of one task of this configuration.
-func (c SyntheticConfig) Cost() machine.Cost {
+// cost returns the machine-model cost of one task of this configuration.
+func (c SyntheticConfig) cost() machine.Cost {
 	switch c.Kernel {
 	case MatMul:
 		return kernels.MatMulCost(c.Tile)
@@ -123,8 +123,8 @@ func BuildSynthetic(cfg SyntheticConfig) *dag.Graph {
 		layers = 1
 	}
 	g.Grow(layers * cfg.Parallelism)
-	cost := cfg.Cost()
-	typeID := cfg.Kernel.TypeID()
+	cost := cfg.cost()
+	typeID := cfg.Kernel.typeID()
 	kernelName := cfg.Kernel.String()
 	var prevCritical *dag.Task
 	layerTasks := make([]*dag.Task, cfg.Parallelism)

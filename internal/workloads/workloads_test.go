@@ -83,7 +83,7 @@ func TestKernelKindString(t *testing.T) {
 	if MatMul.String() != "MatMul" || Copy.String() != "Copy" || Stencil.String() != "Stencil" {
 		t.Fatal("kernel names wrong")
 	}
-	if MatMul.TypeID() != kernels.TypeMatMul {
+	if MatMul.typeID() != kernels.TypeMatMul {
 		t.Fatal("type ids wrong")
 	}
 }
@@ -137,15 +137,15 @@ func TestKMeansGraphShape(t *testing.T) {
 	for iter := 0; iter < iters; iter++ {
 		base := iter * (grains + 1)
 		reduce := tasks[base+grains]
-		if reduce.Label != fmt.Sprintf("reduce[%d]", iter) || reduce.Type != KMeansTypeReduce ||
+		if reduce.Label != fmt.Sprintf("reduce[%d]", iter) || reduce.Type != kmeansTypeReduce ||
 			reduce.High || reduce.Iter != iter || reduce.PendingDeps() != grains {
 			t.Fatalf("iteration %d reduce is %+v", iter, reduce)
 		}
 		for i, a := range tasks[base : base+grains] {
 			jumbo := i == grains-1
-			wantType := KMeansTypeAssign
+			wantType := kmeansTypeAssign
 			if jumbo {
-				wantType = KMeansTypeAssignJumbo
+				wantType = kmeansTypeAssignJumbo
 			}
 			if a.Label != fmt.Sprintf("assign[%d.%d]", iter, i) || a.Type != wantType || a.High != jumbo || a.Iter != iter {
 				t.Fatalf("iteration %d assign %d is %+v", iter, i, a)
@@ -221,7 +221,33 @@ func TestHeatDistCostShapes(t *testing.T) {
 	if hd.ComputeCost.Ops <= 0 || hd.CommCost.Ops <= 0 {
 		t.Fatal("costs not derived")
 	}
-	if hd.BoundaryBytes() != float64(hd.Cols)*8 {
+	if hd.boundaryBytes() != float64(hd.Cols)*8 {
 		t.Fatal("boundary size wrong")
+	}
+}
+
+// Every builder tags a task's iteration inside [0, task count): the metrics
+// collector indexes iterations in one dense slice, so a builder that tagged
+// sparsely would grow that slice to its largest tag.
+func TestIterTagsBelowTaskCount(t *testing.T) {
+	hd := NewHeatDist(HeatDistConfig{Nodes: 2, BlocksPerNode: 4, Iters: 5, RowsPerBlock: 8, Cols: 64})
+	graphs := map[string]*dag.Graph{
+		"synthetic P=1":   BuildSynthetic(SyntheticConfig{Kernel: MatMul, Tasks: 50, Parallelism: 1}),
+		"synthetic P=4":   BuildSynthetic(SyntheticConfig{Kernel: Stencil, Tasks: 50, Parallelism: 4}),
+		"kmeans":          NewKMeans(KMeansConfig{N: 512, Grains: 4, MaxIters: 6}).Build(),
+		"heatdist node 0": hd.BuildNode(0),
+		"heatdist node 1": hd.BuildNode(1),
+	}
+	for name, g := range graphs {
+		n, seen := int(g.Total()), 0
+		for _, task := range g.Tasks() {
+			if task.Iter < 0 || task.Iter >= n {
+				t.Errorf("%s: task %s tagged iteration %d, outside [0, %d)", name, task.Label, task.Iter, n)
+			}
+			seen = max(seen, task.Iter+1)
+		}
+		if seen < 2 {
+			t.Errorf("%s: tags span %d iterations, want several", name, seen)
+		}
 	}
 }

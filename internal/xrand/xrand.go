@@ -72,8 +72,8 @@ func (r *RNG) next() uint32 {
 	return (xorshifted >> rot) | (xorshifted << ((-rot) & 31))
 }
 
-// Uint64 returns a uniformly distributed 64-bit value.
-func (r *RNG) Uint64() uint64 {
+// uint64 returns a uniformly distributed 64-bit value.
+func (r *RNG) uint64() uint64 {
 	return uint64(r.next())<<32 | uint64(r.next())
 }
 
@@ -97,7 +97,7 @@ func (r *RNG) Intn(n int) int {
 
 // Float64 returns a uniformly distributed float64 in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(r.uint64()>>11) / (1 << 53)
 }
 
 // NormFloat64 returns a normally distributed float64 with mean 0 and

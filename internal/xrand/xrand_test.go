@@ -8,7 +8,7 @@ import (
 func TestDeterminism(t *testing.T) {
 	a, b := New(123), New(123)
 	for i := 0; i < 1000; i++ {
-		if a.Uint64() != b.Uint64() {
+		if a.uint64() != b.uint64() {
 			t.Fatalf("streams diverge at step %d", i)
 		}
 	}
@@ -18,7 +18,7 @@ func TestSeedsDiffer(t *testing.T) {
 	a, b := New(1), New(2)
 	same := 0
 	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
+		if a.uint64() == b.uint64() {
 			same++
 		}
 	}
@@ -32,7 +32,7 @@ func TestSplitIndependence(t *testing.T) {
 	c1 := parent.Split()
 	c2 := parent.Split()
 	for i := 0; i < 100; i++ {
-		if c1.Uint64() == c2.Uint64() {
+		if c1.uint64() == c2.uint64() {
 			t.Fatalf("sibling streams collide at step %d", i)
 		}
 	}
@@ -42,7 +42,7 @@ func TestSplitDeterminism(t *testing.T) {
 	a := New(9).Split()
 	b := New(9).Split()
 	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
+		if a.uint64() != b.uint64() {
 			t.Fatal("Split is not deterministic")
 		}
 	}
@@ -116,7 +116,7 @@ func TestJitterPositive(t *testing.T) {
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
-		_ = r.Uint64()
+		_ = r.uint64()
 	}
 }
 

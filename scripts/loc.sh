@@ -9,13 +9,17 @@
 # lowers it to the new count, a PR that needs more room raises it on purpose,
 # in the diff, where a reviewer sees it.
 #
-# The third ratchet, exports under internal/ without a production caller, is
-# a Go test, TestEveryExportHasAProductionCaller in
+# The third ratchet, exports under internal/ without a production caller in
+# another package, is a Go test, TestEveryExportHasAProductionCaller in
 # internal/simrt/exports_test.go, run by `go test ./...`. Its ceiling is its
 # allowlist: an entry goes when the ROADMAP item it names lands, and a new
 # one is added only in the diff.
+#
+# The fourth tracked number, the share of statements production traffic
+# reaches, comes from scripts/reach.sh, which holds every function at 0 % to
+# a verdict in scripts/reach.allow (a CI job of its own: it takes minutes).
 set -eu
-ceiling=15541
+ceiling=15459
 options_ceiling=30
 cd "$(dirname "$0")/.."
 n=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)

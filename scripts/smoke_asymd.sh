@@ -1,11 +1,14 @@
 #!/usr/bin/env sh
-# smoke_asymd.sh — build asymd and smoke two topologies:
+# smoke_asymd.sh — build asymd and smoke three topologies:
 #
 #  1. single node: start on an ephemeral port, hit /v1/healthz, submit a
 #     tiny burst-sweep, poll to done, assert a 64-hex fingerprint in a
 #     one-line result sent with Content-Length, a 304 for a conditional
 #     re-fetch, a warm-cache resubmit, and a renamed raw copy of the sweep
-#     answered "done" in its 202 reply from the cell cache;
+#     answered "done" in its 202 reply from the cell cache; then one tiny
+#     job per client-selectable feature (every workload kind, daggen model
+#     and disturbance kind, sym<N>, custom clusters, combined profiles,
+#     every family) and a 400 for each unknown kind or model;
 #  2. two nodes: start a worker and a coordinator peered to it
 #     (-peers, -shard 1), submit a raw multi-cell spec, assert the worker
 #     simulated shards, fetch a per-cell sim-time trace from the
@@ -23,7 +26,7 @@
 # without -pprof and serve with it, and after the chaos kill the
 # coordinator's breaker gauge must read 2 (down) for the dead peer.
 #
-# Used by CI (asymd-smoke job) and runnable locally.
+# Used by CI (smoke job, through scripts/reach.sh) and runnable locally.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -63,6 +66,21 @@ wait_addr() {
 	printf '%s' "$_addr"
 }
 
+# wait_done <base url> <job id> <label> <tries>: poll the job every 0.2 s
+# until it is "done" and print its final status; failed or stuck is an error.
+wait_done() {
+	_state=""
+	for _ in $(seq 1 "$4"); do
+		_status="$(curl -fsS "$1/v1/jobs/$2")"
+		_state="$(printf '%s' "$_status" | sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p')"
+		[ "$_state" = "done" ] && { printf '%s' "$_status"; return 0; }
+		[ "$_state" = "failed" ] && { echo "$3 failed: $_status" >&2; return 1; }
+		sleep 0.2
+	done
+	echo "$3 stuck in state '$_state'" >&2
+	return 1
+}
+
 "$BIN" -addr 127.0.0.1:0 >"$LOG" 2>&1 &
 PID=$!
 ADDR="$(wait_addr "$LOG" "$PID")"
@@ -81,15 +99,7 @@ JOB="$(printf '%s' "$SUBMIT" | sed -n 's/.*"id": *"\([0-9a-f]*\)".*/\1/p')"
 [ -n "$JOB" ] || { echo "no job id in: $SUBMIT"; exit 1; }
 echo "submitted job $JOB"
 
-STATE=""
-for _ in $(seq 1 150); do
-	STATUS="$(curl -fsS "$BASE/v1/jobs/$JOB")"
-	STATE="$(printf '%s' "$STATUS" | sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p')"
-	[ "$STATE" = "done" ] && break
-	[ "$STATE" = "failed" ] && { echo "job failed: $STATUS"; exit 1; }
-	sleep 0.2
-done
-[ "$STATE" = "done" ] || { echo "job stuck in state '$STATE'"; exit 1; }
+wait_done "$BASE" "$JOB" "job" 150 >/dev/null
 
 RESULT="$(curl -fsS "$BASE/v1/results/$JOB")"
 printf '%s' "$RESULT" | grep -Eq '"fingerprint": *"[0-9a-f]{64}"' \
@@ -193,20 +203,90 @@ SUBMIT="$(curl -fsS -X POST -H 'Content-Type: application/json' \
 JOBG="$(printf '%s' "$SUBMIT" | sed -n 's/.*"id": *"\([0-9a-f]*\)".*/\1/p')"
 [ -n "$JOBG" ] || { echo "no job id in: $SUBMIT"; exit 1; }
 
-STATE=""
-for _ in $(seq 1 150); do
-	STATUS="$(curl -fsS "$BASE/v1/jobs/$JOBG")"
-	STATE="$(printf '%s' "$STATUS" | sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p')"
-	[ "$STATE" = "done" ] && break
-	[ "$STATE" = "failed" ] && { echo "batch job failed: $STATUS"; exit 1; }
-	sleep 0.2
-done
-[ "$STATE" = "done" ] || { echo "batch job stuck in state '$STATE'"; exit 1; }
+wait_done "$BASE" "$JOBG" "batch job" 150 >/dev/null
 
 R1="$(curl -fsS "$BASE/v1/healthz" | sed -n 's/.*"cell_runs": *\([0-9]*\).*/\1/p')"
 DELTA=$((R1 - R0))
 [ "$DELTA" = "3" ] || { echo "same-graph sweep advanced cell_runs by $DELTA, want 3"; exit 1; }
 echo "batched same-graph sweep simulated exactly $DELTA cells"
+
+# --- one tiny job per client-selectable feature ---------------------------
+
+# Every choice a client can make in a spec document: each workload kind
+# (synthetic, kmeans, heatdist, an inline dagfile graph, daggen), each
+# daggen model, each disturbance kind, a sym<N> preset and a custom
+# platform.clusters list, and time-varying disturbances stacked on one
+# cluster (their profiles combine); then GET /v1/families and one
+# {"family": …} POST per family. Each job must finish "done" with a 64-hex
+# fingerprint; an unknown workload kind, generator model or disturbance
+# kind must be a 400 that lists the known names.
+
+# run_job <label> <request body>: submit, poll to done, check the fingerprint.
+run_job() {
+	_reply="$(curl -sS -X POST -H 'Content-Type: application/json' -d "$2" "$BASE/v1/jobs")"
+	_id="$(printf '%s' "$_reply" | sed -n 's/.*"id": *"\([0-9a-f]*\)".*/\1/p')"
+	[ -n "$_id" ] || { echo "$1: no job id in: $_reply"; exit 1; }
+	wait_done "$BASE" "$_id" "$1" 150 >/dev/null
+	curl -fsS "$BASE/v1/results/$_id" | grep -Eq '"fingerprint": *"[0-9a-f]{64}"' \
+		|| { echo "$1: no 64-hex fingerprint"; exit 1; }
+	echo "ok  $1"
+}
+
+# reject <label> <request body> <expected text>: a 400 that says the text.
+reject() {
+	_body="$(curl -sS -w '\n%{http_code}' -X POST -H 'Content-Type: application/json' -d "$2" "$BASE/v1/jobs")"
+	[ "$(printf '%s\n' "$_body" | tail -n 1)" = "400" ] || { echo "$1: want a 400, got: $_body"; exit 1; }
+	printf '%s' "$_body" | grep -qF "$3" || { echo "$1: the 400 does not say '$3': $_body"; exit 1; }
+	echo "ok  $1"
+}
+
+# spec <name> <workload> [disturb] [platform]: a one-cell spec document.
+spec() {
+	printf '{"spec": {"name": "%s", "platform": %s, "workload": %s, "disturb": [%s], "policies": ["DAM-C"], "seed": 5}}' \
+		"$1" "${4:-{\"preset\": \"tx2\"\}}" "$2" "${3:-}"
+}
+
+SYN='{"kind": "synthetic", "synthetic": {"kernel": "MatMul", "tasks": 300, "parallelism": 4}}'
+
+# Workload kinds.
+run_job "workload synthetic" "$(spec w-synthetic "$SYN")"
+run_job "workload kmeans" "$(spec w-kmeans '{"kind": "kmeans", "kmeans": {"n": 2048, "grains": 8, "max_iters": 3}}')"
+run_job "workload heatdist" "$(spec w-heatdist '{"kind": "heatdist", "heat": {"nodes": 2, "blocks_per_node": 4, "iters": 3, "rows_per_block": 8, "cols": 1024}}')"
+run_job "workload dagfile" "$(spec w-dagfile "{\"kind\": \"dagfile\", \"dag\": $(tr -d '\n' <examples/dag/demo.json)}")"
+for model in cholesky fork-join lu random-layered; do
+	run_job "daggen $model" "$(spec "g-$model" "{\"kind\": \"daggen\", \"daggen\": {\"model\": \"$model\", \"tiles\": 4, \"layers\": 4, \"width\": 4}}")"
+done
+
+# Disturbance kinds.
+run_job "disturb corun-cpu" "$(spec d-corun-cpu "$SYN" '{"kind": "corun-cpu", "cores": [0], "share": 0.5}')"
+run_job "disturb corun-mem" "$(spec d-corun-mem "$SYN" '{"kind": "corun-mem", "cores": [2], "share": 0.5, "bw_factor": 0.5}')"
+run_job "disturb dvfs" "$(spec d-dvfs "$SYN" '{"kind": "dvfs", "cluster": 0, "hi_hz": 2.035e9, "lo_hz": 3.45e8, "hi_dur": 0.05, "lo_dur": 0.05}')"
+run_job "disturb stall" "$(spec d-stall "$SYN" '{"kind": "stall", "cores": [1], "from": 0.01, "to": 0.05}')"
+run_job "disturb burst" "$(spec d-burst "$SYN" '{"kind": "burst", "cluster": 1, "share": 0.4, "busy_dur": 0.01, "idle_dur": 0.02, "phase_step": 0.005}')"
+run_job "disturb throttle" "$(spec d-throttle "$SYN" '{"kind": "throttle", "cluster": 0, "from": 0.01, "to": 0.05, "floor": 0.3, "ramp_steps": 4}')"
+# A time-varying clock and time-varying availability on one cluster: each
+# core's rate profile is their combination.
+run_job "disturb dvfs+burst" "$(spec d-combine "$SYN" '{"kind": "dvfs", "cluster": 0, "hi_hz": 2.035e9, "lo_hz": 3.45e8, "hi_dur": 0.05, "lo_dur": 0.05}, {"kind": "burst", "cluster": 0, "share": 0.4, "busy_dur": 0.01, "idle_dur": 0.02}')"
+# A periodic clock and a one-off stall on one core: a periodic profile
+# combines with an aperiodic one.
+run_job "disturb dvfs+stall" "$(spec d-combine-stall "$SYN" '{"kind": "dvfs", "cluster": 0, "hi_hz": 2.035e9, "lo_hz": 3.45e8, "hi_dur": 0.05, "lo_dur": 0.05}, {"kind": "stall", "cores": [1], "from": 0.01, "to": 0.05}')"
+
+# Hostile input: an unknown name is a 400 that lists the known ones.
+reject "unknown workload kind" "$(spec x-kind '{"kind": "nope"}')" 'known kinds: synthetic, kmeans, heatdist, dagfile, daggen'
+reject "unknown daggen model" "$(spec x-model '{"kind": "daggen", "daggen": {"model": "nope"}}')" 'known models: cholesky, fork-join, lu, random-layered'
+reject "unknown disturbance kind" "$(spec x-disturb "$SYN" '{"kind": "nope"}')" 'known kinds: corun-cpu, corun-mem, dvfs, stall, burst, throttle'
+
+# Platforms.
+run_job "platform sym4" "$(spec p-sym4 "$SYN" "" '{"preset": "sym4"}')"
+run_job "platform clusters" "$(spec p-clusters "$SYN" "" '{"clusters": [{"name": "big", "first_core": 0, "num_cores": 2, "widths": [1, 2], "speed": 3, "base_hz": 2e9, "l1_bytes": 65536, "l2_bytes": 2097152, "mem_bandwidth": 3e10}, {"name": "little", "first_core": 2, "num_cores": 4, "widths": [1, 2, 4], "speed": 1, "base_hz": 1.5e9, "l1_bytes": 32768, "l2_bytes": 2097152, "mem_bandwidth": 3e10}]}')"
+
+# Families: the listing, then one job each.
+FAMILIES="$(curl -fsS "$BASE/v1/families" | grep -o '"name": *"[^"]*"' | sed 's/.*"\([^"]*\)"$/\1/')"
+[ -n "$FAMILIES" ] || { echo "GET /v1/families listed nothing"; exit 1; }
+for fam in $FAMILIES; do
+	run_job "family $fam" "{\"family\": \"$fam\", \"scale\": 0.01}"
+done
+echo "feature smoke OK"
 
 # --- two-node peer topology: coordinator + one worker ---------------------
 
@@ -229,15 +309,7 @@ SUBMIT="$(curl -fsS -X POST -H 'Content-Type: application/json' \
 JOB2="$(printf '%s' "$SUBMIT" | sed -n 's/.*"id": *"\([0-9a-f]*\)".*/\1/p')"
 [ -n "$JOB2" ] || { echo "no job id in: $SUBMIT"; exit 1; }
 
-STATE=""
-for _ in $(seq 1 150); do
-	STATUS="$(curl -fsS "$COORD/v1/jobs/$JOB2")"
-	STATE="$(printf '%s' "$STATUS" | sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p')"
-	[ "$STATE" = "done" ] && break
-	[ "$STATE" = "failed" ] && { echo "sharded job failed: $STATUS"; exit 1; }
-	sleep 0.2
-done
-[ "$STATE" = "done" ] || { echo "sharded job stuck in state '$STATE'"; exit 1; }
+wait_done "$COORD" "$JOB2" "sharded job" 150 >/dev/null
 
 # The worker must have simulated some of the shards.
 WRUNS="$(curl -fsS "http://$WADDR/v1/healthz" | sed -n 's/.*"cell_runs": *\([0-9]*\).*/\1/p')"
@@ -269,15 +341,7 @@ JOB3="$(printf '%s' "$SUBMIT" | sed -n 's/.*"id": *"\([0-9a-f]*\)".*/\1/p')"
 [ -n "$JOB3" ] || { echo "no job id in: $SUBMIT"; exit 1; }
 [ "$JOB3" != "$JOB2" ] || { echo "extended spec hashed to the same job"; exit 1; }
 
-STATE=""
-for _ in $(seq 1 150); do
-	STATUS="$(curl -fsS "$COORD/v1/jobs/$JOB3")"
-	STATE="$(printf '%s' "$STATUS" | sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p')"
-	[ "$STATE" = "done" ] && break
-	[ "$STATE" = "failed" ] && { echo "delta job failed: $STATUS"; exit 1; }
-	sleep 0.2
-done
-[ "$STATE" = "done" ] || { echo "delta job stuck in state '$STATE'"; exit 1; }
+STATUS="$(wait_done "$COORD" "$JOB3" "delta job" 150)"
 
 # 4 of the 6 cells (2 policies x 3 points) overlap spec A and must be
 # cell-cache hits; only the 2 new P6 cells may miss.
@@ -301,15 +365,7 @@ SUBMIT="$(curl -fsS -X POST -H 'Content-Type: application/json' \
 	-d "{\"spec\": $SPEC_C}" "$BASE/v1/jobs")"
 JOBREF="$(printf '%s' "$SUBMIT" | sed -n 's/.*"id": *"\([0-9a-f]*\)".*/\1/p')"
 [ -n "$JOBREF" ] || { echo "no job id in: $SUBMIT"; exit 1; }
-STATE=""
-for _ in $(seq 1 300); do
-	STATUS="$(curl -fsS "$BASE/v1/jobs/$JOBREF")"
-	STATE="$(printf '%s' "$STATUS" | sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p')"
-	[ "$STATE" = "done" ] && break
-	[ "$STATE" = "failed" ] && { echo "reference job failed: $STATUS"; exit 1; }
-	sleep 0.2
-done
-[ "$STATE" = "done" ] || { echo "reference job stuck in state '$STATE'"; exit 1; }
+wait_done "$BASE" "$JOBREF" "reference job" 300 >/dev/null
 FP_WANT="$(curl -fsS "$BASE/v1/results/$JOBREF" | sed -n 's/.*"fingerprint": *"\([^"]*\)".*/\1/p')"
 [ -n "$FP_WANT" ] || { echo "no reference fingerprint"; exit 1; }
 
@@ -346,15 +402,7 @@ done
 kill -9 "$W1PID"
 echo "killed worker 1 after $W1RUNS cells"
 
-STATE=""
-for _ in $(seq 1 300); do
-	STATUS="$(curl -fsS "$CHAOS/v1/jobs/$JOBC")"
-	STATE="$(printf '%s' "$STATUS" | sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p')"
-	[ "$STATE" = "done" ] && break
-	[ "$STATE" = "failed" ] && { echo "chaos job failed: $STATUS"; exit 1; }
-	sleep 0.2
-done
-[ "$STATE" = "done" ] || { echo "chaos job stuck in state '$STATE'"; exit 1; }
+STATUS="$(wait_done "$CHAOS" "$JOBC" "chaos job" 300)"
 
 # The fingerprint must be byte-identical to the undisturbed run.
 FP_GOT="$(curl -fsS "$CHAOS/v1/results/$JOBC" | sed -n 's/.*"fingerprint": *"\([^"]*\)".*/\1/p')"

@@ -14,9 +14,13 @@
 #     its variant's one frozen graph, so asymbench fig4a (synthetic) and fig10
 #     (distributed heat, one graph per node) must print the same bytes on one
 #     worker (GOMAXPROCS=1) as on the default executor's GOMAXPROCS workers,
-#     but for the "(… in N.Ns)" wall-time lines.
+#     but for the "(… in N.Ns)" wall-time lines;
+#  7. the CLIs' report modes: dagsim refuses an unknown policy, dagsim
+#     -list and asymbench -list name their entries, and the schedule
+#     reports of dagsim -explain and asymbench -scenario burst-sweep
+#     -explain -progress are checked line by line.
 #
-# Used by CI (dagsim-smoke step) and runnable locally.
+# Used by CI (smoke job, through scripts/reach.sh) and runnable locally.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -85,5 +89,26 @@ for exp in fig4a fig10; do
 	[ "$one" = "$many" ] || { echo "asymbench -exp $exp differs between 1 worker and the default worker count"; exit 1; }
 done
 echo "worker-count independence OK: fig4a and fig10 identical on 1 and $(getconf _NPROCESSORS_ONLN) CPUs"
+
+# 7: the listings, a refused flag and the schedule reports.
+OUT="${TMPDIR:-/tmp}/dagsim-smoke-report"
+if "$BIN" -policy nope >"$OUT" 2>&1; then
+	echo "dagsim accepted -policy nope"; exit 1
+fi
+grep -q 'unknown policy' "$OUT" || { echo "dagsim -policy nope did not name the policy:"; cat "$OUT"; exit 1; }
+"$BIN" -list | grep -q '^  random-layered$' || { echo "dagsim -list does not list random-layered"; exit 1; }
+"$BENCH" -list | grep -q '^  fig9a$' || { echo "asymbench -list does not list fig9a"; exit 1; }
+"$BIN" -explain -tasks 500 >"$OUT"
+for want in '^per-core time breakdown' '^steal matrix' '^queues: mean ready' '^ptt: [0-9]* predictions'; do
+	grep -q "$want" "$OUT" || { echo "dagsim -explain: no line matching '$want'"; exit 1; }
+done
+"$BENCH" -scenario burst-sweep -scale 0.01 -explain -progress >"$OUT" 2>"$OUT.progress"
+for want in '^# burst-sweep$' '^## schedule report: RWS$' '^## schedule report: DAM-P$' '^per-core time breakdown' \
+	'^steal matrix' '^queues: mean ready' '^ptt: no predictions' '^ptt: [0-9]* predictions'; do
+	grep -q "$want" "$OUT" || { echo "asymbench -explain: no line matching '$want'"; exit 1; }
+done
+grep -q '21/21 cells' "$OUT.progress" || { echo "asymbench -progress never reported 21/21 cells"; exit 1; }
+rm -f "$OUT" "$OUT.progress"
+echo "reports OK: dagsim -list/-explain/-policy nope, asymbench -list/-scenario -explain -progress"
 
 echo "dagsim smoke OK"

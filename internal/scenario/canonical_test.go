@@ -240,6 +240,7 @@ func TestHashNormalization(t *testing.T) {
 // policy names are errors, not silent drops.
 func TestParseSpecRejects(t *testing.T) {
 	for name, doc := range map[string]string{
+		"missing kind":    `{"workload": {}, "policies": ["RWS"]}`,
 		"unknown field":   `{"workload": {"kind": "synthetic"}, "policies": ["RWS"], "bogus": 1}`,
 		"unknown kind":    `{"workload": {"kind": "quantum"}, "policies": ["RWS"]}`,
 		"unknown kernel":  `{"workload": {"kind": "synthetic", "synthetic": {"kernel": "FFT"}}, "policies": ["RWS"]}`,
@@ -315,8 +316,9 @@ func (c *chanCounter) check(t *testing.T, total int) {
 }
 
 // FuzzParseSpec holds the spec layer to what a daemon needs of it: no body a
-// client can POST makes ParseSpec panic, and a spec that parses and validates
-// also plans and re-parses from its own canonical encoding to the same hash.
+// client can POST makes ParseSpec panic, a spec that parses re-parses from
+// its own canonical encoding to the same encoding, and a spec that also
+// validates plans.
 // Plan only — no cell runs. The corpus is every registered family plus four
 // bodies that used to pass Validate and die in makeslice — three negative
 // sizes in the builders, one 2^40-repetition grid in NewPlan — one that died
@@ -352,8 +354,19 @@ func FuzzParseSpec(f *testing.F) {
 			return
 		}
 		// The service hashes a submission before it validates it (a known
-		// spec needs no validation), so Hash must survive any parsed spec.
-		_, _ = s.Hash()
+		// spec needs no validation), so the key contract holds for every
+		// spec that parses, valid or not: its canonical encoding re-parses
+		// to a spec that encodes to the same bytes.
+		if k, err := s.Key(); err == nil {
+			back, err := ParseSpec(k.JSON)
+			if err != nil {
+				t.Fatalf("canonical encoding does not re-parse: %v\n%s", err, k.JSON)
+			}
+			again, err := back.Key()
+			if err != nil || !bytes.Equal(again.JSON, k.JSON) {
+				t.Fatalf("canonical encoding is not a fixed point (%v)\n first: %s\nsecond: %s", err, k.JSON, again.JSON)
+			}
+		}
 		if s.Validate() != nil {
 			return
 		}

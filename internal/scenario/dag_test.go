@@ -282,41 +282,52 @@ func TestDAGValidation(t *testing.T) {
 	})
 }
 
-// ParseSpec's unknown-kind errors must name the offending field and
-// enumerate the accepted values (for workloads, disturbances, kernels
-// and generator models).
+// ParseSpec's unknown-name errors must name the offending field and
+// enumerate the accepted values (for workloads, disturbances and kernels).
+// The whole message is pinned: clients see it in a 400's body.
 func TestParseSpecErrorsNameFieldAndKnownKinds(t *testing.T) {
 	cases := []struct {
-		name, doc string
-		wants     []string
+		name, doc, want string
 	}{
 		{
 			"workload kind",
 			`{"workload": {"kind": "sinthetic"}, "policies": ["RWS"]}`,
-			[]string{`workload.kind "sinthetic"`, "known kinds:", "synthetic", "kmeans", "heatdist", "dagfile", "daggen"},
+			`scenario: unknown workload.kind "sinthetic" (known kinds: synthetic, kmeans, heatdist, dagfile, daggen)`,
+		},
+		{
+			"missing workload kind",
+			`{"workload": {}, "policies": ["RWS"]}`,
+			`scenario: unknown workload.kind "" (known kinds: synthetic, kmeans, heatdist, dagfile, daggen)`,
 		},
 		{
 			"kernel",
 			`{"workload": {"kind": "synthetic", "synthetic": {"kernel": "MatMull", "tile": 64, "sweeps": 1, "tasks": 10, "parallelism": 2}}, "policies": ["RWS"]}`,
-			[]string{`workload.synthetic.kernel "MatMull"`, "known kernels:", "MatMul", "Copy", "Stencil"},
+			`scenario: unknown workload.synthetic.kernel "MatMull" (known kernels: MatMul, Copy, Stencil)`,
 		},
 		{
 			"disturb kind",
 			`{"workload": {"kind": "synthetic"}, "disturb": [{"kind": "corun-cpu", "share": 0.5}, {"kind": "quake"}], "policies": ["RWS"]}`,
-			[]string{`disturb[1].kind "quake"`, "known kinds:", "corun-cpu", "corun-mem", "dvfs", "stall", "burst", "throttle"},
+			`scenario: unknown disturb[1].kind "quake" (known kinds: corun-cpu, corun-mem, dvfs, stall, burst, throttle)`,
+		},
+		{
+			"policy",
+			`{"workload": {"kind": "synthetic"}, "policies": ["SJF"]}`,
+			`core: unknown policy "SJF"`,
+		},
+		{
+			"unknown field",
+			`{"workload": {"kind": "synthetic"}, "policies": ["RWS"], "bogus": 1}`,
+			`scenario: parse spec: json: unknown field "bogus"`,
 		},
 	}
 	for _, c := range cases {
-		c := c
 		t.Run(c.name, func(t *testing.T) {
 			_, err := ParseSpec([]byte(c.doc))
 			if err == nil {
 				t.Fatalf("ParseSpec accepted %s", c.doc)
 			}
-			for _, w := range c.wants {
-				if !strings.Contains(err.Error(), w) {
-					t.Errorf("error %q does not mention %q", err, w)
-				}
+			if err.Error() != c.want {
+				t.Errorf("error %q, want %q", err, c.want)
 			}
 		})
 	}

@@ -7,6 +7,7 @@ import (
 
 	"dynasym/internal/core"
 	"dynasym/internal/dagio"
+	"dynasym/internal/topology"
 	"dynasym/internal/workloads"
 )
 
@@ -76,6 +77,78 @@ func TestSpecHashGoldenVectors(t *testing.T) {
 				Seed:     11,
 			},
 			want: "bbd79ec42b787606b309365d7c6338870eae143cd62031c7593b0d4aa8ea8985",
+		},
+		{
+			// Every disturbance field: the kinds fullSpec lacks (a memory
+			// co-runner's bandwidth factor, a stall) and a throttle whose
+			// unset ramp steps encode as the default.
+			name: "full-disturbances",
+			spec: func() Spec {
+				s := fullSpec()
+				s.Disturb[2].RampSteps = 0
+				s.Disturb = append(s.Disturb,
+					Disturbance{Kind: CoRunMemory, Cores: []int{4}, Share: 0.6, BWFactor: 0.7},
+					Disturbance{Kind: stall, Cores: []int{5}, From: 1, To: 2})
+				return s
+			}(),
+			want: "3ea80a740eaf859a059ae29ef27051b372076cf97143d2c6d909f11ffceb31a1",
+		},
+		{
+			// A custom cluster list with a width cap: every cluster field is
+			// encoded, and the stray preset beside it is dropped.
+			name: "custom-clusters",
+			spec: func() Spec {
+				s := fullSpec()
+				tx2 := topology.TX2()
+				s.Platform = PlatformSpec{Preset: "haswell16", WidthCap: 2}
+				for i := range tx2.NumClusters() {
+					s.Platform.Clusters = append(s.Platform.Clusters, tx2.Cluster(i))
+				}
+				return s
+			}(),
+			want: "7d976b62907a98ed8166f577a27d5e9a7e0d6da077ebcecffb230f32be713afc",
+		},
+		{
+			// A generated graph with a criticality variant; the inactive
+			// synthetic config is not encoded.
+			name: "daggen",
+			spec: Spec{
+				Workload: WorkloadSpec{
+					Kind:        DAGGen,
+					DAGGen:      dagio.GenConfig{Model: dagio.ModelRandomLayered, Layers: 4, Width: 6, Degree: 2, Seed: 3},
+					Synthetic:   workloads.SyntheticConfig{Kernel: workloads.Copy, Tasks: 50},
+					Criticality: CritNone,
+				},
+				Policies: []core.Policy{core.DAMC()},
+				Seed:     9,
+			},
+			want: "01abbcd05bfffafb56fd88e8cce7a333947d96fce4c65ad4bd49ca6986b6a47f",
+		},
+		{
+			// A named imported graph: the name is not encoded, nor is the
+			// inactive kmeans config.
+			name: "dagfile-named",
+			spec: func() Spec {
+				g := dagio.Demo()
+				g.Name = "golden-named"
+				return Spec{
+					Workload: WorkloadSpec{Kind: DAGFile, DAG: g, KMeans: workloads.KMeansConfig{K: 3}},
+					Policies: []core.Policy{core.DAMP()},
+					Seed:     5,
+				}
+			}(),
+			want: "8cfa8c568b1a463b1dcc2effa4e38a5825c2e8ec3bc0c2a0d3ae166316dde0d9",
+		},
+		{
+			// KMeans with a sampled policy: the criticality, which only
+			// graph workloads take, is not encoded.
+			name: "kmeans-sampled",
+			spec: Spec{
+				Workload: WorkloadSpec{Kind: KMeans, KMeans: workloads.KMeansConfig{K: 4, MaxIters: 3}, Criticality: CritInferred},
+				Policies: []core.Policy{core.NewSampled(core.DAMC(), 4)},
+				Seed:     3,
+			},
+			want: "095f6f6d7f68f7eb40fb5f93366165f95be5d4a7710dd516b15d67cc3bf5a9d1",
 		},
 	}
 	for _, v := range vectors {

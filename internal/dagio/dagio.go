@@ -39,36 +39,41 @@ import (
 // Node is one task of an imported or generated graph.
 type Node struct {
 	// ID names the node; unique within the graph.
-	ID string
+	ID string `json:"id"`
 	// Work is the task's abstract compute in machine-model ops
 	// (cycles consumed on a speed-1.0 core per Hz). Must be positive.
-	Work float64
+	Work float64 `json:"work"`
 	// Bytes is the task's DRAM traffic (split across place members).
-	Bytes float64
+	Bytes float64 `json:"bytes,omitempty"`
 	// Type groups tasks into PTT classes; empty means the default
 	// class "task". Each distinct type gets its own Performance Trace
 	// Table, so schedulers learn per-type execution profiles.
-	Type string
+	Type string `json:"type,omitempty"`
 	// High marks the task as high priority (critical).
-	High bool
+	High bool `json:"high,omitempty"`
 }
 
 // Edge is one dependency: To cannot start before From completes.
 type Edge struct {
-	From, To string
+	From string `json:"from"`
+	To   string `json:"to"`
 }
 
 // GraphSpec is the declarative task-graph description shared by the
 // importers and the generators. It is plain data: Normalize, Validate,
-// Digest and Build never mutate the receiver.
+// Digest and Build never mutate the receiver. Its JSON encoding is the
+// documented import schema (see json.go) and, for Canonical's result, the
+// canonical encoding the scenario layer embeds in spec hashes, so a graph
+// submitted as JSON and the same graph imported from DOT produce
+// identical canonical bytes.
 type GraphSpec struct {
-	// Name labels the graph in reports. It is not part of the
-	// canonical encoding or the Digest: two structurally identical
-	// graphs are the same workload no matter what their sources were
-	// called.
-	Name  string
-	Nodes []Node
-	Edges []Edge
+	// Name labels the graph in reports. It is accepted on import for
+	// readability, but it is not part of the canonical encoding or the
+	// Digest: two structurally identical graphs are the same workload no
+	// matter what their sources were called.
+	Name  string `json:"name,omitempty"`
+	Nodes []Node `json:"nodes"`
+	Edges []Edge `json:"edges,omitempty"`
 }
 
 // isNormalized reports whether the graph is already in canonical form,
@@ -189,76 +194,18 @@ func (g *GraphSpec) Validate() error {
 	return nil
 }
 
-// JSONGraph is the wire/JSON form of a graph. It is both the documented
-// import schema (parseJSON) and the canonical encoding the scenario
-// layer embeds in spec hashes, so a graph submitted as JSON and the
-// same graph imported from DOT produce identical canonical bytes.
-type JSONGraph struct {
-	// Name is accepted on import for readability but stripped from the
-	// canonical encoding (see GraphSpec.Name).
-	Name  string     `json:"name,omitempty"`
-	Nodes []JSONNode `json:"nodes"`
-	Edges []JSONEdge `json:"edges,omitempty"`
-}
-
-// JSONNode is one node of the JSON schema.
-type JSONNode struct {
-	ID    string  `json:"id"`
-	Work  float64 `json:"work"`
-	Bytes float64 `json:"bytes,omitempty"`
-	Type  string  `json:"type,omitempty"`
-	High  bool    `json:"high,omitempty"`
-}
-
-// JSONEdge is one dependency of the JSON schema.
-type JSONEdge struct {
-	From string `json:"from"`
-	To   string `json:"to"`
-}
-
-// Wire returns the normalized wire form with the name stripped — the
-// exact value whose JSON marshaling is the graph's canonical encoding.
-func (g *GraphSpec) Wire() JSONGraph {
+// Canonical returns the graph's canonical form: normalized, with the name
+// stripped. Its JSON encoding is the graph's canonical encoding.
+func (g *GraphSpec) Canonical() *GraphSpec {
 	ng := g.normalized()
-	w := JSONGraph{Nodes: make([]JSONNode, len(ng.Nodes))}
-	for i, n := range ng.Nodes {
-		w.Nodes[i] = JSONNode{ID: n.ID, Work: n.Work, Bytes: n.Bytes, Type: n.Type, High: n.High}
-	}
-	if len(ng.Edges) > 0 {
-		w.Edges = make([]JSONEdge, len(ng.Edges))
-		for i, e := range ng.Edges {
-			w.Edges[i] = JSONEdge{From: e.From, To: e.To}
-		}
-	}
-	return w
-}
-
-// FromWire rebuilds a GraphSpec from its wire form.
-func FromWire(w JSONGraph) *GraphSpec {
-	g := &GraphSpec{Name: w.Name, Nodes: make([]Node, len(w.Nodes))}
-	for i, n := range w.Nodes {
-		g.Nodes[i] = Node{ID: n.ID, Work: n.Work, Bytes: n.Bytes, Type: n.Type, High: n.High}
-	}
-	if len(w.Edges) > 0 {
-		g.Edges = make([]Edge, len(w.Edges))
-		for i, e := range w.Edges {
-			g.Edges[i] = Edge{From: e.From, To: e.To}
-		}
-	}
-	return g
-}
-
-// canonicalJSON returns the canonical byte encoding of the graph:
-// the JSON marshaling of the normalized, name-stripped wire form.
-func (g *GraphSpec) canonicalJSON() ([]byte, error) {
-	return json.Marshal(g.Wire())
+	return &GraphSpec{Nodes: ng.Nodes, Edges: ng.Edges}
 }
 
 // Digest returns the sha256 (hex) of the canonical encoding — the
 // graph's content identity. Declaration order, source format and file
 // path cannot change it; any structural or cost change does.
 func (g *GraphSpec) Digest() (string, error) {
-	b, err := g.canonicalJSON()
+	b, err := json.Marshal(g.Canonical())
 	if err != nil {
 		return "", err
 	}

@@ -1,6 +1,7 @@
 package dagio
 
 import (
+	"encoding/json"
 	"os"
 	"strings"
 	"testing"
@@ -127,11 +128,18 @@ func TestBuildRejectsInvalidGraph(t *testing.T) {
 	}
 }
 
-// The wire form must round-trip exactly (it is both the import schema
-// and the canonical encoding the scenario layer hashes).
+// The canonical encoding must round-trip exactly through the JSON importer
+// (it is both the import schema and the encoding the scenario layer hashes).
 func TestWireRoundTrip(t *testing.T) {
 	g := Demo()
-	back := FromWire(g.Wire()).normalized()
+	b, err := json.Marshal(g.Canonical())
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := parseJSON(b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	da, _ := g.Digest()
 	db, _ := back.Digest()
 	if da != db {

@@ -47,23 +47,23 @@ func Models() []string {
 // GenConfig parameterizes one generated graph.
 type GenConfig struct {
 	// Model selects the generator (see Models).
-	Model string
+	Model string `json:"model"`
 	// Tiles is the tile-grid edge of the factorization models
 	// (default 8: 120 Cholesky tasks, 204 LU tasks).
-	Tiles int
+	Tiles int `json:"tiles"`
 	// Tile is the simulated tile edge in elements; it scales every
 	// task's compute and traffic like the synthetic kernels' Tile
 	// (default 64).
-	Tile int
+	Tile int `json:"tile"`
 	// Layers is the number of fork-join segments or random layers
 	// (default 12).
-	Layers int
+	Layers int `json:"layers"`
 	// Width is the fork width / tasks per random layer (default 8).
-	Width int
+	Width int `json:"width"`
 	// Degree caps a random-layered node's predecessors (default 3).
-	Degree int
+	Degree int `json:"degree"`
 	// Seed drives the random-layered structure and work jitter.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 }
 
 // Defaults fills unset fields.

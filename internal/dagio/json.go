@@ -15,8 +15,8 @@ package dagio
 //	}
 //
 // Unknown fields are errors (they are almost always typos that would
-// otherwise silently change the workload). The same schema doubles as
-// the canonical encoding — see JSONGraph.
+// otherwise silently change the workload). The schema is GraphSpec's own
+// JSON encoding, which doubles as the canonical encoding — see Canonical.
 
 import (
 	"bytes"
@@ -27,19 +27,19 @@ import (
 // parseJSON decodes a JSON task-graph document into a validated,
 // normalized GraphSpec.
 func parseJSON(data []byte) (*GraphSpec, error) {
-	var w JSONGraph
+	var g GraphSpec
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&w); err != nil {
+	if err := dec.Decode(&g); err != nil {
 		return nil, fmt.Errorf("dagio: parse JSON graph: %w", err)
 	}
 	// A second document after the first is garbage, not padding.
 	if dec.More() {
 		return nil, fmt.Errorf("dagio: parse JSON graph: trailing data after document")
 	}
-	g := FromWire(w).normalized()
-	if err := g.Validate(); err != nil {
+	ng := g.normalized()
+	if err := ng.Validate(); err != nil {
 		return nil, err
 	}
-	return g, nil
+	return ng, nil
 }

@@ -323,8 +323,9 @@ func (c *chanCounter) check(t *testing.T, total int) {
 // bodies that used to pass Validate and die in makeslice — three negative
 // sizes in the builders, one 2^40-repetition grid in NewPlan — one that died
 // out of memory in its first cell's builder (2^33 tasks), three that died the
-// same way inside Validate building the platform, and one 6 144-task graph of
-// 4.2 million edges.
+// same way inside Validate building the platform, one 6 144-task graph of
+// 4.2 million edges, and one custom cluster without memory bandwidth, whose
+// every cell used to panic.
 func FuzzParseSpec(f *testing.F) {
 	for _, name := range Names() {
 		fam, _ := Lookup(name)
@@ -344,6 +345,7 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(`{"platform":{"clusters":[{"name":"c","first_core":0,"num_cores":8589934592,"widths":[1],"speed":1,"base_hz":1e9}]},"workload":{"kind":"synthetic"},"policies":["RWS"]}`))
 	f.Add([]byte(`{"workload":{"kind":"daggen","daggen":{"model":"random-layered","layers":3,"width":2048,"degree":2048}},"policies":["RWS"]}`))
 	f.Add([]byte(`{"name":"x","platform":{"preset":"tx2"},"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":4194304}},"policies":["RWS"],"reps":17,"seed":1}`))
+	f.Add([]byte(`{"platform":{"clusters":[{"name":"c","first_core":0,"num_cores":2,"widths":[1,2],"speed":1,"base_hz":1e9}]},"workload":{"kind":"synthetic","synthetic":{"kernel":"Copy","tasks":20}},"policies":["RWS"]}`))
 	// Sampled policy names: core.ByName parses the text after the last '~'.
 	for _, name := range []string{"DAM-C~0", "DAM-C~", "~8", "DAM-P~8~4", "DAM-C~08", "DAM-C~1025"} {
 		f.Add([]byte(`{"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":50}},"policies":["` + name + `"]}`))

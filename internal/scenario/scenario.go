@@ -38,12 +38,12 @@ type PlatformSpec struct {
 	// "sym<N>" (e.g. "sym8"), or "scaleout-<clusters>x<cores>"
 	// (e.g. "scaleout-4x4" = 16 cores in 4 clusters). Ignored when Clusters
 	// is set.
-	Preset string
+	Preset string `json:"preset,omitempty"`
 	// Clusters builds a custom platform (see topology.New for the rules).
-	Clusters []topology.Cluster
+	Clusters []topology.Cluster `json:"clusters,omitempty"`
 	// WidthCap, when > 0, drops every width above it (1 disables
 	// moldability entirely — the width ablation).
-	WidthCap int
+	WidthCap int `json:"width_cap,omitempty"`
 }
 
 // maxPlatformCores bounds a platform's core count. A Platform indexes its
@@ -194,93 +194,89 @@ const (
 
 // WorkloadSpec describes the task graph each cell executes.
 type WorkloadSpec struct {
-	Kind      WorkloadKind
-	Synthetic workloads.SyntheticConfig
-	KMeans    workloads.KMeansConfig
-	Heat      workloads.HeatDistConfig
+	Kind      WorkloadKind              `json:"kind"`
+	Synthetic workloads.SyntheticConfig `json:"synthetic,omitzero"`
+	KMeans    workloads.KMeansConfig    `json:"kmeans,omitzero"`
+	Heat      workloads.HeatDistConfig  `json:"heat,omitzero"`
 	// DAG is the imported task graph executed when Kind is DAGFile
-	// (load one with dagio.LoadFile or the parsers).
-	DAG *dagio.GraphSpec
+	// (load one with dagio.LoadFile or the parsers). Canonically it
+	// encodes as its normalized content (dagio's schema, name stripped),
+	// never the source path, so DAGFile hashes are a pure function of the
+	// graph: rename the file, reorder its declarations, or re-submit it
+	// from another host, and the spec still lands on the same cache keys.
+	// It also makes the canonical spec self-contained, so a remote shard
+	// worker can rebuild the exact workload from the wire bytes alone.
+	DAG *dagio.GraphSpec `json:"dag,omitempty"`
 	// DAGGen parameterizes the generated graph when Kind is DAGGen.
-	DAGGen dagio.GenConfig
+	DAGGen dagio.GenConfig `json:"daggen,omitzero"`
 	// Criticality selects the priority-annotation variant: CritUser,
 	// CritInferred or CritNone. Synthetic, DAGFile and DAGGen graphs
 	// only (the importers' own high marks are the "user" annotations).
-	Criticality string
+	Criticality string `json:"criticality,omitempty"`
 }
 
-// Disturbance kinds.
-type DisturbKind int
+// DisturbKind names a disturbance kind. Its values are the names a spec
+// document spells, so an unknown name decodes, and ParseSpec refuses it
+// naming the disturbance's index.
+type DisturbKind string
 
+// Disturbance kinds.
 const (
 	// CoRunCPU time-shares the victim cores with a compute-bound
 	// co-runner, optionally only during [From, To).
-	CoRunCPU DisturbKind = iota
+	CoRunCPU DisturbKind = "corun-cpu"
 	// CoRunMemory time-shares one victim core and takes memory bandwidth
 	// from its whole cluster (whole-run only).
-	CoRunMemory
+	CoRunMemory DisturbKind = "corun-mem"
 	// dvfs installs a square-wave clock on a cluster.
-	dvfs
+	dvfs DisturbKind = "dvfs"
 	// stall makes the cores contribute nothing during [From, To).
-	stall
+	stall DisturbKind = "stall"
 	// Burst runs phase-shifted intermittent co-runners on the victim
 	// cores: busy for BusyDur, idle for IdleDur, each successive core
 	// shifted by PhaseStep seconds.
-	Burst
+	Burst DisturbKind = "burst"
 	// Throttle ramps a cluster's clock down to Floor×base over [From, To)
 	// in RampSteps plateaus and holds it there (thermal throttle).
-	Throttle
+	Throttle DisturbKind = "throttle"
 )
-
-// String names the kind for errors and reports.
-func (k DisturbKind) String() string {
-	switch k {
-	case CoRunCPU:
-		return "corun-cpu"
-	case CoRunMemory:
-		return "corun-mem"
-	case dvfs:
-		return "dvfs"
-	case stall:
-		return "stall"
-	case Burst:
-		return "burst"
-	case Throttle:
-		return "throttle"
-	default:
-		return fmt.Sprintf("DisturbKind(%d)", int(k))
-	}
-}
 
 // Disturbance is one time-varying degradation of the platform. The zero
 // window (From == To == 0) means the whole run for the co-runner kinds;
 // stall and Throttle require an explicit window.
 type Disturbance struct {
-	Kind DisturbKind
+	Kind DisturbKind `json:"kind"`
 	// Node selects the machine model in distributed (HeatDist) scenarios;
 	// single-runtime scenarios use node 0.
-	Node int
+	Node int `json:"node,omitempty"`
 	// Cores are the victim cores (CoRunCPU, stall, Burst; first entry is
 	// the victim for CoRunMemory). Empty means every core of Cluster.
-	Cores []int
+	Cores []int `json:"cores,omitempty"`
 	// Cluster is the victim cluster for DVFS and Throttle, and the core
 	// source when Cores is empty.
-	Cluster int
+	Cluster int `json:"cluster,omitempty"`
 	// Share is the core availability left to the runtime while the
 	// co-runner is active (CoRunCPU, CoRunMemory, Burst).
-	Share float64
+	Share float64 `json:"share,omitempty"`
 	// BWFactor is the remaining fraction of cluster memory bandwidth
 	// under CoRunMemory.
-	BWFactor float64
-	// From, To bound the episode in seconds of virtual time.
-	From, To float64
-	// HiHz, LoHz, HiDur, LoDur shape the DVFS square wave.
-	HiHz, LoHz, HiDur, LoDur float64
-	// BusyDur, IdleDur, Phase0, PhaseStep shape the Burst waves.
-	BusyDur, IdleDur, Phase0, PhaseStep float64
+	BWFactor float64 `json:"bw_factor,omitempty"`
+	// From and To bound the episode in seconds of virtual time.
+	From float64 `json:"from,omitempty"`
+	To   float64 `json:"to,omitempty"`
+	// HiHz, LoHz, HiDur and LoDur shape the DVFS square wave.
+	HiHz  float64 `json:"hi_hz,omitempty"`
+	LoHz  float64 `json:"lo_hz,omitempty"`
+	HiDur float64 `json:"hi_dur,omitempty"`
+	LoDur float64 `json:"lo_dur,omitempty"`
+	// BusyDur, IdleDur, Phase0 and PhaseStep shape the Burst waves.
+	BusyDur   float64 `json:"busy_dur,omitempty"`
+	IdleDur   float64 `json:"idle_dur,omitempty"`
+	Phase0    float64 `json:"phase0,omitempty"`
+	PhaseStep float64 `json:"phase_step,omitempty"`
 	// Floor and RampSteps shape the Throttle ramp.
-	Floor     float64
-	RampSteps int
+	Floor     float64 `json:"floor,omitempty"`
+	RampSteps int     `json:"ramp_steps,omitempty"`
 }
 
 // PaperDVFS returns the paper's Section 5.2 DVFS square wave on a cluster
@@ -299,42 +295,44 @@ func PaperDVFS(cluster int) Disturbance {
 // []Point{{Label: "2", Parallelism: 2}, ...}.
 type Point struct {
 	// Label names the point in results; must be unique within a spec.
-	Label string
+	Label string `json:"label"`
 	// Parallelism overrides the synthetic DAG's tasks per layer, or a
 	// daggen workload's layer/fork width.
-	Parallelism int
+	Parallelism int `json:"parallelism,omitempty"`
 	// Tile overrides the synthetic kernel tile size, or a daggen
 	// workload's tile-grid edge (the factorization problem size).
-	Tile int
+	Tile int `json:"tile,omitempty"`
 	// Alpha overrides the PTT new-sample weight for this point.
-	Alpha float64
+	Alpha float64 `json:"alpha,omitempty"`
 }
 
 // Spec is one declarative scenario: everything a run depends on, and
-// nothing else.
+// nothing else. Its JSON encoding, the json tags here and on the types it
+// holds, is the spec document ParseSpec reads and CanonicalJSON writes.
 type Spec struct {
 	// Name labels the scenario in reports.
-	Name string
+	Name string `json:"name,omitempty"`
 	// Platform selects the machine (default: preset "tx2").
-	Platform PlatformSpec
+	Platform PlatformSpec `json:"platform"`
 	// Workload selects the task graph.
-	Workload WorkloadSpec
+	Workload WorkloadSpec `json:"workload"`
 	// Disturb lists the platform degradations, applied before the run.
-	Disturb []Disturbance
+	Disturb []Disturbance `json:"disturb,omitempty"`
 	// Policies is the scheduler set; names must be unique.
-	Policies []core.Policy
+	Policies PolicyList `json:"policies"`
 	// Points is the sweep axis; empty means one default point.
-	Points []Point
+	Points []Point `json:"points"`
 	// Seed drives all randomness. Repetition r of every cell uses
 	// Seed + r*1000003, so rep 0 reproduces a plain single run.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// Reps is the number of repetitions per cell (default 1).
-	Reps int
+	Reps int `json:"reps"`
 	// Alpha is the base PTT new-sample weight (0 = the paper's 1/5).
-	Alpha float64
+	Alpha float64 `json:"alpha,omitempty"`
 	// Latency and Bandwidth describe the interconnect for HeatDist
 	// scenarios (defaults: 2 µs, 5 GB/s).
-	Latency, Bandwidth float64
+	Latency   float64 `json:"latency"`
+	Bandwidth float64 `json:"bandwidth"`
 	// Probe, when true, attaches a scheduler-introspection probe to every
 	// cell run and fills RunMetrics.Sched with the per-core time
 	// breakdown, steal matrix, queue-depth and PTT-error telemetry.
@@ -342,14 +340,14 @@ type Spec struct {
 	// with Probe on or off. Execution-only (CanonicalJSON and Hash ignore
 	// it); ignored for HeatDist cells. A single cell's schedule
 	// trace comes from Plan.RunCellTrace.
-	Probe bool
+	Probe bool `json:"-"`
 	// Progress, when non-nil, receives cell-completion updates from Run:
 	// once with (0, total) before execution starts, then once after every
 	// finished (policy × point × repetition) cell. Calls come from
 	// concurrent worker goroutines; the hook must be safe for concurrent
 	// use. Like Probe, Progress is execution plumbing, not
 	// part of the scenario's identity — CanonicalJSON and Hash ignore it.
-	Progress func(done, total int)
+	Progress func(done, total int) `json:"-"`
 }
 
 // withDefaults fills unset fields.

@@ -57,8 +57,8 @@ func TestValidateOK(t *testing.T) {
 		"sym":      {Preset: "sym1024"},
 		"scaleout": {Preset: "scaleout-32x32"},
 		"clusters": {Clusters: []topology.Cluster{
-			{Name: "a", NumCores: 1000, Speed: 1, BaseHz: 1e9},
-			{Name: "b", FirstCore: 1000, NumCores: 24, Speed: 1, BaseHz: 1e9},
+			{Name: "a", NumCores: 1000, Speed: 1, BaseHz: 1e9, MemBandwidth: 1e10},
+			{Name: "b", FirstCore: 1000, NumCores: 24, Speed: 1, BaseHz: 1e9, MemBandwidth: 1e10},
 		}},
 	} {
 		s := okSpec()
@@ -114,6 +114,9 @@ func TestValidateErrors(t *testing.T) {
 				Name: "bad", NumCores: 4, Widths: []int{1, 3}, Speed: 1, BaseHz: 1e9,
 			}}}
 		}, "does not divide"},
+		{"custom cluster without memory bandwidth", func(s *Spec) {
+			s.Platform = PlatformSpec{Clusters: []topology.Cluster{{Name: "c", NumCores: 2, Speed: 1, BaseHz: 1e9}}}
+		}, `cluster "c" has non-positive mem_bandwidth 0`},
 		{"negative reps", func(s *Spec) { s.Reps = -1 }, "negative repetitions"},
 		{"grid one cell over the limit", func(s *Spec) { s.Reps = maxGridCells + 1 },
 			"1 policies × 1 points × 1048577 reps exceeds the limit of 1048576 cells"},
@@ -205,7 +208,7 @@ func TestValidateErrors(t *testing.T) {
 		}, "workload.synthetic.parallelism -4"},
 
 		{"disturb unknown kind", func(s *Spec) {
-			s.Disturb = []Disturbance{{Kind: DisturbKind(99)}}
+			s.Disturb = []Disturbance{{Kind: "quake"}}
 		}, "unknown disturbance kind"},
 		{"disturb core out of range", func(s *Spec) {
 			s.Disturb = []Disturbance{{Kind: CoRunCPU, Cores: []int{17}, Share: 0.5}}

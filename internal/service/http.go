@@ -4,9 +4,8 @@ package service
 //
 //	POST /v1/jobs            {"family": "...", "scale": 0.1, "seed": 7}
 //	                         or {"spec": {...canonical spec JSON...}}
-//	                         (SubmitRequest; the handler decodes the spec in
-//	                         the same pass as the body, into its wire struct;
-//	                         a spec given twice or as null is a 400)
+//	                         (SubmitRequest; a spec given twice or as null
+//	                         is a 400)
 //	                         → 202 Status ("done" if the cell cache held every
 //	                         cell); 200 if an in-flight or cached job absorbs it
 //	GET  /v1/jobs            → 200 [Status] (in-flight first, then cached)
@@ -72,6 +71,7 @@ import (
 
 	"dynasym/internal/scenario"
 	"dynasym/internal/trace"
+	"dynasym/internal/workloads"
 )
 
 // maxSpecBytes bounds a submitted spec document.
@@ -167,8 +167,8 @@ func (m *Manager) handleJobs(w http.ResponseWriter, r *http.Request) {
 }
 
 // submitBody is SubmitRequest as handleSubmit decodes it: the same JSON
-// fields (TestSubmitBodyFieldsMatchSubmitRequest), the spec decoded in the
-// same pass straight into its wire struct instead of kept as raw bytes.
+// fields (TestSubmitBodyFieldsMatchSubmitRequest), with a spec member that
+// refuses to be given twice or as null.
 type submitBody struct {
 	Family string     `json:"family,omitempty"`
 	Scale  float64    `json:"scale,omitempty"`
@@ -183,12 +183,14 @@ var (
 	errSpecNull     = errors.New(`"spec" is null: give a spec document or leave the key out`)
 )
 
-// specMember is a submission's spec. encoding/json calls UnmarshalJSON once
-// per key it matches to the field, a null value included, so the member
-// refuses a second call and a null.
+// specMember is a submission's spec document. encoding/json calls
+// UnmarshalJSON once per key it matches to the field, a null value included,
+// so the member refuses a second call and a null. It keeps the document's
+// bytes for ParseSpec, which runs after the body decode: a first spec that
+// does not parse must not hide a second.
 type specMember struct {
 	given bool
-	wire  scenario.SpecJSON
+	doc   []byte
 }
 
 func (s *specMember) UnmarshalJSON(b []byte) error {
@@ -199,9 +201,8 @@ func (s *specMember) UnmarshalJSON(b []byte) error {
 		return errSpecNull
 	}
 	s.given = true
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	return dec.Decode(&s.wire)
+	s.doc = bytes.Clone(b) // UnmarshalJSON may not retain b
+	return nil
 }
 
 func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -237,7 +238,7 @@ func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // parseSubmission returns the spec a POST /v1/jobs body names: a registered
-// family at a scale, or a spec document, decoded with the body in one pass.
+// family at a scale, or a spec document.
 func parseSubmission(body []byte) (scenario.Spec, error) {
 	var b submitBody
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -251,7 +252,12 @@ func parseSubmission(body []byte) (scenario.Spec, error) {
 	case b.Family != "":
 		return familySpec(b.Family, b.Scale, b.Seed)
 	case b.Spec.given:
-		return b.Spec.wire.Spec()
+		spec, err := scenario.ParseSpec(b.Spec.doc)
+		if err != nil && !errors.As(err, new(workloads.NameError)) {
+			// A document encoding/json refuses is the body's decode error.
+			err = fmt.Errorf("decode request: %w", errors.Unwrap(err))
+		}
+		return spec, err
 	default:
 		return scenario.Spec{}, errors.New("give a family or a spec")
 	}

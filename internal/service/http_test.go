@@ -244,6 +244,11 @@ const (
 		`{"kind": "stall", "cluster": 1, "from": 1, "to": 3}, {"kind": "stall", "cluster": 1, "from": 2, "to": 4}]}}`
 )
 
+// A custom cluster without memory bandwidth used to pass Validate and panic
+// every cell: a memory-bound task never finished.
+const noBandwidthBody = `{"spec": {"platform": {"clusters": [{"name": "c", "first_core": 0, "num_cores": 2, "widths": [1, 2], "speed": 1, "base_hz": 1e9}]}, ` +
+	`"workload": {"kind": "synthetic", "synthetic": {"kernel": "Copy", "tasks": 20}}, "policies": ["RWS"]}}`
+
 // A sampled policy over a sampled base used to take the wrong search
 // objective, and an unbounded K held a worker for hours on one cell.
 const (
@@ -279,6 +284,7 @@ var httpErrorBodies = map[string]struct {
 	"nested sampled": {nestedSampledBody, http.StatusBadRequest},
 	"sampled K":      {hugeKBody, http.StatusBadRequest},
 	"unknown field":  {`{"famly": "burst-sweep"}`, http.StatusBadRequest},
+	"no bandwidth":   {noBandwidthBody, http.StatusBadRequest},
 	"not json":       {`hello`, http.StatusBadRequest},
 }
 
@@ -302,6 +308,7 @@ func TestHTTPErrors(t *testing.T) {
 		overlapBody:       {"overlapping core availability disturbances on node 0 resource 2 (stall [1, 3) and stall [2, 4))"},
 		nestedSampledBody: {`policy \"DAM-P~8~4\": the base of a sampled policy cannot itself be sampled`},
 		hugeKBody:         {`policy \"DAM-C~2000000000\": K of 2000000000 exceeds MaxSampledK (1024)`},
+		noBandwidthBody:   {`cluster \"c\" has non-positive mem_bandwidth 0`},
 	} {
 		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

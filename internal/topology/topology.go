@@ -21,32 +21,32 @@ import (
 // supported for tasks on this cluster (e.g. 1,2,4 on a quad-core cluster).
 type Cluster struct {
 	// Name identifies the cluster in reports ("denver", "a57", "socket0").
-	Name string
+	Name string `json:"name"`
 	// FirstCore is the global id of the cluster's first core.
-	FirstCore int
+	FirstCore int `json:"first_core"`
 	// NumCores is the number of cores in the cluster.
-	NumCores int
+	NumCores int `json:"num_cores"`
 	// Widths are the valid resource widths, sorted ascending. Each width
 	// must divide evenly into aligned sub-partitions (powers of two on the
 	// platforms modeled here, but any divisor chain works).
-	Widths []int
+	Widths []int `json:"widths"`
 	// Speed is the static relative performance of one core of this cluster
 	// (instructions per cycle × relative issue capability). A Denver core
 	// at 2.0 does twice the work per cycle of an A57 core at 1.0.
-	Speed float64
+	Speed float64 `json:"speed"`
 	// BaseHz is the nominal clock frequency in Hz used when no DVFS
 	// profile overrides it.
-	BaseHz float64
+	BaseHz float64 `json:"base_hz"`
 	// L1Bytes is the per-core L1 data cache capacity.
-	L1Bytes int
+	L1Bytes int `json:"l1_bytes"`
 	// L2Bytes is the cluster's shared L2 (or LLC) capacity.
-	L2Bytes int
+	L2Bytes int `json:"l2_bytes"`
 	// MemBandwidth is the cluster's share of memory bandwidth in bytes/s,
 	// shared by all cores of the cluster.
-	MemBandwidth float64
+	MemBandwidth float64 `json:"mem_bandwidth"`
 	// NodeID identifies the distributed-memory node this cluster belongs
 	// to. Single-node platforms use 0 everywhere.
-	NodeID int
+	NodeID int `json:"node_id,omitempty"`
 }
 
 // Place is an execution place: Width cores led by (and including) Leader.
@@ -133,6 +133,10 @@ func New(clusters []Cluster) (*Platform, error) {
 		}
 		if !seen[1] {
 			return nil, fmt.Errorf("topology: cluster %q must support width 1", c.Name)
+		}
+		// Without bandwidth a memory-bound task never finishes.
+		if c.MemBandwidth <= 0 {
+			return nil, fmt.Errorf("topology: cluster %q has non-positive mem_bandwidth %v", c.Name, c.MemBandwidth)
 		}
 		next += c.NumCores
 	}

@@ -8,8 +8,8 @@ import (
 func TestNewValidation(t *testing.T) {
 	base := func() []Cluster {
 		return []Cluster{
-			{Name: "a", FirstCore: 0, NumCores: 2, Widths: []int{1, 2}, Speed: 1, BaseHz: 1e9},
-			{Name: "b", FirstCore: 2, NumCores: 4, Widths: []int{1, 2, 4}, Speed: 1, BaseHz: 1e9},
+			{Name: "a", FirstCore: 0, NumCores: 2, Widths: []int{1, 2}, Speed: 1, BaseHz: 1e9, MemBandwidth: 1e10},
+			{Name: "b", FirstCore: 2, NumCores: 4, Widths: []int{1, 2, 4}, Speed: 1, BaseHz: 1e9, MemBandwidth: 1e10},
 		}
 	}
 	if _, err := New(base()); err != nil {
@@ -28,6 +28,7 @@ func TestNewValidation(t *testing.T) {
 		{"width not divisor", func(cs []Cluster) []Cluster { cs[1].Widths = []int{1, 3}; return cs }},
 		{"duplicate width", func(cs []Cluster) []Cluster { cs[0].Widths = []int{1, 2, 2}; return cs }},
 		{"missing width 1", func(cs []Cluster) []Cluster { cs[0].Widths = []int{2}; return cs }},
+		{"no memory bandwidth", func(cs []Cluster) []Cluster { cs[1].MemBandwidth = 0; return cs }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

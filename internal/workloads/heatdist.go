@@ -48,11 +48,11 @@ const heatTypeCompute ptt.TypeID = kernels.TypeUser + 8
 
 // HeatDistConfig parameterizes NewHeatDist.
 type HeatDistConfig struct {
-	Nodes         int
-	BlocksPerNode int
-	Iters         int
-	RowsPerBlock  int
-	Cols          int
+	Nodes         int `json:"nodes"`
+	BlocksPerNode int `json:"blocks_per_node"`
+	Iters         int `json:"iters"`
+	RowsPerBlock  int `json:"rows_per_block"`
+	Cols          int `json:"cols"`
 }
 
 // Defaults fills unset fields with Figure 10 scale: four 20-core nodes,

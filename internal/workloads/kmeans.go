@@ -51,19 +51,21 @@ const (
 
 // KMeansConfig parameterizes NewKMeans.
 type KMeansConfig struct {
-	N, D, K   int
-	Grains    int
-	JumboFrac float64
-	CostScale float64
-	MaxIters  int
+	N         int     `json:"n"`
+	D         int     `json:"d"`
+	K         int     `json:"k"`
+	Grains    int     `json:"grains"`
+	JumboFrac float64 `json:"jumbo_frac"`
+	CostScale float64 `json:"cost_scale"`
+	MaxIters  int     `json:"max_iters"`
 	// Epsilon, Seed and BlobStd are inert: they parameterized the generated
 	// dataset and convergence stopping of an executable K-means this
-	// repository no longer has. They remain because the canonical spec
-	// encoding — and so every spec and cell hash — includes them; the built
-	// graph does not depend on them.
-	Epsilon float64
-	Seed    uint64
-	BlobStd float64
+	// repository no longer has. They remain because their json tags put
+	// them in the canonical spec encoding — and so in every spec and cell
+	// hash; the built graph does not depend on them.
+	Epsilon float64 `json:"epsilon"`
+	Seed    uint64  `json:"seed"`
+	BlobStd float64 `json:"blob_std"`
 }
 
 // Defaults fills unset fields with paper-scale values (Figure 9 uses a

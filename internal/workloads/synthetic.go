@@ -37,6 +37,31 @@ func (k KernelKind) String() string {
 	}
 }
 
+// MarshalText encodes the kernel as its String name.
+func (k KernelKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText decodes a kernel's String name. A spec document spells it as
+// workload.synthetic.kernel, which an unknown name's NameError names.
+func (k *KernelKind) UnmarshalText(b []byte) error {
+	for c := MatMul; c <= Stencil; c++ {
+		if c.String() == string(b) {
+			*k = c
+			return nil
+		}
+	}
+	return UnknownName("scenario: unknown workload.synthetic.kernel %q (known kernels: MatMul, Copy, Stencil)", b)
+}
+
+// NameError is a name in a spec document that no value of its kind has. Its
+// text names the field and the known names, so a spec parser returns it as
+// it is, where it wraps encoding/json's own errors.
+type NameError struct{ error }
+
+// UnknownName returns a NameError with the formatted text.
+func UnknownName(format string, args ...any) error {
+	return NameError{fmt.Errorf(format, args...)}
+}
+
 // typeID returns the PTT task type for the kernel.
 func (k KernelKind) typeID() ptt.TypeID {
 	switch k {
@@ -56,20 +81,20 @@ func (k KernelKind) typeID() ptt.TypeID {
 // is critical and releases the next layer when it completes.
 type SyntheticConfig struct {
 	// Kernel selects the node type.
-	Kernel KernelKind
+	Kernel KernelKind `json:"kernel"`
 	// Tile is the square tile edge per task (paper defaults: 64 for
 	// MatMul, 1024 for Copy and Stencil).
-	Tile int
+	Tile int `json:"tile"`
 	// Sweeps is the number of stencil sweeps per task (ignored
 	// otherwise). Defaults to 1, matching the per-task times the paper's
 	// stencil throughputs imply.
-	Sweeps int
+	Sweeps int `json:"sweeps"`
 	// Tasks is the total number of tasks (paper defaults: 32000 MatMul,
 	// 10000 Copy, 20000 Stencil). Rounded down to a whole number of
 	// layers.
-	Tasks int
+	Tasks int `json:"tasks"`
 	// Parallelism is the DAG parallelism P (tasks per layer).
-	Parallelism int
+	Parallelism int `json:"parallelism"`
 }
 
 // Defaults fills unset fields with the paper's values for the kernel.

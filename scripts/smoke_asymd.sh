@@ -275,6 +275,8 @@ run_job "disturb dvfs+stall" "$(spec d-combine-stall "$SYN" '{"kind": "dvfs", "c
 reject "unknown workload kind" "$(spec x-kind '{"kind": "nope"}')" 'known kinds: synthetic, kmeans, heatdist, dagfile, daggen'
 reject "unknown daggen model" "$(spec x-model '{"kind": "daggen", "daggen": {"model": "nope"}}')" 'known models: cholesky, fork-join, lu, random-layered'
 reject "unknown disturbance kind" "$(spec x-disturb "$SYN" '{"kind": "nope"}')" 'known kinds: corun-cpu, corun-mem, dvfs, stall, burst, throttle'
+# A cluster without memory bandwidth is refused, not run into a panic.
+reject "cluster without mem_bandwidth" "$(spec x-bandwidth "$SYN" "" '{"clusters": [{"name": "c", "first_core": 0, "num_cores": 2, "widths": [1, 2], "speed": 1, "base_hz": 1e9}]}')" 'mem_bandwidth'
 
 # Platforms.
 run_job "platform sym4" "$(spec p-sym4 "$SYN" "" '{"preset": "sym4"}')"

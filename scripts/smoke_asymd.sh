@@ -275,6 +275,12 @@ run_job "disturb dvfs+stall" "$(spec d-combine-stall "$SYN" '{"kind": "dvfs", "c
 reject "unknown workload kind" "$(spec x-kind '{"kind": "nope"}')" 'known kinds: synthetic, kmeans, heatdist, dagfile, daggen'
 reject "unknown daggen model" "$(spec x-model '{"kind": "daggen", "daggen": {"model": "nope"}}')" 'known models: cholesky, fork-join, lu, random-layered'
 reject "unknown disturbance kind" "$(spec x-disturb "$SYN" '{"kind": "nope"}')" 'known kinds: corun-cpu, corun-mem, dvfs, stall, burst, throttle'
+reject "unknown kernel" "$(spec x-kernel '{"kind": "synthetic", "synthetic": {"kernel": "FFT"}}')" 'scenario: unknown workload.synthetic.kernel \"FFT\" (known kernels: MatMul, Copy, Stencil)'
+reject "unknown policy" "{\"spec\": {\"workload\": $SYN, \"policies\": [\"SJF\"]}}" 'core: unknown policy \"SJF\"'
+# The other documents a spec parse refuses, each with its own text.
+reject "missing workload kind" "$(spec x-nokind '{}')" 'scenario: unknown workload.kind \"\"'
+reject "unknown spec field" "$(spec x-field '{"kind": "synthetic", "bogus": 1}')" 'decode request: json: unknown field \"bogus\"'
+reject "no policies" "{\"spec\": {\"workload\": $SYN}}" 'empty policy set'
 # A cluster without memory bandwidth is refused, not run into a panic.
 reject "cluster without mem_bandwidth" "$(spec x-bandwidth "$SYN" "" '{"clusters": [{"name": "c", "first_core": 0, "num_cores": 2, "widths": [1, 2], "speed": 1, "base_hz": 1e9}]}')" 'mem_bandwidth'
 

@@ -36,6 +36,10 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment ids and scenario families")
 	)
 	flag.Parse()
+	if err := scenario.CheckScale(*scale); err != nil {
+		fmt.Fprintf(os.Stderr, "asymbench: -%v\n", err)
+		os.Exit(2)
+	}
 
 	if *list || (*exp == "" && *scenName == "") {
 		fmt.Println("experiments:")

@@ -28,90 +28,24 @@ func (g *Graph) InferCriticality(fraction float64, useCost bool) (marked int, cr
 	if len(tasks) == 0 {
 		return 0, 0
 	}
-	g.mustBeOpen("InferCriticality", tasks[0])
-	weight := func(t *Task) float64 {
-		if useCost && t.Cost.Ops > 0 {
-			return t.Cost.Ops
-		}
-		return 1
-	}
-	preds := make([][]int, len(tasks))
-	outdeg := make([]int, len(tasks))
-	indeg := make([]int, len(tasks))
+	g.mustBeOpen("InferCriticality", tasks[0].Label)
+	weight := make([]float64, len(tasks))
 	for i, t := range tasks {
-		outdeg[i] = len(t.succs)
-		for _, s := range t.succs {
-			j, ok := g.index(s)
-			if !ok {
-				return 0, 0 // a successor outside the graph: nothing sensible to mark
-			}
-			preds[j] = append(preds[j], i)
-			indeg[j]++
+		weight[i] = 1
+		if useCost && t.Cost.Ops > 0 {
+			weight[i] = t.Cost.Ops
 		}
 	}
-
-	// Bottom levels: reverse-topological DP (Kahn on out-degrees).
-	bottom := make([]float64, len(tasks))
-	queue := make([]int, 0, len(tasks))
-	for i, d := range outdeg {
-		if d == 0 {
-			queue = append(queue, i)
-			bottom[i] = weight(tasks[i])
-		}
-	}
-	processed := 0
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		processed++
-		for _, p := range preds[i] {
-			if b := bottom[i] + weight(tasks[p]); b > bottom[p] {
-				bottom[p] = b
-			}
-			outdeg[p]--
-			if outdeg[p] == 0 {
-				queue = append(queue, p)
-			}
-		}
-	}
-	if processed != len(tasks) {
+	top, _ := g.levels(weight, false)
+	bottom, criticalPath := g.levels(weight, true)
+	if criticalPath == 0 {
 		return 0, 0 // cyclic: nothing sensible to mark
 	}
-
-	// Top levels: forward-topological DP.
-	top := make([]float64, len(tasks))
-	queue = queue[:0]
-	for i, d := range indeg {
-		if d == 0 {
-			queue = append(queue, i)
-			top[i] = weight(tasks[i])
-		}
-	}
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		for _, s := range tasks[i].succs {
-			j := int(s.id)
-			if tl := top[i] + weight(tasks[j]); tl > top[j] {
-				top[j] = tl
-			}
-			indeg[j]--
-			if indeg[j] == 0 {
-				queue = append(queue, j)
-			}
-		}
-	}
-
-	for _, b := range bottom {
-		if b > criticalPath {
-			criticalPath = b
-		}
-	}
 	maxSlack := (1 - fraction) * criticalPath
-	for i, t := range tasks {
-		slack := criticalPath - (top[i] + bottom[i] - weight(t))
-		if slack <= maxSlack+1e-12 && !t.High {
-			t.High = true
+	for i := range tasks {
+		slack := criticalPath - (top[i] + bottom[i] - weight[i])
+		if slack <= maxSlack+1e-12 && !tasks[i].High {
+			tasks[i].High = true
 			marked++
 		}
 	}
@@ -121,8 +55,8 @@ func (g *Graph) InferCriticality(fraction float64, useCost bool) (marked int, cr
 // ClearPriorities resets every task's High flag (useful before inference
 // when user annotations should be discarded).
 func (g *Graph) ClearPriorities() {
-	for _, t := range g.tasks {
-		g.mustBeOpen("ClearPriorities", t)
-		t.High = false
+	for i := range g.tasks {
+		g.mustBeOpen("ClearPriorities", g.tasks[i].Label)
+		g.tasks[i].High = false
 	}
 }

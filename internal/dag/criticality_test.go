@@ -8,23 +8,16 @@ import (
 
 // chainWithFanout builds a spine of n tasks where each spine task also
 // releases f leaf tasks (leaves have no successors).
-func chainWithFanout(n, f int) (*Graph, []*Task) {
+func chainWithFanout(n, f int) (*Graph, []int32) {
 	g := New()
-	var spine []*Task
-	var prev *Task
+	var spine, prev []int32
 	for i := 0; i < n; i++ {
-		t := &Task{Label: "spine"}
-		if prev == nil {
-			g.Add(t)
-		} else {
-			g.Add(t, prev)
-		}
+		t := g.Add(Task{Label: "spine"}, prev...)
 		spine = append(spine, t)
 		for j := 0; j < f; j++ {
-			leaf := &Task{Label: "leaf"}
-			g.Add(leaf, t)
+			g.Add(Task{Label: "leaf"}, t)
 		}
-		prev = t
+		prev = []int32{t}
 	}
 	return g, spine
 }
@@ -38,35 +31,29 @@ func TestInferCriticalityMarksSpine(t *testing.T) {
 		t.Fatalf("critical path = %g, want 11", cp)
 	}
 	for _, s := range spine {
-		if !s.High {
+		if !g.tasks[s].High {
 			t.Fatal("spine task not marked critical")
 		}
 	}
 	// A leaf hanging off the first spine task has huge slack and must not
 	// be marked; the last spine task's leaves lie on critical paths.
-	for _, task := range g.Tasks() {
-		if task.Label != "leaf" {
-			continue
-		}
-	}
-	leaves0 := leavesOf(g, spine[0])
-	for _, l := range leaves0 {
-		if l.High {
+	for _, l := range leavesOf(g, spine[0]) {
+		if g.tasks[l].High {
 			t.Fatal("slack-heavy leaf marked critical")
 		}
 	}
 	for _, l := range leavesOf(g, spine[len(spine)-1]) {
-		if !l.High {
+		if !g.tasks[l].High {
 			t.Fatal("critical-path leaf not marked")
 		}
 	}
 }
 
 // leavesOf returns the leaf successors of a spine task.
-func leavesOf(g *Graph, spine *Task) []*Task {
-	var out []*Task
-	for _, s := range spine.succs {
-		if s.Label == "leaf" {
+func leavesOf(g *Graph, spine int32) []int32 {
+	var out []int32
+	for k, p := range g.from {
+		if s := g.to[k]; p == spine && g.tasks[s].Label == "leaf" {
 			out = append(out, s)
 		}
 	}
@@ -91,12 +78,12 @@ func TestInferCriticalityCostWeighted(t *testing.T) {
 	g := New()
 	// Two parallel branches: a short chain of expensive tasks and a long
 	// chain of cheap ones. Cost weighting must pick the expensive branch.
-	root := g.Add(&Task{Label: "root", Cost: costOps(1)})
-	exp := g.Add(&Task{Label: "heavy", Cost: costOps(100)}, root)
-	g.Add(&Task{Label: "heavy2", Cost: costOps(100)}, exp)
+	root := g.Add(Task{Label: "root", Cost: costOps(1)})
+	exp := g.Add(Task{Label: "heavy", Cost: costOps(100)}, root)
+	g.Add(Task{Label: "heavy2", Cost: costOps(100)}, exp)
 	prev := root
 	for i := 0; i < 5; i++ {
-		prev = g.Add(&Task{Label: "cheap", Cost: costOps(1)}, prev)
+		prev = g.Add(Task{Label: "cheap", Cost: costOps(1)}, prev)
 	}
 	marked, cp := g.InferCriticality(1.0, true)
 	if cp != 201 {
@@ -105,11 +92,11 @@ func TestInferCriticalityCostWeighted(t *testing.T) {
 	if marked != 3 {
 		t.Fatalf("marked %d tasks, want root+heavy+heavy2", marked)
 	}
-	if !exp.High {
+	if !g.tasks[exp].High {
 		t.Fatal("expensive branch not marked critical")
 	}
 	// The cheap chain (bottom level ≤ 6) must not be marked.
-	for _, task := range g.Tasks() {
+	for _, task := range g.tasks {
 		if task.Label == "cheap" && task.High {
 			t.Fatal("cheap chain wrongly marked critical")
 		}
@@ -118,21 +105,21 @@ func TestInferCriticalityCostWeighted(t *testing.T) {
 
 func TestInferCriticalityPreservesUserFlags(t *testing.T) {
 	g := New()
-	a := g.Add(&Task{Label: "a"})
-	b := g.Add(&Task{Label: "b", High: true}) // user-marked, off critical path
-	g.Add(&Task{Label: "c"}, a)
+	a := g.Add(Task{Label: "a"})
+	b := g.Add(Task{Label: "b", High: true}) // user-marked, off critical path
+	g.Add(Task{Label: "c"}, a)
 	g.InferCriticality(1.0, false)
-	if !b.High {
+	if !g.tasks[b].High {
 		t.Fatal("user-marked priority was cleared")
 	}
 }
 
 func TestClearPriorities(t *testing.T) {
 	g := New()
-	g.Add(&Task{High: true})
-	g.Add(&Task{High: true})
+	g.Add(Task{High: true})
+	g.Add(Task{High: true})
 	g.ClearPriorities()
-	for _, task := range g.Tasks() {
+	for _, task := range g.tasks {
 		if task.High {
 			t.Fatal("priority not cleared")
 		}

@@ -2,6 +2,8 @@ package dag
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -10,25 +12,27 @@ import (
 // walker releases successors the way a runtime does — from its own copy of
 // the snapshot's dependency counts, leaving the frozen graph untouched.
 type walker struct {
+	fz      *Frozen
 	pending []int32
 	left    int
 }
 
 // walk returns a walker over the frozen graph's snapshot plus g's initially
 // ready tasks — the zero dependency counts, in insertion order.
-func walk(g *Graph) (w *walker, ready []*Task) {
+func walk(g *Graph) (w *walker, ready []int32) {
 	fz := g.Snapshot()
-	w = &walker{pending: fz.AppendPending(nil), left: fz.Tasks()}
+	w = &walker{fz: fz, pending: fz.AppendPending(nil)}
+	w.left = len(w.pending)
 	for i, deps := range w.pending {
 		if deps == 0 {
-			ready = append(ready, g.tasks[i])
+			ready = append(ready, int32(i))
 		}
 	}
 	return w, ready
 }
 
 // freeze closes g and walks it.
-func freeze(t *testing.T, g *Graph) (w *walker, ready []*Task) {
+func freeze(t *testing.T, g *Graph) (w *walker, ready []int32) {
 	t.Helper()
 	if _, err := g.Freeze(); err != nil {
 		t.Fatalf("Freeze: %v", err)
@@ -36,11 +40,11 @@ func freeze(t *testing.T, g *Graph) (w *walker, ready []*Task) {
 	return walk(g)
 }
 
-// complete finishes t and returns the tasks it released, in successor order,
-// and whether the whole graph has drained.
-func (w *walker) complete(t *Task) (ready []*Task, drained bool) {
-	for _, s := range t.Succs() {
-		if w.pending[s.ID()]--; w.pending[s.ID()] == 0 {
+// complete finishes task i and returns the tasks it released, in successor
+// order, and whether the whole graph has drained.
+func (w *walker) complete(i int32) (ready []int32, drained bool) {
+	for _, s := range w.fz.Succs(int(i)) {
+		if w.pending[s]--; w.pending[s] == 0 {
 			ready = append(ready, s)
 		}
 	}
@@ -50,9 +54,9 @@ func (w *walker) complete(t *Task) (ready []*Task, drained bool) {
 
 func TestLinearChain(t *testing.T) {
 	g := New()
-	a := g.Add(&Task{Label: "a"})
-	b := g.Add(&Task{Label: "b"}, a)
-	c := g.Add(&Task{Label: "c"}, b)
+	a := g.Add(Task{Label: "a"})
+	b := g.Add(Task{Label: "b"}, a)
+	c := g.Add(Task{Label: "c"}, b)
 	w, ready := freeze(t, g)
 	if len(ready) != 1 || ready[0] != a {
 		t.Fatalf("initial ready = %v", ready)
@@ -73,10 +77,10 @@ func TestLinearChain(t *testing.T) {
 
 func TestDiamond(t *testing.T) {
 	g := New()
-	top := g.Add(&Task{Label: "top"})
-	l := g.Add(&Task{Label: "l"}, top)
-	r := g.Add(&Task{Label: "r"}, top)
-	bottom := g.Add(&Task{Label: "bottom"}, l, r)
+	top := g.Add(Task{Label: "top"})
+	l := g.Add(Task{Label: "l"}, top)
+	r := g.Add(Task{Label: "r"}, top)
+	bottom := g.Add(Task{Label: "bottom"}, l, r)
 	w, _ := freeze(t, g)
 	next, _ := w.complete(top)
 	if len(next) != 2 {
@@ -98,16 +102,14 @@ func TestDiamond(t *testing.T) {
 // instead of changing a graph whose runtimes execute from the snapshot.
 func TestFrozenGraphRejectsMutation(t *testing.T) {
 	g := New()
-	a := g.Add(&Task{Label: "a", High: true})
-	b := g.Add(&Task{Label: "b"})
+	a := g.Add(Task{Label: "a", High: true})
+	b := g.Add(Task{Label: "b"})
 	freeze(t, g)
-	late := &Task{Label: "late"}
 	for name, c := range map[string]struct {
 		mutate func()
 		names  string
 	}{
-		"Add":              {func() { g.Add(late, a) }, `"late"`},
-		"AddLayer":         {func() { g.AddLayer([]*Task{late}, a) }, `"late"`},
+		"Add":              {func() { g.Add(Task{Label: "late"}, a) }, `"late"`},
 		"AddEdge":          {func() { g.AddEdge(a, b) }, `"b"`},
 		"ClearPriorities":  {func() { g.ClearPriorities() }, `"a"`},
 		"InferCriticality": {func() { g.InferCriticality(1, false) }, `"a"`},
@@ -122,48 +124,21 @@ func TestFrozenGraphRejectsMutation(t *testing.T) {
 			c.mutate()
 		}()
 	}
-	if g.Total() != 2 || len(a.Succs()) != 0 || b.PendingDeps() != 0 || !a.High || b.High {
+	fz := g.Snapshot()
+	if len(g.tasks) != 2 || len(g.from) != 0 || len(fz.Succs(int(a))) != 0 ||
+		fz.AppendPending(nil)[b] != 0 || !g.tasks[a].High || g.tasks[b].High {
 		t.Fatal("a rejected mutation changed the graph")
 	}
 }
 
 func TestAddEdge(t *testing.T) {
 	g := New()
-	a := g.Add(&Task{Label: "a"})
-	b := g.Add(&Task{Label: "b"})
+	a := g.Add(Task{Label: "a"})
+	b := g.Add(Task{Label: "b"})
 	g.AddEdge(a, b)
 	_, ready := freeze(t, g)
 	if len(ready) != 1 || ready[0] != a {
 		t.Fatalf("ready = %v, want just a", ready)
-	}
-}
-
-func TestValidateDetectsCycle(t *testing.T) {
-	g := New()
-	a := g.Add(&Task{Label: "a"})
-	b := g.Add(&Task{Label: "b"}, a)
-	// Force a cycle through the internal edge list.
-	b.succs = append(b.succs, a)
-	a.pending++
-	if err := g.Validate(); err == nil {
-		t.Fatal("cycle not detected")
-	}
-}
-
-func TestValidateOKOnDeepChain(t *testing.T) {
-	g := New()
-	var prev *Task
-	for i := 0; i < 50000; i++ {
-		t := &Task{}
-		if prev == nil {
-			g.Add(t)
-		} else {
-			g.Add(t, prev)
-		}
-		prev = t
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -172,21 +147,16 @@ func TestParallelismLayered(t *testing.T) {
 	// paper's definition gives parallelism exactly P.
 	for _, p := range []int{1, 2, 4, 7} {
 		g := New()
-		var crit *Task
+		var crit []int32
 		for layer := 0; layer < 10; layer++ {
-			var newCrit *Task
+			var newCrit int32
 			for i := 0; i < p; i++ {
-				t := &Task{High: i == 0}
-				if crit == nil {
-					g.Add(t)
-				} else {
-					g.Add(t, crit)
-				}
+				t := g.Add(Task{High: i == 0}, crit...)
 				if i == 0 {
 					newCrit = t
 				}
 			}
-			crit = newCrit
+			crit = []int32{newCrit}
 		}
 		if got := g.Parallelism(); got != float64(p) {
 			t.Fatalf("parallelism = %g, want %d", got, p)
@@ -196,7 +166,7 @@ func TestParallelismLayered(t *testing.T) {
 
 func TestParallelismSingleTask(t *testing.T) {
 	g := New()
-	g.Add(&Task{})
+	g.Add(Task{})
 	if got := g.Parallelism(); got != 1 {
 		t.Fatalf("parallelism = %g, want 1", got)
 	}
@@ -215,19 +185,69 @@ func TestParallelismBoundsProperty(t *testing.T) {
 		layers := int(layersRaw%8) + 1
 		width := int(widthRaw%5) + 1
 		g := New()
-		var prev []*Task
+		var prev []int32
 		for l := 0; l < layers; l++ {
-			var cur []*Task
+			var cur []int32
 			for i := 0; i < width; i++ {
-				t := &Task{}
-				g.Add(t, prev...)
-				cur = append(cur, t)
+				cur = append(cur, g.Add(Task{}, prev...))
 			}
 			prev = cur
 		}
 		par := g.Parallelism()
-		n := float64(g.Total())
+		n := float64(len(g.tasks))
 		return par >= 1-1e-9 && par <= n+1e-9
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: the snapshot's CSR is the append-order successor list. Over
+// random forward-edge graphs, mixing Add's dependencies with AddEdge, each
+// task's Succs equals a naive per-task list appended in edge order, each
+// dependency count equals the task's in-degree, and an instance stamped out
+// of the snapshot freezes back to the same snapshot.
+func TestCSRIsAppendOrderProperty(t *testing.T) {
+	check := func(seed int64, sizeRaw uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := int(sizeRaw%40) + 1
+		g := New()
+		succs := make([][]int32, n)
+		indeg := make([]int32, n)
+		edge := func(p, s int32) {
+			succs[p] = append(succs[p], s)
+			indeg[s]++
+		}
+		for i := 0; i < n; i++ {
+			var deps []int32
+			for k := rng.Intn(4); k > 0 && i > 0; k-- {
+				deps = append(deps, int32(rng.Intn(i)))
+			}
+			id := g.Add(Task{Label: fmt.Sprint(i), Iter: i}, deps...)
+			for _, d := range deps {
+				edge(d, id)
+			}
+			if i > 1 && rng.Intn(2) == 0 { // a late edge between earlier tasks
+				s := int32(1 + rng.Intn(i))
+				p := int32(rng.Intn(int(s)))
+				g.AddEdge(p, s)
+				edge(p, s)
+			}
+		}
+		fz, err := g.Freeze()
+		if err != nil {
+			return false
+		}
+		for i := range succs {
+			if !reflect.DeepEqual(append([]int32{}, fz.Succs(i)...), append([]int32{}, succs[i]...)) {
+				return false
+			}
+		}
+		if !reflect.DeepEqual(fz.AppendPending(nil), indeg) {
+			return false
+		}
+		again, err := fz.NewGraph().Freeze()
+		return err == nil && reflect.DeepEqual(*again, *fz)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -236,13 +256,12 @@ func TestParallelismBoundsProperty(t *testing.T) {
 
 func TestTotal(t *testing.T) {
 	g := New()
-	a := g.Add(&Task{})
-	g.Add(&Task{}, a)
-	if g.Total() != 2 {
-		t.Fatalf("total=%d", g.Total())
+	a := g.Add(Task{})
+	if b := g.Add(Task{}, a); a != 0 || b != 1 {
+		t.Fatalf("Add returned %d and %d, want the insertion indexes 0 and 1", a, b)
 	}
 	freeze(t, g)
-	if g.Total() != 2 {
-		t.Fatalf("after Freeze: total=%d", g.Total())
+	if n := len(g.Snapshot().AppendPending(nil)); n != 2 {
+		t.Fatalf("after Freeze: total=%d", n)
 	}
 }

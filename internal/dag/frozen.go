@@ -2,22 +2,22 @@ package dag
 
 import (
 	"fmt"
+	"slices"
 
 	"dynasym/internal/ptt"
 )
 
 // Frozen is the immutable snapshot Freeze takes of a graph, and what runtimes
-// execute from: the fields a scheduler's inner loop reads — priority, type,
-// dependency count — as dense arrays indexed by task id, plus the dependency
-// structure in compressed-sparse-row form. Nothing writes it after Freeze
-// returns, so one snapshot is read in place by every runtime of a sweep, on
-// every worker goroutine; a run's only per-task state is its own copy of the
-// dependency counts (AppendPending). Fields read once per execution (Cost,
-// Iter, Label) stay on the tasks, reached through Task. NewGraph and Reset
-// predate the shared snapshot (they stamp out and recycle per-run instances)
-// and survive only as the surface of the bench's kernel rows.
+// execute from: the tasks as one contiguous array, the fields a scheduler's
+// inner loop reads — priority, type, dependency count — as dense arrays
+// indexed by task, plus the dependency structure in compressed-sparse-row
+// form. Nothing writes it after Freeze returns, so one snapshot is read in
+// place by every runtime of a sweep, on every worker goroutine; a run's only
+// per-task state is its own copy of the dependency counts (AppendPending).
+// Fields read once per execution (Cost, Iter, Label) are reached through
+// Task. NewGraph and Reset are shims only the bench's kernel rows call.
 type Frozen struct {
-	tasks   []*Task // the frozen graph's tasks, in id order
+	tasks   []Task // the frozen graph's tasks, in insertion order
 	high    []bool
 	typ     []ptt.TypeID
 	pending []int32 // dependency counts
@@ -36,45 +36,34 @@ type isolatedFrozen struct {
 }
 
 // Freeze snapshots the graph, stores the snapshot on it (Snapshot) and closes
-// the graph to mutation. It fails only if a task has a successor outside the
+// the graph to mutation. It fails only if an edge names an index outside the
 // graph. Every call takes a fresh snapshot; freezing a graph other goroutines
 // are already reading is a data race.
 func (g *Graph) Freeze() (*Frozen, error) {
-	n, nsucc := len(g.tasks), 0
-	for _, t := range g.tasks {
-		nsucc += len(t.succs)
+	n := len(g.tasks)
+	off, idx, pending, ok := csr(n, g.from, g.to)
+	if !ok {
+		return nil, fmt.Errorf("dag: cannot freeze: an edge leaves the graph of %d tasks", n)
 	}
 	f := &new(isolatedFrozen).Frozen
 	*f = Frozen{
 		tasks:   g.tasks,
 		high:    make([]bool, n),
 		typ:     make([]ptt.TypeID, n),
-		pending: make([]int32, n),
-		succOff: make([]int32, n+1),
-		succIdx: make([]int32, 0, nsucc),
+		pending: pending,
+		succOff: off,
+		succIdx: idx,
 	}
-	for i, t := range g.tasks {
-		f.high[i], f.typ[i], f.pending[i] = t.High, t.Type, t.pending
-		f.succOff[i] = int32(len(f.succIdx))
-		for _, s := range t.succs {
-			j, ok := g.index(s)
-			if !ok {
-				return nil, fmt.Errorf("dag: cannot freeze: task %q has successor %q outside the graph", t.Label, s.Label)
-			}
-			f.succIdx = append(f.succIdx, int32(j))
-		}
+	for i := range g.tasks {
+		f.high[i], f.typ[i] = g.tasks[i].High, g.tasks[i].Type
 	}
-	f.succOff[n] = int32(len(f.succIdx))
 	g.frozen = f
 	return f, nil
 }
 
-// Tasks returns the number of tasks in the snapshot.
-func (f *Frozen) Tasks() int { return len(f.tasks) }
-
-// Task returns task i of the graph the snapshot was taken of, for the fields
-// the snapshot does not mirror. Callers must not modify it.
-func (f *Frozen) Task(i int) *Task { return f.tasks[i] }
+// Task returns task i of the snapshot, for the fields it does not mirror.
+// Callers must not modify it.
+func (f *Frozen) Task(i int) *Task { return &f.tasks[i] }
 
 // High reports whether task i is high priority.
 func (f *Frozen) High(i int) bool { return f.high[i] }
@@ -86,55 +75,31 @@ func (f *Frozen) Type(i int) ptt.TypeID { return f.typ[i] }
 // order. The slice aliases the snapshot: callers must not modify it.
 func (f *Frozen) Succs(i int) []int32 { return f.succIdx[f.succOff[i]:f.succOff[i+1]] }
 
-// AppendPending appends every task's dependency count to dst, in id order —
-// the one piece of graph state a run owns. The tasks whose count is zero are
-// the initially ready ones.
+// AppendPending appends every task's dependency count to dst, in insertion
+// order — the one piece of graph state a run owns. The tasks whose count is
+// zero are the initially ready ones.
 func (f *Frozen) AppendPending(dst []int32) []int32 { return append(dst, f.pending...) }
 
-// NewGraph materializes a fresh, independent Graph instance of the
-// snapshot, frozen on it. Task ids, insertion order and successor order all
-// match the originally frozen graph exactly, so a runtime executing the
-// instance makes bit-identical scheduling decisions. The instance costs four
-// bulk allocations regardless of task count.
+// NewGraph materializes a fresh, independent Graph instance of the snapshot,
+// frozen on it: its own copy of the tasks, and the edges in CSR order, which
+// freeze back to the same successor lists and so to the same schedules.
 func (f *Frozen) NewGraph() *Graph {
-	n := len(f.tasks)
-	tasks := make([]Task, n)
-	ptrs := make([]*Task, n)
-	succs := make([]*Task, len(f.succIdx))
-	for i := range tasks {
-		tasks[i] = *f.tasks[i] // plain data, id and dependency count included
-		tasks[i].High, tasks[i].succs = f.high[i], nil
-		ptrs[i] = &tasks[i]
-	}
-	for i := range tasks {
-		lo, hi := f.succOff[i], f.succOff[i+1]
-		if lo == hi {
-			continue
+	g := &Graph{tasks: slices.Clone(f.tasks), to: slices.Clone(f.succIdx), frozen: f}
+	for i := range f.tasks {
+		for range f.Succs(i) {
+			g.from = append(g.from, int32(i))
 		}
-		// Full-slice expression: each task's successor list is a private
-		// window of the shared backing array and can never grow into its
-		// neighbor's.
-		s := succs[lo:lo:hi]
-		for _, j := range f.succIdx[lo:hi] {
-			s = append(s, ptrs[j])
-		}
-		tasks[i].succs = s
 	}
-	return &Graph{tasks: ptrs, frozen: f}
+	return g
 }
 
-// Reset restores the priority marks of a used (or fresh) instance of this
-// snapshot to the snapshot's and re-attaches the instance to it, so the
-// instance executes again exactly as before whatever rewrote its marks or
-// re-froze it in between. A run leaves nothing else behind — runtimes only
-// read a frozen graph. It fails if the graph does not structurally match the
-// snapshot (wrong task count — e.g. an instance of a different Frozen).
+// Reset re-attaches an instance of this snapshot (or the frozen graph itself)
+// to it, even if it was re-frozen in between; runtimes only read a frozen
+// graph, so it then executes as before. It fails on a graph whose task count
+// differs from the snapshot's (e.g. an instance of a different Frozen).
 func (f *Frozen) Reset(g *Graph) error {
 	if len(g.tasks) != len(f.tasks) {
 		return fmt.Errorf("dag: Reset: graph has %d tasks, snapshot has %d", len(g.tasks), len(f.tasks))
-	}
-	for i, t := range g.tasks {
-		t.High = f.high[i]
 	}
 	g.frozen = f
 	return nil

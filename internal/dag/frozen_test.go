@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"reflect"
 	"testing"
 
 	"dynasym/internal/machine"
@@ -10,10 +11,10 @@ import (
 func diamond(t *testing.T) *Graph {
 	t.Helper()
 	g := New()
-	a := g.Add(&Task{Label: "a", High: true, Cost: machine.Cost{Ops: 1}})
-	b := g.Add(&Task{Label: "b", Cost: machine.Cost{Ops: 2}}, a)
-	c := g.Add(&Task{Label: "c", Cost: machine.Cost{Ops: 3}}, a)
-	g.Add(&Task{Label: "d", Iter: 1, Cost: machine.Cost{Ops: 4}}, b, c)
+	a := g.Add(Task{Label: "a", High: true, Cost: machine.Cost{Ops: 1}})
+	b := g.Add(Task{Label: "b", Cost: machine.Cost{Ops: 2}}, a)
+	c := g.Add(Task{Label: "c", Cost: machine.Cost{Ops: 3}}, a)
+	g.Add(Task{Label: "d", Iter: 1, Cost: machine.Cost{Ops: 4}}, b, c)
 	return g
 }
 
@@ -24,10 +25,10 @@ func drain(t *testing.T, g *Graph) []string {
 	var order []string
 	w, queue := walk(g)
 	for len(queue) > 0 {
-		task := queue[0]
+		i := queue[0]
 		queue = queue[1:]
-		order = append(order, task.Label)
-		ready, _ := w.complete(task)
+		order = append(order, g.tasks[i].Label)
+		ready, _ := w.complete(i)
 		queue = append(queue, ready...)
 	}
 	if w.left != 0 {
@@ -54,28 +55,24 @@ func TestFreezeNewGraphMatchesOriginal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Freeze: %v", err)
 	}
-	if fz.Tasks() != 4 {
-		t.Fatalf("Tasks() = %d, want 4", fz.Tasks())
+	if n := len(fz.AppendPending(nil)); n != 4 {
+		t.Fatalf("snapshot has %d tasks, want 4", n)
 	}
 	inst := fz.NewGraph()
-	ot, it := orig.Tasks(), inst.Tasks()
-	if len(ot) != len(it) {
-		t.Fatalf("instance has %d tasks, original %d", len(it), len(ot))
+	if !reflect.DeepEqual(inst.tasks, orig.tasks) {
+		t.Fatalf("instance tasks %+v, want %+v", inst.tasks, orig.tasks)
 	}
-	for i := range ot {
-		o, n := ot[i], it[i]
-		if o.Label != n.Label || o.Type != n.Type || o.High != n.High ||
-			o.Iter != n.Iter || o.Cost != n.Cost || o.ID() != n.ID() {
-			t.Fatalf("task %d differs: orig %+v inst %+v", i, o, n)
+	ifz, err := inst.Freeze()
+	if err != nil {
+		t.Fatalf("Freeze of the instance: %v", err)
+	}
+	for i := range orig.tasks {
+		if got, want := ifz.Succs(i), fz.Succs(i); !reflect.DeepEqual(got, want) {
+			t.Fatalf("task %d has successors %v, want %v", i, got, want)
 		}
-		if len(o.succs) != len(n.succs) {
-			t.Fatalf("task %d has %d succs, want %d", i, len(n.succs), len(o.succs))
-		}
-		for j := range o.succs {
-			if o.succs[j].ID() != n.succs[j].ID() {
-				t.Fatalf("task %d succ %d is id %d, want %d", i, j, n.succs[j].ID(), o.succs[j].ID())
-			}
-		}
+	}
+	if err := fz.Reset(inst); err != nil {
+		t.Fatalf("Reset: %v", err)
 	}
 	want := drain(t, orig)
 	got := drain(t, inst)
@@ -84,6 +81,8 @@ func TestFreezeNewGraphMatchesOriginal(t *testing.T) {
 	}
 }
 
+// Reset re-attaches an instance — run, then re-frozen under a snapshot of
+// its own — to the snapshot, and the replay executes as before.
 func TestFrozenResetReplays(t *testing.T) {
 	g := diamond(t)
 	fz, err := g.Freeze()
@@ -92,18 +91,17 @@ func TestFrozenResetReplays(t *testing.T) {
 	}
 	inst := fz.NewGraph()
 	first := drain(t, inst)
-	// Simulate external priority mutation between runs (ClearPriorities).
-	for _, task := range inst.Tasks() {
-		task.High = false
+	if _, err := inst.Freeze(); err != nil {
+		t.Fatalf("re-Freeze: %v", err)
 	}
 	if err := fz.Reset(inst); err != nil {
 		t.Fatalf("Reset: %v", err)
 	}
-	if inst.Total() != 4 {
-		t.Fatalf("after Reset: total=%d, want 4", inst.Total())
+	if inst.Snapshot() != fz || len(inst.tasks) != 4 {
+		t.Fatalf("after Reset: snapshot re-attached %v, %d tasks, want true and 4", inst.Snapshot() == fz, len(inst.tasks))
 	}
-	if !inst.Tasks()[0].High {
-		t.Fatal("Reset did not restore the High mark")
+	if !fz.High(0) || !inst.tasks[0].High {
+		t.Fatal("Reset lost the High mark")
 	}
 	second := drain(t, inst)
 	if !sameOrder(first, second) {
@@ -112,10 +110,13 @@ func TestFrozenResetReplays(t *testing.T) {
 }
 
 func TestFreezeRejectsDynamicGraphs(t *testing.T) {
-	foreign := New()
-	foreign.AddEdge(foreign.Add(&Task{Label: "in"}), New().Add(&Task{Label: "out"}))
-	if _, err := foreign.Freeze(); err == nil {
-		t.Fatal("Freeze accepted a successor outside the graph")
+	for _, edge := range [][2]int32{{0, 1}, {1, 0}, {-1, 0}} {
+		g := New()
+		g.Add(Task{Label: "in"})
+		g.AddEdge(edge[0], edge[1])
+		if _, err := g.Freeze(); err == nil {
+			t.Fatalf("Freeze accepted the edge %d→%d outside a one-task graph", edge[0], edge[1])
+		}
 	}
 }
 
@@ -125,7 +126,7 @@ func TestFrozenResetRejectsForeignGraph(t *testing.T) {
 		t.Fatalf("Freeze: %v", err)
 	}
 	other := New()
-	other.Add(&Task{Label: "solo"})
+	other.Add(Task{Label: "solo"})
 	if err := fz.Reset(other); err == nil {
 		t.Fatal("Reset accepted a graph with a different task count")
 	}
@@ -138,14 +139,14 @@ func TestNewGraphInstancesAreIndependent(t *testing.T) {
 	}
 	a, b := fz.NewGraph(), fz.NewGraph()
 	drain(t, a)
-	for _, task := range a.Tasks() {
-		task.High = !task.High
+	for i := range a.tasks {
+		a.tasks[i].High = !a.tasks[i].High
 	}
 	// Running and rewriting a must leave b untouched: same priorities, its
 	// own tasks.
-	for i, task := range b.Tasks() {
-		if task.High != (i == 0) || task == a.Tasks()[i] {
-			t.Fatalf("sibling instance task %q shares state with the drained instance", task.Label)
+	for i := range b.tasks {
+		if b.tasks[i].High != (i == 0) || &b.tasks[i] == &a.tasks[i] || fz.High(i) != (i == 0) {
+			t.Fatalf("sibling instance task %q shares state with the drained instance", b.tasks[i].Label)
 		}
 	}
 	drain(t, b)

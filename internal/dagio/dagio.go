@@ -261,14 +261,14 @@ func (g *GraphSpec) Build() (*dag.Graph, error) {
 	}
 	typeIDs := ng.typeIDs()
 	dg := dag.New()
-	dg.Grow(len(ng.Nodes))
-	tasks := make(map[string]*dag.Task, len(ng.Nodes))
+	dg.Grow(len(ng.Nodes), len(ng.Edges))
+	tasks := make(map[string]int32, len(ng.Nodes))
 	for _, n := range ng.Nodes {
 		ty := n.Type
 		if ty == "" {
 			ty = defaultType
 		}
-		t := &dag.Task{
+		tasks[n.ID] = dg.Add(dag.Task{
 			Label: n.ID,
 			Type:  typeIDs[ty],
 			High:  n.High,
@@ -278,9 +278,7 @@ func (g *GraphSpec) Build() (*dag.Graph, error) {
 				SyncSeconds:  taskSyncSeconds,
 				WidthPenalty: taskWidthPenalty,
 			},
-		}
-		dg.Add(t)
-		tasks[n.ID] = t
+		})
 	}
 	for _, e := range ng.Edges {
 		dg.AddEdge(tasks[e.From], tasks[e.To])

@@ -95,14 +95,15 @@ func TestBuildProducesRunnableGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dg.Validate(); err != nil {
+	if p := dg.Parallelism(); p <= 1 {
+		t.Fatalf("demo graph parallelism %v, want > 1 (0: cyclic)", p)
+	}
+	fz, err := dg.Freeze()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := int(dg.Total()), len(g.Nodes); got != want {
+	if got, want := len(fz.AppendPending(nil)), len(g.Nodes); got != want {
 		t.Fatalf("built graph has %d tasks, want %d", got, want)
-	}
-	if p := dg.Parallelism(); p <= 1 {
-		t.Fatalf("demo graph parallelism %v, want > 1", p)
 	}
 	// Distinct types map to distinct, deterministic PTT ids.
 	ids := g.typeIDs()

@@ -34,8 +34,8 @@ func TestCholeskyShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dg.Validate(); err != nil {
-			t.Errorf("T=%d: %v", T, err)
+		if dg.Parallelism() == 0 {
+			t.Errorf("T=%d: built graph is cyclic", T)
 		}
 		// The POTRF spine serializes the factorization: the critical
 		// path has at least one task per elimination step.
@@ -69,8 +69,8 @@ func TestLUShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dg.Validate(); err != nil {
-			t.Errorf("T=%d: %v", T, err)
+		if dg.Parallelism() == 0 {
+			t.Errorf("T=%d: built graph is cyclic", T)
 		}
 	}
 }
@@ -123,8 +123,8 @@ func TestRandomLayeredDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dg.Validate(); err != nil {
-		t.Fatal(err)
+	if dg.Parallelism() == 0 {
+		t.Fatal("built graph is cyclic")
 	}
 }
 

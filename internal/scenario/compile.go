@@ -24,6 +24,7 @@ import (
 	"sync"
 
 	"dynasym/internal/dag"
+	"dynasym/internal/lru"
 	"dynasym/internal/sim"
 	"dynasym/internal/simrt"
 )
@@ -81,7 +82,7 @@ type compiledWorkload struct {
 
 	once   sync.Once
 	err    error
-	graphs []*dag.Graph
+	graphs []*dag.Frozen
 }
 
 // compileHook, when non-nil, observes every graph a compile builds and
@@ -90,12 +91,14 @@ var compileHook func(*dag.Graph)
 
 // nodeGraphs returns the variant's frozen graphs, compiling them on the first
 // call. Callers only read them.
-func (cw *compiledWorkload) nodeGraphs() ([]*dag.Graph, error) {
+func (cw *compiledWorkload) nodeGraphs() ([]*dag.Frozen, error) {
 	cw.once.Do(func() {
-		cw.graphs, cw.err = cw.build()
-		for _, g := range cw.graphs {
+		var graphs []*dag.Graph
+		graphs, cw.err = cw.build()
+		cw.graphs = make([]*dag.Frozen, len(graphs))
+		for i, g := range graphs {
 			if cw.err == nil {
-				_, cw.err = g.Freeze()
+				cw.graphs[i], cw.err = g.Freeze()
 			}
 			if hook := compileHook; hook != nil {
 				hook(g)
@@ -147,9 +150,8 @@ func workloadKey(w WorkloadSpec) (string, error) {
 const compiledCacheCap = 32
 
 var (
-	compiledMu      sync.Mutex
-	compiledEntries = map[string]*compiledWorkload{}
-	compiledOrder   []string // LRU, most recent last
+	compiledMu sync.Mutex
+	compiled   = lru.New[*compiledWorkload](compiledCacheCap)
 )
 
 // CompiledCacheLen returns how many workload variants the process-wide
@@ -158,7 +160,7 @@ var (
 func CompiledCacheLen() int {
 	compiledMu.Lock()
 	defer compiledMu.Unlock()
-	return len(compiledEntries)
+	return compiled.Len()
 }
 
 // compiledFor returns the process-wide compiled workload for the key,
@@ -168,23 +170,11 @@ func CompiledCacheLen() int {
 func compiledFor(key string, build func() ([]*dag.Graph, error)) *compiledWorkload {
 	compiledMu.Lock()
 	defer compiledMu.Unlock()
-	if cw, ok := compiledEntries[key]; ok {
-		for i, k := range compiledOrder {
-			if k == key {
-				compiledOrder = append(compiledOrder[:i], compiledOrder[i+1:]...)
-				break
-			}
-		}
-		compiledOrder = append(compiledOrder, key)
+	if cw, ok := compiled.Get(key); ok {
 		return cw
 	}
 	cw := &compiledWorkload{build: build}
-	compiledEntries[key] = cw
-	compiledOrder = append(compiledOrder, key)
-	for len(compiledOrder) > compiledCacheCap {
-		delete(compiledEntries, compiledOrder[0])
-		compiledOrder = compiledOrder[1:]
-	}
+	compiled.Add(key, cw)
 	return cw
 }
 

@@ -9,6 +9,7 @@ import (
 	"dynasym/internal/core"
 	"dynasym/internal/dag"
 	"dynasym/internal/dagio"
+	"dynasym/internal/lru"
 	"dynasym/internal/workloads"
 )
 
@@ -182,8 +183,7 @@ func (e errInjected) Error() string { return "injected failure" }
 // the same families.
 func clearCompiled() {
 	compiledMu.Lock()
-	clear(compiledEntries)
-	compiledOrder = nil
+	compiled = lru.New[*compiledWorkload](compiledCacheCap)
 	compiledMu.Unlock()
 }
 

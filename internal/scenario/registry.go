@@ -36,6 +36,15 @@ func Names() []string {
 	return out
 }
 
+// CheckScale refuses a scale factor outside [0, 1] (0, like 1, is full
+// scale): a -1 or a 5 is a mistake, not a request for the paper-scale grid.
+func CheckScale(s float64) error {
+	if !(s >= 0 && s <= 1) {
+		return fmt.Errorf("scale %v outside (0, 1] (0 means full scale)", s)
+	}
+	return nil
+}
+
 // clampScale normalizes a scale factor into (0, 1].
 func clampScale(s float64) float64 {
 	if s <= 0 || s > 1 {

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dynasym/internal/lru"
 	"dynasym/internal/scenario"
 )
 
@@ -158,13 +159,13 @@ func TestLRUGuardsNonPositiveCap(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("newLRUCache(%d) did not panic", capacity)
+					t.Errorf("lru.New(%d) did not panic", capacity)
 				}
 			}()
-			newLRUCache[int](capacity)
+			lru.New[int](capacity)
 		}()
 	}
-	c := newLRUCache[int](1)
+	c := lru.New[int](1)
 	c.Add("a", 1)
 	if v, ok := c.Get("a"); !ok || v != 1 {
 		t.Fatal("cap-1 cache dropped the entry it just inserted")

@@ -77,10 +77,10 @@ import (
 // maxSpecBytes bounds a submitted spec document.
 const maxSpecBytes = 1 << 20
 
-// SubmitRequest is the POST /v1/jobs body: either a registered family at
-// a scale, or a raw spec document — not both, and the spec once, not null.
-// It is the shape clients encode; handleSubmit decodes the same fields into
-// submitBody, whose spec is decoded in the same pass rather than kept raw.
+// SubmitRequest is the POST /v1/jobs body: either a registered family at a
+// scale in (0, 1] (0 or absent: full scale), or a raw spec document — not
+// both, and the spec once, not null. It is the shape clients encode;
+// handleSubmit decodes its fields into submitBody, the spec in the same pass.
 type SubmitRequest struct {
 	Family string          `json:"family,omitempty"`
 	Scale  float64         `json:"scale,omitempty"`

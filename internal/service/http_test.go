@@ -258,6 +258,10 @@ const (
 
 // httpErrorBodies are TestHTTPErrors' submissions and the status each gets;
 // FuzzSubmitBody starts from them too.
+// badScaleBody names a family at a scale outside (0, 1]; it used to run the
+// paper-scale grid.
+const badScaleBody = `{"family": "burst-sweep", "scale": -1}`
+
 var httpErrorBodies = map[string]struct {
 	body string
 	want int
@@ -265,6 +269,8 @@ var httpErrorBodies = map[string]struct {
 	"empty":          {`{}`, http.StatusBadRequest},
 	"both":           {`{"family": "burst-sweep", "spec": {"policies": ["RWS"]}}`, http.StatusBadRequest},
 	"unknown family": {`{"family": "nope"}`, http.StatusBadRequest},
+	"negative scale": {badScaleBody, http.StatusBadRequest},
+	"scale above 1":  {`{"family": "burst-sweep", "scale": 5}`, http.StatusBadRequest},
 	"bad spec":       {`{"spec": {"workload": {"kind": "synthetic"}, "policies": ["SJF"]}}`, http.StatusBadRequest},
 	"invalid spec":   {`{"spec": {"workload": {"kind": "synthetic"}, "policies": []}}`, http.StatusBadRequest},
 	"negative size":  {`{"spec": {"workload": {"kind": "heatdist", "heat": {"nodes": 2, "blocks_per_node": -3}}, "policies": ["RWS"]}}`, http.StatusBadRequest},
@@ -309,6 +315,7 @@ func TestHTTPErrors(t *testing.T) {
 		nestedSampledBody: {`policy \"DAM-P~8~4\": the base of a sampled policy cannot itself be sampled`},
 		hugeKBody:         {`policy \"DAM-C~2000000000\": K of 2000000000 exceeds MaxSampledK (1024)`},
 		noBandwidthBody:   {`cluster \"c\" has non-positive mem_bandwidth 0`},
+		badScaleBody:      {"service: family scale -1 outside (0, 1]"},
 	} {
 		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -145,7 +145,7 @@ func TestMetricsExposition(t *testing.T) {
 		t.Errorf("asymd_job_cache_bytes = %v, want the document's %d", got, len(doc))
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		m.cache.onDrop(j)
+		m.cache.OnDrop(j)
 		m.jobBytes += int64(len(j.doc))
 		m.mx.jobCacheBytes.Set(m.jobBytes)
 	}); allocs != 0 || gaugeValue(t, m, "asymd_job_cache_bytes") != int64(len(doc)) {
@@ -666,7 +666,7 @@ func TestCellCacheGaugesTrackEviction(t *testing.T) {
 	rm := crs[4].Metrics
 	allocs := testing.AllocsPerRun(100, func() {
 		m.cellBytes += rm.SizeBytes()
-		m.cells.onDrop(rm)
+		m.cells.OnDrop(rm)
 		m.mx.cellCacheBytes.Set(m.cellBytes)
 		m.mx.cellEntries.Set(int64(m.cells.Len()))
 	})

@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dynasym/internal/lru"
 	"dynasym/internal/obs"
 	"dynasym/internal/scenario"
 	"dynasym/internal/trace"
@@ -283,21 +284,21 @@ type Manager struct {
 	mx  *serviceMetrics
 
 	mu       sync.Mutex
-	inflight map[string]*Job                // queued/running, by spec hash
-	cache    *lruCache[*Job]                // done/failed jobs, by spec hash
-	cells    *lruCache[scenario.RunMetrics] // finished cells, by cell hash
+	inflight map[string]*Job                 // queued/running, by spec hash
+	cache    *lru.Cache[*Job]                // done/failed jobs, by spec hash
+	cells    *lru.Cache[scenario.RunMetrics] // finished cells, by cell hash
 	// cellBytes is the summed SizeBytes of the cached cells (the
-	// asymd_cell_cache_bytes gauge), kept by bankCells and cells.onDrop;
+	// asymd_cell_cache_bytes gauge), kept by bankCells and cells.OnDrop;
 	// jobBytes the summed document length of the cached jobs
-	// (asymd_job_cache_bytes), kept by execute and cache.onDrop.
+	// (asymd_job_cache_bytes), kept by execute and cache.OnDrop.
 	cellBytes int64
 	jobBytes  int64
-	pending   map[string]*pendingCell   // cells being simulated, by cell hash
-	plans     *lruCache[*scenario.Plan] // memoized plans, by spec hash (shard API)
-	traces    *lruCache[*trace.SpanSet] // finished job traces, by spec hash
+	pending   map[string]*pendingCell    // cells being simulated, by cell hash
+	plans     *lru.Cache[*scenario.Plan] // memoized plans, by spec hash (shard API)
+	traces    *lru.Cache[*trace.SpanSet] // finished job traces, by spec hash
 	// simtraces caches rendered per-cell sim-time Chrome traces by cell
 	// hash.
-	simtraces *lruCache[[]byte]
+	simtraces *lru.Cache[[]byte]
 	closed    bool
 
 	wg sync.WaitGroup // running job goroutines
@@ -318,16 +319,16 @@ func NewManager(cfg Config) *Manager {
 		now:      time.Now,
 		rng:      xrand.New(0x4ea1),
 		inflight: make(map[string]*Job),
-		cache:    newLRUCache[*Job](cfg.CacheSize),
-		cells:    newLRUCache[scenario.RunMetrics](cfg.CellCacheSize),
+		cache:    lru.New[*Job](cfg.CacheSize),
+		cells:    lru.New[scenario.RunMetrics](cfg.CellCacheSize),
 		pending:  make(map[string]*pendingCell),
-		plans:    newLRUCache[*scenario.Plan](planCacheSize),
+		plans:    lru.New[*scenario.Plan](planCacheSize),
 
-		traces:    newLRUCache[*trace.SpanSet](cfg.TraceRetention),
-		simtraces: newLRUCache[[]byte](cfg.TraceRetention),
+		traces:    lru.New[*trace.SpanSet](cfg.TraceRetention),
+		simtraces: lru.New[[]byte](cfg.TraceRetention),
 	}
-	m.cache.onDrop = func(j *Job) { m.jobBytes -= int64(len(j.doc)) }
-	m.cells.onDrop = func(rm scenario.RunMetrics) { m.cellBytes -= rm.SizeBytes() }
+	m.cache.OnDrop = func(j *Job) { m.jobBytes -= int64(len(j.doc)) }
+	m.cells.OnDrop = func(rm scenario.RunMetrics) { m.cellBytes -= rm.SizeBytes() }
 	mx.poolWorkers.Set(int64(cfg.Workers))
 	local.busy = mx.poolBusy
 	local.runs = mx.cellRuns
@@ -452,6 +453,9 @@ func familySpec(name string, scale float64, seed *uint64) (scenario.Spec, error)
 	f, ok := scenario.Lookup(name)
 	if !ok {
 		return scenario.Spec{}, fmt.Errorf("service: unknown scenario family %q (known: %v)", name, scenario.Names())
+	}
+	if err := scenario.CheckScale(scale); err != nil {
+		return scenario.Spec{}, fmt.Errorf("service: family %w", err)
 	}
 	spec := f.Spec(scale)
 	if seed != nil {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dynasym/internal/core"
+	"dynasym/internal/lru"
 	"dynasym/internal/scenario"
 	"dynasym/internal/workloads"
 )
@@ -117,7 +118,7 @@ func TestCacheHitSkipsRun(t *testing.T) {
 // TestLRUEvictionOrder drives the lru directly: least-recently-used falls
 // out first, and Get refreshes recency.
 func TestLRUEvictionOrder(t *testing.T) {
-	c := newLRUCache[*Job](2)
+	c := lru.New[*Job](2)
 	mk := func(h string) *Job { return &Job{Hash: h} }
 	c.Add("a", mk("a"))
 	c.Add("b", mk("b"))

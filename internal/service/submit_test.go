@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"dynasym/internal/lru"
 	"dynasym/internal/scenario"
 )
 
@@ -428,12 +429,12 @@ func TestSubmitProbeLeavesCellLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	lru := func() ([]string, int64) {
+	cellLRU := func() ([]string, int64) {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		return m.cells.Keys(), m.mx.cellEvict.Value()
 	}
-	keys0, evict0 := lru()
+	keys0, evict0 := cellLRU()
 	var queued []*Job
 	for _, pts := range [][]int{{2, 6}, {4, 6}, {2, 4, 6}} {
 		j, _, err := m.Submit(overlapSpec(81, pts...))
@@ -442,7 +443,7 @@ func TestSubmitProbeLeavesCellLRU(t *testing.T) {
 		}
 		queued = append(queued, j)
 	}
-	if keys, evict := lru(); !reflect.DeepEqual(keys, keys0) || evict != evict0 {
+	if keys, evict := cellLRU(); !reflect.DeepEqual(keys, keys0) || evict != evict0 {
 		t.Errorf("queued submissions moved the cell LRU:\n got %v (%d evictions)\nwant %v (%d)", keys, evict, keys0, evict0)
 	}
 	close(release)
@@ -453,7 +454,7 @@ func TestSubmitProbeLeavesCellLRU(t *testing.T) {
 
 	// The sequential half, against a model of the protocol.
 	m = NewManager(Config{Workers: 1, CellCacheSize: 6})
-	model := newLRUCache[struct{}](6)
+	model := lru.New[struct{}](6)
 	var modelEvict int64
 	for i, pts := range [][]int{{2, 4}, {2, 6}, {4, 8}, {2, 6}, {2, 4, 6, 8}} {
 		spec := overlapSpec(91, pts...)
@@ -477,7 +478,7 @@ func TestSubmitProbeLeavesCellLRU(t *testing.T) {
 		}
 		waitDone(t, j)
 	}
-	keys, evict := lru()
+	keys, evict := cellLRU()
 	if modelEvict == 0 {
 		t.Fatal("the sequence evicted nothing; it would prove little")
 	}

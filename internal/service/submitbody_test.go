@@ -161,6 +161,7 @@ func FuzzSubmitBody(f *testing.F) {
 		}
 		f.Add([]byte(`{"spec":` + string(canon) + `}`))
 		f.Add([]byte(fmt.Sprintf(`{"family":%q,"scale":0.05,"seed":7}`, name)))
+		f.Add([]byte(fmt.Sprintf(`{"family":%q,"scale":-1}`, name))) // refused: outside (0, 1]
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		sameOrRefused(t, body)

@@ -21,10 +21,10 @@ func allocRuntime(t *testing.T) *Runtime {
 	topo := topology.TX2()
 	model := machine.New(topo)
 	g := dag.New()
-	g.Grow(4000)
+	g.Grow(4000, 0)
 	cost := kernels.MatMulCost(64)
 	for i := 0; i < 4000; i++ {
-		g.Add(&dag.Task{
+		g.Add(dag.Task{
 			Label: "alloc-probe",
 			Type:  kernels.TypeMatMul,
 			High:  i%16 == 0,
@@ -36,7 +36,11 @@ func allocRuntime(t *testing.T) *Runtime {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Start(g); err != nil {
+	fz, err := g.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Start(fz); err != nil {
 		t.Fatal(err)
 	}
 	return rt

@@ -14,15 +14,15 @@ import (
 	"dynasym/internal/topology"
 )
 
-// probeGraph builds a steal-heavy workload: low-priority tasks wake onto
-// core 0, so the other cores live on the steal path while high-priority
-// tasks exercise the dispatch path.
-func probeGraph(n int) *dag.Graph {
+// probeGraph builds and freezes a steal-heavy workload: low-priority tasks
+// wake onto core 0, so the other cores live on the steal path while
+// high-priority tasks exercise the dispatch path.
+func probeGraph(n int) *dag.Frozen {
 	g := dag.New()
-	g.Grow(n)
+	g.Grow(n, 0)
 	cost := kernels.MatMulCost(64)
 	for i := 0; i < n; i++ {
-		g.Add(&dag.Task{
+		g.Add(dag.Task{
 			Label: "probe",
 			Type:  kernels.TypeMatMul,
 			High:  i%16 == 0,
@@ -30,7 +30,11 @@ func probeGraph(n int) *dag.Graph {
 			Iter:  -1,
 		})
 	}
-	return g
+	fz, err := g.Freeze()
+	if err != nil {
+		panic(err)
+	}
+	return fz
 }
 
 // probeRun executes the workload to completion with the given probe (nil

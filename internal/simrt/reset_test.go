@@ -16,22 +16,19 @@ import (
 // call returns a structurally identical fresh instance.
 func resetGraph() *dag.Graph {
 	g := dag.New()
-	g.Grow(400)
+	g.Grow(400, 133)
 	cost := kernels.MatMulCost(48)
-	var prev *dag.Task
-	for i := 0; i < 400; i++ {
-		t := &dag.Task{
+	for i := int32(0); i < 400; i++ {
+		g.Add(dag.Task{
 			Label: "reset-probe",
 			Type:  kernels.TypeMatMul,
 			High:  i%8 == 0,
 			Cost:  cost,
-			Iter:  i / 40,
+			Iter:  int(i / 40),
+		})
+		if i > 0 && i%3 == 0 {
+			g.AddEdge(i-1, i)
 		}
-		g.Add(t)
-		if prev != nil && i%3 == 0 {
-			g.AddEdge(prev, t)
-		}
-		prev = t
 	}
 	return g
 }
@@ -155,7 +152,7 @@ func runGraph(t *testing.T, cfg Config, g *dag.Graph) signature {
 	return signature{coll.Makespan(), coll.CoreBusy(), rt.CoreStats()}
 }
 
-// A graph nobody froze is frozen by Start — the snapshot stays on it — and
+// A graph nobody froze is frozen by Run — the snapshot stays on it — and
 // runs exactly as its explicitly frozen twin does.
 func TestStartFreezesPrivateGraph(t *testing.T) {
 	topo := topology.TX2()

@@ -29,15 +29,24 @@ type graphEdges struct {
 	edges  [][2]string // {predecessor, successor}
 }
 
-func snapshotEdges(g *dag.Graph) graphEdges {
+// snapshotEdges freezes g and reads its structure, by label, off the
+// snapshot (whose successor lists the dag package's CSR property test pins
+// to the builder's edges).
+func snapshotEdges(t *testing.T, g *dag.Graph) (graphEdges, *dag.Frozen) {
+	t.Helper()
+	fz, err := g.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var ge graphEdges
-	for _, t := range g.Tasks() {
-		ge.labels = append(ge.labels, t.Label)
-		for _, s := range t.Succs() {
-			ge.edges = append(ge.edges, [2]string{t.Label, s.Label})
+	for i := range fz.AppendPending(nil) {
+		label := fz.Task(i).Label
+		ge.labels = append(ge.labels, label)
+		for _, s := range fz.Succs(i) {
+			ge.edges = append(ge.edges, [2]string{label, fz.Task(int(s)).Label})
 		}
 	}
-	return ge
+	return ge, fz
 }
 
 // checkSchedule reports every way the recorded slices fail to be a valid
@@ -175,7 +184,7 @@ func TestScheduleValidity(t *testing.T) {
 					t.Fatal(err)
 				}
 				g := build(t)
-				ge := snapshotEdges(g)
+				ge, _ := snapshotEdges(t, g)
 				coll, err := rt.Run(g)
 				if err != nil {
 					t.Fatal(err)
@@ -215,9 +224,9 @@ func TestScheduleValidityHeatDistHook(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := hd.BuildNode(i)
-		nodes[i] = node{rt: rt, rec: rec, ge: snapshotEdges(g), topo: topo}
-		if err := rt.Start(g); err != nil {
+		ge, fz := snapshotEdges(t, hd.BuildNode(i))
+		nodes[i] = node{rt: rt, rec: rec, ge: ge, topo: topo}
+		if err := rt.Start(fz); err != nil {
 			t.Fatal(err)
 		}
 	}

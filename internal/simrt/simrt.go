@@ -430,11 +430,19 @@ func (rt *Runtime) Collector() *metrics.Collector { return &rt.coll }
 // Finished reports whether the graph drained.
 func (rt *Runtime) Finished() bool { return rt.finished }
 
-// Run executes the graph to completion on a private engine and returns the
-// collector. It fails if the configuration shares an engine (use Start and
-// drive the engine yourself) or if execution stalls.
+// Run executes the graph to completion on a private engine — freezing a
+// graph nobody froze yet — and returns the collector. It fails if the
+// configuration shares an engine (use Start and drive the engine yourself)
+// or if execution stalls.
 func (rt *Runtime) Run(g *dag.Graph) (*metrics.Collector, error) {
-	if err := rt.Start(g); err != nil {
+	fz, err := g.Snapshot(), error(nil)
+	if fz == nil {
+		fz, err = g.Freeze()
+	}
+	if err == nil {
+		err = rt.Start(fz)
+	}
+	if err != nil {
 		return nil, err
 	}
 	rt.engine.Run()
@@ -444,22 +452,15 @@ func (rt *Runtime) Run(g *dag.Graph) (*metrics.Collector, error) {
 	return &rt.coll, nil
 }
 
-// Start attaches the runtime to the graph's snapshot — freezing a graph
-// nobody froze yet — and schedules the initial events. A frozen graph is only
-// read, so any number of runtimes may execute one at the same time. The
-// caller is responsible for running the engine (shared-engine mode).
-func (rt *Runtime) Start(g *dag.Graph) error {
+// Start attaches the runtime to a frozen graph and schedules the initial
+// events. A frozen graph is only read, so any number of runtimes may execute
+// one at the same time. The caller is responsible for running the engine
+// (shared-engine mode).
+func (rt *Runtime) Start(fz *dag.Frozen) error {
 	if rt.started {
 		return fmt.Errorf("simrt: runtime already started")
 	}
 	rt.started = true
-	fz := g.Snapshot()
-	if fz == nil {
-		var err error
-		if fz, err = g.Freeze(); err != nil {
-			return fmt.Errorf("simrt: %w", err)
-		}
-	}
 	rt.graph = fz
 	rt.pending = fz.AppendPending(rt.pending[:0])
 	rt.remaining = len(rt.pending)

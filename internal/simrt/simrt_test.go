@@ -162,8 +162,8 @@ func TestDynamicGraphRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 5 iterations × (8 assigns + 1 reduce), all unrolled up front.
-	if g.Total() != 45 || coll.TasksDone() != 45 {
-		t.Fatalf("k-means graph has %d tasks and executed %d, want 45", g.Total(), coll.TasksDone())
+	if n := len(g.Snapshot().AppendPending(nil)); n != 45 || coll.TasksDone() != 45 {
+		t.Fatalf("k-means graph has %d tasks and executed %d, want 45", n, coll.TasksDone())
 	}
 }
 
@@ -200,9 +200,9 @@ func TestEmptyGraph(t *testing.T) {
 // count the tasks that never ran.
 func TestStallReportsRemainingTasks(t *testing.T) {
 	g := dag.New()
-	a := g.Add(&dag.Task{Label: "a"})
-	b := g.Add(&dag.Task{Label: "b"}, a)
-	c := g.Add(&dag.Task{Label: "c"}, b)
+	a := g.Add(dag.Task{Label: "a"})
+	b := g.Add(dag.Task{Label: "b"}, a)
+	c := g.Add(dag.Task{Label: "c"}, b)
 	g.AddEdge(c, b)
 	_, err := newRT(t, core.RWS(), 1, nil).Run(g)
 	if err == nil || !strings.Contains(err.Error(), "stalled with 2 tasks outstanding") {

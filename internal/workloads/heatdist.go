@@ -131,72 +131,48 @@ func (hd *HeatDist) peers(node int) []int {
 func (hd *HeatDist) BuildNode(node int) *dag.Graph {
 	g := dag.New()
 	B := hd.BlocksPerNode
-	prev := make([]*dag.Task, B)
-	var prevComm *dag.Task
+	prev, cur := make([]int32, B), make([]int32, B)
+	var comm int32
+	var deps []int32
 	for iter := 0; iter < hd.Iters; iter++ {
-		// One exchange task per iteration: it needs the previous
-		// iteration's edge blocks (the rows it ships out).
-		comm := &dag.Task{
+		// One exchange task per iteration: it needs the previous exchange
+		// and edge blocks (the rows it ships out; one block is both). Order
+		// within deps is free: a successor list keeps the order of Adds.
+		deps = deps[:0]
+		if iter > 0 {
+			deps = append(deps, prev[0], comm)
+			if B > 1 {
+				deps = append(deps, prev[B-1])
+			}
+		}
+		comm = g.Add(dag.Task{
 			Label: fmt.Sprintf("n%d.exchange[%d]", node, iter),
 			Type:  kernels.TypeComm,
 			High:  true,
 			Cost:  hd.CommCost,
 			Iter:  iter,
-		}
-		g.Add(comm, commDeps(prev[0], prev[B-1], prevComm)...)
-		prevComm = comm
+		}, deps...)
 
-		cur := make([]*dag.Task, B)
 		for b := 0; b < B; b++ {
-			t := &dag.Task{
-				Label: fmt.Sprintf("n%d.heat[%d.%d]", node, iter, b),
-				Type:  heatTypeCompute,
-				Cost:  hd.ComputeCost,
-				Iter:  iter,
-			}
-			var deps []*dag.Task
+			deps = deps[:0]
 			if iter > 0 {
-				deps = append(deps, prev[b])
-				if b > 0 {
-					deps = append(deps, prev[b-1])
-				}
-				if b < B-1 {
-					deps = append(deps, prev[b+1])
-				}
+				deps = append(deps, prev[max(b-1, 0):min(b+2, B)]...)
 			}
 			// Edge blocks consume the ghost cells from this iteration's
 			// exchange.
 			if b == 0 || b == B-1 {
 				deps = append(deps, comm)
 			}
-			g.Add(t, deps...)
-			cur[b] = t
+			cur[b] = g.Add(dag.Task{
+				Label: fmt.Sprintf("n%d.heat[%d.%d]", node, iter, b),
+				Type:  heatTypeCompute,
+				Cost:  hd.ComputeCost,
+				Iter:  iter,
+			}, deps...)
 		}
-		prev = cur
+		prev, cur = cur, prev
 	}
 	return g
-}
-
-// commDeps drops nil and duplicate dependencies (first iteration has none;
-// with one block the two edge blocks coincide).
-func commDeps(deps ...*dag.Task) []*dag.Task {
-	var out []*dag.Task
-	for _, d := range deps {
-		if d == nil {
-			continue
-		}
-		dup := false
-		for _, o := range out {
-			if o == d {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // Hook returns the execution hook of node `node`'s runtime: it takes over

@@ -152,9 +152,9 @@ func (km *KMeans) grainRange(g int) (lo, hi int) {
 // Build returns the graph of all MaxIters iterations.
 func (km *KMeans) Build() *dag.Graph {
 	g := dag.New()
-	g.Grow(km.MaxIters * (km.Grains + 1))
-	assigns := make([]*dag.Task, km.Grains)
-	var prevReduce *dag.Task
+	g.Grow(km.MaxIters*(km.Grains+1), km.MaxIters*2*km.Grains)
+	assigns := make([]int32, km.Grains)
+	reduce := []int32{0} // the previous iteration's reduction
 	for iter := 0; iter < km.MaxIters; iter++ {
 		for i := range assigns {
 			lo, hi := km.grainRange(i)
@@ -166,16 +166,15 @@ func (km *KMeans) Build() *dag.Graph {
 			if i == km.Grains-1 {
 				typ = kmeansTypeAssignJumbo
 			}
-			assigns[i] = &dag.Task{
+			assigns[i] = g.Add(dag.Task{
 				Label: fmt.Sprintf("assign[%d.%d]", iter, i),
 				Type:  typ,
 				High:  i == km.Grains-1,
 				Cost:  cost,
 				Iter:  iter,
-			}
+			}, reduce[:min(iter, 1)]...)
 		}
-		g.AddLayer(assigns, prevReduce)
-		prevReduce = g.Add(&dag.Task{
+		reduce[0] = g.Add(dag.Task{
 			Label: fmt.Sprintf("reduce[%d]", iter),
 			Type:  kmeansTypeReduce,
 			Cost:  km.reduceCost,

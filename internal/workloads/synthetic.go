@@ -147,24 +147,22 @@ func BuildSynthetic(cfg SyntheticConfig) *dag.Graph {
 	if layers == 0 {
 		layers = 1
 	}
-	g.Grow(layers * cfg.Parallelism)
+	g.Grow(layers*cfg.Parallelism, (layers-1)*cfg.Parallelism)
 	cost := cfg.cost()
 	typeID := cfg.Kernel.typeID()
 	kernelName := cfg.Kernel.String()
-	var prevCritical *dag.Task
-	layerTasks := make([]*dag.Task, cfg.Parallelism)
+	crit := []int32{0} // the previous layer's critical task: its first
 	for layer := 0; layer < layers; layer++ {
 		for i := 0; i < cfg.Parallelism; i++ {
-			layerTasks[i] = &dag.Task{
+			g.Add(dag.Task{
 				Label: layerLabel(kernelName, layer, i),
 				Type:  typeID,
 				High:  i == 0,
 				Cost:  cost,
 				Iter:  layer,
-			}
+			}, crit[:min(layer, 1)]...)
 		}
-		g.AddLayer(layerTasks, prevCritical)
-		prevCritical = layerTasks[0]
+		crit[0] = int32(layer * cfg.Parallelism)
 	}
 	return g
 }

@@ -10,25 +10,34 @@ import (
 
 func TestSyntheticStructure(t *testing.T) {
 	g := BuildSynthetic(SyntheticConfig{Kernel: MatMul, Tile: 64, Tasks: 120, Parallelism: 4})
-	if g.Total() != 120 {
-		t.Fatalf("total = %d, want 120", g.Total())
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if par := g.Parallelism(); par != 4 {
 		t.Fatalf("DAG parallelism = %g, want 4 (the paper's definition)", par)
 	}
+	fz, pending := frozen(t, g)
+	if len(pending) != 120 {
+		t.Fatalf("total = %d, want 120", len(pending))
+	}
 	// Exactly one critical task per layer.
 	high := 0
-	for _, tsk := range g.Tasks() {
-		if tsk.High {
+	for i := range pending {
+		if fz.High(i) {
 			high++
 		}
 	}
 	if high != 30 {
 		t.Fatalf("%d critical tasks, want 30 (one per layer)", high)
 	}
+}
+
+// frozen freezes g and returns its snapshot and every task's dependency
+// count, in insertion order.
+func frozen(t *testing.T, g *dag.Graph) (*dag.Frozen, []int32) {
+	t.Helper()
+	fz, err := g.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fz, fz.AppendPending(nil)
 }
 
 func TestSyntheticDefaults(t *testing.T) {
@@ -46,35 +55,35 @@ func TestSyntheticDefaults(t *testing.T) {
 }
 
 func TestSyntheticCriticalReleasesNextLayer(t *testing.T) {
-	g := BuildSynthetic(SyntheticConfig{Kernel: Copy, Tasks: 8, Parallelism: 2})
-	var ready []*dag.Task
-	for _, tsk := range g.Tasks() {
-		if tsk.PendingDeps() == 0 {
-			ready = append(ready, tsk)
+	fz, pending := frozen(t, BuildSynthetic(SyntheticConfig{Kernel: Copy, Tasks: 8, Parallelism: 2}))
+	var ready []int
+	for i, deps := range pending {
+		if deps == 0 {
+			ready = append(ready, i)
 		}
 	}
 	if len(ready) != 2 {
 		t.Fatalf("layer 0 has %d ready tasks, want 2", len(ready))
 	}
-	var crit, low *dag.Task
-	for _, tsk := range ready {
-		if tsk.High {
-			crit = tsk
+	var crit, low int
+	for _, i := range ready {
+		if fz.High(i) {
+			crit = i
 		} else {
-			low = tsk
+			low = i
 		}
 	}
 	// The low task releases nothing.
-	if n := len(low.Succs()); n != 0 {
+	if n := len(fz.Succs(low)); n != 0 {
 		t.Fatalf("low task has %d successors, want 0", n)
 	}
 	// The critical task alone releases the whole next layer.
-	if n := len(crit.Succs()); n != 2 {
+	if n := len(fz.Succs(crit)); n != 2 {
 		t.Fatalf("critical task releases %d tasks, want 2", n)
 	}
-	for _, s := range crit.Succs() {
-		if s.PendingDeps() != 1 || s.Iter != 1 {
-			t.Fatalf("task %q: %d dependencies in layer %d, want 1 in layer 1", s.Label, s.PendingDeps(), s.Iter)
+	for _, s := range fz.Succs(crit) {
+		if tsk := fz.Task(int(s)); pending[s] != 1 || tsk.Iter != 1 {
+			t.Fatalf("task %q: %d dependencies in layer %d, want 1 in layer 1", tsk.Label, pending[s], tsk.Iter)
 		}
 	}
 }
@@ -127,21 +136,23 @@ func TestKMeansGraphShape(t *testing.T) {
 	const grains, iters = 8, 3
 	km := NewKMeans(KMeansConfig{N: 1 << 10, Grains: grains, JumboFrac: 0.25, MaxIters: iters})
 	g := km.Build()
-	if g.Total() != iters*(grains+1) {
-		t.Fatalf("graph has %d tasks, want %d", g.Total(), iters*(grains+1))
+	if g.Parallelism() == 0 {
+		t.Fatal("k-means graph is cyclic")
 	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
+	fz, pending := frozen(t, g)
+	if len(pending) != iters*(grains+1) {
+		t.Fatalf("graph has %d tasks, want %d", len(pending), iters*(grains+1))
 	}
-	tasks := g.Tasks()
 	for iter := 0; iter < iters; iter++ {
 		base := iter * (grains + 1)
-		reduce := tasks[base+grains]
+		ri := base + grains
+		reduce := fz.Task(ri)
 		if reduce.Label != fmt.Sprintf("reduce[%d]", iter) || reduce.Type != kmeansTypeReduce ||
-			reduce.High || reduce.Iter != iter || reduce.PendingDeps() != grains {
+			reduce.High || reduce.Iter != iter || pending[ri] != grains {
 			t.Fatalf("iteration %d reduce is %+v", iter, reduce)
 		}
-		for i, a := range tasks[base : base+grains] {
+		for i := 0; i < grains; i++ {
+			a := fz.Task(base + i)
 			jumbo := i == grains-1
 			wantType := kmeansTypeAssign
 			if jumbo {
@@ -150,19 +161,19 @@ func TestKMeansGraphShape(t *testing.T) {
 			if a.Label != fmt.Sprintf("assign[%d.%d]", iter, i) || a.Type != wantType || a.High != jumbo || a.Iter != iter {
 				t.Fatalf("iteration %d assign %d is %+v", iter, i, a)
 			}
-			if len(a.Succs()) != 1 || a.Succs()[0] != reduce {
+			if succs := fz.Succs(base + i); len(succs) != 1 || int(succs[0]) != ri {
 				t.Fatalf("assign[%d.%d] does not feed exactly its iteration's reduce", iter, i)
 			}
 			wantDeps := int32(1)
 			if iter == 0 {
 				wantDeps = 0
 			}
-			if a.PendingDeps() != wantDeps {
-				t.Fatalf("assign[%d.%d] has %d dependencies, want %d", iter, i, a.PendingDeps(), wantDeps)
+			if pending[base+i] != wantDeps {
+				t.Fatalf("assign[%d.%d] has %d dependencies, want %d", iter, i, pending[base+i], wantDeps)
 			}
 		}
 		// reduce[i] releases iteration i+1's assigns, in grain order.
-		next := reduce.Succs()
+		next := fz.Succs(ri)
 		if iter == iters-1 {
 			if len(next) != 0 {
 				t.Fatalf("last reduce has %d successors", len(next))
@@ -173,12 +184,12 @@ func TestKMeansGraphShape(t *testing.T) {
 			t.Fatalf("reduce[%d] releases %d tasks, want %d", iter, len(next), grains)
 		}
 		for i, s := range next {
-			if s != tasks[base+grains+1+i] {
-				t.Fatalf("reduce[%d] successor %d is %q, want assign[%d.%d]", iter, i, s.Label, iter+1, i)
+			if int(s) != ri+1+i {
+				t.Fatalf("reduce[%d] successor %d is %q, want assign[%d.%d]", iter, i, fz.Task(int(s)).Label, iter+1, i)
 			}
 		}
 	}
-	if jumbo, plain := tasks[grains-1].Cost.Ops, tasks[0].Cost.Ops; jumbo <= plain {
+	if jumbo, plain := fz.Task(grains-1).Cost.Ops, fz.Task(0).Cost.Ops; jumbo <= plain {
 		t.Fatalf("jumbo grain costs %g ops, a regular grain %g", jumbo, plain)
 	}
 }
@@ -187,15 +198,17 @@ func TestHeatDistGraphShape(t *testing.T) {
 	hd := NewHeatDist(HeatDistConfig{Nodes: 3, BlocksPerNode: 4, Iters: 5, RowsPerBlock: 8, Cols: 64})
 	for node := 0; node < 3; node++ {
 		g := hd.BuildNode(node)
-		// 5 iterations × (4 blocks + 1 exchange).
-		if g.Total() != 25 {
-			t.Fatalf("node %d graph has %d tasks, want 25", node, g.Total())
+		if g.Parallelism() == 0 {
+			t.Fatalf("node %d graph is cyclic", node)
 		}
-		if err := g.Validate(); err != nil {
-			t.Fatal(err)
+		fz, pending := frozen(t, g)
+		// 5 iterations × (4 blocks + 1 exchange).
+		if len(pending) != 25 {
+			t.Fatalf("node %d graph has %d tasks, want 25", node, len(pending))
 		}
 		high := 0
-		for _, tsk := range g.Tasks() {
+		for i := range pending {
+			tsk := fz.Task(i)
 			if tsk.High {
 				// The hook knows an exchange by its type and tags its
 				// messages with Iter: one exchange per iteration, in order.
@@ -239,8 +252,10 @@ func TestIterTagsBelowTaskCount(t *testing.T) {
 		"heatdist node 1": hd.BuildNode(1),
 	}
 	for name, g := range graphs {
-		n, seen := int(g.Total()), 0
-		for _, task := range g.Tasks() {
+		fz, pending := frozen(t, g)
+		n, seen := len(pending), 0
+		for i := range pending {
+			task := fz.Task(i)
 			if task.Iter < 0 || task.Iter >= n {
 				t.Errorf("%s: task %s tagged iteration %d, outside [0, %d)", name, task.Label, task.Iter, n)
 			}

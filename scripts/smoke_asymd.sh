@@ -283,6 +283,8 @@ reject "unknown spec field" "$(spec x-field '{"kind": "synthetic", "bogus": 1}')
 reject "no policies" "{\"spec\": {\"workload\": $SYN}}" 'empty policy set'
 # A cluster without memory bandwidth is refused, not run into a panic.
 reject "cluster without mem_bandwidth" "$(spec x-bandwidth "$SYN" "" '{"clusters": [{"name": "c", "first_core": 0, "num_cores": 2, "widths": [1, 2], "speed": 1, "base_hz": 1e9}]}')" 'mem_bandwidth'
+# A family scale outside (0, 1] is refused, not run at full scale.
+reject "family scale out of range" '{"family": "burst-sweep", "scale": -1}' 'family scale -1 outside (0, 1]'
 
 # Platforms.
 run_job "platform sym4" "$(spec p-sym4 "$SYN" "" '{"preset": "sym4"}')"

@@ -76,10 +76,6 @@ type Plan struct {
 	compiled    []*compiledWorkload
 	variant     []int
 	variantErr  error
-	// twin is nil unless two points share their cell parameters (Parallelism,
-	// Tile and Alpha) under different labels; then twin[xi] is the first
-	// point with xi's parameters, whose cells have the same hashes as xi's.
-	twin []int
 
 	// topo is the plan's platform — the one validation built — and models
 	// its configured machine models (spec disturbances applied), one per
@@ -177,47 +173,7 @@ func newPlan(s Spec, k *Key) (*Plan, error) {
 			}
 		}
 	}
-	return &Plan{Spec: s, Hash: k.Hash, Canonical: k.JSON, Cells: cells,
-		twin: pointTwins(s.Points), topo: topo}, nil
-}
-
-// pointTwins returns nil when no two points share their cell parameters, or
-// else, per point, the first point with the same ones.
-func pointTwins(pts []Point) []int {
-	type params struct {
-		par, tile int
-		alpha     uint64 // bits, as the cell hash reads it
-	}
-	first := make(map[params]int, len(pts))
-	var twin []int
-	for xi, pt := range pts {
-		k := params{pt.Parallelism, pt.Tile, math.Float64bits(pt.Alpha)}
-		xj, seen := first[k]
-		if !seen {
-			first[k] = xi
-			continue
-		}
-		if twin == nil {
-			twin = make([]int, len(pts))
-			for i := range twin {
-				twin[i] = i
-			}
-		}
-		twin[xi] = xj
-	}
-	return twin
-}
-
-// FirstWithHash returns the lowest plan index whose cell has the hash of
-// cell i: i itself, unless cell i's point shares its parameters with an
-// earlier point under a different label. Policies are distinct, so that is
-// the only way two cells of a plan share a hash.
-func (p *Plan) FirstWithHash(i int) int {
-	if p.twin == nil {
-		return i
-	}
-	c := p.Cells[i]
-	return (c.Policy*len(p.Spec.Points)+p.twin[c.Point])*p.Spec.Reps + c.Rep
+	return &Plan{Spec: s, Hash: k.Hash, Canonical: k.JSON, Cells: cells, topo: topo}, nil
 }
 
 // variants resolves every point to its compiled workload and dense variant

@@ -77,8 +77,7 @@ func TestPlanMergeMatchesRun(t *testing.T) {
 // order, one merged from a map by cell hash, and a monolithic Run are one
 // result, text and digest, for every registered family with repetitions and
 // a per-point alpha — and for a grid with a point that repeats another's
-// parameters under a new label, whose cells share that point's hashes
-// (FirstWithHash names the first cell of each hash).
+// parameters under a new label, whose cells share that point's hashes.
 func TestAssembleMatchesRun(t *testing.T) {
 	specs := map[string]Spec{}
 	for _, name := range Names() {
@@ -101,21 +100,14 @@ func TestAssembleMatchesRun(t *testing.T) {
 			}
 			runs := make([]RunMetrics, len(p.Cells))
 			byHash := make(map[string]RunMetrics, len(p.Cells))
-			first := make(map[string]int, len(p.Cells))
 			st := NewCellState()
 			for i, c := range p.Cells {
 				if runs[i], err = p.RunCellState(st, c); err != nil {
 					t.Fatalf("%s: %v", p.CellLabel(c), err)
 				}
 				byHash[c.Hash] = runs[i]
-				if _, ok := first[c.Hash]; !ok {
-					first[c.Hash] = i
-				}
-				if got := p.FirstWithHash(i); got != first[c.Hash] {
-					t.Errorf("FirstWithHash(%d) = %d, want %d", i, got, first[c.Hash])
-				}
 			}
-			if name == "burst-sweep+twin" && len(first) == len(p.Cells) {
+			if name == "burst-sweep+twin" && len(byHash) == len(p.Cells) {
 				t.Error("the twin point's cells share no hash with the point it repeats")
 			}
 			merged, err := Merge(p, byHash)

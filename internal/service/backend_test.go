@@ -355,10 +355,12 @@ func TestAllBackendsFailing(t *testing.T) {
 	}
 }
 
-// TestConcurrentOverlapSharesInFlightCells: a job whose cells another
-// running job is already simulating must subscribe to those cells, not
-// re-simulate them — in-flight dedupe at cell granularity.
-func TestConcurrentOverlapSharesInFlightCells(t *testing.T) {
+// TestConcurrentOverlapSimulatesPerJob: a job owns its cells, so a job
+// submitted while another simulates the cells it needs simulates them again.
+// The duplicate work is stated: both jobs still match a direct run, the cell
+// cache holds each distinct cell once, and neither its byte gauge nor the sim
+// telemetry counts a re-banked cell twice.
+func TestConcurrentOverlapSimulatesPerJob(t *testing.T) {
 	m := NewManager(Config{Workers: 4, ShardSize: 1})
 	realRun := m.local.runCell
 	started := make(chan struct{}, 16)
@@ -374,31 +376,113 @@ func TestConcurrentOverlapSharesInFlightCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-started // job A has claimed its cells and begun simulating
-
+	for range 4 {
+		<-started // A's four cells hold the four pool workers
+	}
 	b := overlapSpec(38, 2, 4, 8) // shares A's 4 cells, adds 2
 	jb, _, err := m.Submit(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Give B time to probe and subscribe while A's cells are pending,
-	// then let every simulation proceed.
-	time.Sleep(50 * time.Millisecond)
+	// B's pass ends while A's cells are held, so it finds none of its 6 cached.
+	for deadline := time.Now().Add(10 * time.Second); jb.cellMisses.Load() != 6; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("job B counted %d misses, want 6", jb.cellMisses.Load())
+		}
+	}
 	close(release)
 	waitDone(t, ja)
 	waitDone(t, jb)
-	if ja.loadState() != stateDone || jb.loadState() != stateDone {
-		t.Fatalf("jobs finished %v/%v: %v %v", ja.loadState(), jb.loadState(), ja.snapshot().Error, jb.snapshot().Error)
+	for _, tc := range []struct {
+		j    *Job
+		spec scenario.Spec
+	}{{ja, a}, {jb, b}} {
+		if _, fp, _, err := tc.j.Result(); err != nil || fp != scenario.MustRun(tc.spec).Fingerprint() {
+			t.Errorf("job of %d points: err=%v, or a fingerprint unlike the direct run's", len(tc.spec.Points), err)
+		}
 	}
-	if got, want := m.cellRuns(), int64(6); got != want {
-		t.Errorf("concurrent overlapping jobs simulated %d cells, want %d (4 shared + 2 delta)", got, want)
+	if got := m.cellRuns(); got != 10 {
+		t.Errorf("cell runs = %d, want A's 4 and B's 6", got)
 	}
-	_, fp, _, err := jb.Result()
+	m.mu.Lock()
+	var bytes, tasks int64
+	for _, h := range m.cells.Keys() {
+		rm, _ := m.cells.Peek(h)
+		bytes += rm.SizeBytes()
+		tasks += rm.TasksDone
+	}
+	held := m.cells.Len()
+	m.mu.Unlock()
+	if held != 6 {
+		t.Errorf("cell cache holds %d cells, want the 6 distinct ones", held)
+	}
+	if got := gaugeValue(t, m, "asymd_cell_cache_bytes"); got != bytes {
+		t.Errorf("asymd_cell_cache_bytes = %d, want %d (the held cells' sum)", got, bytes)
+	}
+	if got := gaugeValue(t, m, "asymd_sim_tasks_total"); got != tasks {
+		t.Errorf("asymd_sim_tasks_total = %d, want %d (each distinct cell once)", got, tasks)
+	}
+}
+
+// TestConcurrentOverlapSurvivesFailedSharedCell: job A fails on a cell that
+// job B, submitted while A simulates it, also needs. B runs its own copy, so
+// A's failure neither stalls nor fails it, and the failed run is not cached.
+func TestConcurrentOverlapSurvivesFailedSharedCell(t *testing.T) {
+	m := NewManager(Config{Workers: 4, ShardSize: 1})
+	aStarted, releaseA := make(chan struct{}, 1), make(chan struct{})
+	bStarted, releaseB := make(chan struct{}, 1), make(chan struct{})
+	realRun := m.local.runCell
+	m.local.runCell = func(p *scenario.Plan, st *scenario.CellState, c scenario.CellJob) (scenario.RunMetrics, error) {
+		if c.Policy == 0 && c.Point == 0 {
+			switch p.Spec.Name {
+			case "fail-a":
+				aStarted <- struct{}{}
+				<-releaseA
+				return scenario.RunMetrics{}, errors.New("injected failure")
+			case "own-b":
+				bStarted <- struct{}{}
+				<-releaseB
+			}
+		}
+		return realRun(p, st, c)
+	}
+	a := overlapSpec(76, 2, 4)
+	a.Name = "fail-a"
+	ja, _, err := m.Submit(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if direct := scenario.MustRun(overlapSpec(38, 2, 4, 8)); fp != direct.Fingerprint() {
-		t.Error("in-flight-shared cells produced a different fingerprint")
+	<-aStarted
+	b := overlapSpec(76, 2, 4, 8)
+	b.Name = "own-b"
+	jb, _, err := m.Submit(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-bStarted // B simulates the shared cell itself
+	close(releaseA)
+	waitDone(t, ja)
+	if ja.loadState() != stateFailed {
+		t.Fatalf("job A is %v, want failed", ja.loadState())
+	}
+	shared, err := jb.plan.Cell(0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	_, cached := m.cells.Peek(shared.Hash)
+	m.mu.Unlock()
+	if cached {
+		t.Error("the cell job A failed on entered the cell cache")
+	}
+	close(releaseB)
+	waitDone(t, jb)
+	st := jb.snapshot()
+	if st.State != "done" || st.CellHits+st.CellMisses != 6 || st.CellsDone != 6 {
+		t.Errorf("job B counted %+v, want done with hits and misses partitioning its 6 cells", st)
+	}
+	if _, fp, _, err := jb.Result(); err != nil || fp != scenario.MustRun(b).Fingerprint() {
+		t.Errorf("job B: err=%v, or a fingerprint unlike the direct run's", err)
 	}
 }
 
@@ -456,10 +540,10 @@ func TestFailedJobBanksSucceededCells(t *testing.T) {
 	}
 }
 
-// TestDuplicatePointsShareOneSimulation: two points with identical
-// parameters under different labels are one cell hash — the grid fills
-// both positions from a single simulation.
-func TestDuplicatePointsShareOneSimulation(t *testing.T) {
+// TestDuplicatePointsRunOncePerPosition: two points with identical
+// parameters under different labels are one cell hash, yet each grid
+// position runs its own simulation, and both give the same metrics.
+func TestDuplicatePointsRunOncePerPosition(t *testing.T) {
 	m := NewManager(Config{Workers: 2})
 	s := tinySpec(35)
 	s.Points = []scenario.Point{
@@ -471,15 +555,14 @@ func TestDuplicatePointsShareOneSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, j)
-	if want := int64(len(s.Policies)); m.cellRuns() != want {
-		t.Errorf("simulated %d cells for twin points, want %d", m.cellRuns(), want)
+	if want := int64(2 * len(s.Policies)); m.cellRuns() != want {
+		t.Errorf("simulated %d cells for twin points, want %d (one per position)", m.cellRuns(), want)
 	}
 	st := j.snapshot()
 	if st.CellsDone != st.CellsTotal || st.CellsTotal != int64(2*len(s.Policies)) {
 		t.Errorf("progress %d/%d, want %d/%d", st.CellsDone, st.CellsTotal, 2*len(s.Policies), 2*len(s.Policies))
 	}
-	// Hits and misses partition the grid: a duplicate-hash cell must not
-	// be counted as a miss at claim time AND a hit when it resolves.
+	// Hits and misses partition the grid: each position is one or the other.
 	if st.CellHits+st.CellMisses != st.CellsTotal {
 		t.Errorf("cell_hits %d + cell_misses %d != cells_total %d", st.CellHits, st.CellMisses, st.CellsTotal)
 	}

@@ -4,8 +4,8 @@ package service
 //
 //	POST /v1/jobs            {"family": "...", "scale": 0.1, "seed": 7}
 //	                         or {"spec": {...canonical spec JSON...}}
-//	                         (SubmitRequest; a spec given twice or as null
-//	                         is a 400)
+//	                         (SubmitRequest; a spec given twice or as null,
+//	                         or beside a seed or a nonzero scale, is a 400)
 //	                         → 202 Status ("done" if the cell cache held every
 //	                         cell); 200 if an in-flight or cached job absorbs it
 //	GET  /v1/jobs            → 200 [Status] (in-flight first, then cached)
@@ -79,7 +79,9 @@ const maxSpecBytes = 1 << 20
 
 // SubmitRequest is the POST /v1/jobs body: either a registered family at a
 // scale in (0, 1] (0 or absent: full scale), or a raw spec document — not
-// both, and the spec once, not null. It is the shape clients encode;
+// both, and the spec once, not null. Seed and Scale apply to Family: a spec
+// document carries its own seed and grid, so either beside it (a scale other
+// than 0) is refused. It is the shape clients encode;
 // handleSubmit decodes its fields into submitBody, the spec in the same pass.
 type SubmitRequest struct {
 	Family string          `json:"family,omitempty"`
@@ -251,6 +253,10 @@ func parseSubmission(body []byte) (scenario.Spec, error) {
 		return scenario.Spec{}, errors.New("give either family or spec, not both")
 	case b.Family != "":
 		return familySpec(b.Family, b.Scale, b.Seed)
+	case b.Spec.given && b.Seed != nil:
+		return scenario.Spec{}, errors.New(`"seed" applies to family, not to spec: set the seed in the spec document`)
+	case b.Spec.given && b.Scale != 0:
+		return scenario.Spec{}, errors.New(`"scale" applies to family, not to spec: size the grid in the spec document`)
 	case b.Spec.given:
 		spec, err := scenario.ParseSpec(b.Spec.doc)
 		if err != nil && !errors.As(err, new(workloads.NameError)) {
@@ -414,12 +420,11 @@ func (m *Manager) handleShards(w http.ResponseWriter, r *http.Request) {
 	shardT0 := m.now()
 	jt := newJobTrace(shardT0, m.now, trace.NewSpanSet(maxSpansPerJob))
 
-	// A coordinator ships distinct cells; a request naming one twice runs it
-	// twice.
+	// A request naming a missing cell twice runs it twice.
 	runs := make([]scenario.RunMetrics, len(cells))
 	results := make([]shardCellResult, len(cells))
 	m.mu.Lock()
-	missing := m.takeCells(cells, runs, func(i int) int { return i })
+	missing := m.takeCells(cells, runs)
 	m.mu.Unlock()
 	if len(missing) > 0 {
 		todo := make([]scenario.CellJob, len(missing))

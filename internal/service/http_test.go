@@ -262,12 +262,21 @@ const (
 // paper-scale grid.
 const badScaleBody = `{"family": "burst-sweep", "scale": -1}`
 
+// seedWithSpecBody and scaleWithSpecBody give a valid spec beside a field that
+// applies to a family; they used to run the spec with the field dropped.
+const (
+	seedWithSpecBody  = `{"spec": {"workload": {"kind": "synthetic"}, "policies": ["RWS"], "seed": 1}, "seed": 7}`
+	scaleWithSpecBody = `{"spec": {"workload": {"kind": "synthetic"}, "policies": ["RWS"]}, "scale": 0.5}`
+)
+
 var httpErrorBodies = map[string]struct {
 	body string
 	want int
 }{
 	"empty":          {`{}`, http.StatusBadRequest},
 	"both":           {`{"family": "burst-sweep", "spec": {"policies": ["RWS"]}}`, http.StatusBadRequest},
+	"seed and spec":  {seedWithSpecBody, http.StatusBadRequest},
+	"scale and spec": {scaleWithSpecBody, http.StatusBadRequest},
 	"unknown family": {`{"family": "nope"}`, http.StatusBadRequest},
 	"negative scale": {badScaleBody, http.StatusBadRequest},
 	"scale above 1":  {`{"family": "burst-sweep", "scale": 5}`, http.StatusBadRequest},
@@ -316,6 +325,8 @@ func TestHTTPErrors(t *testing.T) {
 		hugeKBody:         {`policy \"DAM-C~2000000000\": K of 2000000000 exceeds MaxSampledK (1024)`},
 		noBandwidthBody:   {`cluster \"c\" has non-positive mem_bandwidth 0`},
 		badScaleBody:      {"service: family scale -1 outside (0, 1]"},
+		seedWithSpecBody:  {`\"seed\" applies to family`},
+		scaleWithSpecBody: {`\"scale\" applies to family`},
 	} {
 		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

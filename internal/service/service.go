@@ -20,7 +20,10 @@
 // entry), a failed shard moving on to the next backend. Because cell
 // hashes ignore the spec's grid axes, two overlapping specs — a sweep and
 // the same sweep with one extra point — share cells, and a resubmission
-// with a small delta simulates only the delta.
+// with a small delta simulates only the delta. A job owns its cells while it
+// runs: two jobs in flight at once that share a cell each simulate it, and a
+// twin point (one point's parameters under a second label) runs its cells
+// again. The simulator is deterministic, so that costs time, never a metric.
 //
 // cmd/asymd wraps Manager.Handler in an HTTP daemon; see http.go for the
 // wire API (including the worker-facing POST /v1/shards).
@@ -293,7 +296,6 @@ type Manager struct {
 	// (asymd_job_cache_bytes), kept by execute and cache.OnDrop.
 	cellBytes int64
 	jobBytes  int64
-	pending   map[string]*pendingCell    // cells being simulated, by cell hash
 	plans     *lru.Cache[*scenario.Plan] // memoized plans, by spec hash (shard API)
 	traces    *lru.Cache[*trace.SpanSet] // finished job traces, by spec hash
 	// simtraces caches rendered per-cell sim-time Chrome traces by cell
@@ -321,7 +323,6 @@ func NewManager(cfg Config) *Manager {
 		inflight: make(map[string]*Job),
 		cache:    lru.New[*Job](cfg.CacheSize),
 		cells:    lru.New[scenario.RunMetrics](cfg.CellCacheSize),
-		pending:  make(map[string]*pendingCell),
 		plans:    lru.New[*scenario.Plan](planCacheSize),
 
 		traces:    lru.New[*trace.SpanSet](cfg.TraceRetention),
@@ -358,7 +359,7 @@ func (m *Manager) Submit(spec scenario.Spec) (job *Job, existing bool, err error
 // encoded and hashed once (its Key), and a new job's plan reuses both. A
 // known spec is absorbed unvalidated; a new one is validated once, by its plan,
 // before anything is registered, then completed here if the cell cache holds
-// its every cell (no slot taken, no cell claimed) or queued with its plan.
+// its every cell (no slot taken) or queued with its plan.
 func (m *Manager) submit(spec scenario.Spec, reqID string) (job *Job, existing bool, err error) {
 	// Strip execution-only fields: the service owns observation, and the
 	// hash ignores them anyway. Probe is stripped too — per-cell sim traces
@@ -405,7 +406,7 @@ func (m *Manager) submit(spec scenario.Spec, reqID string) (job *Job, existing b
 	var runs []scenario.RunMetrics
 	if m.cachesAll(plan.Cells) {
 		runs = make([]scenario.RunMetrics, len(plan.Cells))
-		m.takeCells(plan.Cells, runs, plan.FirstWithHash)
+		m.takeCells(plan.Cells, runs)
 	}
 	m.mu.Unlock()
 	if runs == nil {
@@ -615,18 +616,6 @@ func (m *Manager) simTrace(id string, cell int) ([]byte, error) {
 	return b, nil
 }
 
-// pendingCell is one cell currently being simulated by some job. Other
-// jobs needing the same cell subscribe to done instead of re-simulating;
-// rm/ok are written before done closes. ok=false means the owner
-// abandoned the cell (its dispatch failed or was canceled) — subscribers
-// fall back to dispatching it themselves.
-type pendingCell struct {
-	owner *Job
-	done  chan struct{}
-	rm    scenario.RunMetrics
-	ok    bool
-}
-
 // planCacheSize bounds the memoized-plan LRU used by the shard API: a
 // worker re-planning a 10k-cell grid per 16-cell shard request would
 // hash the whole grid hundreds of times per job.
@@ -634,128 +623,41 @@ const planCacheSize = 64
 
 // runJob assembles one job's result from one array in plan order, runs[i]
 // being the metrics of plan cell i. A job submit took from the cell cache
-// arrives with runs filled; any other job fills it here, in one pass under
-// the lock: cells from the cell cache, subscriptions to cells another job is
-// already simulating (in-flight dedupe), and claims on the rest, which it
-// dispatches. A distinct cell fills its first position (Plan.FirstWithHash);
-// a later position with its hash, a twin point, copies that one's slot.
+// arrives with runs filled; any other job takes the cached cells here, in one
+// pass under the lock, and dispatches the rest. Every grid position is one hit
+// or one miss: a cell that another job is simulating, or that a twin point
+// repeats under a second label, is simulated again, which costs time but
+// cannot change a metric.
 func (m *Manager) runJob(ctx context.Context, j *Job, runs []scenario.RunMetrics) (*scenario.Result, error) {
 	jt := jobTraceFrom(ctx)
 	plan := j.plan
-	var claimed, waited []int // positions
-	var waits []*pendingCell  // waited's subscriptions
+	var missing []int // positions
 	if runs == nil {
 		runs = make([]scenario.RunMetrics, len(plan.Cells))
 		m.mu.Lock()
-		for _, i := range m.takeCells(plan.Cells, runs, plan.FirstWithHash) {
-			if p, ok := m.pending[plan.Cells[i].Hash]; ok {
-				waited, waits = append(waited, i), append(waits, p)
-			} else {
-				claimed = append(claimed, i)
-				m.pending[plan.Cells[i].Hash] = &pendingCell{owner: j, done: make(chan struct{})}
-			}
-		}
+		missing = m.takeCells(plan.Cells, runs)
 		m.mu.Unlock()
 	}
-
-	// Whatever happens below, claimed cells this job never resolved
-	// (dispatch error, per-cell failure, early cancel) must be released
-	// so subscribers fall back instead of waiting forever.
-	defer func() {
-		m.mu.Lock()
-		var abandoned []*pendingCell
-		for _, i := range claimed {
-			h := plan.Cells[i].Hash
-			if p, ok := m.pending[h]; ok && p.owner == j {
-				delete(m.pending, h)
-				abandoned = append(abandoned, p)
-			}
-		}
-		m.mu.Unlock()
-		for _, p := range abandoned {
-			close(p.done)
-		}
-	}()
-
-	// weight[i] counts the grid positions distinct cell i fills, its own and
-	// its twins', so counts and progress advance over plan cells. A job with
-	// nothing missing needs none.
-	var weight []int64
-	if len(claimed)+len(waited) > 0 {
-		weight = make([]int64, len(plan.Cells))
-		for k := range plan.Cells {
-			weight[plan.FirstWithHash(k)]++
-		}
-	}
-	sum := func(cells []int) (n int64) {
-		for _, i := range cells {
-			n += weight[i]
-		}
-		return n
-	}
-	misses := sum(claimed)
-	hits := int64(len(plan.Cells)) - misses - sum(waited)
+	misses := int64(len(missing))
+	hits := int64(len(plan.Cells)) - misses
 	m.mx.cellHits.Add(hits)
 	m.mx.cellMisses.Add(misses)
 	j.cellHits.Store(hits)
 	j.cellMisses.Store(misses)
 	j.cellsDone.Store(hits)
 
-	// Dispatch own claims first — subscribers may be waiting on them;
-	// bankCells resolves each pending as its shard lands.
-	if len(claimed) > 0 {
+	if len(missing) > 0 {
 		dispT0 := jt.at()
-		err := m.dispatch(ctx, j, claimed, runs, weight)
+		err := m.dispatch(ctx, j, missing, runs)
 		jt.span(trace.Span{Name: "dispatch", Cat: "job", Lane: "job",
 			Start: dispT0, End: jt.at(),
-			Args: map[string]string{"cells": fmt.Sprint(len(claimed))}})
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Collect subscribed cells. The cells whose owner abandoned them stay in
-	// waited, and this job dispatches them itself (duplicating work only in
-	// that failure path).
-	if len(waits) > 0 {
-		waitT0 := jt.at()
-		abandoned := waited[:0]
-		for k, p := range waits {
-			i := waited[k]
-			<-p.done
-			if !p.ok {
-				abandoned = append(abandoned, i)
-				continue
-			}
-			runs[i] = p.rm
-			m.mx.cellHits.Add(weight[i])
-			j.cellHits.Add(weight[i])
-			j.cellsDone.Add(weight[i])
-		}
-		jt.span(trace.Span{Name: "await-shared-cells", Cat: "job", Lane: "job",
-			Start: waitT0, End: jt.at(),
-			Args: map[string]string{"cells": fmt.Sprint(len(waits))}})
-		waited = abandoned
-	}
-	if len(waited) > 0 {
-		n := sum(waited)
-		m.mx.cellMisses.Add(n)
-		j.cellMisses.Add(n)
-		dispT0 := jt.at()
-		err := m.dispatch(ctx, j, waited, runs, weight)
-		jt.span(trace.Span{Name: "dispatch-fallback", Cat: "job", Lane: "job",
-			Start: dispT0, End: jt.at()})
+			Args: map[string]string{"cells": fmt.Sprint(len(missing))}})
 		if err != nil {
 			return nil, err
 		}
 	}
 
 	mergeT0 := jt.at()
-	for k := range runs {
-		if first := plan.FirstWithHash(k); first != k {
-			runs[k] = runs[first]
-		}
-	}
 	res := plan.Assemble(runs)
 	jt.span(trace.Span{Name: "merge", Cat: "merge", Lane: "job", Start: mergeT0, End: jt.at()})
 	j.cellsDone.Store(int64(len(plan.Cells)))
@@ -765,14 +667,14 @@ func (m *Manager) runJob(ctx context.Context, j *Job, runs []scenario.RunMetrics
 // dispatch batches the job's plan cells at the given positions into shards
 // and runs them concurrently (round-robin over the backends, failing over to
 // the others), writing each cell's metrics into runs at its position and
-// advancing the job's progress by its weight. Successful cells enter the cell
-// cache as their shard lands — not when the whole dispatch finishes — so a
-// job that later fails still banks its finished cells, and a concurrent
-// overlapping job starts hitting them as early as possible. A deterministic
-// per-cell engine error fails the whole dispatch, like a failed cell fails a
-// monolithic Run — and cancels the remaining shards: a doomed job must not
-// keep simulating its grid.
-func (m *Manager) dispatch(ctx context.Context, j *Job, pos []int, runs []scenario.RunMetrics, weight []int64) error {
+// advancing the job's progress by one. Successful cells enter the cell cache
+// as their shard lands — not when the whole dispatch finishes — so a job that
+// later fails still banks its finished cells, and a job admitted meanwhile
+// starts hitting them as early as possible. A deterministic per-cell engine
+// error fails the whole dispatch, like a failed cell fails a monolithic Run —
+// and cancels the remaining shards: a doomed job must not keep simulating its
+// grid.
+func (m *Manager) dispatch(ctx context.Context, j *Job, pos []int, runs []scenario.RunMetrics) error {
 	plan := j.plan
 	cells := make([]scenario.CellJob, len(pos))
 	for k, i := range pos {
@@ -825,7 +727,7 @@ func (m *Manager) dispatch(ctx context.Context, j *Job, pos []int, runs []scenar
 					continue
 				}
 				runs[pos[k]] = cr.Metrics
-				j.cellsDone.Add(weight[pos[k]])
+				j.cellsDone.Add(1)
 			}
 		}(lo/m.cfg.ShardSize, cells[lo:hi], pos[lo:hi])
 	}
@@ -858,19 +760,11 @@ func (m *Manager) planFor(key scenario.Key, spec scenario.Spec) (*scenario.Plan,
 }
 
 // takeCells is the read side of the cell-cache protocol (submit, runJob's
-// pass, the worker shard path), under m.mu. first(i) is the position whose
-// cell stands for cells[i]: i itself, or an earlier position with its hash,
-// which the caller copies. Each position that stands for itself is taken
-// with Get, in input order, into runs; the ones the cache lacks are returned
-// in input order. runJob then subscribes to the missing cells another job
-// simulates (m.pending); the shard path must never do that: two mutually
-// peered nodes, each owning a cell the other's shard asked for, would wait on
-// each other forever.
-func (m *Manager) takeCells(cells []scenario.CellJob, runs []scenario.RunMetrics, first func(int) int) (missing []int) {
+// pass, the worker shard path), under m.mu: each position is taken with Get,
+// in input order, into runs, and the ones the cache lacks are returned in
+// input order.
+func (m *Manager) takeCells(cells []scenario.CellJob, runs []scenario.RunMetrics) (missing []int) {
 	for i, c := range cells {
-		if first(i) != i {
-			continue
-		}
 		if rm, ok := m.cells.Get(c.Hash); ok {
 			runs[i] = rm
 		} else {
@@ -881,13 +775,10 @@ func (m *Manager) takeCells(cells []scenario.CellJob, runs []scenario.RunMetrics
 }
 
 // bankCells is the write side of the cell-cache protocol: successful
-// results enter the cache, and any job subscribed to the cell is resolved
-// immediately — waiters unblock as shards land, not when the owning job
-// finishes. Failed cells, and the cells a cancelled attempt never ran (no
-// Hash), enter neither.
+// results enter the cache as their shard lands. Failed cells, and the cells a
+// cancelled attempt never ran (no Hash), do not.
 func (m *Manager) bankCells(crs []CellResult) {
 	m.mu.Lock()
-	var resolved []*pendingCell
 	var fresh []scenario.RunMetrics
 	evicted := int64(0)
 	for _, cr := range crs {
@@ -896,26 +787,18 @@ func (m *Manager) bankCells(crs []CellResult) {
 		}
 		// A cell entering the cache for the first time reports its
 		// simulated scheduler activity (observed below, outside the lock);
-		// re-banking a cell the cache already holds — two shard requests
-		// that simulated it concurrently — must not double-count.
+		// re-banking a cell the cache already holds — two jobs, or two
+		// positions of one, that simulated it — must not double-count.
 		if _, seen := m.cells.Peek(cr.Hash); !seen {
 			fresh = append(fresh, cr.Metrics)
 		}
 		m.cellBytes += cr.Metrics.SizeBytes()
 		evicted += int64(m.cells.Add(cr.Hash, cr.Metrics))
-		if p, ok := m.pending[cr.Hash]; ok {
-			p.rm, p.ok = cr.Metrics, true
-			delete(m.pending, cr.Hash)
-			resolved = append(resolved, p)
-		}
 	}
 	m.mx.cellEntries.Set(int64(m.cells.Len()))
 	m.mx.cellCacheBytes.Set(m.cellBytes)
 	m.mu.Unlock()
 	m.mx.cellEvict.Add(evicted)
-	for _, p := range resolved {
-		close(p.done)
-	}
 	// Sim-level telemetry: every banked cell counts, whether it ran on the
 	// local pool or landed from a remote shard.
 	for _, rm := range fresh {

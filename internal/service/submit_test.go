@@ -177,9 +177,8 @@ func TestConcurrentDoneAtSubmit(t *testing.T) {
 
 // TestDoneAtSubmitTakesNoSlot: with the one admission slot held by a job whose
 // cells block, a fully cached submission is still answered done — it takes no
-// slot — while a partially cached one queues, holding no claim on any cell
-// until it is admitted: a queued job that claimed cells could deadlock jobs
-// holding every slot and waiting on those cells.
+// slot — while a partially cached one queues and, once admitted, takes its
+// cached cells and simulates the rest.
 func TestDoneAtSubmitTakesNoSlot(t *testing.T) {
 	m := NewManager(Config{Workers: 1, ShardSize: 1})
 	started, release := blockNamed(m, "blocker")
@@ -216,17 +215,6 @@ func TestDoneAtSubmitTakesNoSlot(t *testing.T) {
 	if jp.loadState() != stateQueued {
 		t.Fatalf("partially cached submission is %v, want queued", jp.loadState())
 	}
-	plan, err := scenario.NewPlan(partial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.mu.Lock()
-	for _, c := range plan.Cells {
-		if _, ok := m.pending[c.Hash]; ok {
-			t.Errorf("queued job's cell %s is pending before admission", plan.CellLabel(c))
-		}
-	}
-	m.mu.Unlock()
 
 	close(release)
 	waitDone(t, jb)
@@ -257,7 +245,7 @@ func TestDuplicateHashCountsMatchAsyncPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-started // dup-first's cells are pending, not cached
+	<-started // dup-first's cells are simulating, not cached
 	ja, _, err := m.Submit(named("dup-async"))
 	if err != nil {
 		t.Fatal(err)
@@ -289,8 +277,8 @@ func TestDuplicateHashCountsMatchAsyncPath(t *testing.T) {
 }
 
 // TestDuplicateHashCountsOnSimulatingPath: a twin-point grid with nothing
-// cached queues and simulates each distinct cell once, yet counts every grid
-// position: each is a miss, and progress reaches the grid's size.
+// cached queues and simulates every grid position, the twin's too: each is a
+// miss, and progress reaches the grid's size.
 func TestDuplicateHashCountsOnSimulatingPath(t *testing.T) {
 	m := NewManager(Config{Workers: 1})
 	s := tinySpec(74)
@@ -304,70 +292,18 @@ func TestDuplicateHashCountsOnSimulatingPath(t *testing.T) {
 	if st.State != "done" || st.CellsTotal != 4 || st.CellMisses != st.CellsTotal || st.CellsDone != st.CellsTotal || st.CellHits != 0 {
 		t.Errorf("twin-point job with nothing cached counted %+v, want done with 4 misses of 4 cells", st)
 	}
-	if got := m.cellRuns(); got != 2 {
-		t.Errorf("cell runs = %d, want 2 (one per distinct hash)", got)
+	if got := m.cellRuns(); got != 4 {
+		t.Errorf("cell runs = %d, want 4 (one per position)", got)
 	}
 	if _, fp, _, err := j.Result(); err != nil || fp != scenario.MustRun(s).Fingerprint() {
 		t.Errorf("err=%v, or a fingerprint unlike the direct run's", err)
 	}
 }
 
-// TestAbandonedCellFallsBackToSubscriber: job A claims its cells and then
-// fails on one of them; job B, subscribed to all of A's cells, takes the
-// ones A banked and dispatches the abandoned one itself, counting it a miss.
-// B's own new cells run first, which proves it subscribed before A failed.
-func TestAbandonedCellFallsBackToSubscriber(t *testing.T) {
-	m := NewManager(Config{Workers: 2})
-	aStarted, release := make(chan struct{}, 1), make(chan struct{})
-	bStarted := make(chan struct{}, 8)
-	realRun := m.local.runCell
-	m.local.runCell = func(p *scenario.Plan, st *scenario.CellState, c scenario.CellJob) (scenario.RunMetrics, error) {
-		switch {
-		case p.Spec.Name == "fail-a" && c.Policy == 0 && c.Point == 0:
-			aStarted <- struct{}{}
-			<-release
-			return scenario.RunMetrics{}, fmt.Errorf("injected failure")
-		case p.Spec.Name == "sub-b":
-			bStarted <- struct{}{}
-		}
-		return realRun(p, st, c)
-	}
-	a := overlapSpec(76, 2, 4)
-	a.Name = "fail-a"
-	ja, _, err := m.Submit(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-aStarted // A has claimed its 4 cells and banked none
-	b := overlapSpec(76, 2, 4, 8)
-	b.Name = "sub-b"
-	jb, _, err := m.Submit(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-bStarted // B's pass is over: it claimed the P8 cells, subscribed to A's
-	close(release)
-	waitDone(t, ja)
-	waitDone(t, jb)
-	if ja.loadState() != stateFailed {
-		t.Fatalf("job A is %v, want failed", ja.loadState())
-	}
-	if st := jb.snapshot(); st.State != "done" || st.CellHits != 3 || st.CellMisses != 3 || st.CellsDone != 6 {
-		t.Errorf("job B counted %+v, want done with 3 hits (A's banked cells) and 3 misses (its own 2 and the abandoned one)", st)
-	}
-	if _, fp, _, err := jb.Result(); err != nil || fp != scenario.MustRun(b).Fingerprint() {
-		t.Errorf("job B: err=%v, or a fingerprint unlike the direct run's", err)
-	}
-	if got := m.cellRuns(); got != 7 {
-		t.Errorf("cell runs = %d, want A's 4 and B's 3", got)
-	}
-}
-
 // TestDoneAtSubmitLRUWithTwinPoints: a job done at submit moves the cell LRU
-// as runJob's pass (takeCells) does — one Get per distinct cell hash, in
-// first-occurrence plan order — also when two points share their parameters
-// under different labels, so that the later one's cells repeat the earlier
-// one's hashes.
+// as runJob's pass (takeCells) does — one Get per grid position, in plan
+// order — also when two points share their parameters under different labels,
+// so that the later one's cells repeat the earlier one's hashes.
 func TestDoneAtSubmitLRUWithTwinPoints(t *testing.T) {
 	m := NewManager(Config{Workers: 1})
 	s := tinySpec(75)
@@ -386,10 +322,11 @@ func TestDoneAtSubmitLRUWithTwinPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The pass takes (policy, point, rep) (0,0,0), (0,1,0), (1,0,0), (1,1,0):
-	// "right" repeats "left". The LRU lists the most recent first.
+	// The pass gets every position in plan order, repeats included: "right"
+	// takes "left"'s hash again, so each policy's "left" cell ends up more
+	// recent than its "mid" one. The LRU lists the most recent first.
 	var want []string
-	for _, pos := range [][3]int{{1, 1, 0}, {1, 0, 0}, {0, 1, 0}, {0, 0, 0}} {
+	for _, pos := range [][3]int{{1, 0, 0}, {1, 1, 0}, {0, 0, 0}, {0, 1, 0}} {
 		c, err := plan.Cell(pos[0], pos[1], pos[2])
 		if err != nil {
 			t.Fatal(err)

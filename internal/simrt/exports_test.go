@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -52,107 +53,14 @@ var exportAllowlist = map[string]string{
 // fails the test with its file:line, and so does an allowlisted name that
 // has gained a caller or is gone.
 func TestEveryExportHasAProductionCaller(t *testing.T) {
-	const root = "../.."
-	const module = "dynasym"
-	fset := token.NewFileSet()
-	files := map[string][]*ast.File{} // import path → non-test files
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if p != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir // .git, .bench_build
-			}
-			return nil
-		}
-		dir, name := filepath.Split(p)
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
-			return err
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(p))
-		if err != nil {
-			return err
-		}
-		ip := path.Join(module, filepath.ToSlash(rel))
-		files[ip] = append(files[ip], f)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	im := &sourceImporter{fset: fset, files: files, std: importer.Default(),
-		pkgs: map[string]*types.Package{}, infos: map[string]*types.Info{}}
-	paths := make([]string, 0, len(files))
-	for ip := range files {
-		paths = append(paths, ip)
-	}
-	sort.Strings(paths)
-	for _, ip := range paths {
-		if _, err := im.Import(ip); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Every object some non-test file uses, and those a file of another
-	// package uses.
-	used, usedOutside := map[types.Object]bool{}, map[types.Object]bool{}
-	for ip, info := range im.infos {
-		for _, obj := range info.Uses {
-			obj = origin(obj)
-			used[obj] = true
-			if obj.Pkg() != im.pkgs[ip] {
-				usedOutside[obj] = true
-			}
-		}
-	}
-	// The interfaces a method can be reached through.
-	var ifaces []*types.Interface
-	seen := map[*types.Package]bool{}
-	for _, ip := range paths {
-		pkg := im.pkgs[ip]
-		for _, p := range append([]*types.Package{pkg}, pkg.Imports()...) {
-			if seen[p] {
-				continue
-			}
-			seen[p] = true
-			own := strings.HasPrefix(p.Path(), module+"/")
-			for _, name := range p.Scope().Names() {
-				tn, ok := p.Scope().Lookup(name).(*types.TypeName)
-				if !ok || !(own || tn.Exported()) {
-					continue
-				}
-				if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
-					ifaces = append(ifaces, it)
-				}
-			}
-		}
-	}
-	viaInterface := func(recv types.Type, m *types.Func) bool {
-		for _, it := range ifaces {
-			for i := 0; i < it.NumMethods(); i++ {
-				if it.Method(i).Name() == m.Name() &&
-					(types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it)) {
-					return true
-				}
-			}
-		}
-		return false
-	}
+	mod := loadModule(t)
+	fset, paths, used, usedOutside, viaInterface := mod.fset, mod.paths, mod.used, mod.usedOutside, mod.viaInterface
 
 	// implementedOutside reports whether a named type of another package in
 	// the module implements it: a call through it may run that type's method.
 	implementedOutside := func(it *types.Interface, home *types.Package) bool {
 		for _, ip := range paths {
-			pkg := im.pkgs[ip]
+			pkg := mod.pkgs[ip]
 			if pkg == home {
 				continue
 			}
@@ -179,7 +87,7 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 		if !strings.HasPrefix(ip, module+"/internal/") {
 			continue
 		}
-		pkg := im.pkgs[ip]
+		pkg := mod.pkgs[ip]
 		for _, name := range pkg.Scope().Names() {
 			obj := pkg.Scope().Lookup(name)
 			if !obj.Exported() {
@@ -228,6 +136,181 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 		}
 	}
 	t.Logf("%d exports without a production caller (allowlist: %d)", len(names), len(exportAllowlist))
+}
+
+// moduleUses is the module type-checked from its non-test files: every
+// package, and the objects those files use.
+type moduleUses struct {
+	fset  *token.FileSet
+	paths []string // import paths, sorted
+	pkgs  map[string]*types.Package
+	// used holds every object some non-test file uses, usedOutside those a
+	// file of another package uses.
+	used, usedOutside map[types.Object]bool
+	// viaInterface reports whether a method of recv implements a method of an
+	// interface declared in the module, or exported by a standard package the
+	// module imports: a call through the interface names only its method.
+	viaInterface func(recv types.Type, m *types.Func) bool
+}
+
+// module is the module path.
+const module = "dynasym"
+
+var (
+	loadOnce sync.Once
+	loaded   *moduleUses
+	loadErr  error
+)
+
+// loadModule type-checks the module once for every ratchet that reads it.
+func loadModule(t *testing.T) *moduleUses {
+	t.Helper()
+	loadOnce.Do(func() { loaded, loadErr = typeCheckModule() })
+	if loadErr != nil {
+		t.Fatal(loadErr)
+	}
+	return loaded
+}
+
+func typeCheckModule() (*moduleUses, error) {
+	const root = "../.."
+	fset := token.NewFileSet()
+	files := map[string][]*ast.File{} // import path → non-test files
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir // .git, .bench_build
+			}
+			return nil
+		}
+		dir, name := filepath.Split(p)
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(p))
+		if err != nil {
+			return err
+		}
+		ip := path.Join(module, filepath.ToSlash(rel))
+		files[ip] = append(files[ip], f)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	im := &sourceImporter{fset: fset, files: files, std: importer.Default(),
+		pkgs: map[string]*types.Package{}, infos: map[string]*types.Info{}}
+	paths := make([]string, 0, len(files))
+	for ip := range files {
+		paths = append(paths, ip)
+	}
+	sort.Strings(paths)
+	for _, ip := range paths {
+		if _, err := im.Import(ip); err != nil {
+			return nil, err
+		}
+	}
+
+	used, usedOutside := map[types.Object]bool{}, map[types.Object]bool{}
+	for ip, info := range im.infos {
+		for _, obj := range info.Uses {
+			obj = origin(obj)
+			used[obj] = true
+			if obj.Pkg() != im.pkgs[ip] {
+				usedOutside[obj] = true
+			}
+		}
+	}
+	// The interfaces a method can be reached through.
+	var ifaces []*types.Interface
+	seen := map[*types.Package]bool{}
+	for _, ip := range paths {
+		pkg := im.pkgs[ip]
+		for _, p := range append([]*types.Package{pkg}, pkg.Imports()...) {
+			if seen[p] {
+				continue
+			}
+			seen[p] = true
+			own := strings.HasPrefix(p.Path(), module+"/")
+			for _, name := range p.Scope().Names() {
+				tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+				if !ok || !(own || tn.Exported()) {
+					continue
+				}
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+					ifaces = append(ifaces, it)
+				}
+			}
+		}
+	}
+	viaInterface := func(recv types.Type, m *types.Func) bool {
+		for _, it := range ifaces {
+			for i := 0; i < it.NumMethods(); i++ {
+				if it.Method(i).Name() == m.Name() &&
+					(types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it)) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	return &moduleUses{fset: fset, paths: paths, pkgs: im.pkgs, used: used,
+		usedOutside: usedOutside, viaInterface: viaInterface}, nil
+}
+
+// TestEveryUnexportedFuncHasACaller is the export ratchet's other half: it
+// flags each unexported package-level function, and each unexported method,
+// under internal/ and cmd/ that no non-test file uses. Such a function is
+// dead: nothing but a test can reach it. A method that implements a method
+// of an interface counts as called, as in
+// TestEveryExportHasAProductionCaller, and a command's main is called by the
+// runtime. There is no allowlist: a flagged name fails the test with its
+// file:line.
+func TestEveryUnexportedFuncHasACaller(t *testing.T) {
+	mod := loadModule(t)
+	n := 0
+	check := func(f *types.Func) {
+		n++
+		if !mod.used[f] {
+			t.Errorf("%s: %s is unexported and no non-test file calls it; delete it", mod.fset.Position(f.Pos()), f.FullName())
+		}
+	}
+	for _, ip := range mod.paths {
+		if !strings.HasPrefix(ip, module+"/internal/") && !strings.HasPrefix(ip, module+"/cmd/") {
+			continue
+		}
+		pkg := mod.pkgs[ip]
+		for _, name := range pkg.Scope().Names() {
+			switch obj := pkg.Scope().Lookup(name).(type) {
+			case *types.Func:
+				if !obj.Exported() && !(pkg.Name() == "main" && name == "main") {
+					check(obj)
+				}
+			case *types.TypeName:
+				named, ok := obj.Type().(*types.Named)
+				if !ok || obj.IsAlias() || types.IsInterface(named) {
+					continue
+				}
+				for i := 0; i < named.NumMethods(); i++ {
+					if m := named.Method(i); !m.Exported() && !mod.viaInterface(named, m) {
+						check(m)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d unexported functions and methods checked", n)
 }
 
 // sourceImporter type-checks the module's packages from source, recording

@@ -13,13 +13,15 @@
 # another package, is a Go test, TestEveryExportHasAProductionCaller in
 # internal/simrt/exports_test.go, run by `go test ./...`. Its ceiling is its
 # allowlist: an entry goes when the ROADMAP item it names lands, and a new
-# one is added only in the diff.
+# one is added only in the diff. Beside it, TestEveryUnexportedFuncHasACaller
+# fails on any unexported function or method under internal/ and cmd/ that
+# no non-test file uses; it has no allowlist.
 #
 # The fourth tracked number, the share of statements production traffic
 # reaches, comes from scripts/reach.sh, which holds every function at 0 % to
 # a verdict in scripts/reach.allow (a CI job of its own: it takes minutes).
 set -eu
-ceiling=15000
+ceiling=14844
 options_ceiling=30
 cd "$(dirname "$0")/.."
 n=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)

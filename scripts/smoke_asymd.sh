@@ -285,6 +285,8 @@ reject "no policies" "{\"spec\": {\"workload\": $SYN}}" 'empty policy set'
 reject "cluster without mem_bandwidth" "$(spec x-bandwidth "$SYN" "" '{"clusters": [{"name": "c", "first_core": 0, "num_cores": 2, "widths": [1, 2], "speed": 1, "base_hz": 1e9}]}')" 'mem_bandwidth'
 # A family scale outside (0, 1] is refused, not run at full scale.
 reject "family scale out of range" '{"family": "burst-sweep", "scale": -1}' 'family scale -1 outside (0, 1]'
+# A seed or scale beside a spec is refused, not dropped: they apply to family.
+reject "seed with spec" "{\"spec\": {\"workload\": $SYN, \"policies\": [\"RWS\"]}, \"seed\": 7}" '\"seed\" applies to family'
 
 # Platforms.
 run_job "platform sym4" "$(spec p-sym4 "$SYN" "" '{"preset": "sym4"}')"

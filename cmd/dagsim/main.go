@@ -247,13 +247,12 @@ func buildWorkload(f workloadFlags) (scenario.WorkloadSpec, string, error) {
 		default:
 			return scenario.WorkloadSpec{}, "", fmt.Errorf("unknown kernel %q (known kernels: matmul, copy, stencil)", f.kernel)
 		}
-		desc := fmt.Sprintf("kernel %s, %d tasks, DAG parallelism %d", kernel, f.tasks, f.parallelism)
-		return scenario.WorkloadSpec{Kind: scenario.Synthetic, Synthetic: workloads.SyntheticConfig{
-			Kernel:      kernel,
-			Tile:        f.tile,
-			Tasks:       f.tasks,
-			Parallelism: f.parallelism,
-		}}, desc, nil
+		cfg := workloads.SyntheticConfig{Kernel: kernel, Tile: f.tile, Tasks: f.tasks, Parallelism: f.parallelism}
+		// The header describes the graph that runs: defaults filled in,
+		// the task count rounded to whole layers.
+		ran := cfg.Defaults()
+		desc := fmt.Sprintf("kernel %s, %d tasks, DAG parallelism %d", kernel, ran.Layers()*ran.Parallelism, ran.Parallelism)
+		return scenario.WorkloadSpec{Kind: scenario.Synthetic, Synthetic: cfg}, desc, nil
 	}
 }
 
@@ -268,7 +267,7 @@ func printList() {
 	for _, f := range dagio.Formats() {
 		fmt.Printf("  %s\n", f)
 	}
-	fmt.Println("scenario families (run with asymbench -scenario, or POST {\"family\": ...} to asymd):")
+	fmt.Println("scenario families (run with asymbench -exp, or POST {\"family\": ...} to asymd):")
 	width := 0
 	for _, n := range scenario.Names() {
 		if len(n) > width {

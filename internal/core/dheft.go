@@ -52,6 +52,3 @@ func (dheft) DispatchPlace(ctx *Context) topology.Place {
 	}
 	return best
 }
-
-// DHEFT returns the dHEFT baseline policy.
-func DHEFT() Policy { return dheft{} }

@@ -264,21 +264,63 @@ func All() []Policy {
 }
 
 // ByName returns the policy with the given (case-sensitive) paper name,
-// "dHEFT", or "<base>~<K>": the sampled search over base (see Sampled).
+// "dHEFT", "<base>+steal" or "<base>-wake" for a Table 1 base (the ablation
+// wrappers), or "<base>~<K>": the sampled search over a Table 1 base or
+// dHEFT (see Sampled).
 func ByName(name string) (Policy, error) {
-	for _, p := range All() {
-		if p.Name() == name {
-			return p, nil
+	if p := builtin(name); p != nil {
+		return p, nil
+	}
+	if base, ok := strings.CutSuffix(name, "+steal"); ok {
+		if p := tableOne(base); p != nil {
+			return stealablePolicy{p}, nil
 		}
 	}
-	if name == "dHEFT" {
-		return DHEFT(), nil
+	if base, ok := strings.CutSuffix(name, "-wake"); ok {
+		if p := tableOne(base); p != nil {
+			return noWakePolicy{p}, nil
+		}
 	}
 	if i := strings.LastIndex(name, "~"); i > 0 {
 		return sampledByName(name, name[:i], name[i+1:])
 	}
 	return nil, fmt.Errorf("core: unknown policy %q", name)
 }
+
+// tableOne returns the Table 1 policy with the given name, or nil.
+func tableOne(name string) Policy {
+	for _, p := range All() {
+		if p.Name() == name {
+			return p
+		}
+	}
+	return nil
+}
+
+// builtin returns the unwrapped policy with the given name: a Table 1
+// policy or dHEFT, or nil.
+func builtin(name string) Policy {
+	if name == "dHEFT" {
+		return dheft{}
+	}
+	return tableOne(name)
+}
+
+// stealablePolicy is the "+steal" ablation wrapper: it re-enables stealing
+// of high-priority tasks, ablating the paper's "disable stealing of high
+// priority tasks" rule.
+type stealablePolicy struct{ Policy }
+
+func (p stealablePolicy) Name() string             { return p.Policy.Name() + "+steal" }
+func (p stealablePolicy) AllowPrioritySteal() bool { return true }
+
+// noWakePolicy is the "-wake" ablation wrapper: it disables wake-time
+// routing, leaving only the dispatch-time decision, so newly ready critical
+// tasks stay on the waking worker's queue.
+type noWakePolicy struct{ Policy }
+
+func (p noWakePolicy) Name() string                   { return p.Policy.Name() + "-wake" }
+func (p noWakePolicy) WakePlace(*Context) (int, bool) { return 0, false }
 
 // FeaturesOf returns the Table 1 feature row for a built-in policy.
 func FeaturesOf(p Policy) Features {

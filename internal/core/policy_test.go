@@ -218,6 +218,27 @@ func TestByName(t *testing.T) {
 			t.Fatalf("ByName(%q).Name() = %q", name, p.Name())
 		}
 	}
+	// The ablation wrappers: every Table 1 base with "+steal" and "-wake",
+	// each switching its one rule off.
+	for _, base := range All() {
+		for _, name := range []string{base.Name() + "+steal", base.Name() + "-wake"} {
+			p, err := ByName(name)
+			if err != nil {
+				t.Fatalf("ByName(%q): %v", name, err)
+			}
+			if p.Name() != name {
+				t.Fatalf("ByName(%q).Name() = %q", name, p.Name())
+			}
+		}
+		if p, _ := ByName(base.Name() + "+steal"); !p.AllowPrioritySteal() {
+			t.Errorf("%s+steal does not steal high-priority tasks", base.Name())
+		}
+		if p, _ := ByName(base.Name() + "-wake"); p.AllowPrioritySteal() != base.AllowPrioritySteal() {
+			t.Errorf("%s-wake changed the steal rule", base.Name())
+		} else if _, ok := p.WakePlace(nil); ok {
+			t.Errorf("%s-wake still routes at wake time", base.Name())
+		}
+	}
 	if p, err := ByName("DAM-C~08"); err != nil || p.Name() != "DAM-C~8" {
 		t.Fatalf(`ByName("DAM-C~08") = %v, %v; want DAM-C~8`, p, err)
 	}
@@ -234,6 +255,12 @@ func TestByName(t *testing.T) {
 		"DAM-C~1025":                 "K of 1025 exceeds MaxSampledK (1024)",
 		"DAM-C~2000000000":           "K of 2000000000 exceeds MaxSampledK (1024)",
 		"DAM-C~99999999999999999999": "K of 99999999999999999999 exceeds MaxSampledK (1024)",
+		"dHEFT+steal":                `unknown policy "dHEFT+steal"`,
+		"DAM-C~8+steal":              `unknown policy "DAM-C~8+steal"`,
+		"+steal":                     `unknown policy "+steal"`,
+		"DAM-C+steal+steal":          `unknown policy "DAM-C+steal+steal"`,
+		"DAM-C-wake+steal":           `unknown policy "DAM-C-wake+steal"`,
+		"DAM-P+steal~8":              `unknown policy "DAM-P+steal~8"`,
 	} {
 		if _, err := ByName(name); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("ByName(%q) = %v, want an error containing %q", name, err, want)
@@ -265,7 +292,7 @@ func TestDHEFTUsesLoad(t *testing.T) {
 	busy := map[int]float64{1: 5.0} // core 1 heavily loaded
 	ctx := ctxFor(topo, tbl, 3, true)
 	ctx.Load = func(c int) float64 { return busy[c] }
-	pl := DHEFT().DispatchPlace(ctx)
+	pl := dheft{}.DispatchPlace(ctx)
 	if pl.Leader == 1 {
 		t.Fatal("dHEFT chose the loaded core")
 	}

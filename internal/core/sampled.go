@@ -85,8 +85,9 @@ func (s Sampled) DispatchPlace(ctx *Context) topology.Place {
 const maxSampledK = 1 << 10
 
 // sampledByName resolves name, split at its last '~' into base and K. The
-// base must not itself be sampled: the search objective is read off the
-// base's name (see DispatchPlace).
+// base must be a Table 1 policy or dHEFT, neither sampled nor an ablation
+// wrapper: the search objective is read off the base's name (see
+// DispatchPlace).
 func sampledByName(name, base, kText string) (Policy, error) {
 	if strings.Contains(base, "~") {
 		return nil, fmt.Errorf("core: policy %q: the base of a sampled policy cannot itself be sampled", name)
@@ -98,8 +99,8 @@ func sampledByName(name, base, kText string) (Policy, error) {
 	if err != nil || k < 1 {
 		return nil, fmt.Errorf("core: unknown policy %q", name)
 	}
-	p, err := ByName(base)
-	if err != nil {
+	p := builtin(base)
+	if p == nil {
 		return nil, fmt.Errorf("core: unknown policy %q", name)
 	}
 	return NewSampled(p, k), nil

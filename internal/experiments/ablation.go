@@ -3,111 +3,25 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"dynasym/internal/core"
 	"dynasym/internal/scenario"
 	"dynasym/internal/workloads"
 )
 
-// Ablations beyond the paper: they isolate the contribution of individual
-// design decisions of the runtime (wake-time routing, the no-steal rule for
-// critical tasks, the PTT weight, and the dHEFT baseline). Each is a spec table over the scenario engine, usually a
-// policy-set or platform variation of the Figure 4a/7 scenarios (README.md,
-// "How the paper's figures map onto specs"; EXPERIMENTS.md lists the rows).
+// Ablations beyond the paper isolate single design decisions of the runtime.
+// The policy-set and alpha ablations are families (internal/scenario); the
+// width and inference ablations compare several specs, so they are drivers.
 
-// stealablePolicy wraps a policy and re-enables stealing of high-priority
-// tasks, ablating the paper's "disable stealing of high priority tasks"
-// rule.
-type stealablePolicy struct{ core.Policy }
-
-func (p stealablePolicy) Name() string             { return p.Policy.Name() + "+steal" }
-func (p stealablePolicy) AllowPrioritySteal() bool { return true }
-
-// noWakePolicy wraps a policy and disables wake-time routing, leaving only
-// the dispatch-time decision: newly ready critical tasks stay on the waking
-// worker's queue.
-type noWakePolicy struct{ core.Policy }
-
-func (p noWakePolicy) Name() string { return p.Policy.Name() + "-wake" }
-func (p noWakePolicy) WakePlace(*core.Context) (int, bool) {
-	return 0, false
-}
-
-// AblationConfig selects the variant set and reuses the Figure 4a scenario
-// (MatMul DAG, co-runner on Denver core 0).
-type AblationConfig struct {
-	Variant      string // one of ablationVariants: "steal", "wake", "dheft", "sampled"
-	Parallelisms []int
-	Seed         uint64
-	Scale        Scale
-}
-
-// ablationVariants are the policy-set comparisons ablation knows.
-var ablationVariants = []struct {
-	name, title string
-	policies    []core.Policy
-}{
-	{"steal", "Ablation: stealing of high-priority tasks re-enabled",
-		[]core.Policy{core.DAMC(), stealablePolicy{core.DAMC()}, core.DAMP(), stealablePolicy{core.DAMP()}}},
-	{"wake", "Ablation: wake-time routing disabled (dispatch-only placement)",
-		[]core.Policy{core.DAMC(), noWakePolicy{core.DAMC()}, core.DA(), noWakePolicy{core.DA()}}},
-	{"dheft", "Ablation: dHEFT earliest-finish-time baseline",
-		[]core.Policy{core.RWS(), core.DHEFT(), core.DA(), core.DAMC()}},
-	{"sampled", "Ablation: sampled global search (the paper's scalability future work)",
-		[]core.Policy{core.DAMC(), core.NewSampled(core.DAMC(), 4), core.NewSampled(core.DAMC(), 16)}},
-}
-
-// ablation runs the selected variant comparison.
-func ablation(cfg AblationConfig) (*ThroughputGrid, error) {
-	if len(cfg.Parallelisms) == 0 {
-		cfg.Parallelisms = []int{2, 4, 6}
+// ablationAlpha is the alpha ablation's view of its family: DAM-C's
+// throughput at each PTT weight under DVFS.
+func ablationAlpha(res *scenario.Result) Renderer {
+	r := &AlphaResult{}
+	for xi, pt := range res.Points {
+		r.Alphas = append(r.Alphas, pt.Alpha)
+		r.Tput = append(r.Tput, res.Cells[0][xi].Run().Throughput)
 	}
-	var names []string
-	for _, v := range ablationVariants {
-		if v.name == cfg.Variant {
-			grid := fig4(SweepConfig{
-				Kernel:       workloads.MatMul,
-				Parallelisms: cfg.Parallelisms,
-				Policies:     v.policies,
-				Seed:         cfg.Seed,
-				Scale:        cfg.Scale,
-			})
-			grid.Title = v.title
-			return grid, nil
-		}
-		names = append(names, v.name)
-	}
-	return nil, fmt.Errorf("experiments: unknown ablation variant %q (want %s)", cfg.Variant, strings.Join(names, "|"))
-}
-
-// ablationAlpha sweeps the PTT weight under DVFS (complementing Figure 8's
-// co-run sweep): adaptation speed matters most when conditions flip every
-// five seconds. The sweep is the Figure 7 scenario with one point per
-// alpha.
-func ablationAlpha(scale Scale, seed uint64) *AlphaResult {
-	alphas := []float64{1.0 / 5, 2.0 / 5, 3.0 / 5, 4.0 / 5, 1.0}
-	spec := SweepConfig{
-		Kernel:   workloads.MatMul,
-		Policies: []core.Policy{core.DAMC()},
-		Seed:     seed,
-		Scale:    scale,
-	}.fig7Spec()
-	spec.Name = "ablation-alpha"
-	spec.Points = nil
-	for _, alpha := range alphas {
-		spec.Points = append(spec.Points, scenario.Point{
-			Label:       fmt.Sprintf("w%g", alpha),
-			Parallelism: 4,
-			Alpha:       alpha,
-		})
-	}
-	sres := scenario.MustRun(spec)
-	res := &AlphaResult{Alphas: alphas}
-	for xi := range spec.Points {
-		res.Tput = append(res.Tput, sres.Cells[0][xi].Run().Throughput)
-	}
-	return res
+	return r
 }
 
 // AlphaResult holds the DVFS alpha sweep.
@@ -126,28 +40,23 @@ func (r *AlphaResult) Render(w io.Writer) {
 
 // ablationInfer compares user-annotated criticality against CATS-style
 // inferred criticality (dag.InferCriticality) and against no priorities at
-// all, on the Figure 4a scenario. The paper defers dynamic criticality
-// inference to related work; this quantifies what the runtime loses when
-// the user provides no annotations.
-func ablationInfer(cfg AblationConfig) *ThroughputGrid {
-	if len(cfg.Parallelisms) == 0 {
-		cfg.Parallelisms = []int{2, 4}
-	}
+// all, for DAM-C on the Figure 4a scenario at parallelism 2 and 4. The
+// paper defers dynamic criticality inference to related work; this
+// quantifies what the runtime loses when the user provides no annotations.
+func ablationInfer(scale float64, seed uint64) *ThroughputGrid {
 	grid := &ThroughputGrid{
 		Title:    "Ablation: user-annotated vs inferred vs absent criticality (DAM-C, MatMul co-run)",
 		XLabel:   "P",
-		X:        cfg.Parallelisms,
+		X:        []int{2, 4},
 		Policies: []string{"user", "inferred", "none"},
 		Tput:     make([][]float64, 3),
 	}
 	variants := []string{scenario.CritUser, scenario.CritInferred, scenario.CritNone}
-	base := SweepConfig{
-		Kernel:       workloads.MatMul,
-		Parallelisms: cfg.Parallelisms,
-		Policies:     []core.Policy{core.DAMC()},
-		Seed:         cfg.Seed,
-		Scale:        cfg.Scale,
-	}.fig4Spec()
+	fig4a, _ := scenario.Lookup("fig4a")
+	base := fig4a.Spec(scale)
+	base.Policies = []core.Policy{core.DAMC()}
+	base.Points = scenario.ParallelismPoints(grid.X...)
+	base.Seed = seed
 	for row, variant := range variants {
 		spec := base
 		spec.Name = "ablation-infer-" + grid.Policies[row]
@@ -160,7 +69,7 @@ func ablationInfer(cfg AblationConfig) *ThroughputGrid {
 // ablationWidth compares the full TX2 against a width-capped TX2 (all
 // widths forced to 1) under DVFS at low parallelism, quantifying the
 // moldability contribution in isolation.
-func ablationWidth(scale Scale, seed uint64) *ThroughputGrid {
+func ablationWidth(scale float64, seed uint64) *ThroughputGrid {
 	pols := []core.Policy{core.DA(), core.DAMP()}
 	grid := &ThroughputGrid{
 		Title:    "Ablation: moldability disabled via width-1 platform (Stencil, DVFS)",
@@ -169,7 +78,7 @@ func ablationWidth(scale Scale, seed uint64) *ThroughputGrid {
 		Policies: []string{"DA/w1", "DAM-P/w1", "DA", "DAM-P"},
 	}
 	wcfg := workloads.SyntheticConfig{Kernel: workloads.Stencil}.Defaults()
-	wcfg.Tasks = scale.tasks(wcfg.Tasks, 600)
+	wcfg.Tasks = scenario.ScaleTasks(wcfg.Tasks, scale, 600)
 	for _, widthCap := range []int{1, 0} {
 		sres := scenario.MustRun(scenario.Spec{
 			Name:     fmt.Sprintf("ablation-width-cap%d", widthCap),

@@ -1,13 +1,15 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Section 5). Each experiment is a thin spec table over the
-// declarative scenario engine (internal/scenario): the driver assembles a
-// scenario.Spec literal (platform, disturbances, workload, policy set,
-// sweep points), runs it, and reshapes the aggregated metrics into the
-// figure's result type. cmd/asymbench exposes the drivers on the command
-// line through this package's catalog (Names, Run).
+// evaluation (Section 5). Each figure that is one grid — Figures 4 to 8 and
+// the policy-set ablations — is a family registered in internal/scenario,
+// which the daemon serves like any other; its entry here is only its view,
+// a function from the family's scenario.Result to the figure's table. The
+// rest are drivers, each for a stated reason: Table 1 is not a grid,
+// Figures 9 and 10 size their spec from a calibration run, and the width and
+// inference ablations compare several specs. cmd/asymbench exposes both
+// kinds through this package's catalog (Names, Run).
 //
 // The experiment index lives in EXPERIMENTS.md ("Paper experiments") and
-// README.md maps the figures onto specs; expected shapes (who wins, by
+// README.md maps the figures onto families; expected shapes (who wins, by
 // roughly what factor) are asserted by this package's tests and recorded
 // against the paper in EXPERIMENTS.md.
 package experiments
@@ -15,78 +17,56 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"dynasym/internal/scenario"
-	"dynasym/internal/workloads"
 )
 
-// Scale shrinks an experiment: 1.0 is paper scale, smaller values reduce
-// task counts proportionally (minimum sizes keep results meaningful).
-// Tests use 0.03–0.5 to stay fast; the CLI defaults to 1.0.
-type Scale float64
-
-// tasks scales a task count, keeping at least min.
-func (s Scale) tasks(n, min int) int { return scenario.ScaleTasks(n, float64(s), min) }
-
 // catalog is the one ordered list of experiments, in paper order: Names
-// and Run both read it, so an id that runs is an id that is listed.
+// and Run both read it, so an id that runs is an id that is listed. An
+// entry is either a view over a registered family or a driver.
 var catalog = []struct {
-	id  string
-	run func(scale Scale, seed uint64) (Renderer, error)
+	id string
+	// family and view: the id renders the registered family's result.
+	family string
+	view   func(*scenario.Result) Renderer
+	// run: a driver, for an id that is not one grid. Scale shrinks it as
+	// it shrinks a family (scenario.ScaleTasks).
+	run func(scale float64, seed uint64) Renderer
 }{
-	{"table1", noErr(func(Scale, uint64) *Table1Result { return Table1() })},
-	{"fig4a", sweep(fig4, workloads.MatMul)},
-	{"fig4b", sweep(fig4, workloads.Copy)},
-	{"fig4c", sweep(fig4, workloads.Stencil)},
-	{"fig5", noErr(fig5)},
-	{"fig6", noErr(fig6)},
-	{"fig7a", sweep(fig7, workloads.MatMul)},
-	{"fig7b", sweep(fig7, workloads.Copy)},
-	{"fig7c", sweep(fig7, workloads.Stencil)},
-	{"fig8", noErr(fig8)},
-	{"fig9a", fig9Places("")},
-	{"fig9b", fig9Places("RWS")},
-	{"fig9c", fig9Places("DAM-P")},
-	{"fig10", noErr(fig10)},
-	{"ablation-alpha", noErr(ablationAlpha)},
-	{"ablation-steal", ablationOf("steal")},
-	{"ablation-wake", ablationOf("wake")},
-	{"ablation-dheft", ablationOf("dheft")},
-	{"ablation-width", noErr(ablationWidth)},
-	{"ablation-sampled", ablationOf("sampled")},
-	{"ablation-infer", noErr(func(s Scale, seed uint64) *ThroughputGrid {
-		return ablationInfer(AblationConfig{Scale: s, Seed: seed})
-	})},
-}
-
-// noErr adapts a driver that cannot fail to the catalog's signature.
-func noErr[R Renderer](f func(Scale, uint64) R) func(Scale, uint64) (Renderer, error) {
-	return func(s Scale, seed uint64) (Renderer, error) { return f(s, seed), nil }
-}
-
-// sweep runs fig4 or fig7 on one kernel.
-func sweep(fig func(SweepConfig) *ThroughputGrid, k workloads.KernelKind) func(Scale, uint64) (Renderer, error) {
-	return noErr(func(s Scale, seed uint64) *ThroughputGrid {
-		return fig(SweepConfig{Kernel: k, Scale: s, Seed: seed})
-	})
+	{id: "table1", run: func(float64, uint64) Renderer { return Table1() }},
+	{id: "fig4a", family: "fig4a", view: throughputView("Figure 4 (MatMul): throughput under co-running interference on core 0")},
+	{id: "fig4b", family: "fig4b", view: throughputView("Figure 4 (Copy): throughput under co-running interference on core 0")},
+	{id: "fig4c", family: "fig4c", view: throughputView("Figure 4 (Stencil): throughput under co-running interference on core 0")},
+	{id: "fig5", family: "fig5", view: fig5},
+	{id: "fig6", family: "fig5", view: fig6},
+	{id: "fig7a", family: "fig7a", view: throughputView("Figure 7 (MatMul): throughput under DVFS on the Denver cluster")},
+	{id: "fig7b", family: "fig7b", view: throughputView("Figure 7 (Copy): throughput under DVFS on the Denver cluster")},
+	{id: "fig7c", family: "fig7c", view: throughputView("Figure 7 (Stencil): throughput under DVFS on the Denver cluster")},
+	{id: "fig8", family: "fig8", view: fig8},
+	{id: "fig9a", run: fig9Places("")},
+	{id: "fig9b", run: fig9Places("RWS")},
+	{id: "fig9c", run: fig9Places("DAM-P")},
+	{id: "fig10", run: func(s float64, seed uint64) Renderer { return fig10(s, seed) }},
+	{id: "ablation-alpha", family: "ablation-alpha", view: ablationAlpha},
+	{id: "ablation-steal", family: "ablation-steal", view: throughputView("Ablation: stealing of high-priority tasks re-enabled")},
+	{id: "ablation-wake", family: "ablation-wake", view: throughputView("Ablation: wake-time routing disabled (dispatch-only placement)")},
+	{id: "ablation-dheft", family: "ablation-dheft", view: throughputView("Ablation: dHEFT earliest-finish-time baseline")},
+	{id: "ablation-width", run: func(s float64, seed uint64) Renderer { return ablationWidth(s, seed) }},
+	{id: "ablation-sampled", family: "ablation-sampled", view: throughputView("Ablation: sampled global search (the paper's scalability future work)")},
+	{id: "ablation-infer", run: func(s float64, seed uint64) Renderer { return ablationInfer(s, seed) }},
 }
 
 // fig9Places renders the per-iteration times (Figure 9a) or, given a policy, its
 // per-place task counts (Figures 9b and 9c).
-func fig9Places(places string) func(Scale, uint64) (Renderer, error) {
-	return func(s Scale, seed uint64) (Renderer, error) {
+func fig9Places(places string) func(float64, uint64) Renderer {
+	return func(s float64, seed uint64) Renderer {
 		res := fig9(Fig9Config{Scale: s, Seed: seed})
 		if places == "" {
-			return res, nil
+			return res
 		}
-		return placesRenderer{res, places}, nil
-	}
-}
-
-func ablationOf(variant string) func(Scale, uint64) (Renderer, error) {
-	return func(s Scale, seed uint64) (Renderer, error) {
-		return ablation(AblationConfig{Variant: variant, Scale: s, Seed: seed})
+		return placesRenderer{res, places}
 	}
 }
 
@@ -99,14 +79,35 @@ func Names() []string {
 	return out
 }
 
-// Run runs the experiment with the given id (one of Names).
-func Run(id string, scale Scale, seed uint64) (Renderer, error) {
+// Run runs the experiment with the given id (one of Names) at a scale
+// (1.0, like 0, is paper scale) and seed: a view runs its family's spec at
+// that scale with the seed in place of the family's default.
+func Run(id string, scale float64, seed uint64) (Renderer, error) {
 	for _, e := range catalog {
-		if e.id == id {
-			return e.run(scale, seed)
+		if e.id != id {
+			continue
 		}
+		if e.run != nil {
+			return e.run(scale, seed), nil
+		}
+		f, _ := scenario.Lookup(e.family)
+		spec := f.Spec(scale)
+		spec.Seed = seed
+		return e.view(scenario.MustRun(spec)), nil
 	}
 	return nil, fmt.Errorf("unknown experiment %q (known: %s)", id, strings.Join(Names(), ", "))
+}
+
+// View returns the registered family an experiment id renders and the view
+// that renders the family's result, however it was run (in process or by
+// the daemon); ok is false for a driver and for an id outside the catalog.
+func View(id string) (family string, view func(*scenario.Result) Renderer, ok bool) {
+	for _, e := range catalog {
+		if e.id == id && e.view != nil {
+			return e.family, e.view, true
+		}
+	}
+	return "", nil, false
 }
 
 // Renderer is implemented by every experiment result.
@@ -144,32 +145,22 @@ func (g *ThroughputGrid) Render(w io.Writer) {
 
 // Get returns the throughput for a policy name at parallelism x.
 func (g *ThroughputGrid) Get(policy string, x int) float64 {
-	pi, xi := -1, -1
-	for i, p := range g.Policies {
-		if p == policy {
-			pi = i
-		}
-	}
-	for j, v := range g.X {
-		if v == x {
-			xi = j
-		}
-	}
+	pi, xi := slices.Index(g.Policies, policy), slices.Index(g.X, x)
 	if pi < 0 || xi < 0 {
 		return 0
 	}
 	return g.Tput[pi][xi]
 }
 
-// gridFrom reshapes a scenario result into a throughput grid whose x-axis
-// is the integer sweep the spec's points were built from.
-func gridFrom(res *scenario.Result, title, xlabel string, xs []int) *ThroughputGrid {
-	return &ThroughputGrid{
-		Title:    title,
-		XLabel:   xlabel,
-		X:        xs,
-		Policies: res.Policies,
-		Tput:     res.Throughputs(),
+// throughputView renders a family's result as a throughput grid whose
+// x-axis is its points' DAG parallelisms.
+func throughputView(title string) func(*scenario.Result) Renderer {
+	return func(res *scenario.Result) Renderer {
+		g := &ThroughputGrid{Title: title, XLabel: "P", Policies: res.Policies, Tput: res.Throughputs()}
+		for _, pt := range res.Points {
+			g.X = append(g.X, pt.Parallelism)
+		}
+		return g
 	}
 }
 

@@ -42,9 +42,9 @@ type Fig10Result struct {
 // dual-socket 10-core nodes run the stencil with critical boundary-exchange
 // (MPI) tasks while the interferer occupies node 0. The paper evaluates RWS,
 // RWSM-C, DA, DAM-C and DAM-P.
-func fig10(scale Scale, seed uint64) *Fig10Result {
+func fig10(scale float64, seed uint64) *Fig10Result {
 	hdCfg := workloads.HeatDistConfig{}.Defaults()
-	hdCfg.Iters = scale.tasks(hdCfg.Iters, 10)
+	hdCfg.Iters = scenario.ScaleTasks(hdCfg.Iters, scale, 10)
 	// Calibrate the iteration pace (DAM-C, a few iterations) so the
 	// co-runner can start after a training window, as in the paper ("the
 	// co-running application starts a few iterations after the start

@@ -6,7 +6,6 @@ import (
 
 	"dynasym/internal/metrics"
 	"dynasym/internal/scenario"
-	"dynasym/internal/workloads"
 )
 
 // Fig5Result holds, per policy, the high-priority place histogram and the
@@ -19,29 +18,23 @@ type Fig5Result struct {
 	Cores    int
 }
 
-// fig5 runs the priority-task placement analysis (Figure 5): the
-// distribution of high-priority tasks over execution places, per scheduler,
-// for the MatMul DAG at parallelism 2 with the co-runner on Denver core 0 —
-// the Figure 4a scenario restricted to P=2, read out as place histograms
-// and per-core work times (Figure 6) instead of throughput.
-func fig5(scale Scale, seed uint64) *Fig5Result {
-	spec := SweepConfig{
-		Kernel:       workloads.MatMul,
-		Parallelisms: []int{2},
-		Seed:         seed,
-		Scale:        scale,
-	}.fig4Spec()
-	spec.Name = "fig5"
-	sres := scenario.MustRun(spec)
-	res := &Fig5Result{Policies: sres.Policies, Cores: sres.Topo.NumCores()}
-	for pi := range sres.Policies {
-		run := sres.Cells[pi][0].Run()
-		res.Hists = append(res.Hists, run.HighHist)
-		res.CoreBusy = append(res.CoreBusy, run.CoreBusy)
-		res.Makespan = append(res.Makespan, run.Makespan)
+// fig5Of reads the priority-task placement analysis (Figure 5) off the
+// fig5 family's result: per scheduler, the distribution of high-priority
+// tasks over execution places and the per-core work times of the same run,
+// for the MatMul DAG at parallelism 2 with the co-runner on Denver core 0.
+func fig5Of(res *scenario.Result) *Fig5Result {
+	r := &Fig5Result{Policies: res.Policies, Cores: res.Topo.NumCores()}
+	for pi := range res.Policies {
+		run := res.Cells[pi][0].Run()
+		r.Hists = append(r.Hists, run.HighHist)
+		r.CoreBusy = append(r.CoreBusy, run.CoreBusy)
+		r.Makespan = append(r.Makespan, run.Makespan)
 	}
-	return res
+	return r
 }
+
+// fig5 is Figure 5's view of the fig5 family.
+func fig5(res *scenario.Result) Renderer { return fig5Of(res) }
 
 // Render prints the place distribution per policy (the paper's pie charts
 // as percentage lists).
@@ -80,9 +73,8 @@ func (r *Fig5Result) Share(name string, leader int) float64 {
 // Fig6Result renders the per-core work time view of the Figure 5 runs.
 type Fig6Result struct{ *Fig5Result }
 
-// fig6 runs the Figure 5 scenario and returns the per-core work time
-// result.
-func fig6(scale Scale, seed uint64) *Fig6Result { return &Fig6Result{fig5(scale, seed)} }
+// fig6 is Figure 6's view of the fig5 family: the per-core work times.
+func fig6(res *scenario.Result) Renderer { return &Fig6Result{fig5Of(res)} }
 
 // Render prints per-core cumulative kernel work time and the total
 // execution time per scheduler (the paper's Figure 6 bars).

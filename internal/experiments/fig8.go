@@ -3,10 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 
-	"dynasym/internal/core"
 	"dynasym/internal/scenario"
-	"dynasym/internal/workloads"
 )
 
 // Fig8Result holds throughput per (tile, alpha).
@@ -17,51 +16,24 @@ type Fig8Result struct {
 	Tput [][]float64
 }
 
-// fig8 runs the sensitivity analysis (Figure 8): MatMul DAG throughput under
-// DAM-C as a function of the PTT update weight (new-sample weight alpha =
-// 1/5 … 5/5) and the tile size (32, 64, 80, 96), under the same core-0
-// co-runner as Figure 4. Short tasks (tile 32) are sensitive to measurement
-// outliers, so aggressive weights mis-steer the scheduler; larger tiles are
-// insensitive — that is the paper's justification for the 1:4 weighted
-// update. It is one scenario whose points are the full tile × alpha cross
-// product.
-func fig8(scale Scale, seed uint64) *Fig8Result {
-	res := &Fig8Result{
-		Tiles:  []int{32, 64, 80, 96},
-		Alphas: []float64{1.0 / 5, 2.0 / 5, 3.0 / 5, 4.0 / 5, 1.0},
-	}
-	label := func(tile int, alpha float64) string { return fmt.Sprintf("t%d/w%g", tile, alpha) }
-	var points []scenario.Point
-	for _, tile := range res.Tiles {
-		for _, alpha := range res.Alphas {
-			points = append(points, scenario.Point{Label: label(tile, alpha), Tile: tile, Alpha: alpha})
+// fig8 is Figure 8's view of the fig8 family, whose points are the tile ×
+// alpha cross product, tile-major: DAM-C's throughput with one row per
+// tile size and one column per PTT update weight.
+func fig8(res *scenario.Result) Renderer {
+	r := &Fig8Result{}
+	for _, pt := range res.Points {
+		i := slices.Index(r.Tiles, pt.Tile)
+		if i < 0 {
+			i = len(r.Tiles)
+			r.Tiles = append(r.Tiles, pt.Tile)
+			r.Tput = append(r.Tput, nil)
 		}
-	}
-	policy := core.DAMC()
-	sres := scenario.MustRun(scenario.Spec{
-		Name:     "fig8",
-		Platform: scenario.PlatformSpec{Preset: "tx2"},
-		Workload: scenario.WorkloadSpec{Kind: scenario.Synthetic, Synthetic: workloads.SyntheticConfig{
-			Kernel: workloads.MatMul,
-			Tasks:  scale.tasks(32000, 600),
-			// Parallelism 2 keeps the run spine-bound, where critical-task
-			// placement flips caused by noisy measurements actually cost
-			// throughput (the paper's tile-32 sensitivity).
-			Parallelism: 2,
-		}},
-		Disturb:  []scenario.Disturbance{{Kind: scenario.CoRunCPU, Cores: []int{0}, Share: coRunShare}},
-		Policies: []core.Policy{policy},
-		Points:   points,
-		Seed:     seed,
-	})
-	for _, tile := range res.Tiles {
-		row := make([]float64, len(res.Alphas))
-		for j, alpha := range res.Alphas {
-			row[j] = sres.Cell(policy.Name(), label(tile, alpha)).Run().Throughput
+		if !slices.Contains(r.Alphas, pt.Alpha) {
+			r.Alphas = append(r.Alphas, pt.Alpha)
 		}
-		res.Tput = append(res.Tput, row)
+		r.Tput[i] = append(r.Tput[i], res.Cell(res.Policies[0], pt.Label).Run().Throughput)
 	}
-	return res
+	return r
 }
 
 // Render prints tiles × alphas.

@@ -20,7 +20,7 @@ type Fig9Config struct {
 	Iters    int
 	From, To int
 	Seed     uint64
-	Scale    Scale
+	Scale    float64
 }
 
 func (c Fig9Config) defaults() Fig9Config {
@@ -68,7 +68,7 @@ func kmeansSpec(name string, kmCfg workloads.KMeansConfig, pols []core.Policy, s
 func fig9(cfg Fig9Config) *Fig9Result {
 	cfg = cfg.defaults()
 	kmCfg := workloads.KMeansConfig{MaxIters: cfg.Iters}.Defaults()
-	kmCfg.N = cfg.Scale.tasks(kmCfg.N, 1<<13)
+	kmCfg.N = scenario.ScaleTasks(kmCfg.N, cfg.Scale, 1<<13)
 
 	// Calibration run: DAM-C, no interference.
 	calib := scenario.MustRun(kmeansSpec("fig9-calibration", kmCfg, []core.Policy{core.DAMC()}, cfg.Seed, nil))
@@ -103,16 +103,6 @@ func fig9(cfg Fig9Config) *Fig9Result {
 	return res
 }
 
-// policyIndex returns the row for a policy name, or -1.
-func (r *Fig9Result) policyIndex(name string) int {
-	for i, p := range r.Policies {
-		if p == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // inWindow reports whether iteration stat overlaps the interference
 // interval.
 func (r *Fig9Result) inWindow(st metrics.IterStat) bool {
@@ -131,7 +121,7 @@ func (r *Fig9Result) inWindowSettled(st metrics.IterStat) bool {
 // iterations fully inside the interference window, past the adaptation
 // transient.
 func (r *Fig9Result) MeanSettledIterTime(policy string) float64 {
-	i := r.policyIndex(policy)
+	i := slices.Index(r.Policies, policy)
 	if i < 0 {
 		return 0
 	}
@@ -152,7 +142,7 @@ func (r *Fig9Result) MeanSettledIterTime(policy string) float64 {
 // WideShare returns the fraction of tasks the policy executed at width > 1
 // inside the interference window (Figure 9c's molding behaviour).
 func (r *Fig9Result) WideShare(policy string) float64 {
-	i := r.policyIndex(policy)
+	i := slices.Index(r.Policies, policy)
 	if i < 0 {
 		return 0
 	}
@@ -229,7 +219,7 @@ func (p placesRenderer) Render(w io.Writer) { _ = p.res.renderPlaces(w, p.policy
 // renderPlaces prints Figure 9b/c: per-iteration task counts per execution
 // place for the given policy.
 func (r *Fig9Result) renderPlaces(w io.Writer, policy string) error {
-	idx := r.policyIndex(policy)
+	idx := slices.Index(r.Policies, policy)
 	if idx < 0 {
 		return fmt.Errorf("experiments: policy %q not in Figure 9 run", policy)
 	}

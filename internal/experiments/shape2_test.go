@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"dynasym/internal/workloads"
+	"dynasym/internal/scenario"
 )
 
 func TestTable1MatchesPaper(t *testing.T) {
@@ -36,10 +36,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	res := fig5(testScale, testSeed)
-	if testing.Verbose() {
-		res.Render(os.Stdout)
-	}
+	res := family[*Fig5Result](t, "fig5", testScale)
 	// FA splits critical tasks 50/50 over the Denver cores.
 	if s := res.Share("FA", 0); s < 0.45 || s > 0.55 {
 		t.Errorf("FA core-0 share %.2f, want ~0.5", s)
@@ -60,10 +57,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	res := fig6(testScale, testSeed)
-	if testing.Verbose() {
-		res.Render(os.Stdout)
-	}
+	res := family[*Fig6Result](t, "fig6", testScale)
 	// FA pins half the critical tasks to the interfered core 0, so its
 	// core-0 work time is the highest across schedulers (paper Fig. 6).
 	fa := res.CoreTime("FA", 0)
@@ -75,10 +69,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	grid := fig7(SweepConfig{Kernel: workloads.MatMul, Parallelisms: []int{2, 6}, Seed: testSeed, Scale: testScale})
-	if testing.Verbose() {
-		grid.Render(os.Stdout)
-	}
+	grid := family[*ThroughputGrid](t, "fig7a", testScale, 2, 6)
 	// Dynamic schedulers beat the fixed and random families under DVFS.
 	for _, name := range []string{"RWS", "FA"} {
 		if grid.Get("DAM-P", 2) <= grid.Get(name, 2) {
@@ -95,10 +86,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	res := fig8(testScale, testSeed)
-	if testing.Verbose() {
-		res.Render(os.Stdout)
-	}
+	res := family[*Fig8Result](t, "fig8", testScale)
 	// The PTT weight only matters for the smallest tile: its spread is
 	// the largest, and the large tiles stay comparatively flat (paper:
 	// ~36% for tile 32, stable above).
@@ -118,13 +106,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestAblationSteal(t *testing.T) {
-	grid, err := ablation(AblationConfig{Variant: "steal", Parallelisms: []int{2}, Seed: testSeed, Scale: testScale})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if testing.Verbose() {
-		grid.Render(os.Stdout)
-	}
+	grid := family[*ThroughputGrid](t, "ablation-steal", testScale, 2)
 	// Allowing critical tasks to be stolen voids the placement guarantee
 	// and should not help DAM-C under interference.
 	if grid.Get("DAM-C+steal", 2) > grid.Get("DAM-C", 2)*1.05 {
@@ -134,13 +116,7 @@ func TestAblationSteal(t *testing.T) {
 }
 
 func TestAblationWake(t *testing.T) {
-	grid, err := ablation(AblationConfig{Variant: "wake", Parallelisms: []int{2}, Seed: testSeed, Scale: testScale})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if testing.Verbose() {
-		grid.Render(os.Stdout)
-	}
+	grid := family[*ThroughputGrid](t, "ablation-wake", testScale, 2)
 	// Without wake-time routing critical tasks still get re-placed at
 	// dispatch; the result must stay within 2× (sanity) and the variant
 	// must run to completion.
@@ -150,13 +126,7 @@ func TestAblationWake(t *testing.T) {
 }
 
 func TestAblationDHEFT(t *testing.T) {
-	grid, err := ablation(AblationConfig{Variant: "dheft", Parallelisms: []int{2}, Seed: testSeed, Scale: testScale})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if testing.Verbose() {
-		grid.Render(os.Stdout)
-	}
+	grid := family[*ThroughputGrid](t, "ablation-dheft", testScale, 2)
 	// dHEFT places every task by earliest finish time; under interference
 	// it should comfortably beat RWS.
 	if grid.Get("dHEFT", 2) <= grid.Get("RWS", 2) {
@@ -164,18 +134,9 @@ func TestAblationDHEFT(t *testing.T) {
 	}
 }
 
-func TestAblationUnknownVariant(t *testing.T) {
-	_, err := ablation(AblationConfig{Variant: "bogus"})
-	if err == nil {
-		t.Fatal("unknown variant accepted")
-	}
-	if want := "(want steal|wake|dheft|sampled)"; !strings.Contains(err.Error(), want) {
-		t.Fatalf("error %q does not list the variants %s", err, want)
-	}
-}
-
-// Every catalog id renders a non-empty block, Names has no duplicate, and an
-// id outside the catalog is refused with the ids that exist.
+// Every catalog id renders a non-empty block, a view reads a registered
+// family, Names has no duplicate, and an id outside the catalog is refused
+// with the ids that exist.
 func TestEveryListedExperimentRuns(t *testing.T) {
 	seen := map[string]bool{}
 	for _, id := range Names() {
@@ -183,7 +144,13 @@ func TestEveryListedExperimentRuns(t *testing.T) {
 			t.Errorf("Names lists %q twice", id)
 		}
 		seen[id] = true
-		res, err := Run(id, Scale(0.05), testSeed)
+		if name, _, ok := View(id); ok {
+			if _, ok := scenario.Lookup(name); !ok {
+				t.Errorf("%s views %q, which is not a registered family", id, name)
+				continue
+			}
+		}
+		res, err := Run(id, 0.05, testSeed)
 		if err != nil {
 			t.Errorf("%s: %v", id, err)
 			continue
@@ -194,18 +161,13 @@ func TestEveryListedExperimentRuns(t *testing.T) {
 			t.Errorf("%s rendered no table: %q", id, buf.String())
 		}
 	}
-	for _, v := range ablationVariants {
-		if !seen["ablation-"+v.name] {
-			t.Errorf("ablation variant %q is not in the catalog", v.name)
-		}
-	}
 	if _, err := Run("ablation-bogus", 1, testSeed); err == nil || !strings.Contains(err.Error(), "ablation-wake") {
 		t.Errorf("unknown id: error %v, want one listing the known ids", err)
 	}
 }
 
 func TestAblationAlphaRuns(t *testing.T) {
-	res := ablationAlpha(Scale(0.03), testSeed)
+	res := family[*AlphaResult](t, "ablation-alpha", 0.03)
 	if len(res.Tput) != 5 {
 		t.Fatalf("%d alpha points", len(res.Tput))
 	}
@@ -217,7 +179,7 @@ func TestAblationAlphaRuns(t *testing.T) {
 }
 
 func TestAblationWidthRuns(t *testing.T) {
-	grid := ablationWidth(Scale(0.03), 0)
+	grid := ablationWidth(0.03, 0)
 	if testing.Verbose() {
 		grid.Render(os.Stdout)
 	}
@@ -227,7 +189,7 @@ func TestAblationWidthRuns(t *testing.T) {
 }
 
 func TestFig9Render(t *testing.T) {
-	res := fig9(Fig9Config{Iters: 12, From: 4, To: 9, Seed: testSeed, Scale: Scale(0.125)})
+	res := fig9(Fig9Config{Iters: 12, From: 4, To: 9, Seed: testSeed, Scale: 0.125})
 	var buf bytes.Buffer
 	res.Render(&buf)
 	if buf.Len() == 0 {
@@ -243,7 +205,7 @@ func TestFig9Render(t *testing.T) {
 }
 
 func TestAblationInfer(t *testing.T) {
-	grid := ablationInfer(AblationConfig{Parallelisms: []int{2}, Seed: testSeed, Scale: testScale})
+	grid := ablationInfer(testScale, testSeed)
 	if testing.Verbose() {
 		grid.Render(os.Stdout)
 	}

@@ -4,7 +4,7 @@ import (
 	"os"
 	"testing"
 
-	"dynasym/internal/workloads"
+	"dynasym/internal/scenario"
 )
 
 // The shape tests assert the qualitative findings of the paper's evaluation
@@ -12,15 +12,37 @@ import (
 // tables for eyeballing against the paper.
 
 const (
-	testScale = Scale(0.08)
+	testScale = 0.08
 	testSeed  = 42
 )
 
-func TestFig4aShape(t *testing.T) {
-	grid := fig4(SweepConfig{Kernel: workloads.MatMul, Parallelisms: []int{2, 4, 6}, Seed: testSeed, Scale: testScale})
-	if testing.Verbose() {
-		grid.Render(os.Stdout)
+// family runs the registered family behind a catalog id at scale and
+// testSeed — over the given DAG parallelisms, when any are given, in place
+// of its points — and returns the id's view of the result.
+func family[R Renderer](t *testing.T, id string, scale float64, parallelisms ...int) R {
+	t.Helper()
+	name, view, ok := View(id)
+	if !ok {
+		t.Fatalf("%s is not a view over a family", id)
 	}
+	f, ok := scenario.Lookup(name)
+	if !ok {
+		t.Fatalf("%s views %q, which is not a registered family", id, name)
+	}
+	spec := f.Spec(scale)
+	spec.Seed = testSeed
+	if len(parallelisms) > 0 {
+		spec.Points = scenario.ParallelismPoints(parallelisms...)
+	}
+	res := view(scenario.MustRun(spec)).(R)
+	if testing.Verbose() {
+		res.Render(os.Stdout)
+	}
+	return res
+}
+
+func TestFig4aShape(t *testing.T) {
+	grid := family[*ThroughputGrid](t, "fig4a", testScale, 2, 4, 6)
 	rws, fa, damc := grid.Get("RWS", 2), grid.Get("FA", 2), grid.Get("DAM-C", 2)
 	if !(damc > fa && fa > rws) {
 		t.Errorf("P=2 ordering: want DAM-C > FA > RWS, got DAM-C=%.0f FA=%.0f RWS=%.0f", damc, fa, rws)
@@ -42,7 +64,7 @@ func TestFig4aShape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	res := fig9(Fig9Config{Iters: 40, From: 10, To: 30, Seed: testSeed, Scale: Scale(0.25)})
+	res := fig9(Fig9Config{Iters: 40, From: 10, To: 30, Seed: testSeed, Scale: 0.25})
 	if testing.Verbose() {
 		res.Render(os.Stdout)
 	}
@@ -68,7 +90,7 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	res := fig10(Scale(0.5), testSeed)
+	res := fig10(0.5, testSeed)
 	if testing.Verbose() {
 		res.Render(os.Stdout)
 	}

@@ -346,8 +346,10 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(`{"workload":{"kind":"daggen","daggen":{"model":"random-layered","layers":3,"width":2048,"degree":2048}},"policies":["RWS"]}`))
 	f.Add([]byte(`{"name":"x","platform":{"preset":"tx2"},"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":4194304}},"policies":["RWS"],"reps":17,"seed":1}`))
 	f.Add([]byte(`{"platform":{"clusters":[{"name":"c","first_core":0,"num_cores":2,"widths":[1,2],"speed":1,"base_hz":1e9}]},"workload":{"kind":"synthetic","synthetic":{"kernel":"Copy","tasks":20}},"policies":["RWS"]}`))
-	// Sampled policy names: core.ByName parses the text after the last '~'.
-	for _, name := range []string{"DAM-C~0", "DAM-C~", "~8", "DAM-P~8~4", "DAM-C~08", "DAM-C~1025"} {
+	// Sampled policy names: core.ByName parses the text after the last '~';
+	// and ablation-wrapper names it refuses.
+	for _, name := range []string{"DAM-C~0", "DAM-C~", "~8", "DAM-P~8~4", "DAM-C~08", "DAM-C~1025",
+		"dHEFT+steal", "DAM-C~8+steal", "+steal", "DAM-C+steal+steal"} {
 		f.Add([]byte(`{"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":50}},"policies":["` + name + `"]}`))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -14,7 +14,9 @@ func TestRegistryNames(t *testing.T) {
 			t.Errorf("family table out of order or duplicated at %d: %q then %q", i, names[i-1], names[i])
 		}
 	}
-	want := []string{"burst-sweep", "scaleout-16", "scaleout-32", "scaleout-64", "throttle-ramp"}
+	want := []string{"burst-sweep", "scaleout-16", "scaleout-32", "scaleout-64", "throttle-ramp",
+		"fig4a", "fig4b", "fig4c", "fig5", "fig7a", "fig7b", "fig7c", "fig8",
+		"ablation-alpha", "ablation-steal", "ablation-wake", "ablation-dheft", "ablation-sampled"}
 	for _, w := range want {
 		found := false
 		for _, n := range names {

@@ -9,8 +9,9 @@ import (
 )
 
 // Family is a named scenario generator. The scale argument shrinks task
-// counts and time windows together (1.0 = full scale), so a family behaves
-// the same shape-wise at test scale as at paper scale.
+// counts (1.0 = full scale) and, in the families beyond the paper, time
+// windows with them, so a family behaves the same shape-wise at test scale
+// as at paper scale; the paper's figures keep the paper's fixed waves.
 type Family struct {
 	Name string
 	Desc string
@@ -73,10 +74,20 @@ func ParallelismPoints(ps ...int) []Point {
 }
 
 // families is the table of built-in families, sorted by name
-// (TestRegistryNames holds it sorted and free of duplicates). They extend the
-// paper's evaluation with conditions it never ran and are referenced by name
-// from cmd/asymbench -scenario.
+// (TestRegistryNames holds it sorted and free of duplicates): the paper's
+// one-grid figures and ablations (paper.go), and families that extend the
+// evaluation with conditions it never ran. cmd/asymbench -exp and the
+// daemon's {"family": …} both run them by name.
 var families = []Family{
+	{Name: "ablation-alpha", Desc: "ablation: DAM-C MatMul throughput at parallelism 4 over the PTT weight (1/5-5/5) under the Denver DVFS wave", Spec: ablationAlphaSpec},
+	tx2Family("ablation-dheft", "ablation: the dHEFT earliest-finish-time baseline beside RWS, DA and DAM-C on the fig4a scenario",
+		workloads.MatMul, coRun, []string{"RWS", "dHEFT", "DA", "DAM-C"}, 2, 4, 6),
+	tx2Family("ablation-sampled", "ablation: DAM-C's sampled global search (K = 4, 16) beside the exhaustive one on the fig4a scenario",
+		workloads.MatMul, coRun, []string{"DAM-C", "DAM-C~4", "DAM-C~16"}, 2, 4, 6),
+	tx2Family("ablation-steal", "ablation: DAM-C and DAM-P with stealing of high-priority tasks re-enabled, on the fig4a scenario",
+		workloads.MatMul, coRun, []string{"DAM-C", "DAM-C+steal", "DAM-P", "DAM-P+steal"}, 2, 4, 6),
+	tx2Family("ablation-wake", "ablation: DAM-C and DA with wake-time routing disabled (dispatch-only placement), on the fig4a scenario",
+		workloads.MatMul, coRun, []string{"DAM-C", "DAM-C-wake", "DA", "DA-wake"}, 2, 4, 6),
 	{
 		Name: "burst-sweep",
 		Desc: "TX2 MatMul under phase-shifted bursty co-runners sweeping the A57 cluster (plus an independent burst on Denver core 1)",
@@ -143,6 +154,21 @@ var families = []Family{
 			}
 		},
 	},
+	tx2Family("fig4a", "Figure 4a: TX2 MatMul throughput of the seven schedulers over DAG parallelism 2-6, co-runner on Denver core 0",
+		workloads.MatMul, coRun, nil, 2, 3, 4, 5, 6),
+	tx2Family("fig4b", "Figure 4b: TX2 Copy throughput of the seven schedulers over DAG parallelism 2-6, memory co-runner on Denver core 0",
+		workloads.Copy, coRun, nil, 2, 3, 4, 5, 6),
+	tx2Family("fig4c", "Figure 4c: TX2 Stencil throughput of the seven schedulers over DAG parallelism 2-6, co-runner on Denver core 0",
+		workloads.Stencil, coRun, nil, 2, 3, 4, 5, 6),
+	tx2Family("fig5", "Figures 5 and 6: where the seven schedulers run critical MatMul tasks at parallelism 2, co-runner on Denver core 0",
+		workloads.MatMul, coRun, nil, 2),
+	tx2Family("fig7a", "Figure 7a: TX2 MatMul throughput of the seven schedulers over DAG parallelism 2-6 under the Denver DVFS wave",
+		workloads.MatMul, denverDVFS, nil, 2, 3, 4, 5, 6),
+	tx2Family("fig7b", "Figure 7b: TX2 Copy throughput of the seven schedulers over DAG parallelism 2-6 under the Denver DVFS wave",
+		workloads.Copy, denverDVFS, nil, 2, 3, 4, 5, 6),
+	tx2Family("fig7c", "Figure 7c: TX2 Stencil throughput of the seven schedulers over DAG parallelism 2-6 under the Denver DVFS wave",
+		workloads.Stencil, denverDVFS, nil, 2, 3, 4, 5, 6),
+	{Name: "fig8", Desc: "Figure 8: DAM-C MatMul throughput over tile size (32-96) x PTT weight (1/5-5/5), co-runner on Denver core 0", Spec: fig8Spec},
 	{
 		Name: "random-layered",
 		Desc: "seeded random layered DAGs (mixed cpu/mem/mix task classes) on TX2 with a throttling Denver cluster, sweeping layer width",

@@ -4,12 +4,12 @@
 // sweep axis; Run validates it, executes every (policy × point × repetition)
 // cell on a bounded worker pool, and returns the aggregated metrics.
 //
-// The experiment drivers in internal/experiments are thin spec tables over
-// this engine: each paper figure is one Spec literal plus a renderer. New
-// platform/interference/workload combinations cost a struct literal, not a
-// new driver — see the registry in this package for families the paper
-// never ran (bursty phase-shifted interference, thermal-throttle ramps,
-// 16–64-core scale-out platforms).
+// A Family is a named Spec builder (registry.go). Each paper figure that is
+// one grid is a family (paper.go), which internal/experiments renders in
+// the figure's layout, and so are conditions the paper never ran (bursty
+// phase-shifted interference, thermal-throttle ramps, 16–64-core scale-out
+// platforms): a new platform/interference/workload combination costs a
+// struct literal, not a new driver.
 //
 // Determinism: a Spec plus its Seed fully determine every metric of every
 // cell, bit for bit, regardless of the worker pool's interleaving. Each

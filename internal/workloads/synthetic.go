@@ -137,16 +137,18 @@ func (c SyntheticConfig) cost() machine.Cost {
 	}
 }
 
+// Layers is the number of whole layers BuildSynthetic builds of a
+// defaults-filled config: Tasks rounded down to a multiple of Parallelism,
+// at least one layer.
+func (c SyntheticConfig) Layers() int { return max(c.Tasks/c.Parallelism, 1) }
+
 // BuildSynthetic constructs the layered synthetic DAG. Layer i's critical
 // task releases all of layer i+1, so DAG parallelism (total tasks / longest
 // path) equals cfg.Parallelism exactly.
 func BuildSynthetic(cfg SyntheticConfig) *dag.Graph {
 	cfg = cfg.Defaults()
 	g := dag.New()
-	layers := cfg.Tasks / cfg.Parallelism
-	if layers == 0 {
-		layers = 1
-	}
+	layers := cfg.Layers()
 	g.Grow(layers*cfg.Parallelism, (layers-1)*cfg.Parallelism)
 	cost := cfg.cost()
 	typeID := cfg.Kernel.typeID()

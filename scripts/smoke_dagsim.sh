@@ -16,9 +16,11 @@
 #     worker (GOMAXPROCS=1) as on the default executor's GOMAXPROCS workers,
 #     but for the "(… in N.Ns)" wall-time lines;
 #  7. the CLIs' report modes: dagsim refuses an unknown policy, dagsim
-#     -list and asymbench -list name their entries, and the schedule
-#     reports of dagsim -explain and asymbench -scenario burst-sweep
-#     -explain -progress are checked line by line.
+#     -list and asymbench -list name their entries, dagsim -tasks 0's header
+#     names the workload that ran (the paper's 32 000 tasks), the schedule
+#     reports of dagsim -explain and asymbench -exp burst-sweep -explain
+#     -progress are checked line by line, and asymbench -exp fig4a -explain
+#     runs the paper figure as its family, with schedule reports.
 #
 # Used by CI (smoke job, through scripts/reach.sh) and runnable locally.
 set -eu
@@ -98,17 +100,21 @@ fi
 grep -q 'unknown policy' "$OUT" || { echo "dagsim -policy nope did not name the policy:"; cat "$OUT"; exit 1; }
 "$BIN" -list | grep -q '^  random-layered$' || { echo "dagsim -list does not list random-layered"; exit 1; }
 "$BENCH" -list | grep -q '^  fig9a$' || { echo "asymbench -list does not list fig9a"; exit 1; }
+"$BIN" -tasks 0 | grep -q '^policy DAM-C, kernel MatMul, 32000 tasks, DAG parallelism 4,' ||
+	{ echo "dagsim -tasks 0: the header does not describe the 32000-task default that runs"; exit 1; }
 "$BIN" -explain -tasks 500 >"$OUT"
 for want in '^per-core time breakdown' '^steal matrix' '^queues: mean ready' '^ptt: [0-9]* predictions'; do
 	grep -q "$want" "$OUT" || { echo "dagsim -explain: no line matching '$want'"; exit 1; }
 done
-"$BENCH" -scenario burst-sweep -scale 0.01 -explain -progress >"$OUT" 2>"$OUT.progress"
+"$BENCH" -exp burst-sweep -scale 0.01 -explain -progress >"$OUT" 2>"$OUT.progress"
 for want in '^# burst-sweep$' '^## schedule report: RWS$' '^## schedule report: DAM-P$' '^per-core time breakdown' \
 	'^steal matrix' '^queues: mean ready' '^ptt: no predictions' '^ptt: [0-9]* predictions'; do
 	grep -q "$want" "$OUT" || { echo "asymbench -explain: no line matching '$want'"; exit 1; }
 done
 grep -q '21/21 cells' "$OUT.progress" || { echo "asymbench -progress never reported 21/21 cells"; exit 1; }
+"$BENCH" -exp fig4a -scale 0.01 -explain | grep -q '^## schedule report: DAM-C$' ||
+	{ echo "asymbench -exp fig4a -explain: no DAM-C schedule report"; exit 1; }
 rm -f "$OUT" "$OUT.progress"
-echo "reports OK: dagsim -list/-explain/-policy nope, asymbench -list/-scenario -explain -progress"
+echo "reports OK: dagsim -list/-explain/-policy nope/-tasks 0, asymbench -list/-exp burst-sweep -explain -progress/-exp fig4a -explain"
 
 echo "dagsim smoke OK"

@@ -42,7 +42,10 @@ func TestResetDropsPendingEvents(t *testing.T) {
 	fired := false
 	e.AfterEvent(1, do(func() { fired = true }), 0)
 	e.AfterEvent(1e-9, do(func() { e.Stop() }), 0)
-	e.runUntil(1e-6)
+	e.Run()
+	if pending(e) != 1 {
+		t.Fatalf("%d events pending after Stop, want the t=1 one", pending(e))
+	}
 	e.Reset()
 	if pending(e) != 0 {
 		t.Fatalf("Pending() = %d after Reset, want 0", pending(e))

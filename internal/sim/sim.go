@@ -30,22 +30,18 @@
 // byte-identical fingerprints rely on. Because (at, seq) is a strict total
 // order, dispatch order is independent of how the pending set is stored.
 //
-// Storage is tiered purely for speed; every tier holds pointer-free
+// Storage is tiered purely for speed; both tiers hold pointer-free
 // 16-byte (at, seq|slot) keys whose payload (handler and kind) lives in
 // a freelist-managed arena, and dispatch always takes the minimum of the
-// tiers' fronts:
+// two tiers' fronts:
 //
-//   - nowBuf: events scheduled at exactly the current time (completion
-//     cascades, rendezvous deliveries) — FIFO, O(1) both ends. When the
-//     other tiers hold nothing at the current time, runUntil drains an
-//     entire same-time generation of this buffer back to back without
-//     re-consulting the other tiers;
-//   - near: events within nearWindow of the clock (dispatch follow-ups,
-//     steal retries, idle polls — the bulk of the traffic) — a sorted
-//     slice with headroom at both ends: binary-search inserts memmove
-//     whichever side of the insertion point is shorter, and the dominant
-//     dispatch→step ping-pong (a key landing at the very front) is an O(1)
-//     prepend into the gap that pops keep regenerating;
+//   - near: events within nearWindow of the clock (same-time completion
+//     cascades, dispatch follow-ups, steal retries, idle polls — the bulk
+//     of the traffic) — a sorted slice with headroom below its front: a key
+//     at or above the back appends, a key below the front (the dominant
+//     dispatch→step ping-pong) is an O(1) prepend into the gap that pops
+//     keep regenerating, and anything else binary-searches its place and
+//     shifts the keys above it;
 //   - keys: everything further out — an index-based 4-ary min-heap whose
 //     sibling groups fit one cache line.
 //
@@ -80,27 +76,15 @@ type Engine struct {
 	keys []eventKey // 4-ary min-heap of pointer-free sort keys
 	recs []eventRec // payload arena, indexed by eventKey.slot
 	free []int32    // recycled arena slots
-	// nowBuf holds keys scheduled at exactly the current virtual time —
-	// completion cascades (a finishing assembly releasing its members,
-	// rendezvous deliveries) schedule at t == Now constantly. Entries are
-	// appended in seq order, so the buffer is FIFO-sorted by (at, seq)
-	// and such events bypass the heap entirely; nowHead is the dispatch
-	// cursor. The buffer necessarily drains before the clock can advance,
-	// because its entries compare below every later-time heap key.
-	nowBuf  []eventKey
-	nowHead int
 	// near is the sorted near-term tier: keys within nearWindow of the
-	// clock (dispatch follow-ups, steal retries, idle polls — the bulk of
-	// the traffic) are insertion-sorted here, giving O(1) pops and short
-	// memmoves instead of heap sifts. Only far-future keys (task finish
-	// times) take the heap. The live window is near[nearHead:]; the
-	// consumed prefix below nearHead is reusable headroom, so an insert
-	// shifts whichever side of the insertion point is shorter — front
-	// inserts (the dispatch→step follow-up that becomes the very next
-	// event) slide into the headroom pops keep regenerating, in O(1),
-	// instead of moving the whole window. Dispatch always takes the
-	// (at, seq) minimum of the three tiers, so the routing never affects
-	// order.
+	// clock (same-time cascades, dispatch follow-ups, steal retries, idle
+	// polls — the bulk of the traffic) are insertion-sorted here, giving
+	// O(1) pops and short memmoves instead of heap sifts. Only far-future
+	// keys (task finish times) take the heap. The live window is
+	// near[nearHead:]; the consumed prefix below nearHead is headroom that
+	// front inserts (the dispatch→step follow-up that becomes the very next
+	// event) slide into in O(1). Dispatch always takes the (at, seq) minimum
+	// of the two tiers, so the routing never affects order.
 	near     []eventKey
 	nearHead int
 	stopped  bool
@@ -179,89 +163,27 @@ func (e *Engine) AfterEvent(d float64, h Handler, kind EventKind) {
 	e.AtEvent(e.now+d, h, kind)
 }
 
-// Run executes events in order until the queue is empty or Stop is called.
-// It returns the final virtual time.
-func (e *Engine) Run() float64 { return e.runUntil(math.Inf(1)) }
-
-// runUntil executes events with time ≤ limit, advancing the clock, until
-// the queue drains, the limit is passed, or Stop is called. The clock never
-// exceeds limit.
-func (e *Engine) runUntil(limit float64) float64 {
+// Run executes events in (at, seq) order until the queue is empty or Stop
+// is called, taking each event from whichever of the two tiers' fronts is
+// smaller. It returns the final virtual time.
+func (e *Engine) Run() float64 {
 	e.stopped = false
 	for !e.stopped {
-		// The next event is the (at, seq) minimum of the three tiers'
-		// fronts: the same-time FIFO, the sorted near-term ring, and the
-		// far-future heap.
-		src := srcNone
-		var front, nearFront, heapFront *eventKey
-		if e.nowHead < len(e.nowBuf) {
-			src, front = srcNow, &e.nowBuf[e.nowHead]
-		}
-		if e.nearHead < len(e.near) {
-			nearFront = &e.near[e.nearHead]
-			if src == srcNone || nearFront.less(front) {
-				src, front = srcNear, nearFront
-			}
-		}
-		if len(e.keys) > 0 {
-			heapFront = &e.keys[0]
-			if src == srcNone || heapFront.less(front) {
-				src, front = srcHeap, heapFront
-			}
-		}
-		if src == srcNone {
-			return e.now
-		}
-		at := front.at
-		if at > limit {
-			e.now = limit
-			return e.now
-		}
+		var at float64
 		var rec eventRec
-		switch src {
-		case srcNow:
-			// Batch drain: while the other tiers' fronts are strictly
-			// later than the buffer's time, this entire same-time FIFO
-			// generation — including entries handlers append while it
-			// runs — dispatches back to back without re-consulting them.
-			// Handlers can only schedule at ≥ now, and same-time pushes
-			// always join this buffer while it is non-empty, so no key at
-			// this time can appear in the other tiers mid-drain.
-			if (nearFront == nil || nearFront.at > at) && (heapFront == nil || heapFront.at > at) {
-				e.now = at
-				for e.nowHead < len(e.nowBuf) {
-					k := e.nowBuf[e.nowHead]
-					e.nowHead++
-					if e.nowHead == len(e.nowBuf) {
-						e.nowBuf = e.nowBuf[:0]
-						e.nowHead = 0
-					}
-					r := e.take(int32(k.seqSlot & (1<<slotBits - 1)))
-					e.Processed++
-					r.h.HandleEvent(r.kind, at)
-					if e.stopped {
-						break
-					}
-				}
-				continue
-			}
-			slot := int32(front.seqSlot & (1<<slotBits - 1))
-			e.nowHead++
-			if e.nowHead == len(e.nowBuf) {
-				e.nowBuf = e.nowBuf[:0]
-				e.nowHead = 0
-			}
-			rec = e.take(slot)
-		case srcNear:
-			slot := int32(front.seqSlot & (1<<slotBits - 1))
+		if e.nearHead < len(e.near) && (len(e.keys) == 0 || e.near[e.nearHead].less(&e.keys[0])) {
+			k := e.near[e.nearHead]
 			e.nearHead++
 			if e.nearHead == len(e.near) {
 				e.near = e.near[:0]
 				e.nearHead = 0
 			}
-			rec = e.take(slot)
-		default:
+			at, rec = k.at, e.take(k.slot())
+		} else if len(e.keys) > 0 {
+			at = e.keys[0].at // read before pop moves another key to the root
 			rec = e.pop()
+		} else {
+			break
 		}
 		e.now = at
 		e.Processed++
@@ -269,14 +191,6 @@ func (e *Engine) runUntil(limit float64) float64 {
 	}
 	return e.now
 }
-
-// Event-source tags for runUntil's three-way front comparison.
-const (
-	srcNone = iota
-	srcNow
-	srcNear
-	srcHeap
-)
 
 // Stop makes Run return after the current event completes. Pending events
 // remain queued; Run may be called again to continue.
@@ -299,8 +213,6 @@ func (e *Engine) Reset() {
 	e.keys = e.keys[:0]
 	e.recs = e.recs[:0]
 	e.free = e.free[:0]
-	e.nowBuf = e.nowBuf[:0]
-	e.nowHead = 0
 	e.near = e.near[:0]
 	e.nearHead = 0
 	e.stopped = false
@@ -316,13 +228,16 @@ func (a *eventKey) less(b *eventKey) bool {
 	return a.seqSlot < b.seqSlot
 }
 
+// slot is the arena index of the key's payload.
+func (a *eventKey) slot() int32 { return int32(a.seqSlot & (1<<slotBits - 1)) }
+
 // nearInsert places a key into the sorted near-term tier, whose live window
 // is near[nearHead:]. The two dominant arrival patterns are O(1): a key at
 // or above the back (completions, polls) appends, a key below the current
 // front (the dispatch follow-up that becomes the very next event) slides
 // into the headroom that pops regenerate one slot per dispatch. Everything
-// else binary-searches for its position and memmoves whichever side of the
-// window is shorter, so an insert costs O(min(i, n-i)) contiguous moves.
+// else binary-searches for its position and shifts the keys above it up one
+// slot.
 func (e *Engine) nearInsert(k eventKey) {
 	if e.nearHead >= 3*nearCap {
 		// Recycle the consumed prefix before it forces the slice to grow,
@@ -352,14 +267,6 @@ func (e *Engine) nearInsert(k eventKey) {
 			lo = mid + 1
 		}
 	}
-	if e.nearHead > 0 && lo-e.nearHead <= n-lo {
-		// Front side shorter: shift [nearHead, lo) down into the headroom.
-		copy(a[e.nearHead-1:], a[e.nearHead:lo])
-		a[lo-1] = k
-		e.nearHead--
-		return
-	}
-	// Back side shorter (or no front headroom): shift [lo, n) up one slot.
 	a = append(a, k)
 	copy(a[lo+1:], a[lo:n])
 	a[lo] = k
@@ -374,15 +281,9 @@ func (e *Engine) take(slot int32) eventRec {
 	return rec
 }
 
-// push stores the payload in the arena and enqueues its key: same-time
-// events go to the FIFO buffer, near-term keys go to the sorted ring, everything else sifts up the 4-ary
-// heap.
+// push stores the payload in the arena and enqueues its key: near-term keys
+// go to the sorted tier, everything else sifts up the 4-ary heap.
 func (e *Engine) push(rec eventRec, at float64) {
-	// Same-time events join the FIFO only while the buffer holds a single
-	// time value: runUntil with a limit below the clock legally rewinds
-	// `now` beneath undispatched buffer entries, and mixing times would
-	// break the buffer's sorted-by-(at, seq) property.
-	nowEligible := at == e.now && (e.nowHead == len(e.nowBuf) || e.nowBuf[len(e.nowBuf)-1].at == at)
 	var slot int32
 	if n := len(e.free); n > 0 {
 		slot = e.free[n-1]
@@ -397,10 +298,6 @@ func (e *Engine) push(rec eventRec, at float64) {
 	}
 	e.seq++
 	key := eventKey{at: at, seqSlot: e.seq<<slotBits | uint64(slot)}
-	if nowEligible {
-		e.nowBuf = append(e.nowBuf, key)
-		return
-	}
 	if at-e.now < nearWindow && len(e.near)-e.nearHead < nearCap {
 		e.nearInsert(key)
 		return
@@ -429,7 +326,7 @@ func (e *Engine) push(rec eventRec, at float64) {
 // the displaced element at every level instead.
 func (e *Engine) pop() eventRec {
 	h := e.keys
-	slot := int32(h[0].seqSlot & (1<<slotBits - 1))
+	slot := h[0].slot()
 	n := len(h) - 1
 	last := h[n]
 	h = h[:n]

@@ -78,29 +78,6 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := New()
-	ran := 0
-	for i := 1; i <= 10; i++ {
-		i := i
-		e.AtEvent(float64(i), do(func() { ran = i }), 0)
-	}
-	e.runUntil(5.5)
-	if ran != 5 {
-		t.Fatalf("ran through event %d, want 5", ran)
-	}
-	if e.Now() != 5.5 {
-		t.Fatalf("clock = %g, want 5.5", e.Now())
-	}
-	if pending(e) != 5 {
-		t.Fatalf("pending = %d, want 5", pending(e))
-	}
-	e.Run()
-	if ran != 10 {
-		t.Fatal("continuation after runUntil failed")
-	}
-}
-
 func TestStop(t *testing.T) {
 	e := New()
 	ran := 0
@@ -189,12 +166,12 @@ func (q *refQueue) Pop() any {
 }
 
 // popOrderDelays is the script both sides run: what event id schedules when
-// it fires. The mix covers every routing decision — same-time cascades (the
-// FIFO tier), the runtime's sub-µs to tens-of-µs delays including exact
-// repeats that collide at equal times (the near tier, front, middle and
-// back inserts), and millisecond-scale completions (the heap) — and depends
-// on nothing but the seed and the id, so a divergence in dispatch order
-// shows as a divergence in the id sequence.
+// it fires. The mix covers every routing decision — same-time cascades and
+// the runtime's sub-µs to tens-of-µs delays including exact repeats that
+// collide at equal times (the near tier, front, middle and back inserts),
+// and millisecond-scale completions (the heap) — and depends on nothing but
+// the seed and the id, so a divergence in dispatch order shows as a
+// divergence in the id sequence.
 func popOrderDelays(seed uint64, id int) []float64 {
 	x := seed + uint64(id)*0x9e3779b97f4a7c15
 	next := func() uint64 {
@@ -223,12 +200,24 @@ func popOrderDelays(seed uint64, id int) []float64 {
 	return out
 }
 
+// popMode says how engineOrder's run ends once the script's budget of events
+// has fired, and whether a Stop cuts it before that.
+type popMode int
+
+const (
+	stopAtBudget  popMode = iota // Stop, leaving the rest pending
+	drainAtBudget                // let the pending ones fire without scheduling more
+	// stopAndResume is stopAtBudget, but the run is also cut by a Stop
+	// at half the budget, mid same-time cascade, and resumed by a second
+	// Run; the concatenated order must be the uncut one.
+	stopAndResume
+)
+
 // engineOrder runs the script on e from its current (fresh or Reset) state.
-// Once budget events have fired it either stops, leaving the rest pending,
-// or (drain) lets the pending ones fire without scheduling any more.
-func engineOrder(e *Engine, seed uint64, budget int, drain bool) []int {
+func engineOrder(t *testing.T, e *Engine, seed uint64, budget int, mode popMode) []int {
 	var order []int
 	nextID := 0
+	cut := false
 	var schedule func(at float64)
 	schedule = func(at float64) {
 		id := nextID
@@ -236,7 +225,7 @@ func engineOrder(e *Engine, seed uint64, budget int, drain bool) []int {
 		e.AtEvent(at, do(func() {
 			order = append(order, id)
 			if len(order) >= budget {
-				if !drain {
+				if mode != drainAtBudget {
 					e.Stop()
 				}
 				return
@@ -244,18 +233,29 @@ func engineOrder(e *Engine, seed uint64, budget int, drain bool) []int {
 			for _, d := range popOrderDelays(seed, id) {
 				schedule(e.Now() + d)
 			}
+			if mode == stopAndResume && !cut && len(order) >= budget/2 && len(e.keys) > 0 &&
+				e.nearHead < len(e.near) && e.near[e.nearHead].at == e.Now() {
+				cut = true // a same-time key waits at the near tier's front, the heap is not empty
+				e.Stop()
+			}
 		}), 0)
 	}
 	for i := 0; i < 64; i++ {
 		schedule(float64(i%8) * 0.3e-6)
 	}
 	e.Run()
+	if mode == stopAndResume {
+		if !cut {
+			t.Fatalf("seed %d: no same-time cascade to cut after %d events", seed, budget/2)
+		}
+		e.Run()
+	}
 	return order
 }
 
-// pending counts the events queued in every tier.
+// pending counts the events queued in both tiers.
 func pending(e *Engine) int {
-	return len(e.keys) + (len(e.nowBuf) - e.nowHead) + (len(e.near) - e.nearHead)
+	return len(e.keys) + (len(e.near) - e.nearHead)
 }
 
 func referenceOrder(seed uint64, budget int, drain bool) []int {
@@ -286,13 +286,20 @@ func referenceOrder(seed uint64, budget int, drain bool) []int {
 // TestPopOrderMatchesHeapReference is the differential gate on the storage
 // tiers: whatever tier a key is routed to, events must fire in exactly the
 // (at, seq) order of a plain heap — on a fresh engine, on one Reset after a
-// drained run, and on one Reset with events still pending in every tier.
+// drained run, on one Reset with events still pending in both tiers, and
+// across a Stop that cuts a same-time cascade and the Run that resumes it.
 func TestPopOrderMatchesHeapReference(t *testing.T) {
 	const budget = 20000
 	e := New()
-	for i, seed := range []uint64{1, 2, 0xdecafbad, 77, 78} {
-		drain := i%2 == 1
-		got, want := engineOrder(e, seed, budget, drain), referenceOrder(seed, budget, drain)
+	for _, c := range []struct {
+		seed uint64
+		mode popMode
+	}{
+		{1, stopAtBudget}, {2, drainAtBudget}, {0xdecafbad, stopAtBudget}, {77, drainAtBudget}, {78, stopAtBudget},
+		{1, stopAndResume}, {0xdecafbad, stopAndResume},
+	} {
+		seed, drain := c.seed, c.mode == drainAtBudget
+		got, want := engineOrder(t, e, seed, budget, c.mode), referenceOrder(seed, budget, drain)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: engine fired %d events, reference %d", seed, len(got), len(want))
 		}
@@ -304,7 +311,7 @@ func TestPopOrderMatchesHeapReference(t *testing.T) {
 		if len(want) < budget || drain != (pending(e) == 0) {
 			t.Fatalf("seed %d: %d events fired, %d pending: the script died out early", seed, len(want), pending(e))
 		}
-		e.Reset() // when not drained, abandons events pending in every tier
+		e.Reset() // when not drained, abandons events pending in both tiers
 		if pending(e) != 0 || e.Now() != 0 {
 			t.Fatalf("Reset left %d pending events at time %g", pending(e), e.Now())
 		}

@@ -132,26 +132,3 @@ func TestSameTimeDuplicatesAllDeliver(t *testing.T) {
 		t.Fatalf("Processed = %d, want 6", e.Processed)
 	}
 }
-
-// runUntil may legally be called with a limit below the current clock
-// (rewinding Now); events scheduled at the rewound time must still
-// dispatch before undispatched same-time-buffer entries from the higher
-// time. Regression for the nowBuf routing guard.
-func TestRewindKeepsOrder(t *testing.T) {
-	e := New()
-	var order []float64
-	e.AtEvent(5, do(func() {
-		e.AtEvent(5, do(func() { order = append(order, 5) }), 0) // lands in the same-time buffer
-		e.Stop()
-	}), 0)
-	e.Run()
-	e.runUntil(3) // rewinds the clock below the buffered t=5 event
-	if e.Now() != 3 {
-		t.Fatalf("Now = %g, want 3", e.Now())
-	}
-	e.AtEvent(3, do(func() { order = append(order, 3) }), 0)
-	e.Run()
-	if len(order) != 2 || order[0] != 3 || order[1] != 5 {
-		t.Fatalf("dispatch order = %v, want [3 5]", order)
-	}
-}

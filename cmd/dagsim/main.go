@@ -119,9 +119,9 @@ func main() {
 		}
 	}
 	var res *scenario.Result
-	var rec *trace.Recorder
+	var sched *trace.Schedule
 	if *traceOut != "" {
-		res, rec, err = runTraced(spec)
+		res, sched, err = runTraced(spec)
 	} else {
 		res, err = scenario.Run(spec)
 	}
@@ -161,17 +161,17 @@ func main() {
 			fatal(err)
 		}
 		defer f.Close()
-		if err := rec.WriteChromeTrace(f); err != nil {
+		if err := sched.WriteChromeTrace(f); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("schedule trace (%d events) written to %s\n", rec.Len(), *traceOut)
+		fmt.Printf("schedule trace (%d events) written to %s\n", len(sched.Events), *traceOut)
 	}
 }
 
-// runTraced runs the spec's single cell with a schedule recorder and a probe
-// (a trace render wants the probe's counter lanes too; neither changes the
-// simulated schedule) and assembles it into the Result scenario.Run returns.
-func runTraced(spec scenario.Spec) (*scenario.Result, *trace.Recorder, error) {
+// runTraced runs the spec's single cell with a probe (which records the
+// schedule and cannot change it) and assembles it into the Result
+// scenario.Run returns.
+func runTraced(spec scenario.Spec) (*scenario.Result, *trace.Schedule, error) {
 	plan, err := scenario.NewPlan(spec)
 	if err != nil {
 		return nil, nil, err
@@ -180,14 +180,14 @@ func runTraced(spec scenario.Spec) (*scenario.Result, *trace.Recorder, error) {
 	if spec.Progress != nil {
 		spec.Progress(0, 1)
 	}
-	rm, rec, err := plan.RunCellTrace(cell)
+	rm, sched, err := plan.RunCellTrace(scenario.NewCellState(), cell)
 	if err != nil {
 		return nil, nil, err
 	}
 	if spec.Progress != nil {
 		spec.Progress(1, 1)
 	}
-	return plan.Assemble([]scenario.RunMetrics{rm}), rec, nil
+	return plan.Assemble([]scenario.RunMetrics{rm}), sched, nil
 }
 
 // workloadFlags carries the workload-selecting flag values.

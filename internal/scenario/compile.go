@@ -39,9 +39,10 @@ type CellState struct {
 	// that needs that node and reset for every cell after it. Reuse is pure
 	// mechanism: a reset runtime is bit-identical to a fresh one.
 	rts []*simrt.Runtime
-	// probe is the worker's reusable introspection probe for probed specs;
-	// the runtime re-zeros it per cell, and flushed aggregates are deep
-	// copies, so reuse never leaks telemetry across cells.
+	// probe is the worker's reusable probe for probed specs and traced
+	// cells; the runtime re-zeros it per cell, and flushed aggregates and
+	// rendered schedules are copies, so reuse never leaks telemetry across
+	// cells.
 	probe *simrt.Probe
 	// seal is the buffer each cell's digest is encoded into (RunMetrics.Seal).
 	seal []byte

@@ -12,7 +12,6 @@ import (
 	"dynasym/internal/simnet"
 	"dynasym/internal/simrt"
 	"dynasym/internal/topology"
-	"dynasym/internal/trace"
 	"dynasym/internal/workloads"
 )
 
@@ -110,13 +109,12 @@ func MustRun(s Spec) *Result {
 // single node for every kind but HeatDist, whose nodes also share a simulated
 // interconnect — on the worker's reusable engine and runtimes in st and on
 // the plan's shared per-node machine models and the point's compiled, frozen
-// per-node graphs, which every cell of the variant reads in place. rec, when
-// non-nil, receives the cell's schedule trace; probe, when non-nil, records
-// scheduler introspection into RunMetrics.Sched (and, when rec is also set,
-// emits queue/PTT/utilization counter lanes). All of it is pure mechanism —
-// none of it changes the metrics, which carry the cell's seed and leave
-// sealed.
-func (p *Plan) runCell(c CellJob, st *CellState, rec *trace.Recorder, probe *simrt.Probe) (RunMetrics, error) {
+// per-node graphs, which every cell of the variant reads in place. probe,
+// when non-nil, observes the run: it records scheduler introspection into
+// RunMetrics.Sched and keeps the schedule Probe.Schedule renders. All of it
+// is pure mechanism — none of it changes the metrics, which carry the
+// cell's seed and leave sealed.
+func (p *Plan) runCell(c CellJob, st *CellState, probe *simrt.Probe) (RunMetrics, error) {
 	s, pol, pt, seed := &p.Spec, p.Spec.Policies[c.Policy], p.Spec.Points[c.Point], c.Seed
 	models, err := p.machineModels()
 	if err != nil {
@@ -145,7 +143,6 @@ func (p *Plan) runCell(c CellJob, st *CellState, rec *trace.Recorder, probe *sim
 			Policy: pol,
 			Alpha:  cellAlpha(s, pt),
 			Seed:   seed + uint64(node)*nodeSeedStride,
-			Trace:  rec,
 			Probe:  probe,
 			Engine: engine,
 		}
@@ -181,10 +178,6 @@ func (p *Plan) runCell(c CellJob, st *CellState, rec *trace.Recorder, probe *sim
 	}
 	rm.Seed = seed
 	st.seal = rm.sealInto(st.seal) // the one point a cell's metrics become final
-	if probe != nil && rec != nil {
-		probe.EmitCounters(rec)
-		rec.AddUtilCounters(rm.Makespan)
-	}
 	return rm, nil
 }
 

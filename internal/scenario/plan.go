@@ -287,9 +287,8 @@ var runCellHook func(p *Plan, c CellJob) (RunMetrics, error, bool)
 // metrics, bit for bit, wherever and on whatever state it runs. The
 // returned metrics carry the cell's seed.
 func (p *Plan) RunCellState(st *CellState, c CellJob) (RunMetrics, error) {
-	if c.Policy < 0 || c.Policy >= len(p.Spec.Policies) || c.Point < 0 || c.Point >= len(p.Spec.Points) {
-		return RunMetrics{}, fmt.Errorf("scenario %q: cell (%d,%d) outside the %dx%d grid",
-			p.Spec.Name, c.Policy, c.Point, len(p.Spec.Policies), len(p.Spec.Points))
+	if err := p.checkCell(c); err != nil {
+		return RunMetrics{}, err
 	}
 	if hook := runCellHook; hook != nil {
 		if rm, err, handled := hook(p, c); handled {
@@ -300,31 +299,40 @@ func (p *Plan) RunCellState(st *CellState, c CellJob) (RunMetrics, error) {
 	if p.Spec.Probe && p.Spec.Workload.Kind != HeatDist {
 		probe = st.probeFor()
 	}
-	return p.runCell(c, st, nil, probe)
+	return p.runCell(c, st, probe)
 }
 
-// RunCellTrace executes one cell with a private schedule recorder and
-// introspection probe, regardless of the plan spec's Probe setting.
-// Cells are pure functions of the plan and the cell coordinates, so the
-// returned trace is exactly the schedule the cell's canonical result came
-// from — whether that result was originally computed here, on a remote
-// shard, or served from a cache. The recorder holds the task slices plus
-// queue-depth, ready-task, PTT-error and per-core-utilization counter
-// lanes; the returned metrics carry the Sched aggregate.
-func (p *Plan) RunCellTrace(c CellJob) (RunMetrics, *trace.Recorder, error) {
+// RunCellTrace executes one cell on caller-owned scratch state, like
+// RunCellState, with the state's probe attached regardless of the plan
+// spec's Probe setting. Cells are pure functions of the plan and the cell
+// coordinates, so the returned schedule is exactly the one the cell's
+// canonical result came from — whether that result was originally computed
+// here, on a remote shard, or served from a cache. The schedule holds the
+// task slices plus queue-depth, ready-task, PTT-error and
+// per-core-utilization counter lanes (Probe.Schedule); the returned metrics
+// carry the Sched aggregate.
+func (p *Plan) RunCellTrace(st *CellState, c CellJob) (RunMetrics, *trace.Schedule, error) {
 	if p.Spec.Workload.Kind == HeatDist {
 		return RunMetrics{}, nil, fmt.Errorf("scenario %q: sim tracing is not supported for distributed scenarios", p.Spec.Name)
 	}
-	if c.Policy < 0 || c.Policy >= len(p.Spec.Policies) || c.Point < 0 || c.Point >= len(p.Spec.Points) {
-		return RunMetrics{}, nil, fmt.Errorf("scenario %q: cell (%d,%d) outside the %dx%d grid",
-			p.Spec.Name, c.Policy, c.Point, len(p.Spec.Policies), len(p.Spec.Points))
+	if err := p.checkCell(c); err != nil {
+		return RunMetrics{}, nil, err
 	}
-	rec := trace.New()
-	rm, err := p.runCell(c, NewCellState(), rec, simrt.NewProbe())
+	probe := st.probeFor()
+	rm, err := p.runCell(c, st, probe)
 	if err != nil {
 		return RunMetrics{}, nil, err
 	}
-	return rm, rec, nil
+	return rm, probe.Schedule(), nil
+}
+
+// checkCell rejects a cell whose coordinates fall outside the plan's grid.
+func (p *Plan) checkCell(c CellJob) error {
+	if c.Policy < 0 || c.Policy >= len(p.Spec.Policies) || c.Point < 0 || c.Point >= len(p.Spec.Points) {
+		return fmt.Errorf("scenario %q: cell (%d,%d) outside the %dx%d grid",
+			p.Spec.Name, c.Policy, c.Point, len(p.Spec.Policies), len(p.Spec.Points))
+	}
+	return nil
 }
 
 // Assemble builds the plan's Result from its cells' metrics, runs[i] being

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"dynasym/internal/core"
@@ -113,7 +114,7 @@ func TestRunCellTraceMatchesCanonicalRun(t *testing.T) {
 		if probed.Sched == nil || canonical.digest == ([32]byte{}) || probed.digest != canonical.digest {
 			t.Fatalf("probed cell: Sched %v, digest %x; plain run sealed %x", probed.Sched != nil, probed.digest, canonical.digest)
 		}
-		rm, rec, err := plan.RunCellTrace(c)
+		rm, sched, err := plan.RunCellTrace(NewCellState(), c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,11 +129,30 @@ func TestRunCellTraceMatchesCanonicalRun(t *testing.T) {
 			t.Fatal("traced cell carries no Sched telemetry")
 		}
 		var doc bytes.Buffer
-		if err := rec.WriteChromeTrace(&doc); err != nil {
+		if err := sched.WriteChromeTrace(&doc); err != nil {
 			t.Fatal(err)
 		}
-		if rec.Len() == 0 || !bytes.Contains(doc.Bytes(), []byte(`"ph":"C"`)) {
-			t.Fatalf("traced cell recorded %d events and no counter lane", rec.Len())
+		if len(sched.Events) == 0 || !bytes.Contains(doc.Bytes(), []byte(`"ph":"C"`)) {
+			t.Fatalf("traced cell recorded %d events and no counter lane", len(sched.Events))
+		}
+		// The schedule reconciles with the metrics: a probe that drops or
+		// doubles a slice fails here. Each core's slices sum to its busy
+		// time, and each execution has exactly one slice on its leader.
+		busy := make([]float64, len(canonical.CoreBusy))
+		var leaders int64
+		for _, ev := range sched.Events {
+			busy[ev.Core] += ev.End - ev.Start
+			if ev.Core == ev.Leader {
+				leaders++
+			}
+		}
+		for core, want := range canonical.CoreBusy {
+			if math.Abs(busy[core]-want) > 1e-12*math.Abs(want) {
+				t.Fatalf("core %d: slices sum to %v, CoreBusy is %v", core, busy[core], want)
+			}
+		}
+		if leaders != canonical.TasksDone {
+			t.Fatalf("%d leader slices for %d tasks done", leaders, canonical.TasksDone)
 		}
 	}
 }

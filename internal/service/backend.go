@@ -58,7 +58,7 @@ type localBackend struct {
 	busy        *obs.Gauge
 	runSec      *obs.Histogram
 	parallelism *obs.Histogram
-	// panics counts cells whose simulation panicked (see runCellSafe).
+	// panics counts cells whose simulation panicked (see safely).
 	panics *obs.Counter
 	// compiled is the compiled-workload cache gauge: cells are what file
 	// workload variants in it, so execute refreshes it.
@@ -79,22 +79,40 @@ func newLocalBackend(workers int) *localBackend {
 
 func (b *localBackend) label() string { return "local" }
 
-// runCellSafe is the panic boundary around one cell. The simulator's
-// packages panic on states only a bug can produce, but the spec that
-// reaches them is client input: a panicking cell becomes that cell's
+// safely is the panic boundary around one cell's simulation, run. The
+// simulator's packages panic on states only a bug can produce, but the spec
+// that reaches them is client input: a panicking cell becomes that cell's
 // deterministic error (the job fails like any failed cell) instead of
 // taking the daemon, and every other job, down. The scratch state of a
 // panicked cell is mid-run garbage: stateOK stays false and the worker drops
 // it.
-func (b *localBackend) runCellSafe(ctx context.Context, plan *scenario.Plan, st *scenario.CellState, c scenario.CellJob) (rm scenario.RunMetrics, stateOK bool, err error) {
+func (b *localBackend) safely(ctx context.Context, plan *scenario.Plan, c scenario.CellJob, run func() error) (stateOK bool, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			b.panics.Inc()
 			err = fmt.Errorf("cell %s panicked: %v (request %q)", plan.CellLabel(c), v, requestIDFrom(ctx))
 		}
 	}()
-	rm, err = b.runCell(plan, st, c)
-	return rm, true, err
+	return true, run()
+}
+
+// traceCell renders one cell's schedule (scenario.Plan.RunCellTrace) as a
+// one-cell batch on the executor, so a render waits for a worker like any
+// cell and panics inside the same boundary. It re-executes a cell whose
+// metrics are already banked, so runs does not count it.
+func (b *localBackend) traceCell(ctx context.Context, plan *scenario.Plan, c scenario.CellJob) (sched *trace.Schedule, err error) {
+	runErr := b.exec.Run(ctx, 1, func(_ int, st *scenario.CellState, _ int) (stateOK bool) {
+		stateOK, err = b.safely(ctx, plan, c, func() error {
+			var cellErr error
+			_, sched, cellErr = plan.RunCellTrace(st, c)
+			return cellErr
+		})
+		return stateOK
+	})
+	if sched == nil && err == nil {
+		err = runErr // cancelled before a worker took the cell
+	}
+	return sched, err
 }
 
 // execute hands the cells to the executor in variant-major order: cells of
@@ -122,7 +140,11 @@ func (b *localBackend) execute(ctx context.Context, plan *scenario.Plan, cells [
 		b.runs.Inc()
 		b.busy.Inc()
 		cellT0, cellStart := jt.at(), time.Now()
-		rm, stateOK, err := b.runCellSafe(ctx, plan, st, cells[i])
+		var rm scenario.RunMetrics
+		stateOK, err := b.safely(ctx, plan, cells[i], func() (err error) {
+			rm, err = b.runCell(plan, st, cells[i])
+			return err
+		})
 		d := time.Since(cellStart)
 		b.runSec.Observe(d.Seconds())
 		cellNanos.Add(int64(d))

@@ -302,7 +302,7 @@ func (m *Manager) handleSimTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad cell index %q", r.PathValue("i")))
 		return
 	}
-	b, err := m.simTrace(r.PathValue("id"), cell)
+	b, err := m.simTrace(r.Context(), r.PathValue("id"), cell)
 	switch {
 	case errors.Is(err, errUnknownJob):
 		writeError(w, http.StatusNotFound, err)

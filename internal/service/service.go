@@ -569,13 +569,13 @@ var errUnknownJob = errors.New("unknown job (evicted or never submitted)")
 
 // simTrace renders the sim-time schedule trace of one cell of a job as
 // Chrome-trace JSON: task slices plus queue-depth, ready-task, PTT-error
-// and per-core-utilization counter lanes. The cell is re-executed locally
-// with a private recorder and probe — cells are pure functions of the
-// plan and the cell coordinates, so the rendered schedule is exactly the
-// one behind the cell's canonical result even when the result itself was
-// computed on a remote shard or served from cache. Rendered bytes are
-// cached by cell hash.
-func (m *Manager) simTrace(id string, cell int) ([]byte, error) {
+// and per-core-utilization counter lanes. The cell is re-executed on the
+// local executor, under ctx, with a probe attached — cells are pure
+// functions of the plan and the cell coordinates, so the rendered schedule
+// is exactly the one behind the cell's canonical result even when the
+// result itself was computed on a remote shard or served from cache.
+// Rendered bytes are cached by cell hash.
+func (m *Manager) simTrace(ctx context.Context, id string, cell int) ([]byte, error) {
 	j, ok := m.job(id)
 	if !ok {
 		return nil, errUnknownJob
@@ -598,13 +598,13 @@ func (m *Manager) simTrace(id string, cell int) ([]byte, error) {
 	if ok {
 		return b, nil
 	}
-	_, rec, err := plan.RunCellTrace(c) // the metrics were banked with the job
+	sched, err := m.local.traceCell(ctx, plan, c) // the metrics were banked with the job
 	m.mx.compiledEntries.Set(int64(scenario.CompiledCacheLen()))
 	if err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
-	if err := rec.WriteChromeTrace(&buf); err != nil {
+	if err := sched.WriteChromeTrace(&buf); err != nil {
 		return nil, err
 	}
 	b = buf.Bytes()

@@ -6,7 +6,11 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"dynasym/internal/scenario"
 )
 
 // getBody fetches a URL and returns status and raw body.
@@ -118,5 +122,74 @@ func TestSimMetricsExposed(t *testing.T) {
 		if !strings.Contains(string(body), name) {
 			t.Fatalf("/metrics is missing %s", name)
 		}
+	}
+}
+
+// A sim-trace render simulates a cell, so it runs on the node's executor
+// like any cell: with the only worker held it waits until the worker is
+// released. It re-executes a banked cell, so cell_runs does not count it.
+func TestSimTraceWaitsForAWorker(t *testing.T) {
+	m, srv := newTestServer(t, Config{Workers: 1, CacheSize: 8})
+	held, release := make(chan struct{}, 1), make(chan struct{})
+	var released sync.Once
+	releaseWorker := func() { released.Do(func() { close(release) }) }
+	t.Cleanup(releaseWorker) // before the server's Close, which waits for the request
+	realRun := m.local.runCell
+	m.local.runCell = func(p *scenario.Plan, st *scenario.CellState, c scenario.CellJob) (scenario.RunMetrics, error) {
+		if p.Spec.Name == "hold" && c.Policy == 0 && c.Point == 0 {
+			held <- struct{}{}
+			<-release
+		}
+		return realRun(p, st, c)
+	}
+	traced, _, err := m.Submit(tinySpec(35))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, traced)
+	runs := m.cellRuns()
+	hold := tinySpec(36)
+	hold.Name = "hold"
+	holder, _, err := m.Submit(hold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-held
+
+	type reply struct {
+		code int
+		body []byte
+	}
+	got := make(chan reply, 1)
+	go func() {
+		resp, err := http.Get(srv.URL + "/v1/jobs/" + traced.Hash + "/cells/0/simtrace")
+		if err != nil {
+			got <- reply{code: -1, body: []byte(err.Error())}
+			return
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		got <- reply{resp.StatusCode, b}
+	}()
+	select {
+	case r := <-got:
+		t.Fatalf("sim-trace finished (status %d) while the only worker was held", r.code)
+	case <-time.After(200 * time.Millisecond):
+	}
+	releaseWorker()
+	select {
+	case r := <-got:
+		if r.code != http.StatusOK || !strings.Contains(string(r.body), `"ph":"X"`) {
+			t.Fatalf("sim-trace after release: status %d: %.200s", r.code, r.body)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("sim-trace did not finish after the worker was released")
+	}
+	waitDone(t, holder)
+	if got, want := m.cellRuns()-runs, holder.cellsTotal.Load(); got != want {
+		t.Fatalf("cell_runs grew by %d, want the held job's %d cells only", got, want)
+	}
+	if r := m.mx.simtraceRenders.Value(); r != 1 {
+		t.Fatalf("renders = %d, want 1", r)
 	}
 }

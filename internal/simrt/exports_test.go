@@ -32,10 +32,9 @@ var exportAllowlist = map[string]string{
 	"experiments.ThroughputGrid.Get":             "item 9: the fidelity table reads the claims",
 	// The sim reference tests stop an engine mid-batch with it.
 	"sim.Engine.Stop": "item 4(c): the cancellation seam that stops a running cell",
-	// Test seams: another package's tests read or build exact values
-	// through them, which no production path hands out.
-	"metrics.Iters.Append":  "item 12: the hostile-result fingerprint tests build NaN and ±Inf iteration times, which the JSON form cannot carry",
-	"trace.Recorder.Events": "item 12: the schedule oracle (simrt/schedule_test.go) checks exact start and end times, which the Chrome export rounds",
+	// Test seam: another package's tests build exact values through it,
+	// which no production path hands out.
+	"metrics.Iters.Append": "item 12: the hostile-result fingerprint tests build NaN and ±Inf iteration times, which the JSON form cannot carry",
 }
 
 // TestEveryExportHasAProductionCaller is the export ratchet (ROADMAP aim 2:

@@ -9,7 +9,6 @@ import (
 	"dynasym/internal/profile"
 	"dynasym/internal/simrt"
 	"dynasym/internal/topology"
-	"dynasym/internal/trace"
 	"dynasym/internal/workloads"
 )
 
@@ -77,11 +76,11 @@ func TestFlakyCoreAdaptation(t *testing.T) {
 func TestTraceRecording(t *testing.T) {
 	topo := topology.TX2()
 	model := machine.New(topo)
-	rec := trace.New()
+	probe := simrt.NewProbe()
 	g := workloads.BuildSynthetic(workloads.SyntheticConfig{
 		Kernel: workloads.MatMul, Tile: 64, Tasks: 100, Parallelism: 4,
 	})
-	rt, err := simrt.New(simrt.Config{Topo: topo, Model: model, Policy: core.DAMP(), Seed: 2, Trace: rec})
+	rt, err := simrt.New(simrt.Config{Topo: topo, Model: model, Policy: core.DAMP(), Seed: 2, Probe: probe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +88,11 @@ func TestTraceRecording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Len() < int(coll.TasksDone()) {
-		t.Fatalf("trace has %d events for %d tasks", rec.Len(), coll.TasksDone())
+	events := probe.Schedule().Events
+	if len(events) < int(coll.TasksDone()) {
+		t.Fatalf("trace has %d events for %d tasks", len(events), coll.TasksDone())
 	}
-	for _, ev := range rec.Events() {
+	for _, ev := range events {
 		if ev.End < ev.Start {
 			t.Fatalf("event %q ends before it starts", ev.Label)
 		}

@@ -1,12 +1,14 @@
 package simrt
 
-// Probe is the runtime's scheduler-introspection hook. It observes the
-// existing decision points of the execution protocol — dispatches, steals,
-// queue transitions, PTT updates — and never influences them: it draws no
-// randomness, schedules no events, and reads virtual time only at
+// Probe is the runtime's one observer of a run. It observes the existing
+// decision points of the execution protocol — steals, queue transitions,
+// completions and the PTT updates they make — and never influences them: it
+// draws no randomness, schedules no events, and reads virtual time only at
 // boundaries the runtime already crossed, so a probed run is bit-identical
 // to an unprobed one (the fingerprint gates in internal/scenario prove it
-// per policy × workload kind).
+// per policy × workload kind). At run completion it flushes a
+// metrics.Sched aggregate into the collector; after the run, Schedule
+// renders what it recorded as a trace.Schedule.
 //
 // A nil probe is the default and costs one pointer check per hook site;
 // the alloc gates in alloc_test.go hold the disabled hot path at zero
@@ -16,6 +18,7 @@ import (
 	"math"
 
 	"dynasym/internal/metrics"
+	"dynasym/internal/ptt"
 	"dynasym/internal/trace"
 )
 
@@ -48,11 +51,12 @@ type pttSample struct {
 // use — it observes a single runtime on the engine's goroutine.
 type Probe struct {
 	cores int
+	// span is the makespan the run flushed with (0 until it finishes).
+	span float64
 
-	// dispatchSec/stealSec accumulate the virtual time each core was
-	// charged for dispatch windows and successful steal windows.
-	dispatchSec []float64
-	stealSec    []float64
+	// slices holds one task slice per finished assembly, on its leader's
+	// lane, in completion order; Schedule expands each to its members.
+	slices []trace.Event
 	// stealLow/stealHigh are cores×cores victim-major steal counts.
 	stealLow  []int64
 	stealHigh []int64
@@ -79,8 +83,8 @@ func NewProbe() *Probe { return &Probe{} }
 // reset clears the probe for a run on n cores, reusing its storage.
 func (p *Probe) reset(n int) {
 	p.cores = n
-	p.dispatchSec = resizeZero(p.dispatchSec, n)
-	p.stealSec = resizeZero(p.stealSec, n)
+	p.span = 0
+	p.slices = p.slices[:0]
 	p.stealLow = resizeZeroI(p.stealLow, n*n)
 	p.stealHigh = resizeZeroI(p.stealHigh, n*n)
 	p.ready, p.committed = 0, 0
@@ -94,17 +98,6 @@ func (p *Probe) reset(n int) {
 	p.pttSamples = p.pttSamples[:0]
 }
 
-func resizeZero(sl []float64, n int) []float64 {
-	if cap(sl) < n {
-		return make([]float64, n)
-	}
-	sl = sl[:n]
-	for i := range sl {
-		sl[i] = 0
-	}
-	return sl
-}
-
 func resizeZeroI(sl []int64, n int) []int64 {
 	if cap(sl) < n {
 		return make([]int64, n)
@@ -116,15 +109,9 @@ func resizeZeroI(sl []int64, n int) []int64 {
 	return sl
 }
 
-// dispatched charges one dispatch window to a core.
-func (p *Probe) dispatched(core int, sec float64) {
-	p.dispatchSec[core] += sec
-}
-
-// stole records one successful steal: the thief's steal window and the
-// victim→thief matrix cell for the task's priority class.
-func (p *Probe) stole(victim, thief int, high bool, sec float64) {
-	p.stealSec[thief] += sec
+// stole records one successful steal in the victim→thief matrix cell for
+// the task's priority class.
+func (p *Probe) stole(victim, thief int, high bool) {
 	i := victim*p.cores + thief
 	if high {
 		p.stealHigh[i]++
@@ -157,32 +144,40 @@ func (p *Probe) queueDelta(at float64, dReady, dCommitted int) {
 	}
 }
 
-// pttObserve records one prediction-vs-actual pair (the table's estimate
-// for the place before this completion's update folded in).
-func (p *Probe) pttObserve(at, predicted, actual float64) {
+// completed records one finished assembly: its slice, and — when the
+// policy keeps a PTT, tbl — one prediction-vs-actual pair.
+func (p *Probe) completed(label string, a *assembly, finish float64, tbl *ptt.Table) {
+	pl := a.place
+	p.slices = append(p.slices, trace.Event{Label: label, Core: pl.Leader, Start: a.start, End: finish,
+		Leader: pl.Leader, Width: pl.Width, High: a.tref&1 != 0})
+	if tbl == nil {
+		return
+	}
+	// The table's estimate before this observation folds in is the
+	// prediction the dispatch decision would have seen.
+	predicted, actual := tbl.ValueByID(int(a.placeID)), finish-a.start
 	if actual <= 0 || predicted <= 0 {
 		return
 	}
 	p.pttCount++
 	p.pttErrSum += math.Abs(predicted-actual) / actual
 	if len(p.pttSamples) < maxPTTSamples {
-		p.pttSamples = append(p.pttSamples, pttSample{At: at, Predicted: predicted, Actual: actual})
+		p.pttSamples = append(p.pttSamples, pttSample{At: finish, Predicted: predicted, Actual: actual})
 	}
 }
 
-// flushTo aggregates the probe into the collector at run completion.
-func (p *Probe) flushTo(coll *metrics.Collector, makespan float64) {
-	coll.SetSched(p.sched(coll.CoreBusy(), makespan))
-}
-
-// sched renders the accumulated telemetry as a mergeable aggregate. busy
-// is the per-core kernel time (the collector's CoreBusy); idle is the
-// residual of the makespan after busy, dispatch and steal windows.
-func (p *Probe) sched(busy []float64, makespan float64) *metrics.Sched {
+// flushTo aggregates the probe into the collector at run completion, as a
+// mergeable Sched: busy is the collector's per-core kernel time; the
+// dispatch and steal windows are the cores' dispatch and successful-steal
+// counts times their fixed costs; idle is the residual of the makespan
+// after all three.
+func (p *Probe) flushTo(coll *metrics.Collector, makespan float64, cores []*coreState) {
+	p.span = makespan
+	busy := coll.CoreBusy()
 	s := &metrics.Sched{
 		Busy:         busy,
-		Dispatch:     append([]float64(nil), p.dispatchSec...),
-		Steal:        append([]float64(nil), p.stealSec...),
+		Dispatch:     make([]float64, p.cores),
+		Steal:        make([]float64, p.cores),
 		Idle:         make([]float64, p.cores),
 		Span:         makespan,
 		QueueSamples: p.transitions,
@@ -201,12 +196,12 @@ func (p *Probe) sched(busy []float64, makespan float64) *metrics.Sched {
 		s.ReadySec += float64(p.ready) * dt
 		s.CommittedSec += float64(p.committed) * dt
 	}
-	for i := 0; i < p.cores && i < len(busy); i++ {
-		idle := makespan - busy[i] - s.Dispatch[i] - s.Steal[i]
-		if idle < 0 {
-			idle = 0
+	for i, c := range cores {
+		s.Dispatch[i] = float64(c.dispatches) * dispatchCost
+		s.Steal[i] = float64(c.steals) * stealCost
+		if idle := makespan - busy[i] - s.Dispatch[i] - s.Steal[i]; idle > 0 {
+			s.Idle[i] = idle
 		}
-		s.Idle[i] = idle
 	}
 	for v := 0; v < p.cores; v++ {
 		for t := 0; t < p.cores; t++ {
@@ -224,28 +219,42 @@ func (p *Probe) sched(busy []float64, makespan float64) *metrics.Sched {
 			s.PTTTailErrSum += math.Abs(ps.Predicted-ps.Actual) / ps.Actual
 		}
 	}
-	return s
+	coll.SetSched(s)
 }
 
-// EmitCounters converts the recorded series into Chrome counter lanes on
-// the recorder: "queue depth" (wsq/aq series), "ready tasks", and
-// "ptt rel err".
-func (p *Probe) EmitCounters(rec *trace.Recorder) {
-	if rec == nil {
-		return
+// Schedule returns what the probe recorded of the run as a trace: one task
+// slice per member core of every finished assembly, and the "queue depth"
+// (wsq/aq series) and "ready tasks" lanes interleaved per queue sample, then
+// the "ptt rel err" lane, then the "core util" lane derived over the
+// makespan. The value is the caller's; the probe keeps recording into its
+// own storage.
+func (p *Probe) Schedule() *trace.Schedule {
+	n := 0
+	for _, ev := range p.slices {
+		n += ev.Width
 	}
+	events := make([]trace.Event, 0, n)
+	for _, ev := range p.slices {
+		for i := 0; i < ev.Width; i++ {
+			ev.Core = ev.Leader + i
+			events = append(events, ev)
+		}
+	}
+	counters := make([]trace.CounterPoint, 0, 2*len(p.samples)+len(p.pttSamples))
 	for _, s := range p.samples {
-		rec.AddCounter(trace.CounterPoint{Name: "queue depth", At: s.At, Series: []trace.CounterValue{
-			{Key: "wsq", Value: float64(s.Ready)},
-			{Key: "aq", Value: float64(s.Committed)},
-		}})
-		rec.AddCounter(trace.CounterPoint{Name: "ready tasks", At: s.At, Series: []trace.CounterValue{
-			{Key: "ready", Value: float64(s.Ready)},
-		}})
+		counters = append(counters,
+			trace.CounterPoint{Name: "queue depth", At: s.At, Series: []trace.CounterValue{
+				{Key: "wsq", Value: float64(s.Ready)},
+				{Key: "aq", Value: float64(s.Committed)},
+			}},
+			trace.CounterPoint{Name: "ready tasks", At: s.At, Series: []trace.CounterValue{
+				{Key: "ready", Value: float64(s.Ready)},
+			}})
 	}
 	for _, ps := range p.pttSamples {
-		rec.AddCounter(trace.CounterPoint{Name: "ptt rel err", At: ps.At, Series: []trace.CounterValue{
+		counters = append(counters, trace.CounterPoint{Name: "ptt rel err", At: ps.At, Series: []trace.CounterValue{
 			{Key: "err", Value: math.Abs(ps.Predicted-ps.Actual) / ps.Actual},
 		}})
 	}
+	return trace.NewSchedule(events, counters, p.span)
 }

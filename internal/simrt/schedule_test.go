@@ -178,8 +178,8 @@ func TestScheduleValidity(t *testing.T) {
 				// Bursts sweeping over half the cores: places keep changing
 				// speed under the scheduler's feet.
 				interfere.BurstCPU(model, []int{0, 2, 3}, 0.3, 2e-3, 3e-3, 0, 1e-3)
-				rec := trace.New()
-				rt, err := simrt.New(simrt.Config{Topo: topo, Model: model, Policy: pol, Seed: 13, Trace: rec})
+				probe := simrt.NewProbe()
+				rt, err := simrt.New(simrt.Config{Topo: topo, Model: model, Policy: pol, Seed: 13, Probe: probe})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -192,7 +192,7 @@ func TestScheduleValidity(t *testing.T) {
 				if int(coll.TasksDone()) != len(ge.labels) {
 					t.Errorf("collector counted %d tasks, graph has %d", coll.TasksDone(), len(ge.labels))
 				}
-				reportSchedule(t, checkSchedule(ge, rec.Events(), topo.NumCores(), coll.Makespan()))
+				reportSchedule(t, checkSchedule(ge, probe.Schedule().Events, topo.NumCores(), coll.Makespan()))
 			})
 		}
 	}
@@ -206,10 +206,10 @@ func TestScheduleValidityHeatDistHook(t *testing.T) {
 	engine := sim.New()
 	net := simnet.New(engine, 5e-6, 1e9)
 	type node struct {
-		rt   *simrt.Runtime
-		rec  *trace.Recorder
-		ge   graphEdges
-		topo *topology.Platform
+		rt    *simrt.Runtime
+		probe *simrt.Probe
+		ge    graphEdges
+		topo  *topology.Platform
 	}
 	nodes := make([]node, hd.Nodes)
 	for i := range nodes {
@@ -218,14 +218,14 @@ func TestScheduleValidityHeatDistHook(t *testing.T) {
 		if i == 1 {
 			interfere.BurstCPU(model, topo.CoresOf(0), 0.3, 1e-3, 1e-3, 0, 2e-4)
 		}
-		rec := trace.New()
+		probe := simrt.NewProbe()
 		rt, err := simrt.New(simrt.Config{Topo: topo, Model: model, Policy: core.DAMP(), Seed: uint64(7 + i),
-			Engine: engine, Hook: hd.Hook(net, i), Trace: rec})
+			Engine: engine, Hook: hd.Hook(net, i), Probe: probe})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ge, fz := snapshotEdges(t, hd.BuildNode(i))
-		nodes[i] = node{rt: rt, rec: rec, ge: ge, topo: topo}
+		nodes[i] = node{rt: rt, probe: probe, ge: ge, topo: topo}
 		if err := rt.Start(fz); err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func TestScheduleValidityHeatDistHook(t *testing.T) {
 		if !n.rt.Finished() {
 			t.Fatalf("node %d stalled", i)
 		}
-		reportSchedule(t, checkSchedule(n.ge, n.rec.Events(), n.topo.NumCores(), n.rt.Collector().Makespan()))
+		reportSchedule(t, checkSchedule(n.ge, n.probe.Schedule().Events, n.topo.NumCores(), n.rt.Collector().Makespan()))
 	}
 }
 

@@ -21,6 +21,9 @@
 // Virtual time, stealing victims and measurement jitter are all
 // deterministic functions of the configuration seed.
 //
+// A run has one optional observer, Config.Probe (probe.go): the Sched
+// aggregate and the trace.Schedule of a run both come from its record.
+//
 // # Event kinds
 //
 // The runtime drives the engine through sim's typed, allocation-free event
@@ -57,7 +60,6 @@ import (
 	"dynasym/internal/ptt"
 	"dynasym/internal/sim"
 	"dynasym/internal/topology"
-	"dynasym/internal/trace"
 	"dynasym/internal/xrand"
 )
 
@@ -97,14 +99,11 @@ type Config struct {
 	Engine *sim.Engine
 	// Hook optionally takes over execution of selected tasks.
 	Hook ExecHook
-	// Trace, when non-nil, records every task execution for post-mortem
-	// visualization (see internal/trace).
-	Trace *trace.Recorder
-	// Probe, when non-nil, records scheduler introspection — per-core time
-	// breakdown, the steal matrix, queue-depth samples, PTT
-	// prediction-vs-actual error (see probe.go). Pure observation: a
-	// probed run is bit-identical to an unprobed one, and a nil Probe
-	// costs one pointer check per hook site.
+	// Probe, when non-nil, observes the run: every task execution, the
+	// steal matrix, queue depths and PTT error, for the collector's Sched
+	// and Probe.Schedule (see probe.go). Pure observation: a probed run is
+	// bit-identical to an unprobed one, and a nil Probe costs one pointer
+	// check per hook site.
 	Probe *Probe
 }
 
@@ -479,7 +478,7 @@ func (rt *Runtime) Start(fz *dag.Frozen) error {
 		rt.finished = true
 		rt.coll.SetMakespan(0)
 		if p := rt.cfg.Probe; p != nil {
-			p.flushTo(&rt.coll, 0)
+			p.flushTo(&rt.coll, 0, rt.cores)
 		}
 		return nil
 	}
@@ -589,7 +588,6 @@ func (rt *Runtime) step(c *coreState) {
 			rt.updateWSQBits(c)
 			if p := rt.cfg.Probe; p != nil {
 				p.queueDelta(rt.engine.Now(), -1, 0)
-				p.dispatched(c.id, dispatchCost)
 			}
 			rt.dispatch(c, t)
 			c.dispatches++
@@ -618,7 +616,6 @@ func (rt *Runtime) step(c *coreState) {
 		rt.updateWSQBits(c)
 		if p := rt.cfg.Probe; p != nil {
 			p.queueDelta(rt.engine.Now(), -1, 0)
-			p.dispatched(c.id, dispatchCost)
 		}
 		rt.dispatch(c, t)
 		c.dispatches++
@@ -649,7 +646,7 @@ func (rt *Runtime) step(c *coreState) {
 		c.steals++
 		if p := rt.cfg.Probe; p != nil {
 			p.queueDelta(rt.engine.Now(), -1, 0)
-			p.stole(v.id, c.id, t&1 != 0, stealCost)
+			p.stole(v.id, c.id, t&1 != 0)
 		}
 		rt.dispatch(c, t)
 		rt.engine.AfterEvent(stealCost, c, evStep)
@@ -754,32 +751,16 @@ func (rt *Runtime) Finish(x Execution, finish float64) {
 // bookkeeping runs over the snapshot's CSR and the run's own counts — no
 // per-completion allocation, and nothing written to the graph.
 func (rt *Runtime) completeAssembly(a *assembly, finish float64) {
-	span := finish - a.start
 	fz, idx := rt.graph, int(a.tref>>1)
 	high := a.tref&1 != 0
-	typ := fz.Type(idx)
-	if tbl := rt.table(typ); tbl != nil {
-		if p := rt.cfg.Probe; p != nil {
-			// The table's estimate before this observation folds in is the
-			// prediction the dispatch decision would have seen.
-			p.pttObserve(finish, tbl.ValueByID(int(a.placeID)), span)
-		}
-		tbl.UpdateByID(int(a.placeID), span)
+	tbl := rt.table(fz.Type(idx))
+	if p := rt.cfg.Probe; p != nil {
+		p.completed(fz.Task(idx).Label, a, finish, tbl)
+	}
+	if tbl != nil {
+		tbl.UpdateByID(int(a.placeID), finish-a.start)
 	}
 	rt.coll.TaskDoneID(int(a.placeID), a.place, high, fz.Task(idx).Iter, a.start, finish)
-	if rt.cfg.Trace != nil {
-		for i := 0; i < a.place.Width; i++ {
-			rt.cfg.Trace.Add(trace.Event{
-				Label:  fz.Task(idx).Label,
-				Core:   a.place.Leader + i,
-				Start:  a.start,
-				End:    finish,
-				Leader: a.place.Leader,
-				Width:  a.place.Width,
-				High:   high,
-			})
-		}
-	}
 	for i := 0; i < a.place.Width; i++ {
 		m := rt.cores[a.place.Leader+i]
 		if m.cur != a {
@@ -800,7 +781,7 @@ func (rt *Runtime) completeAssembly(a *assembly, finish float64) {
 		rt.finished = true
 		rt.coll.SetMakespan(finish)
 		if p := rt.cfg.Probe; p != nil {
-			p.flushTo(&rt.coll, finish)
+			p.flushTo(&rt.coll, finish, rt.cores)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"dynasym/internal/machine"
 	"dynasym/internal/simrt"
 	"dynasym/internal/topology"
-	"dynasym/internal/trace"
 	"dynasym/internal/workloads"
 )
 
@@ -132,8 +131,8 @@ func TestNonMoldablePoliciesNeverMold(t *testing.T) {
 	}
 	for _, pol := range []core.Policy{core.RWS(), fa, core.DA()} {
 		topo := topology.TX2()
-		rec := trace.New()
-		rt, err := simrt.New(simrt.Config{Topo: topo, Model: machine.New(topo), Policy: pol, Seed: 3, Trace: rec})
+		probe := simrt.NewProbe()
+		rt, err := simrt.New(simrt.Config{Topo: topo, Model: machine.New(topo), Policy: pol, Seed: 3, Probe: probe})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +140,7 @@ func TestNonMoldablePoliciesNeverMold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		events := rec.Events()
+		events := probe.Schedule().Events
 		for _, ev := range events {
 			if ev.Width != 1 {
 				t.Fatalf("%s ran %s on a place of width %d", pol.Name(), ev.Label, ev.Width)

@@ -1,6 +1,6 @@
 package trace
 
-// Service-level spans: where Recorder captures simulated task executions
+// Service-level spans: where a Schedule holds simulated task executions
 // on numbered cores, SpanSet captures wall-clock operations of the job
 // service itself — queueing, shard dispatch, wire time, remote and local
 // cell execution, merging — on *named* lanes ("job", "local #0",

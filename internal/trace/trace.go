@@ -1,10 +1,11 @@
-// Package trace records per-task execution events and exports them in the
-// Chrome trace-event format (chrome://tracing, Perfetto), giving the same
+// Package trace holds recorded schedules and exports them in the Chrome
+// trace-event format (chrome://tracing, Perfetto), giving the same
 // post-mortem visibility into schedules that XiTAO's tracing offers: one
 // lane per core, one slice per task execution, with place, priority and
 // type attached. Counter ("C") lanes — queue depths, ready-task counts,
-// per-core utilization — render alongside the task slices. One recorder
-// holds one cell's schedule.
+// per-core utilization — render alongside the task slices. A Schedule is
+// one cell's schedule, built once from what simrt's probe observed; a
+// SpanSet is the service's wall-clock timeline of one job.
 package trace
 
 import (
@@ -14,15 +15,12 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"sync"
 )
 
 // Event is one recorded task execution.
 type Event struct {
 	// Label is the task label.
 	Label string
-	// Category classifies the event ("task", "comm", …).
-	Category string
 	// Core is the lane the event is drawn in (the executing core).
 	Core int
 	// Start and End are in seconds (virtual or wall, engine-dependent).
@@ -51,77 +49,24 @@ type CounterValue struct {
 	Value float64
 }
 
-// Recorder accumulates events. It is safe for concurrent use and cheap
-// when nil: all methods are nil-tolerant so runtimes can call them
-// unconditionally.
-type Recorder struct {
-	mu     sync.Mutex
-	events []Event
-	// sorted tracks whether events is currently ordered by start time.
-	// Sorting happens lazily in Events — Add only invalidates — so bursts
-	// of reads (the writers) sort at most once.
-	sorted   bool
-	counters []CounterPoint
+// Schedule is one run's recorded schedule: its task slices and counter
+// lanes. It is built once, after the run (NewSchedule), and only read after
+// that.
+type Schedule struct {
+	// Events holds one slice per member core of every execution, sorted by
+	// start time; equal starts keep the order they were handed in.
+	Events []Event
+	// Counters holds the counter samples in recording order (each lane's
+	// samples in time order); the derived "core util" lane comes last.
+	Counters []CounterPoint
 }
 
-// New returns an empty recorder.
-func New() *Recorder { return &Recorder{} }
-
-// Add records one event. Safe on a nil recorder.
-func (r *Recorder) Add(ev Event) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.events = append(r.events, ev)
-	r.sorted = false
-	r.mu.Unlock()
-}
-
-// AddCounter records one counter sample. Safe on a nil recorder.
-func (r *Recorder) AddCounter(cp CounterPoint) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.counters = append(r.counters, cp)
-	r.mu.Unlock()
-}
-
-// Events returns a copy of the recorded events sorted by start time. The
-// sort is stable, so equal-start events keep their insertion order.
-func (r *Recorder) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.sorted {
-		sort.SliceStable(r.events, func(i, j int) bool { return r.events[i].Start < r.events[j].Start })
-		r.sorted = true
-	}
-	return append([]Event(nil), r.events...)
-}
-
-// counterSamples returns a copy of the recorded counter samples in insertion
-// order (recorders sample monotonically, so this is time order per lane).
-func (r *Recorder) counterSamples() []CounterPoint {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]CounterPoint(nil), r.counters...)
-}
-
-// Len returns the number of recorded events.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
+// NewSchedule returns the schedule of events and counters, taking both
+// slices: it sorts the events stably by start and appends a "core util"
+// lane derived from them over [0, horizon].
+func NewSchedule(events []Event, counters []CounterPoint, horizon float64) *Schedule {
+	sort.SliceStable(events, func(i, j int) bool { return events[i].Start < events[j].Start })
+	return &Schedule{Events: events, Counters: append(counters, utilCounters(events, horizon)...)}
 }
 
 // chromeEvent is the trace-event JSON schema (complete events ph "X",
@@ -188,23 +133,17 @@ func jsonNameArgs(name string) (json.RawMessage, error) {
 // sweep's hundred-thousand-event trace never materializes a second copy in
 // encoder form. Load the output in chrome://tracing or
 // https://ui.perfetto.dev.
-func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	events := r.Events()
-	counters := r.counterSamples()
+func (s *Schedule) WriteChromeTrace(w io.Writer) error {
 	cw := newChromeWriter(w)
-	for i := range events {
-		ev := &events[i]
-		cat := ev.Category
-		if cat == "" {
-			cat = "task"
-		}
+	for i := range s.Events {
+		ev := &s.Events[i]
 		prio := "low"
 		if ev.High {
 			prio = "high"
 		}
 		if err := cw.emit(&chromeEvent{
 			Name: ev.Label,
-			Cat:  cat,
+			Cat:  "task",
 			Ph:   "X",
 			Ts:   ev.Start * 1e6,
 			Dur:  (ev.End - ev.Start) * 1e6,
@@ -215,8 +154,8 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		}
 	}
 	var args []byte
-	for i := range counters {
-		cp := &counters[i]
+	for i := range s.Counters {
+		cp := &s.Counters[i]
 		args = args[:0]
 		args = append(args, '{')
 		for si, sv := range cp.Series {
@@ -244,14 +183,13 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 // utilWindows is the resolution of the derived per-core utilization lane.
 const utilWindows = 160
 
-// AddUtilCounters derives a windowed per-core utilization counter lane
-// ("core util", one series per core) from the recorded task events, over the
-// horizon [0, horizon]. Call it after the run, before writing the trace.
-func (r *Recorder) AddUtilCounters(horizon float64) {
-	if r == nil || horizon <= 0 {
-		return
+// utilCounters derives a windowed per-core utilization counter lane
+// ("core util", one series per core) from the task events over the horizon
+// [0, horizon].
+func utilCounters(events []Event, horizon float64) []CounterPoint {
+	if horizon <= 0 {
+		return nil
 	}
-	events := r.Events()
 	maxCore := -1
 	for _, ev := range events {
 		if ev.Core > maxCore {
@@ -259,7 +197,7 @@ func (r *Recorder) AddUtilCounters(horizon float64) {
 		}
 	}
 	if maxCore < 0 {
-		return
+		return nil
 	}
 	dt := horizon / utilWindows
 	busy := make([]float64, utilWindows*(maxCore+1))
@@ -285,11 +223,13 @@ func (r *Recorder) AddUtilCounters(horizon float64) {
 			}
 		}
 	}
-	for w := 0; w < utilWindows; w++ {
+	lane := make([]CounterPoint, utilWindows)
+	for w := range lane {
 		series := make([]CounterValue, maxCore+1)
 		for c := 0; c <= maxCore; c++ {
 			series[c] = CounterValue{Key: "c" + strconv.Itoa(c), Value: busy[w*(maxCore+1)+c] / dt}
 		}
-		r.AddCounter(CounterPoint{Name: "core util", At: float64(w) * dt, Series: series})
+		lane[w] = CounterPoint{Name: "core util", At: float64(w) * dt, Series: series}
 	}
+	return lane
 }

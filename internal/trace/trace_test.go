@@ -3,34 +3,33 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"sync"
 	"testing"
 )
 
-func TestNilRecorderSafe(t *testing.T) {
-	var r *Recorder
-	r.Add(Event{Label: "x"})
-	if r.Len() != 0 || r.Events() != nil {
-		t.Fatal("nil recorder misbehaved")
-	}
-}
-
+// NewSchedule sorts the events by start, stably: equal starts keep the
+// order they were handed in (a probe hands them in completion order).
 func TestEventsSortedByStart(t *testing.T) {
-	r := New()
-	r.Add(Event{Label: "b", Start: 2, End: 3})
-	r.Add(Event{Label: "a", Start: 1, End: 2})
-	evs := r.Events()
-	if evs[0].Label != "a" || evs[1].Label != "b" {
-		t.Fatalf("events not sorted: %+v", evs)
+	s := NewSchedule([]Event{
+		{Label: "c", Start: 2, End: 3},
+		{Label: "a", Start: 1, End: 2},
+		{Label: "b", Core: 1, Start: 2, End: 3},
+	}, nil, 0)
+	evs := s.Events
+	if evs[0].Label != "a" || evs[1].Label != "c" || evs[2].Label != "b" {
+		t.Fatalf("events not sorted stably by start: %+v", evs)
+	}
+	if len(s.Counters) != 0 {
+		t.Fatalf("no horizon, yet %d counter samples", len(s.Counters))
 	}
 }
 
 func TestChromeTraceRoundTrip(t *testing.T) {
-	r := New()
-	r.Add(Event{Label: "t0", Core: 1, Start: 0.001, End: 0.002, Leader: 0, Width: 2, High: true})
-	r.Add(Event{Label: "t1", Core: 0, Start: 0.0, End: 0.001, Leader: 0, Width: 1})
+	s := NewSchedule([]Event{
+		{Label: "t0", Core: 1, Start: 0.001, End: 0.002, Leader: 0, Width: 2, High: true},
+		{Label: "t1", Core: 0, Start: 0.0, End: 0.001, Leader: 0, Width: 1},
+	}, nil, 0)
 	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
+	if err := s.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var out []map[string]any
@@ -40,7 +39,7 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	if len(out) != 2 {
 		t.Fatalf("%d events", len(out))
 	}
-	if out[1]["name"] != "t0" || out[1]["ph"] != "X" {
+	if out[1]["name"] != "t0" || out[1]["ph"] != "X" || out[1]["cat"] != "task" {
 		t.Fatalf("event = %v", out[1])
 	}
 	if out[1]["tid"].(float64) != 1 {
@@ -56,42 +55,19 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// The lazy sort must invalidate on Add: an event added after a read still
-// lands in order on the next read.
-func TestLazySortInvalidatesOnAdd(t *testing.T) {
-	r := New()
-	r.Add(Event{Label: "c", Start: 3, End: 4})
-	r.Add(Event{Label: "a", Start: 1, End: 2})
-	if evs := r.Events(); evs[0].Label != "a" {
-		t.Fatalf("first read unsorted: %+v", evs)
-	}
-	r.Add(Event{Label: "b", Start: 2, End: 3})
-	evs := r.Events()
-	if evs[0].Label != "a" || evs[1].Label != "b" || evs[2].Label != "c" {
-		t.Fatalf("post-Add read unsorted: %+v", evs)
-	}
-	// Returned slices are copies: mutating one must not corrupt the next.
-	evs[0].Label = "mutated"
-	if r.Events()[0].Label != "a" {
-		t.Fatal("Events returned an aliased slice")
-	}
-}
-
 // Counter samples must stream as valid Chrome JSON: "C" events with
 // per-series args next to the "X" slices, all in the one process row (a
-// recorder holds one cell, so there are no groups and no "M" rows).
+// schedule holds one cell, so there are no groups and no "M" rows).
 func TestChromeTraceCountersAndGroups(t *testing.T) {
-	r := New()
-	r.Add(Event{Label: "t", Core: 0, Start: 0, End: 0.001})
-	r.Add(Event{Label: "t", Core: 1, Start: 0, End: 0.002})
-	r.AddCounter(CounterPoint{Name: "queue depth", At: 0.0005, Series: []CounterValue{
-		{Key: "wsq", Value: 3}, {Key: "aq", Value: 1},
-	}})
-	r.AddCounter(CounterPoint{Name: "ready tasks", At: 0.001, Series: []CounterValue{
-		{Key: "ready", Value: 7},
-	}})
+	s := NewSchedule([]Event{
+		{Label: "t", Core: 0, Start: 0, End: 0.001},
+		{Label: "t", Core: 1, Start: 0, End: 0.002},
+	}, []CounterPoint{
+		{Name: "queue depth", At: 0.0005, Series: []CounterValue{{Key: "wsq", Value: 3}, {Key: "aq", Value: 1}}},
+		{Name: "ready tasks", At: 0.001, Series: []CounterValue{{Key: "ready", Value: 7}}},
+	}, 0)
 	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
+	if err := s.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var out []map[string]any
@@ -122,15 +98,18 @@ func TestChromeTraceCountersAndGroups(t *testing.T) {
 	}
 }
 
-// AddUtilCounters derives the per-core utilization lane from the task
-// slices.
+// NewSchedule derives the per-core utilization lane from the task slices,
+// after the counters it was handed.
 func TestAddUtilCounters(t *testing.T) {
-	r := New()
-	r.Add(Event{Core: 0, Start: 0, End: 1})
-	r.Add(Event{Core: 1, Start: 0, End: 0.5})
-	r.AddUtilCounters(1)
+	s := NewSchedule([]Event{
+		{Core: 0, Start: 0, End: 1},
+		{Core: 1, Start: 0, End: 0.5},
+	}, []CounterPoint{{Name: "ready tasks", At: 0.5, Series: []CounterValue{{Key: "ready", Value: 1}}}}, 1)
+	if s.Counters[0].Name != "ready tasks" {
+		t.Fatalf("first counter %q, want the handed-in lane first", s.Counters[0].Name)
+	}
 	var util []CounterPoint
-	for _, cp := range r.counterSamples() {
+	for _, cp := range s.Counters {
 		if cp.Name == "core util" {
 			util = append(util, cp)
 		}
@@ -145,23 +124,5 @@ func TestAddUtilCounters(t *testing.T) {
 				t.Fatalf("c0 utilization %v at %v, want 1", cv.Value, cp.At)
 			}
 		}
-	}
-}
-
-func TestConcurrentAdd(t *testing.T) {
-	r := New()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				r.Add(Event{Core: i % 4, Start: float64(i), End: float64(i) + 1})
-			}
-		}()
-	}
-	wg.Wait()
-	if r.Len() != 800 {
-		t.Fatalf("len = %d", r.Len())
 	}
 }

@@ -9,7 +9,8 @@
 #     workload's identity;
 #  4. generate a Cholesky DAG and assert its fingerprint is stable too;
 #  5. run it once more with -trace: tracing cannot move the fingerprint,
-#     and the file is a JSON array holding task slices and counter lanes;
+#     and the file is a JSON array holding task slices and the four counter
+#     lanes (queue depth, ready tasks, ptt rel err, core util);
 #  6. worker-count independence on shared graphs: every cell of a sweep reads
 #     its variant's one frozen graph, so asymbench fig4a (synthetic) and fig10
 #     (distributed heat, one graph per node) must print the same bytes on one
@@ -67,19 +68,23 @@ GTASKS="${D%% *}"
 [ "$D" = "$E" ] || { echo "generated-run fingerprint unstable: '$D' vs '$E'"; exit 1; }
 echo "cholesky gen OK: $GTASKS tasks, fingerprint ${D##* }"
 
-# 5: the traced run (Plan.RunCellTrace + Merge) is the same run, and its
-# Chrome trace parses.
+# 5: the traced run (Plan.RunCellTrace + Assemble) is the same run, and its
+# Chrome trace parses with task slices and all four counter lanes.
 TRACE="${TMPDIR:-/tmp}/dagsim-smoke-trace.json"
 F="$(run_fp -gen cholesky -tiles 8 -trace "$TRACE")"
 [ "$D" = "$F" ] || { echo "-trace changed the run: '$D' vs '$F'"; exit 1; }
-python3 - "$TRACE" <<'PY' || { echo "trace file $TRACE is not a Chrome trace with X and C events"; exit 1; }
+python3 - "$TRACE" <<'PY' || { echo "trace file $TRACE is not a Chrome trace with X events and the four counter lanes"; exit 1; }
 import json, sys
 events = json.load(open(sys.argv[1]))
+assert isinstance(events, list), type(events)
 phases = {e["ph"] for e in events}
-assert isinstance(events, list) and {"X", "C"} <= phases, phases
+assert {"X", "C"} <= phases, phases
+lanes = {e["name"] for e in events if e["ph"] == "C"}
+want = {"queue depth", "ready tasks", "ptt rel err", "core util"}
+assert want <= lanes, sorted(want - lanes)
 PY
 rm -f "$TRACE"
-echo "traced run OK: same fingerprint, trace parses"
+echo "traced run OK: same fingerprint, trace parses with all four counter lanes"
 
 # 6: one worker and GOMAXPROCS workers print the same sweep.
 BENCH="${TMPDIR:-/tmp}/asymbench-smoke"
@@ -98,9 +103,12 @@ if "$BIN" -policy nope >"$OUT" 2>&1; then
 	echo "dagsim accepted -policy nope"; exit 1
 fi
 grep -q 'unknown policy' "$OUT" || { echo "dagsim -policy nope did not name the policy:"; cat "$OUT"; exit 1; }
-"$BIN" -list | grep -q '^  random-layered$' || { echo "dagsim -list does not list random-layered"; exit 1; }
-"$BENCH" -list | grep -q '^  fig9a$' || { echo "asymbench -list does not list fig9a"; exit 1; }
-"$BIN" -tasks 0 | grep -q '^policy DAM-C, kernel MatMul, 32000 tasks, DAG parallelism 4,' ||
+# Piped output is read to its end (grep without -q): a program that grep -q
+# leaves writing into a closed pipe dies of SIGPIPE, and under reach.sh's
+# coverage build that loses its counters.
+"$BIN" -list | grep '^  random-layered$' >/dev/null || { echo "dagsim -list does not list random-layered"; exit 1; }
+"$BENCH" -list | grep '^  fig9a$' >/dev/null || { echo "asymbench -list does not list fig9a"; exit 1; }
+"$BIN" -tasks 0 | grep '^policy DAM-C, kernel MatMul, 32000 tasks, DAG parallelism 4,' >/dev/null ||
 	{ echo "dagsim -tasks 0: the header does not describe the 32000-task default that runs"; exit 1; }
 "$BIN" -explain -tasks 500 >"$OUT"
 for want in '^per-core time breakdown' '^steal matrix' '^queues: mean ready' '^ptt: [0-9]* predictions'; do
@@ -112,7 +120,7 @@ for want in '^# burst-sweep$' '^## schedule report: RWS$' '^## schedule report: 
 	grep -q "$want" "$OUT" || { echo "asymbench -explain: no line matching '$want'"; exit 1; }
 done
 grep -q '21/21 cells' "$OUT.progress" || { echo "asymbench -progress never reported 21/21 cells"; exit 1; }
-"$BENCH" -exp fig4a -scale 0.01 -explain | grep -q '^## schedule report: DAM-C$' ||
+"$BENCH" -exp fig4a -scale 0.01 -explain | grep '^## schedule report: DAM-C$' >/dev/null ||
 	{ echo "asymbench -exp fig4a -explain: no DAM-C schedule report"; exit 1; }
 rm -f "$OUT" "$OUT.progress"
 echo "reports OK: dagsim -list/-explain/-policy nope/-tasks 0, asymbench -list/-exp burst-sweep -explain -progress/-exp fig4a -explain"

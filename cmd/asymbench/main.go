@@ -11,8 +11,9 @@
 //	asymbench -list
 //
 // An id that is a family runs as that family when -explain or -progress is
-// given or when no experiment views it. See EXPERIMENTS.md for the mapping
-// to the paper's figures and the expected shapes.
+// given or when no experiment views it; under -exp all, an id that is not a
+// family renders as it does without those flags. See EXPERIMENTS.md for the
+// mapping to the paper's figures and the expected shapes.
 package main
 
 import (
@@ -77,7 +78,7 @@ func main() {
 			}
 			continue
 		}
-		if *explain || *progress {
+		if (*explain || *progress) && *exp != "all" {
 			fmt.Fprintf(os.Stderr, "asymbench: -explain and -progress need a scenario family; %s is not one (see -list)\n", id)
 			os.Exit(1)
 		}
@@ -126,13 +127,15 @@ func runFamily(f scenario.Family, scale float64, seed uint64, progress, explain 
 func explainResult(res *scenario.Result) {
 	for pi, pol := range res.Policies {
 		var merged *metrics.Sched
-		for xi := range res.Cells[pi] {
-			if s := res.Cells[pi][xi].Sched(); s != nil {
-				if merged == nil {
-					merged = s
-				} else {
-					merged.Merge(s)
+		for _, c := range res.Cells[pi] {
+			for _, r := range c.Runs {
+				if r.Sched == nil {
+					continue
 				}
+				if merged == nil {
+					merged = &metrics.Sched{}
+				}
+				merged.Merge(r.Sched)
 			}
 		}
 		if merged == nil {

@@ -50,9 +50,6 @@ type Collector struct {
 	// scratch is where IterStats encodes a readout before copying it out at
 	// its exact size; it keeps its storage across Reset cycles.
 	scratch []byte
-	// sched is the scheduler-introspection aggregate a probe-enabled run
-	// attaches at completion (see sched.go); nil when no probe ran.
-	sched *Sched
 }
 
 // iterAgg is the collector's internal per-iteration accumulator.
@@ -339,7 +336,6 @@ func (c *Collector) Reset(topo *topology.Platform) {
 	c.byIter = c.byIter[:0]
 	c.tasksDone = 0
 	c.makespan = 0
-	c.sched = nil
 }
 
 // TaskDoneID records one completed task execution on place pl, whose dense

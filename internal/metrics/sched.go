@@ -1,12 +1,12 @@
 package metrics
 
-// Scheduler-introspection telemetry. A simrt.Probe accumulates raw
-// observations during a run and flushes them here as a Sched aggregate;
-// the scenario layer copies the aggregate into each cell's RunMetrics, the
-// shard wire format carries it between nodes (plain JSON fields), and
-// Merge folds per-cell aggregates into per-policy or per-result views.
-// Every field is a sum or a maximum so merging stays exact; the derived
-// rates (mean queue depth, PTT error) are methods over the sums.
+// Scheduler-introspection telemetry. A simrt.Probe records a run and, at
+// its completion, derives a Sched aggregate from that record; the scenario
+// layer copies the aggregate into the cell's RunMetrics, in process only
+// (it never crosses the shard wire), and Merge folds per-run aggregates
+// into per-policy views. Every field is a sum or a maximum so merging
+// stays exact; the derived rates (mean queue depth, PTT error) are methods
+// over the sums.
 
 import (
 	"fmt"
@@ -52,12 +52,6 @@ type Sched struct {
 	PTTTailErrSum  float64
 }
 
-// SetSched attaches a run's scheduler telemetry to the collector.
-func (c *Collector) SetSched(s *Sched) { c.sched = s }
-
-// Sched returns the telemetry attached by SetSched, or nil.
-func (c *Collector) Sched() *Sched { return c.sched }
-
 // totalSteals sums the steal matrix (both priorities).
 func (s *Sched) totalSteals() int64 {
 	var n int64
@@ -99,20 +93,6 @@ func (s *Sched) pttTailRelErr() float64 {
 		return 0
 	}
 	return s.PTTTailErrSum / float64(s.PTTTailSamples)
-}
-
-// Clone returns a deep copy.
-func (s *Sched) Clone() *Sched {
-	if s == nil {
-		return nil
-	}
-	out := *s
-	out.Busy = append([]float64(nil), s.Busy...)
-	out.Dispatch = append([]float64(nil), s.Dispatch...)
-	out.Steal = append([]float64(nil), s.Steal...)
-	out.Idle = append([]float64(nil), s.Idle...)
-	out.StealMatrix = append([]StealEdge(nil), s.StealMatrix...)
-	return &out
 }
 
 // Merge folds another aggregate into s. Per-core slices grow to the larger

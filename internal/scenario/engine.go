@@ -176,6 +176,9 @@ func (p *Plan) runCell(c CellJob, st *CellState, probe *simrt.Probe) (RunMetrics
 	} else {
 		rm = mergeNodes(rts)
 	}
+	if probe != nil {
+		rm.Sched = probe.Sched()
+	}
 	rm.Seed = seed
 	st.seal = rm.sealInto(st.seal) // the one point a cell's metrics become final
 	return rm, nil
@@ -317,7 +320,6 @@ func collectRun(rt *simrt.Runtime) RunMetrics {
 		CoreBusy:   coll.CoreBusy(),
 		HighHist:   coll.PlaceHistogram(),
 		Iters:      coll.IterStats(),
-		Sched:      coll.Sched(),
 	}
 	for _, st := range rt.CoreStats() {
 		rm.Steals += st.Steals

@@ -310,7 +310,7 @@ func (p *Plan) RunCellState(st *CellState, c CellJob) (RunMetrics, error) {
 // here, on a remote shard, or served from a cache. The schedule holds the
 // task slices plus queue-depth, ready-task, PTT-error and
 // per-core-utilization counter lanes (Probe.Schedule); the returned metrics
-// carry the Sched aggregate.
+// carry the probe's Sched aggregate (Probe.Sched).
 func (p *Plan) RunCellTrace(st *CellState, c CellJob) (RunMetrics, *trace.Schedule, error) {
 	if p.Spec.Workload.Kind == HeatDist {
 		return RunMetrics{}, nil, fmt.Errorf("scenario %q: sim tracing is not supported for distributed scenarios", p.Spec.Name)

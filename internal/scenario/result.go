@@ -42,18 +42,20 @@ type RunMetrics struct {
 	// all cores (and nodes).
 	Steals, FailedSteals, Dispatches int64
 	// Sched carries scheduler-introspection telemetry when the run
-	// executed with a probe (Spec.Probe); nil otherwise. It rides the
-	// shard wire format like every other field, so remote cells report
-	// too. Deliberately not part of Fingerprint: telemetry describes a
+	// executed in this process with a probe (Spec.Probe, RunCellTrace);
+	// nil otherwise. It never leaves the process: the shard wire omits it,
+	// and a peer's "Sched" is ignored on decode, so no cached cell holds
+	// any. Deliberately not part of Fingerprint: telemetry describes a
 	// run, it does not define one.
-	Sched *metrics.Sched `json:",omitempty"`
+	Sched *metrics.Sched `json:"-"`
 
 	digest [sha256.Size]byte // what Seal computed; zero until then
 }
 
 // SizeBytes estimates the heap a RunMetrics value holds on to — the struct
 // plus the capacity of its slices and of the Iters encoding (Sched
-// telemetry, which cached cells never carry, is not counted). The service
+// telemetry is not counted: the service runs no cell with a probe, and a
+// peer's Sched is dropped on decode, so no cached cell has any). The service
 // sums it into its cell-cache byte gauge, so it must stay allocation-free.
 func (rm *RunMetrics) SizeBytes() int64 {
 	n := unsafe.Sizeof(*rm) +
@@ -95,23 +97,6 @@ func (c *Cell) meanThroughput() float64 {
 		sum += r.Throughput
 	}
 	return sum / float64(len(c.Runs))
-}
-
-// Sched merges the repetitions' scheduler telemetry, or nil when the cell
-// ran without probes.
-func (c *Cell) Sched() *metrics.Sched {
-	var out *metrics.Sched
-	for _, r := range c.Runs {
-		if r.Sched == nil {
-			continue
-		}
-		if out == nil {
-			out = r.Sched.Clone()
-		} else {
-			out.Merge(r.Sched)
-		}
-	}
-	return out
 }
 
 // Result is the full grid of a scenario run.

@@ -334,8 +334,9 @@ type Spec struct {
 	Latency   float64 `json:"latency"`
 	Bandwidth float64 `json:"bandwidth"`
 	// Probe, when true, attaches a scheduler-introspection probe to every
-	// cell run and fills RunMetrics.Sched with the per-core time
-	// breakdown, steal matrix, queue-depth and PTT-error telemetry.
+	// cell run and fills RunMetrics.Sched from Probe.Sched: the per-core
+	// time breakdown, steal matrix, queue-depth and PTT-error telemetry,
+	// which stays in this process.
 	// Telemetry is pure observation — fingerprints are byte-identical
 	// with Probe on or off. Execution-only (CanonicalJSON and Hash ignore
 	// it); ignored for HeatDist cells. A single cell's schedule

@@ -118,6 +118,57 @@ func TestShardReplyDigestIsIgnored(t *testing.T) {
 	}
 }
 
+// TestShardReplySchedIsIgnored: scheduler telemetry stays in the process
+// that ran the cell. A peer whose shard reply carries a large "Sched" in
+// every cell's metrics gets none of it into the cell cache: the banked cells
+// have no Sched, and the cache's byte gauge is the sum of what SizeBytes
+// counts for them.
+func TestShardReplySchedIsIgnored(t *testing.T) {
+	worker := NewManager(Config{Workers: 2}).Handler(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	sched := `"metrics":{"Sched":{"Busy":[` + strings.Repeat("1,", 1<<16) + `1],"Span":1,"PTTSamples":7},`
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		worker.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		if r.URL.Path == "/v1/shards" {
+			body = bytes.ReplaceAll(body, []byte(`"metrics":{`), []byte(sched))
+		}
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(body)
+	}))
+	defer srv.Close()
+	coord := NewManager(Config{Workers: 1, ShardSize: 3})
+	coord.setBackends(newRemoteBackend(srv.URL, nil))
+	j, _, err := coord.Submit(tinySpec(59))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	if _, fp, _, err := j.Result(); err != nil || fp != scenario.MustRun(tinySpec(59)).Fingerprint() {
+		t.Fatalf("err=%v, or a fingerprint unlike the direct run's", err)
+	}
+	if coord.cellRuns() != 0 {
+		t.Errorf("coordinator simulated %d cells itself; every cell should have crossed the wire", coord.cellRuns())
+	}
+	coord.mu.Lock()
+	var size int64
+	keys := coord.cells.Keys()
+	for _, h := range keys {
+		rm, _ := coord.cells.Peek(h)
+		if rm.Sched != nil {
+			t.Errorf("cached cell %s holds a peer's Sched (span %v)", h, rm.Sched.Span)
+		}
+		size += rm.SizeBytes()
+	}
+	coord.mu.Unlock()
+	if len(keys) != 4 {
+		t.Errorf("cell cache holds %d cells, want the job's 4", len(keys))
+	}
+	if got := gaugeValue(t, coord, "asymd_cell_cache_bytes"); got != size {
+		t.Errorf("asymd_cell_cache_bytes = %d, want %d (the held cells' SizeBytes)", got, size)
+	}
+}
+
 // TestRemoteBackendFingerprint runs a job whose every shard executes on a
 // peer node over POST /v1/shards, for every Table-1 policy at once, and
 // requires the merged fingerprint to be bit-identical to a direct

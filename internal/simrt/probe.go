@@ -6,9 +6,11 @@ package simrt
 // draws no randomness, schedules no events, and reads virtual time only at
 // boundaries the runtime already crossed, so a probed run is bit-identical
 // to an unprobed one (the fingerprint gates in internal/scenario prove it
-// per policy × workload kind). At run completion it flushes a
-// metrics.Sched aggregate into the collector; after the run, Schedule
-// renders what it recorded as a trace.Schedule.
+// per policy × workload kind). Its record of execution is one task slice
+// per finished assembly with the PTT's prediction for it; the queue and
+// steal counters run beside it. At run completion it derives a
+// metrics.Sched aggregate (read through Sched), and after the run Schedule
+// renders the record as a trace.Schedule.
 //
 // A nil probe is the default and costs one pointer check per hook site;
 // the alloc gates in alloc_test.go hold the disabled hot path at zero
@@ -22,13 +24,10 @@ import (
 	"dynasym/internal/trace"
 )
 
-// maxQueueSamples and maxPTTSamples cap the recorded sample series (the
-// running aggregates keep accumulating past the cap, so summary telemetry
-// stays exact; only the plotted series truncates, deterministically).
-const (
-	maxQueueSamples = 1 << 16
-	maxPTTSamples   = 1 << 16
-)
+// maxQueueSamples caps the recorded queue series (the running aggregates
+// keep accumulating past the cap, so summary telemetry stays exact; only
+// the plotted series truncates, deterministically).
+const maxQueueSamples = 1 << 16
 
 // queueSample is one observed queue-state transition: the total ready
 // tasks across all WSQs and committed entries across all AQs at a virtual
@@ -38,25 +37,21 @@ type queueSample struct {
 	Ready, Committed int32
 }
 
-// pttSample is one PTT prediction-vs-actual observation: at a completion,
-// the table's estimate for the place before the update, and the observed
-// span that updated it.
-type pttSample struct {
-	At                float64
-	Predicted, Actual float64
-}
-
 // Probe records scheduler introspection for one runtime. Attach it via
 // Config.Probe; New/Reset size it to the platform. Not safe for concurrent
 // use — it observes a single runtime on the engine's goroutine.
 type Probe struct {
 	cores int
-	// span is the makespan the run flushed with (0 until it finishes).
-	span float64
+	// sched is the aggregate the run flushed (nil until it finishes).
+	sched *metrics.Sched
 
 	// slices holds one task slice per finished assembly, on its leader's
 	// lane, in completion order; Schedule expands each to its members.
-	slices []trace.Event
+	// predicted[i] is the PTT's estimate for slices[i]'s place before the
+	// completion updated it, or 0 when there is none. Every PTT number the
+	// probe reports is a view of the two.
+	slices    []trace.Event
+	predicted []float64
 	// stealLow/stealHigh are cores×cores victim-major steal counts.
 	stealLow  []int64
 	stealHigh []int64
@@ -69,12 +64,6 @@ type Probe struct {
 	readyInt, committedInt float64
 	transitions            int64
 	samples                []queueSample
-
-	// PTT tracking: error sum over every observed prediction plus the
-	// capped raw series.
-	pttCount   int64
-	pttErrSum  float64
-	pttSamples []pttSample
 }
 
 // NewProbe returns an empty probe; attaching it to a runtime sizes it.
@@ -83,8 +72,9 @@ func NewProbe() *Probe { return &Probe{} }
 // reset clears the probe for a run on n cores, reusing its storage.
 func (p *Probe) reset(n int) {
 	p.cores = n
-	p.span = 0
+	p.sched = nil
 	p.slices = p.slices[:0]
+	p.predicted = p.predicted[:0]
 	p.stealLow = resizeZeroI(p.stealLow, n*n)
 	p.stealHigh = resizeZeroI(p.stealHigh, n*n)
 	p.ready, p.committed = 0, 0
@@ -93,9 +83,6 @@ func (p *Probe) reset(n int) {
 	p.readyInt, p.committedInt = 0, 0
 	p.transitions = 0
 	p.samples = p.samples[:0]
-	p.pttCount = 0
-	p.pttErrSum = 0
-	p.pttSamples = p.pttSamples[:0]
 }
 
 func resizeZeroI(sl []int64, n int) []int64 {
@@ -144,35 +131,42 @@ func (p *Probe) queueDelta(at float64, dReady, dCommitted int) {
 	}
 }
 
-// completed records one finished assembly: its slice, and — when the
-// policy keeps a PTT, tbl — one prediction-vs-actual pair.
+// completed records one finished assembly: its slice, and the estimate of
+// the policy's PTT, tbl (nil for a policy without one), for its place.
 func (p *Probe) completed(label string, a *assembly, finish float64, tbl *ptt.Table) {
 	pl := a.place
 	p.slices = append(p.slices, trace.Event{Label: label, Core: pl.Leader, Start: a.start, End: finish,
 		Leader: pl.Leader, Width: pl.Width, High: a.tref&1 != 0})
-	if tbl == nil {
-		return
-	}
 	// The table's estimate before this observation folds in is the
 	// prediction the dispatch decision would have seen.
-	predicted, actual := tbl.ValueByID(int(a.placeID)), finish-a.start
-	if actual <= 0 || predicted <= 0 {
-		return
+	predicted := 0.0
+	if tbl != nil {
+		predicted = tbl.ValueByID(int(a.placeID))
 	}
-	p.pttCount++
-	p.pttErrSum += math.Abs(predicted-actual) / actual
-	if len(p.pttSamples) < maxPTTSamples {
-		p.pttSamples = append(p.pttSamples, pttSample{At: finish, Predicted: predicted, Actual: actual})
-	}
+	p.predicted = append(p.predicted, predicted)
 }
 
-// flushTo aggregates the probe into the collector at run completion, as a
-// mergeable Sched: busy is the collector's per-core kernel time; the
-// dispatch and steal windows are the cores' dispatch and successful-steal
-// counts times their fixed costs; idle is the residual of the makespan
-// after all three.
-func (p *Probe) flushTo(coll *metrics.Collector, makespan float64, cores []*coreState) {
-	p.span = makespan
+// pttErr returns slice i's relative PTT error |predicted−actual|/actual,
+// and false when the table made no prediction for it (no PTT, a place not
+// yet measured) or the slice has no length.
+func (p *Probe) pttErr(i int) (float64, bool) {
+	predicted, actual := p.predicted[i], p.slices[i].End-p.slices[i].Start
+	if actual <= 0 || predicted <= 0 {
+		return 0, false
+	}
+	return math.Abs(predicted-actual) / actual, true
+}
+
+// Sched returns the aggregate of the run the probe observed, or nil until
+// that run finishes. The value is the caller's: the next run flushes a new
+// one.
+func (p *Probe) Sched() *metrics.Sched { return p.sched }
+
+// flush derives the run's mergeable Sched aggregate at its completion:
+// busy is the collector's per-core kernel time; the dispatch and steal
+// windows are the cores' dispatch and successful-steal counts times their
+// fixed costs; idle is the residual of the makespan after all three.
+func (p *Probe) flush(coll *metrics.Collector, makespan float64, cores []*coreState) {
 	busy := coll.CoreBusy()
 	s := &metrics.Sched{
 		Busy:         busy,
@@ -185,8 +179,6 @@ func (p *Probe) flushTo(coll *metrics.Collector, makespan float64, cores []*core
 		CommittedSec: p.committedInt,
 		MaxReady:     p.maxReady,
 		MaxCommitted: p.maxCommitted,
-		PTTSamples:   p.pttCount,
-		PTTErrSum:    p.pttErrSum,
 	}
 	// Close the depth integrals at the makespan (the final stretch after
 	// the last transition is all-idle queues, but committed may be 0 only
@@ -211,23 +203,33 @@ func (p *Probe) flushTo(coll *metrics.Collector, makespan float64, cores []*core
 			}
 		}
 	}
-	// Tail error: the last quarter of the recorded series, the "has the
+	// Tail error: the run's last quarter of predictions, the "has the
 	// table converged" view the paper's Figure 5 narrative builds on.
-	if n := len(p.pttSamples); n > 0 {
-		for _, ps := range p.pttSamples[n-n/4:] {
-			s.PTTTailSamples++
-			s.PTTTailErrSum += math.Abs(ps.Predicted-ps.Actual) / ps.Actual
+	var n int64
+	for i := range p.slices {
+		if _, ok := p.pttErr(i); ok {
+			n++
 		}
 	}
-	coll.SetSched(s)
+	for i := range p.slices {
+		if e, ok := p.pttErr(i); ok {
+			if s.PTTSamples >= n-n/4 {
+				s.PTTTailSamples++
+				s.PTTTailErrSum += e
+			}
+			s.PTTSamples++
+			s.PTTErrSum += e
+		}
+	}
+	p.sched = s
 }
 
 // Schedule returns what the probe recorded of the run as a trace: one task
 // slice per member core of every finished assembly, and the "queue depth"
 // (wsq/aq series) and "ready tasks" lanes interleaved per queue sample, then
-// the "ptt rel err" lane, then the "core util" lane derived over the
-// makespan. The value is the caller's; the probe keeps recording into its
-// own storage.
+// the "ptt rel err" lane (one point per slice the PTT predicted), then the
+// "core util" lane derived over the makespan. The value is the caller's;
+// the probe keeps recording into its own storage.
 func (p *Probe) Schedule() *trace.Schedule {
 	n := 0
 	for _, ev := range p.slices {
@@ -240,7 +242,7 @@ func (p *Probe) Schedule() *trace.Schedule {
 			events = append(events, ev)
 		}
 	}
-	counters := make([]trace.CounterPoint, 0, 2*len(p.samples)+len(p.pttSamples))
+	counters := make([]trace.CounterPoint, 0, 2*len(p.samples)+len(p.slices))
 	for _, s := range p.samples {
 		counters = append(counters,
 			trace.CounterPoint{Name: "queue depth", At: s.At, Series: []trace.CounterValue{
@@ -251,10 +253,16 @@ func (p *Probe) Schedule() *trace.Schedule {
 				{Key: "ready", Value: float64(s.Ready)},
 			}})
 	}
-	for _, ps := range p.pttSamples {
-		counters = append(counters, trace.CounterPoint{Name: "ptt rel err", At: ps.At, Series: []trace.CounterValue{
-			{Key: "err", Value: math.Abs(ps.Predicted-ps.Actual) / ps.Actual},
-		}})
+	for i := range p.slices {
+		if e, ok := p.pttErr(i); ok {
+			counters = append(counters, trace.CounterPoint{Name: "ptt rel err", At: p.slices[i].End, Series: []trace.CounterValue{
+				{Key: "err", Value: e},
+			}})
+		}
 	}
-	return trace.NewSchedule(events, counters, p.span)
+	var span float64
+	if p.sched != nil {
+		span = p.sched.Span
+	}
+	return trace.NewSchedule(events, counters, span)
 }

@@ -11,6 +11,7 @@ import (
 	"dynasym/internal/dag"
 	"dynasym/internal/kernels"
 	"dynasym/internal/machine"
+	"dynasym/internal/metrics"
 	"dynasym/internal/topology"
 )
 
@@ -37,16 +38,16 @@ func probeGraph(n int) *dag.Frozen {
 	return fz
 }
 
-// probeRun executes the workload to completion with the given probe (nil
-// = probes off) and returns the runtime.
-func probeRun(t *testing.T, p *Probe) *Runtime {
+// probeRun executes a workload of n tasks to completion with the given
+// probe (nil = probes off) and returns the runtime.
+func probeRun(t *testing.T, p *Probe, n int) *Runtime {
 	t.Helper()
 	topo := topology.TX2()
 	rt, err := New(Config{Topo: topo, Model: machine.New(topo), Policy: core.DAMC(), Seed: 9, Probe: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Start(probeGraph(1200)); err != nil {
+	if err := rt.Start(probeGraph(n)); err != nil {
 		t.Fatal(err)
 	}
 	rt.Engine().Run()
@@ -59,8 +60,9 @@ func probeRun(t *testing.T, p *Probe) *Runtime {
 // An attached probe must be pure observation: every scheduler counter and
 // every virtual-time metric must be bit-identical with and without it.
 func TestProbeDoesNotPerturbRun(t *testing.T) {
-	off := probeRun(t, nil)
-	on := probeRun(t, NewProbe())
+	off := probeRun(t, nil, 1200)
+	p := NewProbe()
+	on := probeRun(t, p, 1200)
 
 	if a, b := off.Collector().Makespan(), on.Collector().Makespan(); a != b {
 		t.Fatalf("makespan diverged: off=%v on=%v", a, b)
@@ -77,10 +79,10 @@ func TestProbeDoesNotPerturbRun(t *testing.T) {
 			t.Fatalf("core %d busy diverged: off=%v on=%v", i, offBusy[i], onBusy[i])
 		}
 	}
-	if off.Collector().Sched() != nil {
-		t.Fatal("probe-off run produced Sched telemetry")
+	if NewProbe().Sched() != nil {
+		t.Fatal("a probe that observed no run produced Sched telemetry")
 	}
-	if on.Collector().Sched() == nil {
+	if p.Sched() == nil {
 		t.Fatal("probe-on run produced no Sched telemetry")
 	}
 }
@@ -88,9 +90,9 @@ func TestProbeDoesNotPerturbRun(t *testing.T) {
 // The steal matrix is an exact decomposition of the steal counters: the
 // per-thief edge sums must equal CoreStats' per-core steal counts.
 func TestProbeStealMatrixMatchesCounters(t *testing.T) {
-	rt := probeRun(t, NewProbe())
-	sched := rt.Collector().Sched()
-	stats := rt.CoreStats()
+	p := NewProbe()
+	stats := probeRun(t, p, 1200).CoreStats()
+	sched := p.Sched()
 
 	perThief := make([]int64, len(stats))
 	var matrixTotal int64
@@ -125,8 +127,9 @@ func TestProbeStealMatrixMatchesCounters(t *testing.T) {
 // The per-core time breakdown must partition the makespan: busy +
 // dispatch + steal + idle = span for every core, with nothing negative.
 func TestProbeTimeBreakdownPartitionsSpan(t *testing.T) {
-	rt := probeRun(t, NewProbe())
-	sched := rt.Collector().Sched()
+	p := NewProbe()
+	probeRun(t, p, 1200)
+	sched := p.Sched()
 	if sched.Span <= 0 {
 		t.Fatalf("span %v, want > 0", sched.Span)
 	}
@@ -161,18 +164,21 @@ func TestProbeReuseAcrossReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() *Runtime {
+	run := func() *metrics.Sched {
 		if err := rt.Start(probeGraph(600)); err != nil {
 			t.Fatal(err)
 		}
 		rt.Engine().Run()
-		return rt
+		return p.Sched()
 	}
-	first := run().Collector().Sched()
+	first := run()
 	if err := rt.Reset(cfg); err != nil {
 		t.Fatal(err)
 	}
-	second := run().Collector().Sched()
+	if p.Sched() != nil {
+		t.Fatal("Reset kept the previous run's Sched on the probe")
+	}
+	second := run()
 
 	if first == second {
 		t.Fatal("flushed Sched aggregates alias the pooled probe")
@@ -187,5 +193,37 @@ func TestProbeReuseAcrossReset(t *testing.T) {
 		if first.Busy[i] != second.Busy[i] || first.Idle[i] != second.Idle[i] {
 			t.Fatalf("core %d telemetry diverged across reuse", i)
 		}
+	}
+}
+
+// The PTT numbers are views of the probe's one record, uncapped: on a run
+// of more than 2^16 predictions the tail is the run's true last quarter,
+// and its error sum is the last quarter of the "ptt rel err" lane that
+// Schedule renders from the same record.
+func TestProbeTailIsLastQuarter(t *testing.T) {
+	p := NewProbe()
+	probeRun(t, p, 70000)
+	sched := p.Sched()
+	if sched.PTTSamples <= 1<<16 {
+		t.Fatalf("%d predictions, want more than %d", sched.PTTSamples, 1<<16)
+	}
+	if want := sched.PTTSamples / 4; sched.PTTTailSamples != want {
+		t.Fatalf("tail covers %d predictions, want the last quarter, %d", sched.PTTTailSamples, want)
+	}
+	var lane []float64
+	for _, c := range p.Schedule().Counters {
+		if c.Name == "ptt rel err" {
+			lane = append(lane, c.Series[0].Value)
+		}
+	}
+	if int64(len(lane)) != sched.PTTSamples {
+		t.Fatalf("ptt rel err lane has %d points, Sched counts %d predictions", len(lane), sched.PTTSamples)
+	}
+	var sum float64
+	for _, e := range lane[len(lane)-int(sched.PTTTailSamples):] {
+		sum += e
+	}
+	if sum != sched.PTTTailErrSum {
+		t.Fatalf("last quarter of the lane sums to %v, PTTTailErrSum is %v", sum, sched.PTTTailErrSum)
 	}
 }

@@ -100,8 +100,8 @@ type Config struct {
 	// Hook optionally takes over execution of selected tasks.
 	Hook ExecHook
 	// Probe, when non-nil, observes the run: every task execution, the
-	// steal matrix, queue depths and PTT error, for the collector's Sched
-	// and Probe.Schedule (see probe.go). Pure observation: a probed run is
+	// steal matrix, queue depths and PTT error, for Probe.Sched and
+	// Probe.Schedule (see probe.go). Pure observation: a probed run is
 	// bit-identical to an unprobed one, and a nil Probe costs one pointer
 	// check per hook site.
 	Probe *Probe
@@ -478,7 +478,7 @@ func (rt *Runtime) Start(fz *dag.Frozen) error {
 		rt.finished = true
 		rt.coll.SetMakespan(0)
 		if p := rt.cfg.Probe; p != nil {
-			p.flushTo(&rt.coll, 0, rt.cores)
+			p.flush(&rt.coll, 0, rt.cores)
 		}
 		return nil
 	}
@@ -781,7 +781,7 @@ func (rt *Runtime) completeAssembly(a *assembly, finish float64) {
 		rt.finished = true
 		rt.coll.SetMakespan(finish)
 		if p := rt.cfg.Probe; p != nil {
-			p.flushTo(&rt.coll, finish, rt.cores)
+			p.flush(&rt.coll, finish, rt.cores)
 		}
 	}
 }

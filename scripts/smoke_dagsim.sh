@@ -20,8 +20,9 @@
 #     -list and asymbench -list name their entries, dagsim -tasks 0's header
 #     names the workload that ran (the paper's 32 000 tasks), the schedule
 #     reports of dagsim -explain and asymbench -exp burst-sweep -explain
-#     -progress are checked line by line, and asymbench -exp fig4a -explain
-#     runs the paper figure as its family, with schedule reports.
+#     -progress are checked line by line, asymbench -exp fig4a -explain
+#     runs the paper figure as its family, with schedule reports, and
+#     asymbench -exp all -explain runs every id, families with reports.
 #
 # Used by CI (smoke job, through scripts/reach.sh) and runnable locally.
 set -eu
@@ -122,7 +123,10 @@ done
 grep -q '21/21 cells' "$OUT.progress" || { echo "asymbench -progress never reported 21/21 cells"; exit 1; }
 "$BENCH" -exp fig4a -scale 0.01 -explain | grep '^## schedule report: DAM-C$' >/dev/null ||
 	{ echo "asymbench -exp fig4a -explain: no DAM-C schedule report"; exit 1; }
+# Under -exp all, the drivers that are no family render as without -explain.
+"$BENCH" -exp all -explain -scale 0.05 >"$OUT" || { echo "asymbench -exp all -explain failed"; exit 1; }
+grep -q '^## schedule report: DAM-C$' "$OUT" || { echo "asymbench -exp all -explain: no DAM-C schedule report"; exit 1; }
 rm -f "$OUT" "$OUT.progress"
-echo "reports OK: dagsim -list/-explain/-policy nope/-tasks 0, asymbench -list/-exp burst-sweep -explain -progress/-exp fig4a -explain"
+echo "reports OK: dagsim -list/-explain/-policy nope/-tasks 0, asymbench -list/-exp burst-sweep -explain -progress/-exp fig4a -explain/-exp all -explain"
 
 echo "dagsim smoke OK"

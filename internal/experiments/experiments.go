@@ -62,7 +62,7 @@ var catalog = []struct {
 // per-place task counts (Figures 9b and 9c).
 func fig9Places(places string) func(float64, uint64) Renderer {
 	return func(s float64, seed uint64) Renderer {
-		res := fig9(Fig9Config{Scale: s, Seed: seed})
+		res := fig9(s, seed)
 		if places == "" {
 			return res
 		}

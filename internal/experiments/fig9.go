@@ -12,38 +12,25 @@ import (
 	"dynasym/internal/workloads"
 )
 
-// Fig9Config parameterizes the K-means experiment (Figure 9): per-iteration
-// execution time of RWS, DAM-C and DAM-P on the 16-core dual-socket Haswell
-// node, with a co-runner occupying socket 0 during iterations
-// [From, To). The paper's interference window is iterations 20–70 of 100.
-type Fig9Config struct {
-	Iters    int
-	From, To int
-	Seed     uint64
-	Scale    float64
-}
-
-func (c Fig9Config) defaults() Fig9Config {
-	if c.Iters == 0 {
-		c.Iters = 100
-	}
-	if c.To == 0 {
-		c.From, c.To = 20, 70
-	}
-	return c
-}
+// The K-means experiment (Figure 9) runs RWS, DAM-C and DAM-P on the
+// 16-core dual-socket Haswell node for fig9Iters iterations, with a
+// co-runner occupying socket 0 during iterations [fig9From, fig9To) — the
+// paper's window.
+const (
+	fig9Iters = 100
+	fig9From  = 20
+	fig9To    = 70
+)
 
 // Fig9Result holds per-iteration statistics per policy. The interference
 // window is defined in absolute virtual time (calibrated so it opens at
-// iteration From under uninterfered pacing); because interference slows
+// iteration fig9From under uninterfered pacing); because interference slows
 // iterations down, the set of affected iteration indices differs per
 // policy — inWindow reports the actual overlap.
 type Fig9Result struct {
 	Policies []string
 	Stats    []metrics.Iters
 	Topo     *topology.Platform
-	// WindowIters is the configured iteration window (paper labeling).
-	WindowIters [2]int
 	// WindowTime is the absolute interference interval in seconds.
 	WindowTime [2]float64
 	// AvgIter is the calibrated uninterfered iteration time.
@@ -65,13 +52,12 @@ func kmeansSpec(name string, kmCfg workloads.KMeansConfig, pols []core.Policy, s
 
 // fig9 runs the experiment. The interference window is positioned in time
 // by first calibrating the uninterfered iteration duration with DAM-C.
-func fig9(cfg Fig9Config) *Fig9Result {
-	cfg = cfg.defaults()
-	kmCfg := workloads.KMeansConfig{MaxIters: cfg.Iters}.Defaults()
-	kmCfg.N = scenario.ScaleTasks(kmCfg.N, cfg.Scale, 1<<13)
+func fig9(scale float64, seed uint64) *Fig9Result {
+	kmCfg := workloads.KMeansConfig{MaxIters: fig9Iters}.Defaults()
+	kmCfg.N = scenario.ScaleTasks(kmCfg.N, scale, 1<<13)
 
 	// Calibration run: DAM-C, no interference.
-	calib := scenario.MustRun(kmeansSpec("fig9-calibration", kmCfg, []core.Policy{core.DAMC()}, cfg.Seed, nil))
+	calib := scenario.MustRun(kmeansSpec("fig9-calibration", kmCfg, []core.Policy{core.DAMC()}, seed, nil))
 	total, n := 0.0, 0
 	c := calib.Cells[0][0].Run().Iters.Cursor()
 	for ; c.Next(); n++ {
@@ -81,14 +67,13 @@ func fig9(cfg Fig9Config) *Fig9Result {
 	avgIter := total / float64(n)
 
 	res := &Fig9Result{
-		WindowIters: [2]int{cfg.From, cfg.To},
-		WindowTime:  [2]float64{float64(cfg.From) * avgIter, float64(cfg.To) * avgIter},
-		AvgIter:     avgIter,
+		WindowTime: [2]float64{fig9From * avgIter, fig9To * avgIter},
+		AvgIter:    avgIter,
 	}
 	// Main runs: the co-runner time-shares all of socket 0 (cluster 0)
 	// equally during the calibrated window.
 	pols := []core.Policy{core.RWS(), core.DAMC(), core.DAMP()}
-	sres := scenario.MustRun(kmeansSpec("fig9", kmCfg, pols, cfg.Seed, []scenario.Disturbance{{
+	sres := scenario.MustRun(kmeansSpec("fig9", kmCfg, pols, seed, []scenario.Disturbance{{
 		Kind:    scenario.CoRunCPU,
 		Cluster: 0,
 		Share:   0.5,
@@ -172,7 +157,7 @@ func (r *Fig9Result) WideShare(policy string) float64 {
 // overlap the interference window.
 func (r *Fig9Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "# Figure 9a: K-means per-iteration time [ms]; interference window targets iterations [%d, %d)\n",
-		r.WindowIters[0], r.WindowIters[1])
+		fig9From, fig9To)
 	fmt.Fprintf(w, "%-6s", "iter")
 	for _, p := range r.Policies {
 		fmt.Fprintf(w, "%10s", p)

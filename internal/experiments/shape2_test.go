@@ -90,18 +90,38 @@ func TestFig8Shape(t *testing.T) {
 	// The PTT weight only matters for the smallest tile: its spread is
 	// the largest, and the large tiles stay comparatively flat (paper:
 	// ~36% for tile 32, stable above).
+	checkFig8Order(t, res, testSeed)
+	if small := res.Spread(0); small < 0.05 {
+		t.Errorf("tile 32 spread %.3f too small — weight ratio should matter", small)
+	}
+	// Across seeds the ordering and the falling throughput hold on every
+	// seed, the tile-32 spread floor on most (EXPERIMENTS.md, "Figure 8
+	// across seeds": seeds 2, 7 and 10 read 0.040, 0.044 and 0.012).
+	wide := 0
+	for seed := uint64(1); seed <= 10; seed++ {
+		res := familyAt[*Fig8Result](t, "fig8", testScale, seed)
+		checkFig8Order(t, res, seed)
+		if res.Spread(0) >= 0.05 {
+			wide++
+		}
+	}
+	if wide < 7 {
+		t.Errorf("tile 32 spread ≥ 0.05 on %d of seeds 1–10, want at least 7", wide)
+	}
+}
+
+// checkFig8Order checks that no larger tile spreads more than tile 32 and
+// that throughput falls with tile size (cubic work growth).
+func checkFig8Order(t *testing.T, res *Fig8Result, seed uint64) {
+	t.Helper()
 	small := res.Spread(0)
 	for i := 1; i < len(res.Tiles); i++ {
 		if s := res.Spread(i); s > small {
-			t.Errorf("tile %d spread %.2f exceeds tile 32 spread %.2f", res.Tiles[i], s, small)
+			t.Errorf("seed %d: tile %d spread %.2f exceeds tile 32 spread %.2f", seed, res.Tiles[i], s, small)
 		}
 	}
-	if small < 0.05 {
-		t.Errorf("tile 32 spread %.3f too small — weight ratio should matter", small)
-	}
-	// Throughput decreases with tile size (cubic work growth).
 	if res.Tput[0][0] <= res.Tput[len(res.Tiles)-1][0] {
-		t.Error("throughput did not decrease with tile size")
+		t.Errorf("seed %d: throughput did not decrease with tile size", seed)
 	}
 }
 
@@ -189,7 +209,7 @@ func TestAblationWidthRuns(t *testing.T) {
 }
 
 func TestFig9Render(t *testing.T) {
-	res := fig9(Fig9Config{Iters: 12, From: 4, To: 9, Seed: testSeed, Scale: 0.125})
+	res := fig9(0.125, testSeed)
 	var buf bytes.Buffer
 	res.Render(&buf)
 	if buf.Len() == 0 {

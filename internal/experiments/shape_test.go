@@ -21,6 +21,12 @@ const (
 // of its points — and returns the id's view of the result.
 func family[R Renderer](t *testing.T, id string, scale float64, parallelisms ...int) R {
 	t.Helper()
+	return familyAt[R](t, id, scale, testSeed, parallelisms...)
+}
+
+// familyAt is family at the given seed.
+func familyAt[R Renderer](t *testing.T, id string, scale float64, seed uint64, parallelisms ...int) R {
+	t.Helper()
 	name, view, ok := View(id)
 	if !ok {
 		t.Fatalf("%s is not a view over a family", id)
@@ -30,7 +36,7 @@ func family[R Renderer](t *testing.T, id string, scale float64, parallelisms ...
 		t.Fatalf("%s views %q, which is not a registered family", id, name)
 	}
 	spec := f.Spec(scale)
-	spec.Seed = testSeed
+	spec.Seed = seed
 	if len(parallelisms) > 0 {
 		spec.Points = scenario.ParallelismPoints(parallelisms...)
 	}
@@ -64,7 +70,7 @@ func TestFig4aShape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	res := fig9(Fig9Config{Iters: 40, From: 10, To: 30, Seed: testSeed, Scale: 0.25})
+	res := fig9(0.25, testSeed)
 	if testing.Verbose() {
 		res.Render(os.Stdout)
 	}

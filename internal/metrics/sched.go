@@ -34,9 +34,9 @@ type Sched struct {
 	// Span sums the makespans of the merged runs — the denominator for
 	// the time-weighted queue averages.
 	Span float64
-	// QueueSamples counts observed queue-state transitions; ReadySec and
-	// CommittedSec integrate WSQ depth (ready tasks) and AQ depth
-	// (committed assembly entries) over virtual time.
+	// QueueSamples is the length of the run's queue record, one sample per
+	// queue-state transition; ReadySec and CommittedSec integrate WSQ depth
+	// (ready tasks) and AQ depth (committed assembly entries) over time.
 	QueueSamples int64
 	ReadySec     float64
 	CommittedSec float64

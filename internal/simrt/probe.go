@@ -7,10 +7,10 @@ package simrt
 // boundaries the runtime already crossed, so a probed run is bit-identical
 // to an unprobed one (the fingerprint gates in internal/scenario prove it
 // per policy × workload kind). Its record of execution is one task slice
-// per finished assembly with the PTT's prediction for it; the queue and
-// steal counters run beside it. At run completion it derives a
-// metrics.Sched aggregate (read through Sched), and after the run Schedule
-// renders the record as a trace.Schedule.
+// per finished assembly with the PTT's prediction for it, one queue sample
+// per queue-state transition, and the victim→thief steal counts. At run
+// completion it derives a metrics.Sched aggregate from them (read through
+// Sched), and after the run Schedule renders the record as a trace.Schedule.
 //
 // A nil probe is the default and costs one pointer check per hook site;
 // the alloc gates in alloc_test.go hold the disabled hot path at zero
@@ -24,14 +24,9 @@ import (
 	"dynasym/internal/trace"
 )
 
-// maxQueueSamples caps the recorded queue series (the running aggregates
-// keep accumulating past the cap, so summary telemetry stays exact; only
-// the plotted series truncates, deterministically).
-const maxQueueSamples = 1 << 16
-
-// queueSample is one observed queue-state transition: the total ready
+// queueSample is the queue state after one transition: the total ready
 // tasks across all WSQs and committed entries across all AQs at a virtual
-// time.
+// time. It holds until the next sample, or to the makespan.
 type queueSample struct {
 	At               float64
 	Ready, Committed int32
@@ -56,14 +51,11 @@ type Probe struct {
 	stealLow  []int64
 	stealHigh []int64
 
-	// Queue tracking: running totals, maxima, depth-over-time integrals,
-	// and the capped sample series.
-	ready, committed       int
-	maxReady, maxCommitted int
-	lastAt                 float64
-	readyInt, committedInt float64
-	transitions            int64
-	samples                []queueSample
+	// ready/committed are the current queue totals; samples records the
+	// state after every transition, uncapped. Every queue number the probe
+	// reports is a view of samples.
+	ready, committed int
+	samples          []queueSample
 }
 
 // NewProbe returns an empty probe; attaching it to a runtime sizes it.
@@ -78,10 +70,6 @@ func (p *Probe) reset(n int) {
 	p.stealLow = resizeZeroI(p.stealLow, n*n)
 	p.stealHigh = resizeZeroI(p.stealHigh, n*n)
 	p.ready, p.committed = 0, 0
-	p.maxReady, p.maxCommitted = 0, 0
-	p.lastAt = 0
-	p.readyInt, p.committedInt = 0, 0
-	p.transitions = 0
 	p.samples = p.samples[:0]
 }
 
@@ -107,28 +95,13 @@ func (p *Probe) stole(victim, thief int, high bool) {
 	}
 }
 
-// queueDelta applies one queue-state transition at virtual time at:
+// queueDelta records one queue-state transition at virtual time at:
 // dReady ready tasks entered/left WSQs, dCommitted entries entered/left
-// AQs. The depth integrals advance before the state changes.
+// AQs.
 func (p *Probe) queueDelta(at float64, dReady, dCommitted int) {
-	if at > p.lastAt {
-		dt := at - p.lastAt
-		p.readyInt += float64(p.ready) * dt
-		p.committedInt += float64(p.committed) * dt
-		p.lastAt = at
-	}
 	p.ready += dReady
 	p.committed += dCommitted
-	if p.ready > p.maxReady {
-		p.maxReady = p.ready
-	}
-	if p.committed > p.maxCommitted {
-		p.maxCommitted = p.committed
-	}
-	p.transitions++
-	if len(p.samples) < maxQueueSamples {
-		p.samples = append(p.samples, queueSample{At: at, Ready: int32(p.ready), Committed: int32(p.committed)})
-	}
+	p.samples = append(p.samples, queueSample{At: at, Ready: int32(p.ready), Committed: int32(p.committed)})
 }
 
 // completed records one finished assembly: its slice, and the estimate of
@@ -165,7 +138,8 @@ func (p *Probe) Sched() *metrics.Sched { return p.sched }
 // flush derives the run's mergeable Sched aggregate at its completion:
 // busy is the collector's per-core kernel time; the dispatch and steal
 // windows are the cores' dispatch and successful-steal counts times their
-// fixed costs; idle is the residual of the makespan after all three.
+// fixed costs; idle is the residual of the makespan after all three. The
+// queue numbers come from one pass over the queue record.
 func (p *Probe) flush(coll *metrics.Collector, makespan float64, cores []*coreState) {
 	busy := coll.CoreBusy()
 	s := &metrics.Sched{
@@ -174,19 +148,25 @@ func (p *Probe) flush(coll *metrics.Collector, makespan float64, cores []*coreSt
 		Steal:        make([]float64, p.cores),
 		Idle:         make([]float64, p.cores),
 		Span:         makespan,
-		QueueSamples: p.transitions,
-		ReadySec:     p.readyInt,
-		CommittedSec: p.committedInt,
-		MaxReady:     p.maxReady,
-		MaxCommitted: p.maxCommitted,
+		QueueSamples: int64(len(p.samples)),
 	}
-	// Close the depth integrals at the makespan (the final stretch after
-	// the last transition is all-idle queues, but committed may be 0 only
-	// at the very end, so integrate whatever state was left).
-	if makespan > p.lastAt {
-		dt := makespan - p.lastAt
-		s.ReadySec += float64(p.ready) * dt
-		s.CommittedSec += float64(p.committed) * dt
+	// Each state holds from its transition to the next; the queues start
+	// empty at time 0, and the last state holds to the makespan.
+	var last queueSample
+	for _, q := range p.samples {
+		if q.At > last.At {
+			dt := q.At - last.At
+			s.ReadySec += float64(last.Ready) * dt
+			s.CommittedSec += float64(last.Committed) * dt
+		}
+		last = q
+		s.MaxReady = max(s.MaxReady, int(q.Ready))
+		s.MaxCommitted = max(s.MaxCommitted, int(q.Committed))
+	}
+	if makespan > last.At {
+		dt := makespan - last.At
+		s.ReadySec += float64(last.Ready) * dt
+		s.CommittedSec += float64(last.Committed) * dt
 	}
 	for i, c := range cores {
 		s.Dispatch[i] = float64(c.dispatches) * dispatchCost

@@ -227,3 +227,51 @@ func TestProbeTailIsLastQuarter(t *testing.T) {
 		t.Fatalf("last quarter of the lane sums to %v, PTTTailErrSum is %v", sum, sched.PTTTailErrSum)
 	}
 }
+
+// The queue numbers are views of the probe's one queue record, uncapped:
+// on a run of more than 2^16 transitions the "queue depth" lane has one
+// point per transition and spans the run, and ReadySec and MaxReady
+// recomputed from it equal Sched's bit for bit.
+func TestProbeQueueLaneSpansTheRun(t *testing.T) {
+	p := NewProbe()
+	probeRun(t, p, 70000)
+	sched := p.Sched()
+	if sched.QueueSamples <= 1<<16 {
+		t.Fatalf("%d queue transitions, want more than %d", sched.QueueSamples, 1<<16)
+	}
+	schedule := p.Schedule()
+	var at, ready []float64
+	for _, c := range schedule.Counters {
+		if c.Name == "queue depth" {
+			at = append(at, c.At)
+			ready = append(ready, c.Series[0].Value)
+		}
+	}
+	if int64(len(at)) != sched.QueueSamples {
+		t.Fatalf("queue depth lane has %d points, Sched counts %d transitions", len(at), sched.QueueSamples)
+	}
+	var readySec, last, prev float64
+	maxReady := 0
+	for i := range at {
+		if at[i] > last {
+			readySec += prev * (at[i] - last)
+			last = at[i]
+		}
+		prev = ready[i]
+		maxReady = max(maxReady, int(ready[i]))
+	}
+	if sched.Span > last {
+		readySec += prev * (sched.Span - last)
+	}
+	if readySec != sched.ReadySec || maxReady != sched.MaxReady {
+		t.Fatalf("lane gives readySec=%v maxReady=%d, Sched has %v and %d",
+			readySec, maxReady, sched.ReadySec, sched.MaxReady)
+	}
+	var lastStart float64
+	for _, ev := range schedule.Events {
+		lastStart = max(lastStart, ev.Start)
+	}
+	if at[len(at)-1] < lastStart {
+		t.Fatalf("queue lane ends at %v, before the last slice starts at %v", at[len(at)-1], lastStart)
+	}
+}

@@ -41,7 +41,7 @@ func (g *Graph) InferCriticality(fraction float64, useCost bool) (marked int, cr
 	if criticalPath == 0 {
 		return 0, 0 // cyclic: nothing sensible to mark
 	}
-	maxSlack := (1 - fraction) * criticalPath
+	maxSlack := float64((1 - fraction) * criticalPath)
 	for i := range tasks {
 		slack := criticalPath - (top[i] + bottom[i] - weight[i])
 		if slack <= maxSlack+1e-12 && !tasks[i].High {

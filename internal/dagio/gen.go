@@ -171,7 +171,7 @@ func tileCosts(tile int) (gemmW, trsmW, syrkW, potrfW, tileBytes float64) {
 	trsmW = t * t * t / flopsPerCycle
 	syrkW = t * t * t / flopsPerCycle
 	potrfW = t * t * t / 3 / flopsPerCycle
-	tileBytes = 8 * t * t
+	tileBytes = float64(8 * t * t)
 	return
 }
 

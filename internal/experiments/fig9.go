@@ -99,7 +99,7 @@ func (r *Fig9Result) inWindow(st metrics.IterStat) bool {
 // observations before placements migrate, so the first post-onset
 // iterations are excluded when comparing steady-state behaviour).
 func (r *Fig9Result) inWindowSettled(st metrics.IterStat) bool {
-	return st.Start >= r.WindowTime[0]+4*r.AvgIter && st.End <= r.WindowTime[1]
+	return st.Start >= r.WindowTime[0]+float64(4*r.AvgIter) && st.End <= r.WindowTime[1]
 }
 
 // MeanSettledIterTime returns a policy's mean iteration wall time over

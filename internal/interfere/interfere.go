@@ -70,7 +70,7 @@ const (
 // learned where the quiet cores are.
 func BurstCPU(m *machine.Model, cores []int, share, busyDur, idleDur, phase0, phaseStep float64) {
 	for i, c := range cores {
-		phase := phase0 + float64(i)*phaseStep
+		phase := phase0 + float64(float64(i)*phaseStep)
 		m.SetCoreAvail(c, profile.PhasedSquareWave(share, 1.0, busyDur, idleDur, phase))
 	}
 }

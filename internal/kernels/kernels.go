@@ -78,7 +78,7 @@ func StencilCost(n, sweeps int) machine.Cost {
 	nn := float64(n)
 	s := float64(sweeps)
 	return machine.Cost{
-		Ops:          6 * nn * nn * s / stencilFlopsPerCycle,
+		Ops:          float64(6*nn*nn*s) / stencilFlopsPerCycle,
 		Bytes:        2 * 8 * nn * nn * s,
 		WorkingSet:   2 * 8 * nn * nn,
 		SyncSeconds:  3e-6,

@@ -291,9 +291,9 @@ func (m *Model) Duration(c Cost, pl topology.Place, start float64, j Jitter) flo
 	}
 	// Serial portion runs on the leader; parallel portion is split evenly
 	// and inflated by the width penalty.
-	penalty := 1 + c.WidthPenalty*(w-1)
-	serialOps := c.Ops * (1 - pf)
-	parOps := c.Ops * pf / w * penalty
+	penalty := 1 + float64(c.WidthPenalty*(w-1))
+	serialOps := float64(c.Ops * (1 - pf))
+	parOps := float64(c.Ops * pf / w * penalty)
 
 	// Memory: per-member share of split DRAM traffic plus the replicated
 	// traffic, after the cache-fit discount. Each member draws its cached
@@ -337,7 +337,7 @@ func (m *Model) Duration(c Cost, pl topology.Place, start float64, j Jitter) flo
 	}
 
 	// Synchronization overhead grows with the tree depth of the barrier.
-	sync := c.SyncSeconds * log2ceil(pl.Width)
+	sync := float64(c.SyncSeconds * log2ceil(pl.Width))
 	return finish + sync + overhead + j.Add
 }
 

@@ -119,7 +119,7 @@ func PhasedSquareWave(hi, lo, hiDur, loDur, phase float64) *Profile {
 		if hi2 <= lo2 {
 			continue
 		}
-		v := val((lo2 + hi2) / 2)
+		v := val(float64((lo2 + hi2) / 2))
 		if len(segs) > 0 && segs[len(segs)-1].Value == v {
 			continue
 		}
@@ -204,7 +204,7 @@ func (p *Profile) rateOver(t, next float64) float64 {
 	if math.IsInf(next, 1) {
 		return p.At(t)
 	}
-	return p.At(t + (next-t)/2)
+	return p.At(t + float64((next-t)/2))
 }
 
 // TimeToDo returns the time at which `work` units complete if processing
@@ -262,11 +262,11 @@ func (p *Profile) timeToDoFinite(start, work float64) float64 {
 		// midpoint stays in segment i unless rounding lands it exactly on
 		// `next` (possible when next-t is at the ulp scale).
 		rate := segs[i].Value
-		if t+(next-t)/2 >= next {
+		if t+float64((next-t)/2) >= next {
 			rate = segs[i+1].Value
 		}
 		if rate > 0 {
-			capacity := rate * (next - t)
+			capacity := float64(rate * (next - t))
 			if capacity >= remaining {
 				return t + remaining/rate
 			}
@@ -295,7 +295,7 @@ func (p *Profile) timeToDoScan(start, work float64) float64 {
 		}
 		span := next - t
 		if rate > 0 {
-			capacity := rate * span
+			capacity := float64(rate * span)
 			if capacity >= remaining {
 				return t + remaining/rate
 			}

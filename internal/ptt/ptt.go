@@ -123,7 +123,7 @@ func (t *Table) UpdateByID(id int, observed float64) {
 		return
 	}
 	if old := t.entries[id]; old != 0 {
-		observed = t.oneMinusAlpha*old + t.alpha*observed
+		observed = float64(t.oneMinusAlpha*old) + float64(t.alpha*observed)
 	}
 	t.entries[id] = observed
 	t.gen++

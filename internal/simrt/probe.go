@@ -156,8 +156,8 @@ func (p *Probe) flush(coll *metrics.Collector, makespan float64, cores []*coreSt
 	for _, q := range p.samples {
 		if q.At > last.At {
 			dt := q.At - last.At
-			s.ReadySec += float64(last.Ready) * dt
-			s.CommittedSec += float64(last.Committed) * dt
+			s.ReadySec += float64(float64(last.Ready) * dt)
+			s.CommittedSec += float64(float64(last.Committed) * dt)
 		}
 		last = q
 		s.MaxReady = max(s.MaxReady, int(q.Ready))
@@ -165,8 +165,8 @@ func (p *Probe) flush(coll *metrics.Collector, makespan float64, cores []*coreSt
 	}
 	if makespan > last.At {
 		dt := makespan - last.At
-		s.ReadySec += float64(last.Ready) * dt
-		s.CommittedSec += float64(last.Committed) * dt
+		s.ReadySec += float64(float64(last.Ready) * dt)
+		s.CommittedSec += float64(float64(last.Committed) * dt)
 	}
 	for i, c := range cores {
 		s.Dispatch[i] = float64(c.dispatches) * dispatchCost

@@ -803,9 +803,9 @@ func (rt *Runtime) drawJitter(leader int) machine.Jitter {
 	if rt.model.JitterRel > 0 {
 		j.Mul = rng.Jitter(rt.model.JitterRel)
 	}
-	j.Add += math.Abs(rng.NormFloat64()) * machine.TimerRes
+	j.Add += float64(math.Abs(rng.NormFloat64()) * machine.TimerRes)
 	if rng.Float64() < preemptProb {
-		j.Add += preemptMin + (preemptMax-preemptMin)*rng.Float64()
+		j.Add += preemptMin + float64((preemptMax-preemptMin)*rng.Float64())
 	}
 	return j
 }

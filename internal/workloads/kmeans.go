@@ -125,7 +125,7 @@ func NewKMeans(cfg KMeansConfig) *KMeans {
 	// CostScale to stand in for the Rodinia inputs' heavier records. The
 	// reference cost below is per point; Build scales it by each grain's
 	// size.
-	flopsPerPoint := float64(cfg.K) * float64(cfg.D) * 3 * cfg.CostScale
+	flopsPerPoint := float64(float64(cfg.K) * float64(cfg.D) * 3 * cfg.CostScale)
 	km.assignCost = machine.Cost{
 		Ops:          flopsPerPoint / 0.5, // scalar distance loop, ~0.5 flops/cycle
 		Bytes:        float64(cfg.D) * 8 * cfg.CostScale,

@@ -95,9 +95,11 @@ func (r *RNG) Intn(n int) int {
 	}
 }
 
-// Float64 returns a uniformly distributed float64 in [0, 1).
+// Float64 returns a uniformly distributed float64 in [0, 1). The quotient
+// compiles to a product, and the outer conversion keeps a caller's add from
+// fusing with it on hosts that fuse multiply-adds (scripts/nofma.sh).
 func (r *RNG) Float64() float64 {
-	return float64(r.uint64()>>11) / (1 << 53)
+	return float64(float64(r.uint64()>>11) / (1 << 53))
 }
 
 // NormFloat64 returns a normally distributed float64 with mean 0 and
@@ -106,7 +108,7 @@ func (r *RNG) NormFloat64() float64 {
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		s := float64(u*u) + float64(v*v)
 		if s >= 1 || s == 0 {
 			continue
 		}
@@ -118,7 +120,7 @@ func (r *RNG) NormFloat64() float64 {
 // distributed with the given relative standard deviation, clamped so the
 // factor stays positive (>= 0.05).
 func (r *RNG) Jitter(relStd float64) float64 {
-	f := 1 + relStd*r.NormFloat64()
+	f := 1 + float64(relStd*r.NormFloat64())
 	if f < 0.05 {
 		f = 0.05
 	}

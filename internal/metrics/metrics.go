@@ -1,12 +1,15 @@
-// Package metrics collects execution statistics from a simulated run: per-core
+// Package metrics derives execution statistics from a simulated run: per-core
 // kernel work time (paper Figure 6), priority-task place distributions
 // (Figure 5), per-iteration timings and place selections (Figure 9), and
 // overall throughput (Figures 4, 7, 10).
 //
+// A run keeps one fact per finished task: its completion, a 24-byte entry of
+// a Record. Every statistic is a view of that record, computed after the run.
+//
 // A run's per-iteration statistics are one Iters value: a single byte string
 // of varints and raw float words, read front to back through an IterCursor.
 // A cell the service caches therefore costs the garbage collector nothing to
-// scan and, with the collector's ascending iterations and place IDs and its
+// scan and, with the record's ascending iterations and place IDs and its
 // counts of 1, about one byte per (place, count) pair.
 package metrics
 
@@ -17,88 +20,70 @@ import (
 	"math"
 	"slices"
 
+	"dynasym/internal/dag"
 	"dynasym/internal/topology"
 )
 
-// Collector accumulates statistics for one run. It is not synchronized: the
-// runtime that owns it records from the event engine's goroutine, and
-// readers look only after the run has finished.
-type Collector struct {
+// Completion is one entry of a run's completion record: one finished
+// assembly of the task with index Task in the run's frozen graph, on the
+// place with dense id Place in the platform's place table, from Start to
+// Finish in virtual time. It holds no pointer.
+type Completion struct {
+	Place, Task   int32
+	Start, Finish float64
+}
+
+// Record is a run's completion record: one Completion per finished assembly,
+// in completion order, with the graph and platform its ids index. Every
+// statistic a run reports is a view of it, computed after the run from the
+// operands running totals would have summed, in the same order, so each view
+// is bit-identical to them. It is not synchronized: its runtime appends from
+// the event engine's goroutine, and readers look after the run.
+type Record struct {
 	topo *topology.Platform
+	fz   *dag.Frozen
+	done []Completion
 
-	coreBusy []float64
-	// placeHigh counts high-priority task executions per placeID. It is a
-	// dense slice over the platform's place table rather than a map:
-	// TaskDoneID runs once per task on the simulation hot path, and a slice
-	// increment is an order of magnitude cheaper than a map update.
-	placeHigh []int64
-	// byIter is indexed by iteration number; nil entries are iterations
-	// never seen. Every builder tags a task with an iteration below its
-	// graph's task count (imported DAGs carry no tags), so the index is
-	// never longer than the cell's task count. Aggregation uses compact
-	// (placeID, count) pairs — an iteration touches few distinct places,
-	// and a linear scan over a short pair slice beats a map assignment per
-	// task by a wide margin. The pairs are kept ID-sorted; IterStats
-	// encodes them on readout.
-	byIter    []*iterAgg
-	tasksDone int64
-	makespan  float64
-	// aggFree pools retired iterAggs (and their place-pair storage) across
-	// Reset cycles so pooled runtimes reach a steady state with no
-	// per-iteration allocations.
-	aggFree []*iterAgg
-	// scratch is where IterStats encodes a readout before copying it out at
-	// its exact size; it keeps its storage across Reset cycles.
-	scratch []byte
+	// The views' scratch, kept across runs: counts has one entry per place,
+	// all zero between views; iterEnd and order hold IterStats' counting
+	// sort, pairs one iteration's places, enc its encoding.
+	counts, iterEnd, order []int32
+	pairs                  []PlaceCount
+	enc                    []byte
 }
 
-// iterAgg is the collector's internal per-iteration accumulator.
-type iterAgg struct {
-	iter       int
-	tasks      int64
-	start, end float64
-	places     []PlaceCount
+// keepEntries bounds the record kept between runs, at 24 bytes an entry: a
+// graph of up to this many tasks (the paper's largest cells have 32 000)
+// reuses its record, and a larger one's record goes at the next Reset.
+const keepEntries = 1 << 15
+
+// Reset empties the record for a run of fz (nil before the graph is known) on
+// topo, sized so that tasks completions never grow it. It keeps its storage
+// unless that is too small, or larger than both tasks and keepEntries.
+func (r *Record) Reset(topo *topology.Platform, fz *dag.Frozen, tasks int) {
+	r.topo, r.fz = topo, fz
+	if n := len(topo.Places()); len(r.counts) != n {
+		r.counts = make([]int32, n)
+	}
+	if c := cap(r.done); c < tasks || c > max(tasks, keepEntries) {
+		r.done = make([]Completion, 0, tasks)
+		r.order = nil
+	}
+	r.done = r.done[:0]
 }
+
+// Add appends one completion.
+func (r *Record) Add(c Completion) { r.done = append(r.done, c) }
+
+// Completions returns the record's entries, in completion order. The slice
+// is the record's own, valid until its next Reset.
+func (r *Record) Completions() []Completion { return r.done }
 
 // PlaceCount is one (placeID, task executions) pair of an iteration. Both
 // fit 32 bits: a cell runs at most 2^22 tasks (scenario.maxCellTasks) on a
 // platform of at most 2^10 cores (scenario.maxPlatformCores).
 type PlaceCount struct {
 	ID, N int32
-}
-
-// newIterAgg allocates one per-iteration accumulator with its place pairs
-// pre-sized so typical iterations (a few distinct places) never regrow the
-// slice; the repeated doubling from zero was the collector's dominant
-// allocation source on the simulation hot path.
-func (c *Collector) newIterAgg(iter int, start, finish float64) *iterAgg {
-	if n := len(c.aggFree); n > 0 {
-		st := c.aggFree[n-1]
-		c.aggFree[n-1] = nil
-		c.aggFree = c.aggFree[:n-1]
-		*st = iterAgg{iter: iter, start: start, end: finish, places: st.places[:0]}
-		return st
-	}
-	return &iterAgg{
-		iter:   iter,
-		start:  start,
-		end:    finish,
-		places: make([]PlaceCount, 0, 16),
-	}
-}
-
-// bump increments the count for a placeID, keeping the pairs ID-sorted: an
-// iteration touches a few places, so a linear scan and a rare insert beat a
-// sort on every readout.
-func (a *iterAgg) bump(id int32) {
-	i := 0
-	for i < len(a.places) && a.places[i].ID < id {
-		i++
-	}
-	if i == len(a.places) || a.places[i].ID != id {
-		a.places = slices.Insert(a.places, i, PlaceCount{ID: id})
-	}
-	a.places[i].N++
 }
 
 // IterStat aggregates one application iteration (Figure 9). An IterCursor
@@ -130,7 +115,7 @@ type IterStat struct {
 //	varint   N, only when the low bit above is 0
 //
 // where a varint is zigzag-encoded (binary.AppendVarint), so a peer's
-// negative or unsorted values come back exactly. The collector's ascending
+// negative or unsorted values come back exactly. The record's ascending
 // IDs and its counts of 1, nearly every pair it writes, take one byte a pair,
 // and an iteration with one task per pair spends nothing on Tasks. Append
 // builds one and an IterCursor reads it. The zero value is empty and encodes
@@ -180,7 +165,7 @@ func (it Iters) Cursor() IterCursor { return IterCursor{b: it.b} }
 // IterCursor reads an Iters front to back without allocating: Next moves to
 // an iteration and Stat returns it; Places returns its place counts a
 // bufferful at a time, in the order they were appended (ID-sorted when the
-// collector built them), while Pairs says how many are left.
+// record built them), while Pairs says how many are left.
 type IterCursor struct {
 	b    []byte
 	off  int // the read position in b
@@ -225,7 +210,7 @@ func (c *IterCursor) Pairs() int { return c.rest }
 // Places returns the current iteration's next place counts, as many as the
 // cursor's buffer holds, and none once Pairs is 0. The slice is the cursor's
 // own until its next call. A pair whose count is 1 and whose ID delta is in
-// [−32, 31], nearly every pair the collector writes, is one byte.
+// [−32, 31], nearly every pair the record writes, is one byte.
 func (c *IterCursor) Places() []PlaceCount {
 	n := min(c.rest, len(c.buf))
 	b, off, id := c.b, c.off, c.id
@@ -313,84 +298,40 @@ func (it *Iters) UnmarshalJSON(b []byte) error {
 // non-nil slice, which encodes as [] rather than null.
 func exact(b []byte) []byte { return append(make([]byte, 0, len(b)), b...) }
 
-// Reset empties the collector for a run on topo while reusing its storage,
-// including the per-iteration accumulators, which move to a freelist for the
-// next run. The platform may differ from the previous one; pooled runtimes
-// rebuild their topology per run.
-func (c *Collector) Reset(topo *topology.Platform) {
-	c.topo = topo
-	if n := topo.NumCores(); n != len(c.coreBusy) {
-		c.coreBusy = make([]float64, n)
-	}
-	if n := len(topo.Places()); n != len(c.placeHigh) {
-		c.placeHigh = make([]int64, n)
-	}
-	clear(c.coreBusy)
-	clear(c.placeHigh)
-	for i, st := range c.byIter {
-		if st != nil {
-			c.aggFree = append(c.aggFree, st)
-			c.byIter[i] = nil
-		}
-	}
-	c.byIter = c.byIter[:0]
-	c.tasksDone = 0
-	c.makespan = 0
-}
-
-// TaskDoneID records one completed task execution on place pl, whose dense
-// id the runtime resolved once at dispatch.
-func (c *Collector) TaskDoneID(id int, pl topology.Place, high bool, iter int, start, finish float64) {
-	span := finish - start
-	c.tasksDone++
-	if high {
-		c.placeHigh[id]++
-	}
-	for i := 0; i < pl.Width; i++ {
-		c.coreBusy[pl.Leader+i] += span
-	}
-	if iter >= 0 {
-		for iter >= len(c.byIter) {
-			c.byIter = append(c.byIter, nil)
-		}
-		st := c.byIter[iter]
-		if st == nil {
-			st = c.newIterAgg(iter, start, finish)
-			c.byIter[iter] = st
-		}
-		st.tasks++
-		if start < st.start {
-			st.start = start
-		}
-		if finish > st.end {
-			st.end = finish
-		}
-		st.bump(int32(id))
-	}
-}
-
-// SetMakespan records the total execution time of the run.
-func (c *Collector) SetMakespan(t float64) { c.makespan = t }
-
-// Makespan returns the recorded total execution time.
-func (c *Collector) Makespan() float64 { return c.makespan }
-
-// TasksDone returns the number of completed tasks.
-func (c *Collector) TasksDone() int64 { return c.tasksDone }
-
-// Throughput returns completed tasks per second of makespan (the paper's
-// headline metric), or 0 when no makespan was recorded.
-func (c *Collector) Throughput() float64 {
-	if c.makespan <= 0 {
+// Makespan returns the run's total execution time: the finish of its last
+// completion, 0 for a run with none.
+func (r *Record) Makespan() float64 {
+	if len(r.done) == 0 {
 		return 0
 	}
-	return float64(c.tasksDone) / c.makespan
+	return r.done[len(r.done)-1].Finish
 }
 
-// CoreBusy returns the per-core accumulated kernel work time in seconds
-// (excluding runtime activity and idleness, like the paper's Figure 6).
-func (c *Collector) CoreBusy() []float64 {
-	return append([]float64(nil), c.coreBusy...)
+// TasksDone returns the number of completed tasks.
+func (r *Record) TasksDone() int64 { return int64(len(r.done)) }
+
+// Throughput returns completed tasks per second of makespan (the paper's
+// headline metric), or 0 when the makespan is 0.
+func (r *Record) Throughput() float64 {
+	if m := r.Makespan(); m > 0 {
+		return float64(r.TasksDone()) / m
+	}
+	return 0
+}
+
+// CoreBusy returns the per-core kernel work time in seconds (excluding
+// runtime activity and idleness, like the paper's Figure 6): each
+// completion's span added to every member core, in completion order.
+func (r *Record) CoreBusy() []float64 {
+	busy := make([]float64, r.topo.NumCores())
+	places := r.topo.Places()
+	for _, c := range r.done {
+		pl, span := places[c.Place], c.Finish-c.Start
+		for i := 0; i < pl.Width; i++ {
+			busy[pl.Leader+i] += span
+		}
+	}
+	return busy
 }
 
 // PlaceShare describes one execution place's share of task executions.
@@ -404,18 +345,23 @@ type PlaceShare struct {
 // execution places in ComparePlaceShares order. Fractions sum to 1 when any
 // were recorded. The result is one allocation of exactly its length: a cached
 // cell keeps it, and a run touches only some of its platform's places.
-func (c *Collector) PlaceHistogram() []PlaceShare {
+func (r *Record) PlaceHistogram() []PlaceShare {
+	counts := r.counts
 	nz, total := 0, int64(0)
-	for _, n := range c.placeHigh {
-		if n != 0 {
-			nz, total = nz+1, total+n
+	for _, c := range r.done {
+		if r.fz.High(int(c.Task)) {
+			if counts[c.Place]++; counts[c.Place] == 1 {
+				nz++
+			}
+			total++
 		}
 	}
 	out := make([]PlaceShare, 0, nz)
-	places := c.topo.Places()
-	for id, n := range c.placeHigh {
+	places := r.topo.Places()
+	for id, n := range counts {
 		if n != 0 {
-			out = append(out, PlaceShare{Place: places[id], Count: n, Frac: float64(n) / float64(total)})
+			out = append(out, PlaceShare{Place: places[id], Count: int64(n), Frac: float64(n) / float64(total)})
+			counts[id] = 0
 		}
 	}
 	slices.SortFunc(out, ComparePlaceShares)
@@ -428,19 +374,68 @@ func ComparePlaceShares(a, b PlaceShare) int {
 	return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(a.Place.Leader, b.Place.Leader), cmp.Compare(a.Place.Width, b.Place.Width))
 }
 
-// IterStats returns the per-iteration statistics ordered by iteration, each
-// with its place counts sorted by placeID. It encodes them into the
-// collector's scratch and copies that out at its exact size, so two readouts
-// of one run are equal and a readout pays one allocation, whatever its
-// iteration count.
-func (c *Collector) IterStats() Iters {
-	out := Iters{b: c.scratch[:0]}
-	for _, st := range c.byIter {
-		if st != nil {
-			out.Append(IterStat{Iter: st.iter, Tasks: st.tasks, Start: st.start, End: st.end}, st.places)
+// IterStats returns the per-iteration statistics ordered by iteration (tasks
+// with Iter < 0 are in none), each with its place counts sorted by placeID.
+// A stable counting sort by iteration keeps completion order within each. It
+// encodes into the record's scratch and copies that out at its exact size:
+// one allocation, whatever the iteration count.
+func (r *Record) IterStats() Iters {
+	// iterEnd[it+1] counts iteration it's completions; after the prefix sum,
+	// placing each completion moves iterEnd[it] from its start to its end.
+	iterEnd := r.iterEnd[:0]
+	for _, c := range r.done {
+		if it := r.fz.Task(int(c.Task)).Iter; it >= 0 {
+			for len(iterEnd) <= it+1 {
+				iterEnd = append(iterEnd, 0)
+			}
+			iterEnd[it+1]++
 		}
 	}
-	c.scratch = out.b
+	for it := 1; it < len(iterEnd); it++ {
+		iterEnd[it] += iterEnd[it-1]
+	}
+	r.order = slices.Grow(r.order[:0], len(r.done))
+	order := r.order[:len(r.done)]
+	for k, c := range r.done {
+		if it := r.fz.Task(int(c.Task)).Iter; it >= 0 {
+			order[iterEnd[it]] = int32(k)
+			iterEnd[it]++
+		}
+	}
+	counts := r.counts
+	out := Iters{b: r.enc[:0]}
+	from := int32(0)
+	for it := 0; it+1 < len(iterEnd); it++ {
+		seg := order[from:iterEnd[it]]
+		from = iterEnd[it]
+		if len(seg) == 0 {
+			continue
+		}
+		first := r.done[seg[0]]
+		st := IterStat{Iter: it, Tasks: int64(len(seg)), Start: first.Start, End: first.Finish}
+		pairs := r.pairs[:0] // counts[place] is its pair's index + 1
+		for _, k := range seg {
+			c := r.done[k]
+			if c.Start < st.Start {
+				st.Start = c.Start
+			}
+			if c.Finish > st.End {
+				st.End = c.Finish
+			}
+			if counts[c.Place] == 0 {
+				pairs = append(pairs, PlaceCount{ID: c.Place})
+				counts[c.Place] = int32(len(pairs))
+			}
+			pairs[counts[c.Place]-1].N++
+		}
+		slices.SortFunc(pairs, func(a, b PlaceCount) int { return cmp.Compare(a.ID, b.ID) })
+		for _, pc := range pairs {
+			counts[pc.ID] = 0
+		}
+		out.Append(st, pairs)
+		r.pairs = pairs
+	}
+	r.iterEnd, r.enc = iterEnd, out.b
 	out.b = exact(out.b)
 	return out
 }

@@ -8,13 +8,42 @@ import (
 	"slices"
 	"testing"
 
+	"dynasym/internal/dag"
 	"dynasym/internal/topology"
 )
 
-// taskDone records an execution the way the runtime does: place id resolved
-// by the caller.
-func taskDone(c *Collector, pl topology.Place, high bool, iter int, start, finish float64) {
-	c.TaskDoneID(c.topo.PlaceID(pl), pl, high, iter, start, finish)
+// recorder builds a completion record the way a runtime does: each taskDone
+// adds a task with the given priority and iteration to a graph, and its
+// completion on place pl, in order, to the record's entries.
+type recorder struct {
+	topo *topology.Platform
+	g    *dag.Graph
+	done []Completion
+}
+
+func newRecorder(topo *topology.Platform) *recorder {
+	return &recorder{topo: topo, g: dag.New()}
+}
+
+func (rc *recorder) taskDone(pl topology.Place, high bool, iter int, start, finish float64) {
+	task := rc.g.Add(dag.Task{Label: "t", High: high, Iter: iter})
+	rc.done = append(rc.done, Completion{Place: int32(rc.topo.PlaceID(pl)), Task: task, Start: start, Finish: finish})
+}
+
+// record freezes the graph and appends the completions to a Record sized at
+// their count, as a runtime's Start and completions do.
+func (rc *recorder) record(t testing.TB) *Record {
+	t.Helper()
+	fz, err := rc.g.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Record{}
+	r.Reset(rc.topo, fz, len(rc.done))
+	for _, c := range rc.done {
+		r.Add(c)
+	}
+	return r
 }
 
 // unpack reads it through a cursor: the iterations in order and each one's
@@ -32,20 +61,14 @@ func unpack(it Iters) (stats []IterStat, places [][]PlaceCount) {
 	return stats, places
 }
 
-// newCollector is an empty collector for topo: a Reset of the zero
-// Collector, as a runtime's embedded one starts.
-func newCollector(topo *topology.Platform) *Collector {
-	c := &Collector{}
-	c.Reset(topo)
-	return c
-}
-
+// The makespan is the last completion's finish, and throughput the task
+// count over it.
 func TestThroughputAndMakespan(t *testing.T) {
-	c := newCollector(topology.TX2())
+	rc := newRecorder(topology.TX2())
 	for i := 0; i < 10; i++ {
-		taskDone(c, topology.Place{Leader: 0, Width: 1}, false, -1, float64(i), float64(i)+0.5)
+		rc.taskDone(topology.Place{Leader: 0, Width: 1}, false, -1, float64(i)+0.5, float64(i)+1)
 	}
-	c.SetMakespan(10)
+	c := rc.record(t)
 	if c.TasksDone() != 10 {
 		t.Fatalf("tasks = %d", c.TasksDone())
 	}
@@ -58,9 +81,9 @@ func TestThroughputAndMakespan(t *testing.T) {
 }
 
 func TestCoreBusyAccumulatesPerMember(t *testing.T) {
-	c := newCollector(topology.TX2())
-	taskDone(c, topology.Place{Leader: 2, Width: 4}, false, -1, 0, 2)
-	busy := c.CoreBusy()
+	rc := newRecorder(topology.TX2())
+	rc.taskDone(topology.Place{Leader: 2, Width: 4}, false, -1, 0, 2)
+	busy := rc.record(t).CoreBusy()
 	for core := 2; core <= 5; core++ {
 		if busy[core] != 2 {
 			t.Fatalf("core %d busy %g, want 2", core, busy[core])
@@ -74,16 +97,17 @@ func TestCoreBusyAccumulatesPerMember(t *testing.T) {
 // TestPlaceHistogram: the histogram counts high-priority tasks only, orders
 // them by count then place, and holds exactly its entries.
 func TestPlaceHistogram(t *testing.T) {
-	c := newCollector(topology.TX2())
+	rc := newRecorder(topology.TX2())
 	hi := topology.Place{Leader: 1, Width: 1}
 	wide := topology.Place{Leader: 2, Width: 2}
 	lo := topology.Place{Leader: 0, Width: 1}
 	for i := 0; i < 3; i++ {
-		taskDone(c, hi, true, -1, 0, 1)
+		rc.taskDone(hi, true, -1, 0, 1)
 	}
-	taskDone(c, wide, true, -1, 0, 1)
-	taskDone(c, lo, false, -1, 0, 1)
-	taskDone(c, lo, false, -1, 0, 1)
+	rc.taskDone(wide, true, -1, 0, 1)
+	rc.taskDone(lo, false, -1, 0, 1)
+	rc.taskDone(lo, false, -1, 0, 1)
+	c := rc.record(t)
 	high := c.PlaceHistogram()
 	want := []PlaceShare{{Place: hi, Count: 3, Frac: 0.75}, {Place: wide, Count: 1, Frac: 0.25}}
 	if !slices.Equal(high, want) {
@@ -92,7 +116,10 @@ func TestPlaceHistogram(t *testing.T) {
 	if cap(high) != len(high) {
 		t.Fatalf("the histogram holds %d slots for %d entries", cap(high), len(high))
 	}
-	if empty := newCollector(topology.TX2()).PlaceHistogram(); len(empty) != 0 {
+	if again := c.PlaceHistogram(); !slices.Equal(again, want) {
+		t.Fatalf("a second readout = %+v, want %+v", again, want)
+	}
+	if empty := newRecorder(topology.TX2()).record(t).PlaceHistogram(); len(empty) != 0 {
 		t.Fatalf("a run without high-priority tasks has histogram %+v", empty)
 	}
 }
@@ -100,13 +127,14 @@ func TestPlaceHistogram(t *testing.T) {
 // TestPlaceHistogramAllocs: a readout on a 32-core platform is its one
 // exact-size result (it was four: the result plus sort.Slice's three).
 func TestPlaceHistogramAllocs(t *testing.T) {
-	c := newCollector(topology.ScaleOut(4, 8))
-	places := c.topo.Places()
+	rc := newRecorder(topology.ScaleOut(4, 8))
+	places := rc.topo.Places()
 	for id := 0; id < len(places); id += 2 {
 		for range id%5 + 1 {
-			c.TaskDoneID(id, places[id], true, -1, 0, 1)
+			rc.taskDone(places[id], true, -1, 0, 1)
 		}
 	}
+	c := rc.record(t)
 	var h []PlaceShare
 	allocs := testing.AllocsPerRun(20, func() { h = c.PlaceHistogram() })
 	if want := (len(places) + 1) / 2; len(h) != want || !slices.IsSortedFunc(h, ComparePlaceShares) {
@@ -129,18 +157,18 @@ func count(pairs []PlaceCount, pl topology.Place, topo *topology.Platform) int32
 }
 
 func TestIterStats(t *testing.T) {
-	c := newCollector(topology.TX2())
-	taskDone(c, topology.Place{Leader: 0, Width: 1}, false, 1, 2.0, 2.5)
-	taskDone(c, topology.Place{Leader: 1, Width: 1}, false, 1, 1.5, 2.2)
-	taskDone(c, topology.Place{Leader: 0, Width: 1}, false, 0, 0.0, 1.0)
-	st, places := unpack(c.IterStats())
+	rc := newRecorder(topology.TX2())
+	rc.taskDone(topology.Place{Leader: 0, Width: 1}, false, 1, 2.0, 2.5)
+	rc.taskDone(topology.Place{Leader: 1, Width: 1}, false, 1, 1.5, 2.2)
+	rc.taskDone(topology.Place{Leader: 0, Width: 1}, false, 0, 0.0, 1.0)
+	st, places := unpack(rc.record(t).IterStats())
 	if len(st) != 2 || st[0].Iter != 0 || st[1].Iter != 1 {
 		t.Fatalf("iters = %+v", st)
 	}
 	if st[1].Start != 1.5 || st[1].End != 2.5 || st[1].Tasks != 2 {
 		t.Fatalf("iter 1 = %+v", st[1])
 	}
-	if count(places[1], topology.Place{Leader: 0, Width: 1}, c.topo) != 1 {
+	if count(places[1], topology.Place{Leader: 0, Width: 1}, rc.topo) != 1 {
 		t.Fatal("iter place counts wrong")
 	}
 }
@@ -149,15 +177,15 @@ func TestIterStats(t *testing.T) {
 // were first used in, all in one encoding of exactly its length whose counts
 // match what the cursor reads.
 func TestIterStatsPlacesSortedSharedBacking(t *testing.T) {
-	c := newCollector(topology.TX2())
-	topo := c.topo
+	rc := newRecorder(topology.TX2())
+	topo := rc.topo
 	wide, lead2, lead0 := topology.Place{Leader: 2, Width: 4}, topology.Place{Leader: 2, Width: 1}, topology.Place{Leader: 0, Width: 1}
 	for _, pl := range []topology.Place{wide, lead0, lead2, wide} { // iteration 0: highest id first
-		taskDone(c, pl, false, 0, 0, 1)
+		rc.taskDone(pl, false, 0, 0, 1)
 	}
-	taskDone(c, lead2, false, 1, 1, 2)
-	taskDone(c, lead0, false, 1, 1, 2)
-	it := c.IterStats()
+	rc.taskDone(lead2, false, 1, 1, 2)
+	rc.taskDone(lead0, false, 1, 1, 2)
+	it := rc.record(t).IterStats()
 	stats, places := unpack(it)
 	if n, pairs := it.Counts(); len(stats) != 2 || n != 2 || pairs != 5 {
 		t.Fatalf("iters = %+v, counts %d/%d", stats, n, pairs)
@@ -176,15 +204,16 @@ func TestIterStatsPlacesSortedSharedBacking(t *testing.T) {
 }
 
 // The readout is one allocation per run — the exact-size copy of the
-// collector's scratch — however many iterations the run had (it was a map
-// per iteration, 35 % of a cold synthetic cell's allocations).
+// record's scratch — however many iterations the run had (it was a map per
+// iteration, 35 % of a cold synthetic cell's allocations).
 func TestIterStatsAllocs(t *testing.T) {
-	c := newCollector(topology.TX2())
+	rc := newRecorder(topology.TX2())
 	for iter := 0; iter < 40; iter++ {
 		for core := 0; core < 6; core++ {
-			taskDone(c, topology.Place{Leader: core, Width: 1}, false, iter, float64(iter), float64(iter)+1)
+			rc.taskDone(topology.Place{Leader: core, Width: 1}, false, iter, float64(iter), float64(iter)+1)
 		}
 	}
+	c := rc.record(t)
 	var it Iters
 	allocs := testing.AllocsPerRun(20, func() { it = c.IterStats() })
 	if stats, places := unpack(it); len(stats) != 40 || len(places[39]) != 6 {
@@ -474,7 +503,7 @@ func TestItersJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte("null"), &back); err != nil || !reflect.DeepEqual(back, Iters{}) {
 		t.Fatalf("null decodes to %+v (%v), want the zero value", back, err)
 	}
-	empty := newCollector(topology.TX2()).IterStats()
+	empty := newRecorder(topology.TX2()).record(t).IterStats()
 	for what, v := range map[string]Iters{"an empty readout": empty, "a decoded []": {}} {
 		if what == "a decoded []" {
 			if err := json.Unmarshal([]byte("[]"), &v); err != nil {
@@ -497,31 +526,33 @@ func TestItersJSON(t *testing.T) {
 }
 
 func TestNegativeIterIgnored(t *testing.T) {
-	c := newCollector(topology.TX2())
-	taskDone(c, topology.Place{Leader: 0, Width: 1}, false, -1, 0, 1)
-	if n, _ := c.IterStats().Counts(); n != 0 {
+	rc := newRecorder(topology.TX2())
+	rc.taskDone(topology.Place{Leader: 0, Width: 1}, false, -1, 0, 1)
+	if n, _ := rc.record(t).IterStats().Counts(); n != 0 {
 		t.Fatal("iter -1 recorded")
 	}
 }
 
 func TestZeroMakespanThroughput(t *testing.T) {
-	c := newCollector(topology.TX2())
-	if c.Throughput() != 0 {
+	c := newRecorder(topology.TX2()).record(t)
+	if c.Throughput() != 0 || c.Makespan() != 0 {
 		t.Fatal("throughput without makespan should be 0")
 	}
 }
 
-// Iteration tags index one dense slice. A 1 M-layer synthetic cell tags
-// its tasks up to about 2^20; readout follows the tags, not arrival order.
+// Iteration tags index one dense counting sort. A 1 M-layer synthetic cell
+// tags its tasks up to about 2^20; readout follows the tags, not arrival
+// order.
 func TestDenseIterIndex(t *testing.T) {
-	c := newCollector(topology.TX2())
+	rc := newRecorder(topology.TX2())
 	high := 1 << 20
-	taskDone(c, topology.Place{Leader: 0, Width: 1}, false, 2, 0.0, 1.0)
-	taskDone(c, topology.Place{Leader: 0, Width: 1}, false, high, 1.0, 2.0)
-	taskDone(c, topology.Place{Leader: 1, Width: 1}, false, high, 1.5, 2.5)
+	rc.taskDone(topology.Place{Leader: 0, Width: 1}, false, 2, 0.0, 1.0)
+	rc.taskDone(topology.Place{Leader: 0, Width: 1}, false, high, 1.0, 2.0)
+	rc.taskDone(topology.Place{Leader: 1, Width: 1}, false, high, 1.5, 2.5)
 	for _, later := range []int{high + 3, high + 1, high + 2} {
-		taskDone(c, topology.Place{Leader: 0, Width: 1}, false, later, 3.0, 4.0)
+		rc.taskDone(topology.Place{Leader: 0, Width: 1}, false, later, 3.0, 4.0)
 	}
+	c := rc.record(t)
 	it := c.IterStats()
 	st, places := unpack(it)
 	if len(st) != 5 || st[0].Iter != 2 || st[1].Iter != high ||
@@ -531,13 +562,34 @@ func TestDenseIterIndex(t *testing.T) {
 	if st[1].Tasks != 2 || st[1].Start != 1.0 || st[1].End != 2.5 || len(places[1]) != 2 {
 		t.Fatalf("iter %d = %+v, places %+v", high, st[1], places[1])
 	}
-	if len(c.byIter) != high+4 {
-		t.Fatalf("dense index holds %d entries, want %d", len(c.byIter), high+4)
+	if len(c.iterEnd) != high+5 {
+		t.Fatalf("dense index holds %d entries, want %d", len(c.iterEnd), high+5)
 	}
 	// Every readout of the run is the same value, byte for byte.
 	for range 20 {
 		if again := c.IterStats(); !reflect.DeepEqual(again, it) {
 			t.Fatalf("a second readout differs:\n %+v\n %+v", again, it)
 		}
+	}
+}
+
+// A record keeps its storage across runs up to keepEntries entries; a larger
+// run's record is its own, and the next Reset releases it.
+func TestRecordResetKeepsBoundedStorage(t *testing.T) {
+	topo := topology.TX2()
+	var r Record
+	r.Reset(topo, nil, 100)
+	kept := cap(r.Completions())
+	r.Reset(topo, nil, 50)
+	if c := cap(r.Completions()); c != kept || kept != 100 {
+		t.Fatalf("a smaller run got cap %d, want the kept %d (100)", c, kept)
+	}
+	r.Reset(topo, nil, keepEntries+1)
+	if c := cap(r.Completions()); c != keepEntries+1 {
+		t.Fatalf("an oversized run got cap %d, want %d", c, keepEntries+1)
+	}
+	r.Reset(topo, nil, 0)
+	if c := cap(r.Completions()); c != 0 {
+		t.Fatalf("Reset kept %d entries of an oversized record, want 0", c)
 	}
 }

@@ -58,3 +58,31 @@ func BenchmarkUncompiledCellRun(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkColdGridJob is the in-process form of the `cold-grid` bench
+// workload's job: per iteration, the scaleout-32 family at scale 0.05 with a
+// fresh seed (500 000 + i), planned and its 8 cells run on one reused
+// CellState. Nothing is cached, so a profile of it is where a cold job's
+// CPU goes without the daemon, HTTP or GC tuning (EXPERIMENTS.md, "Where a
+// cold-grid job's CPU goes, in process").
+func BenchmarkColdGridJob(b *testing.B) {
+	f, ok := Lookup("scaleout-32")
+	if !ok {
+		b.Fatal("no scaleout-32 family")
+	}
+	st := NewCellState()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		spec := f.Spec(0.05)
+		spec.Seed = 500_000 + uint64(i)
+		p, err := NewPlan(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range p.Cells {
+			if _, err := p.RunCellState(st, c); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -6,11 +6,12 @@ package simrt
 // draws no randomness, schedules no events, and reads virtual time only at
 // boundaries the runtime already crossed, so a probed run is bit-identical
 // to an unprobed one (the fingerprint gates in internal/scenario prove it
-// per policy × workload kind). Its record of execution is one task slice
-// per finished assembly with the PTT's prediction for it, one queue sample
-// per queue-state transition, and the victim→thief steal counts. At run
-// completion it derives a metrics.Sched aggregate from them (read through
-// Sched), and after the run Schedule renders the record as a trace.Schedule.
+// per policy × workload kind). Its records are the PTT's prediction for
+// each entry of the runtime's completion record (metrics.Record), one queue
+// sample per queue-state transition, and the victim→thief steal counts. At
+// run completion it derives a metrics.Sched aggregate from them and the
+// completion record (read through Sched), and after the run Schedule
+// renders them as a trace.Schedule.
 //
 // A nil probe is the default and costs one pointer check per hook site;
 // the alloc gates in alloc_test.go hold the disabled hot path at zero
@@ -36,16 +37,13 @@ type queueSample struct {
 // Config.Probe; New/Reset size it to the platform. Not safe for concurrent
 // use — it observes a single runtime on the engine's goroutine.
 type Probe struct {
-	cores int
+	rt *Runtime // the runtime observed: its completion record is the slices
 	// sched is the aggregate the run flushed (nil until it finishes).
 	sched *metrics.Sched
 
-	// slices holds one task slice per finished assembly, on its leader's
-	// lane, in completion order; Schedule expands each to its members.
-	// predicted[i] is the PTT's estimate for slices[i]'s place before the
-	// completion updated it, or 0 when there is none. Every PTT number the
-	// probe reports is a view of the two.
-	slices    []trace.Event
+	// predicted[i] is the PTT's estimate for the place of the completion
+	// record's entry i before that completion updated it, or 0 when there
+	// is none. Every PTT number the probe reports is a view of the two.
 	predicted []float64
 	// stealLow/stealHigh are cores×cores victim-major steal counts.
 	stealLow  []int64
@@ -61,11 +59,10 @@ type Probe struct {
 // NewProbe returns an empty probe; attaching it to a runtime sizes it.
 func NewProbe() *Probe { return &Probe{} }
 
-// reset clears the probe for a run on n cores, reusing its storage.
-func (p *Probe) reset(n int) {
-	p.cores = n
-	p.sched = nil
-	p.slices = p.slices[:0]
+// reset clears the probe for a run of rt, reusing its storage.
+func (p *Probe) reset(rt *Runtime) {
+	n := len(rt.cores)
+	p.rt, p.sched = rt, nil
 	p.predicted = p.predicted[:0]
 	p.stealLow = resizeZeroI(p.stealLow, n*n)
 	p.stealHigh = resizeZeroI(p.stealHigh, n*n)
@@ -87,7 +84,7 @@ func resizeZeroI(sl []int64, n int) []int64 {
 // stole records one successful steal in the victim→thief matrix cell for
 // the task's priority class.
 func (p *Probe) stole(victim, thief int, high bool) {
-	i := victim*p.cores + thief
+	i := victim*len(p.rt.cores) + thief
 	if high {
 		p.stealHigh[i]++
 	} else {
@@ -104,26 +101,23 @@ func (p *Probe) queueDelta(at float64, dReady, dCommitted int) {
 	p.samples = append(p.samples, queueSample{At: at, Ready: int32(p.ready), Committed: int32(p.committed)})
 }
 
-// completed records one finished assembly: its slice, and the estimate of
-// the policy's PTT, tbl (nil for a policy without one), for its place.
-func (p *Probe) completed(label string, a *assembly, finish float64, tbl *ptt.Table) {
-	pl := a.place
-	p.slices = append(p.slices, trace.Event{Label: label, Core: pl.Leader, Start: a.start, End: finish,
-		Leader: pl.Leader, Width: pl.Width, High: a.tref&1 != 0})
+// completed records the estimate of the policy's PTT, tbl (nil for a policy
+// without one), for the place of the completion just recorded.
+func (p *Probe) completed(placeID int32, tbl *ptt.Table) {
 	// The table's estimate before this observation folds in is the
 	// prediction the dispatch decision would have seen.
 	predicted := 0.0
 	if tbl != nil {
-		predicted = tbl.ValueByID(int(a.placeID))
+		predicted = tbl.ValueByID(int(placeID))
 	}
 	p.predicted = append(p.predicted, predicted)
 }
 
-// pttErr returns slice i's relative PTT error |predicted−actual|/actual,
-// and false when the table made no prediction for it (no PTT, a place not
-// yet measured) or the slice has no length.
-func (p *Probe) pttErr(i int) (float64, bool) {
-	predicted, actual := p.predicted[i], p.slices[i].End-p.slices[i].Start
+// pttErr returns completion i's relative PTT error
+// |predicted−actual|/actual, and false when the table made no prediction for
+// it (no PTT, a place not yet measured) or the completion has no length.
+func (p *Probe) pttErr(done []metrics.Completion, i int) (float64, bool) {
+	predicted, actual := p.predicted[i], done[i].Finish-done[i].Start
 	if actual <= 0 || predicted <= 0 {
 		return 0, false
 	}
@@ -136,17 +130,17 @@ func (p *Probe) pttErr(i int) (float64, bool) {
 func (p *Probe) Sched() *metrics.Sched { return p.sched }
 
 // flush derives the run's mergeable Sched aggregate at its completion:
-// busy is the collector's per-core kernel time; the dispatch and steal
-// windows are the cores' dispatch and successful-steal counts times their
-// fixed costs; idle is the residual of the makespan after all three. The
-// queue numbers come from one pass over the queue record.
-func (p *Probe) flush(coll *metrics.Collector, makespan float64, cores []*coreState) {
-	busy := coll.CoreBusy()
+// busy is the completion record's per-core kernel time; the dispatch and
+// steal windows are the cores' dispatch and successful-steal counts times
+// their fixed costs; idle is the residual of the makespan after all three.
+// The queue numbers come from one pass over the queue record.
+func (p *Probe) flush(makespan float64) {
+	busy, done, nc := p.rt.coll.CoreBusy(), p.rt.coll.Completions(), len(p.rt.cores)
 	s := &metrics.Sched{
 		Busy:         busy,
-		Dispatch:     make([]float64, p.cores),
-		Steal:        make([]float64, p.cores),
-		Idle:         make([]float64, p.cores),
+		Dispatch:     make([]float64, nc),
+		Steal:        make([]float64, nc),
+		Idle:         make([]float64, nc),
 		Span:         makespan,
 		QueueSamples: int64(len(p.samples)),
 	}
@@ -168,16 +162,16 @@ func (p *Probe) flush(coll *metrics.Collector, makespan float64, cores []*coreSt
 		s.ReadySec += float64(float64(last.Ready) * dt)
 		s.CommittedSec += float64(float64(last.Committed) * dt)
 	}
-	for i, c := range cores {
+	for i, c := range p.rt.cores {
 		s.Dispatch[i] = float64(c.dispatches) * dispatchCost
 		s.Steal[i] = float64(c.steals) * stealCost
 		if idle := makespan - busy[i] - s.Dispatch[i] - s.Steal[i]; idle > 0 {
 			s.Idle[i] = idle
 		}
 	}
-	for v := 0; v < p.cores; v++ {
-		for t := 0; t < p.cores; t++ {
-			lo, hi := p.stealLow[v*p.cores+t], p.stealHigh[v*p.cores+t]
+	for v := 0; v < nc; v++ {
+		for t := 0; t < nc; t++ {
+			lo, hi := p.stealLow[v*nc+t], p.stealHigh[v*nc+t]
 			if lo != 0 || hi != 0 {
 				s.StealMatrix = append(s.StealMatrix, metrics.StealEdge{Victim: v, Thief: t, Low: lo, High: hi})
 			}
@@ -186,13 +180,13 @@ func (p *Probe) flush(coll *metrics.Collector, makespan float64, cores []*coreSt
 	// Tail error: the run's last quarter of predictions, the "has the
 	// table converged" view the paper's Figure 5 narrative builds on.
 	var n int64
-	for i := range p.slices {
-		if _, ok := p.pttErr(i); ok {
+	for i := range done {
+		if _, ok := p.pttErr(done, i); ok {
 			n++
 		}
 	}
-	for i := range p.slices {
-		if e, ok := p.pttErr(i); ok {
+	for i := range done {
+		if e, ok := p.pttErr(done, i); ok {
 			if s.PTTSamples >= n-n/4 {
 				s.PTTTailSamples++
 				s.PTTTailErrSum += e
@@ -204,25 +198,30 @@ func (p *Probe) flush(coll *metrics.Collector, makespan float64, cores []*coreSt
 	p.sched = s
 }
 
-// Schedule returns what the probe recorded of the run as a trace: one task
-// slice per member core of every finished assembly, and the "queue depth"
-// (wsq/aq series) and "ready tasks" lanes interleaved per queue sample, then
-// the "ptt rel err" lane (one point per slice the PTT predicted), then the
-// "core util" lane derived over the makespan. The value is the caller's;
-// the probe keeps recording into its own storage.
+// Schedule returns the run as a trace: one task slice per member core of
+// every completion (label and priority from the frozen graph, cores from the
+// place table), the "queue depth" (wsq/aq series) and "ready tasks" lanes
+// interleaved per queue sample, the "ptt rel err" lane (one point per
+// completion the PTT predicted), and the "core util" lane derived over the
+// makespan. Call it before the runtime's next Reset. The value is the
+// caller's.
 func (p *Probe) Schedule() *trace.Schedule {
+	done, places := p.rt.coll.Completions(), p.rt.topo.Places()
 	n := 0
-	for _, ev := range p.slices {
-		n += ev.Width
+	for _, c := range done {
+		n += places[c.Place].Width
 	}
 	events := make([]trace.Event, 0, n)
-	for _, ev := range p.slices {
-		for i := 0; i < ev.Width; i++ {
-			ev.Core = ev.Leader + i
+	for _, c := range done {
+		pl, task := places[c.Place], int(c.Task)
+		ev := trace.Event{Label: p.rt.graph.Task(task).Label, Start: c.Start, End: c.Finish,
+			Leader: pl.Leader, Width: pl.Width, High: p.rt.graph.High(task)}
+		for i := 0; i < pl.Width; i++ {
+			ev.Core = pl.Leader + i
 			events = append(events, ev)
 		}
 	}
-	counters := make([]trace.CounterPoint, 0, 2*len(p.samples)+len(p.slices))
+	counters := make([]trace.CounterPoint, 0, 2*len(p.samples)+len(done))
 	for _, s := range p.samples {
 		counters = append(counters,
 			trace.CounterPoint{Name: "queue depth", At: s.At, Series: []trace.CounterValue{
@@ -233,9 +232,9 @@ func (p *Probe) Schedule() *trace.Schedule {
 				{Key: "ready", Value: float64(s.Ready)},
 			}})
 	}
-	for i := range p.slices {
-		if e, ok := p.pttErr(i); ok {
-			counters = append(counters, trace.CounterPoint{Name: "ptt rel err", At: p.slices[i].End, Series: []trace.CounterValue{
+	for i := range done {
+		if e, ok := p.pttErr(done, i); ok {
+			counters = append(counters, trace.CounterPoint{Name: "ptt rel err", At: done[i].Finish, Series: []trace.CounterValue{
 				{Key: "err", Value: e},
 			}})
 		}

@@ -21,8 +21,10 @@
 // Virtual time, stealing victims and measurement jitter are all
 // deterministic functions of the configuration seed.
 //
+// A run keeps one fact per finished assembly: its entry in the runtime's
+// completion record (metrics.Record), whose views are the run's statistics.
 // A run has one optional observer, Config.Probe (probe.go): the Sched
-// aggregate and the trace.Schedule of a run both come from its record.
+// aggregate and the trace.Schedule of a run both come from its records.
 //
 // # Event kinds
 //
@@ -191,8 +193,8 @@ type Runtime struct {
 	model    *machine.Model
 	policy   core.Policy
 	reg      ptt.Registry
-	coll     metrics.Collector
-	rr       uint64 // round-robin counter the fixed-asymmetry policies share
+	coll     metrics.Record // the run's completion record
+	rr       uint64         // round-robin counter the fixed-asymmetry policies share
 	cores    []*coreState
 	root     xrand.RNG
 	started  bool
@@ -287,7 +289,7 @@ func (rt *Runtime) buildCores() {
 
 // Reset puts the runtime in the state a run of cfg starts from, reusing its
 // allocations — core states, queue rings, the assembly pool, per-core RNGs,
-// the registry, the collector and (when privately owned) the engine.
+// the registry, the completion record and (when privately owned) the engine.
 // Scenario runners execute thousands of short cells back to back; rebuilding
 // the runtime per cell dominated their allocation profile.
 //
@@ -314,7 +316,7 @@ func (rt *Runtime) Reset(cfg Config) error {
 		rt.privEngine = true
 	}
 	rt.reg.Reset(cfg.Topo, cfg.Alpha)
-	rt.coll.Reset(cfg.Topo)
+	rt.coll.Reset(cfg.Topo, nil, 0)
 	sameShape := len(rt.cores) == cfg.Topo.NumCores()
 	rt.cfg = cfg
 	rt.topo = cfg.Topo
@@ -350,7 +352,7 @@ func (rt *Runtime) Reset(cfg Config) error {
 	rt.started = false
 	rt.finished = false
 	if cfg.Probe != nil {
-		cfg.Probe.reset(len(rt.cores))
+		cfg.Probe.reset(rt)
 	}
 	return nil
 }
@@ -423,17 +425,18 @@ func (rt *Runtime) findVictim(bm []uint64, start, self int) *coreState {
 // Engine returns the runtime's event engine.
 func (rt *Runtime) Engine() *sim.Engine { return rt.engine }
 
-// Collector returns the runtime's metrics collector.
-func (rt *Runtime) Collector() *metrics.Collector { return &rt.coll }
+// Collector returns the runtime's completion record, whose views are the
+// run's statistics. It is valid until the runtime's next Reset.
+func (rt *Runtime) Collector() *metrics.Record { return &rt.coll }
 
 // Finished reports whether the graph drained.
 func (rt *Runtime) Finished() bool { return rt.finished }
 
 // Run executes the graph to completion on a private engine — freezing a
-// graph nobody froze yet — and returns the collector. It fails if the
+// graph nobody froze yet — and returns the completion record. It fails if the
 // configuration shares an engine (use Start and drive the engine yourself)
 // or if execution stalls.
-func (rt *Runtime) Run(g *dag.Graph) (*metrics.Collector, error) {
+func (rt *Runtime) Run(g *dag.Graph) (*metrics.Record, error) {
 	fz, err := g.Snapshot(), error(nil)
 	if fz == nil {
 		fz, err = g.Freeze()
@@ -463,6 +466,7 @@ func (rt *Runtime) Start(fz *dag.Frozen) error {
 	rt.graph = fz
 	rt.pending = fz.AppendPending(rt.pending[:0])
 	rt.remaining = len(rt.pending)
+	rt.coll.Reset(rt.topo, fz, rt.remaining)
 	// The initially ready tasks are the zero counts, in insertion order.
 	ready := 0
 	for i, deps := range rt.pending {
@@ -476,9 +480,8 @@ func (rt *Runtime) Start(fz *dag.Frozen) error {
 	}
 	if rt.remaining == 0 {
 		rt.finished = true
-		rt.coll.SetMakespan(0)
 		if p := rt.cfg.Probe; p != nil {
-			p.flush(&rt.coll, 0, rt.cores)
+			p.flush(0)
 		}
 		return nil
 	}
@@ -747,20 +750,20 @@ func (rt *Runtime) Finish(x Execution, finish float64) {
 }
 
 // completeAssembly releases the members, updates the PTT with the leader's
-// observed span, records metrics, and wakes dependents. The dependency
-// bookkeeping runs over the snapshot's CSR and the run's own counts — no
-// per-completion allocation, and nothing written to the graph.
+// observed span, appends the completion to the record, and wakes dependents.
+// The dependency bookkeeping runs over the snapshot's CSR and the run's own
+// counts, and the record was sized at Start — no per-completion allocation,
+// and nothing written to the graph.
 func (rt *Runtime) completeAssembly(a *assembly, finish float64) {
 	fz, idx := rt.graph, int(a.tref>>1)
-	high := a.tref&1 != 0
+	rt.coll.Add(metrics.Completion{Place: a.placeID, Task: int32(idx), Start: a.start, Finish: finish})
 	tbl := rt.table(fz.Type(idx))
 	if p := rt.cfg.Probe; p != nil {
-		p.completed(fz.Task(idx).Label, a, finish, tbl)
+		p.completed(a.placeID, tbl)
 	}
 	if tbl != nil {
 		tbl.UpdateByID(int(a.placeID), finish-a.start)
 	}
-	rt.coll.TaskDoneID(int(a.placeID), a.place, high, fz.Task(idx).Iter, a.start, finish)
 	for i := 0; i < a.place.Width; i++ {
 		m := rt.cores[a.place.Leader+i]
 		if m.cur != a {
@@ -779,9 +782,8 @@ func (rt *Runtime) completeAssembly(a *assembly, finish float64) {
 	}
 	if rt.remaining--; rt.remaining == 0 {
 		rt.finished = true
-		rt.coll.SetMakespan(finish)
 		if p := rt.cfg.Probe; p != nil {
-			p.flush(&rt.coll, finish, rt.cores)
+			p.flush(finish)
 		}
 	}
 }

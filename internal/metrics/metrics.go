@@ -46,10 +46,10 @@ type Record struct {
 
 	// The views' scratch, kept across runs: counts has one entry per place,
 	// all zero between views; iterEnd and order hold IterStats' counting
-	// sort, pairs one iteration's places, enc its encoding.
-	counts, iterEnd, order []int32
-	pairs                  []PlaceCount
-	enc                    []byte
+	// sort, ids and pairs one iteration's places, enc its encoding.
+	counts, iterEnd, order, ids []int32
+	pairs                       []PlaceCount
+	enc                         []byte
 }
 
 // keepEntries bounds the record kept between runs, at 24 bytes an entry: a
@@ -413,7 +413,7 @@ func (r *Record) IterStats() Iters {
 		}
 		first := r.done[seg[0]]
 		st := IterStat{Iter: it, Tasks: int64(len(seg)), Start: first.Start, End: first.Finish}
-		pairs := r.pairs[:0] // counts[place] is its pair's index + 1
+		ids := r.ids[:0] // the places the iteration used
 		for _, k := range seg {
 			c := r.done[k]
 			if c.Start < st.Start {
@@ -422,18 +422,18 @@ func (r *Record) IterStats() Iters {
 			if c.Finish > st.End {
 				st.End = c.Finish
 			}
-			if counts[c.Place] == 0 {
-				pairs = append(pairs, PlaceCount{ID: c.Place})
-				counts[c.Place] = int32(len(pairs))
+			if counts[c.Place]++; counts[c.Place] == 1 {
+				ids = append(ids, c.Place)
 			}
-			pairs[counts[c.Place]-1].N++
 		}
-		slices.SortFunc(pairs, func(a, b PlaceCount) int { return cmp.Compare(a.ID, b.ID) })
-		for _, pc := range pairs {
-			counts[pc.ID] = 0
+		slices.Sort(ids)
+		pairs := r.pairs[:0]
+		for _, id := range ids {
+			pairs = append(pairs, PlaceCount{ID: id, N: counts[id]})
+			counts[id] = 0
 		}
 		out.Append(st, pairs)
-		r.pairs = pairs
+		r.ids, r.pairs = ids, pairs
 	}
 	r.iterEnd, r.enc = iterEnd, out.b
 	out.b = exact(out.b)

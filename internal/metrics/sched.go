@@ -168,23 +168,13 @@ func (s *Sched) WriteReport(w io.Writer) {
 	total := s.Span
 	fmt.Fprintf(w, "per-core time breakdown (virtual time, %d cores, span %.6fs):\n", len(s.Busy), s.Span)
 	fmt.Fprintf(w, "  %4s  %10s  %6s  %10s  %10s  %10s\n", "core", "busy", "util", "dispatch", "steal", "idle")
-	for i := range s.Busy {
-		var disp, steal, idle float64
-		if i < len(s.Dispatch) {
-			disp = s.Dispatch[i]
-		}
-		if i < len(s.Steal) {
-			steal = s.Steal[i]
-		}
-		if i < len(s.Idle) {
-			idle = s.Idle[i]
-		}
+	for i := range s.Busy { // Merge keeps the four per-core slices one length
 		util := 0.0
 		if total > 0 {
 			util = s.Busy[i] / total
 		}
 		fmt.Fprintf(w, "  %4d  %10.6f  %5.1f%%  %10.6f  %10.6f  %10.6f\n",
-			i, s.Busy[i], util*100, disp, steal, idle)
+			i, s.Busy[i], util*100, s.Dispatch[i], s.Steal[i], s.Idle[i])
 	}
 	fmt.Fprintf(w, "steal matrix (victim -> thief, %d steals", s.totalSteals())
 	if len(s.StealMatrix) == 0 {

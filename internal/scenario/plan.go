@@ -326,6 +326,16 @@ func (p *Plan) RunCellTrace(st *CellState, c CellJob) (RunMetrics, *trace.Schedu
 	return rm, probe.Schedule(), nil
 }
 
+// CellTasks returns how many tasks cell c's graph has, without building it:
+// an imported graph's node count, or the bound Validate reads off the config.
+func (p *Plan) CellTasks(c CellJob) float64 {
+	if w := p.Spec.Workload; w.Kind == DAGFile {
+		return float64(len(w.DAG.Nodes))
+	}
+	n, _ := resolve(p.Spec.Workload, p.Spec.Points[c.Point]).cellTasks()
+	return n
+}
+
 // checkCell rejects a cell whose coordinates fall outside the plan's grid.
 func (p *Plan) checkCell(c CellJob) error {
 	if c.Policy < 0 || c.Policy >= len(p.Spec.Policies) || c.Point < 0 || c.Point >= len(p.Spec.Points) {

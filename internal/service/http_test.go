@@ -223,6 +223,10 @@ func TestHTTPFamilySubmit(t *testing.T) {
 // cell asked dag.Graph.Grow for 2^33 tasks.
 const hugeCellBody = `{"spec":{"name":"x","platform":{"preset":"tx2"},"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":8589934592}},"policies":["RWS"],"seed":1}}`
 
+// bigTraceBody is a job of one cell one task above maxTracedTasks: it runs,
+// and its sim trace is refused.
+const bigTraceBody = `{"spec":{"name":"x","platform":{"preset":"tx2"},"workload":{"kind":"synthetic","synthetic":{"kernel":"Copy","tasks":32769,"parallelism":64}},"policies":["RWS"],"seed":1}}`
+
 // hugeJobBody is cells each within maxCellTasks, but too many of them: 17
 // repetitions of a 4 194 304-task cell.
 const hugeJobBody = `{"spec":{"name":"x","platform":{"preset":"tx2"},"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":4194304}},"policies":["RWS"],"reps":17,"seed":1}}`
@@ -305,7 +309,7 @@ var httpErrorBodies = map[string]struct {
 
 // TestHTTPErrors covers the 4xx surface.
 func TestHTTPErrors(t *testing.T) {
-	_, srv := newTestServer(t, Config{})
+	m, srv := newTestServer(t, Config{})
 	for name, tc := range httpErrorBodies {
 		_, code := postJob(t, srv.URL, tc.body)
 		if code != tc.want {
@@ -339,6 +343,19 @@ func TestHTTPErrors(t *testing.T) {
 				t.Errorf("%s: error %q does not name %q", body, msg, want)
 			}
 		}
+	}
+	// A sim trace of a cell above maxTracedTasks is refused, naming the
+	// limit, before the cell runs again.
+	big, code := postJob(t, srv.URL, bigTraceBody)
+	if code != http.StatusAccepted {
+		t.Fatalf("a job of one %d-task cell: status %d, want 202", maxTracedTasks+1, code)
+	}
+	code, msg := getBody(t, srv.URL+"/v1/jobs/"+big.ID+"/cells/0/simtrace")
+	if want := "a cell of at most MaxTracedTasks (32768)"; code != http.StatusBadRequest || !strings.Contains(string(msg), want) {
+		t.Errorf("over-cap simtrace: status %d, %q; want 400 naming %q", code, msg, want)
+	}
+	if n := m.mx.simtraceRenders.Value(); n != 0 {
+		t.Errorf("the refused simtrace rendered %d traces, want 0", n)
 	}
 	if code := getJSON(t, srv.URL+"/v1/jobs/deadbeef", nil); code != http.StatusNotFound {
 		t.Errorf("unknown job: status %d, want 404", code)

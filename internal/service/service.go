@@ -567,6 +567,12 @@ func (m *Manager) jobTrace(hash string) (*trace.SpanSet, bool) {
 // never submitted); the HTTP layer maps it to 404.
 var errUnknownJob = errors.New("unknown job (evicted or never submitted)")
 
+// maxTracedTasks caps the cell a sim-trace render re-executes for a client:
+// a render holds the schedule and its Chrome-trace bytes, which the render
+// cache keeps. At 32 768 tasks `dagsim -parallelism 8 -interfere dvfs
+// -trace` peaks at 99 MB of RSS for a 39 MB trace; every paper cell fits.
+const maxTracedTasks = 1 << 15
+
 // simTrace renders the sim-time schedule trace of one cell of a job as
 // Chrome-trace JSON: task slices plus queue-depth, ready-task, PTT-error
 // and per-core-utilization counter lanes. The cell is re-executed on the
@@ -592,6 +598,9 @@ func (m *Manager) simTrace(ctx context.Context, id string, cell int) ([]byte, er
 		return nil, fmt.Errorf("cell %d outside the %d-cell grid", cell, len(plan.Cells))
 	}
 	c := plan.Cells[cell]
+	if n := plan.CellTasks(c); n > maxTracedTasks {
+		return nil, fmt.Errorf("cell %d has up to %.0f tasks: a sim trace is rendered for a cell of at most MaxTracedTasks (%d)", cell, n, maxTracedTasks)
+	}
 	m.mu.Lock()
 	b, ok := m.simtraces.Get(c.Hash)
 	m.mu.Unlock()

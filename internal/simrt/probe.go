@@ -19,6 +19,7 @@ package simrt
 
 import (
 	"math"
+	"slices"
 
 	"dynasym/internal/metrics"
 	"dynasym/internal/ptt"
@@ -64,21 +65,12 @@ func (p *Probe) reset(rt *Runtime) {
 	n := len(rt.cores)
 	p.rt, p.sched = rt, nil
 	p.predicted = p.predicted[:0]
-	p.stealLow = resizeZeroI(p.stealLow, n*n)
-	p.stealHigh = resizeZeroI(p.stealHigh, n*n)
+	p.stealLow = slices.Grow(p.stealLow[:0], n*n)[:n*n]
+	p.stealHigh = slices.Grow(p.stealHigh[:0], n*n)[:n*n]
+	clear(p.stealLow)
+	clear(p.stealHigh)
 	p.ready, p.committed = 0, 0
 	p.samples = p.samples[:0]
-}
-
-func resizeZeroI(sl []int64, n int) []int64 {
-	if cap(sl) < n {
-		return make([]int64, n)
-	}
-	sl = sl[:n]
-	for i := range sl {
-		sl[i] = 0
-	}
-	return sl
 }
 
 // stole records one successful steal in the victim→thief matrix cell for

@@ -95,9 +95,8 @@ func (r *RNG) Intn(n int) int {
 	}
 }
 
-// Float64 returns a uniformly distributed float64 in [0, 1). The quotient
-// compiles to a product, and the outer conversion keeps a caller's add from
-// fusing with it on hosts that fuse multiply-adds (scripts/nofma.sh).
+// Float64 returns a uniformly distributed float64 in [0, 1). The conversion
+// keeps a caller's add from fusing with the quotient (scripts/nofma.sh).
 func (r *RNG) Float64() float64 {
 	return float64(float64(r.uint64()>>11) / (1 << 53))
 }

@@ -287,6 +287,14 @@ reject "cluster without mem_bandwidth" "$(spec x-bandwidth "$SYN" "" '{"clusters
 reject "family scale out of range" '{"family": "burst-sweep", "scale": -1}' 'family scale -1 outside (0, 1]'
 # A seed or scale beside a spec is refused, not dropped: they apply to family.
 reject "seed with spec" "{\"spec\": {\"workload\": $SYN, \"policies\": [\"RWS\"]}, \"seed\": 7}" '\"seed\" applies to family'
+# A sim trace of a cell above the traced-task cap is a 400 that names the
+# cap, before the cell runs again (the job itself runs).
+_reply="$(curl -sS -X POST -H 'Content-Type: application/json' -d "$(spec x-bigtrace '{"kind": "synthetic", "synthetic": {"kernel": "Copy", "tasks": 32769, "parallelism": 64}}')" "$BASE/v1/jobs")"
+_id="$(printf '%s' "$_reply" | sed -n 's/.*"id": *"\([0-9a-f]*\)".*/\1/p')"
+_body="$(curl -sS -w '\n%{http_code}' "$BASE/v1/jobs/$_id/cells/0/simtrace")"
+[ "$(printf '%s\n' "$_body" | tail -n 1)" = "400" ] && printf '%s' "$_body" | grep -qF 'MaxTracedTasks (32768)' \
+	|| { echo "over-cap simtrace: want a 400 naming MaxTracedTasks (32768), got: $_body"; exit 1; }
+echo "ok  reject over-cap simtrace"
 
 # Platforms.
 run_job "platform sym4" "$(spec p-sym4 "$SYN" "" '{"preset": "sym4"}')"

@@ -56,7 +56,7 @@ func main() {
 		share       = flag.Float64("share", 0.5, "victim core availability under co-run")
 		seed        = flag.Uint64("seed", 42, "random seed (runtime and generator structure)")
 		alpha       = flag.Float64("alpha", 0, "PTT new-sample weight (0 = paper's 1/5)")
-		traceOut    = flag.String("trace", "", "write a Chrome trace (chrome://tracing) of the schedule to this file; no task cap here (≈ 3 KB of memory a task), where asymd's simtrace endpoint refuses cells above 32768 tasks")
+		traceOut    = flag.String("trace", "", "write a Chrome trace (chrome://tracing) of the schedule to this file (no task cap: ≈ 3 KB of memory a task; asymd's simtrace refuses cells above 32768 tasks)")
 		explain     = flag.Bool("explain", false, "print a schedule report: per-core time breakdown, steal matrix, queue depths, PTT convergence")
 		progress    = flag.Bool("progress", false, "report cell progress on stderr while the run executes")
 		fingerprint = flag.Bool("fingerprint", false, "print the run's determinism fingerprint (Result.Fingerprint)")

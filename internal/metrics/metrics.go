@@ -67,7 +67,7 @@ func (r *Record) Reset(topo *topology.Platform, fz *dag.Frozen, tasks int) {
 	}
 	if c := cap(r.done); c < tasks || c > max(tasks, keepEntries) {
 		r.done = make([]Completion, 0, tasks)
-		r.order = nil
+		r.order, r.iterEnd = nil, nil
 	}
 	r.done = r.done[:0]
 }

@@ -310,7 +310,7 @@ func (d Disturbance) apply(m *machine.Model) {
 	}
 }
 
-// collectRun extracts RunMetrics from one runtime's collector.
+// collectRun extracts RunMetrics from the views of one runtime's record.
 func collectRun(rt *simrt.Runtime) RunMetrics {
 	coll := rt.Collector()
 	rm := RunMetrics{

@@ -18,7 +18,7 @@ import (
 
 // RunMetrics is the aggregated outcome of one repetition of one cell. For
 // distributed scenarios the per-core and per-place views concatenate and
-// merge the nodes' collectors.
+// merge the nodes' completion records.
 type RunMetrics struct {
 	// Seed is the runtime seed this repetition ran with.
 	Seed uint64
@@ -309,7 +309,7 @@ func (r *Result) appendFingerprint(b []byte) []byte {
 					b = appendInt(b, ":", st.Tasks)
 					b = appendBits(b, ":", st.Start)
 					b = append(appendBits(b, ":", st.End), ':')
-					// Places are ID-sorted by construction (Collector.IterStats).
+					// Places are ID-sorted by construction (Record.IterStats).
 					sep := ""
 					for c.Pairs() > 0 {
 						for _, pc := range c.Places() {

@@ -12,8 +12,8 @@ import (
 
 // TestCoreImportsNoSyncAndNoDeletedPackage guards the single-goroutine
 // contract at the source level. A runtime, its engine, trace tables and
-// collector all run on one goroutine, and the graph they execute is shared
-// only once frozen and immutable, so the packages holding them are plain
+// completion record all run on one goroutine, and the graph they execute is
+// shared only once frozen and immutable, so the packages holding them are plain
 // data — as are the workload builders and cost descriptors that feed them,
 // since tasks carry no executable payload; the moment one of them
 // imports sync or sync/atomic again, someone is sharing simulator state

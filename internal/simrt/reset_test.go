@@ -109,7 +109,7 @@ func TestResetAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm: a few full cycles grow the collector freelist and queue rings.
+	// Warm: a few full cycles grow the completion record and queue rings.
 	for i := 0; i < 3; i++ {
 		runOnce(t, rt)
 		if err := rt.Reset(cfg); err != nil {
@@ -128,8 +128,8 @@ func TestResetAllocs(t *testing.T) {
 	runOnce(t, rt)
 }
 
-// signature is everything a run's collector and counters hold that a test
-// can compare bit for bit.
+// signature is everything a run's completion record and counters hold that a
+// test can compare bit for bit.
 type signature struct {
 	Makespan float64
 	Busy     []float64

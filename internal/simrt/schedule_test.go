@@ -190,7 +190,7 @@ func TestScheduleValidity(t *testing.T) {
 					t.Fatal(err)
 				}
 				if int(coll.TasksDone()) != len(ge.labels) {
-					t.Errorf("collector counted %d tasks, graph has %d", coll.TasksDone(), len(ge.labels))
+					t.Errorf("the record counted %d tasks, graph has %d", coll.TasksDone(), len(ge.labels))
 				}
 				reportSchedule(t, checkSchedule(ge, probe.Schedule().Events, topo.NumCores(), coll.Makespan()))
 			})

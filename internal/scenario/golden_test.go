@@ -298,3 +298,63 @@ func TestResultFingerprintGoldenVectors(t *testing.T) {
 		})
 	}
 }
+
+// TestRunCellTraceGoldenBytes pins the SHA-256 of the Chrome trace
+// RunCellTrace writes for two small cells, one per trace shape: a generated
+// Cholesky graph under DVFS on the TX2 (the cells of `dagsim -gen cholesky
+// -tiles 8 -interfere dvfs`), and a 2 000-task synthetic graph under bursts
+// on a 16-core scale-out platform with sampled search, whose places are
+// wide (`dagsim -policy DAM-C~8 -platform scaleout-4x4 -interfere burst
+// -parallelism 8 -tasks 2000`). Slice order, counter lanes and every
+// rendered float are part of the bytes, so a change to how a trace is
+// written that is meant to keep it must leave these literals alone.
+func TestRunCellTraceGoldenBytes(t *testing.T) {
+	sampled, err := core.ByName("DAM-C~8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := map[string]Spec{
+		"cholesky-dvfs": {
+			Name:     "golden-trace-cholesky",
+			Platform: PlatformSpec{Preset: "tx2"},
+			Workload: WorkloadSpec{Kind: DAGGen, DAGGen: dagio.GenConfig{Model: dagio.ModelCholesky, Tiles: 8, Seed: 42}},
+			Disturb:  []Disturbance{PaperDVFS(0)},
+			Policies: []core.Policy{core.DAMC()},
+			Seed:     42,
+		},
+		"scaleout-burst": {
+			Name:     "golden-trace-scaleout",
+			Platform: PlatformSpec{Preset: "scaleout-4x4"},
+			Workload: WorkloadSpec{Kind: Synthetic, Synthetic: workloads.SyntheticConfig{
+				Kernel: workloads.MatMul, Tasks: 2000, Parallelism: 8,
+			}},
+			Disturb:  []Disturbance{{Kind: Burst, Cluster: 0, Share: 0.5, BusyDur: 1, IdleDur: 2, PhaseStep: 0.5}},
+			Policies: []core.Policy{sampled},
+			Seed:     42,
+		},
+	}
+	want := map[string]string{
+		"cholesky-dvfs":  "e609bc12ee0b7b2d5d5fd4b849611664dce02ce929c86088f90c281cafa13fd7",
+		"scaleout-burst": "3d97e57b4b054138aa45a118735430e11ccc8ad1f7e7985423619fc56f62044a",
+	}
+	for name, s := range specs {
+		plan, err := NewPlan(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.Cells) != 1 {
+			t.Fatalf("%s: %d cells, want 1", name, len(plan.Cells))
+		}
+		_, sched, err := plan.RunCellTrace(NewCellState(), plan.Cells[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		if err := sched.WriteChromeTrace(h); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[name] {
+			t.Errorf("%s: sha256(trace) = %s, want %s", name, got, want[name])
+		}
+	}
+}

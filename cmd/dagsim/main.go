@@ -27,13 +27,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"dynasym/internal/core"
 	"dynasym/internal/dagio"
 	"dynasym/internal/scenario"
-	"dynasym/internal/trace"
 	"dynasym/internal/workloads"
 )
 
@@ -56,7 +56,7 @@ func main() {
 		share       = flag.Float64("share", 0.5, "victim core availability under co-run")
 		seed        = flag.Uint64("seed", 42, "random seed (runtime and generator structure)")
 		alpha       = flag.Float64("alpha", 0, "PTT new-sample weight (0 = paper's 1/5)")
-		traceOut    = flag.String("trace", "", "write a Chrome trace (chrome://tracing) of the schedule to this file (no task cap: ≈ 3 KB of memory a task; asymd's simtrace refuses cells above 32768 tasks)")
+		traceOut    = flag.String("trace", "", "write a Chrome trace (chrome://tracing) of the schedule to this file (no task cap: written as the records are read; asymd's simtrace refuses cells above 32768 tasks)")
 		explain     = flag.Bool("explain", false, "print a schedule report: per-core time breakdown, steal matrix, queue depths, PTT convergence")
 		progress    = flag.Bool("progress", false, "report cell progress on stderr while the run executes")
 		fingerprint = flag.Bool("fingerprint", false, "print the run's determinism fingerprint (Result.Fingerprint)")
@@ -119,13 +119,23 @@ func main() {
 		}
 	}
 	var res *scenario.Result
-	var sched *trace.Schedule
+	slices := 0
 	if *traceOut != "" {
-		res, sched, err = runTraced(spec)
-	} else {
-		res, err = scenario.Run(spec)
-	}
-	if err != nil {
+		// The file is opened before the run, so a path that cannot be
+		// written fails at once; a run that fails leaves no partial file.
+		f, err := os.Create(*traceOut)
+		if err != nil {
+			fatal(err)
+		}
+		res, slices, err = runTraced(spec, f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			_ = os.Remove(*traceOut) // the run's error is the one to report
+			fatal(err)
+		}
+	} else if res, err = scenario.Run(spec); err != nil {
 		fatal(err)
 	}
 	run := res.Cells[0][0].Run()
@@ -156,38 +166,31 @@ func main() {
 		fmt.Printf("fingerprint: %s\n", res.Fingerprint())
 	}
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := sched.WriteChromeTrace(f); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("schedule trace (%d events) written to %s\n", len(sched.Events), *traceOut)
+		fmt.Printf("schedule trace (%d events) written to %s\n", slices, *traceOut)
 	}
 }
 
 // runTraced runs the spec's single cell with a probe (which records the
-// schedule and cannot change it) and assembles it into the Result
-// scenario.Run returns.
-func runTraced(spec scenario.Spec) (*scenario.Result, *trace.Schedule, error) {
+// schedule and cannot change it), writes its Chrome trace to w, and
+// assembles it into the Result scenario.Run returns, with the trace's count
+// of task slices.
+func runTraced(spec scenario.Spec, w io.Writer) (*scenario.Result, int, error) {
 	plan, err := scenario.NewPlan(spec)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	cell := plan.Cells[0]
 	if spec.Progress != nil {
 		spec.Progress(0, 1)
 	}
-	rm, sched, err := plan.RunCellTrace(scenario.NewCellState(), cell)
+	rm, slices, err := plan.RunCellTrace(scenario.NewCellState(), cell, w)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	if spec.Progress != nil {
 		spec.Progress(1, 1)
 	}
-	return plan.Assemble([]scenario.RunMetrics{rm}), sched, nil
+	return plan.Assemble([]scenario.RunMetrics{rm}), slices, nil
 }
 
 // workloadFlags carries the workload-selecting flag values.

@@ -69,14 +69,25 @@ func (c *Cache[V]) Add(key string, v V) int {
 	c.byKey[key] = c.order.PushFront(entry[V]{key: key, val: v})
 	evicted := 0
 	for c.order.Len() > c.cap {
-		back := c.order.Remove(c.order.Back()).(entry[V])
-		delete(c.byKey, back.key)
-		if c.OnDrop != nil {
-			c.OnDrop(back.val)
-		}
+		c.RemoveOldest()
 		evicted++
 	}
 	return evicted
+}
+
+// RemoveOldest drops the least recently used entry, if any, through
+// OnDrop: a cache bounded by a size of its own, not only by its count,
+// evicts with it.
+func (c *Cache[V]) RemoveOldest() {
+	back := c.order.Back()
+	if back == nil {
+		return
+	}
+	e := c.order.Remove(back).(entry[V])
+	delete(c.byKey, e.key)
+	if c.OnDrop != nil {
+		c.OnDrop(e.val)
+	}
 }
 
 // Len returns the number of entries.

@@ -111,7 +111,7 @@ func MustRun(s Spec) *Result {
 // the plan's shared per-node machine models and the point's compiled, frozen
 // per-node graphs, which every cell of the variant reads in place. probe,
 // when non-nil, observes the run: it records scheduler introspection into
-// RunMetrics.Sched and keeps the schedule Probe.Schedule renders. All of it
+// RunMetrics.Sched and keeps the records Probe.WriteChromeTrace reads. All of it
 // is pure mechanism — none of it changes the metrics, which carry the
 // cell's seed and leave sealed.
 func (p *Plan) runCell(c CellJob, st *CellState, probe *simrt.Probe) (RunMetrics, error) {

@@ -345,12 +345,8 @@ func TestRunCellTraceGoldenBytes(t *testing.T) {
 		if len(plan.Cells) != 1 {
 			t.Fatalf("%s: %d cells, want 1", name, len(plan.Cells))
 		}
-		_, sched, err := plan.RunCellTrace(NewCellState(), plan.Cells[0])
-		if err != nil {
-			t.Fatal(err)
-		}
 		h := sha256.New()
-		if err := sched.WriteChromeTrace(h); err != nil {
+		if _, _, err := plan.RunCellTrace(NewCellState(), plan.Cells[0], h); err != nil {
 			t.Fatal(err)
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != want[name] {

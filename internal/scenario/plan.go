@@ -25,6 +25,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"io"
 	"math"
 	"strconv"
 	"sync"
@@ -32,7 +33,6 @@ import (
 	"dynasym/internal/machine"
 	"dynasym/internal/simrt"
 	"dynasym/internal/topology"
-	"dynasym/internal/trace"
 )
 
 // CellJob identifies one cell of a plan's grid: indexes into the plan
@@ -304,26 +304,31 @@ func (p *Plan) RunCellState(st *CellState, c CellJob) (RunMetrics, error) {
 
 // RunCellTrace executes one cell on caller-owned scratch state, like
 // RunCellState, with the state's probe attached regardless of the plan
-// spec's Probe setting. Cells are pure functions of the plan and the cell
-// coordinates, so the returned schedule is exactly the one the cell's
-// canonical result came from — whether that result was originally computed
-// here, on a remote shard, or served from a cache. The schedule holds the
-// task slices plus queue-depth, ready-task, PTT-error and
-// per-core-utilization counter lanes (Probe.Schedule); the returned metrics
-// carry the probe's Sched aggregate (Probe.Sched).
-func (p *Plan) RunCellTrace(st *CellState, c CellJob) (RunMetrics, *trace.Schedule, error) {
+// spec's Probe setting, and writes the cell's schedule to w as a Chrome
+// trace. Cells are pure functions of the plan and the cell coordinates, so
+// the trace is exactly the schedule the cell's canonical result came from —
+// whether that result was originally computed here, on a remote shard, or
+// served from a cache. The trace holds the task slices plus queue-depth,
+// ready-task, PTT-error and per-core-utilization counter lanes
+// (Probe.WriteChromeTrace); the returned metrics carry the probe's Sched
+// aggregate (Probe.Sched), and the count is the trace's task slices.
+func (p *Plan) RunCellTrace(st *CellState, c CellJob, w io.Writer) (RunMetrics, int, error) {
 	if p.Spec.Workload.Kind == HeatDist {
-		return RunMetrics{}, nil, fmt.Errorf("scenario %q: sim tracing is not supported for distributed scenarios", p.Spec.Name)
+		return RunMetrics{}, 0, fmt.Errorf("scenario %q: sim tracing is not supported for distributed scenarios", p.Spec.Name)
 	}
 	if err := p.checkCell(c); err != nil {
-		return RunMetrics{}, nil, err
+		return RunMetrics{}, 0, err
 	}
 	probe := st.probeFor()
 	rm, err := p.runCell(c, st, probe)
 	if err != nil {
-		return RunMetrics{}, nil, err
+		return RunMetrics{}, 0, err
 	}
-	return rm, probe.Schedule(), nil
+	n, err := probe.WriteChromeTrace(w)
+	if err != nil {
+		return RunMetrics{}, 0, err
+	}
+	return rm, n, nil
 }
 
 // CellTasks returns how many tasks cell c's graph has, without building it:

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 
@@ -114,7 +116,8 @@ func TestRunCellTraceMatchesCanonicalRun(t *testing.T) {
 		if probed.Sched == nil || canonical.digest == ([32]byte{}) || probed.digest != canonical.digest {
 			t.Fatalf("probed cell: Sched %v, digest %x; plain run sealed %x", probed.Sched != nil, probed.digest, canonical.digest)
 		}
-		rm, sched, err := plan.RunCellTrace(NewCellState(), c)
+		var doc bytes.Buffer
+		rm, n, err := plan.RunCellTrace(NewCellState(), c, &doc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,21 +131,39 @@ func TestRunCellTraceMatchesCanonicalRun(t *testing.T) {
 		if rm.Sched == nil {
 			t.Fatal("traced cell carries no Sched telemetry")
 		}
-		var doc bytes.Buffer
-		if err := sched.WriteChromeTrace(&doc); err != nil {
+		var events []struct {
+			Ph      string
+			Ts, Dur float64
+			Tid     int
+			Args    struct{ Place string }
+		}
+		if err := json.Unmarshal(doc.Bytes(), &events); err != nil {
 			t.Fatal(err)
 		}
-		if len(sched.Events) == 0 || !bytes.Contains(doc.Bytes(), []byte(`"ph":"C"`)) {
-			t.Fatalf("traced cell recorded %d events and no counter lane", len(sched.Events))
+		slices := 0
+		for _, ev := range events {
+			if ev.Ph == "X" {
+				slices++
+			}
+		}
+		if n == 0 || slices != n || !bytes.Contains(doc.Bytes(), []byte(`"ph":"C"`)) {
+			t.Fatalf("traced cell wrote %d slices (reported %d) and no counter lane", slices, n)
 		}
 		// The schedule reconciles with the metrics: a probe that drops or
 		// doubles a slice fails here. Each core's slices sum to its busy
 		// time, and each execution has exactly one slice on its leader.
 		busy := make([]float64, len(canonical.CoreBusy))
 		var leaders int64
-		for _, ev := range sched.Events {
-			busy[ev.Core] += ev.End - ev.Start
-			if ev.Core == ev.Leader {
+		for _, ev := range events {
+			if ev.Ph != "X" {
+				continue
+			}
+			busy[ev.Tid] += ev.Dur / 1e6
+			var leader, width int
+			if _, err := fmt.Sscanf(ev.Args.Place, "(C%d,%d)", &leader, &width); err != nil {
+				t.Fatalf("slice place %q: %v", ev.Args.Place, err)
+			}
+			if ev.Tid == leader {
 				leaders++
 			}
 		}

@@ -8,6 +8,7 @@ package service
 // that farms shards to another asymd node over POST /v1/shards.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -96,23 +97,27 @@ func (b *localBackend) safely(ctx context.Context, plan *scenario.Plan, c scenar
 	return true, run()
 }
 
-// traceCell renders one cell's schedule (scenario.Plan.RunCellTrace) as a
-// one-cell batch on the executor, so a render waits for a worker like any
-// cell and panics inside the same boundary. It re-executes a cell whose
-// metrics are already banked, so runs does not count it.
-func (b *localBackend) traceCell(ctx context.Context, plan *scenario.Plan, c scenario.CellJob) (sched *trace.Schedule, err error) {
+// traceCell renders one cell's schedule (scenario.Plan.RunCellTrace) into
+// buf as a one-cell batch on the executor, so a render waits for a worker
+// like any cell and panics inside the same boundary. The worker writes to
+// memory, never to a client, so a slow reader cannot hold it. It
+// re-executes a cell whose metrics are already banked, so runs does not
+// count it.
+func (b *localBackend) traceCell(ctx context.Context, plan *scenario.Plan, c scenario.CellJob, buf *bytes.Buffer) error {
+	ran := false
+	var err error
 	runErr := b.exec.Run(ctx, 1, func(_ int, st *scenario.CellState, _ int) (stateOK bool) {
+		ran = true
 		stateOK, err = b.safely(ctx, plan, c, func() error {
-			var cellErr error
-			_, sched, cellErr = plan.RunCellTrace(st, c)
+			_, _, cellErr := plan.RunCellTrace(st, c, buf)
 			return cellErr
 		})
 		return stateOK
 	})
-	if sched == nil && err == nil {
-		err = runErr // cancelled before a worker took the cell
+	if !ran {
+		return runErr // cancelled before a worker took the cell
 	}
-	return sched, err
+	return err
 }
 
 // execute hands the cells to the executor in variant-major order: cells of

@@ -58,7 +58,7 @@ type serviceMetrics struct {
 	// daemon's memory goes to — cells (scenario.RunMetrics.SizeBytes per
 	// entry) and finished jobs (the length of each one's result document).
 	jobEntries, cellEntries, traceEntries, simtraceEntries, planEntries, compiledEntries *obs.Gauge
-	cellCacheBytes, jobCacheBytes                                                        *obs.Gauge
+	cellCacheBytes, jobCacheBytes, simtraceBytes                                         *obs.Gauge
 
 	// The Go runtime's own view — heap held by live and unswept objects, heap
 	// the last GC marked live, GC cycles, goroutines — read from
@@ -141,6 +141,7 @@ func newServiceMetrics(reg *obs.Registry, workers int) *serviceMetrics {
 		compiledEntries: entries("compiled"),
 		cellCacheBytes:  reg.Gauge("asymd_cell_cache_bytes", "Estimated heap bytes of the cell results held by the cell cache."),
 		jobCacheBytes:   reg.Gauge("asymd_job_cache_bytes", "Bytes of the result documents held by the finished-job cache."),
+		simtraceBytes:   reg.Gauge("asymd_cache_bytes", "Bytes held, per cache.", obs.L("cache", "simtrace")),
 
 		poolWorkers: reg.Gauge("asymd_pool_workers", "Local pool capacity (concurrent cell simulations)."),
 		poolBusy:    reg.Gauge("asymd_pool_busy_workers", "Local pool workers currently simulating a cell."),

@@ -299,9 +299,12 @@ type Manager struct {
 	plans     *lru.Cache[*scenario.Plan] // memoized plans, by spec hash (shard API)
 	traces    *lru.Cache[*trace.SpanSet] // finished job traces, by spec hash
 	// simtraces caches rendered per-cell sim-time Chrome traces by cell
-	// hash.
-	simtraces *lru.Cache[[]byte]
-	closed    bool
+	// hash; simtraceBytes is the heap they pin, their summed capacity (the
+	// asymd_cache_bytes{cache="simtrace"} gauge), kept by simTrace and
+	// simtraces.OnDrop and held to maxSimtraceBytes.
+	simtraces     *lru.Cache[[]byte]
+	simtraceBytes int64
+	closed        bool
 
 	wg sync.WaitGroup // running job goroutines
 }
@@ -330,6 +333,7 @@ func NewManager(cfg Config) *Manager {
 	}
 	m.cache.OnDrop = func(j *Job) { m.jobBytes -= int64(len(j.doc)) }
 	m.cells.OnDrop = func(rm scenario.RunMetrics) { m.cellBytes -= rm.SizeBytes() }
+	m.simtraces.OnDrop = func(b []byte) { m.simtraceBytes -= int64(cap(b)) }
 	mx.poolWorkers.Set(int64(cfg.Workers))
 	local.busy = mx.poolBusy
 	local.runs = mx.cellRuns
@@ -568,10 +572,16 @@ func (m *Manager) jobTrace(hash string) (*trace.SpanSet, bool) {
 var errUnknownJob = errors.New("unknown job (evicted or never submitted)")
 
 // maxTracedTasks caps the cell a sim-trace render re-executes for a client:
-// a render holds the schedule and its Chrome-trace bytes, which the render
-// cache keeps. At 32 768 tasks `dagsim -parallelism 8 -interfere dvfs
-// -trace` peaks at 99 MB of RSS for a 39 MB trace; every paper cell fits.
+// a render holds the cell's records and its Chrome-trace bytes, which the
+// render cache keeps. At 32 768 tasks `dagsim -parallelism 8 -interfere dvfs
+// -trace` peaks at 21 MB of RSS writing a 39 MB trace to a file; every paper
+// cell fits.
 const maxTracedTasks = 1 << 15
+
+// maxSimtraceBytes bounds the bytes of the rendered sim traces the render
+// cache keeps: it holds at least six renders at maxTracedTasks, and evicts
+// the least recently used while it is over.
+const maxSimtraceBytes = 256 << 20
 
 // simTrace renders the sim-time schedule trace of one cell of a job as
 // Chrome-trace JSON: task slices plus queue-depth, ready-task, PTT-error
@@ -579,8 +589,9 @@ const maxTracedTasks = 1 << 15
 // local executor, under ctx, with a probe attached — cells are pure
 // functions of the plan and the cell coordinates, so the rendered schedule
 // is exactly the one behind the cell's canonical result even when the
-// result itself was computed on a remote shard or served from cache.
-// Rendered bytes are cached by cell hash.
+// result itself was computed on a remote shard or served from cache. The
+// executor's worker writes the trace into memory (Plan.RunCellTrace), and
+// the rendered bytes are cached by cell hash.
 func (m *Manager) simTrace(ctx context.Context, id string, cell int) ([]byte, error) {
 	j, ok := m.job(id)
 	if !ok {
@@ -607,22 +618,34 @@ func (m *Manager) simTrace(ctx context.Context, id string, cell int) ([]byte, er
 	if ok {
 		return b, nil
 	}
-	sched, err := m.local.traceCell(ctx, plan, c) // the metrics were banked with the job
+	var buf bytes.Buffer
+	err = m.local.traceCell(ctx, plan, c, &buf) // the metrics were banked with the job
 	m.mx.compiledEntries.Set(int64(scenario.CompiledCacheLen()))
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := sched.WriteChromeTrace(&buf); err != nil {
-		return nil, err
-	}
 	b = buf.Bytes()
+	if cap(b)-len(b) > len(b)/4 {
+		b = bytes.Clone(b) // the cache keeps the trace, not the buffer's growth room
+	}
 	m.mu.Lock()
-	m.simtraces.Add(c.Hash, b)
-	m.mx.simtraceEntries.Set(int64(m.simtraces.Len()))
+	m.keepSimtrace(c.Hash, b)
 	m.mu.Unlock()
 	m.mx.simtraceRenders.Inc()
 	return b, nil
+}
+
+// keepSimtrace caches one rendered trace under its cell hash and evicts the
+// least recently used renders while the cache pins more than
+// maxSimtraceBytes. The caller holds m.mu.
+func (m *Manager) keepSimtrace(hash string, b []byte) {
+	m.simtraces.Add(hash, b)
+	m.simtraceBytes += int64(cap(b))
+	for m.simtraceBytes > maxSimtraceBytes {
+		m.simtraces.RemoveOldest()
+	}
+	m.mx.simtraceEntries.Set(int64(m.simtraces.Len()))
+	m.mx.simtraceBytes.Set(m.simtraceBytes)
 }
 
 // planCacheSize bounds the memoized-plan LRU used by the shard API: a

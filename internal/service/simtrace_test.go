@@ -74,6 +74,14 @@ func TestSimTraceEndpoint(t *testing.T) {
 		}
 	}
 
+	// The render cache counts the trace's bytes in its gauge.
+	m.mu.Lock()
+	cached := m.simtraceBytes
+	m.mu.Unlock()
+	if held := gaugeValue(t, m, `asymd_cache_bytes{cache="simtrace"}`); held < int64(len(body)) || held != cached {
+		t.Fatalf("simtrace cache gauge %d, cache holds %d, the trace is %d bytes", held, cached, len(body))
+	}
+
 	// A second fetch is served from the render cache, byte-identical.
 	renders := m.mx.simtraceRenders.Value()
 	if renders != 1 {
@@ -191,5 +199,40 @@ func TestSimTraceWaitsForAWorker(t *testing.T) {
 	}
 	if r := m.mx.simtraceRenders.Value(); r != 1 {
 		t.Fatalf("renders = %d, want 1", r)
+	}
+}
+
+// The render cache is bounded by bytes as well as by count: past
+// maxSimtraceBytes it evicts the least recently used renders, so after more
+// renders than fit it holds at most the bound, the newest render among them,
+// and its gauge follows every eviction. The renders share one backing array
+// (each entry pins, and is counted at, that array's capacity), so the test
+// itself holds one render's memory.
+func TestSimtraceCacheBoundedByBytes(t *testing.T) {
+	m := NewManager(Config{Workers: 1})
+	backing := make([]byte, 40<<20) // a render at maxTracedTasks is ≈ 39 MB
+	render := backing[:1]
+	fit := maxSimtraceBytes / cap(render)
+	if fit < 6 {
+		t.Fatalf("the bound holds %d renders of %d bytes, want at least 6", fit, cap(render))
+	}
+	for i := range fit + 4 {
+		m.mu.Lock()
+		m.keepSimtrace(fmt.Sprint("cell-", i), render)
+		held, n := m.simtraceBytes, m.simtraces.Len()
+		m.mu.Unlock()
+		if held > maxSimtraceBytes || held != int64(n*cap(render)) {
+			t.Fatalf("after %d renders the cache counts %d bytes for %d entries (bound %d)", i+1, held, n, maxSimtraceBytes)
+		}
+		if g := gaugeValue(t, m, `asymd_cache_bytes{cache="simtrace"}`); g != held {
+			t.Fatalf("gauge %d, cache holds %d bytes", g, held)
+		}
+	}
+	keys := m.simtraces.Keys()
+	if len(keys) != fit || keys[0] != fmt.Sprint("cell-", fit+3) || keys[len(keys)-1] != fmt.Sprint("cell-", 4) {
+		t.Fatalf("cache holds %v, want the newest %d renders", keys, fit)
+	}
+	if g := gaugeValue(t, m, `asymd_cache_entries{cache="simtrace"}`); g != int64(fit) {
+		t.Fatalf("entries gauge %d, want %d", g, fit)
 	}
 }

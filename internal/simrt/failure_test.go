@@ -1,6 +1,9 @@
 package simrt_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"testing"
 
 	"dynasym/internal/core"
@@ -71,8 +74,8 @@ func TestFlakyCoreAdaptation(t *testing.T) {
 	}
 }
 
-// TestTraceRecording checks that the simulated runtime emits one trace
-// event per member execution.
+// TestTraceRecording checks that the probe's Chrome trace holds one task
+// slice per member execution, each on a core of its place.
 func TestTraceRecording(t *testing.T) {
 	topo := topology.TX2()
 	model := machine.New(topo)
@@ -88,17 +91,39 @@ func TestTraceRecording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := probe.Schedule().Events
-	if len(events) < int(coll.TasksDone()) {
-		t.Fatalf("trace has %d events for %d tasks", len(events), coll.TasksDone())
+	var buf bytes.Buffer
+	n, err := probe.WriteChromeTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, ev := range events {
-		if ev.End < ev.Start {
-			t.Fatalf("event %q ends before it starts", ev.Label)
+	var trace []struct {
+		Name, Ph string
+		Dur      float64
+		Tid      int
+		Args     struct{ Place string }
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
+	var events int
+	for _, ev := range trace {
+		if ev.Ph != "X" {
+			continue
 		}
-		if ev.Core < ev.Leader || ev.Core >= ev.Leader+ev.Width {
-			t.Fatalf("event %q core %d outside place (C%d,%d)", ev.Label, ev.Core, ev.Leader, ev.Width)
+		events++
+		if ev.Dur < 0 {
+			t.Fatalf("event %q ends before it starts", ev.Name)
 		}
+		var leader, width int
+		if _, err := fmt.Sscanf(ev.Args.Place, "(C%d,%d)", &leader, &width); err != nil {
+			t.Fatalf("event %q place %q: %v", ev.Name, ev.Args.Place, err)
+		}
+		if ev.Tid < leader || ev.Tid >= leader+width {
+			t.Fatalf("event %q core %d outside place (C%d,%d)", ev.Name, ev.Tid, leader, width)
+		}
+	}
+	if events != n || events < int(coll.TasksDone()) {
+		t.Fatalf("trace has %d events (writer reported %d) for %d tasks", events, n, coll.TasksDone())
 	}
 }
 

@@ -10,16 +10,20 @@ package simrt
 // each entry of the runtime's completion record (metrics.Record), one queue
 // sample per queue-state transition, and the victim→thief steal counts. At
 // run completion it derives a metrics.Sched aggregate from them and the
-// completion record (read through Sched), and after the run Schedule
-// renders them as a trace.Schedule.
+// completion record (read through Sched), and after the run
+// WriteChromeTrace writes them as a Chrome trace, reading the records in
+// place.
 //
 // A nil probe is the default and costs one pointer check per hook site;
 // the alloc gates in alloc_test.go hold the disabled hot path at zero
 // allocations.
 
 import (
+	"cmp"
+	"io"
 	"math"
 	"slices"
+	"strconv"
 
 	"dynasym/internal/metrics"
 	"dynasym/internal/ptt"
@@ -190,50 +194,84 @@ func (p *Probe) flush(makespan float64) {
 	p.sched = s
 }
 
-// Schedule returns the run as a trace: one task slice per member core of
-// every completion (label and priority from the frozen graph, cores from the
-// place table), the "queue depth" (wsq/aq series) and "ready tasks" lanes
-// interleaved per queue sample, the "ptt rel err" lane (one point per
-// completion the PTT predicted), and the "core util" lane derived over the
-// makespan. Call it before the runtime's next Reset. The value is the
-// caller's.
-func (p *Probe) Schedule() *trace.Schedule {
-	done, places := p.rt.coll.Completions(), p.rt.topo.Places()
-	n := 0
-	for _, c := range done {
-		n += places[c.Place].Width
+// utilWindows is the resolution of the trace's "core util" lane.
+const utilWindows = 160
+
+// WriteChromeTrace writes the run as a Chrome trace to w, straight from the
+// records: one task slice per member core of every completion (label and
+// priority from the frozen graph, cores from the place table) in start
+// order, equal starts in completion order; the "queue depth" (wsq/aq series)
+// and "ready tasks" lanes interleaved per queue sample; the "ptt rel err"
+// lane (one point per completion the PTT predicted); and the "core util"
+// lane, each core's busy share of utilWindows windows over the makespan. It
+// returns the number of task slices written. Call it before the runtime's
+// next Reset.
+func (p *Probe) WriteChromeTrace(w io.Writer) (int, error) {
+	done, places, fz := p.rt.coll.Completions(), p.rt.topo.Places(), p.rt.graph
+	order := make([]int32, len(done))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	events := make([]trace.Event, 0, n)
-	for _, c := range done {
-		pl, task := places[c.Place], int(c.Task)
-		ev := trace.Event{Label: p.rt.graph.Task(task).Label, Start: c.Start, End: c.Finish,
-			Leader: pl.Leader, Width: pl.Width, High: p.rt.graph.High(task)}
-		for i := 0; i < pl.Width; i++ {
-			ev.Core = pl.Leader + i
-			events = append(events, ev)
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(done[a].Start, done[b].Start) })
+	cw := trace.NewChromeWriter(w)
+	n, cores := 0, 0
+	for _, i := range order {
+		c, task := &done[i], int(done[i].Task)
+		pl, label, high := places[c.Place], fz.Task(task).Label, fz.High(task)
+		for k := range pl.Width {
+			cw.Slice(label, pl.Leader+k, pl.Leader, pl.Width, high, c.Start, c.Finish)
 		}
+		n += pl.Width
+		cores = max(cores, pl.Leader+pl.Width)
 	}
-	counters := make([]trace.CounterPoint, 0, 2*len(p.samples)+len(done))
+	queueKeys, readyKeys := []string{"wsq", "aq"}, []string{"ready"}
 	for _, s := range p.samples {
-		counters = append(counters,
-			trace.CounterPoint{Name: "queue depth", At: s.At, Series: []trace.CounterValue{
-				{Key: "wsq", Value: float64(s.Ready)},
-				{Key: "aq", Value: float64(s.Committed)},
-			}},
-			trace.CounterPoint{Name: "ready tasks", At: s.At, Series: []trace.CounterValue{
-				{Key: "ready", Value: float64(s.Ready)},
-			}})
+		cw.Counter("queue depth", s.At, queueKeys, float64(s.Ready), float64(s.Committed))
+		cw.Counter("ready tasks", s.At, readyKeys, float64(s.Ready))
 	}
+	errKeys := []string{"err"}
 	for i := range done {
 		if e, ok := p.pttErr(done, i); ok {
-			counters = append(counters, trace.CounterPoint{Name: "ptt rel err", At: done[i].Finish, Series: []trace.CounterValue{
-				{Key: "err", Value: e},
-			}})
+			cw.Counter("ptt rel err", done[i].Finish, errKeys, e)
 		}
 	}
-	var span float64
-	if p.sched != nil {
-		span = p.sched.Span
+	if p.sched != nil && p.sched.Span > 0 && cores > 0 {
+		p.writeUtil(cw, order, cores)
 	}
-	return trace.NewSchedule(events, counters, span)
+	return n, cw.Close()
+}
+
+// writeUtil writes the "core util" lane over [0, makespan] for the cores
+// below cores: each window's busy time per core, summed over the record in
+// the start order of the slices, divided by the window's length.
+func (p *Probe) writeUtil(cw *trace.ChromeWriter, order []int32, cores int) {
+	done, places := p.rt.coll.Completions(), p.rt.topo.Places()
+	dt := p.sched.Span / utilWindows
+	busy := make([]float64, utilWindows*cores)
+	for _, i := range order {
+		c, pl := &done[i], places[done[i].Place]
+		if c.Finish <= c.Start {
+			continue
+		}
+		w0, w1 := int(c.Start/dt), min(int(c.Finish/dt), utilWindows-1)
+		for w := w0; w <= w1 && w >= 0; w++ {
+			lo, hi := max(float64(w)*dt, c.Start), min(float64(w+1)*dt, c.Finish)
+			if hi > lo {
+				for k := range pl.Width {
+					busy[w*cores+pl.Leader+k] += hi - lo
+				}
+			}
+		}
+	}
+	keys := make([]string, cores)
+	for k := range keys {
+		keys[k] = "c" + strconv.Itoa(k)
+	}
+	for w := range utilWindows {
+		row := busy[w*cores : (w+1)*cores]
+		for k := range row {
+			row[k] /= dt
+		}
+		cw.Counter("core util", float64(w)*dt, keys, row...)
+	}
 }

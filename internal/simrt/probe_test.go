@@ -1,9 +1,13 @@
 package simrt
 
 import (
+	"cmp"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -196,10 +200,172 @@ func TestProbeReuseAcrossReset(t *testing.T) {
 	}
 }
 
+// traceEvent is one event of a written Chrome trace, as the tests read it.
+type traceEvent struct {
+	Name string          `json:"name"`
+	Ph   string          `json:"ph"`
+	Ts   float64         `json:"ts"`
+	Dur  float64         `json:"dur"`
+	Tid  int             `json:"tid"`
+	Args json.RawMessage `json:"args"`
+}
+
+// series decodes a counter event's values by key.
+func (ev *traceEvent) series(t *testing.T) map[string]float64 {
+	t.Helper()
+	var m map[string]float64
+	if err := json.Unmarshal(ev.Args, &m); err != nil {
+		t.Fatalf("counter %q args %s: %v", ev.Name, ev.Args, err)
+	}
+	return m
+}
+
+// eachEvent streams p's Chrome trace through a JSON decoder, handing each
+// event to fn in written order, and returns the slice count the writer
+// reported. The trace is decoded as it is written, never held whole.
+func eachEvent(t *testing.T, p *Probe, fn func(ev *traceEvent)) int {
+	t.Helper()
+	pr, pw := io.Pipe()
+	defer pr.Close() // a test that fails mid-trace unblocks the writer
+	var n int
+	written := make(chan error, 1)
+	go func() {
+		var err error
+		n, err = p.WriteChromeTrace(pw)
+		pw.CloseWithError(err)
+		written <- err
+	}()
+	dec := json.NewDecoder(pr)
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('[') {
+		t.Fatalf("trace opens with %v (%v), want [", tok, err)
+	}
+	for dec.More() {
+		var ev traceEvent
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		fn(&ev)
+	}
+	if tok, err := dec.Token(); err != nil || tok != json.Delim(']') {
+		t.Fatalf("trace closes with %v (%v), want ]", tok, err)
+	}
+	io.Copy(io.Discard, pr)
+	if err := <-written; err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// The task slices are written in start order, equal starts in completion
+// order, each execution as one slice per member core, contiguous and in
+// core order; the counter lanes follow them, "core util" last.
+func TestProbeTraceSlicesInStartOrder(t *testing.T) {
+	topo := topology.TX2()
+	model := machine.New(topo)
+	p := NewProbe()
+	rt, err := New(Config{Topo: topo, Model: model, Policy: core.DAMP(), Seed: 2, Probe: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Start(probeGraph(400)); err != nil {
+		t.Fatal(err)
+	}
+	rt.Engine().Run()
+	done, places := rt.Collector().Completions(), topo.Places()
+	// The expected order: a stable sort of the record by start, expanded.
+	order := make([]int, len(done))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(done[a].Start, done[b].Start) })
+	type want struct{ core, leader, width int }
+	var wants []want
+	wide := 0
+	for _, i := range order {
+		pl := places[done[i].Place]
+		for k := range pl.Width {
+			wants = append(wants, want{pl.Leader + k, pl.Leader, pl.Width})
+		}
+		if pl.Width > 1 {
+			wide++
+		}
+	}
+	if wide == 0 {
+		t.Fatal("no execution on a wide place: the run does not exercise member expansion")
+	}
+	k, lastTs, lanes := 0, 0.0, []string{}
+	n := eachEvent(t, p, func(ev *traceEvent) {
+		if ev.Ph == "X" {
+			if len(lanes) > 0 {
+				t.Fatalf("slice %d written after the %q lane", k, lanes[len(lanes)-1])
+			}
+			if ev.Ts < lastTs {
+				t.Fatalf("slice %d starts at %v µs, before its predecessor's %v", k, ev.Ts, lastTs)
+			}
+			lastTs = ev.Ts
+			w := wants[k]
+			var args struct{ Place string }
+			if err := json.Unmarshal(ev.Args, &args); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("(C%d,%d)", w.leader, w.width); ev.Tid != w.core || args.Place != got {
+				t.Fatalf("slice %d on core %d of %s, want core %d of %s", k, ev.Tid, args.Place, w.core, got)
+			}
+			k++
+			return
+		}
+		if len(lanes) == 0 || lanes[len(lanes)-1] != ev.Name {
+			lanes = append(lanes, ev.Name)
+		}
+	})
+	if n != len(wants) || k != n {
+		t.Fatalf("writer reported %d slices and wrote %d, the record expands to %d", n, k, len(wants))
+	}
+	if lanes[len(lanes)-1] != "core util" || slices.Index(lanes, "core util") != len(lanes)-1 {
+		t.Fatalf("lane order %v, want the core util lane last", lanes[max(0, len(lanes)-4):])
+	}
+}
+
+// The "core util" lane has utilWindows points over the makespan, one series
+// per core up to the last one any place used; each window's busy shares,
+// times the window's length, add up to the core's CoreBusy.
+func TestProbeTraceUtilLane(t *testing.T) {
+	p := NewProbe()
+	rt := probeRun(t, p, 2000)
+	busy, span := rt.Collector().CoreBusy(), p.Sched().Span
+	sum := make([]float64, len(busy))
+	points := 0
+	eachEvent(t, p, func(ev *traceEvent) {
+		if ev.Name != "core util" {
+			return
+		}
+		vals := ev.series(t)
+		if len(vals) != len(busy) {
+			t.Fatalf("util point has %d series, want %d", len(vals), len(busy))
+		}
+		for c := range busy {
+			v, ok := vals["c"+strconv.Itoa(c)]
+			if !ok || v < 0 || v > 1+1e-9 {
+				t.Fatalf("core %d utilization %v (present %v)", c, v, ok)
+			}
+			sum[c] += v * (span / utilWindows)
+		}
+		points++
+	})
+	if points != utilWindows {
+		t.Fatalf("%d util points, want %d", points, utilWindows)
+	}
+	for c, want := range busy {
+		if math.Abs(sum[c]-want) > 1e-9*span {
+			t.Fatalf("core %d: util lane integrates to %v, CoreBusy is %v", c, sum[c], want)
+		}
+	}
+}
+
 // The PTT numbers are views of the probe's one record, uncapped: on a run
 // of more than 2^16 predictions the tail is the run's true last quarter,
 // and its error sum is the last quarter of the "ptt rel err" lane that
-// Schedule renders from the same record.
+// WriteChromeTrace writes from the same record.
 func TestProbeTailIsLastQuarter(t *testing.T) {
 	p := NewProbe()
 	probeRun(t, p, 70000)
@@ -210,12 +376,14 @@ func TestProbeTailIsLastQuarter(t *testing.T) {
 	if want := sched.PTTSamples / 4; sched.PTTTailSamples != want {
 		t.Fatalf("tail covers %d predictions, want the last quarter, %d", sched.PTTTailSamples, want)
 	}
+	// A counter value is written in the shortest form that reads back as
+	// the same float64, so the lane's values are the records' bit for bit.
 	var lane []float64
-	for _, c := range p.Schedule().Counters {
-		if c.Name == "ptt rel err" {
-			lane = append(lane, c.Series[0].Value)
+	eachEvent(t, p, func(ev *traceEvent) {
+		if ev.Name == "ptt rel err" {
+			lane = append(lane, ev.series(t)["err"])
 		}
-	}
+	})
 	if int64(len(lane)) != sched.PTTSamples {
 		t.Fatalf("ptt rel err lane has %d points, Sched counts %d predictions", len(lane), sched.PTTSamples)
 	}
@@ -230,8 +398,10 @@ func TestProbeTailIsLastQuarter(t *testing.T) {
 
 // The queue numbers are views of the probe's one queue record, uncapped:
 // on a run of more than 2^16 transitions the "queue depth" lane has one
-// point per transition and spans the run, and ReadySec and MaxReady
-// recomputed from it equal Sched's bit for bit.
+// point per transition, its values are the record's, and it spans the run;
+// ReadySec and MaxReady recomputed from the record equal Sched's bit for
+// bit. The lane's times are At·1e6, which does not round-trip to At, so the
+// sums read the record's own times.
 func TestProbeQueueLaneSpansTheRun(t *testing.T) {
 	p := NewProbe()
 	probeRun(t, p, 70000)
@@ -239,39 +409,42 @@ func TestProbeQueueLaneSpansTheRun(t *testing.T) {
 	if sched.QueueSamples <= 1<<16 {
 		t.Fatalf("%d queue transitions, want more than %d", sched.QueueSamples, 1<<16)
 	}
-	schedule := p.Schedule()
-	var at, ready []float64
-	for _, c := range schedule.Counters {
-		if c.Name == "queue depth" {
-			at = append(at, c.At)
-			ready = append(ready, c.Series[0].Value)
+	points := 0
+	var lastStart, lastQueue float64
+	eachEvent(t, p, func(ev *traceEvent) {
+		switch {
+		case ev.Ph == "X":
+			lastStart = max(lastStart, ev.Ts)
+		case ev.Name == "queue depth":
+			q := p.samples[points]
+			if vals := ev.series(t); vals["wsq"] != float64(q.Ready) || vals["aq"] != float64(q.Committed) {
+				t.Fatalf("queue depth point %d is %v, the record holds %+v", points, vals, q)
+			}
+			lastQueue = ev.Ts
+			points++
 		}
-	}
-	if int64(len(at)) != sched.QueueSamples {
-		t.Fatalf("queue depth lane has %d points, Sched counts %d transitions", len(at), sched.QueueSamples)
+	})
+	if int64(points) != sched.QueueSamples {
+		t.Fatalf("queue depth lane has %d points, Sched counts %d transitions", points, sched.QueueSamples)
 	}
 	var readySec, last, prev float64
 	maxReady := 0
-	for i := range at {
-		if at[i] > last {
-			readySec += prev * (at[i] - last)
-			last = at[i]
+	for _, q := range p.samples {
+		if q.At > last {
+			readySec += prev * (q.At - last)
+			last = q.At
 		}
-		prev = ready[i]
-		maxReady = max(maxReady, int(ready[i]))
+		prev = float64(q.Ready)
+		maxReady = max(maxReady, int(q.Ready))
 	}
 	if sched.Span > last {
 		readySec += prev * (sched.Span - last)
 	}
 	if readySec != sched.ReadySec || maxReady != sched.MaxReady {
-		t.Fatalf("lane gives readySec=%v maxReady=%d, Sched has %v and %d",
+		t.Fatalf("record gives readySec=%v maxReady=%d, Sched has %v and %d",
 			readySec, maxReady, sched.ReadySec, sched.MaxReady)
 	}
-	var lastStart float64
-	for _, ev := range schedule.Events {
-		lastStart = max(lastStart, ev.Start)
-	}
-	if at[len(at)-1] < lastStart {
-		t.Fatalf("queue lane ends at %v, before the last slice starts at %v", at[len(at)-1], lastStart)
+	if lastQueue < lastStart {
+		t.Fatalf("queue lane ends at %v µs, before the last slice starts at %v µs", lastQueue, lastStart)
 	}
 }

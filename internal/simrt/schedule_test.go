@@ -10,18 +10,43 @@ import (
 	"dynasym/internal/dagio"
 	"dynasym/internal/interfere"
 	"dynasym/internal/machine"
+	"dynasym/internal/metrics"
 	"dynasym/internal/sim"
 	"dynasym/internal/simnet"
 	"dynasym/internal/simrt"
 	"dynasym/internal/topology"
-	"dynasym/internal/trace"
 	"dynasym/internal/workloads"
 )
 
 // A schedule oracle that shares nothing with the runtime's completion path:
 // it knows the graph's edges (snapshotted by label before the run), the core
-// count and the recorded trace slices, and checks that the schedule is
-// *valid* — not merely repeatable.
+// count and the run's slices, read off its completion record, and checks
+// that the schedule is *valid* — not merely repeatable. It needs no probe:
+// the record is kept by every run.
+
+// slice is one member core's share of one execution, as the oracle reads it.
+type slice struct {
+	Label         string
+	Core          int
+	Start, End    float64
+	Leader, Width int
+}
+
+// expand reads a run's slices off its completion record: one per member core
+// of every completion, labelled through the frozen graph the record's task
+// ids index and placed through the platform's place table.
+func expand(rec *metrics.Record, topo *topology.Platform, fz *dag.Frozen) []slice {
+	var out []slice
+	places := topo.Places()
+	for _, c := range rec.Completions() {
+		pl := places[c.Place]
+		for k := range pl.Width {
+			out = append(out, slice{Label: fz.Task(int(c.Task)).Label, Core: pl.Leader + k,
+				Start: c.Start, End: c.Finish, Leader: pl.Leader, Width: pl.Width})
+		}
+	}
+	return out
+}
 
 // graphEdges is the structure of a graph as the oracle sees it.
 type graphEdges struct {
@@ -51,13 +76,13 @@ func snapshotEdges(t *testing.T, g *dag.Graph) (graphEdges, *dag.Frozen) {
 
 // checkSchedule reports every way the recorded slices fail to be a valid
 // execution of the graph on `cores` cores ending at makespan.
-func checkSchedule(ge graphEdges, events []trace.Event, cores int, makespan float64) []string {
+func checkSchedule(ge graphEdges, events []slice, cores int, makespan float64) []string {
 	var bad []string
 	fail := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
 
 	// Every task ran exactly once, as Width slices sharing one interval and
 	// one leader on Width consecutive cores.
-	byLabel := map[string][]trace.Event{}
+	byLabel := map[string][]slice{}
 	for _, ev := range events {
 		byLabel[ev.Label] = append(byLabel[ev.Label], ev)
 	}
@@ -115,7 +140,7 @@ func checkSchedule(ge graphEdges, events []trace.Event, cores int, makespan floa
 	}
 
 	// No core runs two slices at once.
-	perCore := make([][]trace.Event, cores)
+	perCore := make([][]slice, cores)
 	for _, ev := range events {
 		perCore[ev.Core] = append(perCore[ev.Core], ev)
 	}
@@ -184,7 +209,7 @@ func TestScheduleValidity(t *testing.T) {
 					t.Fatal(err)
 				}
 				g := build(t)
-				ge, _ := snapshotEdges(t, g)
+				ge, fz := snapshotEdges(t, g)
 				coll, err := rt.Run(g)
 				if err != nil {
 					t.Fatal(err)
@@ -192,7 +217,7 @@ func TestScheduleValidity(t *testing.T) {
 				if int(coll.TasksDone()) != len(ge.labels) {
 					t.Errorf("the record counted %d tasks, graph has %d", coll.TasksDone(), len(ge.labels))
 				}
-				reportSchedule(t, checkSchedule(ge, probe.Schedule().Events, topo.NumCores(), coll.Makespan()))
+				reportSchedule(t, checkSchedule(ge, expand(coll, topo, fz), topo.NumCores(), coll.Makespan()))
 			})
 		}
 	}
@@ -206,10 +231,10 @@ func TestScheduleValidityHeatDistHook(t *testing.T) {
 	engine := sim.New()
 	net := simnet.New(engine, 5e-6, 1e9)
 	type node struct {
-		rt    *simrt.Runtime
-		probe *simrt.Probe
-		ge    graphEdges
-		topo  *topology.Platform
+		rt   *simrt.Runtime
+		ge   graphEdges
+		fz   *dag.Frozen
+		topo *topology.Platform
 	}
 	nodes := make([]node, hd.Nodes)
 	for i := range nodes {
@@ -225,7 +250,7 @@ func TestScheduleValidityHeatDistHook(t *testing.T) {
 			t.Fatal(err)
 		}
 		ge, fz := snapshotEdges(t, hd.BuildNode(i))
-		nodes[i] = node{rt: rt, probe: probe, ge: ge, topo: topo}
+		nodes[i] = node{rt: rt, ge: ge, fz: fz, topo: topo}
 		if err := rt.Start(fz); err != nil {
 			t.Fatal(err)
 		}
@@ -235,33 +260,63 @@ func TestScheduleValidityHeatDistHook(t *testing.T) {
 		if !n.rt.Finished() {
 			t.Fatalf("node %d stalled", i)
 		}
-		reportSchedule(t, checkSchedule(n.ge, n.probe.Schedule().Events, n.topo.NumCores(), n.rt.Collector().Makespan()))
+		reportSchedule(t, checkSchedule(n.ge, expand(n.rt.Collector(), n.topo, n.fz), n.topo.NumCores(), n.rt.Collector().Makespan()))
 	}
+}
+
+// The oracle reads the completion record every run keeps, so it judges a run
+// with no probe attached as well as a probed one.
+func TestScheduleOracleNeedsNoProbe(t *testing.T) {
+	topo := topology.TX2()
+	model := machine.New(topo)
+	interfere.CoRunCPU(model, []int{0}, 0.5)
+	rt, err := simrt.New(simrt.Config{Topo: topo, Model: model, Policy: core.DAMP(), Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs, err := dagio.GenConfig{Model: dagio.ModelCholesky, Tiles: 6}.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := gs.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ge, fz := snapshotEdges(t, g)
+	coll, err := rt.Run(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices := expand(coll, topo, fz)
+	if len(slices) < len(ge.labels) {
+		t.Fatalf("%d slices for %d tasks", len(slices), len(ge.labels))
+	}
+	reportSchedule(t, checkSchedule(ge, slices, topo.NumCores(), coll.Makespan()))
 }
 
 // The oracle itself must reject broken schedules, or passing means nothing.
 func TestScheduleOracleRejectsInvalidSchedules(t *testing.T) {
 	ge := graphEdges{labels: []string{"a", "b"}, edges: [][2]string{{"a", "b"}}}
-	slice := func(label string, core, leader, width int, start, end float64) trace.Event {
-		return trace.Event{Label: label, Core: core, Leader: leader, Width: width, Start: start, End: end}
+	sl := func(label string, core, leader, width int, start, end float64) slice {
+		return slice{Label: label, Core: core, Leader: leader, Width: width, Start: start, End: end}
 	}
-	valid := []trace.Event{slice("a", 0, 0, 2, 0, 1), slice("a", 1, 0, 2, 0, 1), slice("b", 1, 1, 1, 1, 2)}
+	valid := []slice{sl("a", 0, 0, 2, 0, 1), sl("a", 1, 0, 2, 0, 1), sl("b", 1, 1, 1, 1, 2)}
 	if bad := checkSchedule(ge, valid, 2, 2); len(bad) != 0 {
 		t.Fatalf("valid schedule rejected: %v", bad)
 	}
 	for name, tc := range map[string]struct {
-		events   []trace.Event
+		events   []slice
 		makespan float64
 	}{
 		"missing task":      {valid[:2], 1},
-		"task ran twice":    {append(valid[:3:3], slice("b", 0, 0, 1, 2, 3)), 3},
+		"task ran twice":    {append(valid[:3:3], sl("b", 0, 0, 1, 2, 3)), 3},
 		"missing member":    {valid[1:], 2},
-		"precedence broken": {[]trace.Event{valid[0], valid[1], slice("b", 1, 1, 1, 0.5, 2)}, 2},
-		"core double-booked": {[]trace.Event{slice("a", 0, 0, 1, 0, 1), slice("b", 0, 0, 1, 1, 2),
-			slice("c", 0, 0, 1, 1.5, 1.8)}, 2},
+		"precedence broken": {[]slice{valid[0], valid[1], sl("b", 1, 1, 1, 0.5, 2)}, 2},
+		"core double-booked": {[]slice{sl("a", 0, 0, 1, 0, 1), sl("b", 0, 0, 1, 1, 2),
+			sl("c", 0, 0, 1, 1.5, 1.8)}, 2},
 		"wrong makespan": {valid, 2.5},
-		"unknown task":   {append(valid[:3:3], slice("z", 0, 0, 1, 2, 3)), 3},
-		"core off place": {[]trace.Event{slice("a", 0, 0, 1, 0, 1), slice("b", 0, 1, 1, 1, 2)}, 2},
+		"unknown task":   {append(valid[:3:3], sl("z", 0, 0, 1, 2, 3)), 3},
+		"core off place": {[]slice{sl("a", 0, 0, 1, 0, 1), sl("b", 0, 1, 1, 1, 2)}, 2},
 	} {
 		g := ge
 		if name == "core double-booked" {

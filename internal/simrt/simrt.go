@@ -24,7 +24,7 @@
 // A run keeps one fact per finished assembly: its entry in the runtime's
 // completion record (metrics.Record), whose views are the run's statistics.
 // A run has one optional observer, Config.Probe (probe.go): the Sched
-// aggregate and the trace.Schedule of a run both come from its records.
+// aggregate and the Chrome trace of a run are both views of its records.
 //
 // # Event kinds
 //
@@ -103,7 +103,7 @@ type Config struct {
 	Hook ExecHook
 	// Probe, when non-nil, observes the run: every task execution, the
 	// steal matrix, queue depths and PTT error, for Probe.Sched and
-	// Probe.Schedule (see probe.go). Pure observation: a probed run is
+	// Probe.WriteChromeTrace (see probe.go). Pure observation: a probed run is
 	// bit-identical to an unprobed one, and a nil Probe costs one pointer
 	// check per hook site.
 	Probe *Probe

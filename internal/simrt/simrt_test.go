@@ -131,16 +131,17 @@ func TestNonMoldablePoliciesNeverMold(t *testing.T) {
 	}
 	for _, pol := range []core.Policy{core.RWS(), fa, core.DA()} {
 		topo := topology.TX2()
-		probe := simrt.NewProbe()
-		rt, err := simrt.New(simrt.Config{Topo: topo, Model: machine.New(topo), Policy: pol, Seed: 3, Probe: probe})
+		rt, err := simrt.New(simrt.Config{Topo: topo, Model: machine.New(topo), Policy: pol, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		coll, err := rt.Run(smallDAG())
+		g := smallDAG()
+		_, fz := snapshotEdges(t, g)
+		coll, err := rt.Run(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		events := probe.Schedule().Events
+		events := expand(coll, topo, fz)
 		for _, ev := range events {
 			if ev.Width != 1 {
 				t.Fatalf("%s ran %s on a place of width %d", pol.Name(), ev.Label, ev.Width)

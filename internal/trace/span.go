@@ -1,7 +1,7 @@
 package trace
 
-// Service-level spans: where a Schedule holds simulated task executions
-// on numbered cores, SpanSet captures wall-clock operations of the job
+// Service-level spans: where a ChromeWriter draws simulated task
+// executions on numbered cores, SpanSet captures wall-clock operations of the job
 // service itself — queueing, shard dispatch, wire time, remote and local
 // cell execution, merging — on *named* lanes ("job", "local #0",
 // "peer http://… #1 w2"). The export reuses the same Chrome trace-event
@@ -108,7 +108,7 @@ func (s *SpanSet) WriteChromeTrace(w io.Writer) error {
 			laneNames = append(laneNames, sp.Lane)
 		}
 	}
-	cw := newChromeWriter(w)
+	cw := NewChromeWriter(w)
 	for i, name := range laneNames {
 		args, err := jsonNameArgs(name)
 		if err != nil {
@@ -143,5 +143,5 @@ func (s *SpanSet) WriteChromeTrace(w io.Writer) error {
 			return err
 		}
 	}
-	return cw.close()
+	return cw.Close()
 }

@@ -10,7 +10,9 @@
 #  4. generate a Cholesky DAG and assert its fingerprint is stable too;
 #  5. run it once more with -trace: tracing cannot move the fingerprint,
 #     and the file is a JSON array holding task slices and the four counter
-#     lanes (queue depth, ready tasks, ptt rel err, core util);
+#     lanes (queue depth, ready tasks, ptt rel err, core util); -trace into a
+#     missing directory fails before the run, naming the path, and a traced
+#     run that fails removes its partial file;
 #  6. worker-count independence on shared graphs: every cell of a sweep reads
 #     its variant's one frozen graph, so asymbench fig4a (synthetic) and fig10
 #     (distributed heat, one graph per node) must print the same bytes on one
@@ -85,7 +87,16 @@ want = {"queue depth", "ready tasks", "ptt rel err", "core util"}
 assert want <= lanes, sorted(want - lanes)
 PY
 rm -f "$TRACE"
-echo "traced run OK: same fingerprint, trace parses with all four counter lanes"
+# The trace file is opened before the run: a path that cannot be written
+# fails at once, naming the path, and a run that fails (an alpha the spec
+# refuses) leaves no partial file behind.
+NOFILE="${TMPDIR:-/tmp}/dagsim-smoke-no-such-dir/trace.json"
+if "$BIN" -tasks 2000 -trace "$NOFILE" >"$TRACE.out" 2>&1; then echo "dagsim -trace into a missing directory succeeded"; exit 1; fi
+grep -q "$NOFILE" "$TRACE.out" && ! grep -q 'tasks completed' "$TRACE.out" || { echo "dagsim -trace $NOFILE did not fail before the run, naming the path:"; cat "$TRACE.out"; exit 1; }
+if "$BIN" -tasks 2000 -alpha 1.5 -trace "$TRACE" >"$TRACE.out" 2>&1; then echo "dagsim -alpha 1.5 -trace succeeded"; exit 1; fi
+[ ! -e "$TRACE" ] || { echo "a failed traced run left its partial file $TRACE"; exit 1; }
+rm -f "$TRACE.out"
+echo "traced run OK: same fingerprint, trace parses with all four counter lanes; an unwritable path and a failed run leave no file"
 
 # 6: one worker and GOMAXPROCS workers print the same sweep.
 BENCH="${TMPDIR:-/tmp}/asymbench-smoke"

@@ -8,8 +8,8 @@ import (
 )
 
 // Duration must be allocation-free in steady state: the composed-profile
-// cache removes every per-call profile construction, and TimeToDo's cursor
-// paths allocate nothing. This is the allocation-regression gate for the
+// cache removes every per-call profile construction, and TimeToDo's scan,
+// composites included, allocates nothing. This is the allocation-regression gate for the
 // machine layer of the simulation hot path.
 func TestDurationAllocFree(t *testing.T) {
 	_, m := newTX2()

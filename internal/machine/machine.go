@@ -20,12 +20,19 @@
 //
 // # Composed-profile cache
 //
-// Duration is the simulator's hottest call, so the Model precomputes, per
-// core, the two composed profiles every prediction needs:
+// Duration is the simulator's hottest call, so the Model composes, per core,
+// the two profiles every prediction needs once, when it is configured:
 //
 //	rate(t) = clusterSpeed × freq(t) × avail(t)                  [ops/s]
 //	bw(t)   = min(membw(t)/clusterCores, bytesPerCycle×freq(t))
 //	          × avail(t)                                         [bytes/s]
+//
+// A constant input folds into the other (profile.Mul and profile.Min2 scale
+// or pass through rather than compose), so a core's entry is a stored
+// profile unless two time-varying inputs meet on it, say a DVFS clock and a
+// bursty co-runner; then it is a profile composite whose value TimeToDo
+// computes from those inputs as it scans. An entry that is constant is also
+// kept as a number (memberRates), Duration's only fast path.
 //
 // Invalidation rules: SetClusterFreq and SetClusterBandwidth rebuild the
 // cache entries of every core in the cluster; SetCoreAvail rebuilds the one
@@ -38,7 +45,8 @@
 // # Sharing
 //
 // Once configured, a Model is immutable: Duration and the accessors only
-// read it (profile.TimeToDo keeps its segment cursor in a local). The
+// read it (profile.TimeToDo keeps its scan in locals, and a composite
+// profile stores nothing it computes). The
 // scenario engine relies on that — a plan builds one Model, applies the
 // spec's disturbances, and every cell of the plan on every worker reads
 // that one instance concurrently (New keeps the struct off other objects'
@@ -135,11 +143,12 @@ const (
 	memMissFactor float64 = 1.0
 )
 
-// memberRates holds one core's precomposed rate profiles. For constant
+// memberRates holds one core's composed rate profiles. For constant
 // profiles the value is additionally denormalized into rateConst/bwConst
 // (0 when the profile varies), letting Duration's member loop use the
-// closed-form completion time — bit-identical to Profile.TimeToDo's
-// constant fast path — without any calls.
+// closed-form completion time start + work/v without any calls. It is
+// bit-identical to what Profile.TimeToDo's scan returns on a constant,
+// which is a single stretch (TestConstantShortcutMatchesTimeToDo).
 type memberRates struct {
 	// rate is clusterSpeed × freq(t) × avail(t) in ops/s.
 	rate *profile.Profile

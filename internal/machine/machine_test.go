@@ -221,3 +221,53 @@ func BenchmarkDurationDVFS(b *testing.B) {
 		_ = m.Duration(c, pl, float64(i%10), NoJitter)
 	}
 }
+
+// Duration's constant shortcut (rateConst, bwConst) is bit-identical to
+// profile.TimeToDo on the same constant profile: with the shortcut taken
+// away, every duration is the same float.
+func TestConstantShortcutMatchesTimeToDo(t *testing.T) {
+	topo, fast := newTX2()
+	_, scan := newTX2()
+	for _, m := range []*Model{fast, scan} {
+		m.SetCoreAvail(3, profile.Constant(0.37))
+		m.SetClusterBandwidth(1, profile.Constant(3.3e9))
+	}
+	for core := range scan.rates {
+		r := &scan.rates[core]
+		if r.rateConst == 0 || r.bwConst == 0 {
+			t.Fatalf("core %d: constant profiles without a shortcut", core)
+		}
+		r.rateConst, r.bwConst = 0, 0
+	}
+	var places []topology.Place
+	for leader := 0; leader < topo.NumCores(); leader++ {
+		for width := 1; width <= topo.NumCores(); width++ {
+			if pl := (topology.Place{Leader: leader, Width: width}); topo.Valid(pl) {
+				places = append(places, pl)
+			}
+		}
+	}
+	x := uint64(0x9E3779B97F4A7C15)
+	rnd := func() float64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return float64(x%1_000_000) / 1_000_000
+	}
+	for i := 0; i < 2000; i++ {
+		c := Cost{
+			Ops: rnd() * 1e9, Bytes: rnd() * 1e8, SharedBytes: rnd() * 1e6,
+			WorkingSet: rnd() * 1e7, WidthPenalty: rnd() / 4, ParallelFraction: rnd(),
+		}
+		if i%13 == 0 {
+			c.Ops = 0
+		}
+		pl := places[i%len(places)]
+		start := rnd() * 100
+		j := Jitter{Mul: 0.5 + rnd()}
+		a, b := fast.Duration(c, pl, start, j), scan.Duration(c, pl, start, j)
+		if math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("%+v on %v at %v: shortcut %v, TimeToDo %v", c, pl, start, a, b)
+		}
+	}
+}

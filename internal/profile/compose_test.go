@@ -6,8 +6,6 @@ import (
 	"testing"
 )
 
-func mul(x, y float64) float64 { return x * y }
-
 // composedShape is a profile built by Mul or Min2 together with the inputs
 // and the pointwise operation it must equal.
 type composedShape struct {

@@ -7,6 +7,12 @@
 // function and integrates work over it: given a start time and an amount of
 // work, TimeToDo answers when the work completes.
 //
+// Mul and Min2 compose on demand: a composite stores its two inputs and
+// computes its value when asked, so no product is built up front and none
+// depends on the inputs sharing a period. TimeToDo samples every finite
+// stretch between change points at its midpoint, never at a boundary,
+// where rounding can put a time on the wrong side of a transition.
+//
 // Times are float64 seconds of virtual time. Profiles are immutable after
 // construction and safe for concurrent readers.
 package profile
@@ -27,11 +33,19 @@ type Segment struct {
 // Profile is a piecewise-constant, right-continuous function of time,
 // defined for all t >= 0. The zero value is unusable; build profiles with
 // Constant, MustSteps, SquareWave or the combinators.
+//
+// A profile is either a leaf, whose segments are stored, or a composite
+// that Mul or Min2 built from two inputs: its value at t is op(a.At(t),
+// b.At(t)) and it changes where either input does. Nothing is stored for a
+// composite, so it is exact at every t however its inputs' periods relate.
 type Profile struct {
 	segs []Segment
-	// periodic, if > 0, means the segments describe one period of length
-	// `periodic` and repeat forever.
+	// period, if > 0, means the segments describe one period of length
+	// `period` and repeat forever.
 	period float64
+	// op, if set, makes the profile the composite op(a, b).
+	op   func(x, y float64) float64
+	a, b *Profile
 }
 
 // Constant returns the profile that is v everywhere.
@@ -147,6 +161,9 @@ func Episode(base, during, from, to float64) *Profile {
 
 // At returns the profile's value at time t (t < 0 is treated as 0).
 func (p *Profile) At(t float64) float64 {
+	if p.op != nil {
+		return p.op(p.a.At(t), p.b.At(t))
+	}
 	if t < 0 {
 		t = 0
 	}
@@ -160,6 +177,9 @@ func (p *Profile) At(t float64) float64 {
 // nextChange returns the first time strictly greater than t at which the
 // profile's value may change, or +Inf if the profile is constant after t.
 func (p *Profile) nextChange(t float64) float64 {
+	if p.op != nil {
+		return math.Min(p.a.nextChange(t), p.b.nextChange(t))
+	}
 	if t < 0 {
 		t = 0
 	}
@@ -195,10 +215,10 @@ func (p *Profile) nextChange(t float64) float64 {
 }
 
 // rateOver returns the profile's value on the change-free interval
-// [t, next). It samples the midpoint rather than the left edge: for
-// periodic profiles, At(t) exactly at a boundary returned by nextChange
-// can land one ulp on the wrong side of the corresponding segment start
-// (the modulo and the base+Start arithmetic round differently), and that
+// [t, next). It samples the midpoint rather than the left edge: At(t)
+// exactly at a boundary returned by nextChange can land one ulp on the
+// wrong side of the corresponding segment start (a periodic profile's
+// modulo and its base+Start arithmetic round differently), and that
 // misclassification accumulates into a real bias over many periods.
 func (p *Profile) rateOver(t, next float64) float64 {
 	if math.IsInf(next, 1) {
@@ -212,76 +232,14 @@ func (p *Profile) rateOver(t, next float64) float64 {
 // if the profile is zero forever after start. Zero-rate stretches simply
 // pause progress.
 //
-// This is the simulator's innermost loop, so the common shapes take
-// segment-cursor fast paths that never rescan the profile from t=0: a
-// constant profile is a single division, and a finite (non-periodic)
-// profile locates start's segment with one binary search and then walks an
-// index cursor forward. Periodic profiles index directly into the period
-// containing t via nextChange's floor arithmetic. All paths produce
-// bit-identical results to the generic scan.
+// It is one scan: from start it walks the stretches between change points,
+// each at the rate rateOver samples at its midpoint, until the work is done.
+// A constant profile is one stretch, so its answer is start + work/v; the
+// machine model's constant shortcut relies on that identity.
 func (p *Profile) TimeToDo(start, work float64) float64 {
 	if work <= 0 {
 		return start
 	}
-	if p.period == 0 {
-		if len(p.segs) == 1 {
-			v := p.segs[0].Value
-			if v <= 0 {
-				return math.Inf(1)
-			}
-			return start + work/v
-		}
-		if start >= 0 {
-			return p.timeToDoFinite(start, work)
-		}
-	}
-	return p.timeToDoScan(start, work)
-}
-
-// timeToDoFinite is the cursor fast path for finite multi-segment profiles
-// with start >= 0. It mirrors timeToDoScan exactly — including rateOver's
-// midpoint sampling and its rounding behavior when the midpoint lands on
-// the next boundary — but resolves each segment by cursor index instead of
-// re-searching the segment list per change point.
-func (p *Profile) timeToDoFinite(start, work float64) float64 {
-	segs := p.segs
-	i := sort.Search(len(segs), func(i int) bool { return segs[i].Start > start }) - 1
-	t := start
-	remaining := work
-	for {
-		if i == len(segs)-1 {
-			// Final segment: the rate holds forever.
-			rate := segs[i].Value
-			if rate <= 0 {
-				return math.Inf(1)
-			}
-			return t + remaining/rate
-		}
-		next := segs[i+1].Start
-		// rateOver samples At(t + (next-t)/2); with t in segment i the
-		// midpoint stays in segment i unless rounding lands it exactly on
-		// `next` (possible when next-t is at the ulp scale).
-		rate := segs[i].Value
-		if t+float64((next-t)/2) >= next {
-			rate = segs[i+1].Value
-		}
-		if rate > 0 {
-			capacity := float64(rate * (next - t))
-			if capacity >= remaining {
-				return t + remaining/rate
-			}
-			remaining -= capacity
-		}
-		t = next
-		i++
-	}
-}
-
-// timeToDoScan is the generic integration loop over nextChange/rateOver,
-// used for periodic profiles (whose change points are generated by period
-// arithmetic, not stored) and as the reference semantics for the fast
-// paths.
-func (p *Profile) timeToDoScan(start, work float64) float64 {
 	t := start
 	remaining := work
 	for {
@@ -293,9 +251,8 @@ func (p *Profile) timeToDoScan(start, work float64) float64 {
 			}
 			return t + remaining/rate
 		}
-		span := next - t
 		if rate > 0 {
-			capacity := float64(rate * span)
+			capacity := float64(rate * (next - t))
 			if capacity >= remaining {
 				return t + remaining/rate
 			}
@@ -307,6 +264,9 @@ func (p *Profile) timeToDoScan(start, work float64) float64 {
 
 // Scale returns a new profile equal to p multiplied by k everywhere.
 func (p *Profile) Scale(k float64) *Profile {
+	if p.op != nil {
+		return &Profile{a: p, b: Constant(k), op: mul}
+	}
 	out := &Profile{segs: make([]Segment, len(p.segs)), period: p.period}
 	for i, s := range p.segs {
 		out.segs[i] = Segment{Start: s.Start, Value: s.Value * k}
@@ -314,73 +274,52 @@ func (p *Profile) Scale(k float64) *Profile {
 	return out
 }
 
-// Mul returns the pointwise product of two profiles, materializing the
-// merged breakpoints; when both operands are periodic with commensurable
-// periods the result is periodic over their least common multiple.
+func mul(x, y float64) float64 { return x * y }
+
+// Mul returns the pointwise product of two profiles. A constant operand
+// scales the other; otherwise the product is composed on demand: its value
+// at t is a.At(t) × b.At(t), and it changes where either input does.
 func Mul(a, b *Profile) *Profile {
-	// Fast paths: constant operands.
 	if a.IsConstant() {
 		return b.Scale(a.segs[0].Value)
 	}
 	if b.IsConstant() {
 		return a.Scale(b.segs[0].Value)
 	}
-	return combine(a, b, func(x, y float64) float64 { return x * y })
+	return &Profile{a: a, b: b, op: mul}
 }
 
-// Min2 returns the pointwise minimum of two profiles, materialized over the
-// same horizon strategy as Mul.
+// Min2 returns the pointwise minimum of two profiles. Two constants give a
+// constant, and a constant at or above the other profile's max never binds,
+// so the other profile is returned; otherwise the minimum is composed on
+// demand like Mul's product.
 func Min2(a, b *Profile) *Profile {
 	if a.IsConstant() && b.IsConstant() {
 		return Constant(math.Min(a.segs[0].Value, b.segs[0].Value))
 	}
-	// Short-circuit: a constant that never binds.
 	if a.IsConstant() && a.segs[0].Value >= b.max() {
 		return b
 	}
 	if b.IsConstant() && b.segs[0].Value >= a.max() {
 		return a
 	}
-	return combine(a, b, math.Min)
+	return &Profile{a: a, b: b, op: math.Min}
 }
 
-// combine merges the breakpoints of two profiles applying op pointwise,
-// preserving periodicity when the periods are commensurable.
-func combine(a, b *Profile, op func(x, y float64) float64) *Profile {
-	const horizonPeriods = 64
-	horizon := 0.0
-	period := 0.0
-	switch {
-	case a.period > 0 && b.period > 0:
-		period = lcmFloat(a.period, b.period)
-		horizon = period
-	case a.period > 0:
-		horizon = math.Max(a.period*horizonPeriods, lastStart(b)+a.period)
-	case b.period > 0:
-		horizon = math.Max(b.period*horizonPeriods, lastStart(a)+b.period)
-	default:
-		horizon = math.Max(lastStart(a), lastStart(b))
-	}
-	var segs []Segment
-	t := 0.0
-	for {
-		segs = append(segs, Segment{Start: t, Value: op(a.At(t), b.At(t))})
-		next := math.Min(a.nextChange(t), b.nextChange(t))
-		if next >= horizon || math.IsInf(next, 1) {
-			break
-		}
-		t = next
-	}
-	return &Profile{segs: segs, period: period}
-}
-
-// IsConstant reports whether the profile has a single value everywhere.
+// IsConstant reports whether the profile has a single value everywhere. It
+// is false for a composite.
 func (p *Profile) IsConstant() bool {
 	return p.period == 0 && len(p.segs) == 1
 }
 
-// max returns the largest value the profile ever takes.
+// max returns the largest value the profile ever takes. For a composite it
+// returns op of its inputs' maxima, an upper bound when both inputs are
+// non-negative (as every rate is), which keeps Min2's shortcut sound when
+// it is handed a composite.
 func (p *Profile) max() float64 {
+	if p.op != nil {
+		return p.op(p.a.max(), p.b.max())
+	}
 	m := math.Inf(-1)
 	for _, s := range p.segs {
 		if s.Value > m {
@@ -388,23 +327,4 @@ func (p *Profile) max() float64 {
 		}
 	}
 	return m
-}
-
-func lastStart(p *Profile) float64 {
-	return p.segs[len(p.segs)-1].Start
-}
-
-// lcmFloat returns the least common multiple of two positive floats if they
-// are commensurable within a small tolerance; otherwise it returns a horizon
-// covering many periods of both.
-func lcmFloat(a, b float64) float64 {
-	// Try small integer multiples.
-	for i := 1; i <= 64; i++ {
-		m := a * float64(i)
-		ratio := m / b
-		if math.Abs(ratio-math.Round(ratio)) < 1e-9 {
-			return m
-		}
-	}
-	return a * b // not commensurable in small multiples; generous horizon
 }

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// The cursor fast paths must be bit-identical to the generic scan for every
-// profile shape: the scenario engine's byte-exact determinism fingerprints
-// (and the perf rebaseline's "numbers unchanged" guarantee) depend on it.
-func TestTimeToDoMatchesScanBitExact(t *testing.T) {
+// TimeToDo inverts integrate for every profile shape, including start times
+// that sit exactly on a change point ("combined" is a composite; the
+// composed shapes of compose_test.go get the same check there).
+func TestTimeToDoInvertsIntegrate(t *testing.T) {
 	profiles := map[string]*Profile{
 		"constant": Constant(3.5),
 		"zero":     Constant(0),
@@ -27,17 +27,11 @@ func TestTimeToDoMatchesScanBitExact(t *testing.T) {
 			Segment{0, 1}, Segment{1, 2}, Segment{math.Nextafter(1, 2), 3},
 		),
 	}
-	x := uint64(0x9E3779B97F4A7C15)
-	rnd := func() float64 {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		return float64(x%1_000_000) / 1_000
-	}
+	rnd := xorshift()
 	for name, p := range profiles {
 		// Scale work to the profile's magnitude so completion stays within
-		// a bounded virtual-time horizon (periodic scans walk every period
-		// boundary until the work is done).
+		// a bounded virtual-time horizon (the scan walks every change point
+		// until the work is done).
 		workScale := (1 + p.max()) * 20
 		for i := 0; i < 2000; i++ {
 			start := rnd()
@@ -52,24 +46,16 @@ func TestTimeToDoMatchesScanBitExact(t *testing.T) {
 					start = 0
 				}
 			}
-			got := p.TimeToDo(start, work)
-			want := start
-			if work > 0 {
-				want = p.timeToDoScan(start, work)
-			}
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s: TimeToDo(%v, %v) = %v, scan says %v", name, start, work, got, want)
-			}
+			checkInverse(t, name, p, start, work)
 		}
 	}
 }
 
-// Negative starts must keep the old clamping behavior.
+// A negative start integrates the value at 0 from start on. The literal is
+// 2 + 4/3 rounded twice at run time, as the scan computes it.
 func TestTimeToDoNegativeStart(t *testing.T) {
 	p := MustSteps(Segment{0, 1}, Segment{2, 3})
-	got := p.TimeToDo(-4, 10)
-	want := p.timeToDoScan(-4, 10)
-	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("negative start: got %v, want %v", got, want)
+	if got := p.TimeToDo(-4, 10); got != 3.333333333333333 {
+		t.Fatalf("negative start: got %v, want 3.333333333333333", got)
 	}
 }

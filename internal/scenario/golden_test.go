@@ -207,13 +207,13 @@ func TestCellHashGoldenVectors(t *testing.T) {
 		policy, point, rep int
 		want               string
 	}{
-		{"burst-sweep first", sweep, 0, 0, 0, "8e0453699b467ba5a573f5a4566b1dae0b9fa9c5422b4b6619336be0e4ea93c0"},
-		{"burst-sweep last", sweep, len(sweep.Policies) - 1, len(sweep.Points) - 1, 0, "edcef8dc370202760cf03c4887d97ec22c243c3f72db311db05f5ace2c559c7d"},
-		{"sampled policy", sampled, 1, 1, 0, "19db0446a1896de35fc80a7eff3383a62e23914600f22238b831bd6de59bea55"},
-		{"point alpha", alpha, 0, 0, 1, "2d8370d582d2e9f3cc9afb727dec643c9f9d565c741cf9e3f6730c64a385508f"},
-		{"rep seed stride", alpha, 0, 1, 1, "08220bd927b86121f4aebc1f535cc1fd58baaf0514a1979ab3d70abc5a100ffb"},
-		{"dagfile", dagfile, 0, 0, 0, "790baaf372226794fe78e9a00e6b4e39da21424e3774e2bcf5af16d8ac04d4e3"},
-		{"heatdist", heat, 0, 0, 0, "65680bb48e89b48963d457f23429126b53fa6ef8903bcc76e7b9779b95789c5e"},
+		{"burst-sweep first", sweep, 0, 0, 0, "393961ae6952e0032398b2d1cc8c125b7ca70919d9f0e9cb1cd34860e0161db9"},
+		{"burst-sweep last", sweep, len(sweep.Policies) - 1, len(sweep.Points) - 1, 0, "85699c2b928b79531dcaae12f8784c13f70f1505b54912875331b0746c548dbd"},
+		{"sampled policy", sampled, 1, 1, 0, "9494d3809c2d2fc12c2221916fa3f1d532814c4d633828c64cd983e0e3829c4f"},
+		{"point alpha", alpha, 0, 0, 1, "f41a3aa16bf9341d1daa72958d10f87987a49751dfd2e6dcbbfb6869fdceb8c6"},
+		{"rep seed stride", alpha, 0, 1, 1, "e214ba33693619bf6b45f18291560d89b83b9219ccfcd8f09736062f8d33ff68"},
+		{"dagfile", dagfile, 0, 0, 0, "6bd874d8b1f906636b0885a08cb93b7476a110df491148043b6d716e541326e2"},
+		{"heatdist", heat, 0, 0, 0, "585158b79972d95994def7d5def3cce9589c60595d0de129564206d35ae5788e"},
 	}
 	for _, v := range vectors {
 		p, err := NewPlan(v.spec)

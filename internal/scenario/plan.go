@@ -193,7 +193,7 @@ func (p *Plan) variants() ([]*compiledWorkload, []int, error) {
 // encoding cannot see such changes, so without this tag a version-skewed
 // peer would serve old-engine results under the same keys and silently
 // mix engine outputs inside one merged Result.
-const cellHashVersion = "cell-v1"
+const cellHashVersion = "cell-v2"
 
 // cellHasher derives the canonical cell keys of one plan: the sha256 of the
 // engine generation, the spec's cell-invariant base encoding and the cell's

@@ -20,14 +20,11 @@ type composedShape struct {
 // bandwidth cap and a clock), each a shape a materialised product once got
 // wrong.
 func composedShapes() []composedShape {
-	shape := func(name string, a, b *Profile, op func(x, y float64) float64) composedShape {
-		p := Mul(a, b)
-		if op != nil {
-			p = Min2(a, b)
-		} else {
-			op = mul
+	shape := func(name string, a, b *Profile, useMin bool) composedShape {
+		if useMin {
+			return composedShape{name, a, b, math.Min, Min2(a, b)}
 		}
-		return composedShape{name: name, a: a, b: b, op: op, p: p}
+		return composedShape{name, a, b, mul, Mul(a, b)}
 	}
 	return []composedShape{
 		// A DVFS clock times a burst co-runner's availability, with the
@@ -35,22 +32,22 @@ func composedShapes() []composedShape {
 		// whose start rounds a hair before a burst transition.
 		shape("dvfs×burst",
 			SquareWave(2.035e9, 3.45e8, 0.05, 0.05),
-			PhasedSquareWave(0.4, 1, 0.01, 0.02, 0), nil),
+			PhasedSquareWave(0.4, 1, 0.01, 0.02, 0), false),
 		// A throttle ramp (one-off steps) times a repeating 3 s burst: the
 		// product keeps changing long after the ramp ends.
 		shape("throttle×burst",
 			MustSteps(Segment{0, 2e9}, Segment{1, 1.5e9}, Segment{2, 1e9}),
-			SquareWave(0.5, 1, 1, 2), nil),
+			SquareWave(0.5, 1, 1, 2), false),
 		// A constant bandwidth share that binds only while a DVFS-shaped
 		// per-core cap is high.
 		shape("min(share, dvfs cap)",
 			Constant(2e9),
-			SquareWave(5e9, 8e8, 5, 5), math.Min),
+			SquareWave(5e9, 8e8, 5, 5), true),
 		// A 10 s DVFS wave times a 0.123 + 0.456 s burst: periods with no
 		// small common multiple.
 		shape("dvfs×short burst",
 			SquareWave(2e9, 3e8, 5, 5),
-			SquareWave(0.5, 1, 0.123, 0.456), nil),
+			SquareWave(0.5, 1, 0.123, 0.456), false),
 	}
 }
 

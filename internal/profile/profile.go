@@ -7,11 +7,9 @@
 // function and integrates work over it: given a start time and an amount of
 // work, TimeToDo answers when the work completes.
 //
-// Mul and Min2 compose on demand: a composite stores its two inputs and
-// computes its value when asked, so no product is built up front and none
-// depends on the inputs sharing a period. TimeToDo samples every finite
-// stretch between change points at its midpoint, never at a boundary,
-// where rounding can put a time on the wrong side of a transition.
+// Mul and Min2 compose on demand (see Profile), and TimeToDo samples every
+// finite stretch between change points at its midpoint, never at a
+// boundary, where rounding can put a time on the wrong side of a transition.
 //
 // Times are float64 seconds of virtual time. Profiles are immutable after
 // construction and safe for concurrent readers.

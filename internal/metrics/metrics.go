@@ -8,15 +8,14 @@
 //
 // A run's per-iteration statistics are one Iters value: a single byte string
 // of varints and raw float words, read front to back through an IterCursor.
-// A cell the service caches therefore costs the garbage collector nothing to
-// scan and, with the record's ascending iterations and place IDs and its
-// counts of 1, about one byte per (place, count) pair.
+// It costs the garbage collector nothing to scan and, with the record's
+// ascending iterations and place IDs and its counts of 1, about one byte per
+// (place, count) pair.
 package metrics
 
 import (
 	"cmp"
 	"encoding/binary"
-	"encoding/json"
 	"math"
 	"slices"
 
@@ -114,12 +113,11 @@ type IterStat struct {
 //	         the first), an int32 difference
 //	varint   N, only when the low bit above is 0
 //
-// where a varint is zigzag-encoded (binary.AppendVarint), so a peer's
-// negative or unsorted values come back exactly. The record's ascending
+// where a varint is zigzag-encoded (binary.AppendVarint), so negative or
+// unsorted values come back exactly. The record's ascending
 // IDs and its counts of 1, nearly every pair it writes, take one byte a pair,
 // and an iteration with one task per pair spends nothing on Tasks. Append
-// builds one and an IterCursor reads it. The zero value is empty and encodes
-// as JSON null.
+// builds one and an IterCursor reads it. The zero value is empty.
 type Iters struct {
 	b            []byte
 	iters, pairs int
@@ -155,9 +153,6 @@ func appendFlagged(b []byte, u uint64, implied bool, v int64) []byte {
 // Counts returns the number of iterations and of place counts over all of
 // them.
 func (it Iters) Counts() (iters, pairs int) { return it.iters, it.pairs }
-
-// SizeBytes returns the heap bytes the value holds: its encoding's capacity.
-func (it Iters) SizeBytes() int { return cap(it.b) }
 
 // Cursor returns a cursor before the first iteration.
 func (it Iters) Cursor() IterCursor { return IterCursor{b: it.b} }
@@ -246,58 +241,6 @@ func uvarint(b []byte, off int) (uint64, int) {
 // unzigzag undoes binary.AppendVarint's zigzag encoding.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// iterJSON is an iteration on the shard wire, its pairs inline: the format
-// every peer version reads and writes.
-type iterJSON struct {
-	IterStat
-	Places []PlaceCount
-}
-
-// MarshalJSON encodes the iterations as an array of
-// {"Iter","Tasks","Start","End","Places":[{"ID","N"}]} objects. An iteration
-// without pairs has "Places":[] — or null, when the whole value has no pair:
-// the bytes every peer version writes for those values.
-func (it Iters) MarshalJSON() ([]byte, error) {
-	if it.b == nil {
-		return []byte("null"), nil
-	}
-	out := make([]iterJSON, 0, it.iters)
-	var pairs []PlaceCount
-	if it.pairs > 0 {
-		pairs = make([]PlaceCount, 0, it.pairs)
-	}
-	c := it.Cursor()
-	for c.Next() {
-		from := len(pairs)
-		for c.Pairs() > 0 {
-			pairs = append(pairs, c.Places()...)
-		}
-		out = append(out, iterJSON{c.Stat(), pairs[from:]})
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON decodes MarshalJSON's form into an encoding of exactly its
-// length. An ID or N outside 32 bits is an error, never a wrapped value.
-func (it *Iters) UnmarshalJSON(b []byte) error {
-	var in []iterJSON
-	if err := json.Unmarshal(b, &in); err != nil || in == nil {
-		*it = Iters{}
-		return err
-	}
-	var out Iters
-	for _, st := range in {
-		out.Append(st.IterStat, st.Places)
-	}
-	out.b = exact(out.b)
-	*it = out
-	return nil
-}
-
-// exact copies b into a new array of its length; an empty b gives an empty,
-// non-nil slice, which encodes as [] rather than null.
-func exact(b []byte) []byte { return append(make([]byte, 0, len(b)), b...) }
-
 // Makespan returns the run's total execution time: the finish of its last
 // completion, 0 for a run with none.
 func (r *Record) Makespan() float64 {
@@ -343,8 +286,8 @@ type PlaceShare struct {
 
 // PlaceHistogram returns the distribution of high-priority tasks over
 // execution places in ComparePlaceShares order. Fractions sum to 1 when any
-// were recorded. The result is one allocation of exactly its length: a cached
-// cell keeps it, and a run touches only some of its platform's places.
+// were recorded. The result is one allocation of exactly its length: a run
+// touches only some of its platform's places.
 func (r *Record) PlaceHistogram() []PlaceShare {
 	counts := r.counts
 	nz, total := 0, int64(0)
@@ -436,6 +379,6 @@ func (r *Record) IterStats() Iters {
 		r.ids, r.pairs = ids, pairs
 	}
 	r.iterEnd, r.enc = iterEnd, out.b
-	out.b = exact(out.b)
+	out.b = append(make([]byte, 0, len(out.b)), out.b...)
 	return out
 }

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"math"
 	"reflect"
 	"slices"
@@ -198,8 +197,8 @@ func TestIterStatsPlacesSortedSharedBacking(t *testing.T) {
 	if count(places[0], wide, topo) != 2 || count(places[1], wide, topo) != 0 {
 		t.Fatalf("counts: iter 0 %+v, iter 1 %+v", places[0], places[1])
 	}
-	if it.SizeBytes() != len(it.b) {
-		t.Fatalf("the readout holds %d bytes for a %d-byte encoding", it.SizeBytes(), len(it.b))
+	if cap(it.b) != len(it.b) {
+		t.Fatalf("the readout holds %d bytes for a %d-byte encoding", cap(it.b), len(it.b))
 	}
 }
 
@@ -317,9 +316,7 @@ func roundTripRows() map[string][]iter {
 }
 
 // checkIters appends iters to an Iters and checks that the cursor reads back,
-// bit for bit, every field Append wrote, that Counts matches, and that a trip
-// through the JSON form gives the same value at exactly its length. A value
-// JSON cannot hold (a NaN or infinite Start or End) only skips that trip.
+// bit for bit, every field Append wrote, and that Counts matches.
 func checkIters(t *testing.T, name string, iters []iter) {
 	t.Helper()
 	var it Iters
@@ -335,7 +332,6 @@ func checkIters(t *testing.T, name string, iters []iter) {
 	if len(stats) != len(iters) {
 		t.Fatalf("%s: the cursor read %d iterations, want %d", name, len(stats), len(iters))
 	}
-	finite := true
 	for i, x := range iters {
 		got, want := stats[i], x.st
 		if got.Iter != want.Iter || got.Tasks != want.Tasks ||
@@ -346,29 +342,11 @@ func checkIters(t *testing.T, name string, iters []iter) {
 		if !slices.Equal(places[i], x.pairs) {
 			t.Errorf("%s: iteration %d pairs %v, want %v", name, i, places[i], x.pairs)
 		}
-		for _, v := range []float64{want.Start, want.End} {
-			finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
-		}
-	}
-	b, err := json.Marshal(it)
-	if err != nil {
-		if finite {
-			t.Fatalf("%s: %v", name, err)
-		}
-		return
-	}
-	var back Iters
-	if err := json.Unmarshal(b, &back); err != nil || !reflect.DeepEqual(back, it) {
-		t.Errorf("%s: decoded %+v (%v), want %+v", name, back, err, it)
-	}
-	if back.SizeBytes() != len(back.b) {
-		t.Errorf("%s: decoding holds %d bytes for a %d-byte encoding", name, back.SizeBytes(), len(back.b))
 	}
 }
 
 // TestItersRoundTrip: the cursor reads back, bit for bit, every field Append
-// wrote — for what a peer could send as well as what the collector builds —
-// and so does a trip through the JSON form.
+// wrote, for hostile values as well as what the collector builds.
 func TestItersRoundTrip(t *testing.T) {
 	for name, iters := range roundTripRows() {
 		checkIters(t, name, iters)
@@ -463,9 +441,8 @@ func fuzzIters(data []byte) []iter {
 	}
 }
 
-// FuzzIters: whatever iterations and place counts a peer sends, the cursor
-// reads every field back bit for bit, Counts matches, and the JSON form
-// round-trips to the same value at exactly its length (checkIters). The
+// FuzzIters: whatever iterations and place counts are appended, the cursor
+// reads every field back bit for bit and Counts matches (checkIters). The
 // corpus is TestItersRoundTrip's rows.
 func FuzzIters(f *testing.F) {
 	for _, iters := range roundTripRows() {
@@ -474,55 +451,6 @@ func FuzzIters(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkIters(t, "fuzz", fuzzIters(data))
 	})
-}
-
-// TestItersJSON: the wire form is the array of objects an iteration with its
-// own pairs once encoded to, null for a zero value and [] for an empty one,
-// and decoding rebuilds the value Append built; an old peer's {"place": count}
-// object and a count past 32 bits are errors.
-func TestItersJSON(t *testing.T) {
-	var it Iters
-	if b, err := json.Marshal(it); err != nil || string(b) != "null" {
-		t.Fatalf("zero Iters encodes as %s (%v), want null", b, err)
-	}
-	it.Append(IterStat{Iter: 3, Tasks: 5, Start: 0.5, End: 1}, []PlaceCount{{ID: 1, N: 2}, {ID: 7, N: 3}})
-	it.Append(IterStat{Iter: 4, Tasks: 1, Start: 1, End: 2}, []PlaceCount{{ID: 0, N: 1}})
-	b, err := json.Marshal(it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const want = `[{"Iter":3,"Tasks":5,"Start":0.5,"End":1,"Places":[{"ID":1,"N":2},{"ID":7,"N":3}]},` +
-		`{"Iter":4,"Tasks":1,"Start":1,"End":2,"Places":[{"ID":0,"N":1}]}]`
-	if string(b) != want {
-		t.Fatalf("encoded\n %s\nwant\n %s", b, want)
-	}
-	var back Iters
-	if err := json.Unmarshal(b, &back); err != nil || !reflect.DeepEqual(back, it) {
-		t.Fatalf("decoded %+v (%v), want %+v", back, err, it)
-	}
-	if err := json.Unmarshal([]byte("null"), &back); err != nil || !reflect.DeepEqual(back, Iters{}) {
-		t.Fatalf("null decodes to %+v (%v), want the zero value", back, err)
-	}
-	empty := newRecorder(topology.TX2()).record(t).IterStats()
-	for what, v := range map[string]Iters{"an empty readout": empty, "a decoded []": {}} {
-		if what == "a decoded []" {
-			if err := json.Unmarshal([]byte("[]"), &v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if b, err := json.Marshal(v); err != nil || string(b) != "[]" {
-			t.Errorf("%s encodes as %s (%v), want []", what, b, err)
-		}
-	}
-	for _, bad := range []string{
-		`[{"Iter":0,"Places":{"3":1}}]`,
-		`[{"Iter":0,"Places":[{"ID":0,"N":2147483648}]}]`,
-		`[{"Iter":0,"Places":[{"ID":-2147483649,"N":1}]}]`,
-	} {
-		if err := json.Unmarshal([]byte(bad), &back); err == nil {
-			t.Errorf("%s decoded without an error", bad)
-		}
-	}
 }
 
 func TestNegativeIterIgnored(t *testing.T) {

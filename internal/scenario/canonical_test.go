@@ -324,8 +324,9 @@ func (c *chanCounter) check(t *testing.T, total int) {
 // sizes in the builders, one 2^40-repetition grid in NewPlan — one that died
 // out of memory in its first cell's builder (2^33 tasks), three that died the
 // same way inside Validate building the platform, one 6 144-task graph of
-// 4.2 million edges, and one custom cluster without memory bandwidth, whose
-// every cell used to panic.
+// 4.2 million edges, one custom cluster without memory bandwidth, whose
+// every cell used to panic, a 10 ns DVFS wave, whose first cell took seconds,
+// and a 2^30-step throttle ramp, whose first cell would have run out of memory.
 func FuzzParseSpec(f *testing.F) {
 	for _, name := range Names() {
 		fam, _ := Lookup(name)
@@ -346,6 +347,8 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(`{"workload":{"kind":"daggen","daggen":{"model":"random-layered","layers":3,"width":2048,"degree":2048}},"policies":["RWS"]}`))
 	f.Add([]byte(`{"name":"x","platform":{"preset":"tx2"},"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":4194304}},"policies":["RWS"],"reps":17,"seed":1}`))
 	f.Add([]byte(`{"platform":{"clusters":[{"name":"c","first_core":0,"num_cores":2,"widths":[1,2],"speed":1,"base_hz":1e9}]},"workload":{"kind":"synthetic","synthetic":{"kernel":"Copy","tasks":20}},"policies":["RWS"]}`))
+	f.Add([]byte(`{"platform":{"preset":"tx2"},"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":600}},"disturb":[{"kind":"dvfs","hi_hz":2035e6,"lo_hz":345e6,"hi_dur":1e-8,"lo_dur":1e-8}],"policies":["DAM-C"]}`))
+	f.Add([]byte(`{"platform":{"preset":"tx2"},"workload":{"kind":"synthetic","synthetic":{"kernel":"MatMul","tasks":600}},"disturb":[{"kind":"throttle","from":1,"to":2,"floor":0.5,"ramp_steps":1073741824}],"policies":["DAM-C"]}`))
 	// Sampled policy names: core.ByName parses the text after the last '~';
 	// and ablation-wrapper names it refuses.
 	for _, name := range []string{"DAM-C~0", "DAM-C~", "~8", "DAM-P~8~4", "DAM-C~08", "DAM-C~1025",

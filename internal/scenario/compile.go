@@ -44,7 +44,7 @@ type CellState struct {
 	// rendered schedules are copies, so reuse never leaks telemetry across
 	// cells.
 	probe *simrt.Probe
-	// seal is the buffer each cell's digest is encoded into (RunMetrics.Seal).
+	// seal is the buffer each cell's digest is encoded into (RunMetrics.sealInto).
 	seal []byte
 }
 

@@ -79,7 +79,7 @@ func TestRepetitionsGetDistinctSeeds(t *testing.T) {
 			t.Errorf("rep with seed %d has zero throughput", r.Seed)
 		}
 	}
-	if mean := res.Cells[0][0].meanThroughput(); mean <= 0 {
+	if mean := res.Throughputs()[0][0]; mean <= 0 {
 		t.Errorf("mean throughput %v", mean)
 	}
 }

@@ -358,24 +358,28 @@ func (p *Plan) checkCell(c CellJob) error {
 // one constructor of a Result.
 func (p *Plan) Assemble(runs []RunMetrics) *Result {
 	nx, reps := len(p.Spec.Points), p.Spec.Reps
-	res := &Result{
-		Name:     p.Spec.Name,
-		Topo:     p.topo,
-		Policies: make([]string, len(p.Spec.Policies)),
-		Points:   append([]Point(nil), p.Spec.Points...),
-		Cells:    make([][]Cell, len(p.Spec.Policies)),
-	}
+	res := &Result{Name: p.Spec.Name, Topo: p.topo, Policies: make([]string, len(p.Spec.Policies)),
+		Points: append([]Point(nil), p.Spec.Points...), Cells: make([][]Cell, len(p.Spec.Policies))}
 	grid := make([]Cell, len(p.Spec.Policies)*nx)
 	for pi, pol := range p.Spec.Policies {
-		name := pol.Name()
-		res.Policies[pi] = name
+		res.Policies[pi] = pol.Name()
 		res.Cells[pi] = grid[pi*nx : (pi+1)*nx : (pi+1)*nx]
 		for xi, pt := range p.Spec.Points {
 			k := (pi*nx + xi) * reps
-			res.Cells[pi][xi] = Cell{Policy: name, Point: pt, Runs: runs[k : k+reps : k+reps]}
+			res.Cells[pi][xi] = Cell{Policy: res.Policies[pi], Point: pt, Runs: runs[k : k+reps : k+reps]}
 		}
 	}
 	return res
+}
+
+// Summarize is Assemble for the cells' summaries; the Summary keeps the array.
+func (p *Plan) Summarize(runs []RunSummary) *Summary {
+	s := &Summary{Name: p.Spec.Name, Topo: p.topo, Policies: make([]string, len(p.Spec.Policies)),
+		Points: append([]Point(nil), p.Spec.Points...), Reps: p.Spec.Reps, Runs: runs}
+	for i, pol := range p.Spec.Policies {
+		s.Policies[i] = pol.Name()
+	}
+	return s
 }
 
 // Merge is Assemble for cell results keyed by cell hash. Every plan cell must

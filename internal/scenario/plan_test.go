@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -77,7 +78,9 @@ func TestPlanMergeMatchesRun(t *testing.T) {
 // order, one merged from a map by cell hash, and a monolithic Run are one
 // result, text and digest, for every registered family with repetitions and
 // a per-point alpha — and for a grid with a point that repeats another's
-// parameters under a new label, whose cells share that point's hashes.
+// parameters under a new label, whose cells share that point's hashes. The
+// Summary of the same cells has the Result's digest and throughputs, bit for
+// bit.
 func TestAssembleMatchesRun(t *testing.T) {
 	specs := map[string]Spec{}
 	for _, name := range Names() {
@@ -122,6 +125,22 @@ func TestAssembleMatchesRun(t *testing.T) {
 			for how, res := range map[string]*Result{"Assemble": p.Assemble(runs), "Merge": merged} {
 				if res.FingerprintText() != text || res.Fingerprint() != fp {
 					t.Errorf("%s diverged from Run", how)
+				}
+			}
+			sums := make([]RunSummary, len(runs))
+			for i := range runs {
+				sums[i] = runs[i].Summary()
+			}
+			sum := p.Summarize(sums)
+			if sum.Fingerprint() != fp {
+				t.Error("Summarize's fingerprint diverged from Run's")
+			}
+			want, got := direct.Throughputs(), sum.Throughputs()
+			for pi := range want {
+				for xi := range want[pi] {
+					if math.Float64bits(got[pi][xi]) != math.Float64bits(want[pi][xi]) {
+						t.Errorf("%s/%s: summary throughput %v, result %v", sum.Policies[pi], sum.Points[xi].Label, got[pi][xi], want[pi][xi])
+					}
 				}
 			}
 		})

@@ -4,13 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"slices"
 	"strconv"
-	"unsafe"
 
 	"dynasym/internal/metrics"
 	"dynasym/internal/topology"
@@ -35,48 +33,50 @@ type RunMetrics struct {
 	HighHist []metrics.PlaceShare
 	// Iters holds per-iteration statistics for iterative workloads: the
 	// iterations and their place counts, encoded in one pointer-free byte
-	// string. On the wire it keeps the array-of-objects form each iteration
-	// once had (metrics.Iters.MarshalJSON).
+	// string.
 	Iters metrics.Iters
 	// Steals, FailedSteals and Dispatches sum the scheduler counters over
 	// all cores (and nodes).
 	Steals, FailedSteals, Dispatches int64
 	// Sched carries scheduler-introspection telemetry when the run
 	// executed in this process with a probe (Spec.Probe, RunCellTrace);
-	// nil otherwise. It never leaves the process: the shard wire omits it,
-	// and a peer's "Sched" is ignored on decode, so no cached cell holds
-	// any. Deliberately not part of Fingerprint: telemetry describes a
-	// run, it does not define one.
-	Sched *metrics.Sched `json:"-"`
+	// nil otherwise. It never leaves the process. Deliberately not part of
+	// Fingerprint: telemetry describes a run, it does not define one.
+	Sched *metrics.Sched
 
-	digest [sha256.Size]byte // what Seal computed; zero until then
+	digest Digest // what sealInto computed; zero until then
 }
 
-// SizeBytes estimates the heap a RunMetrics value holds on to — the struct
-// plus the capacity of its slices and of the Iters encoding (Sched
-// telemetry is not counted: the service runs no cell with a probe, and a
-// peer's Sched is dropped on decode, so no cached cell has any). The service
-// sums it into its cell-cache byte gauge, so it must stay allocation-free.
-func (rm *RunMetrics) SizeBytes() int64 {
-	n := unsafe.Sizeof(*rm) +
-		uintptr(cap(rm.CoreBusy))*unsafe.Sizeof(float64(0)) +
-		uintptr(cap(rm.HighHist))*unsafe.Sizeof(metrics.PlaceShare{}) +
-		uintptr(rm.Iters.SizeBytes())
-	return int64(n)
+// RunSummary is a run reduced to what a job's answer reads: its scalars and the
+// digest sealInto took of the whole run. It holds no pointer. The detail behind
+// the digest is a pure function of the cell: re-run the cell to get it back.
+type RunSummary struct {
+	Seed                                        uint64
+	Throughput, Makespan                        float64
+	TasksDone, Steals, FailedSteals, Dispatches int64
+	Digest                                      Digest
 }
 
-// UnmarshalJSON decodes the shard wire form, then copies CoreBusy and
-// HighHist into arrays of exactly their length: encoding/json grows them
-// past it, and the cell cache keeps what a peer sent.
-func (rm *RunMetrics) UnmarshalJSON(b []byte) error {
-	type wire RunMetrics // the default decoding, without this method
-	if err := json.Unmarshal(b, (*wire)(rm)); err != nil {
-		return err
+// Summary returns the run's summary, digesting a run nobody sealed on the spot.
+func (rm RunMetrics) Summary() RunSummary {
+	if rm.digest == (Digest{}) {
+		rm.sealInto(nil) // the copy's digest, not the caller's
 	}
-	// A clone keeps nil and empty apart, so the value re-encodes as it decoded.
-	rm.CoreBusy = slices.Clip(slices.Clone(rm.CoreBusy))
-	rm.HighHist = slices.Clip(slices.Clone(rm.HighHist))
-	return nil
+	return RunSummary{Seed: rm.Seed, Throughput: rm.Throughput, Makespan: rm.Makespan, TasksDone: rm.TasksDone,
+		Steals: rm.Steals, FailedSteals: rm.FailedSteals, Dispatches: rm.Dispatches, Digest: rm.digest}
+}
+
+// Digest is a run's sealed sha256. Its text form is 64 hex digits.
+type Digest [sha256.Size]byte
+
+func (d Digest) MarshalText() ([]byte, error) { return hex.AppendEncode(nil, d[:]), nil }
+
+func (d *Digest) UnmarshalText(b []byte) error {
+	if len(b) != hex.EncodedLen(len(d)) {
+		return fmt.Errorf("digest %.80q is not %d hex digits", b, hex.EncodedLen(len(d)))
+	}
+	_, err := hex.Decode(d[:], b)
+	return err
 }
 
 // Cell is one (policy, point) position of the grid with all repetitions.
@@ -89,15 +89,6 @@ type Cell struct {
 // Run returns the first repetition — the canonical single-run view that
 // reproduces a standalone execution with the spec's base seed.
 func (c *Cell) Run() RunMetrics { return c.Runs[0] }
-
-// meanThroughput averages throughput over repetitions.
-func (c *Cell) meanThroughput() float64 {
-	sum := 0.0
-	for _, r := range c.Runs {
-		sum += r.Throughput
-	}
-	return sum / float64(len(c.Runs))
-}
 
 // Result is the full grid of a scenario run.
 type Result struct {
@@ -130,16 +121,29 @@ func (r *Result) Cell(policy, label string) *Cell {
 
 // Throughputs returns the mean-throughput grid indexed [policy][point].
 func (r *Result) Throughputs() [][]float64 {
-	out := make([][]float64, len(r.Policies))
-	grid := make([]float64, len(r.Policies)*len(r.Points))
-	for pi := range r.Cells {
-		out[pi] = grid[pi*len(r.Points) : (pi+1)*len(r.Points) : (pi+1)*len(r.Points)]
-		for xi := range r.Cells[pi] {
-			out[pi][xi] = r.Cells[pi][xi].meanThroughput()
+	return meanGrid(len(r.Policies), len(r.Points), r.reps, func(pi, xi, rep int) float64 { return r.Cells[pi][xi].Runs[rep].Throughput })
+}
+
+// meanGrid is the one mean behind Result.Throughputs and Summary.Throughputs:
+// reps counts a grid position's runs, tput gives one's, summed in run order.
+func meanGrid(np, nx int, reps func(pi, xi int) int, tput func(pi, xi, rep int) float64) [][]float64 {
+	out := make([][]float64, np)
+	grid := make([]float64, np*nx)
+	for pi := range out {
+		out[pi] = grid[pi*nx : (pi+1)*nx : (pi+1)*nx]
+		for xi := range out[pi] {
+			k := reps(pi, xi)
+			for rep := range k {
+				out[pi][xi] += tput(pi, xi, rep)
+			}
+			out[pi][xi] /= float64(k)
 		}
 	}
 	return out
 }
+
+// reps counts the runs at a grid position.
+func (r *Result) reps(pi, xi int) int { return len(r.Cells[pi][xi].Runs) }
 
 // WriteTable renders the mean-throughput grid as an aligned text table.
 func (r *Result) WriteTable(w io.Writer) {
@@ -149,10 +153,10 @@ func (r *Result) WriteTable(w io.Writer) {
 		fmt.Fprintf(w, "%12s", pt.Label)
 	}
 	fmt.Fprintln(w)
-	for pi, p := range r.Policies {
-		fmt.Fprintf(w, "%-12s", p)
-		for xi := range r.Points {
-			fmt.Fprintf(w, "%12.0f", r.Cells[pi][xi].meanThroughput())
+	for pi, row := range r.Throughputs() {
+		fmt.Fprintf(w, "%-12s", r.Policies[pi])
+		for _, tput := range row {
+			fmt.Fprintf(w, "%12.0f", tput)
 		}
 		fmt.Fprintln(w)
 	}
@@ -161,16 +165,22 @@ func (r *Result) WriteTable(w io.Writer) {
 // Fingerprint is the result's identity: 64 hex digits, equal for two results
 // exactly when every metric of every repetition is bit-equal. It is the sha256
 // of the name, the topology string and then, in grid order, each cell's
-// policy, point label, repetition count and run digests (RunMetrics.Seal),
-// every string and count length-prefixed. A run nobody sealed — a Result built
-// by hand — is digested on the spot, so the value never depends on who sealed.
-// Sched stays out: telemetry describes a run, it does not define one.
+// policy, point label, repetition count and run digests (RunMetrics.Summary),
+// every string and count length-prefixed. Sched stays out: telemetry
+// describes a run, it does not define one.
 func (r *Result) Fingerprint() string {
-	topo := topoString(r.Topo)
-	n := 16 + len(r.Name) + len(topo)
-	for pi, p := range r.Policies {
-		for xi, pt := range r.Points {
-			n += 24 + len(p) + len(pt.Label) + sha256.Size*len(r.Cells[pi][xi].Runs)
+	return fingerprint(r.Name, r.Topo, r.Policies, r.Points, r.reps, func(pi, xi, rep int) Digest { return r.Cells[pi][xi].Runs[rep].Summary().Digest })
+}
+
+// fingerprint is the one hash behind Result.Fingerprint and
+// Summary.Fingerprint: reps counts a grid position's runs, digest gives one.
+func fingerprint(name string, platform *topology.Platform, policies []string, points []Point,
+	reps func(pi, xi int) int, digest func(pi, xi, rep int) Digest) string {
+	topo := topoString(platform)
+	n := 16 + len(name) + len(topo)
+	for pi, p := range policies {
+		for xi, pt := range points {
+			n += 24 + len(p) + len(pt.Label) + sha256.Size*reps(pi, xi)
 		}
 	}
 	var stack [fingerprintStackBytes]byte
@@ -178,16 +188,14 @@ func (r *Result) Fingerprint() string {
 	if n > len(stack) {
 		b = make([]byte, 0, n)
 	}
-	b = appendStr(appendStr(b, r.Name), topo)
-	for pi, p := range r.Policies {
-		for xi, pt := range r.Points {
-			runs := r.Cells[pi][xi].Runs
-			b = appendU64(appendStr(appendStr(b, p), pt.Label), uint64(len(runs)))
-			for _, run := range runs {
-				if run.digest == ([sha256.Size]byte{}) {
-					run.Seal() // the loop's copy, not the caller's value
-				}
-				b = append(b, run.digest[:]...)
+	b = appendStr(appendStr(b, name), topo)
+	for pi, p := range policies {
+		for xi, pt := range points {
+			k := reps(pi, xi)
+			b = appendU64(appendStr(appendStr(b, p), pt.Label), uint64(k))
+			for rep := range k {
+				d := digest(pi, xi, rep)
+				b = append(b, d[:]...)
 			}
 		}
 	}
@@ -195,24 +203,47 @@ func (r *Result) Fingerprint() string {
 	return hex.EncodeToString(sum[:])
 }
 
+// Summary is a Result reduced to its runs' summaries (Plan.Summarize), Reps
+// per grid position in plan order: its Fingerprint and Throughputs are the
+// Result's, bit for bit.
+type Summary struct {
+	Name     string
+	Topo     *topology.Platform
+	Policies []string
+	Points   []Point
+	Reps     int
+	Runs     []RunSummary
+}
+
+// Fingerprint is Result.Fingerprint, from the summaries' digests.
+func (s *Summary) Fingerprint() string {
+	return fingerprint(s.Name, s.Topo, s.Policies, s.Points, s.reps, func(pi, xi, rep int) Digest { return s.at(pi, xi, rep).Digest })
+}
+
+// Throughputs is Result.Throughputs, from the summaries' throughputs.
+func (s *Summary) Throughputs() [][]float64 {
+	return meanGrid(len(s.Policies), len(s.Points), s.reps, func(pi, xi, rep int) float64 { return s.at(pi, xi, rep).Throughput })
+}
+
+func (s *Summary) reps(int, int) int { return s.Reps }
+
+// at is the summary of one run by grid position and repetition.
+func (s *Summary) at(pi, xi, rep int) *RunSummary { return &s.Runs[(pi*len(s.Points)+xi)*s.Reps+rep] }
+
 // fingerprintStackBytes is the largest Fingerprint input hashed from the
 // stack: a 21-cell one-rep grid on a preset platform needs about 1.5 KB.
 const fingerprintStackBytes = 2048
 
-// Seal stores the run's digest in the value, to travel with it through caches
-// and merges: sha256 over a fixed little-endian encoding of exactly the fields
-// FingerprintText prints — Seed, Throughput, Makespan, TasksDone, Steals,
-// FailedSteals, Dispatches, then CoreBusy, HighHist (leader, width, count,
-// frac) and Iters (iter, tasks, start, end, place pairs as stored: ID-sorted),
-// slices behind their length, every integer a 64-bit word and floats as
-// IEEE-754 bits — never Sched. Call it once the metrics are final; a write
-// after it needs another Seal. The digest is never encoded — whoever decodes a
-// value seals it again — so it changes no wire format and no cache key.
-func (rm *RunMetrics) Seal() { rm.sealInto(nil) }
-
-// sealInto is Seal on the caller's scratch, which it returns (grown to the
-// encoding's exact length, if it had to be) for the next cell: a warm worker
-// seals without allocating.
+// sealInto stores the run's digest in the value, to travel with it through
+// caches and merges (RunSummary): sha256 over a fixed little-endian encoding of
+// exactly the fields FingerprintText prints — Seed, Throughput, Makespan,
+// TasksDone, Steals, FailedSteals, Dispatches, then CoreBusy, HighHist
+// (leader, width, count, frac) and Iters (iter, tasks, start, end, place pairs
+// as stored: ID-sorted), slices behind their length, every integer a 64-bit
+// word and floats as IEEE-754 bits — never Sched. A write after it needs
+// another seal. It encodes into b, which it returns (grown to the encoding's
+// exact length, if it had to be) for the next cell: a warm worker seals
+// without allocating.
 func (rm *RunMetrics) sealInto(b []byte) []byte {
 	iters, pairs := rm.Iters.Counts()
 	// Seven scalars and three slice lengths, then per element: a float per

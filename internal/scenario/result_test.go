@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"dynasym/internal/core"
 	"dynasym/internal/metrics"
@@ -91,7 +93,7 @@ func placesKeyRef(pairs []metrics.PlaceCount) string {
 
 // digestOf seals a copy of the run, whatever digest it carried.
 func digestOf(rm RunMetrics) [32]byte {
-	rm.Seal()
+	rm.sealInto(nil)
 	return rm.digest
 }
 
@@ -445,38 +447,6 @@ func TestDigestCoversExactlyTheText(t *testing.T) {
 	}
 }
 
-// TestSealDoesNotTravel: the digest is no part of a RunMetrics' encoding — a
-// sealed and an unsealed copy of one cell marshal to the same bytes, which is
-// why no /v1/shards byte changed when cells started carrying one — and a
-// decoded copy, sealed by its receiver, gets the sender's digest back.
-func TestSealDoesNotTravel(t *testing.T) {
-	f, _ := Lookup("burst-sweep")
-	res, err := Run(f.Spec(0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sealed := res.Cells[0][0].Runs[0]
-	plain := sealed
-	plain.digest = [32]byte{}
-	a, err := json.Marshal(sealed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b, _ := json.Marshal(plain); !bytes.Equal(a, b) || bytes.Contains(bytes.ToLower(a), []byte("digest")) {
-		t.Fatalf("a sealed cell encodes differently from an unsealed one, or names its digest:\n%.200s", a)
-	}
-	var back RunMetrics
-	if err := json.Unmarshal(a, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.digest != ([32]byte{}) {
-		t.Fatal("a decoded cell arrived sealed")
-	}
-	if back.Seal(); back.digest != sealed.digest {
-		t.Fatalf("re-sealed after the wire: %x, sender had %x", back.digest, sealed.digest)
-	}
-}
-
 // TestFingerprintAllocs pins the costs a job pays: a worker seals a cell on
 // its own scratch and allocates nothing, a job's fingerprint over sealed
 // cells is its input buffer and its string, and the text renderer — the
@@ -507,8 +477,8 @@ func TestFingerprintAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() { scratch = run.sealInto(scratch) }); allocs != 0 {
 		t.Errorf("sealing on a warm worker's scratch costs %.0f allocs/op, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(20, run.Seal); allocs > 1 {
-		t.Errorf("a bare Seal costs %.0f allocs/op, want its one exact-size buffer", allocs)
+	if allocs := testing.AllocsPerRun(20, func() { run.sealInto(nil) }); allocs > 1 {
+		t.Errorf("a seal without scratch costs %.0f allocs/op, want its one exact-size buffer", allocs)
 	}
 }
 
@@ -523,134 +493,82 @@ func goldenKMeans() Spec {
 	}
 }
 
-// TestRunMetricsWireGolden pins the shard wire bytes of a cell: sha256 of
-// json.Marshal of a KMeans cell's RunMetrics and of a scaleout-32 cell's (200
-// iterations). The literals were generated while each iteration still held
-// its own slice of pairs; they hold a coordinator and its peers to one format
-// across versions.
+// TestRunMetricsWireGolden pins what a cell is on the shard wire: sha256 of
+// json.Marshal of the RunSummary of a KMeans cell and of a scaleout-32@0.05
+// cell (200 iterations), its digest as 64 hex digits. The literals hold a
+// coordinator and its peers to one format across versions; a change that
+// moves them makes two versions refuse each other, so it renames the shard
+// reply's member, as "summary" replaced "metrics". The encoding decodes to
+// the same summary.
 func TestRunMetricsWireGolden(t *testing.T) {
 	scaleout, _ := Lookup("scaleout-32")
 	for _, v := range []struct {
-		name  string
-		spec  Spec
-		iters int
-		want  string
+		name string
+		spec Spec
+		want string
 	}{
-		{"kmeans", goldenKMeans(), 4, "0e813357182cfad35a401ef4651d4342d2738abfd5fa2ebdd87f7f589c9d57a5"},
-		{"scaleout-32", scaleout.Spec(0.05), 200, "0024c346682176d595b283520a586b5f135373e24ab097ce1588b4239fff0c08"},
+		{"kmeans", goldenKMeans(), "d66e435bb9258db85759c2acc48aa1115f78688d31641b920701547a5093d257"},
+		{"scaleout-32", scaleout.Spec(0.05), "1d0cd5957c2582247d1e0e8a89cd18cc0d40859d78f0e6e5a06081a6d4bf1340"},
 	} {
 		res, err := Run(v.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		run := res.Cells[0][0].Runs[0]
-		if n, pairs := run.Iters.Counts(); n != v.iters || pairs < n {
-			t.Fatalf("%s: %d iterations, %d pairs; want %d iterations, each with pairs", v.name, n, pairs, v.iters)
-		}
-		b, err := json.Marshal(run)
+		sum := run.Summary()
+		b, err := json.Marshal(sum)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != v.want {
-			t.Errorf("%s: wire bytes hash to %x, want %s:\n%.400s", v.name, sum, v.want, b)
+		if got := sha256.Sum256(b); hex.EncodeToString(got[:]) != v.want {
+			t.Errorf("%s: wire bytes hash to %x, want %s:\n%s", v.name, got, v.want, b)
 		}
-		// A peer's cell is cached as decoded: at exactly its length.
-		var back RunMetrics
-		if err := json.Unmarshal(b, &back); err != nil {
-			t.Fatal(err)
+		if !bytes.Contains(b, []byte(`"Digest":"`+hex.EncodeToString(run.digest[:])+`"`)) {
+			t.Errorf("%s: the wire form does not carry the sealed digest in hex: %s", v.name, b)
 		}
-		if msg := slack(back); msg != "" {
-			t.Errorf("%s: decoded, %s", v.name, msg)
+		var back RunSummary
+		if err := json.Unmarshal(b, &back); err != nil || back != sum {
+			t.Errorf("%s: decoded %+v (%v), want %+v", v.name, back, err, sum)
+		}
+	}
+	var d Digest
+	for _, bad := range []string{`""`, `"00"`, `"` + strings.Repeat("g", 64) + `"`, `"` + strings.Repeat("0", 66) + `"`} {
+		if json.Unmarshal([]byte(bad), &d) == nil {
+			t.Errorf("digest %s decoded without an error", bad)
 		}
 	}
 }
 
-// slack describes the slots CoreBusy and HighHist hold past their length, ""
-// when they hold none.
-func slack(rm RunMetrics) string {
-	if cap(rm.CoreBusy) == len(rm.CoreBusy) && cap(rm.HighHist) == len(rm.HighHist) {
-		return ""
-	}
-	return fmt.Sprintf("CoreBusy holds %d slots for %d entries, HighHist %d for %d",
-		cap(rm.CoreBusy), len(rm.CoreBusy), cap(rm.HighHist), len(rm.HighHist))
-}
-
-// TestCachedCellFootprint bounds what one cached cell of the two gated bench
-// workloads holds (SizeBytes, the asymd_cell_cache_bytes summand, capacity
-// counted): the measured maximum + 5 %. Measured 6 672 B (scaleout-32) and
-// 16 528 B (burst-sweep), every slice at exactly its length; when each pair
-// spent a byte on its count and each iteration one on its task count they
-// were 8 472 and 18 928, when the place histogram kept a slot per platform
-// place 9 368 and 18 960, and with the iterations and pairs in two flat
-// arrays 22 272 and 45 328.
+// TestCachedCellFootprint: what the service caches of a cell, its
+// RunSummary, holds no pointer — a reflect walk of its type finds none — so a
+// cache of them costs the garbage collector nothing to scan, and its size is
+// exact: 88 bytes, whatever the cell. The walk fails on every kind that holds
+// or is a pointer, so a field added later is checked too.
 func TestCachedCellFootprint(t *testing.T) {
-	for name, limit := range map[string]int64{"scaleout-32": 6672 * 105 / 100, "burst-sweep": 16528 * 105 / 100} {
-		f, _ := Lookup(name)
-		res, err := Run(f.Spec(0.05))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pi := range res.Cells {
-			for xi := range res.Cells[pi] {
-				for _, run := range res.Cells[pi][xi].Runs {
-					cell := name + " " + res.Policies[pi] + "/" + res.Points[xi].Label
-					if n := run.SizeBytes(); n > limit {
-						t.Errorf("%s: a cached cell holds %d bytes, over %d", cell, n, limit)
-					}
-					if msg := slack(run); msg != "" {
-						t.Errorf("%s: %s", cell, msg)
-					}
+	var walk func(t reflect.Type) string
+	walk = func(t reflect.Type) string {
+		switch t.Kind() {
+		case reflect.Struct:
+			for i := 0; i < t.NumField(); i++ {
+				if bad := walk(t.Field(i).Type); bad != "" {
+					return t.Field(i).Name + ": " + bad
 				}
 			}
+			return ""
+		case reflect.Array:
+			return walk(t.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+			return ""
+		default:
+			return t.String() + " holds a pointer"
 		}
 	}
-}
-
-// FuzzRunMetricsJSON holds the coordinator's side of the shard wire to what
-// a cache needs: whatever a peer sends that decodes holds its slices at
-// exactly their length, can be sealed, sized and rendered without a panic,
-// and re-encodes to a fixed point with the same digest. The corpus is a
-// KMeans cell's wire bytes, an old peer's {"place": count} form, null, and a
-// count of 2^31.
-func FuzzRunMetricsJSON(f *testing.F) {
-	res, err := Run(goldenKMeans())
-	if err != nil {
-		f.Fatal(err)
+	if bad := walk(reflect.TypeOf(RunSummary{})); bad != "" {
+		t.Errorf("RunSummary.%s", bad)
 	}
-	b, err := json.Marshal(res.Cells[0][0].Runs[0])
-	if err != nil {
-		f.Fatal(err)
+	if n := unsafe.Sizeof(RunSummary{}); n != 88 {
+		t.Errorf("a RunSummary is %d bytes, want 88: seven words and a sha256 digest", n)
 	}
-	f.Add(b)
-	f.Add([]byte(`{"Seed":57,"TasksDone":9,"Iters":[{"Iter":0,"Tasks":9,"Start":0,"End":1,"Places":{"3":9}}]}`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(`{"Seed":1,"Iters":[{"Iter":0,"Tasks":1,"Start":0,"End":1,"Places":[{"ID":0,"N":2147483648}]}]}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var rm RunMetrics
-		if json.Unmarshal(data, &rm) != nil {
-			return
-		}
-		if msg := slack(rm); msg != "" {
-			t.Fatalf("decoded, %s", msg)
-		}
-		rm.Seal()
-		_ = rm.SizeBytes()
-		res := &Result{Name: "fuzz", Policies: []string{"p"}, Points: []Point{{Label: "x"}},
-			Cells: [][]Cell{{{Runs: []RunMetrics{rm}}}}}
-		_ = res.FingerprintText()
-		a, err := json.Marshal(rm)
-		if err != nil {
-			t.Fatalf("a decoded cell does not encode: %v", err)
-		}
-		var back RunMetrics
-		if err := json.Unmarshal(a, &back); err != nil {
-			t.Fatalf("a cell's encoding does not decode: %v\n%s", err, a)
-		}
-		if again, _ := json.Marshal(back); !bytes.Equal(again, a) {
-			t.Fatalf("encoding is not a fixed point:\n %s\n %s", a, again)
-		}
-		if back.Seal(); back.digest != rm.digest {
-			t.Fatalf("the round trip moved the digest:\n%s", a)
-		}
-	})
 }

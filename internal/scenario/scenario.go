@@ -394,6 +394,13 @@ const maxCellEdges = 1 << 22
 // and 7, MatMul); the bound is about 60 times that.
 const maxJobTasks = 1 << 26
 
+// minWaveDur floors each stretch of a periodic wave: timing a task walks every
+// stretch, and a 10 ns wave made a 600-task cell take 9.2 s.
+const minWaveDur = 1e-6
+
+// maxRampSteps caps a throttle ramp, ≈ 232 B a step; families use 6.
+const maxRampSteps = 1 << 10
+
 // Validate checks the spec without running it. It is called by Run; call it
 // directly to fail fast when assembling spec tables.
 func (s Spec) Validate() error {
@@ -715,8 +722,8 @@ func validateDisturbances(name string, topo *topology.Platform, ds []Disturbance
 			claimCores(cores[:1]) // the victim
 			claims = append(claims, claim{memoryBandwidth, d.Node, topo.ClusterOf(cores[0]), win})
 		case dvfs:
-			if d.HiHz <= 0 || d.LoHz <= 0 || d.HiDur <= 0 || d.LoDur <= 0 {
-				return bad("wave needs positive HiHz, LoHz, HiDur, LoDur")
+			if d.HiHz <= 0 || d.LoHz <= 0 || !(d.HiDur >= minWaveDur && d.LoDur >= minWaveDur) {
+				return bad("wave needs positive HiHz and LoHz and stretches of at least %g s: hi_dur %g, lo_dur %g", minWaveDur, d.HiDur, d.LoDur)
 			}
 			if d.From != 0 || d.To != 0 {
 				return bad("windows are not supported for periodic waves (the wave runs forever)")
@@ -731,8 +738,8 @@ func validateDisturbances(name string, topo *topology.Platform, ds []Disturbance
 			if d.Share <= 0 || d.Share > 1 {
 				return bad("share %v outside (0, 1]", d.Share)
 			}
-			if d.BusyDur <= 0 || d.IdleDur <= 0 {
-				return bad("needs positive BusyDur and IdleDur")
+			if !(d.BusyDur >= minWaveDur && d.IdleDur >= minWaveDur) {
+				return bad("needs positive BusyDur and IdleDur of at least %g s: busy_dur %g, idle_dur %g", minWaveDur, d.BusyDur, d.IdleDur)
 			}
 			if d.From != 0 || d.To != 0 {
 				return bad("windows are not supported for periodic waves (the wave runs forever)")
@@ -745,8 +752,8 @@ func validateDisturbances(name string, topo *topology.Platform, ds []Disturbance
 			if d.Floor <= 0 || d.Floor >= 1 {
 				return bad("floor %v outside (0, 1)", d.Floor)
 			}
-			if d.RampSteps < 0 {
-				return bad("negative ramp steps")
+			if d.RampSteps < 0 || d.RampSteps > maxRampSteps {
+				return bad("ramp_steps %d outside [0, %d]", d.RampSteps, maxRampSteps)
 			}
 			// The floor persists beyond To: the clock never recovers.
 			win.to = math.Inf(1)

@@ -67,6 +67,18 @@ func TestValidateOK(t *testing.T) {
 			t.Errorf("%s: a platform of MaxPlatformCores cores rejected: %v", name, err)
 		}
 	}
+	// Waves of exactly minWaveDur stretches, and a ramp of maxRampSteps steps.
+	for name, d := range map[string]Disturbance{
+		"dvfs":     {Kind: dvfs, Cluster: 0, HiHz: 2e9, LoHz: 1e9, HiDur: minWaveDur, LoDur: minWaveDur},
+		"burst":    {Kind: Burst, Cores: []int{0}, Share: 0.5, BusyDur: minWaveDur, IdleDur: minWaveDur},
+		"throttle": {Kind: Throttle, Cluster: 0, From: 1, To: 2, Floor: 0.5, RampSteps: maxRampSteps},
+	} {
+		s := okSpec()
+		s.Disturb = []Disturbance{d}
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s: a disturbance at its floor or cap rejected: %v", name, err)
+		}
+	}
 }
 
 func TestValidateErrors(t *testing.T) {
@@ -246,6 +258,18 @@ func TestValidateErrors(t *testing.T) {
 		{"burst bad durations", func(s *Spec) {
 			s.Disturb = []Disturbance{{Kind: Burst, Cores: []int{0}, Share: 0.5}}
 		}, "positive BusyDur"},
+		{"dvfs 10 ns wave", func(s *Spec) {
+			s.Disturb = []Disturbance{{Kind: dvfs, Cluster: 0, HiHz: 2e9, LoHz: 1e9, HiDur: 1e-8, LoDur: 5}}
+		}, "stretches of at least 1e-06 s: hi_dur 1e-08, lo_dur 5"},
+		{"dvfs NaN duration", func(s *Spec) {
+			s.Disturb = []Disturbance{{Kind: dvfs, Cluster: 0, HiHz: 2e9, LoHz: 1e9, HiDur: 5, LoDur: math.NaN()}}
+		}, "stretches of at least 1e-06 s: hi_dur 5, lo_dur NaN"},
+		{"burst 10 ns wave", func(s *Spec) {
+			s.Disturb = []Disturbance{{Kind: Burst, Cores: []int{0}, Share: 0.5, BusyDur: 1, IdleDur: 1e-8}}
+		}, "BusyDur and IdleDur of at least 1e-06 s: busy_dur 1, idle_dur 1e-08"},
+		{"throttle 2^30 ramp steps", func(s *Spec) {
+			s.Disturb = []Disturbance{{Kind: Throttle, Cluster: 0, From: 1, To: 2, Floor: 0.5, RampSteps: 1 << 30}}
+		}, "ramp_steps 1073741824 outside [0, 1024]"},
 		{"burst rejects window", func(s *Spec) {
 			s.Disturb = []Disturbance{{Kind: Burst, Cores: []int{0}, Share: 0.5, BusyDur: 1, IdleDur: 1, From: 1, To: 2}}
 		}, "windows are not supported for periodic waves"},

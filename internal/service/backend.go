@@ -1,15 +1,13 @@
 package service
 
-// Backends execute cell shards. The manager plans a submitted spec into
-// cell jobs (internal/scenario Plan), batches the uncached cells into
-// shards, and hands each shard to a backend; a shard that fails on one
-// backend moves on to the next. Two implementations exist: the
+// Backends execute the shards of uncached cells (see the package doc): the
 // in-process executor backend below, and the remote peer backend (remote.go)
 // that farms shards to another asymd node over POST /v1/shards.
 
 import (
-	"bytes"
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -26,9 +24,10 @@ import (
 // produces the same failure. Transport-level problems are reported as
 // execute's error instead, and those move the shard on to another backend.
 type CellResult struct {
-	Hash    string
-	Metrics scenario.RunMetrics
-	Err     error
+	Hash     string
+	Summary  scenario.RunSummary
+	Err      error
+	coreBusy []float64 // the run's per-core busy times; nil from a peer
 }
 
 // Backend executes a batch of cells from one plan.
@@ -97,27 +96,18 @@ func (b *localBackend) safely(ctx context.Context, plan *scenario.Plan, c scenar
 	return true, run()
 }
 
-// traceCell renders one cell's schedule (scenario.Plan.RunCellTrace) into
-// buf as a one-cell batch on the executor, so a render waits for a worker
-// like any cell and panics inside the same boundary. The worker writes to
-// memory, never to a client, so a slow reader cannot hold it. It
-// re-executes a cell whose metrics are already banked, so runs does not
-// count it.
-func (b *localBackend) traceCell(ctx context.Context, plan *scenario.Plan, c scenario.CellJob, buf *bytes.Buffer) error {
-	ran := false
-	var err error
-	runErr := b.exec.Run(ctx, 1, func(_ int, st *scenario.CellState, _ int) (stateOK bool) {
-		ran = true
-		stateOK, err = b.safely(ctx, plan, c, func() error {
-			_, _, cellErr := plan.RunCellTrace(st, c, buf)
-			return cellErr
-		})
+// rerun re-executes banked cells (a sim-trace render, a replay) as one batch
+// on the executor, run(k, st) doing cell k into memory, inside the cells'
+// panic boundary; runs does not count them. It returns ctx's error, if ctx is
+// done when the batch returns, else the cells' errors.
+func (b *localBackend) rerun(ctx context.Context, plan *scenario.Plan, cells []scenario.CellJob, run func(k int, st *scenario.CellState) error) error {
+	errs := make([]error, len(cells))
+	err := b.exec.Run(ctx, len(cells), func(_ int, st *scenario.CellState, k int) (stateOK bool) {
+		stateOK, errs[k] = b.safely(ctx, plan, cells[k], func() error { return run(k, st) })
 		return stateOK
 	})
-	if !ran {
-		return runErr // cancelled before a worker took the cell
-	}
-	return err
+	b.compiled.Set(int64(scenario.CompiledCacheLen()))
+	return cmp.Or(err, errors.Join(errs...))
 }
 
 // execute hands the cells to the executor in variant-major order: cells of
@@ -160,7 +150,10 @@ func (b *localBackend) execute(ctx context.Context, plan *scenario.Plan, cells [
 				Lane: fmt.Sprintf("%s w%d", lanePrefix, w), Start: cellT0, End: jt.at(),
 			})
 		}
-		out[i] = CellResult{Hash: cells[i].Hash, Metrics: rm, Err: err}
+		out[i] = CellResult{Hash: cells[i].Hash, Err: err}
+		if err == nil {
+			out[i].Summary, out[i].coreBusy = rm.Summary(), rm.CoreBusy
+		}
 		return stateOK
 	})
 	// Effective workers of this batch: 1 when its cells ran back to back,

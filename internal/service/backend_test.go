@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -77,23 +78,31 @@ func TestPartialOverlapReusesCells(t *testing.T) {
 	}
 }
 
-// TestShardReplyDigestIsIgnored: a cell's digest does not cross the wire. The
-// worker's reply names none, and a reply doctored to carry one — as a peer
-// with another idea of the encoding might — is decoded as if it did not: the
-// coordinator seals what it decodes, and the job's fingerprint is the direct
-// run's.
-func TestShardReplyDigestIsIgnored(t *testing.T) {
+// TestShardReplyDigestIsKept: a cell's digest crosses the wire in hex beside
+// its summary, and the coordinator keeps it as it arrived, without re-sealing.
+// So a peer that doctors one digest moves the job's fingerprint, and the
+// replay behind GET /v1/results/{hash}/fingerprint, which re-runs every cell
+// locally, answers 500 naming that cell.
+func TestShardReplyDigestIsKept(t *testing.T) {
+	plan, err := scenario.NewPlan(tinySpec(58))
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := scenario.MustRun(tinySpec(58))
+	first := direct.Cells[0][0].Run()
+	doctored := first.Summary()
+	doctored.Digest[0] ^= 1
+	var replaced atomic.Int64
 	worker := NewManager(Config{Workers: 2}).Handler(slog.New(slog.NewTextHandler(io.Discard, nil)))
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rec := httptest.NewRecorder()
 		worker.ServeHTTP(rec, r)
 		body := rec.Body.Bytes()
 		if r.URL.Path == "/v1/shards" {
-			if bytes.Contains(bytes.ToLower(body), []byte("digest")) {
-				t.Errorf("a /v1/shards reply names a digest: %.300s", body)
-			}
-			bogus := `"metrics":{"digest":"` + strings.Repeat("AQ", 21) + `E=","Digest":[` + strings.Repeat("7,", 31) + `7],`
-			body = bytes.ReplaceAll(body, []byte(`"metrics":{`), []byte(bogus))
+			sum := first.Summary()
+			real := []byte(`"Digest":"` + hex.EncodeToString(sum.Digest[:]) + `"`)
+			replaced.Add(int64(bytes.Count(body, real)))
+			body = bytes.ReplaceAll(body, real, []byte(`"Digest":"`+hex.EncodeToString(doctored.Digest[:])+`"`))
 		}
 		w.WriteHeader(rec.Code)
 		_, _ = w.Write(body)
@@ -101,37 +110,54 @@ func TestShardReplyDigestIsIgnored(t *testing.T) {
 	defer srv.Close()
 	coord := NewManager(Config{Workers: 1, ShardSize: 3})
 	coord.setBackends(newRemoteBackend(srv.URL, nil))
+	h := quietHandler(coord)
 	j, _, err := coord.Submit(tinySpec(58))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, j)
-	_, fp, _, err := j.Result()
+	res, fp, _, err := j.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if coord.cellRuns() != 0 {
 		t.Errorf("coordinator simulated %d cells itself; every cell should have crossed the wire", coord.cellRuns())
 	}
-	if fp != scenario.MustRun(tinySpec(58)).Fingerprint() {
-		t.Error("fingerprint over doctored shard replies differs from the direct run's")
+	if n := replaced.Load(); n != 1 {
+		t.Fatalf("the replies carried the first cell's digest in hex %d times, want once", n)
+	}
+	if res.Runs[0] != doctored {
+		t.Errorf("the coordinator holds %+v for the doctored cell, want the peer's %+v", res.Runs[0], doctored)
+	}
+	if fp == direct.Fingerprint() {
+		t.Error("a doctored digest left the fingerprint as the direct run's: the coordinator re-sealed")
+	}
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/results/"+j.Hash+"/fingerprint", nil))
+	if want := "cell 0 (" + plan.CellLabel(plan.Cells[0]); w.Code != http.StatusInternalServerError || !strings.Contains(w.Body.String(), want) {
+		t.Errorf("replay of a doctored cell: status %d, %s; want 500 naming %q", w.Code, w.Body, want)
+	}
+	if coord.cellRuns() != 0 {
+		t.Errorf("the replay counted %d cell runs, want none", coord.cellRuns())
 	}
 }
 
 // TestShardReplySchedIsIgnored: scheduler telemetry stays in the process
 // that ran the cell. A peer whose shard reply carries a large "Sched" in
-// every cell's metrics gets none of it into the cell cache: the banked cells
-// have no Sched, and the cache's byte gauge is the sum of what SizeBytes
-// counts for them.
+// every cell's summary gets none of it into the cell cache, which holds
+// summaries of a fixed size, and the job's fingerprint is the direct run's.
 func TestShardReplySchedIsIgnored(t *testing.T) {
 	worker := NewManager(Config{Workers: 2}).Handler(slog.New(slog.NewTextHandler(io.Discard, nil)))
-	sched := `"metrics":{"Sched":{"Busy":[` + strings.Repeat("1,", 1<<16) + `1],"Span":1,"PTTSamples":7},`
+	sched := `"summary":{"Sched":{"Busy":[` + strings.Repeat("1,", 1<<16) + `1],"Span":1,"PTTSamples":7},`
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rec := httptest.NewRecorder()
 		worker.ServeHTTP(rec, r)
 		body := rec.Body.Bytes()
 		if r.URL.Path == "/v1/shards" {
-			body = bytes.ReplaceAll(body, []byte(`"metrics":{`), []byte(sched))
+			if !bytes.Contains(body, []byte(`"summary":{`)) {
+				t.Errorf("a /v1/shards reply has no summary member: %.300s", body)
+			}
+			body = bytes.ReplaceAll(body, []byte(`"summary":{`), []byte(sched))
 		}
 		w.WriteHeader(rec.Code)
 		_, _ = w.Write(body)
@@ -151,21 +177,13 @@ func TestShardReplySchedIsIgnored(t *testing.T) {
 		t.Errorf("coordinator simulated %d cells itself; every cell should have crossed the wire", coord.cellRuns())
 	}
 	coord.mu.Lock()
-	var size int64
-	keys := coord.cells.Keys()
-	for _, h := range keys {
-		rm, _ := coord.cells.Peek(h)
-		if rm.Sched != nil {
-			t.Errorf("cached cell %s holds a peer's Sched (span %v)", h, rm.Sched.Span)
-		}
-		size += rm.SizeBytes()
-	}
+	held := coord.cells.Len()
 	coord.mu.Unlock()
-	if len(keys) != 4 {
-		t.Errorf("cell cache holds %d cells, want the job's 4", len(keys))
+	if held != 4 {
+		t.Errorf("cell cache holds %d cells, want the job's 4", held)
 	}
-	if got := gaugeValue(t, coord, "asymd_cell_cache_bytes"); got != size {
-		t.Errorf("asymd_cell_cache_bytes = %d, want %d (the held cells' SizeBytes)", got, size)
+	if got := gaugeValue(t, coord, "asymd_cell_cache_bytes"); got != int64(held)*summaryBytes {
+		t.Errorf("asymd_cell_cache_bytes = %d, want %d cells of %d bytes", got, held, summaryBytes)
 	}
 }
 
@@ -235,9 +253,10 @@ func TestRemoteBackendFingerprint(t *testing.T) {
 
 // TestRemoteBackendIterStats sends a KMeans cell over the wire: its
 // metrics carry per-iteration stats with (place, count) pairs, the richest
-// part of RunMetrics, and both the pairs and the fingerprint must survive
-// the JSON round trip bit-exactly. The coordinator keeps the peer's slices
-// at exactly their length, as it keeps its own.
+// part of RunMetrics. Only the summary crosses: the coordinator banks the
+// direct run's summary bit for bit, and the replay behind GET
+// .../fingerprint rebuilds the pairs on the coordinator, checked against the
+// peer's digest, exactly as the direct run has them.
 func TestRemoteBackendIterStats(t *testing.T) {
 	worker := NewManager(Config{Workers: 2})
 	srv := httptest.NewServer(worker.Handler(slog.New(slog.NewTextHandler(io.Discard, nil))))
@@ -258,24 +277,33 @@ func TestRemoteBackendIterStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, j)
-	res, fp, _, err := j.Result()
+	sum, fp, _, err := j.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := scenario.MustRun(spec)
-	got, want := res.Cells[0][0].Run().Iters, direct.Cells[0][0].Run().Iters
-	if c := want.Cursor(); !c.Next() || c.Pairs() == 0 {
-		t.Fatal("kmeans run carried no per-iteration place counts; serialization test is vacuous")
+	if coord.cellRuns() != 0 {
+		t.Fatalf("coordinator simulated %d cells itself; the cell should have crossed the wire", coord.cellRuns())
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("iteration stats changed on the wire:\n got  %+v\n want %+v", got, want)
+	direct := scenario.MustRun(spec)
+	want := direct.Cells[0][0].Run()
+	if c := want.Iters.Cursor(); !c.Next() || c.Pairs() == 0 {
+		t.Fatal("kmeans run carried no per-iteration place counts; the test is vacuous")
+	}
+	if sum.Runs[0] != want.Summary() {
+		t.Errorf("the summary changed on the wire:\n got  %+v\n want %+v", sum.Runs[0], want.Summary())
 	}
 	if fp != direct.Fingerprint() {
 		t.Error("remote kmeans fingerprint differs from direct engine run")
 	}
-	if rm := res.Cells[0][0].Run(); cap(rm.CoreBusy) != len(rm.CoreBusy) || cap(rm.HighHist) != len(rm.HighHist) {
-		t.Errorf("a peer's cell holds CoreBusy in %d slots for %d entries, HighHist %d for %d",
-			cap(rm.CoreBusy), len(rm.CoreBusy), cap(rm.HighHist), len(rm.HighHist))
+	res, err := coord.replay(context.Background(), j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Cells[0][0].Run().Iters; !reflect.DeepEqual(got, want.Iters) {
+		t.Errorf("the replayed iteration stats differ from the direct run's:\n got  %+v\n want %+v", got, want.Iters)
+	}
+	if res.FingerprintText() != direct.FingerprintText() {
+		t.Error("the replayed text differs from the direct run's")
 	}
 }
 
@@ -295,8 +323,8 @@ func TestRemoteBackendRejectsOldPlacesForm(t *testing.T) {
 	}))
 	defer srv.Close()
 	crs, err := newRemoteBackend(srv.URL, nil).execute(context.Background(), plan, []scenario.CellJob{cell})
-	if err == nil || !strings.Contains(err.Error(), "decode shard response") {
-		t.Fatalf("old-form shard response: err = %v, want a decode error", err)
+	if err == nil || !strings.Contains(err.Error(), "neither a summary nor an error") {
+		t.Fatalf("old-form shard response: err = %v, want one naming the missing summary", err)
 	}
 	if len(crs) != 0 {
 		t.Fatalf("old-form shard response still yielded %d cell results", len(crs))
@@ -317,6 +345,45 @@ func TestRemoteBackendRejectsOldPlacesForm(t *testing.T) {
 	}
 	if fp != scenario.MustRun(tinySpec(57)).Fingerprint() {
 		t.Error("job behind a version-skewed peer produced a wrong fingerprint")
+	}
+}
+
+// TestPeerMetricsShapeFailsOver: a peer from before the summary wire answers
+// each cell under "metrics", the member this coordinator no longer reads. The
+// attempt fails naming the missing summary, nothing of it is banked or
+// merged, and the shard fails over to the local pool, so the job is right.
+func TestPeerMetricsShapeFailsOver(t *testing.T) {
+	worker := NewManager(Config{Workers: 2}).Handler(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		worker.ServeHTTP(rec, r)
+		body := bytes.ReplaceAll(rec.Body.Bytes(), []byte(`"summary":`), []byte(`"metrics":`))
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(body)
+	}))
+	defer srv.Close()
+	m := NewManager(Config{Workers: 2, ShardSize: 2})
+	m.setBackends(newRemoteBackend(srv.URL, nil), m.local)
+	j, _, err := m.Submit(tinySpec(85))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	if _, fp, _, err := j.Result(); err != nil || fp != scenario.MustRun(tinySpec(85)).Fingerprint() {
+		t.Fatalf("err=%v, or a fingerprint unlike the direct run's", err)
+	}
+	if got := m.cellRuns(); got != 4 {
+		t.Errorf("the local pool simulated %d cells, want all 4: no old-shape reply may be merged", got)
+	}
+	if n := m.mx.shardFailovers.Value(); n == 0 {
+		t.Error("no shard failed over; the old-shape peer was never tried")
+	}
+	h := m.handles[0]
+	h.mu.Lock()
+	lastErr := h.lastErr
+	h.mu.Unlock()
+	if lastErr == nil || !strings.Contains(lastErr.Error(), "neither a summary nor an error") {
+		t.Errorf("the peer's attempt recorded %v, want an error naming the missing summary", lastErr)
 	}
 }
 
@@ -456,19 +523,18 @@ func TestConcurrentOverlapSimulatesPerJob(t *testing.T) {
 		t.Errorf("cell runs = %d, want A's 4 and B's 6", got)
 	}
 	m.mu.Lock()
-	var bytes, tasks int64
+	var tasks int64
 	for _, h := range m.cells.Keys() {
-		rm, _ := m.cells.Peek(h)
-		bytes += rm.SizeBytes()
-		tasks += rm.TasksDone
+		sum, _ := m.cells.Peek(h)
+		tasks += sum.TasksDone
 	}
 	held := m.cells.Len()
 	m.mu.Unlock()
 	if held != 6 {
 		t.Errorf("cell cache holds %d cells, want the 6 distinct ones", held)
 	}
-	if got := gaugeValue(t, m, "asymd_cell_cache_bytes"); got != bytes {
-		t.Errorf("asymd_cell_cache_bytes = %d, want %d (the held cells' sum)", got, bytes)
+	if got := gaugeValue(t, m, "asymd_cell_cache_bytes"); got != int64(held)*summaryBytes {
+		t.Errorf("asymd_cell_cache_bytes = %d, want %d summaries of %d bytes", got, held, summaryBytes)
 	}
 	if got := gaugeValue(t, m, "asymd_sim_tasks_total"); got != tasks {
 		t.Errorf("asymd_sim_tasks_total = %d, want %d (each distinct cell once)", got, tasks)
@@ -621,9 +687,8 @@ func TestDuplicatePointsRunOncePerPosition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, r := res.Cell(res.Policies[0], "left").Run(), res.Cell(res.Policies[0], "right").Run()
-	if l.Throughput != r.Throughput || l.Makespan != r.Makespan {
-		t.Error("twin points diverged")
+	if l, r := res.Runs[0], res.Runs[1]; res.Points[1].Label != "right" || l != r {
+		t.Errorf("twin points diverged: %+v, %+v", l, r)
 	}
 }
 

@@ -126,8 +126,8 @@ func TestExecuteCancelKeepsCompletedResults(t *testing.T) {
 	completed := 0
 	for _, cr := range crs {
 		if cr.Hash != "" {
-			if cr.Err != nil || cr.Metrics.TasksDone != 1 {
-				t.Errorf("completed cell %s carries err=%v metrics=%+v", cr.Hash, cr.Err, cr.Metrics)
+			if cr.Err != nil || cr.Summary.TasksDone != 1 {
+				t.Errorf("completed cell %s carries err=%v summary=%+v", cr.Hash, cr.Err, cr.Summary)
 			}
 			completed++
 		}

@@ -16,8 +16,9 @@ package service
 //	GET  /v1/results/{hash}/fingerprint
 //	                         → 200 text/plain: every metric behind the
 //	                         result's fingerprint digest, spelled out
-//	                         (same 404/409/422; rendered per request —
-//	                         diff two of them to see where digests part)
+//	                         (same 404/409/422), re-run on the local pool
+//	                         and checked against the job's digests (500
+//	                         naming the first cell that differs)
 //	GET  /v1/families        → 200 [{name, desc}], sorted by name
 //	GET  /v1/healthz         → 200 {ok, stats, peers: per-peer breaker state}
 //	GET  /v1/jobs/{id}/trace → 200 Chrome-trace JSON (load in Perfetto)
@@ -31,7 +32,7 @@ package service
 //	GET  /debug/pprof/*      net/http/pprof (only with Config.EnablePprof)
 //	POST /v1/shards          worker-facing: run a batch of plan cells
 //	                         {"spec": {...}, "cells": [{policy,point,rep,hash}]}
-//	                         → 200 {"results": [{hash, metrics|error}],
+//	                         → 200 {"results": [{hash, summary|error}],
 //	                         elapsed_ms, spans: worker-side timeline}
 //
 // Every request carries an X-Request-ID (echoed from the caller, minted
@@ -48,12 +49,6 @@ package service
 // with its Content-Length, so a value that cannot be encoded is a 500, not
 // a 200 with an empty body. A result is bytes built once, with the job
 // (resultDocument): under 1 KB, a GET writes them.
-//
-// /v1/shards is how one asymd node farms work to another (-peers): the
-// coordinator ships the canonical spec plus cell coordinates, the worker
-// re-plans it, verifies the cell hashes (rejecting version skew with 409),
-// serves what its own cell cache holds and simulates the rest on its local
-// pool.
 
 import (
 	"bytes"
@@ -335,11 +330,16 @@ func (m *Manager) doneJob(w http.ResponseWriter, r *http.Request) *Job {
 	return job
 }
 
-// handleFingerprintText renders the text behind a result's digest.
+// handleFingerprintText renders the text behind a result's digest from a
+// replay of the job's cells (Manager.replay).
 func (m *Manager) handleFingerprintText(w http.ResponseWriter, r *http.Request) {
 	if job := m.doneJob(w, r); job != nil {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = io.WriteString(w, job.result.FingerprintText())
+		if res, err := m.replay(r.Context(), job); err != nil {
+			writeError(w, http.StatusInternalServerError, err)
+		} else {
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			_, _ = io.WriteString(w, res.FingerprintText())
+		}
 	}
 }
 
@@ -386,12 +386,7 @@ func (m *Manager) handleShards(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	key, err := spec.Key()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	plan, err := m.planFor(key, spec)
+	plan, err := m.planOf(spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -421,7 +416,7 @@ func (m *Manager) handleShards(w http.ResponseWriter, r *http.Request) {
 	jt := newJobTrace(shardT0, m.now, trace.NewSpanSet(maxSpansPerJob))
 
 	// A request naming a missing cell twice runs it twice.
-	runs := make([]scenario.RunMetrics, len(cells))
+	runs := make([]scenario.RunSummary, len(cells))
 	results := make([]shardCellResult, len(cells))
 	m.mu.Lock()
 	missing := m.takeCells(cells, runs)
@@ -443,7 +438,7 @@ func (m *Manager) handleShards(w http.ResponseWriter, r *http.Request) {
 		// twice — for misses or for hits.
 		m.mx.cellMisses.Add(int64(len(crs)))
 		for k, cr := range crs {
-			runs[missing[k]] = cr.Metrics
+			runs[missing[k]] = cr.Summary
 			if cr.Err != nil {
 				results[missing[k]].Error = cr.Err.Error()
 			}
@@ -452,7 +447,7 @@ func (m *Manager) handleShards(w http.ResponseWriter, r *http.Request) {
 	for i, c := range cells {
 		results[i].Hash = c.Hash
 		if results[i].Error == "" {
-			results[i].Metrics = &runs[i]
+			results[i].Summary = &runs[i]
 		}
 	}
 	hits := int64(len(cells) - len(missing))

@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -260,6 +261,15 @@ const (
 	hugeKBody         = `{"spec": {"workload": {"kind": "synthetic"}, "policies": ["DAM-C~2000000000"]}}`
 )
 
+// A 10 ns DVFS wave made one 600-task cell take 9.2 s, and a throttle ramp of
+// 2^30 steps would have asked for about 250 GB: both were accepted.
+const (
+	tenNsWaveBody = `{"spec": {"platform": {"preset": "tx2"}, "workload": {"kind": "synthetic", "synthetic": {"kernel": "MatMul", "tasks": 600}}, ` +
+		`"disturb": [{"kind": "dvfs", "hi_hz": 2035e6, "lo_hz": 345e6, "hi_dur": 1e-8, "lo_dur": 1e-8}], "policies": ["DAM-C"]}}`
+	hugeRampBody = `{"spec": {"platform": {"preset": "tx2"}, "workload": {"kind": "synthetic", "synthetic": {"kernel": "MatMul", "tasks": 600}}, ` +
+		`"disturb": [{"kind": "throttle", "from": 1, "to": 2, "floor": 0.5, "ramp_steps": 1073741824}], "policies": ["DAM-C"]}}`
+)
+
 // httpErrorBodies are TestHTTPErrors' submissions and the status each gets;
 // FuzzSubmitBody starts from them too.
 // badScaleBody names a family at a scale outside (0, 1]; it used to run the
@@ -304,6 +314,8 @@ var httpErrorBodies = map[string]struct {
 	"sampled K":      {hugeKBody, http.StatusBadRequest},
 	"unknown field":  {`{"famly": "burst-sweep"}`, http.StatusBadRequest},
 	"no bandwidth":   {noBandwidthBody, http.StatusBadRequest},
+	"10 ns wave":     {tenNsWaveBody, http.StatusBadRequest},
+	"huge ramp":      {hugeRampBody, http.StatusBadRequest},
 	"not json":       {`hello`, http.StatusBadRequest},
 }
 
@@ -328,6 +340,8 @@ func TestHTTPErrors(t *testing.T) {
 		nestedSampledBody: {`policy \"DAM-P~8~4\": the base of a sampled policy cannot itself be sampled`},
 		hugeKBody:         {`policy \"DAM-C~2000000000\": K of 2000000000 exceeds MaxSampledK (1024)`},
 		noBandwidthBody:   {`cluster \"c\" has non-positive mem_bandwidth 0`},
+		tenNsWaveBody:     {"stretches of at least 1e-06 s: hi_dur 1e-08, lo_dur 1e-08"},
+		hugeRampBody:      {"ramp_steps 1073741824 outside [0, 1024]"},
 		badScaleBody:      {"service: family scale -1 outside (0, 1]"},
 		seedWithSpecBody:  {`\"seed\" applies to family`},
 		scaleWithSpecBody: {`\"scale\" applies to family`},
@@ -645,7 +659,7 @@ func checkResultDocument(t *testing.T, job *Job, served []byte) {
 }
 
 // cacheDoneJob files a hand-built finished job, the way execute leaves one.
-func cacheDoneJob(m *Manager, hash string, res *scenario.Result) *Job {
+func cacheDoneJob(m *Manager, hash string, res *scenario.Summary) *Job {
 	j := &Job{Hash: hash, result: res, done: make(chan struct{}), created: time.Now()}
 	j.doc, j.docErr = resultDocument(hash, res)
 	j.state.Store(int32(stateDone))
@@ -725,26 +739,20 @@ func TestResultDocumentMatchesReference(t *testing.T) {
 		"tab\there", "new\nline", " sep", "\xff\xfe", "half\xe6\xa0"}
 	label := func() string { return labels[rng.Intn(len(labels))] }
 	for trial := 0; trial < 300; trial++ {
-		res := &scenario.Result{Name: label(), Topo: topology.TX2()}
+		res := &scenario.Summary{Name: label(), Topo: topology.TX2(), Reps: 1 + rng.Intn(2)}
 		for pi := rng.Intn(4); pi > 0; pi-- {
 			res.Policies = append(res.Policies, label())
 		}
 		for xi := rng.Intn(4); xi > 0; xi-- {
 			res.Points = append(res.Points, scenario.Point{Label: label()})
 		}
-		res.Cells = make([][]scenario.Cell, len(res.Policies))
-		for pi := range res.Cells {
-			res.Cells[pi] = make([]scenario.Cell, len(res.Points))
-			for xi := range res.Cells[pi] {
-				runs := make([]scenario.RunMetrics, 1+rng.Intn(2))
-				for i := range runs {
-					runs[i] = scenario.RunMetrics{
-						Seed: rng.Uint64(), Throughput: rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20)),
-						Makespan: rng.Float64(), TasksDone: rng.Int63(), CoreBusy: []float64{rng.Float64(), 0},
-					}
-				}
-				res.Cells[pi][xi].Runs = runs
+		res.Runs = make([]scenario.RunSummary, len(res.Policies)*len(res.Points)*res.Reps)
+		for i := range res.Runs {
+			rm := scenario.RunMetrics{
+				Seed: rng.Uint64(), Throughput: rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20)),
+				Makespan: rng.Float64(), TasksDone: rng.Int63(), CoreBusy: []float64{rng.Float64(), 0},
 			}
+			res.Runs[i] = rm.Summary()
 		}
 		j := cacheDoneJob(m, fmt.Sprintf("hostile-%d", trial), res)
 		w := getResult(h, j.Hash)
@@ -854,12 +862,25 @@ func TestFingerprintTextRoute(t *testing.T) {
 	}
 	waitDone(t, j)
 	want := scenario.MustRun(tinySpec(79)).FingerprintText()
+	m.mu.Lock()
+	lruBefore := m.cells.Keys()
+	m.mu.Unlock()
+	runs, hits, misses := m.cellRuns(), m.mx.cellHits.Value(), m.mx.cellMisses.Value()
 	w := get(j.Hash)
 	if w.Code != http.StatusOK || !strings.HasPrefix(w.Header().Get("Content-Type"), "text/plain") {
 		t.Fatalf("status %d, Content-Type %q; want 200 text/plain", w.Code, w.Header().Get("Content-Type"))
 	}
 	if got := w.Body.String(); !strings.HasPrefix(got, "scenario=") || got != want {
 		t.Errorf("served text (%d bytes) is not the direct run's FingerprintText (%d bytes)", len(got), len(want))
+	}
+	// The text is a replay: its re-runs are no cell runs, and the cell cache
+	// neither counts nor reorders anything for it.
+	m.mu.Lock()
+	lruAfter := m.cells.Keys()
+	m.mu.Unlock()
+	if m.cellRuns() != runs || m.mx.cellHits.Value() != hits || m.mx.cellMisses.Value() != misses || !slices.Equal(lruAfter, lruBefore) {
+		t.Errorf("the replay moved the cell counters (runs %d→%d, hits %d→%d, misses %d→%d) or the LRU order",
+			runs, m.cellRuns(), hits, m.mx.cellHits.Value(), misses, m.mx.cellMisses.Value())
 	}
 	if w := get("deadbeef"); w.Code != http.StatusNotFound {
 		t.Errorf("unknown job: status %d, want 404", w.Code)
@@ -888,6 +909,34 @@ func TestFingerprintTextRoute(t *testing.T) {
 	}
 }
 
+// TestFingerprintReplayNamesTamperedCell: the replay behind GET
+// /v1/results/{hash}/fingerprint checks every re-run digest against the one
+// the job holds. A cached digest changed in place — a bit flip, or a peer that
+// lied — answers 500 naming the first such cell by index, label and hash,
+// never a text that disagrees with the job's fingerprint.
+func TestFingerprintReplayNamesTamperedCell(t *testing.T) {
+	m := NewManager(Config{Workers: 2})
+	h := quietHandler(m)
+	j, _, err := m.Submit(tinySpec(84))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	plan, err := scenario.NewPlan(tinySpec(84))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{2, 1} {
+		j.result.Runs[k].Digest[31] ^= 0x80
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/results/"+j.Hash+"/fingerprint", nil))
+		want := fmt.Sprintf("cell %d (%s, hash %.12s)", k, plan.CellLabel(plan.Cells[k]), plan.Cells[k].Hash)
+		if w.Code != http.StatusInternalServerError || !strings.Contains(w.Body.String(), want) {
+			t.Errorf("cell %d tampered: status %d, %s; want 500 naming %q", k, w.Code, w.Body, want)
+		}
+	}
+}
+
 // TestUnencodableResultIs500: a result encoding/json refuses (NaN, ±Inf)
 // answers 500 naming the job and the encoder's complaint — not the 200 with
 // an empty body an encoder writing straight to the wire produced — and a
@@ -896,10 +945,10 @@ func TestUnencodableResultIs500(t *testing.T) {
 	m := NewManager(Config{Workers: 1})
 	h := quietHandler(m)
 	for name, tput := range map[string]float64{"nan": math.NaN(), "inf": math.Inf(1)} {
-		res := &scenario.Result{
+		res := &scenario.Summary{
 			Name: "unencodable", Topo: topology.TX2(), Policies: []string{"RWS"},
-			Points: []scenario.Point{{Label: "P2"}},
-			Cells:  [][]scenario.Cell{{{Runs: []scenario.RunMetrics{{Throughput: tput}}}}},
+			Points: []scenario.Point{{Label: "P2"}}, Reps: 1,
+			Runs: []scenario.RunSummary{{Throughput: tput}},
 		}
 		w := getResult(h, cacheDoneJob(m, "unencodable-"+name, res).Hash)
 		var reply struct {

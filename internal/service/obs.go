@@ -8,11 +8,7 @@ package service
 // transitions — with zero allocations per update, so the counters can
 // ride the cell hot path. Spans are the complementary view: where a
 // counter says "37 failovers", the trace shows *which* shards moved to
-// *which* backend lane and when.
-//
-// Every job also carries a request ID (X-Request-ID, generated when the
-// submitter sends none) that is threaded through POST /v1/shards, so a
-// worker's request log lines correlate with the coordinator's.
+// *which* backend lane and when. Request IDs: see http.go.
 
 import (
 	"context"
@@ -55,7 +51,7 @@ type serviceMetrics struct {
 	// Cache occupancy, set wherever an entry is added (evictions happen
 	// only there): entries for the four result LRUs, the plan LRU and the
 	// process-wide compiled-workload cache, bytes for the two caches a
-	// daemon's memory goes to — cells (scenario.RunMetrics.SizeBytes per
+	// daemon's memory goes to — cells (the size of a scenario.RunSummary per
 	// entry) and finished jobs (the length of each one's result document).
 	jobEntries, cellEntries, traceEntries, simtraceEntries, planEntries, compiledEntries *obs.Gauge
 	cellCacheBytes, jobCacheBytes, simtraceBytes                                         *obs.Gauge
@@ -139,7 +135,7 @@ func newServiceMetrics(reg *obs.Registry, workers int) *serviceMetrics {
 		simtraceEntries: entries("simtrace"),
 		planEntries:     entries("plan"),
 		compiledEntries: entries("compiled"),
-		cellCacheBytes:  reg.Gauge("asymd_cell_cache_bytes", "Estimated heap bytes of the cell results held by the cell cache."),
+		cellCacheBytes:  reg.Gauge("asymd_cell_cache_bytes", "Heap bytes of the cell summaries held by the cell cache (entries times a summary's fixed size)."),
 		jobCacheBytes:   reg.Gauge("asymd_job_cache_bytes", "Bytes of the result documents held by the finished-job cache."),
 		simtraceBytes:   reg.Gauge("asymd_cache_bytes", "Bytes held, per cache.", obs.L("cache", "simtrace")),
 
@@ -156,7 +152,7 @@ func newServiceMetrics(reg *obs.Registry, workers int) *serviceMetrics {
 		simSteals:       reg.Counter("asymd_sim_steals_total", "Simulated work steals inside cells banked by this node."),
 		simDispatches:   reg.Counter("asymd_sim_dispatches_total", "Simulated assembly dispatches inside cells banked by this node."),
 		simMakespanSec:  reg.Histogram("asymd_sim_makespan_seconds", "Virtual-time makespan of cells banked by this node.", simMakespanBuckets),
-		simCoreUtil:     reg.Histogram("asymd_sim_core_utilization", "Per-core busy fraction of the makespan, one sample per simulated core per banked cell.", simUtilBuckets),
+		simCoreUtil:     reg.Histogram("asymd_sim_core_utilization", "Per-core busy fraction of the makespan, one sample per simulated core per banked cell this node simulated.", simUtilBuckets),
 		simtraceRenders: reg.Counter("asymd_simtrace_renders_total", "Per-cell sim-time traces rendered by re-execution (cache hits excluded)."),
 
 		rtSamples: []rtmetrics.Sample{
@@ -184,15 +180,16 @@ func (mx *serviceMetrics) readRuntime() {
 	mx.goHeapLiveBytes.Set(int64(mx.rtSamples[3].Value.Uint64()))
 }
 
-// observeSim records one banked cell's simulated scheduler activity.
-func (mx *serviceMetrics) observeSim(rm scenario.RunMetrics) {
-	mx.simTasks.Add(rm.TasksDone)
-	mx.simSteals.Add(rm.Steals)
-	mx.simDispatches.Add(rm.Dispatches)
-	mx.simMakespanSec.Observe(rm.Makespan)
-	if rm.Makespan > 0 {
-		for _, busy := range rm.CoreBusy {
-			mx.simCoreUtil.Observe(busy / rm.Makespan)
+// observeSim records one banked cell's simulated scheduler activity; busy,
+// nil for a peer's cell, feeds the per-core utilisation.
+func (mx *serviceMetrics) observeSim(sum scenario.RunSummary, busy []float64) {
+	mx.simTasks.Add(sum.TasksDone)
+	mx.simSteals.Add(sum.Steals)
+	mx.simDispatches.Add(sum.Dispatches)
+	mx.simMakespanSec.Observe(sum.Makespan)
+	if sum.Makespan > 0 {
+		for _, b := range busy {
+			mx.simCoreUtil.Observe(b / sum.Makespan)
 		}
 	}
 }

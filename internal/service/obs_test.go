@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"dynasym/internal/metrics"
 	"dynasym/internal/scenario"
@@ -128,14 +129,7 @@ func TestMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wantBytes int64
-	for _, row := range res.Cells {
-		for _, c := range row {
-			for i := range c.Runs {
-				wantBytes += c.Runs[i].SizeBytes()
-			}
-		}
-	}
+	wantBytes := int64(len(res.Runs)) * summaryBytes
 	if got := metricValue(t, body, "asymd_cell_cache_bytes"); got != float64(wantBytes) || wantBytes == 0 {
 		t.Errorf("asymd_cell_cache_bytes = %v, want %d", got, wantBytes)
 	}
@@ -633,15 +627,39 @@ func TestJobCacheBytesTracksEviction(t *testing.T) {
 }
 
 // TestCellCacheGaugesTrackEviction: the occupancy gauges follow the cell
-// LRU through eviction and re-banking — entries stop at capacity, bytes
-// stay the sum over exactly the retained cells — and keeping them costs no
+// LRU through eviction and re-banking — entries stop at capacity, and bytes
+// are exactly the retained entries times the size of a summary, which holds
+// no pointer (TestCachedCellFootprint) — and keeping them costs no
 // allocation per update.
 func TestCellCacheGaugesTrackEviction(t *testing.T) {
 	m := NewManager(Config{Workers: 1, CellCacheSize: 3})
+	check := func(when string, entries int64) {
+		t.Helper()
+		if got := gaugeValue(t, m, `asymd_cache_entries{cache="cell"}`); got != entries {
+			t.Errorf("%s: cell entries gauge = %d, want %d", when, got, entries)
+		}
+		if got, want := gaugeValue(t, m, "asymd_cell_cache_bytes"), entries*int64(unsafe.Sizeof(scenario.RunSummary{})); got != want {
+			t.Errorf("%s: cell bytes gauge = %d, want %d entries of %d bytes", when, got, entries, unsafe.Sizeof(scenario.RunSummary{}))
+		}
+	}
+	// A four-cell job through a three-cell cache evicts one.
+	j, _, err := m.Submit(tinySpec(83))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	if _, fp, _, err := j.Result(); err != nil || fp != scenario.MustRun(tinySpec(83)).Fingerprint() {
+		t.Fatalf("err=%v, or a fingerprint unlike the direct run's", err)
+	}
+	if n := m.mx.cellEvict.Value(); n != 1 {
+		t.Errorf("%d evictions, want 1", n)
+	}
+	check("after a job", 3)
+
 	cell := func(i int) CellResult {
-		rm := scenario.RunMetrics{CoreBusy: make([]float64, i+1)}
+		rm := scenario.RunMetrics{TasksDone: int64(i), CoreBusy: make([]float64, i+1)}
 		rm.Iters.Append(metrics.IterStat{Iter: i}, make([]metrics.PlaceCount, 2*i))
-		return CellResult{Hash: fmt.Sprintf("cell-%d", i), Metrics: rm}
+		return CellResult{Hash: fmt.Sprintf("cell-%d", i), Summary: rm.Summary()}
 	}
 	var crs []CellResult
 	for i := 0; i < 5; i++ {
@@ -649,26 +667,14 @@ func TestCellCacheGaugesTrackEviction(t *testing.T) {
 	}
 	m.bankCells(crs)
 	m.bankCells(crs[4:]) // re-banking replaces, it must not double-count
-	var want int64
-	for _, cr := range crs[2:] {
-		want += cr.Metrics.SizeBytes()
-	}
-	if got := gaugeValue(t, m, `asymd_cache_entries{cache="cell"}`); got != 3 {
-		t.Errorf("cell entries gauge = %d, want the capacity 3", got)
-	}
-	if got := gaugeValue(t, m, "asymd_cell_cache_bytes"); got != want {
-		t.Errorf("cell bytes gauge = %d, want %d (the three retained cells)", got, want)
-	}
-	if small, big := crs[0].Metrics.SizeBytes(), crs[4].Metrics.SizeBytes(); big <= small {
-		t.Errorf("SizeBytes ignores slice lengths: %d vs %d", small, big)
+	check("after banking five cells", 3)
+	if n := m.mx.cellEvict.Value(); n != 6 {
+		t.Errorf("%d evictions, want 6", n)
 	}
 
-	rm := crs[4].Metrics
 	allocs := testing.AllocsPerRun(100, func() {
-		m.cellBytes += rm.SizeBytes()
-		m.cells.OnDrop(rm)
-		m.mx.cellCacheBytes.Set(m.cellBytes)
 		m.mx.cellEntries.Set(int64(m.cells.Len()))
+		m.mx.cellCacheBytes.Set(int64(m.cells.Len()) * summaryBytes)
 	})
 	if allocs != 0 {
 		t.Errorf("a gauge update costs %.0f allocs, want 0", allocs)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"testing"
@@ -28,7 +29,8 @@ func postFamily(t *testing.T, url, family string, scale float64, seed uint64) St
 // name finishes with the fingerprint of the in-process run of the family's
 // spec, and every experiment that views a family renders the daemon's
 // result byte for byte as experiments.Run (what asymbench -exp prints)
-// renders its own run.
+// renders its own run. The daemon keeps summaries, so its full result is the
+// replay GET .../fingerprint prints, checked against the job's digests.
 func TestDaemonAndCLIRunOneGrid(t *testing.T) {
 	m, srv := newTestServer(t, Config{Workers: 2})
 
@@ -56,9 +58,16 @@ func TestDaemonAndCLIRunOneGrid(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: job %s is gone", id, st.ID)
 		}
-		daemon, _, _, err := j.Result()
+		sum, fp, _, err := j.Result()
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
+		}
+		daemon, err := m.replay(context.Background(), j)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if daemon.Fingerprint() != fp || sum.Name != daemon.Name {
+			t.Errorf("%s: the replayed result is not the job's", id)
 		}
 		cli, err := experiments.Run(id, 0.05, 42)
 		if err != nil {

@@ -10,12 +10,10 @@ package service
 // peer refuses the shard instead of silently producing results under the
 // wrong key. The check catches both encoding skew (the re-derived base
 // differs) and engine skew (scenario.cellHashVersion, baked into every
-// cell hash, must be bumped when engine behavior changes). Metrics cross
-// the wire as plain JSON: Go encodes float64 with the shortest
-// representation that round-trips exactly, so merged fingerprints stay
-// bit-identical to an in-process run. A cell's digest (RunMetrics.Seal) is
-// not on the wire — the coordinator re-seals what it decodes — so nodes that
-// predate the digest and nodes that have it serve each other.
+// cell hash, must be bumped when engine behavior changes). A cell crosses
+// as its scenario.RunSummary, plain JSON (Go encodes float64 exactly) with the
+// peer's digest in hex, and the coordinator keeps it as it arrives: GET
+// /v1/results/{hash}/fingerprint re-runs the cells and checks the digests.
 
 import (
 	"bytes"
@@ -74,15 +72,16 @@ type wireSpan struct {
 	EndMS   float64 `json:"end_ms"`
 }
 
+// shardCellResult is one cell of a shard reply. A peer from before summaries
+// sends "metrics" and reads "metrics": either side fails the other over.
 type shardCellResult struct {
 	Hash    string               `json:"hash"`
-	Metrics *scenario.RunMetrics `json:"metrics,omitempty"`
+	Summary *scenario.RunSummary `json:"summary,omitempty"`
 	Error   string               `json:"error,omitempty"`
 }
 
-// maxShardBytes bounds a shard request or response document. Shards carry
-// full metric sets (per-core busy times, histograms, per-iteration stats),
-// so the bound is well above maxSpecBytes.
+// maxShardBytes bounds a shard request (a dagfile spec carries its graph) or
+// response document.
 const maxShardBytes = 64 << 20
 
 // remoteBackend executes shards on one peer asymd node.
@@ -185,29 +184,36 @@ func (r *remoteBackend) execute(ctx context.Context, plan *scenario.Plan, cells 
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("shard rejected: status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	var sr shardResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxShardBytes)).Decode(&sr); err != nil {
-		return nil, fmt.Errorf("decode shard response: %w", err)
-	}
+	sr, out, err := decodeShardReply(io.LimitReader(resp.Body, maxShardBytes), cells)
 	r.graftSpans(jt, traceLaneFrom(ctx), t0, jt.at(), &sr)
-	if len(sr.Results) != len(cells) {
-		return nil, fmt.Errorf("shard response has %d results for %d cells", len(sr.Results), len(cells))
+	return out, err // out is nil with an error
+}
+
+// decodeShardReply reads a shard reply: one result per cell asked for, in
+// order, under its hash, with an error or a digested summary.
+func decodeShardReply(body io.Reader, cells []scenario.CellJob) (sr shardResponse, out []CellResult, err error) {
+	if err := json.NewDecoder(body).Decode(&sr); err != nil {
+		return shardResponse{}, nil, fmt.Errorf("decode shard response: %w", err)
 	}
-	out := make([]CellResult, len(cells))
+	if len(sr.Results) != len(cells) {
+		return sr, nil, fmt.Errorf("shard response has %d results for %d cells", len(sr.Results), len(cells))
+	}
+	out = make([]CellResult, len(cells))
 	for i, cr := range sr.Results {
 		if cr.Hash != cells[i].Hash {
-			return nil, fmt.Errorf("shard result %d carries hash %.12s, want %.12s", i, cr.Hash, cells[i].Hash)
+			return sr, nil, fmt.Errorf("shard result %d carries hash %.12s, want %.12s", i, cr.Hash, cells[i].Hash)
 		}
 		out[i] = CellResult{Hash: cr.Hash}
 		switch {
 		case cr.Error != "":
 			out[i].Err = errors.New(cr.Error)
-		case cr.Metrics == nil:
-			return nil, fmt.Errorf("shard result %d has neither metrics nor error", i)
+		case cr.Summary == nil:
+			return sr, nil, fmt.Errorf("shard result %d has neither a summary nor an error", i)
+		case cr.Summary.Digest == scenario.Digest{}:
+			return sr, nil, fmt.Errorf("shard result %d has a summary without a digest", i)
 		default:
-			out[i].Metrics = *cr.Metrics
-			out[i].Metrics.Seal() // the digest does not travel: recomputed here
+			out[i].Summary = *cr.Summary
 		}
 	}
-	return out, nil
+	return sr, out, nil
 }

@@ -14,16 +14,14 @@
 //
 // Execution is cell-sharded: a job's spec is planned into (policy × point
 // × repetition) cell jobs (scenario.NewPlan), each carrying a canonical
-// cell hash. Cells already in the cell-granular LRU are served from cache;
-// the misses are batched into shards and dispatched across the configured
-// backends (the in-process pool, plus one remote backend per -peers
-// entry), a failed shard moving on to the next backend. Because cell
-// hashes ignore the spec's grid axes, two overlapping specs — a sweep and
-// the same sweep with one extra point — share cells, and a resubmission
-// with a small delta simulates only the delta. A job owns its cells while it
-// runs: two jobs in flight at once that share a cell each simulate it, and a
-// twin point (one point's parameters under a second label) runs its cells
-// again. The simulator is deterministic, so that costs time, never a metric.
+// cell hash that ignores the spec's grid axes, so a sweep and the same sweep
+// with one extra point share cells. The cell LRU serves what it holds, each
+// cell as its scenario.RunSummary (scalars and the digest of its metrics);
+// the misses are batched into shards and dispatched across the backends (the
+// in-process pool, plus one remote backend per -peers entry), a failed shard
+// moving on to the next. A job owns its cells while it runs: two jobs in
+// flight that share a cell, or a twin point (one point's parameters under a
+// second label), each simulate it. That costs time, never a metric.
 //
 // cmd/asymd wraps Manager.Handler in an HTTP daemon; see http.go for the
 // wire API (including the worker-facing POST /v1/shards).
@@ -40,6 +38,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"dynasym/internal/lru"
 	"dynasym/internal/obs"
@@ -117,7 +116,7 @@ type Job struct {
 	// Written once before the terminal state is stored, read only after
 	// observing it: the atomic store orders these fields for every reader,
 	// so a poller that saw "done" can always fetch the result.
-	result            *scenario.Result
+	result            *scenario.Summary
 	fperr             error
 	elapsed           time.Duration
 	started, finished time.Time
@@ -141,12 +140,11 @@ func (j *Job) Wait(ctx context.Context) error {
 	}
 }
 
-// Result returns the result, fingerprint and run duration of a completed
-// job; it errors if the job failed or has not finished. It gates on the
-// state, not on Done: the state is what snapshot and the wire API report.
-// The fingerprint is Result.Fingerprint, hashed per call from the cells'
-// sealed digests.
-func (j *Job) Result() (*scenario.Result, string, time.Duration, error) {
+// Result returns the result summary, fingerprint and run duration of a
+// completed job; it errors if the job failed or has not finished. It gates on
+// the state, not on Done: the state is what snapshot and the wire API report.
+// The fingerprint is Summary.Fingerprint, hashed per call from the digests.
+func (j *Job) Result() (*scenario.Summary, string, time.Duration, error) {
 	if st := j.loadState(); st != stateDone && st != stateFailed {
 		return nil, "", 0, fmt.Errorf("service: job %s is %s", j.Hash, st)
 	}
@@ -289,15 +287,12 @@ type Manager struct {
 	mu       sync.Mutex
 	inflight map[string]*Job                 // queued/running, by spec hash
 	cache    *lru.Cache[*Job]                // done/failed jobs, by spec hash
-	cells    *lru.Cache[scenario.RunMetrics] // finished cells, by cell hash
-	// cellBytes is the summed SizeBytes of the cached cells (the
-	// asymd_cell_cache_bytes gauge), kept by bankCells and cells.OnDrop;
-	// jobBytes the summed document length of the cached jobs
+	cells    *lru.Cache[scenario.RunSummary] // finished cells, by cell hash
+	// jobBytes is the summed document length of the cached jobs
 	// (asymd_job_cache_bytes), kept by execute and cache.OnDrop.
-	cellBytes int64
-	jobBytes  int64
-	plans     *lru.Cache[*scenario.Plan] // memoized plans, by spec hash (shard API)
-	traces    *lru.Cache[*trace.SpanSet] // finished job traces, by spec hash
+	jobBytes int64
+	plans    *lru.Cache[*scenario.Plan] // memoized plans, by spec hash (shard API)
+	traces   *lru.Cache[*trace.SpanSet] // finished job traces, by spec hash
 	// simtraces caches rendered per-cell sim-time Chrome traces by cell
 	// hash; simtraceBytes is the heap they pin, their summed capacity (the
 	// asymd_cache_bytes{cache="simtrace"} gauge), kept by simTrace and
@@ -325,14 +320,13 @@ func NewManager(cfg Config) *Manager {
 		rng:      xrand.New(0x4ea1),
 		inflight: make(map[string]*Job),
 		cache:    lru.New[*Job](cfg.CacheSize),
-		cells:    lru.New[scenario.RunMetrics](cfg.CellCacheSize),
+		cells:    lru.New[scenario.RunSummary](cfg.CellCacheSize),
 		plans:    lru.New[*scenario.Plan](planCacheSize),
 
 		traces:    lru.New[*trace.SpanSet](cfg.TraceRetention),
 		simtraces: lru.New[[]byte](cfg.TraceRetention),
 	}
 	m.cache.OnDrop = func(j *Job) { m.jobBytes -= int64(len(j.doc)) }
-	m.cells.OnDrop = func(rm scenario.RunMetrics) { m.cellBytes -= rm.SizeBytes() }
 	m.simtraces.OnDrop = func(b []byte) { m.simtraceBytes -= int64(cap(b)) }
 	mx.poolWorkers.Set(int64(cfg.Workers))
 	local.busy = mx.poolBusy
@@ -407,9 +401,9 @@ func (m *Manager) submit(spec scenario.Spec, reqID string) (job *Job, existing b
 	m.wg.Add(1)
 	// The probe is a Peek, so a miss leaves the LRU as it was; a job whose
 	// every cell is cached takes them here, as runJob's pass would.
-	var runs []scenario.RunMetrics
+	var runs []scenario.RunSummary
 	if m.cachesAll(plan.Cells) {
-		runs = make([]scenario.RunMetrics, len(plan.Cells))
+		runs = make([]scenario.RunSummary, len(plan.Cells))
 		m.takeCells(plan.Cells, runs)
 	}
 	m.mu.Unlock()
@@ -473,7 +467,7 @@ func familySpec(name string, scale float64, seed *uint64) (scenario.Spec, error)
 // and publishes it. Admission slots bound executing jobs to Workers: excess
 // submissions wait here, observably queued. A job submit took from the cell
 // cache (runs set) runs on the submitting goroutine and takes no slot.
-func (m *Manager) execute(j *Job, runs []scenario.RunMetrics) {
+func (m *Manager) execute(j *Job, runs []scenario.RunSummary) {
 	defer m.wg.Done()
 	atSubmit := runs != nil
 	j.started = j.planned
@@ -534,7 +528,7 @@ func (m *Manager) execute(j *Job, runs []scenario.RunMetrics) {
 // function of the job hash (elapsed_sec lives on the status) and, carrying a
 // digest where it once carried the fingerprint text, under 1 KB — the only
 // reason execute may build it before "done" is published (ROADMAP, traps).
-func resultDocument(hash string, res *scenario.Result) ([]byte, error) {
+func resultDocument(hash string, res *scenario.Summary) ([]byte, error) {
 	labels := make([]string, len(res.Points))
 	for i, pt := range res.Points {
 		labels[i] = pt.Label
@@ -585,23 +579,15 @@ const maxSimtraceBytes = 256 << 20
 
 // simTrace renders the sim-time schedule trace of one cell of a job as
 // Chrome-trace JSON: task slices plus queue-depth, ready-task, PTT-error
-// and per-core-utilization counter lanes. The cell is re-executed on the
-// local executor, under ctx, with a probe attached — cells are pure
-// functions of the plan and the cell coordinates, so the rendered schedule
-// is exactly the one behind the cell's canonical result even when the
-// result itself was computed on a remote shard or served from cache. The
-// executor's worker writes the trace into memory (Plan.RunCellTrace), and
-// the rendered bytes are cached by cell hash.
+// and per-core-utilization counter lanes. Like replay it re-runs the cell
+// on the local executor, under ctx, here with a probe (Plan.RunCellTrace),
+// and caches the rendered bytes by cell hash.
 func (m *Manager) simTrace(ctx context.Context, id string, cell int) ([]byte, error) {
 	j, ok := m.job(id)
 	if !ok {
 		return nil, errUnknownJob
 	}
-	key, err := j.Spec.Key()
-	if err != nil {
-		return nil, err
-	}
-	plan, err := m.planFor(key, j.Spec)
+	plan, err := m.planOf(j.Spec)
 	if err != nil {
 		return nil, err
 	}
@@ -619,8 +605,10 @@ func (m *Manager) simTrace(ctx context.Context, id string, cell int) ([]byte, er
 		return b, nil
 	}
 	var buf bytes.Buffer
-	err = m.local.traceCell(ctx, plan, c, &buf) // the metrics were banked with the job
-	m.mx.compiledEntries.Set(int64(scenario.CompiledCacheLen()))
+	err = m.local.rerun(ctx, plan, []scenario.CellJob{c}, func(_ int, st *scenario.CellState) error {
+		_, _, err := plan.RunCellTrace(st, c, &buf) // the summary was banked with the job
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -633,6 +621,32 @@ func (m *Manager) simTrace(ctx context.Context, id string, cell int) ([]byte, er
 	m.mu.Unlock()
 	m.mx.simtraceRenders.Inc()
 	return b, nil
+}
+
+// replay re-runs a done job's cells on the local executor and assembles the
+// full Result its summaries stand for, erring on the first cell whose digest
+// is not the job's: a replay oracle for the cache and the peers that filled
+// it. The re-runs, like sim-trace renders, leave the cell cache alone.
+func (m *Manager) replay(ctx context.Context, j *Job) (*scenario.Result, error) {
+	plan, err := m.planOf(j.Spec)
+	if err != nil {
+		return nil, err
+	}
+	runs := make([]scenario.RunMetrics, len(plan.Cells))
+	err = m.local.rerun(ctx, plan, plan.Cells, func(k int, st *scenario.CellState) (err error) {
+		runs[k], err = m.local.runCell(plan, st, plan.Cells[k])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range plan.Cells {
+		if got, want := runs[i].Summary().Digest, j.result.Runs[i].Digest; got != want {
+			return nil, fmt.Errorf("job %s: cell %d (%s, hash %.12s) re-ran to digest %x, the job holds %x",
+				j.Hash, i, plan.CellLabel(c), c.Hash, got[:8], want[:8])
+		}
+	}
+	return plan.Assemble(runs), nil
 }
 
 // keepSimtrace caches one rendered trace under its cell hash and evicts the
@@ -654,18 +668,16 @@ func (m *Manager) keepSimtrace(hash string, b []byte) {
 const planCacheSize = 64
 
 // runJob assembles one job's result from one array in plan order, runs[i]
-// being the metrics of plan cell i. A job submit took from the cell cache
+// being the summary of plan cell i. A job submit took from the cell cache
 // arrives with runs filled; any other job takes the cached cells here, in one
 // pass under the lock, and dispatches the rest. Every grid position is one hit
-// or one miss: a cell that another job is simulating, or that a twin point
-// repeats under a second label, is simulated again, which costs time but
-// cannot change a metric.
-func (m *Manager) runJob(ctx context.Context, j *Job, runs []scenario.RunMetrics) (*scenario.Result, error) {
+// or one miss (the package doc says why that is sound).
+func (m *Manager) runJob(ctx context.Context, j *Job, runs []scenario.RunSummary) (*scenario.Summary, error) {
 	jt := jobTraceFrom(ctx)
 	plan := j.plan
 	var missing []int // positions
 	if runs == nil {
-		runs = make([]scenario.RunMetrics, len(plan.Cells))
+		runs = make([]scenario.RunSummary, len(plan.Cells))
 		m.mu.Lock()
 		missing = m.takeCells(plan.Cells, runs)
 		m.mu.Unlock()
@@ -690,7 +702,7 @@ func (m *Manager) runJob(ctx context.Context, j *Job, runs []scenario.RunMetrics
 	}
 
 	mergeT0 := jt.at()
-	res := plan.Assemble(runs)
+	res := plan.Summarize(runs)
 	jt.span(trace.Span{Name: "merge", Cat: "merge", Lane: "job", Start: mergeT0, End: jt.at()})
 	j.cellsDone.Store(int64(len(plan.Cells)))
 	return res, nil
@@ -698,7 +710,7 @@ func (m *Manager) runJob(ctx context.Context, j *Job, runs []scenario.RunMetrics
 
 // dispatch batches the job's plan cells at the given positions into shards
 // and runs them concurrently (round-robin over the backends, failing over to
-// the others), writing each cell's metrics into runs at its position and
+// the others), writing each cell's summary into runs at its position and
 // advancing the job's progress by one. Successful cells enter the cell cache
 // as their shard lands — not when the whole dispatch finishes — so a job that
 // later fails still banks its finished cells, and a job admitted meanwhile
@@ -706,7 +718,7 @@ func (m *Manager) runJob(ctx context.Context, j *Job, runs []scenario.RunMetrics
 // error fails the whole dispatch, like a failed cell fails a monolithic Run —
 // and cancels the remaining shards: a doomed job must not keep simulating its
 // grid.
-func (m *Manager) dispatch(ctx context.Context, j *Job, pos []int, runs []scenario.RunMetrics) error {
+func (m *Manager) dispatch(ctx context.Context, j *Job, pos []int, runs []scenario.RunSummary) error {
 	plan := j.plan
 	cells := make([]scenario.CellJob, len(pos))
 	for k, i := range pos {
@@ -758,7 +770,7 @@ func (m *Manager) dispatch(ctx context.Context, j *Job, pos []int, runs []scenar
 					fail(fmt.Errorf("scenario %q: %s: %w", plan.Spec.Name, plan.CellLabel(shard[k]), cr.Err))
 					continue
 				}
-				runs[pos[k]] = cr.Metrics
+				runs[pos[k]] = cr.Summary
 				j.cellsDone.Add(1)
 			}
 		}(lo/m.cfg.ShardSize, cells[lo:hi], pos[lo:hi])
@@ -791,14 +803,23 @@ func (m *Manager) planFor(key scenario.Key, spec scenario.Spec) (*scenario.Plan,
 	return plan, nil
 }
 
+// planOf is planFor for a spec whose key is not at hand.
+func (m *Manager) planOf(spec scenario.Spec) (*scenario.Plan, error) {
+	key, err := spec.Key()
+	if err != nil {
+		return nil, err
+	}
+	return m.planFor(key, spec)
+}
+
 // takeCells is the read side of the cell-cache protocol (submit, runJob's
 // pass, the worker shard path), under m.mu: each position is taken with Get,
 // in input order, into runs, and the ones the cache lacks are returned in
 // input order.
-func (m *Manager) takeCells(cells []scenario.CellJob, runs []scenario.RunMetrics) (missing []int) {
+func (m *Manager) takeCells(cells []scenario.CellJob, runs []scenario.RunSummary) (missing []int) {
 	for i, c := range cells {
-		if rm, ok := m.cells.Get(c.Hash); ok {
-			runs[i] = rm
+		if sum, ok := m.cells.Get(c.Hash); ok {
+			runs[i] = sum
 		} else {
 			missing = append(missing, i)
 		}
@@ -811,7 +832,7 @@ func (m *Manager) takeCells(cells []scenario.CellJob, runs []scenario.RunMetrics
 // cancelled attempt never ran (no Hash), do not.
 func (m *Manager) bankCells(crs []CellResult) {
 	m.mu.Lock()
-	var fresh []scenario.RunMetrics
+	var fresh []CellResult
 	evicted := int64(0)
 	for _, cr := range crs {
 		if cr.Err != nil || cr.Hash == "" {
@@ -822,21 +843,23 @@ func (m *Manager) bankCells(crs []CellResult) {
 		// re-banking a cell the cache already holds — two jobs, or two
 		// positions of one, that simulated it — must not double-count.
 		if _, seen := m.cells.Peek(cr.Hash); !seen {
-			fresh = append(fresh, cr.Metrics)
+			fresh = append(fresh, cr)
 		}
-		m.cellBytes += cr.Metrics.SizeBytes()
-		evicted += int64(m.cells.Add(cr.Hash, cr.Metrics))
+		evicted += int64(m.cells.Add(cr.Hash, cr.Summary))
 	}
 	m.mx.cellEntries.Set(int64(m.cells.Len()))
-	m.mx.cellCacheBytes.Set(m.cellBytes)
+	m.mx.cellCacheBytes.Set(int64(m.cells.Len()) * summaryBytes)
 	m.mu.Unlock()
 	m.mx.cellEvict.Add(evicted)
 	// Sim-level telemetry: every banked cell counts, whether it ran on the
 	// local pool or landed from a remote shard.
-	for _, rm := range fresh {
-		m.mx.observeSim(rm)
+	for _, cr := range fresh {
+		m.mx.observeSim(cr.Summary, cr.coreBusy)
 	}
 }
+
+// summaryBytes is what one cached cell holds: a RunSummary has no pointer.
+const summaryBytes = int64(unsafe.Sizeof(scenario.RunSummary{}))
 
 // runShard runs one shard in one pass over the fleet: one attempt per
 // admissible backend, starting at the shard's round-robin home. Peers whose

@@ -34,7 +34,7 @@ var exportAllowlist = map[string]string{
 	"sim.Engine.Stop": "item 4(c): the cancellation seam that stops a running cell",
 	// Test seam: another package's tests build exact values through it,
 	// which no production path hands out.
-	"metrics.Iters.Append": "item 12: the hostile-result fingerprint tests build NaN and ±Inf iteration times, which the JSON form cannot carry",
+	"metrics.Iters.Append": "item 12: the hostile-result fingerprint tests build NaN and ±Inf iteration times, which no run produces",
 }
 
 // TestEveryExportHasAProductionCaller is the export ratchet (ROADMAP aim 2:

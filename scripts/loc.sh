@@ -21,7 +21,7 @@
 # reaches, comes from scripts/reach.sh, which holds every function at 0 % to
 # a verdict in scripts/reach.allow (a CI job of its own: it takes minutes).
 set -eu
-ceiling=14458
+ceiling=14457
 options_ceiling=29
 cd "$(dirname "$0")/.."
 n=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)

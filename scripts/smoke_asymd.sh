@@ -11,7 +11,9 @@
 #     every family) and a 400 for each unknown kind or model;
 #  2. two nodes: start a worker and a coordinator peered to it
 #     (-peers, -shard 1), submit a raw multi-cell spec, assert the worker
-#     simulated shards, fetch a per-cell sim-time trace from the
+#     simulated shards, assert the coordinator's /fingerprint text (a
+#     local re-run checked against the worker's digests) is the single
+#     node's for the same spec, fetch a per-cell sim-time trace from the
 #     coordinator (counter + task events, despite the cell having run
 #     remotely), then resubmit the spec plus one extra sweep point and
 #     assert the delta job reports cell-cache hits;
@@ -335,6 +337,24 @@ wait_done "$COORD" "$JOB2" "sharded job" 150 >/dev/null
 WRUNS="$(curl -fsS "http://$WADDR/v1/healthz" | sed -n 's/.*"cell_runs": *\([0-9]*\).*/\1/p')"
 [ -n "$WRUNS" ] && [ "$WRUNS" -ge 1 ] || { echo "worker simulated $WRUNS cells, want >= 1"; exit 1; }
 echo "worker simulated $WRUNS cells"
+
+# The coordinator keeps each cell's summary and the digest the worker sealed;
+# its /fingerprint re-runs the cells locally and checks every digest. The
+# text must be the single node's for the same spec (a job ID is its spec
+# hash, so the ID is the same on both nodes).
+SUBMIT="$(curl -fsS -X POST -H 'Content-Type: application/json' \
+	-d "{\"spec\": $SPEC_A}" "$BASE/v1/jobs")"
+JOBS1="$(printf '%s' "$SUBMIT" | sed -n 's/.*"id": *"\([0-9a-f]*\)".*/\1/p')"
+[ "$JOBS1" = "$JOB2" ] || { echo "single node filed the sharded spec as $JOBS1, coordinator as $JOB2"; exit 1; }
+wait_done "$BASE" "$JOBS1" "single-node twin of the sharded job" 150 >/dev/null
+TEXT_COORD="$(curl -fsS "$COORD/v1/results/$JOB2/fingerprint")"
+TEXT_SINGLE="$(curl -fsS "$BASE/v1/results/$JOBS1/fingerprint")"
+case "$TEXT_COORD" in
+scenario=*) ;;
+*) echo "coordinator /fingerprint does not start 'scenario='"; exit 1 ;;
+esac
+[ "$TEXT_COORD" = "$TEXT_SINGLE" ] || { echo "coordinator /fingerprint text differs from the single node's"; exit 1; }
+echo "coordinator /fingerprint replays the worker's cells to the single node's text"
 
 # Per-cell sim-time traces work for sharded jobs: the coordinator renders
 # any cell's schedule by deterministic re-execution, even though the cell
